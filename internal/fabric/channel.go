@@ -225,10 +225,9 @@ func (c *outChannel) markFECN(d *Delivery) {
 		off += packet.GRHSize
 	}
 	wire[off] |= packet.BTHFECNBit
-	vc := icrc.CRC16(wire[:len(wire)-packet.VCRCSize])
-	wire[len(wire)-2] = byte(vc >> 8)
-	wire[len(wire)-1] = byte(vc)
-	d.Pkt.VCRC = vc
+	if err := icrc.PatchVCRC(d.Pkt); err != nil {
+		panic(fmt.Sprintf("fabric: resealing FECN-marked packet: %v", err))
+	}
 	c.fecnMarked++
 	c.params.observe(c.sim.Now(), ObsFECNMark, c.ownerName, d)
 }

@@ -14,6 +14,11 @@
 // The VCRC uses the IBA CRC-16 generator polynomial 0x100B seeded with all
 // ones and covers the packet from the first byte of the LRH through the
 // ICRC.
+//
+// Both CRCs run as slicing-by-8 table kernels (CRC32, CRC16); the
+// bit-serial CRC32Bitwise and CRC16Bitwise are the references the tests
+// cross-check them against. PatchVCRC is the one place a VCRC is written
+// into a wire image.
 package icrc
 
 import (
@@ -36,6 +41,11 @@ var table32 [256]uint32
 // generation (reference [33]).
 var slicing8 [8][256]uint32
 
+// slicing16 is slicing8's MSB-first counterpart for the CRC-16: table t
+// advances a byte through t further zero bytes, so eight lookups consume
+// eight input bytes. 4 KiB, resident in L1 next to the packet.
+var slicing16 [8][256]uint16
+
 func init() {
 	for i := range table32 {
 		crc := uint32(i)
@@ -54,6 +64,25 @@ func init() {
 		for t := 1; t < 8; t++ {
 			crc = crc>>8 ^ table32[byte(crc)]
 			slicing8[t][i] = crc
+		}
+	}
+
+	for i := range slicing16[0] {
+		crc := uint16(i) << 8
+		for k := 0; k < 8; k++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ poly16
+			} else {
+				crc <<= 1
+			}
+		}
+		slicing16[0][i] = crc
+	}
+	for i := 0; i < 256; i++ {
+		crc := slicing16[0][i]
+		for t := 1; t < 8; t++ {
+			crc = crc<<8 ^ slicing16[0][crc>>8]
+			slicing16[t][i] = crc
 		}
 	}
 }
@@ -98,9 +127,30 @@ func CRC32Bitwise(data []byte) uint32 {
 	return ^crc
 }
 
-// CRC16 computes the IBA VCRC CRC-16 (poly 0x100B, init all-ones) over
-// data, MSB-first.
+// CRC16 computes the IBA VCRC CRC-16 (poly 0x100B, init all-ones, no
+// reflection, no final XOR) over data, MSB-first, with slicing-by-8.
 func CRC16(data []byte) uint16 {
+	crc := ^uint16(0)
+	for len(data) >= 8 {
+		crc = slicing16[7][data[0]^byte(crc>>8)] ^
+			slicing16[6][data[1]^byte(crc)] ^
+			slicing16[5][data[2]] ^
+			slicing16[4][data[3]] ^
+			slicing16[3][data[4]] ^
+			slicing16[2][data[5]] ^
+			slicing16[1][data[6]] ^
+			slicing16[0][data[7]]
+		data = data[8:]
+	}
+	for _, b := range data {
+		crc = crc<<8 ^ slicing16[0][byte(crc>>8)^b]
+	}
+	return crc
+}
+
+// CRC16Bitwise is the reference bit-serial implementation of CRC16, used
+// to cross-check the table-driven version in tests.
+func CRC16Bitwise(data []byte) uint16 {
 	crc := ^uint16(0)
 	for _, b := range data {
 		crc ^= uint16(b) << 8
@@ -265,6 +315,17 @@ func (v *Verifier) Seal(p *packet.Packet) error {
 		wire[off+2] = byte(ic >> 8)
 		wire[off+3] = byte(ic)
 	}
+	return PatchVCRC(p)
+}
+
+// PatchVCRC recomputes the VCRC over p's wire image, patches the two
+// trailer bytes in place and stores the value in p.VCRC. It is the one
+// place a VCRC is written: a full Seal ends here, and so do the paths
+// that reseal the link CRC alone — a signed send that has placed its tag
+// in the ICRC field, a switch that has set FECN in the variant Resv8a
+// byte.
+func PatchVCRC(p *packet.Packet) error {
+	wire := p.Wire()
 	vc, err := VCRC(wire)
 	if err != nil {
 		return err

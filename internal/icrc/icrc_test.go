@@ -247,6 +247,35 @@ func BenchmarkCRC32Table1024(b *testing.B) {
 	}
 }
 
+var sinkCRC16 uint16
+
+func BenchmarkCRC16_1024(b *testing.B) {
+	data := make([]byte, 1024)
+	b.SetBytes(1024)
+	for i := 0; i < b.N; i++ {
+		sinkCRC16 = CRC16(data)
+	}
+}
+
+// BenchmarkVerifyVCRC is the per-link check every switch and HCA input
+// port runs on every packet when CRC checking is on.
+func BenchmarkVerifyVCRC(b *testing.B) {
+	p := mkPacket(1024, false)
+	if err := Seal(p); err != nil {
+		b.Fatal(err)
+	}
+	wire := p.Wire()
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ok, err := VerifyVCRC(wire)
+		if err != nil || !ok {
+			b.Fatalf("ok=%v err=%v", ok, err)
+		}
+	}
+}
+
 func BenchmarkICRCSeal(b *testing.B) {
 	p := mkPacket(1024, false)
 	b.SetBytes(int64(p.WireSize()))
@@ -350,7 +379,9 @@ func TestSealInstallsConsistentWireCache(t *testing.T) {
 }
 
 // AllocsPerRun guard on the tentpole claim: once a Verifier's scratch
-// buffer has grown to packet size, ICRC verification allocates nothing.
+// buffer has grown to packet size, ICRC verification allocates nothing —
+// and neither do the per-link VCRC check and the VCRC-only reseal, which
+// need no scratch at all.
 func TestVerifierZeroAllocSteadyState(t *testing.T) {
 	p := mkPacket(1024, false)
 	if err := Seal(p); err != nil {
@@ -369,5 +400,17 @@ func TestVerifierZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state ICRC verification allocated %.1f times per packet, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := PatchVCRC(p); err != nil {
+			t.Fatal(err)
+		}
+		ok, err := VerifyVCRC(p.Wire())
+		if err != nil || !ok {
+			t.Fatalf("ok=%v err=%v", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("PatchVCRC + VerifyVCRC allocated %.1f times per packet, want 0", allocs)
 	}
 }

@@ -346,14 +346,7 @@ func (e *Endpoint) seal(p *packet.Packet, q *QP, dstLID packet.LID, dstQPN packe
 	wire[off+1] = byte(tag >> 16)
 	wire[off+2] = byte(tag >> 8)
 	wire[off+3] = byte(tag)
-	vc, err := icrc.VCRC(wire)
-	if err != nil {
-		return err
-	}
-	p.VCRC = vc
-	wire[off+4] = byte(vc >> 8)
-	wire[off+5] = byte(vc)
-	return nil
+	return icrc.PatchVCRC(p)
 }
 
 // SendUD sends payload from a UD QP to (dstLID, dstQPN), writing the

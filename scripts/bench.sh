@@ -28,7 +28,7 @@ bench() { go test -run '^$' -benchmem "$@"; }
 {
   bench -bench '^(BenchmarkScheduleRun|BenchmarkScheduleRunSteady|BenchmarkShardWindow)$' \
         -benchtime "${BENCHTIME:-100x}" ./internal/sim
-  bench -bench '^(BenchmarkICRCSeal|BenchmarkVerifyICRC)$' \
+  bench -bench '^(BenchmarkICRCSeal|BenchmarkVerifyICRC|BenchmarkVerifyVCRC)$' \
         -benchtime "${BENCHTIME:-100x}" ./internal/icrc
   bench -bench '^BenchmarkCompile$' \
         -benchtime "${BENCHTIME:-100x}" ./internal/policy

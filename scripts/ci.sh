@@ -109,6 +109,7 @@ go run ./cmd/ibsim -list | grep -qx health
 
 echo "== fuzz smoke (wire parsers + shard windows, 5s each)"
 go test -run '^$' -fuzz '^FuzzPacketUnmarshal$' -fuzztime 5s ./internal/packet
+go test -run '^$' -fuzz '^FuzzCRC16$' -fuzztime 5s ./internal/icrc
 go test -run '^$' -fuzz '^FuzzMADParse$' -fuzztime 5s ./internal/sm
 go test -run '^$' -fuzz '^FuzzShardWindow$' -fuzztime 5s ./internal/sim
 
