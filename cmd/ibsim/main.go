@@ -65,7 +65,6 @@ var (
 	cpuGHz     = flag.Float64("cpu-ghz", 2.1, "CPU clock for table4 cycles/byte conversion")
 	csvDir     = flag.String("csv", "", "also write each experiment's rows to <dir>/<name>.csv")
 	jobs       = flag.Int("jobs", 0, "parallel simulation points per sweep (0 = GOMAXPROCS)")
-	shards     = flag.Int("shards", 0, "run each simulation on the sharded event engine with this many fabric regions (0 or 1 = classic serial engine; results are identical either way)")
 	resultsDir = flag.String("results", "results", "directory for the result manifest; empty disables persistence")
 	resume     = flag.Bool("resume", false, "skip points already completed in the result manifest")
 	watchdog   = flag.Duration("watchdog", 0, "wall-clock budget per simulation point; a wedged point fails with attribution instead of hanging the sweep (0 disables)")
@@ -123,7 +122,6 @@ func baseConfig() ibasec.Config {
 		cfg.Duration = 2 * ibasec.Millisecond
 		cfg.Warmup = 200 * ibasec.Microsecond
 	}
-	cfg.Shards = *shards
 	return cfg
 }
 

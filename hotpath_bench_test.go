@@ -111,40 +111,3 @@ func BenchmarkHealthSweep(b *testing.B) {
 		}
 	}
 }
-
-// benchHotPathShards runs the plain hot path on a 4x4 mesh — big enough
-// for 8 link-connected regions — with the given engine configuration
-// (0 = serial reference, >1 = sharded engine in Ordered mode).
-func benchHotPathShards(b *testing.B, shards int) {
-	cfg := hotPathConfig(false)
-	cfg.MeshW, cfg.MeshH = 4, 4
-	cfg.Shards = shards
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.DeliveredLegit == 0 {
-			b.Fatal("hot path delivered nothing")
-		}
-	}
-}
-
-// BenchmarkHotPathParallelOff is the serial 4x4 reference the
-// BenchmarkHotPathParallel* variants are compared against.
-func BenchmarkHotPathParallelOff(b *testing.B) { benchHotPathShards(b, 0) }
-
-// BenchmarkHotPathParallel{2,4,8} run the same workload on the sharded
-// engine. The cluster runs the engine in Ordered mode (one merging
-// goroutine), so these measure the cost of the sharded data structures
-// and window machinery relative to BenchmarkHotPathParallelOff — not a
-// speedup. DESIGN.md §13.6 documents why concurrent full-cluster
-// execution is off the table (20 ns cut-link lookahead against
-// microsecond event spacing, plus shared measurement/control state);
-// sim.BenchmarkShardWindow measures the Concurrent mode on a model that
-// can actually use it.
-func BenchmarkHotPathParallel2(b *testing.B) { benchHotPathShards(b, 2) }
-func BenchmarkHotPathParallel4(b *testing.B) { benchHotPathShards(b, 4) }
-func BenchmarkHotPathParallel8(b *testing.B) { benchHotPathShards(b, 8) }

@@ -49,7 +49,7 @@ func (o Outcome) String() string {
 // world is a 2x2 mesh with transport endpoints, the attacker on node 1,
 // victims on nodes 0 and 3.
 type world struct {
-	s    sim.Engine
+	s    *sim.Simulator
 	mesh *topology.Mesh
 	eps  []*transport.Endpoint
 }

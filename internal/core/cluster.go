@@ -119,7 +119,7 @@ func (r *Results) Combined() (queuingUS, networkUS float64) {
 // at the assembled system.
 type Cluster struct {
 	Cfg       Config
-	Sim       sim.Engine
+	Sim       *sim.Simulator
 	Mesh      *topology.Mesh
 	Filter    *enforce.Filter
 	SM        *sm.SubnetManager
@@ -226,25 +226,8 @@ func Build(cfg Config) (*Cluster, error) {
 		}
 		cfg.Params = &p
 	}
-	// Engine selection: the classic serial simulator, or — with Shards
-	// above 1 — the sharded engine in Ordered mode over a link-connected
-	// partition of the mesh. Ordered mode merges the shard queues on one
-	// goroutine in exactly the serial commit order, so every result is
-	// byte-identical to the serial engine's; the cluster's shared state
-	// (traffic RNG, Welford accumulators, filter counters, trace ring,
-	// zero-latency management upcalls) rules Concurrent mode out here.
-	var s sim.Engine
-	var mesh *topology.Mesh
-	if cfg.Shards > 1 {
-		plan := topology.PlanShards(cfg.MeshW, cfg.MeshH, cfg.Shards, cfg.Params)
-		eng := sim.NewSharded(plan.K, plan.Lookahead, sim.Ordered)
-		s = eng
-		mesh = topology.NewMeshSharded(eng, cfg.Params, cfg.MeshW, cfg.MeshH, plan)
-	} else {
-		ss := sim.New()
-		s = ss
-		mesh = topology.NewMesh(ss, cfg.Params, cfg.MeshW, cfg.MeshH)
-	}
+	s := sim.New()
+	mesh := topology.NewMesh(s, cfg.Params, cfg.MeshW, cfg.MeshH)
 	n := mesh.NumNodes()
 	if cfg.FaultPlan != nil {
 		if err := cfg.FaultPlan.Validate(mesh); err != nil {
@@ -906,12 +889,8 @@ func (cl *Cluster) Simulate() *Results {
 					}
 				}
 			}
-			// Sources run on their node's own scheduler: on the serial
-			// engine that is the one simulator, on the sharded engine it
-			// is the HCA's home shard, keeping injection events in the
-			// region's queue.
 			atk := workload.StartAttacker(
-				hca.Sim(), cl.Rng, sender, targets, cfg.MsgSize, cfg.AttackDuty, cfg.AttackCycle)
+				cl.Sim, cl.Rng, sender, targets, cfg.MsgSize, cfg.AttackDuty, cfg.AttackCycle)
 			atk.FixedPKey = fixedPKey
 			atk.Rate = cfg.AttackRate
 			attackers = append(attackers, atk)
@@ -939,11 +918,11 @@ func (cl *Cluster) Simulate() *Results {
 			admit := func() bool {
 				return hca.SendQueueLen(fabric.VLRealtime) < cfg.RealtimeMaxQueue
 			}
-			g := workload.Realtime(hca.Sim(), cl.Rng, cfg.RealtimeLoad*bw, cfg.MsgSize, targets, admit, sendRT)
+			g := workload.Realtime(cl.Sim, cl.Rng, cfg.RealtimeLoad*bw, cfg.MsgSize, targets, admit, sendRT)
 			gens = append(gens, g)
 		}
 		if cfg.BestEffortLoad > 0 {
-			g := workload.BestEffort(hca.Sim(), cl.Rng, cfg.BestEffortLoad*bw, cfg.MsgSize, targets, sendBE)
+			g := workload.BestEffort(cl.Sim, cl.Rng, cfg.BestEffortLoad*bw, cfg.MsgSize, targets, sendBE)
 			gens = append(gens, g)
 		}
 	}

@@ -253,14 +253,6 @@ type Config struct {
 	// Seed makes the run reproducible.
 	Seed int64
 
-	// Shards, when above 1, runs the simulation on the sharded engine:
-	// the mesh is partitioned into that many link-connected regions and
-	// the engine merges their event queues in Ordered mode, which is
-	// proven event-for-event identical to the serial engine by the
-	// determinism harness. 0 or 1 keeps the classic serial simulator.
-	// The count is clamped to the switch count by the shard planner.
-	Shards int
-
 	// SM configures the subnet manager.
 	SM sm.Config
 
@@ -344,9 +336,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Params == nil {
 		return fmt.Errorf("core: nil fabric params")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: negative shard count %d", c.Shards)
 	}
 	if c.HA.Standbys < 0 || c.HA.Standbys >= n {
 		return fmt.Errorf("core: %d SM standbys for %d nodes", c.HA.Standbys, n)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
 	"ibasec/internal/mac"
 	"ibasec/internal/sim"
+	"ibasec/internal/trace"
 	"ibasec/internal/transport"
 )
 
@@ -84,27 +86,54 @@ func TestRunBaseline(t *testing.T) {
 	}
 }
 
+// TestRunDeterminism is the same-seed regression gate: two runs of one
+// configuration (SIF under a duty-cycled attacker, packet-lifecycle
+// recorder on) must agree on every recorded event — timestamp, kind,
+// node and packet identity, in firing order — on the number of events
+// the simulator fired, and on the full delay statistics.
 func TestRunDeterminism(t *testing.T) {
 	cfg := quickCfg()
-	cfg.Attackers = 2
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg.RealtimeLoad = 0.5
+	cfg.BestEffortLoad = 0.4
+	cfg.Attackers = 1
+	cfg.AttackDuty = 0.5
+	cfg.AttackCycle = cfg.Duration / 4
+	cfg.Enforcement = enforce.SIF
+	cfg.TraceCapacity = 1 << 15
+	run := func(cfg Config) ([]trace.Event, *Results, uint64) {
+		t.Helper()
+		cl, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := cl.Simulate()
+		return cl.Trace.Events(), res, cl.Sim.Fired()
 	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	aEvents, a, aFired := run(cfg)
+	bEvents, b, bFired := run(cfg)
+	if len(aEvents) == 0 {
+		t.Fatal("run recorded no trace events")
 	}
-	if a.DeliveredLegit != b.DeliveredLegit ||
-		a.BestEffort.Queuing.Mean() != b.BestEffort.Queuing.Mean() ||
-		a.HCAViolations != b.HCAViolations {
-		t.Fatalf("same seed, different results: %v vs %v deliveries", a.DeliveredLegit, b.DeliveredLegit)
+	if aFired != bFired {
+		t.Errorf("same seed fired %d events, then %d", aFired, bFired)
+	}
+	if len(aEvents) != len(bEvents) {
+		t.Fatalf("same seed recorded %d trace events, then %d", len(aEvents), len(bEvents))
+	}
+	for i := range aEvents {
+		if aEvents[i] != bEvents[i] {
+			t.Fatalf("same seed, trace diverges at event %d:\nfirst:  %v\nsecond: %v", i, aEvents[i], bEvents[i])
+		}
+	}
+	if !reflect.DeepEqual(a.Realtime, b.Realtime) || !reflect.DeepEqual(a.BestEffort, b.BestEffort) {
+		t.Error("same seed, different delay statistics")
+	}
+	if a.DeliveredLegit != b.DeliveredLegit || a.AttackDelivered != b.AttackDelivered ||
+		a.FilterDropped != b.FilterDropped || a.TrapsSent != b.TrapsSent || a.HCAViolations != b.HCAViolations {
+		t.Errorf("same seed, different counters: %+v vs %+v", a, b)
 	}
 	cfg.Seed = 2
-	c, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, c, _ := run(cfg)
 	if c.DeliveredLegit == a.DeliveredLegit && c.BestEffort.Queuing.Mean() == a.BestEffort.Queuing.Mean() {
 		t.Fatal("different seed produced identical run")
 	}

@@ -244,7 +244,7 @@ func (f *Filter) Violations(sw *fabric.Switch) uint64 {
 // its ingress filtering and clears its Invalid_P_Key_Table ("If this
 // counter does not increase for some time, the switch disables ingress
 // filtering by itself"). The returned cancel function stops the timer.
-func (f *Filter) StartAutoDisable(s sim.Scheduler, period sim.Time) (cancel func()) {
+func (f *Filter) StartAutoDisable(s *sim.Simulator, period sim.Time) (cancel func()) {
 	if f.mode != SIF {
 		return func() {}
 	}

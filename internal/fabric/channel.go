@@ -40,7 +40,7 @@ func (p *Port) Connected() bool { return p != nil && p.out != nil }
 // per-VL credit counters, and the serializer. All state is driven by the
 // single simulation goroutine.
 type outChannel struct {
-	sim     sim.Scheduler
+	sim     *sim.Simulator
 	params  *Params
 	peer    Device
 	peerIn  int // peer's port id
@@ -102,74 +102,23 @@ type outChannel struct {
 	stalled     bool
 	stallSince  sim.Time
 	creditStall sim.Time
-
-	// cross is non-nil when this channel bridges two shards of a
-	// Concurrent engine: deliveries and credit returns then travel
-	// through the engine's mailboxes instead of direct peer calls. Nil
-	// on every serial, Ordered-mode, or intra-shard channel.
-	cross *crossWire
-}
-
-// crossWire holds the shard endpoints of a concurrent cross-shard link:
-// home drives the channel (the sender side), peer owns the receiving
-// device.
-type crossWire struct {
-	home, peer *sim.Shard
 }
 
 // Connect wires port pa of device a to port pb of device b with a
-// full-duplex link using the given parameters. Ports are created lazily;
-// reconnecting a port panics. Each direction is driven by its sending
-// device's scheduler when the device exposes one (HCA and Switch do); s
-// is the fallback for devices that don't. When the two sides live on
-// different shards of a Concurrent engine, the link is wired as a
-// cross-shard bridge: deliveries and credit returns travel through the
-// engine mailboxes, which requires the link latency to cover the
-// engine's lookahead and the shared-state fabric hooks (Observer, bit
-// errors) to be off.
-func Connect(s sim.Scheduler, params *Params, a Device, pa int, b Device, pb int) {
+// full-duplex link using the given parameters; s drives both
+// directions. Ports are created lazily; reconnecting a port panics.
+func Connect(s *sim.Simulator, params *Params, a Device, pa int, b Device, pb int) {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
-	sa, sb := schedOf(a, s), schedOf(b, s)
-	ach := &outChannel{sim: sa, params: params, peer: b, peerIn: pb, ownerName: a.Name()}
-	bch := &outChannel{sim: sb, params: params, peer: a, peerIn: pa, ownerName: b.Name()}
+	ach := &outChannel{sim: s, params: params, peer: b, peerIn: pb, ownerName: a.Name()}
+	bch := &outChannel{sim: s, params: params, peer: a, peerIn: pa, ownerName: b.Name()}
 	for vl := 0; vl < NumVLs; vl++ {
 		ach.credits[vl] = params.CreditsPerVL
 		bch.credits[vl] = params.CreditsPerVL
 	}
-	if sha, ok := sa.(*sim.Shard); ok {
-		if shb, ok := sb.(*sim.Shard); ok && sha != shb && sha.Engine() == shb.Engine() &&
-			sha.Engine().Mode() == sim.Concurrent {
-			eng := sha.Engine()
-			if params.PropDelay < eng.Lookahead() {
-				panic(fmt.Sprintf("fabric: cross-shard link latency %v below engine lookahead %v",
-					params.PropDelay, eng.Lookahead()))
-			}
-			if params.Observer != nil {
-				panic("fabric: a concurrent cross-shard link cannot share a fabric Observer")
-			}
-			if params.BitErrorRate > 0 {
-				panic("fabric: a concurrent cross-shard link cannot share the bit-error RNG")
-			}
-			ach.cross = &crossWire{home: sha, peer: shb}
-			bch.cross = &crossWire{home: shb, peer: sha}
-		}
-	}
 	bindPort(a, pa, ach)
 	bindPort(b, pb, bch)
-}
-
-// schedOf returns the scheduler driving a device's events: the device's
-// own when it exposes one, else the fallback.
-func schedOf(d Device, fallback sim.Scheduler) sim.Scheduler {
-	type scheduled interface{ Sim() sim.Scheduler }
-	if sd, ok := d.(scheduled); ok {
-		if s := sd.Sim(); s != nil {
-			return s
-		}
-	}
-	return fallback
 }
 
 // porter lets Connect reach the devices' port slices without exposing
@@ -501,37 +450,6 @@ func (c *outChannel) trySend() {
 	c.busyTime += ser
 	ch := c // capture
 	ep := c.epoch
-	if c.cross != nil {
-		// Cross-shard bridge: commit the packet at serialization end, while
-		// it is still home-shard state, then hand the in-flight wire time to
-		// the peer shard's mailbox. PropDelay >= the engine lookahead
-		// (checked in Connect), so the posted arrival always lands at or
-		// beyond the current safe window. A link transition during the wire
-		// flight cannot recall the packet — concurrent runs don't inject
-		// faults — but the credit return still re-checks the epoch at home.
-		c.sim.Schedule(ser, func() {
-			if ch.epoch != ep {
-				ch.blackhole(d)
-				return
-			}
-			ch.busy = false
-			arriveAt := ch.cross.home.Now() + ch.params.PropDelay
-			d.creditor = func() {
-				ch.cross.peer.Post(ch.cross.home, ch.cross.peer.Now()+ch.params.PropDelay, func() {
-					if ch.epoch != ep {
-						return
-					}
-					ch.credits[vl]++
-					ch.trySend()
-				})
-			}
-			ch.cross.home.Post(ch.cross.peer, arriveAt, func() {
-				ch.peer.arrive(ch.peerIn, d)
-			})
-			ch.trySend()
-		})
-		return
-	}
 	c.sim.Schedule(ser, func() {
 		if ch.epoch != ep {
 			return

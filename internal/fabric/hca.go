@@ -18,7 +18,7 @@ import (
 type HCA struct {
 	name   string
 	lid    packet.LID
-	sim    sim.Scheduler
+	sim    *sim.Simulator
 	params *Params
 	port   *Port
 
@@ -67,7 +67,7 @@ type HCA struct {
 }
 
 // NewHCA creates an HCA with the given LID.
-func NewHCA(s sim.Scheduler, params *Params, name string, lid packet.LID) *HCA {
+func NewHCA(s *sim.Simulator, params *Params, name string, lid packet.LID) *HCA {
 	h := &HCA{
 		name:      name,
 		lid:       lid,
@@ -97,7 +97,7 @@ func (h *HCA) SetGUID(g uint64) { h.guid = g }
 func (h *HCA) GUID() uint64 { return h.guid }
 
 // Sim returns the simulator driving this HCA.
-func (h *HCA) Sim() sim.Scheduler { return h.sim }
+func (h *HCA) Sim() *sim.Simulator { return h.sim }
 
 // Params returns the fabric parameters.
 func (h *HCA) Params() *Params { return h.params }
@@ -122,9 +122,6 @@ func (h *HCA) PortHealth() PortCounters { return h.health }
 func (h *HCA) SetLinkBER(rate float64) {
 	if h.port.out == nil {
 		return
-	}
-	if h.port.out.cross != nil {
-		panic("fabric: a concurrent cross-shard link cannot carry a per-link BER override")
 	}
 	h.port.out.berOverride = rate
 	h.port.out.berSet = true

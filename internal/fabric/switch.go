@@ -37,7 +37,7 @@ type MADTap func(sw *Switch, d *Delivery) (drop bool, delay sim.Time)
 // HCA, ports 1-4 to neighbours (Table 1).
 type Switch struct {
 	name    string
-	sim     sim.Scheduler
+	sim     *sim.Simulator
 	params  *Params
 	ports   []*Port
 	ingress map[int]bool // ports directly connected to end nodes
@@ -63,7 +63,7 @@ type Switch struct {
 }
 
 // NewSwitch creates a switch with nports ports.
-func NewSwitch(s sim.Scheduler, params *Params, name string, nports int) *Switch {
+func NewSwitch(s *sim.Simulator, params *Params, name string, nports int) *Switch {
 	sw := &Switch{
 		name:     name,
 		sim:      s,
@@ -267,12 +267,8 @@ func (sw *Switch) SetPortBER(port int, rate float64) {
 	if port < 0 || port >= len(sw.ports) || sw.ports[port].out == nil {
 		return
 	}
-	ch := sw.ports[port].out
-	if ch.cross != nil {
-		panic("fabric: a concurrent cross-shard link cannot carry a per-link BER override")
-	}
-	ch.berOverride = rate
-	ch.berSet = true
+	sw.ports[port].out.berOverride = rate
+	sw.ports[port].out.berSet = true
 }
 
 // ClearPortBER removes the port's bit-error override; the fabric-wide
@@ -341,7 +337,7 @@ func (sw *Switch) SendRaw(port int, d *Delivery) {
 }
 
 // Sim returns the simulator driving this switch.
-func (sw *Switch) Sim() sim.Scheduler { return sw.sim }
+func (sw *Switch) Sim() *sim.Simulator { return sw.sim }
 
 // PortConnected reports whether the port has been wired to a link.
 func (sw *Switch) PortConnected(port int) bool { return sw.ports[port].Connected() }

@@ -356,7 +356,7 @@ type Injector struct {
 // mutate it; callers that also run clean experiments must hand each run
 // its own copy). Install must be called before the simulator runs past
 // the earliest fault time.
-func Install(s sim.Scheduler, m *topology.Mesh, params *fabric.Params, p *Plan) (*Injector, error) {
+func Install(s *sim.Simulator, m *topology.Mesh, params *fabric.Params, p *Plan) (*Injector, error) {
 	if err := p.Validate(m); err != nil {
 		return nil, err
 	}

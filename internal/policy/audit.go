@@ -70,7 +70,7 @@ type AuditConfig struct {
 // the Discoverer's retry/backoff — so its overhead is measurable, not
 // assumed away.
 type Auditor struct {
-	sim    sim.Scheduler
+	sim    *sim.Simulator
 	disc   *sm.Discoverer
 	intent *Intent
 	paths  map[int][]byte
@@ -101,7 +101,7 @@ type Auditor struct {
 // auditor's own Discoverer — sharing the resweeper's would let its
 // per-sweep Reset cancel audit probes mid-flight) along the given
 // directed-route paths (SwitchPaths).
-func NewAuditor(s sim.Scheduler, disc *sm.Discoverer, intent *Intent, paths map[int][]byte, cfg AuditConfig) *Auditor {
+func NewAuditor(s *sim.Simulator, disc *sm.Discoverer, intent *Intent, paths map[int][]byte, cfg AuditConfig) *Auditor {
 	a := &Auditor{
 		sim:        s,
 		disc:       disc,

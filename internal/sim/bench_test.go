@@ -18,36 +18,3 @@ func BenchmarkScheduleRunSteady(b *testing.B) {
 		s.Run()
 	}
 }
-
-// BenchmarkShardWindow measures the conservative window machinery in
-// Concurrent mode on a model that is actually shard-disjoint: four
-// shards of self-rescheduling local ticks (40 events per shard per
-// window) exchanging one cross-shard post per window. One op advances
-// the engine by one lookahead, i.e. at least one full window barrier —
-// drain, minimum scan, worker dispatch, join.
-func BenchmarkShardWindow(b *testing.B) {
-	const (
-		k         = 4
-		lookahead = Time(400)
-		tick      = Time(10)
-	)
-	e := NewSharded(k, lookahead, Concurrent)
-	for i := 0; i < k; i++ {
-		sh := e.Shard(i)
-		next := e.Shard((i + 1) % k)
-		var localTick func()
-		localTick = func() { sh.Schedule(tick, localTick) }
-		sh.ScheduleAt(0, localTick)
-		var relay func()
-		relay = func() {
-			sh.Post(next, sh.Now()+lookahead, func() {})
-			sh.Schedule(lookahead, relay)
-		}
-		sh.ScheduleAt(Time(i), relay)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.RunUntil(Time(i+1) * lookahead)
-	}
-}

@@ -2,55 +2,11 @@ package sim
 
 import "fmt"
 
-// Scheduler is the event-scheduling surface the fabric model is built
-// against: everything a device, protocol timer or traffic source needs
-// to schedule, cancel and read the clock. Both the serial Simulator and
-// each Shard of the parallel engine implement it, so model code is
-// engine-agnostic.
-type Scheduler interface {
-	// Now returns the current simulation time as seen by this scheduler.
-	Now() Time
-	// Schedule queues fn to run after delay (>= 0).
-	Schedule(delay Time, fn func()) Event
-	// ScheduleAt queues fn at absolute time at (>= Now).
-	ScheduleAt(at Time, fn func()) Event
-	// Cancel removes a pending event, reporting whether it did.
-	Cancel(e Event) bool
-	// Every runs fn each period until the returned cancel is called.
-	Every(period Time, fn func()) (cancel func())
-}
-
-// Engine is a complete simulation driver: a Scheduler that can also run
-// the event loop to a deadline. The serial Simulator and the Sharded
-// parallel engine both implement it; the cluster layer holds an Engine
-// so the two are interchangeable behind the -shards knob.
-type Engine interface {
-	Scheduler
-	// Run fires events until none remain or Stop is called.
-	Run()
-	// RunUntil fires events with timestamps <= deadline, then advances
-	// the clock to the deadline.
-	RunUntil(deadline Time)
-	// Stop makes the innermost Run or RunUntil return early.
-	Stop()
-	// Fired returns the number of events executed so far.
-	Fired() uint64
-	// Pending returns the number of events still queued.
-	Pending() int
-}
-
-var (
-	_ Engine    = (*Simulator)(nil)
-	_ Engine    = (*Sharded)(nil)
-	_ Scheduler = (*Shard)(nil)
-)
-
 // Simulator is a single-threaded discrete-event scheduler. The zero value
 // is ready to use. Simulator is not safe for concurrent use; the fabric
 // model is deliberately single-threaded so that runs are deterministic.
 type Simulator struct {
 	now     Time
-	seq     uint64
 	q       eventQueue
 	fired   uint64
 	stopped bool
@@ -87,9 +43,7 @@ func (s *Simulator) ScheduleAt(at Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	ev := s.q.push(at, s.seq, fn)
-	s.seq++
-	return ev
+	return s.q.push(at, fn)
 }
 
 // Cancel removes a pending event so it never fires, reporting whether it
@@ -146,12 +100,6 @@ func (s *Simulator) Stop() { s.stopped = true }
 // Every schedules fn to run now+period, then every period thereafter,
 // until the returned cancel function is called. fn may itself call cancel.
 func (s *Simulator) Every(period Time, fn func()) (cancel func()) {
-	return every(s, period, fn)
-}
-
-// every is the periodic-tick helper behind Simulator.Every and
-// Shard.Every.
-func every(s Scheduler, period Time, fn func()) (cancel func()) {
 	if period <= 0 {
 		panic("sim: non-positive period")
 	}

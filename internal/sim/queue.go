@@ -71,15 +71,13 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// eventQueue is the slab-pooled pending-event heap shared by the serial
-// Simulator and each shard of the parallel engine. It orders events by
-// (time, seq) and leaves seq assignment to the caller: the Simulator
-// uses one global counter, a Sharded engine one counter per shard (or a
-// global one in Ordered mode), which is exactly what makes their event
-// orders comparable. The zero value is ready to use. Not safe for
-// concurrent use; each queue belongs to one goroutine at a time.
+// eventQueue is the Simulator's slab-pooled pending-event heap. It
+// orders events by (time, seq), numbering pushes itself so that events
+// at the same instant fire in the order they were scheduled. The zero
+// value is ready to use. Not safe for concurrent use.
 type eventQueue struct {
 	heap  eventHeap
+	seq   uint64 // next push's tie-break number
 	free  []*eventSlot
 	block []eventSlot // tail of the current slab block, carved lazily
 }
@@ -109,12 +107,13 @@ func (q *eventQueue) release(sl *eventSlot) {
 	q.free = append(q.free, sl)
 }
 
-// push queues fn at (at, seq) and returns its handle. The caller has
-// already validated at against its clock and chosen seq.
-func (q *eventQueue) push(at Time, seq uint64, fn func()) Event {
+// push queues fn at time at and returns its handle. The caller has
+// already validated at against its clock.
+func (q *eventQueue) push(at Time, fn func()) Event {
 	sl := q.alloc()
 	sl.at = at
-	sl.seq = seq
+	sl.seq = q.seq
+	q.seq++
 	sl.fn = fn
 	heap.Push(&q.heap, sl)
 	return Event{slot: sl, gen: sl.gen, at: at}

@@ -441,7 +441,7 @@ type DiscoveredTopology struct {
 
 // Discoverer drives an in-band sweep from one HCA.
 type Discoverer struct {
-	sim     sim.Scheduler
+	sim     *sim.Simulator
 	hca     *fabric.HCA
 	mkey    keys.MKey
 	timeout sim.Time
@@ -495,7 +495,7 @@ type probe struct {
 // NewDiscoverer prepares a sweep from hca, wrapping its delivery callback
 // to capture SMP responses. timeout bounds each unanswered probe (dead
 // port detection).
-func NewDiscoverer(s sim.Scheduler, hca *fabric.HCA, mkey keys.MKey, timeout sim.Time) *Discoverer {
+func NewDiscoverer(s *sim.Simulator, hca *fabric.HCA, mkey keys.MKey, timeout sim.Time) *Discoverer {
 	d := &Discoverer{
 		sim:     s,
 		hca:     hca,

@@ -359,7 +359,7 @@ type censusRound struct {
 // fabric faults (MAD loss, link kills) perturb failover exactly as they
 // would in a physical subnet.
 type Coordinator struct {
-	sim  sim.Scheduler
+	sim  *sim.Simulator
 	mesh *topology.Mesh
 	cfg  HAConfig
 	mkey keys.MKey
@@ -423,7 +423,7 @@ type Coordinator struct {
 // NewCoordinator builds the HA ensemble. master must be the currently
 // authoritative SM; standbys must be in cfg.Standbys priority order and
 // share the master's mesh, filter and key authority.
-func NewCoordinator(s sim.Scheduler, mesh *topology.Mesh, cfg HAConfig, mkey keys.MKey, master *SubnetManager, standbys []*SubnetManager) (*Coordinator, error) {
+func NewCoordinator(s *sim.Simulator, mesh *topology.Mesh, cfg HAConfig, mkey keys.MKey, master *SubnetManager, standbys []*SubnetManager) (*Coordinator, error) {
 	if cfg.Heartbeat <= 0 {
 		return nil, fmt.Errorf("sm: HA heartbeat must be positive")
 	}

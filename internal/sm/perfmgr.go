@@ -128,7 +128,7 @@ type linkHealth struct {
 
 // PerfMgr drives the sweep/score/quarantine loop.
 type PerfMgr struct {
-	sim  sim.Scheduler
+	sim  *sim.Simulator
 	mesh *topology.Mesh
 	disc *Discoverer
 	sm   *SubnetManager // HealthBlob owner; may be nil in tests
@@ -160,7 +160,7 @@ type PerfMgr struct {
 // the resweeper's would let its per-sweep Reset cancel PMA probes
 // mid-flight). smgr, when non-nil, receives the encoded quarantine
 // state as its HealthBlob so HA state sync carries it to standbys.
-func NewPerfMgr(s sim.Scheduler, mesh *topology.Mesh, disc *Discoverer, smgr *SubnetManager, cfg PerfConfig) *PerfMgr {
+func NewPerfMgr(s *sim.Simulator, mesh *topology.Mesh, disc *Discoverer, smgr *SubnetManager, cfg PerfConfig) *PerfMgr {
 	if cfg.SweepPeriod <= 0 {
 		panic("sm: non-positive perf sweep period")
 	}

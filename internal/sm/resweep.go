@@ -19,7 +19,7 @@ import (
 // A sweep that finds the graph unchanged costs only the probe SMPs; LID
 // assignment and route programming are paid only on change.
 type Resweeper struct {
-	sim    sim.Scheduler
+	sim    *sim.Simulator
 	disc   *Discoverer
 	period sim.Time
 
@@ -64,7 +64,7 @@ type HealEvent struct {
 
 // NewResweeper wraps an existing Discoverer (whose delivery hook is
 // reused across sweeps) in a periodic healing loop.
-func NewResweeper(s sim.Scheduler, disc *Discoverer, period sim.Time) *Resweeper {
+func NewResweeper(s *sim.Simulator, disc *Discoverer, period sim.Time) *Resweeper {
 	if period <= 0 {
 		panic("sm: non-positive resweep period")
 	}

@@ -33,7 +33,7 @@ type RotationConfig struct {
 // elected master, and the shared authority keeps epochs monotonic across
 // the handover.
 type Rotator struct {
-	sim sim.Scheduler
+	sim *sim.Simulator
 	m   *SubnetManager
 	cfg RotationConfig
 
@@ -47,7 +47,7 @@ type Rotator struct {
 
 // NewRotator prepares rotation driven by m's authority. Start launches
 // the periodic rollover.
-func NewRotator(s sim.Scheduler, m *SubnetManager, cfg RotationConfig) (*Rotator, error) {
+func NewRotator(s *sim.Simulator, m *SubnetManager, cfg RotationConfig) (*Rotator, error) {
 	if cfg.Period <= 0 {
 		return nil, fmt.Errorf("sm: rotation period must be positive")
 	}

@@ -70,7 +70,7 @@ func DefaultConfig() Config {
 // SubnetManager administers partitions and drives SIF.
 type SubnetManager struct {
 	cfg    Config
-	sim    sim.Scheduler
+	sim    *sim.Simulator
 	mesh   *topology.Mesh
 	filter *enforce.Filter // nil unless SIF (or tests)
 
@@ -141,7 +141,7 @@ type trapKey struct {
 
 // New creates a Subnet Manager for the mesh. filter may be nil when no
 // switch enforcement is in use.
-func New(s sim.Scheduler, mesh *topology.Mesh, filter *enforce.Filter, cfg Config) *SubnetManager {
+func New(s *sim.Simulator, mesh *topology.Mesh, filter *enforce.Filter, cfg Config) *SubnetManager {
 	m := NewStandby(s, mesh, filter, cfg)
 	m.ResumeTimers()
 	return m
@@ -151,7 +151,7 @@ func New(s sim.Scheduler, mesh *topology.Mesh, filter *enforce.Filter, cfg Confi
 // New except the SIF auto-disable timer does not start until the SM is
 // promoted to master (ResumeTimers). HA standbys are built this way so N
 // instances never run N duplicate timers.
-func NewStandby(s sim.Scheduler, mesh *topology.Mesh, filter *enforce.Filter, cfg Config) *SubnetManager {
+func NewStandby(s *sim.Simulator, mesh *topology.Mesh, filter *enforce.Filter, cfg Config) *SubnetManager {
 	return &SubnetManager{
 		cfg:        cfg,
 		sim:        s,

@@ -26,9 +26,6 @@ type Mesh struct {
 	W, H     int
 	Switches []*fabric.Switch // index y*W+x
 	HCAs     []*fabric.HCA    // index y*W+x
-	// Plan is the shard plan the mesh was built on, non-nil only for
-	// NewMeshSharded meshes.
-	Plan *ShardPlan
 }
 
 // LIDOf returns the LID assigned to node i (LID 0 is reserved).
@@ -37,7 +34,7 @@ func LIDOf(i int) packet.LID { return packet.LID(i + 1) }
 // NewMesh constructs and fully wires the mesh, including static LID
 // assignment and dimension-ordered routing tables. Use NewBlankMesh to
 // get an unconfigured fabric for in-band subnet discovery.
-func NewMesh(s sim.Scheduler, params *fabric.Params, w, h int) *Mesh {
+func NewMesh(s *sim.Simulator, params *fabric.Params, w, h int) *Mesh {
 	m := NewBlankMesh(s, params, w, h)
 	for i := range m.HCAs {
 		m.HCAs[i].SetLID(LIDOf(i))
@@ -49,15 +46,7 @@ func NewMesh(s sim.Scheduler, params *fabric.Params, w, h int) *Mesh {
 // NewBlankMesh wires the switches, HCAs and links of a W×H mesh but
 // assigns no LIDs and programs no routes: the state of a fabric at power
 // on, before the Subnet Manager has swept it.
-func NewBlankMesh(s sim.Scheduler, params *fabric.Params, w, h int) *Mesh {
-	return newBlankMesh(func(int) sim.Scheduler { return s }, params, w, h)
-}
-
-// newBlankMesh builds the blank mesh with a per-switch scheduler choice:
-// switch i and its HCA are driven by sched(i). NewBlankMesh pins every
-// device to one scheduler; NewMeshSharded spreads them across engine
-// shards.
-func newBlankMesh(sched func(i int) sim.Scheduler, params *fabric.Params, w, h int) *Mesh {
+func NewBlankMesh(s *sim.Simulator, params *fabric.Params, w, h int) *Mesh {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("topology: invalid mesh %dx%d", w, h))
 	}
@@ -70,25 +59,23 @@ func newBlankMesh(sched func(i int) sim.Scheduler, params *fabric.Params, w, h i
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			i := y*w + x
-			m.Switches[i] = fabric.NewSwitch(sched(i), params, fmt.Sprintf("sw%d-%d", x, y), 5)
+			m.Switches[i] = fabric.NewSwitch(s, params, fmt.Sprintf("sw%d-%d", x, y), 5)
 			m.Switches[i].SetGUID(0x5100_0000 + uint64(i))
-			m.HCAs[i] = fabric.NewHCA(sched(i), params, fmt.Sprintf("hca%d", i), 0)
+			m.HCAs[i] = fabric.NewHCA(s, params, fmt.Sprintf("hca%d", i), 0)
 			m.HCAs[i].SetGUID(0xCA00_0000 + uint64(i))
 		}
 	}
-	// Wire HCAs and inter-switch links. Connect derives each direction's
-	// scheduler from its sending device, so a cut link's two halves run
-	// on their own shards.
+	// Wire HCAs and inter-switch links.
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			i := y*w + x
-			fabric.Connect(sched(i), params, m.HCAs[i], 0, m.Switches[i], PortHCA)
+			fabric.Connect(s, params, m.HCAs[i], 0, m.Switches[i], PortHCA)
 			m.Switches[i].MarkIngress(PortHCA)
 			if x+1 < w {
-				fabric.Connect(sched(i), params, m.Switches[i], PortEast, m.Switches[y*w+x+1], PortWest)
+				fabric.Connect(s, params, m.Switches[i], PortEast, m.Switches[y*w+x+1], PortWest)
 			}
 			if y+1 < h {
-				fabric.Connect(sched(i), params, m.Switches[i], PortSouth, m.Switches[(y+1)*w+x], PortNorth)
+				fabric.Connect(s, params, m.Switches[i], PortSouth, m.Switches[(y+1)*w+x], PortNorth)
 			}
 		}
 	}

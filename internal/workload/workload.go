@@ -46,7 +46,7 @@ func (g *Generator) Stop() {
 // the packet is withheld, modelling the paper's "an application does not
 // send any packet when the current network status cannot support the
 // application's bandwidth requirement".
-func Realtime(s sim.Scheduler, rng *rand.Rand, rate float64, size int, targets []int, admit func() bool, send SendFunc) *Generator {
+func Realtime(s *sim.Simulator, rng *rand.Rand, rate float64, size int, targets []int, admit func() bool, send SendFunc) *Generator {
 	if rate <= 0 || len(targets) == 0 {
 		panic("workload: realtime source needs a positive rate and targets")
 	}
@@ -86,7 +86,7 @@ func Realtime(s sim.Scheduler, rng *rand.Rand, rate float64, size int, targets [
 
 // BestEffort starts a Poisson source with mean offered rate (bits/s): the
 // inter-arrival times are exponential and sends ignore network state.
-func BestEffort(s sim.Scheduler, rng *rand.Rand, rate float64, size int, targets []int, send SendFunc) *Generator {
+func BestEffort(s *sim.Simulator, rng *rand.Rand, rate float64, size int, targets []int, send SendFunc) *Generator {
 	if rate <= 0 || len(targets) == 0 {
 		panic("workload: best-effort source needs a positive rate and targets")
 	}
@@ -182,14 +182,14 @@ type Attacker struct {
 
 	gen  *Generator
 	rng  *rand.Rand
-	s    sim.Scheduler
+	s    *sim.Simulator
 	done bool
 	// Bursts counts attack windows started.
 	Bursts uint64
 }
 
 // StartAttacker launches the attack process.
-func StartAttacker(s sim.Scheduler, rng *rand.Rand, sender *RawUDSender, targets []int, size int, dutyCycle float64, cycle sim.Time) *Attacker {
+func StartAttacker(s *sim.Simulator, rng *rand.Rand, sender *RawUDSender, targets []int, size int, dutyCycle float64, cycle sim.Time) *Attacker {
 	if dutyCycle <= 0 || dutyCycle > 1 {
 		panic("workload: duty cycle must be in (0,1]")
 	}

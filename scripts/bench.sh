@@ -26,14 +26,12 @@ mode=-check
 bench() { go test -run '^$' -benchmem "$@"; }
 
 {
-  bench -bench '^(BenchmarkScheduleRun|BenchmarkScheduleRunSteady|BenchmarkShardWindow)$' \
+  bench -bench '^(BenchmarkScheduleRun|BenchmarkScheduleRunSteady)$' \
         -benchtime "${BENCHTIME:-100x}" ./internal/sim
   bench -bench '^(BenchmarkICRCSeal|BenchmarkVerifyICRC|BenchmarkVerifyVCRC)$' \
         -benchtime "${BENCHTIME:-100x}" ./internal/icrc
   bench -bench '^BenchmarkCompile$' \
         -benchtime "${BENCHTIME:-100x}" ./internal/policy
   bench -bench '^(BenchmarkHotPath|BenchmarkHotPathAuth|BenchmarkCongestionHotPath|BenchmarkHealthSweep)$' \
-        -benchtime "${HOTPATH_BENCHTIME:-20x}" .
-  bench -bench '^BenchmarkHotPathParallel(Off|2|4|8)$' \
         -benchtime "${HOTPATH_BENCHTIME:-20x}" .
 } | tee /dev/stderr | go run ./scripts/benchgate "$mode"
