@@ -26,7 +26,7 @@ func BenchmarkFig1Realtime(b *testing.B) {
 	base.RealtimeLoad = 0.7
 	base.BestEffortLoad = 0
 	for i := 0; i < b.N; i++ {
-		rows, err := Fig1(ClassRealtime, 4, base)
+		rows, err := Fig1(context.Background(), nil, ClassRealtime, 4, base)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func BenchmarkFig1BestEffort(b *testing.B) {
 	base := quick()
 	base.BestEffortLoad = 0.65
 	for i := 0; i < b.N; i++ {
-		rows, err := Fig1(ClassBestEffort, 4, base)
+		rows, err := Fig1(context.Background(), nil, ClassBestEffort, 4, base)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func BenchmarkFig5(b *testing.B) {
 	base := quick()
 	base.AttackCycle = Millisecond
 	for i := 0; i < b.N; i++ {
-		rows, err := Fig5([]float64{0.4, 0.7}, 0.05, base)
+		rows, err := Fig5(context.Background(), nil, []float64{0.4, 0.7}, 0.05, base)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func BenchmarkAblationDutySweep(b *testing.B) {
 	base := quick()
 	base.AttackCycle = Millisecond
 	for i := 0; i < b.N; i++ {
-		if _, err := SweepDuty([]float64{0.01, 0.25}, 0.4, base); err != nil {
+		if _, err := SweepDuty(context.Background(), nil, []float64{0.01, 0.25}, 0.4, base); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func BenchmarkAblationDutySweep(b *testing.B) {
 func BenchmarkAblationSMFlood(b *testing.B) {
 	base := quick()
 	for i := 0; i < b.N; i++ {
-		rows, err := SMFloodSweep([]float64{0, 200e3}, base)
+		rows, err := SMFloodSweep(context.Background(), nil, []float64{0, 200e3}, base)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func BenchmarkAblationSMFlood(b *testing.B) {
 func BenchmarkAblationAuthRate(b *testing.B) {
 	base := quick()
 	for i := 0; i < b.N; i++ {
-		rows, err := AuthRateSweep(PaperTable4Rates(), 0.5, base)
+		rows, err := AuthRateSweep(context.Background(), nil, PaperTable4Rates(), 0.5, base)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func benchHarnessFig5(b *testing.B, workers int) {
 	base.AttackCycle = Millisecond
 	pool := NewPool(PoolOptions{Workers: workers})
 	for i := 0; i < b.N; i++ {
-		rows, err := Fig5Ctx(context.Background(), pool, []float64{0.4, 0.6}, 0.05, base)
+		rows, err := Fig5(context.Background(), pool, []float64{0.4, 0.6}, 0.05, base)
 		if err != nil {
 			b.Fatal(err)
 		}

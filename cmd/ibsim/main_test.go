@@ -1,82 +1,138 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"os"
-	"regexp"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestCommandRegistrySync holds every place a subcommand is registered
-// in lockstep: commands (the -list output and canonical order), the
-// dispatch map, sweepCommands, the `ibsim all` step chain, and the
-// usage header in the package doc comment. Wiring a new experiment
-// into only some of them — runnable but invisible, or listed but
-// undispatchable, or missing from `all` — fails here by name.
-func TestCommandRegistrySync(t *testing.T) {
-	registered := make(map[string]bool, len(commands))
-	for _, c := range commands {
-		if registered[c] {
-			t.Errorf("command %q listed twice in commands", c)
-		}
-		registered[c] = true
-	}
+var updateGolden = flag.Bool("update", false, "rewrite the golden CSV files under testdata/golden")
 
-	// Dispatch: exactly the registered set.
-	for _, c := range commands {
-		if commandFuncs[c] == nil {
-			t.Errorf("command %q has no dispatch entry", c)
-		}
-	}
-	for c := range commandFuncs {
-		if !registered[c] {
-			t.Errorf("dispatch entry %q not in commands", c)
-		}
-	}
+// ibsim drives the whole CLI in-process and returns its exit code and
+// output streams.
+func ibsim(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
 
-	// Sweep subset: every sweep command must be a real command.
-	for c := range sweepCommands {
-		if !registered[c] {
-			t.Errorf("sweep command %q not in commands", c)
-		}
-	}
+// goldens is the one place a pinned sweep's arguments are written: the
+// golden file, the command that regenerates it, and that command's
+// flags. Refresh after an intentional behaviour change with
+//
+//	go test -run TestGolden -update ./cmd/ibsim
+var goldens = []struct{ file, cmd, args string }{
+	{"faults_quick.csv", "faults", "-bers 0,1e-5 -kills 0,2"},
+	{"failover_quick.csv", "failover", "-standbys 1,2 -heartbeats-us 50 -rekeys-us 0,300"},
+	{"apm_quick.csv", "apm", "-bers 0,1e-5 -kills 0,1"},
+	{"drift_quick.csv", "drift", "-periods-us 0,200,50"},
+	{"splitbrain_quick.csv", "splitbrain", "-partitions-us 80,160,320 -heartbeats-us 10,20 -rekeys-us 0,60"},
+	{"congestion_quick.csv", "congestion", "-rates 0.5,1.0"},
+	{"health_quick.csv", "health", "-bers 1e-4"},
+}
 
-	// `ibsim all` runs every command except "all" itself, each once.
-	inAll := make(map[string]bool, len(allSteps))
-	for _, s := range allSteps {
-		if inAll[s.name] {
-			t.Errorf("step %q appears twice in allSteps", s.name)
-		}
-		inAll[s.name] = true
-		if !registered[s.name] {
-			t.Errorf("allSteps entry %q not in commands", s.name)
-		}
+// TestGolden replays each pinned sweep through run — flag parsing,
+// worker pool, sweep, renderer, CSV writer — and byte-compares the CSV
+// it writes with the committed golden, at four workers and at one: any
+// change to simulator behaviour (event order, RNG draws, CRC handling,
+// routing) shows up as a line diff, and worker scheduling cannot leak
+// into results. Under `go test -race` this is the race-instrumented
+// end-to-end replay of every robustness experiment.
+func TestGolden(t *testing.T) {
+	for _, g := range goldens {
+		t.Run(g.cmd, func(t *testing.T) {
+			t.Parallel()
+			path := filepath.Join("..", "..", "testdata", "golden", g.file)
+			for _, jobs := range []string{"4", "1"} {
+				if jobs == "1" && testing.Short() {
+					break
+				}
+				dir := t.TempDir()
+				args := append([]string{"-quick", "-jobs", jobs, "-results", "", "-csv", dir, g.cmd}, strings.Fields(g.args)...)
+				if code, _, stderr := ibsim(args...); code != 0 {
+					t.Fatalf("ibsim %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
+				}
+				got, err := os.ReadFile(filepath.Join(dir, g.cmd+".csv"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *updateGolden {
+					if err := os.WriteFile(path, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					t.Logf("rewrote %s (%d bytes)", path, len(got))
+					return
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("missing golden (run with -update to create): %v", err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("-jobs %s: %s drifted from golden\n--- golden\n%s--- got\n%s", jobs, g.file, want, got)
+				}
+			}
+		})
 	}
-	for _, c := range commands {
-		if c != "all" && !inAll[c] {
-			t.Errorf("command %q missing from `ibsim all`", c)
-		}
-	}
-	if inAll["all"] {
-		t.Error("`ibsim all` must not recurse into itself")
-	}
+}
 
-	// Usage header: the `ibsim <cmd>` lines in the package doc comment
-	// must list exactly the commands, in -list order.
-	src, err := os.ReadFile("main.go")
-	if err != nil {
-		t.Fatal(err)
+// TestTraceDeterministic pins `ibsim trace` stdout: the per-kind counts
+// once ranged over a map, so the same seed printed different bytes.
+func TestTraceDeterministic(t *testing.T) {
+	_, first, _ := ibsim("-quick", "trace", "-events", "1")
+	if !strings.Contains(first, "Counts by kind:") {
+		t.Fatalf("trace output missing the per-kind counts:\n%s", first)
 	}
-	var usage []string
-	for _, m := range regexp.MustCompile(`(?m)^//\tibsim (\S+)`).FindAllSubmatch(src, -1) {
-		usage = append(usage, string(m[1]))
-	}
-	if len(usage) != len(commands) {
-		t.Fatalf("usage header lists %d commands, registry has %d:\nusage: %v\nregistry: %v",
-			len(usage), len(commands), usage, commands)
-	}
-	for i, c := range commands {
-		if usage[i] != c {
-			t.Errorf("usage header position %d: %q, want %q", i, usage[i], c)
+	for i := 0; i < 5; i++ {
+		if _, again, _ := ibsim("-quick", "trace", "-events", "1"); again != first {
+			t.Fatalf("same-seed trace output differs:\n%s\n---\n%s", first, again)
 		}
+	}
+}
+
+// TestBadInput: every kind of bad command line comes back from run as a
+// non-zero exit code with a message naming the culprit — never through
+// os.Exit (which would kill this test binary), so run's deferred
+// profile and manifest cleanup always happens.
+func TestBadInput(t *testing.T) {
+	for _, tc := range []struct{ args, stderr string }{
+		{"", "Commands:"},
+		{"nosuch", `unknown command "nosuch"`},
+		{"-nope config", "-nope"},
+		{"fig5 -nope", "-nope"},
+		{"faults -bers x", "-bers"},
+		{"fig1 -class x", "-class"},
+		{"fig1 -arb x", "-arb"},
+		{"fig6 -level x", "-level"},
+	} {
+		args := append([]string{"-results", ""}, strings.Fields(tc.args)...)
+		code, stdout, stderr := ibsim(args...)
+		if code != 2 {
+			t.Errorf("ibsim %s: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("ibsim %s: stderr does not mention %q:\n%s", tc.args, tc.stderr, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("ibsim %s: bad input produced output:\n%s", tc.args, stdout)
+		}
+	}
+}
+
+// TestBadInputKeepsProfile is the cleanup half of TestBadInput: a bad
+// subcommand flag used to os.Exit inside run, leaving -cpuprofile empty.
+func TestBadInputKeepsProfile(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.pprof")
+	code, _, stderr := ibsim("-cpuprofile", prof, "-results", "", "fig5", "-nope")
+	if code == 1 && strings.Contains(stderr, "already") {
+		t.Skip("the test binary is itself being CPU-profiled")
+	}
+	if code != 2 {
+		t.Fatalf("exit %d, want 2\n%s", code, stderr)
+	}
+	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+		t.Fatalf("CPU profile not flushed: %v, %v", st, err)
 	}
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,7 @@ func main() {
 
 	fmt.Println("== Figure 1: one compromised node is enough ==")
 	for _, class := range []ibasec.Class{ibasec.ClassRealtime, ibasec.ClassBestEffort} {
-		rows, err := ibasec.Fig1(class, 4, base)
+		rows, err := ibasec.Fig1(context.Background(), nil, class, 4, base)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -39,7 +40,7 @@ func main() {
 	fmt.Println("== Figure 5: enforcement designs under a one-percent-duty DoS ==")
 	f5 := base
 	f5.AttackCycle = f5.Duration / 4
-	rows, err := ibasec.Fig5([]float64{0.4, 0.6}, 0.01, f5)
+	rows, err := ibasec.Fig5(context.Background(), nil, []float64{0.4, 0.6}, 0.01, f5)
 	if err != nil {
 		log.Fatal(err)
 	}

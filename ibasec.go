@@ -249,24 +249,6 @@ func Run(cfg Config) (*Results, error) { return core.Run(cfg) }
 // Build assembles a cluster without starting traffic (advanced use).
 func Build(cfg Config) (*Cluster, error) { return core.Build(cfg) }
 
-// Fig1 regenerates Figure 1: queuing time and network latency versus the
-// number of line-rate attackers, for the given traffic class.
-func Fig1(class Class, maxAttackers int, base Config) ([]Fig1Row, error) {
-	return core.Fig1(class, maxAttackers, base)
-}
-
-// Fig5 regenerates Figure 5: the NoFiltering/DPT/IF/SIF delay comparison
-// across input loads under a duty-cycled four-attacker DoS.
-func Fig5(loads []float64, attackDuty float64, base Config) ([]Fig5Row, error) {
-	return core.Fig5(loads, attackDuty, base)
-}
-
-// Fig6 regenerates Figure 6: authentication and key-initialization
-// overhead (No Key vs With Key) across input loads.
-func Fig6(loads []float64, level KeyLevel, base Config) ([]Fig6Row, error) {
-	return core.Fig6(loads, level, base)
-}
-
 // Table2 evaluates the partition-enforcement cost model for p partitions
 // per node with attack probability prAttack and average invalid-table
 // size avgInvalid.
@@ -285,40 +267,9 @@ func Table4(msgBytes int, budget time.Duration, cpuGHz float64) []Table4Row {
 // authenticated IBA.
 func AttackMatrix(seed int64) []AttackOutcome { return attack.Matrix(seed) }
 
-// SweepDuty is a beyond-paper ablation: SIF exposure versus attack duty
-// cycle at a fixed load.
-func SweepDuty(duties []float64, load float64, base Config) ([]Fig5Row, error) {
-	return core.SweepDuty(duties, load, base)
-}
-
-// AuthRateSweep runs the section 5.2/7 link-speed question: cluster delay
-// when the MAC engine digests messages at each given throughput (Gb/s).
-func AuthRateSweep(rates map[string]float64, load float64, base Config) ([]AuthRateRow, error) {
-	return core.AuthRateSweep(rates, load, base)
-}
-
 // PaperTable4Rates returns the paper's Table 4 throughput column for use
 // with AuthRateSweep.
 func PaperTable4Rates() map[string]float64 { return core.PaperTable4Rates() }
-
-// SMFloodSweep quantifies the section-7 management-DoS attack: SIF
-// registration latency as junk MADs flood the Subnet Manager.
-func SMFloodSweep(rates []float64, base Config) ([]SMFloodRow, error) {
-	return core.SMFloodSweep(rates, base)
-}
-
-// ScaleSweep measures DoS damage across mesh sizes (beyond-paper
-// ablation).
-func ScaleSweep(sizes [][2]int, base Config) ([]ScaleRow, error) {
-	return core.ScaleSweep(sizes, base)
-}
-
-// FaultsSweep runs the chaos experiment: deterministic link outages and
-// bit-error bursts against a self-healing subnet, sweeping BER ×
-// concurrent link kills per enforcement design.
-func FaultsSweep(bers []float64, kills []int, base Config) ([]FaultRow, error) {
-	return core.FaultsSweep(bers, kills, base)
-}
 
 // Parallel experiment orchestration (internal/runner). A Pool executes
 // a sweep's simulation points on a bounded worker pool with panic
@@ -354,63 +305,65 @@ func DeriveSeed(base int64, experiment, key string) int64 {
 	return runner.DeriveSeed(base, experiment, key)
 }
 
-// Context- and pool-aware variants of the sweep harnesses. A nil pool
-// runs the points serially, matching the plain functions above.
-func Fig1Ctx(ctx context.Context, pool *Pool, class Class, maxAttackers int, base Config) ([]Fig1Row, error) {
-	return core.Fig1Ctx(ctx, pool, class, maxAttackers, base)
+// The sweeps. Each takes a ctx that cancels between simulation points
+// and an optional pool; a nil pool runs the points serially, with the
+// same bytes as any worker count.
+
+// Fig1 regenerates Figure 1: queuing time and network latency versus the
+// number of line-rate attackers, for the given traffic class.
+func Fig1(ctx context.Context, pool *Pool, class Class, maxAttackers int, base Config) ([]Fig1Row, error) {
+	return core.Fig1(ctx, pool, class, maxAttackers, base)
 }
 
-// Fig5Ctx is Fig5 with cancellation and an optional worker pool.
-func Fig5Ctx(ctx context.Context, pool *Pool, loads []float64, attackDuty float64, base Config) ([]Fig5Row, error) {
-	return core.Fig5Ctx(ctx, pool, loads, attackDuty, base)
+// Fig5 regenerates Figure 5: the NoFiltering/DPT/IF/SIF delay comparison
+// across input loads under a duty-cycled four-attacker DoS.
+func Fig5(ctx context.Context, pool *Pool, loads []float64, attackDuty float64, base Config) ([]Fig5Row, error) {
+	return core.Fig5(ctx, pool, loads, attackDuty, base)
 }
 
-// Fig6Ctx is Fig6 with cancellation and an optional worker pool.
-func Fig6Ctx(ctx context.Context, pool *Pool, loads []float64, level KeyLevel, base Config) ([]Fig6Row, error) {
-	return core.Fig6Ctx(ctx, pool, loads, level, base)
+// Fig6 regenerates Figure 6: authentication and key-initialization
+// overhead (No Key vs With Key) across input loads.
+func Fig6(ctx context.Context, pool *Pool, loads []float64, level KeyLevel, base Config) ([]Fig6Row, error) {
+	return core.Fig6(ctx, pool, loads, level, base)
 }
 
-// SweepDutyCtx is SweepDuty with cancellation and an optional worker pool.
-func SweepDutyCtx(ctx context.Context, pool *Pool, duties []float64, load float64, base Config) ([]Fig5Row, error) {
-	return core.SweepDutyCtx(ctx, pool, duties, load, base)
+// SweepDuty is a beyond-paper ablation: SIF exposure versus attack duty
+// cycle at a fixed load.
+func SweepDuty(ctx context.Context, pool *Pool, duties []float64, load float64, base Config) ([]Fig5Row, error) {
+	return core.SweepDuty(ctx, pool, duties, load, base)
 }
 
-// AuthRateSweepCtx is AuthRateSweep with cancellation and an optional
-// worker pool.
-func AuthRateSweepCtx(ctx context.Context, pool *Pool, rates map[string]float64, load float64, base Config) ([]AuthRateRow, error) {
-	return core.AuthRateSweepCtx(ctx, pool, rates, load, base)
+// AuthRateSweep runs the section 5.2/7 link-speed question: cluster delay
+// when the MAC engine digests messages at each given throughput (Gb/s).
+func AuthRateSweep(ctx context.Context, pool *Pool, rates map[string]float64, load float64, base Config) ([]AuthRateRow, error) {
+	return core.AuthRateSweep(ctx, pool, rates, load, base)
 }
 
-// SMFloodSweepCtx is SMFloodSweep with cancellation and an optional
-// worker pool.
-func SMFloodSweepCtx(ctx context.Context, pool *Pool, rates []float64, base Config) ([]SMFloodRow, error) {
-	return core.SMFloodSweepCtx(ctx, pool, rates, base)
+// SMFloodSweep quantifies the section-7 management-DoS attack: SIF
+// registration latency as junk MADs flood the Subnet Manager.
+func SMFloodSweep(ctx context.Context, pool *Pool, rates []float64, base Config) ([]SMFloodRow, error) {
+	return core.SMFloodSweep(ctx, pool, rates, base)
 }
 
-// ScaleSweepCtx is ScaleSweep with cancellation and an optional worker
-// pool.
-func ScaleSweepCtx(ctx context.Context, pool *Pool, sizes [][2]int, base Config) ([]ScaleRow, error) {
-	return core.ScaleSweepCtx(ctx, pool, sizes, base)
+// ScaleSweep measures DoS damage across mesh sizes (beyond-paper
+// ablation).
+func ScaleSweep(ctx context.Context, pool *Pool, sizes [][2]int, base Config) ([]ScaleRow, error) {
+	return core.ScaleSweep(ctx, pool, sizes, base)
 }
 
-// FaultsSweepCtx is FaultsSweep with cancellation and an optional worker
-// pool.
-func FaultsSweepCtx(ctx context.Context, pool *Pool, bers []float64, kills []int, base Config) ([]FaultRow, error) {
-	return core.FaultsSweepCtx(ctx, pool, bers, kills, base)
+// FaultsSweep runs the chaos experiment: deterministic link outages and
+// bit-error bursts against a self-healing subnet, sweeping BER ×
+// concurrent link kills per enforcement design.
+func FaultsSweep(ctx context.Context, pool *Pool, bers []float64, kills []int, base Config) ([]FaultRow, error) {
+	return core.FaultsSweep(ctx, pool, bers, kills, base)
 }
 
 // FailoverSweep runs the SM-failover / key-rotation experiment: the
 // master SM is killed mid-run (and, when rotation is on, one partition
 // key force-rotated after a compromise), sweeping standby count ×
 // heartbeat interval × rekey period.
-func FailoverSweep(standbys []int, heartbeatsUS []int, rekeysUS []int, base Config) ([]FailoverRow, error) {
-	return core.FailoverSweep(standbys, heartbeatsUS, rekeysUS, base)
-}
-
-// FailoverSweepCtx is FailoverSweep with cancellation and an optional
-// worker pool.
-func FailoverSweepCtx(ctx context.Context, pool *Pool, standbys []int, heartbeatsUS []int, rekeysUS []int, base Config) ([]FailoverRow, error) {
-	return core.FailoverSweepCtx(ctx, pool, standbys, heartbeatsUS, rekeysUS, base)
+func FailoverSweep(ctx context.Context, pool *Pool, standbys []int, heartbeatsUS []int, rekeysUS []int, base Config) ([]FailoverRow, error) {
+	return core.FailoverSweep(ctx, pool, standbys, heartbeatsUS, rekeysUS, base)
 }
 
 // SplitBrainSweep runs the split-brain experiment: the mesh is bisected
@@ -419,27 +372,16 @@ func FailoverSweepCtx(ctx context.Context, pool *Pool, standbys []int, heartbeat
 // the merge protocol — abdication, bounded re-sweep, key-epoch
 // reconciliation — sweeping partition duration × heartbeat × rekey
 // period. All axes are in microseconds; a rekey of 0 disables rotation.
-func SplitBrainSweep(partitionsUS, heartbeatsUS, rekeysUS []int, base Config) ([]SplitBrainRow, error) {
-	return core.SplitBrainSweep(partitionsUS, heartbeatsUS, rekeysUS, base)
-}
-
-// SplitBrainSweepCtx is SplitBrainSweep with cancellation and an
-// optional worker pool.
-func SplitBrainSweepCtx(ctx context.Context, pool *Pool, partitionsUS, heartbeatsUS, rekeysUS []int, base Config) ([]SplitBrainRow, error) {
-	return core.SplitBrainSweepCtx(ctx, pool, partitionsUS, heartbeatsUS, rekeysUS, base)
+func SplitBrainSweep(ctx context.Context, pool *Pool, partitionsUS, heartbeatsUS, rekeysUS []int, base Config) ([]SplitBrainRow, error) {
+	return core.SplitBrainSweep(ctx, pool, partitionsUS, heartbeatsUS, rekeysUS, base)
 }
 
 // APMSweep runs the RC recovery experiment: a mid-run primary-path link
 // kill (plus optional BER bursts) against RC probe flows, sweeping BER ×
 // link kills × recovery arm (timeout-only, explicit NAK, NAK+APM with
 // SIF-registered alternate sources, NAK+APM unregistered).
-func APMSweep(bers []float64, kills []int, base Config) ([]APMRow, error) {
-	return core.APMSweep(bers, kills, base)
-}
-
-// APMSweepCtx is APMSweep with cancellation and an optional worker pool.
-func APMSweepCtx(ctx context.Context, pool *Pool, bers []float64, kills []int, base Config) ([]APMRow, error) {
-	return core.APMSweepCtx(ctx, pool, bers, kills, base)
+func APMSweep(ctx context.Context, pool *Pool, bers []float64, kills []int, base Config) ([]APMRow, error) {
+	return core.APMSweep(ctx, pool, bers, kills, base)
 }
 
 // DriftSweep runs the policy-drift experiment: switch enforcement state
@@ -447,14 +389,17 @@ func APMSweepCtx(ctx context.Context, pool *Pool, bers []float64, kills []int, b
 // auditor detects (and optionally repairs) the divergence, sweeping
 // enforcement design × audit period × repair arm. Periods are in
 // microseconds; 0 runs the no-auditor baseline.
-func DriftSweep(periodsUS []int, base Config) ([]DriftRow, error) {
-	return core.DriftSweep(periodsUS, base)
+func DriftSweep(ctx context.Context, pool *Pool, periodsUS []int, base Config) ([]DriftRow, error) {
+	return core.DriftSweep(ctx, pool, periodsUS, base)
 }
 
-// DriftSweepCtx is DriftSweep with cancellation and an optional worker
-// pool.
-func DriftSweepCtx(ctx context.Context, pool *Pool, periodsUS []int, base Config) ([]DriftRow, error) {
-	return core.DriftSweepCtx(ctx, pool, periodsUS, base)
+// HealthSweep runs the flaky-link health-plane experiment: one central
+// inter-switch link under a stepped BER ramp or an adversarial
+// oscillating-BER attack, with the PerfMgr off, on undamped, or on with
+// flap damping, measuring detection latency, loss before/after
+// quarantine, false positives, route churn and MAD overhead.
+func HealthSweep(ctx context.Context, pool *Pool, bers []float64, base Config) ([]HealthRow, error) {
+	return core.HealthSweep(ctx, pool, bers, base)
 }
 
 // CongestionSweep runs the congestion-control experiment: one attacker
@@ -463,29 +408,8 @@ func DriftSweepCtx(ctx context.Context, pool *Pool, periodsUS []int, base Config
 // reflection, source-side CCT injection throttling) is compared against
 // the same flood with the annex off, sweeping enforcement design ×
 // attacker injection rate × CC arm.
-func CongestionSweep(rates []float64, base Config) ([]CongestionRow, error) {
-	return core.CongestionSweep(rates, base)
-}
-
-// HealthSweep runs the flaky-link health-plane experiment: one central
-// inter-switch link under a stepped BER ramp or an adversarial
-// oscillating-BER attack, with the PerfMgr off, on undamped, or on with
-// flap damping, measuring detection latency, loss before/after
-// quarantine, false positives, route churn and MAD overhead.
-func HealthSweep(bers []float64, base Config) ([]HealthRow, error) {
-	return core.HealthSweep(bers, base)
-}
-
-// HealthSweepCtx is HealthSweep with cancellation and an optional
-// worker pool; a nil pool runs the points serially.
-func HealthSweepCtx(ctx context.Context, pool *Pool, bers []float64, base Config) ([]HealthRow, error) {
-	return core.HealthSweepCtx(ctx, pool, bers, base)
-}
-
-// CongestionSweepCtx is CongestionSweep with cancellation and an
-// optional worker pool.
-func CongestionSweepCtx(ctx context.Context, pool *Pool, rates []float64, base Config) ([]CongestionRow, error) {
-	return core.CongestionSweepCtx(ctx, pool, rates, base)
+func CongestionSweep(ctx context.Context, pool *Pool, rates []float64, base Config) ([]CongestionRow, error) {
+	return core.CongestionSweep(ctx, pool, rates, base)
 }
 
 // CSVTable is one experiment's rows rendered for an encoding/csv writer.
@@ -502,6 +426,24 @@ func Fig5CSV(rows []Fig5Row) CSVTable { return core.Fig5CSV(rows) }
 
 // Fig6CSV renders the authentication-overhead sweep (Figure 6).
 func Fig6CSV(rows []Fig6Row) CSVTable { return core.Fig6CSV(rows) }
+
+// Table2CSV renders the enforcement cost model (Table 2).
+func Table2CSV(rows []Table2Row) CSVTable { return core.Table2CSV(rows) }
+
+// Table4CSV renders the host-timed MAC throughput measurement (Table 4).
+func Table4CSV(rows []Table4Row) CSVTable { return core.Table4CSV(rows) }
+
+// SweepDutyCSV renders the SIF duty-cycle ablation.
+func SweepDutyCSV(rows []Fig5Row) CSVTable { return core.SweepDutyCSV(rows) }
+
+// AuthRateCSV renders the MAC-engine-speed ablation.
+func AuthRateCSV(rows []AuthRateRow) CSVTable { return core.AuthRateCSV(rows) }
+
+// SMFloodCSV renders the management-DoS sweep.
+func SMFloodCSV(rows []SMFloodRow) CSVTable { return core.SMFloodCSV(rows) }
+
+// ScaleCSV renders the mesh-size ablation.
+func ScaleCSV(rows []ScaleRow) CSVTable { return core.ScaleCSV(rows) }
 
 // FaultsCSV renders the chaos sweep (link kills + BER bursts).
 func FaultsCSV(rows []FaultRow) CSVTable { return core.FaultsCSV(rows) }

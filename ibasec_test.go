@@ -1,6 +1,7 @@
 package ibasec
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -53,7 +54,7 @@ func TestFacadeAuthRateSweep(t *testing.T) {
 	base := DefaultConfig()
 	base.Duration = 2 * Millisecond
 	base.Warmup = 200 * Microsecond
-	rows, err := AuthRateSweep(map[string]float64{"fast": 10, "slow": 0.3}, 0.5, base)
+	rows, err := AuthRateSweep(context.Background(), nil, map[string]float64{"fast": 10, "slow": 0.3}, 0.5, base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,14 +97,9 @@ type APMRow struct {
 	RCLatencyMaxUS float64
 }
 
-// APMSweep runs the apm experiment serially.
-func APMSweep(bers []float64, kills []int, base Config) ([]APMRow, error) {
-	return APMSweepCtx(context.Background(), nil, bers, kills, base)
-}
-
-// APMSweepCtx is APMSweep with cancellation and an optional worker pool;
-// a nil pool runs the points serially.
-func APMSweepCtx(ctx context.Context, pool *runner.Pool, bers []float64, kills []int, base Config) ([]APMRow, error) {
+// APMSweep runs the apm experiment: BER × primary-path link kills ×
+// recovery arm, against RC probe flows.
+func APMSweep(ctx context.Context, pool *runner.Pool, bers []float64, kills []int, base Config) ([]APMRow, error) {
 	arms := []APMArm{ArmTimeout, ArmNAK, ArmAPMRegistered, ArmAPMUnregistered}
 	jobs := make([]runner.Job[APMRow], 0, len(arms)*len(bers)*len(kills))
 	for _, arm := range arms {

@@ -593,6 +593,32 @@ func (cl *Cluster) dispatchMgmt(node int, d *fabric.Delivery) bool {
 	return cl.SM.HandleManagement(d)
 }
 
+// newDiscoverer returns a fresh SMP prober sourced at node. Every plane
+// (resweeper, auditor, PerfMgr) gets its own: sharing one would let the
+// resweeper's per-sweep Reset cancel another plane's probes in flight.
+//
+// Probe deadline: an SMP round trip is a few µs, but VL15 waits behind
+// at most one in-flight MTU per hop under load, so a healthy probe can
+// take tens of µs; 25 µs with two retries keeps terminal dead-port
+// detection under ~200 µs while making a congestion-induced false
+// positive need three straight losses.
+func (cl *Cluster) newDiscoverer(node int) *sm.Discoverer {
+	disc := sm.NewDiscoverer(cl.Sim, cl.Mesh.HCA(node), cl.Cfg.SM.MKey, 25*sim.Microsecond)
+	disc.MaxRetries = 2
+	disc.SetTimeoutMult = 10
+	return disc
+}
+
+// startAuditor starts the drift auditor for intent, probing from node:
+// the configured SM node at bring-up, the promoted master's after a
+// takeover.
+func (cl *Cluster) startAuditor(intent *policy.Intent, node int) {
+	cl.Auditor = policy.NewAuditor(cl.Sim, cl.newDiscoverer(node), intent,
+		policy.SwitchPaths(cl.Mesh, node),
+		policy.AuditConfig{Period: cl.Cfg.Policy.AuditPeriod, Repair: cl.Cfg.Policy.Repair})
+	cl.Auditor.Start()
+}
+
 // armResilience wires the self-healing management plane and installs the
 // fault plan. It must run after attachCollectors, which replaces every
 // HCA's OnDeliver wholesale: the SM agents wrap the collector chain, so
@@ -617,27 +643,10 @@ func (cl *Cluster) armResilience() {
 		}
 	}
 	if auditing {
-		// The auditor gets its own Discoverer: sharing the resweeper's
-		// would let its per-sweep Reset cancel audit probes in flight.
-		disc := sm.NewDiscoverer(cl.Sim, cl.Mesh.HCA(cfg.SM.Node), cfg.SM.MKey, 25*sim.Microsecond)
-		disc.MaxRetries = 2
-		disc.SetTimeoutMult = 10
-		cl.Auditor = policy.NewAuditor(cl.Sim, disc, cl.Policy,
-			policy.SwitchPaths(cl.Mesh, cfg.SM.Node),
-			policy.AuditConfig{Period: cfg.Policy.AuditPeriod, Repair: cfg.Policy.Repair})
-		cl.Auditor.Start()
+		cl.startAuditor(cl.Policy, cfg.SM.Node)
 	}
 	if cfg.ResweepPeriod > 0 {
-		mkey := cfg.SM.MKey
-		// Probe deadline: an SMP round trip is a few µs, but VL15 waits
-		// behind at most one in-flight MTU per hop under load, so a
-		// healthy probe can take tens of µs; 25 µs with two retries
-		// keeps terminal dead-port detection under ~200 µs while making
-		// a congestion-induced false positive need three straight losses.
-		disc := sm.NewDiscoverer(cl.Sim, cl.Mesh.HCA(cfg.SM.Node), mkey, 25*sim.Microsecond)
-		disc.MaxRetries = 2
-		disc.SetTimeoutMult = 10
-		r := sm.NewResweeper(cl.Sim, disc, cfg.ResweepPeriod)
+		r := sm.NewResweeper(cl.Sim, cl.newDiscoverer(cfg.SM.Node), cfg.ResweepPeriod)
 		r.PrimeStatic(cl.Mesh)
 		r.OnEvent = func(ev sm.HealEvent) {
 			cl.healEvents = append(cl.healEvents, ev)
@@ -685,13 +694,7 @@ func (cl *Cluster) armResilience() {
 				}
 				mesh, filter := cl.Mesh, cl.Filter
 				newMaster.ProgramTables = func() { policy.Apply(intent, mesh, filter) }
-				disc := sm.NewDiscoverer(cl.Sim, cl.Mesh.HCA(newMaster.Node()), cfg.SM.MKey, 25*sim.Microsecond)
-				disc.MaxRetries = 2
-				disc.SetTimeoutMult = 10
-				cl.Auditor = policy.NewAuditor(cl.Sim, disc, intent,
-					policy.SwitchPaths(cl.Mesh, newMaster.Node()),
-					policy.AuditConfig{Period: cfg.Policy.AuditPeriod, Repair: cfg.Policy.Repair})
-				cl.Auditor.Start()
+				cl.startAuditor(intent, newMaster.Node())
 			}
 			// Congestion control survives failover the same way: the
 			// promoted master re-applies the configuration parsed from
@@ -840,12 +843,7 @@ func (cl *Cluster) newPerfMgr(smgr *sm.SubnetManager) *sm.PerfMgr {
 	if pc.HoldMax == 0 {
 		pc.HoldMax = 16 * pc.Probation
 	}
-	// Own Discoverer: sharing the resweeper's would let its per-sweep
-	// Reset cancel PMA reads in flight.
-	disc := sm.NewDiscoverer(cl.Sim, cl.Mesh.HCA(smgr.Node()), cl.Cfg.SM.MKey, 25*sim.Microsecond)
-	disc.MaxRetries = 2
-	disc.SetTimeoutMult = 10
-	pm := sm.NewPerfMgr(cl.Sim, cl.Mesh, disc, smgr, pc)
+	pm := sm.NewPerfMgr(cl.Sim, cl.Mesh, cl.newDiscoverer(smgr.Node()), smgr, pc)
 	pm.OnEvent = func(ev sm.HealthEvent) {
 		if cl.OnHealth != nil {
 			cl.OnHealth(ev)

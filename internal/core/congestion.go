@@ -73,13 +73,7 @@ func DefaultCCParams() fabric.CCParams {
 
 // CongestionSweep runs the congestion experiment over every enforcement
 // design × attacker rate × CC arm.
-func CongestionSweep(rates []float64, base Config) ([]CongestionRow, error) {
-	return CongestionSweepCtx(context.Background(), nil, rates, base)
-}
-
-// CongestionSweepCtx is CongestionSweep with cancellation and an
-// optional worker pool; a nil pool runs the points serially.
-func CongestionSweepCtx(ctx context.Context, pool *runner.Pool, rates []float64, base Config) ([]CongestionRow, error) {
+func CongestionSweep(ctx context.Context, pool *runner.Pool, rates []float64, base Config) ([]CongestionRow, error) {
 	modes := []enforce.Mode{enforce.DPT, enforce.IF, enforce.SIF}
 	var jobs []runner.Job[CongestionRow]
 	for _, mode := range modes {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -349,7 +350,7 @@ func TestCombinedMerge(t *testing.T) {
 func TestFig1ShapeQuick(t *testing.T) {
 	base := quickCfg()
 	base.BestEffortLoad = 0.65
-	rows, err := Fig1(fabric.ClassBestEffort, 2, base)
+	rows, err := Fig1(context.Background(), nil, fabric.ClassBestEffort, 2, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +371,7 @@ func TestFig1ShapeQuick(t *testing.T) {
 func TestFig5Quick(t *testing.T) {
 	base := quickCfg()
 	base.AttackCycle = sim.Millisecond
-	rows, err := Fig5([]float64{0.4}, 0.05, base)
+	rows, err := Fig5(context.Background(), nil, []float64{0.4}, 0.05, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +396,7 @@ func TestFig5Quick(t *testing.T) {
 
 func TestFig6Quick(t *testing.T) {
 	base := quickCfg()
-	rows, err := Fig6([]float64{0.4}, transport.QPLevel, base)
+	rows, err := Fig6(context.Background(), nil, []float64{0.4}, transport.QPLevel, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,17 +453,19 @@ func TestTable4Shape(t *testing.T) {
 	// puts the two within a small factor of each other, so we only
 	// require them to be in the same band (documented in
 	// EXPERIMENTS.md).
-	if !(byName["CRC-32"].GbitsPerSec > byName["UMAC-32"].GbitsPerSec) {
-		t.Fatalf("CRC (%.2f) not faster than UMAC (%.2f)",
-			byName["CRC-32"].GbitsPerSec, byName["UMAC-32"].GbitsPerSec)
-	}
-	if !(byName["UMAC-32"].GbitsPerSec > byName["HMAC-SHA1"].GbitsPerSec) {
-		t.Fatalf("UMAC (%.2f) not faster than HMAC-SHA1 (%.2f)",
-			byName["UMAC-32"].GbitsPerSec, byName["HMAC-SHA1"].GbitsPerSec)
-	}
-	if !(byName["UMAC-32"].GbitsPerSec > byName["HMAC-MD5"].GbitsPerSec) {
-		t.Fatalf("UMAC (%.2f) not faster than HMAC-MD5 (%.2f)",
-			byName["UMAC-32"].GbitsPerSec, byName["HMAC-MD5"].GbitsPerSec)
+	//
+	// The orderings compare host-timed throughputs, and the race detector
+	// instruments pure-Go UMAC but not the assembly behind CRC-32, MD5
+	// and SHA-1, so under -race on a busy box UMAC can tie HMAC-MD5.
+	// They are asserted uninstrumented only (scripts/ci.sh runs this test
+	// once without -race for that); everything else runs either way.
+	if !raceEnabled {
+		for _, pair := range [][2]string{{"CRC-32", "UMAC-32"}, {"UMAC-32", "HMAC-SHA1"}, {"UMAC-32", "HMAC-MD5"}} {
+			fast, slow := byName[pair[0]].GbitsPerSec, byName[pair[1]].GbitsPerSec
+			if !(fast > slow) {
+				t.Fatalf("%s (%.2f) not faster than %s (%.2f)", pair[0], fast, pair[1], slow)
+			}
+		}
 	}
 	ratio := byName["HMAC-MD5"].GbitsPerSec / byName["HMAC-SHA1"].GbitsPerSec
 	if ratio < 0.2 || ratio > 5 {
@@ -479,7 +482,7 @@ func TestTable4Shape(t *testing.T) {
 func TestSweepDuty(t *testing.T) {
 	base := quickCfg()
 	base.AttackCycle = sim.Millisecond
-	rows, err := SweepDuty([]float64{0.01, 0.5}, 0.4, base)
+	rows, err := SweepDuty(context.Background(), nil, []float64{0.01, 0.5}, 0.4, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +544,7 @@ func TestMultiPartitionMembership(t *testing.T) {
 func TestSMFloodDelaysRegistration(t *testing.T) {
 	base := quickCfg()
 	base.Duration = 4 * sim.Millisecond
-	rows, err := SMFloodSweep([]float64{0, 200e3, 400e3}, base)
+	rows, err := SMFloodSweep(context.Background(), nil, []float64{0, 200e3, 400e3}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +572,7 @@ func TestSMFloodDelaysRegistration(t *testing.T) {
 
 func TestAuthRateSweepShape(t *testing.T) {
 	base := quickCfg()
-	rows, err := AuthRateSweep(PaperTable4Rates(), 0.5, base)
+	rows, err := AuthRateSweep(context.Background(), nil, PaperTable4Rates(), 0.5, base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,3 +279,91 @@ func FailoverCSV(rows []FailoverRow) CSVTable {
 	}
 	return t
 }
+
+// Table2CSV renders the enforcement cost model (Table 2).
+func Table2CSV(rows []Table2Row) CSVTable {
+	t := CSVTable{
+		Name:   "table2",
+		Header: []string{"mode", "mem_per_switch", "mem_all", "lookups_linear", "lookups_const"},
+	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []string{
+			r.Mode.String(), Ftoa(r.MemPerSwitch), Ftoa(r.MemAll), Ftoa(r.LookupLinear), Ftoa(r.LookupConst),
+		})
+	}
+	return t
+}
+
+// Table4CSV renders the host-timed MAC throughput measurement (Table 4).
+// Forgery probabilities span 2^-30..2^-160, so they are printed to six
+// significant digits rather than four decimal places.
+func Table4CSV(rows []Table4Row) CSVTable {
+	t := CSVTable{
+		Name:   "table4",
+		Header: []string{"algorithm", "cycles_per_byte", "gbits_per_sec", "forgery_prob"},
+	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []string{
+			r.Name, Ftoa(r.CyclesByte), Ftoa(r.GbitsPerSec), strconv.FormatFloat(r.ForgeryProb, 'g', 6, 64),
+		})
+	}
+	return t
+}
+
+// SweepDutyCSV renders the SIF duty-cycle ablation; SweepDuty reuses
+// Fig5Row with Load holding the swept duty.
+func SweepDutyCSV(rows []Fig5Row) CSVTable {
+	t := CSVTable{
+		Name:   "sweep_duty",
+		Header: []string{"duty", "queuing_us", "network_us", "filtered", "leaked"},
+	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []string{
+			Ftoa(r.Load), Ftoa(r.QueuingUS), Ftoa(r.NetworkUS), Itoa(r.Dropped), Itoa(r.AttackHits),
+		})
+	}
+	return t
+}
+
+// AuthRateCSV renders the MAC-engine-speed ablation.
+func AuthRateCSV(rows []AuthRateRow) CSVTable {
+	t := CSVTable{
+		Name:   "authrate",
+		Header: []string{"algorithm", "rate_gbps", "queuing_us", "network_us", "delivered"},
+	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []string{
+			r.Name, Ftoa(r.RateGbps), Ftoa(r.QueuingUS), Ftoa(r.NetworkUS), Itoa(r.Delivered),
+		})
+	}
+	return t
+}
+
+// SMFloodCSV renders the management-DoS sweep.
+func SMFloodCSV(rows []SMFloodRow) CSVTable {
+	t := CSVTable{
+		Name:   "smdos",
+		Header: []string{"flood_rate", "reg_latency_us", "reg_latency_max_us", "mads_processed", "registrations"},
+	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []string{
+			Ftoa(r.FloodRate), Ftoa(r.RegLatencyUS), Ftoa(r.RegLatencyMax), Itoa(r.TrapsReceived), Itoa(r.Registrations),
+		})
+	}
+	return t
+}
+
+// ScaleCSV renders the mesh-size ablation.
+func ScaleCSV(rows []ScaleRow) CSVTable {
+	t := CSVTable{
+		Name:   "scale",
+		Header: []string{"mesh", "nodes", "attackers", "base_queuing_us", "attack_queuing_us", "base_network_us", "attack_network_us"},
+	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []string{
+			strconv.Itoa(r.W) + "x" + strconv.Itoa(r.H), Itoa(uint64(r.Nodes)), Itoa(uint64(r.Attackers)),
+			Ftoa(r.BaseQueuingUS), Ftoa(r.AttackQueuingUS), Ftoa(r.BaseNetworkUS), Ftoa(r.AttackNetworkUS),
+		})
+	}
+	return t
+}

@@ -49,13 +49,7 @@ type DriftRow struct {
 // microseconds; 0 runs the no-auditor baseline (one arm — repair is
 // meaningless without detection), every other period runs both a
 // detect-only and a repair arm.
-func DriftSweep(periodsUS []int, base Config) ([]DriftRow, error) {
-	return DriftSweepCtx(context.Background(), nil, periodsUS, base)
-}
-
-// DriftSweepCtx is DriftSweep with cancellation and an optional worker
-// pool; a nil pool runs the points serially.
-func DriftSweepCtx(ctx context.Context, pool *runner.Pool, periodsUS []int, base Config) ([]DriftRow, error) {
+func DriftSweep(ctx context.Context, pool *runner.Pool, periodsUS []int, base Config) ([]DriftRow, error) {
 	modes := []enforce.Mode{enforce.DPT, enforce.IF, enforce.SIF}
 	var jobs []runner.Job[DriftRow]
 	for _, mode := range modes {

@@ -17,6 +17,10 @@ import (
 	"ibasec/internal/transport"
 )
 
+// Every sweep in this package has one entry point, X(ctx, pool, …):
+// ctx cancels between points, and a nil pool runs the points serially on
+// the calling goroutine with the same bytes as any worker count.
+
 // sweepJob builds one runner job for a sweep point. The simulation seed
 // stays the sweep's base seed — exactly what the serial harness always
 // ran, keeping every figure byte-identical at a fixed -seed — while the
@@ -49,13 +53,7 @@ type Fig1Row struct {
 // queuing time and network latency as the number of attackers grows from
 // 0 to maxAttackers. Attackers flood at full line rate with random
 // P_Keys and destinations; no switch filtering is in place.
-func Fig1(class fabric.Class, maxAttackers int, base Config) ([]Fig1Row, error) {
-	return Fig1Ctx(context.Background(), nil, class, maxAttackers, base)
-}
-
-// Fig1Ctx is Fig1 with cancellation and an optional worker pool; a nil
-// pool runs the points serially.
-func Fig1Ctx(ctx context.Context, pool *runner.Pool, class fabric.Class, maxAttackers int, base Config) ([]Fig1Row, error) {
+func Fig1(ctx context.Context, pool *runner.Pool, class fabric.Class, maxAttackers int, base Config) ([]Fig1Row, error) {
 	name := "fig1_best-effort"
 	if class == fabric.ClassRealtime {
 		name = "fig1_realtime"
@@ -116,13 +114,7 @@ type Fig5Row struct {
 // Fig5 regenerates Figure 5: queuing and network delay of non-attacking
 // best-effort traffic at input loads for each enforcement design, with
 // four attackers active attackDuty of the time (the paper uses 1%).
-func Fig5(loads []float64, attackDuty float64, base Config) ([]Fig5Row, error) {
-	return Fig5Ctx(context.Background(), nil, loads, attackDuty, base)
-}
-
-// Fig5Ctx is Fig5 with cancellation and an optional worker pool; a nil
-// pool runs the points serially.
-func Fig5Ctx(ctx context.Context, pool *runner.Pool, loads []float64, attackDuty float64, base Config) ([]Fig5Row, error) {
+func Fig5(ctx context.Context, pool *runner.Pool, loads []float64, attackDuty float64, base Config) ([]Fig5Row, error) {
 	modes := []enforce.Mode{enforce.NoFiltering, enforce.DPT, enforce.IF, enforce.SIF}
 	jobs := make([]runner.Job[Fig5Row], 0, len(loads)*len(modes))
 	for _, load := range loads {
@@ -175,13 +167,7 @@ type Fig6Row struct {
 // initialization. "No Key" runs plain traffic; "With Key" runs QP-level
 // key management (one key-exchange round trip per QP pair at start) plus
 // per-message MAC generation (one clock cycle).
-func Fig6(loads []float64, level transport.KeyLevel, base Config) ([]Fig6Row, error) {
-	return Fig6Ctx(context.Background(), nil, loads, level, base)
-}
-
-// Fig6Ctx is Fig6 with cancellation and an optional worker pool; a nil
-// pool runs the points serially.
-func Fig6Ctx(ctx context.Context, pool *runner.Pool, loads []float64, level transport.KeyLevel, base Config) ([]Fig6Row, error) {
+func Fig6(ctx context.Context, pool *runner.Pool, loads []float64, level transport.KeyLevel, base Config) ([]Fig6Row, error) {
 	jobs := make([]runner.Job[Fig6Row], 0, 2*len(loads))
 	for _, load := range loads {
 		for _, withKey := range []bool{false, true} {
@@ -313,13 +299,7 @@ type AuthRateRow struct {
 // delay set by the algorithm's throughput. Engines slower than the link
 // (e.g. HMAC-SHA1's 0.22 Gb/s from Table 4) throttle injection and blow
 // up queuing; engines at Gb/s class (UMAC) cost nearly nothing.
-func AuthRateSweep(rates map[string]float64, load float64, base Config) ([]AuthRateRow, error) {
-	return AuthRateSweepCtx(context.Background(), nil, rates, load, base)
-}
-
-// AuthRateSweepCtx is AuthRateSweep with cancellation and an optional
-// worker pool; a nil pool runs the points serially.
-func AuthRateSweepCtx(ctx context.Context, pool *runner.Pool, rates map[string]float64, load float64, base Config) ([]AuthRateRow, error) {
+func AuthRateSweep(ctx context.Context, pool *runner.Pool, rates map[string]float64, load float64, base Config) ([]AuthRateRow, error) {
 	names := make([]string, 0, len(rates))
 	for n := range rates {
 		names = append(names, n)
@@ -387,14 +367,7 @@ type ScaleRow struct {
 // 3.2 scales with fabric size. For each mesh geometry it runs the
 // workload once clean and once with nodes/4 attackers, keeping per-node
 // loads constant.
-func ScaleSweep(sizes [][2]int, base Config) ([]ScaleRow, error) {
-	return ScaleSweepCtx(context.Background(), nil, sizes, base)
-}
-
-// ScaleSweepCtx is ScaleSweep with cancellation and an optional worker
-// pool; a nil pool runs the points serially. Each job runs the clean
-// and under-attack simulations of one mesh geometry.
-func ScaleSweepCtx(ctx context.Context, pool *runner.Pool, sizes [][2]int, base Config) ([]ScaleRow, error) {
+func ScaleSweep(ctx context.Context, pool *runner.Pool, sizes [][2]int, base Config) ([]ScaleRow, error) {
 	jobs := make([]runner.Job[ScaleRow], 0, len(sizes))
 	for _, wh := range sizes {
 		cfg := base
@@ -459,13 +432,7 @@ type SMFloodRow struct {
 // rate while a conventional P_Key attacker runs; the row reports how
 // long legitimate SIF registrations take as the SM's serial MAD
 // processor backs up.
-func SMFloodSweep(rates []float64, base Config) ([]SMFloodRow, error) {
-	return SMFloodSweepCtx(context.Background(), nil, rates, base)
-}
-
-// SMFloodSweepCtx is SMFloodSweep with cancellation and an optional
-// worker pool; a nil pool runs the points serially.
-func SMFloodSweepCtx(ctx context.Context, pool *runner.Pool, rates []float64, base Config) ([]SMFloodRow, error) {
+func SMFloodSweep(ctx context.Context, pool *runner.Pool, rates []float64, base Config) ([]SMFloodRow, error) {
 	jobs := make([]runner.Job[SMFloodRow], 0, len(rates))
 	for _, rate := range rates {
 		cfg := base
@@ -548,13 +515,7 @@ func startMADFlood(cl *Cluster, pktPerSec float64) {
 // SweepDuty is an ablation beyond the paper: SIF delay as a function of
 // attack duty cycle, quantifying the registration-window leakage that
 // makes SIF slightly worse than IF at low loads in Figure 5.
-func SweepDuty(duties []float64, load float64, base Config) ([]Fig5Row, error) {
-	return SweepDutyCtx(context.Background(), nil, duties, load, base)
-}
-
-// SweepDutyCtx is SweepDuty with cancellation and an optional worker
-// pool; a nil pool runs the points serially.
-func SweepDutyCtx(ctx context.Context, pool *runner.Pool, duties []float64, load float64, base Config) ([]Fig5Row, error) {
+func SweepDuty(ctx context.Context, pool *runner.Pool, duties []float64, load float64, base Config) ([]Fig5Row, error) {
 	jobs := make([]runner.Job[Fig5Row], 0, len(duties))
 	for _, duty := range duties {
 		cfg := base

@@ -54,13 +54,7 @@ type FailoverRow struct {
 // FailoverSweep sweeps standby count × heartbeat interval × rekey period
 // under an SMKill + KeyCompromise fault plan. heartbeatsUS and rekeysUS
 // are in microseconds; a rekey of 0 runs that arm with rotation disabled.
-func FailoverSweep(standbys []int, heartbeatsUS []int, rekeysUS []int, base Config) ([]FailoverRow, error) {
-	return FailoverSweepCtx(context.Background(), nil, standbys, heartbeatsUS, rekeysUS, base)
-}
-
-// FailoverSweepCtx is FailoverSweep with cancellation and an optional
-// worker pool; a nil pool runs the points serially.
-func FailoverSweepCtx(ctx context.Context, pool *runner.Pool, standbys []int, heartbeatsUS []int, rekeysUS []int, base Config) ([]FailoverRow, error) {
+func FailoverSweep(ctx context.Context, pool *runner.Pool, standbys []int, heartbeatsUS []int, rekeysUS []int, base Config) ([]FailoverRow, error) {
 	jobs := make([]runner.Job[FailoverRow], 0, len(standbys)*len(heartbeatsUS)*len(rekeysUS))
 	for _, sb := range standbys {
 		for _, hb := range heartbeatsUS {

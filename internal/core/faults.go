@@ -69,13 +69,7 @@ type rcProbe struct {
 // manager's periodic re-sweep healing the fabric around the failures.
 // Unreliable background traffic measures raw loss; RC probe flows
 // measure whether connections survive and how long the recovery tail is.
-func FaultsSweep(bers []float64, kills []int, base Config) ([]FaultRow, error) {
-	return FaultsSweepCtx(context.Background(), nil, bers, kills, base)
-}
-
-// FaultsSweepCtx is FaultsSweep with cancellation and an optional worker
-// pool; a nil pool runs the points serially.
-func FaultsSweepCtx(ctx context.Context, pool *runner.Pool, bers []float64, kills []int, base Config) ([]FaultRow, error) {
+func FaultsSweep(ctx context.Context, pool *runner.Pool, bers []float64, kills []int, base Config) ([]FaultRow, error) {
 	modes := []enforce.Mode{enforce.DPT, enforce.IF, enforce.SIF}
 	jobs := make([]runner.Job[FaultRow], 0, len(modes)*len(bers)*len(kills))
 	for _, mode := range modes {

@@ -59,13 +59,7 @@ type HealthRow struct {
 // design, attack shape and health-plane arm it degrades one central
 // inter-switch link and measures detection latency, loss before/after
 // quarantine, false positives, route churn and MAD overhead.
-func HealthSweep(bers []float64, base Config) ([]HealthRow, error) {
-	return HealthSweepCtx(context.Background(), nil, bers, base)
-}
-
-// HealthSweepCtx is HealthSweep with cancellation and an optional
-// worker pool; a nil pool runs the points serially.
-func HealthSweepCtx(ctx context.Context, pool *runner.Pool, bers []float64, base Config) ([]HealthRow, error) {
+func HealthSweep(ctx context.Context, pool *runner.Pool, bers []float64, base Config) ([]HealthRow, error) {
 	modes := []enforce.Mode{enforce.DPT, enforce.IF, enforce.SIF}
 	attacks := []string{"ramp", "osc"}
 	arms := []string{"off", "undamped", "damped"}

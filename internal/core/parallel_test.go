@@ -28,12 +28,12 @@ func TestFig5ParallelMatchesSerial(t *testing.T) {
 	base := quickCfg()
 	base.AttackCycle = sim.Millisecond
 
-	serial, err := Fig5(nil2loads(), 0.05, base) // historical serial path (nil pool)
+	serial, err := Fig5(context.Background(), nil, nil2loads(), 0.05, base) // historical serial path (nil pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := runner.New(runner.Options{Workers: 4})
-	parallel, err := Fig5Ctx(context.Background(), pool, nil2loads(), 0.05, base)
+	parallel, err := Fig5(context.Background(), pool, nil2loads(), 0.05, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +52,12 @@ func TestFig1ParallelMatchesSerial(t *testing.T) {
 	base := quickCfg()
 	base.BestEffortLoad = 0.65
 
-	serial, err := Fig1(fabric.ClassBestEffort, 2, base)
+	serial, err := Fig1(context.Background(), nil, fabric.ClassBestEffort, 2, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := runner.New(runner.Options{Workers: 3})
-	parallel, err := Fig1Ctx(context.Background(), pool, fabric.ClassBestEffort, 2, base)
+	parallel, err := Fig1(context.Background(), pool, fabric.ClassBestEffort, 2, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +73,12 @@ func TestScaleSweepParallelMatchesSerial(t *testing.T) {
 	base.BestEffortLoad = 0.5
 	sizes := [][2]int{{2, 2}, {4, 4}}
 
-	serial, err := ScaleSweep(sizes, base)
+	serial, err := ScaleSweep(context.Background(), nil, sizes, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := runner.New(runner.Options{Workers: 2})
-	parallel, err := ScaleSweepCtx(context.Background(), pool, sizes, base)
+	parallel, err := ScaleSweep(context.Background(), pool, sizes, base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,13 +198,7 @@ type SplitBrainRow struct {
 // SplitBrainSweep sweeps partition duration × heartbeat interval × rekey
 // period under a mesh-bisection fault plan with split-brain handling on.
 // All axes are in microseconds; a rekey of 0 disables rotation.
-func SplitBrainSweep(partitionsUS, heartbeatsUS, rekeysUS []int, base Config) ([]SplitBrainRow, error) {
-	return SplitBrainSweepCtx(context.Background(), nil, partitionsUS, heartbeatsUS, rekeysUS, base)
-}
-
-// SplitBrainSweepCtx is SplitBrainSweep with cancellation and an optional
-// worker pool; a nil pool runs the points serially.
-func SplitBrainSweepCtx(ctx context.Context, pool *runner.Pool, partitionsUS, heartbeatsUS, rekeysUS []int, base Config) ([]SplitBrainRow, error) {
+func SplitBrainSweep(ctx context.Context, pool *runner.Pool, partitionsUS, heartbeatsUS, rekeysUS []int, base Config) ([]SplitBrainRow, error) {
 	jobs := make([]runner.Job[SplitBrainRow], 0, len(partitionsUS)*len(heartbeatsUS)*len(rekeysUS))
 	for _, pt := range partitionsUS {
 		for _, hb := range heartbeatsUS {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"ibasec/internal/fabric"
@@ -232,7 +233,7 @@ func TestSplitBrainEpochReconciliation(t *testing.T) {
 // time to diverge before the heal->reconcile window exposes them to
 // each other. Every arm still reconverges to one merge.
 func TestSplitBrainDualMasterMonotonic(t *testing.T) {
-	rows, err := SplitBrainSweep([]int{80, 320}, []int{10}, []int{0, 60}, quickCfg())
+	rows, err := SplitBrainSweep(context.Background(), nil, []int{80, 320}, []int{10}, []int{0, 60}, quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,15 @@
 package sm
 
 import (
-	"bytes"
+	"encoding/hex"
+	"errors"
 	"reflect"
 	"testing"
 
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
 	"ibasec/internal/sim"
+	"ibasec/internal/topology"
 )
 
 func testCCParams() fabric.CCParams {
@@ -49,11 +51,12 @@ func TestCCBlobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateSyncCarriesCCBlob covers every trailer combination of the HA
-// state-sync encoding: the congestion-control blob and the policy
-// document must survive a round trip and land in the right field (they
-// are classified by magic, not position), and the trailer-free legacy
-// encoding must still parse.
+// TestStateSyncCarriesCCBlob covers the HA state-sync trailers with 0,
+// 1, 2 and 3 blobs attached: the encoding must equal the wire image
+// captured before the three named trailer fields became one ordered
+// list (so old and new masters interoperate), every blob must survive a
+// round trip in order, and a standby must file each under the plane that
+// owns it — by content, not position. Malformed trailers are rejected.
 func TestStateSyncCarriesCCBlob(t *testing.T) {
 	base := stateSyncMAD{
 		Master:     3,
@@ -62,24 +65,66 @@ func TestStateSyncCarriesCCBlob(t *testing.T) {
 	}
 	policy := []byte("IBPLfake-policy-document")
 	cc := EncodeCCBlob(testCCParams())
+	health := EncodeHealthBlob([]HealthEntry{{Link: topology.LinkID{Switch: 5, Port: 2}, Flaps: 3, HoldUntil: 40 * sim.Microsecond}})
 
-	cases := map[string]stateSyncMAD{
-		"legacy no trailers": base,
-		"policy only":        {Master: base.Master, DirDigest: base.DirDigest, Partitions: base.Partitions, Policy: policy},
-		"cc only":            {Master: base.Master, DirDigest: base.DirDigest, Partitions: base.Partitions, CC: cc},
-		"policy and cc":      {Master: base.Master, DirDigest: base.DirDigest, Partitions: base.Partitions, Policy: policy, CC: cc},
-	}
-	for name, in := range cases {
-		got, err := parseStateSync(encodeStateSync(in))
+	const (
+		wireBase   = "030003deadbeef00018001000000070003000100040009"
+		wirePolicy = "000000184942504c66616b652d706f6c6963792d646f63756d656e74"
+		wireCC     = "0000001949424343010006001000000000001e84800000000001312d00"
+		wireHealth = "000000144942485101000100050200030000000002625a00"
+	)
+	for _, tc := range []struct {
+		name  string
+		blobs [][]byte
+		wire  string
+	}{
+		{"no trailers", nil, wireBase},
+		{"health only", [][]byte{health}, wireBase + wireHealth},
+		{"policy and cc", [][]byte{policy, cc}, wireBase + wirePolicy + wireCC},
+		{"policy, cc and health", [][]byte{policy, cc, health}, wireBase + wirePolicy + wireCC + wireHealth},
+	} {
+		in := base
+		in.Blobs = tc.blobs
+		pl := encodeStateSync(in)
+		if got := hex.EncodeToString(pl); got != tc.wire {
+			t.Errorf("%s: wire image changed:\n got %s\nwant %s", tc.name, got, tc.wire)
+		}
+		got, err := parseStateSync(pl)
 		if err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%s: %v", tc.name, err)
 			continue
 		}
 		if !reflect.DeepEqual(got, in) {
-			t.Errorf("%s: round trip changed the MAD:\n got %+v\nwant %+v", name, got, in)
+			t.Errorf("%s: round trip changed the MAD:\n got %+v\nwant %+v", tc.name, got, in)
 		}
-		if !bytes.Equal(got.CC, in.CC) || !bytes.Equal(got.Policy, in.Policy) {
-			t.Errorf("%s: trailer misclassified: CC=%q Policy=%q", name, got.CC, got.Policy)
+		// Adopted in reverse, so position cannot be what files them.
+		var standby SubnetManager
+		for i := len(got.Blobs) - 1; i >= 0; i-- {
+			standby.adoptBlob(got.Blobs[i])
+		}
+		var filed [][]byte
+		for _, b := range [][]byte{standby.PolicyBlob, standby.CCBlob, standby.HealthBlob} {
+			if b != nil {
+				filed = append(filed, b)
+			}
+		}
+		if !reflect.DeepEqual(filed, tc.blobs) {
+			t.Errorf("%s: trailers misfiled: policy=%q cc=%q health=%q", tc.name, standby.PolicyBlob, standby.CCBlob, standby.HealthBlob)
+		}
+	}
+
+	whole, err := hex.DecodeString(wireBase + wirePolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pl := range map[string][]byte{
+		"truncated length prefix":    whole[:len(whole)-len(policy)-2],
+		"length past the payload":    whole[:len(whole)-1],
+		"zero-length trailer":        append(append([]byte(nil), whole...), 0, 0, 0, 0),
+		"truncated partition record": whole[:12],
+	} {
+		if _, err := parseStateSync(pl); !errors.Is(err, errHAShort) {
+			t.Errorf("%s: err = %v, want errHAShort", name, err)
 		}
 	}
 }

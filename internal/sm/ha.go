@@ -71,23 +71,14 @@ type stateSyncMAD struct {
 	Master     uint16
 	DirDigest  uint32
 	Partitions []syncPartition
-	// Policy is the master's marshalled policy document, carried as an
-	// optional trailer so standbys inherit the compiled intent. Empty
-	// when the policy plane is off — in which case the encoding is
-	// byte-identical to the pre-policy format.
-	Policy []byte
-	// CC is the master's encoded congestion-control configuration,
-	// carried as a second optional trailer (distinguished from the
-	// policy blob by its "IBCC" magic) so a promoted standby can
-	// reprogram thresholds and CCTs after failover. Empty when
-	// congestion control is off — the encoding then stays byte-identical
-	// to the pre-CC format.
-	CC []byte
-	// Health is the master's encoded quarantine state, carried as a
-	// third optional trailer (magic "IBHQ") so a promoted standby keeps
-	// links the performance manager fenced out of the routes. Empty when
-	// the health plane is off.
-	Health []byte
+	// Blobs are the master's opaque per-plane states, each carried as
+	// an optional length-prefixed trailer so a promoted standby inherits
+	// them: in the fixed order beatFrom fills them, the marshalled policy
+	// document, the congestion-control configuration and the quarantine
+	// state. A plane that is off contributes none, so with every plane
+	// off the encoding is byte-identical to the pre-policy format. The
+	// receiver routes each by content, not position (adoptBlob).
+	Blobs [][]byte
 }
 
 type syncPartition struct {
@@ -97,22 +88,15 @@ type syncPartition struct {
 }
 
 // encodeStateSync renders: type, master(2), dirDigest(4), count(2), then
-// per partition base(2), epoch(4), nMembers(2), members(2 each), then —
-// only when attached — length-prefixed trailers: blobLen(4) and the blob,
-// first the policy document, then the congestion-control configuration.
+// per partition base(2), epoch(4), nMembers(2), members(2 each), then
+// per blob blobLen(4) and the blob.
 func encodeStateSync(m stateSyncMAD) []byte {
 	n := 9
 	for _, p := range m.Partitions {
 		n += 8 + 2*len(p.Members)
 	}
-	if len(m.Policy) > 0 {
-		n += 4 + len(m.Policy)
-	}
-	if len(m.CC) > 0 {
-		n += 4 + len(m.CC)
-	}
-	if len(m.Health) > 0 {
-		n += 4 + len(m.Health)
+	for _, b := range m.Blobs {
+		n += 4 + len(b)
 	}
 	pl := make([]byte, n)
 	pl[0] = haTypeStateSync
@@ -130,24 +114,28 @@ func encodeStateSync(m stateSyncMAD) []byte {
 			off += 2
 		}
 	}
-	if len(m.Policy) > 0 {
-		binary.BigEndian.PutUint32(pl[off:], uint32(len(m.Policy)))
+	for _, b := range m.Blobs {
+		binary.BigEndian.PutUint32(pl[off:], uint32(len(b)))
 		off += 4
-		copy(pl[off:], m.Policy)
-		off += len(m.Policy)
-	}
-	if len(m.CC) > 0 {
-		binary.BigEndian.PutUint32(pl[off:], uint32(len(m.CC)))
-		off += 4
-		copy(pl[off:], m.CC)
-		off += len(m.CC)
-	}
-	if len(m.Health) > 0 {
-		binary.BigEndian.PutUint32(pl[off:], uint32(len(m.Health)))
-		off += 4
-		copy(pl[off:], m.Health)
+		off += copy(pl[off:], b)
 	}
 	return pl
+}
+
+// adoptBlob files one state-synced trailer under the plane that owns
+// it. This is the one place that knows the classification: congestion-
+// control blobs open with "IBCC", quarantine-state blobs with "IBHQ",
+// and anything else is the marshalled policy document (sm cannot import
+// policy to check its "IBPL"). A new plane costs one case here.
+func (m *SubnetManager) adoptBlob(b []byte) {
+	switch {
+	case IsCCBlob(b):
+		m.CCBlob = b
+	case IsHealthBlob(b):
+		m.HealthBlob = b
+	default:
+		m.PolicyBlob = b
+	}
 }
 
 // parseStateSync validates and decodes a state-sync payload. Every length
@@ -185,31 +173,21 @@ func parseStateSync(pl []byte) (stateSyncMAD, error) {
 		}
 		m.Partitions = append(m.Partitions, p)
 	}
-	// Optional length-prefixed trailers, classified by leading magic:
-	// congestion-control blobs open with "IBCC", quarantine-state blobs
-	// with "IBHQ", anything else is the marshalled policy document
-	// (which opens with its own "IBPL"). The
-	// trailer-free pre-policy encoding parses unchanged; a present-but-
-	// truncated trailer is rejected like any other short field.
-	for off < len(pl) {
-		if off+4 > len(pl) {
+	// Optional length-prefixed trailers. The trailer-free pre-policy
+	// encoding parses unchanged; a present-but-truncated or empty trailer
+	// is rejected like any other short field. One copy of the trailer
+	// region detaches every blob from the packet buffer.
+	tail := append([]byte(nil), pl[off:]...)
+	for len(tail) > 0 {
+		if len(tail) < 4 {
 			return stateSyncMAD{}, errHAShort
 		}
-		bn := int(binary.BigEndian.Uint32(pl[off:]))
-		off += 4
-		if bn <= 0 || off+bn > len(pl) {
+		bn := int(binary.BigEndian.Uint32(tail))
+		if bn <= 0 || bn > len(tail)-4 {
 			return stateSyncMAD{}, errHAShort
 		}
-		blob := append([]byte(nil), pl[off:off+bn]...)
-		off += bn
-		switch {
-		case IsCCBlob(blob):
-			m.CC = blob
-		case IsHealthBlob(blob):
-			m.Health = blob
-		default:
-			m.Policy = blob
-		}
+		m.Blobs = append(m.Blobs, tail[4:4+bn:4+bn])
+		tail = tail[4+bn:]
 	}
 	return m, nil
 }
@@ -584,9 +562,13 @@ func (c *Coordinator) beatFrom(idx int) {
 	}
 	digest := fnv1a32(sync.Partitions)
 	sync.DirDigest = digest
-	sync.Policy = master.PolicyBlob
-	sync.CC = master.CCBlob
-	sync.Health = master.HealthBlob
+	blobs := [...][]byte{master.PolicyBlob, master.CCBlob, master.HealthBlob}
+	sync.Blobs = blobs[:0] // filtered in place: a plane that is off sends no trailer
+	for _, b := range blobs {
+		if len(b) > 0 {
+			sync.Blobs = append(sync.Blobs, b)
+		}
+	}
 	hb := encodeHeartbeat(heartbeatMAD{Master: uint16(c.nodes[idx]), Seq: c.hbSeqs[idx], Digest: digest})
 	ss := encodeStateSync(sync)
 	// With SplitBrain on, masters also beat entry 0 — that is how a
@@ -680,14 +662,8 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 				snap[p.Base] = members
 			}
 			c.sms[i].AdoptPartitions(snap)
-			if len(sync.Policy) > 0 {
-				c.sms[i].PolicyBlob = append([]byte(nil), sync.Policy...)
-			}
-			if len(sync.CC) > 0 {
-				c.sms[i].CCBlob = append([]byte(nil), sync.CC...)
-			}
-			if len(sync.Health) > 0 {
-				c.sms[i].HealthBlob = append([]byte(nil), sync.Health...)
+			for _, b := range sync.Blobs {
+				c.sms[i].adoptBlob(b)
 			}
 			if fnv1a32(sync.Partitions) != sync.DirDigest {
 				c.Counters.Inc("sync_digest_mismatch", 1)
