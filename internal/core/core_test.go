@@ -93,14 +93,7 @@ func TestRunBaseline(t *testing.T) {
 // node and packet identity, in firing order — on the number of events
 // the simulator fired, and on the full delay statistics.
 func TestRunDeterminism(t *testing.T) {
-	cfg := quickCfg()
-	cfg.RealtimeLoad = 0.5
-	cfg.BestEffortLoad = 0.4
-	cfg.Attackers = 1
-	cfg.AttackDuty = 0.5
-	cfg.AttackCycle = cfg.Duration / 4
-	cfg.Enforcement = enforce.SIF
-	cfg.TraceCapacity = 1 << 15
+	cfg := determinismCfg()
 	run := func(cfg Config) ([]trace.Event, *Results, uint64) {
 		t.Helper()
 		cl, err := Build(cfg)

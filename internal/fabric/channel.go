@@ -44,7 +44,7 @@ type outChannel struct {
 	params  *Params
 	peer    Device
 	peerIn  int // peer's port id
-	queues  [NumVLs][]*Delivery
+	queues  [NumVLs]vlQueue
 	credits [NumVLs]int
 	busy    bool
 	rr      [NumVLs]int // per-priority-level round-robin cursor base
@@ -104,6 +104,42 @@ type outChannel struct {
 	creditStall sim.Time
 }
 
+// vlQueue is one VL's output FIFO: a power-of-two ring that grows by
+// doubling and otherwise reuses its backing array, so a queue in steady
+// state allocates nothing (the fill/next_idx shape of iPXE's
+// ib_work_queue). A plain slice popped with q = q[1:] walks off its
+// array, so append reallocates forever. The zero value is an empty queue.
+type vlQueue struct {
+	ring []*Delivery // len is zero or a power of two
+	next int         // ring index of the head entry
+	fill int         // entries queued
+}
+
+func (q *vlQueue) len() int { return q.fill }
+
+// head returns the oldest entry; the queue must not be empty.
+func (q *vlQueue) head() *Delivery { return q.ring[q.next] }
+
+func (q *vlQueue) push(d *Delivery) {
+	if q.fill == len(q.ring) {
+		ring := make([]*Delivery, max(2*len(q.ring), 8))
+		n := copy(ring, q.ring[q.next:])
+		copy(ring[n:], q.ring[:q.next])
+		q.ring, q.next = ring, 0
+	}
+	q.ring[(q.next+q.fill)&(len(q.ring)-1)] = d
+	q.fill++
+}
+
+// pop removes and returns the oldest entry; the queue must not be empty.
+func (q *vlQueue) pop() *Delivery {
+	d := q.ring[q.next]
+	q.ring[q.next] = nil
+	q.next = (q.next + 1) & (len(q.ring) - 1)
+	q.fill--
+	return d
+}
+
 // Connect wires port pa of device a to port pb of device b with a
 // full-duplex link using the given parameters; s drives both
 // directions. Ports are created lazily; reconnecting a port panics.
@@ -145,12 +181,13 @@ func (c *outChannel) enqueue(d *Delivery) {
 		c.blackhole(d)
 		return
 	}
-	c.queues[d.VL] = append(c.queues[d.VL], d)
+	q := &c.queues[d.VL]
+	q.push(d)
 	c.queuedBytes += d.Pkt.WireSize()
-	if c.ccThreshold > 0 && d.VL != VLManagement && len(c.queues[d.VL]) >= c.ccThreshold {
+	if c.ccThreshold > 0 && d.VL != VLManagement && q.len() >= c.ccThreshold {
 		c.markFECN(d)
 	}
-	if len(c.queues[d.VL]) == 1 {
+	if q.len() == 1 {
 		c.armHOQ(d.VL)
 	}
 	c.trySend()
@@ -187,24 +224,93 @@ func (c *outChannel) markFECN(d *Delivery) {
 // forward-progress guarantee that lets the fabric recover from credit
 // deadlock (see Params.HOQLife). No-op while the limit is disabled.
 func (c *outChannel) armHOQ(vl uint8) {
-	if c.params.HOQLife <= 0 || len(c.queues[vl]) == 0 {
+	if c.params.HOQLife <= 0 || c.queues[vl].len() == 0 {
 		return
 	}
-	d := c.queues[vl][0]
-	ep := c.epoch
-	c.sim.Schedule(c.params.HOQLife, func() {
-		if c.epoch != ep || c.down || len(c.queues[vl]) == 0 || c.queues[vl][0] != d {
-			return
-		}
-		c.queues[vl] = c.queues[vl][1:]
-		c.queuedBytes -= d.Pkt.WireSize()
-		c.hoqDropped[vl]++
-		c.noteXmitDiscard()
-		c.params.observe(c.sim.Now(), ObsHOQDrop, c.ownerName, d)
-		d.ReturnCredit()
-		c.armHOQ(vl)
-		c.trySend()
-	})
+	c.sim.ScheduleCall(c.params.HOQLife, (*hoqExpire)(c), c.queues[vl].head(), c.tag(vl))
+}
+
+// The channel's per-packet events are named handler types over
+// outChannel itself, reached by pointer conversion, so scheduling one
+// allocates nothing (see sim.Handler). arg is the *Delivery where the
+// event concerns one; n is what a closure would have captured — the
+// link epoch at scheduling time, and for the events tied to a lane its
+// VL, packed by tag. They are scheduled in a fixed order
+// (serDone before wireArrive, the credit return wherever ReturnCredit
+// is called): same-instant events fire in scheduling order, so
+// reordering the calls reorders the simulation and moves every golden.
+
+// tag packs the current link epoch and a VL into an event operand; the
+// epoch gains one per link-state transition, so the shift loses nothing.
+func (c *outChannel) tag(vl uint8) uint64 { return c.epoch<<8 | uint64(vl) }
+
+// stale reports whether tag was minted before the last link-state
+// transition: the event it rides belongs to a link that no longer exists.
+func (c *outChannel) stale(tag uint64) bool { return c.epoch != tag>>8 }
+
+// hoqExpire fires when a Head-of-Queue lifetime clock runs out; it acts
+// only if the packet it was armed for is still the unsent head.
+type hoqExpire outChannel
+
+func (h *hoqExpire) Fire(arg any, tag uint64) {
+	c, d, vl := (*outChannel)(h), arg.(*Delivery), uint8(tag)
+	q := &c.queues[vl]
+	if c.stale(tag) || c.down || q.len() == 0 || q.head() != d {
+		return
+	}
+	q.pop()
+	c.queuedBytes -= d.Pkt.WireSize()
+	c.hoqDropped[vl]++
+	c.noteXmitDiscard()
+	c.params.observe(c.sim.Now(), ObsHOQDrop, c.ownerName, d)
+	d.ReturnCredit()
+	c.armHOQ(vl)
+	c.trySend()
+}
+
+// serDone fires when the serializer has clocked a packet's last byte
+// onto the wire: the link is free for the next one.
+type serDone outChannel
+
+func (h *serDone) Fire(_ any, tag uint64) {
+	c := (*outChannel)(h)
+	if c.stale(tag) {
+		return
+	}
+	c.busy = false
+	c.trySend()
+}
+
+// wireArrive fires when a packet has fully landed at the peer.
+type wireArrive outChannel
+
+func (h *wireArrive) Fire(arg any, tag uint64) {
+	c, d := (*outChannel)(h), arg.(*Delivery)
+	if c.stale(tag) {
+		// The link went down (or was reset) while the packet was on
+		// the wire: it never reaches the peer.
+		c.blackhole(d)
+		return
+	}
+	// Store-and-forward: the peer sees the packet once fully received.
+	// The packet now occupies one credit of the peer's input buffer
+	// until the peer consumes it.
+	d.credCh, d.credTag = c, tag
+	c.peer.arrive(c.peerIn, d)
+}
+
+// creditBack fires when a credit return has travelled back over the
+// wire. A return from before a link reset is discarded: the reset
+// already restored the full credit complement.
+type creditBack outChannel
+
+func (h *creditBack) Fire(_ any, tag uint64) {
+	c := (*outChannel)(h)
+	if c.stale(tag) {
+		return
+	}
+	c.credits[uint8(tag)]++
+	c.trySend()
 }
 
 // blackhole accounts for a packet destroyed by an injected fault: the
@@ -251,10 +357,11 @@ func (c *outChannel) setDown(down bool) {
 	}
 	if down {
 		for vl := range c.queues {
-			for _, d := range c.queues[vl] {
-				c.blackhole(d)
+			q := &c.queues[vl]
+			for q.len() > 0 {
+				c.blackhole(q.pop())
 			}
-			c.queues[vl] = nil
+			*q = vlQueue{}
 		}
 		c.queuedBytes = 0
 		return
@@ -268,7 +375,7 @@ func (c *outChannel) setDown(down bool) {
 
 // QueueLen returns the number of packets waiting on a VL (used by
 // realtime sources for admission decisions).
-func (c *outChannel) QueueLen(vl uint8) int { return len(c.queues[vl]) }
+func (c *outChannel) QueueLen(vl uint8) int { return c.queues[vl].len() }
 
 // hoqTotal sums the per-VL Head-of-Queue drop counters.
 func (c *outChannel) hoqTotal() uint64 {
@@ -291,7 +398,7 @@ func (c *outChannel) stallTime(now sim.Time) sim.Time {
 
 // eligible reports whether a VL has both a queued packet and a credit.
 func (c *outChannel) eligible(vl int) bool {
-	return len(c.queues[vl]) > 0 && c.credits[vl] > 0
+	return c.queues[vl].len() > 0 && c.credits[vl] > 0
 }
 
 // pickVL chooses the next VL to serve according to the configured
@@ -428,8 +535,7 @@ func (c *outChannel) trySend() {
 		c.creditStall += c.sim.Now() - c.stallSince
 		c.stalled = false
 	}
-	d := c.queues[vl][0]
-	c.queues[vl] = c.queues[vl][1:]
+	d := c.queues[vl].pop()
 	c.queuedBytes -= d.Pkt.WireSize()
 	c.armHOQ(uint8(vl))
 	c.credits[vl]--
@@ -448,38 +554,8 @@ func (c *outChannel) trySend() {
 	ser := c.params.SerializationDelay(d.Pkt.WireSize())
 	c.bytesSent += uint64(d.Pkt.WireSize())
 	c.busyTime += ser
-	ch := c // capture
-	ep := c.epoch
-	c.sim.Schedule(ser, func() {
-		if ch.epoch != ep {
-			return
-		}
-		ch.busy = false
-		ch.trySend()
-	})
+	tag := c.tag(uint8(vl))
+	c.sim.ScheduleCall(ser, (*serDone)(c), nil, tag)
 	c.maybeCorrupt(d)
-	c.sim.Schedule(ser+c.params.PropDelay, func() {
-		if ch.epoch != ep {
-			// The link went down (or was reset) while the packet was on
-			// the wire: it never reaches the peer.
-			ch.blackhole(d)
-			return
-		}
-		// Store-and-forward: the peer sees the packet once fully
-		// received. The packet now occupies one credit of the peer's
-		// input buffer until the peer consumes it.
-		d.creditor = func() {
-			// Credit return travels back over the wire. A return from
-			// before a link reset is discarded: the reset already
-			// restored the full credit complement.
-			ch.sim.Schedule(ch.params.PropDelay, func() {
-				if ch.epoch != ep {
-					return
-				}
-				ch.credits[vl]++
-				ch.trySend()
-			})
-		}
-		ch.peer.arrive(ch.peerIn, d)
-	})
+	c.sim.ScheduleCall(ser+c.params.PropDelay, (*wireArrive)(c), d, tag)
 }

@@ -225,7 +225,7 @@ func TestPropertyConservationAcrossLinkDownUp(t *testing.T) {
 				return
 			}
 			for vl := 0; vl < NumVLs; vl++ {
-				if n := len(p.out.queues[vl]); n != 0 {
+				if n := p.out.queues[vl].len(); n != 0 {
 					t.Fatalf("trial %d: %s VL %d holds %d packets after drain", trial, name, vl, n)
 				}
 				if c := p.out.credits[vl]; c != params.CreditsPerVL {

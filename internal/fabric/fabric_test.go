@@ -302,13 +302,56 @@ func TestExtraSendDelay(t *testing.T) {
 	}
 }
 
+// TestReturnCreditIdempotent drives the credit fields directly: a
+// delivery holding a credit returns it exactly once however often
+// ReturnCredit is called, the return lands one propagation delay later
+// on the lane named by the tag, and a return tagged before a link reset
+// is discarded — the reset already restored the full complement.
 func TestReturnCreditIdempotent(t *testing.T) {
-	n := 0
-	d := &Delivery{creditor: func() { n++ }}
+	params := DefaultParams()
+	s := sim.New()
+	sw := NewSwitch(s, params, "sw", 5)
+	a := NewHCA(s, params, "A", 1)
+	Connect(s, params, a, 0, sw, 0)
+	ch := a.port.out
+	const vl = VLRealtime
+
+	ch.credits[vl]--
+	d := &Delivery{credCh: ch, credTag: ch.tag(vl)}
 	d.ReturnCredit()
 	d.ReturnCredit()
-	if n != 1 {
-		t.Fatalf("creditor ran %d times", n)
+	if d.credCh != nil {
+		t.Fatal("ReturnCredit left the credit attached")
+	}
+	if got := s.Pending(); got != 1 {
+		t.Fatalf("two ReturnCredit calls scheduled %d returns, want 1", got)
+	}
+	if ch.credits[vl] != params.CreditsPerVL-1 {
+		t.Fatal("credit restored before the return crossed the wire")
+	}
+	s.Run()
+	if s.Now() != params.PropDelay {
+		t.Fatalf("credit return took %v, want the propagation delay %v", s.Now(), params.PropDelay)
+	}
+	for lane, c := range ch.credits {
+		if c != params.CreditsPerVL {
+			t.Fatalf("VL %d has %d credits after the return, want %d", lane, c, params.CreditsPerVL)
+		}
+	}
+
+	// A return minted before a reset must not push the lane past its
+	// complement once the link is back.
+	stale := &Delivery{credCh: ch, credTag: ch.tag(vl)}
+	a.SetLinkState(false)
+	a.SetLinkState(true)
+	stale.ReturnCredit()
+	s.Run()
+	if ch.credits[vl] != params.CreditsPerVL {
+		t.Fatalf("pre-reset credit return applied: VL %d has %d credits, want %d", vl, ch.credits[vl], params.CreditsPerVL)
+	}
+	(&Delivery{}).ReturnCredit() // holding no credit: a no-op
+	if s.Pending() != 0 {
+		t.Fatal("ReturnCredit on a credit-less delivery scheduled an event")
 	}
 }
 

@@ -42,6 +42,8 @@ type HCA struct {
 	ExtraSendDelay sim.Time
 
 	Counters *metrics.Counters
+	// Handles for the counters every packet touches, resolved once.
+	sent, delivered *metrics.Counter
 
 	pkeyViolations uint64
 	engineBusyTil  sim.Time
@@ -76,6 +78,8 @@ func NewHCA(s *sim.Simulator, params *Params, name string, lid packet.LID) *HCA 
 		PKeyTable: keys.NewPartitionTable(0),
 		Counters:  metrics.NewCounters(),
 	}
+	h.sent = h.Counters.Counter("sent")
+	h.delivered = h.Counters.Counter("delivered")
 	h.port = &Port{owner: h, id: 0}
 	return h
 }
@@ -157,7 +161,7 @@ func (h *HCA) Send(d *Delivery) {
 		d.Pkt.InvalidateWire()
 	}
 	d.EnqueuedAt = h.sim.Now()
-	h.Counters.Inc("sent", 1)
+	h.sent.Add(1)
 	h.params.observe(h.sim.Now(), ObsEnqueue, h.name, d)
 	extra := h.ExtraSendDelay
 	if len(h.ccFlows) > 0 && d.Class != ClassManagement && d.Pkt.BTH.OpCode != packet.CNPNotify {
@@ -177,11 +181,18 @@ func (h *HCA) Send(d *Delivery) {
 			start = h.engineBusyTil
 		}
 		h.engineBusyTil = start + extra
-		h.sim.ScheduleAt(h.engineBusyTil, func() { h.port.out.enqueue(d) })
+		h.sim.ScheduleCall(h.engineBusyTil-h.sim.Now(), (*hcaInject)(h), d, 0)
 		return
 	}
 	h.port.out.enqueue(d)
 }
+
+// hcaInject fires when the send engine has finished a packet's
+// per-message work and hands it to the port: a named handler type over
+// HCA, so the delayed path allocates no more than the direct one.
+type hcaInject HCA
+
+func (h *hcaInject) Fire(arg any, _ uint64) { h.port.out.enqueue(arg.(*Delivery)) }
 
 // SendQueueLen returns the number of packets waiting on a VL, the signal
 // realtime sources use to withhold traffic when the network cannot
@@ -409,7 +420,7 @@ func (h *HCA) arrive(_ int, d *Delivery) {
 		// onto the alternate path.
 		h.Counters.Inc("alt_lid_arrivals", 1)
 	}
-	h.Counters.Inc("delivered", 1)
+	h.delivered.Add(1)
 	h.params.observe(h.sim.Now(), ObsDeliver, h.name, d)
 	if h.OnDeliver != nil {
 		h.OnDeliver(d)

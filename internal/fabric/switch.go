@@ -40,13 +40,18 @@ type Switch struct {
 	sim     *sim.Simulator
 	params  *Params
 	ports   []*Port
-	ingress map[int]bool // ports directly connected to end nodes
-	fwd     map[packet.LID]int
-	filter  Filter
-	madh    MADHandler
-	madTap  MADTap
-	guid    uint64
-	down    bool
+	ingress []bool // per port: directly connected to an end node
+	// fwd is the linear forwarding table: out-port + 1 indexed by LID,
+	// zero meaning no route. It grows on demand to the highest LID
+	// routed, so a mesh using only base LIDs stays at a few dozen bytes
+	// and one using APM alternate LIDs (0x1000 up) at 8 KiB; the bound
+	// is 128 KiB at LID 0xFFFF.
+	fwd    []uint16
+	filter Filter
+	madh   MADHandler
+	madTap MADTap
+	guid   uint64
+	down   bool
 	// ccThreshold is the programmed FECN marking threshold (zero until
 	// the SM's congestion manager programs the switch).
 	ccThreshold int
@@ -60,6 +65,8 @@ type Switch struct {
 	onHealthTrap  func(sw *Switch, port int)
 
 	Counters *metrics.Counters
+	// Handles for the counters every packet touches, resolved once.
+	forwarded, drForwarded, filtered *metrics.Counter
 }
 
 // NewSwitch creates a switch with nports ports.
@@ -69,10 +76,12 @@ func NewSwitch(s *sim.Simulator, params *Params, name string, nports int) *Switc
 		sim:      s,
 		params:   params,
 		ports:    make([]*Port, nports),
-		ingress:  make(map[int]bool),
-		fwd:      make(map[packet.LID]int),
+		ingress:  make([]bool, nports),
 		Counters: metrics.NewCounters(),
 	}
+	sw.forwarded = sw.Counters.Counter("forwarded")
+	sw.drForwarded = sw.Counters.Counter("dr_forwarded")
+	sw.filtered = sw.Counters.Counter("filtered")
 	for i := range sw.ports {
 		sw.ports[i] = &Port{owner: sw, id: i}
 	}
@@ -87,28 +96,49 @@ func (sw *Switch) NumPorts() int { return len(sw.ports) }
 
 // SetRoute installs "deliver packets for lid via port".
 func (sw *Switch) SetRoute(lid packet.LID, port int) {
-	if port < 0 || port >= len(sw.ports) {
-		panic(fmt.Sprintf("fabric: %s: route to invalid port %d", sw.name, port))
+	sw.checkPort("route to", port)
+	if int(lid) >= len(sw.fwd) {
+		sw.fwd = append(sw.fwd, make([]uint16, int(lid)+1-len(sw.fwd))...)
 	}
-	sw.fwd[lid] = port
+	sw.fwd[lid] = uint16(port + 1)
 }
 
 // Route returns the output port for lid.
 func (sw *Switch) Route(lid packet.LID) (int, bool) {
-	p, ok := sw.fwd[lid]
-	return p, ok
+	if int(lid) >= len(sw.fwd) || sw.fwd[lid] == 0 {
+		return 0, false
+	}
+	return int(sw.fwd[lid]) - 1, true
 }
 
 // ClearRoute removes the forwarding entry for lid; packets to it become
 // unroutable here instead of riding a stale route into a black hole.
-func (sw *Switch) ClearRoute(lid packet.LID) { delete(sw.fwd, lid) }
+func (sw *Switch) ClearRoute(lid packet.LID) {
+	if int(lid) < len(sw.fwd) {
+		sw.fwd[lid] = 0
+	}
+}
 
 // MarkIngress declares that a port connects directly to an end node, so
 // ingress filtering applies there.
-func (sw *Switch) MarkIngress(port int) { sw.ingress[port] = true }
+func (sw *Switch) MarkIngress(port int) {
+	sw.checkPort("ingress mark on", port)
+	sw.ingress[port] = true
+}
 
-// IsIngress reports whether the port is an ingress (end-node-facing) port.
-func (sw *Switch) IsIngress(port int) bool { return sw.ingress[port] }
+// IsIngress reports whether the port is an ingress (end-node-facing)
+// port; false for a port the switch does not have.
+func (sw *Switch) IsIngress(port int) bool {
+	return port >= 0 && port < len(sw.ingress) && sw.ingress[port]
+}
+
+// checkPort panics, naming the switch, when a table write names a port
+// the switch does not have — only a wiring bug can produce one.
+func (sw *Switch) checkPort(what string, port int) {
+	if port < 0 || port >= len(sw.ports) {
+		panic(fmt.Sprintf("fabric: %s: %s invalid port %d", sw.name, what, port))
+	}
+}
 
 // SetFilter installs the partition-enforcement filter (nil disables).
 func (sw *Switch) SetFilter(f Filter) { sw.filter = f }
@@ -146,7 +176,7 @@ func (sw *Switch) SetDown(down bool) {
 	}
 	sw.down = down
 	if down {
-		sw.fwd = make(map[packet.LID]int)
+		clear(sw.fwd)
 	}
 	for _, p := range sw.ports {
 		if p.out != nil {
@@ -331,7 +361,7 @@ func (sw *Switch) SendRaw(port int, d *Delivery) {
 		d.ReturnCredit()
 		return
 	}
-	sw.Counters.Inc("dr_forwarded", 1)
+	sw.drForwarded.Add(1)
 	d.Hops++
 	sw.ports[port].out.enqueue(d)
 }
@@ -352,7 +382,7 @@ func (sw *Switch) QueueDepth(port int) int {
 	}
 	n := 0
 	for vl := 0; vl < NumVLs; vl++ {
-		n += len(ch.queues[vl])
+		n += ch.queues[vl].len()
 	}
 	if ch.busy {
 		n++
@@ -420,35 +450,56 @@ func (sw *Switch) arrive(port int, d *Delivery) {
 			}
 			extra = delay
 		}
-		sw.sim.Schedule(sw.params.SwitchLookup+extra, func() {
-			if sw.madh != nil && sw.madh.HandleMAD(sw, port, d) {
-				return
-			}
-			sw.routeByLID(d)
-		})
+		sw.sim.ScheduleCall(sw.params.SwitchLookup+extra, (*swMAD)(sw), d, uint64(port))
 		return
 	}
 	delay := sw.params.SwitchLookup
-	drop := false
+	var drop uint64
 	if sw.filter != nil {
-		fdrop, fdelay := sw.filter.Inspect(sw, port, sw.ingress[port], d)
-		drop = fdrop
+		fdrop, fdelay := sw.filter.Inspect(sw, port, sw.IsIngress(port), d)
+		if fdrop {
+			drop = 1
+		}
 		delay += fdelay
 	}
-	sw.sim.Schedule(delay, func() {
-		if drop {
-			sw.Counters.Inc("filtered", 1)
-			sw.params.observe(sw.sim.Now(), ObsFiltered, sw.name, d)
-			d.ReturnCredit()
-			return
-		}
-		sw.routeByLID(d)
-	})
+	sw.sim.ScheduleCall(delay, (*swForward)(sw), d, drop)
+}
+
+// swMAD and swForward are the switch's two per-packet events, fired when
+// the lookup latency has elapsed: named handler types over Switch for
+// the same reason as the channel's (see hoqExpire). n carries what a
+// closure would have captured — the in-port for a MAD, the filter's
+// verdict (non-zero = drop) for a data packet.
+
+// swMAD offers a management datagram to the MAD handler, falling back to
+// LID forwarding.
+type swMAD Switch
+
+func (h *swMAD) Fire(arg any, inPort uint64) {
+	sw, d := (*Switch)(h), arg.(*Delivery)
+	if sw.madh != nil && sw.madh.HandleMAD(sw, int(inPort), d) {
+		return
+	}
+	sw.routeByLID(d)
+}
+
+// swForward forwards a data packet, or discards it if the filter said so.
+type swForward Switch
+
+func (h *swForward) Fire(arg any, drop uint64) {
+	sw, d := (*Switch)(h), arg.(*Delivery)
+	if drop != 0 {
+		sw.filtered.Add(1)
+		sw.params.observe(sw.sim.Now(), ObsFiltered, sw.name, d)
+		d.ReturnCredit()
+		return
+	}
+	sw.routeByLID(d)
 }
 
 // routeByLID performs the normal forwarding-table lookup and enqueue.
 func (sw *Switch) routeByLID(d *Delivery) {
-	out, ok := sw.fwd[d.Pkt.LRH.DLID]
+	out, ok := sw.Route(d.Pkt.LRH.DLID)
 	if !ok {
 		sw.Counters.Inc("unroutable", 1)
 		sw.params.observe(sw.sim.Now(), ObsUnroutable, sw.name, d)
@@ -463,7 +514,7 @@ func (sw *Switch) routeByLID(d *Delivery) {
 		return
 	}
 	d.Hops++
-	sw.Counters.Inc("forwarded", 1)
+	sw.forwarded.Add(1)
 	sw.params.observe(sw.sim.Now(), ObsForward, sw.name, d)
 	ch.enqueue(d)
 }

@@ -1,0 +1,119 @@
+package fabric
+
+import (
+	"math/rand"
+	"testing"
+
+	"ibasec/internal/sim"
+)
+
+// TestVLQueueMatchesSlice drives a vlQueue and a plain slice with the
+// same random pushes and pops — bursts deep enough to double the ring
+// several times, drains to empty, and long stretches hovering around a
+// fixed depth so the head index laps the ring many times — and requires
+// the same FIFO order, length and head throughout.
+func TestVLQueueMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var q vlQueue
+	var model []*Delivery
+	check := func(step int) {
+		t.Helper()
+		if q.len() != len(model) {
+			t.Fatalf("step %d: len %d, model %d", step, q.len(), len(model))
+		}
+		if len(model) > 0 && q.head() != model[0] {
+			t.Fatalf("step %d: head differs from the model's", step)
+		}
+		if n := len(q.ring); n&(n-1) != 0 {
+			t.Fatalf("step %d: ring length %d is not a power of two", step, n)
+		}
+	}
+	for step := 0; step < 20000; step++ {
+		// The push bias cycles: fill, hover, drain.
+		bias := []int{7, 5, 5, 2}[step/500%4]
+		if rng.Intn(10) < bias {
+			d := &Delivery{}
+			q.push(d)
+			model = append(model, d)
+		} else if len(model) > 0 {
+			if got := q.pop(); got != model[0] {
+				t.Fatalf("step %d: pop out of FIFO order", step)
+			}
+			model = model[1:]
+		}
+		check(step)
+	}
+	for len(model) > 0 {
+		if q.pop() != model[0] {
+			t.Fatal("drain out of FIFO order")
+		}
+		model = model[1:]
+	}
+	check(-1)
+	for i, d := range q.ring {
+		if d != nil {
+			t.Fatalf("drained ring still references a delivery at %d", i)
+		}
+	}
+}
+
+// A queue in steady state reuses its ring: no allocation however many
+// packets pass through.
+func TestVLQueueSteadyStateAllocs(t *testing.T) {
+	var q vlQueue
+	ds := make([]*Delivery, 6)
+	for i := range ds {
+		ds[i] = &Delivery{}
+		q.push(ds[i])
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			q.push(q.pop())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state push/pop allocated %.1f times per run", allocs)
+	}
+}
+
+// blackholeLog records the deliveries an Observer sees blackholed.
+type blackholeLog struct{ seen []*Delivery }
+
+func (l *blackholeLog) Observe(_ sim.Time, kind ObsKind, _ string, d *Delivery) {
+	if kind == ObsBlackhole {
+		l.seen = append(l.seen, d)
+	}
+}
+
+// Taking a link down destroys everything queued on it, lane by lane in
+// FIFO order, and leaves the queues empty and holding no memory.
+func TestSetDownDrainsQueuesInOrder(t *testing.T) {
+	params := DefaultParams()
+	log := &blackholeLog{}
+	params.Observer = log
+	_, a, _, _ := twoHCAs(t, params)
+
+	var sent []*Delivery
+	for i := 0; i < 12; i++ {
+		d := &Delivery{Pkt: mkPkt(1, 2, VLBestEffort, 64), Class: ClassBestEffort, VL: VLBestEffort}
+		sent = append(sent, d)
+		a.Send(d)
+	}
+	// The first packet is on the serializer; the rest wait behind it.
+	queued := sent[1:]
+	if got := a.SendQueueLen(VLBestEffort); got != len(queued) {
+		t.Fatalf("%d packets queued, want %d", got, len(queued))
+	}
+	a.SetLinkState(false)
+	if len(log.seen) != len(queued) {
+		t.Fatalf("link-down blackholed %d packets, want %d", len(log.seen), len(queued))
+	}
+	for i, d := range log.seen {
+		if d != queued[i] {
+			t.Fatalf("blackholed packet %d out of FIFO order", i)
+		}
+	}
+	if q := a.port.out.queues[VLBestEffort]; q.len() != 0 || q.ring != nil {
+		t.Fatalf("queue after link-down: len %d, ring of %d", q.len(), len(q.ring))
+	}
+}

@@ -171,20 +171,59 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // Counters is a set of named monotonic counters, safe for concurrent
-// use (the experiment runner's worker pool increments shared counters
-// from many goroutines). The zero value is unusable; use NewCounters.
+// use by name (the experiment runner's worker pool increments shared
+// counters from many goroutines). The zero value is unusable; use
+// NewCounters.
 type Counters struct {
 	mu sync.RWMutex
-	m  map[string]uint64
+	m  map[string]*Counter
+}
+
+// Counter is a pre-resolved handle to one named cell of a Counters set,
+// for per-packet code: Add is a field update with no lock and no map
+// lookup. A handle is single-owner — it may be used only while one
+// goroutine owns the whole set, as a simulation owns its devices'
+// counters; a set shared across goroutines is updated by name through
+// Inc. Handle and name address the same cell.
+type Counter struct {
+	v uint64
+	// live records that the cell has been added to or set: resolving a
+	// handle alone must not add a column to Names/CSVRow.
+	live bool
+}
+
+// Add adds delta to the counter.
+func (h *Counter) Add(delta uint64) {
+	h.v += delta
+	h.live = true
 }
 
 // NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{m: make(map[string]uint64)} }
+func NewCounters() *Counters { return &Counters{m: make(map[string]*Counter)} }
+
+// cell returns the named cell, creating it on first use. The caller
+// holds the write lock.
+func (c *Counters) cell(name string) *Counter {
+	h := c.m[name]
+	if h == nil {
+		h = new(Counter)
+		c.m[name] = h
+	}
+	return h
+}
+
+// Counter resolves name to its handle. The name shows up in Names and
+// CSVRow only once something has been added to it, by handle or by name.
+func (c *Counters) Counter(name string) *Counter {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cell(name)
+}
 
 // Inc adds delta to the named counter.
 func (c *Counters) Inc(name string, delta uint64) {
 	c.mu.Lock()
-	c.m[name] += delta
+	c.cell(name).Add(delta)
 	c.mu.Unlock()
 }
 
@@ -193,7 +232,7 @@ func (c *Counters) Inc(name string, delta uint64) {
 // as the counters, so it flows through Names/CSVRow unchanged.
 func (c *Counters) Set(name string, v uint64) {
 	c.mu.Lock()
-	c.m[name] = v
+	*c.cell(name) = Counter{v: v, live: true}
 	c.mu.Unlock()
 }
 
@@ -201,15 +240,21 @@ func (c *Counters) Set(name string, v uint64) {
 func (c *Counters) Get(name string) uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.m[name]
+	if h := c.m[name]; h != nil {
+		return h.v
+	}
+	return 0
 }
 
-// Names returns all counter names in sorted order.
+// Names returns the names of all counters added to so far, in sorted
+// order.
 func (c *Counters) Names() []string {
 	c.mu.RLock()
 	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
+	for k, h := range c.m {
+		if h.live {
+			names = append(names, k)
+		}
 	}
 	c.mu.RUnlock()
 	sort.Strings(names)

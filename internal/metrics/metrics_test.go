@@ -237,6 +237,58 @@ func TestCountersCSVRowSortedStable(t *testing.T) {
 	}
 }
 
+// A Counter handle and the counter's name address one cell, and merely
+// resolving a handle adds no column: a device resolves its per-packet
+// counters at construction, and a run that never forwards a packet must
+// still emit the CSV header it always did.
+func TestCounterHandle(t *testing.T) {
+	c := NewCounters()
+	fwd := c.Counter("forwarded")
+	idle := c.Counter("filtered")
+	if names := c.Names(); len(names) != 0 {
+		t.Fatalf("resolved-but-untouched handles appear in Names: %v", names)
+	}
+	if header, values := c.CSVRow(); len(header) != 0 || len(values) != 0 {
+		t.Fatalf("resolved-but-untouched handles appear in CSVRow: %v", header)
+	}
+	if c.String() != "" || c.Get("filtered") != 0 {
+		t.Fatalf("untouched handle is visible: %q", c.String())
+	}
+
+	fwd.Add(2)
+	c.Inc("forwarded", 3)
+	fwd.Add(1)
+	if got := c.Get("forwarded"); got != 6 {
+		t.Fatalf("handle and name disagree: Get = %d, want 6", got)
+	}
+	if c.Counter("forwarded") != fwd {
+		t.Fatal("resolving a name twice returned different handles")
+	}
+	if names := c.Names(); len(names) != 1 || names[0] != "forwarded" {
+		t.Fatalf("Names = %v, want [forwarded]", names)
+	}
+
+	// Like Inc(name, 0), adding zero makes the column exist.
+	idle.Add(0)
+	c.Inc("zero_by_name", 0)
+	// A handle resolved after the name was counted continues the count.
+	c.Inc("late", 4)
+	c.Counter("late").Add(1)
+	// Set overwrites what a handle accumulated, and the handle carries on.
+	c.Set("forwarded", 100)
+	fwd.Add(1)
+	header, values := c.CSVRow()
+	want := map[string]uint64{"filtered": 0, "forwarded": 101, "late": 5, "zero_by_name": 0}
+	if len(header) != len(want) {
+		t.Fatalf("CSVRow header %v, want the %d names of %v", header, len(want), want)
+	}
+	for i, name := range header {
+		if v, ok := want[name]; !ok || v != values[i] {
+			t.Errorf("CSVRow %s = %d, want %d (present %v)", name, values[i], v, ok)
+		}
+	}
+}
+
 func TestLatencySplit(t *testing.T) {
 	var l LatencySplit
 	l.AddSample(5, 20)

@@ -43,7 +43,21 @@ func (s *Simulator) ScheduleAt(at Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return s.q.push(at, fn)
+	return s.q.push(at, funcHandler(fn), nil, 0)
+}
+
+// ScheduleCall queues h.Fire(arg, n) to run after delay, in the same
+// (time, scheduling order) sequence as Schedule: the primitive for
+// per-packet events, whose target and operands are known without a
+// closure (see Handler). A negative delay or nil handler panics.
+func (s *Simulator) ScheduleCall(delay Time, h Handler, arg any, n uint64) Event {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", delay))
+	}
+	if h == nil {
+		panic("sim: nil event handler")
+	}
+	return s.q.push(s.now+delay, h, arg, n)
 }
 
 // Cancel removes a pending event so it never fires, reporting whether it
@@ -58,16 +72,16 @@ func (s *Simulator) Step() bool {
 	if s.q.len() == 0 {
 		return false
 	}
-	sl := s.q.pop()
-	s.now = sl.at
+	at, sl := s.q.pop()
+	s.now = at
 	s.fired++
-	fn := sl.fn
-	// Release before running fn: the handle is already invalidated, so a
+	h, arg, n := sl.h, sl.arg, sl.n
+	// Release before firing: the handle is already invalidated, so a
 	// callback cancelling its own event is a safe no-op, and the slot is
-	// immediately reusable by anything fn schedules.
+	// immediately reusable by anything the callback schedules.
 	s.q.release(sl)
 	s.q.shrink()
-	fn()
+	h.Fire(arg, n)
 	return true
 }
 
@@ -83,8 +97,7 @@ func (s *Simulator) Run() {
 func (s *Simulator) RunUntil(deadline Time) {
 	s.stopped = false
 	for !s.stopped {
-		h := s.q.head()
-		if h == nil || h.at > deadline {
+		if at, ok := s.q.headAt(); !ok || at > deadline {
 			break
 		}
 		s.Step()

@@ -191,24 +191,103 @@ func TestSelfCancelInsideCallback(t *testing.T) {
 	}
 }
 
-// Steady-state Schedule->Step on a warmed simulator must not allocate:
-// slots come from the free list and the heap slice has capacity. This is
-// the guard on the tentpole's zero-alloc claim.
+// countHandler is a pointer-typed Handler, the shape fabric's per-packet
+// events take: Fire counts calls and sums n.
+type countHandler struct{ fired, sum uint64 }
+
+func (h *countHandler) Fire(_ any, n uint64) { h.fired++; h.sum += n }
+
+// Steady-state scheduling on a warmed simulator must not allocate: slots
+// come from the free list, the heap slice has capacity, and neither way
+// of naming the callback boxes anything — Schedule(fn) converts the func
+// value to the func-typed Handler (pointer-shaped, so the interface holds
+// it directly) and ScheduleCall takes a pointer handler and pointer arg.
+// This is the guard on the queue's zero-alloc claim.
 func TestStepZeroAllocSteadyState(t *testing.T) {
-	s := New()
 	fn := func() {}
-	for i := 0; i < 4*slabBlock; i++ {
-		s.Schedule(Time(i), fn)
+	h, arg := &countHandler{}, &struct{ x int }{}
+	paths := map[string]func(s *Simulator, i int){
+		"Schedule":     func(s *Simulator, i int) { s.Schedule(Time(i)*Nanosecond, fn) },
+		"ScheduleAt":   func(s *Simulator, i int) { s.ScheduleAt(s.Now()+Time(i), fn) },
+		"ScheduleCall": func(s *Simulator, i int) { s.ScheduleCall(Time(i)*Nanosecond, h, arg, uint64(i)) },
 	}
-	s.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 100; i++ {
-			s.Schedule(Time(i)*Nanosecond, fn)
+	for name, schedule := range paths {
+		s := New()
+		for i := 0; i < 4*slabBlock; i++ {
+			schedule(s, i)
 		}
 		s.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Schedule/Step allocated %.1f times per cycle, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := 0; i < 100; i++ {
+				schedule(s, i)
+			}
+			s.Run()
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state %s/Step allocated %.1f times per cycle, want 0", name, allocs)
+		}
+	}
+	if h.fired == 0 || h.sum == 0 {
+		t.Fatalf("ScheduleCall handler saw fired=%d sum=%d", h.fired, h.sum)
+	}
+}
+
+// ScheduleCall hands the handler exactly the operands it was given, in
+// (time, scheduling order) interleaved with Schedule's callbacks.
+func TestScheduleCallOrderAndOperands(t *testing.T) {
+	s := New()
+	var got []uint64
+	tok := &struct{ x int }{}
+	rec := recHandler{log: &got, want: tok}
+	s.ScheduleCall(5, &rec, tok, 1)
+	s.Schedule(5, func() { got = append(got, 2) })
+	s.ScheduleCall(3, &rec, tok, 0)
+	ev := s.ScheduleCall(5, &rec, tok, 99)
+	s.ScheduleCall(5, &rec, tok, 3)
+	if !ev.Pending() || ev.At() != 5 {
+		t.Fatalf("handle: pending=%v at=%v", ev.Pending(), ev.At())
+	}
+	if !s.Cancel(ev) {
+		t.Fatal("could not cancel a ScheduleCall event")
+	}
+	s.Run()
+	for i, n := range got {
+		if n != uint64(i) {
+			t.Fatalf("fired %v, want 0 1 2 3", got)
+		}
+	}
+	if len(got) != 4 || rec.badArg {
+		t.Fatalf("fired %v (badArg=%v), want 0 1 2 3 with the scheduled arg", got, rec.badArg)
+	}
+}
+
+// recHandler logs n and checks arg is the value scheduled.
+type recHandler struct {
+	log    *[]uint64
+	want   any
+	badArg bool
+}
+
+func (h *recHandler) Fire(arg any, n uint64) {
+	*h.log = append(*h.log, n)
+	if arg != h.want {
+		h.badArg = true
+	}
+}
+
+func TestScheduleCallRejectsBadInput(t *testing.T) {
+	for name, f := range map[string]func(*Simulator){
+		"negative delay": func(s *Simulator) { s.ScheduleCall(-1, &countHandler{}, nil, 0) },
+		"nil handler":    func(s *Simulator) { s.ScheduleCall(1, nil, nil, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f(New())
+		}()
 	}
 }
 

@@ -1,0 +1,131 @@
+package sim
+
+import "testing"
+
+// fuzzEvent is the reference model's view of one scheduled event.
+type fuzzEvent struct {
+	at   Time
+	ev   Event
+	live bool
+}
+
+// fuzzLog is the ScheduleCall target of FuzzEventQueue: it records the
+// fired event's id (n) and that arg came back as the log itself.
+type fuzzLog struct {
+	fired  []int
+	badArg bool
+}
+
+func (l *fuzzLog) Fire(arg any, n uint64) {
+	l.fired = append(l.fired, int(n))
+	if arg != any(l) {
+		l.badArg = true
+	}
+}
+
+// FuzzEventQueue drives a Simulator with a byte-coded sequence of
+// schedule / schedule-call / cancel / step operations and checks it
+// against a reference model — a plain list ordered by (time, scheduling
+// order): every step fires exactly the model's earliest live event,
+// Pending() equals the model's live count, a handle stops being pending
+// the moment its event fires or is cancelled, and a dead handle (whose
+// slot may since have been recycled many times) can never cancel again.
+//
+// Each operation is two bytes: op, operand. op%4 selects 0 Schedule,
+// 1 ScheduleCall, 2 Cancel, 3 Step; the operand is the delay (mod 8, so
+// same-instant ties are common) or the index of the handle to cancel.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 1, 3, 0, 3, 3, 0, 3, 0, 3, 0})             // ties across both primitives
+	f.Add([]byte{0, 5, 0, 1, 2, 0, 3, 0, 2, 0, 2, 1, 3, 0, 2, 1}) // cancel live, fired, cancelled
+	f.Add([]byte{1, 0, 3, 0, 1, 0, 3, 0, 2, 0, 2, 1})             // stale handle, recycled slot
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := New()
+		log := &fuzzLog{}
+		var model []fuzzEvent
+
+		live := func() int {
+			n := 0
+			for _, m := range model {
+				if m.live {
+					n++
+				}
+			}
+			return n
+		}
+		// step fires one event and checks it was the model's earliest.
+		step := func() {
+			want := -1
+			for id, m := range model {
+				if m.live && (want < 0 || m.at < model[want].at) {
+					want = id // ids ascend in scheduling order, so strict < keeps ties FIFO
+				}
+			}
+			before := len(log.fired)
+			if s.Step() != (want >= 0) {
+				t.Fatalf("Step returned %v with %d live events", want < 0, live())
+			}
+			if want < 0 {
+				return
+			}
+			if len(log.fired) != before+1 || log.fired[before] != want {
+				t.Fatalf("step fired %v, model expects event %d", log.fired[before:], want)
+			}
+			if s.Now() != model[want].at {
+				t.Fatalf("clock %v after firing an event due at %v", s.Now(), model[want].at)
+			}
+			model[want].live = false
+		}
+
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i]%4, ops[i+1]
+			switch op {
+			case 0, 1:
+				id, delay := len(model), Time(arg%8)
+				var ev Event
+				if op == 0 {
+					ev = s.Schedule(delay, func() { log.fired = append(log.fired, id) })
+				} else {
+					ev = s.ScheduleCall(delay, log, log, uint64(id))
+				}
+				if !ev.Pending() || ev.At() != s.Now()+delay {
+					t.Fatalf("fresh handle: pending=%v at=%v, want at %v", ev.Pending(), ev.At(), s.Now()+delay)
+				}
+				model = append(model, fuzzEvent{at: s.Now() + delay, ev: ev, live: true})
+			case 2:
+				if len(model) == 0 {
+					continue
+				}
+				m := &model[int(arg)%len(model)]
+				if got := s.Cancel(m.ev); got != m.live {
+					t.Fatalf("Cancel returned %v for an event whose live state is %v", got, m.live)
+				}
+				m.live = false
+			case 3:
+				step()
+			}
+			if got, want := s.Pending(), live(); got != want {
+				t.Fatalf("after op %d: Pending() = %d, model holds %d", i/2, got, want)
+			}
+			for id, m := range model {
+				if m.ev.Pending() != m.live {
+					t.Fatalf("after op %d: event %d Pending() = %v, model says %v", i/2, id, m.ev.Pending(), m.live)
+				}
+			}
+		}
+		for live() > 0 {
+			step()
+		}
+		if s.Step() || s.Pending() != 0 {
+			t.Fatal("queue not empty after the model drained")
+		}
+		for id, m := range model {
+			if m.ev.Pending() || s.Cancel(m.ev) {
+				t.Fatalf("event %d: dead handle still pending or cancellable", id)
+			}
+		}
+		if log.badArg {
+			t.Fatal("ScheduleCall handler received a different arg than scheduled")
+		}
+	})
+}

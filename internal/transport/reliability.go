@@ -395,7 +395,7 @@ func (e *Endpoint) handleRCAck(q *QP, p *packet.Packet) {
 		st.lastProgress = e.hca.Sim().Now()
 	}
 	st.unacked = kept
-	e.Counters.Inc("rc_acks_received", 1)
+	e.rcAcksReceived.Add(1)
 	switch {
 	case p.AETH.IsNAK():
 		e.onSeqNak(q, st)

@@ -93,20 +93,23 @@ func BestEffort(s *sim.Simulator, rng *rand.Rand, rate float64, size int, target
 	mean := float64(size*8) / rate * 1e12 // picoseconds between arrivals
 	g := &Generator{}
 	stopped := false
-	var arm func()
-	arm = func() {
+	// One arrival callback for the source's lifetime, not one closure
+	// per arrival.
+	var arrive func()
+	arm := func() {
 		d := sim.Time(rng.ExpFloat64() * mean)
 		if d < 1 {
 			d = 1
 		}
-		s.Schedule(d, func() {
-			if stopped {
-				return
-			}
-			g.Sent++
-			send(targets[rng.Intn(len(targets))], size)
-			arm()
-		})
+		s.Schedule(d, arrive)
+	}
+	arrive = func() {
+		if stopped {
+			return
+		}
+		g.Sent++
+		send(targets[rng.Intn(len(targets))], size)
+		arm()
 	}
 	arm()
 	g.stop = func() { stopped = true }

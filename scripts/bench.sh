@@ -28,6 +28,10 @@ bench() { go test -run '^$' -benchmem "$@"; }
 {
   bench -bench '^(BenchmarkScheduleRun|BenchmarkScheduleRunSteady)$' \
         -benchtime "${BENCHTIME:-100x}" ./internal/sim
+  # One op is a sub-microsecond packet trip: 100 of them would be 75 us
+  # of measurement, all noise; this count is 0.15 s.
+  bench -bench '^BenchmarkFabricHop$' \
+        -benchtime "${BENCHTIME:-200000x}" ./internal/fabric
   bench -bench '^(BenchmarkICRCSeal|BenchmarkVerifyICRC|BenchmarkVerifyVCRC)$' \
         -benchtime "${BENCHTIME:-100x}" ./internal/icrc
   bench -bench '^BenchmarkCompile$' \
