@@ -1068,6 +1068,12 @@ func (cl *Cluster) Simulate() *Results {
 func (cl *Cluster) senders(node int, targets []int) (rt, be workload.SendFunc) {
 	cfg := cl.Cfg
 	if !cfg.Auth.Enabled {
+		// The partition each pair shares (relevant when nodes join
+		// several partitions), resolved once: Build fixes PairPKey.
+		pairPKey := make([]packet.PKey, len(cl.Mesh.HCAs))
+		for dst := range pairPKey {
+			pairPKey[dst] = cl.PairPKey[[2]int{node, dst}]
+		}
 		mk := func(class fabric.Class) workload.SendFunc {
 			sender := &workload.RawUDSender{
 				HCA:   cl.Mesh.HCA(node),
@@ -1076,9 +1082,7 @@ func (cl *Cluster) senders(node int, targets []int) (rt, be workload.SendFunc) {
 				LIDOf: topology.LIDOf,
 			}
 			return func(dst, size int) {
-				// Use the partition this pair shares (relevant when
-				// nodes join several partitions).
-				sender.SendPKey(dst, size, cl.PairPKey[[2]int{node, dst}])
+				sender.SendPKey(dst, size, pairPKey[dst])
 			}
 		}
 		return mk(fabric.ClassRealtime), mk(fabric.ClassBestEffort)
@@ -1120,13 +1124,17 @@ func (cl *Cluster) senders(node int, targets []int) (rt, be workload.SendFunc) {
 			if !ok {
 				return // key exchange still in flight
 			}
-			if err := ep.SendUD(qp, topology.LIDOf(dst), serviceQPN, qk, make([]byte, size), class); err != nil {
+			if err := ep.SendUD(qp, topology.LIDOf(dst), serviceQPN, qk, zeroPayload[:size], class); err != nil {
 				panic(fmt.Sprintf("core: node %d send: %v", node, err))
 			}
 		}
 	}
 	return mk(fabric.ClassRealtime), mk(fabric.ClassBestEffort)
 }
+
+// zeroPayload is the message body every generated send carries. SendUD
+// copies it into the packet's image, so one read-only block serves all.
+var zeroPayload [packet.MTU]byte
 
 // serviceQPN is the QP number of each node's service QP: endpoints
 // allocate from 2 and the service QP is created first.

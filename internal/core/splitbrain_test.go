@@ -146,7 +146,7 @@ func TestSplitBrainEpochReconciliation(t *testing.T) {
 					t.Errorf("node %d: current epoch %d for pk %#x not above loser epoch %d",
 						n, cur, uint16(pk), ek.Epoch)
 				}
-				if k, _ := ep.Store.PartitionSecret(pk); k == ek.Key {
+				if k, _ := ep.Store.PartitionSecret(pk); *k == ek.Key {
 					t.Errorf("node %d: loser key for pk %#x resurrected as current", n, uint16(pk))
 				}
 				tombstoned := false
@@ -186,7 +186,8 @@ func TestSplitBrainEpochReconciliation(t *testing.T) {
 		sq := srcEp.CreateUDQP(pk, 0)
 		sq.AuthRequired = true
 
-		savedKey, _ := srcEp.Store.PartitionSecret(pk)
+		live, _ := srcEp.Store.PartitionSecret(pk)
+		savedKey := *live
 		savedEpoch, _ := srcEp.Store.PartitionEpoch(pk)
 		srcEp.Store.InstallPartitionSecret(pk, loser[pk].Key)
 		expiredBefore = dstEp.Counters.Get("auth_epoch_expired")

@@ -33,8 +33,6 @@ type SwitchSnapshot struct {
 
 // Snapshot reads back sw's enforcement state.
 func (f *Filter) Snapshot(sw *fabric.Switch) SwitchSnapshot {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	st := f.state(sw)
 	snap := SwitchSnapshot{Mode: st.mode, Active: st.active}
 	if st.valid != nil {
@@ -90,8 +88,6 @@ func (s SwitchSnapshot) AltU16() []uint16 {
 // see the mutation fabric-wide; per-switch corruption needs the
 // per-switch tables the policy compiler programs.
 func (f *Filter) AddValid(sw *fabric.Switch, pk packet.PKey) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	st := f.state(sw)
 	if st.valid == nil {
 		st.valid = keys.NewPartitionTable(0)
@@ -103,8 +99,6 @@ func (f *Filter) AddValid(sw *fabric.Switch, pk packet.PKey) {
 
 // RemoveValid deletes the entry with pk's base from sw's valid table.
 func (f *Filter) RemoveValid(sw *fabric.Switch, pk packet.PKey) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	st := f.state(sw)
 	if st.valid != nil {
 		st.valid.Remove(pk)
@@ -115,15 +109,11 @@ func (f *Filter) RemoveValid(sw *fabric.Switch, pk packet.PKey) {
 // active flag — the "stale switch silently forgets its registrations"
 // corruption.
 func (f *Filter) ClearInvalid(sw *fabric.Switch) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.state(sw).invalid = make(map[uint16]bool)
 }
 
 // DropAltSource forgets one registered alternate-path source at sw.
 func (f *Filter) DropAltSource(sw *fabric.Switch, src packet.LID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	delete(f.state(sw).altSources, src)
 }
 
@@ -131,8 +121,6 @@ func (f *Filter) DropAltSource(sw *fabric.Switch, src packet.LID) {
 // violation bookkeeping: corruption deactivates a switch the intent
 // wants filtering; repair re-arms it.
 func (f *Filter) SetActive(sw *fabric.Switch, active bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	st := f.state(sw)
 	if active && !st.active {
 		f.Activations++

@@ -19,7 +19,6 @@ package enforce
 
 import (
 	"fmt"
-	"sync"
 
 	"ibasec/internal/fabric"
 	"ibasec/internal/keys"
@@ -78,8 +77,9 @@ type switchState struct {
 }
 
 // Filter implements fabric.Filter for all four modes. One Filter instance
-// serves an entire mesh; per-switch state is kept internally. It is safe
-// for concurrent use, though the simulator drives it single-threaded.
+// serves an entire mesh; per-switch state is kept internally. A Filter
+// belongs to the one simulation run whose switches it inspects and takes
+// no lock; parallelism is across runs (internal/runner).
 type Filter struct {
 	mode   Mode
 	params *fabric.Params
@@ -90,7 +90,6 @@ type Filter struct {
 	// ConstantLookup to model the one-cycle SRAM of section 6.
 	CostFn LookupCost
 
-	mu       sync.Mutex
 	switches map[*fabric.Switch]*switchState
 
 	// altBase, when non-zero, arms SIF source-identity checking for
@@ -139,8 +138,6 @@ func (f *Filter) state(sw *fabric.Switch) *switchState {
 // and the alternate-path check stay gated on the filter-wide mode, so a
 // per-switch SIF override on a non-SIF filter filters statically.
 func (f *Filter) SetSwitchMode(sw *fabric.Switch, mode Mode) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.state(sw).mode = mode
 }
 
@@ -150,8 +147,6 @@ func (f *Filter) SetSwitchMode(sw *fabric.Switch, mode Mode) {
 // of the node attached to the switch's ingress port (model size p). A
 // modelEntries of zero defaults to the table's actual length.
 func (f *Filter) SetSwitchTable(sw *fabric.Switch, table *keys.PartitionTable, modelEntries int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	st := f.state(sw)
 	st.valid = table
 	if modelEntries <= 0 && table != nil {
@@ -172,8 +167,6 @@ func (f *Filter) lookupDelay(entries int) sim.Time {
 // partition table; beyond the cap the switch falls back to positive
 // (valid-table) filtering, per the paper's table-growth discussion.
 func (f *Filter) RegisterInvalid(sw *fabric.Switch, pk packet.PKey) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	st := f.state(sw)
 	if st.mode != SIF {
 		return
@@ -201,8 +194,6 @@ func (f *Filter) EnableAltPathEnforcement(altBase packet.LID) {
 	if f.mode != SIF {
 		return
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.altBase = altBase
 }
 
@@ -211,8 +202,6 @@ func (f *Filter) EnableAltPathEnforcement(altBase packet.LID) {
 // and re-registers the connection's source identity along the alternate
 // route).
 func (f *Filter) RegisterAltSource(sw *fabric.Switch, src packet.LID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	st := f.state(sw)
 	if st.altSources == nil {
 		st.altSources = make(map[packet.LID]bool)
@@ -222,16 +211,12 @@ func (f *Filter) RegisterAltSource(sw *fabric.Switch, src packet.LID) {
 
 // Active reports whether SIF filtering is currently enabled at sw.
 func (f *Filter) Active(sw *fabric.Switch) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	st := f.switches[sw]
 	return st != nil && st.active
 }
 
 // Violations returns sw's Ingress P_Key Violation Counter.
 func (f *Filter) Violations(sw *fabric.Switch) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	st := f.switches[sw]
 	if st == nil {
 		return 0
@@ -249,8 +234,6 @@ func (f *Filter) StartAutoDisable(s *sim.Simulator, period sim.Time) (cancel fun
 		return func() {}
 	}
 	return s.Every(period, func() {
-		f.mu.Lock()
-		defer f.mu.Unlock()
 		for _, st := range f.switches {
 			if st.mode != SIF || !st.active {
 				continue
@@ -269,8 +252,6 @@ func (f *Filter) Inspect(sw *fabric.Switch, _ int, ingress bool, d *fabric.Deliv
 	if d.Class == fabric.ClassManagement {
 		return false, 0 // management packets bypass partition enforcement
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	st := f.state(sw)
 	pk := d.Pkt.BTH.PKey
 

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ibasec/internal/icrc"
 	"ibasec/internal/packet"
@@ -50,6 +51,10 @@ type outChannel struct {
 	rr      [NumVLs]int // per-priority-level round-robin cursor base
 	// queuedBytes tracks the backlog for realtime source backpressure.
 	queuedBytes int
+	// occupied has bit vl set while queues[vl] is non-empty, so the
+	// arbiter visits the one or two lanes in use instead of all sixteen.
+	// push and pop keep it exact.
+	occupied uint16
 
 	// Weighted-arbitration state (ArbWeighted): per-VL remaining WRR
 	// quantum and the consecutive high-priority service counter.
@@ -140,6 +145,25 @@ func (q *vlQueue) pop() *Delivery {
 	return d
 }
 
+// The occupancy mask is sixteen bits, one per lane.
+var _ = [1]struct{}{}[NumVLs-16]
+
+// push queues d on a lane.
+func (c *outChannel) push(vl uint8, d *Delivery) {
+	c.queues[vl].push(d)
+	c.occupied |= 1 << vl
+}
+
+// pop removes and returns the head of a lane, which must not be empty.
+func (c *outChannel) pop(vl uint8) *Delivery {
+	q := &c.queues[vl]
+	d := q.pop()
+	if q.len() == 0 {
+		c.occupied &^= 1 << vl
+	}
+	return d
+}
+
 // Connect wires port pa of device a to port pb of device b with a
 // full-duplex link using the given parameters; s drives both
 // directions. Ports are created lazily; reconnecting a port panics.
@@ -182,7 +206,7 @@ func (c *outChannel) enqueue(d *Delivery) {
 		return
 	}
 	q := &c.queues[d.VL]
-	q.push(d)
+	c.push(d.VL, d)
 	c.queuedBytes += d.Pkt.WireSize()
 	if c.ccThreshold > 0 && d.VL != VLManagement && q.len() >= c.ccThreshold {
 		c.markFECN(d)
@@ -258,7 +282,7 @@ func (h *hoqExpire) Fire(arg any, tag uint64) {
 	if c.stale(tag) || c.down || q.len() == 0 || q.head() != d {
 		return
 	}
-	q.pop()
+	c.pop(vl)
 	c.queuedBytes -= d.Pkt.WireSize()
 	c.hoqDropped[vl]++
 	c.noteXmitDiscard()
@@ -357,11 +381,10 @@ func (c *outChannel) setDown(down bool) {
 	}
 	if down {
 		for vl := range c.queues {
-			q := &c.queues[vl]
-			for q.len() > 0 {
-				c.blackhole(q.pop())
+			for c.queues[vl].len() > 0 {
+				c.blackhole(c.pop(uint8(vl)))
 			}
-			*q = vlQueue{}
+			c.queues[vl] = vlQueue{}
 		}
 		c.queuedBytes = 0
 		return
@@ -396,22 +419,25 @@ func (c *outChannel) stallTime(now sim.Time) sim.Time {
 	return t
 }
 
-// eligible reports whether a VL has both a queued packet and a credit.
-func (c *outChannel) eligible(vl int) bool {
-	return c.queues[vl].len() > 0 && c.credits[vl] > 0
+// backlog returns the occupancy mask rotated so that bit off stands for
+// lane (rr[0]+off) % NumVLs: walking its set bits from the lowest visits
+// the non-empty lanes in round-robin order from the cursor.
+func (c *outChannel) backlog() uint16 {
+	return bits.RotateLeft16(c.occupied, -c.rr[0])
 }
 
 // pickVL chooses the next VL to serve according to the configured
-// arbiter.
+// arbiter. A lane is eligible when it has both a queued packet and a
+// credit.
 func (c *outChannel) pickVL() int {
 	if c.params.Arbitration == ArbWeighted {
 		return c.pickVLWeighted()
 	}
 	bestPrio := -1 << 31
 	best := -1
-	for off := 0; off < NumVLs; off++ {
-		vl := (c.rr[0] + off) % NumVLs
-		if !c.eligible(vl) {
+	for m := c.backlog(); m != 0; m &= m - 1 {
+		vl := (c.rr[0] + bits.TrailingZeros16(m)) % NumVLs
+		if c.credits[vl] <= 0 {
 			continue
 		}
 		if p := c.params.VLPriority[vl]; p > bestPrio {
@@ -433,10 +459,10 @@ func (c *outChannel) pickVLWeighted() int {
 	pickGroup := func(high bool) int {
 		// Two passes: first VLs with remaining quantum, then refill.
 		for pass := 0; pass < 2; pass++ {
-			for off := 0; off < NumVLs; off++ {
-				vl := (c.rr[0] + off) % NumVLs
+			for m := c.backlog(); m != 0; m &= m - 1 {
+				vl := (c.rr[0] + bits.TrailingZeros16(m)) % NumVLs
 				isHigh := c.params.VLPriority[vl] > 0
-				if isHigh != high || !c.eligible(vl) {
+				if isHigh != high || c.credits[vl] <= 0 {
 					continue
 				}
 				if c.quantum[vl] > 0 {
@@ -535,7 +561,7 @@ func (c *outChannel) trySend() {
 		c.creditStall += c.sim.Now() - c.stallSince
 		c.stalled = false
 	}
-	d := c.queues[vl].pop()
+	d := c.pop(uint8(vl))
 	c.queuedBytes -= d.Pkt.WireSize()
 	c.armHOQ(uint8(vl))
 	c.credits[vl]--

@@ -61,11 +61,6 @@ type HCA struct {
 	// health holds the CA port's IBA PortCounters (one port per HCA),
 	// swept by the Performance Management plane over PMA MADs.
 	health PortCounters
-
-	// verif holds the CRC scratch buffer for this HCA's receive checks;
-	// per-HCA rather than global because whole simulations run in
-	// parallel under the experiment runner.
-	verif icrc.Verifier
 }
 
 // NewHCA creates an HCA with the given LID.
@@ -353,7 +348,7 @@ func (h *HCA) sendCNP(orig *Delivery) {
 			BECN:   true,
 		},
 	}
-	if err := h.verif.Seal(p); err != nil {
+	if err := icrc.Seal(p); err != nil {
 		return
 	}
 	d := &Delivery{Pkt: p, Class: ClassBestEffort, VL: VLBestEffort}
@@ -375,7 +370,7 @@ func (h *HCA) arrive(_ int, d *Delivery) {
 		return
 	}
 	if d.Tainted && d.Pkt.BTH.AuthID == 0 {
-		if ok, err := h.verif.VerifyICRC(d.Pkt.Wire()); err != nil || !ok {
+		if ok, err := icrc.VerifyICRC(d.Pkt.Wire()); err != nil || !ok {
 			h.Counters.Inc("icrc_drops", 1)
 			h.health.AddRcvErrors(1)
 			h.params.observe(h.sim.Now(), ObsCRCDrop, h.name, d)

@@ -116,4 +116,78 @@ func TestSetDownDrainsQueuesInOrder(t *testing.T) {
 	if q := a.port.out.queues[VLBestEffort]; q.len() != 0 || q.ring != nil {
 		t.Fatalf("queue after link-down: len %d, ring of %d", q.len(), len(q.ring))
 	}
+	if m := a.port.out.occupied; m != 0 {
+		t.Fatalf("occupancy mask after link-down: %#04x, want 0", m)
+	}
+}
+
+// pickVLScan is the arbiter pickVL replaced, kept as its reference: all
+// sixteen lanes in round-robin order from the cursor, the first eligible
+// lane of the highest priority wins.
+func pickVLScan(c *outChannel) int {
+	bestPrio := -1 << 31
+	best := -1
+	for off := 0; off < NumVLs; off++ {
+		vl := (c.rr[0] + off) % NumVLs
+		if c.queues[vl].len() == 0 || c.credits[vl] <= 0 {
+			continue
+		}
+		if p := c.params.VLPriority[vl]; p > bestPrio {
+			bestPrio = p
+			best = vl
+		}
+	}
+	return best
+}
+
+// The occupancy mask visits only non-empty lanes but must pick exactly
+// the lane the full scan picks: for one lane, two lanes at the ends of
+// the range and all sixteen, under flat, default and all-distinct
+// priorities, with and without credit-less lanes, from every cursor
+// position — and again after pops empty some of the lanes.
+func TestPickVLMatchesFullScan(t *testing.T) {
+	all := make([]int, NumVLs)
+	for vl := range all {
+		all[vl] = vl
+	}
+	flat, distinct := DefaultParams(), DefaultParams()
+	flat.VLPriority = [NumVLs]int{}
+	for vl := range distinct.VLPriority {
+		distinct.VLPriority[vl] = (vl * 7) % NumVLs
+	}
+	for _, lanes := range [][]int{{0}, {1, 15}, all, {}} {
+		for pi, params := range []*Params{flat, DefaultParams(), distinct} {
+			for _, starved := range [][]int{nil, {1}, {0, 15}} {
+				c := &outChannel{params: params}
+				for vl := range c.credits {
+					c.credits[vl] = 1
+				}
+				for _, vl := range starved {
+					c.credits[vl] = 0
+				}
+				for _, vl := range lanes {
+					c.push(uint8(vl), &Delivery{})
+					c.push(uint8(vl), &Delivery{})
+				}
+				check := func(when string) {
+					t.Helper()
+					for rr := 0; rr < NumVLs; rr++ {
+						c.rr[0] = rr
+						if got, want := c.pickVL(), pickVLScan(c); got != want {
+							t.Fatalf("lanes %v, priorities #%d, starved %v, cursor %d, %s: picked VL %d, full scan picks %d",
+								lanes, pi, starved, rr, when, got, want)
+						}
+					}
+				}
+				check("full")
+				for i, vl := range lanes {
+					c.pop(uint8(vl)) // one left: lane stays occupied
+					if i%2 == 0 {
+						c.pop(uint8(vl)) // emptied: lane must leave the mask
+					}
+					check("draining")
+				}
+			}
+		}
+	}
 }

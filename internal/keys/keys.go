@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"ibasec/internal/packet"
 )
@@ -64,10 +63,10 @@ var (
 )
 
 // PartitionTable is the per-port table of P_Keys a Channel Adapter or an
-// enforcing switch port accepts (IBA 10.9.2). It is safe for concurrent
-// use.
+// enforcing switch port accepts (IBA 10.9.2). A table belongs to the one
+// simulation run that built it — Check counts every lookup — so it takes
+// no lock; parallelism is across runs (internal/runner).
 type PartitionTable struct {
-	mu     sync.RWMutex
 	keys   map[uint16]packet.PKey // base value -> full P_Key entry
 	limit  int
 	checks uint64 // lookups performed (feeds the Table 2 cost model)
@@ -85,8 +84,6 @@ func NewPartitionTable(limit int) *PartitionTable {
 // Add inserts a P_Key. Adding a key with the same base value overwrites
 // the membership bit (a port is in a partition once).
 func (t *PartitionTable) Add(k packet.PKey) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if _, ok := t.keys[k.Base()]; !ok && len(t.keys) >= t.limit {
 		return fmt.Errorf("%w (limit %d)", ErrTableFull, t.limit)
 	}
@@ -96,8 +93,6 @@ func (t *PartitionTable) Add(k packet.PKey) error {
 
 // Remove deletes the entry with k's base value.
 func (t *PartitionTable) Remove(k packet.PKey) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	delete(t.keys, k.Base())
 }
 
@@ -105,10 +100,8 @@ func (t *PartitionTable) Remove(k packet.PKey) {
 // match a table entry's base value, and at least one of the two keys must
 // have full membership (two limited members cannot talk, IBA 10.9.3).
 func (t *PartitionTable) Check(k packet.PKey) bool {
-	t.mu.Lock()
 	t.checks++
 	mine, ok := t.keys[k.Base()]
-	t.mu.Unlock()
 	if !ok {
 		return false
 	}
@@ -117,23 +110,17 @@ func (t *PartitionTable) Check(k packet.PKey) bool {
 
 // Len returns the number of entries.
 func (t *PartitionTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return len(t.keys)
 }
 
 // Lookups returns the number of Check calls, the per-packet cost the
 // paper's Table 2 accounts as f(p).
 func (t *PartitionTable) Lookups() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.checks
 }
 
 // Keys returns the table's P_Keys sorted by base value.
 func (t *PartitionTable) Keys() []packet.PKey {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	out := make([]packet.PKey, 0, len(t.keys))
 	for _, k := range t.keys {
 		out = append(out, k)

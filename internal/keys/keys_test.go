@@ -181,7 +181,7 @@ func TestStorePartitionSecrets(t *testing.T) {
 	s.InstallPartitionSecret(packet.PKey(0x8005), k)
 	// Lookup must ignore the membership bit.
 	got, ok := s.PartitionSecret(packet.PKey(0x0005))
-	if !ok || got != k {
+	if !ok || *got != k {
 		t.Fatalf("PartitionSecret = %v, %v", got, ok)
 	}
 	if _, ok := s.PartitionSecret(packet.PKey(0x0006)); ok {
@@ -197,10 +197,10 @@ func TestStoreQPSecrets(t *testing.T) {
 	// Fig. 3 scenario (QP2 issues S_K2 to QP4 and S_K3 to QP5).
 	s.InstallRecvQPSecret(packet.QKey(0x42), 7, 4, kA)
 	s.InstallRecvQPSecret(packet.QKey(0x42), 7, 5, kB)
-	if got, ok := s.RecvQPSecret(packet.QKey(0x42), 7, 4); !ok || got != kA {
+	if got, ok := s.RecvQPSecret(packet.QKey(0x42), 7, 4); !ok || *got != kA {
 		t.Fatal("recv secret for QP4 wrong")
 	}
-	if got, ok := s.RecvQPSecret(packet.QKey(0x42), 7, 5); !ok || got != kB {
+	if got, ok := s.RecvQPSecret(packet.QKey(0x42), 7, 5); !ok || *got != kB {
 		t.Fatal("recv secret for QP5 wrong")
 	}
 	if _, ok := s.RecvQPSecret(packet.QKey(0x42), 7, 6); ok {
@@ -208,7 +208,7 @@ func TestStoreQPSecrets(t *testing.T) {
 	}
 
 	s.InstallSendQPSecret(4, 9, 2, kA)
-	if got, ok := s.SendQPSecret(4, 9, 2); !ok || got != kA {
+	if got, ok := s.SendQPSecret(4, 9, 2); !ok || *got != kA {
 		t.Fatal("send secret wrong")
 	}
 	if _, ok := s.SendQPSecret(2, 9, 4); ok {
@@ -231,15 +231,15 @@ func TestStoreEpochLifecycle(t *testing.T) {
 	s.InstallPartitionEpoch(pk, 1, k1)
 
 	// Current moved to epoch 1; epoch 0 is held for the grace window.
-	if got, _ := s.PartitionSecret(pk); got != k1 {
+	if got, _ := s.PartitionSecret(pk); *got != k1 {
 		t.Fatal("current secret not at epoch 1")
 	}
 	if e, ok := s.PartitionEpoch(pk); !ok || e != 1 {
 		t.Fatalf("PartitionEpoch = %d, %v", e, ok)
 	}
-	cur, prev, havePrev, ok := s.PartitionVerifyKeys(pk)
-	if !ok || cur.Epoch != 1 || cur.Key != k1 || !havePrev || prev.Epoch != 0 || prev.Key != k0 {
-		t.Fatalf("verify keys = %+v / %+v (havePrev=%v)", cur, prev, havePrev)
+	cur, prev, ok := s.PartitionVerifyKeys(pk)
+	if !ok || cur.Epoch != 1 || cur.Key != k1 || prev == nil || prev.Epoch != 0 || prev.Key != k0 {
+		t.Fatalf("verify keys = %+v / %+v", cur, prev)
 	}
 	if _, retired := s.RetiredPartitionKey(pk); retired {
 		t.Fatal("retired key before retirement")
@@ -250,7 +250,7 @@ func TestStoreEpochLifecycle(t *testing.T) {
 	if !s.RetirePartitionEpoch(pk, 0) {
 		t.Fatal("retire of grace epoch refused")
 	}
-	if _, _, havePrev, _ := s.PartitionVerifyKeys(pk); havePrev {
+	if _, prev, _ := s.PartitionVerifyKeys(pk); prev != nil {
 		t.Fatal("grace key survived retirement")
 	}
 	if rk, ok := s.RetiredPartitionKey(pk); !ok || rk.Epoch != 0 || rk.Key != k0 {
@@ -264,7 +264,7 @@ func TestStoreEpochLifecycle(t *testing.T) {
 	}
 	// Same-epoch reinstall refreshes the key without shifting epochs.
 	s.InstallPartitionEpoch(pk, 1, k2)
-	if got, _ := s.PartitionSecret(pk); got != k2 {
+	if got, _ := s.PartitionSecret(pk); *got != k2 {
 		t.Fatal("same-epoch reinstall ignored")
 	}
 }
@@ -285,13 +285,13 @@ func TestStoreRetireEpochBoundary(t *testing.T) {
 	if s.RetirePartitionEpoch(pk, 0) {
 		t.Fatal("retire below the grace epoch closed the window")
 	}
-	if _, prev, havePrev, _ := s.PartitionVerifyKeys(pk); !havePrev || prev.Epoch != 1 {
-		t.Fatalf("grace window disturbed by stale retire: %+v (havePrev=%v)", prev, havePrev)
+	if _, prev, _ := s.PartitionVerifyKeys(pk); prev == nil || prev.Epoch != 1 {
+		t.Fatalf("grace window disturbed by stale retire: %+v", prev)
 	}
 	if !s.RetirePartitionEpoch(pk, 1) {
 		t.Fatal("retire at exactly the grace epoch refused")
 	}
-	if _, _, havePrev, _ := s.PartitionVerifyKeys(pk); havePrev {
+	if _, prev, _ := s.PartitionVerifyKeys(pk); prev != nil {
 		t.Fatal("grace window open after boundary retire")
 	}
 	if rk, ok := s.RetiredPartitionKey(pk); !ok || rk.Epoch != 1 || rk.Key != k1 {
@@ -314,7 +314,7 @@ func TestStoreRetireOnlyAfterRollover(t *testing.T) {
 	if s.RetirePartitionEpoch(pk, 0) {
 		t.Fatal("retired with no grace-window key held")
 	}
-	if got, ok := s.PartitionSecret(pk); !ok || got != k {
+	if got, ok := s.PartitionSecret(pk); !ok || *got != k {
 		t.Fatal("current key lost by early retire")
 	}
 }
@@ -333,7 +333,7 @@ func TestStoreWipes(t *testing.T) {
 	if _, ok := s.PartitionSecret(pk); ok {
 		t.Fatal("partition secret survived wipe")
 	}
-	if _, _, _, ok := s.PartitionVerifyKeys(pk); ok {
+	if _, _, ok := s.PartitionVerifyKeys(pk); ok {
 		t.Fatal("verify keys survived wipe")
 	}
 	if n := s.WipeQPSecrets(); n != 2 {

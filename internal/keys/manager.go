@@ -40,7 +40,7 @@ const retiredCap = 8
 // evicting the oldest entry past retiredCap. Dedup must compare the
 // whole key, not just the epoch number: after a split-brain merge two
 // key lineages share numeric epochs, and both lineages' keys must stay
-// recognisable as expired. Callers must hold the store lock.
+// recognisable as expired.
 func (ps *partitionSecrets) addRetired(ek EpochKey) {
 	for i := range ps.retired {
 		if ps.retired[i] == ek {
@@ -64,12 +64,15 @@ func (ps *partitionSecrets) addRetired(ek EpochKey) {
 //     issue distinct secrets to many requesters; on the send side it is
 //     indexed by (local QP, remote QP).
 //
-// Store is safe for concurrent use.
+// A Store belongs to one Channel Adapter of one simulation run and takes
+// no lock. The lookups on the per-packet path return pointers into the
+// store's own storage, so a key reaches the MAC without being copied;
+// such a pointer is for immediate use — read-only, and not to be held
+// across a call that installs, rotates, retires or wipes keys.
 type Store struct {
-	mu        sync.RWMutex
 	partition map[uint16]*partitionSecrets
-	recvQP    map[recvIndex]SecretKey
-	sendQP    map[pairIndex]SecretKey
+	recvQP    map[recvIndex]*SecretKey
+	sendQP    map[pairIndex]*SecretKey
 }
 
 type recvIndex struct {
@@ -88,8 +91,8 @@ type pairIndex struct {
 func NewStore() *Store {
 	return &Store{
 		partition: make(map[uint16]*partitionSecrets),
-		recvQP:    make(map[recvIndex]SecretKey),
-		sendQP:    make(map[pairIndex]SecretKey),
+		recvQP:    make(map[recvIndex]*SecretKey),
+		sendQP:    make(map[pairIndex]*SecretKey),
 	}
 }
 
@@ -97,8 +100,6 @@ func NewStore() *Store {
 // epoch 0, resetting any rotation state (the pre-rotation installation
 // path).
 func (s *Store) InstallPartitionSecret(pk packet.PKey, k SecretKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.partition[pk.Base()] = &partitionSecrets{current: EpochKey{Key: k}}
 }
 
@@ -107,8 +108,6 @@ func (s *Store) InstallPartitionSecret(pk packet.PKey, k SecretKey) {
 // equal epoch replaces the key in place; an older epoch is ignored (a
 // late re-delivery must not roll the store backwards).
 func (s *Store) InstallPartitionEpoch(pk packet.PKey, epoch uint32, k SecretKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ps, ok := s.partition[pk.Base()]
 	if !ok {
 		s.partition[pk.Base()] = &partitionSecrets{current: EpochKey{Key: k, Epoch: epoch}}
@@ -128,8 +127,6 @@ func (s *Store) InstallPartitionEpoch(pk packet.PKey, epoch uint32, k SecretKey)
 // is at or below the given epoch, stops verifying and becomes a retired
 // tombstone. It reports whether a key was actually retired.
 func (s *Store) RetirePartitionEpoch(pk packet.PKey, epoch uint32) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ps, ok := s.partition[pk.Base()]
 	if !ok || ps.prev == nil || ps.prev.Epoch > epoch {
 		return false
@@ -146,8 +143,6 @@ func (s *Store) RetirePartitionEpoch(pk packet.PKey, epoch uint32) bool {
 // tombstone at or above the current epoch is ignored: it must never
 // shadow a live key.
 func (s *Store) AddRetiredPartitionEpoch(pk packet.PKey, ek EpochKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ps, ok := s.partition[pk.Base()]
 	if !ok || ek.Epoch >= ps.current.Epoch {
 		return
@@ -157,20 +152,16 @@ func (s *Store) AddRetiredPartitionEpoch(pk packet.PKey, ek EpochKey) {
 
 // PartitionSecret returns the current-epoch secret for pk's partition
 // (the send-path key).
-func (s *Store) PartitionSecret(pk packet.PKey) (SecretKey, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func (s *Store) PartitionSecret(pk packet.PKey) (*SecretKey, bool) {
 	ps, ok := s.partition[pk.Base()]
 	if !ok {
-		return SecretKey{}, false
+		return nil, false
 	}
-	return ps.current.Key, true
+	return &ps.current.Key, true
 }
 
 // PartitionEpoch returns the current epoch of pk's partition secret.
 func (s *Store) PartitionEpoch(pk packet.PKey) (uint32, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	ps, ok := s.partition[pk.Base()]
 	if !ok {
 		return 0, false
@@ -180,26 +171,19 @@ func (s *Store) PartitionEpoch(pk packet.PKey) (uint32, bool) {
 
 // PartitionVerifyKeys returns the acceptable verification keys for pk:
 // the current epoch and, while a grace window is open, the previous
-// epoch. ok is false when no secret is installed at all.
-func (s *Store) PartitionVerifyKeys(pk packet.PKey) (cur, prev EpochKey, havePrev, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// epoch (nil otherwise). ok is false when no secret is installed at all.
+func (s *Store) PartitionVerifyKeys(pk packet.PKey) (cur, prev *EpochKey, ok bool) {
 	ps, found := s.partition[pk.Base()]
 	if !found {
-		return EpochKey{}, EpochKey{}, false, false
+		return nil, nil, false
 	}
-	if ps.prev != nil {
-		return ps.current, *ps.prev, true, true
-	}
-	return ps.current, EpochKey{}, false, true
+	return &ps.current, ps.prev, true
 }
 
 // RetiredPartitionKey returns the most recently retired epoch key for pk,
 // kept so verification can attribute "signed under a retired epoch"
 // rejects to their own counter.
 func (s *Store) RetiredPartitionKey(pk packet.PKey) (EpochKey, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	ps, ok := s.partition[pk.Base()]
 	if !ok || len(ps.retired) == 0 {
 		return EpochKey{}, false
@@ -212,8 +196,6 @@ func (s *Store) RetiredPartitionKey(pk packet.PKey) (EpochKey, bool) {
 // recently retired epoch — including a merged-away island's — are
 // attributed to auth_epoch_expired.
 func (s *Store) RetiredPartitionKeys(pk packet.PKey) []EpochKey {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	ps, ok := s.partition[pk.Base()]
 	if !ok || len(ps.retired) == 0 {
 		return nil
@@ -227,8 +209,6 @@ func (s *Store) RetiredPartitionKeys(pk packet.PKey) []EpochKey {
 // (including the retired tombstone), as done when this CA is evicted from
 // the partition.
 func (s *Store) WipePartitionSecret(pk packet.PKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	delete(s.partition, pk.Base())
 }
 
@@ -236,11 +216,9 @@ func (s *Store) WipePartitionSecret(pk packet.PKey) {
 // how many entries were destroyed. Eviction calls this so a removed node
 // retains no per-QP credentials that rotation could otherwise resurrect.
 func (s *Store) WipeQPSecrets() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := len(s.recvQP) + len(s.sendQP)
-	s.recvQP = make(map[recvIndex]SecretKey)
-	s.sendQP = make(map[pairIndex]SecretKey)
+	s.recvQP = make(map[recvIndex]*SecretKey)
+	s.sendQP = make(map[pairIndex]*SecretKey)
 	return n
 }
 
@@ -250,16 +228,12 @@ func (s *Store) WipeQPSecrets() int {
 // numbers are only unique per CA, the source LID is added to make the
 // index unambiguous when two nodes happen to use the same QP number.
 func (s *Store) InstallRecvQPSecret(qk packet.QKey, lid packet.LID, src packet.QPN, k SecretKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recvQP[recvIndex{qk, lid, src}] = k
+	s.recvQP[recvIndex{qk, lid, src}] = &k
 }
 
 // RecvQPSecret looks up the receive-side secret by (Q_Key, source LID,
 // source QP).
-func (s *Store) RecvQPSecret(qk packet.QKey, lid packet.LID, src packet.QPN) (SecretKey, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func (s *Store) RecvQPSecret(qk packet.QKey, lid packet.LID, src packet.QPN) (*SecretKey, bool) {
 	k, ok := s.recvQP[recvIndex{qk, lid, src}]
 	return k, ok
 }
@@ -268,16 +242,12 @@ func (s *Store) RecvQPSecret(qk packet.QKey, lid packet.LID, src packet.QPN) (Se
 // specific remote (LID, QP). As with the receive index, the remote LID
 // disambiguates QP numbers that are only unique per CA.
 func (s *Store) InstallSendQPSecret(local packet.QPN, remoteLID packet.LID, remote packet.QPN, k SecretKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sendQP[pairIndex{local, remoteLID, remote}] = k
+	s.sendQP[pairIndex{local, remoteLID, remote}] = &k
 }
 
 // SendQPSecret returns the secret for the (local QP, remote LID, remote
 // QP) pair.
-func (s *Store) SendQPSecret(local packet.QPN, remoteLID packet.LID, remote packet.QPN) (SecretKey, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func (s *Store) SendQPSecret(local packet.QPN, remoteLID packet.LID, remote packet.QPN) (*SecretKey, bool) {
 	k, ok := s.sendQP[pairIndex{local, remoteLID, remote}]
 	return k, ok
 }
@@ -285,8 +255,6 @@ func (s *Store) SendQPSecret(local packet.QPN, remoteLID packet.LID, remote pack
 // Counts returns the number of partition, receive-QP and send-QP entries,
 // used by memory-overhead accounting.
 func (s *Store) Counts() (partition, recvQP, sendQP int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return len(s.partition), len(s.recvQP), len(s.sendQP)
 }
 

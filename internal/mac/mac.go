@@ -8,6 +8,13 @@
 // verifies the tag with the secret key indexed by P_Key or (Q_Key, SrcQP).
 // Because Resv8a is a variant field, legacy IBA gear forwards these packets
 // unmodified — the property the paper's design hinges on.
+//
+// Ownership: a Registry and the authenticators in it belong to one
+// simulation run, which is one goroutine (parallelism is across runs,
+// internal/runner). The keyed authenticators memoize expanded subkeys and
+// keep working memory between calls, so sharing one between goroutines
+// needs external synchronization; concurrent read-only Lookups of a
+// registry that is no longer being extended are fine.
 package mac
 
 import (
@@ -18,7 +25,6 @@ import (
 	"fmt"
 	"hash"
 	"sort"
-	"sync"
 
 	"ibasec/internal/icrc"
 	"ibasec/internal/umac"
@@ -38,8 +44,9 @@ const (
 // ICRC field size for the paper's in-place encoding to work.
 const TagSize = 4
 
-// Authenticator computes and verifies 32-bit authentication tags.
-// Implementations must be safe for concurrent use.
+// Authenticator computes and verifies 32-bit authentication tags. An
+// implementation may keep per-key and per-call state between calls; see
+// the package comment for who may call it.
 type Authenticator interface {
 	// ID is the function identifier stored in BTH.Resv8a (non-zero).
 	ID() uint8
@@ -119,8 +126,8 @@ func NewHMACSHA1() Authenticator {
 // umacAuth is the paper's preferred algorithm: provable 2^-30 forgery at
 // 32-bit tags and near-CRC speed.
 type umacAuth struct {
-	mu    sync.Mutex
-	cache map[[umac.KeySize]byte]*umac.UMAC
+	cache   keyCache[umac.UMAC]
+	scratch umac.Scratch // the pad derivation's AES blocks, reused per tag
 	// prefix > 0 enables the paper's section-7 fast mode: only the
 	// first prefix bytes of the message are digested, trading forgery
 	// probability for speed.
@@ -131,7 +138,7 @@ type umacAuth struct {
 
 // NewUMAC32 returns the UMAC-32 authenticator.
 func NewUMAC32() Authenticator {
-	return &umacAuth{cache: map[[umac.KeySize]byte]*umac.UMAC{}, id: IDUMAC32, name: "UMAC-32"}
+	return &umacAuth{id: IDUMAC32, name: "UMAC-32"}
 }
 
 // NewTruncatedUMAC returns the section-7 "fast authentication" variant
@@ -143,7 +150,6 @@ func NewTruncatedUMAC(prefix int) Authenticator {
 		panic("mac: prefix must be positive")
 	}
 	return &umacAuth{
-		cache:  map[[umac.KeySize]byte]*umac.UMAC{},
 		prefix: prefix,
 		id:     IDTruncUMAC,
 		name:   fmt.Sprintf("UMAC-32/prefix%d", prefix),
@@ -165,24 +171,56 @@ func (u *umacAuth) Tag(key, msg []byte, nonce uint64) (uint32, error) {
 	if len(key) != umac.KeySize {
 		return 0, fmt.Errorf("mac: UMAC requires a %d-byte key, got %d", umac.KeySize, len(key))
 	}
-	var kk [umac.KeySize]byte
-	copy(kk[:], key)
-	u.mu.Lock()
-	inst := u.cache[kk]
-	if inst == nil {
-		var err error
-		inst, err = umac.New(key)
-		if err != nil {
-			u.mu.Unlock()
-			return 0, err
-		}
-		u.cache[kk] = inst
+	inst, err := u.cache.get(key, umac.New)
+	if err != nil {
+		return 0, err
 	}
-	u.mu.Unlock()
 	if u.prefix > 0 && len(msg) > u.prefix {
 		msg = msg[:u.prefix]
 	}
-	return inst.Tag32Uint(msg, nonce)
+	return inst.Tag32UintScratch(&u.scratch, msg, nonce)
+}
+
+// keyCacheCap bounds a keyCache. A run's live keys fit with room to
+// spare — Figure 6's QP-level configuration holds 16 nodes × 3 peers × 2
+// directions = 96 pair secrets, a partition-level one three epochs
+// (current, grace, draining) per partition — so eviction only ever meets
+// keys that rotation, retirement or a wipe has already left behind.
+const keyCacheCap = 256
+
+// keyCache memoizes the state an authenticator expands from a 16-byte
+// key (≈ 2.3 KB of UMAC subkeys), keyed by the raw key bytes. It holds at
+// most keyCacheCap entries and evicts in insertion order: rotation mints
+// keys forever, and a cache that never forgot one would keep every
+// retired epoch's and every evicted node's credentials for the life of
+// the registry. An evicted key that is used again is simply re-expanded.
+type keyCache[T any] struct {
+	m     map[[16]byte]*T
+	order [keyCacheCap][16]byte // resident keys, oldest at next once full
+	next  int
+}
+
+// get returns the state for key, expanding and caching it on first use.
+func (c *keyCache[T]) get(key []byte, expand func([]byte) (*T, error)) (*T, error) {
+	var kk [16]byte
+	copy(kk[:], key)
+	if st := c.m[kk]; st != nil {
+		return st, nil
+	}
+	st, err := expand(key)
+	if err != nil {
+		return nil, err
+	}
+	if c.m == nil {
+		c.m = make(map[[16]byte]*T)
+	}
+	if len(c.m) == keyCacheCap {
+		delete(c.m, c.order[c.next])
+	}
+	c.order[c.next] = kk
+	c.next = (c.next + 1) % keyCacheCap
+	c.m[kk] = st
+	return st, nil
 }
 
 // crcAuth is the unkeyed CRC-32 baseline: pure error detection, forgery
@@ -204,7 +242,6 @@ func (crcAuth) Tag(_ []byte, msg []byte, _ uint64) (uint32, error) {
 // Registry maps authentication-function IDs to implementations. The zero
 // value is empty; DefaultRegistry returns one with all standard functions.
 type Registry struct {
-	mu    sync.RWMutex
 	byID  map[uint8]Authenticator
 	names map[string]uint8
 }
@@ -232,8 +269,6 @@ func (r *Registry) Register(a Authenticator) error {
 	if a.ID() == IDNone {
 		return fmt.Errorf("mac: cannot register under reserved ID 0 (%s)", a.Name())
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, dup := r.byID[a.ID()]; dup {
 		return fmt.Errorf("mac: ID %d already registered", a.ID())
 	}
@@ -244,16 +279,12 @@ func (r *Registry) Register(a Authenticator) error {
 
 // Lookup returns the authenticator registered under id.
 func (r *Registry) Lookup(id uint8) (Authenticator, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	a, ok := r.byID[id]
 	return a, ok
 }
 
 // IDs returns all registered IDs in ascending order.
 func (r *Registry) IDs() []uint8 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	ids := make([]uint8, 0, len(r.byID))
 	for id := range r.byID {
 		ids = append(ids, id)

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/md5"
 	"crypto/sha1"
@@ -127,6 +128,85 @@ func TestUMACKeyCache(t *testing.T) {
 	}
 	if t1 != t2 {
 		t.Fatal("cache changed tag value")
+	}
+}
+
+// The key caches forget: rotation mints keys for as long as a run lasts
+// and wipes promise an evicted node keeps no credentials, so neither
+// cache may hold more than keyCacheCap expanded keys — and a key that
+// was evicted still tags correctly, because it is expanded again.
+func TestKeyCacheBounded(t *testing.T) {
+	msg := []byte("one of a thousand epochs")
+	keyN := func(i int) []byte {
+		k := append([]byte(nil), key16...)
+		binary.BigEndian.PutUint32(k, uint32(i))
+		return k
+	}
+	u, p := NewUMAC32().(*umacAuth), NewPMAC().(*pmacAuth)
+	for _, c := range []struct {
+		a        Authenticator
+		resident func() int
+	}{
+		{u, func() int { return len(u.cache.m) }},
+		{p, func() int { return len(p.cache.m) }},
+	} {
+		first, err := c.a.Tag(keyN(0), msg, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < 1000; i++ {
+			if _, err := c.a.Tag(keyN(i), msg, 9); err != nil {
+				t.Fatal(err)
+			}
+			if n := c.resident(); n > keyCacheCap {
+				t.Fatalf("%s: %d keys resident after %d, bound is %d", c.a.Name(), n, i+1, keyCacheCap)
+			}
+		}
+		if n := c.resident(); n != keyCacheCap {
+			t.Fatalf("%s: %d keys resident after 1000, want the full %d", c.a.Name(), n, keyCacheCap)
+		}
+		again, err := c.a.Tag(keyN(0), msg, 9) // long evicted
+		if err != nil || again != first {
+			t.Fatalf("%s: evicted key tags %#x (%v), first time %#x", c.a.Name(), again, err, first)
+		}
+	}
+}
+
+// A UMAC-32 tag allocates nothing — not for a ragged NH tail (31, 188,
+// 1052 B), not for the two-block L2 input of a full IBA packet (1052,
+// 2048 B), not for the pad's AES blocks, not for the key lookup — and the
+// values are RFC 4418's where it publishes one ('a' × 0 and × 2^10 under
+// its key and nonce) and the pre-change implementation's elsewhere.
+func TestUMACTagZeroAlloc(t *testing.T) {
+	a := NewUMAC32()
+	key := []byte("abcdefghijklmnop")
+	const nonce = 0x6263646566676869 // "bcdefghi"
+	for _, c := range []struct {
+		n    int
+		want uint32
+	}{
+		{0, 0x113145FB}, // RFC 4418
+		{31, 0x9D4FC2B7},
+		{64, 0x84FFCCF4},
+		{188, 0x315AD7A2},
+		{1024, 0x599B350B}, // RFC 4418
+		{1052, 0x7A071B12},
+		{2048, 0x710B4335},
+	} {
+		msg := bytes.Repeat([]byte("a"), c.n)
+		var got uint32
+		allocs := testing.AllocsPerRun(100, func() {
+			var err error
+			if got, err = a.Tag(key, msg, nonce); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%d B: tag %#08X, want %#08X", c.n, got, c.want)
+		}
+		if allocs != 0 {
+			t.Errorf("%d B: Tag allocated %.1f times, want 0", c.n, allocs)
+		}
 	}
 }
 

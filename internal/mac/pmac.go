@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // PMAC (Black-Rogaway) is the parallelizable MAC the paper's section 7
@@ -24,8 +23,7 @@ import (
 
 // pmacAuth implements Authenticator with a 32-bit truncated PMAC tag.
 type pmacAuth struct {
-	mu    sync.Mutex
-	cache map[[16]byte]*pmacState
+	cache keyCache[pmacState]
 }
 
 // IDPMAC is the BTH Resv8a identifier for PMAC-AES128.
@@ -40,7 +38,7 @@ type pmacState struct {
 
 // NewPMAC returns the PMAC-AES128 authenticator (32-bit truncated tag).
 func NewPMAC() Authenticator {
-	return &pmacAuth{cache: map[[16]byte]*pmacState{}}
+	return &pmacAuth{}
 }
 
 func (p *pmacAuth) ID() uint8    { return IDPMAC }
@@ -85,17 +83,8 @@ func xor16(dst *[16]byte, src [16]byte) {
 	}
 }
 
-func (p *pmacAuth) state(key []byte) (*pmacState, error) {
-	if len(key) != 16 {
-		return nil, fmt.Errorf("mac: PMAC requires a 16-byte key, got %d", len(key))
-	}
-	var kk [16]byte
-	copy(kk[:], key)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if st := p.cache[kk]; st != nil {
-		return st, nil
-	}
+// newPMACState expands a 16-byte key into its offset schedule.
+func newPMACState(key []byte) (*pmacState, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, err
@@ -111,13 +100,15 @@ func (p *pmacAuth) state(key []byte) (*pmacState, error) {
 		st.lPow = append(st.lPow, cur)
 		cur = gfDouble(cur)
 	}
-	p.cache[kk] = st
 	return st, nil
 }
 
 // Tag computes the 32-bit truncated PMAC over nonce||msg.
 func (p *pmacAuth) Tag(key, msg []byte, nonce uint64) (uint32, error) {
-	st, err := p.state(key)
+	if len(key) != 16 {
+		return 0, fmt.Errorf("mac: PMAC requires a 16-byte key, got %d", len(key))
+	}
+	st, err := p.cache.get(key, newPMACState)
 	if err != nil {
 		return 0, err
 	}

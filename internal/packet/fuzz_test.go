@@ -18,7 +18,7 @@ func mustWire(f *testing.F, p *Packet) []byte {
 // Accepted inputs must satisfy the parser's own contract: the parsed
 // structure accounts for every byte, re-marshalling is stable after one
 // normalization pass (pad bytes and reserved bits zeroed), and the
-// cached-wire and deep-copy views agree with Marshal.
+// cached-wire, deep-copy and built-in-place views agree with Marshal.
 func FuzzPacketUnmarshal(f *testing.F) {
 	f.Add(mustWire(f, &Packet{
 		LRH:     LRH{SLID: 1, DLID: 2, VL: 1},
@@ -79,6 +79,21 @@ func FuzzPacketUnmarshal(f *testing.F) {
 		}
 		if !bytes.Equal(p.Clone().Marshal(), m) {
 			t.Fatal("Clone() not wire-equivalent to original")
+		}
+		// The same packet built the way the send paths build it: payload
+		// written into the image, headers and trailers marshalled around
+		// it. A non-canonical PadCnt sizes the image differently, and
+		// Wire must then fall back rather than trust the window.
+		r := p.Clone()
+		copy(r.AllocPayload(len(p.Payload)), p.Payload)
+		canonical := r.BTH.PadCnt == p.BTH.PadCnt
+		r.BTH.PadCnt = p.BTH.PadCnt
+		w := r.Wire()
+		if !bytes.Equal(w, m) {
+			t.Fatal("in-place Wire() disagrees with Marshal()")
+		}
+		if n := len(r.Payload); n > 0 && canonical && &w[r.HeaderSize()] != &r.Payload[0] {
+			t.Fatal("canonical packet was not marshalled in place")
 		}
 	})
 }

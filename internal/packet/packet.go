@@ -23,11 +23,18 @@ type Packet struct {
 	ICRC    uint32 // invariant CRC or authentication tag
 	VCRC    uint16
 
-	// wire caches the marshalled image so a packet crossing many hops is
-	// serialized once, not once per hop. It is maintained by Wire/SetWire
-	// and must be dropped (InvalidateWire) whenever a header or payload
-	// field changes after it was built.
-	wire []byte
+	// wireOK says img is the packet's marshalled image, so a packet
+	// crossing many hops is serialized once, not once per hop. Wire sets
+	// it; it must be cleared (InvalidateWire) whenever a header or
+	// payload field changes afterwards. It sits in VCRC's padding, which
+	// keeps a send's header block (packet, DETH, delivery: 240 bytes)
+	// inside the 256-byte allocation class.
+	wireOK bool
+	// img is the packet's wire image, allocated by AllocPayload — Payload
+	// is then a window into it — or by Wire. It outlives InvalidateWire
+	// so that Wire can rebuild headers and trailers around an in-place
+	// payload without copying it.
+	img []byte
 }
 
 // Errors returned by Unmarshal.
@@ -74,7 +81,7 @@ func (p *Packet) Finalize() error {
 	if len(p.Payload) > MTU {
 		return fmt.Errorf("%w: %d bytes", ErrPayload, len(p.Payload))
 	}
-	p.BTH.PadCnt = uint8((4 - len(p.Payload)%4) % 4)
+	p.BTH.PadCnt = uint8(payloadPad(len(p.Payload)))
 	if p.GRH != nil {
 		p.LRH.LNH = LNHIBAGlobal
 		p.GRH.IPVer = 6
@@ -94,10 +101,44 @@ func (p *Packet) Finalize() error {
 	return nil
 }
 
-// Marshal serializes the packet. Call Finalize first; Marshal panics if
-// the length fields are inconsistent with the structure.
+// payloadPad returns the number of zero bytes that pad an n-byte payload
+// to a 4-byte boundary (BTH.PadCnt).
+func payloadPad(n int) int { return (4 - n%4) % 4 }
+
+// AllocPayload allocates the packet's wire image, sized for an n-byte
+// payload under the headers already set (the opcode and GRH decide the
+// payload offset; pad bytes and both CRC trailers are included), and
+// returns Payload as an n-byte window into it. The caller fills the
+// window; Wire then writes headers and trailers around it, so the
+// message is never copied. The window's capacity stops at its length:
+// an append reallocates instead of running into the trailer. Replacing
+// or resizing Payload afterwards is legal — Wire falls back to a fresh
+// image.
+func (p *Packet) AllocPayload(n int) []byte {
+	if n < 0 {
+		panic(fmt.Sprintf("packet: AllocPayload: negative size %d", n))
+	}
+	hs := p.HeaderSize()
+	p.BTH.PadCnt = uint8(payloadPad(n))
+	p.img = make([]byte, hs+n+int(p.BTH.PadCnt)+ICRCSize+VCRCSize)
+	p.wireOK = false
+	p.Payload = p.img[hs : hs+n : hs+n]
+	return p.Payload
+}
+
+// Marshal serializes the packet into a fresh buffer the caller owns (the
+// bit-error model and the attack suite tamper with the result). Call
+// Finalize first; Marshal panics if the length fields are inconsistent
+// with the structure.
 func (p *Packet) Marshal() []byte {
 	b := make([]byte, p.WireSize())
+	p.marshalInto(b)
+	return b
+}
+
+// marshalInto writes the packet into b, which must be WireSize bytes.
+// The payload is not copied when it already sits at its place in b.
+func (p *Packet) marshalInto(b []byte) {
 	off := 0
 	p.LRH.marshal(b[off : off+LRHSize])
 	off += LRHSize
@@ -136,8 +177,13 @@ func (p *Packet) Marshal() []byte {
 		b[off+3] = byte(p.Imm)
 		off += ImmSize
 	}
-	copy(b[off:], p.Payload)
-	off += len(p.Payload) + int(p.BTH.PadCnt) // pad bytes are zero
+	if len(p.Payload) > 0 && &p.Payload[0] != &b[off] {
+		copy(b[off:], p.Payload)
+	}
+	off += len(p.Payload)
+	for end := off + int(p.BTH.PadCnt); off < end; off++ {
+		b[off] = 0
+	}
 	b[off] = byte(p.ICRC >> 24)
 	b[off+1] = byte(p.ICRC >> 16)
 	b[off+2] = byte(p.ICRC >> 8)
@@ -145,31 +191,41 @@ func (p *Packet) Marshal() []byte {
 	off += ICRCSize
 	b[off] = byte(p.VCRC >> 8)
 	b[off+1] = byte(p.VCRC)
-	return b
 }
 
 // Wire returns the packet's marshalled image, serializing it on first
-// use and returning the cached bytes thereafter. The returned slice is
-// shared: callers must treat it as read-only (use Marshal for a private
-// copy). Any mutation of the packet after Wire must be followed by
-// InvalidateWire, or the cache will misrepresent the packet.
+// use and returning the cached bytes thereafter. A packet whose Payload
+// is still the window AllocPayload returned is serialized in place —
+// headers and trailers are written around the payload — and any other
+// packet into a fresh buffer. The returned slice is the packet's own
+// image: only the seal path and a switch marking a variant field may
+// write it (use Marshal for a private copy). Any mutation of the packet
+// after Wire must be followed by InvalidateWire, or the cache will
+// misrepresent the packet.
 func (p *Packet) Wire() []byte {
-	if p.wire == nil {
-		p.wire = p.Marshal()
+	if !p.wireOK {
+		if !p.payloadInPlace() {
+			p.img = make([]byte, p.WireSize())
+		}
+		p.marshalInto(p.img)
+		p.wireOK = true
 	}
-	return p.wire
+	return p.img
 }
 
-// SetWire installs b as the cached wire image. The caller asserts that b
-// is exactly what Marshal would produce and hands over ownership of the
-// backing array. Used by the seal path, which builds the image once and
-// patches the CRC trailer in place.
-func (p *Packet) SetWire(b []byte) { p.wire = b }
+// payloadInPlace reports whether Payload still sits where img holds the
+// payload under the packet's current header shape — the window
+// AllocPayload handed out, neither replaced nor moved. An empty payload
+// has no byte to compare and counts as not in place.
+func (p *Packet) payloadInPlace() bool {
+	return len(p.Payload) > 0 && len(p.img) == p.WireSize() &&
+		&p.Payload[0] == &p.img[p.HeaderSize()]
+}
 
-// InvalidateWire drops the cached wire image; the next Wire call
+// InvalidateWire marks the cached wire image stale; the next Wire call
 // re-serializes. Call it after mutating any field of an already-cached
 // packet.
-func (p *Packet) InvalidateWire() { p.wire = nil }
+func (p *Packet) InvalidateWire() { p.wireOK = false }
 
 // Unmarshal parses a wire buffer into p, replacing its contents.
 func (p *Packet) Unmarshal(b []byte) error {
@@ -239,12 +295,12 @@ func (p *Packet) Unmarshal(b []byte) error {
 	return nil
 }
 
-// Clone returns a deep copy of the packet. The wire cache is not
-// carried over: the clone exists to be mutated, so it re-serializes on
-// first use instead of aliasing the original's image.
+// Clone returns a deep copy of the packet. The wire image is not
+// carried over: the clone exists to be mutated, so it serializes into a
+// buffer of its own on first use instead of aliasing the original's.
 func (p *Packet) Clone() *Packet {
 	q := *p
-	q.wire = nil
+	q.img, q.wireOK = nil, false
 	if p.GRH != nil {
 		g := *p.GRH
 		q.GRH = &g

@@ -89,16 +89,15 @@ func newSMP(method, attr byte, txID uint32, mkey keys.MKey, path []byte) []byte 
 	return pl
 }
 
-// smpDelivery wraps an SMP payload into a management delivery sealed
-// with the sending agent's Verifier.
-func smpDelivery(v *icrc.Verifier, slid packet.LID, pl []byte) *fabric.Delivery {
+// smpDelivery wraps an SMP payload into a sealed management delivery.
+func smpDelivery(slid packet.LID, pl []byte) *fabric.Delivery {
 	p := &packet.Packet{
 		LRH:     packet.LRH{SLID: slid, DLID: packet.LIDPermissive, VL: fabric.VLManagement},
 		BTH:     packet.BTH{OpCode: packet.UDSendOnly, PKey: 0xFFFF, DestQP: 0},
 		DETH:    &packet.DETH{QKey: 0, SrcQP: 0},
 		Payload: pl,
 	}
-	if err := v.Seal(p); err != nil {
+	if err := icrc.Seal(p); err != nil {
 		panic(fmt.Sprintf("sm: sealing SMP: %v", err))
 	}
 	return &fabric.Delivery{
@@ -107,10 +106,10 @@ func smpDelivery(v *icrc.Verifier, slid packet.LID, pl []byte) *fabric.Delivery 
 }
 
 // reseal refreshes the packet CRCs after an in-flight payload mutation
-// (hop pointer / return path updates). A transit switch does this once
-// per DR-SMP, so it runs on the agent's own Verifier scratch.
-func reseal(v *icrc.Verifier, d *fabric.Delivery) {
-	if err := v.Seal(d.Pkt); err != nil {
+// (hop pointer / return path updates); a transit switch does this once
+// per DR-SMP.
+func reseal(d *fabric.Delivery) {
+	if err := icrc.Seal(d.Pkt); err != nil {
 		panic(fmt.Sprintf("sm: resealing SMP: %v", err))
 	}
 }
@@ -178,7 +177,6 @@ type SwitchAgent struct {
 	// satisfy this within a sweep. Default off.
 	DedupTIDs bool
 	tids      *tidSet
-	verif     icrc.Verifier // per-agent CRC scratch; sims run in parallel
 }
 
 // AttachSwitchAgents installs a SwitchAgent on every switch of a mesh.
@@ -213,7 +211,7 @@ func (a *SwitchAgent) HandleMAD(sw *fabric.Switch, inPort int, d *fabric.Deliver
 			// the initial path.
 			pl[smpOffRet+fr.HopPtr] = byte(inPort)
 			pl[smpOffHopPtr] = byte(fr.HopPtr + 1)
-			reseal(&a.verif, d)
+			reseal(d)
 			sw.SendRaw(int(pl[smpOffInit+fr.HopPtr]), d)
 			return true
 		}
@@ -234,7 +232,7 @@ func (a *SwitchAgent) HandleMAD(sw *fabric.Switch, inPort int, d *fabric.Deliver
 		if fr.HopPtr > 0 {
 			pl[smpOffHopPtr] = byte(fr.HopPtr - 1)
 			out := int(pl[smpOffRet+fr.HopPtr-1])
-			reseal(&a.verif, d)
+			reseal(d)
 			sw.SendRaw(out, d)
 			return true
 		}
@@ -329,7 +327,7 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 		resp[smpOffStatus] = smpStatusUnsupported
 	}
 
-	out := smpDelivery(&a.verif, d.Pkt.LRH.SLID, resp)
+	out := smpDelivery(d.Pkt.LRH.SLID, resp)
 	d.ReturnCredit()
 	sw.SendRaw(inPort, out)
 }
@@ -344,7 +342,6 @@ type NodeAgent struct {
 	// duplicate (requester LID, TID) request is dropped, not re-executed.
 	DedupTIDs bool
 	tids      *tidSet
-	verif     icrc.Verifier
 	next      func(*fabric.Delivery)
 }
 
@@ -413,7 +410,7 @@ func (a *NodeAgent) deliver(d *fabric.Delivery) {
 	default:
 		resp[smpOffStatus] = smpStatusUnsupported
 	}
-	a.HCA.Send(smpDelivery(&a.verif, a.HCA.LID(), resp))
+	a.HCA.Send(smpDelivery(a.HCA.LID(), resp))
 }
 
 // DiscoveredNode is one fabric element found by the sweep.
@@ -484,7 +481,6 @@ type Discoverer struct {
 	// duplicate rather than processed twice or mistaken for a stray.
 	doneTIDs  map[uint32]bool
 	doneOrder []uint32
-	verif     icrc.Verifier
 }
 
 type probe struct {
@@ -596,7 +592,7 @@ func (d *Discoverer) sendN(method, attr byte, path []byte, data []byte, maxRetri
 	// Transit switches mutate the SMP payload in place (hop pointer,
 	// return path), so every attempt transmits a fresh copy.
 	xmit := func() {
-		d.hca.Send(smpDelivery(&d.verif, d.hca.LID(), append([]byte(nil), pl...)))
+		d.hca.Send(smpDelivery(d.hca.LID(), append([]byte(nil), pl...)))
 	}
 	attempt := 0
 	var arm func()

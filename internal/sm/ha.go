@@ -372,7 +372,6 @@ type Coordinator struct {
 	// mergeFrom is the entry being absorbed by an in-flight merge, -1
 	// when no merge is running.
 	mergeFrom int
-	verif     icrc.Verifier // heartbeat/state-sync CRC scratch
 
 	// OnTakeover, when non-nil, runs after a standby finishes promotion
 	// (the core layer rebinds the key rotator here).
@@ -599,7 +598,7 @@ func (c *Coordinator) sendMADFrom(srcNode, dst int, payload []byte) {
 		DETH: &packet.DETH{QKey: 0, SrcQP: 0},
 	}
 	p.Payload = payload
-	if err := c.verif.Seal(p); err != nil {
+	if err := icrc.Seal(p); err != nil {
 		panic(err)
 	}
 	src.Send(&fabric.Delivery{

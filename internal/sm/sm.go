@@ -125,7 +125,6 @@ type SubnetManager struct {
 	busyUntil sim.Time
 	trapSeen  map[trapKey]sim.Time
 	stopTimer func()
-	verif     icrc.Verifier // trap-MAD CRC scratch
 
 	Counters *metrics.Counters
 	// RegLatency tracks microseconds from trap arrival at the SM to the
@@ -456,7 +455,7 @@ func (m *SubnetManager) sendTrap(victim int, victimHCA *fabric.HCA, d *fabric.De
 		DETH: &packet.DETH{QKey: 0, SrcQP: 0},
 	}
 	p.Payload = payload
-	if err := m.verif.Seal(p); err != nil {
+	if err := icrc.Seal(p); err != nil {
 		panic(err)
 	}
 	victimHCA.Send(&fabric.Delivery{

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ibasec/internal/fabric"
-	"ibasec/internal/icrc"
 	"ibasec/internal/keys"
 	"ibasec/internal/sim"
 	"ibasec/internal/topology"
@@ -67,7 +66,7 @@ func TestMalformedSMPDropped(t *testing.T) {
 
 	inject := func(mutate func([]byte) []byte) {
 		pl := newSMP(smpMethodGet, smpAttrNodeInfo, 1, discMKey, []byte{1})
-		mesh.HCA(0).Send(smpDelivery(new(icrc.Verifier), 0, mutate(pl)))
+		mesh.HCA(0).Send(smpDelivery(0, mutate(pl)))
 	}
 	inject(func(pl []byte) []byte { pl[smpOffHopCnt] = 200; return pl })
 	inject(func(pl []byte) []byte { pl[smpOffHopPtr] = 17; pl[smpOffHopCnt] = 16; return pl })
@@ -88,7 +87,7 @@ func TestMalformedSMPDroppedByNodeAgent(t *testing.T) {
 	agent := AttachNodeAgent(mesh.HCA(0), discMKey)
 
 	pl := newSMP(smpMethodGet, smpAttrNodeInfo, 1, discMKey, nil)
-	d := smpDelivery(new(icrc.Verifier), 0, pl[:smpHeaderSize+1])
+	d := smpDelivery(0, pl[:smpHeaderSize+1])
 	agent.deliver(d)
 	if got := mesh.HCA(0).Counters.Get("smp_malformed"); got != 1 {
 		t.Fatalf("smp_malformed = %d, want 1", got)

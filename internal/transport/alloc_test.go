@@ -1,0 +1,91 @@
+package transport
+
+import (
+	"bytes"
+	"testing"
+
+	"ibasec/internal/fabric"
+	"ibasec/internal/mac"
+	"ibasec/internal/packet"
+	"ibasec/internal/sim"
+	"ibasec/internal/topology"
+)
+
+// authPair is two endpoints on a 2×1 mesh sharing one partition and its
+// UMAC-32 secret, each with a UD QP that signs what it sends and rejects
+// what is unsigned. send emits one signed 1 KiB datagram from 0 to 1.
+func authPair(tb testing.TB) (s *sim.Simulator, eps [2]*Endpoint, send func()) {
+	tb.Helper()
+	s = sim.New()
+	mesh := topology.NewMesh(s, fabric.DefaultParams(), 2, 1)
+	reg := mac.DefaultRegistry()
+	var qps [2]*QP
+	for i := range eps {
+		if err := mesh.HCA(i).PKeyTable.Add(pkeyAB); err != nil {
+			tb.Fatal(err)
+		}
+		eps[i] = NewEndpoint(mesh.HCA(i), Config{Registry: reg, AuthID: mac.IDUMAC32, KeyLevel: PartitionLevel})
+		qps[i] = eps[i].CreateUDQP(pkeyAB, packet.QKey(0x10+i))
+		qps[i].AuthRequired = true
+	}
+	w := &world{eps: eps[:]}
+	w.installPartitionSecret()
+	payload := bytes.Repeat([]byte{0xA5}, 1024)
+	send = func() {
+		if err := eps[0].SendUD(qps[0], topology.LIDOf(1), qps[1].N, qps[1].QKey, payload, fabric.ClassBestEffort); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s, eps, send
+}
+
+// A signed 1 KiB datagram costs two allocations to send — the header
+// block (packet, DETH, delivery) and the wire image the payload is built
+// in — and none to verify: region scratch, key lookup, both UMAC tags and
+// the counters reuse what the endpoints already hold.
+func TestSignedSendUDAllocations(t *testing.T) {
+	s, eps, send := authPair(t)
+	var captured *fabric.Delivery
+	eps[1].HCA().OnDeliver = func(d *fabric.Delivery) { captured = d }
+	send()
+	s.Run()
+	if captured == nil {
+		t.Fatal("no delivery captured")
+	}
+	eps[1].Deliver(captured)
+	if ok := eps[1].Counters.Get("auth_ok"); ok != 1 {
+		t.Fatalf("auth_ok = %d, want 1", ok)
+	}
+
+	if got := testing.AllocsPerRun(200, send); got > 2 {
+		t.Errorf("signed SendUD allocated %.1f times per message, want <= 2", got)
+	}
+	s.Run()
+	if got := testing.AllocsPerRun(200, func() { eps[1].Deliver(captured) }); got != 0 {
+		t.Errorf("Deliver of a signed datagram allocated %.1f times, want 0", got)
+	}
+	if fail := eps[1].Counters.Get("auth_fail"); fail != 0 {
+		t.Fatalf("auth_fail = %d", fail)
+	}
+}
+
+// BenchmarkSendUDAuth is one signed 1 KiB datagram end to end on the 2×1
+// mesh: seal and tag at the sender, three hops, tag verification at the
+// receiver. Tracked by scripts/bench.sh in BENCH_simcore.json, where its
+// allocs/op guards the two-allocation send path.
+func BenchmarkSendUDAuth(b *testing.B) {
+	s, eps, send := authPair(b)
+	send()
+	s.Run()
+	b.SetBytes(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+		s.Run()
+	}
+	b.StopTimer()
+	if got := eps[1].Counters.Get("auth_ok"); got != uint64(b.N)+1 {
+		b.Fatalf("auth_ok = %d, want %d", got, b.N+1)
+	}
+}

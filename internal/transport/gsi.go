@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ibasec/internal/fabric"
+	"ibasec/internal/icrc"
 	"ibasec/internal/keys"
 	"ibasec/internal/packet"
 )
@@ -60,7 +61,7 @@ func (e *Endpoint) sendGSI(dstLID packet.LID, pkey packet.PKey, payload []byte) 
 		DETH:    &packet.DETH{QKey: 0, SrcQP: qpnGSI},
 		Payload: payload,
 	}
-	if err := e.verif.Seal(p); err != nil {
+	if err := icrc.Seal(p); err != nil {
 		panic(fmt.Sprintf("transport: sealing GSI packet: %v", err))
 	}
 	e.Counters.Inc("gsi_sent", 1)

@@ -170,9 +170,27 @@ type Endpoint struct {
 	// retransmission rate a recovery policy produces.
 	Storm *metrics.Storm
 
-	// verif holds this endpoint's CRC/auth scratch buffer; per-endpoint
-	// because simulations run concurrently under the experiment runner.
+	// verif holds the scratch buffer the MAC's invariant region is masked
+	// into; per-endpoint because simulations run concurrently under the
+	// experiment runner.
 	verif icrc.Verifier
+}
+
+// message is the header block of one outgoing message: the packet, the
+// DETH a datagram carries and the delivery that takes it through the
+// fabric, allocated together. With the packet's wire image that makes a
+// send two allocations. Nothing is recycled — receivers, the RC window
+// and tracers may keep any of the three.
+type message struct {
+	p    packet.Packet
+	deth packet.DETH
+	d    fabric.Delivery
+}
+
+// send injects m's packet, sealed, as a delivery of the given class.
+func (e *Endpoint) send(m *message, class fabric.Class) {
+	m.d = fabric.Delivery{Pkt: &m.p, Class: class, VL: class.VL(), Source: e.hca.Name()}
+	e.hca.Send(&m.d)
 }
 
 // Errors returned by transport operations.
@@ -289,21 +307,21 @@ func (e *Endpoint) RegisterMemory(size int) *MemoryRegion {
 }
 
 // signingKey resolves the secret for an outgoing packet.
-func (e *Endpoint) signingKey(q *QP, dstLID packet.LID, dstQPN packet.QPN) (keys.SecretKey, error) {
+func (e *Endpoint) signingKey(q *QP, dstLID packet.LID, dstQPN packet.QPN) (*keys.SecretKey, error) {
 	if e.cfg.KeyLevel == PartitionLevel {
 		if k, ok := e.Store.PartitionSecret(q.PKey); ok {
 			return k, nil
 		}
-		return keys.SecretKey{}, fmt.Errorf("%w: partition %#x", ErrNoKey, q.PKey.Base())
+		return nil, fmt.Errorf("%w: partition %#x", ErrNoKey, q.PKey.Base())
 	}
 	if k, ok := e.Store.SendQPSecret(q.N, dstLID, dstQPN); ok {
 		return k, nil
 	}
-	return keys.SecretKey{}, fmt.Errorf("%w: QP pair %d->%d", ErrNoKey, q.N, dstQPN)
+	return nil, fmt.Errorf("%w: QP pair %d->%d", ErrNoKey, q.N, dstQPN)
 }
 
 // verifyKey resolves the secret for an arriving packet.
-func (e *Endpoint) verifyKey(q *QP, p *packet.Packet) (keys.SecretKey, bool) {
+func (e *Endpoint) verifyKey(q *QP, p *packet.Packet) (*keys.SecretKey, bool) {
 	if e.cfg.KeyLevel == PartitionLevel {
 		return e.Store.PartitionSecret(p.BTH.PKey)
 	}
@@ -314,12 +332,15 @@ func (e *Endpoint) verifyKey(q *QP, p *packet.Packet) (keys.SecretKey, bool) {
 	return e.Store.SendQPSecret(q.N, q.RemoteLID, q.RemoteQPN)
 }
 
-// seal finalizes, optionally signs, and CRC-protects a packet.
+// seal finalizes, optionally signs, and CRC-protects a packet. It is the
+// one writer of a fresh packet's wire image: the image is serialized once
+// (in place, around the payload the caller built in it) and the trailer
+// patched into it.
 func (e *Endpoint) seal(p *packet.Packet, q *QP, dstLID packet.LID, dstQPN packet.QPN, srcQP packet.QPN) error {
 	sign := q.AuthRequired && e.cfg.AuthID != 0
 	if !sign {
 		p.BTH.AuthID = 0
-		return e.verif.Seal(p)
+		return icrc.Seal(p)
 	}
 	a, ok := e.cfg.Registry.Lookup(e.cfg.AuthID)
 	if !ok {
@@ -368,19 +389,20 @@ func (e *Endpoint) SendUD(q *QP, dstLID packet.LID, dstQPN packet.QPN, dstQKey p
 	if len(payload) > packet.MTU {
 		return ErrPayloadSize
 	}
-	p := &packet.Packet{
-		LRH:     packet.LRH{SLID: e.hca.LID(), DLID: dstLID},
-		BTH:     packet.BTH{OpCode: packet.UDSendOnly, PKey: q.PKey, DestQP: dstQPN, PSN: q.nextPSN()},
-		DETH:    &packet.DETH{QKey: dstQKey, SrcQP: q.N},
-		Payload: append([]byte(nil), payload...),
+	m := &message{
+		p: packet.Packet{
+			LRH: packet.LRH{SLID: e.hca.LID(), DLID: dstLID},
+			BTH: packet.BTH{OpCode: packet.UDSendOnly, PKey: q.PKey, DestQP: dstQPN, PSN: q.nextPSN()},
+		},
+		deth: packet.DETH{QKey: dstQKey, SrcQP: q.N},
 	}
-	if err := e.seal(p, q, dstLID, dstQPN, q.N); err != nil {
+	m.p.DETH = &m.deth
+	copy(m.p.AllocPayload(len(payload)), payload)
+	if err := e.seal(&m.p, q, dstLID, dstQPN, q.N); err != nil {
 		return err
 	}
 	e.udSent.Add(1)
-	e.hca.Send(&fabric.Delivery{
-		Pkt: p, Class: class, VL: class.VL(), Source: e.hca.Name(),
-	})
+	e.send(m, class)
 	return nil
 }
 
@@ -392,17 +414,17 @@ func (e *Endpoint) SendRC(q *QP, payload []byte, class fabric.Class) error {
 	if len(payload) > packet.MTU {
 		return ErrPayloadSize
 	}
-	p := &packet.Packet{
-		LRH:     packet.LRH{SLID: e.hca.LID(), DLID: q.dataDLID()},
-		BTH:     packet.BTH{OpCode: packet.RCSendOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()},
-		Payload: append([]byte(nil), payload...),
-	}
-	if err := e.seal(p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
+	m := &message{p: packet.Packet{
+		LRH: packet.LRH{SLID: e.hca.LID(), DLID: q.dataDLID()},
+		BTH: packet.BTH{OpCode: packet.RCSendOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()},
+	}}
+	copy(m.p.AllocPayload(len(payload)), payload)
+	if err := e.seal(&m.p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
 		return err
 	}
-	e.trackReliable(q, p, class)
+	e.trackReliable(q, &m.p, class)
 	e.rcSent.Add(1)
-	e.hca.Send(&fabric.Delivery{Pkt: p, Class: class, VL: class.VL(), Source: e.hca.Name()})
+	e.send(m, class)
 	return nil
 }
 
@@ -416,18 +438,18 @@ func (e *Endpoint) RDMAWrite(q *QP, va uint64, rkey packet.RKey, payload []byte,
 	if len(payload) > packet.MTU {
 		return ErrPayloadSize
 	}
-	p := &packet.Packet{
-		LRH:     packet.LRH{SLID: e.hca.LID(), DLID: q.dataDLID()},
-		BTH:     packet.BTH{OpCode: packet.RCRDMAWriteOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()},
-		RETH:    &packet.RETH{VA: va, RKey: rkey, DMALen: uint32(len(payload))},
-		Payload: append([]byte(nil), payload...),
-	}
-	if err := e.seal(p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
+	m := &message{p: packet.Packet{
+		LRH:  packet.LRH{SLID: e.hca.LID(), DLID: q.dataDLID()},
+		BTH:  packet.BTH{OpCode: packet.RCRDMAWriteOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()},
+		RETH: &packet.RETH{VA: va, RKey: rkey, DMALen: uint32(len(payload))},
+	}}
+	copy(m.p.AllocPayload(len(payload)), payload)
+	if err := e.seal(&m.p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
 		return err
 	}
-	e.trackReliable(q, p, class)
+	e.trackReliable(q, &m.p, class)
 	e.Counters.Inc("rdma_sent", 1)
-	e.hca.Send(&fabric.Delivery{Pkt: p, Class: class, VL: class.VL(), Source: e.hca.Name()})
+	e.send(m, class)
 	return nil
 }
 
@@ -567,7 +589,7 @@ func (e *Endpoint) verifyAuth(q *QP, d *fabric.Delivery) bool {
 // single epoch-0 key exists and this is behaviourally identical to the
 // pre-epoch path.
 func (e *Endpoint) verifyPartitionAuth(a mac.Authenticator, q *QP, p *packet.Packet) bool {
-	cur, prev, havePrev, ok := e.Store.PartitionVerifyKeys(p.BTH.PKey)
+	cur, prev, ok := e.Store.PartitionVerifyKeys(p.BTH.PKey)
 	if !ok {
 		e.Counters.Inc("auth_no_key", 1)
 		return false
@@ -587,7 +609,7 @@ func (e *Endpoint) verifyPartitionAuth(a mac.Authenticator, q *QP, p *packet.Pac
 		e.authOK.Add(1)
 		return true
 	}
-	if havePrev {
+	if prev != nil {
 		if valid, _ = mac.Verify(a, prev.Key[:], region, nonce, p.ICRC); valid {
 			e.authOK.Add(1)
 			e.Counters.Inc("auth_ok_grace", 1)

@@ -69,16 +69,16 @@ func (e *Endpoint) SendUC(q *QP, payload []byte, class fabric.Class) error {
 	if len(payload) > packet.MTU {
 		return ErrPayloadSize
 	}
-	p := &packet.Packet{
-		LRH:     packet.LRH{SLID: e.hca.LID(), DLID: q.RemoteLID},
-		BTH:     packet.BTH{OpCode: packet.UCSendOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()},
-		Payload: append([]byte(nil), payload...),
-	}
-	if err := e.seal(p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
+	m := &message{p: packet.Packet{
+		LRH: packet.LRH{SLID: e.hca.LID(), DLID: q.RemoteLID},
+		BTH: packet.BTH{OpCode: packet.UCSendOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()},
+	}}
+	copy(m.p.AllocPayload(len(payload)), payload)
+	if err := e.seal(&m.p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
 		return err
 	}
 	e.Counters.Inc("uc_sent", 1)
-	e.hca.Send(&fabric.Delivery{Pkt: p, Class: class, VL: class.VL(), Source: e.hca.Name()})
+	e.send(m, class)
 	return nil
 }
 
@@ -130,19 +130,17 @@ func (e *Endpoint) handleRDMAReadReq(q *QP, p *packet.Packet) {
 		return
 	}
 	e.Counters.Inc("rdma_reads", 1)
-	resp := &packet.Packet{
-		LRH:     packet.LRH{SLID: e.hca.LID(), DLID: q.RemoteLID},
-		BTH:     packet.BTH{OpCode: packet.RCRDMAReadRespO, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: p.BTH.PSN},
-		AETH:    &packet.AETH{Syndrome: 0, MSN: p.BTH.PSN},
-		Payload: append([]byte(nil), r.Data[off:off+uint64(p.RETH.DMALen)]...),
-	}
-	if err := e.seal(resp, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
+	m := &message{p: packet.Packet{
+		LRH:  packet.LRH{SLID: e.hca.LID(), DLID: q.RemoteLID},
+		BTH:  packet.BTH{OpCode: packet.RCRDMAReadRespO, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: p.BTH.PSN},
+		AETH: &packet.AETH{Syndrome: 0, MSN: p.BTH.PSN},
+	}}
+	copy(m.p.AllocPayload(int(p.RETH.DMALen)), r.Data[off:])
+	if err := e.seal(&m.p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
 		e.Counters.Inc("rdma_read_seal_failed", 1)
 		return
 	}
-	e.hca.Send(&fabric.Delivery{
-		Pkt: resp, Class: fabric.ClassBestEffort, VL: fabric.VLBestEffort, Source: e.hca.Name(),
-	})
+	e.send(m, fabric.ClassBestEffort)
 }
 
 // handleRDMAReadResp completes a pending read at the requester. The

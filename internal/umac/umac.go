@@ -84,6 +84,15 @@ type UMAC struct {
 	pdf   cipher.Block // AES under the PDF subkey
 }
 
+// Scratch holds the two AES blocks of one pad derivation. They cross the
+// cipher.Block interface, so as locals they escape to the heap on every
+// tag; a caller that tags per packet owns one Scratch and passes it to
+// Tag32UintScratch instead. A Scratch belongs to one goroutine; the UMAC
+// it is used with may still be shared.
+type Scratch struct {
+	in, out [aes.BlockSize]byte
+}
+
 // New expands a 16-byte user key into UMAC subkeys. The maximum supported
 // tag length (8 bytes, two iterations) is always derived so the same value
 // can produce both Tag32 and Tag64.
@@ -155,6 +164,11 @@ func kdf(block cipher.Block, index uint64, n int) []byte {
 // messages; the transport layer uses the packet PSN and QP numbers to keep
 // nonces unique.
 func (u *UMAC) Tag32(msg, nonce []byte) ([4]byte, error) {
+	var s Scratch
+	return u.tag32(&s, msg, nonce)
+}
+
+func (u *UMAC) tag32(s *Scratch, msg, nonce []byte) ([4]byte, error) {
 	var tag [4]byte
 	if len(msg) > MaxMessage {
 		return tag, ErrMessageTooLong
@@ -163,7 +177,7 @@ func (u *UMAC) Tag32(msg, nonce []byte) ([4]byte, error) {
 		return tag, fmt.Errorf("umac: nonce must be %d bytes, got %d", NonceSize, len(nonce))
 	}
 	hash := u.uhash(&u.iters[0], msg)
-	pad := u.pdfBytes(nonce, 4)
+	pad := u.pdfBytes(s, nonce, 4)
 	for i := 0; i < 4; i++ {
 		tag[i] = hash[i] ^ pad[i]
 	}
@@ -181,7 +195,8 @@ func (u *UMAC) Tag64(msg, nonce []byte) ([8]byte, error) {
 	}
 	h1 := u.uhash(&u.iters[0], msg)
 	h2 := u.uhash(&u.iters[1], msg)
-	pad := u.pdfBytes(nonce, 8)
+	var s Scratch
+	pad := u.pdfBytes(&s, nonce, 8)
 	for i := 0; i < 4; i++ {
 		tag[i] = h1[i] ^ pad[i]
 		tag[4+i] = h2[i] ^ pad[4+i]
@@ -192,9 +207,16 @@ func (u *UMAC) Tag64(msg, nonce []byte) ([8]byte, error) {
 // Tag32Uint returns the UMAC-32 tag as a uint32, convenient for storing in
 // the packet ICRC field.
 func (u *UMAC) Tag32Uint(msg []byte, nonce uint64) (uint32, error) {
+	var s Scratch
+	return u.Tag32UintScratch(&s, msg, nonce)
+}
+
+// Tag32UintScratch is Tag32Uint with the pad derivation's AES blocks in
+// the caller's Scratch, so a tag allocates nothing.
+func (u *UMAC) Tag32UintScratch(s *Scratch, msg []byte, nonce uint64) (uint32, error) {
 	var nb [8]byte
 	binary.BigEndian.PutUint64(nb[:], nonce)
-	t, err := u.Tag32(msg, nb[:])
+	t, err := u.tag32(s, msg, nb[:])
 	if err != nil {
 		return 0, err
 	}
@@ -204,20 +226,24 @@ func (u *UMAC) Tag32Uint(msg []byte, nonce uint64) (uint32, error) {
 // pdfBytes computes the pad-derivation function: AES of the (low-bit
 // masked, zero-extended) nonce, returning the taglen-byte chunk selected
 // by the masked-off low bits.
-func (u *UMAC) pdfBytes(nonce []byte, taglen int) []byte {
-	var in, out [16]byte
-	copy(in[:], nonce)
+func (u *UMAC) pdfBytes(s *Scratch, nonce []byte, taglen int) []byte {
+	s.in = [aes.BlockSize]byte{}
+	copy(s.in[:], nonce)
 	chunks := 16 / taglen
-	idx := int(in[NonceSize-1]) % chunks
-	in[NonceSize-1] -= byte(idx)
-	u.pdf.Encrypt(out[:], in[:])
-	return out[idx*taglen : (idx+1)*taglen]
+	idx := int(s.in[NonceSize-1]) % chunks
+	s.in[NonceSize-1] -= byte(idx)
+	u.pdf.Encrypt(s.out[:], s.in[:])
+	return s.out[idx*taglen : (idx+1)*taglen]
 }
 
 // uhash runs the three-layer hash for one iteration, returning 4 bytes.
 func (u *UMAC) uhash(it *iteration, msg []byte) [4]byte {
-	// L1: NH over 1024-byte blocks.
-	var l2input []byte
+	// L1: NH over 1024-byte blocks. The L2 input — 8 bytes per block —
+	// starts on the stack and moves to the heap only past l2Stack blocks;
+	// an IBA message (headers + MTU) is two.
+	const l2Stack = 8
+	var l2buf [8 * l2Stack]byte
+	l2input := l2buf[:0]
 	if len(msg) <= l1BlockSize {
 		y := nh(it, msg)
 		var b [16]byte
@@ -261,33 +287,36 @@ func (u *UMAC) uhash(it *iteration, msg []byte) [4]byte {
 // zeros hash differently.
 func nh(it *iteration, chunk []byte) uint64 {
 	bitlen := uint64(len(chunk)) * 8
-	// Zero-pad to a 32-byte multiple (at least one word group even for
-	// the empty message, per RFC 4418: empty input is treated as 32
+	// The whole 32-byte groups are read where they lie; a ragged tail is
+	// zero-padded to one more group on the stack (at least one group even
+	// for the empty message, per RFC 4418: empty input is treated as 32
 	// zero bytes with Len = 0).
 	n := len(chunk)
-	padded := (n + 31) / 32 * 32
-	if padded == 0 {
-		padded = 32
+	whole := n / 32 * 32
+	y := nhGroups(it, chunk[:whole], 0)
+	if whole < n || n == 0 {
+		var tail [32]byte
+		copy(tail[:], chunk[whole:])
+		y += nhGroups(it, tail[:], whole/4)
 	}
-	var buf []byte
-	if padded == n {
-		buf = chunk
-	} else {
-		buf = make([]byte, padded)
-		copy(buf, chunk)
-	}
+	return y + bitlen
+}
+
+// nhGroups sums the NH products of buf, a whole number of 32-byte word
+// groups whose first word pairs with key word first.
+func nhGroups(it *iteration, buf []byte, first int) uint64 {
 	var y uint64
-	for g := 0; g < padded/32; g++ {
+	for g := 0; g < len(buf)/32; g++ {
 		base := g * 8
 		for i := 0; i < 4; i++ {
 			mw := binary.BigEndian.Uint32(buf[(base+i)*4:])
 			mw4 := binary.BigEndian.Uint32(buf[(base+i+4)*4:])
-			a := mw + it.l1key[(base+i)%nhWords]
-			b := mw4 + it.l1key[(base+i+4)%nhWords]
+			a := mw + it.l1key[(first+base+i)%nhWords]
+			b := mw4 + it.l1key[(first+base+i+4)%nhWords]
 			y += uint64(a) * uint64(b)
 		}
 	}
-	return y + bitlen
+	return y
 }
 
 // poly64 evaluates the polynomial hash over prime 2^64-59. Input words at

@@ -128,8 +128,15 @@ type RawUDSender struct {
 	// Attack marks emitted deliveries as attack traffic.
 	Attack bool
 
-	psn   uint32
-	verif icrc.Verifier // per-sender CRC scratch; sims run in parallel
+	psn uint32
+}
+
+// rawMsg is the header block of one raw datagram — packet, DETH and
+// delivery allocated together; see transport's message.
+type rawMsg struct {
+	p    packet.Packet
+	deth packet.DETH
+	d    fabric.Delivery
 }
 
 // Send builds, seals and injects one UD packet of the given payload size.
@@ -142,23 +149,27 @@ func (r *RawUDSender) SendPKey(dst int, size int, pk packet.PKey) {
 	if size > packet.MTU {
 		size = packet.MTU
 	}
-	p := &packet.Packet{
-		LRH:     packet.LRH{SLID: r.HCA.LID(), DLID: r.LIDOf(dst)},
-		BTH:     packet.BTH{OpCode: packet.UDSendOnly, PKey: pk, DestQP: 2, PSN: r.psn & 0xFFFFFF},
-		DETH:    &packet.DETH{QKey: 0x1, SrcQP: 2},
-		Payload: make([]byte, size),
+	m := &rawMsg{
+		p: packet.Packet{
+			LRH: packet.LRH{SLID: r.HCA.LID(), DLID: r.LIDOf(dst)},
+			BTH: packet.BTH{OpCode: packet.UDSendOnly, PKey: pk, DestQP: 2, PSN: r.psn & 0xFFFFFF},
+		},
+		deth: packet.DETH{QKey: 0x1, SrcQP: 2},
 	}
+	m.p.DETH = &m.deth
+	m.p.AllocPayload(size) // all zeros: the image is the payload
 	r.psn++
-	if err := r.verif.Seal(p); err != nil {
+	if err := icrc.Seal(&m.p); err != nil {
 		panic(err)
 	}
-	r.HCA.Send(&fabric.Delivery{
-		Pkt:    p,
+	m.d = fabric.Delivery{
+		Pkt:    &m.p,
 		Class:  r.Class,
 		VL:     r.Class.VL(),
 		Attack: r.Attack,
 		Source: r.HCA.Name(),
-	})
+	}
+	r.HCA.Send(&m.d)
 }
 
 // Attacker floods the fabric at full line rate from one compromised node:

@@ -123,6 +123,29 @@ func TestRawUDSenderDelivers(t *testing.T) {
 	}
 }
 
+// A raw datagram is two allocations: the header block (packet, DETH,
+// delivery) and the wire image that is its all-zero payload, sealed in
+// place. The sealed image must still be the packet's payload window.
+func TestRawUDSenderAllocations(t *testing.T) {
+	s, m := testMesh(t)
+	var got *fabric.Delivery
+	m.HCA(3).OnDeliver = func(d *fabric.Delivery) { got = d }
+	r := &RawUDSender{HCA: m.HCA(0), Class: fabric.ClassBestEffort, PKey: packet.PKey(0x8001), LIDOf: topology.LIDOf}
+	r.Send(3, 1024)
+	s.Run()
+	if got == nil {
+		t.Fatal("not delivered")
+	}
+	p := got.Pkt
+	if wire := p.Wire(); len(p.Payload) != 1024 || &wire[p.HeaderSize()] != &p.Payload[0] {
+		t.Fatal("sealed image is not the one the payload was allocated in")
+	}
+	if allocs := testing.AllocsPerRun(200, func() { r.Send(3, 1024) }); allocs > 2 {
+		t.Fatalf("Send allocated %.1f times per message, want <= 2", allocs)
+	}
+	s.Run()
+}
+
 func TestAttackerFullSpeed(t *testing.T) {
 	s, m := testMesh(t)
 	rng := rand.New(rand.NewSource(5))

@@ -32,8 +32,16 @@ bench() { go test -run '^$' -benchmem "$@"; }
   # of measurement, all noise; this count is 0.15 s.
   bench -bench '^BenchmarkFabricHop$' \
         -benchtime "${BENCHTIME:-200000x}" ./internal/fabric
+  # One op is about a microsecond here too: at 100x a reading was 0.13 ms
+  # and ICRCSeal ranged 1 267-2 629 ns, tripping the time gate on its own.
   bench -bench '^(BenchmarkICRCSeal|BenchmarkVerifyICRC|BenchmarkVerifyVCRC)$' \
-        -benchtime "${BENCHTIME:-100x}" ./internal/icrc
+        -benchtime "${BENCHTIME:-20000x}" ./internal/icrc
+  # The tag and the signed send path, gated on allocs/op (0 and 2). One
+  # op is 0.5-3 us, so like FabricHop they need a large fixed count.
+  bench -bench '^BenchmarkUMAC32_1024B$' \
+        -benchtime "${BENCHTIME:-200000x}" ./internal/mac
+  bench -bench '^BenchmarkSendUDAuth$' \
+        -benchtime "${BENCHTIME:-50000x}" ./internal/transport
   bench -bench '^BenchmarkCompile$' \
         -benchtime "${BENCHTIME:-100x}" ./internal/policy
   bench -bench '^(BenchmarkHotPath|BenchmarkHotPathAuth|BenchmarkCongestionHotPath|BenchmarkHealthSweep)$' \

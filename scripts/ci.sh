@@ -39,9 +39,10 @@ for f in "$tmp"/csv/*.csv; do
   diff "$f" "$tmp/csv2/$base"
 done
 
-echo "== fuzz smoke (wire parsers and the event queue, 5s each)"
+echo "== fuzz smoke (wire parsers, the seal and the event queue, 5s each)"
 go test -run '^$' -fuzz '^FuzzPacketUnmarshal$' -fuzztime 5s ./internal/packet
 go test -run '^$' -fuzz '^FuzzCRC16$' -fuzztime 5s ./internal/icrc
+go test -run '^$' -fuzz '^FuzzSeal$' -fuzztime 5s ./internal/icrc
 go test -run '^$' -fuzz '^FuzzMADParse$' -fuzztime 5s ./internal/sm
 go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 5s ./internal/sim
 
