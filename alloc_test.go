@@ -1,0 +1,89 @@
+package ibasec
+
+import "testing"
+
+// TestRunAllocBudget holds a whole run — cluster set-up plus 500 us of a
+// 2x2 mesh at 60% best-effort load, through the public API — to an
+// allocation ceiling, once plain and once with each per-packet feature
+// that allocates engaged. The plain row is the no-feature budget: a
+// plane that is off may not tax it. bench/ measures host time and
+// allocations per hop on the paper's mesh; this is the same property as
+// a tier-1 failure. A run sends about 350 packets, so one more
+// allocation per packet anywhere on the path exceeds the headroom of
+// every row but health, whose budget is mostly MADs.
+//
+// The ceilings are the counts measured under Go 1.24 plus 25%: the
+// run's set-up builds maps, whose allocation counts differ between Go
+// 1.22 (CI) and 1.24.
+func TestRunAllocBudget(t *testing.T) {
+	cases := []struct {
+		name     string
+		measured float64                 // allocations per Run under Go 1.24
+		enable   func(*Config)           // nil: every feature off
+		engaged  func(res *Results) bool // nil: delivering is enough
+	}{
+		{name: "plain", measured: 967},
+		{
+			// UMAC-32 tags in the ICRC field, partition-level keys.
+			name: "auth", measured: 1106,
+			enable: func(cfg *Config) {
+				cfg.Auth = AuthConfig{Enabled: true, FuncID: AuthUMAC32, Level: PartitionLevel}
+			},
+			engaged: func(res *Results) bool { return res.AuthOK > 0 && res.AuthFail == 0 },
+		},
+		{
+			// The Congestion Control Annex under a line-rate incast flood:
+			// FECN marking, CNP reflection and CCT throttling all run.
+			name: "congestion", measured: 1436,
+			enable: func(cfg *Config) {
+				cfg.Congestion = DefaultCCParams()
+				cfg.Attackers = 1
+				cfg.AttackClass = ClassBestEffort
+				cfg.AttackIncast = true
+				cfg.AttackRate = 1.0
+				cfg.AttackCycle = cfg.Duration
+			},
+			engaged: func(res *Results) bool { return res.FECNMarked > 0 && res.CCTThrottled > 0 },
+		},
+		{
+			// The performance manager at a short sweep period: PortCounters
+			// Get MADs over VL15 on every watched link, scoring, trap arming.
+			name: "health", measured: 3501,
+			enable: func(cfg *Config) {
+				cfg.Health = HealthParams{SweepPeriod: 40 * Microsecond, TrapThreshold: 6, Damping: true}
+			},
+			engaged: func(res *Results) bool { return res.HealthSweepMADs > 0 },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.MeshW, cfg.MeshH = 2, 2
+			cfg.NumPartitions = 1
+			cfg.Duration = 500 * Microsecond
+			cfg.Warmup = 50 * Microsecond
+			cfg.RealtimeLoad = 0
+			cfg.BestEffortLoad = 0.6
+			if tc.enable != nil {
+				tc.enable(&cfg)
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.DeliveredLegit == 0 {
+					t.Fatal("the run delivered nothing")
+				}
+				if tc.engaged != nil && !tc.engaged(res) {
+					t.Fatalf("the feature never engaged — the budget bounds nothing: %+v", res)
+				}
+			})
+			ceiling := tc.measured * 1.25
+			if allocs > ceiling {
+				t.Fatalf("a run allocated %.0f times, ceiling %.0f (%.0f measured + 25%%)", allocs, ceiling, tc.measured)
+			}
+			t.Logf("%.0f allocations per run, ceiling %.0f", allocs, ceiling)
+		})
+	}
+}

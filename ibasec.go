@@ -23,9 +23,8 @@
 //	// res.BestEffort.Queuing.Mean() is the paper's queuing-time metric.
 //
 // Every table and figure of the paper's evaluation has a regeneration
-// entry point here (Fig1, Fig5, Fig6, Table2, Table4, AttackMatrix) and a
-// corresponding benchmark in bench_test.go; the cmd/ibsim CLI prints
-// them.
+// entry point here (Fig1, Fig5, Fig6, Table2, Table4, AttackMatrix); the
+// cmd/ibsim CLI prints them.
 package ibasec
 
 import (

@@ -476,19 +476,16 @@ func Build(cfg Config) (*Cluster, error) {
 	return cl, nil
 }
 
-// rotationConfig resolves the run's Rekey params into a rotator config,
-// applying the Grace default. Island rotators started at contained
-// takeovers use the same cadence as the fabric-wide one.
+// rotationConfig resolves the run's Rekey params into a rotator config.
+// Island rotators started at contained takeovers use the same cadence
+// as the fabric-wide one.
 func (cl *Cluster) rotationConfig() sm.RotationConfig {
-	rot := sm.RotationConfig{
-		Period:            cl.Cfg.Rekey.Period,
-		Grace:             cl.Cfg.Rekey.Grace,
-		DistributionDelay: cl.Cfg.Rekey.DistributionDelay,
+	rk := cl.Cfg.Rekey.withDefaults()
+	return sm.RotationConfig{
+		Period:            rk.Period,
+		Grace:             rk.Grace,
+		DistributionDelay: rk.DistributionDelay,
 	}
-	if rot.Grace == 0 {
-		rot.Grace = rot.Period / 4
-	}
-	return rot
 }
 
 // policyDocument expresses the run's random partition grouping as a
@@ -762,11 +759,7 @@ func (cl *Cluster) armResilience() {
 				if cl.PerfMgr != nil {
 					cl.PerfMgr.Stop() // sweeping too; takeover rebuilds it
 				}
-				if cl.HA != nil {
-					cl.HA.KillMaster()
-				} else {
-					cl.SM.Stop()
-				}
+				cl.HA.KillMaster() // Build makes a coordinator for any plan with SMKills
 			})
 		}
 		for _, tc := range cfg.FaultPlan.Corruptions {

@@ -97,6 +97,18 @@ type RekeyParams struct {
 // Enabled reports whether rotation should be wired.
 func (r RekeyParams) Enabled() bool { return r.Period > 0 }
 
+// withDefaults returns r with its zero Grace and MergeGrace resolved —
+// the one place that knows the defaults the field comments state.
+func (r RekeyParams) withDefaults() RekeyParams {
+	if r.Grace == 0 {
+		r.Grace = r.Period / 4
+	}
+	if r.MergeGrace == 0 {
+		r.MergeGrace = r.Grace
+	}
+	return r
+}
+
 // PolicyParams configures the declarative security policy plane
 // (internal/policy). The zero value disables it entirely: partitions
 // are created imperatively and switch tables are programmed from
@@ -360,22 +372,15 @@ func (c *Config) Validate() error {
 		if !c.Auth.Enabled || c.Auth.Level != transport.PartitionLevel {
 			return fmt.Errorf("core: key rotation requires partition-level authentication")
 		}
-		grace := c.Rekey.Grace
-		if grace == 0 {
-			grace = c.Rekey.Period / 4
+		rk := c.Rekey.withDefaults()
+		if rk.Grace <= 0 || rk.Grace >= rk.Period {
+			return fmt.Errorf("core: rekey grace %v must be in (0, period %v)", rk.Grace, rk.Period)
 		}
-		if grace <= 0 || grace >= c.Rekey.Period {
-			return fmt.Errorf("core: rekey grace %v must be in (0, period %v)", grace, c.Rekey.Period)
+		if rk.DistributionDelay < 0 || rk.DistributionDelay >= rk.Grace {
+			return fmt.Errorf("core: rekey distribution delay %v must be in [0, grace %v)", rk.DistributionDelay, rk.Grace)
 		}
-		if c.Rekey.DistributionDelay < 0 || c.Rekey.DistributionDelay >= grace {
-			return fmt.Errorf("core: rekey distribution delay %v must be in [0, grace %v)", c.Rekey.DistributionDelay, grace)
-		}
-		mergeGrace := c.Rekey.MergeGrace
-		if mergeGrace == 0 {
-			mergeGrace = grace
-		}
-		if mergeGrace < 0 || mergeGrace <= c.Rekey.DistributionDelay {
-			return fmt.Errorf("core: merge grace %v must exceed the distribution delay %v", mergeGrace, c.Rekey.DistributionDelay)
+		if rk.MergeGrace <= rk.DistributionDelay {
+			return fmt.Errorf("core: merge grace %v must exceed the distribution delay %v", rk.MergeGrace, rk.DistributionDelay)
 		}
 	} else if c.Rekey.MergeGrace != 0 {
 		return fmt.Errorf("core: merge grace requires key rotation")

@@ -8,9 +8,7 @@ import (
 
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
-	"ibasec/internal/icrc"
 	"ibasec/internal/mac"
-	"ibasec/internal/packet"
 	"ibasec/internal/runner"
 	"ibasec/internal/sim"
 	"ibasec/internal/topology"
@@ -493,22 +491,10 @@ func startMADFlood(cl *Cluster, pktPerSec float64) {
 		payload[2] = 0xF0 // offender LID 0xFFF0: unlocatable
 		payload[3] = 0x77
 		payload[4] = 0x77
-		p := &packet.Packet{
-			LRH:     packet.LRH{SLID: hca.LID(), DLID: topology.LIDOf(cl.Cfg.SM.Node), VL: fabric.VLManagement},
-			BTH:     packet.BTH{OpCode: packet.UDSendOnly, PKey: 0xFFFF, DestQP: 0},
-			DETH:    &packet.DETH{QKey: 0, SrcQP: 0},
-			Payload: payload,
-		}
-		if err := icrc.Seal(p); err != nil {
-			panic(err)
-		}
-		hca.Send(&fabric.Delivery{
-			Pkt:    p,
-			Class:  fabric.ClassManagement,
-			VL:     fabric.VLManagement,
-			Attack: true,
-			Source: hca.Name(),
-		})
+		d := fabric.NewMAD(hca.LID(), topology.LIDOf(cl.Cfg.SM.Node), payload)
+		d.Attack = true
+		d.Source = hca.Name()
+		hca.Send(d)
 	})
 }
 

@@ -94,11 +94,7 @@ func (cl *Cluster) reconcileEpochs(winner *sm.SubnetManager, fork *keys.Partitio
 	if !cl.Cfg.Rekey.Enabled() {
 		return // epoch 0 everywhere: the lineages never diverged
 	}
-	rot := cl.rotationConfig()
-	mergeGrace := cl.Cfg.Rekey.MergeGrace
-	if mergeGrace == 0 {
-		mergeGrace = rot.Grace
-	}
+	rk := cl.Cfg.Rekey.withDefaults()
 	for _, base := range winner.PartitionBases() {
 		pk := packet.PKey(0x8000 | base)
 		eW, okW := winner.Authority.CurrentKey(pk)
@@ -128,7 +124,7 @@ func (cl *Cluster) reconcileEpochs(winner *sm.SubnetManager, fork *keys.Partitio
 			panic(fmt.Sprintf("core: merge mint for %#x: %v", uint16(pk), err))
 		}
 		members := winner.Members(pk)
-		cl.Sim.Schedule(rot.DistributionDelay, func() {
+		cl.Sim.Schedule(rk.DistributionDelay, func() {
 			for _, n := range members {
 				ep := cl.Endpoints[n]
 				if ep == nil {
@@ -140,7 +136,7 @@ func (cl *Cluster) reconcileEpochs(winner *sm.SubnetManager, fork *keys.Partitio
 				}
 			}
 		})
-		cl.Sim.Schedule(mergeGrace, func() {
+		cl.Sim.Schedule(rk.MergeGrace, func() {
 			for _, n := range members {
 				if ep := cl.Endpoints[n]; ep != nil {
 					// One call covers both islands: each store's grace slot

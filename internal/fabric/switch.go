@@ -185,9 +185,6 @@ func (sw *Switch) SetDown(down bool) {
 	}
 }
 
-// Down reports whether the switch has been killed by fault injection.
-func (sw *Switch) Down() bool { return sw.down }
-
 // PortBlackholed returns the number of packets destroyed on the port's
 // outbound channel while its link was down.
 func (sw *Switch) PortBlackholed(port int) uint64 {

@@ -288,8 +288,7 @@ func BenchmarkICRCSeal(b *testing.B) {
 
 // BenchmarkVerifyICRC is the receive-side per-packet ICRC verification —
 // the path every tainted (and, with authentication, every delivered)
-// packet takes, through a Verifier as each HCA does. Tracked by
-// scripts/bench.sh in BENCH_simcore.json.
+// packet takes, through a Verifier as each HCA does.
 func BenchmarkVerifyICRC(b *testing.B) {
 	p := mkPacket(1024, false)
 	if err := Seal(p); err != nil {
@@ -381,9 +380,11 @@ func TestSealInstallsConsistentWireCache(t *testing.T) {
 // AllocsPerRun guard: the CRC paths allocate nothing per packet. The
 // ICRC masks its few variant header bytes on the stack, so it needs no
 // scratch and no warm-up; sealing a packet that owns its image writes
-// both CRCs into that image; the per-link VCRC check and the VCRC-only
-// reseal read it where it lies. Only the MAC's InvariantRegion copies,
-// into the Verifier's scratch once that has grown to packet size.
+// both CRCs into that image (a literal payload costs the one image
+// Wire() builds around it, which is BenchmarkICRCSeal's case); the
+// per-link VCRC check and the VCRC-only reseal read it where it lies.
+// Only the MAC's InvariantRegion copies, into the Verifier's scratch once
+// that has grown to packet size.
 func TestVerifierZeroAllocSteadyState(t *testing.T) {
 	p := &packet.Packet{
 		BTH:  packet.BTH{OpCode: packet.UDSendOnly, PKey: 0x8005, DestQP: 11},
@@ -398,6 +399,15 @@ func TestVerifierZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Seal of a packet that owns its image allocated %.1f times, want 0", allocs)
+	}
+	lit := mkPacket(1024, false)
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := Seal(lit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("Seal of a literal-payload packet allocated %.1f times, want at most 1 (its image)", allocs)
 	}
 	wire := p.Marshal()
 	allocs = testing.AllocsPerRun(100, func() {

@@ -71,23 +71,6 @@ func Verify(a Authenticator, key, msg []byte, nonce uint64, tag uint32) (bool, e
 	return want == tag, nil
 }
 
-// VerifyAny tries each candidate key in order and returns the index of
-// the first one whose tag matches, or ok=false when none does. Key-epoch
-// rotation uses this to accept packets signed under either the current
-// or the grace-window epoch without a wire-format change.
-func VerifyAny(a Authenticator, keys [][]byte, msg []byte, nonce uint64, tag uint32) (int, bool, error) {
-	for i, key := range keys {
-		ok, err := Verify(a, key, msg, nonce, tag)
-		if err != nil {
-			return 0, false, err
-		}
-		if ok {
-			return i, true, nil
-		}
-	}
-	return 0, false, nil
-}
-
 // hmacAuth truncates an HMAC digest to 32 bits. The paper projects the
 // forgery probability of a t-bit truncation of an unbroken hash as ~2^-t.
 type hmacAuth struct {

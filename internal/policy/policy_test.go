@@ -250,8 +250,9 @@ func TestProgramInstallsIntent(t *testing.T) {
 	}
 }
 
-func BenchmarkCompile(b *testing.B) {
-	// A policy of paper-testbed shape scaled up: 64 nodes, 16 partitions.
+// scaledDoc is a policy of paper-testbed shape scaled up: 64 nodes, 16
+// partitions.
+func scaledDoc(tb testing.TB) *Document {
 	doc := &Document{Version: 1, Mode: enforce.SIF}
 	for p := 0; p < 16; p++ {
 		doc.Rules = append(doc.Rules, Rule{
@@ -262,8 +263,29 @@ func BenchmarkCompile(b *testing.B) {
 	}
 	doc.Pinned = []PinnedInvalid{{Switch: -1, Base: 0x0FFF}}
 	if err := doc.Validate(64); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return doc
+}
+
+// TestCompileAllocBudget holds compiling scaledDoc to the 459
+// allocations measured under Go 1.24 plus 25%; the compiler builds
+// maps, whose allocation counts differ between Go releases.
+func TestCompileAllocBudget(t *testing.T) {
+	doc := scaledDoc(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Compile(doc, 64); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 459 * 1.25
+	if allocs > ceiling {
+		t.Fatalf("Compile allocated %.0f times, ceiling %.0f", allocs, ceiling)
+	}
+}
+
+func BenchmarkCompile(b *testing.B) {
+	doc := scaledDoc(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

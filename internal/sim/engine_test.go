@@ -502,12 +502,28 @@ func TestPropertyCancelExactness(t *testing.T) {
 	}
 }
 
+// scheduleRun is a cold start: a new Simulator takes and fires a hundred
+// events, growing its slab and heap from nothing.
+func scheduleRun() {
+	s := New()
+	for j := 0; j < 100; j++ {
+		s.Schedule(Time(j)*Nanosecond, func() {})
+	}
+	s.Run()
+}
+
+// TestScheduleRunAllocBudget holds the cold start to the 13 allocations
+// measured plus 25%. The steady state — zero — is
+// TestStepZeroAllocSteadyState's.
+func TestScheduleRunAllocBudget(t *testing.T) {
+	const ceiling = 13 * 1.25
+	if allocs := testing.AllocsPerRun(100, scheduleRun); allocs > ceiling {
+		t.Fatalf("a cold 100-event run allocated %.0f times, ceiling %.0f", allocs, ceiling)
+	}
+}
+
 func BenchmarkScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := New()
-		for j := 0; j < 100; j++ {
-			s.Schedule(Time(j)*Nanosecond, func() {})
-		}
-		s.Run()
+		scheduleRun()
 	}
 }

@@ -89,22 +89,6 @@ func newSMP(method, attr byte, txID uint32, mkey keys.MKey, path []byte) []byte 
 	return pl
 }
 
-// smpDelivery wraps an SMP payload into a sealed management delivery.
-func smpDelivery(slid packet.LID, pl []byte) *fabric.Delivery {
-	p := &packet.Packet{
-		LRH:     packet.LRH{SLID: slid, DLID: packet.LIDPermissive, VL: fabric.VLManagement},
-		BTH:     packet.BTH{OpCode: packet.UDSendOnly, PKey: 0xFFFF, DestQP: 0},
-		DETH:    &packet.DETH{QKey: 0, SrcQP: 0},
-		Payload: pl,
-	}
-	if err := icrc.Seal(p); err != nil {
-		panic(fmt.Sprintf("sm: sealing SMP: %v", err))
-	}
-	return &fabric.Delivery{
-		Pkt: p, Class: fabric.ClassManagement, VL: fabric.VLManagement,
-	}
-}
-
 // reseal refreshes the packet CRCs after an in-flight payload mutation
 // (hop pointer / return path updates); a transit switch does this once
 // per DR-SMP.
@@ -327,7 +311,7 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 		resp[smpOffStatus] = smpStatusUnsupported
 	}
 
-	out := smpDelivery(d.Pkt.LRH.SLID, resp)
+	out := fabric.NewMAD(d.Pkt.LRH.SLID, packet.LIDPermissive, resp)
 	d.ReturnCredit()
 	sw.SendRaw(inPort, out)
 }
@@ -410,7 +394,7 @@ func (a *NodeAgent) deliver(d *fabric.Delivery) {
 	default:
 		resp[smpOffStatus] = smpStatusUnsupported
 	}
-	a.HCA.Send(smpDelivery(a.HCA.LID(), resp))
+	a.HCA.Send(fabric.NewMAD(a.HCA.LID(), packet.LIDPermissive, resp))
 }
 
 // DiscoveredNode is one fabric element found by the sweep.
@@ -592,7 +576,7 @@ func (d *Discoverer) sendN(method, attr byte, path []byte, data []byte, maxRetri
 	// Transit switches mutate the SMP payload in place (hop pointer,
 	// return path), so every attempt transmits a fresh copy.
 	xmit := func() {
-		d.hca.Send(smpDelivery(d.hca.LID(), append([]byte(nil), pl...)))
+		d.hca.Send(fabric.NewMAD(d.hca.LID(), packet.LIDPermissive, append([]byte(nil), pl...)))
 	}
 	attempt := 0
 	var arm func()

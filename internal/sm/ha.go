@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"ibasec/internal/fabric"
-	"ibasec/internal/icrc"
 	"ibasec/internal/keys"
 	"ibasec/internal/metrics"
 	"ibasec/internal/packet"
@@ -592,21 +591,9 @@ func (c *Coordinator) beatFrom(idx int) {
 // ICRC-sealed.
 func (c *Coordinator) sendMADFrom(srcNode, dst int, payload []byte) {
 	src := c.mesh.HCA(srcNode)
-	p := &packet.Packet{
-		LRH:  packet.LRH{SLID: src.LID(), DLID: topology.LIDOf(dst), VL: fabric.VLManagement},
-		BTH:  packet.BTH{OpCode: packet.UDSendOnly, PKey: 0xFFFF, DestQP: 0},
-		DETH: &packet.DETH{QKey: 0, SrcQP: 0},
-	}
-	p.Payload = payload
-	if err := icrc.Seal(p); err != nil {
-		panic(err)
-	}
-	src.Send(&fabric.Delivery{
-		Pkt:    p,
-		Class:  fabric.ClassManagement,
-		VL:     fabric.VLManagement,
-		Source: src.Name(),
-	})
+	d := fabric.NewMAD(src.LID(), topology.LIDOf(dst), payload)
+	d.Source = src.Name()
+	src.Send(d)
 }
 
 // Dispatch routes a management delivery arriving at node. It consumes HA
@@ -651,15 +638,24 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 			return false
 		}
 		if i := c.indexOfNode(node); i > 0 && !c.dead[i] && !c.isMaster[i] {
-			c.lastHeard[i] = c.sim.Now()
+			// Nothing authenticates the sender, so the membership is
+			// checked before any of the MAD is believed: a member beyond
+			// the mesh would index past every per-node table the promoted
+			// master later walks. One bad member refuses the whole sync,
+			// lease refresh included.
 			snap := make(map[uint16][]int, len(sync.Partitions))
 			for _, p := range sync.Partitions {
 				members := make([]int, len(p.Members))
 				for j, m := range p.Members {
+					if int(m) >= c.mesh.NumNodes() {
+						c.Counters.Inc("syncs_rejected", 1)
+						return true
+					}
 					members[j] = int(m)
 				}
 				snap[p.Base] = members
 			}
+			c.lastHeard[i] = c.sim.Now()
 			c.sms[i].AdoptPartitions(snap)
 			for _, b := range sync.Blobs {
 				c.sms[i].adoptBlob(b)

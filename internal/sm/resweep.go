@@ -90,15 +90,6 @@ func (r *Resweeper) PrimeStatic(m *topology.Mesh) {
 	}
 }
 
-// Prime seeds the healthy view and pins from a completed discovery
-// sweep (the in-band bring-up path).
-func (r *Resweeper) Prime(topo *DiscoveredTopology) {
-	r.edges = copyEdges(topo.Edges)
-	for _, ca := range topo.CAs {
-		r.pins[ca.GUID] = ca.LID
-	}
-}
-
 // Start begins periodic sweeping; Stop cancels it.
 func (r *Resweeper) Start() {
 	if r.stop != nil {

@@ -18,7 +18,6 @@ import (
 
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
-	"ibasec/internal/icrc"
 	"ibasec/internal/keys"
 	"ibasec/internal/metrics"
 	"ibasec/internal/packet"
@@ -328,20 +327,6 @@ func (m *SubnetManager) SetIsland(nodes []int) {
 	}
 }
 
-// Island returns the sorted members of the current island scope, nil
-// when the SM serves the whole fabric.
-func (m *SubnetManager) Island() []int {
-	if m.island == nil {
-		return nil
-	}
-	out := make([]int, 0, len(m.island))
-	for n := range m.island {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // InIsland reports whether the SM currently serves the given node.
 func (m *SubnetManager) InIsland(node int) bool {
 	return m.island == nil || m.island[node]
@@ -449,21 +434,9 @@ func (m *SubnetManager) sendTrap(victim int, victimHCA *fabric.HCA, d *fabric.De
 		m.sim.Schedule(0, func() { m.processTrap(tr, arrived) })
 		return
 	}
-	p := &packet.Packet{
-		LRH:  packet.LRH{SLID: victimHCA.LID(), DLID: topology.LIDOf(m.cfg.Node), VL: fabric.VLManagement},
-		BTH:  packet.BTH{OpCode: packet.UDSendOnly, PKey: 0xFFFF, DestQP: 0},
-		DETH: &packet.DETH{QKey: 0, SrcQP: 0},
-	}
-	p.Payload = payload
-	if err := icrc.Seal(p); err != nil {
-		panic(err)
-	}
-	victimHCA.Send(&fabric.Delivery{
-		Pkt:    p,
-		Class:  fabric.ClassManagement,
-		VL:     fabric.VLManagement,
-		Source: victimHCA.Name(),
-	})
+	trap := fabric.NewMAD(victimHCA.LID(), topology.LIDOf(m.cfg.Node), payload)
+	trap.Source = victimHCA.Name()
+	victimHCA.Send(trap)
 }
 
 // HandleManagement processes a management packet addressed to the SM

@@ -6,15 +6,19 @@ import (
 
 	"ibasec/internal/fabric"
 	"ibasec/internal/keys"
+	"ibasec/internal/packet"
 	"ibasec/internal/sim"
 	"ibasec/internal/topology"
 )
 
-// FuzzMADParse feeds arbitrary bytes to the management-datagram parsers.
-// parseSMP's acceptance invariants are exactly the bounds the SMP agents
-// rely on when they index the hop-path arrays, so any accepted frame
-// that violates them is a crash an attacker could trigger with one
-// crafted MAD.
+// FuzzMADParse feeds arbitrary bytes to every parser a VL15 datagram can
+// reach: the SMP and trap parsers, the HA heartbeat, state-sync and
+// census parsers, and the congestion and quarantine blobs a state sync
+// carries as trailers. parseSMP's acceptance invariants are exactly the
+// bounds the SMP agents rely on when they index the hop-path arrays, so
+// any accepted frame that violates them is a crash an attacker could
+// trigger with one crafted MAD. Every other parser must not panic, and
+// what it accepts must re-encode to the bytes it read.
 func FuzzMADParse(f *testing.F) {
 	f.Add(newSMP(smpMethodGet, smpAttrNodeInfo, 7, keys.MKey(0x5EC0DE), []byte{1, 2, 3}))
 	resp := newSMP(smpMethodSet, smpAttrSetRoute, 9, keys.MKey(0xBAD), []byte{0, 1})
@@ -27,6 +31,30 @@ func FuzzMADParse(f *testing.F) {
 	f.Add(newSMP(smpMethodGet, smpAttrNodeInfo, 1, 0, nil)[:smpHeaderSize]) // truncated data area
 	f.Add(encodeTrap(trapMAD{Offender: 5, PKey: 0x8003}))
 	f.Add([]byte{madTypeDRSMP})
+	f.Add(encodeHeartbeat(heartbeatMAD{Master: 3, Seq: 41, Digest: 0xDEADBEEF}))
+	f.Add(encodeCensus(haTypeCensusPing, censusMAD{Node: 7, ID: 12}))
+	f.Add(encodeCensus(haTypeCensusPong, censusMAD{Node: 9, ID: 12}))
+	cc := EncodeCCBlob(testCCParams())
+	health := EncodeHealthBlob([]HealthEntry{{Link: topology.LinkID{Switch: 5, Port: 2}, Flaps: 3, HoldUntil: 40 * sim.Microsecond}})
+	f.Add(cc)
+	f.Add(health)
+	f.Add(cc[:len(cc)-1])
+	f.Add(append(health[:len(health):len(health)], 0))
+	sync := stateSyncMAD{
+		Master:     3,
+		DirDigest:  0xDEADBEEF,
+		Partitions: []syncPartition{{Base: 0x8001, Epoch: 7, Members: []uint16{1, 4, 9}}},
+	}
+	bare := encodeStateSync(sync)
+	sync.Blobs = [][]byte{[]byte("IBPLfake-policy-document"), cc, health}
+	whole := encodeStateSync(sync)
+	f.Add(bare)
+	f.Add(whole)
+	// The malformed trailers TestStateSyncCarriesCCBlob lists.
+	f.Add(whole[:len(whole)-len(health)-2])                  // truncated length prefix
+	f.Add(whole[:len(whole)-1])                              // length past the payload
+	f.Add(append(whole[:len(whole):len(whole)], 0, 0, 0, 0)) // zero-length trailer
+	f.Add(bare[:12])                                         // truncated partition record
 
 	f.Fuzz(func(t *testing.T, pl []byte) {
 		if fr, err := parseSMP(pl); err == nil {
@@ -53,6 +81,46 @@ func FuzzMADParse(f *testing.F) {
 				t.Fatal("trap does not round-trip")
 			}
 		}
+		if hb, err := parseHeartbeat(pl); err == nil {
+			if !bytes.Equal(encodeHeartbeat(hb), pl[:heartbeatPayloadSize]) {
+				t.Fatal("heartbeat does not round-trip")
+			}
+		}
+		if cm, err := parseCensus(pl); err == nil {
+			if !bytes.Equal(encodeCensus(pl[0], cm), pl[:censusPayloadSize]) {
+				t.Fatal("census MAD does not round-trip")
+			}
+		}
+		// A state sync is read to its last byte: trailers run to the end.
+		if ss, err := parseStateSync(pl); err == nil {
+			if !bytes.Equal(encodeStateSync(ss), pl) {
+				t.Fatal("state sync does not round-trip")
+			}
+		}
+		if cc, err := ParseCCBlob(pl); err == nil {
+			if !bytes.Equal(EncodeCCBlob(cc), pl) {
+				t.Fatal("congestion blob does not round-trip")
+			}
+		}
+		// The quarantine encoder sorts by (switch, port) and the parser
+		// takes entries in any order, so only a strictly ascending blob
+		// reads back byte for byte.
+		if entries, err := ParseHealthBlob(pl); err == nil {
+			re := EncodeHealthBlob(entries)
+			if len(re) != len(pl) {
+				t.Fatalf("quarantine blob re-encodes to %d bytes from %d", len(re), len(pl))
+			}
+			ascending := true
+			for i := 1; i < len(entries); i++ {
+				a, b := entries[i-1].Link, entries[i].Link
+				if a.Switch > b.Switch || a.Switch == b.Switch && a.Port >= b.Port {
+					ascending = false
+				}
+			}
+			if ascending && !bytes.Equal(re, pl) {
+				t.Fatal("ascending quarantine blob does not round-trip")
+			}
+		}
 	})
 }
 
@@ -66,7 +134,7 @@ func TestMalformedSMPDropped(t *testing.T) {
 
 	inject := func(mutate func([]byte) []byte) {
 		pl := newSMP(smpMethodGet, smpAttrNodeInfo, 1, discMKey, []byte{1})
-		mesh.HCA(0).Send(smpDelivery(0, mutate(pl)))
+		mesh.HCA(0).Send(fabric.NewMAD(0, packet.LIDPermissive, mutate(pl)))
 	}
 	inject(func(pl []byte) []byte { pl[smpOffHopCnt] = 200; return pl })
 	inject(func(pl []byte) []byte { pl[smpOffHopPtr] = 17; pl[smpOffHopCnt] = 16; return pl })
@@ -87,7 +155,7 @@ func TestMalformedSMPDroppedByNodeAgent(t *testing.T) {
 	agent := AttachNodeAgent(mesh.HCA(0), discMKey)
 
 	pl := newSMP(smpMethodGet, smpAttrNodeInfo, 1, discMKey, nil)
-	d := smpDelivery(0, pl[:smpHeaderSize+1])
+	d := fabric.NewMAD(0, packet.LIDPermissive, pl[:smpHeaderSize+1])
 	agent.deliver(d)
 	if got := mesh.HCA(0).Counters.Get("smp_malformed"); got != 1 {
 		t.Fatalf("smp_malformed = %d, want 1", got)

@@ -71,8 +71,7 @@ func TestSignedSendUDAllocations(t *testing.T) {
 
 // BenchmarkSendUDAuth is one signed 1 KiB datagram end to end on the 2×1
 // mesh: seal and tag at the sender, three hops, tag verification at the
-// receiver. Tracked by scripts/bench.sh in BENCH_simcore.json, where its
-// allocs/op guards the two-allocation send path.
+// receiver. TestSignedSendUDAllocations holds its two allocations.
 func BenchmarkSendUDAuth(b *testing.B) {
 	s, eps, send := authPair(b)
 	send()

@@ -7,7 +7,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 
 	"ibasec/internal/fabric"
@@ -280,9 +279,4 @@ func (a *Attacker) Sent() uint64 {
 func PoissonMeanCheck(rate float64, size int, horizon sim.Time) float64 {
 	perPacket := float64(size*8) / rate // seconds
 	return horizon.Seconds() / perPacket
-}
-
-// JitterlessIntervals reports the exact CBR interval used by Realtime.
-func JitterlessIntervals(rate float64, size int) sim.Time {
-	return sim.Time(math.Round(float64(size*8) / rate * 1e12))
 }
