@@ -10,7 +10,10 @@ import "testing"
 // allocations per hop on the paper's mesh; this is the same property as
 // a tier-1 failure. A run sends about 350 packets, so one more
 // allocation per packet anywhere on the path exceeds the headroom of
-// every row but health, whose budget is mostly MADs.
+// every row but health and all-planes, whose budgets are mostly MADs:
+// their headroom is about four allocations per SMP round trip, so they
+// catch the request path regaining its closures and copies, and
+// sm.TestSMPTransitAllocs holds the round trip to its exact count.
 //
 // The ceilings are the counts measured under Go 1.24 plus 25%: the
 // run's set-up builds maps, whose allocation counts differ between Go
@@ -48,11 +51,29 @@ func TestRunAllocBudget(t *testing.T) {
 		{
 			// The performance manager at a short sweep period: PortCounters
 			// Get MADs over VL15 on every watched link, scoring, trap arming.
-			name: "health", measured: 3501,
+			name: "health", measured: 1456,
 			enable: func(cfg *Config) {
 				cfg.Health = HealthParams{SweepPeriod: 40 * Microsecond, TrapThreshold: 6, Damping: true}
 			},
 			engaged: func(res *Results) bool { return res.HealthSweepMADs > 0 },
+		},
+		{
+			// Every SM plane on at once over light authenticated traffic —
+			// bench's mgmt-planes shape: the control plane's budget, which is
+			// MADs (two allocations each) and the auditor's closures.
+			name: "all-planes", measured: 1864,
+			enable: func(cfg *Config) {
+				cfg.BestEffortLoad = 0.1
+				cfg.Enforcement = SIF
+				cfg.Auth = AuthConfig{Enabled: true, FuncID: AuthUMAC32, Level: PartitionLevel}
+				cfg.ResweepPeriod = 200 * Microsecond
+				cfg.Health = HealthParams{SweepPeriod: 40 * Microsecond, TrapThreshold: 6, Damping: true}
+				cfg.HA = HAParams{Standbys: 2, Heartbeat: 50 * Microsecond}
+				cfg.Policy = PolicyParams{Enabled: true, AuditPeriod: 100 * Microsecond, Repair: true}
+				cfg.Rekey = RekeyParams{Period: 2 * Millisecond, Grace: 600 * Microsecond, DistributionDelay: 2 * Microsecond}
+				cfg.Congestion = DefaultCCParams()
+			},
+			engaged: func(res *Results) bool { return res.HealthSweepMADs > 0 && res.AuditMADs > 0 },
 		},
 	}
 	for _, tc := range cases {

@@ -184,6 +184,9 @@ type Cluster struct {
 	// retiredPerfMgrs keeps performance managers displaced by failover
 	// so their counters and events still reach the results.
 	retiredPerfMgrs []*sm.PerfMgr
+	// discoverers lists every plane's SMP prober in creation order, so a
+	// composed run's request accounting can be read back per plane.
+	discoverers []*sm.Discoverer
 }
 
 // Run builds the cluster from cfg, simulates it, and returns the results.
@@ -603,6 +606,7 @@ func (cl *Cluster) newDiscoverer(node int) *sm.Discoverer {
 	disc := sm.NewDiscoverer(cl.Sim, cl.Mesh.HCA(node), cl.Cfg.SM.MKey, 25*sim.Microsecond)
 	disc.MaxRetries = 2
 	disc.SetTimeoutMult = 10
+	cl.discoverers = append(cl.discoverers, disc)
 	return disc
 }
 

@@ -1,0 +1,84 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// smpAccounting is the request-side bookkeeping of one composed run:
+// what every plane's Discoverer issued and lost, and what each HCA
+// filed as a response nobody was waiting for.
+type smpAccounting struct {
+	// Late and Dup are the non-zero per-node smp_late_responses and
+	// smp_dup_responses counters, as "node:count".
+	Late, Dup []string
+	// Discoverers holds "probes/retries/timeouts" per plane prober in
+	// creation order (auditor, resweeper, PerfMgr), summed over the run.
+	Discoverers      []string
+	AuditUnanswered  uint64
+	HealthUnanswered uint64
+	LostLinks        uint64
+	Reroutes         uint64
+}
+
+func smpAccountingOf(t *testing.T, cfg Config) smpAccounting {
+	t.Helper()
+	cl, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Simulate()
+	var got smpAccounting
+	for node, hca := range cl.Mesh.HCAs {
+		if n := hca.Counters.Get("smp_late_responses"); n > 0 {
+			got.Late = append(got.Late, fmt.Sprintf("%d:%d", node, n))
+		}
+		if n := hca.Counters.Get("smp_dup_responses"); n > 0 {
+			got.Dup = append(got.Dup, fmt.Sprintf("%d:%d", node, n))
+		}
+	}
+	for _, d := range cl.discoverers {
+		probes, retries, timeouts := d.Stats()
+		got.Discoverers = append(got.Discoverers, fmt.Sprintf("%d/%d/%d", probes, retries, timeouts))
+	}
+	for _, a := range append(cl.retiredAuditors, cl.Auditor) {
+		got.AuditUnanswered += a.Counters.Get("audit_unanswered")
+	}
+	for _, pm := range append(cl.retiredPerfMgrs, cl.PerfMgr) {
+		got.HealthUnanswered += pm.Counters.Get("health_unanswered")
+	}
+	got.LostLinks = cl.Resweeper.Counters.Get("lost_links")
+	got.Reroutes = cl.Resweeper.Counters.Get("reroutes")
+	return got
+}
+
+// TestAllPlanesSMPAccountingPinned holds the SM's outstanding-request
+// table to the request accounting of the commit that recorded these
+// values (the parent of the TID-indexed ring, PR 21): every probe,
+// retransmission, terminal timeout and unmatched response of an
+// all-planes run is where the map-based table put it.
+//
+// The values are KNOWN-WRONG. The resweeper, the auditor and the PerfMgr
+// each number their TIDs 1, 2, 3… on the same HCA, and a Discoverer
+// consumes a returning SMP whose TID it does not hold instead of passing
+// it on, so the planes swallow each other's responses: almost every
+// audit probe goes unanswered and the resweeper loses links on a
+// fault-free fabric (ROADMAP item 5, first composed-plane bug). This pin
+// proves the ring equivalent to the table it replaced, bug included; the
+// PR that fixes the bug re-records it together with bench's mgmt-planes
+// digest and event_order.json's all_planes entry.
+func TestAllPlanesSMPAccountingPinned(t *testing.T) {
+	want := smpAccounting{
+		Late:            []string{"0:743"},
+		Dup:             []string{"0:494"},
+		Discoverers:     []string{"240/480/224", "15/28/14", "3216/477/0"},
+		AuditUnanswered: 224,
+		LostLinks:       64,
+		Reroutes:        1,
+	}
+	got := smpAccountingOf(t, allPlanesCfg())
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("all-planes SMP accounting moved\n got  %+v\n want %+v", got, want)
+	}
+}

@@ -368,3 +368,41 @@ func TestDoubleConnectPanics(t *testing.T) {
 	}()
 	Connect(s, params, a, 0, sw, 1)
 }
+
+// drToPort is a MADHandler that forwards every management datagram out
+// of one fixed port, the way a transit SMA forwards a directed-route SMP.
+type drToPort int
+
+func (p drToPort) HandleMAD(sw *Switch, _ int, d *Delivery) bool {
+	sw.SendRaw(int(p), d)
+	return true
+}
+
+// A directed-route SMP is addressed to the permissive LID, never to the
+// receiving HCA's own: its arrival is not an alternate-LID (APM) arrival.
+// A data packet routed to the same port under another LID still is.
+func TestPermissiveLIDIsNotAnAlternateLID(t *testing.T) {
+	s, a, b, sw := twoHCAs(t, DefaultParams())
+	sw.SetMADHandler(drToPort(1))
+	a.Send(NewMAD(a.LID(), packet.LIDPermissive, []byte("a directed-route response")))
+	s.Run()
+	if got := b.Counters.Get("delivered"); got != 1 {
+		t.Fatalf("delivered = %d, want the SMP", got)
+	}
+	if got := b.Counters.Get("alt_lid_arrivals"); got != 0 {
+		t.Fatalf("alt_lid_arrivals = %d after a permissive-LID SMP, want 0", got)
+	}
+	for _, name := range b.Counters.Names() {
+		if name == "alt_lid_arrivals" {
+			t.Fatal("alt_lid_arrivals became a column without an arrival")
+		}
+	}
+
+	const altLID = packet.LID(0x1002)
+	sw.SetRoute(altLID, 1)
+	a.Send(&Delivery{Pkt: mkPkt(1, altLID, VLBestEffort, 64), Class: ClassBestEffort, VL: VLBestEffort})
+	s.Run()
+	if got := b.Counters.Get("alt_lid_arrivals"); got != 1 {
+		t.Fatalf("alt_lid_arrivals = %d after an alternate-LID arrival, want 1", got)
+	}
+}

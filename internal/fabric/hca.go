@@ -43,7 +43,7 @@ type HCA struct {
 
 	Counters *metrics.Counters
 	// Handles for the counters every packet touches, resolved once.
-	sent, delivered *metrics.Counter
+	sent, delivered, altLIDArrivals *metrics.Counter
 
 	pkeyViolations uint64
 	engineBusyTil  sim.Time
@@ -75,6 +75,7 @@ func NewHCA(s *sim.Simulator, params *Params, name string, lid packet.LID) *HCA 
 	}
 	h.sent = h.Counters.Counter("sent")
 	h.delivered = h.Counters.Counter("delivered")
+	h.altLIDArrivals = h.Counters.Counter("alt_lid_arrivals")
 	h.port = &Port{owner: h, id: 0}
 	return h
 }
@@ -408,12 +409,13 @@ func (h *HCA) arrive(_ int, d *Delivery) {
 		}
 		return
 	}
-	if lid := h.LID(); lid != 0 && d.Pkt.LRH.DLID != lid {
+	if lid, dlid := h.LID(), d.Pkt.LRH.DLID; lid != 0 && dlid != lid && dlid != packet.LIDPermissive {
 		// Addressed to one of this HCA's alternate (APM) LIDs — the
 		// fabric routes alternate addresses to the same port, and the
 		// transport layer uses the mismatch to mirror acknowledgements
-		// onto the alternate path.
-		h.Counters.Inc("alt_lid_arrivals", 1)
+		// onto the alternate path. A directed-route SMP is addressed to
+		// the permissive LID, not to an alternate one.
+		h.altLIDArrivals.Add(1)
 	}
 	h.delivered.Add(1)
 	h.params.observe(h.sim.Now(), ObsDeliver, h.name, d)

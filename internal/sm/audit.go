@@ -121,10 +121,12 @@ func EncodeAuditRepairReq(op int, val uint16) []byte {
 
 // Query issues a single SMP along an explicit directed route and hands
 // the response's attribute data (or status 0xFF on terminal timeout) to
-// cb. It rides the Discoverer's retry/backoff machinery, so the policy
-// auditor's probes behave under MAD loss exactly like discovery probes.
+// cb. The data is a window into the delivered packet, valid until cb
+// returns: copy what you keep. It rides the Discoverer's retry/backoff
+// machinery, so the policy auditor's probes behave under MAD loss exactly
+// like discovery probes.
 func (d *Discoverer) Query(method, attr byte, path []byte, data []byte, cb func(status byte, data []byte)) {
-	d.send(method, attr, path, data, func(status byte, dat, _ []byte) { cb(status, dat) })
+	d.request(method, attr, path, data, d.MaxRetries, queryFunc(cb), 0)
 }
 
 // auditSelect resolves an AuditEntries table selector against a

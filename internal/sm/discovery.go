@@ -8,6 +8,7 @@ import (
 	"ibasec/internal/fabric"
 	"ibasec/internal/icrc"
 	"ibasec/internal/keys"
+	"ibasec/internal/metrics"
 	"ibasec/internal/packet"
 	"ibasec/internal/sim"
 	"ibasec/internal/topology"
@@ -76,9 +77,10 @@ const (
 	nodeTypeCA     = 2
 )
 
-// newSMP allocates a zeroed SMP payload.
-func newSMP(method, attr byte, txID uint32, mkey keys.MKey, path []byte) []byte {
-	pl := make([]byte, smpHeaderSize+smpDataSize)
+// newSMP builds a request SMP by value — zero but for type, method,
+// attribute, hop count, TID, M_Key and initial path — so a caller stages
+// it on its stack or in its request slot.
+func newSMP(method, attr byte, txID uint32, mkey keys.MKey, path []byte) (pl [smpTotalSize]byte) {
 	pl[0] = madTypeDRSMP
 	pl[smpOffMethod] = method
 	pl[smpOffAttr] = attr
@@ -89,9 +91,24 @@ func newSMP(method, attr byte, txID uint32, mkey keys.MKey, path []byte) []byte 
 	return pl
 }
 
+// newResponse stages the response to the request in pl: the request's
+// header turned around (GetResp, returning, status OK) over a zeroed
+// attribute data area.
+func newResponse(pl []byte) (resp [smpTotalSize]byte) {
+	copy(resp[:smpOffData], pl)
+	resp[smpOffMethod] = smpMethodGetResp
+	resp[smpOffDir] = 1
+	resp[smpOffStatus] = smpStatusOK
+	return resp
+}
+
 // reseal refreshes the packet CRCs after an in-flight payload mutation
 // (hop pointer / return path updates); a transit switch does this once
-// per DR-SMP.
+// per DR-SMP. A MAD's payload is the window into its own image
+// (fabric.NewMAD), so the bytes just written are already on the wire and
+// Seal allocates nothing: it rewrites the headers into that image and
+// recomputes both CRCs over all of it. A packet that does not own its
+// image (the bit-error model's re-parsed copy) gets a fresh one.
 func reseal(d *fabric.Delivery) {
 	if err := icrc.Seal(d.Pkt); err != nil {
 		panic(fmt.Sprintf("sm: resealing SMP: %v", err))
@@ -161,13 +178,18 @@ type SwitchAgent struct {
 	// satisfy this within a sweep. Default off.
 	DedupTIDs bool
 	tids      *tidSet
+	// portCounters is the handle of the switch's smp_portcounters counter,
+	// which every PerfMgr read increments.
+	portCounters *metrics.Counter
 }
 
-// AttachSwitchAgents installs a SwitchAgent on every switch of a mesh.
+// AttachSwitchAgents installs a SwitchAgent on every switch of a mesh;
+// it is the one constructor (an agent holds a handle into its switch's
+// counters).
 func AttachSwitchAgents(m *topology.Mesh, mkey keys.MKey) []*SwitchAgent {
 	agents := make([]*SwitchAgent, len(m.Switches))
 	for i, sw := range m.Switches {
-		agents[i] = &SwitchAgent{MKey: mkey}
+		agents[i] = &SwitchAgent{MKey: mkey, portCounters: sw.Counters.Counter("smp_portcounters")}
 		sw.SetMADHandler(agents[i])
 	}
 	return agents
@@ -232,19 +254,12 @@ func (a *SwitchAgent) HandleMAD(sw *fabric.Switch, inPort int, d *fabric.Deliver
 // through the ingress port.
 func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery, fr smpFrame) {
 	pl := d.Pkt.Payload
-	resp := make([]byte, len(pl))
-	copy(resp, pl)
-	resp[smpOffMethod] = smpMethodGetResp
-	resp[smpOffDir] = 1
-	resp[smpOffStatus] = smpStatusOK
+	resp := newResponse(pl)
 	// Record the target's own ingress port in the return-path slot after
 	// the transit hops: the SM needs it to know which of this switch's
 	// ports points back toward it.
 	resp[smpOffRet+fr.HopCnt] = byte(inPort)
 	data := resp[smpOffData:]
-	for i := range data {
-		data[i] = 0
-	}
 
 	switch {
 	case fr.Method == smpMethodGet && fr.Attr == smpAttrNodeInfo:
@@ -275,7 +290,7 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 			break
 		}
 		encodePortCounters(data, sw.PortHealth(port))
-		sw.Counters.Inc("smp_portcounters", 1)
+		a.portCounters.Add(1)
 
 	case fr.Method == smpMethodSet && fr.Attr == smpAttrPortCounters:
 		// PerfMgr re-arms the switch's threshold trap for one port after
@@ -294,10 +309,10 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 		sw.Counters.Inc("smp_trap_rearm", 1)
 
 	case fr.Method == smpMethodGet && fr.Attr == smpAttrAuditState:
-		a.auditState(sw, resp)
+		a.auditState(sw, resp[:])
 
 	case fr.Method == smpMethodGet && fr.Attr == smpAttrAuditEntries:
-		a.auditEntries(sw, pl, resp)
+		a.auditEntries(sw, pl, resp[:])
 
 	case fr.Method == smpMethodSet && fr.Attr == smpAttrAuditRepair:
 		if fr.MKey != a.MKey {
@@ -305,13 +320,13 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 			sw.Counters.Inc("smp_mkey_violations", 1)
 			break
 		}
-		a.auditRepair(sw, pl, resp)
+		a.auditRepair(sw, pl, resp[:])
 
 	default:
 		resp[smpOffStatus] = smpStatusUnsupported
 	}
 
-	out := fabric.NewMAD(d.Pkt.LRH.SLID, packet.LIDPermissive, resp)
+	out := fabric.NewMAD(d.Pkt.LRH.SLID, packet.LIDPermissive, resp[:])
 	d.ReturnCredit()
 	sw.SendRaw(inPort, out)
 }
@@ -362,15 +377,8 @@ func (a *NodeAgent) deliver(d *fabric.Delivery) {
 			return
 		}
 	}
-	resp := make([]byte, len(pl))
-	copy(resp, pl)
-	resp[smpOffMethod] = smpMethodGetResp
-	resp[smpOffDir] = 1
-	resp[smpOffStatus] = smpStatusOK
+	resp := newResponse(pl)
 	data := resp[smpOffData:]
-	for i := range data {
-		data[i] = 0
-	}
 
 	switch {
 	case fr.Method == smpMethodGet && fr.Attr == smpAttrNodeInfo:
@@ -394,7 +402,7 @@ func (a *NodeAgent) deliver(d *fabric.Delivery) {
 	default:
 		resp[smpOffStatus] = smpStatusUnsupported
 	}
-	a.HCA.Send(fabric.NewMAD(a.HCA.LID(), packet.LIDPermissive, resp))
+	a.HCA.Send(fabric.NewMAD(a.HCA.LID(), packet.LIDPermissive, resp[:]))
 }
 
 // DiscoveredNode is one fabric element found by the sweep.
@@ -454,23 +462,66 @@ type Discoverer struct {
 	KnownEdges map[uint64]map[int]uint64
 	OnLostEdge func(fromGUID uint64, port int)
 
-	pending map[uint32]*probe
-	txSeq   uint32
-	topo    *DiscoveredTopology
-	seen    map[uint64]*DiscoveredNode
-	next    func(*fabric.Delivery)
-	// doneTIDs remembers recently answered probes (bounded FIFO) so a
-	// second response to the same TID — the delayed original arriving
-	// after a retransmit was already answered — is recognised as a
-	// duplicate rather than processed twice or mistaken for a stray.
-	doneTIDs  map[uint32]bool
-	doneOrder []uint32
+	// ring is the outstanding-request table: a power-of-two slice of value
+	// slots in which the request with transaction ID t lives at
+	// ring[t&(len-1)], so a response finds its request by index. It is
+	// made at the first request and doubles when a new TID lands on a slot
+	// still pending; outstanding counts the pending slots.
+	ring        []request
+	outstanding int
+	txSeq       uint32
+	topo        *DiscoveredTopology
+	// past sums the request counts of the sweeps Reset has closed (Stats).
+	past struct{ probes, retries, timeouts int }
+	seen map[uint64]*DiscoveredNode
+	next func(*fabric.Delivery)
+	// done remembers the last tidSetCap answered TIDs (a FIFO, doneN
+	// answers so far) so a second response to the same TID — the delayed
+	// original arriving after a retransmit was already answered — is
+	// recognised as a duplicate rather than mistaken for a stray.
+	done  [tidSetCap]uint32
+	doneN uint64
 }
 
-type probe struct {
-	cb    func(status byte, data []byte, retPath []byte)
-	timer sim.Event
+// smpCompleter receives the outcome of one SMP request: the tag the
+// requester passed, the response status (0xFF when every attempt timed
+// out) and, on a response, its attribute data and return path. data and
+// retPath are windows into the delivered packet's image, valid until the
+// call returns; a completer copies what it keeps.
+type smpCompleter interface {
+	smpDone(tag uint64, status byte, data, retPath []byte)
 }
+
+// smpFunc and queryFunc let a plain callback be the completer; a func
+// value converts to the interface without allocating.
+type smpFunc func(status byte, data, retPath []byte)
+
+func (f smpFunc) smpDone(_ uint64, status byte, data, retPath []byte) { f(status, data, retPath) }
+
+type queryFunc func(status byte, data []byte)
+
+func (f queryFunc) smpDone(_ uint64, status byte, data, _ []byte) { f(status, data) }
+
+// request is one slot of the outstanding-request table. It holds the SMP
+// by value: transit switches edit each attempt's own image in place (hop
+// pointer, return path), so a retransmission is a fresh MAD built from
+// the slot.
+type request struct {
+	pl      [smpTotalSize]byte
+	txID    uint32
+	pending bool
+	attempt uint8    // retransmissions so far
+	retries int      // retransmission budget
+	timeout sim.Time // first attempt's deadline; doubles per attempt
+	timer   sim.Event
+	to      smpCompleter
+	tag     uint64
+}
+
+// ringInit is the table's first size (about 2 KiB); a plane's largest
+// burst — a PerfMgr sweep's two reads per link, a configure pass's Sets —
+// is reached in a few doublings and the table then stays that size.
+const ringInit = 16
 
 // NewDiscoverer prepares a sweep from hca, wrapping its delivery callback
 // to capture SMP responses. timeout bounds each unanswered probe (dead
@@ -481,7 +532,6 @@ func NewDiscoverer(s *sim.Simulator, hca *fabric.HCA, mkey keys.MKey, timeout si
 		hca:     hca,
 		mkey:    mkey,
 		timeout: timeout,
-		pending: make(map[uint32]*probe),
 		seen:    make(map[uint64]*DiscoveredNode),
 		topo: &DiscoveredTopology{
 			Edges: make(map[uint64]map[int]uint64),
@@ -505,38 +555,83 @@ func (d *Discoverer) deliver(dv *fabric.Delivery) {
 		return
 	}
 	pl := dv.Pkt.Payload
-	pr, ok := d.pending[fr.TxID]
-	if !ok {
+	rq := d.lookup(fr.TxID)
+	if rq == nil {
 		// Never process a response twice: a TID we already answered is a
 		// duplicate (retransmit raced its delayed original); anything
 		// else is a stray — a response after the terminal timeout, or
-		// another discoverer's traffic on this HCA.
-		if d.doneTIDs[fr.TxID] {
+		// another discoverer's traffic on this HCA. Matching on the TID
+		// alone and consuming the stray instead of passing it to next is
+		// what lets composed planes swallow each other's responses; it is
+		// kept as found (ROADMAP item 5, first composed-plane bug).
+		if d.answered(fr.TxID) {
 			d.hca.Counters.Inc("smp_dup_responses", 1)
 		} else {
 			d.hca.Counters.Inc("smp_late_responses", 1)
 		}
 		return
 	}
-	delete(d.pending, fr.TxID)
-	d.markDone(fr.TxID)
-	d.sim.Cancel(pr.timer)
-	retPath := append([]byte(nil), pl[smpOffRet:smpOffRet+smpMaxHops]...)
-	pr.cb(fr.Status, pl[smpOffData:], retPath)
+	// The completer may issue requests, which can reuse or move this
+	// slot: take what the call needs and retire the slot first.
+	to, tag, timer := rq.to, rq.tag, rq.timer
+	d.retire(rq)
+	d.done[d.doneN%tidSetCap] = fr.TxID
+	d.doneN++
+	d.sim.Cancel(timer)
+	to.smpDone(tag, fr.Status, pl[smpOffData:], pl[smpOffRet:smpOffRet+smpMaxHops])
 }
 
-// markDone records an answered TID in the bounded duplicate-detection
-// window.
-func (d *Discoverer) markDone(txID uint32) {
-	if d.doneTIDs == nil {
-		d.doneTIDs = make(map[uint32]bool, tidSetCap)
+// at returns the slot txID indexes.
+func (d *Discoverer) at(txID uint32) *request { return &d.ring[txID&uint32(len(d.ring)-1)] }
+
+// lookup returns the pending request with the given TID, or nil.
+func (d *Discoverer) lookup(txID uint32) *request {
+	if len(d.ring) == 0 {
+		return nil
 	}
-	d.doneTIDs[txID] = true
-	d.doneOrder = append(d.doneOrder, txID)
-	if len(d.doneOrder) > tidSetCap {
-		delete(d.doneTIDs, d.doneOrder[0])
-		d.doneOrder = d.doneOrder[1:]
+	if rq := d.at(txID); rq.pending && rq.txID == txID {
+		return rq
 	}
+	return nil
+}
+
+// retire frees a pending slot.
+func (d *Discoverer) retire(rq *request) {
+	*rq = request{}
+	d.outstanding--
+}
+
+// answered reports whether txID is among the last tidSetCap answered.
+func (d *Discoverer) answered(txID uint32) bool {
+	n := d.doneN
+	if n > tidSetCap {
+		n = tidSetCap
+	}
+	for _, t := range d.done[:n] {
+		if t == txID {
+			return true
+		}
+	}
+	return false
+}
+
+// slot returns the free slot txID indexes, doubling the table (pending
+// requests keep their TIDs and move to their new index) until that slot
+// is free: a request is never dropped to make room.
+func (d *Discoverer) slot(txID uint32) *request {
+	if d.ring == nil {
+		d.ring = make([]request, ringInit)
+	}
+	for d.at(txID).pending {
+		old := d.ring
+		d.ring = make([]request, 2*len(old))
+		for i := range old {
+			if old[i].pending {
+				*d.at(old[i].txID) = old[i]
+			}
+		}
+	}
+	return d.at(txID)
 }
 
 // send issues one SMP and registers its callback; cb receives status
@@ -549,11 +644,13 @@ func (d *Discoverer) markDone(txID uint32) {
 // single lost MAD cannot hide a live subtree; only the terminal failure
 // counts as a Timeout.
 func (d *Discoverer) send(method, attr byte, path []byte, data []byte, cb func(status byte, data, retPath []byte)) {
-	d.sendN(method, attr, path, data, d.MaxRetries, cb)
+	d.request(method, attr, path, data, d.MaxRetries, smpFunc(cb), 0)
 }
 
-// sendN is send with an explicit retry budget for this one SMP.
-func (d *Discoverer) sendN(method, attr byte, path []byte, data []byte, maxRetries int, cb func(status byte, data, retPath []byte)) {
+// request is send with an explicit retry budget and a typed completion:
+// to.smpDone(tag, …) is called exactly once, with the response or the
+// terminal timeout. Nothing but the MAD itself is allocated.
+func (d *Discoverer) request(method, attr byte, path []byte, data []byte, maxRetries int, to smpCompleter, tag uint64) {
 	if len(path) > smpMaxHops {
 		panic("sm: directed route exceeds max hops")
 	}
@@ -566,39 +663,55 @@ func (d *Discoverer) sendN(method, attr byte, path []byte, data []byte, maxRetri
 		timeout = d.timeout * sim.Time(mult)
 	}
 	d.txSeq++
-	txID := d.txSeq
-	pl := newSMP(method, attr, txID, d.mkey, path)
-	copy(pl[smpOffData:], data)
-	pr := &probe{cb: cb}
-	d.pending[txID] = pr
+	rq := d.slot(d.txSeq)
+	*rq = request{
+		pl:      newSMP(method, attr, d.txSeq, d.mkey, path),
+		txID:    d.txSeq,
+		pending: true,
+		retries: maxRetries,
+		timeout: timeout,
+		to:      to,
+		tag:     tag,
+	}
+	copy(rq.pl[smpOffData:], data)
+	d.outstanding++
 	d.topo.Probes++
+	d.arm(rq)
+	d.xmit(rq)
+}
 
-	// Transit switches mutate the SMP payload in place (hop pointer,
-	// return path), so every attempt transmits a fresh copy.
-	xmit := func() {
-		d.hca.Send(fabric.NewMAD(d.hca.LID(), packet.LIDPermissive, append([]byte(nil), pl...)))
+// xmit transmits one attempt of rq as a fresh MAD.
+func (d *Discoverer) xmit(rq *request) {
+	d.hca.Send(fabric.NewMAD(d.hca.LID(), packet.LIDPermissive, rq.pl[:]))
+}
+
+// arm starts the current attempt's deadline.
+func (d *Discoverer) arm(rq *request) {
+	rq.timer = d.sim.ScheduleCall(rq.timeout<<rq.attempt, (*requestTimeout)(d), nil, uint64(rq.txID))
+}
+
+// requestTimeout fires when an attempt's deadline passes unanswered: a
+// named handler type over Discoverer (see sim.Handler) whose operand is
+// the TID, so arming a deadline allocates nothing.
+type requestTimeout Discoverer
+
+func (h *requestTimeout) Fire(_ any, txID uint64) {
+	d := (*Discoverer)(h)
+	rq := d.lookup(uint32(txID))
+	if rq == nil {
+		return
 	}
-	attempt := 0
-	var arm func()
-	arm = func() {
-		pr.timer = d.sim.Schedule(timeout<<uint(attempt), func() {
-			if _, still := d.pending[txID]; !still {
-				return
-			}
-			if attempt < maxRetries {
-				attempt++
-				d.topo.Retries++
-				xmit()
-				arm()
-				return
-			}
-			delete(d.pending, txID)
-			d.topo.Timeouts++
-			cb(0xFF, nil, nil)
-		})
+	if int(rq.attempt) < rq.retries {
+		rq.attempt++
+		d.topo.Retries++
+		d.xmit(rq)
+		d.arm(rq)
+		return
 	}
-	arm()
-	xmit()
+	to, tag := rq.to, rq.tag
+	d.retire(rq)
+	d.topo.Timeouts++
+	to.smpDone(tag, 0xFF, nil, nil)
 }
 
 // Discover sweeps the fabric, assigns sequential LIDs to every CA,
@@ -633,12 +746,24 @@ func (d *Discoverer) Configure(done func(*DiscoveredTopology)) { d.configure(don
 // across sweeps, so a straggler response from a previous sweep can never
 // complete a new probe.
 func (d *Discoverer) Reset() {
-	for _, pr := range d.pending {
-		d.sim.Cancel(pr.timer)
+	for i := range d.ring {
+		if rq := &d.ring[i]; rq.pending {
+			d.sim.Cancel(rq.timer)
+			d.retire(rq)
+		}
 	}
-	d.pending = make(map[uint32]*probe)
 	d.seen = make(map[uint64]*DiscoveredNode)
+	d.past.probes += d.topo.Probes
+	d.past.retries += d.topo.Retries
+	d.past.timeouts += d.topo.Timeouts
 	d.topo = &DiscoveredTopology{Edges: make(map[uint64]map[int]uint64)}
+}
+
+// Stats reports the SMPs issued, retransmitted and terminally timed out
+// since construction, over every sweep (DiscoveredTopology's counts are
+// those of one).
+func (d *Discoverer) Stats() (probes, retries, timeouts int) {
+	return d.past.probes + d.topo.Probes, d.past.retries + d.topo.Retries, d.past.timeouts + d.topo.Timeouts
 }
 
 // probeNode probes the element at path; fromGUID/fromPort identify the
@@ -658,9 +783,9 @@ func (d *Discoverer) probeNode(path []byte, fromGUID uint64, fromPort int, onQui
 			retries = 0
 		}
 	}
-	d.sendN(smpMethodGet, smpAttrNodeInfo, path, nil, retries, func(status byte, data, retPath []byte) {
+	d.request(smpMethodGet, smpAttrNodeInfo, path, nil, retries, smpFunc(func(status byte, data, retPath []byte) {
 		defer func() {
-			if len(d.pending) == 0 {
+			if d.outstanding == 0 {
 				onQuiesce()
 			}
 		}()
@@ -726,7 +851,7 @@ func (d *Discoverer) probeNode(path []byte, fromGUID uint64, fromPort int, onQui
 			sub[len(path)] = byte(p)
 			d.probeNode(sub, guid, p, onQuiesce)
 		}
-	})
+	}), 0)
 }
 
 // configure assigns LIDs and programs routes, then reports.

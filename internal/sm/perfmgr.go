@@ -116,15 +116,40 @@ type HealthEvent struct {
 	Flaps       int // quarantine entries so far, this one included
 }
 
-// linkHealth is one watched link's scoring state.
+// linkHealth is one watched link: its two ends, its scoring state and
+// the port reads in flight against it.
 type linkHealth struct {
-	prevA, prevB fabric.PortCounters // last reads of the two halves
-	haveA, haveB bool
-	score        float64
-	quarantined  bool
-	flaps        int
-	holdUntil    sim.Time
+	id             topology.LinkID        // canonical (lower-switch) half
+	peer, peerPort int                    // the other half
+	prev           [2]fabric.PortCounters // last reads of the two halves
+	have           [2]bool
+	score          float64
+	quarantined    bool
+	flaps          int
+	holdUntil      sim.Time
+	// samples holds the read pair in flight for the periodic sweep and for
+	// a trap-triggered check, indexed by sampleSweep/sampleTrap: a sweep
+	// can start while a check of the same link is still out, so each
+	// counts its own errors and outstanding halves (remaining > 0: in
+	// flight).
+	samples [2]struct {
+		errs      uint64
+		remaining int
+	}
+	// trapSwitch and trapPort name the port whose trap the check in
+	// flight re-arms when done.
+	trapSwitch, trapPort int
 }
+
+// The two sampling contexts of linkHealth.samples, and of a read's tag.
+const (
+	sampleSweep = 0
+	sampleTrap  = 1
+)
+
+// readTag packs what a port read's completion needs into the request
+// tag: the link index, which half was read, and the sampling context.
+func readTag(link, half, ctx int) uint64 { return uint64(link)<<2 | uint64(half)<<1 | uint64(ctx) }
 
 // PerfMgr drives the sweep/score/quarantine loop.
 type PerfMgr struct {
@@ -134,22 +159,29 @@ type PerfMgr struct {
 	sm   *SubnetManager // HealthBlob owner; may be nil in tests
 	cfg  PerfConfig
 
-	paths map[int][]byte // directed-route path per switch
-	links []topology.LinkID
-	state map[topology.LinkID]*linkHealth
+	// paths is the directed-route path to each switch, by switch index
+	// (nil: unreachable). links is every watched link in canonical order —
+	// ascending switch, East before South — and firstLink[i] the index of
+	// switch i's first, so a link is found from its switch without a map.
+	paths     [][]byte
+	links     []linkHealth
+	firstLink []int
 	// quarantined holds the canonical halves of fenced links.
 	quarantined map[topology.LinkID]bool
-	swIdx       map[*fabric.Switch]int
 
 	sweeping bool
-	checking map[topology.LinkID]bool
-	stopped  bool
-	stop     func()
+	// outstanding counts the links the sweep in flight has yet to score.
+	outstanding int
+	stopped     bool
+	stop        func()
 
 	// Counters: sweeps, sweeps_skipped, health_sweep_mads,
 	// health_unanswered, quarantines, readmits, quarantine_refused,
 	// reroute_mads, health_trap_mads, trap_rearm_mads.
 	Counters *metrics.Counters
+	// sweepMADs is the handle of health_sweep_mads, the one counter every
+	// port read touches.
+	sweepMADs *metrics.Counter
 	// OnEvent, when non-nil, receives every quarantine transition.
 	OnEvent func(HealthEvent)
 	Events  []HealthEvent
@@ -170,12 +202,11 @@ func NewPerfMgr(s *sim.Simulator, mesh *topology.Mesh, disc *Discoverer, smgr *S
 		disc:        disc,
 		sm:          smgr,
 		cfg:         cfg,
-		state:       make(map[topology.LinkID]*linkHealth),
 		quarantined: make(map[topology.LinkID]bool),
-		swIdx:       make(map[*fabric.Switch]int, len(mesh.Switches)),
-		checking:    make(map[topology.LinkID]bool),
+		firstLink:   make([]int, len(mesh.Switches)+1),
 		Counters:    metrics.NewCounters(),
 	}
+	pm.sweepMADs = pm.Counters.Counter("health_sweep_mads")
 	var smNode int
 	if smgr != nil {
 		smNode = smgr.Node()
@@ -186,16 +217,32 @@ func NewPerfMgr(s *sim.Simulator, mesh *topology.Mesh, disc *Discoverer, smgr *S
 	// exactly once on a mesh. HCA uplinks are not watched — they have
 	// no alternate route, so quarantining one only disconnects the node.
 	for i := range mesh.Switches {
-		pm.swIdx[mesh.Switches[i]] = i
+		pm.firstLink[i] = len(pm.links)
 		for _, p := range []int{topology.PortEast, topology.PortSouth} {
-			if isHCA, _, _, ok := mesh.LinkPeer(i, p); ok && !isHCA {
-				l := topology.LinkID{Switch: i, Port: p}
-				pm.links = append(pm.links, l)
-				pm.state[l] = &linkHealth{}
+			if isHCA, peer, peerPort, ok := mesh.LinkPeer(i, p); ok && !isHCA {
+				pm.links = append(pm.links, linkHealth{
+					id:   topology.LinkID{Switch: i, Port: p},
+					peer: peer, peerPort: peerPort,
+				})
 			}
 		}
 	}
+	pm.firstLink[len(mesh.Switches)] = len(pm.links)
 	return pm
+}
+
+// linkIndex returns the index of the watched link whose canonical half
+// is l, or -1 (l may come off the wire: Adopt).
+func (pm *PerfMgr) linkIndex(l topology.LinkID) int {
+	if l.Switch < 0 || l.Switch >= len(pm.mesh.Switches) {
+		return -1
+	}
+	for i := pm.firstLink[l.Switch]; i < pm.firstLink[l.Switch+1]; i++ {
+		if pm.links[i].id.Port == l.Port {
+			return i
+		}
+	}
+	return -1
 }
 
 // Start arms the periodic sweep and, when configured, the switch-local
@@ -206,8 +253,9 @@ func (pm *PerfMgr) Start() {
 	}
 	pm.stopped = false
 	if pm.cfg.TrapThreshold > 0 {
-		for _, sw := range pm.mesh.Switches {
-			sw.SetHealthTrap(pm.cfg.TrapThreshold, pm.onTrap)
+		for i, sw := range pm.mesh.Switches {
+			i := i
+			sw.SetHealthTrap(pm.cfg.TrapThreshold, func(_ *fabric.Switch, port int) { pm.onTrap(i, port) })
 		}
 	}
 	pm.stop = pm.sim.Every(pm.cfg.SweepPeriod, pm.tick)
@@ -269,92 +317,101 @@ func (pm *PerfMgr) tick() {
 	}
 	pm.sweeping = true
 	pm.Counters.Inc("sweeps", 1)
-	outstanding := len(pm.links)
-	if outstanding == 0 {
+	pm.outstanding = len(pm.links)
+	if pm.outstanding == 0 {
 		pm.sweeping = false
 		return
 	}
-	for _, l := range pm.links {
-		l := l
-		pm.sampleLink(l, func() {
-			outstanding--
-			if outstanding > 0 {
-				return
-			}
-			// All scores updated: decide in canonical link order, then
-			// reprogram once if anything changed.
-			changed := false
-			for _, l := range pm.links {
-				if pm.decide(l) {
-					changed = true
-				}
-			}
-			if changed {
-				pm.reprogram()
-			}
-			pm.sweeping = false
-		})
+	for i := range pm.links {
+		pm.sampleLink(i, sampleSweep)
 	}
 }
 
-// readPort issues one PortCounters Get for a switch port.
-func (pm *PerfMgr) readPort(swIdx, port int, cb func(ok bool, pc fabric.PortCounters)) {
-	path, havePath := pm.paths[swIdx]
-	if !havePath {
-		cb(false, fabric.PortCounters{})
-		return
-	}
-	pm.Counters.Inc("health_sweep_mads", 1)
-	pm.disc.Query(smpMethodGet, smpAttrPortCounters, path, []byte{byte(port)}, func(status byte, data []byte) {
-		if pm.stopped || status != smpStatusOK || len(data) < portCountersSize {
-			if status != smpStatusOK {
-				pm.Counters.Inc("health_unanswered", 1)
-			}
-			cb(false, fabric.PortCounters{})
-			return
-		}
-		cb(true, ParsePortCounters(data))
-	})
+// sampleLink reads both halves of link i on behalf of the sweep or of a
+// trap-triggered check; when both reads have completed the clamped
+// counter deltas are folded into the link's EWMA score and the context's
+// continuation runs (sampled). A half whose probe timed out contributes
+// nothing this round and keeps its baseline.
+func (pm *PerfMgr) sampleLink(i, ctx int) {
+	st := &pm.links[i]
+	st.samples[ctx].errs, st.samples[ctx].remaining = 0, 2
+	pm.readPort(st.id.Switch, st.id.Port, readTag(i, 0, ctx))
+	pm.readPort(st.peer, st.peerPort, readTag(i, 1, ctx))
 }
 
-// sampleLink reads both halves of one link, folds the clamped counter
-// deltas into the link's EWMA score, and calls done. A half whose probe
-// timed out contributes nothing this round and keeps its baseline.
-func (pm *PerfMgr) sampleLink(l topology.LinkID, done func()) {
-	st := pm.state[l]
-	_, peer, peerPort, ok := pm.mesh.LinkPeer(l.Switch, l.Port)
-	if !ok || st == nil {
-		done()
+// readPort issues one PortCounters Get for a switch port; the response
+// comes back through smpDone under tag.
+func (pm *PerfMgr) readPort(swIdx, port int, tag uint64) {
+	path := pm.paths[swIdx]
+	if path == nil {
+		pm.portRead(tag, false, fabric.PortCounters{})
 		return
 	}
-	var errs uint64
-	remaining := 2
-	finish := func() {
-		remaining--
-		if remaining > 0 {
+	pm.sweepMADs.Add(1)
+	req := [1]byte{byte(port)}
+	pm.disc.request(smpMethodGet, smpAttrPortCounters, path, req[:], pm.disc.MaxRetries, pm, tag)
+}
+
+// smpDone implements smpCompleter for the port reads.
+func (pm *PerfMgr) smpDone(tag uint64, status byte, data, _ []byte) {
+	if pm.stopped || status != smpStatusOK || len(data) < portCountersSize {
+		if status != smpStatusOK {
+			pm.Counters.Inc("health_unanswered", 1)
+		}
+		pm.portRead(tag, false, fabric.PortCounters{})
+		return
+	}
+	pm.portRead(tag, true, ParsePortCounters(data))
+}
+
+// portRead accounts one completed half of a link sample.
+func (pm *PerfMgr) portRead(tag uint64, ok bool, cur fabric.PortCounters) {
+	i, half, ctx := int(tag>>2), tag>>1&1, int(tag&1)
+	st := &pm.links[i]
+	sample := &st.samples[ctx]
+	if ok {
+		if st.have[half] {
+			sample.errs += portErrDelta(st.prev[half], cur)
+		}
+		st.prev[half], st.have[half] = cur, true
+	}
+	sample.remaining--
+	if sample.remaining > 0 {
+		return
+	}
+	st.score = pm.cfg.Alpha*float64(sample.errs) + (1-pm.cfg.Alpha)*st.score
+	pm.sampled(i, ctx)
+}
+
+// sampled continues after link i's score was updated. The sweep waits
+// for its last link, then decides in canonical link order and reprograms
+// once if anything changed; a trap check decides its one link and
+// re-arms the trap that started it.
+func (pm *PerfMgr) sampled(i, ctx int) {
+	if ctx == sampleTrap {
+		if pm.stopped {
 			return
 		}
-		st.score = pm.cfg.Alpha*float64(errs) + (1-pm.cfg.Alpha)*st.score
-		done()
+		if pm.decide(i) {
+			pm.reprogram()
+		}
+		pm.rearm(pm.links[i].trapSwitch, pm.links[i].trapPort)
+		return
 	}
-	pm.readPort(l.Switch, l.Port, func(ok bool, cur fabric.PortCounters) {
-		if ok {
-			if st.haveA {
-				errs += portErrDelta(st.prevA, cur)
-			}
-			st.prevA, st.haveA = cur, true
+	pm.outstanding--
+	if pm.outstanding > 0 {
+		return
+	}
+	changed := false
+	for i := range pm.links {
+		if pm.decide(i) {
+			changed = true
 		}
-		finish()
-	})
-	pm.readPort(peer, peerPort, func(ok bool, cur fabric.PortCounters) {
-		if ok {
-			if st.haveB {
-				errs += portErrDelta(st.prevB, cur)
-			}
-			st.prevB, st.haveB = cur, true
-		}
-		finish()
-	})
+	}
+	if changed {
+		pm.reprogram()
+	}
+	pm.sweeping = false
 }
 
 // holdFor computes the hold-down a link entering its flaps-th
@@ -377,8 +434,9 @@ func (pm *PerfMgr) holdFor(flaps int) sim.Time {
 
 // decide applies the quarantine/re-admission policy to one link and
 // reports whether the fenced set changed (the caller reprograms).
-func (pm *PerfMgr) decide(l topology.LinkID) bool {
-	st := pm.state[l]
+func (pm *PerfMgr) decide(i int) bool {
+	st := &pm.links[i]
+	l := st.id
 	now := pm.sim.Now()
 	if !st.quarantined {
 		if st.score < pm.cfg.QuarantineScore {
@@ -458,18 +516,14 @@ func (pm *PerfMgr) emit(ev HealthEvent) {
 // switch has disarmed the port's trap; the PerfMgr samples the struck
 // link immediately instead of waiting out the sweep period, then
 // re-arms the trap with a PortCounters Set.
-func (pm *PerfMgr) onTrap(sw *fabric.Switch, port int) {
+func (pm *PerfMgr) onTrap(swIdx, port int) {
 	if pm.stopped {
-		return
-	}
-	idx, ok := pm.swIdx[sw]
-	if !ok {
 		return
 	}
 	// The trap notice is charged as one MAD; handling is deferred a tick
 	// so the fabric finishes delivering the packet that struck out.
 	pm.Counters.Inc("health_trap_mads", 1)
-	pm.sim.Schedule(0, func() { pm.handleTrap(idx, port) })
+	pm.sim.Schedule(0, func() { pm.handleTrap(swIdx, port) })
 }
 
 func (pm *PerfMgr) handleTrap(swIdx, port int) {
@@ -486,29 +540,21 @@ func (pm *PerfMgr) handleTrap(swIdx, port int) {
 	if peer < swIdx {
 		l = topology.LinkID{Switch: peer, Port: peerPort}
 	}
-	if pm.state[l] == nil || pm.sweeping || pm.checking[l] {
+	i := pm.linkIndex(l)
+	if i < 0 || pm.sweeping || pm.links[i].samples[sampleTrap].remaining > 0 {
 		// A sweep or targeted check already in flight will score this
 		// strike; just re-arm.
 		pm.rearm(swIdx, port)
 		return
 	}
-	pm.checking[l] = true
-	pm.sampleLink(l, func() {
-		delete(pm.checking, l)
-		if pm.stopped {
-			return
-		}
-		if pm.decide(l) {
-			pm.reprogram()
-		}
-		pm.rearm(swIdx, port)
-	})
+	pm.links[i].trapSwitch, pm.links[i].trapPort = swIdx, port
+	pm.sampleLink(i, sampleTrap)
 }
 
 // rearm re-enables the port's threshold trap with a PortCounters Set.
 func (pm *PerfMgr) rearm(swIdx, port int) {
-	path, ok := pm.paths[swIdx]
-	if !ok {
+	path := pm.paths[swIdx]
+	if path == nil {
 		return
 	}
 	pm.Counters.Inc("trap_rearm_mads", 1)
@@ -518,20 +564,15 @@ func (pm *PerfMgr) rearm(swIdx, port int) {
 // healthSwitchPaths computes the directed-route path from the SM's node
 // to every switch of a healthy mesh — the same BFS discovery uses, so
 // PMA probes travel the routes a real sweep would find.
-func healthSwitchPaths(mesh *topology.Mesh, smNode int) map[int][]byte {
+func healthSwitchPaths(mesh *topology.Mesh, smNode int) [][]byte {
 	g := mesh.EdgeGUIDs()
 	next := topology.NextHops(g)
 	root := mesh.SwitchOf(smNode).GUID()
-	paths := make(map[int][]byte, len(mesh.Switches))
+	paths := make([][]byte, len(mesh.Switches))
 	for i, sw := range mesh.Switches {
 		tgt := sw.GUID()
-		if tgt == root {
-			paths[i] = []byte{}
-			continue
-		}
-		var path []byte
-		cur := root
-		for cur != tgt {
+		path := []byte{} // the root's own path is empty, not absent
+		for cur := root; cur != tgt; {
 			p, ok := next[cur][tgt]
 			if !ok {
 				path = nil
@@ -540,9 +581,7 @@ func healthSwitchPaths(mesh *topology.Mesh, smNode int) map[int][]byte {
 			path = append(path, byte(p))
 			cur = g[cur][p]
 		}
-		if path != nil {
-			paths[i] = path
-		}
+		paths[i] = path
 	}
 	return paths
 }
@@ -636,10 +675,9 @@ func ParseHealthBlob(b []byte) ([]HealthEntry, error) {
 // snapshot renders the current fenced set as blob entries.
 func (pm *PerfMgr) snapshot() []HealthEntry {
 	entries := make([]HealthEntry, 0, len(pm.quarantined))
-	for _, l := range pm.links {
-		st := pm.state[l]
-		if st != nil && st.quarantined {
-			entries = append(entries, HealthEntry{Link: l, Flaps: st.flaps, HoldUntil: st.holdUntil})
+	for i := range pm.links {
+		if st := &pm.links[i]; st.quarantined {
+			entries = append(entries, HealthEntry{Link: st.id, Flaps: st.flaps, HoldUntil: st.holdUntil})
 		}
 	}
 	return entries
@@ -663,10 +701,11 @@ func (pm *PerfMgr) updateBlob() {
 func (pm *PerfMgr) Adopt(entries []HealthEntry) {
 	changed := false
 	for _, e := range entries {
-		st := pm.state[e.Link]
-		if st == nil || st.quarantined {
+		i := pm.linkIndex(e.Link)
+		if i < 0 || pm.links[i].quarantined {
 			continue
 		}
+		st := &pm.links[i]
 		st.quarantined = true
 		st.flaps = e.Flaps
 		st.holdUntil = e.HoldUntil

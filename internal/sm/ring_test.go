@@ -1,0 +1,313 @@
+package sm
+
+import (
+	"bytes"
+	"testing"
+
+	"ibasec/internal/fabric"
+	"ibasec/internal/icrc"
+	"ibasec/internal/packet"
+	"ibasec/internal/sim"
+	"ibasec/internal/topology"
+)
+
+// tally is a typed completion that counts what it is handed, per tag.
+type tally struct {
+	calls  map[uint64]int
+	status map[uint64]byte
+}
+
+func newTally() *tally { return &tally{calls: map[uint64]int{}, status: map[uint64]byte{}} }
+
+func (c *tally) smpDone(tag uint64, status byte, _, _ []byte) {
+	c.calls[tag]++
+	c.status[tag] = status
+}
+
+// lastDone is the allocation-free typed completion: it keeps the last
+// status and counts calls.
+type lastDone struct {
+	n      int
+	status byte
+}
+
+func (c *lastDone) smpDone(_ uint64, status byte, _, _ []byte) { c.n, c.status = c.n+1, status }
+
+// line builds a blank 1-high mesh of n switches with every agent attached
+// and a Discoverer on node 0.
+func line(n int) (*sim.Simulator, *topology.Mesh, *Discoverer) {
+	s := sim.New()
+	mesh := topology.NewBlankMesh(s, fabric.DefaultParams(), n, 1)
+	AttachSwitchAgents(mesh, discMKey)
+	for _, hca := range mesh.HCAs {
+		AttachNodeAgent(hca, discMKey)
+	}
+	return s, mesh, NewDiscoverer(s, mesh.HCA(0), discMKey, 50*sim.Microsecond)
+}
+
+// TestSMPTransitAllocs holds one directed-route Get round trip to four
+// allocations — the request MAD and the response MAD, two each (header
+// block and image) — and a transit hop to none: the far switch of a
+// three-switch line, two transit switches away in each direction, costs
+// exactly what the SM's own switch costs.
+func TestSMPTransitAllocs(t *testing.T) {
+	s, _, disc := line(3)
+	var done lastDone
+	roundTrip := func(path []byte) float64 {
+		return testing.AllocsPerRun(50, func() {
+			disc.request(smpMethodGet, smpAttrNodeInfo, path, nil, 0, &done, 7)
+			s.Run()
+			if done.status != smpStatusOK {
+				t.Fatalf("Get along %v completed with status %#x", path, done.status)
+			}
+		})
+	}
+	near := roundTrip(nil)
+	far := roundTrip([]byte{topology.PortEast, topology.PortEast})
+	if far > 4 {
+		t.Errorf("a round trip over two transit switches allocated %.0f times, want at most 4", far)
+	}
+	if far != near {
+		t.Errorf("transit hops allocate: %.0f allocations to the far switch, %.0f to the near one", far, near)
+	}
+	if done.n != 2*51 {
+		t.Errorf("%d completions for %d requests", done.n, 2*51)
+	}
+}
+
+// TestPendingRingGrowth drives the outstanding-request table past its
+// first size and through both kinds of unmatched response.
+func TestPendingRingGrowth(t *testing.T) {
+	t.Run("configure", func(t *testing.T) {
+		// A 4x4 configure issues 16 SetLID and 256 SetRoute back to back.
+		s := sim.New()
+		mesh := topology.NewBlankMesh(s, fabric.DefaultParams(), 4, 4)
+		AttachSwitchAgents(mesh, discMKey)
+		for _, hca := range mesh.HCAs {
+			AttachNodeAgent(hca, discMKey)
+		}
+		disc := NewDiscoverer(s, mesh.HCA(0), discMKey, 50*sim.Microsecond)
+		finished := 0
+		disc.Discover(func(tp *DiscoveredTopology) {
+			finished++
+			// The probe phase's dead ports are its only timeouts and nothing
+			// was retransmitted, so every Set was answered exactly once.
+			if tp.Retries != 0 {
+				t.Errorf("%d retransmissions on a healthy fabric", tp.Retries)
+			}
+		})
+		s.Run()
+		if finished != 1 {
+			t.Fatalf("configure completed %d times", finished)
+		}
+		if len(disc.ring) <= ringInit {
+			t.Fatalf("table still %d slots after 272 outstanding Sets", len(disc.ring))
+		}
+		var routes, lids uint64
+		for _, sw := range mesh.Switches {
+			routes += sw.Counters.Get("smp_routes_set")
+		}
+		for _, hca := range mesh.HCAs {
+			lids += hca.Counters.Get("smp_lid_set")
+		}
+		if routes != 256 || lids != 16 {
+			t.Errorf("executed %d SetRoute and %d SetLID, want 256 and 16", routes, lids)
+		}
+		if disc.outstanding != 0 || s.Pending() != 0 {
+			t.Errorf("%d requests outstanding, %d events pending after the run", disc.outstanding, s.Pending())
+		}
+		c := mesh.HCA(0).Counters
+		if n := c.Get("smp_dup_responses") + c.Get("smp_late_responses"); n != 0 {
+			t.Errorf("%d unmatched responses", n)
+		}
+	})
+
+	t.Run("exactly once", func(t *testing.T) {
+		// 100 requests outstanding at once, a mix of live targets and a dead
+		// port, each under its own tag: growth moves pending slots, and
+		// every one must still complete once with the right outcome.
+		s, _, disc := line(3)
+		got := newTally()
+		paths := [][]byte{nil, {topology.PortEast}, {topology.PortEast, topology.PortEast}, {topology.PortNorth}}
+		for i := 0; i < 100; i++ {
+			disc.request(smpMethodGet, smpAttrNodeInfo, paths[i%len(paths)], nil, 0, got, uint64(i))
+		}
+		if disc.outstanding != 100 || len(disc.ring) < 128 {
+			t.Fatalf("%d outstanding in a %d-slot table", disc.outstanding, len(disc.ring))
+		}
+		s.Run()
+		for i := 0; i < 100; i++ {
+			want := byte(smpStatusOK)
+			if i%len(paths) == 3 {
+				want = 0xFF // unconnected port: terminal timeout
+			}
+			if got.calls[uint64(i)] != 1 || got.status[uint64(i)] != want {
+				t.Errorf("request %d: %d completions, status %#x, want one with %#x",
+					i, got.calls[uint64(i)], got.status[uint64(i)], want)
+			}
+		}
+		if probes, _, timeouts := disc.Stats(); probes != 100 || timeouts != 25 || disc.outstanding != 0 {
+			t.Errorf("probes %d timeouts %d outstanding %d", probes, timeouts, disc.outstanding)
+		}
+	})
+
+	// delayed runs one Get to the far switch of a line whose middle switch
+	// holds the first SMP it sees past the 50us deadline.
+	delayed := func(t *testing.T, retries int) (*fabric.HCA, *lastDone) {
+		s, mesh, disc := line(3)
+		first := true
+		mesh.Switches[1].SetMADTap(func(*fabric.Switch, *fabric.Delivery) (bool, sim.Time) {
+			if first {
+				first = false
+				return false, 120 * sim.Microsecond
+			}
+			return false, 0
+		})
+		var done lastDone
+		disc.request(smpMethodGet, smpAttrNodeInfo, []byte{topology.PortEast, topology.PortEast}, nil, retries, &done, 0)
+		s.Run()
+		if done.n != 1 {
+			t.Fatalf("%d completions", done.n)
+		}
+		return mesh.HCA(0), &done
+	}
+
+	t.Run("duplicate", func(t *testing.T) {
+		// The retransmission is answered first; the delayed original's
+		// answer then finds its TID among the answered.
+		hca, done := delayed(t, 1)
+		if done.status != smpStatusOK {
+			t.Fatalf("status %#x", done.status)
+		}
+		if dup, late := hca.Counters.Get("smp_dup_responses"), hca.Counters.Get("smp_late_responses"); dup != 1 || late != 0 {
+			t.Errorf("dup %d late %d, want 1 and 0", dup, late)
+		}
+	})
+
+	t.Run("late", func(t *testing.T) {
+		// No retry budget: the request times out terminally, and the answer
+		// that arrives afterwards was never answered before.
+		hca, done := delayed(t, 0)
+		if done.status != 0xFF {
+			t.Fatalf("status %#x", done.status)
+		}
+		if dup, late := hca.Counters.Get("smp_dup_responses"), hca.Counters.Get("smp_late_responses"); dup != 0 || late != 1 {
+			t.Errorf("dup %d late %d, want 0 and 1", dup, late)
+		}
+	})
+
+	t.Run("reset", func(t *testing.T) {
+		// 40 requests into an unconnected port: once the fabric has dropped
+		// the MADs only their deadlines are pending, and Reset cancels all.
+		s, _, disc := line(3)
+		prior := s.Pending()
+		var done lastDone
+		for i := 0; i < 40; i++ {
+			disc.request(smpMethodGet, smpAttrNodeInfo, []byte{topology.PortNorth}, nil, 2, &done, 0)
+		}
+		s.RunUntil(25 * sim.Microsecond)
+		if got := s.Pending(); got != prior+40 {
+			t.Fatalf("%d events pending with 40 requests armed, want %d", got, prior+40)
+		}
+		disc.Reset()
+		if got := s.Pending(); got != prior || disc.outstanding != 0 {
+			t.Fatalf("after Reset: %d events pending (want %d), %d outstanding", got, prior, disc.outstanding)
+		}
+		s.Run()
+		if done.n != 0 {
+			t.Fatalf("a cancelled request completed %d times", done.n)
+		}
+	})
+}
+
+// FuzzSMPTransit hands a switch's SMA an arbitrary VL15 payload on an
+// arbitrary port. Whatever it forwards must be, byte for byte, the wire
+// image of a packet freshly built from the same fields and sealed from
+// scratch — sealing over the image the edit was made in may not differ
+// from sealing a fresh one — and must pass both CRC checks; a frame with
+// malformed hop fields must still be consumed and counted. reparsed hands
+// over a packet that does not own its image (what the bit-error model
+// leaves behind), which Seal gives a new one.
+func FuzzSMPTransit(f *testing.F) {
+	out := newSMP(smpMethodGet, smpAttrNodeInfo, 3, discMKey, []byte{topology.PortEast, topology.PortEast})
+	f.Add(out[:], uint8(topology.PortWest), false)
+	f.Add(out[:], uint8(topology.PortWest), true) // no owned image
+	ret := newSMP(smpMethodGet, smpAttrNodeInfo, 4, discMKey, []byte{topology.PortEast, topology.PortEast})
+	ret[smpOffDir], ret[smpOffHopPtr], ret[smpOffRet] = 1, 1, topology.PortWest
+	copy(ret[smpOffData:], "attribute data..")
+	f.Add(ret[:], uint8(topology.PortEast), false)
+	target := newSMP(smpMethodSet, smpAttrSetRoute, 5, discMKey, nil)
+	f.Add(target[:], uint8(topology.PortHCA), false)
+	bad := newSMP(smpMethodGet, smpAttrNodeInfo, 6, discMKey, []byte{1})
+	bad[smpOffHopCnt] = 200
+	f.Add(bad[:], uint8(1), false)
+	f.Add(bad[:smpHeaderSize+2], uint8(1), true)
+
+	f.Fuzz(func(t *testing.T, pl []byte, inPort uint8, reparsed bool) {
+		if len(pl) > packet.MTU {
+			return
+		}
+		s := sim.New()
+		mesh := topology.NewBlankMesh(s, fabric.DefaultParams(), 3, 1)
+		sw := mesh.Switches[1]
+		agent := AttachSwitchAgents(mesh, discMKey)[1]
+
+		d := fabric.NewMAD(1, packet.LIDPermissive, pl)
+		if reparsed {
+			var q packet.Packet
+			if err := q.Unmarshal(d.Pkt.Marshal()); err != nil {
+				t.Fatal(err)
+			}
+			d.Pkt = &q
+		}
+		if owns := len(pl) > 0 && &d.Pkt.Wire()[d.Pkt.HeaderSize()] == &d.Pkt.Payload[0]; owns == reparsed && len(pl) > 0 {
+			t.Fatalf("payload is a window into the packet's image: %v, reparsed: %v", owns, reparsed)
+		}
+		want := append([]byte(nil), pl...)
+		fr, err := parseSMP(pl)
+		consumed := agent.HandleMAD(sw, int(inPort), d)
+		switch {
+		case !isDRSMP(d):
+			if consumed {
+				t.Fatal("consumed a MAD that is not a directed-route SMP")
+			}
+			return
+		case err != nil:
+			if !consumed || sw.Counters.Get("smp_malformed") != 1 {
+				t.Fatalf("malformed SMP: consumed %v, smp_malformed %d", consumed, sw.Counters.Get("smp_malformed"))
+			}
+			return
+		case !consumed:
+			t.Fatal("a well-formed SMP fell through to LID routing")
+		case fr.Dir == 0 && fr.HopPtr < fr.HopCnt:
+			want[smpOffRet+fr.HopPtr] = inPort
+			want[smpOffHopPtr]++
+		case fr.Dir != 0 && fr.HopPtr > 0:
+			want[smpOffHopPtr]--
+		default:
+			return // executed here or misrouted: nothing was forwarded
+		}
+
+		if !bytes.Equal(d.Pkt.Payload, want) {
+			t.Fatalf("forwarded payload\n got  %x\n want %x", d.Pkt.Payload, want)
+		}
+		deth := *d.Pkt.DETH
+		fresh := &packet.Packet{LRH: d.Pkt.LRH, BTH: d.Pkt.BTH, DETH: &deth, Payload: want}
+		if err := icrc.Seal(fresh); err != nil {
+			t.Fatal(err)
+		}
+		wire := d.Pkt.Wire()
+		if !bytes.Equal(wire, fresh.Marshal()) {
+			t.Fatalf("resealed image differs from a fresh seal\n got  %x\n want %x", wire, fresh.Marshal())
+		}
+		if d.Pkt.ICRC != fresh.ICRC || d.Pkt.VCRC != fresh.VCRC {
+			t.Fatalf("CRC fields %08x/%04x, fresh %08x/%04x", d.Pkt.ICRC, d.Pkt.VCRC, fresh.ICRC, fresh.VCRC)
+		}
+		if ok, err := icrc.VerifyICRC(wire); err != nil || !ok {
+			t.Fatalf("VerifyICRC: %v %v", ok, err)
+		}
+		if ok, err := icrc.VerifyVCRC(wire); err != nil || !ok {
+			t.Fatalf("VerifyVCRC: %v %v", ok, err)
+		}
+	})
+}

@@ -20,15 +20,17 @@ import (
 // trigger with one crafted MAD. Every other parser must not panic, and
 // what it accepts must re-encode to the bytes it read.
 func FuzzMADParse(f *testing.F) {
-	f.Add(newSMP(smpMethodGet, smpAttrNodeInfo, 7, keys.MKey(0x5EC0DE), []byte{1, 2, 3}))
+	req := newSMP(smpMethodGet, smpAttrNodeInfo, 7, keys.MKey(0x5EC0DE), []byte{1, 2, 3})
+	f.Add(req[:])
 	resp := newSMP(smpMethodSet, smpAttrSetRoute, 9, keys.MKey(0xBAD), []byte{0, 1})
 	resp[smpOffDir] = 1
 	resp[smpOffHopPtr] = 2
-	f.Add(resp)
+	f.Add(resp[:])
 	oversized := newSMP(smpMethodGet, smpAttrNodeInfo, 1, 0, nil)
 	oversized[smpOffHopCnt] = 200 // would index far past the path arrays
-	f.Add(oversized)
-	f.Add(newSMP(smpMethodGet, smpAttrNodeInfo, 1, 0, nil)[:smpHeaderSize]) // truncated data area
+	f.Add(oversized[:])
+	short := newSMP(smpMethodGet, smpAttrNodeInfo, 1, 0, nil)
+	f.Add(short[:smpHeaderSize]) // truncated data area
 	f.Add(encodeTrap(trapMAD{Offender: 5, PKey: 0x8003}))
 	f.Add([]byte{madTypeDRSMP})
 	f.Add(encodeHeartbeat(heartbeatMAD{Master: 3, Seq: 41, Digest: 0xDEADBEEF}))
@@ -134,7 +136,7 @@ func TestMalformedSMPDropped(t *testing.T) {
 
 	inject := func(mutate func([]byte) []byte) {
 		pl := newSMP(smpMethodGet, smpAttrNodeInfo, 1, discMKey, []byte{1})
-		mesh.HCA(0).Send(fabric.NewMAD(0, packet.LIDPermissive, mutate(pl)))
+		mesh.HCA(0).Send(fabric.NewMAD(0, packet.LIDPermissive, mutate(pl[:])))
 	}
 	inject(func(pl []byte) []byte { pl[smpOffHopCnt] = 200; return pl })
 	inject(func(pl []byte) []byte { pl[smpOffHopPtr] = 17; pl[smpOffHopCnt] = 16; return pl })
@@ -144,6 +146,31 @@ func TestMalformedSMPDropped(t *testing.T) {
 	sw := mesh.SwitchOf(0)
 	if got := sw.Counters.Get("smp_malformed"); got != 3 {
 		t.Fatalf("smp_malformed = %d, want 3", got)
+	}
+}
+
+// parseSMP accepts a payload longer than an SMP; both agents answer it
+// with a response of exactly smpTotalSize — a responder never echoes a
+// requester-chosen length.
+func TestOversizedSMPAnsweredAtFixedSize(t *testing.T) {
+	s := sim.New()
+	mesh := topology.NewBlankMesh(s, fabric.DefaultParams(), 2, 2)
+	AttachSwitchAgents(mesh, discMKey)
+	AttachNodeAgent(mesh.HCA(1), discMKey)
+	var got []int
+	mesh.HCA(0).OnDeliver = func(d *fabric.Delivery) {
+		if fr, err := parseSMP(d.Pkt.Payload); err != nil || fr.Dir == 0 || fr.Status != smpStatusOK {
+			t.Errorf("response %x: %+v, %v", d.Pkt.Payload, fr, err)
+		}
+		got = append(got, len(d.Pkt.Payload))
+	}
+	for _, path := range [][]byte{nil, {topology.PortEast, topology.PortHCA}} { // own switch; HCA 1
+		pl := newSMP(smpMethodGet, smpAttrNodeInfo, 1, discMKey, path)
+		mesh.HCA(0).Send(fabric.NewMAD(0, packet.LIDPermissive, append(pl[:], make([]byte, 100)...)))
+	}
+	s.Run()
+	if len(got) != 2 || got[0] != smpTotalSize || got[1] != smpTotalSize {
+		t.Fatalf("response sizes %v, want two of %d", got, smpTotalSize)
 	}
 }
 

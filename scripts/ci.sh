@@ -3,7 +3,8 @@
 # (the allocation budgets are ordinary tests among them and hold under
 # it); an end-to-end -quick smoke of the parallel experiment runner,
 # including a manifest resume; a fuzz smoke of the wire parsers; and a
-# -quick run of the benchmark for its correctness checks. Nothing here
+# -quick run of the benchmark for its correctness checks, then one
+# full-length repetition against the recorded digests. Nothing here
 # gates on host time: bench/ measures it, -compare judges it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,15 +43,21 @@ for f in "$tmp"/csv/*.csv; do
   diff "$f" "$tmp/csv2/$base"
 done
 
-echo "== fuzz smoke (wire parsers, the seal and the event queue, 5s each)"
+echo "== fuzz smoke (wire parsers, the seal, the SMP transit reseal and the event queue, 5s each)"
 go test -run '^$' -fuzz '^FuzzPacketUnmarshal$' -fuzztime 5s ./internal/packet
 go test -run '^$' -fuzz '^FuzzCRC16$' -fuzztime 5s ./internal/icrc
 go test -run '^$' -fuzz '^FuzzSeal$' -fuzztime 5s ./internal/icrc
 go test -run '^$' -fuzz '^FuzzMADParse$' -fuzztime 5s ./internal/sm
+go test -run '^$' -fuzz '^FuzzSMPTransit$' -fuzztime 5s ./internal/sm
 go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 5s ./internal/policy
 go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 5s ./internal/sim
 
 echo "== bench -quick (every workload's mechanism engaged; rep-to-rep and traced-vs-untraced digests)"
 go run -C bench . -quick -out "$tmp/bench" >"$tmp/bench.out"
+
+echo "== bench digest pin (one full-length repetition per workload at seed 1 against bench/testdata/digests.json)"
+# -quick shortens the runs and so cannot compare against the recorded
+# digests; this does, so a behaviour change on any workload fails here.
+go run -C bench . -trace 0 -reps 1 -out "$tmp/bench-pin" >"$tmp/bench-pin.out"
 
 echo "CI OK"
