@@ -30,7 +30,12 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"ibasec"
+	"ibasec/internal/attack"
+	"ibasec/internal/core"
+	"ibasec/internal/fabric"
+	"ibasec/internal/runner"
+	"ibasec/internal/sim"
+	"ibasec/internal/transport"
 )
 
 // experiment is one subcommand. The experiments table is the single
@@ -78,8 +83,8 @@ func init() {
 // global flags describe, and where output goes.
 type env struct {
 	ctx            context.Context
-	pool           *ibasec.Pool
-	base           ibasec.Config
+	pool           *runner.Pool
+	base           core.Config
 	cpuGHz         float64
 	csvDir         string
 	stdout, stderr io.Writer
@@ -183,28 +188,28 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var store *ibasec.Manifest
+	var store *runner.Store
 	if *resultsDir != "" && x.sweep {
 		label := fmt.Sprintf("seed=%d duration_ms=%d quick=%v", *seed, *durationMS, *quick)
 		var err error
-		store, err = ibasec.OpenManifest(filepath.Join(*resultsDir, "manifest.jsonl"), label, *resume)
+		store, err = runner.Open(filepath.Join(*resultsDir, "manifest.jsonl"), label, *resume)
 		if err != nil {
 			return fail(err)
 		}
 		defer store.Close()
 	}
 
-	base := ibasec.DefaultConfig()
+	base := core.DefaultConfig()
 	base.Seed = *seed
-	base.Duration = ibasec.Time(*durationMS) * ibasec.Millisecond
+	base.Duration = sim.Time(*durationMS) * sim.Millisecond
 	base.Warmup = base.Duration / 10
 	if *quick {
-		base.Duration = 2 * ibasec.Millisecond
-		base.Warmup = 200 * ibasec.Microsecond
+		base.Duration = 2 * sim.Millisecond
+		base.Warmup = 200 * sim.Microsecond
 	}
 	e := &env{
 		ctx: ctx,
-		pool: ibasec.NewPool(ibasec.PoolOptions{
+		pool: runner.New(runner.Options{
 			Workers:  *jobs,
 			Retries:  1,
 			Progress: stderr,
@@ -296,7 +301,7 @@ func ints(fs *flag.FlagSet, name, def, usage string) *[]int {
 // emit is every experiment's one output path: the title, the table's
 // CSV columns aligned for reading on stdout, and — when -csv is set —
 // the same cells as <dir>/<Name>.csv.
-func (e *env) emit(title string, t ibasec.CSVTable) error {
+func (e *env) emit(title string, t core.CSVTable) error {
 	fmt.Fprintln(e.stdout, title)
 	tw := tabwriter.NewWriter(e.stdout, 0, 0, 2, ' ', 0)
 	for _, row := range append([][]string{t.Header}, t.Rows...) {
@@ -337,10 +342,10 @@ func runFig1(e *env, args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	classes, ok := map[string][]ibasec.Class{
-		"rt":   {ibasec.ClassRealtime},
-		"be":   {ibasec.ClassBestEffort},
-		"both": {ibasec.ClassRealtime, ibasec.ClassBestEffort},
+	classes, ok := map[string][]fabric.Class{
+		"rt":   {fabric.ClassRealtime},
+		"be":   {fabric.ClassBestEffort},
+		"both": {fabric.ClassRealtime, fabric.ClassBestEffort},
 	}[*classFlag]
 	if !ok {
 		return badValue(fs, "class", *classFlag, "rt, be or both")
@@ -353,7 +358,7 @@ func runFig1(e *env, args []string) error {
 	case "strict":
 	case "weighted":
 		p := *base.Params
-		p.Arbitration = ibasec.ArbWeighted
+		p.Arbitration = fabric.ArbWeighted
 		p.HighPriLimit = 2
 		base.Params = &p
 	default:
@@ -362,15 +367,15 @@ func runFig1(e *env, args []string) error {
 
 	for _, class := range classes {
 		letter, name := "b", "best-effort"
-		if class == ibasec.ClassRealtime {
+		if class == fabric.ClassRealtime {
 			letter, name = "a", "realtime"
 		}
-		rows, err := ibasec.Fig1(e.ctx, e.pool, class, *attackers, base)
+		rows, err := core.Fig1(e.ctx, e.pool, class, *attackers, base)
 		if err != nil {
 			return err
 		}
 		title := fmt.Sprintf("Figure 1(%s). Average queuing time & network latency under DoS (%s traffic)", letter, name)
-		if err := e.emit(title, ibasec.Fig1CSV("fig1_"+name, rows)); err != nil {
+		if err := e.emit(title, core.Fig1CSV("fig1_"+name, rows)); err != nil {
 			return err
 		}
 		fmt.Fprintln(e.stdout)
@@ -386,12 +391,12 @@ func runFig5(e *env, args []string) error {
 	}
 	base := e.base
 	base.AttackCycle = base.Duration / 4
-	rows, err := ibasec.Fig5(e.ctx, e.pool, []float64{0.4, 0.5, 0.6, 0.7}, *duty, base)
+	rows, err := core.Fig5(e.ctx, e.pool, []float64{0.4, 0.5, 0.6, 0.7}, *duty, base)
 	if err != nil {
 		return err
 	}
 	title := fmt.Sprintf("Figure 5. Delay comparison among No Filtering, DPT, IF, SIF (4 attackers, %.0f%% duty)", *duty*100)
-	return e.emit(title, ibasec.Fig5CSV(rows))
+	return e.emit(title, core.Fig5CSV(rows))
 }
 
 func runFig6(e *env, args []string) error {
@@ -400,16 +405,16 @@ func runFig6(e *env, args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	level, ok := map[string]ibasec.KeyLevel{"qp": ibasec.QPLevel, "partition": ibasec.PartitionLevel}[*levelFlag]
+	level, ok := map[string]transport.KeyLevel{"qp": transport.QPLevel, "partition": transport.PartitionLevel}[*levelFlag]
 	if !ok {
 		return badValue(fs, "level", *levelFlag, "qp or partition")
 	}
-	rows, err := ibasec.Fig6(e.ctx, e.pool, []float64{0.4, 0.5, 0.6, 0.7}, level, e.base)
+	rows, err := core.Fig6(e.ctx, e.pool, []float64{0.4, 0.5, 0.6, 0.7}, level, e.base)
 	if err != nil {
 		return err
 	}
 	title := fmt.Sprintf("Figure 6. Message authentication overhead with key initialization (%v keys)", level)
-	return e.emit(title, ibasec.Fig6CSV(rows))
+	return e.emit(title, core.Fig6CSV(rows))
 }
 
 func runTable2(e *env, args []string) error {
@@ -421,7 +426,7 @@ func runTable2(e *env, args []string) error {
 		return err
 	}
 	title := fmt.Sprintf("Table 2. Partition enforcement overhead (n=16, s=16, p=%d, Pr=%.2f, Avg=%.1f)", *p, *pr, *avg)
-	return e.emit(title, ibasec.Table2CSV(ibasec.Table2(*p, *pr, *avg)))
+	return e.emit(title, core.Table2CSV(core.Table2Rows(*p, *pr, *avg)))
 }
 
 func runTable4(e *env, args []string) error {
@@ -432,12 +437,12 @@ func runTable4(e *env, args []string) error {
 		return err
 	}
 	title := fmt.Sprintf("Table 4. Time & forgery complexity (%d-byte messages, cycles at %.1f GHz)", *bytes, e.cpuGHz)
-	return e.emit(title, ibasec.Table4CSV(ibasec.Table4(*bytes, *budget, e.cpuGHz)))
+	return e.emit(title, core.Table4CSV(core.Table4(*bytes, *budget, e.cpuGHz)))
 }
 
 func runAttacks(e *env, _ []string) error {
 	fmt.Fprintln(e.stdout, "Table 3. IBA key vulnerability: attacks vs plain IBA and vs ICRC-as-MAC")
-	for _, o := range ibasec.AttackMatrix(e.base.Seed) {
+	for _, o := range attack.Matrix(e.base.Seed) {
 		fmt.Fprintln(e.stdout, " ", o)
 	}
 	return nil
@@ -451,12 +456,12 @@ func runSweep(e *env, args []string) error {
 	}
 	base := e.base
 	base.AttackCycle = base.Duration / 4
-	rows, err := ibasec.SweepDuty(e.ctx, e.pool, []float64{0.005, 0.01, 0.05, 0.1, 0.25}, *load, base)
+	rows, err := core.SweepDuty(e.ctx, e.pool, []float64{0.005, 0.01, 0.05, 0.1, 0.25}, *load, base)
 	if err != nil {
 		return err
 	}
 	title := fmt.Sprintf("Ablation. SIF exposure vs attack duty cycle (load %.0f%%)", *load*100)
-	return e.emit(title, ibasec.SweepDutyCSV(rows))
+	return e.emit(title, core.SweepDutyCSV(rows))
 }
 
 func runAuthRate(e *env, args []string) error {
@@ -465,24 +470,24 @@ func runAuthRate(e *env, args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	rows, err := ibasec.AuthRateSweep(e.ctx, e.pool, ibasec.PaperTable4Rates(), *load, e.base)
+	rows, err := core.AuthRateSweep(e.ctx, e.pool, core.PaperTable4Rates(), *load, e.base)
 	if err != nil {
 		return err
 	}
 	title := fmt.Sprintf("Section 5.2/7. Can the MAC keep up with the %.1f Gb/s link? (load %.0f%%, Table 4 rates)",
 		e.base.Params.LinkBandwidth/1e9, *load*100)
-	return e.emit(title, ibasec.AuthRateCSV(rows))
+	return e.emit(title, core.AuthRateCSV(rows))
 }
 
 func runSMDoS(e *env, args []string) error {
 	if err := parse(e.flags("smdos"), args); err != nil {
 		return err
 	}
-	rows, err := ibasec.SMFloodSweep(e.ctx, e.pool, []float64{0, 50e3, 200e3, 400e3, 450e3}, e.base)
+	rows, err := core.SMFloodSweep(e.ctx, e.pool, []float64{0, 50e3, 200e3, 400e3, 450e3}, e.base)
 	if err != nil {
 		return err
 	}
-	return e.emit("Section 7. Management DoS: SIF registration latency vs MAD flood rate", ibasec.SMFloodCSV(rows))
+	return e.emit("Section 7. Management DoS: SIF registration latency vs MAD flood rate", core.SMFloodCSV(rows))
 }
 
 func runScale(e *env, args []string) error {
@@ -494,12 +499,12 @@ func runScale(e *env, args []string) error {
 	base := e.base
 	base.BestEffortLoad = *load
 	base.RealtimeLoad = 0
-	rows, err := ibasec.ScaleSweep(e.ctx, e.pool, [][2]int{{2, 2}, {4, 4}, {6, 6}, {8, 8}}, base)
+	rows, err := core.ScaleSweep(e.ctx, e.pool, [][2]int{{2, 2}, {4, 4}, {6, 6}, {8, 8}}, base)
 	if err != nil {
 		return err
 	}
 	title := fmt.Sprintf("Ablation. DoS damage vs fabric size (load %.0f%%, nodes/4 attackers)", *load*100)
-	return e.emit(title, ibasec.ScaleCSV(rows))
+	return e.emit(title, core.ScaleCSV(rows))
 }
 
 func runFaults(e *env, args []string) error {
@@ -509,11 +514,11 @@ func runFaults(e *env, args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	rows, err := ibasec.FaultsSweep(e.ctx, e.pool, *bers, *kills, e.base)
+	rows, err := core.FaultsSweep(e.ctx, e.pool, *bers, *kills, e.base)
 	if err != nil {
 		return err
 	}
-	return e.emit("Chaos. Deterministic link kills + BER bursts vs the self-healing SM", ibasec.FaultsCSV(rows))
+	return e.emit("Chaos. Deterministic link kills + BER bursts vs the self-healing SM", core.FaultsCSV(rows))
 }
 
 func runFailover(e *env, args []string) error {
@@ -524,11 +529,11 @@ func runFailover(e *env, args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	rows, err := ibasec.FailoverSweep(e.ctx, e.pool, *standbys, *heartbeats, *rekeys, e.base)
+	rows, err := core.FailoverSweep(e.ctx, e.pool, *standbys, *heartbeats, *rekeys, e.base)
 	if err != nil {
 		return err
 	}
-	return e.emit("Robustness. SM kill + standby election + online key-epoch rotation", ibasec.FailoverCSV(rows))
+	return e.emit("Robustness. SM kill + standby election + online key-epoch rotation", core.FailoverCSV(rows))
 }
 
 func runAPM(e *env, args []string) error {
@@ -538,11 +543,11 @@ func runAPM(e *env, args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	rows, err := ibasec.APMSweep(e.ctx, e.pool, *bers, *kills, e.base)
+	rows, err := core.APMSweep(e.ctx, e.pool, *bers, *kills, e.base)
 	if err != nil {
 		return err
 	}
-	return e.emit("Robustness. RC recovery: NAK, backoff, and automatic path migration vs primary-path kills", ibasec.APMCSV(rows))
+	return e.emit("Robustness. RC recovery: NAK, backoff, and automatic path migration vs primary-path kills", core.APMCSV(rows))
 }
 
 func runDrift(e *env, args []string) error {
@@ -551,11 +556,11 @@ func runDrift(e *env, args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	rows, err := ibasec.DriftSweep(e.ctx, e.pool, *periods, e.base)
+	rows, err := core.DriftSweep(e.ctx, e.pool, *periods, e.base)
 	if err != nil {
 		return err
 	}
-	return e.emit("Policy plane. Out-of-band switch-state corruption vs the declarative drift auditor", ibasec.DriftCSV(rows))
+	return e.emit("Policy plane. Out-of-band switch-state corruption vs the declarative drift auditor", core.DriftCSV(rows))
 }
 
 func runSplitBrain(e *env, args []string) error {
@@ -566,11 +571,11 @@ func runSplitBrain(e *env, args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	rows, err := ibasec.SplitBrainSweep(e.ctx, e.pool, *partitions, *heartbeats, *rekeys, e.base)
+	rows, err := core.SplitBrainSweep(e.ctx, e.pool, *partitions, *heartbeats, *rekeys, e.base)
 	if err != nil {
 		return err
 	}
-	return e.emit("Robustness. Subnet bisection: containment, dual-master window, merge reconciliation", ibasec.SplitBrainCSV(rows))
+	return e.emit("Robustness. Subnet bisection: containment, dual-master window, merge reconciliation", core.SplitBrainCSV(rows))
 }
 
 func runCongestion(e *env, args []string) error {
@@ -579,11 +584,11 @@ func runCongestion(e *env, args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	rows, err := ibasec.CongestionSweep(e.ctx, e.pool, *rates, e.base)
+	rows, err := core.CongestionSweep(e.ctx, e.pool, *rates, e.base)
 	if err != nil {
 		return err
 	}
-	return e.emit("Robustness. FECN/BECN congestion control vs DoS injection rate (attack covers first 60% of the run)", ibasec.CongestionCSV(rows))
+	return e.emit("Robustness. FECN/BECN congestion control vs DoS injection rate (attack covers first 60% of the run)", core.CongestionCSV(rows))
 }
 
 func runHealth(e *env, args []string) error {
@@ -592,11 +597,11 @@ func runHealth(e *env, args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	rows, err := ibasec.HealthSweep(e.ctx, e.pool, *bers, e.base)
+	rows, err := core.HealthSweep(e.ctx, e.pool, *bers, e.base)
 	if err != nil {
 		return err
 	}
-	return e.emit("Robustness. Flaky-link quarantine (PerfMgr) vs gray failure (ramp) and oscillating BER (osc)", ibasec.HealthCSV(rows))
+	return e.emit("Robustness. Flaky-link quarantine (PerfMgr) vs gray failure (ramp) and oscillating BER (osc)", core.HealthCSV(rows))
 }
 
 func runTrace(e *env, args []string) error {
@@ -606,11 +611,11 @@ func runTrace(e *env, args []string) error {
 		return err
 	}
 	cfg := e.base
-	cfg.Duration = 200 * ibasec.Microsecond
+	cfg.Duration = 200 * sim.Microsecond
 	cfg.Warmup = 0
 	cfg.Attackers = 1
 	cfg.TraceCapacity = 65536
-	cl, err := ibasec.Build(cfg)
+	cl, err := core.Build(cfg)
 	if err != nil {
 		return err
 	}

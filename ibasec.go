@@ -11,9 +11,12 @@
 //     Invariant CRC field without changing the IBA packet format
 //     (section 5).
 //
-// The package re-exports the library's public surface; the underlying
-// implementation lives in internal/ subpackages (simulator, packet
-// formats, CRC, UMAC, fabric, transport, subnet manager, workloads).
+// The package re-exports what a program outside the module's internal/
+// tree needs to configure and run a simulation and to regenerate the
+// paper's own figures and tables — the names examples/, bench/ and the
+// root tests use. The implementation, and every beyond-paper experiment
+// (cmd/ibsim drives those through internal/core directly), lives in the
+// internal/ subpackages.
 //
 // Quick start:
 //
@@ -24,7 +27,7 @@
 //
 // Every table and figure of the paper's evaluation has a regeneration
 // entry point here (Fig1, Fig5, Fig6, Table2, Table4, AttackMatrix); the
-// cmd/ibsim CLI prints them.
+// cmd/ibsim CLI prints them and the robustness sweeps beside them.
 package ibasec
 
 import (
@@ -35,12 +38,9 @@ import (
 	"ibasec/internal/core"
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
-	"ibasec/internal/faults"
 	"ibasec/internal/mac"
 	"ibasec/internal/runner"
 	"ibasec/internal/sim"
-	"ibasec/internal/sm"
-	"ibasec/internal/topology"
 	"ibasec/internal/transport"
 )
 
@@ -60,115 +60,26 @@ type (
 	// its continuous drift auditor; the zero value keeps the imperative
 	// bring-up path.
 	PolicyParams = core.PolicyParams
+	// HealthParams configures the PerfMgr health plane through
+	// Config.Health; the zero value disables it.
+	HealthParams = core.HealthParams
 	// Results holds a run's measurements (delays in microseconds).
 	Results = core.Results
 	// Cluster is a fully wired simulation instance (advanced use).
 	Cluster = core.Cluster
 )
 
-// Experiment row types.
+// Row types of the entry points below.
 type (
-	Fig1Row       = core.Fig1Row
-	Fig5Row       = core.Fig5Row
-	Fig6Row       = core.Fig6Row
-	Table2Row     = core.Table2Row
-	Table4Row     = core.Table4Row
-	AuthRateRow   = core.AuthRateRow
-	SMFloodRow    = core.SMFloodRow
-	ScaleRow      = core.ScaleRow
-	FaultRow      = core.FaultRow
-	FailoverRow   = core.FailoverRow
-	SplitBrainRow = core.SplitBrainRow
-	APMRow        = core.APMRow
-	DriftRow      = core.DriftRow
-	CongestionRow = core.CongestionRow
-	HealthRow     = core.HealthRow
+	Fig1Row     = core.Fig1Row
+	Fig5Row     = core.Fig5Row
+	Fig6Row     = core.Fig6Row
+	Table2Row   = core.Table2Row
+	Table4Row   = core.Table4Row
+	AuthRateRow = core.AuthRateRow
 	// AttackOutcome is one row of the Table 3 attack matrix.
 	AttackOutcome = attack.Outcome
 )
-
-// APMArm is one recovery configuration of the apm experiment.
-type APMArm = core.APMArm
-
-// Recovery arms: plain timeout, explicit NAK, NAK plus path migration
-// with the migrating sources SIF-registered, and the same without
-// registration (the enforcement drop cliff).
-const (
-	ArmTimeout         = core.ArmTimeout
-	ArmNAK             = core.ArmNAK
-	ArmAPMRegistered   = core.ArmAPMRegistered
-	ArmAPMUnregistered = core.ArmAPMUnregistered
-)
-
-// Deterministic fault injection and self-healing (internal/faults and the
-// SM's periodic re-sweep).
-type (
-	// FaultPlan is a complete, seed-deterministic fault schedule: link and
-	// switch down/up events, bit-error bursts, MAD drop/delay.
-	FaultPlan = faults.Plan
-	// LinkKill, SwitchKill, BERBurst and MADLoss are FaultPlan entries.
-	LinkKill   = faults.LinkKill
-	SwitchKill = faults.SwitchKill
-	BERBurst   = faults.BERBurst
-	MADLoss    = faults.MADLoss
-	// SMKill kills the active subnet manager; KeyCompromise forces an
-	// out-of-cycle epoch rotation of one partition.
-	SMKill        = faults.SMKill
-	KeyCompromise = faults.KeyCompromise
-	// TableCorruption mutates a switch's programmed enforcement state
-	// out-of-band — the drift the policy auditor exists to catch.
-	TableCorruption = faults.TableCorruption
-	// CorruptOp selects what a TableCorruption does.
-	CorruptOp = faults.CorruptOp
-	// LinkID names one full-duplex link from its switch side.
-	LinkID = topology.LinkID
-	// LinkBER degrades one link's bit-error rate for a window — the
-	// gray-failure fault the health plane exists to catch.
-	LinkBER = faults.LinkBER
-	// Resweeper is the SM's periodic self-healing loop (Cluster.Resweeper
-	// when Config.ResweepPeriod > 0).
-	Resweeper = sm.Resweeper
-	// HealEvent reports one completed healing round.
-	HealEvent = sm.HealEvent
-	// PerfMgr is the health plane's sweep/score/quarantine loop
-	// (Cluster.PerfMgr when Config.Health is enabled).
-	PerfMgr = sm.PerfMgr
-	// HealthEvent reports one quarantine transition.
-	HealthEvent = sm.HealthEvent
-	// HealthParams configures the health plane through Config.Health;
-	// the zero value disables it.
-	HealthParams = core.HealthParams
-	// PortCounters is one port's IBA error-counter block (saturating,
-	// PerfMgr-swept).
-	PortCounters = fabric.PortCounters
-)
-
-// OscillatingBER builds the adversarial flapping-link plan: the link's
-// bit-error rate toggles between rate and clean every half period over
-// [from, until) — the route-churn attack flap damping bounds.
-func OscillatingBER(link LinkID, rate float64, period, from, until Time) []LinkBER {
-	return faults.OscillatingBER(link, rate, period, from, until)
-}
-
-// Table-corruption operations and symbolic switch targets (resolved
-// against the built cluster: the attacker's or the victim's ingress).
-const (
-	CorruptAddValid      = faults.CorruptAddValid
-	CorruptRemoveValid   = faults.CorruptRemoveValid
-	CorruptClearInvalid  = faults.CorruptClearInvalid
-	CorruptDropAltSource = faults.CorruptDropAltSource
-	CorruptDeactivate    = faults.CorruptDeactivate
-
-	SwitchAttackerIngress = faults.SwitchAttackerIngress
-	SwitchVictimIngress   = faults.SwitchVictimIngress
-)
-
-// ChaosPlan builds a deterministic random plan of transient inter-switch
-// link outages for a w×h mesh that never partitions the fabric; same
-// seed, same plan.
-func ChaosPlan(seed int64, w, h, kills int, from, until Time) *FaultPlan {
-	return faults.Chaos(seed, w, h, kills, from, until)
-}
 
 // Mode is a switch partition-enforcement design.
 type Mode = enforce.Mode
@@ -188,16 +99,6 @@ type KeyLevel = transport.KeyLevel
 const (
 	PartitionLevel = transport.PartitionLevel
 	QPLevel        = transport.QPLevel
-)
-
-// ArbitrationMode selects the fabric's VL arbiter.
-type ArbitrationMode = fabric.ArbitrationMode
-
-// VL arbiter choices (strict priority is the paper's default; weighted is
-// the IBA 7.6.9 two-table design).
-const (
-	ArbStrictPriority = fabric.ArbStrictPriority
-	ArbWeighted       = fabric.ArbWeighted
 )
 
 // CCParams configures the IBA Congestion Control Annex (switch FECN
@@ -272,37 +173,19 @@ func PaperTable4Rates() map[string]float64 { return core.PaperTable4Rates() }
 
 // Parallel experiment orchestration (internal/runner). A Pool executes
 // a sweep's simulation points on a bounded worker pool with panic
-// recovery, bounded retry, live progress, and — when a Manifest is
-// attached — an append-only result store that lets interrupted runs
-// resume without re-executing finished points. Results are reassembled
-// by job index, so output is byte-identical to the serial harness at a
+// recovery, bounded retry and live progress. Results are reassembled by
+// job index, so output is byte-identical to the serial harness at a
 // fixed seed regardless of worker count.
 type (
 	// Pool is a bounded worker pool for experiment sweeps.
 	Pool = runner.Pool
 	// PoolOptions configures a Pool (workers, retries, backoff,
-	// progress writer, manifest).
+	// progress writer, watchdog).
 	PoolOptions = runner.Options
-	// Manifest is the append-only JSON-lines result store.
-	Manifest = runner.Store
 )
 
 // NewPool returns a worker pool; Workers <= 0 means GOMAXPROCS.
 func NewPool(opts PoolOptions) *Pool { return runner.New(opts) }
-
-// OpenManifest opens (or creates) the JSON-lines result manifest at
-// path. label fingerprints the run configuration; when resume is true
-// and the existing manifest carries the same label, completed points
-// are served from it instead of re-running.
-func OpenManifest(path, label string, resume bool) (*Manifest, error) {
-	return runner.Open(path, label, resume)
-}
-
-// DeriveSeed deterministically derives a per-job seed from a base seed,
-// an experiment name and a point key.
-func DeriveSeed(base int64, experiment, key string) int64 {
-	return runner.DeriveSeed(base, experiment, key)
-}
 
 // The sweeps. Each takes a ctx that cancels between simulation points
 // and an optional pool; a nil pool runs the points serially, with the
@@ -326,95 +209,17 @@ func Fig6(ctx context.Context, pool *Pool, loads []float64, level KeyLevel, base
 	return core.Fig6(ctx, pool, loads, level, base)
 }
 
-// SweepDuty is a beyond-paper ablation: SIF exposure versus attack duty
-// cycle at a fixed load.
-func SweepDuty(ctx context.Context, pool *Pool, duties []float64, load float64, base Config) ([]Fig5Row, error) {
-	return core.SweepDuty(ctx, pool, duties, load, base)
-}
-
 // AuthRateSweep runs the section 5.2/7 link-speed question: cluster delay
 // when the MAC engine digests messages at each given throughput (Gb/s).
 func AuthRateSweep(ctx context.Context, pool *Pool, rates map[string]float64, load float64, base Config) ([]AuthRateRow, error) {
 	return core.AuthRateSweep(ctx, pool, rates, load, base)
 }
 
-// SMFloodSweep quantifies the section-7 management-DoS attack: SIF
-// registration latency as junk MADs flood the Subnet Manager.
-func SMFloodSweep(ctx context.Context, pool *Pool, rates []float64, base Config) ([]SMFloodRow, error) {
-	return core.SMFloodSweep(ctx, pool, rates, base)
-}
-
-// ScaleSweep measures DoS damage across mesh sizes (beyond-paper
-// ablation).
-func ScaleSweep(ctx context.Context, pool *Pool, sizes [][2]int, base Config) ([]ScaleRow, error) {
-	return core.ScaleSweep(ctx, pool, sizes, base)
-}
-
-// FaultsSweep runs the chaos experiment: deterministic link outages and
-// bit-error bursts against a self-healing subnet, sweeping BER ×
-// concurrent link kills per enforcement design.
-func FaultsSweep(ctx context.Context, pool *Pool, bers []float64, kills []int, base Config) ([]FaultRow, error) {
-	return core.FaultsSweep(ctx, pool, bers, kills, base)
-}
-
-// FailoverSweep runs the SM-failover / key-rotation experiment: the
-// master SM is killed mid-run (and, when rotation is on, one partition
-// key force-rotated after a compromise), sweeping standby count ×
-// heartbeat interval × rekey period.
-func FailoverSweep(ctx context.Context, pool *Pool, standbys []int, heartbeatsUS []int, rekeysUS []int, base Config) ([]FailoverRow, error) {
-	return core.FailoverSweep(ctx, pool, standbys, heartbeatsUS, rekeysUS, base)
-}
-
-// SplitBrainSweep runs the split-brain experiment: the mesh is bisected
-// mid-run with the master and the standby on opposite sides of the cut,
-// each island elects or keeps a contained master, and the heal drives
-// the merge protocol — abdication, bounded re-sweep, key-epoch
-// reconciliation — sweeping partition duration × heartbeat × rekey
-// period. All axes are in microseconds; a rekey of 0 disables rotation.
-func SplitBrainSweep(ctx context.Context, pool *Pool, partitionsUS, heartbeatsUS, rekeysUS []int, base Config) ([]SplitBrainRow, error) {
-	return core.SplitBrainSweep(ctx, pool, partitionsUS, heartbeatsUS, rekeysUS, base)
-}
-
-// APMSweep runs the RC recovery experiment: a mid-run primary-path link
-// kill (plus optional BER bursts) against RC probe flows, sweeping BER ×
-// link kills × recovery arm (timeout-only, explicit NAK, NAK+APM with
-// SIF-registered alternate sources, NAK+APM unregistered).
-func APMSweep(ctx context.Context, pool *Pool, bers []float64, kills []int, base Config) ([]APMRow, error) {
-	return core.APMSweep(ctx, pool, bers, kills, base)
-}
-
-// DriftSweep runs the policy-drift experiment: switch enforcement state
-// is corrupted out-of-band mid-run and the declarative policy plane's
-// auditor detects (and optionally repairs) the divergence, sweeping
-// enforcement design × audit period × repair arm. Periods are in
-// microseconds; 0 runs the no-auditor baseline.
-func DriftSweep(ctx context.Context, pool *Pool, periodsUS []int, base Config) ([]DriftRow, error) {
-	return core.DriftSweep(ctx, pool, periodsUS, base)
-}
-
-// HealthSweep runs the flaky-link health-plane experiment: one central
-// inter-switch link under a stepped BER ramp or an adversarial
-// oscillating-BER attack, with the PerfMgr off, on undamped, or on with
-// flap damping, measuring detection latency, loss before/after
-// quarantine, false positives, route churn and MAD overhead.
-func HealthSweep(ctx context.Context, pool *Pool, bers []float64, base Config) ([]HealthRow, error) {
-	return core.HealthSweep(ctx, pool, bers, base)
-}
-
-// CongestionSweep runs the congestion-control experiment: one attacker
-// floods the best-effort VL for the first 60% of the run and the IBA
-// Congestion Control Annex (switch FECN marking, destination BECN/CNP
-// reflection, source-side CCT injection throttling) is compared against
-// the same flood with the annex off, sweeping enforcement design ×
-// attacker injection rate × CC arm.
-func CongestionSweep(ctx context.Context, pool *Pool, rates []float64, base Config) ([]CongestionRow, error) {
-	return core.CongestionSweep(ctx, pool, rates, base)
-}
-
 // CSVTable is one experiment's rows rendered for an encoding/csv writer.
-// The renderers below are the single source of truth for experiment CSV
-// formatting: cmd/ibsim and the golden-determinism tests both go through
-// them, so a golden diff can only mean the simulation itself changed.
+// internal/core's renderers are the single source of truth for
+// experiment CSV formatting: cmd/ibsim and the golden-determinism tests
+// both go through them, so a golden diff can only mean the simulation
+// itself changed.
 type CSVTable = core.CSVTable
 
 // Fig1CSV renders a Figure 1 sweep under the given table name.
@@ -425,42 +230,3 @@ func Fig5CSV(rows []Fig5Row) CSVTable { return core.Fig5CSV(rows) }
 
 // Fig6CSV renders the authentication-overhead sweep (Figure 6).
 func Fig6CSV(rows []Fig6Row) CSVTable { return core.Fig6CSV(rows) }
-
-// Table2CSV renders the enforcement cost model (Table 2).
-func Table2CSV(rows []Table2Row) CSVTable { return core.Table2CSV(rows) }
-
-// Table4CSV renders the host-timed MAC throughput measurement (Table 4).
-func Table4CSV(rows []Table4Row) CSVTable { return core.Table4CSV(rows) }
-
-// SweepDutyCSV renders the SIF duty-cycle ablation.
-func SweepDutyCSV(rows []Fig5Row) CSVTable { return core.SweepDutyCSV(rows) }
-
-// AuthRateCSV renders the MAC-engine-speed ablation.
-func AuthRateCSV(rows []AuthRateRow) CSVTable { return core.AuthRateCSV(rows) }
-
-// SMFloodCSV renders the management-DoS sweep.
-func SMFloodCSV(rows []SMFloodRow) CSVTable { return core.SMFloodCSV(rows) }
-
-// ScaleCSV renders the mesh-size ablation.
-func ScaleCSV(rows []ScaleRow) CSVTable { return core.ScaleCSV(rows) }
-
-// FaultsCSV renders the chaos sweep (link kills + BER bursts).
-func FaultsCSV(rows []FaultRow) CSVTable { return core.FaultsCSV(rows) }
-
-// FailoverCSV renders the SM-failover / key-rotation sweep.
-func FailoverCSV(rows []FailoverRow) CSVTable { return core.FailoverCSV(rows) }
-
-// SplitBrainCSV renders the split-brain / merge-reconciliation sweep.
-func SplitBrainCSV(rows []SplitBrainRow) CSVTable { return core.SplitBrainCSV(rows) }
-
-// APMCSV renders the RC recovery / path-migration sweep.
-func APMCSV(rows []APMRow) CSVTable { return core.APMCSV(rows) }
-
-// DriftCSV renders the policy-drift sweep.
-func DriftCSV(rows []DriftRow) CSVTable { return core.DriftCSV(rows) }
-
-// CongestionCSV renders the congestion-control sweep.
-func CongestionCSV(rows []CongestionRow) CSVTable { return core.CongestionCSV(rows) }
-
-// HealthCSV renders the flaky-link health-plane sweep.
-func HealthCSV(rows []HealthRow) CSVTable { return core.HealthCSV(rows) }

@@ -178,12 +178,11 @@ type Cluster struct {
 	// stream, so enabling split-brain handling cannot perturb the
 	// setup/crypto/traffic draws other arms depend on.
 	rngSplit *rand.Rand
-	// retiredAuditors keeps auditors displaced by failover so their
-	// counters and events still reach the results.
-	retiredAuditors []*policy.Auditor
-	// retiredPerfMgrs keeps performance managers displaced by failover
-	// so their counters and events still reach the results.
-	retiredPerfMgrs []*sm.PerfMgr
+	// auditors and perfMgrs list every drift auditor and performance
+	// manager the run started, the ones a failover displaced included, so
+	// all their counters and events reach the results.
+	auditors []*policy.Auditor
+	perfMgrs []*sm.PerfMgr
 	// discoverers lists every plane's SMP prober in creation order, so a
 	// composed run's request accounting can be read back per plane.
 	discoverers []*sm.Discoverer
@@ -447,21 +446,7 @@ func Build(cfg Config) (*Cluster, error) {
 			sb.AdoptPartitions(manager.PartitionSnapshot())
 			cl.Standbys = append(cl.Standbys, sb)
 		}
-		haCfg := sm.HAConfig{
-			Standbys:     standbyNodes,
-			Heartbeat:    cfg.HA.Heartbeat,
-			Lease:        cfg.HA.Lease,
-			SplitBrain:   cfg.HA.SplitBrain,
-			CensusWait:   cfg.HA.CensusWait,
-			CensusPeriod: cfg.HA.CensusPeriod,
-		}
-		if haCfg.Heartbeat <= 0 {
-			haCfg.Heartbeat = 50 * sim.Microsecond
-		}
-		if haCfg.Lease <= 0 {
-			haCfg.Lease = 3 * haCfg.Heartbeat
-		}
-		coord, err := sm.NewCoordinator(s, mesh, haCfg, cfg.SM.MKey, manager, cl.Standbys)
+		coord, err := sm.NewCoordinator(s, mesh, cfg.HA, cfg.SM.MKey, manager, cl.Standbys)
 		if err != nil {
 			return nil, fmt.Errorf("core: building HA coordinator: %w", err)
 		}
@@ -470,25 +455,13 @@ func Build(cfg Config) (*Cluster, error) {
 
 	// Key-epoch rotation (partition-level only; Validate enforces it).
 	if cfg.Rekey.Enabled() {
-		r, err := sm.NewRotator(s, manager, cl.rotationConfig())
+		r, err := sm.NewRotator(s, manager, cfg.Rekey)
 		if err != nil {
 			return nil, fmt.Errorf("core: building key rotator: %w", err)
 		}
 		cl.Rotator = r
 	}
 	return cl, nil
-}
-
-// rotationConfig resolves the run's Rekey params into a rotator config.
-// Island rotators started at contained takeovers use the same cadence
-// as the fabric-wide one.
-func (cl *Cluster) rotationConfig() sm.RotationConfig {
-	rk := cl.Cfg.Rekey.withDefaults()
-	return sm.RotationConfig{
-		Period:            rk.Period,
-		Grace:             rk.Grace,
-		DistributionDelay: rk.DistributionDelay,
-	}
 }
 
 // policyDocument expresses the run's random partition grouping as a
@@ -512,32 +485,6 @@ func policyDocument(cfg *Config, groups [][]int) *policy.Document {
 		doc.Pinned = []policy.PinnedInvalid{{Switch: -1, Base: cfg.Policy.PinInvalid}}
 	}
 	return doc
-}
-
-// resolveCorruptionSwitch maps a fault plan's symbolic switch target to
-// a concrete switch index: every node's ingress switch is the
-// same-index switch in the mesh, so the attacker's ingress is the
-// lowest-index compromised node and the victim's is the lowest-index
-// legitimate member of the lowest-base partition.
-func (cl *Cluster) resolveCorruptionSwitch(target int) int {
-	switch target {
-	case faults.SwitchAttackerIngress:
-		for node := 0; node < cl.Mesh.NumNodes(); node++ {
-			if cl.AttackSet[node] {
-				return node
-			}
-		}
-		panic("core: attacker-ingress corruption with no attackers")
-	case faults.SwitchVictimIngress:
-		for node := 0; node < cl.Mesh.NumNodes(); node++ {
-			if cl.PKeyOf[node] == packet.PKey(0x8001) && !cl.AttackSet[node] {
-				return node
-			}
-		}
-		panic("core: no legitimate member in the lowest partition")
-	default:
-		return target
-	}
 }
 
 // collector wraps a node's delivery path with measurement.
@@ -610,29 +557,21 @@ func (cl *Cluster) newDiscoverer(node int) *sm.Discoverer {
 	return disc
 }
 
-// startAuditor starts the drift auditor for intent, probing from node:
-// the configured SM node at bring-up, the promoted master's after a
-// takeover.
-func (cl *Cluster) startAuditor(intent *policy.Intent, node int) {
-	cl.Auditor = policy.NewAuditor(cl.Sim, cl.newDiscoverer(node), intent,
-		policy.SwitchPaths(cl.Mesh, node),
-		policy.AuditConfig{Period: cl.Cfg.Policy.AuditPeriod, Repair: cl.Cfg.Policy.Repair})
-	cl.Auditor.Start()
-}
-
 // armResilience wires the self-healing management plane and installs the
-// fault plan. It must run after attachCollectors, which replaces every
-// HCA's OnDeliver wholesale: the SM agents wrap the collector chain, so
-// SMPs are consumed in-band and everything else falls through to
-// measurement and transport.
+// fault plan: one line per plane, in the order the goldens pin (each
+// start schedules its first timer, so reordering two lines moves events
+// that share a tick). It must run after attachCollectors, which replaces
+// every HCA's OnDeliver wholesale: the SM agents wrap the collector
+// chain, so SMPs are consumed in-band and everything else falls through
+// to measurement and transport.
 func (cl *Cluster) armResilience() {
 	cfg := cl.Cfg
-	auditing := cfg.Policy.Enabled && cfg.Policy.AuditPeriod > 0 && cl.Policy != nil
+	auditing := cfg.Policy.AuditPeriod > 0
 	if cfg.ResweepPeriod > 0 || cl.HA != nil || auditing || cfg.Health.Enabled() {
 		// The periodic re-sweep, a promoted standby's re-verification
-		// sweep and the drift auditor all need in-band agents answering
-		// SMPs on every switch and HCA. The filter reference lets switch
-		// agents answer enforcement-state audit attributes.
+		// sweep, the drift auditor and the PerfMgr all need in-band agents
+		// answering SMPs on every switch and HCA. The filter reference lets
+		// switch agents answer enforcement-state audit attributes.
 		mkey := cfg.SM.MKey
 		for _, agent := range sm.AttachSwitchAgents(cl.Mesh, mkey) {
 			agent.Enforce = cl.Filter
@@ -644,91 +583,16 @@ func (cl *Cluster) armResilience() {
 		}
 	}
 	if auditing {
-		cl.startAuditor(cl.Policy, cfg.SM.Node)
+		cl.startAuditor(cl.Policy, cl.SM)
 	}
 	if cfg.ResweepPeriod > 0 {
-		r := sm.NewResweeper(cl.Sim, cl.newDiscoverer(cfg.SM.Node), cfg.ResweepPeriod)
-		r.PrimeStatic(cl.Mesh)
-		r.OnEvent = func(ev sm.HealEvent) {
-			cl.healEvents = append(cl.healEvents, ev)
-			if cl.OnHeal != nil {
-				cl.OnHeal(ev)
-			}
-		}
-		r.Start()
-		cl.Resweeper = r
+		cl.startResweeper()
 	}
 	if cfg.Health.Enabled() {
-		pm := cl.newPerfMgr(cl.SM)
-		if cl.Resweeper != nil {
-			// Heal sweeps must not re-program routes over a link the
-			// health plane fenced (the double-programming race): the
-			// resweeper treats quarantined halves as dead.
-			cl.Resweeper.Quarantined = pm.QuarantinedEdges
-		}
-		pm.Start()
-		cl.PerfMgr = pm
+		cl.startPerfMgr(cl.SM)
 	}
 	if cl.HA != nil {
-		cl.HA.OnTakeover = func(newMaster *sm.SubnetManager) {
-			// The promoted standby takes over every master duty that
-			// outlives the kill: key rotation rebinds to its membership
-			// view and restarts.
-			if cl.Rotator != nil {
-				cl.Rotator.Rebind(newMaster)
-				cl.Rotator.Start()
-			}
-			// The policy plane survives failover through the synced
-			// document: the promoted master recompiles intent from its
-			// inherited blob, takes over table reprogramming, and the
-			// drift auditor restarts bound to its node.
-			if cl.Auditor != nil && len(newMaster.PolicyBlob) > 0 {
-				cl.Auditor.Stop()
-				cl.retiredAuditors = append(cl.retiredAuditors, cl.Auditor)
-				doc, err := policy.Unmarshal(newMaster.PolicyBlob)
-				if err != nil {
-					panic(fmt.Sprintf("core: synced policy blob: %v", err))
-				}
-				intent, err := policy.Compile(doc, cl.Mesh.NumNodes())
-				if err != nil {
-					panic(fmt.Sprintf("core: recompiling synced policy: %v", err))
-				}
-				mesh, filter := cl.Mesh, cl.Filter
-				newMaster.ProgramTables = func() { policy.Apply(intent, mesh, filter) }
-				cl.startAuditor(intent, newMaster.Node())
-			}
-			// Congestion control survives failover the same way: the
-			// promoted master re-applies the configuration parsed from
-			// its state-synced blob, becoming the congestion manager.
-			if len(newMaster.CCBlob) > 0 {
-				cc, err := sm.ParseCCBlob(newMaster.CCBlob)
-				if err != nil {
-					panic(fmt.Sprintf("core: synced congestion blob: %v", err))
-				}
-				newMaster.ProgramCongestionControl(cc)
-			}
-			// The health plane survives failover the same way: the
-			// promoted master rebuilds the PerfMgr on its own node and
-			// adopts the quarantine state parsed from the synced blob, so
-			// degraded links stay fenced across the takeover.
-			if cl.PerfMgr != nil {
-				cl.PerfMgr.Stop()
-				cl.retiredPerfMgrs = append(cl.retiredPerfMgrs, cl.PerfMgr)
-				pm := cl.newPerfMgr(newMaster)
-				if len(newMaster.HealthBlob) > 0 {
-					entries, err := sm.ParseHealthBlob(newMaster.HealthBlob)
-					if err != nil {
-						panic(fmt.Sprintf("core: synced health blob: %v", err))
-					}
-					pm.Adopt(entries)
-				}
-				if cl.Resweeper != nil {
-					cl.Resweeper.Quarantined = pm.QuarantinedEdges
-				}
-				pm.Start()
-				cl.PerfMgr = pm
-			}
-		}
+		cl.HA.OnTakeover = cl.takeover
 		if cfg.HA.SplitBrain {
 			cl.wireSplitBrain()
 		}
@@ -738,115 +602,54 @@ func (cl *Cluster) armResilience() {
 		cl.Rotator.Start()
 	}
 	if cfg.FaultPlan != nil {
-		inj, err := faults.Install(cl.Sim, cl.Mesh, cfg.Params, cfg.FaultPlan)
-		if err != nil {
-			// The plan was validated against this mesh in Build.
-			panic(fmt.Sprintf("core: installing fault plan: %v", err))
-		}
-		cl.Injector = inj
-
-		// Management-plane faults are scheduled here, not in
-		// faults.Install: they act on the SM coordinator and key
-		// rotator, which only the core layer holds.
-		for _, sk := range cfg.FaultPlan.SMKills {
-			sk := sk
-			cl.Sim.ScheduleAt(sk.At, func() {
-				if cl.Resweeper != nil {
-					cl.Resweeper.Stop() // the dead master's control loop
-				}
-				if cl.Rotator != nil {
-					cl.Rotator.Stop() // rotation is a master duty
-				}
-				if cl.Auditor != nil {
-					cl.Auditor.Stop() // auditing too; takeover restarts it
-				}
-				if cl.PerfMgr != nil {
-					cl.PerfMgr.Stop() // sweeping too; takeover rebuilds it
-				}
-				cl.HA.KillMaster() // Build makes a coordinator for any plan with SMKills
-			})
-		}
-		for _, tc := range cfg.FaultPlan.Corruptions {
-			tc := tc
-			target := cl.resolveCorruptionSwitch(tc.Switch)
-			cl.Sim.ScheduleAt(tc.At, func() {
-				// Out-of-band state corruption: the switch's programmed
-				// enforcement state is mutated behind the SM's back, the
-				// divergence the drift auditor exists to catch.
-				sw := cl.Mesh.Switches[target]
-				switch tc.Op {
-				case faults.CorruptAddValid:
-					cl.Filter.AddValid(sw, packet.PKey(tc.PKey))
-				case faults.CorruptRemoveValid:
-					cl.Filter.RemoveValid(sw, packet.PKey(tc.PKey))
-				case faults.CorruptClearInvalid:
-					cl.Filter.ClearInvalid(sw)
-				case faults.CorruptDropAltSource:
-					cl.Filter.DropAltSource(sw, packet.LID(tc.Src))
-				case faults.CorruptDeactivate:
-					cl.Filter.SetActive(sw, false)
-				}
-			})
-		}
-		for _, kc := range cfg.FaultPlan.Compromises {
-			kc := kc
-			cl.Sim.ScheduleAt(kc.At, func() {
-				if cl.Rotator == nil {
-					return
-				}
-				// A dead management plane cannot respond: the
-				// compromised epoch stays live — the unprotected
-				// baseline the HA arms are measured against.
-				if cl.HA != nil && !cl.HA.MasterAlive() {
-					return
-				}
-				if err := cl.Rotator.ForceRotate(packet.PKey(kc.PKey)); err != nil {
-					panic(fmt.Sprintf("core: forced rotation: %v", err))
-				}
-			})
-		}
+		cl.installFaultPlan()
 	}
 }
 
-// newPerfMgr builds a performance manager bound to smgr's node, with
-// the health config's zero defaults resolved: Alpha 0.5, quarantine at
-// an EWMA score of 4 errors/sweep, readmit at an eighth of that, a base
-// probation of four sweeps and a damped hold-down cap of sixteen
-// probations.
-func (cl *Cluster) newPerfMgr(smgr *sm.SubnetManager) *sm.PerfMgr {
-	h := cl.Cfg.Health
-	pc := sm.PerfConfig{
-		SweepPeriod:     h.SweepPeriod,
-		Alpha:           h.Alpha,
-		QuarantineScore: h.QuarantineScore,
-		ReadmitScore:    h.ReadmitScore,
-		Probation:       h.Probation,
-		HoldMax:         h.HoldMax,
-		Damping:         h.Damping,
-		TrapThreshold:   h.TrapThreshold,
+// takeover hands the promoted standby every master duty that outlives a
+// kill, each plane from the state HA sync left on newMaster. The order
+// differs from bring-up's because the goldens pin this one too; the
+// resweeper is the dead master's own loop and is not restarted, and
+// congestion control, programmed in Build at bring-up, is re-programmed
+// here.
+func (cl *Cluster) takeover(newMaster *sm.SubnetManager) {
+	if cl.Rotator != nil {
+		// Rotation rebinds to the new master's membership view.
+		cl.Rotator.Rebind(newMaster)
+		cl.Rotator.Start()
 	}
-	if pc.Alpha == 0 {
-		pc.Alpha = 0.5
+	cl.inheritPolicy(newMaster)
+	cl.inheritCongestion(newMaster)
+	if cl.PerfMgr != nil {
+		cl.startPerfMgr(newMaster)
 	}
-	if pc.QuarantineScore == 0 {
-		pc.QuarantineScore = 4
+}
+
+// rejectSyncState drops state a promoted master inherited under magic
+// and its plane's parser refused, and counts it on the coordinator: the
+// plane starts without inherited state. The master encodes its own
+// blobs, so only a forged state-sync MAD gets here — hostile input,
+// which is counted, never a panic.
+func (cl *Cluster) rejectSyncState(m *sm.SubnetManager, magic string) {
+	m.SetSyncState(magic, nil)
+	cl.HA.Counters.Inc("sync_state_rejected", 1)
+}
+
+// stopMasterDuties stops the control loops that run beside the master
+// SM: when an SMKill takes them down with it, and when the run ends.
+func (cl *Cluster) stopMasterDuties() {
+	if cl.Resweeper != nil {
+		cl.Resweeper.Stop()
 	}
-	if pc.ReadmitScore == 0 {
-		pc.ReadmitScore = pc.QuarantineScore / 8
+	if cl.Rotator != nil {
+		cl.Rotator.Stop()
 	}
-	if pc.Probation == 0 {
-		pc.Probation = 4 * h.SweepPeriod
+	if cl.Auditor != nil {
+		cl.Auditor.Stop()
 	}
-	if pc.HoldMax == 0 {
-		pc.HoldMax = 16 * pc.Probation
+	if cl.PerfMgr != nil {
+		cl.PerfMgr.Stop()
 	}
-	pm := sm.NewPerfMgr(cl.Sim, cl.Mesh, cl.newDiscoverer(smgr.Node()), smgr, pc)
-	pm.OnEvent = func(ev sm.HealthEvent) {
-		if cl.OnHealth != nil {
-			cl.OnHealth(ev)
-		}
-	}
-	return pm
 }
 
 // Simulate runs the configured workload and returns results.
@@ -939,39 +742,12 @@ func (cl *Cluster) Simulate() *Results {
 	if cl.HA != nil {
 		cl.HA.Stop()
 	}
-	if cl.Rotator != nil {
-		cl.Rotator.Stop()
-	}
+	cl.stopMasterDuties()
 	for _, rot := range cl.IslandRotators {
 		rot.Stop()
 	}
-	if cl.Resweeper != nil {
-		cl.Resweeper.Stop()
-	}
-	if cl.PerfMgr != nil {
-		cl.PerfMgr.Stop()
-		for _, pm := range append(cl.retiredPerfMgrs, cl.PerfMgr) {
-			cl.res.Quarantines += pm.Counters.Get("quarantines")
-			cl.res.Readmits += pm.Counters.Get("readmits")
-			cl.res.QuarantineRefused += pm.Counters.Get("quarantine_refused")
-			cl.res.HealthSweepMADs += pm.Counters.Get("health_sweep_mads")
-			cl.res.HealthTrapMADs += pm.Counters.Get("health_trap_mads") + pm.Counters.Get("trap_rearm_mads")
-			cl.res.HealthRerouteMADs += pm.Counters.Get("reroute_mads")
-		}
-	}
-	if cl.Auditor != nil {
-		cl.Auditor.Stop()
-		for _, a := range append(cl.retiredAuditors, cl.Auditor) {
-			for _, ev := range a.Events {
-				cl.res.DriftEvents++
-				if ev.Repaired {
-					cl.res.DriftRepaired++
-				}
-			}
-			cl.res.AuditMADs += a.Counters.Get("audit_mads")
-			cl.res.RepairMADs += a.Counters.Get("repair_mads")
-		}
-	}
+	cl.collectHealth()
+	cl.collectDrift()
 
 	for _, hca := range cl.Mesh.HCAs {
 		cl.res.HCAViolations += hca.PKeyViolations()

@@ -37,77 +37,17 @@ type AuthConfig struct {
 	ThroughputGbps float64
 }
 
-// HAParams configures subnet-manager high availability. The zero value
-// disables HA entirely (single SM, exactly the pre-HA behaviour).
-type HAParams struct {
-	// Standbys is how many standby SM instances to run. They are placed
-	// deterministically on the highest-index nodes (skipping the master's
-	// node) in priority order, receive heartbeat + state-sync MADs from
-	// the master, and elect a replacement on lease expiry.
-	Standbys int
-	// Heartbeat is the master's beacon period.
-	Heartbeat sim.Time
-	// Lease is the heartbeat-silence tolerance before takeover; it must
-	// be at least one heartbeat. Zero defaults to 3×Heartbeat.
-	Lease sim.Time
-	// SplitBrain enables partition-aware mastership: elections are gated
-	// on a reachable-node census (partial reach elects a contained
-	// island master instead of a pretend fabric-wide one), the sitting
-	// master censuses periodically to notice a partition on its own
-	// side, and after a heal the lower-priority master abdicates while
-	// the winner merges the island back — bounded re-sweep, epoch
-	// reconciliation, policy re-imposition. Default off: the coordinator
-	// then behaves exactly as before this knob existed.
-	SplitBrain bool
-	// CensusWait is how long a census may collect pongs before its
-	// verdict (unanimity concludes a round early); zero defaults to 2×
-	// the lease. It must cover a fabric-diameter MAD round trip, or
-	// healthy distant nodes read as unreachable.
-	CensusWait sim.Time
-	// CensusPeriod is the master's partition-detection interval; zero
-	// defaults to the lease.
-	CensusPeriod sim.Time
-}
-
-// Enabled reports whether any HA machinery should be wired.
-func (h HAParams) Enabled() bool { return h.Standbys > 0 }
-
-// RekeyParams configures online key-epoch rotation. The zero value
-// disables rotation (secrets stay at epoch 0 forever, exactly the
-// pre-rotation behaviour). Rotation requires partition-level
-// authentication.
-type RekeyParams struct {
-	// Period is the epoch rollover interval; zero disables rotation.
-	Period sim.Time
-	// Grace is how long receivers keep accepting the previous epoch
-	// after a rollover. Zero defaults to Period/4.
-	Grace sim.Time
-	// DistributionDelay models envelope-distribution latency between the
-	// authority minting epoch e+1 and members' stores holding it.
-	DistributionDelay sim.Time
-	// MergeGrace is how long receivers keep accepting a partitioned-off
-	// island's epochs after a split-brain merge reconciles the two key
-	// lineages; zero defaults to Grace. It must exceed DistributionDelay
-	// so in-flight packets sealed under a losing-island epoch drain as
-	// auth_epoch_expired instead of an auth_fail storm. Only meaningful
-	// with HA.SplitBrain.
-	MergeGrace sim.Time
-}
-
-// Enabled reports whether rotation should be wired.
-func (r RekeyParams) Enabled() bool { return r.Period > 0 }
-
-// withDefaults returns r with its zero Grace and MergeGrace resolved —
-// the one place that knows the defaults the field comments state.
-func (r RekeyParams) withDefaults() RekeyParams {
-	if r.Grace == 0 {
-		r.Grace = r.Period / 4
-	}
-	if r.MergeGrace == 0 {
-		r.MergeGrace = r.Grace
-	}
-	return r
-}
+// Each SM plane's configuration is defined beside the plane — with its
+// Enabled, its Validate and the defaults its constructor applies — and
+// named here for Config: standby SMs and master election, online
+// key-epoch rotation, and the PerfMgr health plane. Config.Congestion
+// (fabric.CCParams) and Config.SM (sm.Config) are the same arrangement
+// without an alias.
+type (
+	HAParams     = sm.HAConfig
+	RekeyParams  = sm.RotationConfig
+	HealthParams = sm.PerfConfig
+)
 
 // PolicyParams configures the declarative security policy plane
 // (internal/policy). The zero value disables it entirely: partitions
@@ -133,44 +73,6 @@ type PolicyParams struct {
 	// first trap round trip.
 	PinInvalid uint16
 }
-
-// HealthParams configures the performance-management health plane: a
-// PerfMgr beside the master SM sweeps every inter-switch link's
-// PortCounters over real PMA MADs, scores links with a delta-based
-// EWMA, and proactively quarantines flaky links — rerouting around them
-// before they fail hard. The zero value disables the plane entirely
-// (no sweeps, no traps, byte-identical to pre-health builds).
-type HealthParams struct {
-	// SweepPeriod is the PortCounters sweep interval; zero disables the
-	// whole health plane.
-	SweepPeriod sim.Time
-	// Alpha is the EWMA smoothing factor; zero defaults to 0.5.
-	Alpha float64
-	// QuarantineScore fences a link when its EWMA error score reaches
-	// it; zero defaults to 4 (errors per sweep, both directions).
-	QuarantineScore float64
-	// ReadmitScore re-admits a fenced link once its score decays to it
-	// and the hold-down expired; zero defaults to QuarantineScore/8.
-	ReadmitScore float64
-	// Probation is the base hold-down served in quarantine; zero
-	// defaults to 4×SweepPeriod.
-	Probation sim.Time
-	// HoldMax caps the exponentially grown hold-down under Damping;
-	// zero defaults to 16×Probation.
-	HoldMax sim.Time
-	// Damping grows the hold-down as Probation·2^(flaps−1) (capped at
-	// HoldMax) — the defence that bounds route churn under an
-	// oscillating-BER attack. Off, every quarantine serves flat
-	// Probation.
-	Damping bool
-	// TrapThreshold arms switch-local threshold traps: a port whose
-	// error sum crosses it notifies the PerfMgr immediately instead of
-	// waiting for the next sweep. Zero disables traps.
-	TrapThreshold uint64
-}
-
-// Enabled reports whether the health plane should be wired.
-func (h HealthParams) Enabled() bool { return h.SweepPeriod > 0 }
 
 // Config describes one simulation run. The zero value is not runnable;
 // start from DefaultConfig.
@@ -349,41 +251,23 @@ func (c *Config) Validate() error {
 	if c.Params == nil {
 		return fmt.Errorf("core: nil fabric params")
 	}
-	if c.HA.Standbys < 0 || c.HA.Standbys >= n {
+	// Each plane validates its own config; what stays here are the rules
+	// that span planes.
+	for _, err := range []error{
+		c.HA.Validate(),
+		c.Rekey.Validate(),
+		c.Health.Validate(),
+		c.Congestion.Validate(c.Params.CreditsPerVL),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	if c.HA.Standbys >= n {
 		return fmt.Errorf("core: %d SM standbys for %d nodes", c.HA.Standbys, n)
 	}
-	if c.HA.Enabled() {
-		if c.HA.Heartbeat <= 0 {
-			return fmt.Errorf("core: HA requires a positive heartbeat")
-		}
-		if c.HA.Lease != 0 && c.HA.Lease < c.HA.Heartbeat {
-			return fmt.Errorf("core: HA lease %v shorter than heartbeat %v", c.HA.Lease, c.HA.Heartbeat)
-		}
-	} else if c.HA.SplitBrain {
-		return fmt.Errorf("core: split-brain handling requires HA standbys")
-	}
-	if (c.HA.CensusWait != 0 || c.HA.CensusPeriod != 0) && !c.HA.SplitBrain {
-		return fmt.Errorf("core: census settings require HA.SplitBrain")
-	}
-	if c.HA.CensusWait < 0 || c.HA.CensusPeriod < 0 {
-		return fmt.Errorf("core: negative census settings")
-	}
-	if c.Rekey.Enabled() {
-		if !c.Auth.Enabled || c.Auth.Level != transport.PartitionLevel {
-			return fmt.Errorf("core: key rotation requires partition-level authentication")
-		}
-		rk := c.Rekey.withDefaults()
-		if rk.Grace <= 0 || rk.Grace >= rk.Period {
-			return fmt.Errorf("core: rekey grace %v must be in (0, period %v)", rk.Grace, rk.Period)
-		}
-		if rk.DistributionDelay < 0 || rk.DistributionDelay >= rk.Grace {
-			return fmt.Errorf("core: rekey distribution delay %v must be in [0, grace %v)", rk.DistributionDelay, rk.Grace)
-		}
-		if rk.MergeGrace <= rk.DistributionDelay {
-			return fmt.Errorf("core: merge grace %v must exceed the distribution delay %v", rk.MergeGrace, rk.DistributionDelay)
-		}
-	} else if c.Rekey.MergeGrace != 0 {
-		return fmt.Errorf("core: merge grace requires key rotation")
+	if c.Rekey.Enabled() && (!c.Auth.Enabled || c.Auth.Level != transport.PartitionLevel) {
+		return fmt.Errorf("core: key rotation requires partition-level authentication")
 	}
 	if c.Policy.Enabled {
 		if c.Enforcement == enforce.NoFiltering {
@@ -411,26 +295,6 @@ func (c *Config) Validate() error {
 	}
 	if c.AttackRate < 0 || c.AttackRate > 1 {
 		return fmt.Errorf("core: attack rate %v outside [0,1]", c.AttackRate)
-	}
-	if err := c.Congestion.Validate(c.Params.CreditsPerVL); err != nil {
-		return err
-	}
-	if c.Health.Enabled() {
-		if c.Health.Alpha < 0 || c.Health.Alpha >= 1 {
-			return fmt.Errorf("core: health EWMA alpha %v outside [0,1)", c.Health.Alpha)
-		}
-		if c.Health.QuarantineScore < 0 || c.Health.ReadmitScore < 0 {
-			return fmt.Errorf("core: negative health score threshold")
-		}
-		if c.Health.QuarantineScore != 0 && c.Health.ReadmitScore > c.Health.QuarantineScore {
-			return fmt.Errorf("core: readmit score %v above quarantine score %v", c.Health.ReadmitScore, c.Health.QuarantineScore)
-		}
-		if c.Health.Probation < 0 || c.Health.HoldMax < 0 {
-			return fmt.Errorf("core: negative health hold-down")
-		}
-	} else if c.Health.Alpha != 0 || c.Health.QuarantineScore != 0 || c.Health.ReadmitScore != 0 ||
-		c.Health.Probation != 0 || c.Health.HoldMax != 0 || c.Health.Damping || c.Health.TrapThreshold != 0 {
-		return fmt.Errorf("core: health settings require Health.SweepPeriod > 0")
 	}
 	if c.FaultPlan != nil {
 		if len(c.FaultPlan.Compromises) > 0 && !c.Rekey.Enabled() {

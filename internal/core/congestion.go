@@ -8,6 +8,7 @@ import (
 	"ibasec/internal/fabric"
 	"ibasec/internal/runner"
 	"ibasec/internal/sim"
+	"ibasec/internal/sm"
 )
 
 // CongestionRow is one point of the congestion-control experiment: one
@@ -179,4 +180,20 @@ func runCongestionPoint(base Config, mode enforce.Mode, rate float64, cc bool) (
 		row.RecoverUS = (recoverAt - attackStop).Microseconds()
 	}
 	return row, nil
+}
+
+// inheritCongestion carries congestion control across a failover: the
+// promoted master re-applies the configuration parsed from its synced
+// blob, becoming the congestion manager.
+func (cl *Cluster) inheritCongestion(newMaster *sm.SubnetManager) {
+	blob := newMaster.SyncState(sm.CCMagic)
+	if len(blob) == 0 {
+		return
+	}
+	cc, err := sm.ParseCCBlob(blob)
+	if err != nil {
+		cl.rejectSyncState(newMaster, sm.CCMagic)
+		return
+	}
+	newMaster.ProgramCongestionControl(cc)
 }

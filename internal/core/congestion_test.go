@@ -93,7 +93,7 @@ func TestCongestionSurvivesFailover(t *testing.T) {
 	if promoted == nil {
 		t.Fatal("no standby reprogrammed congestion control after takeover")
 	}
-	got, err := sm.ParseCCBlob(promoted.CCBlob)
+	got, err := sm.ParseCCBlob(promoted.SyncState(sm.CCMagic))
 	if err != nil {
 		t.Fatalf("promoted standby holds a bad congestion blob: %v", err)
 	}

@@ -8,8 +8,10 @@ import (
 	"ibasec/internal/fabric"
 	"ibasec/internal/faults"
 	"ibasec/internal/packet"
+	"ibasec/internal/policy"
 	"ibasec/internal/runner"
 	"ibasec/internal/sim"
+	"ibasec/internal/sm"
 )
 
 // DriftRow is one point of the policy-drift experiment: a switch's
@@ -175,4 +177,56 @@ func runDriftPoint(base Config, mode enforce.Mode, periodUS int, repair bool) (D
 		}
 	}
 	return row, nil
+}
+
+// startAuditor starts the drift auditor for intent, probing from
+// master's node: the configured SM at bring-up, the promoted standby
+// after a takeover.
+func (cl *Cluster) startAuditor(intent *policy.Intent, master *sm.SubnetManager) {
+	node := master.Node()
+	cl.Auditor = policy.NewAuditor(cl.Sim, cl.newDiscoverer(node), intent,
+		sm.SwitchPaths(cl.Mesh, node),
+		policy.AuditConfig{Period: cl.Cfg.Policy.AuditPeriod, Repair: cl.Cfg.Policy.Repair})
+	cl.Auditor.Start()
+	cl.auditors = append(cl.auditors, cl.Auditor)
+}
+
+// inheritPolicy carries the policy plane across a failover through the
+// synced document: the promoted master recompiles intent from it, takes
+// over table reprogramming, and the drift auditor restarts bound to its
+// node. Only a run that audits inherits — without an auditor nothing
+// reads the intent again.
+func (cl *Cluster) inheritPolicy(newMaster *sm.SubnetManager) {
+	blob := newMaster.SyncState(policy.Magic)
+	if cl.Auditor == nil || len(blob) == 0 {
+		return
+	}
+	cl.Auditor.Stop()
+	var intent *policy.Intent
+	doc, err := policy.Unmarshal(blob)
+	if err == nil {
+		intent, err = policy.Compile(doc, cl.Mesh.NumNodes())
+	}
+	if err != nil {
+		cl.rejectSyncState(newMaster, policy.Magic)
+		return
+	}
+	mesh, filter := cl.Mesh, cl.Filter
+	newMaster.ProgramTables = func() { policy.Apply(intent, mesh, filter) }
+	cl.startAuditor(intent, newMaster)
+}
+
+// collectDrift sums every auditor's events and in-band MAD cost into
+// the results.
+func (cl *Cluster) collectDrift() {
+	for _, a := range cl.auditors {
+		for _, ev := range a.Events {
+			cl.res.DriftEvents++
+			if ev.Repaired {
+				cl.res.DriftRepaired++
+			}
+		}
+		cl.res.AuditMADs += a.Counters.Get("audit_mads")
+		cl.res.RepairMADs += a.Counters.Get("repair_mads")
+	}
 }

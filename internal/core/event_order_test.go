@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ibasec/internal/enforce"
+	"ibasec/internal/faults"
 	"ibasec/internal/mac"
 	"ibasec/internal/sim"
 	"ibasec/internal/trace"
@@ -67,6 +68,15 @@ func allPlanesCfg() Config {
 	return cfg
 }
 
+// allPlanesFailoverCfg is allPlanesCfg with the master killed a third of
+// the way in: the one run whose takeover hands every plane over at once
+// (rotator rebind, policy and congestion inheritance, PerfMgr rebuild).
+func allPlanesFailoverCfg() Config {
+	cfg := allPlanesCfg()
+	cfg.FaultPlan = &faults.Plan{Seed: cfg.Seed, SMKills: []faults.SMKill{{At: cfg.Duration / 3}}}
+	return cfg
+}
+
 // hashTraceEvent folds every field of ev into h. Node is length-prefixed
 // so adjacent fields cannot alias.
 func hashTraceEvent(h hash.Hash64, ev trace.Event) {
@@ -109,8 +119,9 @@ func eventOrderOf(t *testing.T, cfg Config) eventOrderPin {
 // single event's position changes the hash.
 func TestEventOrderPinned(t *testing.T) {
 	got := map[string]eventOrderPin{
-		"determinism": eventOrderOf(t, determinismCfg()),
-		"all_planes":  eventOrderOf(t, allPlanesCfg()),
+		"determinism":         eventOrderOf(t, determinismCfg()),
+		"all_planes":          eventOrderOf(t, allPlanesCfg()),
+		"all_planes_failover": eventOrderOf(t, allPlanesFailoverCfg()),
 	}
 	if *updateEventOrder {
 		b, err := json.MarshalIndent(got, "", "  ")

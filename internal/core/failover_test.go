@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
+	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
 	"ibasec/internal/faults"
 	"ibasec/internal/keys"
@@ -261,5 +263,107 @@ func TestForgedStateSyncRejected(t *testing.T) {
 	}
 	if n := cl.Rotator.Counters.Get("epoch_rollovers"); n < 4 {
 		t.Fatalf("only %d rollovers: none ran under the promoted master", n)
+	}
+}
+
+// TestForgedTrailerRefused sends a standby, in the window between the
+// master's death and the takeover, one state-sync MAD that replays the
+// genuine membership and carries one hostile per-plane trailer. A blob
+// its plane's parser refuses is hostile input: the promoted master drops
+// it, counts sync_state_rejected and starts the plane without inherited
+// state — with the plane configured off as well as on. A trailer under a
+// magic no plane owns is filed where nothing reads it, and displaces no
+// genuine state. Each case used to panic the run by name at takeover.
+func TestForgedTrailerRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		trailer  string
+		enable   func(*Config)
+		rejected bool
+		check    func(t *testing.T, cl *Cluster)
+	}{
+		{
+			name: "bad-length IBCC, congestion control off", trailer: "IBCC\x01\x02", rejected: true,
+		},
+		{
+			name: "bad-length IBHQ, health plane on", trailer: "IBHQ\x01\x02", rejected: true,
+			enable: func(cfg *Config) { cfg.Health = HealthParams{SweepPeriod: 40 * sim.Microsecond} },
+			check: func(t *testing.T, cl *Cluster) {
+				if len(cl.perfMgrs) != 2 || cl.PerfMgr.Counters.Get("sweeps") == 0 {
+					t.Errorf("%d PerfMgrs, the last swept %d times: the health plane did not restart clean",
+						len(cl.perfMgrs), cl.PerfMgr.Counters.Get("sweeps"))
+				}
+			},
+		},
+		{
+			name: "unknown magic, auditor on", trailer: "IBZZ\x01\x02",
+			enable: func(cfg *Config) {
+				cfg.Enforcement = enforce.SIF
+				cfg.Policy = PolicyParams{Enabled: true, AuditPeriod: 100 * sim.Microsecond}
+			},
+			check: func(t *testing.T, cl *Cluster) {
+				if len(cl.auditors) != 2 || cl.Auditor.Counters.Get("audit_sweeps") == 0 {
+					t.Errorf("%d auditors, the last swept %d times: the genuine policy state was displaced",
+						len(cl.auditors), cl.Auditor.Counters.Get("audit_sweeps"))
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := rekeyCfg()
+			cfg.HA = HAParams{Standbys: 1, Heartbeat: 50 * sim.Microsecond}
+			killAt := sim.Millisecond
+			cfg.FaultPlan = &faults.Plan{Seed: cfg.Seed, SMKills: []faults.SMKill{{At: killAt}}}
+			if tc.enable != nil {
+				tc.enable(&cfg)
+			}
+			cl, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			standby := cl.Standbys[0]
+			// type 3 (state sync), master, digest, then every partition as
+			// base, epoch, member count, members; then the trailer.
+			forged := []byte{3, 0, 0, 0, 0, 0, 0}
+			bases := cl.SM.PartitionBases()
+			forged = binary.BigEndian.AppendUint16(forged, uint16(len(bases)))
+			for _, base := range bases {
+				members := cl.SM.Members(packet.PKey(0x8000 | base))
+				forged = binary.BigEndian.AppendUint16(forged, base)
+				forged = binary.BigEndian.AppendUint32(forged, 0)
+				forged = binary.BigEndian.AppendUint16(forged, uint16(len(members)))
+				for _, m := range members {
+					forged = binary.BigEndian.AppendUint16(forged, uint16(m))
+				}
+			}
+			forged = binary.BigEndian.AppendUint32(forged, uint32(len(tc.trailer)))
+			forged = append(forged, tc.trailer...)
+			cl.Sim.ScheduleAt(killAt+20*sim.Microsecond, func() {
+				hca := cl.Mesh.HCA(5) // neither the master's node nor the standby's
+				d := fabric.NewMAD(hca.LID(), topology.LIDOf(standby.Node()), forged)
+				d.Attack = true
+				hca.Send(d)
+			})
+			res := cl.Simulate()
+
+			if n := cl.HA.Counters.Get("takeovers"); n != 1 || cl.HA.Active() != standby {
+				t.Fatalf("takeovers = %d, active on node %d: the standby did not take over", n, cl.HA.ActiveNode())
+			}
+			// A refused blob is counted and dropped; one nothing reads
+			// stays filed, which also shows the forged MAD arrived.
+			n, filed := cl.HA.Counters.Get("sync_state_rejected"), standby.SyncState(tc.trailer[:4]) != nil
+			if (n >= 1) != tc.rejected || filed == tc.rejected {
+				t.Errorf("sync_state_rejected = %d, still filed = %v; want rejected = %v", n, filed, tc.rejected)
+			}
+			if n := standby.Counters.Get("cc_program_mads"); n != 0 {
+				t.Errorf("the promoted master programmed congestion control (%d MADs) in a run with it off", n)
+			}
+			if res.AuthFail != 0 {
+				t.Errorf("%d auth failures", res.AuthFail)
+			}
+			if tc.check != nil {
+				tc.check(t, cl)
+			}
+		})
 	}
 }

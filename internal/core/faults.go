@@ -299,3 +299,107 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// startResweeper starts the SM's periodic self-healing re-sweep from the
+// configured SM node. It is the master's own control loop: an SMKill
+// stops it and no takeover restarts it.
+func (cl *Cluster) startResweeper() {
+	r := sm.NewResweeper(cl.Sim, cl.newDiscoverer(cl.Cfg.SM.Node), cl.Cfg.ResweepPeriod)
+	r.PrimeStatic(cl.Mesh)
+	r.OnEvent = func(ev sm.HealEvent) {
+		cl.healEvents = append(cl.healEvents, ev)
+		if cl.OnHeal != nil {
+			cl.OnHeal(ev)
+		}
+	}
+	r.Start()
+	cl.Resweeper = r
+}
+
+// installFaultPlan installs the run's fault plan on the fabric and
+// schedules its management-plane faults, which act on the coordinator,
+// the rotator and the filter — handles only the core layer holds, so
+// they are scheduled here and not in faults.Install.
+func (cl *Cluster) installFaultPlan() {
+	plan := cl.Cfg.FaultPlan
+	inj, err := faults.Install(cl.Sim, cl.Mesh, cl.Cfg.Params, plan)
+	if err != nil {
+		// The plan was validated against this mesh in Build.
+		panic(fmt.Sprintf("core: installing fault plan: %v", err))
+	}
+	cl.Injector = inj
+
+	for _, sk := range plan.SMKills {
+		cl.Sim.ScheduleAt(sk.At, func() {
+			// The master's control loops die with it; a takeover
+			// restarts all but the resweeper.
+			cl.stopMasterDuties()
+			cl.HA.KillMaster() // Build makes a coordinator for any plan with SMKills
+		})
+	}
+	for _, tc := range plan.Corruptions {
+		tc := tc
+		target := cl.resolveCorruptionSwitch(tc.Switch)
+		cl.Sim.ScheduleAt(tc.At, func() {
+			// Out-of-band state corruption: the switch's programmed
+			// enforcement state is mutated behind the SM's back, the
+			// divergence the drift auditor exists to catch.
+			sw := cl.Mesh.Switches[target]
+			switch tc.Op {
+			case faults.CorruptAddValid:
+				cl.Filter.AddValid(sw, packet.PKey(tc.PKey))
+			case faults.CorruptRemoveValid:
+				cl.Filter.RemoveValid(sw, packet.PKey(tc.PKey))
+			case faults.CorruptClearInvalid:
+				cl.Filter.ClearInvalid(sw)
+			case faults.CorruptDropAltSource:
+				cl.Filter.DropAltSource(sw, packet.LID(tc.Src))
+			case faults.CorruptDeactivate:
+				cl.Filter.SetActive(sw, false)
+			}
+		})
+	}
+	for _, kc := range plan.Compromises {
+		kc := kc
+		cl.Sim.ScheduleAt(kc.At, func() {
+			if cl.Rotator == nil {
+				return
+			}
+			// A dead management plane cannot respond: the
+			// compromised epoch stays live — the unprotected
+			// baseline the HA arms are measured against.
+			if cl.HA != nil && !cl.HA.MasterAlive() {
+				return
+			}
+			if err := cl.Rotator.ForceRotate(packet.PKey(kc.PKey)); err != nil {
+				panic(fmt.Sprintf("core: forced rotation: %v", err))
+			}
+		})
+	}
+}
+
+// resolveCorruptionSwitch maps a fault plan's symbolic switch target to
+// a concrete switch index: every node's ingress switch is the
+// same-index switch in the mesh, so the attacker's ingress is the
+// lowest-index compromised node and the victim's is the lowest-index
+// legitimate member of the lowest-base partition.
+func (cl *Cluster) resolveCorruptionSwitch(target int) int {
+	switch target {
+	case faults.SwitchAttackerIngress:
+		for node := 0; node < cl.Mesh.NumNodes(); node++ {
+			if cl.AttackSet[node] {
+				return node
+			}
+		}
+		panic("core: attacker-ingress corruption with no attackers")
+	case faults.SwitchVictimIngress:
+		for node := 0; node < cl.Mesh.NumNodes(); node++ {
+			if cl.PKeyOf[node] == packet.PKey(0x8001) && !cl.AttackSet[node] {
+				return node
+			}
+		}
+		panic("core: no legitimate member in the lowest partition")
+	default:
+		return target
+	}
+}

@@ -213,3 +213,49 @@ func crcLoss(cl *Cluster) uint64 {
 	}
 	return n
 }
+
+// startPerfMgr builds and starts the performance manager beside master:
+// the configured SM at bring-up, the promoted standby after a takeover,
+// where it displaces the dead master's and adopts the quarantine state
+// HA sync left on master, so degraded links stay fenced across the
+// failover. At bring-up there is no such state yet.
+func (cl *Cluster) startPerfMgr(master *sm.SubnetManager) {
+	if cl.PerfMgr != nil {
+		cl.PerfMgr.Stop()
+	}
+	pm := sm.NewPerfMgr(cl.Sim, cl.Mesh, cl.newDiscoverer(master.Node()), master, cl.Cfg.Health)
+	pm.OnEvent = func(ev sm.HealthEvent) {
+		if cl.OnHealth != nil {
+			cl.OnHealth(ev)
+		}
+	}
+	if blob := master.SyncState(sm.HealthMagic); len(blob) > 0 {
+		if entries, err := sm.ParseHealthBlob(blob); err != nil {
+			cl.rejectSyncState(master, sm.HealthMagic)
+		} else {
+			pm.Adopt(entries)
+		}
+	}
+	if cl.Resweeper != nil {
+		// Heal sweeps must not re-program routes over a link the health
+		// plane fenced (the double-programming race): the resweeper
+		// treats quarantined halves as dead.
+		cl.Resweeper.Quarantined = pm.QuarantinedEdges
+	}
+	pm.Start()
+	cl.PerfMgr = pm
+	cl.perfMgrs = append(cl.perfMgrs, pm)
+}
+
+// collectHealth sums every performance manager's quarantine activity
+// and in-band MAD cost into the results.
+func (cl *Cluster) collectHealth() {
+	for _, pm := range cl.perfMgrs {
+		cl.res.Quarantines += pm.Counters.Get("quarantines")
+		cl.res.Readmits += pm.Counters.Get("readmits")
+		cl.res.QuarantineRefused += pm.Counters.Get("quarantine_refused")
+		cl.res.HealthSweepMADs += pm.Counters.Get("health_sweep_mads")
+		cl.res.HealthTrapMADs += pm.Counters.Get("health_trap_mads") + pm.Counters.Get("trap_rearm_mads")
+		cl.res.HealthRerouteMADs += pm.Counters.Get("reroute_mads")
+	}
+}

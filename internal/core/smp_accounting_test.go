@@ -42,10 +42,10 @@ func smpAccountingOf(t *testing.T, cfg Config) smpAccounting {
 		probes, retries, timeouts := d.Stats()
 		got.Discoverers = append(got.Discoverers, fmt.Sprintf("%d/%d/%d", probes, retries, timeouts))
 	}
-	for _, a := range append(cl.retiredAuditors, cl.Auditor) {
+	for _, a := range cl.auditors {
 		got.AuditUnanswered += a.Counters.Get("audit_unanswered")
 	}
-	for _, pm := range append(cl.retiredPerfMgrs, cl.PerfMgr) {
+	for _, pm := range cl.perfMgrs {
 		got.HealthUnanswered += pm.Counters.Get("health_unanswered")
 	}
 	got.LostLinks = cl.Resweeper.Counters.Get("lost_links")

@@ -34,7 +34,7 @@ func (cl *Cluster) wireSplitBrain() {
 			m.Authority = m.Authority.Fork(cl.rngSplit)
 		}
 		if cl.Cfg.Rekey.Enabled() && m.Authority != nil {
-			rot, err := sm.NewRotator(cl.Sim, m, cl.rotationConfig())
+			rot, err := sm.NewRotator(cl.Sim, m, cl.Cfg.Rekey)
 			if err != nil {
 				panic(fmt.Sprintf("core: island rotator: %v", err))
 			}
@@ -84,7 +84,8 @@ func (cl *Cluster) wireSplitBrain() {
 // it fabric-wide; both lineages' recent keys become retired tombstones
 // on every CA, so in-flight packets sealed under either island's epochs
 // drain as auth_epoch_expired instead of an auth_fail storm; and after
-// the merge grace window the displaced pre-merge keys retire too.
+// the merge grace window — the rotation's own Grace, which exceeds the
+// distribution delay — the displaced pre-merge keys retire too.
 //
 // Ordering matters on each store: the merged epoch must be installed
 // before the tombstones (AddRetiredPartitionEpoch refuses tombstones at
@@ -94,7 +95,7 @@ func (cl *Cluster) reconcileEpochs(winner *sm.SubnetManager, fork *keys.Partitio
 	if !cl.Cfg.Rekey.Enabled() {
 		return // epoch 0 everywhere: the lineages never diverged
 	}
-	rk := cl.Cfg.Rekey.withDefaults()
+	rk := cl.Cfg.Rekey.WithDefaults()
 	for _, base := range winner.PartitionBases() {
 		pk := packet.PKey(0x8000 | base)
 		eW, okW := winner.Authority.CurrentKey(pk)
@@ -136,7 +137,7 @@ func (cl *Cluster) reconcileEpochs(winner *sm.SubnetManager, fork *keys.Partitio
 				}
 			}
 		})
-		cl.Sim.Schedule(rk.MergeGrace, func() {
+		cl.Sim.Schedule(rk.Grace, func() {
 			for _, n := range members {
 				if ep := cl.Endpoints[n]; ep != nil {
 					// One call covers both islands: each store's grace slot

@@ -5,7 +5,6 @@ import (
 	"ibasec/internal/metrics"
 	"ibasec/internal/sim"
 	"ibasec/internal/sm"
-	"ibasec/internal/topology"
 )
 
 // Continuous drift auditing. Every period the auditor sweeps the
@@ -73,7 +72,7 @@ type Auditor struct {
 	sim    *sim.Simulator
 	disc   *sm.Discoverer
 	intent *Intent
-	paths  map[int][]byte
+	paths  [][]byte
 	cfg    AuditConfig
 
 	// Counters: audit_sweeps, audit_skipped (a period elapsed while the
@@ -100,8 +99,8 @@ type Auditor struct {
 // NewAuditor builds an auditor driving disc (which must be the
 // auditor's own Discoverer — sharing the resweeper's would let its
 // per-sweep Reset cancel audit probes mid-flight) along the given
-// directed-route paths (SwitchPaths).
-func NewAuditor(s *sim.Simulator, disc *sm.Discoverer, intent *Intent, paths map[int][]byte, cfg AuditConfig) *Auditor {
+// directed-route paths, by switch index (sm.SwitchPaths).
+func NewAuditor(s *sim.Simulator, disc *sm.Discoverer, intent *Intent, paths [][]byte, cfg AuditConfig) *Auditor {
 	a := &Auditor{
 		sim:        s,
 		disc:       disc,
@@ -155,8 +154,8 @@ func (a *Auditor) tick() {
 	a.Counters.Inc("audit_sweeps", 1)
 	for i := range a.intent.Switches {
 		si := &a.intent.Switches[i]
-		path, ok := a.paths[si.Switch]
-		if !ok {
+		path := a.paths[si.Switch]
+		if path == nil {
 			continue
 		}
 		a.queryState(si, path)
@@ -357,37 +356,4 @@ func diff(want, have []uint16) []uint16 {
 		}
 	}
 	return out
-}
-
-// SwitchPaths computes the directed-route path (egress ports, as SMPs
-// carry them) from the SM's node to every switch of a healthy mesh: the
-// same BFS the discovery sweep and heal path use, so audit probes
-// travel the routes a real sweep would find.
-func SwitchPaths(mesh *topology.Mesh, smNode int) map[int][]byte {
-	g := mesh.EdgeGUIDs()
-	next := topology.NextHops(g)
-	root := mesh.SwitchOf(smNode).GUID()
-	paths := make(map[int][]byte, len(mesh.Switches))
-	for i, sw := range mesh.Switches {
-		tgt := sw.GUID()
-		if tgt == root {
-			paths[i] = []byte{}
-			continue
-		}
-		var path []byte
-		cur := root
-		for cur != tgt {
-			p, ok := next[cur][tgt]
-			if !ok {
-				path = nil
-				break
-			}
-			path = append(path, byte(p))
-			cur = g[cur][p]
-		}
-		if path != nil {
-			paths[i] = path
-		}
-	}
-	return paths
 }

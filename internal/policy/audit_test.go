@@ -46,7 +46,7 @@ func newAuditRig(t *testing.T, doc *Document, cfg AuditConfig) *auditRig {
 	disc := sm.NewDiscoverer(s, mesh.HCA(0), testMKey, 25*sim.Microsecond)
 	disc.MaxRetries = 2
 	disc.SetTimeoutMult = 10
-	auditor := NewAuditor(s, disc, intent, SwitchPaths(mesh, 0), cfg)
+	auditor := NewAuditor(s, disc, intent, sm.SwitchPaths(mesh, 0), cfg)
 	auditor.Start()
 	return &auditRig{s: s, mesh: mesh, filter: filter, intent: intent, auditor: auditor}
 }
@@ -211,36 +211,5 @@ func TestAuditorToleratesRuntimeSupersets(t *testing.T) {
 	if finalMads != madsAfterFirstVerify+sweepsLeft*perSwitch {
 		t.Errorf("post-verify sweeps cost %d MADs, want %d (digest cache miss?)",
 			finalMads-madsAfterFirstVerify, sweepsLeft*perSwitch)
-	}
-}
-
-func TestSwitchPaths(t *testing.T) {
-	s := sim.New()
-	mesh := topology.NewMesh(s, fabric.DefaultParams(), 3, 3)
-	paths := SwitchPaths(mesh, 4) // SM at the centre of a 3x3 mesh
-	if len(paths) != 9 {
-		t.Fatalf("got paths for %d switches, want 9", len(paths))
-	}
-	if len(paths[4]) != 0 {
-		t.Errorf("root path = %v, want empty", paths[4])
-	}
-	// Corner switch 0 is two hops from the centre.
-	if len(paths[0]) != 2 {
-		t.Errorf("path to corner = %v, want 2 hops", paths[0])
-	}
-	// Every path must land on its target when walked over the mesh edges.
-	g := mesh.EdgeGUIDs()
-	for i, path := range paths {
-		cur := mesh.Switches[4].GUID()
-		for _, p := range path {
-			nbr, ok := g[cur][int(p)]
-			if !ok {
-				t.Fatalf("path to switch %d leaves the mesh at port %d", i, p)
-			}
-			cur = nbr
-		}
-		if cur != mesh.Switches[i].GUID() {
-			t.Errorf("path to switch %d lands on the wrong switch", i)
-		}
 	}
 }

@@ -22,11 +22,14 @@ import (
 //	u16 nPinned; each: i16 switch (-1 = all), u16 base
 //	u16 nAlt;    each: u16 switch, u16 src
 //	u16 nModes;  each: u16 switch, u8 mode
-var marshalMagic = []byte("IBPL")
+
+// Magic opens every marshalled document and names the policy plane's
+// sync state on its SM (sm.SetSyncState).
+const Magic = "IBPL"
 
 // Marshal encodes doc deterministically.
 func Marshal(doc *Document) []byte {
-	out := append([]byte(nil), marshalMagic...)
+	out := []byte(Magic)
 	u16 := func(v uint16) { out = binary.BigEndian.AppendUint16(out, v) }
 	u16(uint16(doc.Version))
 	out = append(out, byte(doc.Mode))
@@ -95,8 +98,8 @@ func Unmarshal(blob []byte) (*Document, error) {
 		return b[0], true
 	}
 
-	magic, ok := take(len(marshalMagic))
-	if !ok || string(magic) != string(marshalMagic) {
+	magic, ok := take(len(Magic))
+	if !ok || string(magic) != Magic {
 		return nil, fmt.Errorf("policy: bad document magic")
 	}
 	doc := &Document{}

@@ -184,7 +184,7 @@ func TestProgramInstallsIntent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(manager.PolicyBlob) == 0 || manager.ProgramTables == nil {
+	if len(manager.SyncState(Magic)) == 0 || manager.ProgramTables == nil {
 		t.Fatal("Program left no policy blob or reprogram hook on the SM")
 	}
 
@@ -237,7 +237,7 @@ func TestProgramInstallsIntent(t *testing.T) {
 
 	// Round-tripping the blob recompiles to the same intent (what a
 	// promoted standby does with the synced document).
-	back, err := Unmarshal(manager.PolicyBlob)
+	back, err := Unmarshal(manager.SyncState(Magic))
 	if err != nil {
 		t.Fatal(err)
 	}

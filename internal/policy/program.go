@@ -15,10 +15,11 @@ import (
 // state sync and rotation all see them exactly as imperatively created
 // ones), limited memberships are downgraded on the member HCAs, and
 // every switch's enforcement state is installed from the compiled
-// intent. The manager is left holding the marshalled document
-// (PolicyBlob, synced to HA standbys) and a ProgramTables hook that
-// reapplies the compiled switch state — so a post-failover reprogram
-// restores intent rather than re-deriving tables from membership.
+// intent. The manager is left holding the marshalled document (its
+// sync state under Magic, carried to HA standbys) and a ProgramTables
+// hook that reapplies the compiled switch state — so a post-failover
+// reprogram restores intent rather than re-deriving tables from
+// membership.
 func Program(doc *Document, manager *sm.SubnetManager, mesh *topology.Mesh, filter *enforce.Filter, mkey keys.MKey) (*Intent, error) {
 	intent, err := Compile(doc, mesh.NumNodes())
 	if err != nil {
@@ -45,7 +46,7 @@ func Program(doc *Document, manager *sm.SubnetManager, mesh *topology.Mesh, filt
 		}
 	}
 	Apply(intent, mesh, filter)
-	manager.PolicyBlob = Marshal(doc)
+	manager.SetSyncState(Magic, Marshal(doc))
 	manager.ProgramTables = func() { Apply(intent, mesh, filter) }
 	return intent, nil
 }

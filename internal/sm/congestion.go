@@ -16,11 +16,9 @@ import (
 // configuration blob, and answers congestion log queries over the
 // programmed fabric.
 
-// ccBlobMagic opens every encoded congestion-control configuration.
-// It must stay distinct from the policy document magic ("IBPL"): HA
-// state-sync MADs carry both blobs as interchangeable trailers and
-// classify them by these first bytes.
-const ccBlobMagic = "IBCC"
+// CCMagic opens every encoded congestion-control configuration and
+// names the congestion plane's sync state on its SM (SetSyncState).
+const CCMagic = "IBCC"
 
 // ccBlobVersion is the current encoding version.
 const ccBlobVersion = 1
@@ -33,7 +31,7 @@ const ccBlobSize = 25
 // deterministic wire form carried by HA state sync.
 func EncodeCCBlob(cc fabric.CCParams) []byte {
 	b := make([]byte, ccBlobSize)
-	copy(b, ccBlobMagic)
+	copy(b, CCMagic)
 	b[4] = ccBlobVersion
 	binary.BigEndian.PutUint16(b[5:7], uint16(cc.MarkingThreshold))
 	binary.BigEndian.PutUint16(b[7:9], uint16(cc.CCTSize))
@@ -42,16 +40,10 @@ func EncodeCCBlob(cc fabric.CCParams) []byte {
 	return b
 }
 
-// IsCCBlob reports whether the blob opens with the congestion-control
-// magic — the state-sync trailer classifier.
-func IsCCBlob(b []byte) bool {
-	return len(b) >= len(ccBlobMagic) && string(b[:len(ccBlobMagic)]) == ccBlobMagic
-}
-
 // ParseCCBlob decodes an encoded congestion-control configuration,
 // rejecting truncated, mis-tagged, or over-long blobs.
 func ParseCCBlob(b []byte) (fabric.CCParams, error) {
-	if !IsCCBlob(b) {
+	if len(b) < len(CCMagic) || string(b[:len(CCMagic)]) != CCMagic {
 		return fabric.CCParams{}, fmt.Errorf("sm: not a congestion-control blob")
 	}
 	if len(b) != ccBlobSize {
@@ -72,9 +64,10 @@ func ParseCCBlob(b []byte) (fabric.CCParams, error) {
 // switch and the CCT parameters into every HCA the SM currently serves
 // (the whole fabric, or its island when scoped), charging one
 // configuration MAD per device, and leaves the encoded blob on the SM
-// so HA state sync carries it to standbys. The zero value un-programs
-// devices — the off switch. Idempotent; a promoted standby calls it
-// again with the configuration parsed from its inherited CCBlob.
+// (under CCMagic) so HA state sync carries it to standbys. The zero
+// value un-programs devices — the off switch. Idempotent; a promoted
+// standby calls it again with the configuration parsed from the blob it
+// inherited.
 func (m *SubnetManager) ProgramCongestionControl(cc fabric.CCParams) {
 	for i, sw := range m.mesh.Switches {
 		if !m.InIsland(i) {
@@ -90,11 +83,11 @@ func (m *SubnetManager) ProgramCongestionControl(cc fabric.CCParams) {
 		hca.SetCongestionControl(cc)
 		m.Counters.Inc("cc_program_mads", 1)
 	}
+	var blob []byte
 	if cc.Enabled() {
-		m.CCBlob = EncodeCCBlob(cc)
-	} else {
-		m.CCBlob = nil
+		blob = EncodeCCBlob(cc)
 	}
+	m.SetSyncState(CCMagic, blob)
 }
 
 // CongestionLogEntry is one switch's row of the SM's congestion log

@@ -24,8 +24,8 @@ func testCCParams() fabric.CCParams {
 func TestCCBlobRoundTrip(t *testing.T) {
 	cc := testCCParams()
 	blob := EncodeCCBlob(cc)
-	if !IsCCBlob(blob) {
-		t.Fatal("encoded blob not recognised by the classifier")
+	if string(blob[:syncMagicSize]) != CCMagic {
+		t.Fatal("encoded blob does not open with the plane's magic")
 	}
 	got, err := ParseCCBlob(blob)
 	if err != nil {
@@ -55,8 +55,8 @@ func TestCCBlobRoundTrip(t *testing.T) {
 // 1, 2 and 3 blobs attached: the encoding must equal the wire image
 // captured before the three named trailer fields became one ordered
 // list (so old and new masters interoperate), every blob must survive a
-// round trip in order, and a standby must file each under the plane that
-// owns it — by content, not position. Malformed trailers are rejected.
+// round trip in order, and a standby must file each under the magic that
+// opens it — by content, not position. Malformed trailers are rejected.
 func TestStateSyncCarriesCCBlob(t *testing.T) {
 	base := stateSyncMAD{
 		Master:     3,
@@ -100,16 +100,16 @@ func TestStateSyncCarriesCCBlob(t *testing.T) {
 		// Adopted in reverse, so position cannot be what files them.
 		var standby SubnetManager
 		for i := len(got.Blobs) - 1; i >= 0; i-- {
-			standby.adoptBlob(got.Blobs[i])
+			standby.SetSyncState(string(got.Blobs[i][:syncMagicSize]), got.Blobs[i])
 		}
 		var filed [][]byte
-		for _, b := range [][]byte{standby.PolicyBlob, standby.CCBlob, standby.HealthBlob} {
-			if b != nil {
+		for _, magic := range []string{"IBPL", CCMagic, HealthMagic} {
+			if b := standby.SyncState(magic); b != nil {
 				filed = append(filed, b)
 			}
 		}
 		if !reflect.DeepEqual(filed, tc.blobs) {
-			t.Errorf("%s: trailers misfiled: policy=%q cc=%q health=%q", tc.name, standby.PolicyBlob, standby.CCBlob, standby.HealthBlob)
+			t.Errorf("%s: trailers misfiled: %q, want %q", tc.name, filed, tc.blobs)
 		}
 	}
 
@@ -121,11 +121,43 @@ func TestStateSyncCarriesCCBlob(t *testing.T) {
 		"truncated length prefix":    whole[:len(whole)-len(policy)-2],
 		"length past the payload":    whole[:len(whole)-1],
 		"zero-length trailer":        append(append([]byte(nil), whole...), 0, 0, 0, 0),
+		"trailer shorter than magic": append(append([]byte(nil), whole...), 0, 0, 0, 3, 'I', 'B', 'C'),
 		"truncated partition record": whole[:12],
 	} {
 		if _, err := parseStateSync(pl); !errors.Is(err, errHAShort) {
 			t.Errorf("%s: err = %v, want errHAShort", name, err)
 		}
+	}
+}
+
+// TestSyncStateAllocFree holds the heartbeat path to what it allocated
+// while the trailers were three named fields — nothing: a standby filing
+// a trailer under a magic it already knows, and a master listing the
+// trailers of its second and later beats. A mgmt-planes repetition does
+// both 600 beats × 2 standbys × 3 planes times, and the run-level
+// allocation ceilings are too loose to see either come back.
+func TestSyncStateAllocFree(t *testing.T) {
+	r := newRig(t, enforce.NoFiltering)
+	blobs := [][]byte{[]byte("IBPLfake-policy-document"), EncodeCCBlob(testCCParams()), EncodeHealthBlob(nil)}
+	file := func() {
+		for _, b := range blobs {
+			r.m.SetSyncState(string(b[:syncMagicSize]), b)
+		}
+	}
+	file()
+	if n := testing.AllocsPerRun(100, file); n != 0 {
+		t.Errorf("filing three trailers under known magics allocated %.0f times, want 0", n)
+	}
+
+	c, err := NewCoordinator(r.s, r.mesh, HAConfig{}, DefaultConfig().MKey, r.m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.syncTrailers(r.m); !reflect.DeepEqual(got, blobs) {
+		t.Fatalf("trailers %q, want the three blobs in first-set order", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.syncTrailers(r.m) }); n != 0 {
+		t.Errorf("a second beat's trailer list allocated %.0f times, want 0", n)
 	}
 }
 
@@ -148,7 +180,7 @@ func TestProgramCongestionControl(t *testing.T) {
 	if got := r.m.Counters.Get("cc_program_mads"); got != devices {
 		t.Fatalf("cc_program_mads = %d, want one per device (%d)", got, devices)
 	}
-	want, err := ParseCCBlob(r.m.CCBlob)
+	want, err := ParseCCBlob(r.m.SyncState(CCMagic))
 	if err != nil || want != cc {
 		t.Fatalf("SM did not retain the synced blob: %v %+v", err, want)
 	}
@@ -157,7 +189,7 @@ func TestProgramCongestionControl(t *testing.T) {
 	}
 
 	r.m.ProgramCongestionControl(fabric.CCParams{})
-	if r.m.CCBlob != nil {
+	if r.m.SyncState(CCMagic) != nil {
 		t.Fatal("zero-value programming did not clear the synced blob")
 	}
 	h2 := r.mesh.HCA(6)

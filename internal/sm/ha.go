@@ -72,11 +72,10 @@ type stateSyncMAD struct {
 	Partitions []syncPartition
 	// Blobs are the master's opaque per-plane states, each carried as
 	// an optional length-prefixed trailer so a promoted standby inherits
-	// them: in the fixed order beatFrom fills them, the marshalled policy
-	// document, the congestion-control configuration and the quarantine
-	// state. A plane that is off contributes none, so with every plane
-	// off the encoding is byte-identical to the pre-policy format. The
-	// receiver routes each by content, not position (adoptBlob).
+	// them, in the order the master's planes first set them. A plane that
+	// is off contributes none, so with every plane off the encoding is
+	// byte-identical to the pre-policy format. The receiver files each
+	// under the magic that opens it, not by position (SetSyncState).
 	Blobs [][]byte
 }
 
@@ -121,20 +120,68 @@ func encodeStateSync(m stateSyncMAD) []byte {
 	return pl
 }
 
-// adoptBlob files one state-synced trailer under the plane that owns
-// it. This is the one place that knows the classification: congestion-
-// control blobs open with "IBCC", quarantine-state blobs with "IBHQ",
-// and anything else is the marshalled policy document (sm cannot import
-// policy to check its "IBPL"). A new plane costs one case here.
-func (m *SubnetManager) adoptBlob(b []byte) {
-	switch {
-	case IsCCBlob(b):
-		m.CCBlob = b
-	case IsHealthBlob(b):
-		m.HealthBlob = b
-	default:
-		m.PolicyBlob = b
+// syncMagicSize is the length of the magic that opens every plane's
+// sync state and names it in the table.
+const syncMagicSize = 4
+
+// syncEntry is one plane's HA-synced state on a SubnetManager.
+type syncEntry struct {
+	magic [syncMagicSize]byte
+	blob  []byte
+}
+
+// syncSlot returns the entry filed under magic, nil when there is none.
+// magic does not escape, so a caller may pass string(b[:4]) of a packet
+// buffer without allocating.
+func (m *SubnetManager) syncSlot(magic string) *syncEntry {
+	for i := range m.syncState {
+		if string(m.syncState[i].magic[:]) == magic {
+			return &m.syncState[i]
+		}
 	}
+	return nil
+}
+
+// SyncState returns the state last filed under magic, nil when none.
+func (m *SubnetManager) SyncState(magic string) []byte {
+	if e := m.syncSlot(magic); e != nil {
+		return e.blob
+	}
+	return nil
+}
+
+// SetSyncState files blob under its plane's four-byte magic: the owning
+// plane on the master, the coordinator for every trailer a standby
+// receives. Planes keep the position of their first set; an empty blob
+// clears the state (the plane sends no trailer) but keeps the position.
+// This package never interprets a blob — the plane that reads it back
+// parses it, and checks the magic again. The magic is stored by value,
+// so filing under one already known allocates nothing.
+func (m *SubnetManager) SetSyncState(magic string, blob []byte) {
+	if e := m.syncSlot(magic); e != nil {
+		e.blob = blob
+		return
+	}
+	if len(magic) != syncMagicSize {
+		panic("sm: a sync-state magic is four bytes") // not formatted: magic must not escape
+	}
+	if len(blob) == 0 {
+		return
+	}
+	e := syncEntry{blob: blob}
+	copy(e.magic[:], magic)
+	m.syncState = append(m.syncState, e)
+}
+
+// appendSyncState appends the non-empty sync states to dst in first-set
+// order — the trailer list of one state-sync MAD.
+func (m *SubnetManager) appendSyncState(dst [][]byte) [][]byte {
+	for i := range m.syncState {
+		if b := m.syncState[i].blob; len(b) > 0 {
+			dst = append(dst, b)
+		}
+	}
+	return dst
 }
 
 // parseStateSync validates and decodes a state-sync payload. Every length
@@ -173,16 +220,17 @@ func parseStateSync(pl []byte) (stateSyncMAD, error) {
 		m.Partitions = append(m.Partitions, p)
 	}
 	// Optional length-prefixed trailers. The trailer-free pre-policy
-	// encoding parses unchanged; a present-but-truncated or empty trailer
-	// is rejected like any other short field. One copy of the trailer
-	// region detaches every blob from the packet buffer.
+	// encoding parses unchanged; a truncated trailer, or one too short to
+	// hold the magic it is filed under, is rejected like any other short
+	// field. One copy of the trailer region detaches every blob from the
+	// packet buffer.
 	tail := append([]byte(nil), pl[off:]...)
 	for len(tail) > 0 {
 		if len(tail) < 4 {
 			return stateSyncMAD{}, errHAShort
 		}
 		bn := int(binary.BigEndian.Uint32(tail))
-		if bn <= 0 || bn > len(tail)-4 {
+		if bn < syncMagicSize || bn > len(tail)-4 {
 			return stateSyncMAD{}, errHAShort
 		}
 		m.Blobs = append(m.Blobs, tail[4:4+bn:4+bn])
@@ -241,42 +289,49 @@ func fnv1a32(parts []syncPartition) uint32 {
 	return h
 }
 
-// HAConfig tunes subnet-manager high availability.
+// HAConfig configures subnet-manager high availability. The zero value
+// disables it: a single SM, exactly the pre-HA behaviour.
 type HAConfig struct {
-	// Standbys lists standby SM node indices in priority order: on master
-	// death the first live entry wins the election.
-	Standbys []int
+	// Standbys is how many standby SM instances run, in priority order:
+	// on master death the first live one wins the election. They receive
+	// heartbeat + state-sync MADs from the master and elect a replacement
+	// after a lease of three heartbeats' silence.
+	Standbys int
 	// Heartbeat is the master's beacon period (also the standbys' lease
 	// check period).
 	Heartbeat sim.Time
-	// Lease is how long a standby tolerates heartbeat silence before
-	// starting its (priority-staggered) takeover countdown.
-	Lease sim.Time
-	// ResweepTimeout bounds each probe of the post-election re-sweep;
-	// zero selects a default of 25µs.
-	ResweepTimeout sim.Time
 	// SplitBrain enables partition-aware mastership. A reachable-node
 	// census gates every election (full reach elects normally, partial
 	// reach elects a contained island master), the sitting master
-	// censuses the fabric periodically to notice a partition on its own
+	// censuses the fabric once a lease to notice a partition on its own
 	// side, and when crossing heartbeats reveal two masters after a heal
 	// the lower-priority one abdicates and the winner runs the merge
 	// protocol. Off (the default), the coordinator behaves exactly as it
 	// did before this knob existed.
 	SplitBrain bool
-	// CensusWait is how long a census round may collect pongs before its
-	// verdict; unanimity ends a round early, so the window only delays
-	// partial verdicts. Zero selects 2× the lease. The wait must cover a
-	// fabric-diameter MAD round trip or healthy distant nodes read as
-	// unreachable and the master contains itself in a whole fabric. A
-	// wait longer than the heartbeat is safe: every election verdict
-	// re-checks the lease, so a master elected meanwhile aborts the
-	// late census's election instead of double-electing.
-	CensusWait sim.Time
-	// CensusPeriod is the sitting master's partition-detection interval;
-	// zero selects the lease.
-	CensusPeriod sim.Time
 }
+
+// Enabled reports whether any standby runs.
+func (h HAConfig) Enabled() bool { return h.Standbys > 0 }
+
+// Validate reports configuration errors.
+func (h HAConfig) Validate() error {
+	if h.Standbys < 0 {
+		return fmt.Errorf("sm: %d SM standbys", h.Standbys)
+	}
+	if h.Enabled() {
+		if h.Heartbeat <= 0 {
+			return fmt.Errorf("sm: HA requires a positive heartbeat")
+		}
+	} else if h.SplitBrain {
+		return fmt.Errorf("sm: split-brain handling requires HA standbys")
+	}
+	return nil
+}
+
+// electionSweepTimeout bounds each probe of the re-sweep a newly
+// elected master verifies the fabric with.
+const electionSweepTimeout = 25 * sim.Microsecond
 
 // TakeoverEvent records one completed failover.
 type TakeoverEvent struct {
@@ -357,6 +412,8 @@ type Coordinator struct {
 	containedAt []sim.Time
 	abdicatedAt []sim.Time
 	hbSeqs      []uint32
+	// trailers is beatFrom's sync-trailer list, reused from beat to beat.
+	trailers [][]byte
 
 	stopHBs    []func()
 	stopLeases []func()
@@ -397,17 +454,19 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds the HA ensemble. master must be the currently
-// authoritative SM; standbys must be in cfg.Standbys priority order and
-// share the master's mesh, filter and key authority.
+// authoritative SM; standbys, in priority order, must share the master's
+// mesh, filter and key authority. With no standbys (the unrecovered-
+// loss baseline of a plan that kills the SM) the heartbeat defaults to
+// 50 µs.
 func NewCoordinator(s *sim.Simulator, mesh *topology.Mesh, cfg HAConfig, mkey keys.MKey, master *SubnetManager, standbys []*SubnetManager) (*Coordinator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(standbys) != cfg.Standbys {
+		return nil, fmt.Errorf("sm: %d standby SMs for %d configured", len(standbys), cfg.Standbys)
+	}
 	if cfg.Heartbeat <= 0 {
-		return nil, fmt.Errorf("sm: HA heartbeat must be positive")
-	}
-	if cfg.Lease < cfg.Heartbeat {
-		return nil, fmt.Errorf("sm: HA lease %v shorter than heartbeat %v", cfg.Lease, cfg.Heartbeat)
-	}
-	if len(standbys) != len(cfg.Standbys) {
-		return nil, fmt.Errorf("sm: %d standby SMs for %d configured nodes", len(standbys), len(cfg.Standbys))
+		cfg.Heartbeat = 50 * sim.Microsecond
 	}
 	c := &Coordinator{
 		sim:      s,
@@ -417,20 +476,18 @@ func NewCoordinator(s *sim.Simulator, mesh *topology.Mesh, cfg HAConfig, mkey ke
 		Counters: metrics.NewCounters(),
 	}
 	c.sms = append([]*SubnetManager{master}, standbys...)
-	c.nodes = append([]int{master.Node()}, cfg.Standbys...)
-	for i, n := range c.nodes {
+	for i, m := range c.sms {
+		n := m.Node()
 		if n < 0 || n >= mesh.NumNodes() {
 			return nil, fmt.Errorf("sm: HA node %d out of range", n)
 		}
-		c.names = append(c.names, mesh.HCA(n).Name())
 		for j := 0; j < i; j++ {
 			if c.nodes[j] == n {
 				return nil, fmt.Errorf("sm: HA node %d listed twice", n)
 			}
 		}
-	}
-	if cfg.CensusWait < 0 {
-		return nil, fmt.Errorf("sm: negative census wait %v", cfg.CensusWait)
+		c.nodes = append(c.nodes, n)
+		c.names = append(c.names, mesh.HCA(n).Name())
 	}
 	c.dead = make([]bool, len(c.sms))
 	c.lastHeard = make([]sim.Time, len(c.sms))
@@ -484,13 +541,13 @@ func (c *Coordinator) Start() {
 		c.stopLeases[i] = c.sim.Every(c.cfg.Heartbeat, func() { c.checkLease(i) })
 	}
 	if c.cfg.SplitBrain {
-		period := c.cfg.CensusPeriod
-		if period <= 0 {
-			period = c.cfg.Lease
-		}
-		c.stopCensus = c.sim.Every(period, c.masterCensus)
+		c.stopCensus = c.sim.Every(c.lease(), c.masterCensus)
 	}
 }
+
+// lease is how long a standby tolerates heartbeat silence before
+// starting its (priority-staggered) takeover countdown.
+func (c *Coordinator) lease() sim.Time { return 3 * c.cfg.Heartbeat }
 
 // Stop cancels every timer the coordinator owns.
 func (c *Coordinator) Stop() {
@@ -560,13 +617,7 @@ func (c *Coordinator) beatFrom(idx int) {
 	}
 	digest := fnv1a32(sync.Partitions)
 	sync.DirDigest = digest
-	blobs := [...][]byte{master.PolicyBlob, master.CCBlob, master.HealthBlob}
-	sync.Blobs = blobs[:0] // filtered in place: a plane that is off sends no trailer
-	for _, b := range blobs {
-		if len(b) > 0 {
-			sync.Blobs = append(sync.Blobs, b)
-		}
-	}
+	sync.Blobs = c.syncTrailers(master)
 	hb := encodeHeartbeat(heartbeatMAD{Master: uint16(c.nodes[idx]), Seq: c.hbSeqs[idx], Digest: digest})
 	ss := encodeStateSync(sync)
 	// With SplitBrain on, masters also beat entry 0 — that is how a
@@ -584,6 +635,14 @@ func (c *Coordinator) beatFrom(idx int) {
 		c.sendMADFrom(c.nodes[idx], c.nodes[i], ss)
 		c.Counters.Inc("heartbeats_sent", 1)
 	}
+}
+
+// syncTrailers lists master's non-empty sync states in first-set order,
+// in the coordinator's scratch slice: a plane that is off sends no
+// trailer, and a beat allocates no list.
+func (c *Coordinator) syncTrailers(master *SubnetManager) [][]byte {
+	c.trailers = master.appendSyncState(c.trailers[:0])
+	return c.trailers
 }
 
 // sendMADFrom emits a management-class UD packet from src's HCA to dst,
@@ -658,7 +717,7 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 			c.lastHeard[i] = c.sim.Now()
 			c.sms[i].AdoptPartitions(snap)
 			for _, b := range sync.Blobs {
-				c.sms[i].adoptBlob(b)
+				c.sms[i].SetSyncState(string(b[:syncMagicSize]), b)
 			}
 			if fnv1a32(sync.Partitions) != sync.DirDigest {
 				c.Counters.Inc("sync_digest_mismatch", 1)
@@ -747,7 +806,7 @@ func (c *Coordinator) checkLease(i int) {
 			rank++
 		}
 	}
-	deadline := c.lastHeard[i] + c.cfg.Lease + sim.Time(rank)*c.cfg.Heartbeat
+	deadline := c.lastHeard[i] + c.lease() + sim.Time(rank)*c.cfg.Heartbeat
 	if c.sim.Now() < deadline {
 		return
 	}
@@ -763,7 +822,7 @@ func (c *Coordinator) checkLease(i int) {
 		if c.dead[i] || c.isMaster[i] {
 			return
 		}
-		if c.sim.Now() < c.lastHeard[i]+c.cfg.Lease {
+		if c.sim.Now() < c.lastHeard[i]+c.lease() {
 			return // heartbeats resumed while the census was collecting
 		}
 		if len(got) == c.mesh.NumNodes() {
@@ -779,7 +838,7 @@ func (c *Coordinator) checkLease(i int) {
 // re-attaches violation traps to itself, resumes the SIF auto-disable
 // duty, and starts heartbeating the surviving standbys.
 func (c *Coordinator) takeover(i int) {
-	detected := c.lastHeard[i] + c.cfg.Lease
+	detected := c.lastHeard[i] + c.lease()
 	elected := c.sim.Now()
 	if c.stopHBs[c.active] != nil {
 		c.stopHBs[c.active]()
@@ -798,13 +857,7 @@ func (c *Coordinator) takeover(i int) {
 	c.beatFrom(i)
 	c.startHeartbeatsFrom(i)
 
-	timeout := c.cfg.ResweepTimeout
-	if timeout <= 0 {
-		timeout = 25 * sim.Microsecond
-	}
-	disc := NewDiscoverer(c.sim, c.mesh.HCA(c.nodes[i]), c.mkey, timeout)
-	disc.MaxRetries = 1
-	disc.Probe(func(topo *DiscoveredTopology) {
+	c.electionSweep(i, func(topo *DiscoveredTopology) {
 		m.ProgramSwitchTables()
 		m.AttachTraps()
 		m.ResumeTimers()
@@ -820,6 +873,14 @@ func (c *Coordinator) takeover(i int) {
 			c.OnTakeover(m)
 		}
 	})
+}
+
+// electionSweep re-verifies fabric state with a bounded probe from newly
+// elected entry i's own HCA, then runs done.
+func (c *Coordinator) electionSweep(i int, done func(*DiscoveredTopology)) {
+	disc := NewDiscoverer(c.sim, c.mesh.HCA(c.nodes[i]), c.mkey, electionSweepTimeout)
+	disc.MaxRetries = 1
+	disc.Probe(done)
 }
 
 // runCensus starts a reachability census from entry's node: one ping to
@@ -848,10 +909,12 @@ func (c *Coordinator) runCensus(entry int, done func(got map[int]bool, pings int
 		round.pings++
 	}
 	c.Counters.Inc("census_pings", uint64(round.pings))
-	wait := c.cfg.CensusWait
-	if wait <= 0 {
-		wait = 2 * c.cfg.Lease
-	}
+	// The window must cover a fabric-diameter MAD round trip, or healthy
+	// distant nodes read as unreachable and the master contains itself in
+	// a whole fabric. Outlasting the heartbeat is safe: every election
+	// verdict re-checks the lease, so a master elected meanwhile aborts
+	// the late census's election instead of double-electing.
+	wait := 2 * c.lease()
 	c.sim.Schedule(wait/2, func() {
 		if c.censuses[entry] != round || round.fired {
 			return
@@ -957,13 +1020,7 @@ func (c *Coordinator) containedTakeover(i int, got map[int]bool) {
 	c.beatFrom(i)
 	c.startHeartbeatsFrom(i)
 
-	timeout := c.cfg.ResweepTimeout
-	if timeout <= 0 {
-		timeout = 25 * sim.Microsecond
-	}
-	disc := NewDiscoverer(c.sim, c.mesh.HCA(c.nodes[i]), c.mkey, timeout)
-	disc.MaxRetries = 1
-	disc.Probe(func(topo *DiscoveredTopology) {
+	c.electionSweep(i, func(topo *DiscoveredTopology) {
 		if c.dead[i] || !c.isMaster[i] {
 			return // abdicated before the island re-sweep finished
 		}

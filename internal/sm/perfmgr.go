@@ -78,22 +78,28 @@ func portErrDelta(prev, cur fabric.PortCounters) uint64 {
 		CounterDelta(prev.RcvErrors, cur.RcvErrors)
 }
 
-// PerfConfig tunes the performance manager.
+// PerfConfig configures the performance manager. The zero value
+// disables the health plane entirely (no sweeps, no traps,
+// byte-identical to pre-health builds).
 type PerfConfig struct {
-	// SweepPeriod is the full-fabric PortCounters sweep interval.
+	// SweepPeriod is the full-fabric PortCounters sweep interval; zero
+	// disables the whole health plane.
 	SweepPeriod sim.Time
 	// Alpha is the EWMA smoothing factor applied to each link's
-	// per-sweep error count: score = α·errs + (1−α)·score.
+	// per-sweep error count: score = α·errs + (1−α)·score. Zero defaults
+	// to 0.5.
 	Alpha float64
-	// QuarantineScore is the EWMA score at or above which a link is
-	// fenced; ReadmitScore is the score at or below which a fenced link
-	// may return to service once its hold-down expires.
+	// QuarantineScore fences a link when its EWMA error score reaches
+	// it; zero defaults to 4 (errors per sweep, both directions).
 	QuarantineScore float64
-	ReadmitScore    float64
+	// ReadmitScore re-admits a fenced link once its score decays to it
+	// and the hold-down expired; zero defaults to QuarantineScore/8.
+	ReadmitScore float64
 	// Probation is the base hold-down a quarantined link serves before
-	// re-admission is considered.
+	// re-admission is considered; zero defaults to 4×SweepPeriod.
 	Probation sim.Time
-	// HoldMax caps the exponentially grown hold-down under Damping.
+	// HoldMax caps the exponentially grown hold-down under Damping; zero
+	// defaults to 16×Probation.
 	HoldMax sim.Time
 	// Damping makes the hold-down grow as Probation·2^(flaps−1), capped
 	// at HoldMax — the flap-damping defence against oscillating-BER
@@ -104,6 +110,53 @@ type PerfConfig struct {
 	// notifies the PerfMgr immediately (the fast path) instead of
 	// waiting for the next sweep. Zero disables traps.
 	TrapThreshold uint64
+}
+
+// Enabled reports whether the health plane runs.
+func (c PerfConfig) Enabled() bool { return c.SweepPeriod > 0 }
+
+// Validate reports configuration errors.
+func (c PerfConfig) Validate() error {
+	if !c.Enabled() {
+		if c != (PerfConfig{SweepPeriod: c.SweepPeriod}) {
+			return fmt.Errorf("sm: health settings require SweepPeriod > 0")
+		}
+		return nil
+	}
+	if c.Alpha < 0 || c.Alpha >= 1 {
+		return fmt.Errorf("sm: health EWMA alpha %v outside [0,1)", c.Alpha)
+	}
+	if c.QuarantineScore < 0 || c.ReadmitScore < 0 {
+		return fmt.Errorf("sm: negative health score threshold")
+	}
+	if c.QuarantineScore != 0 && c.ReadmitScore > c.QuarantineScore {
+		return fmt.Errorf("sm: readmit score %v above quarantine score %v", c.ReadmitScore, c.QuarantineScore)
+	}
+	if c.Probation < 0 || c.HoldMax < 0 {
+		return fmt.Errorf("sm: negative health hold-down")
+	}
+	return nil
+}
+
+// withDefaults returns c with its zero fields resolved as the field
+// comments state.
+func (c PerfConfig) withDefaults() PerfConfig {
+	if c.Alpha == 0 {
+		c.Alpha = 0.5
+	}
+	if c.QuarantineScore == 0 {
+		c.QuarantineScore = 4
+	}
+	if c.ReadmitScore == 0 {
+		c.ReadmitScore = c.QuarantineScore / 8
+	}
+	if c.Probation == 0 {
+		c.Probation = 4 * c.SweepPeriod
+	}
+	if c.HoldMax == 0 {
+		c.HoldMax = 16 * c.Probation
+	}
+	return c
 }
 
 // HealthEvent reports one quarantine transition.
@@ -156,7 +209,7 @@ type PerfMgr struct {
 	sim  *sim.Simulator
 	mesh *topology.Mesh
 	disc *Discoverer
-	sm   *SubnetManager // HealthBlob owner; may be nil in tests
+	sm   *SubnetManager // holds the synced quarantine state; may be nil in tests
 	cfg  PerfConfig
 
 	// paths is the directed-route path to each switch, by switch index
@@ -190,12 +243,14 @@ type PerfMgr struct {
 // NewPerfMgr builds a performance manager sweeping mesh from the SM's
 // node over disc (which must be the PerfMgr's own Discoverer — sharing
 // the resweeper's would let its per-sweep Reset cancel PMA probes
-// mid-flight). smgr, when non-nil, receives the encoded quarantine
-// state as its HealthBlob so HA state sync carries it to standbys.
+// mid-flight), with cfg's defaults resolved. smgr, when non-nil, is
+// handed the encoded quarantine state under HealthMagic so HA state
+// sync carries it to standbys.
 func NewPerfMgr(s *sim.Simulator, mesh *topology.Mesh, disc *Discoverer, smgr *SubnetManager, cfg PerfConfig) *PerfMgr {
-	if cfg.SweepPeriod <= 0 {
+	if !cfg.Enabled() {
 		panic("sm: non-positive perf sweep period")
 	}
+	cfg = cfg.withDefaults()
 	pm := &PerfMgr{
 		sim:         s,
 		mesh:        mesh,
@@ -211,7 +266,7 @@ func NewPerfMgr(s *sim.Simulator, mesh *topology.Mesh, disc *Discoverer, smgr *S
 	if smgr != nil {
 		smNode = smgr.Node()
 	}
-	pm.paths = healthSwitchPaths(mesh, smNode)
+	pm.paths = SwitchPaths(mesh, smNode)
 	// Watch every inter-switch link once, keyed by its canonical
 	// (lower-switch) half: East and South ports enumerate each link
 	// exactly once on a mesh. HCA uplinks are not watched — they have
@@ -419,13 +474,10 @@ func (pm *PerfMgr) sampled(i, ctx int) {
 func (pm *PerfMgr) holdFor(flaps int) sim.Time {
 	hold := pm.cfg.Probation
 	if pm.cfg.Damping {
-		for i := 1; i < flaps; i++ {
-			if pm.cfg.HoldMax > 0 && hold >= pm.cfg.HoldMax {
-				break
-			}
+		for i := 1; i < flaps && hold < pm.cfg.HoldMax; i++ {
 			hold *= 2
 		}
-		if pm.cfg.HoldMax > 0 && hold > pm.cfg.HoldMax {
+		if hold > pm.cfg.HoldMax {
 			hold = pm.cfg.HoldMax
 		}
 	}
@@ -561,10 +613,12 @@ func (pm *PerfMgr) rearm(swIdx, port int) {
 	pm.disc.Query(smpMethodSet, smpAttrPortCounters, path, []byte{byte(port)}, func(byte, []byte) {})
 }
 
-// healthSwitchPaths computes the directed-route path from the SM's node
-// to every switch of a healthy mesh — the same BFS discovery uses, so
-// PMA probes travel the routes a real sweep would find.
-func healthSwitchPaths(mesh *topology.Mesh, smNode int) [][]byte {
+// SwitchPaths computes the directed-route path (egress ports, as SMPs
+// carry them) from the SM's node to every switch of a healthy mesh, by
+// switch index, nil when unreachable — the same BFS the discovery sweep
+// and heal path use, so PMA and audit probes travel the routes a real
+// sweep would find.
+func SwitchPaths(mesh *topology.Mesh, smNode int) [][]byte {
 	g := mesh.EdgeGUIDs()
 	next := topology.NextHops(g)
 	root := mesh.SwitchOf(smNode).GUID()
@@ -588,10 +642,9 @@ func healthSwitchPaths(mesh *topology.Mesh, smNode int) [][]byte {
 
 // --- HA quarantine blob -------------------------------------------------
 
-// healthBlobMagic opens every encoded quarantine-state blob; it must
-// stay distinct from the policy ("IBPL") and congestion-control
-// ("IBCC") magics the state-sync trailer classifier switches on.
-const healthBlobMagic = "IBHQ"
+// HealthMagic opens every encoded quarantine-state blob and names the
+// health plane's sync state on its SM (SetSyncState).
+const HealthMagic = "IBHQ"
 
 // healthBlobVersion is the current encoding version.
 const healthBlobVersion = 1
@@ -620,7 +673,7 @@ func EncodeHealthBlob(entries []HealthEntry) []byte {
 		return sorted[i].Link.Port < sorted[j].Link.Port
 	})
 	b := make([]byte, 7+healthEntrySize*len(sorted))
-	copy(b, healthBlobMagic)
+	copy(b, HealthMagic)
 	b[4] = healthBlobVersion
 	binary.BigEndian.PutUint16(b[5:7], uint16(len(sorted)))
 	off := 7
@@ -634,20 +687,14 @@ func EncodeHealthBlob(entries []HealthEntry) []byte {
 	return b
 }
 
-// IsHealthBlob reports whether the blob opens with the quarantine-state
-// magic — the state-sync trailer classifier.
-func IsHealthBlob(b []byte) bool {
-	return len(b) >= len(healthBlobMagic) && string(b[:len(healthBlobMagic)]) == healthBlobMagic
-}
-
 // ParseHealthBlob decodes an encoded quarantine state, rejecting
 // truncated, mis-tagged, or mis-sized blobs.
 func ParseHealthBlob(b []byte) ([]HealthEntry, error) {
-	if !IsHealthBlob(b) {
-		return nil, fmt.Errorf("sm: not a health blob")
-	}
 	if len(b) < 7 {
 		return nil, fmt.Errorf("sm: truncated health blob")
+	}
+	if string(b[:len(HealthMagic)]) != HealthMagic {
+		return nil, fmt.Errorf("sm: not a health blob")
 	}
 	if b[4] != healthBlobVersion {
 		return nil, fmt.Errorf("sm: health blob version %d, want %d", b[4], healthBlobVersion)
@@ -689,7 +736,7 @@ func (pm *PerfMgr) updateBlob() {
 	if pm.sm == nil {
 		return
 	}
-	pm.sm.HealthBlob = EncodeHealthBlob(pm.snapshot())
+	pm.sm.SetSyncState(HealthMagic, EncodeHealthBlob(pm.snapshot()))
 }
 
 // Adopt installs quarantine state inherited through HA state sync: the

@@ -59,11 +59,11 @@ func TestHealthBlobRoundTrip(t *testing.T) {
 		{Link: topology.LinkID{Switch: 9, Port: topology.PortSouth}, Flaps: 1, HoldUntil: 0},
 	}
 	blob := EncodeHealthBlob(entries)
-	if !IsHealthBlob(blob) {
-		t.Fatal("encoded blob not recognised")
+	if string(blob[:syncMagicSize]) != HealthMagic {
+		t.Fatal("encoded blob does not open with the plane's magic")
 	}
-	if IsCCBlob(blob) {
-		t.Fatal("health blob misclassified as congestion blob")
+	if _, err := ParseCCBlob(blob); err == nil {
+		t.Fatal("health blob parsed as a congestion blob")
 	}
 	got, err := ParseHealthBlob(blob)
 	if err != nil {
@@ -80,9 +80,6 @@ func TestHealthBlobRoundTrip(t *testing.T) {
 	// The empty blob (count 0) must still round-trip: it is how a
 	// readmit-to-clean state propagates to standbys.
 	empty := EncodeHealthBlob(nil)
-	if !IsHealthBlob(empty) {
-		t.Fatal("empty blob not recognised")
-	}
 	if got, err := ParseHealthBlob(empty); err != nil || len(got) != 0 {
 		t.Fatalf("empty blob: %v, %d entries", err, len(got))
 	}
@@ -104,8 +101,8 @@ func TestHealthBlobRejectsGarbage(t *testing.T) {
 			t.Errorf("bad blob %d parsed without error", i)
 		}
 	}
-	if IsHealthBlob([]byte("IBCC")) {
-		t.Error("CC magic recognised as health blob")
+	if _, err := ParseHealthBlob(append([]byte(CCMagic), good[len(CCMagic):]...)); err == nil {
+		t.Error("CC magic accepted as a health blob")
 	}
 }
 
@@ -152,7 +149,7 @@ func sendAcross(mesh *topology.Mesh, src, dst int) {
 // trap-rearm Set without the M_Key is refused.
 func TestPortCountersMAD(t *testing.T) {
 	s, mesh := perfTestMesh(t)
-	paths := healthSwitchPaths(mesh, 0)
+	paths := SwitchPaths(mesh, 0)
 
 	disc := perfDisc(s, mesh)
 	req := make([]byte, smpDataSize)
@@ -433,7 +430,7 @@ func TestPortCountersReadDoesNotReset(t *testing.T) {
 		t.Fatal("BER produced no errors")
 	}
 
-	paths := healthSwitchPaths(mesh, 0)
+	paths := SwitchPaths(mesh, 0)
 	disc := perfDisc(s, mesh)
 	req := make([]byte, smpDataSize)
 	req[0] = byte(topology.PortEast)
@@ -449,5 +446,36 @@ func TestPortCountersReadDoesNotReset(t *testing.T) {
 	}
 	if after := mesh.Switches[5].PortHealth(topology.PortEast); after != before {
 		t.Fatalf("read mutated the counters: %+v -> %+v", before, after)
+	}
+}
+
+func TestSwitchPaths(t *testing.T) {
+	s := sim.New()
+	mesh := topology.NewMesh(s, fabric.DefaultParams(), 3, 3)
+	paths := SwitchPaths(mesh, 4) // SM at the centre of a 3x3 mesh
+	if len(paths) != 9 {
+		t.Fatalf("got paths for %d switches, want 9", len(paths))
+	}
+	if len(paths[4]) != 0 {
+		t.Errorf("root path = %v, want empty", paths[4])
+	}
+	// Corner switch 0 is two hops from the centre.
+	if len(paths[0]) != 2 {
+		t.Errorf("path to corner = %v, want 2 hops", paths[0])
+	}
+	// Every path must land on its target when walked over the mesh edges.
+	g := mesh.EdgeGUIDs()
+	for i, path := range paths {
+		cur := mesh.Switches[4].GUID()
+		for _, p := range path {
+			nbr, ok := g[cur][int(p)]
+			if !ok {
+				t.Fatalf("path to switch %d leaves the mesh at port %d", i, p)
+			}
+			cur = nbr
+		}
+		if cur != mesh.Switches[i].GUID() {
+			t.Errorf("path to switch %d lands on the wrong switch", i)
+		}
 	}
 }

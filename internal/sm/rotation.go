@@ -8,23 +8,53 @@ import (
 	"ibasec/internal/sim"
 )
 
-// RotationConfig tunes online key-epoch rotation (partition-level
+// RotationConfig configures online key-epoch rotation (partition-level
 // management only: QP-level secrets are issued per connection and die
 // with it, so periodic re-issue applies to the long-lived partition
-// secrets).
+// secrets). The zero value disables rotation: secrets stay at epoch 0
+// forever, exactly the pre-rotation behaviour.
 type RotationConfig struct {
 	// Period is the rollover interval: every Period the SM rotates every
-	// partition secret to epoch e+1.
+	// partition secret to epoch e+1. Zero disables rotation.
 	Period sim.Time
 	// Grace is how long after a rollover receivers keep accepting the
-	// previous epoch. It must cover DistributionDelay plus packet flight
-	// time or in-flight traffic signed under epoch e is rejected
-	// (counted as auth_epoch_expired — a grace-window miss).
+	// previous epoch; zero defaults to Period/4. It must cover
+	// DistributionDelay plus packet flight time or in-flight traffic
+	// signed under epoch e is rejected (counted as auth_epoch_expired — a
+	// grace-window miss). A split-brain merge keeps a partitioned-off
+	// island's epochs acceptable for the same window.
 	Grace sim.Time
 	// DistributionDelay models the envelope-distribution latency: the
 	// time between the authority minting epoch e+1 and every member's
 	// store holding it.
 	DistributionDelay sim.Time
+}
+
+// Enabled reports whether rotation runs.
+func (c RotationConfig) Enabled() bool { return c.Period > 0 }
+
+// WithDefaults returns c with its zero Grace resolved.
+func (c RotationConfig) WithDefaults() RotationConfig {
+	if c.Grace == 0 {
+		c.Grace = c.Period / 4
+	}
+	return c
+}
+
+// Validate reports configuration errors in an enabled config; a disabled
+// one has nothing to check.
+func (c RotationConfig) Validate() error {
+	if !c.Enabled() {
+		return nil
+	}
+	c = c.WithDefaults()
+	if c.Grace <= 0 || c.Grace >= c.Period {
+		return fmt.Errorf("sm: rotation grace %v must be in (0, period %v)", c.Grace, c.Period)
+	}
+	if c.DistributionDelay < 0 || c.DistributionDelay >= c.Grace {
+		return fmt.Errorf("sm: distribution delay %v must be in [0, grace %v)", c.DistributionDelay, c.Grace)
+	}
+	return nil
 }
 
 // Rotator drives periodic and forced (KeyCompromise) key-epoch rotation
@@ -45,17 +75,15 @@ type Rotator struct {
 	Counters *metrics.Counters
 }
 
-// NewRotator prepares rotation driven by m's authority. Start launches
-// the periodic rollover.
+// NewRotator prepares rotation driven by m's authority, with cfg's
+// defaults resolved. Start launches the periodic rollover.
 func NewRotator(s *sim.Simulator, m *SubnetManager, cfg RotationConfig) (*Rotator, error) {
-	if cfg.Period <= 0 {
+	if !cfg.Enabled() {
 		return nil, fmt.Errorf("sm: rotation period must be positive")
 	}
-	if cfg.Grace <= 0 || cfg.Grace >= cfg.Period {
-		return nil, fmt.Errorf("sm: rotation grace %v must be in (0, period %v)", cfg.Grace, cfg.Period)
-	}
-	if cfg.DistributionDelay < 0 || cfg.DistributionDelay >= cfg.Grace {
-		return nil, fmt.Errorf("sm: distribution delay %v must be in [0, grace %v)", cfg.DistributionDelay, cfg.Grace)
+	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if m.Authority == nil {
 		return nil, fmt.Errorf("sm: rotation requires a partition authority")

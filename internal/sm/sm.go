@@ -89,24 +89,11 @@ type SubnetManager struct {
 	// credentials; wired by the core layer.
 	WipeSecrets func(node int, pk packet.PKey)
 
-	// PolicyBlob is the marshalled policy document this SM programs
-	// from, opaque to this package (the policy layer owns the format).
-	// Non-empty only when the policy plane is enabled; the HA
-	// coordinator appends it to state-sync MADs so a promoted standby
-	// inherits the intent it must audit against.
-	PolicyBlob []byte
-	// CCBlob is the encoded congestion-control configuration this SM
-	// programs from (see congestion.go for the format). Non-empty only
-	// when the CC annex is enabled; the HA coordinator appends it to
-	// state-sync MADs so a promoted standby inherits the thresholds and
-	// CCT parameters it must keep programmed.
-	CCBlob []byte
-	// HealthBlob is the encoded quarantine state of the performance
-	// manager running beside this SM (see perfmgr.go for the format).
-	// Non-empty only when the health plane is enabled; the HA
-	// coordinator appends it to state-sync MADs so a promoted standby
-	// keeps degraded links fenced.
-	HealthBlob []byte
+	// syncState holds each plane's opaque HA-synced state, filed under
+	// the four-byte magic that opens it, in first-set order (SyncState,
+	// SetSyncState in ha.go). The coordinator appends the non-empty ones
+	// to every state-sync MAD so a promoted standby inherits them.
+	syncState []syncEntry
 	// ProgramTables, when non-nil, replaces ProgramSwitchTables'
 	// built-in membership-derived programming with compiled-intent
 	// programming — wired by the core layer when the policy plane is

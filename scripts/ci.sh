@@ -9,6 +9,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== gofmt"
+test -z "$(gofmt -l .)"
+
 echo "== go vet"
 go vet ./...
 
