@@ -357,10 +357,9 @@ func runFig1(e *env, args []string) error {
 	switch *arb {
 	case "strict":
 	case "weighted":
-		p := *base.Params
-		p.Arbitration = fabric.ArbWeighted
-		p.HighPriLimit = 2
-		base.Params = &p
+		base.Params = base.Params.Clone()
+		base.Params.Arbitration = fabric.ArbWeighted
+		base.Params.HighPriLimit = 2
 	default:
 		return badValue(fs, "arb", *arb, "strict or weighted")
 	}

@@ -142,8 +142,8 @@ func QKeyTheft(seed int64) Outcome {
 		w := newWorld(seed, withAuth, transport.PartitionLevel)
 		victim := w.eps[3].CreateUDQP(victimPKey, 0xFEED)
 		victim.AuthRequired = withAuth
-		var got []byte
-		victim.OnRecv = func(pl []byte, _ packet.LID, _ packet.QPN) { got = pl }
+		hijacked := false
+		victim.OnRecv = func([]byte, packet.LID, packet.QPN) { hijacked = true }
 
 		p := &packet.Packet{
 			LRH:     packet.LRH{SLID: topology.LIDOf(1), DLID: topology.LIDOf(3)},
@@ -156,7 +156,7 @@ func QKeyTheft(seed int64) Outcome {
 		}
 		w.mesh.HCA(1).Send(&fabric.Delivery{Pkt: p, Class: fabric.ClassBestEffort, VL: fabric.VLBestEffort})
 		w.s.Run()
-		return got != nil
+		return hijacked
 	}
 	return Outcome{
 		Key:            "Q_Key",

@@ -168,9 +168,8 @@ func runAPMPoint(base Config, arm APMArm, ber float64, kills int) (APMRow, error
 	// Copy the params before arming HOQ ageing: the base config's value
 	// is shared across concurrent sweep points, and healed routes can
 	// deadlock without it (see runFaultPoint).
-	p := *cfg.Params
-	p.HOQLife = 100 * sim.Microsecond
-	cfg.Params = &p
+	cfg.Params = cfg.Params.Clone()
+	cfg.Params.HOQLife = 100 * sim.Microsecond
 
 	// The fault plan targets the probe flows' primary paths, and the
 	// probe pairs depend on the seed-derived partition grouping computed

@@ -209,25 +209,24 @@ func Build(cfg Config) (*Cluster, error) {
 	rngSetup := rand.New(rand.NewSource(cfg.Seed))
 	rngCrypto := rand.New(rand.NewSource(cfg.Seed ^ 0x5EC0DE))
 	rngTraffic := rand.New(rand.NewSource(cfg.Seed ^ 0x7AFF1C))
-	var ring *trace.Ring
-	if cfg.BitErrorRate > 0 || cfg.TraceCapacity > 0 || cfg.FaultPlan != nil || cfg.Congestion.Enabled() {
-		// Copy the params so error injection / tracing / fault BER
-		// bursts / congestion settings do not leak into other runs
-		// sharing the same Params value.
-		p := *cfg.Params
-		if cfg.BitErrorRate > 0 {
-			p.BitErrorRate = cfg.BitErrorRate
-			p.RNG = rand.New(rand.NewSource(cfg.Seed ^ 0xBE4))
-		}
-		if cfg.TraceCapacity > 0 {
-			ring = trace.NewRing(cfg.TraceCapacity)
-			p.Observer = ring
-		}
-		if cfg.Congestion.Enabled() {
-			p.Congestion = cfg.Congestion
-		}
-		cfg.Params = &p
+	// Each cluster owns a copy of the params: sweep points running
+	// concurrently share the base config's value, and the fabric's message
+	// free list hangs off it; error injection, tracing and congestion
+	// settings then cannot leak into other runs either.
+	p := cfg.Params.Clone()
+	if cfg.BitErrorRate > 0 {
+		p.BitErrorRate = cfg.BitErrorRate
+		p.RNG = rand.New(rand.NewSource(cfg.Seed ^ 0xBE4))
 	}
+	var ring *trace.Ring
+	if cfg.TraceCapacity > 0 {
+		ring = trace.NewRing(cfg.TraceCapacity)
+		p.Observer = ring
+	}
+	if cfg.Congestion.Enabled() {
+		p.Congestion = cfg.Congestion
+	}
+	cfg.Params = p
 	s := sim.New()
 	mesh := topology.NewMesh(s, cfg.Params, cfg.MeshW, cfg.MeshH)
 	n := mesh.NumNodes()

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
 	"ibasec/internal/mac"
+	"ibasec/internal/runner"
 	"ibasec/internal/sim"
 	"ibasec/internal/trace"
 	"ibasec/internal/transport"
@@ -130,6 +132,47 @@ func TestRunDeterminism(t *testing.T) {
 	_, c, _ := run(cfg)
 	if c.DeliveredLegit == a.DeliveredLegit && c.BestEffort.Queuing.Mean() == a.BestEffort.Queuing.Mean() {
 		t.Fatal("different seed produced identical run")
+	}
+}
+
+// Two simulations running at once under the experiment runner share their
+// base config's *fabric.Params, as every sweep's points do; each cluster
+// copies it, so each has a message free list of its own and no block
+// crosses from one simulation into the other: the concurrent results are
+// the serial ones, and `go test -race` sees no shared write.
+func TestConcurrentRunsShareNoMessages(t *testing.T) {
+	base := quickCfg()
+	base.Attackers = 2
+	base.Enforcement = enforce.SIF
+	cfgs := []Config{base, base}
+	cfgs[1].Seed = 2
+	if cfgs[0].Params != cfgs[1].Params {
+		t.Fatal("the points do not share their Params: the test exercises nothing")
+	}
+	var serial []*Results
+	for _, cfg := range cfgs {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial = append(serial, res)
+	}
+	jobs := make([]runner.Job[*Results], len(cfgs))
+	for i, cfg := range cfgs {
+		cfg := cfg
+		jobs[i] = sweepJob("concurrent", i, cfg.Seed, fmt.Sprint(i), func(context.Context) (*Results, error) { return Run(cfg) })
+	}
+	concurrent, err := runner.Run(context.Background(), runner.New(runner.Options{Workers: len(jobs)}), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range serial {
+		if serial[i].DeliveredLegit == 0 || serial[i].FilterDropped == 0 {
+			t.Fatalf("point %d moved no traffic: %+v", i, serial[i])
+		}
+		if !reflect.DeepEqual(serial[i], concurrent[i]) {
+			t.Errorf("point %d: run beside another simulation it gives\n%+v\nalone\n%+v", i, concurrent[i], serial[i])
+		}
 	}
 }
 

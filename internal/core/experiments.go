@@ -491,7 +491,7 @@ func startMADFlood(cl *Cluster, pktPerSec float64) {
 		payload[2] = 0xF0 // offender LID 0xFFF0: unlocatable
 		payload[3] = 0x77
 		payload[4] = 0x77
-		d := fabric.NewMAD(hca.LID(), topology.LIDOf(cl.Cfg.SM.Node), payload)
+		d := hca.Params().NewMAD(hca.LID(), topology.LIDOf(cl.Cfg.SM.Node), payload)
 		d.Attack = true
 		d.Source = hca.Name()
 		hca.Send(d)

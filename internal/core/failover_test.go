@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ibasec/internal/enforce"
-	"ibasec/internal/fabric"
 	"ibasec/internal/faults"
 	"ibasec/internal/keys"
 	"ibasec/internal/mac"
@@ -238,7 +237,7 @@ func TestForgedStateSyncRejected(t *testing.T) {
 	forged := []byte{3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0x27, 0x0F}
 	cl.Sim.ScheduleAt(killAt+20*sim.Microsecond, func() {
 		hca := cl.Mesh.HCA(compromised)
-		d := fabric.NewMAD(hca.LID(), topology.LIDOf(standby.Node()), forged)
+		d := hca.Params().NewMAD(hca.LID(), topology.LIDOf(standby.Node()), forged)
 		d.Attack = true
 		hca.Send(d)
 	})
@@ -340,7 +339,7 @@ func TestForgedTrailerRefused(t *testing.T) {
 			forged = append(forged, tc.trailer...)
 			cl.Sim.ScheduleAt(killAt+20*sim.Microsecond, func() {
 				hca := cl.Mesh.HCA(5) // neither the master's node nor the standby's
-				d := fabric.NewMAD(hca.LID(), topology.LIDOf(standby.Node()), forged)
+				d := hca.Params().NewMAD(hca.LID(), topology.LIDOf(standby.Node()), forged)
 				d.Attack = true
 				hca.Send(d)
 			})

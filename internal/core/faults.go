@@ -105,9 +105,8 @@ func runFaultPoint(base Config, mode enforce.Mode, ber float64, kills int) (Faul
 	// ageing, a deadlocked cycle holds its buffers (and everything
 	// upstream) until the end of the run. Copy the params first: the
 	// base config's value is shared across concurrent sweep points.
-	p := *cfg.Params
-	p.HOQLife = 100 * sim.Microsecond
-	cfg.Params = &p
+	cfg.Params = cfg.Params.Clone()
+	cfg.Params.HOQLife = 100 * sim.Microsecond
 
 	// Outages fall in [warmup, duration/2) so every killed link also
 	// restores well before the run ends and the probe flows can drain.

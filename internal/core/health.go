@@ -106,9 +106,8 @@ func runHealthPoint(base Config, mode enforce.Mode, attack, arm string, ber floa
 	// arm HOQ ageing so a transient cyclic credit dependency cannot hold
 	// buffers to the end of the run. Copy the params first: the base
 	// config's value is shared across concurrent sweep points.
-	p := *cfg.Params
-	p.HOQLife = 100 * sim.Microsecond
-	cfg.Params = &p
+	cfg.Params = cfg.Params.Clone()
+	cfg.Params.HOQLife = 100 * sim.Microsecond
 
 	switch arm {
 	case "off":

@@ -251,7 +251,8 @@ func (c *outChannel) armHOQ(vl uint8) {
 	if c.params.HOQLife <= 0 || c.queues[vl].len() == 0 {
 		return
 	}
-	c.sim.ScheduleCall(c.params.HOQLife, (*hoqExpire)(c), c.queues[vl].head(), c.tag(vl))
+	d := c.queues[vl].head()
+	c.sim.ScheduleCall(c.params.HOQLife, (*hoqExpire)(c), d, uint64(d.generation())<<32|c.tag(vl)&0xFFFFFFFF)
 }
 
 // The channel's per-packet events are named handler types over
@@ -263,6 +264,15 @@ func (c *outChannel) armHOQ(vl uint8) {
 // (serDone before wireArrive, the credit return wherever ReturnCredit
 // is called): same-instant events fire in scheduling order, so
 // reordering the calls reorders the simulation and moves every golden.
+//
+// Message blocks are recycled (Params.release), so an event may carry a
+// *Delivery only while it is the message's one way to a terminal:
+// wireArrive (on the wire, in no queue), swMAD and swForward (in the
+// switch's input stage until the lookup fires) and hcaInject (in the send
+// engine, not yet queued) are. hoqExpire is not — the head it was armed
+// for leaves by being sent, and its block can be recycled and at the head
+// of the same lane again before the clock runs out — so its operand
+// carries the block's generation above the tag.
 
 // tag packs the current link epoch and a VL into an event operand; the
 // epoch gains one per link-state transition, so the shift loses nothing.
@@ -273,13 +283,15 @@ func (c *outChannel) tag(vl uint8) uint64 { return c.epoch<<8 | uint64(vl) }
 func (c *outChannel) stale(tag uint64) bool { return c.epoch != tag>>8 }
 
 // hoqExpire fires when a Head-of-Queue lifetime clock runs out; it acts
-// only if the packet it was armed for is still the unsent head.
+// only if the message it was armed for is still the unsent head. n is
+// generation<<32 over the low half of tag (2^24 link transitions to wrap).
 type hoqExpire outChannel
 
-func (h *hoqExpire) Fire(arg any, tag uint64) {
-	c, d, vl := (*outChannel)(h), arg.(*Delivery), uint8(tag)
+func (h *hoqExpire) Fire(arg any, n uint64) {
+	c, d, vl := (*outChannel)(h), arg.(*Delivery), uint8(n)
 	q := &c.queues[vl]
-	if c.stale(tag) || c.down || q.len() == 0 || q.head() != d {
+	if uint32(n) != uint32(c.tag(vl)) || uint32(n>>32) != d.generation() ||
+		c.down || q.len() == 0 || q.head() != d {
 		return
 	}
 	c.pop(vl)
@@ -288,6 +300,7 @@ func (h *hoqExpire) Fire(arg any, tag uint64) {
 	c.noteXmitDiscard()
 	c.params.observe(c.sim.Now(), ObsHOQDrop, c.ownerName, d)
 	d.ReturnCredit()
+	c.params.release(d, ObsHOQDrop)
 	c.armHOQ(vl)
 	c.trySend()
 }
@@ -346,6 +359,7 @@ func (c *outChannel) blackhole(d *Delivery) {
 	c.noteXmitDiscard()
 	c.params.observe(c.sim.Now(), ObsBlackhole, c.ownerName, d)
 	d.ReturnCredit()
+	c.params.release(d, ObsBlackhole)
 }
 
 // noteXmitDiscard records a discarded-instead-of-transmitted packet in

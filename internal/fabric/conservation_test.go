@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ibasec/internal/icrc"
@@ -10,13 +11,158 @@ import (
 	"ibasec/internal/sim"
 )
 
+// chain wires a line of nsw switches with one HCA each (LID i+1 on switch
+// i, port 0; east on port 1, west on port 2), routes every LID, and puts
+// every HCA in partition goodPKey.
+func chain(s *sim.Simulator, params *Params, nsw int) ([]*Switch, []*HCA) {
+	sws := make([]*Switch, nsw)
+	hcas := make([]*HCA, nsw)
+	for i := 0; i < nsw; i++ {
+		sws[i] = NewSwitch(s, params, "sw", 5)
+		hcas[i] = NewHCA(s, params, "hca", packet.LID(i+1))
+		Connect(s, params, hcas[i], 0, sws[i], 0)
+		sws[i].MarkIngress(0)
+		hcas[i].PKeyTable.Add(goodPKey)
+	}
+	for i := 0; i+1 < nsw; i++ {
+		Connect(s, params, sws[i], 1, sws[i+1], 2)
+	}
+	for i := 0; i < nsw; i++ {
+		for dst := 0; dst < nsw; dst++ {
+			port := 0
+			if dst > i {
+				port = 1
+			} else if dst < i {
+				port = 2
+			}
+			sws[i].SetRoute(packet.LID(dst+1), port)
+		}
+	}
+	return sws, hcas
+}
+
+const goodPKey = packet.PKey(0x8001)
+
+// sendUD injects one sealed datagram from h in a message block drawn from
+// the fabric's free list, the way every sender in the repository does.
+func sendUD(t *testing.T, h *HCA, dlid packet.LID, pk packet.PKey, class Class, size int, psn uint32) {
+	t.Helper()
+	d := h.Params().NewMessage(class,
+		packet.LRH{SLID: h.LID(), DLID: dlid},
+		packet.BTH{OpCode: packet.UDSendOnly, PKey: pk, DestQP: 1, PSN: psn})
+	*d.Pkt.DETH = packet.DETH{QKey: 1, SrcQP: 1}
+	d.Pkt.AllocPayload(size)
+	if err := icrc.Seal(d.Pkt); err != nil {
+		t.Fatal(err)
+	}
+	h.Send(d)
+}
+
+// inFlight is the pool's own count of the messages queued or on the wire:
+// the blocks it has made that are not on its free list.
+func (p *Params) inFlight() int {
+	if p.pool == nil {
+		return 0
+	}
+	return p.pool.blocks - len(p.pool.free)
+}
+
+// terminals tallies, by kind, the messages that have reached a terminal:
+// every counter a release point in this package increments, plus the MADs
+// the test's agent consumed.
+type terminals map[string]uint64
+
+func settled(hcas []*HCA, sws []*Switch, consumed uint64) terminals {
+	tm := terminals{"mad consumed": consumed}
+	for _, h := range hcas {
+		tm["delivered"] += h.Counters.Get("delivered")
+		tm["pkey reject"] += h.PKeyViolations()
+		tm["hca vcrc"] += h.Counters.Get("vcrc_drops")
+		tm["hca icrc"] += h.Counters.Get("icrc_drops")
+		tm["cnp consumed"] += h.Counters.Get("cnp_received")
+		tm["link blackhole"] += h.Blackholed()
+		tm["hoq"] += h.HOQDropped()
+	}
+	for _, sw := range sws {
+		tm["filtered"] += sw.Counters.Get("filtered")
+		tm["unroutable"] += sw.Counters.Get("unroutable")
+		tm["dead port"] += sw.Counters.Get("dead_port")
+		tm["switch vcrc"] += sw.Counters.Get("vcrc_drops")
+		tm["switch down"] += sw.Counters.Get("blackholed")
+		tm["mad tap"] += sw.Counters.Get("mad_dropped")
+		for p := range sw.ports {
+			tm["link blackhole"] += sw.PortBlackholed(p)
+		}
+		tm["hoq"] += sw.HOQDropped()
+	}
+	return tm
+}
+
+func (tm terminals) total() (n uint64) {
+	for _, v := range tm {
+		n += v
+	}
+	return n
+}
+
+func sentBy(hcas []*HCA) (n uint64) {
+	for _, h := range hcas {
+		n += h.Counters.Get("sent")
+	}
+	return n
+}
+
+// psnFilter drops every eleventh datagram at its ingress switch.
+type psnFilter struct{}
+
+func (psnFilter) Inspect(_ *Switch, _ int, ingress bool, d *Delivery) (bool, sim.Time) {
+	return ingress && d.Pkt.BTH.PSN%11 == 3, sim.Nanosecond
+}
+
+// eatingAgent is a switch management agent that consumes the MADs whose
+// payload starts with 0xEA and leaves every other one to LID routing.
+type eatingAgent struct{ eaten uint64 }
+
+func (a *eatingAgent) HandleMAD(_ *Switch, _ int, d *Delivery) bool {
+	if len(d.Pkt.Payload) == 0 || d.Pkt.Payload[0] != 0xEA {
+		return false
+	}
+	a.eaten++
+	d.ReturnCredit()
+	return true
+}
+
+// drainInStrides runs the simulation to quiescence a few microseconds at
+// a time, checking the pool's conservation law at every stop: the message
+// blocks out of the free list are exactly the messages still queued or on
+// the wire — sent, and not yet at any terminal.
+func drainInStrides(t *testing.T, trial int, s *sim.Simulator, params *Params, hcas []*HCA, sws []*Switch, agent *eatingAgent) terminals {
+	t.Helper()
+	for {
+		tm := settled(hcas, sws, agent.eaten)
+		if held, want := params.inFlight(), int(sentBy(hcas)-tm.total()); held != want {
+			t.Fatalf("trial %d at %v: %d message blocks out of the free list, %d messages in flight (%v)",
+				trial, s.Now(), held, want, tm)
+		}
+		if s.Pending() == 0 {
+			return tm
+		}
+		s.RunUntil(s.Now() + 3*sim.Microsecond)
+	}
+}
+
 // Conservation property: across random traffic patterns, every injected
 // packet is accounted for exactly once — delivered, P_Key-rejected,
-// filtered, unroutable, or CRC-dropped — and when the network drains, no
-// packet remains in flight. This is the lossless-fabric invariant the
-// paper's queuing-time argument rests on.
+// filtered, unroutable, sent to a dead port, CRC-dropped at a switch or
+// an HCA, consumed as a CNP, aged out, or, for a MAD, dropped by the fault
+// tap or consumed by an agent — and its message block is released exactly
+// once, at that terminal: at every stride the blocks out of the free list
+// are the messages in flight, and when the network drains, none. This is
+// the lossless-fabric invariant the paper's queuing-time argument rests
+// on, stated on the pool.
 func TestPropertyPacketConservation(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
+	seen := terminals{}
+	for trial := 0; trial < 24; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 1))
 		params := DefaultParams()
 		params.CreditsPerVL = 1 + rng.Intn(4)
@@ -24,88 +170,71 @@ func TestPropertyPacketConservation(t *testing.T) {
 			params.Arbitration = ArbWeighted
 			params.HighPriLimit = 1 + rng.Intn(4)
 		}
+		switch trial % 4 {
+		case 1:
+			params.BitErrorRate = 2e-5
+			params.RNG = rand.New(rand.NewSource(int64(trial)))
+		case 2:
+			params.Congestion = CCParams{MarkingThreshold: 2, CCTSize: 8, CCTStep: sim.Microsecond, CCTDecay: 20 * sim.Microsecond}
+		case 3:
+			params.HOQLife = 4 * sim.Microsecond
+		}
 		s := sim.New()
 
 		// Random small topology: a chain of 2-4 switches, one HCA each.
 		nsw := 2 + rng.Intn(3)
-		sws := make([]*Switch, nsw)
-		hcas := make([]*HCA, nsw)
-		for i := 0; i < nsw; i++ {
-			sws[i] = NewSwitch(s, params, "sw", 5)
-			hcas[i] = NewHCA(s, params, "hca", packet.LID(i+1))
-			Connect(s, params, hcas[i], 0, sws[i], 0)
-			sws[i].MarkIngress(0)
-		}
-		for i := 0; i+1 < nsw; i++ {
-			Connect(s, params, sws[i], 1, sws[i+1], 2)
-		}
-		for i := 0; i < nsw; i++ {
-			for dst := 0; dst < nsw; dst++ {
-				port := 0
-				if dst > i {
-					port = 1
-				} else if dst < i {
-					port = 2
-				}
-				sws[i].SetRoute(packet.LID(dst+1), port)
+		sws, hcas := chain(s, params, nsw)
+		agent := &eatingAgent{}
+		for i, sw := range sws {
+			sw.SetRoute(packet.LID(201), 3) // a route out of a port nothing is wired to
+			sw.SetFilter(psnFilter{})
+			sw.SetMADHandler(agent)
+			tapped := 0
+			sw.SetMADTap(func(*Switch, *Delivery) (bool, sim.Time) {
+				tapped++
+				return tapped%5 == 0, 0
+			})
+			if params.Congestion.Enabled() {
+				sw.SetCongestionControl(params.Congestion.MarkingThreshold)
+				hcas[i].SetCongestionControl(params.Congestion)
 			}
 		}
-		good := packet.PKey(0x8001)
-		for _, h := range hcas {
-			h.PKeyTable.Add(good)
-		}
 
-		delivered := 0
-		for _, h := range hcas {
-			h.OnDeliver = func(d *Delivery) { delivered++ }
-		}
-
-		sent := 0
-		for i := 0; i < 100; i++ {
+		for i := 0; i < 120; i++ {
 			src := rng.Intn(nsw)
 			dst := rng.Intn(nsw)
 			if dst == src {
 				continue
 			}
-			pk := good
+			dlid := packet.LID(dst + 1)
+			switch rng.Intn(20) {
+			case 0:
+				dlid = packet.LID(200) // unroutable
+			case 1:
+				dlid = packet.LID(201) // dead port
+			}
+			if rng.Intn(6) == 0 {
+				pl := []byte{0x01, byte(i)}
+				if rng.Intn(3) == 0 {
+					pl[0] = 0xEA
+				}
+				hcas[src].Send(params.NewMAD(hcas[src].LID(), dlid, pl))
+				continue
+			}
+			pk := goodPKey
 			if rng.Intn(5) == 0 {
 				pk = packet.PKey(rng.Intn(1 << 15)) // likely invalid
 			}
-			dlid := packet.LID(dst + 1)
-			if rng.Intn(20) == 0 {
-				dlid = packet.LID(200) // unroutable
-			}
-			vl := VLBestEffort
 			class := ClassBestEffort
 			if rng.Intn(3) == 0 {
-				vl, class = VLRealtime, ClassRealtime
+				class = ClassRealtime
 			}
-			p := &packet.Packet{
-				LRH:     packet.LRH{SLID: packet.LID(src + 1), DLID: dlid},
-				BTH:     packet.BTH{OpCode: packet.UDSendOnly, PKey: pk, DestQP: 1, PSN: uint32(i)},
-				DETH:    &packet.DETH{QKey: 1, SrcQP: 1},
-				Payload: make([]byte, rng.Intn(1024)),
-			}
-			if err := icrc.Seal(p); err != nil {
-				t.Fatal(err)
-			}
-			hcas[src].Send(&Delivery{Pkt: p, Class: class, VL: vl})
-			sent++
+			sendUD(t, hcas[src], dlid, pk, class, rng.Intn(1024), uint32(i))
 		}
-		s.Run()
+		tm := drainInStrides(t, trial, s, params, hcas, sws, agent)
 
-		var rejected, unroutable, dead uint64
-		for _, h := range hcas {
-			rejected += h.PKeyViolations()
-		}
-		for _, sw := range sws {
-			unroutable += sw.Counters.Get("unroutable")
-			dead += sw.Counters.Get("dead_port")
-		}
-		total := delivered + int(rejected) + int(unroutable) + int(dead)
-		if total != sent {
-			t.Fatalf("trial %d: sent %d but accounted %d (delivered %d, rejected %d, unroutable %d, dead %d)",
-				trial, sent, total, delivered, rejected, unroutable, dead)
+		if sent := sentBy(hcas); tm.total() != sent {
+			t.Fatalf("trial %d: sent %d but accounted %d (%v)", trial, sent, tm.total(), tm)
 		}
 		// Drained network: every send queue empty.
 		for _, h := range hcas {
@@ -115,55 +244,101 @@ func TestPropertyPacketConservation(t *testing.T) {
 				}
 			}
 		}
+		for k, v := range tm {
+			seen[k] += v
+		}
+	}
+	for _, kind := range []string{"delivered", "pkey reject", "filtered", "unroutable", "dead port",
+		"switch vcrc", "hca vcrc", "cnp consumed", "hoq", "mad tap", "mad consumed"} {
+		if seen[kind] == 0 {
+			t.Errorf("no trial drove a message to the %q terminal", kind)
+		}
 	}
 }
 
-// Conservation under injected link failure: with a mid-chain link taken
-// down and brought back up while traffic flows, every packet is still
-// accounted for exactly once — the blackhole counter absorbs what the
-// dead link destroyed — no credit is leaked and none is double-returned:
-// after the drain every channel is back to the full credit complement.
+// An end-to-end ICRC failure needs a packet whose last link left the VCRC
+// intact, which random bit errors essentially never produce; strike one
+// by hand. Its block is released like any other.
+func TestICRCDropReleasesMessage(t *testing.T) {
+	params := DefaultParams()
+	s := sim.New()
+	_, hcas := chain(s, params, 2)
+	hcas[1].OnDeliver = func(*Delivery) { t.Fatal("delivered a packet whose ICRC is wrong") }
+	d := params.NewMessage(ClassBestEffort,
+		packet.LRH{SLID: 1, DLID: 2}, packet.BTH{OpCode: packet.UDSendOnly, PKey: goodPKey, DestQP: 1})
+	*d.Pkt.DETH = packet.DETH{QKey: 1, SrcQP: 1}
+	d.Pkt.AllocPayload(64)[5] = 0x5A
+	if err := icrc.Seal(d.Pkt); err != nil {
+		t.Fatal(err)
+	}
+	d.Pkt.Payload[5] = 0xA5 // a flip neither CRC has seen …
+	if err := icrc.PatchVCRC(d.Pkt); err != nil {
+		t.Fatal(err) // … which the last link's VCRC now vouches for
+	}
+	d.Tainted = true
+	hcas[0].Send(d)
+	s.Run()
+	if got := hcas[1].Counters.Get("icrc_drops"); got != 1 {
+		t.Fatalf("icrc_drops = %d, want 1", got)
+	}
+	if held := params.inFlight(); held != 0 {
+		t.Fatalf("%d message blocks still out after the drop", held)
+	}
+}
+
+// A second release of the same block is a bug in this package; it panics
+// naming both terminals.
+func TestReleaseTwicePanics(t *testing.T) {
+	params := DefaultParams()
+	d := params.NewMAD(1, 2, []byte{1})
+	params.release(d, ObsFiltered)
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "released twice") || !strings.Contains(msg, "filtered") || !strings.Contains(msg, "deliver") {
+			t.Fatalf("second release: %s", msg)
+		}
+	}()
+	params.release(d, ObsDeliver)
+}
+
+// A message drawn and discarded unsent (transport's failed seals) is not
+// in flight, and the next message is built in its block.
+func TestDiscardReturnsBlock(t *testing.T) {
+	params := DefaultParams()
+	draw := func() *Delivery {
+		return params.NewMessage(ClassBestEffort, packet.LRH{SLID: 1, DLID: 2}, packet.BTH{OpCode: packet.UDSendOnly})
+	}
+	d := draw()
+	params.Discard(d)
+	if held := params.inFlight(); held != 0 {
+		t.Fatalf("%d message blocks out after the discard", held)
+	}
+	if !PoolPoison && draw() != d {
+		t.Fatal("discarded block was not the next one drawn")
+	}
+}
+
+// Conservation under injected failure: with a mid-chain link taken down
+// and brought back up while traffic flows — and, in the second ten trials,
+// the switch beside it killed and revived as well — every packet is still
+// accounted for exactly once (the blackhole counters absorb what the dead
+// link and the dead switch destroyed, on the wire, in queue and at
+// enqueue), every message block is released exactly once, no credit is
+// leaked and none is double-returned: after the drain every channel is
+// back to the full credit complement.
 func TestPropertyConservationAcrossLinkDownUp(t *testing.T) {
-	for trial := 0; trial < 10; trial++ {
+	seen := terminals{}
+	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 101))
 		params := DefaultParams()
 		params.CreditsPerVL = 1 + rng.Intn(4)
 		s := sim.New()
 
 		const nsw = 3
-		sws := make([]*Switch, nsw)
-		hcas := make([]*HCA, nsw)
-		for i := 0; i < nsw; i++ {
-			sws[i] = NewSwitch(s, params, "sw", 5)
-			hcas[i] = NewHCA(s, params, "hca", packet.LID(i+1))
-			Connect(s, params, hcas[i], 0, sws[i], 0)
-			sws[i].MarkIngress(0)
-		}
-		for i := 0; i+1 < nsw; i++ {
-			Connect(s, params, sws[i], 1, sws[i+1], 2)
-		}
-		for i := 0; i < nsw; i++ {
-			for dst := 0; dst < nsw; dst++ {
-				port := 0
-				if dst > i {
-					port = 1
-				} else if dst < i {
-					port = 2
-				}
-				sws[i].SetRoute(packet.LID(dst+1), port)
-			}
-		}
-		good := packet.PKey(0x8001)
-		for _, h := range hcas {
-			h.PKeyTable.Add(good)
-		}
+		sws, hcas := chain(s, params, nsw)
+		agent := &eatingAgent{}
 
-		delivered := 0
-		for _, h := range hcas {
-			h.OnDeliver = func(d *Delivery) { delivered++ }
-		}
-
-		sent := 0
+		psn := uint32(0)
 		burst := func(n int) {
 			for i := 0; i < n; i++ {
 				src := rng.Intn(nsw)
@@ -171,17 +346,8 @@ func TestPropertyConservationAcrossLinkDownUp(t *testing.T) {
 				if dst == src {
 					continue
 				}
-				p := &packet.Packet{
-					LRH:     packet.LRH{SLID: packet.LID(src + 1), DLID: packet.LID(dst + 1)},
-					BTH:     packet.BTH{OpCode: packet.UDSendOnly, PKey: good, DestQP: 1, PSN: uint32(sent)},
-					DETH:    &packet.DETH{QKey: 1, SrcQP: 1},
-					Payload: make([]byte, rng.Intn(1024)),
-				}
-				if err := icrc.Seal(p); err != nil {
-					t.Fatal(err)
-				}
-				hcas[src].Send(&Delivery{Pkt: p, Class: ClassBestEffort, VL: VLBestEffort})
-				sent++
+				sendUD(t, hcas[src], packet.LID(dst+1), goodPKey, ClassBestEffort, rng.Intn(1024), psn)
+				psn++
 			}
 		}
 
@@ -200,22 +366,20 @@ func TestPropertyConservationAcrossLinkDownUp(t *testing.T) {
 		s.ScheduleAt(60*sim.Microsecond, func() { burst(40) })
 		s.ScheduleAt(120*sim.Microsecond, func() { setLink(true) })
 		s.ScheduleAt(150*sim.Microsecond, func() { burst(40) })
-		s.Run()
+		if trial >= 10 {
+			s.ScheduleAt(155*sim.Microsecond, func() { sws[cut].SetDown(true) })
+			s.ScheduleAt(200*sim.Microsecond, func() { sws[cut].SetDown(false) })
+		}
+		tm := drainInStrides(t, trial, s, params, hcas, sws, agent)
 
-		var blackholed uint64
-		for _, sw := range sws {
-			blackholed += sw.Blackholed()
-		}
-		for _, h := range hcas {
-			blackholed += h.Blackholed()
-		}
-		if blackholed == 0 {
+		if tm["link blackhole"] == 0 {
 			t.Fatalf("trial %d: outage destroyed nothing; schedule too lenient", trial)
 		}
-		total := delivered + int(blackholed)
-		if total != sent {
-			t.Fatalf("trial %d: sent %d but accounted %d (delivered %d, blackholed %d)",
-				trial, sent, total, delivered, blackholed)
+		if sent := sentBy(hcas); tm.total() != sent || tm.total() != tm["delivered"]+tm["link blackhole"]+tm["switch down"]+tm["unroutable"] {
+			t.Fatalf("trial %d: sent %d but accounted %d (%v)", trial, sent, tm.total(), tm)
+		}
+		for k, v := range tm {
+			seen[k] += v
 		}
 
 		// No credit leaked, none double-returned: every channel restored
@@ -245,5 +409,8 @@ func TestPropertyConservationAcrossLinkDownUp(t *testing.T) {
 		for i, h := range hcas {
 			check(fmt.Sprintf("hca%d", i), h.port)
 		}
+	}
+	if seen["switch down"] == 0 {
+		t.Error("no trial drove a message into a dead switch")
 	}
 }

@@ -384,7 +384,7 @@ func (p drToPort) HandleMAD(sw *Switch, _ int, d *Delivery) bool {
 func TestPermissiveLIDIsNotAnAlternateLID(t *testing.T) {
 	s, a, b, sw := twoHCAs(t, DefaultParams())
 	sw.SetMADHandler(drToPort(1))
-	a.Send(NewMAD(a.LID(), packet.LIDPermissive, []byte("a directed-route response")))
+	a.Send(a.Params().NewMAD(a.LID(), packet.LIDPermissive, []byte("a directed-route response")))
 	s.Run()
 	if got := b.Counters.Get("delivered"); got != 1 {
 		t.Fatalf("delivered = %d, want the SMP", got)

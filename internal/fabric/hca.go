@@ -42,8 +42,12 @@ type HCA struct {
 	ExtraSendDelay sim.Time
 
 	Counters *metrics.Counters
-	// Handles for the counters every packet touches, resolved once.
+	// Handles for the counters every packet touches, resolved once, and
+	// for those only an attack, congestion or a bit error touches,
+	// resolved by bump on first use so that NewHCA does not pay for them.
 	sent, delivered, altLIDArrivals *metrics.Counter
+	pkeyViolationCtr, cctThrottled, cnpSent, cnpReceived,
+	fecnReceived, becnNotified, vcrcDrops, icrcDrops *metrics.Counter
 
 	pkeyViolations uint64
 	engineBusyTil  sim.Time
@@ -78,6 +82,15 @@ func NewHCA(s *sim.Simulator, params *Params, name string, lid packet.LID) *HCA 
 	h.altLIDArrivals = h.Counters.Counter("alt_lid_arrivals")
 	h.port = &Port{owner: h, id: 0}
 	return h
+}
+
+// bump adds one to a counter through its handle, resolving the handle on
+// first use.
+func (h *HCA) bump(c **metrics.Counter, name string) {
+	if *c == nil {
+		*c = h.Counters.Counter(name)
+	}
+	(*c).Add(1)
 }
 
 // Name returns the HCA's name.
@@ -168,7 +181,7 @@ func (h *HCA) Send(d *Delivery) {
 		// fabric — which is the entire point of the annex.
 		if f := h.ccFlows[d.Pkt.LRH.DLID]; f != nil && f.index > 0 {
 			extra += sim.Time(f.index) * h.cc.CCTStep
-			h.Counters.Inc("cct_throttled", 1)
+			h.bump(&h.cctThrottled, "cct_throttled")
 		}
 	}
 	if extra > 0 {
@@ -295,7 +308,7 @@ func (h *HCA) NotifyBECN(dst packet.LID) {
 	if f.index < h.cc.CCTSize {
 		f.index++
 	}
-	h.Counters.Inc("becn_notified", 1)
+	h.bump(&h.becnNotified, "becn_notified")
 	if !f.armed {
 		f.armed = true
 		h.armCCTDecay(f)
@@ -305,16 +318,23 @@ func (h *HCA) NotifyBECN(dst packet.LID) {
 // armCCTDecay schedules the flow's next index decrement; the timer
 // re-arms while the index stays positive.
 func (h *HCA) armCCTDecay(f *ccFlow) {
-	h.sim.Schedule(h.cc.CCTDecay, func() {
-		if f.index > 0 {
-			f.index--
-		}
-		if f.index > 0 {
-			h.armCCTDecay(f)
-			return
-		}
-		f.armed = false
-	})
+	h.sim.ScheduleCall(h.cc.CCTDecay, (*cctDecay)(h), f, 0)
+}
+
+// cctDecay fires one tick of a flow's recovery timer: a named handler
+// over HCA whose operand is the flow (see hcaInject).
+type cctDecay HCA
+
+func (h *cctDecay) Fire(arg any, _ uint64) {
+	f := arg.(*ccFlow)
+	if f.index > 0 {
+		f.index--
+	}
+	if f.index > 0 {
+		(*HCA)(h).armCCTDecay(f)
+		return
+	}
+	f.armed = false
 }
 
 // CCTIndex returns the largest current congestion-control-table index
@@ -337,45 +357,43 @@ func (h *HCA) CCTIndex() int {
 // is a link-level phenomenon, and throttling an unauthorized flood is
 // exactly the annex's job.
 func (h *HCA) sendCNP(orig *Delivery) {
-	p := &packet.Packet{
-		LRH: packet.LRH{
-			LNH:  packet.LNHIBALocal,
-			DLID: orig.Pkt.LRH.SLID,
-			SLID: h.lid,
-		},
-		BTH: packet.BTH{
-			OpCode: packet.CNPNotify,
-			PKey:   orig.Pkt.BTH.PKey,
-			BECN:   true,
-		},
+	d := h.params.NewMessage(ClassBestEffort,
+		packet.LRH{LNH: packet.LNHIBALocal, DLID: orig.Pkt.LRH.SLID, SLID: h.lid},
+		packet.BTH{OpCode: packet.CNPNotify, PKey: orig.Pkt.BTH.PKey, BECN: true})
+	if err := icrc.Seal(d.Pkt); err != nil {
+		panic(fmt.Sprintf("fabric: sealing CNP: %v", err))
 	}
-	if err := icrc.Seal(p); err != nil {
-		return
-	}
-	d := &Delivery{Pkt: p, Class: ClassBestEffort, VL: VLBestEffort}
-	h.Counters.Inc("cnp_sent", 1)
+	h.bump(&h.cnpSent, "cnp_sent")
 	h.params.observe(h.sim.Now(), ObsCNP, h.name, d)
 	h.Send(d)
 }
 
-// arrive implements Device: verify CRCs, check the partition table,
-// then deliver. The VCRC guards the last link; the ICRC (when the packet
-// is not carrying an authentication tag) guards end to end.
+// arrive implements Device. The HCA is where a message's journey ends:
+// whatever receive decides, the block goes back to the free list once the
+// terminal has been observed and its upcall has returned.
 func (h *HCA) arrive(_ int, d *Delivery) {
+	h.params.release(d, h.receive(d))
+}
+
+// receive verifies CRCs, checks the partition table, then delivers, and
+// returns the terminal it observed. The VCRC guards the last link; the
+// ICRC (when the packet is not carrying an authentication tag) guards end
+// to end.
+func (h *HCA) receive(d *Delivery) ObsKind {
 	d.DeliveredAt = h.sim.Now()
 	d.ReturnCredit()
 	if !vcrcOK(d) {
-		h.Counters.Inc("vcrc_drops", 1)
+		h.bump(&h.vcrcDrops, "vcrc_drops")
 		h.health.AddRcvErrors(1)
 		h.params.observe(h.sim.Now(), ObsCRCDrop, h.name, d)
-		return
+		return ObsCRCDrop
 	}
 	if d.Tainted && d.Pkt.BTH.AuthID == 0 {
 		if ok, err := icrc.VerifyICRC(d.Pkt.Wire()); err != nil || !ok {
-			h.Counters.Inc("icrc_drops", 1)
+			h.bump(&h.icrcDrops, "icrc_drops")
 			h.health.AddRcvErrors(1)
 			h.params.observe(h.sim.Now(), ObsCRCDrop, h.name, d)
-			return
+			return ObsCRCDrop
 		}
 	}
 	if h.cc.Enabled() && d.Class != ClassManagement {
@@ -385,13 +403,13 @@ func (h *HCA) arrive(_ int, d *Delivery) {
 		// carried), and a FECN-marked arrival is reflected back to its
 		// source so the congestion tree is starved where it is fed.
 		if d.Pkt.BTH.OpCode == packet.CNPNotify {
-			h.Counters.Inc("cnp_received", 1)
+			h.bump(&h.cnpReceived, "cnp_received")
 			h.params.observe(h.sim.Now(), ObsBECN, h.name, d)
 			h.NotifyBECN(d.Pkt.LRH.SLID)
-			return
+			return ObsBECN
 		}
 		if d.Pkt.BTH.FECN {
-			h.Counters.Inc("fecn_received", 1)
+			h.bump(&h.fecnReceived, "fecn_received")
 			if svc := d.Pkt.BTH.OpCode.Service(); svc == packet.ServiceUD || svc == packet.ServiceUC {
 				// No ACK stream to piggyback BECN on: answer with a
 				// standalone CNP. RC flows are handled by the transport
@@ -402,12 +420,12 @@ func (h *HCA) arrive(_ int, d *Delivery) {
 	}
 	if d.Class != ClassManagement && !h.PKeyTable.Check(d.Pkt.BTH.PKey) {
 		h.pkeyViolations++
-		h.Counters.Inc("pkey_violations", 1)
+		h.bump(&h.pkeyViolationCtr, "pkey_violations")
 		h.params.observe(h.sim.Now(), ObsPKeyReject, h.name, d)
 		if h.OnPKeyViolation != nil {
 			h.OnPKeyViolation(d)
 		}
-		return
+		return ObsPKeyReject
 	}
 	if lid, dlid := h.LID(), d.Pkt.LRH.DLID; lid != 0 && dlid != lid && dlid != packet.LIDPermissive {
 		// Addressed to one of this HCA's alternate (APM) LIDs — the
@@ -422,4 +440,5 @@ func (h *HCA) arrive(_ int, d *Delivery) {
 	if h.OnDeliver != nil {
 		h.OnDeliver(d)
 	}
+	return ObsDeliver
 }

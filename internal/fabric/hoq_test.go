@@ -137,3 +137,53 @@ func TestHOQLifetimeBreaksCreditDeadlock(t *testing.T) {
 		}
 	}
 }
+
+// A Head-of-Queue clock is armed for a message, not for the block that
+// carries it. Here message A arms the clock at the head of A's send lane
+// and leaves at once; it is delivered and its block recycled; message B
+// draws the same block and, with the lane out of credits, is standing at
+// that same head when A's clock runs out, half a lifetime later. The
+// stale clock must leave B alone: B has not used up its own lifetime, and
+// goes through when the credit returns. (With the block's address as the
+// message's only identity, B was discarded at A's deadline.)
+func TestHOQClockIgnoresRecycledDelivery(t *testing.T) {
+	if PoolPoison {
+		t.Skip("the poison build never reuses a message block")
+	}
+	params := DefaultParams()
+	params.HOQLife = 100 * sim.Microsecond
+	s, a, b, _ := twoHCAs(t, params)
+	delivered := 0
+	b.OnDeliver = func(*Delivery) { delivered++ }
+
+	var sent enqueueLog
+	params.Observer = &sent
+	send := func() { sendUD(t, a, 2, 0x8001, ClassBestEffort, 64, 0) }
+	lane := a.port.out
+	send() // t = 0: A's clock runs out at 100 us
+	s.ScheduleAt(50*sim.Microsecond, func() {
+		lane.credits[VLBestEffort] = 0 // the switch's input buffer is full
+		send()                         // B's clock runs out at 150 us
+	})
+	s.ScheduleAt(120*sim.Microsecond, func() {
+		lane.credits[VLBestEffort] = 1
+		lane.trySend()
+	})
+	s.Run()
+
+	if len(sent) != 2 || sent[0] != sent[1] {
+		t.Fatalf("B did not draw A's block (%p): the test exercises nothing", sent)
+	}
+	if n := a.HOQDropped(); n != 0 || delivered != 2 {
+		t.Fatalf("%d HOQ drops, %d of 2 delivered: A's clock discarded B", n, delivered)
+	}
+}
+
+// enqueueLog records the deliveries handed to HCA.Send, by address.
+type enqueueLog []*Delivery
+
+func (l *enqueueLog) Observe(_ sim.Time, kind ObsKind, _ string, d *Delivery) {
+	if kind == ObsEnqueue {
+		*l = append(*l, d)
+	}
+}

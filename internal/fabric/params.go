@@ -134,6 +134,20 @@ type Params struct {
 	// no CCT throttling), keeping the fabric byte-identical to builds
 	// that predate the feature.
 	Congestion CCParams
+
+	// pool is the message free list, made by the first message drawn. It
+	// sits behind a pointer so that a by-value copy of a Params in use
+	// shares the one list instead of forking its slice header.
+	pool *pool
+}
+
+// Clone returns a copy of the parameters for one simulation to own: the
+// copy starts without a message free list, so no block crosses from one
+// simulation into another.
+func (p *Params) Clone() *Params {
+	q := *p
+	q.pool = nil
+	return &q
 }
 
 // CCParams are the IBA Congestion Control Annex (A10) knobs, modelled
@@ -198,24 +212,28 @@ func (c *CCParams) Validate(creditsPerVL int) error {
 // ObsKind labels an observed packet event.
 type ObsKind uint8
 
-// Observed event kinds.
+// Observed event kinds. The zero kind is never observed: it is where
+// release files a message discarded unsent (Params.Discard).
 const (
-	ObsEnqueue    ObsKind = iota + 1 // packet entered an HCA send queue
-	ObsForward                       // switch forwarded toward the next hop
-	ObsFiltered                      // partition enforcement dropped it
-	ObsUnroutable                    // no forwarding entry
-	ObsCRCDrop                       // VCRC/ICRC verification failed
-	ObsPKeyReject                    // destination HCA partition check failed
-	ObsDeliver                       // destination HCA accepted it
-	ObsBlackhole                     // destroyed by an injected fault (link/switch down, MAD drop)
-	ObsHOQDrop                       // aged out by the Head-of-Queue lifetime limit
-	ObsFECNMark                      // switch set FECN: output queue at/above the marking threshold
-	ObsBECN                          // source HCA received backward congestion notification
-	ObsCNP                           // destination HCA emitted a congestion notification packet
+	obsUnsent     ObsKind = iota
+	ObsEnqueue            // packet entered an HCA send queue
+	ObsForward            // switch forwarded toward the next hop
+	ObsFiltered           // partition enforcement dropped it
+	ObsUnroutable         // no forwarding entry
+	ObsCRCDrop            // VCRC/ICRC verification failed
+	ObsPKeyReject         // destination HCA partition check failed
+	ObsDeliver            // destination HCA accepted it
+	ObsBlackhole          // destroyed by an injected fault (link/switch down, MAD drop)
+	ObsHOQDrop            // aged out by the Head-of-Queue lifetime limit
+	ObsFECNMark           // switch set FECN: output queue at/above the marking threshold
+	ObsBECN               // source HCA received backward congestion notification
+	ObsCNP                // destination HCA emitted a congestion notification packet
 )
 
 func (k ObsKind) String() string {
 	switch k {
+	case obsUnsent:
+		return "unsent"
 	case ObsEnqueue:
 		return "enqueue"
 	case ObsForward:

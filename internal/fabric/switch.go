@@ -21,7 +21,9 @@ type Filter interface {
 // itself — most importantly directed-route SMPs, which are forwarded by
 // an explicit port path instead of the (possibly not yet programmed) LID
 // table. Returning true consumes the delivery: the handler has either
-// absorbed it or re-emitted it via SendRaw.
+// absorbed it — it released the input-buffer credit, and the switch
+// recycles the message once HandleMAD returns, so the handler copies what
+// it keeps — or re-emitted it via SendRaw.
 type MADHandler interface {
 	HandleMAD(sw *Switch, inPort int, d *Delivery) bool
 }
@@ -50,8 +52,11 @@ type Switch struct {
 	filter Filter
 	madh   MADHandler
 	madTap MADTap
-	guid   uint64
-	down   bool
+	// madHeld is the datagram the MAD handler is looking at until SendRaw
+	// takes it back: one still held when HandleMAD returns true was consumed.
+	madHeld *Delivery
+	guid    uint64
+	down    bool
 	// ccThreshold is the programmed FECN marking threshold (zero until
 	// the SM's congestion manager programs the switch).
 	ccThreshold int
@@ -353,9 +358,13 @@ func (sw *Switch) GUID() uint64 { return sw.guid }
 // The caller must hold the delivery (e.g. from a MADHandler); its input
 // buffer credit is released when transmission starts, as usual.
 func (sw *Switch) SendRaw(port int, d *Delivery) {
+	if sw.madHeld == d {
+		sw.madHeld = nil
+	}
 	if port < 0 || port >= len(sw.ports) || sw.ports[port].out == nil {
 		sw.Counters.Inc("dead_port", 1)
 		d.ReturnCredit()
+		sw.params.release(d, ObsUnroutable)
 		return
 	}
 	sw.drForwarded.Add(1)
@@ -421,6 +430,7 @@ func (sw *Switch) arrive(port int, d *Delivery) {
 		sw.Counters.Inc("blackholed", 1)
 		sw.params.observe(sw.sim.Now(), ObsBlackhole, sw.name, d)
 		d.ReturnCredit()
+		sw.params.release(d, ObsBlackhole)
 		return
 	}
 	if !vcrcOK(d) {
@@ -429,6 +439,7 @@ func (sw *Switch) arrive(port int, d *Delivery) {
 		sw.checkHealthTrap(port)
 		sw.params.observe(sw.sim.Now(), ObsCRCDrop, sw.name, d)
 		d.ReturnCredit()
+		sw.params.release(d, ObsCRCDrop)
 		return
 	}
 	// Management agent first: directed-route SMPs are forwarded by an
@@ -443,6 +454,7 @@ func (sw *Switch) arrive(port int, d *Delivery) {
 				sw.ports[port].health.AddVL15Dropped(1)
 				sw.params.observe(sw.sim.Now(), ObsBlackhole, sw.name, d)
 				d.ReturnCredit()
+				sw.params.release(d, ObsBlackhole)
 				return
 			}
 			extra = delay
@@ -474,8 +486,17 @@ type swMAD Switch
 
 func (h *swMAD) Fire(arg any, inPort uint64) {
 	sw, d := (*Switch)(h), arg.(*Delivery)
-	if sw.madh != nil && sw.madh.HandleMAD(sw, int(inPort), d) {
-		return
+	if sw.madh != nil {
+		sw.madHeld = d
+		taken := sw.madh.HandleMAD(sw, int(inPort), d)
+		consumed := sw.madHeld == d
+		sw.madHeld = nil
+		if taken {
+			if consumed {
+				sw.params.release(d, ObsDeliver)
+			}
+			return
+		}
 	}
 	sw.routeByLID(d)
 }
@@ -489,6 +510,7 @@ func (h *swForward) Fire(arg any, drop uint64) {
 		sw.filtered.Add(1)
 		sw.params.observe(sw.sim.Now(), ObsFiltered, sw.name, d)
 		d.ReturnCredit()
+		sw.params.release(d, ObsFiltered)
 		return
 	}
 	sw.routeByLID(d)
@@ -501,6 +523,7 @@ func (sw *Switch) routeByLID(d *Delivery) {
 		sw.Counters.Inc("unroutable", 1)
 		sw.params.observe(sw.sim.Now(), ObsUnroutable, sw.name, d)
 		d.ReturnCredit()
+		sw.params.release(d, ObsUnroutable)
 		return
 	}
 	ch := sw.ports[out].out
@@ -508,6 +531,7 @@ func (sw *Switch) routeByLID(d *Delivery) {
 		sw.Counters.Inc("dead_port", 1)
 		sw.params.observe(sw.sim.Now(), ObsUnroutable, sw.name, d)
 		d.ReturnCredit()
+		sw.params.release(d, ObsUnroutable)
 		return
 	}
 	d.Hops++

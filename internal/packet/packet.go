@@ -105,26 +105,38 @@ func (p *Packet) Finalize() error {
 // to a 4-byte boundary (BTH.PadCnt).
 func payloadPad(n int) int { return (4 - n%4) % 4 }
 
-// AllocPayload allocates the packet's wire image, sized for an n-byte
-// payload under the headers already set (the opcode and GRH decide the
-// payload offset; pad bytes and both CRC trailers are included), and
-// returns Payload as an n-byte window into it. The caller fills the
-// window; Wire then writes headers and trailers around it, so the
-// message is never copied. The window's capacity stops at its length:
-// an append reallocates instead of running into the trailer. Replacing
-// or resizing Payload afterwards is legal — Wire falls back to a fresh
-// image.
+// AllocPayload sizes the packet's wire image for an n-byte payload under
+// the headers already set (the opcode and GRH decide the payload offset;
+// pad bytes and both CRC trailers are included) and returns Payload as an
+// n-byte window into it. The caller fills the window; Wire then writes
+// headers and trailers around it, so the message is never copied. An
+// image kept across Reset is reused when large enough: the window is
+// zeroed and Wire overwrites every other byte, so the sealed image is the
+// one a fresh buffer would hold. The window's capacity stops at its
+// length: an append reallocates instead of running into the trailer.
+// Replacing or resizing Payload afterwards is legal — Wire falls back to a
+// fresh image.
 func (p *Packet) AllocPayload(n int) []byte {
 	if n < 0 {
 		panic(fmt.Sprintf("packet: AllocPayload: negative size %d", n))
 	}
 	hs := p.HeaderSize()
 	p.BTH.PadCnt = uint8(payloadPad(n))
-	p.img = make([]byte, hs+n+int(p.BTH.PadCnt)+ICRCSize+VCRCSize)
+	size := hs + n + int(p.BTH.PadCnt) + ICRCSize + VCRCSize
+	if cap(p.img) >= size {
+		p.img = p.img[:size]
+		clear(p.img[hs : hs+n])
+	} else {
+		p.img = make([]byte, size)
+	}
 	p.wireOK = false
 	p.Payload = p.img[hs : hs+n : hs+n]
 	return p.Payload
 }
+
+// Reset returns the packet to its zero value but keeps the wire image's
+// storage for the next AllocPayload (fabric.Params.NewMessage).
+func (p *Packet) Reset() { *p = Packet{img: p.img[:0]} }
 
 // Marshal serializes the packet into a fresh buffer the caller owns (the
 // bit-error model and the attack suite tamper with the result). Call
@@ -197,15 +209,19 @@ func (p *Packet) marshalInto(b []byte) {
 // use and returning the cached bytes thereafter. A packet whose Payload
 // is still the window AllocPayload returned is serialized in place —
 // headers and trailers are written around the payload — and any other
-// packet into a fresh buffer. The returned slice is the packet's own
+// packet into a fresh buffer (or, having no payload to preserve, into the
+// storage Reset kept). The returned slice is the packet's own
 // image: only the seal path and a switch marking a variant field may
 // write it (use Marshal for a private copy). Any mutation of the packet
 // after Wire must be followed by InvalidateWire, or the cache will
 // misrepresent the packet.
 func (p *Packet) Wire() []byte {
 	if !p.wireOK {
-		if !p.payloadInPlace() {
-			p.img = make([]byte, p.WireSize())
+		if size := p.WireSize(); !p.payloadInPlace() {
+			if len(p.Payload) > 0 || cap(p.img) < size {
+				p.img = make([]byte, size)
+			}
+			p.img = p.img[:size]
 		}
 		p.marshalInto(p.img)
 		p.wireOK = true

@@ -105,7 +105,7 @@ func newResponse(pl []byte) (resp [smpTotalSize]byte) {
 // reseal refreshes the packet CRCs after an in-flight payload mutation
 // (hop pointer / return path updates); a transit switch does this once
 // per DR-SMP. A MAD's payload is the window into its own image
-// (fabric.NewMAD), so the bytes just written are already on the wire and
+// (Params.NewMAD), so the bytes just written are already on the wire and
 // Seal allocates nothing: it rewrites the headers into that image and
 // recomputes both CRCs over all of it. A packet that does not own its
 // image (the bit-error model's re-parsed copy) gets a fresh one.
@@ -326,7 +326,7 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 		resp[smpOffStatus] = smpStatusUnsupported
 	}
 
-	out := fabric.NewMAD(d.Pkt.LRH.SLID, packet.LIDPermissive, resp[:])
+	out := sw.Params().NewMAD(d.Pkt.LRH.SLID, packet.LIDPermissive, resp[:])
 	d.ReturnCredit()
 	sw.SendRaw(inPort, out)
 }
@@ -402,7 +402,7 @@ func (a *NodeAgent) deliver(d *fabric.Delivery) {
 	default:
 		resp[smpOffStatus] = smpStatusUnsupported
 	}
-	a.HCA.Send(fabric.NewMAD(a.HCA.LID(), packet.LIDPermissive, resp[:]))
+	a.HCA.Send(a.HCA.Params().NewMAD(a.HCA.LID(), packet.LIDPermissive, resp[:]))
 }
 
 // DiscoveredNode is one fabric element found by the sweep.
@@ -682,7 +682,7 @@ func (d *Discoverer) request(method, attr byte, path []byte, data []byte, maxRet
 
 // xmit transmits one attempt of rq as a fresh MAD.
 func (d *Discoverer) xmit(rq *request) {
-	d.hca.Send(fabric.NewMAD(d.hca.LID(), packet.LIDPermissive, rq.pl[:]))
+	d.hca.Send(d.hca.Params().NewMAD(d.hca.LID(), packet.LIDPermissive, rq.pl[:]))
 }
 
 // arm starts the current attempt's deadline.

@@ -650,7 +650,7 @@ func (c *Coordinator) syncTrailers(master *SubnetManager) [][]byte {
 // ICRC-sealed.
 func (c *Coordinator) sendMADFrom(srcNode, dst int, payload []byte) {
 	src := c.mesh.HCA(srcNode)
-	d := fabric.NewMAD(src.LID(), topology.LIDOf(dst), payload)
+	d := src.Params().NewMAD(src.LID(), topology.LIDOf(dst), payload)
 	d.Source = src.Name()
 	src.Send(d)
 }

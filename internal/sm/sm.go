@@ -421,7 +421,7 @@ func (m *SubnetManager) sendTrap(victim int, victimHCA *fabric.HCA, d *fabric.De
 		m.sim.Schedule(0, func() { m.processTrap(tr, arrived) })
 		return
 	}
-	trap := fabric.NewMAD(victimHCA.LID(), topology.LIDOf(m.cfg.Node), payload)
+	trap := victimHCA.Params().NewMAD(victimHCA.LID(), topology.LIDOf(m.cfg.Node), payload)
 	trap.Source = victimHCA.Name()
 	victimHCA.Send(trap)
 }

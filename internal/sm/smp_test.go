@@ -136,7 +136,7 @@ func TestMalformedSMPDropped(t *testing.T) {
 
 	inject := func(mutate func([]byte) []byte) {
 		pl := newSMP(smpMethodGet, smpAttrNodeInfo, 1, discMKey, []byte{1})
-		mesh.HCA(0).Send(fabric.NewMAD(0, packet.LIDPermissive, mutate(pl[:])))
+		mesh.HCA(0).Send(mesh.HCA(0).Params().NewMAD(0, packet.LIDPermissive, mutate(pl[:])))
 	}
 	inject(func(pl []byte) []byte { pl[smpOffHopCnt] = 200; return pl })
 	inject(func(pl []byte) []byte { pl[smpOffHopPtr] = 17; pl[smpOffHopCnt] = 16; return pl })
@@ -166,7 +166,7 @@ func TestOversizedSMPAnsweredAtFixedSize(t *testing.T) {
 	}
 	for _, path := range [][]byte{nil, {topology.PortEast, topology.PortHCA}} { // own switch; HCA 1
 		pl := newSMP(smpMethodGet, smpAttrNodeInfo, 1, discMKey, path)
-		mesh.HCA(0).Send(fabric.NewMAD(0, packet.LIDPermissive, append(pl[:], make([]byte, 100)...)))
+		mesh.HCA(0).Send(mesh.HCA(0).Params().NewMAD(0, packet.LIDPermissive, append(pl[:], make([]byte, 100)...)))
 	}
 	s.Run()
 	if len(got) != 2 || got[0] != smpTotalSize || got[1] != smpTotalSize {
@@ -182,7 +182,7 @@ func TestMalformedSMPDroppedByNodeAgent(t *testing.T) {
 	agent := AttachNodeAgent(mesh.HCA(0), discMKey)
 
 	pl := newSMP(smpMethodGet, smpAttrNodeInfo, 1, discMKey, nil)
-	d := fabric.NewMAD(0, packet.LIDPermissive, pl[:smpHeaderSize+1])
+	d := mesh.HCA(0).Params().NewMAD(0, packet.LIDPermissive, pl[:smpHeaderSize+1])
 	agent.deliver(d)
 	if got := mesh.HCA(0).Counters.Get("smp_malformed"); got != 1 {
 		t.Fatalf("smp_malformed = %d, want 1", got)

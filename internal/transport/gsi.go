@@ -55,19 +55,14 @@ type pendKey struct {
 
 // sendGSI transmits a control message to the destination's QP 1.
 func (e *Endpoint) sendGSI(dstLID packet.LID, pkey packet.PKey, payload []byte) {
-	p := &packet.Packet{
-		LRH:     packet.LRH{SLID: e.hca.LID(), DLID: dstLID},
-		BTH:     packet.BTH{OpCode: packet.UDSendOnly, PKey: pkey, DestQP: qpnGSI},
-		DETH:    &packet.DETH{QKey: 0, SrcQP: qpnGSI},
-		Payload: payload,
-	}
-	if err := icrc.Seal(p); err != nil {
+	d := e.newMessage(fabric.ClassBestEffort, dstLID, packet.BTH{OpCode: packet.UDSendOnly, PKey: pkey, DestQP: qpnGSI})
+	*d.Pkt.DETH = packet.DETH{QKey: 0, SrcQP: qpnGSI}
+	copy(d.Pkt.AllocPayload(len(payload)), payload)
+	if err := icrc.Seal(d.Pkt); err != nil {
 		panic(fmt.Sprintf("transport: sealing GSI packet: %v", err))
 	}
 	e.Counters.Inc("gsi_sent", 1)
-	e.hca.Send(&fabric.Delivery{
-		Pkt: p, Class: fabric.ClassBestEffort, VL: fabric.VLBestEffort, Source: e.hca.Name(),
-	})
+	e.hca.Send(d)
 }
 
 func gsiHeader(msgType byte, a, b packet.QPN) []byte {

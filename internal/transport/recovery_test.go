@@ -96,7 +96,7 @@ func TestRCRNRNakDelaysAndRecovers(t *testing.T) {
 	enableNAK(w)
 	a, b := connectRC(t, w, false)
 	var got []byte
-	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = p }
+	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = append([]byte(nil), p...) }
 	b.RNRDelay = 10 * sim.Microsecond
 	b.RNRUntil = w.s.Now() + 30*sim.Microsecond
 
@@ -326,7 +326,7 @@ func TestRCAPMMigratedResealAuthenticated(t *testing.T) {
 	a, b := connectRC(t, w, true)
 	a.SetAlternatePath(topology.AltLIDOf(3), 2)
 	var got []byte
-	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = p }
+	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = append([]byte(nil), p...) }
 	w.mesh.SwitchOf(0).SetFilter(&lidDropFilter{dlid: topology.LIDOf(3)})
 
 	if err := w.eps[0].SendRC(a, []byte("signed detour"), fabric.ClassBestEffort); err != nil {

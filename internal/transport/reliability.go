@@ -338,12 +338,9 @@ func (e *Endpoint) sendAckSyndrome(q *QP, psn uint32, syndrome uint8, counter st
 	if q.RemoteLID == 0 {
 		return
 	}
-	p := &packet.Packet{
-		LRH:  packet.LRH{SLID: e.hca.LID(), DLID: q.RemoteLID},
-		BTH:  packet.BTH{OpCode: packet.RCAck, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: psn, BECN: becn},
-		AETH: &packet.AETH{Syndrome: syndrome, MSN: psn},
-	}
-	if err := e.seal(p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
+	d := e.newMessage(fabric.ClassBestEffort, q.RemoteLID, packet.BTH{OpCode: packet.RCAck, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: psn, BECN: becn})
+	*d.Pkt.AETH = packet.AETH{Syndrome: syndrome, MSN: psn}
+	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 		e.Counters.Inc("rc_ack_seal_failed", 1)
 		return
 	}
@@ -351,9 +348,7 @@ func (e *Endpoint) sendAckSyndrome(q *QP, psn uint32, syndrome uint8, counter st
 		e.Counters.Inc("rc_becn_sent", 1)
 	}
 	e.Counters.Inc(counter, 1)
-	e.hca.Send(&fabric.Delivery{
-		Pkt: p, Class: fabric.ClassBestEffort, VL: fabric.VLBestEffort, Source: e.hca.Name(),
-	})
+	e.hca.Send(d)
 }
 
 // rnrCode encodes an RNR delay as the smallest 5-bit timer code whose

@@ -39,7 +39,7 @@ func TestRCAckCompletesSend(t *testing.T) {
 	w := newWorld(t, 0, PartitionLevel, false)
 	a, b := connectRC(t, w, false)
 	var got []byte
-	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = p }
+	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = append([]byte(nil), p...) }
 
 	if err := w.eps[0].SendRC(a, []byte("reliable"), fabric.ClassBestEffort); err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestRCAuthenticatedAcks(t *testing.T) {
 	w := newWorld(t, mac.IDUMAC32, QPLevel, false)
 	a, b := connectRC(t, w, true)
 	var got []byte
-	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = p }
+	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = append([]byte(nil), p...) }
 	if err := w.eps[0].SendRC(a, []byte("signed rc"), fabric.ClassBestEffort); err != nil {
 		t.Fatal(err)
 	}

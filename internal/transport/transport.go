@@ -176,21 +176,13 @@ type Endpoint struct {
 	verif icrc.Verifier
 }
 
-// message is the header block of one outgoing message: the packet, the
-// DETH a datagram carries and the delivery that takes it through the
-// fabric, allocated together. With the packet's wire image that makes a
-// send two allocations. Nothing is recycled — receivers, the RC window
-// and tracers may keep any of the three.
-type message struct {
-	p    packet.Packet
-	deth packet.DETH
-	d    fabric.Delivery
-}
-
-// send injects m's packet, sealed, as a delivery of the given class.
-func (e *Endpoint) send(m *message, class fabric.Class) {
-	m.d = fabric.Delivery{Pkt: &m.p, Class: class, VL: class.VL(), Source: e.hca.Name()}
-	e.hca.Send(&m.d)
+// newMessage draws a message of the given class from the fabric's free
+// list (fabric.Params.NewMessage), addressed from this endpoint's HCA; the
+// caller fills in headers and payload, seals it and hands it to e.hca.Send.
+func (e *Endpoint) newMessage(class fabric.Class, dlid packet.LID, bth packet.BTH) *fabric.Delivery {
+	d := e.hca.Params().NewMessage(class, packet.LRH{SLID: e.hca.LID(), DLID: dlid}, bth)
+	d.Source = e.hca.Name()
+	return d
 }
 
 // Errors returned by transport operations.
@@ -379,6 +371,16 @@ func (e *Endpoint) seal(p *packet.Packet, q *QP, dstLID packet.LID, dstQPN packe
 	return icrc.PatchVCRC(p)
 }
 
+// sealMessage seals a message drawn with newMessage for sending from q; one
+// that cannot be sealed is never sent, so its block goes back unsent.
+func (e *Endpoint) sealMessage(d *fabric.Delivery, q *QP, dstLID packet.LID, dstQPN packet.QPN) error {
+	err := e.seal(d.Pkt, q, dstLID, dstQPN, q.N)
+	if err != nil {
+		e.hca.Params().Discard(d)
+	}
+	return err
+}
+
 // SendUD sends payload from a UD QP to (dstLID, dstQPN), writing the
 // destination's Q_Key into the DETH (the sender must have obtained it,
 // e.g. via RequestQKey).
@@ -389,20 +391,14 @@ func (e *Endpoint) SendUD(q *QP, dstLID packet.LID, dstQPN packet.QPN, dstQKey p
 	if len(payload) > packet.MTU {
 		return ErrPayloadSize
 	}
-	m := &message{
-		p: packet.Packet{
-			LRH: packet.LRH{SLID: e.hca.LID(), DLID: dstLID},
-			BTH: packet.BTH{OpCode: packet.UDSendOnly, PKey: q.PKey, DestQP: dstQPN, PSN: q.nextPSN()},
-		},
-		deth: packet.DETH{QKey: dstQKey, SrcQP: q.N},
-	}
-	m.p.DETH = &m.deth
-	copy(m.p.AllocPayload(len(payload)), payload)
-	if err := e.seal(&m.p, q, dstLID, dstQPN, q.N); err != nil {
+	d := e.newMessage(class, dstLID, packet.BTH{OpCode: packet.UDSendOnly, PKey: q.PKey, DestQP: dstQPN, PSN: q.nextPSN()})
+	*d.Pkt.DETH = packet.DETH{QKey: dstQKey, SrcQP: q.N}
+	copy(d.Pkt.AllocPayload(len(payload)), payload)
+	if err := e.sealMessage(d, q, dstLID, dstQPN); err != nil {
 		return err
 	}
 	e.udSent.Add(1)
-	e.send(m, class)
+	e.hca.Send(d)
 	return nil
 }
 
@@ -414,17 +410,14 @@ func (e *Endpoint) SendRC(q *QP, payload []byte, class fabric.Class) error {
 	if len(payload) > packet.MTU {
 		return ErrPayloadSize
 	}
-	m := &message{p: packet.Packet{
-		LRH: packet.LRH{SLID: e.hca.LID(), DLID: q.dataDLID()},
-		BTH: packet.BTH{OpCode: packet.RCSendOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()},
-	}}
-	copy(m.p.AllocPayload(len(payload)), payload)
-	if err := e.seal(&m.p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
+	d := e.newMessage(class, q.dataDLID(), packet.BTH{OpCode: packet.RCSendOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()})
+	copy(d.Pkt.AllocPayload(len(payload)), payload)
+	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 		return err
 	}
-	e.trackReliable(q, &m.p, class)
+	e.trackReliable(q, d.Pkt, class)
 	e.rcSent.Add(1)
-	e.send(m, class)
+	e.hca.Send(d)
 	return nil
 }
 
@@ -438,18 +431,15 @@ func (e *Endpoint) RDMAWrite(q *QP, va uint64, rkey packet.RKey, payload []byte,
 	if len(payload) > packet.MTU {
 		return ErrPayloadSize
 	}
-	m := &message{p: packet.Packet{
-		LRH:  packet.LRH{SLID: e.hca.LID(), DLID: q.dataDLID()},
-		BTH:  packet.BTH{OpCode: packet.RCRDMAWriteOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()},
-		RETH: &packet.RETH{VA: va, RKey: rkey, DMALen: uint32(len(payload))},
-	}}
-	copy(m.p.AllocPayload(len(payload)), payload)
-	if err := e.seal(&m.p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
+	d := e.newMessage(class, q.dataDLID(), packet.BTH{OpCode: packet.RCRDMAWriteOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()})
+	*d.Pkt.RETH = packet.RETH{VA: va, RKey: rkey, DMALen: uint32(len(payload))}
+	copy(d.Pkt.AllocPayload(len(payload)), payload)
+	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 		return err
 	}
-	e.trackReliable(q, &m.p, class)
+	e.trackReliable(q, d.Pkt, class)
 	e.Counters.Inc("rdma_sent", 1)
-	e.send(m, class)
+	e.hca.Send(d)
 	return nil
 }
 

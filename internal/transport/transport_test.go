@@ -75,7 +75,7 @@ func TestUDPlainDelivery(t *testing.T) {
 
 	var got []byte
 	var gotSrc packet.LID
-	dst.OnRecv = func(p []byte, s packet.LID, q packet.QPN) { got = p; gotSrc = s }
+	dst.OnRecv = func(p []byte, s packet.LID, q packet.QPN) { got = append([]byte(nil), p...); gotSrc = s }
 
 	err := w.eps[0].SendUD(src, topology.LIDOf(3), dst.N, dst.QKey, []byte("hello iba"), fabric.ClassBestEffort)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestPartitionLevelAuth(t *testing.T) {
 	dst.AuthRequired = true
 
 	var got []byte
-	dst.OnRecv = func(p []byte, s packet.LID, q packet.QPN) { got = p }
+	dst.OnRecv = func(p []byte, s packet.LID, q packet.QPN) { got = append([]byte(nil), p...) }
 	if err := w.eps[0].SendUD(src, topology.LIDOf(3), dst.N, dst.QKey, []byte("signed"), fabric.ClassBestEffort); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestQPLevelKeyExchangeAndAuth(t *testing.T) {
 	dst.AuthRequired = true
 
 	var got []byte
-	dst.OnRecv = func(p []byte, s packet.LID, q packet.QPN) { got = p }
+	dst.OnRecv = func(p []byte, s packet.LID, q packet.QPN) { got = append([]byte(nil), p...) }
 
 	var qkey packet.QKey
 	done := false
@@ -381,7 +381,7 @@ func TestRCConnectAndSend(t *testing.T) {
 	a.AuthRequired = true
 	b.AuthRequired = true
 	var got []byte
-	b.OnRecv = func(p []byte, s packet.LID, q packet.QPN) { got = p }
+	b.OnRecv = func(p []byte, s packet.LID, q packet.QPN) { got = append([]byte(nil), p...) }
 
 	connected := false
 	if err := w.eps[0].ConnectRC(a, topology.LIDOf(2), b.N, func(err error) {

@@ -69,16 +69,13 @@ func (e *Endpoint) SendUC(q *QP, payload []byte, class fabric.Class) error {
 	if len(payload) > packet.MTU {
 		return ErrPayloadSize
 	}
-	m := &message{p: packet.Packet{
-		LRH: packet.LRH{SLID: e.hca.LID(), DLID: q.RemoteLID},
-		BTH: packet.BTH{OpCode: packet.UCSendOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()},
-	}}
-	copy(m.p.AllocPayload(len(payload)), payload)
-	if err := e.seal(&m.p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
+	d := e.newMessage(class, q.RemoteLID, packet.BTH{OpCode: packet.UCSendOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()})
+	copy(d.Pkt.AllocPayload(len(payload)), payload)
+	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 		return err
 	}
 	e.Counters.Inc("uc_sent", 1)
-	e.send(m, class)
+	e.hca.Send(d)
 	return nil
 }
 
@@ -94,24 +91,21 @@ func (e *Endpoint) RDMARead(q *QP, va uint64, rkey packet.RKey, length uint32, c
 		return ErrPayloadSize
 	}
 	psn := q.nextPSN()
-	p := &packet.Packet{
-		LRH:  packet.LRH{SLID: e.hca.LID(), DLID: q.RemoteLID},
-		BTH:  packet.BTH{OpCode: packet.RCRDMAReadReq, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: psn},
-		RETH: &packet.RETH{VA: va, RKey: rkey, DMALen: length},
+	if _, dup := e.pendingReads[psn]; dup {
+		return ErrReadPending
 	}
-	if err := e.seal(p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
+	d := e.newMessage(class, q.RemoteLID, packet.BTH{OpCode: packet.RCRDMAReadReq, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: psn})
+	*d.Pkt.RETH = packet.RETH{VA: va, RKey: rkey, DMALen: length}
+	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 		return err
 	}
 	if e.pendingReads == nil {
 		e.pendingReads = make(map[uint32]func([]byte))
 	}
-	if _, dup := e.pendingReads[psn]; dup {
-		return ErrReadPending
-	}
 	e.pendingReads[psn] = cb
-	e.trackReliable(q, p, class)
+	e.trackReliable(q, d.Pkt, class)
 	e.Counters.Inc("rdma_read_sent", 1)
-	e.hca.Send(&fabric.Delivery{Pkt: p, Class: class, VL: class.VL(), Source: e.hca.Name()})
+	e.hca.Send(d)
 	return nil
 }
 
@@ -130,17 +124,14 @@ func (e *Endpoint) handleRDMAReadReq(q *QP, p *packet.Packet) {
 		return
 	}
 	e.Counters.Inc("rdma_reads", 1)
-	m := &message{p: packet.Packet{
-		LRH:  packet.LRH{SLID: e.hca.LID(), DLID: q.RemoteLID},
-		BTH:  packet.BTH{OpCode: packet.RCRDMAReadRespO, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: p.BTH.PSN},
-		AETH: &packet.AETH{Syndrome: 0, MSN: p.BTH.PSN},
-	}}
-	copy(m.p.AllocPayload(int(p.RETH.DMALen)), r.Data[off:])
-	if err := e.seal(&m.p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
+	d := e.newMessage(fabric.ClassBestEffort, q.RemoteLID, packet.BTH{OpCode: packet.RCRDMAReadRespO, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: p.BTH.PSN})
+	*d.Pkt.AETH = packet.AETH{Syndrome: 0, MSN: p.BTH.PSN}
+	copy(d.Pkt.AllocPayload(int(p.RETH.DMALen)), r.Data[off:])
+	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 		e.Counters.Inc("rdma_read_seal_failed", 1)
 		return
 	}
-	e.send(m, fabric.ClassBestEffort)
+	e.hca.Send(d)
 }
 
 // handleRDMAReadResp completes a pending read at the requester. The

@@ -38,7 +38,7 @@ func TestUCSendDelivery(t *testing.T) {
 	a, b := connectUC(t, w, false)
 	var got []byte
 	var gotSrcQP packet.QPN
-	b.OnRecv = func(p []byte, _ packet.LID, sq packet.QPN) { got = p; gotSrcQP = sq }
+	b.OnRecv = func(p []byte, _ packet.LID, sq packet.QPN) { got = append([]byte(nil), p...); gotSrcQP = sq }
 
 	if err := w.eps[0].SendUC(a, []byte("unreliable but connected"), fabric.ClassBestEffort); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestUCAuthenticated(t *testing.T) {
 	w := newWorld(t, mac.IDUMAC32, QPLevel, false)
 	a, b := connectUC(t, w, true)
 	var got []byte
-	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = p }
+	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = append([]byte(nil), p...) }
 	if err := w.eps[0].SendUC(a, []byte("signed uc"), fabric.ClassBestEffort); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRDMARead(t *testing.T) {
 
 	var got []byte
 	err := w.eps[0].RDMARead(a, region.VA+32, region.RKey, 13, fabric.ClassBestEffort, func(data []byte) {
-		got = data
+		got = append([]byte(nil), data...)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestRDMAReadAuthenticated(t *testing.T) {
 	region := w.eps[3].RegisterMemory(64)
 	copy(region.Data, []byte("signed read"))
 	var got []byte
-	w.eps[0].RDMARead(a, region.VA, region.RKey, 11, fabric.ClassBestEffort, func(d []byte) { got = d })
+	w.eps[0].RDMARead(a, region.VA, region.RKey, 11, fabric.ClassBestEffort, func(d []byte) { got = append([]byte(nil), d...) })
 	w.s.Run()
 	if !bytes.Equal(got, []byte("signed read")) {
 		t.Fatalf("read %q", got)

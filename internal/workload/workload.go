@@ -130,14 +130,6 @@ type RawUDSender struct {
 	psn uint32
 }
 
-// rawMsg is the header block of one raw datagram — packet, DETH and
-// delivery allocated together; see transport's message.
-type rawMsg struct {
-	p    packet.Packet
-	deth packet.DETH
-	d    fabric.Delivery
-}
-
 // Send builds, seals and injects one UD packet of the given payload size.
 func (r *RawUDSender) Send(dst int, size int) {
 	r.SendPKey(dst, size, r.PKey)
@@ -148,27 +140,17 @@ func (r *RawUDSender) SendPKey(dst int, size int, pk packet.PKey) {
 	if size > packet.MTU {
 		size = packet.MTU
 	}
-	m := &rawMsg{
-		p: packet.Packet{
-			LRH: packet.LRH{SLID: r.HCA.LID(), DLID: r.LIDOf(dst)},
-			BTH: packet.BTH{OpCode: packet.UDSendOnly, PKey: pk, DestQP: 2, PSN: r.psn & 0xFFFFFF},
-		},
-		deth: packet.DETH{QKey: 0x1, SrcQP: 2},
-	}
-	m.p.DETH = &m.deth
-	m.p.AllocPayload(size) // all zeros: the image is the payload
+	d := r.HCA.Params().NewMessage(r.Class,
+		packet.LRH{SLID: r.HCA.LID(), DLID: r.LIDOf(dst)},
+		packet.BTH{OpCode: packet.UDSendOnly, PKey: pk, DestQP: 2, PSN: r.psn & 0xFFFFFF})
+	*d.Pkt.DETH = packet.DETH{QKey: 0x1, SrcQP: 2}
+	d.Pkt.AllocPayload(size) // all zeros: the image is the payload
 	r.psn++
-	if err := icrc.Seal(&m.p); err != nil {
+	if err := icrc.Seal(d.Pkt); err != nil {
 		panic(err)
 	}
-	m.d = fabric.Delivery{
-		Pkt:    &m.p,
-		Class:  r.Class,
-		VL:     r.Class.VL(),
-		Attack: r.Attack,
-		Source: r.HCA.Name(),
-	}
-	r.HCA.Send(&m.d)
+	d.Attack, d.Source = r.Attack, r.HCA.Name()
+	r.HCA.Send(d)
 }
 
 // Attacker floods the fabric at full line rate from one compromised node:

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # CI gate: static checks; unit/integration tests with the race detector
 # (the allocation budgets are ordinary tests among them and hold under
-# it); an end-to-end -quick smoke of the parallel experiment runner,
-# including a manifest resume; a fuzz smoke of the wire parsers; and a
-# -quick run of the benchmark for its correctness checks, then one
-# full-length repetition against the recorded digests. Nothing here
-# gates on host time: bench/ measures it, -compare judges it.
+# it), and once more in the poison build that faults on any use of a
+# message after its release point; an end-to-end -quick smoke of the
+# parallel experiment runner, including a manifest resume; a fuzz smoke
+# of the wire parsers; and a -quick run of the benchmark for its
+# correctness checks, then one full-length repetition against the
+# recorded digests. Nothing here gates on host time: bench/ measures it,
+# -compare judges it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +27,9 @@ echo "== go test -race -shuffle=on"
 # This includes the race-instrumented end-to-end CLI replay (TestGolden)
 # of every golden sweep, at -jobs 4 and -jobs 1.
 go test -race -shuffle=on ./...
+
+echo "== go test -tags poolpoison (use-after-release: a released message block is scribbled over and never reused)"
+go test -tags poolpoison ./...
 
 echo "== Table 4 throughput ordering (host-timed; only meaningful uninstrumented)"
 go test -count=1 -run '^TestTable4Shape$' ./internal/core
