@@ -211,7 +211,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		ctx: ctx,
 		pool: runner.New(runner.Options{
 			Workers:  *jobs,
-			Retries:  1,
 			Progress: stderr,
 			Store:    store,
 			Watchdog: *watchdog,

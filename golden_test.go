@@ -39,7 +39,7 @@ func quickConfig() Config {
 // job order, not completion order, so worker count cannot affect bytes
 // (cmd/ibsim's TestGolden replays its sweeps at -jobs 4 and -jobs 1).
 func goldenPool() *Pool {
-	return NewPool(PoolOptions{Workers: 4, Retries: 1})
+	return NewPool(PoolOptions{Workers: 4})
 }
 
 func checkGolden(t *testing.T, file string, table CSVTable) {

@@ -173,14 +173,14 @@ func PaperTable4Rates() map[string]float64 { return core.PaperTable4Rates() }
 
 // Parallel experiment orchestration (internal/runner). A Pool executes
 // a sweep's simulation points on a bounded worker pool with panic
-// recovery, bounded retry and live progress. Results are reassembled by
-// job index, so output is byte-identical to the serial harness at a
-// fixed seed regardless of worker count.
+// recovery and live progress. Results are reassembled by job index, so
+// output is byte-identical to the serial harness at a fixed seed
+// regardless of worker count.
 type (
 	// Pool is a bounded worker pool for experiment sweeps.
 	Pool = runner.Pool
-	// PoolOptions configures a Pool (workers, retries, backoff,
-	// progress writer, watchdog).
+	// PoolOptions configures a Pool (workers, progress writer, store,
+	// watchdog).
 	PoolOptions = runner.Options
 )
 

@@ -334,13 +334,12 @@ func Build(cfg Config) (*Cluster, error) {
 		reg := mac.DefaultRegistry()
 		for i := 0; i < n; i++ {
 			cl.Endpoints[i] = transport.NewEndpoint(mesh.HCA(i), transport.Config{
-				Registry:      reg,
-				AuthID:        cfg.Auth.FuncID,
-				KeyLevel:      cfg.Auth.Level,
-				ReplayProtect: cfg.Auth.Replay,
-				RNG:           rngCrypto,
-				Directory:     dir,
-				KeyPair:       kps[i],
+				Registry:  reg,
+				AuthID:    cfg.Auth.FuncID,
+				KeyLevel:  cfg.Auth.Level,
+				RNG:       rngCrypto,
+				Directory: dir,
+				KeyPair:   kps[i],
 			})
 			// MAC generation adds one pipeline stage per message
 			// (section 6) — or, when a finite engine throughput is
@@ -713,7 +712,7 @@ func (cl *Cluster) Simulate() *Results {
 		sendRT, sendBE := cl.senders(node, targets)
 		if cfg.RealtimeLoad > 0 {
 			admit := func() bool {
-				return hca.SendQueueLen(fabric.VLRealtime) < cfg.RealtimeMaxQueue
+				return hca.SendQueueLen(fabric.VLRealtime) < realtimeMaxQueue
 			}
 			g := workload.Realtime(cl.Sim, cl.Rng, cfg.RealtimeLoad*bw, cfg.MsgSize, targets, admit, sendRT)
 			gens = append(gens, g)

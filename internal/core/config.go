@@ -26,8 +26,6 @@ type AuthConfig struct {
 	FuncID uint8
 	// Level selects partition-level or QP-level key management.
 	Level transport.KeyLevel
-	// Replay enables the PSN replay check (section 7 extension).
-	Replay bool
 	// ThroughputGbps, when non-zero, charges each outgoing message a
 	// MAC-generation delay of size/throughput instead of the default
 	// single pipeline cycle — modelling a CA whose MAC engine runs
@@ -103,9 +101,6 @@ type Config struct {
 	// fraction of the link bandwidth; zero disables the class.
 	RealtimeLoad   float64
 	BestEffortLoad float64
-	// RealtimeMaxQueue is the send-queue depth beyond which realtime
-	// sources withhold traffic (admission control, section 3.1).
-	RealtimeMaxQueue int
 
 	// Attackers is the number of compromised nodes flooding at line
 	// rate; they are drawn from the node set and send no legitimate
@@ -193,25 +188,28 @@ type Config struct {
 	Health HealthParams
 }
 
+// realtimeMaxQueue is the send-queue depth beyond which realtime sources
+// withhold traffic (admission control, section 3.1).
+const realtimeMaxQueue = 8
+
 // DefaultConfig returns the paper's Table 1 testbed with no attackers,
 // no filtering and no authentication.
 func DefaultConfig() Config {
 	return Config{
-		MeshW:            4,
-		MeshH:            4,
-		Params:           fabric.DefaultParams(),
-		Enforcement:      enforce.NoFiltering,
-		Auth:             AuthConfig{FuncID: mac.IDUMAC32},
-		NumPartitions:    4,
-		MsgSize:          1024,
-		BestEffortLoad:   0.4,
-		RealtimeMaxQueue: 8,
-		AttackDuty:       1.0,
-		AttackCycle:      sim.Millisecond,
-		Duration:         10 * sim.Millisecond,
-		Warmup:           sim.Millisecond,
-		Seed:             1,
-		SM:               sm.DefaultConfig(),
+		MeshW:          4,
+		MeshH:          4,
+		Params:         fabric.DefaultParams(),
+		Enforcement:    enforce.NoFiltering,
+		Auth:           AuthConfig{FuncID: mac.IDUMAC32},
+		NumPartitions:  4,
+		MsgSize:        1024,
+		BestEffortLoad: 0.4,
+		AttackDuty:     1.0,
+		AttackCycle:    sim.Millisecond,
+		Duration:       10 * sim.Millisecond,
+		Warmup:         sim.Millisecond,
+		Seed:           1,
+		SM:             sm.DefaultConfig(),
 	}
 }
 

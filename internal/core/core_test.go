@@ -47,13 +47,7 @@ func TestConfigValidation(t *testing.T) {
 		"cc no threshold":  func(c *Config) { c.Congestion.CCTSize = 16 },
 		"health alpha":     func(c *Config) { c.Health.SweepPeriod = 40 * sim.Microsecond; c.Health.Alpha = 1.0 },
 		"health neg alpha": func(c *Config) { c.Health.SweepPeriod = 40 * sim.Microsecond; c.Health.Alpha = -0.5 },
-		"health readmit": func(c *Config) {
-			c.Health.SweepPeriod = 40 * sim.Microsecond
-			c.Health.QuarantineScore = 2
-			c.Health.ReadmitScore = 3
-		},
-		"health neg hold": func(c *Config) { c.Health.SweepPeriod = 40 * sim.Microsecond; c.Health.HoldMax = -sim.Microsecond },
-		"health no sweep": func(c *Config) { c.Health.Damping = true },
+		"health no sweep":  func(c *Config) { c.Health.Damping = true },
 		"cc deep marking": func(c *Config) {
 			c.Congestion = fabric.CCParams{MarkingThreshold: 999, CCTSize: 16, CCTStep: sim.Microsecond, CCTDecay: sim.Microsecond}
 		},

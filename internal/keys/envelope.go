@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"ibasec/internal/metrics"
 )
@@ -120,7 +119,6 @@ func (kp *NodeKeyPair) OpenEpoch(e Envelope) (SecretKey, uint32, error) {
 // distinct counter (envelope_tampered vs envelope_replayed).
 type EnvelopeOpener struct {
 	kp       *NodeKeyPair
-	mu       sync.Mutex
 	floor    map[uint16]uint32 // lowest still-acceptable epoch per P_Key base
 	Counters *metrics.Counters
 }
@@ -140,10 +138,7 @@ func (o *EnvelopeOpener) Open(pkBase uint16, e Envelope) (SecretKey, uint32, err
 		o.Counters.Inc("envelope_tampered", 1)
 		return SecretKey{}, 0, err
 	}
-	o.mu.Lock()
-	floor := o.floor[pkBase]
-	o.mu.Unlock()
-	if epoch < floor {
+	if floor := o.floor[pkBase]; epoch < floor {
 		o.Counters.Inc("envelope_replayed", 1)
 		return SecretKey{}, 0, fmt.Errorf("%w: epoch %d below retirement floor %d", ErrEnvelopeReplayed, epoch, floor)
 	}
@@ -155,17 +150,13 @@ func (o *EnvelopeOpener) Open(pkBase uint16, e Envelope) (SecretKey, uint32, err
 // epoch below floor are rejected as replays from now on. The floor never
 // moves backwards.
 func (o *EnvelopeOpener) Retire(pkBase uint16, floor uint32) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	if floor > o.floor[pkBase] {
 		o.floor[pkBase] = floor
 	}
 }
 
 // Directory is the assumed public-key directory: node name -> public key.
-// It is safe for concurrent use.
 type Directory struct {
-	mu   sync.RWMutex
 	pubs map[string]*rsa.PublicKey
 }
 
@@ -173,23 +164,13 @@ type Directory struct {
 func NewDirectory() *Directory { return &Directory{pubs: make(map[string]*rsa.PublicKey)} }
 
 // Register stores a node's public key under its name.
-func (d *Directory) Register(node string, pub *rsa.PublicKey) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.pubs[node] = pub
-}
+func (d *Directory) Register(node string, pub *rsa.PublicKey) { d.pubs[node] = pub }
 
 // Lookup returns the public key registered for node.
 func (d *Directory) Lookup(node string) (*rsa.PublicKey, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	pub, ok := d.pubs[node]
 	return pub, ok
 }
 
 // Len returns the number of registered nodes.
-func (d *Directory) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.pubs)
-}
+func (d *Directory) Len() int { return len(d.pubs) }

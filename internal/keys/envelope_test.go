@@ -103,11 +103,11 @@ func TestPartitionAuthority(t *testing.T) {
 		t.Fatal("limited-member P_Key produced a different secret")
 	}
 
-	envA, err := auth.EnvelopeFor(pk, "A")
+	envA, _, err := auth.EnvelopeForEpoch(pk, "A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	envB, err := auth.EnvelopeFor(pk, "B")
+	envB, _, err := auth.EnvelopeForEpoch(pk, "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,16 +123,16 @@ func TestPartitionAuthority(t *testing.T) {
 		t.Fatal("members decrypted different partition secrets")
 	}
 
-	if _, err := auth.EnvelopeFor(pk, "unknown"); err == nil {
+	if _, _, err := auth.EnvelopeForEpoch(pk, "unknown"); err == nil {
 		t.Fatal("envelope for unknown node")
 	}
 
-	rotated, err := auth.Rotate(pk)
+	rotated, epoch, err := auth.RotateEpoch(pk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rotated == s1 {
-		t.Fatal("Rotate returned the old secret")
+	if rotated == s1 || epoch != 1 {
+		t.Fatalf("RotateEpoch returned the old secret or epoch %d", epoch)
 	}
 	now, _ := auth.EnsureSecret(pk)
 	if now != rotated {

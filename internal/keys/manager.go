@@ -3,7 +3,6 @@ package keys
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"ibasec/internal/packet"
 )
@@ -260,10 +259,9 @@ func (s *Store) Counts() (partition, recvQP, sendQP int) {
 
 // PartitionAuthority is the Subnet Manager side of partition-level key
 // management (paper section 4.2): it owns one epoch-tagged secret per
-// partition and seals it to each member CA's public key. It is safe for
-// concurrent use.
+// partition and seals it to each member CA's public key. It belongs to
+// one simulation run and takes no lock.
 type PartitionAuthority struct {
-	mu      sync.Mutex
 	rng     io.Reader
 	dir     *Directory
 	secrets map[uint16]EpochKey
@@ -289,10 +287,8 @@ func NewPartitionAuthority(rng io.Reader, dir *Directory) *PartitionAuthority {
 // one's current per-partition secrets but drawing fresh randomness from
 // rng. A partitioned island's contained master forks the shared
 // authority so its island-scoped rotations diverge from the other
-// island's without racing on shared state.
+// island's without touching the state they shared.
 func (a *PartitionAuthority) Fork(rng io.Reader) *PartitionAuthority {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	f := NewPartitionAuthority(rng, a.dir)
 	for base, ek := range a.secrets {
 		f.secrets[base] = ek
@@ -305,8 +301,6 @@ func (a *PartitionAuthority) Fork(rng io.Reader) *PartitionAuthority {
 // jump the unified fabric past both islands' diverged epoch counters in
 // one step.
 func (a *PartitionAuthority) MintEpoch(pk packet.PKey, epoch uint32) (SecretKey, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	k, err := NewSecretKey(a.rng)
 	if err != nil {
 		return SecretKey{}, err
@@ -321,8 +315,6 @@ func (a *PartitionAuthority) MintEpoch(pk packet.PKey, epoch uint32) (SecretKey,
 // tombstoning a dead authority's epochs must fetch the final key
 // separately, via the secrets snapshot, before abandoning it.
 func (a *PartitionAuthority) RecentKeys(pk packet.PKey) []EpochKey {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	h := a.history[pk.Base()]
 	if len(h) == 0 {
 		return nil
@@ -334,14 +326,12 @@ func (a *PartitionAuthority) RecentKeys(pk packet.PKey) []EpochKey {
 
 // CurrentKey returns the authority's live key and epoch for pk.
 func (a *PartitionAuthority) CurrentKey(pk packet.PKey) (EpochKey, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	ek, ok := a.secrets[pk.Base()]
 	return ek, ok
 }
 
-// record pushes a displaced key onto the bounded history. Callers must
-// hold the authority lock. Zero-value keys (never generated) are skipped.
+// record pushes a displaced key onto the bounded history. Zero-value
+// keys (never generated) are skipped.
 func (a *PartitionAuthority) record(base uint16, ek EpochKey) {
 	if ek.Key == (SecretKey{}) {
 		return
@@ -357,8 +347,6 @@ func (a *PartitionAuthority) record(base uint16, ek EpochKey) {
 // epoch 0 on first use (the paper: "When the SM creates a partition, it
 // generates a secret key for that partition").
 func (a *PartitionAuthority) EnsureSecret(pk packet.PKey) (SecretKey, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if k, ok := a.secrets[pk.Base()]; ok {
 		return k.Key, nil
 	}
@@ -373,22 +361,12 @@ func (a *PartitionAuthority) EnsureSecret(pk packet.PKey) (SecretKey, error) {
 // Epoch returns the partition secret's current epoch (0 when the secret
 // has never been generated or rotated).
 func (a *PartitionAuthority) Epoch(pk packet.PKey) uint32 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.secrets[pk.Base()].Epoch
-}
-
-// Rotate replaces the partition's secret, e.g. after membership change.
-func (a *PartitionAuthority) Rotate(pk packet.PKey) (SecretKey, error) {
-	k, _, err := a.RotateEpoch(pk)
-	return k, err
 }
 
 // RotateEpoch replaces the partition's secret and advances its epoch,
 // returning the fresh key and the new epoch.
 func (a *PartitionAuthority) RotateEpoch(pk packet.PKey) (SecretKey, uint32, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	k, err := NewSecretKey(a.rng)
 	if err != nil {
 		return SecretKey{}, 0, err
@@ -398,13 +376,6 @@ func (a *PartitionAuthority) RotateEpoch(pk packet.PKey) (SecretKey, uint32, err
 	a.record(pk.Base(), old)
 	a.secrets[pk.Base()] = EpochKey{Key: k, Epoch: next}
 	return k, next, nil
-}
-
-// EnvelopeFor seals the partition secret to the named node's public key
-// for secure distribution.
-func (a *PartitionAuthority) EnvelopeFor(pk packet.PKey, node string) (Envelope, error) {
-	env, _, err := a.EnvelopeForEpoch(pk, node)
-	return env, err
 }
 
 // EnvelopeForEpoch seals the current partition secret, epoch-tagged, to
@@ -418,8 +389,6 @@ func (a *PartitionAuthority) EnvelopeForEpoch(pk packet.PKey, node string) (Enve
 	if _, err := a.EnsureSecret(pk); err != nil {
 		return Envelope{}, 0, err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	ek := a.secrets[pk.Base()]
 	env, err := SealEpoch(a.rng, pub, ek.Key, ek.Epoch)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Welford accumulates a running mean and variance without storing samples.
@@ -170,21 +169,17 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.hi
 }
 
-// Counters is a set of named monotonic counters, safe for concurrent
-// use by name (the experiment runner's worker pool increments shared
-// counters from many goroutines). The zero value is unusable; use
-// NewCounters.
+// Counters is a set of named monotonic counters. Like everything a
+// simulation run owns, a set belongs to one goroutine and takes no lock;
+// the runner's pool, the one set shared across goroutines, serialises
+// its own updates. The zero value is unusable; use NewCounters.
 type Counters struct {
-	mu sync.RWMutex
-	m  map[string]*Counter
+	m map[string]*Counter
 }
 
 // Counter is a pre-resolved handle to one named cell of a Counters set,
-// for per-packet code: Add is a field update with no lock and no map
-// lookup. A handle is single-owner — it may be used only while one
-// goroutine owns the whole set, as a simulation owns its devices'
-// counters; a set shared across goroutines is updated by name through
-// Inc. Handle and name address the same cell.
+// for per-packet code: Add is a field update with no map lookup. Handle
+// and name address the same cell.
 type Counter struct {
 	v uint64
 	// live records that the cell has been added to or set: resolving a
@@ -201,9 +196,10 @@ func (h *Counter) Add(delta uint64) {
 // NewCounters returns an empty counter set.
 func NewCounters() *Counters { return &Counters{m: make(map[string]*Counter)} }
 
-// cell returns the named cell, creating it on first use. The caller
-// holds the write lock.
-func (c *Counters) cell(name string) *Counter {
+// Counter resolves name to its handle, creating the cell on first use.
+// The name shows up in Names and CSVRow only once something has been
+// added to it, by handle or by name.
+func (c *Counters) Counter(name string) *Counter {
 	h := c.m[name]
 	if h == nil {
 		h = new(Counter)
@@ -212,34 +208,16 @@ func (c *Counters) cell(name string) *Counter {
 	return h
 }
 
-// Counter resolves name to its handle. The name shows up in Names and
-// CSVRow only once something has been added to it, by handle or by name.
-func (c *Counters) Counter(name string) *Counter {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cell(name)
-}
-
 // Inc adds delta to the named counter.
-func (c *Counters) Inc(name string, delta uint64) {
-	c.mu.Lock()
-	c.cell(name).Add(delta)
-	c.mu.Unlock()
-}
+func (c *Counters) Inc(name string, delta uint64) { c.Counter(name).Add(delta) }
 
 // Set overwrites the named entry with an absolute value — a gauge
 // (e.g. a cumulative stall-time snapshot) living in the same namespace
 // as the counters, so it flows through Names/CSVRow unchanged.
-func (c *Counters) Set(name string, v uint64) {
-	c.mu.Lock()
-	*c.cell(name) = Counter{v: v, live: true}
-	c.mu.Unlock()
-}
+func (c *Counters) Set(name string, v uint64) { *c.Counter(name) = Counter{v: v, live: true} }
 
 // Get returns the named counter's value (0 if never incremented).
 func (c *Counters) Get(name string) uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	if h := c.m[name]; h != nil {
 		return h.v
 	}
@@ -249,14 +227,12 @@ func (c *Counters) Get(name string) uint64 {
 // Names returns the names of all counters added to so far, in sorted
 // order.
 func (c *Counters) Names() []string {
-	c.mu.RLock()
 	names := make([]string, 0, len(c.m))
 	for k, h := range c.m {
 		if h.live {
 			names = append(names, k)
 		}
 	}
-	c.mu.RUnlock()
 	sort.Strings(names)
 	return names
 }

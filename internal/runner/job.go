@@ -51,36 +51,34 @@ func DeriveSeed(base int64, experiment, key string) int64 {
 	return int64(h.Sum64())
 }
 
-// JobError reports one job's terminal failure (after all retries). The
-// pool survives job errors; Run collects them and keeps going.
+// JobError reports one job's failure. The pool survives job errors; Run
+// collects them and keeps going.
 type JobError struct {
 	Experiment string
 	Key        string
 	Index      int
-	Attempts   int
 	Err        error
 }
 
 func (e *JobError) Error() string {
-	return fmt.Sprintf("runner: %s[%s] failed after %d attempt(s): %v",
-		e.Experiment, e.Key, e.Attempts, e.Err)
+	return fmt.Sprintf("runner: %s[%s] failed: %v", e.Experiment, e.Key, e.Err)
 }
 
 func (e *JobError) Unwrap() error { return e.Err }
 
-// WatchdogError reports that one job attempt exceeded the pool's
-// per-attempt wall-clock budget and was abandoned. It is always wrapped
-// in a *JobError, which attributes the overrun to a specific
-// (experiment, key) point.
+// WatchdogError reports that one job exceeded the pool's per-job
+// wall-clock budget and was abandoned. It is always wrapped in a
+// *JobError, which attributes the overrun to a specific (experiment,
+// key) point.
 type WatchdogError struct {
 	// Limit is the configured watchdog budget.
 	Limit time.Duration
-	// Elapsed is how long the attempt had been running when abandoned.
+	// Elapsed is how long the job had been running when abandoned.
 	Elapsed time.Duration
 }
 
 func (e *WatchdogError) Error() string {
-	return fmt.Sprintf("runner: attempt exceeded watchdog budget %v (ran %v, abandoned)",
+	return fmt.Sprintf("runner: job exceeded watchdog budget %v (ran %v, abandoned)",
 		e.Limit, e.Elapsed.Round(time.Millisecond))
 }
 

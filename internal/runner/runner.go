@@ -2,10 +2,15 @@
 // for the evaluation harness. Each simulation point of a sweep
 // (experiment × config × seed) becomes a self-describing Job; Run
 // executes jobs on a bounded worker pool, converts worker panics into
-// job errors with bounded retry and exponential backoff, reports live
-// progress, and persists every outcome to an append-only JSON-lines
-// manifest (Store) so an interrupted run resumes by skipping
-// already-completed points.
+// job errors, reports live progress, and persists every outcome to an
+// append-only JSON-lines manifest (Store) so an interrupted run resumes
+// by skipping already-completed points. A job is a seeded, deterministic
+// simulation, so it runs once: a retry would only repeat its failure.
+//
+// This is the only package that starts goroutines or takes locks. A
+// simulation run owns everything it builds and is one goroutine; what
+// the pool's workers share — its counters, progress line and store —
+// is synchronised here.
 //
 // Results are reassembled by Job.Index, so a sweep's row order — and
 // therefore its CSV output — is byte-identical whether it runs on one
@@ -35,23 +40,17 @@ type Options struct {
 	// Workers is the number of concurrent jobs; <= 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Retries is how many times a failed job is re-executed before its
-	// error is surfaced (0 = fail on first error).
-	Retries int
-	// Backoff is the delay before the first retry; it doubles on each
-	// subsequent retry. <= 0 means 50ms.
-	Backoff time.Duration
 	// Progress, when non-nil, receives live status lines
 	// (completed/total, failures, ETA).
 	Progress io.Writer
 	// Store, when non-nil, persists every job outcome and serves
 	// already-completed points on resume.
 	Store *Store
-	// Watchdog, when positive, is the wall-clock budget for a single job
-	// attempt. An attempt that exceeds it is abandoned (its goroutine
-	// leaks — simulation jobs have no preemption points) and fails
-	// terminally with a *WatchdogError naming the job, so one wedged
-	// point cannot hang a whole sweep. Zero disables the watchdog.
+	// Watchdog, when positive, is the wall-clock budget for a single job.
+	// A job that exceeds it is abandoned (its goroutine leaks —
+	// simulation jobs have no preemption points) and fails with a
+	// *WatchdogError naming the job, so one wedged point cannot hang a
+	// whole sweep. Zero disables the watchdog.
 	Watchdog time.Duration
 }
 
@@ -59,7 +58,10 @@ type Options struct {
 // across sequential Run calls (one per sweep); its counters accumulate
 // over its lifetime.
 type Pool struct {
-	opts     Options
+	opts Options
+	// mu serialises the workers' counter updates: the one Counters set
+	// shared across goroutines.
+	mu       sync.Mutex
 	counters *metrics.Counters
 }
 
@@ -68,15 +70,20 @@ func New(opts Options) *Pool {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 50 * time.Millisecond
-	}
 	return &Pool{opts: opts, counters: metrics.NewCounters()}
 }
 
 // Counters returns the pool's lifetime counters: jobs_completed,
-// jobs_resumed, jobs_failed, job_retries, job_panics.
+// jobs_resumed, jobs_failed, job_panics, job_watchdog_aborts,
+// manifest_errors. Read them between Run calls.
 func (p *Pool) Counters() *metrics.Counters { return p.counters }
+
+// inc counts one event on the pool's counters.
+func (p *Pool) inc(name string) {
+	p.mu.Lock()
+	p.counters.Inc(name, 1)
+	p.mu.Unlock()
+}
 
 // Workers returns the pool's concurrency.
 func (p *Pool) Workers() int { return p.opts.Workers }
@@ -90,8 +97,8 @@ func (p *Pool) Workers() int { return p.opts.Workers }
 // context error, if any; results of successful jobs are valid even when
 // an error is returned.
 //
-// A nil pool runs the jobs serially with no retries, persistence or
-// progress — the behaviour of the historical serial harness.
+// A nil pool runs the jobs serially with no persistence or progress —
+// the behaviour of the historical serial harness.
 func Run[T any](ctx context.Context, p *Pool, jobs []Job[T]) ([]T, error) {
 	if p == nil {
 		p = New(Options{Workers: 1})
@@ -114,7 +121,7 @@ func Run[T any](ctx context.Context, p *Pool, jobs []Job[T]) ([]T, error) {
 				var v T
 				if err := json.Unmarshal(raw, &v); err == nil {
 					results[i] = v
-					p.counters.Inc("jobs_resumed", 1)
+					p.inc("jobs_resumed")
 					prog.step(true, false)
 					continue
 				}
@@ -176,77 +183,39 @@ dispatch:
 	return results, errors.Join(errs...)
 }
 
-// executeJob runs one job with panic recovery, bounded retry and
-// exponential backoff, and records the outcome in the pool's store.
+// executeJob runs one job once, with panic recovery, and records the
+// outcome in the pool's store.
 func executeJob[T any](ctx context.Context, p *Pool, job *Job[T]) (T, error) {
 	var zero T
-	backoff := p.opts.Backoff
 	start := time.Now()
-	for attempt := 1; ; attempt++ {
-		v, err := runGuarded(ctx, p, job)
-		if err == nil {
-			p.counters.Inc("jobs_completed", 1)
-			recordOutcome(p, job, Record{
-				Status:    StatusOK,
-				Attempts:  attempt,
-				ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			}, v)
-			return v, nil
-		}
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			p.counters.Inc("job_panics", 1)
-		}
-		// A watchdog abort is terminal: the wedged attempt's goroutine is
-		// still running, and retrying a job that has proven it won't
-		// finish would only stack leaks.
-		var we *WatchdogError
-		if errors.As(err, &we) {
-			p.counters.Inc("job_watchdog_aborts", 1)
-			p.counters.Inc("jobs_failed", 1)
-			jerr := &JobError{Experiment: job.Experiment, Key: job.Key,
-				Index: job.Index, Attempts: attempt, Err: err}
-			recordOutcome(p, job, Record{
-				Status:    StatusFailed,
-				Attempts:  attempt,
-				ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-				Error:     err.Error(),
-			}, zero)
-			return zero, jerr
-		}
-		// Cancellation is not a job fault: don't retry, don't record.
-		if ctx.Err() != nil {
-			return zero, &JobError{Experiment: job.Experiment, Key: job.Key,
-				Index: job.Index, Attempts: attempt, Err: ctx.Err()}
-		}
-		if attempt > p.opts.Retries {
-			p.counters.Inc("jobs_failed", 1)
-			jerr := &JobError{Experiment: job.Experiment, Key: job.Key,
-				Index: job.Index, Attempts: attempt, Err: err}
-			recordOutcome(p, job, Record{
-				Status:    StatusFailed,
-				Attempts:  attempt,
-				ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-				Error:     err.Error(),
-			}, zero)
-			return zero, jerr
-		}
-		p.counters.Inc("job_retries", 1)
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return zero, &JobError{Experiment: job.Experiment, Key: job.Key,
-				Index: job.Index, Attempts: attempt, Err: ctx.Err()}
-		}
-		backoff *= 2
+	v, err := runGuarded(ctx, p, job)
+	elapsed := float64(time.Since(start)) / float64(time.Millisecond)
+	if err == nil {
+		p.inc("jobs_completed")
+		recordOutcome(p, job, Record{Status: StatusOK, ElapsedMS: elapsed}, v)
+		return v, nil
 	}
+	if errors.As(err, new(*PanicError)) {
+		p.inc("job_panics")
+	}
+	if errors.As(err, new(*WatchdogError)) {
+		p.inc("job_watchdog_aborts")
+	} else if ctx.Err() != nil {
+		// Cancellation is not a job fault: it is not recorded.
+		return zero, &JobError{Experiment: job.Experiment, Key: job.Key,
+			Index: job.Index, Err: ctx.Err()}
+	}
+	p.inc("jobs_failed")
+	recordOutcome(p, job, Record{Status: StatusFailed, ElapsedMS: elapsed, Error: err.Error()}, zero)
+	return zero, &JobError{Experiment: job.Experiment, Key: job.Key,
+		Index: job.Index, Err: err}
 }
 
-// runGuarded runs one attempt under the pool's watchdog. With no
-// watchdog the job runs on the worker goroutine directly; with one, it
-// runs on its own goroutine and an attempt that outlives the budget is
-// abandoned in favour of a *WatchdogError (the goroutine leaks by
-// design — see Options.Watchdog).
+// runGuarded runs the job under the pool's watchdog. With no watchdog
+// the job runs on the worker goroutine directly; with one, it runs on
+// its own goroutine and a job that outlives the budget is abandoned in
+// favour of a *WatchdogError (the goroutine leaks by design — see
+// Options.Watchdog).
 func runGuarded[T any](ctx context.Context, p *Pool, job *Job[T]) (T, error) {
 	if p.opts.Watchdog <= 0 {
 		return runOnce(ctx, job)
@@ -296,12 +265,12 @@ func recordOutcome[T any](p *Pool, job *Job[T], rec Record, v T) {
 	if rec.Status == StatusOK {
 		payload, err := json.Marshal(v)
 		if err != nil {
-			p.counters.Inc("manifest_errors", 1)
+			p.inc("manifest_errors")
 			return
 		}
 		rec.Payload = payload
 	}
 	if err := p.opts.Store.Append(rec); err != nil {
-		p.counters.Inc("manifest_errors", 1)
+		p.inc("manifest_errors")
 	}
 }

@@ -9,11 +9,6 @@ import (
 	"time"
 )
 
-// testPool returns a pool with fast retries suitable for tests.
-func testPool(workers, retries int) *Pool {
-	return New(Options{Workers: workers, Retries: retries, Backoff: time.Millisecond})
-}
-
 // intJobs builds n jobs whose value is their index times ten.
 func intJobs(n int, run func(i int) (int, error)) []Job[int] {
 	jobs := make([]Job[int], n)
@@ -37,7 +32,7 @@ func TestRunPreservesOrder(t *testing.T) {
 		time.Sleep(time.Duration(8-i) * time.Millisecond)
 		return i * 10, nil
 	})
-	got, err := Run(context.Background(), testPool(4, 0), jobs)
+	got, err := Run(context.Background(), New(Options{Workers: 4}), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,39 +59,45 @@ func TestNilPoolRunsSerially(t *testing.T) {
 	}
 }
 
-// A panicking job must be retried, then surfaced as a job error —
-// without killing the pool: every other job still completes.
-func TestPanicRetriedThenSurfaced(t *testing.T) {
-	var attempts atomic.Int64
-	jobs := intJobs(6, func(i int) (int, error) {
-		if i == 3 {
-			attempts.Add(1)
-			panic("boom at point 3")
+// Each panicking job runs once and is surfaced as its own job error,
+// without killing the pool: every other job still completes. Eight
+// workers update the pool's counters at once, so under -race this also
+// shows Pool.inc covers every concurrent update.
+func TestPanicsSurfacedOnce(t *testing.T) {
+	const n, every = 64, 7
+	var runs atomic.Int64
+	jobs := intJobs(n, func(i int) (int, error) {
+		runs.Add(1)
+		if i%every == 0 {
+			panic(fmt.Sprintf("boom at point %d", i))
 		}
 		return i * 10, nil
 	})
-	p := testPool(3, 2)
+	p := New(Options{Workers: 8})
 	got, err := Run(context.Background(), p, jobs)
 	if err == nil {
-		t.Fatal("panicking job produced no error")
+		t.Fatal("panicking jobs produced no error")
 	}
-	if n := attempts.Load(); n != 3 { // 1 initial + 2 retries
-		t.Fatalf("panicking job attempted %d times, want 3", n)
+	panics := (n + every - 1) / every
+	if r := runs.Load(); r != n {
+		t.Fatalf("%d runs for %d jobs: a job ran more than once", r, n)
 	}
-	var jerr *JobError
-	if !errors.As(err, &jerr) {
-		t.Fatalf("error %v is not a *JobError", err)
+	errs := err.(interface{ Unwrap() []error }).Unwrap()
+	if len(errs) != panics {
+		t.Fatalf("%d job errors, want %d", len(errs), panics)
 	}
-	if jerr.Key != "i=3" || jerr.Attempts != 3 {
-		t.Fatalf("wrong attribution: %+v", jerr)
-	}
-	var perr *PanicError
-	if !errors.As(err, &perr) {
-		t.Fatalf("panic not wrapped in *PanicError: %v", err)
+	for _, e := range errs {
+		var jerr *JobError
+		if !errors.As(e, &jerr) || jerr.Index%every != 0 || jerr.Key != fmt.Sprintf("i=%d", jerr.Index) {
+			t.Fatalf("wrong attribution: %v", e)
+		}
+		if !errors.As(e, new(*PanicError)) {
+			t.Fatalf("panic not wrapped in *PanicError: %v", e)
+		}
 	}
 	for i, v := range got {
 		want := i * 10
-		if i == 3 {
+		if i%every == 0 {
 			want = 0 // failed job leaves the zero value
 		}
 		if v != want {
@@ -104,35 +105,9 @@ func TestPanicRetriedThenSurfaced(t *testing.T) {
 		}
 	}
 	c := p.Counters()
-	if c.Get("job_panics") != 3 || c.Get("job_retries") != 2 ||
-		c.Get("jobs_failed") != 1 || c.Get("jobs_completed") != 5 {
+	if c.Get("job_panics") != uint64(panics) || c.Get("jobs_failed") != uint64(panics) ||
+		c.Get("jobs_completed") != uint64(n-panics) {
 		t.Fatalf("counters: %s", c)
-	}
-}
-
-func TestTransientFailureRecovers(t *testing.T) {
-	var calls atomic.Int64
-	jobs := intJobs(1, func(i int) (int, error) {
-		if calls.Add(1) < 3 {
-			return 0, errors.New("transient")
-		}
-		return 42, nil
-	})
-	got, err := Run(context.Background(), testPool(1, 2), jobs)
-	if err != nil {
-		t.Fatalf("job failed despite retries: %v", err)
-	}
-	if got[0] != 42 || calls.Load() != 3 {
-		t.Fatalf("got %v after %d calls", got, calls.Load())
-	}
-}
-
-func TestRetriesExhausted(t *testing.T) {
-	jobs := intJobs(1, func(int) (int, error) { return 0, errors.New("always") })
-	_, err := Run(context.Background(), testPool(1, 1), jobs)
-	var jerr *JobError
-	if !errors.As(err, &jerr) || jerr.Attempts != 2 {
-		t.Fatalf("want JobError with 2 attempts, got %v", err)
 	}
 }
 
@@ -147,7 +122,7 @@ func TestContextCancellation(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		return i, nil
 	})
-	_, err := Run(ctx, testPool(2, 0), jobs)
+	_, err := Run(ctx, New(Options{Workers: 2}), jobs)
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
 	}
@@ -181,7 +156,7 @@ func TestDeriveSeed(t *testing.T) {
 }
 
 func TestEmptyJobList(t *testing.T) {
-	got, err := Run(context.Background(), testPool(4, 0), []Job[int]{})
+	got, err := Run(context.Background(), New(Options{Workers: 4}), []Job[int]{})
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty run: %v, %v", got, err)
 	}
@@ -196,8 +171,7 @@ func TestWatchdogAbortsWedgedJob(t *testing.T) {
 		}
 		return i * 10, nil
 	})
-	p := New(Options{Workers: 2, Retries: 3, Backoff: time.Millisecond,
-		Watchdog: 30 * time.Millisecond})
+	p := New(Options{Workers: 2, Watchdog: 30 * time.Millisecond})
 	got, err := Run(context.Background(), p, jobs)
 	if err == nil {
 		t.Fatal("wedged job not aborted")
@@ -216,12 +190,8 @@ func TestWatchdogAbortsWedgedJob(t *testing.T) {
 			t.Fatalf("results[%d] = %d, want %d", i, got[i], want)
 		}
 	}
-	// Terminal: no retries were burned on a job that cannot finish.
 	if n := p.Counters().Get("job_watchdog_aborts"); n != 1 {
 		t.Fatalf("job_watchdog_aborts = %d, want 1", n)
-	}
-	if n := p.Counters().Get("job_retries"); n != 0 {
-		t.Fatalf("job_retries = %d, want 0", n)
 	}
 }
 

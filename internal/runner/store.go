@@ -30,7 +30,6 @@ type Record struct {
 	Key        string          `json:"key"`
 	Seed       int64           `json:"seed"`
 	Status     string          `json:"status"` // StatusOK or StatusFailed
-	Attempts   int             `json:"attempts"`
 	ElapsedMS  float64         `json:"elapsed_ms"`
 	Payload    json.RawMessage `json:"payload,omitempty"`
 	Error      string          `json:"error,omitempty"`

@@ -20,13 +20,13 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	rec := Record{
 		Experiment: "fig5", Key: "load=0.4,mode=IF", Seed: 99,
-		Status: StatusOK, Attempts: 1, Payload: json.RawMessage(`{"v":7}`),
+		Status: StatusOK, Payload: json.RawMessage(`{"v":7}`),
 	}
 	if err := s.Append(rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append(Record{Experiment: "fig5", Key: "bad", Seed: 1,
-		Status: StatusFailed, Attempts: 3, Error: "boom"}); err != nil {
+		Status: StatusFailed, Error: "boom"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

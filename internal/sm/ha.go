@@ -686,7 +686,7 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 				if l < w {
 					w, l = l, w
 				}
-				c.abdicate(l, w)
+				c.abdicate(l)
 				c.startMerge(w, l)
 			}
 		}
@@ -1037,7 +1037,7 @@ func (c *Coordinator) containedTakeover(i int, got map[int]bool) {
 // entry: heartbeats stop, the island scope clears, periodic duties park,
 // and the entry rejoins the standby pool with a fresh lease (the
 // winner's beats keep it fresh thereafter).
-func (c *Coordinator) abdicate(i, winner int) {
+func (c *Coordinator) abdicate(i int) {
 	if c.dead[i] || !c.isMaster[i] {
 		return
 	}
@@ -1053,7 +1053,6 @@ func (c *Coordinator) abdicate(i, winner int) {
 	m.SetIsland(nil)
 	m.Stop()
 	c.lastHeard[i] = c.sim.Now()
-	_ = winner
 	if c.OnAbdicate != nil {
 		c.OnAbdicate(m)
 	}

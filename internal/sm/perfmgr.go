@@ -90,20 +90,14 @@ type PerfConfig struct {
 	// to 0.5.
 	Alpha float64
 	// QuarantineScore fences a link when its EWMA error score reaches
-	// it; zero defaults to 4 (errors per sweep, both directions).
+	// it; zero defaults to 4 (errors per sweep, both directions). A
+	// fenced link is re-admitted once its score decays to
+	// QuarantineScore/8 and its hold-down has expired.
 	QuarantineScore float64
-	// ReadmitScore re-admits a fenced link once its score decays to it
-	// and the hold-down expired; zero defaults to QuarantineScore/8.
-	ReadmitScore float64
-	// Probation is the base hold-down a quarantined link serves before
-	// re-admission is considered; zero defaults to 4×SweepPeriod.
-	Probation sim.Time
-	// HoldMax caps the exponentially grown hold-down under Damping; zero
-	// defaults to 16×Probation.
-	HoldMax sim.Time
-	// Damping makes the hold-down grow as Probation·2^(flaps−1), capped
-	// at HoldMax — the flap-damping defence against oscillating-BER
-	// route-churn attacks. Off, every quarantine serves flat Probation.
+	// Damping makes the hold-down grow as probation·2^(flaps−1), capped
+	// at 16×probation — the flap-damping defence against oscillating-BER
+	// route-churn attacks. The probation is 4×SweepPeriod; off, every
+	// quarantine serves it flat.
 	Damping bool
 	// TrapThreshold arms a switch-local threshold trap on every port:
 	// when a port's symbol+receive error sum crosses it, the switch
@@ -126,14 +120,8 @@ func (c PerfConfig) Validate() error {
 	if c.Alpha < 0 || c.Alpha >= 1 {
 		return fmt.Errorf("sm: health EWMA alpha %v outside [0,1)", c.Alpha)
 	}
-	if c.QuarantineScore < 0 || c.ReadmitScore < 0 {
+	if c.QuarantineScore < 0 {
 		return fmt.Errorf("sm: negative health score threshold")
-	}
-	if c.QuarantineScore != 0 && c.ReadmitScore > c.QuarantineScore {
-		return fmt.Errorf("sm: readmit score %v above quarantine score %v", c.ReadmitScore, c.QuarantineScore)
-	}
-	if c.Probation < 0 || c.HoldMax < 0 {
-		return fmt.Errorf("sm: negative health hold-down")
 	}
 	return nil
 }
@@ -146,15 +134,6 @@ func (c PerfConfig) withDefaults() PerfConfig {
 	}
 	if c.QuarantineScore == 0 {
 		c.QuarantineScore = 4
-	}
-	if c.ReadmitScore == 0 {
-		c.ReadmitScore = c.QuarantineScore / 8
-	}
-	if c.Probation == 0 {
-		c.Probation = 4 * c.SweepPeriod
-	}
-	if c.HoldMax == 0 {
-		c.HoldMax = 16 * c.Probation
 	}
 	return c
 }
@@ -470,18 +449,15 @@ func (pm *PerfMgr) sampled(i, ctx int) {
 }
 
 // holdFor computes the hold-down a link entering its flaps-th
-// quarantine serves before re-admission is considered.
+// quarantine serves before re-admission is considered: a probation of
+// four sweeps, doubled per earlier flap under Damping up to 16
+// probations.
 func (pm *PerfMgr) holdFor(flaps int) sim.Time {
-	hold := pm.cfg.Probation
-	if pm.cfg.Damping {
-		for i := 1; i < flaps && hold < pm.cfg.HoldMax; i++ {
-			hold *= 2
-		}
-		if hold > pm.cfg.HoldMax {
-			hold = pm.cfg.HoldMax
-		}
+	probation := 4 * pm.cfg.SweepPeriod
+	if !pm.cfg.Damping {
+		return probation
 	}
-	return hold
+	return probation << min(flaps-1, 4)
 }
 
 // decide applies the quarantine/re-admission policy to one link and
@@ -519,7 +495,7 @@ func (pm *PerfMgr) decide(i int) bool {
 	// Quarantined: a fenced link carries no traffic, so its score decays
 	// by (1−α) per sweep; re-admission needs the hold-down served AND
 	// the score below the bar.
-	if now >= st.holdUntil && st.score <= pm.cfg.ReadmitScore {
+	if now >= st.holdUntil && st.score <= pm.cfg.QuarantineScore/8 {
 		st.quarantined = false
 		delete(pm.quarantined, l)
 		pm.Counters.Inc("readmits", 1)

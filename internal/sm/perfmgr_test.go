@@ -195,15 +195,14 @@ func TestPortCountersMAD(t *testing.T) {
 
 // TestPerfMgrQuarantinesAndReadmits drives the full loop: a gray link
 // under heavy BER is fenced (with routes steered around it), and once
-// the link is clean and probation served it returns to service.
+// the link is clean — score decayed to QuarantineScore/8 — and its
+// probation of four sweeps served, it returns to service.
 func TestPerfMgrQuarantinesAndReadmits(t *testing.T) {
 	s, mesh := perfTestMesh(t)
 	pm := NewPerfMgr(s, mesh, perfDisc(s, mesh), nil, PerfConfig{
 		SweepPeriod:     50 * sim.Microsecond,
 		Alpha:           0.5,
 		QuarantineScore: 1,
-		ReadmitScore:    0.2,
-		Probation:       150 * sim.Microsecond,
 	})
 	pm.Start()
 
@@ -271,8 +270,6 @@ func TestPerfMgrTrapFastPath(t *testing.T) {
 		SweepPeriod:     sweep,
 		Alpha:           0.5,
 		QuarantineScore: 1,
-		ReadmitScore:    0.2,
-		Probation:       sweep,
 		TrapThreshold:   5,
 	})
 	pm.Start()
@@ -299,16 +296,15 @@ func TestPerfMgrTrapFastPath(t *testing.T) {
 	}
 }
 
-// Flap damping must grow the hold-down exponentially to its cap;
-// undamped every quarantine serves flat probation.
+// Flap damping must grow the hold-down exponentially to its cap of 16
+// probations; undamped every quarantine serves flat probation, four
+// sweeps.
 func TestHoldForDamping(t *testing.T) {
 	s, mesh := perfTestMesh(t)
 	base := PerfConfig{
-		SweepPeriod:     50 * sim.Microsecond,
+		SweepPeriod:     25 * sim.Microsecond,
 		Alpha:           0.5,
 		QuarantineScore: 1,
-		Probation:       100 * sim.Microsecond,
-		HoldMax:         400 * sim.Microsecond,
 	}
 	undamped := NewPerfMgr(s, mesh, perfDisc(s, mesh), nil, base)
 	damped := base
@@ -319,8 +315,9 @@ func TestHoldForDamping(t *testing.T) {
 		1: 100 * sim.Microsecond,
 		2: 200 * sim.Microsecond,
 		3: 400 * sim.Microsecond,
-		4: 400 * sim.Microsecond, // capped
-		9: 400 * sim.Microsecond,
+		5: 1600 * sim.Microsecond,
+		6: 1600 * sim.Microsecond, // capped
+		9: 1600 * sim.Microsecond,
 	} {
 		if got := dpm.holdFor(flaps); got != want {
 			t.Errorf("damped holdFor(%d) = %v, want %v", flaps, got, want)
@@ -340,8 +337,6 @@ func TestPerfMgrAdopt(t *testing.T) {
 		SweepPeriod:     50 * sim.Microsecond,
 		Alpha:           0.5,
 		QuarantineScore: 1,
-		ReadmitScore:    0.2,
-		Probation:       200 * sim.Microsecond,
 		Damping:         true,
 	})
 	target := topology.LinkID{Switch: 5, Port: topology.PortEast}

@@ -38,30 +38,31 @@ type Config struct {
 	Node int
 	// MKey guards configuration operations (IBA 14.2.4).
 	MKey keys.MKey
-	// ProcessingDelay is the SM's per-trap handling time (parse,
-	// locate switch, build the config MAD).
-	ProcessingDelay sim.Time
-	// RegistrationDelay is the additional time for the configuration
-	// MAD to reach the ingress switch and take effect.
-	RegistrationDelay sim.Time
-	// TrapInterval rate-limits identical traps from one victim: a
-	// second trap for the same (offender, P_Key) is suppressed within
-	// the interval.
-	TrapInterval sim.Time
 	// AutoDisablePeriod is how often SIF switches check their Ingress
 	// P_Key Violation Counter to self-disable. Zero disables the timer
 	// (callers manage it themselves).
 	AutoDisablePeriod sim.Time
 }
 
+// SM trap-handling timing.
+const (
+	// processingDelay is the SM's per-trap handling time (parse, locate
+	// switch, build the config MAD).
+	processingDelay = 2 * sim.Microsecond
+	// registrationDelay is the additional time for the configuration MAD
+	// to reach the ingress switch and take effect.
+	registrationDelay = 2 * sim.Microsecond
+	// trapInterval rate-limits identical traps from one victim: a second
+	// trap for the same (offender, P_Key) is suppressed within the
+	// interval.
+	trapInterval = 50 * sim.Microsecond
+)
+
 // DefaultConfig returns production-like defaults.
 func DefaultConfig() Config {
 	return Config{
 		Node:              0,
 		MKey:              0x5EC0DE0FDEADBEEF,
-		ProcessingDelay:   2 * sim.Microsecond,
-		RegistrationDelay: 2 * sim.Microsecond,
-		TrapInterval:      50 * sim.Microsecond,
 		AutoDisablePeriod: 500 * sim.Microsecond,
 	}
 }
@@ -405,7 +406,7 @@ func (m *SubnetManager) AttachTraps() {
 // sendTrap emits (or suppresses) a trap for an observed violation.
 func (m *SubnetManager) sendTrap(victim int, victimHCA *fabric.HCA, d *fabric.Delivery) {
 	k := trapKey{offender: d.Pkt.LRH.SLID, pkey: uint16(d.Pkt.BTH.PKey)}
-	if last, ok := m.trapSeen[k]; ok && m.sim.Now()-last < m.cfg.TrapInterval {
+	if last, ok := m.trapSeen[k]; ok && m.sim.Now()-last < trapInterval {
 		m.Counters.Inc("traps_suppressed", 1)
 		return
 	}
@@ -445,7 +446,7 @@ func (m *SubnetManager) HandleManagement(d *fabric.Delivery) bool {
 	if m.busyUntil > start {
 		start = m.busyUntil
 	}
-	m.busyUntil = start + m.cfg.ProcessingDelay
+	m.busyUntil = start + processingDelay
 	m.sim.ScheduleAt(m.busyUntil, func() { m.processTrap(tr, arrived) })
 	return true
 }
@@ -464,7 +465,7 @@ func (m *SubnetManager) processTrap(tr trapMAD, arrived sim.Time) {
 		return
 	}
 	sw := m.mesh.SwitchOf(node)
-	m.sim.Schedule(m.cfg.RegistrationDelay, func() {
+	m.sim.Schedule(registrationDelay, func() {
 		m.filter.RegisterInvalid(sw, pk)
 		m.Counters.Inc("sif_registrations", 1)
 		m.RegLatency.Add((m.sim.Now() - arrived).Microseconds())
@@ -480,7 +481,7 @@ func (m *SubnetManager) DistributeEnvelopes(pk packet.PKey, dir *keys.Directory,
 	}
 	out := make(map[int]keys.Envelope)
 	for _, n := range m.partitions[pk.Base()] {
-		env, err := m.Authority.EnvelopeFor(pk, names(n))
+		env, _, err := m.Authority.EnvelopeForEpoch(pk, names(n))
 		if err != nil {
 			return nil, err
 		}

@@ -243,7 +243,7 @@ func TestLocalTrap(t *testing.T) {
 }
 
 // The SM is a serial processor: a burst of traps is handled one
-// ProcessingDelay at a time (the management-DoS exposure of section 7).
+// processingDelay at a time (the management-DoS exposure of section 7).
 func TestSMSerialProcessing(t *testing.T) {
 	r := newRig(t, enforce.SIF)
 	mkey := DefaultConfig().MKey
@@ -259,7 +259,7 @@ func TestSMSerialProcessing(t *testing.T) {
 	start := r.s.Now()
 	r.s.Run()
 	elapsed := r.s.Now() - start
-	minimum := 4 * DefaultConfig().ProcessingDelay
+	minimum := 4 * processingDelay
 	if elapsed < minimum {
 		t.Fatalf("4 traps handled in %v, less than serial minimum %v", elapsed, minimum)
 	}

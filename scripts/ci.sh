@@ -28,6 +28,9 @@ echo "== go test -race -shuffle=on"
 # of every golden sweep, at -jobs 4 and -jobs 1.
 go test -race -shuffle=on ./...
 
+echo "== go test -race -count=10 ./internal/runner (the one package with goroutines and locks)"
+go test -race -count=10 ./internal/runner
+
 echo "== go test -tags poolpoison (use-after-release: a released message block is scribbled over and never reused)"
 go test -tags poolpoison ./...
 
