@@ -428,8 +428,8 @@ func Build(cfg Config) (*Cluster, error) {
 
 	// HA ensemble: standby SMs share the master's filter and key
 	// authority, run on their own nodes with every periodic duty parked,
-	// and are seeded with the initial partition state (the coordinator's
-	// in-band state-sync MADs keep them fresh thereafter). A coordinator
+	// and are seeded by the coordinator with the initial partition state
+	// (its in-band state-sync MADs keep them fresh thereafter). A coordinator
 	// also exists with zero standbys when the plan kills the SM, so the
 	// unrecovered-loss baseline is measured through the same machinery.
 	if cfg.HA.Enabled() || (cfg.FaultPlan != nil && len(cfg.FaultPlan.SMKills) > 0) {
@@ -441,7 +441,6 @@ func Build(cfg Config) (*Cluster, error) {
 			sb.InstallSecret = manager.InstallSecret
 			sb.RetireSecret = manager.RetireSecret
 			sb.WipeSecrets = manager.WipeSecrets
-			sb.AdoptPartitions(manager.PartitionSnapshot())
 			cl.Standbys = append(cl.Standbys, sb)
 		}
 		coord, err := sm.NewCoordinator(s, mesh, cfg.HA, cfg.SM.MKey, manager, cl.Standbys)

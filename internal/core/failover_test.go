@@ -12,6 +12,7 @@ import (
 	"ibasec/internal/mac"
 	"ibasec/internal/packet"
 	"ibasec/internal/sim"
+	"ibasec/internal/sm"
 	"ibasec/internal/topology"
 	"ibasec/internal/transport"
 )
@@ -111,13 +112,11 @@ func TestEvictionWipesAllSecrets(t *testing.T) {
 	}
 	cl.Simulate()
 
-	snap := cl.SM.PartitionSnapshot()
 	var pk packet.PKey
 	var victim int
-	for base, members := range snap {
-		if len(members) > 1 {
-			pk = packet.PKey(0x8000 | base)
-			victim = members[0]
+	for _, base := range cl.SM.PartitionBases() {
+		if members := cl.SM.Members(packet.PKey(0x8000 | base)); len(members) > 1 {
+			pk, victim = packet.PKey(0x8000|base), members[0]
 			break
 		}
 	}
@@ -211,58 +210,85 @@ func TestFailoverSweepDeterministic(t *testing.T) {
 
 // TestForgedStateSyncRejected is the paper's threat model on the
 // management VL: a compromised node sends a standby one well-formed
-// state-sync MAD naming a member beyond the mesh, in the window between
-// the master's death and the takeover, when no genuine sync can
-// overwrite it. Adopted, the phantom member reaches the promoted
-// master's first key rollover and indexes past the endpoint table. The
-// standby must refuse the whole MAD — membership and lease alike — and
-// take over with the state the dead master last synced.
+// state-sync MAD in the window between the master's death and the
+// takeover, when no genuine sync can overwrite it. A member beyond the
+// mesh, adopted, reaches the promoted master's first key rollover and
+// indexes past the endpoint table; bases out of ascending order, or one
+// base twice, break the order the promoted master's partition table is
+// searched in. The standby must refuse the whole MAD — membership and
+// lease alike — and take over with the state the dead master last synced.
 func TestForgedStateSyncRejected(t *testing.T) {
-	cfg := rekeyCfg()
-	cfg.Rekey.Period = 300 * sim.Microsecond
-	cfg.HA = HAParams{Standbys: 1, Heartbeat: 50 * sim.Microsecond}
-	killAt := sim.Millisecond
-	cfg.FaultPlan = &faults.Plan{Seed: cfg.Seed, SMKills: []faults.SMKill{{At: killAt}}}
-	cl, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	standby := cl.Standbys[0]
-	const compromised = 5
-	if compromised == cfg.SM.Node || compromised == standby.Node() {
-		t.Fatalf("node %d is part of the SM ensemble", compromised)
-	}
-	// type 3 (state sync), master, digest, one partition: base 1, epoch
-	// 0, one member — node 9999 of a 16-node mesh.
-	forged := []byte{3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0x27, 0x0F}
-	cl.Sim.ScheduleAt(killAt+20*sim.Microsecond, func() {
-		hca := cl.Mesh.HCA(compromised)
-		d := hca.Params().NewMAD(hca.LID(), topology.LIDOf(standby.Node()), forged)
-		d.Attack = true
-		hca.Send(d)
-	})
-	res := cl.Simulate()
+	// type 3 (state sync), master, digest, partition count, then every
+	// partition as base, epoch, member count, members.
+	for _, tc := range []struct {
+		name   string
+		forged []byte
+	}{
+		{"member beyond the mesh", []byte{3, 0, 0, 0, 0, 0, 0, 0, 1, // base 1: node 9999 of a 16-node mesh
+			0, 1, 0, 0, 0, 0, 0, 1, 0x27, 0x0F}},
+		{"bases out of order", []byte{3, 0, 0, 0, 0, 0, 0, 0, 2, // base 2: node 1; base 1: node 2
+			0, 2, 0, 0, 0, 0, 0, 1, 0, 1,
+			0, 1, 0, 0, 0, 0, 0, 1, 0, 2}},
+		{"repeated base", []byte{3, 0, 0, 0, 0, 0, 0, 0, 2, // base 1: node 1; base 1: node 2
+			0, 1, 0, 0, 0, 0, 0, 1, 0, 1,
+			0, 1, 0, 0, 0, 0, 0, 1, 0, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := rekeyCfg()
+			cfg.Rekey.Period = 300 * sim.Microsecond
+			cfg.HA = HAParams{Standbys: 1, Heartbeat: 50 * sim.Microsecond}
+			killAt := sim.Millisecond
+			cfg.FaultPlan = &faults.Plan{Seed: cfg.Seed, SMKills: []faults.SMKill{{At: killAt}}}
+			cl, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			standby := cl.Standbys[0]
+			const compromised = 5
+			if compromised == cfg.SM.Node || compromised == standby.Node() {
+				t.Fatalf("node %d is part of the SM ensemble", compromised)
+			}
+			cl.Sim.ScheduleAt(killAt+20*sim.Microsecond, func() {
+				hca := cl.Mesh.HCA(compromised)
+				d := hca.Params().NewMAD(hca.LID(), topology.LIDOf(standby.Node()), tc.forged)
+				d.Attack = true
+				hca.Send(d)
+			})
+			res := cl.Simulate()
 
-	if n := cl.HA.Counters.Get("syncs_rejected"); n < 1 {
-		t.Fatalf("syncs_rejected = %d: the forged sync never arrived or was adopted", n)
+			if n := cl.HA.Counters.Get("syncs_rejected"); n < 1 {
+				t.Fatalf("syncs_rejected = %d: the forged sync never arrived or was adopted", n)
+			}
+			if n := cl.HA.Counters.Get("takeovers"); n != 1 || cl.HA.Active() != standby {
+				t.Fatalf("takeovers = %d, active on node %d: the standby did not take over", n, cl.HA.ActiveNode())
+			}
+			// The lease runs from the last genuine beat, which the kill
+			// precedes; refreshed by the forged MAD it would expire a lease
+			// after that one.
+			if lease, ev := 3*cfg.HA.Heartbeat, cl.HA.Events[0]; ev.DetectedAt >= killAt+lease {
+				t.Fatalf("lease expired at %v, kill at %v + lease %v: the forged sync refreshed it", ev.DetectedAt, killAt, lease)
+			}
+			if res.AuthFail != 0 {
+				t.Fatalf("%d auth failures", res.AuthFail)
+			}
+			if got, want := partitionsOf(standby), partitionsOf(cl.SM); !reflect.DeepEqual(got, want) {
+				t.Fatalf("promoted master's partitions differ from the killed master's:\n got %v\nwant %v", got, want)
+			}
+			if n := cl.Rotator.Counters.Get("epoch_rollovers"); n < 4 {
+				t.Fatalf("only %d rollovers: none ran under the promoted master", n)
+			}
+		})
 	}
-	if n := cl.HA.Counters.Get("takeovers"); n != 1 || cl.HA.Active() != standby {
-		t.Fatalf("takeovers = %d, active on node %d: the standby did not take over", n, cl.HA.ActiveNode())
+}
+
+// partitionsOf lists m's partitions in ascending base order, each as its
+// base followed by its members.
+func partitionsOf(m *sm.SubnetManager) [][]int {
+	var out [][]int
+	for _, base := range m.PartitionBases() {
+		out = append(out, append([]int{int(base)}, m.Members(packet.PKey(0x8000|base))...))
 	}
-	// The lease runs from the last genuine beat, which the kill precedes;
-	// refreshed by the forged MAD it would expire a lease after that one.
-	if lease, ev := 3*cfg.HA.Heartbeat, cl.HA.Events[0]; ev.DetectedAt >= killAt+lease {
-		t.Fatalf("lease expired at %v, kill at %v + lease %v: the forged sync refreshed it", ev.DetectedAt, killAt, lease)
-	}
-	if res.AuthFail != 0 {
-		t.Fatalf("%d auth failures", res.AuthFail)
-	}
-	if got, want := standby.PartitionSnapshot(), cl.SM.PartitionSnapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("promoted master's partitions differ from the killed master's:\n got %v\nwant %v", got, want)
-	}
-	if n := cl.Rotator.Counters.Get("epoch_rollovers"); n < 4 {
-		t.Fatalf("only %d rollovers: none ran under the promoted master", n)
-	}
+	return out
 }
 
 // TestForgedTrailerRefused sends a standby, in the window between the

@@ -64,7 +64,7 @@ func smpAccountingOf(t *testing.T, cfg Config) smpAccounting {
 // consumes a returning SMP whose TID it does not hold instead of passing
 // it on, so the planes swallow each other's responses: almost every
 // audit probe goes unanswered and the resweeper loses links on a
-// fault-free fabric (ROADMAP item 5, first composed-plane bug). This pin
+// fault-free fabric (ROADMAP item 2, first composed-plane bug). This pin
 // proves the ring equivalent to the table it replaced, bug included; the
 // PR that fixes the bug re-records it together with bench's mgmt-planes
 // digest and event_order.json's all_planes entry.

@@ -1,7 +1,7 @@
 package enforce
 
 import (
-	"sort"
+	"slices"
 
 	"ibasec/internal/fabric"
 	"ibasec/internal/keys"
@@ -9,15 +9,17 @@ import (
 )
 
 // This file is the read-back and mutation surface the policy plane's
-// drift auditing stands on: SwitchSnapshot captures one switch's
-// programmed enforcement state in canonical (sorted) order, Digest16
-// condenses an entry list into the 32-bit fingerprint audit SMPs carry,
-// and the mutators let fault injection corrupt — and the auditor's
-// repair MADs restore — individual entries without rebuilding tables.
+// drift auditing stands on: SwitchSnapshot reads one switch's programmed
+// enforcement state, Digest16 condenses an entry list into the 32-bit
+// fingerprint audit SMPs carry, and the mutators let fault injection
+// corrupt — and the auditor's repair MADs restore — individual entries
+// without rebuilding tables.
 
 // SwitchSnapshot is one switch's enforcement state in canonical order:
 // every list is ascending, so two snapshots of equal state are
-// deep-equal and digest-equal regardless of map iteration order.
+// deep-equal and digest-equal. The tables are stored in this order, so
+// the lists are views of the switch's own state, not copies: they stay
+// valid until that switch's state next changes.
 type SwitchSnapshot struct {
 	Mode Mode
 	// Valid holds the switch's valid-P_Key table entries (full 16-bit
@@ -34,52 +36,23 @@ type SwitchSnapshot struct {
 // Snapshot reads back sw's enforcement state.
 func (f *Filter) Snapshot(sw *fabric.Switch) SwitchSnapshot {
 	st := f.state(sw)
-	snap := SwitchSnapshot{Mode: st.mode, Active: st.active}
+	snap := SwitchSnapshot{Mode: st.mode, Invalid: st.invalid, AltSources: st.altSources, Active: st.active}
 	if st.valid != nil {
 		snap.Valid = st.valid.Keys()
 	}
-	snap.Invalid = make([]uint16, 0, len(st.invalid))
-	for b := range st.invalid {
-		snap.Invalid = append(snap.Invalid, b)
-	}
-	sort.Slice(snap.Invalid, func(i, j int) bool { return snap.Invalid[i] < snap.Invalid[j] })
-	snap.AltSources = make([]packet.LID, 0, len(st.altSources))
-	for lid := range st.altSources {
-		snap.AltSources = append(snap.AltSources, lid)
-	}
-	sort.Slice(snap.AltSources, func(i, j int) bool { return snap.AltSources[i] < snap.AltSources[j] })
 	return snap
 }
 
 // Digest16 is the FNV-1a fingerprint of a sorted 16-bit entry list,
 // shared by the switch agents (digesting observed state) and the policy
 // auditor (digesting compiled intent): equal digests mean equal lists.
-func Digest16(vals []uint16) uint32 {
+func Digest16[T ~uint16](vals []T) uint32 {
 	h := uint32(2166136261)
 	for _, v := range vals {
 		h = (h ^ uint32(v>>8)) * 16777619
 		h = (h ^ uint32(v&0xFF)) * 16777619
 	}
 	return h
-}
-
-// ValidU16 returns the snapshot's valid entries as raw uint16 values,
-// the form Digest16 and the audit wire protocol use.
-func (s SwitchSnapshot) ValidU16() []uint16 {
-	out := make([]uint16, len(s.Valid))
-	for i, k := range s.Valid {
-		out[i] = uint16(k)
-	}
-	return out
-}
-
-// AltU16 returns the snapshot's alternate-source LIDs as uint16 values.
-func (s SwitchSnapshot) AltU16() []uint16 {
-	out := make([]uint16, len(s.AltSources))
-	for i, l := range s.AltSources {
-		out[i] = uint16(l)
-	}
-	return out
 }
 
 // AddValid inserts an entry into sw's valid-P_Key table (a corruption
@@ -109,12 +82,16 @@ func (f *Filter) RemoveValid(sw *fabric.Switch, pk packet.PKey) {
 // active flag — the "stale switch silently forgets its registrations"
 // corruption.
 func (f *Filter) ClearInvalid(sw *fabric.Switch) {
-	f.state(sw).invalid = make(map[uint16]bool)
+	st := f.state(sw)
+	st.invalid = st.invalid[:0]
 }
 
 // DropAltSource forgets one registered alternate-path source at sw.
 func (f *Filter) DropAltSource(sw *fabric.Switch, src packet.LID) {
-	delete(f.state(sw).altSources, src)
+	st := f.state(sw)
+	if i, found := slices.BinarySearch(st.altSources, src); found {
+		st.altSources = slices.Delete(st.altSources, i, i+1)
+	}
 }
 
 // SetActive force-sets sw's SIF ingress-filtering flag, bypassing the

@@ -19,6 +19,7 @@ package enforce
 
 import (
 	"fmt"
+	"slices"
 
 	"ibasec/internal/fabric"
 	"ibasec/internal/keys"
@@ -60,20 +61,18 @@ type switchState struct {
 	mode  Mode
 	valid *keys.PartitionTable // legal P_Keys (DPT: global; IF/SIF: attached node's)
 	// modelEntries is the Table 2 table size charged per lookup (DPT:
-	// n×p, IF/SIF: p); the actual map may deduplicate entries.
+	// n×p, IF/SIF: p); the actual table may deduplicate entries.
 	modelEntries int
 
 	// SIF state.
 	active        bool
-	invalid       map[uint16]bool // Invalid_P_Key_Table
-	violations    uint64          // Ingress P_Key Violation Counter
-	lastViolCount uint64          // snapshot for the auto-disable timer
-	autoDisable   func()
+	invalid       []uint16 // Invalid_P_Key_Table: bases, ascending
+	violations    uint64   // Ingress P_Key Violation Counter
+	lastViolCount uint64   // snapshot for the auto-disable timer
 
 	// altSources holds the source LIDs registered as legitimate users of
-	// alternate-path (APM) addresses through this switch; nil until the
-	// SM registers the first one.
-	altSources map[packet.LID]bool
+	// alternate-path (APM) addresses through this switch, ascending.
+	altSources []packet.LID
 }
 
 // Filter implements fabric.Filter for all four modes. One Filter instance
@@ -127,7 +126,7 @@ func (f *Filter) Mode() Mode { return f.mode }
 func (f *Filter) state(sw *fabric.Switch) *switchState {
 	st := f.switches[sw]
 	if st == nil {
-		st = &switchState{mode: f.mode, invalid: make(map[uint16]bool)}
+		st = &switchState{mode: f.mode}
 		f.switches[sw] = st
 	}
 	return st
@@ -175,8 +174,8 @@ func (f *Filter) RegisterInvalid(sw *fabric.Switch, pk packet.PKey) {
 	if st.valid != nil {
 		cap = st.valid.Len()
 	}
-	if len(st.invalid) < cap || st.invalid[pk.Base()] {
-		st.invalid[pk.Base()] = true
+	if i, found := slices.BinarySearch(st.invalid, pk.Base()); !found && len(st.invalid) < cap {
+		st.invalid = slices.Insert(st.invalid, i, pk.Base())
 	}
 	if !st.active {
 		st.active = true
@@ -203,10 +202,9 @@ func (f *Filter) EnableAltPathEnforcement(altBase packet.LID) {
 // route).
 func (f *Filter) RegisterAltSource(sw *fabric.Switch, src packet.LID) {
 	st := f.state(sw)
-	if st.altSources == nil {
-		st.altSources = make(map[packet.LID]bool)
+	if i, found := slices.BinarySearch(st.altSources, src); !found {
+		st.altSources = slices.Insert(st.altSources, i, src)
 	}
-	st.altSources[src] = true
 }
 
 // Active reports whether SIF filtering is currently enabled at sw.
@@ -240,7 +238,7 @@ func (f *Filter) StartAutoDisable(s *sim.Simulator, period sim.Time) (cancel fun
 			}
 			if st.violations == st.lastViolCount {
 				st.active = false
-				st.invalid = make(map[uint16]bool)
+				st.invalid = st.invalid[:0]
 			}
 			st.lastViolCount = st.violations
 		}
@@ -262,7 +260,7 @@ func (f *Filter) Inspect(sw *fabric.Switch, _ int, ingress bool, d *fabric.Deliv
 	// experiment measures when alternate paths are left unregistered.
 	if f.altBase != 0 && st.mode == SIF && d.Pkt.LRH.DLID >= f.altBase {
 		f.Lookups++
-		if !st.altSources[d.Pkt.LRH.SLID] {
+		if _, registered := slices.BinarySearch(st.altSources, d.Pkt.LRH.SLID); !registered {
 			f.Dropped++
 			f.AltDropped++
 			return true, f.lookupDelay(len(st.altSources) + 1)
@@ -313,7 +311,7 @@ func (f *Filter) Inspect(sw *fabric.Switch, _ int, ingress bool, d *fabric.Deliv
 		} else {
 			// Invalid-table lookup: f(min(Avg(p), p)).
 			delay = f.lookupDelay(len(st.invalid))
-			drop = st.invalid[pk.Base()]
+			_, drop = slices.BinarySearch(st.invalid, pk.Base())
 		}
 		if drop {
 			st.violations++

@@ -2,6 +2,8 @@ package enforce
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ibasec/internal/fabric"
@@ -272,6 +274,76 @@ func TestRegisterInvalidIgnoredOutsideSIF(t *testing.T) {
 	if r.f.Active(r.sw) {
 		t.Fatal("IF mode activated SIF state")
 	}
+}
+
+// TestSnapshotMatchesReference drives one SIF switch through random
+// RegisterInvalid, ClearInvalid, RegisterAltSource, DropAltSource and
+// auto-disable steps, mirrored in maps, and after every step requires
+// Snapshot to equal the maps read back in ascending order: the tables are
+// kept in the order the audit digests them, with the invalid table capped
+// at the valid table's size.
+func TestSnapshotMatchesReference(t *testing.T) {
+	const period = 10 * sim.Microsecond
+	for seed := int64(1); seed <= 20; seed++ {
+		r := newRig(t, SIF)
+		for _, k := range []packet.PKey{0x8002, 0x8003, 0x8004} {
+			r.f.AddValid(r.sw, k) // the valid table holds 4: the invalid table's cap
+		}
+		r.f.StartAutoDisable(r.s, period)
+		rng := rand.New(rand.NewSource(seed))
+		invalid, alt, active := map[uint16]bool{}, map[packet.LID]bool{}, false
+		for step := 0; step < 200; step++ {
+			v := uint16(rng.Intn(12))
+			switch rng.Intn(5) {
+			case 0:
+				r.f.RegisterInvalid(r.sw, packet.PKey(0x7000|v))
+				if len(invalid) < 4 {
+					invalid[0x7000|v] = true
+				}
+				active = true
+			case 1:
+				r.f.ClearInvalid(r.sw)
+				clear(invalid)
+			case 2:
+				r.f.RegisterAltSource(r.sw, packet.LID(v))
+				alt[packet.LID(v)] = true
+			case 3:
+				r.f.DropAltSource(r.sw, packet.LID(v))
+				delete(alt, packet.LID(v))
+			case 4:
+				// No traffic, so the violation counter never advances: the
+				// next check disables an active switch and clears its table.
+				r.s.RunUntil(r.s.Now() + period)
+				if active {
+					active = false
+					clear(invalid)
+				}
+			}
+			snap := r.f.Snapshot(r.sw)
+			if want := sortedKeys(invalid); !slices.Equal(snap.Invalid, want) {
+				t.Fatalf("seed %d step %d: invalid table %#x, want %#x", seed, step, snap.Invalid, want)
+			}
+			if want := sortedKeys(alt); !slices.Equal(snap.AltSources, want) {
+				t.Fatalf("seed %d step %d: alternate sources %v, want %v", seed, step, snap.AltSources, want)
+			}
+			if snap.Active != active || r.f.Active(r.sw) != active {
+				t.Fatalf("seed %d step %d: active %v, want %v", seed, step, snap.Active, active)
+			}
+			if want := []packet.PKey{0x8001, 0x8002, 0x8003, 0x8004}; !slices.Equal(snap.Valid, want) {
+				t.Fatalf("seed %d step %d: valid table %#x, want %#x", seed, step, snap.Valid, want)
+			}
+		}
+	}
+}
+
+// sortedKeys reads a reference set back in ascending order.
+func sortedKeys[T ~uint16](set map[T]bool) []T {
+	out := make([]T, 0, len(set))
+	for v := range set {
+		out = append(out, v)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // ---- Table 2 cost model ----

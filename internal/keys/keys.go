@@ -16,7 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"ibasec/internal/packet"
 )
@@ -67,7 +67,9 @@ var (
 // simulation run that built it — Check counts every lookup — so it takes
 // no lock; parallelism is across runs (internal/runner).
 type PartitionTable struct {
-	keys   map[uint16]packet.PKey // base value -> full P_Key entry
+	// keys holds one full P_Key entry per base value, ascending by base:
+	// the order Check searches and Keys hands out.
+	keys   []packet.PKey
 	limit  int
 	checks uint64 // lookups performed (feeds the Table 2 cost model)
 }
@@ -78,22 +80,45 @@ func NewPartitionTable(limit int) *PartitionTable {
 	if limit <= 0 || limit > MaxPKeysPerPort {
 		limit = MaxPKeysPerPort
 	}
-	return &PartitionTable{keys: make(map[uint16]packet.PKey), limit: limit}
+	return &PartitionTable{limit: limit}
+}
+
+// find binary-searches for the entry with base value b: its index, or
+// where it would be inserted. It is written out because Check runs per
+// delivered packet, and slices.BinarySearchFunc's comparison callback
+// costs as much as a map lookup.
+func (t *PartitionTable) find(b uint16) (int, bool) {
+	lo, hi := 0, len(t.keys)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); t.keys[m].Base() < b {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t.keys) && t.keys[lo].Base() == b
 }
 
 // Add inserts a P_Key. Adding a key with the same base value overwrites
 // the membership bit (a port is in a partition once).
 func (t *PartitionTable) Add(k packet.PKey) error {
-	if _, ok := t.keys[k.Base()]; !ok && len(t.keys) >= t.limit {
+	i, ok := t.find(k.Base())
+	switch {
+	case ok:
+		t.keys[i] = k
+	case len(t.keys) >= t.limit:
 		return fmt.Errorf("%w (limit %d)", ErrTableFull, t.limit)
+	default:
+		t.keys = slices.Insert(t.keys, i, k)
 	}
-	t.keys[k.Base()] = k
 	return nil
 }
 
 // Remove deletes the entry with k's base value.
 func (t *PartitionTable) Remove(k packet.PKey) {
-	delete(t.keys, k.Base())
+	if i, ok := t.find(k.Base()); ok {
+		t.keys = slices.Delete(t.keys, i, i+1)
+	}
 }
 
 // Check implements the IBA P_Key acceptance rule: the packet's P_Key must
@@ -101,11 +126,8 @@ func (t *PartitionTable) Remove(k packet.PKey) {
 // have full membership (two limited members cannot talk, IBA 10.9.3).
 func (t *PartitionTable) Check(k packet.PKey) bool {
 	t.checks++
-	mine, ok := t.keys[k.Base()]
-	if !ok {
-		return false
-	}
-	return k.Full() || mine.Full()
+	i, ok := t.find(k.Base())
+	return ok && (k.Full() || t.keys[i].Full())
 }
 
 // Len returns the number of entries.
@@ -119,15 +141,9 @@ func (t *PartitionTable) Lookups() uint64 {
 	return t.checks
 }
 
-// Keys returns the table's P_Keys sorted by base value.
-func (t *PartitionTable) Keys() []packet.PKey {
-	out := make([]packet.PKey, 0, len(t.keys))
-	for _, k := range t.keys {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Base() < out[j].Base() })
-	return out
-}
+// Keys returns the table's P_Keys ascending by base value. The slice is
+// a view of the table, valid until its next Add or Remove.
+func (t *PartitionTable) Keys() []packet.PKey { return t.keys }
 
 // Nonce builds the per-packet MAC nonce from the packet identity: source
 // QP (24 bits), destination QP (low 16 bits) and PSN (24 bits) — the

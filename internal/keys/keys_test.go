@@ -1,6 +1,7 @@
 package keys
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -150,6 +151,81 @@ func TestPropertyTableMembership(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FuzzPartitionTable runs an arbitrary sequence of Add, Remove and Check
+// against a map reference: an Add of a known base overwrites its
+// membership bit even at the limit, an Add of a new base past the limit
+// fails with ErrTableFull and changes nothing, Check accepts exactly a
+// known base where the packet or the entry is a full member, and after
+// every step the table holds the reference's entries ascending by base.
+// Each op is three bytes — op, P_Key — with the base narrowed to 128
+// values so overwrites, removals of present keys and a full table are
+// common; limit is 1 to 16.
+func FuzzPartitionTable(f *testing.F) {
+	f.Add(uint8(2), []byte{0, 0x80, 0x01, 0, 0x80, 0x02, 0, 0x80, 0x03, 0, 0x00, 0x01, 2, 0x00, 0x01, 2, 0x80, 0x03})
+	f.Add(uint8(1), []byte{0, 0x00, 0x05, 2, 0x00, 0x05, 0, 0x80, 0x05, 2, 0x00, 0x05, 1, 0x00, 0x05, 2, 0x80, 0x05})
+	f.Add(uint8(15), []byte{0, 0xF0, 0x0F, 0, 0x10, 0x01, 0, 0x80, 0x00, 1, 0x10, 0x01, 2, 0x70, 0x0F})
+	f.Fuzz(func(t *testing.T, limit uint8, ops []byte) {
+		pt := NewPartitionTable(int(limit%16) + 1)
+		ref := map[uint16]packet.PKey{}
+		checks := uint64(0)
+		for ; len(ops) >= 3; ops = ops[3:] {
+			k := packet.PKey(uint16(ops[1])<<8|uint16(ops[2])) & 0xF00F
+			old, known := ref[k.Base()]
+			switch ops[0] % 3 {
+			case 0:
+				err := pt.Add(k)
+				switch {
+				case known || len(ref) < pt.limit:
+					if err != nil {
+						t.Fatalf("Add(%#04x) with %d of %d entries: %v", k, len(ref), pt.limit, err)
+					}
+					ref[k.Base()] = k
+				case !errors.Is(err, ErrTableFull):
+					t.Fatalf("Add(%#04x) to a full table: err = %v, want ErrTableFull", k, err)
+				}
+			case 1:
+				pt.Remove(k)
+				delete(ref, k.Base())
+			case 2:
+				checks++
+				if got, want := pt.Check(k), known && (k.Full() || old.Full()); got != want {
+					t.Fatalf("Check(%#04x) = %v against entry %#04x (present %v), want %v", k, got, old, known, want)
+				}
+			}
+			keys := pt.Keys()
+			if pt.Len() != len(ref) || len(keys) != len(ref) {
+				t.Fatalf("%d entries (Len %d), reference holds %d", len(keys), pt.Len(), len(ref))
+			}
+			for i, e := range keys {
+				if ref[e.Base()] != e || i > 0 && keys[i-1].Base() >= e.Base() {
+					t.Fatalf("entries %#04x: not the reference %v in ascending base order", keys, ref)
+				}
+			}
+		}
+		if pt.Lookups() != checks {
+			t.Fatalf("Lookups = %d after %d checks", pt.Lookups(), checks)
+		}
+	})
+}
+
+// TestPartitionTableCheckAllocs holds the per-packet P_Key check, which
+// every delivering HCA and every filtering switch runs, to no allocation.
+func TestPartitionTableCheckAllocs(t *testing.T) {
+	pt := NewPartitionTable(0)
+	for _, b := range []uint16{0x300, 0x100, 0x200} {
+		if err := pt.Add(packet.PKey(0x8000 | b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if !pt.Check(0x0200) || pt.Check(0x0400) {
+			t.Fatal("wrong verdict")
+		}
+	}); n != 0 {
+		t.Errorf("Check allocated %.0f times, want 0", n)
 	}
 }
 

@@ -153,12 +153,15 @@ func (a *Auditor) tick() {
 	a.auditing = true
 	a.Counters.Inc("audit_sweeps", 1)
 	for i := range a.intent.Switches {
-		si := &a.intent.Switches[i]
-		path := a.paths[si.Switch]
+		path := a.paths[a.intent.Switches[i].Switch]
 		if path == nil {
 			continue
 		}
-		a.queryState(si, path)
+		// One AuditState probe per switch, answered through stateProbe
+		// under the switch's intent index.
+		a.outstanding++
+		a.Counters.Inc("audit_mads", 1)
+		a.disc.Query(sm.MethodGet, sm.AttrAuditState, path, nil, (*stateProbe)(a), uint64(i))
 	}
 	if a.outstanding == 0 {
 		a.auditing = false
@@ -173,84 +176,87 @@ func (a *Auditor) done() {
 	}
 }
 
-// queryState audits one switch, starting from the single-MAD digest
-// probe and drilling down only on disagreement.
-func (a *Auditor) queryState(si *SwitchIntent, path []byte) {
-	a.outstanding++
-	a.Counters.Inc("audit_mads", 1)
-	a.disc.Query(sm.MethodGet, sm.AttrAuditState, path, nil, func(status byte, data []byte) {
-		defer a.done()
-		if status != sm.StatusOK {
-			a.Counters.Inc("audit_unanswered", 1)
-			return
-		}
-		st := sm.ParseAuditState(data)
-		ev := &DriftEvent{Switch: si.Switch, DetectedAt: a.sim.Now()}
-		if st.Mode != si.Mode {
-			ev.ModeMismatch = true
-		}
-		if si.Active && !st.Active {
-			ev.Inactive = true
-		}
-		needValid := st.ValidDigest != a.expValid[si.Switch]
-		needInv := st.InvalidDigest != a.expInvalid[si.Switch] && st.InvalidDigest != a.lastOKInv[si.Switch]
-		needAlt := st.AltDigest != a.expAlt[si.Switch] && st.AltDigest != a.lastOKAlt[si.Switch]
+// stateProbe completes the per-switch AuditState probes: a named type
+// over Auditor (see sm.SMPCompleter), tagged with the switch's index in
+// the intent, so a sweep that finds no drift allocates nothing.
+type stateProbe Auditor
 
-		pending := 0
-		finish := func() {
-			pending--
-			if pending > 0 {
-				return
-			}
-			a.finalize(si, path, ev)
-		}
-		if needValid {
-			pending++
-		}
-		if needInv {
-			pending++
-		}
-		if needAlt {
-			pending++
-		}
-		if pending == 0 {
-			a.finalize(si, path, ev)
+// SMPDone audits one switch from its AuditState response, drilling down
+// only where a digest disagrees with the intent.
+func (p *stateProbe) SMPDone(tag uint64, status byte, data, _ []byte) {
+	a := (*Auditor)(p)
+	defer a.done()
+	if status != sm.StatusOK {
+		a.Counters.Inc("audit_unanswered", 1)
+		return
+	}
+	si := &a.intent.Switches[tag]
+	st := sm.ParseAuditState(data)
+	modeMismatch := st.Mode != si.Mode
+	inactive := si.Active && !st.Active
+	needValid := st.ValidDigest != a.expValid[si.Switch]
+	needInv := st.InvalidDigest != a.expInvalid[si.Switch] && st.InvalidDigest != a.lastOKInv[si.Switch]
+	needAlt := st.AltDigest != a.expAlt[si.Switch] && st.AltDigest != a.lastOKAlt[si.Switch]
+	if !modeMismatch && !inactive && !needValid && !needInv && !needAlt {
+		return
+	}
+	ev := &DriftEvent{Switch: si.Switch, DetectedAt: a.sim.Now(), ModeMismatch: modeMismatch, Inactive: inactive}
+	path := a.paths[si.Switch]
+
+	pending := 0
+	finish := func() {
+		pending--
+		if pending > 0 {
 			return
 		}
-		if needValid {
-			a.readTable(path, sm.AuditTableValid, func(obs []uint16, ok bool) {
-				if ok {
-					ev.MissingValid = diff(si.Valid, obs)
-					ev.ExtraValid = diff(obs, si.Valid)
+		a.finalize(si, path, ev)
+	}
+	if needValid {
+		pending++
+	}
+	if needInv {
+		pending++
+	}
+	if needAlt {
+		pending++
+	}
+	if pending == 0 {
+		a.finalize(si, path, ev)
+		return
+	}
+	if needValid {
+		a.readTable(path, sm.AuditTableValid, func(obs []uint16, ok bool) {
+			if ok {
+				ev.MissingValid = diff(si.Valid, obs)
+				ev.ExtraValid = diff(obs, si.Valid)
+			}
+			finish()
+		})
+	}
+	if needInv {
+		a.readTable(path, sm.AuditTableInvalid, func(obs []uint16, ok bool) {
+			if ok {
+				ev.MissingInvalid = diff(si.Invalid, obs)
+				if len(ev.MissingInvalid) == 0 {
+					// A verified superset: remember its digest so the
+					// next sweep's mismatch costs no drill-down.
+					a.lastOKInv[si.Switch] = enforce.Digest16(obs)
 				}
-				finish()
-			})
-		}
-		if needInv {
-			a.readTable(path, sm.AuditTableInvalid, func(obs []uint16, ok bool) {
-				if ok {
-					ev.MissingInvalid = diff(si.Invalid, obs)
-					if len(ev.MissingInvalid) == 0 {
-						// A verified superset: remember its digest so the
-						// next sweep's mismatch costs no drill-down.
-						a.lastOKInv[si.Switch] = enforce.Digest16(obs)
-					}
+			}
+			finish()
+		})
+	}
+	if needAlt {
+		a.readTable(path, sm.AuditTableAlt, func(obs []uint16, ok bool) {
+			if ok {
+				ev.MissingAlt = diff(si.AltSources, obs)
+				if len(ev.MissingAlt) == 0 {
+					a.lastOKAlt[si.Switch] = enforce.Digest16(obs)
 				}
-				finish()
-			})
-		}
-		if needAlt {
-			a.readTable(path, sm.AuditTableAlt, func(obs []uint16, ok bool) {
-				if ok {
-					ev.MissingAlt = diff(si.AltSources, obs)
-					if len(ev.MissingAlt) == 0 {
-						a.lastOKAlt[si.Switch] = enforce.Digest16(obs)
-					}
-				}
-				finish()
-			})
-		}
-	})
+			}
+			finish()
+		})
+	}
 }
 
 // finalize records (and optionally repairs) a completed switch audit.
@@ -275,7 +281,7 @@ func (a *Auditor) readTable(path []byte, sel int, cb func(entries []uint16, ok b
 	step = func(start int) {
 		a.outstanding++
 		a.Counters.Inc("audit_mads", 1)
-		a.disc.Query(sm.MethodGet, sm.AttrAuditEntries, path, sm.EncodeAuditEntriesReq(sel, start), func(status byte, data []byte) {
+		a.disc.Query(sm.MethodGet, sm.AttrAuditEntries, path, sm.EncodeAuditEntriesReq(sel, start), sm.QueryFunc(func(status byte, data []byte) {
 			defer a.done()
 			if status != sm.StatusOK {
 				a.Counters.Inc("audit_unanswered", 1)
@@ -289,7 +295,7 @@ func (a *Auditor) readTable(path []byte, sel int, cb func(entries []uint16, ok b
 				return
 			}
 			cb(acc, true)
-		})
+		}), 0)
 	}
 	step(0)
 }
@@ -324,7 +330,7 @@ func (a *Auditor) repairSwitch(path []byte, ev *DriftEvent) {
 	for _, f := range fixes {
 		a.outstanding++
 		a.Counters.Inc("repair_mads", 1)
-		a.disc.Query(sm.MethodSet, sm.AttrAuditRepair, path, sm.EncodeAuditRepairReq(f.op, f.val), func(status byte, _ []byte) {
+		a.disc.Query(sm.MethodSet, sm.AttrAuditRepair, path, sm.EncodeAuditRepairReq(f.op, f.val), sm.QueryFunc(func(status byte, _ []byte) {
 			defer a.done()
 			if status == sm.StatusOK {
 				acked++
@@ -335,7 +341,7 @@ func (a *Auditor) repairSwitch(path []byte, ev *DriftEvent) {
 				ev.RepairedAt = a.sim.Now()
 				a.Counters.Inc("repairs_completed", 1)
 			}
-		})
+		}), 0)
 	}
 }
 

@@ -59,7 +59,7 @@ func (r *auditRig) assertMatchesIntent(t *testing.T) {
 		si := &r.intent.Switches[i]
 		snap := r.filter.Snapshot(r.mesh.Switches[si.Switch])
 		wv, _, _ := si.Digests()
-		if enforce.Digest16(snap.ValidU16()) != wv {
+		if enforce.Digest16(snap.Valid) != wv {
 			t.Errorf("switch %d valid table still diverges from intent", si.Switch)
 		}
 		if missing := diff(si.Invalid, snap.Invalid); len(missing) > 0 {
@@ -85,6 +85,27 @@ func TestAuditorCleanFabricNoDrift(t *testing.T) {
 	if mads := rig.auditor.Counters.Get("audit_mads"); mads != sweeps*uint64(len(rig.mesh.Switches)) {
 		t.Errorf("audit_mads = %d, want %d (1 per switch per sweep)",
 			mads, sweeps*uint64(len(rig.mesh.Switches)))
+	}
+}
+
+// TestAuditorSweepAllocFree holds a sweep of a fabric that has not
+// drifted — one AuditState probe per switch, each answered and matched
+// against the intent's digests — to no allocation once warm.
+func TestAuditorSweepAllocFree(t *testing.T) {
+	if fabric.PoolPoison {
+		t.Skip("the poison build never reuses a message block")
+	}
+	rig := newAuditRig(t, testDoc(), AuditConfig{}) // no period: each sweep is driven here
+	sweep := func() {
+		rig.auditor.Sweep()
+		rig.s.Run()
+	}
+	if n := testing.AllocsPerRun(100, sweep); n != 0 {
+		t.Errorf("a no-drift sweep allocated %.0f times, want 0", n)
+	}
+	switches := uint64(len(rig.mesh.Switches))
+	if got := rig.auditor.Counters.Get("audit_mads"); got != 101*switches || len(rig.auditor.Events) != 0 {
+		t.Errorf("%d probes and %d drift events over 101 sweeps, want %d and none", got, len(rig.auditor.Events), 101*switches)
 	}
 }
 

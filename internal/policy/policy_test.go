@@ -205,13 +205,13 @@ func TestProgramInstallsIntent(t *testing.T) {
 		si := &intent.Switches[i]
 		snap := filter.Snapshot(mesh.Switches[si.Switch])
 		wv, wi, wa := si.Digests()
-		if enforce.Digest16(snap.ValidU16()) != wv {
+		if enforce.Digest16(snap.Valid) != wv {
 			t.Errorf("switch %d valid table differs from intent", si.Switch)
 		}
 		if enforce.Digest16(snap.Invalid) != wi {
 			t.Errorf("switch %d invalid table differs from intent", si.Switch)
 		}
-		if enforce.Digest16(snap.AltU16()) != wa {
+		if enforce.Digest16(snap.AltSources) != wa {
 			t.Errorf("switch %d alt sources differ from intent", si.Switch)
 		}
 		if snap.Mode != si.Mode || snap.Active != si.Active {
@@ -231,7 +231,7 @@ func TestProgramInstallsIntent(t *testing.T) {
 	manager.ProgramSwitchTables() // delegates to the policy hook
 	snap := filter.Snapshot(sw)
 	wv, _, _ := intent.Switch(2).Digests()
-	if enforce.Digest16(snap.ValidU16()) != wv {
+	if enforce.Digest16(snap.Valid) != wv {
 		t.Error("ProgramSwitchTables did not restore the compiled table")
 	}
 

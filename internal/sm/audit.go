@@ -70,6 +70,18 @@ type AuditState struct {
 	Mode          enforce.Mode
 }
 
+// encodeAuditState packs an AuditState into a response data area.
+func encodeAuditState(data []byte, st AuditState) {
+	binary.BigEndian.PutUint32(data[0:4], st.ValidDigest)
+	binary.BigEndian.PutUint32(data[4:8], st.InvalidDigest)
+	binary.BigEndian.PutUint32(data[8:12], st.AltDigest)
+	data[12] = 0
+	if st.Active {
+		data[12] = 1
+	}
+	data[13] = byte(st.Mode)
+}
+
 // ParseAuditState decodes an AuditState response data area.
 func ParseAuditState(data []byte) AuditState {
 	return AuditState{
@@ -91,12 +103,9 @@ type AuditChunk struct {
 // ParseAuditChunk decodes an AuditEntries response data area.
 func ParseAuditChunk(data []byte) AuditChunk {
 	c := AuditChunk{Total: int(binary.BigEndian.Uint16(data[0:2]))}
-	n := int(data[2])
-	if n > AuditEntriesPerChunk {
-		n = AuditEntriesPerChunk
-	}
-	for i := 0; i < n; i++ {
-		c.Entries = append(c.Entries, binary.BigEndian.Uint16(data[3+2*i:]))
+	c.Entries = make([]uint16, min(int(data[2]), AuditEntriesPerChunk))
+	for i := range c.Entries {
+		c.Entries[i] = binary.BigEndian.Uint16(data[3+2*i:])
 	}
 	return c
 }
@@ -120,27 +129,13 @@ func EncodeAuditRepairReq(op int, val uint16) []byte {
 }
 
 // Query issues a single SMP along an explicit directed route and hands
-// the response's attribute data (or status 0xFF on terminal timeout) to
-// cb. The data is a window into the delivered packet, valid until cb
-// returns: copy what you keep. It rides the Discoverer's retry/backoff
-// machinery, so the policy auditor's probes behave under MAD loss exactly
-// like discovery probes.
-func (d *Discoverer) Query(method, attr byte, path []byte, data []byte, cb func(status byte, data []byte)) {
-	d.request(method, attr, path, data, d.MaxRetries, queryFunc(cb), 0)
-}
-
-// auditSelect resolves an AuditEntries table selector against a
-// snapshot.
-func auditSelect(snap enforce.SwitchSnapshot, table int) []uint16 {
-	switch table {
-	case AuditTableValid:
-		return snap.ValidU16()
-	case AuditTableInvalid:
-		return snap.Invalid
-	case AuditTableAlt:
-		return snap.AltU16()
-	}
-	return nil
+// its outcome to to.SMPDone under tag: the response's attribute data, or
+// status 0xFF on terminal timeout. The data is a window into the
+// delivered packet, valid until SMPDone returns: copy what you keep. It
+// rides the Discoverer's retry/backoff machinery, so the policy auditor's
+// probes behave under MAD loss exactly like discovery probes.
+func (d *Discoverer) Query(method, attr byte, path []byte, data []byte, to SMPCompleter, tag uint64) {
+	d.request(method, attr, path, data, d.MaxRetries, to, tag)
 }
 
 // auditState answers an AuditState Get.
@@ -150,14 +145,13 @@ func (a *SwitchAgent) auditState(sw *fabric.Switch, resp []byte) {
 		return
 	}
 	snap := a.Enforce.Snapshot(sw)
-	data := resp[smpOffData:]
-	binary.BigEndian.PutUint32(data[0:4], enforce.Digest16(snap.ValidU16()))
-	binary.BigEndian.PutUint32(data[4:8], enforce.Digest16(snap.Invalid))
-	binary.BigEndian.PutUint32(data[8:12], enforce.Digest16(snap.AltU16()))
-	if snap.Active {
-		data[12] = 1
-	}
-	data[13] = byte(snap.Mode)
+	encodeAuditState(resp[smpOffData:], AuditState{
+		ValidDigest:   enforce.Digest16(snap.Valid),
+		InvalidDigest: enforce.Digest16(snap.Invalid),
+		AltDigest:     enforce.Digest16(snap.AltSources),
+		Active:        snap.Active,
+		Mode:          snap.Mode,
+	})
 	sw.Counters.Inc("smp_audit_state", 1)
 }
 
@@ -167,22 +161,33 @@ func (a *SwitchAgent) auditEntries(sw *fabric.Switch, pl, resp []byte) {
 		resp[smpOffStatus] = smpStatusUnsupported
 		return
 	}
-	table := int(pl[smpOffData])
-	if table > AuditTableAlt {
+	start := int(binary.BigEndian.Uint16(pl[smpOffData+1:]))
+	snap := a.Enforce.Snapshot(sw)
+	data := resp[smpOffData:]
+	switch pl[smpOffData] {
+	case AuditTableValid:
+		putAuditChunk(data, snap.Valid, start)
+	case AuditTableInvalid:
+		putAuditChunk(data, snap.Invalid, start)
+	case AuditTableAlt:
+		putAuditChunk(data, snap.AltSources, start)
+	default:
 		resp[smpOffStatus] = smpStatusUnsupported
 		return
 	}
-	start := int(binary.BigEndian.Uint16(pl[smpOffData+1:]))
-	entries := auditSelect(a.Enforce.Snapshot(sw), table)
-	data := resp[smpOffData:]
+	sw.Counters.Inc("smp_audit_entries", 1)
+}
+
+// putAuditChunk encodes an AuditEntries response: the table's size and
+// up to AuditEntriesPerChunk of its entries from start on.
+func putAuditChunk[T ~uint16](data []byte, entries []T, start int) {
 	binary.BigEndian.PutUint16(data[0:2], uint16(len(entries)))
 	n := 0
 	for i := start; i < len(entries) && n < AuditEntriesPerChunk; i++ {
-		binary.BigEndian.PutUint16(data[3+2*n:], entries[i])
+		binary.BigEndian.PutUint16(data[3+2*n:], uint16(entries[i]))
 		n++
 	}
 	data[2] = byte(n)
-	sw.Counters.Inc("smp_audit_entries", 1)
 }
 
 // auditRepair applies an M_Key-checked AuditRepair Set (the key was

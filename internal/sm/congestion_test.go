@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"bytes"
 	"encoding/hex"
 	"errors"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
+	"ibasec/internal/packet"
 	"ibasec/internal/sim"
 	"ibasec/internal/topology"
 )
@@ -56,12 +58,13 @@ func TestCCBlobRoundTrip(t *testing.T) {
 // captured before the three named trailer fields became one ordered
 // list (so old and new masters interoperate), every blob must survive a
 // round trip in order, and a standby must file each under the magic that
-// opens it — by content, not position. Malformed trailers are rejected.
+// opens it — by content, not position — in a copy it owns, not a window
+// into the packet. Malformed trailers are rejected.
 func TestStateSyncCarriesCCBlob(t *testing.T) {
 	base := stateSyncMAD{
 		Master:     3,
 		DirDigest:  0xDEADBEEF,
-		Partitions: []syncPartition{{Base: 0x8001, Epoch: 7, Members: []uint16{1, 4, 9}}},
+		Partitions: []syncPartition{{Base: 0x8001, Epoch: 7, Members: []byte{0, 1, 0, 4, 0, 9}}}, // nodes 1, 4, 9
 	}
 	policy := []byte("IBPLfake-policy-document")
 	cc := EncodeCCBlob(testCCParams())
@@ -85,23 +88,25 @@ func TestStateSyncCarriesCCBlob(t *testing.T) {
 	} {
 		in := base
 		in.Blobs = tc.blobs
-		pl := encodeStateSync(in)
+		pl := appendStateSync(nil, &in)
 		if got := hex.EncodeToString(pl); got != tc.wire {
 			t.Errorf("%s: wire image changed:\n got %s\nwant %s", tc.name, got, tc.wire)
 		}
-		got, err := parseStateSync(pl)
-		if err != nil {
+		var got stateSyncMAD
+		if err := parseStateSync(pl, &got); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 			continue
 		}
 		if !reflect.DeepEqual(got, in) {
 			t.Errorf("%s: round trip changed the MAD:\n got %+v\nwant %+v", tc.name, got, in)
 		}
-		// Adopted in reverse, so position cannot be what files them.
+		// Adopted in reverse, so position cannot be what files them; the
+		// packet is scribbled over afterwards, as a recycled one would be.
 		var standby SubnetManager
 		for i := len(got.Blobs) - 1; i >= 0; i-- {
-			standby.SetSyncState(string(got.Blobs[i][:syncMagicSize]), got.Blobs[i])
+			standby.adoptSyncState(got.Blobs[i])
 		}
+		clear(pl)
 		var filed [][]byte
 		for _, magic := range []string{"IBPL", CCMagic, HealthMagic} {
 			if b := standby.SyncState(magic); b != nil {
@@ -124,18 +129,22 @@ func TestStateSyncCarriesCCBlob(t *testing.T) {
 		"trailer shorter than magic": append(append([]byte(nil), whole...), 0, 0, 0, 3, 'I', 'B', 'C'),
 		"truncated partition record": whole[:12],
 	} {
-		if _, err := parseStateSync(pl); !errors.Is(err, errHAShort) {
+		if err := parseStateSync(pl, new(stateSyncMAD)); !errors.Is(err, errHAShort) {
 			t.Errorf("%s: err = %v, want errHAShort", name, err)
 		}
 	}
 }
 
-// TestSyncStateAllocFree holds the heartbeat path to what it allocated
-// while the trailers were three named fields — nothing: a standby filing
-// a trailer under a magic it already knows, and a master listing the
-// trailers of its second and later beats. A mgmt-planes repetition does
-// both 600 beats × 2 standbys × 3 planes times, and the run-level
-// allocation ceilings are too loose to see either come back.
+// TestSyncStateAllocFree holds the HA sync path to no allocation at all
+// once warm: a plane filing a trailer under a magic it already knows, and
+// one full beat — the master encoding a heartbeat and a state sync from
+// its partition table and three trailers, both delivered to two standbys
+// that parse them, check every member and adopt membership and trailers
+// in place. A mgmt-planes repetition beats 600 times to two standbys, and
+// the run-level allocation ceilings are too loose to see one allocation
+// per beat come back. Under the poison build, which never reuses a
+// message block, only the adoption is checked: a standby still holding a
+// window into a released packet would read the poison.
 func TestSyncStateAllocFree(t *testing.T) {
 	r := newRig(t, enforce.NoFiltering)
 	blobs := [][]byte{[]byte("IBPLfake-policy-document"), EncodeCCBlob(testCCParams()), EncodeHealthBlob(nil)}
@@ -149,15 +158,53 @@ func TestSyncStateAllocFree(t *testing.T) {
 		t.Errorf("filing three trailers under known magics allocated %.0f times, want 0", n)
 	}
 
-	c, err := NewCoordinator(r.s, r.mesh, HAConfig{}, DefaultConfig().MKey, r.m, nil)
+	mkey := DefaultConfig().MKey
+	var standbys []*SubnetManager
+	for _, node := range []int{15, 14} {
+		cfg := DefaultConfig()
+		cfg.Node = node
+		standbys = append(standbys, NewStandby(r.s, r.mesh, nil, cfg))
+	}
+	c, err := NewCoordinator(r.s, r.mesh, HAConfig{Standbys: 2, Heartbeat: 50 * sim.Microsecond}, mkey, r.m, standbys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.syncTrailers(r.m); !reflect.DeepEqual(got, blobs) {
-		t.Fatalf("trailers %q, want the three blobs in first-set order", got)
+	// Created after the standbys were seeded, so only the beat brings them.
+	for base, members := range map[uint16][]int{2: {1, 2, 14, 15}, 1: {0, 3, 5, 9}} {
+		if err := r.m.CreatePartition(mkey, packet.PKey(0x8000|base), members); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() { c.syncTrailers(r.m) }); n != 0 {
-		t.Errorf("a second beat's trailer list allocated %.0f times, want 0", n)
+	for _, sb := range standbys {
+		node := sb.Node()
+		r.mesh.HCA(node).OnDeliver = func(d *fabric.Delivery) { c.Dispatch(node, d) }
+	}
+	beat := func() {
+		c.beatFrom(0)
+		r.s.Run()
+	}
+	beat()
+	if !reflect.DeepEqual(c.out.Blobs, blobs) {
+		t.Fatalf("the master staged trailers %q, want the three blobs in first-set order", c.out.Blobs)
+	}
+	for _, sb := range standbys {
+		if !reflect.DeepEqual(sb.partitions, r.m.partitions) {
+			t.Fatalf("standby on node %d adopted %v, want %v", sb.Node(), sb.partitions, r.m.partitions)
+		}
+		for _, b := range blobs {
+			if got := sb.SyncState(string(b[:syncMagicSize])); !bytes.Equal(got, b) || &got[0] == &b[0] {
+				t.Fatalf("standby on node %d filed %q, want its own copy of %q", sb.Node(), got, b)
+			}
+		}
+	}
+	if fabric.PoolPoison {
+		return
+	}
+	if n := testing.AllocsPerRun(100, beat); n != 0 {
+		t.Errorf("a beat to two standbys allocated %.0f times, want 0", n)
+	}
+	if got, want := c.Counters.Get("syncs_adopted"), uint64(2*102); got != want {
+		t.Errorf("syncs_adopted = %d after 102 beats to two standbys, want %d", got, want)
 	}
 }
 

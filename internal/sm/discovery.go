@@ -483,24 +483,31 @@ type Discoverer struct {
 	doneN uint64
 }
 
-// smpCompleter receives the outcome of one SMP request: the tag the
+// SMPCompleter receives the outcome of one SMP request: the tag the
 // requester passed, the response status (0xFF when every attempt timed
 // out) and, on a response, its attribute data and return path. data and
 // retPath are windows into the delivered packet's image, valid until the
-// call returns; a completer copies what it keeps.
-type smpCompleter interface {
-	smpDone(tag uint64, status byte, data, retPath []byte)
+// call returns; a completer copies what it keeps. A requester that
+// outlives its requests — a plane issuing the same probe every sweep —
+// is its own completer and tells its requests apart by tag, so issuing
+// one allocates nothing.
+type SMPCompleter interface {
+	SMPDone(tag uint64, status byte, data, retPath []byte)
 }
 
-// smpFunc and queryFunc let a plain callback be the completer; a func
-// value converts to the interface without allocating.
+// smpFunc and QueryFunc let a plain callback be the completer; a func
+// value converts to the interface without allocating, but a closure
+// that captures anything is allocated where it is written.
 type smpFunc func(status byte, data, retPath []byte)
 
-func (f smpFunc) smpDone(_ uint64, status byte, data, retPath []byte) { f(status, data, retPath) }
+func (f smpFunc) SMPDone(_ uint64, status byte, data, retPath []byte) { f(status, data, retPath) }
 
-type queryFunc func(status byte, data []byte)
+// QueryFunc is the completer of a one-off Query: it ignores the tag and
+// the return path.
+type QueryFunc func(status byte, data []byte)
 
-func (f queryFunc) smpDone(_ uint64, status byte, data, _ []byte) { f(status, data) }
+// SMPDone implements SMPCompleter.
+func (f QueryFunc) SMPDone(_ uint64, status byte, data, _ []byte) { f(status, data) }
 
 // request is one slot of the outstanding-request table. It holds the SMP
 // by value: transit switches edit each attempt's own image in place (hop
@@ -514,7 +521,7 @@ type request struct {
 	retries int      // retransmission budget
 	timeout sim.Time // first attempt's deadline; doubles per attempt
 	timer   sim.Event
-	to      smpCompleter
+	to      SMPCompleter
 	tag     uint64
 }
 
@@ -563,7 +570,7 @@ func (d *Discoverer) deliver(dv *fabric.Delivery) {
 		// another discoverer's traffic on this HCA. Matching on the TID
 		// alone and consuming the stray instead of passing it to next is
 		// what lets composed planes swallow each other's responses; it is
-		// kept as found (ROADMAP item 5, first composed-plane bug).
+		// kept as found (ROADMAP item 2, first composed-plane bug).
 		if d.answered(fr.TxID) {
 			d.hca.Counters.Inc("smp_dup_responses", 1)
 		} else {
@@ -578,7 +585,7 @@ func (d *Discoverer) deliver(dv *fabric.Delivery) {
 	d.done[d.doneN%tidSetCap] = fr.TxID
 	d.doneN++
 	d.sim.Cancel(timer)
-	to.smpDone(tag, fr.Status, pl[smpOffData:], pl[smpOffRet:smpOffRet+smpMaxHops])
+	to.SMPDone(tag, fr.Status, pl[smpOffData:], pl[smpOffRet:smpOffRet+smpMaxHops])
 }
 
 // at returns the slot txID indexes.
@@ -648,9 +655,9 @@ func (d *Discoverer) send(method, attr byte, path []byte, data []byte, cb func(s
 }
 
 // request is send with an explicit retry budget and a typed completion:
-// to.smpDone(tag, …) is called exactly once, with the response or the
+// to.SMPDone(tag, …) is called exactly once, with the response or the
 // terminal timeout. Nothing but the MAD itself is allocated.
-func (d *Discoverer) request(method, attr byte, path []byte, data []byte, maxRetries int, to smpCompleter, tag uint64) {
+func (d *Discoverer) request(method, attr byte, path []byte, data []byte, maxRetries int, to SMPCompleter, tag uint64) {
 	if len(path) > smpMaxHops {
 		panic("sm: directed route exceeds max hops")
 	}
@@ -711,7 +718,7 @@ func (h *requestTimeout) Fire(_ any, txID uint64) {
 	to, tag := rq.to, rq.tag
 	d.retire(rq)
 	d.topo.Timeouts++
-	to.smpDone(tag, 0xFF, nil, nil)
+	to.SMPDone(tag, 0xFF, nil, nil)
 }
 
 // Discover sweeps the fabric, assigns sequential LIDs to every CA,

@@ -3,6 +3,7 @@ package sm
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ibasec/internal/fabric"
@@ -40,13 +41,12 @@ type heartbeatMAD struct {
 	Digest uint32 // FNV-1a over the master's partition state (drift check)
 }
 
-func encodeHeartbeat(h heartbeatMAD) []byte {
-	pl := make([]byte, heartbeatPayloadSize)
-	pl[0] = haTypeHeartbeat
-	binary.BigEndian.PutUint16(pl[1:3], h.Master)
-	binary.BigEndian.PutUint32(pl[3:7], h.Seq)
-	binary.BigEndian.PutUint32(pl[7:11], h.Digest)
-	return pl
+// appendHeartbeat appends h's wire image to dst.
+func appendHeartbeat(dst []byte, h heartbeatMAD) []byte {
+	dst = append(dst, haTypeHeartbeat)
+	dst = binary.BigEndian.AppendUint16(dst, h.Master)
+	dst = binary.BigEndian.AppendUint32(dst, h.Seq)
+	return binary.BigEndian.AppendUint32(dst, h.Digest)
 }
 
 func parseHeartbeat(pl []byte) (heartbeatMAD, error) {
@@ -65,7 +65,9 @@ func parseHeartbeat(pl []byte) (heartbeatMAD, error) {
 
 // stateSyncMAD carries the master's partition state to a standby:
 // membership plus the current key epoch per partition, and a digest of
-// the public-key directory so a standby can detect divergence.
+// the public-key directory so a standby can detect divergence. A parsed
+// one is made of windows into the payload it was parsed from, valid as
+// long as that payload is.
 type stateSyncMAD struct {
 	Master     uint16
 	DirDigest  uint32
@@ -75,49 +77,37 @@ type stateSyncMAD struct {
 	// them, in the order the master's planes first set them. A plane that
 	// is off contributes none, so with every plane off the encoding is
 	// byte-identical to the pre-policy format. The receiver files each
-	// under the magic that opens it, not by position (SetSyncState).
+	// under the magic that opens it, not by position (adoptSyncState).
 	Blobs [][]byte
 }
 
 type syncPartition struct {
-	Base    uint16
-	Epoch   uint32
-	Members []uint16
+	Base  uint16
+	Epoch uint32
+	// Members holds the member node indices as they travel: big-endian
+	// 16-bit values, two bytes each.
+	Members []byte
 }
 
-// encodeStateSync renders: type, master(2), dirDigest(4), count(2), then
-// per partition base(2), epoch(4), nMembers(2), members(2 each), then
-// per blob blobLen(4) and the blob.
-func encodeStateSync(m stateSyncMAD) []byte {
-	n := 9
+// appendStateSync appends m's wire image to dst: type, master(2),
+// dirDigest(4), count(2), then per partition base(2), epoch(4),
+// nMembers(2), members(2 each), then per blob blobLen(4) and the blob.
+func appendStateSync(dst []byte, m *stateSyncMAD) []byte {
+	dst = append(dst, haTypeStateSync)
+	dst = binary.BigEndian.AppendUint16(dst, m.Master)
+	dst = binary.BigEndian.AppendUint32(dst, m.DirDigest)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Partitions)))
 	for _, p := range m.Partitions {
-		n += 8 + 2*len(p.Members)
+		dst = binary.BigEndian.AppendUint16(dst, p.Base)
+		dst = binary.BigEndian.AppendUint32(dst, p.Epoch)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Members)/2))
+		dst = append(dst, p.Members...)
 	}
 	for _, b := range m.Blobs {
-		n += 4 + len(b)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
+		dst = append(dst, b...)
 	}
-	pl := make([]byte, n)
-	pl[0] = haTypeStateSync
-	binary.BigEndian.PutUint16(pl[1:3], m.Master)
-	binary.BigEndian.PutUint32(pl[3:7], m.DirDigest)
-	binary.BigEndian.PutUint16(pl[7:9], uint16(len(m.Partitions)))
-	off := 9
-	for _, p := range m.Partitions {
-		binary.BigEndian.PutUint16(pl[off:], p.Base)
-		binary.BigEndian.PutUint32(pl[off+2:], p.Epoch)
-		binary.BigEndian.PutUint16(pl[off+6:], uint16(len(p.Members)))
-		off += 8
-		for _, mem := range p.Members {
-			binary.BigEndian.PutUint16(pl[off:], mem)
-			off += 2
-		}
-	}
-	for _, b := range m.Blobs {
-		binary.BigEndian.PutUint32(pl[off:], uint32(len(b)))
-		off += 4
-		off += copy(pl[off:], b)
-	}
-	return pl
+	return dst
 }
 
 // syncMagicSize is the length of the magic that opens every plane's
@@ -128,6 +118,10 @@ const syncMagicSize = 4
 type syncEntry struct {
 	magic [syncMagicSize]byte
 	blob  []byte
+	// adopted is the slot's own copy of the trailer a standby last
+	// received (adoptSyncState), reused from sync to sync. blob points at
+	// it until a plane files a blob of its own.
+	adopted []byte
 }
 
 // syncSlot returns the entry filed under magic, nil when there is none.
@@ -150,10 +144,10 @@ func (m *SubnetManager) SyncState(magic string) []byte {
 	return nil
 }
 
-// SetSyncState files blob under its plane's four-byte magic: the owning
-// plane on the master, the coordinator for every trailer a standby
-// receives. Planes keep the position of their first set; an empty blob
-// clears the state (the plane sends no trailer) but keeps the position.
+// SetSyncState files blob under its plane's four-byte magic, on the
+// master by the owning plane. Planes keep the position of their first
+// set; an empty blob clears the state (the plane sends no trailer) but
+// keeps the position.
 // This package never interprets a blob — the plane that reads it back
 // parses it, and checks the magic again. The magic is stored by value,
 // so filing under one already known allocates nothing.
@@ -184,59 +178,68 @@ func (m *SubnetManager) appendSyncState(dst [][]byte) [][]byte {
 	return dst
 }
 
-// parseStateSync validates and decodes a state-sync payload. Every length
-// is checked before the indexed reads so a truncated or hostile MAD
-// cannot drive the decoder out of bounds.
-func parseStateSync(pl []byte) (stateSyncMAD, error) {
+// adoptSyncState files a trailer a standby received under the magic that
+// opens it, copied into the slot's own buffer: the trailer is a window
+// into a packet, and a blob some plane filed with SetSyncState is never
+// written. b holds at least the magic (parseStateSync).
+func (m *SubnetManager) adoptSyncState(b []byte) {
+	e := m.syncSlot(string(b[:syncMagicSize]))
+	if e == nil {
+		m.syncState = append(m.syncState, syncEntry{})
+		e = &m.syncState[len(m.syncState)-1]
+		copy(e.magic[:], b)
+	}
+	e.adopted = append(e.adopted[:0], b...)
+	e.blob = e.adopted
+}
+
+// parseStateSync validates and decodes a state-sync payload into m,
+// reusing m's lists: every member list and trailer is a window into pl.
+// Every length is checked before the indexed reads so a truncated or
+// hostile MAD cannot drive the decoder out of bounds.
+func parseStateSync(pl []byte, m *stateSyncMAD) error {
 	if len(pl) < 9 {
-		return stateSyncMAD{}, errHAShort
+		return errHAShort
 	}
 	if pl[0] != haTypeStateSync {
-		return stateSyncMAD{}, errHAType
+		return errHAType
 	}
-	m := stateSyncMAD{
-		Master:    binary.BigEndian.Uint16(pl[1:3]),
-		DirDigest: binary.BigEndian.Uint32(pl[3:7]),
-	}
+	m.Master = binary.BigEndian.Uint16(pl[1:3])
+	m.DirDigest = binary.BigEndian.Uint32(pl[3:7])
+	m.Partitions, m.Blobs = m.Partitions[:0], m.Blobs[:0]
 	count := int(binary.BigEndian.Uint16(pl[7:9]))
 	off := 9
 	for i := 0; i < count; i++ {
 		if off+8 > len(pl) {
-			return stateSyncMAD{}, errHAShort
-		}
-		p := syncPartition{
-			Base:  binary.BigEndian.Uint16(pl[off:]),
-			Epoch: binary.BigEndian.Uint32(pl[off+2:]),
+			return errHAShort
 		}
 		nm := int(binary.BigEndian.Uint16(pl[off+6:]))
-		off += 8
-		if off+2*nm > len(pl) {
-			return stateSyncMAD{}, errHAShort
+		if off+8+2*nm > len(pl) {
+			return errHAShort
 		}
-		for j := 0; j < nm; j++ {
-			p.Members = append(p.Members, binary.BigEndian.Uint16(pl[off:]))
-			off += 2
-		}
-		m.Partitions = append(m.Partitions, p)
+		m.Partitions = append(m.Partitions, syncPartition{
+			Base:    binary.BigEndian.Uint16(pl[off:]),
+			Epoch:   binary.BigEndian.Uint32(pl[off+2:]),
+			Members: pl[off+8 : off+8+2*nm : off+8+2*nm],
+		})
+		off += 8 + 2*nm
 	}
 	// Optional length-prefixed trailers. The trailer-free pre-policy
 	// encoding parses unchanged; a truncated trailer, or one too short to
 	// hold the magic it is filed under, is rejected like any other short
-	// field. One copy of the trailer region detaches every blob from the
-	// packet buffer.
-	tail := append([]byte(nil), pl[off:]...)
-	for len(tail) > 0 {
+	// field.
+	for tail := pl[off:]; len(tail) > 0; {
 		if len(tail) < 4 {
-			return stateSyncMAD{}, errHAShort
+			return errHAShort
 		}
 		bn := int(binary.BigEndian.Uint32(tail))
 		if bn < syncMagicSize || bn > len(tail)-4 {
-			return stateSyncMAD{}, errHAShort
+			return errHAShort
 		}
 		m.Blobs = append(m.Blobs, tail[4:4+bn:4+bn])
 		tail = tail[4+bn:]
 	}
-	return m, nil
+	return nil
 }
 
 // censusMAD is a reachability probe: a would-be or sitting master pings
@@ -270,7 +273,8 @@ func parseCensus(pl []byte) (censusMAD, error) {
 	}, nil
 }
 
-// fnv1a32 is the digest both sides compute over synced state.
+// fnv1a32 is the digest both sides compute over synced state: FNV-1a
+// over each partition's base, epoch and members, big-endian.
 func fnv1a32(parts []syncPartition) uint32 {
 	h := uint32(2166136261)
 	mix := func(b byte) { h = (h ^ uint32(b)) * 16777619 }
@@ -281,9 +285,8 @@ func fnv1a32(parts []syncPartition) uint32 {
 		mix(byte(p.Epoch >> 16))
 		mix(byte(p.Epoch >> 8))
 		mix(byte(p.Epoch))
-		for _, m := range p.Members {
-			mix(byte(m >> 8))
-			mix(byte(m))
+		for _, b := range p.Members {
+			mix(b)
 		}
 	}
 	return h
@@ -412,8 +415,14 @@ type Coordinator struct {
 	containedAt []sim.Time
 	abdicatedAt []sim.Time
 	hbSeqs      []uint32
-	// trailers is beatFrom's sync-trailer list, reused from beat to beat.
-	trailers [][]byte
+	// Buffers reused from beat to beat and sync to sync: out is the state
+	// sync the master stages (its member lists are windows into members),
+	// hb and ss the two encoded payloads, and in the state sync a standby
+	// parses.
+	out     stateSyncMAD
+	members []byte
+	hb, ss  []byte
+	in      stateSyncMAD
 
 	stopHBs    []func()
 	stopLeases []func()
@@ -455,9 +464,11 @@ type Coordinator struct {
 
 // NewCoordinator builds the HA ensemble. master must be the currently
 // authoritative SM; standbys, in priority order, must share the master's
-// mesh, filter and key authority. With no standbys (the unrecovered-
-// loss baseline of a plan that kills the SM) the heartbeat defaults to
-// 50 µs.
+// mesh, filter and key authority, and are seeded with the master's
+// partition table — as if from a first state sync — so a takeover before
+// the first beat still programs correct tables. With no standbys (the
+// unrecovered-loss baseline of a plan that kills the SM) the heartbeat
+// defaults to 50 µs.
 func NewCoordinator(s *sim.Simulator, mesh *topology.Mesh, cfg HAConfig, mkey keys.MKey, master *SubnetManager, standbys []*SubnetManager) (*Coordinator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -501,6 +512,10 @@ func NewCoordinator(s *sim.Simulator, mesh *topology.Mesh, cfg HAConfig, mkey ke
 	c.stopLeases = make([]func(), len(c.sms))
 	c.isMaster[0] = true
 	c.mergeFrom = -1
+	c.stageSync(0)
+	for _, sb := range standbys {
+		sb.adoptSync(c.out.Partitions)
+	}
 	return c, nil
 }
 
@@ -603,23 +618,9 @@ func (c *Coordinator) beatFrom(idx int) {
 		return
 	}
 	c.hbSeqs[idx]++
-	master := c.sms[idx]
-	sync := stateSyncMAD{Master: uint16(c.nodes[idx])}
-	for _, base := range master.PartitionBases() {
-		p := syncPartition{Base: base}
-		if master.Authority != nil {
-			p.Epoch = master.Authority.Epoch(packet.PKey(0x8000 | base))
-		}
-		for _, mem := range master.Members(packet.PKey(0x8000 | base)) {
-			p.Members = append(p.Members, uint16(mem))
-		}
-		sync.Partitions = append(sync.Partitions, p)
-	}
-	digest := fnv1a32(sync.Partitions)
-	sync.DirDigest = digest
-	sync.Blobs = c.syncTrailers(master)
-	hb := encodeHeartbeat(heartbeatMAD{Master: uint16(c.nodes[idx]), Seq: c.hbSeqs[idx], Digest: digest})
-	ss := encodeStateSync(sync)
+	c.stageSync(idx)
+	c.hb = appendHeartbeat(c.hb[:0], heartbeatMAD{Master: uint16(c.nodes[idx]), Seq: c.hbSeqs[idx], Digest: c.out.DirDigest})
+	c.ss = appendStateSync(c.ss[:0], &c.out)
 	// With SplitBrain on, masters also beat entry 0 — that is how a
 	// healed fabric reveals two masters to each other (an island master's
 	// beat crossing the mended cut reaches the configured master).
@@ -631,18 +632,40 @@ func (c *Coordinator) beatFrom(idx int) {
 		if c.dead[i] || i == idx {
 			continue
 		}
-		c.sendMADFrom(c.nodes[idx], c.nodes[i], hb)
-		c.sendMADFrom(c.nodes[idx], c.nodes[i], ss)
+		c.sendMADFrom(c.nodes[idx], c.nodes[i], c.hb)
+		c.sendMADFrom(c.nodes[idx], c.nodes[i], c.ss)
 		c.Counters.Inc("heartbeats_sent", 1)
 	}
 }
 
-// syncTrailers lists master's non-empty sync states in first-set order,
-// in the coordinator's scratch slice: a plane that is off sends no
-// trailer, and a beat allocates no list.
-func (c *Coordinator) syncTrailers(master *SubnetManager) [][]byte {
-	c.trailers = master.appendSyncState(c.trailers[:0])
-	return c.trailers
+// stageSync fills c.out with master entry idx's state: its partition
+// table in ascending base order, each partition's current epoch, the
+// digest over both, and its non-empty sync states in first-set order (a
+// plane that is off sends no trailer).
+func (c *Coordinator) stageSync(idx int) {
+	master := c.sms[idx]
+	n := 0
+	for _, p := range master.partitions {
+		n += 2 * len(p.members)
+	}
+	// Sized before the first window is cut, so no window moves.
+	c.members = slices.Grow(c.members[:0], n)[:n]
+	c.out.Master = uint16(c.nodes[idx])
+	c.out.Partitions = c.out.Partitions[:0]
+	off := 0
+	for _, p := range master.partitions {
+		sp := syncPartition{Base: p.base, Members: c.members[off : off+2*len(p.members)]}
+		for _, mem := range p.members {
+			binary.BigEndian.PutUint16(c.members[off:], uint16(mem))
+			off += 2
+		}
+		if master.Authority != nil {
+			sp.Epoch = master.Authority.Epoch(packet.PKey(0x8000 | p.base))
+		}
+		c.out.Partitions = append(c.out.Partitions, sp)
+	}
+	c.out.DirDigest = fnv1a32(c.out.Partitions)
+	c.out.Blobs = master.appendSyncState(c.out.Blobs[:0])
 }
 
 // sendMADFrom emits a management-class UD packet from src's HCA to dst,
@@ -692,32 +715,25 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 		}
 		return true
 	case haTypeStateSync:
-		sync, err := parseStateSync(d.Pkt.Payload)
-		if err != nil {
+		sync := &c.in
+		if err := parseStateSync(d.Pkt.Payload, sync); err != nil {
 			return false
 		}
 		if i := c.indexOfNode(node); i > 0 && !c.dead[i] && !c.isMaster[i] {
-			// Nothing authenticates the sender, so the membership is
-			// checked before any of the MAD is believed: a member beyond
-			// the mesh would index past every per-node table the promoted
-			// master later walks. One bad member refuses the whole sync,
-			// lease refresh included.
-			snap := make(map[uint16][]int, len(sync.Partitions))
-			for _, p := range sync.Partitions {
-				members := make([]int, len(p.Members))
-				for j, m := range p.Members {
-					if int(m) >= c.mesh.NumNodes() {
-						c.Counters.Inc("syncs_rejected", 1)
-						return true
-					}
-					members[j] = int(m)
-				}
-				snap[p.Base] = members
+			// Nothing authenticates the sender, so all of the MAD is
+			// checked before any of it is believed: a member beyond the
+			// mesh would index past every per-node table the promoted
+			// master later walks, and bases out of ascending order would
+			// break its partition table's order. One bad field refuses the
+			// whole sync, lease refresh included.
+			if !c.validSync(sync) {
+				c.Counters.Inc("syncs_rejected", 1)
+				return true
 			}
 			c.lastHeard[i] = c.sim.Now()
-			c.sms[i].AdoptPartitions(snap)
+			c.sms[i].adoptSync(sync.Partitions)
 			for _, b := range sync.Blobs {
-				c.sms[i].SetSyncState(string(b[:syncMagicSize]), b)
+				c.sms[i].adoptSyncState(b)
 			}
 			if fnv1a32(sync.Partitions) != sync.DirDigest {
 				c.Counters.Inc("sync_digest_mismatch", 1)
@@ -766,6 +782,22 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 		}
 	}
 	return false
+}
+
+// validSync reports whether every partition of a parsed state sync can be
+// adopted: bases strictly ascending, every member a node of the mesh.
+func (c *Coordinator) validSync(sync *stateSyncMAD) bool {
+	for j, p := range sync.Partitions {
+		if j > 0 && p.Base <= sync.Partitions[j-1].Base {
+			return false
+		}
+		for k := 0; k < len(p.Members); k += 2 {
+			if int(binary.BigEndian.Uint16(p.Members[k:])) >= c.mesh.NumNodes() {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (c *Coordinator) indexOfNode(node int) int {

@@ -374,7 +374,7 @@ func (pm *PerfMgr) sampleLink(i, ctx int) {
 }
 
 // readPort issues one PortCounters Get for a switch port; the response
-// comes back through smpDone under tag.
+// comes back through SMPDone under tag.
 func (pm *PerfMgr) readPort(swIdx, port int, tag uint64) {
 	path := pm.paths[swIdx]
 	if path == nil {
@@ -386,8 +386,8 @@ func (pm *PerfMgr) readPort(swIdx, port int, tag uint64) {
 	pm.disc.request(smpMethodGet, smpAttrPortCounters, path, req[:], pm.disc.MaxRetries, pm, tag)
 }
 
-// smpDone implements smpCompleter for the port reads.
-func (pm *PerfMgr) smpDone(tag uint64, status byte, data, _ []byte) {
+// SMPDone implements SMPCompleter for the port reads.
+func (pm *PerfMgr) SMPDone(tag uint64, status byte, data, _ []byte) {
 	if pm.stopped || status != smpStatusOK || len(data) < portCountersSize {
 		if status != smpStatusOK {
 			pm.Counters.Inc("health_unanswered", 1)
@@ -586,7 +586,7 @@ func (pm *PerfMgr) rearm(swIdx, port int) {
 		return
 	}
 	pm.Counters.Inc("trap_rearm_mads", 1)
-	pm.disc.Query(smpMethodSet, smpAttrPortCounters, path, []byte{byte(port)}, func(byte, []byte) {})
+	pm.disc.Query(smpMethodSet, smpAttrPortCounters, path, []byte{byte(port)}, QueryFunc(func(byte, []byte) {}), 0)
 }
 
 // SwitchPaths computes the directed-route path (egress ports, as SMPs

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
 	"ibasec/internal/icrc"
 	"ibasec/internal/packet"
@@ -19,7 +20,7 @@ type tally struct {
 
 func newTally() *tally { return &tally{calls: map[uint64]int{}, status: map[uint64]byte{}} }
 
-func (c *tally) smpDone(tag uint64, status byte, _, _ []byte) {
+func (c *tally) SMPDone(tag uint64, status byte, _, _ []byte) {
 	c.calls[tag]++
 	c.status[tag] = status
 }
@@ -31,7 +32,7 @@ type lastDone struct {
 	status byte
 }
 
-func (c *lastDone) smpDone(_ uint64, status byte, _, _ []byte) { c.n, c.status = c.n+1, status }
+func (c *lastDone) SMPDone(_ uint64, status byte, _, _ []byte) { c.n, c.status = c.n+1, status }
 
 // line builds a blank 1-high mesh of n switches with every agent attached
 // and a Discoverer on node 0.
@@ -49,29 +50,48 @@ func line(n int) (*sim.Simulator, *topology.Mesh, *Discoverer) {
 // allocation at all — the request and the response MAD reuse the two
 // message blocks AllocsPerRun's warm-up round left on the fabric's free
 // list — whether the target is the SM's own switch or the far switch of a
-// three-switch line, two transit switches away in each direction.
+// three-switch line, two transit switches away in each direction, and
+// whether it reads NodeInfo or has the switch agent digest its
+// enforcement tables into an AuditState answer.
 func TestSMPTransitAllocs(t *testing.T) {
 	if fabric.PoolPoison {
 		t.Skip("the poison build never reuses a message block")
 	}
-	s, _, disc := line(3)
+	s, mesh, disc := line(3)
+	f := enforce.NewFilter(enforce.SIF, fabric.DefaultParams())
+	for _, a := range AttachSwitchAgents(mesh, discMKey) { // re-attached, now with a filter to audit
+		a.Enforce = f
+	}
+	for _, sw := range mesh.Switches {
+		f.AddValid(sw, 0x8001)
+		f.AddValid(sw, 0x8002)
+		f.RegisterInvalid(sw, 0x0003)
+		f.RegisterAltSource(sw, 7)
+	}
 	var done lastDone
-	roundTrip := func(path []byte) float64 {
+	roundTrip := func(attr byte, path []byte) float64 {
 		return testing.AllocsPerRun(50, func() {
-			disc.request(smpMethodGet, smpAttrNodeInfo, path, nil, 0, &done, 7)
+			disc.request(smpMethodGet, attr, path, nil, 0, &done, 7)
 			s.Run()
 			if done.status != smpStatusOK {
-				t.Fatalf("Get along %v completed with status %#x", path, done.status)
+				t.Fatalf("Get %d along %v completed with status %#x", attr, path, done.status)
 			}
 		})
 	}
-	for _, path := range [][]byte{nil, {topology.PortEast, topology.PortEast}} {
-		if got := roundTrip(path); got != 0 {
-			t.Errorf("a round trip along %v allocated %.0f times, want 0", path, got)
+	far := []byte{topology.PortEast, topology.PortEast}
+	for _, tc := range []struct {
+		attr byte
+		path []byte
+	}{{smpAttrNodeInfo, nil}, {smpAttrNodeInfo, far}, {smpAttrAuditState, far}} {
+		if got := roundTrip(tc.attr, tc.path); got != 0 {
+			t.Errorf("a Get %d along %v allocated %.0f times, want 0", tc.attr, tc.path, got)
 		}
 	}
-	if done.n != 2*51 {
-		t.Errorf("%d completions for %d requests", done.n, 2*51)
+	if done.n != 3*51 {
+		t.Errorf("%d completions for %d requests", done.n, 3*51)
+	}
+	if n := mesh.Switches[2].Counters.Get("smp_audit_state"); n != 51 {
+		t.Errorf("the far switch answered %d AuditState Gets, want 51", n)
 	}
 }
 

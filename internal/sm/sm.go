@@ -12,9 +12,11 @@
 package sm
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
@@ -102,7 +104,9 @@ type SubnetManager struct {
 	// re-deriving tables from membership.
 	ProgramTables func()
 
-	partitions map[uint16][]int
+	// partitions holds every partition's membership, ascending by base:
+	// the order rotation, table programming and HA state sync walk.
+	partitions []partition
 	// island, when non-nil, scopes every fabric-touching duty to the
 	// listed nodes — a partitioned master's reachable side. Programming,
 	// trap attachment and key distribution skip non-members entirely:
@@ -118,6 +122,13 @@ type SubnetManager struct {
 	// switch registration taking effect — the quantity degraded by the
 	// section-7 management-DoS attack (flooding the SM with MADs).
 	RegLatency metrics.Welford
+}
+
+// partition is one partition's membership: its base P_Key and its
+// member nodes.
+type partition struct {
+	base    uint16
+	members []int
 }
 
 type trapKey struct {
@@ -139,13 +150,12 @@ func New(s *sim.Simulator, mesh *topology.Mesh, filter *enforce.Filter, cfg Conf
 // instances never run N duplicate timers.
 func NewStandby(s *sim.Simulator, mesh *topology.Mesh, filter *enforce.Filter, cfg Config) *SubnetManager {
 	return &SubnetManager{
-		cfg:        cfg,
-		sim:        s,
-		mesh:       mesh,
-		filter:     filter,
-		partitions: make(map[uint16][]int),
-		trapSeen:   make(map[trapKey]sim.Time),
-		Counters:   metrics.NewCounters(),
+		cfg:      cfg,
+		sim:      s,
+		mesh:     mesh,
+		filter:   filter,
+		trapSeen: make(map[trapKey]sim.Time),
+		Counters: metrics.NewCounters(),
 	}
 }
 
@@ -194,7 +204,11 @@ func (m *SubnetManager) CreatePartition(mkey keys.MKey, pk packet.PKey, members 
 			return fmt.Errorf("sm: member %d out of range", n)
 		}
 	}
-	m.partitions[pk.Base()] = append([]int(nil), members...)
+	i, ok := m.find(pk.Base())
+	if !ok {
+		m.partitions = slices.Insert(m.partitions, i, partition{base: pk.Base()})
+	}
+	m.partitions[i].members = append([]int(nil), members...)
 	var secret keys.SecretKey
 	haveSecret := false
 	if m.Authority != nil {
@@ -216,9 +230,23 @@ func (m *SubnetManager) CreatePartition(mkey keys.MKey, pk packet.PKey, members 
 	return nil
 }
 
-// Members returns the nodes in pk's partition.
+// find binary-searches the partition table for base: its index, or
+// where it would be inserted.
+func (m *SubnetManager) find(base uint16) (int, bool) {
+	return slices.BinarySearchFunc(m.partitions, base, func(p partition, b uint16) int { return cmp.Compare(p.base, b) })
+}
+
+// members returns the nodes in pk's partition (the table's own slice).
+func (m *SubnetManager) members(pk packet.PKey) []int {
+	if i, ok := m.find(pk.Base()); ok {
+		return m.partitions[i].members
+	}
+	return nil
+}
+
+// Members returns a copy of the nodes in pk's partition.
 func (m *SubnetManager) Members(pk packet.PKey) []int {
-	return append([]int(nil), m.partitions[pk.Base()]...)
+	return append([]int(nil), m.members(pk)...)
 }
 
 // RemoveFromPartition evicts a node: its HCA loses the P_Key and, when
@@ -230,18 +258,16 @@ func (m *SubnetManager) RemoveFromPartition(mkey keys.MKey, pk packet.PKey, node
 	if err := m.CheckMKey(mkey); err != nil {
 		return err
 	}
-	members := m.partitions[pk.Base()]
+	i, ok := m.find(pk.Base())
 	idx := -1
-	for i, n := range members {
-		if n == node {
-			idx = i
-			break
-		}
+	if ok {
+		idx = slices.Index(m.partitions[i].members, node)
 	}
 	if idx < 0 {
 		return fmt.Errorf("sm: node %d not in partition %#x", node, pk.Base())
 	}
-	m.partitions[pk.Base()] = append(members[:idx], members[idx+1:]...)
+	p := &m.partitions[i]
+	p.members = slices.Delete(p.members, idx, idx+1)
 	m.mesh.HCA(node).PKeyTable.Remove(pk)
 	m.Counters.Inc("members_removed", 1)
 
@@ -260,7 +286,7 @@ func (m *SubnetManager) RemoveFromPartition(mkey keys.MKey, pk packet.PKey, node
 			return err
 		}
 		if m.InstallSecret != nil {
-			for _, n := range m.partitions[pk.Base()] {
+			for _, n := range m.members(pk) {
 				m.InstallSecret(n, pk, fresh, epoch)
 			}
 		}
@@ -270,35 +296,28 @@ func (m *SubnetManager) RemoveFromPartition(mkey keys.MKey, pk packet.PKey, node
 }
 
 // PartitionBases returns the base P_Key values of all partitions in
-// ascending order — the deterministic iteration order rotation and HA
-// state sync both need.
+// ascending order — the deterministic iteration order rotation needs.
 func (m *SubnetManager) PartitionBases() []uint16 {
-	bases := make([]uint16, 0, len(m.partitions))
-	for b := range m.partitions {
-		bases = append(bases, b)
+	bases := make([]uint16, len(m.partitions))
+	for i, p := range m.partitions {
+		bases[i] = p.base
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 	return bases
 }
 
-// PartitionSnapshot returns a deep copy of the partition membership map,
-// used as HA state-sync payload.
-func (m *SubnetManager) PartitionSnapshot() map[uint16][]int {
-	out := make(map[uint16][]int, len(m.partitions))
-	for b, members := range m.partitions {
-		out[b] = append([]int(nil), members...)
-	}
-	return out
-}
-
-// AdoptPartitions replaces the SM's partition membership map with a
-// synced snapshot — the standby side of HA state sync. It does not touch
-// HCA tables or secrets: the master already programmed those, the standby
-// only needs the bookkeeping to act on after election.
-func (m *SubnetManager) AdoptPartitions(snap map[uint16][]int) {
-	m.partitions = make(map[uint16][]int, len(snap))
-	for b, members := range snap {
-		m.partitions[b] = append([]int(nil), members...)
+// adoptSync replaces the SM's partition membership with a validated
+// state sync's, in place — the standby side of HA state sync, reusing
+// the member slices the table already has. It does not touch HCA tables
+// or secrets: the master already programmed those, the standby only
+// needs the bookkeeping to act on after election.
+func (m *SubnetManager) adoptSync(parts []syncPartition) {
+	m.partitions = slices.Grow(m.partitions[:0], len(parts))[:len(parts)]
+	for i, sp := range parts {
+		p := &m.partitions[i]
+		p.base, p.members = sp.Base, p.members[:0]
+		for k := 0; k < len(sp.Members); k += 2 {
+			p.members = append(p.members, int(binary.BigEndian.Uint16(sp.Members[k:])))
+		}
 	}
 }
 
@@ -329,7 +348,7 @@ func (m *SubnetManager) IslandMembers(pk packet.PKey) []int {
 		return m.Members(pk)
 	}
 	var out []int
-	for _, n := range m.partitions[pk.Base()] {
+	for _, n := range m.members(pk) {
 		if m.island[n] {
 			out = append(out, n)
 		}
@@ -353,9 +372,9 @@ func (m *SubnetManager) ProgramSwitchTables() {
 	case enforce.DPT:
 		global := keys.NewPartitionTable(0)
 		memberships := 0 // Table 2's n×p: one entry per (node, partition)
-		for base, members := range m.partitions {
-			memberships += len(members)
-			if err := global.Add(packet.PKey(0x8000 | base)); err != nil {
+		for _, p := range m.partitions {
+			memberships += len(p.members)
+			if err := global.Add(packet.PKey(0x8000 | p.base)); err != nil {
 				panic(err)
 			}
 		}
@@ -371,13 +390,10 @@ func (m *SubnetManager) ProgramSwitchTables() {
 				continue
 			}
 			tbl := keys.NewPartitionTable(0)
-			for base, members := range m.partitions {
-				for _, n := range members {
-					if n == i {
-						if err := tbl.Add(packet.PKey(0x8000 | base)); err != nil {
-							panic(err)
-						}
-						break
+			for _, p := range m.partitions {
+				if slices.Contains(p.members, i) {
+					if err := tbl.Add(packet.PKey(0x8000 | p.base)); err != nil {
+						panic(err)
 					}
 				}
 			}
@@ -480,7 +496,7 @@ func (m *SubnetManager) DistributeEnvelopes(pk packet.PKey, dir *keys.Directory,
 		return nil, fmt.Errorf("sm: no partition authority configured")
 	}
 	out := make(map[int]keys.Envelope)
-	for _, n := range m.partitions[pk.Base()] {
+	for _, n := range m.members(pk) {
 		env, _, err := m.Authority.EnvelopeForEpoch(pk, names(n))
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
 	"ibasec/internal/keys"
 	"ibasec/internal/packet"
@@ -13,12 +14,14 @@ import (
 
 // FuzzMADParse feeds arbitrary bytes to every parser a VL15 datagram can
 // reach: the SMP and trap parsers, the HA heartbeat, state-sync and
-// census parsers, and the congestion and quarantine blobs a state sync
-// carries as trailers. parseSMP's acceptance invariants are exactly the
-// bounds the SMP agents rely on when they index the hop-path arrays, so
-// any accepted frame that violates them is a crash an attacker could
-// trigger with one crafted MAD. Every other parser must not panic, and
-// what it accepts must re-encode to the bytes it read.
+// census parsers, the congestion and quarantine blobs a state sync
+// carries as trailers, and — on the 16-byte data area an SMP response
+// carries — the AuditState, AuditEntries and PortCounters attribute
+// decoders. parseSMP's acceptance invariants are exactly the bounds the
+// SMP agents rely on when they index the hop-path arrays, so any accepted
+// frame that violates them is a crash an attacker could trigger with one
+// crafted MAD. Every other parser must not panic, and what it accepts
+// must re-encode to the bytes it read.
 func FuzzMADParse(f *testing.F) {
 	req := newSMP(smpMethodGet, smpAttrNodeInfo, 7, keys.MKey(0x5EC0DE), []byte{1, 2, 3})
 	f.Add(req[:])
@@ -33,7 +36,7 @@ func FuzzMADParse(f *testing.F) {
 	f.Add(short[:smpHeaderSize]) // truncated data area
 	f.Add(encodeTrap(trapMAD{Offender: 5, PKey: 0x8003}))
 	f.Add([]byte{madTypeDRSMP})
-	f.Add(encodeHeartbeat(heartbeatMAD{Master: 3, Seq: 41, Digest: 0xDEADBEEF}))
+	f.Add(appendHeartbeat(nil, heartbeatMAD{Master: 3, Seq: 41, Digest: 0xDEADBEEF}))
 	f.Add(encodeCensus(haTypeCensusPing, censusMAD{Node: 7, ID: 12}))
 	f.Add(encodeCensus(haTypeCensusPong, censusMAD{Node: 9, ID: 12}))
 	cc := EncodeCCBlob(testCCParams())
@@ -45,11 +48,11 @@ func FuzzMADParse(f *testing.F) {
 	sync := stateSyncMAD{
 		Master:     3,
 		DirDigest:  0xDEADBEEF,
-		Partitions: []syncPartition{{Base: 0x8001, Epoch: 7, Members: []uint16{1, 4, 9}}},
+		Partitions: []syncPartition{{Base: 0x8001, Epoch: 7, Members: []byte{0, 1, 0, 4, 0, 9}}},
 	}
-	bare := encodeStateSync(sync)
+	bare := appendStateSync(nil, &sync)
 	sync.Blobs = [][]byte{[]byte("IBPLfake-policy-document"), cc, health}
-	whole := encodeStateSync(sync)
+	whole := appendStateSync(nil, &sync)
 	f.Add(bare)
 	f.Add(whole)
 	// The malformed trailers TestStateSyncCarriesCCBlob lists.
@@ -57,6 +60,11 @@ func FuzzMADParse(f *testing.F) {
 	f.Add(whole[:len(whole)-1])                              // length past the payload
 	f.Add(append(whole[:len(whole):len(whole)], 0, 0, 0, 0)) // zero-length trailer
 	f.Add(bare[:12])                                         // truncated partition record
+	var audit [smpDataSize]byte
+	encodeAuditState(audit[:], AuditState{ValidDigest: 0xDEADBEEF, InvalidDigest: 7, AltDigest: 9, Active: true, Mode: enforce.SIF})
+	f.Add(audit[:])
+	chunk := [smpDataSize]byte{0, 40, 200, 0x80, 0x01} // 40 entries, a count past the chunk
+	f.Add(chunk[:])
 
 	f.Fuzz(func(t *testing.T, pl []byte) {
 		if fr, err := parseSMP(pl); err == nil {
@@ -84,7 +92,7 @@ func FuzzMADParse(f *testing.F) {
 			}
 		}
 		if hb, err := parseHeartbeat(pl); err == nil {
-			if !bytes.Equal(encodeHeartbeat(hb), pl[:heartbeatPayloadSize]) {
+			if !bytes.Equal(appendHeartbeat(nil, hb), pl[:heartbeatPayloadSize]) {
 				t.Fatal("heartbeat does not round-trip")
 			}
 		}
@@ -94,8 +102,9 @@ func FuzzMADParse(f *testing.F) {
 			}
 		}
 		// A state sync is read to its last byte: trailers run to the end.
-		if ss, err := parseStateSync(pl); err == nil {
-			if !bytes.Equal(encodeStateSync(ss), pl) {
+		var ss stateSyncMAD
+		if err := parseStateSync(pl, &ss); err == nil {
+			if !bytes.Equal(appendStateSync(nil, &ss), pl) {
 				t.Fatal("state sync does not round-trip")
 			}
 		}
@@ -103,6 +112,23 @@ func FuzzMADParse(f *testing.F) {
 			if !bytes.Equal(EncodeCCBlob(cc), pl) {
 				t.Fatal("congestion blob does not round-trip")
 			}
+		}
+		// A response's attribute data area is always smpDataSize bytes.
+		var data [smpDataSize]byte
+		copy(data[:], pl)
+		want := data
+		want[12] = min(want[12], 1) // any non-zero active byte reads as true
+		var re [smpDataSize]byte
+		encodeAuditState(re[:], ParseAuditState(data[:]))
+		if !bytes.Equal(re[:14], want[:14]) {
+			t.Fatalf("AuditState re-encodes to %x from %x", re[:14], data[:14])
+		}
+		if ch := ParseAuditChunk(data[:]); len(ch.Entries) > AuditEntriesPerChunk {
+			t.Fatalf("chunk of %d entries, at most %d fit", len(ch.Entries), AuditEntriesPerChunk)
+		}
+		encodePortCounters(re[:], ParsePortCounters(data[:]))
+		if !bytes.Equal(re[:portCountersSize], data[:portCountersSize]) {
+			t.Fatal("PortCounters does not round-trip")
 		}
 		// The quarantine encoder sorts by (switch, port) and the parser
 		// takes entries in any order, so only a strictly ascending blob
