@@ -65,14 +65,7 @@ func main() {
 	mesh.HCA(0).PKeyTable.Add(pk)
 	mesh.HCA(15).PKeyTable.Add(pk)
 	delivered := false
-	prev := mesh.HCA(15).OnDeliver
-	mesh.HCA(15).OnDeliver = func(d *fabric.Delivery) {
-		if d.Class == fabric.ClassManagement {
-			prev(d)
-			return
-		}
-		delivered = true
-	}
+	mesh.HCA(15).OnDeliver = func(*fabric.Delivery) { delivered = true }
 	p := &packet.Packet{
 		LRH:     packet.LRH{SLID: mesh.HCA(0).LID(), DLID: mesh.HCA(15).LID()},
 		BTH:     packet.BTH{OpCode: packet.UDSendOnly, PKey: pk, DestQP: 1},

@@ -2,16 +2,12 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"ibasec/internal/enforce"
-	"ibasec/internal/fabric"
 	"ibasec/internal/faults"
 	"ibasec/internal/mac"
 	"ibasec/internal/metrics"
-	"ibasec/internal/packet"
 	"ibasec/internal/runner"
 	"ibasec/internal/sim"
 	"ibasec/internal/sm"
@@ -120,43 +116,6 @@ func APMSweep(ctx context.Context, pool *runner.Pool, bers []float64, kills []in
 // maxAPMFlows bounds the probe pairs per run.
 const maxAPMFlows = 4
 
-// apmPair is one probe pair with its Manhattan distance.
-type apmPair struct{ a, b, dist int }
-
-// apmPairs picks the probe pairs: the longest same-partition paths whose
-// coordinates differ in both dimensions, so the Y-then-X alternate route
-// is link-disjoint from the X-then-Y primary and killing the primary's
-// first hop cannot touch it.
-func apmPairs(cl *Cluster) []apmPair {
-	w := cl.Cfg.MeshW
-	var pairs []apmPair
-	for key := range cl.PairPKey {
-		a, b := key[0], key[1]
-		if a >= b {
-			continue
-		}
-		ax, ay := a%w, a/w
-		bx, by := b%w, b/w
-		if ax == bx || ay == by {
-			continue // primary and alternate would share links
-		}
-		pairs = append(pairs, apmPair{a, b, abs(ax-bx) + abs(ay-by)})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].dist != pairs[j].dist {
-			return pairs[i].dist > pairs[j].dist
-		}
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
-	})
-	if len(pairs) > maxAPMFlows {
-		pairs = pairs[:maxAPMFlows]
-	}
-	return pairs
-}
-
 // runAPMPoint runs one (arm, BER, kills) cell of the sweep.
 func runAPMPoint(base Config, arm APMArm, ber float64, kills int) (APMRow, error) {
 	cfg := base
@@ -179,7 +138,7 @@ func runAPMPoint(base Config, arm APMArm, ber float64, kills int) (APMRow, error
 	if err != nil {
 		return APMRow{}, err
 	}
-	pairs := apmPairs(scout)
+	pairs := rcPairs(scout, maxAPMFlows, true)
 
 	// One synchronized kill shortly after warmup, restored at 5/8 of the
 	// run: every arm faces the same outage and the drain window still
@@ -219,9 +178,34 @@ func runAPMPoint(base Config, arm APMArm, ber float64, kills int) (APMRow, error
 	}
 	cl.Filter.EnableAltPathEnforcement(topology.AltLIDBase)
 
-	probes, lat, eps, err := armAPMProbes(cl, pairs, arm)
+	tcfg := transport.Config{
+		Registry: mac.DefaultRegistry(),
+		KeyLevel: transport.PartitionLevel,
+		// A tight retry period with a generous budget: recovery cadence
+		// is the experiment's subject, and the budget must outlast the
+		// outage so the timeout-only arm measures latency, not breakage.
+		RetryTimeout: 20 * sim.Microsecond,
+		MaxRetries:   30,
+		EnableNAK:    arm.enableNAK(),
+		RetryBackoff: arm.enableNAK(),
+	}
+	var altPath func(rcPair, *transport.QP) error
+	if arm.enableAPM() {
+		altPath = func(pr rcPair, qp *transport.QP) error {
+			rec, err := cl.SM.QueryPathRecord(mkey, pr.a, pr.b, arm == ArmAPMRegistered)
+			if err != nil {
+				return err
+			}
+			qp.SetAlternatePath(rec.AltDLID, 2)
+			return nil
+		}
+	}
+	probes, lat, eps, err := armRCProbes(cl, pairs, tcfg, altPath)
 	if err != nil {
 		return APMRow{}, err
+	}
+	for _, ep := range eps {
+		ep.Storm = metrics.NewStorm(100) // 100 µs windows
 	}
 	if arm.enableAPM() {
 		// Rearm migrated connections whenever a re-sweep reconfigures
@@ -264,88 +248,4 @@ func runAPMPoint(base Config, arm APMArm, ber float64, kills int) (APMRow, error
 		row.RCLatencyMaxUS = lat.Max()
 	}
 	return row, nil
-}
-
-// armAPMProbes wires the probe flows with the arm's transport knobs and
-// (for APM arms) SM-provided alternate paths. It returns the probes, the
-// shared latency recorder, and the distinct endpoints created.
-func armAPMProbes(cl *Cluster, pairs []apmPair, arm APMArm) ([]*rcProbe, *metrics.Recorder, []*transport.Endpoint, error) {
-	lat := metrics.NewRecorder(0, 100_000, 400)
-	tcfg := transport.Config{
-		Registry: mac.DefaultRegistry(),
-		KeyLevel: transport.PartitionLevel,
-		// A tight retry period with a generous budget: recovery cadence
-		// is the experiment's subject, and the budget must outlast the
-		// outage so the timeout-only arm measures latency, not breakage.
-		RetryTimeout: 20 * sim.Microsecond,
-		MaxRetries:   30,
-		EnableNAK:    arm.enableNAK(),
-		RetryBackoff: arm.enableNAK(),
-	}
-	var eps []*transport.Endpoint
-	endpoint := func(node int) *transport.Endpoint {
-		if ep := cl.Endpoints[node]; ep != nil {
-			return ep
-		}
-		ep := transport.NewEndpoint(cl.Mesh.HCA(node), tcfg)
-		ep.Storm = metrics.NewStorm(100) // 100 µs windows
-		cl.Endpoints[node] = ep
-		eps = append(eps, ep)
-		return ep
-	}
-
-	mkey := cl.Cfg.SM.MKey
-	var probes []*rcProbe
-	for _, pr := range pairs {
-		pk := cl.PairPKey[[2]int{pr.a, pr.b}]
-		epA, epB := endpoint(pr.a), endpoint(pr.b)
-		qpA := epA.CreateRCQP(pk)
-		qpB := epB.CreateRCQP(pk)
-		if arm.enableAPM() {
-			register := arm == ArmAPMRegistered
-			rec, err := cl.SM.QueryPathRecord(mkey, pr.a, pr.b, register)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			qpA.SetAlternatePath(rec.AltDLID, 2)
-		}
-		probe := &rcProbe{src: pr.a, dst: pr.b, qp: qpA, ep: epA, latency: lat}
-		qpB.OnRecv = func(payload []byte, _ packet.LID, _ packet.QPN) {
-			if len(payload) < 8 {
-				return
-			}
-			stamp := sim.Time(binary.BigEndian.Uint64(payload))
-			probe.delivered++
-			probe.latency.Add((cl.Sim.Now() - stamp).Microseconds())
-		}
-		if err := epA.ConnectRC(qpA, topology.LIDOf(pr.b), qpB.N, func(err error) {
-			probe.connected = err == nil
-		}); err != nil {
-			return nil, nil, nil, fmt.Errorf("core: apm probe connect %d->%d: %w", pr.a, pr.b, err)
-		}
-		probes = append(probes, probe)
-	}
-	if len(probes) == 0 {
-		return nil, lat, eps, nil
-	}
-
-	interval := 20 * sim.Microsecond
-	cutoff := cl.Cfg.Duration * 3 / 4
-	for i, probe := range probes {
-		probe := probe
-		cl.Sim.ScheduleAt(sim.Time(i)*interval/sim.Time(len(probes)), func() {
-			cl.Sim.Every(interval, func() {
-				if !probe.connected || probe.qp.Broken() || cl.Sim.Now() > cutoff {
-					return
-				}
-				payload := make([]byte, 64)
-				binary.BigEndian.PutUint64(payload, uint64(cl.Sim.Now()))
-				if err := probe.ep.SendRC(probe.qp, payload, fabric.ClassBestEffort); err != nil {
-					panic(fmt.Sprintf("core: apm probe send: %v", err))
-				}
-				probe.sent++
-			})
-		})
-	}
-	return probes, lat, eps, nil
 }

@@ -61,7 +61,7 @@ func TestAPMPairsDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := apmPairs(cl)
+	pairs := rcPairs(cl, maxAPMFlows, true)
 	if len(pairs) == 0 {
 		t.Fatal("no probe pairs selected")
 	}

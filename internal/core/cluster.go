@@ -484,23 +484,18 @@ func policyDocument(cfg *Config, groups [][]int) *policy.Document {
 	return doc
 }
 
-// collector wraps a node's delivery path with measurement.
+// attachCollectors wraps each node's delivery path with measurement.
+// Management traffic stays out of the statistics: what reaches here is
+// what the node's management receive path did not take.
 func (cl *Cluster) attachCollectors() {
-	for i := range cl.Mesh.HCAs {
-		i := i
-		hca := cl.Mesh.HCA(i)
-		var inner func(d *fabric.Delivery)
-		if ep := cl.Endpoints[i]; ep != nil {
-			inner = ep.Deliver
-		}
+	for i, hca := range cl.Mesh.HCAs {
+		ep := cl.Endpoints[i]
 		hca.OnDeliver = func(d *fabric.Delivery) {
-			if d.Class == fabric.ClassManagement {
-				if cl.dispatchMgmt(i, d) {
-					return
-				}
-			} else if d.Attack {
+			switch {
+			case d.Class == fabric.ClassManagement:
+			case d.Attack:
 				cl.res.AttackDelivered++
-			} else if d.Pkt.BTH.OpCode.Service() == packet.ServiceUD {
+			case d.Pkt.BTH.OpCode.Service() == packet.ServiceUD:
 				// Only datagram traffic counts toward the legit delivery
 				// statistics: RC probe flows (fault experiments) measure
 				// their own delivery and latency, and their ACK stream
@@ -519,22 +514,11 @@ func (cl *Cluster) attachCollectors() {
 					cl.res.DeliveredLegit++
 				}
 			}
-			if inner != nil {
-				inner(d)
+			if ep != nil {
+				ep.Deliver(d)
 			}
 		}
 	}
-}
-
-// dispatchMgmt routes a management-class delivery arriving at node. With
-// an HA coordinator the coordinator owns the routing (HA MADs, traps to
-// the active master, loss at a dead master); otherwise the single SM
-// handles it exactly as before.
-func (cl *Cluster) dispatchMgmt(node int, d *fabric.Delivery) bool {
-	if cl.HA != nil {
-		return cl.HA.Dispatch(node, d)
-	}
-	return cl.SM.HandleManagement(d)
 }
 
 // newDiscoverer returns a fresh SMP prober sourced at node. Every plane
@@ -557,12 +541,18 @@ func (cl *Cluster) newDiscoverer(node int) *sm.Discoverer {
 // armResilience wires the self-healing management plane and installs the
 // fault plan: one line per plane, in the order the goldens pin (each
 // start schedules its first timer, so reordering two lines moves events
-// that share a tick). It must run after attachCollectors, which replaces
-// every HCA's OnDeliver wholesale: the SM agents wrap the collector
-// chain, so SMPs are consumed in-band and everything else falls through
-// to measurement and transport.
+// that share a tick). Every agent registers with its HCA's management
+// receive path, which does not depend on when attachCollectors ran.
 func (cl *Cluster) armResilience() {
 	cfg := cl.Cfg
+	// LID-routed MADs: with an HA coordinator it owns the routing (HA
+	// MADs, traps to the active master, loss at a dead master); otherwise
+	// the single SM takes its traps.
+	var lidRouted sm.LIDHandler = cl.SM
+	if cl.HA != nil {
+		lidRouted = cl.HA
+	}
+	sm.SetLIDHandler(cl.Mesh.HCAs, lidRouted)
 	auditing := cfg.Policy.AuditPeriod > 0
 	if cfg.ResweepPeriod > 0 || cl.HA != nil || auditing || cfg.Health.Enabled() {
 		// The periodic re-sweep, a promoted standby's re-verification
@@ -651,9 +641,15 @@ func (cl *Cluster) stopMasterDuties() {
 
 // Simulate runs the configured workload and returns results.
 func (cl *Cluster) Simulate() *Results {
-	cfg := cl.Cfg
 	cl.attachCollectors()
 	cl.armResilience()
+	return cl.run()
+}
+
+// run drives the workload over the wired cluster and collects the
+// results.
+func (cl *Cluster) run() *Results {
+	cfg := cl.Cfg
 
 	var gens []*workload.Generator
 	var attackers []*workload.Attacker
@@ -769,28 +765,13 @@ func (cl *Cluster) Simulate() *Results {
 		}
 	}
 
-	// Congestion accounting. Per-VL HOQ drops and the credit-stall
-	// gauge are surfaced through each device's counter namespace (the
-	// sorted CSVRow contract) so in-band tooling sees them alongside the
-	// forwarding counters; the fabric-wide sums land in the results.
-	surface := func(c *metrics.Counters, hoqVL func(uint8) uint64, stall sim.Time) {
-		for vl := uint8(0); vl < fabric.NumVLs; vl++ {
-			if n := hoqVL(vl); n > 0 {
-				c.Inc(fmt.Sprintf("hoq_dropped_vl%d", vl), n)
-			}
-		}
-		if stall > 0 {
-			ns := uint64(stall / sim.Nanosecond)
-			c.Set("credit_stall_ns", ns)
-			cl.res.CreditStallNs += ns
-		}
-	}
+	// Congestion accounting: fabric-wide sums.
 	for _, sw := range cl.Mesh.Switches {
-		surface(sw.Counters, sw.HOQDroppedVL, sw.CreditStallTime())
+		cl.res.CreditStallNs += uint64(sw.CreditStallTime() / sim.Nanosecond)
 		cl.res.FECNMarked += sw.FECNMarkedTotal()
 	}
 	for node, hca := range cl.Mesh.HCAs {
-		surface(hca.Counters, hca.HOQDroppedVL, hca.CreditStallTime())
+		cl.res.CreditStallNs += uint64(hca.CreditStallTime() / sim.Nanosecond)
 		cl.res.CNPsSent += hca.Counters.Get("cnp_sent")
 		cl.res.BECNsNotified += hca.Counters.Get("becn_notified")
 		cl.res.CCTThrottled += hca.Counters.Get("cct_throttled")

@@ -92,7 +92,9 @@ func hashTraceEvent(h hash.Hash64, ev trace.Event) {
 	h.Write([]byte(ev.Node))
 }
 
-func eventOrderOf(t *testing.T, cfg Config) eventOrderPin {
+// eventOrderOf builds cfg and runs it through simulate — normally
+// (*Cluster).Simulate.
+func eventOrderOf(t *testing.T, cfg Config, simulate func(*Cluster) *Results) eventOrderPin {
 	t.Helper()
 	cl, err := Build(cfg)
 	if err != nil {
@@ -107,7 +109,7 @@ func eventOrderOf(t *testing.T, cfg Config) eventOrderPin {
 		n++
 		return false
 	}
-	cl.Simulate()
+	simulate(cl)
 	return eventOrderPin{Fired: cl.Sim.Fired(), TraceEvents: n, TraceFNV64a: fmt.Sprintf("%016x", h.Sum64())}
 }
 
@@ -119,9 +121,9 @@ func eventOrderOf(t *testing.T, cfg Config) eventOrderPin {
 // single event's position changes the hash.
 func TestEventOrderPinned(t *testing.T) {
 	got := map[string]eventOrderPin{
-		"determinism":         eventOrderOf(t, determinismCfg()),
-		"all_planes":          eventOrderOf(t, allPlanesCfg()),
-		"all_planes_failover": eventOrderOf(t, allPlanesFailoverCfg()),
+		"determinism":         eventOrderOf(t, determinismCfg(), (*Cluster).Simulate),
+		"all_planes":          eventOrderOf(t, allPlanesCfg(), (*Cluster).Simulate),
+		"all_planes_failover": eventOrderOf(t, allPlanesFailoverCfg(), (*Cluster).Simulate),
 	}
 	if *updateEventOrder {
 		b, err := json.MarshalIndent(got, "", "  ")

@@ -122,7 +122,13 @@ func runFaultPoint(base Config, mode enforce.Mode, ber float64, kills int) (Faul
 	if err != nil {
 		return FaultRow{}, err
 	}
-	probes, lat := armRCProbes(cl)
+	probes, lat, _, err := armRCProbes(cl, rcPairs(cl, maxProbeFlows, false), transport.Config{
+		Registry: mac.DefaultRegistry(),
+		KeyLevel: transport.PartitionLevel,
+	}, nil)
+	if err != nil {
+		return FaultRow{}, err
+	}
 	res := cl.Simulate()
 
 	row := FaultRow{
@@ -197,25 +203,28 @@ func meanDetectionUS(p *faults.Plan, events []sm.HealEvent) float64 {
 // maxProbeFlows bounds the number of RC probe pairs per run.
 const maxProbeFlows = 6
 
-// armRCProbes creates reliable probe flows on the longest same-partition
-// paths of the cluster: RC QP pairs that connect at start-up and then
-// send a timestamped message every probe interval until three quarters
-// of the run, leaving the tail for retransmissions to drain. Their
-// endpoints are installed in cl.Endpoints before Simulate so the
-// collector chain wires them as the delivery sink. The returned recorder
-// aggregates end-to-end latency over all flows.
-func armRCProbes(cl *Cluster) ([]*rcProbe, *metrics.Recorder) {
-	lat := metrics.NewRecorder(0, 100_000, 400)
-	type pair struct{ a, b, dist int }
-	var pairs []pair
+// rcPair is one probe pair with its Manhattan distance.
+type rcPair struct{ a, b, dist int }
+
+// rcPairs picks up to max probe pairs: the longest same-partition paths,
+// ties broken by node. With bothDims only pairs whose coordinates differ
+// in both dimensions qualify, so the Y-then-X alternate route is
+// link-disjoint from the X-then-Y primary and killing the primary's
+// first hop cannot touch it.
+func rcPairs(cl *Cluster, max int, bothDims bool) []rcPair {
+	w := cl.Cfg.MeshW
+	var pairs []rcPair
 	for key := range cl.PairPKey {
 		a, b := key[0], key[1]
 		if a >= b {
 			continue
 		}
-		ax, ay := a%cl.Cfg.MeshW, a/cl.Cfg.MeshW
-		bx, by := b%cl.Cfg.MeshW, b/cl.Cfg.MeshW
-		pairs = append(pairs, pair{a, b, abs(ax-bx) + abs(ay-by)})
+		ax, ay := a%w, a/w
+		bx, by := b%w, b/w
+		if bothDims && (ax == bx || ay == by) {
+			continue // primary and alternate would share links
+		}
+		pairs = append(pairs, rcPair{a, b, abs(ax-bx) + abs(ay-by)})
 	}
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].dist != pairs[j].dist {
@@ -226,19 +235,31 @@ func armRCProbes(cl *Cluster) ([]*rcProbe, *metrics.Recorder) {
 		}
 		return pairs[i].b < pairs[j].b
 	})
-	if len(pairs) > maxProbeFlows {
-		pairs = pairs[:maxProbeFlows]
+	if len(pairs) > max {
+		pairs = pairs[:max]
 	}
+	return pairs
+}
 
+// armRCProbes creates one reliable probe flow per pair: an RC QP pair
+// under tcfg that connects at start-up and then sends a timestamped
+// message every probe interval until three quarters of the run, leaving
+// the tail for retransmissions to drain. altPath, when non-nil, runs on
+// each pair's requester QP before it connects (APM's path-record step).
+// Endpoints a node lacks are created and installed in cl.Endpoints before
+// Simulate, so the collector wires them as the delivery sink. It returns
+// the probes, the recorder aggregating end-to-end latency over all flows,
+// and the endpoints it created.
+func armRCProbes(cl *Cluster, pairs []rcPair, tcfg transport.Config, altPath func(rcPair, *transport.QP) error) ([]*rcProbe, *metrics.Recorder, []*transport.Endpoint, error) {
+	lat := metrics.NewRecorder(0, 100_000, 400)
+	var eps []*transport.Endpoint
 	endpoint := func(node int) *transport.Endpoint {
 		if ep := cl.Endpoints[node]; ep != nil {
 			return ep
 		}
-		ep := transport.NewEndpoint(cl.Mesh.HCA(node), transport.Config{
-			Registry: mac.DefaultRegistry(),
-			KeyLevel: transport.PartitionLevel,
-		})
+		ep := transport.NewEndpoint(cl.Mesh.HCA(node), tcfg)
 		cl.Endpoints[node] = ep
+		eps = append(eps, ep)
 		return ep
 	}
 
@@ -248,6 +269,11 @@ func armRCProbes(cl *Cluster) ([]*rcProbe, *metrics.Recorder) {
 		epA, epB := endpoint(pr.a), endpoint(pr.b)
 		qpA := epA.CreateRCQP(pk)
 		qpB := epB.CreateRCQP(pk)
+		if altPath != nil {
+			if err := altPath(pr, qpA); err != nil {
+				return nil, nil, nil, err
+			}
+		}
 		probe := &rcProbe{src: pr.a, dst: pr.b, qp: qpA, ep: epA, latency: lat}
 		qpB.OnRecv = func(payload []byte, _ packet.LID, _ packet.QPN) {
 			if len(payload) < 8 {
@@ -260,12 +286,9 @@ func armRCProbes(cl *Cluster) ([]*rcProbe, *metrics.Recorder) {
 		if err := epA.ConnectRC(qpA, topology.LIDOf(pr.b), qpB.N, func(err error) {
 			probe.connected = err == nil
 		}); err != nil {
-			panic(fmt.Sprintf("core: RC probe connect %d->%d: %v", pr.a, pr.b, err))
+			return nil, nil, nil, fmt.Errorf("core: RC probe connect %d->%d: %w", pr.a, pr.b, err)
 		}
 		probes = append(probes, probe)
-	}
-	if len(probes) == 0 {
-		return nil, lat
 	}
 
 	// One message per flow every interval, staggered so the flows do not
@@ -289,7 +312,7 @@ func armRCProbes(cl *Cluster) ([]*rcProbe, *metrics.Recorder) {
 			})
 		})
 	}
-	return probes, lat
+	return probes, lat, eps, nil
 }
 
 func abs(x int) int {

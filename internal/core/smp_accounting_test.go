@@ -22,13 +22,15 @@ type smpAccounting struct {
 	Reroutes         uint64
 }
 
-func smpAccountingOf(t *testing.T, cfg Config) smpAccounting {
+// smpAccountingOf builds cfg and runs it through simulate, as
+// eventOrderOf does.
+func smpAccountingOf(t *testing.T, cfg Config, simulate func(*Cluster) *Results) smpAccounting {
 	t.Helper()
 	cl, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.Simulate()
+	simulate(cl)
 	var got smpAccounting
 	for node, hca := range cl.Mesh.HCAs {
 		if n := hca.Counters.Get("smp_late_responses"); n > 0 {
@@ -60,10 +62,11 @@ func smpAccountingOf(t *testing.T, cfg Config) smpAccounting {
 // all-planes run is where the map-based table put it.
 //
 // The values are KNOWN-WRONG. The resweeper, the auditor and the PerfMgr
-// each number their TIDs 1, 2, 3… on the same HCA, and a Discoverer
-// consumes a returning SMP whose TID it does not hold instead of passing
-// it on, so the planes swallow each other's responses: almost every
-// audit probe goes unanswered and the resweeper loses links on a
+// each number their TIDs 1, 2, 3… on the same HCA, and the HCA's
+// management receive path hands every directed-route response to the
+// newest discoverer registered there, which files a TID it does not hold
+// as late or duplicate: the planes swallow each other's responses, almost
+// every audit probe goes unanswered and the resweeper loses links on a
 // fault-free fabric (ROADMAP item 2, first composed-plane bug). This pin
 // proves the ring equivalent to the table it replaced, bug included; the
 // PR that fixes the bug re-records it together with bench's mgmt-planes
@@ -77,8 +80,31 @@ func TestAllPlanesSMPAccountingPinned(t *testing.T) {
 		LostLinks:       64,
 		Reroutes:        1,
 	}
-	got := smpAccountingOf(t, allPlanesCfg())
+	got := smpAccountingOf(t, allPlanesCfg(), (*Cluster).Simulate)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("all-planes SMP accounting moved\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// agentsFirst is Simulate with the measurement collectors attached after
+// the SM agents instead of before.
+func agentsFirst(cl *Cluster) *Results {
+	cl.armResilience()
+	cl.attachCollectors()
+	return cl.run()
+}
+
+// TestAttachOrderIrrelevant runs every plane with the collectors attached
+// after the agents: each HCA's management receive path routes a MAD the
+// same whatever was attached first, so neither the firing order nor the
+// request accounting moves.
+func TestAttachOrderIrrelevant(t *testing.T) {
+	cfg := allPlanesCfg()
+	if got, want := eventOrderOf(t, cfg, agentsFirst), eventOrderOf(t, cfg, (*Cluster).Simulate); got != want {
+		t.Errorf("event order moved with the attach order\n got  %+v\n want %+v", got, want)
+	}
+	got, want := smpAccountingOf(t, cfg, agentsFirst), smpAccountingOf(t, cfg, (*Cluster).Simulate)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("SMP accounting moved with the attach order\n got  %+v\n want %+v", got, want)
 	}
 }

@@ -26,7 +26,8 @@ type HCA struct {
 	// packet is checked against it.
 	PKeyTable *keys.PartitionTable
 
-	// OnDeliver receives packets that passed the P_Key check.
+	// OnDeliver receives packets that passed the P_Key check and that
+	// the management agent, if any, did not take.
 	OnDeliver func(d *Delivery)
 	// OnPKeyViolation fires for packets failing the P_Key check, after
 	// the violation counter increments; the subnet-management layer
@@ -49,6 +50,7 @@ type HCA struct {
 	pkeyViolationCtr, cctThrottled, cnpSent, cnpReceived,
 	fecnReceived, becnNotified, vcrcDrops, icrcDrops *metrics.Counter
 
+	smi            SMI
 	pkeyViolations uint64
 	engineBusyTil  sim.Time
 	guid           uint64
@@ -65,6 +67,15 @@ type HCA struct {
 	// health holds the CA port's IBA PortCounters (one port per HCA),
 	// swept by the Performance Management plane over PMA MADs.
 	health PortCounters
+}
+
+// SMI is an HCA's management receive path, the HCA-side counterpart of a
+// switch's MADHandler: the layer that owns QP0 and hands each arriving
+// management datagram to the agent registered for it. Returning true
+// consumes the delivery; the HCA recycles the message once ReceiveMAD
+// returns, so the agent copies what it keeps.
+type SMI interface {
+	ReceiveMAD(d *Delivery) bool
 }
 
 // NewHCA creates an HCA with the given LID.
@@ -102,6 +113,12 @@ func (h *HCA) LID() packet.LID { return h.lid }
 // SetLID assigns the HCA's local identifier — in a real subnet this is
 // the Subnet Manager's job, done in-band during discovery.
 func (h *HCA) SetLID(lid packet.LID) { h.lid = lid }
+
+// SetSMI installs the management receive path (nil disables).
+func (h *HCA) SetSMI(s SMI) { h.smi = s }
+
+// SMI returns the installed management receive path, or nil.
+func (h *HCA) SMI() SMI { return h.smi }
 
 // SetGUID assigns the node GUID reported in NodeInfo.
 func (h *HCA) SetGUID(g uint64) { h.guid = g }
@@ -234,9 +251,6 @@ func (h *HCA) SetLinkState(up bool) {
 	}
 }
 
-// LinkUp reports whether the HCA's outbound channel is connected and up.
-func (h *HCA) LinkUp() bool { return h.port.Connected() && !h.port.out.down }
-
 // Blackholed returns the packets destroyed on the HCA's outbound channel
 // while its link was down.
 func (h *HCA) Blackholed() uint64 {
@@ -253,15 +267,6 @@ func (h *HCA) HOQDropped() uint64 {
 		return 0
 	}
 	return h.port.out.hoqTotal()
-}
-
-// HOQDroppedVL returns the Head-of-Queue drops on one of the HCA's send
-// VLs.
-func (h *HCA) HOQDroppedVL(vl uint8) uint64 {
-	if h.port.out == nil {
-		return 0
-	}
-	return h.port.out.hoqDropped[vl]
 }
 
 // CreditStallTime returns the cumulative time the HCA's outbound port
@@ -437,6 +442,9 @@ func (h *HCA) receive(d *Delivery) ObsKind {
 	}
 	h.delivered.Add(1)
 	h.params.observe(h.sim.Now(), ObsDeliver, h.name, d)
+	if d.Class == ClassManagement && h.smi != nil && h.smi.ReceiveMAD(d) {
+		return ObsDeliver
+	}
 	if h.OnDeliver != nil {
 		h.OnDeliver(d)
 	}

@@ -165,11 +165,6 @@ func (sw *Switch) SetLinkState(port int, up bool) {
 	sw.ports[port].out.setDown(!up)
 }
 
-// LinkUp reports whether the port's outbound channel is connected and up.
-func (sw *Switch) LinkUp(port int) bool {
-	return sw.ports[port].Connected() && !sw.ports[port].out.down
-}
-
 // SetDown kills or revives the whole switch. A dead switch destroys
 // every arriving packet (neighbours see probes into it time out), stops
 // transmitting on all ports, and loses its forwarding table — a revived
@@ -217,18 +212,6 @@ func (sw *Switch) HOQDropped() uint64 {
 	for i := range sw.ports {
 		if ch := sw.ports[i].out; ch != nil {
 			n += ch.hoqTotal()
-		}
-	}
-	return n
-}
-
-// HOQDroppedVL returns the Head-of-Queue drops on one VL across all the
-// switch's output ports.
-func (sw *Switch) HOQDroppedVL(vl uint8) uint64 {
-	var n uint64
-	for i := range sw.ports {
-		if ch := sw.ports[i].out; ch != nil {
-			n += ch.hoqDropped[vl]
 		}
 	}
 	return n

@@ -211,11 +211,6 @@ func (c *Counters) Counter(name string) *Counter {
 // Inc adds delta to the named counter.
 func (c *Counters) Inc(name string, delta uint64) { c.Counter(name).Add(delta) }
 
-// Set overwrites the named entry with an absolute value — a gauge
-// (e.g. a cumulative stall-time snapshot) living in the same namespace
-// as the counters, so it flows through Names/CSVRow unchanged.
-func (c *Counters) Set(name string, v uint64) { *c.Counter(name) = Counter{v: v, live: true} }
-
 // Get returns the named counter's value (0 if never incremented).
 func (c *Counters) Get(name string) uint64 {
 	if h := c.m[name]; h != nil {

@@ -223,17 +223,6 @@ func TestCountersCSVRowSortedStable(t *testing.T) {
 		t.Fatalf("lost %d pre-existing columns", len(before)-i)
 	}
 
-	// Gauges share the namespace: Set inserts a column under the same
-	// sorted contract and overwrites rather than accumulates.
-	c.Set("credit_stall_ns", 1500)
-	c.Set("credit_stall_ns", 900)
-	header3, _ := c.CSVRow()
-	if !sort.StringsAreSorted(header3) || len(header3) != len(header2)+1 {
-		t.Fatalf("CSV header after gauge insert: %v", header3)
-	}
-	if got := c.Get("credit_stall_ns"); got != 900 {
-		t.Fatalf("gauge should overwrite, got %d", got)
-	}
 }
 
 // A Counter handle and the counter's name address one cell, and merely
@@ -273,11 +262,8 @@ func TestCounterHandle(t *testing.T) {
 	// A handle resolved after the name was counted continues the count.
 	c.Inc("late", 4)
 	c.Counter("late").Add(1)
-	// Set overwrites what a handle accumulated, and the handle carries on.
-	c.Set("forwarded", 100)
-	fwd.Add(1)
 	header, values := c.CSVRow()
-	want := map[string]uint64{"filtered": 0, "forwarded": 101, "late": 5, "zero_by_name": 0}
+	want := map[string]uint64{"filtered": 0, "forwarded": 6, "late": 5, "zero_by_name": 0}
 	if len(header) != len(want) {
 		t.Fatalf("CSVRow header %v, want the %d names of %v", header, len(want), want)
 	}

@@ -332,8 +332,7 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 }
 
 // NodeAgent is the subnet management agent on a channel adapter: it
-// answers NodeInfo and accepts M_Key-guarded LID assignment. Deliveries
-// that are not directed-route SMPs fall through to next.
+// answers NodeInfo and accepts M_Key-guarded LID assignment.
 type NodeAgent struct {
 	HCA  *fabric.HCA
 	MKey keys.MKey
@@ -341,23 +340,18 @@ type NodeAgent struct {
 	// duplicate (requester LID, TID) request is dropped, not re-executed.
 	DedupTIDs bool
 	tids      *tidSet
-	next      func(*fabric.Delivery)
 }
 
-// AttachNodeAgent wraps an HCA's delivery callback with an SMA.
+// AttachNodeAgent registers an SMA with the HCA's management receive
+// path: it answers the directed-route requests arriving there.
 func AttachNodeAgent(hca *fabric.HCA, mkey keys.MKey) *NodeAgent {
-	a := &NodeAgent{HCA: hca, MKey: mkey, next: hca.OnDeliver}
-	hca.OnDeliver = a.deliver
+	a := &NodeAgent{HCA: hca, MKey: mkey}
+	dispatcherOf(hca).sma = a
 	return a
 }
 
-func (a *NodeAgent) deliver(d *fabric.Delivery) {
-	if !isDRSMP(d) || d.Pkt.Payload[smpOffDir] != 0 {
-		if a.next != nil {
-			a.next(d)
-		}
-		return
-	}
+// receive answers one directed-route request.
+func (a *NodeAgent) receive(d *fabric.Delivery) {
 	fr, err := parseSMP(d.Pkt.Payload)
 	if err != nil {
 		a.HCA.Counters.Inc("smp_malformed", 1)
@@ -474,7 +468,6 @@ type Discoverer struct {
 	// past sums the request counts of the sweeps Reset has closed (Stats).
 	past struct{ probes, retries, timeouts int }
 	seen map[uint64]*DiscoveredNode
-	next func(*fabric.Delivery)
 	// done remembers the last tidSetCap answered TIDs (a FIFO, doneN
 	// answers so far) so a second response to the same TID — the delayed
 	// original arriving after a retransmit was already answered — is
@@ -530,9 +523,10 @@ type request struct {
 // is reached in a few doublings and the table then stays that size.
 const ringInit = 16
 
-// NewDiscoverer prepares a sweep from hca, wrapping its delivery callback
-// to capture SMP responses. timeout bounds each unanswered probe (dead
-// port detection).
+// NewDiscoverer prepares a sweep from hca and registers it with the HCA's
+// management receive path, which hands it the directed-route responses
+// arriving there. timeout bounds each unanswered probe (dead port
+// detection).
 func NewDiscoverer(s *sim.Simulator, hca *fabric.HCA, mkey keys.MKey, timeout sim.Time) *Discoverer {
 	d := &Discoverer{
 		sim:     s,
@@ -543,19 +537,13 @@ func NewDiscoverer(s *sim.Simulator, hca *fabric.HCA, mkey keys.MKey, timeout si
 		topo: &DiscoveredTopology{
 			Edges: make(map[uint64]map[int]uint64),
 		},
-		next: hca.OnDeliver,
 	}
-	hca.OnDeliver = d.deliver
+	dispatcherOf(hca).disc = d
 	return d
 }
 
-func (d *Discoverer) deliver(dv *fabric.Delivery) {
-	if !isDRSMP(dv) || dv.Pkt.Payload[smpOffDir] != 1 {
-		if d.next != nil {
-			d.next(dv)
-		}
-		return
-	}
+// receive matches one directed-route response to its request.
+func (d *Discoverer) receive(dv *fabric.Delivery) {
 	fr, err := parseSMP(dv.Pkt.Payload)
 	if err != nil {
 		d.hca.Counters.Inc("smp_malformed", 1)
@@ -567,10 +555,8 @@ func (d *Discoverer) deliver(dv *fabric.Delivery) {
 		// Never process a response twice: a TID we already answered is a
 		// duplicate (retransmit raced its delayed original); anything
 		// else is a stray — a response after the terminal timeout, or
-		// another discoverer's traffic on this HCA. Matching on the TID
-		// alone and consuming the stray instead of passing it to next is
-		// what lets composed planes swallow each other's responses; it is
-		// kept as found (ROADMAP item 2, first composed-plane bug).
+		// another discoverer's traffic on this HCA, which the dispatcher
+		// hands the newest discoverer (see dispatcher.ReceiveMAD).
 		if d.answered(fr.TxID) {
 			d.hca.Counters.Inc("smp_dup_responses", 1)
 		} else {

@@ -401,7 +401,6 @@ type Coordinator struct {
 
 	sms   []*SubnetManager // [0] = initial master, then standbys in priority order
 	nodes []int            // mesh node per sms entry
-	names []string         // HCA names, for Delivery.Source
 
 	active    int // index into sms of the current fabric-wide master
 	dead      []bool
@@ -498,7 +497,6 @@ func NewCoordinator(s *sim.Simulator, mesh *topology.Mesh, cfg HAConfig, mkey ke
 			}
 		}
 		c.nodes = append(c.nodes, n)
-		c.names = append(c.names, mesh.HCA(n).Name())
 	}
 	c.dead = make([]bool, len(c.sms))
 	c.lastHeard = make([]sim.Time, len(c.sms))

@@ -443,6 +443,10 @@ func (m *SubnetManager) sendTrap(victim int, victimHCA *fabric.HCA, d *fabric.De
 	victimHCA.Send(trap)
 }
 
+// Dispatch implements LIDHandler: a lone SM takes the traps arriving at
+// any node.
+func (m *SubnetManager) Dispatch(_ int, d *fabric.Delivery) bool { return m.HandleManagement(d) }
+
 // HandleManagement processes a management packet addressed to the SM
 // (DestQP 0). It returns true if the packet was consumed. The core layer
 // calls this from the SM node's delivery dispatch.

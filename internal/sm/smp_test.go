@@ -209,7 +209,7 @@ func TestMalformedSMPDroppedByNodeAgent(t *testing.T) {
 
 	pl := newSMP(smpMethodGet, smpAttrNodeInfo, 1, discMKey, nil)
 	d := mesh.HCA(0).Params().NewMAD(0, packet.LIDPermissive, pl[:smpHeaderSize+1])
-	agent.deliver(d)
+	agent.receive(d)
 	if got := mesh.HCA(0).Counters.Get("smp_malformed"); got != 1 {
 		t.Fatalf("smp_malformed = %d, want 1", got)
 	}

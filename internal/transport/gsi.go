@@ -91,7 +91,13 @@ func (e *Endpoint) RequestQKey(q *QP, dstLID packet.LID, targetQPN packet.QPN, c
 // targetQPN). Under QP-level key management the initiator generates the
 // pair secret and ships it sealed to the responder's public key.
 func (e *Endpoint) ConnectRC(q *QP, dstLID packet.LID, targetQPN packet.QPN, cb func(err error)) error {
-	if q.Service != packet.ServiceRC {
+	return e.connect(q, packet.ServiceRC, "rc_connects", dstLID, targetQPN, cb)
+}
+
+// connect runs the connection handshake for a QP of service svc and
+// counts it under counter.
+func (e *Endpoint) connect(q *QP, svc packet.Service, counter string, dstLID packet.LID, targetQPN packet.QPN, cb func(err error)) error {
+	if q.Service != svc {
 		return ErrNotRC
 	}
 	req := &rcRequest{q: q, dstLID: dstLID, target: targetQPN, cb: cb}
@@ -107,7 +113,7 @@ func (e *Endpoint) ConnectRC(q *QP, dstLID packet.LID, targetQPN packet.QPN, cb 
 		payload = append(payload, 0, 0)
 	}
 	e.pendingRC[pendKey{q.N, dstLID}] = req
-	e.Counters.Inc("rc_connects", 1)
+	e.Counters.Inc(counter, 1)
 	e.sendGSI(dstLID, q.PKey, payload)
 	return nil
 }

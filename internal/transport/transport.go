@@ -196,9 +196,7 @@ var (
 )
 
 // NewEndpoint builds the transport layer for an HCA and wires its
-// delivery callback. The SM's management dispatch can be layered on top
-// by replacing hca.OnDeliver with a mux that falls through to
-// (*Endpoint).Deliver.
+// delivery callback.
 func NewEndpoint(hca *fabric.HCA, cfg Config) *Endpoint {
 	if cfg.NameOf == nil {
 		cfg.NameOf = func(lid packet.LID) string { return fmt.Sprintf("hca%d", int(lid)-1) }
@@ -234,25 +232,23 @@ func (e *Endpoint) Config() Config { return e.cfg }
 // CreateUDQP allocates an Unreliable Datagram QP in the given partition
 // with the given Q_Key.
 func (e *Endpoint) CreateUDQP(pkey packet.PKey, qkey packet.QKey) *QP {
-	q := &QP{
-		N:       e.next,
-		Service: packet.ServiceUD,
-		PKey:    pkey,
-		QKey:    qkey,
-		lastPSN: make(map[uint64]uint32),
-	}
-	e.next++
-	e.qps[q.N] = q
-	return q
+	return e.createQP(packet.ServiceUD, pkey, qkey)
 }
 
 // CreateRCQP allocates a Reliable Connection QP in the given partition.
 // It must be connected with ConnectRC before use.
 func (e *Endpoint) CreateRCQP(pkey packet.PKey) *QP {
+	return e.createQP(packet.ServiceRC, pkey, 0)
+}
+
+// createQP allocates the endpoint's next QP number to a QP of the given
+// service.
+func (e *Endpoint) createQP(svc packet.Service, pkey packet.PKey, qkey packet.QKey) *QP {
 	q := &QP{
 		N:       e.next,
-		Service: packet.ServiceRC,
+		Service: svc,
 		PKey:    pkey,
+		QKey:    qkey,
 		lastPSN: make(map[uint64]uint32),
 	}
 	e.next++

@@ -21,42 +21,14 @@ var ErrReadPending = errors.New("transport: RDMA read already pending for PSN")
 // CreateUCQP allocates an Unreliable Connection QP in the given
 // partition. It must be connected with ConnectUC before use.
 func (e *Endpoint) CreateUCQP(pkey packet.PKey) *QP {
-	q := &QP{
-		N:       e.next,
-		Service: packet.ServiceUC,
-		PKey:    pkey,
-		lastPSN: make(map[uint64]uint32),
-	}
-	e.next++
-	e.qps[q.N] = q
-	return q
+	return e.createQP(packet.ServiceUC, pkey, 0)
 }
 
 // ConnectUC performs the UC connection handshake; it reuses the RC
 // connect GSI exchange (including QP-level secret establishment) but the
 // resulting connection is unacknowledged.
 func (e *Endpoint) ConnectUC(q *QP, dstLID packet.LID, targetQPN packet.QPN, cb func(err error)) error {
-	if q.Service != packet.ServiceUC {
-		return ErrNotRC
-	}
-	// The GSI handshake only checks that the target is connectable;
-	// temporarily treat the QP as RC-shaped for the exchange.
-	req := &rcRequest{q: q, dstLID: dstLID, target: targetQPN, cb: cb}
-	payload := gsiHeader(gsiRCConnectReq, q.N, targetQPN)
-	if e.cfg.KeyLevel == QPLevel {
-		secret, env, err := e.issueFor(dstLID)
-		if err != nil {
-			return err
-		}
-		req.secret = secret
-		payload = appendEnvelope(payload, env)
-	} else {
-		payload = append(payload, 0, 0)
-	}
-	e.pendingRC[pendKey{q.N, dstLID}] = req
-	e.Counters.Inc("uc_connects", 1)
-	e.sendGSI(dstLID, q.PKey, payload)
-	return nil
+	return e.connect(q, packet.ServiceUC, "uc_connects", dstLID, targetQPN, cb)
 }
 
 // SendUC sends payload over a connected UC QP: no acknowledgement, no

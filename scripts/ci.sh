@@ -54,12 +54,13 @@ for f in "$tmp"/csv/*.csv; do
   diff "$f" "$tmp/csv2/$base"
 done
 
-echo "== fuzz smoke (wire parsers, the seal, the SMP transit reseal, the P_Key table and the event queue, 5s each)"
+echo "== fuzz smoke (wire parsers, the seal, the SMP transit reseal, the HCA MAD dispatch, the P_Key table and the event queue, 5s each)"
 go test -run '^$' -fuzz '^FuzzPacketUnmarshal$' -fuzztime 5s ./internal/packet
 go test -run '^$' -fuzz '^FuzzCRC16$' -fuzztime 5s ./internal/icrc
 go test -run '^$' -fuzz '^FuzzSeal$' -fuzztime 5s ./internal/icrc
 go test -run '^$' -fuzz '^FuzzMADParse$' -fuzztime 5s ./internal/sm
 go test -run '^$' -fuzz '^FuzzSMPTransit$' -fuzztime 5s ./internal/sm
+go test -run '^$' -fuzz '^FuzzMADDispatch$' -fuzztime 5s ./internal/sm
 go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 5s ./internal/policy
 go test -run '^$' -fuzz '^FuzzPartitionTable$' -fuzztime 5s ./internal/keys
 go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 5s ./internal/sim
