@@ -77,6 +77,28 @@ func allPlanesFailoverCfg() Config {
 	return cfg
 }
 
+// faultsRCCfg is the faults experiment's quick point (two link kills, a
+// 1e-5 BER burst, HOQ ageing, the self-healing re-sweep) with its RC
+// probes armed by simulateFaultsRC: every ack that drains a probe's window
+// cancels its retransmission timer, so this is the pin on the engine's
+// cancel path.
+func faultsRCCfg() Config {
+	cfg := quickCfg()
+	cfg = faultPointCfg(cfg, cfg.Enforcement, 1e-5, 2)
+	cfg.TraceCapacity = 1
+	return cfg
+}
+
+// simulateFaultsRC arms the fault point's RC probes on cl, then runs it.
+func simulateFaultsRC(t *testing.T) func(*Cluster) *Results {
+	return func(cl *Cluster) *Results {
+		if _, _, err := armFaultProbes(cl); err != nil {
+			t.Fatal(err)
+		}
+		return cl.Simulate()
+	}
+}
+
 // hashTraceEvent folds every field of ev into h. Node is length-prefixed
 // so adjacent fields cannot alias.
 func hashTraceEvent(h hash.Hash64, ev trace.Event) {
@@ -114,16 +136,18 @@ func eventOrderOf(t *testing.T, cfg Config, simulate func(*Cluster) *Results) ev
 }
 
 // TestEventOrderPinned holds the engine to the event order of the commit
-// that recorded testdata/event_order.json (the parent of the closure-free
-// hop path, PR 17), not merely to itself: TestRunDeterminism passes any
-// reordering that is consistent from run to run, and the golden CSVs pin
-// statistics, not firing order. An engine or fabric change that moves a
-// single event's position changes the hash.
+// that recorded each entry of testdata/event_order.json (the parent of the
+// closure-free hop path for the first three, the parent of the timing
+// wheel for faults_rc), not merely to itself:
+// TestRunDeterminism passes any reordering that is consistent from run to
+// run, and the golden CSVs pin statistics, not firing order. An engine or
+// fabric change that moves a single event's position changes the hash.
 func TestEventOrderPinned(t *testing.T) {
 	got := map[string]eventOrderPin{
 		"determinism":         eventOrderOf(t, determinismCfg(), (*Cluster).Simulate),
 		"all_planes":          eventOrderOf(t, allPlanesCfg(), (*Cluster).Simulate),
 		"all_planes_failover": eventOrderOf(t, allPlanesFailoverCfg(), (*Cluster).Simulate),
+		"faults_rc":           eventOrderOf(t, faultsRCCfg(), simulateFaultsRC(t)),
 	}
 	if *updateEventOrder {
 		b, err := json.MarshalIndent(got, "", "  ")

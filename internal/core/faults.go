@@ -89,43 +89,12 @@ func FaultsSweep(ctx context.Context, pool *runner.Pool, bers []float64, kills [
 
 // runFaultPoint runs one (mode, BER, kills) cell of the sweep.
 func runFaultPoint(base Config, mode enforce.Mode, ber float64, kills int) (FaultRow, error) {
-	cfg := base
-	cfg.Enforcement = mode
-	cfg.Attackers = 0
-	cfg.RealtimeLoad = 0
-	// Fixed moderate background load: outages concentrate traffic on the
-	// surviving links, and at the DoS experiments' near-saturation loads
-	// the delivered fraction would measure congestion backlog rather
-	// than fault loss.
-	cfg.BestEffortLoad = 0.3
-	cfg.ResweepPeriod = 200 * sim.Microsecond
-	// Arm the Head-of-Queue lifetime limit: the healed routes are
-	// shortest-path around the failure, not dimension-ordered, so
-	// rerouting can create cyclic credit dependencies — without HOQ
-	// ageing, a deadlocked cycle holds its buffers (and everything
-	// upstream) until the end of the run. Copy the params first: the
-	// base config's value is shared across concurrent sweep points.
-	cfg.Params = cfg.Params.Clone()
-	cfg.Params.HOQLife = 100 * sim.Microsecond
-
-	// Outages fall in [warmup, duration/2) so every killed link also
-	// restores well before the run ends and the probe flows can drain.
-	plan := faults.Chaos(cfg.Seed, cfg.MeshW, cfg.MeshH, kills, cfg.Warmup, cfg.Duration/2)
-	if ber > 0 {
-		plan.BER = append(plan.BER, faults.BERBurst{
-			Rate: ber, From: cfg.Warmup, Until: cfg.Duration * 3 / 4,
-		})
-	}
-	cfg.FaultPlan = plan
-
+	cfg := faultPointCfg(base, mode, ber, kills)
 	cl, err := Build(cfg)
 	if err != nil {
 		return FaultRow{}, err
 	}
-	probes, lat, _, err := armRCProbes(cl, rcPairs(cl, maxProbeFlows, false), transport.Config{
-		Registry: mac.DefaultRegistry(),
-		KeyLevel: transport.PartitionLevel,
-	}, nil)
+	probes, lat, err := armFaultProbes(cl)
 	if err != nil {
 		return FaultRow{}, err
 	}
@@ -165,8 +134,52 @@ func runFaultPoint(base Config, mode enforce.Mode, ber float64, kills int) (Faul
 		row.Reroutes = r.Counters.Get("reroutes")
 		row.RerouteUS = r.RerouteLatency.Mean()
 	}
-	row.DetectUS = meanDetectionUS(plan, cl.healEvents)
+	row.DetectUS = meanDetectionUS(cfg.FaultPlan, cl.healEvents)
 	return row, nil
+}
+
+// faultPointCfg is base configured as one (mode, BER, kills) cell: its
+// chaos plan, background load, re-sweep and HOQ lifetime.
+func faultPointCfg(base Config, mode enforce.Mode, ber float64, kills int) Config {
+	cfg := base
+	cfg.Enforcement = mode
+	cfg.Attackers = 0
+	cfg.RealtimeLoad = 0
+	// Fixed moderate background load: outages concentrate traffic on the
+	// surviving links, and at the DoS experiments' near-saturation loads
+	// the delivered fraction would measure congestion backlog rather
+	// than fault loss.
+	cfg.BestEffortLoad = 0.3
+	cfg.ResweepPeriod = 200 * sim.Microsecond
+	// Arm the Head-of-Queue lifetime limit: the healed routes are
+	// shortest-path around the failure, not dimension-ordered, so
+	// rerouting can create cyclic credit dependencies — without HOQ
+	// ageing, a deadlocked cycle holds its buffers (and everything
+	// upstream) until the end of the run. Copy the params first: the
+	// base config's value is shared across concurrent sweep points.
+	cfg.Params = cfg.Params.Clone()
+	cfg.Params.HOQLife = 100 * sim.Microsecond
+
+	// Outages fall in [warmup, duration/2) so every killed link also
+	// restores well before the run ends and the probe flows can drain.
+	plan := faults.Chaos(cfg.Seed, cfg.MeshW, cfg.MeshH, kills, cfg.Warmup, cfg.Duration/2)
+	if ber > 0 {
+		plan.BER = append(plan.BER, faults.BERBurst{
+			Rate: ber, From: cfg.Warmup, Until: cfg.Duration * 3 / 4,
+		})
+	}
+	cfg.FaultPlan = plan
+	return cfg
+}
+
+// armFaultProbes arms a fault point's RC probe flows on cl: partition-
+// level keys, the longest same-partition pairs.
+func armFaultProbes(cl *Cluster) ([]*rcProbe, *metrics.Recorder, error) {
+	probes, lat, _, err := armRCProbes(cl, rcPairs(cl, maxProbeFlows, false), transport.Config{
+		Registry: mac.DefaultRegistry(),
+		KeyLevel: transport.PartitionLevel,
+	}, nil)
+	return probes, lat, err
 }
 
 // meanDetectionUS averages, over healing events that lost edges, the time

@@ -69,10 +69,25 @@ func (s *Simulator) Cancel(e Event) bool { return s.q.cancel(e) }
 // Step fires the next event, advancing the clock to it. It returns false
 // if no events remain.
 func (s *Simulator) Step() bool {
-	if s.q.len() == 0 {
-		return false
+	at, b, ok := s.q.head()
+	if ok {
+		s.fire(at, b)
 	}
-	at, sl := s.q.pop()
+	return ok
+}
+
+// fire runs the event q.head just found at time at: the first of wheel
+// bucket b, or the heap's root when b is -1. It takes the event out,
+// moves the wheel's cursor and the clock to at, and calls the handler.
+func (s *Simulator) fire(at Time, b int) {
+	var sl *eventSlot
+	if b >= 0 {
+		sl = s.q.wheel.pop(b)
+	} else {
+		sl = s.q.remove(0)
+	}
+	sl.index = notQueued
+	s.q.wheel.cursor = bucketOf(at)
 	s.now = at
 	s.fired++
 	h, arg, n := sl.h, sl.arg, sl.n
@@ -82,7 +97,6 @@ func (s *Simulator) Step() bool {
 	s.q.release(sl)
 	s.q.shrink()
 	h.Fire(arg, n)
-	return true
 }
 
 // Run fires events until the queue is empty or Stop is called.
@@ -97,10 +111,11 @@ func (s *Simulator) Run() {
 func (s *Simulator) RunUntil(deadline Time) {
 	s.stopped = false
 	for !s.stopped {
-		if at, ok := s.q.headAt(); !ok || at > deadline {
+		at, b, ok := s.q.head()
+		if !ok || at > deadline {
 			break
 		}
-		s.Step()
+		s.fire(at, b)
 	}
 	if !s.stopped && s.now < deadline {
 		s.now = deadline

@@ -291,19 +291,20 @@ func TestScheduleCallRejectsBadInput(t *testing.T) {
 	}
 }
 
-// After a large burst drains, the heap slice must give back its slack
-// rather than pin peak-burst memory for the rest of the run.
+// After a large burst of far events drains, the heap slice must give back
+// its slack rather than pin peak-burst memory for the rest of the run.
 func TestQueueShrinksAfterBurst(t *testing.T) {
 	s := New()
 	fn := func() {}
 	for i := 0; i < 20000; i++ {
-		s.Schedule(Time(i), fn)
+		s.Schedule(wheelLap+Time(i)*Nanosecond, fn)
 	}
-	if cap(s.q.heap) < 20000 {
-		t.Fatalf("burst did not grow the queue: cap %d", cap(s.q.heap))
+	if s.q.wheel.n != 0 || cap(s.q.heap) < 20000 {
+		t.Fatalf("burst did not grow the far heap: %d on the wheel, heap cap %d", s.q.wheel.n, cap(s.q.heap))
 	}
 	s.Run()
-	// Trickle a small steady load through; the shrink check runs in Step.
+	// Trickle a small steady load through; the shrink check runs as each
+	// event fires.
 	for i := 0; i < 10; i++ {
 		s.Schedule(Time(i), fn)
 	}

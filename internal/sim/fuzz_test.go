@@ -23,6 +23,42 @@ func (l *fuzzLog) Fire(arg any, n uint64) {
 	}
 }
 
+// fuzzDelay decodes a schedule operand into a delay from now. arg%8
+// picks the regime the event lands in, relative to now's wheel bucket,
+// which is the cursor's — FuzzEventQueue's clock moves only by Step:
+//
+//	0 the same instant     4 exactly a lap on: the far heap's nearest
+//	1 the same bucket      5 a lap and a bucket on
+//	2 the next bucket      6 several laps on
+//	3 a lap less a bucket  7 a few buckets on
+//
+// and arg/8 one of 32 offsets into the target bucket, coarse enough that
+// same-instant ties are common in every regime.
+func fuzzDelay(now Time, arg byte) Time {
+	start := now - now%wheelBucket // now's bucket's first instant
+	off := Time(arg>>3) * (wheelBucket / 32)
+	var bucket Time // buckets on from now's
+	switch arg % 8 {
+	case 0:
+		return 0
+	case 1:
+		return off % (start + wheelBucket - now)
+	case 2:
+		bucket = 1
+	case 3:
+		bucket = wheelSize - 1
+	case 4:
+		bucket = wheelSize
+	case 5:
+		bucket = wheelSize + 1
+	case 6:
+		bucket = 3 * wheelSize
+	case 7:
+		bucket = 2 + Time(arg>>3)%4
+	}
+	return start + bucket*wheelBucket + off - now
+}
+
 // FuzzEventQueue drives a Simulator with a byte-coded sequence of
 // schedule / schedule-call / cancel / step operations and checks it
 // against a reference model — a plain list ordered by (time, scheduling
@@ -32,8 +68,8 @@ func (l *fuzzLog) Fire(arg any, n uint64) {
 // slot may since have been recycled many times) can never cancel again.
 //
 // Each operation is two bytes: op, operand. op%4 selects 0 Schedule,
-// 1 ScheduleCall, 2 Cancel, 3 Step; the operand is the delay (mod 8, so
-// same-instant ties are common) or the index of the handle to cancel.
+// 1 ScheduleCall, 2 Cancel, 3 Step; the operand is a delay decoded by
+// fuzzDelay or the index of the handle to cancel.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 3, 0, 3, 3, 0, 3, 0, 3, 0})             // ties across both primitives
@@ -81,7 +117,7 @@ func FuzzEventQueue(f *testing.F) {
 			op, arg := ops[i]%4, ops[i+1]
 			switch op {
 			case 0, 1:
-				id, delay := len(model), Time(arg%8)
+				id, delay := len(model), fuzzDelay(s.Now(), arg)
 				var ev Event
 				if op == 0 {
 					ev = s.Schedule(delay, func() { log.fired = append(log.fired, id) })

@@ -132,7 +132,7 @@ func TestPropertySlabGenerations(t *testing.T) {
 			if s.Cancel(d.ev) {
 				t.Fatalf("round %d: dead handle cancelled something", round)
 			}
-			if d.slot.index >= 0 && d.slot.gen == d.gen {
+			if d.slot.index != notQueued && d.slot.gen == d.gen {
 				t.Fatalf("round %d: slot recycled without a generation bump", round)
 			}
 		}

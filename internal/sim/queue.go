@@ -8,16 +8,44 @@ import "math/bits"
 // handful of allocations instead of one per scheduled event.
 const slabBlock = 64
 
-// heapArity is the fan-out of the pending-event heap. Chosen by
-// hops_per_s on bench's data-64b workload, not by a queue rig: with the
-// branch-free child selection in down, 2, 3 and 4 read within 2% of one
-// another (4 ahead in five of five alternating pairs) and 8 a quarter
-// slower; 4 also halves the levels a deeper queue would touch. down's
-// full-set tournament is written out for exactly four children.
+// The timing wheel holds every event due within one lap of the cursor:
+// wheelSize buckets of 2^wheelShift ps each. A fabric hop schedules four
+// events at four fixed delays — a credit return one propagation delay
+// out (20 ns), a switch lookup (200 ns), and serialisation and
+// serialisation plus propagation (0.31-0.33 us at 64 B, 3.39-3.41 us at
+// 1 KiB) — and those are nine in ten of all pushes, so the lap must
+// reach past 3.41 us plus a bucket. 512 buckets of 8.192 ns make a lap
+// of 2^22 ps (4.19 us) with 4 KiB of bucket pointers. Wider buckets
+// put more of a 64 B hop's events into each one, where a push that is
+// not its bucket's latest walks the bucket's list (a third of data-64b's
+// pushes walk 1.4 links at this width, half walk 2.4 at twice it);
+// narrower ones need more buckets for the same lap.
+const (
+	wheelShift = 13
+	wheelBits  = 9
+	wheelSize  = 1 << wheelBits
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64
+)
+
+// heapArity is the fan-out of the far-event heap, which holds what the
+// wheel cannot: anything due more than a lap ahead of the cursor, such as
+// SM and transport timers — 0-6 % of the pushes on bench's workloads.
+// Chosen by hops_per_s on bench's data-64b workload when the heap still
+// held every event: with the branch-free child selection in down, 2, 3
+// and 4 read within 2% of one another (4 ahead in five of five
+// alternating pairs) and 8 a quarter slower. down's full-set tournament
+// is written out for exactly four children.
 const heapArity = 4
 
+// Values of eventSlot.index that are not heap positions.
+const (
+	notQueued int32 = -1 // fired, cancelled, or never scheduled
+	onWheel   int32 = -2 // in a wheel bucket
+)
+
 // Handler is a pre-bound event target: ScheduleCall stores the handler
-// and its two operands in the event slot, and Step calls Fire with them.
+// and its two operands in the event slot, and firing calls Fire with them.
 // Per-packet code implements it on a named type over the struct the
 // callback works on — (*serDone)(ch) is a free pointer conversion — and
 // packs what a closure would have captured into arg (a pointer, which
@@ -38,15 +66,19 @@ func (f funcHandler) Fire(any, uint64) { f() }
 // time a slot leaves the queue, so a stale handle held across that
 // transition can never touch the slot's next occupant. owner pins the
 // slot to the queue that carved it, so a handle presented to the wrong
-// scheduler is refused instead of corrupting a foreign heap. The firing
-// key (time, seq) lives in the heap entry, not here: ordering never
-// dereferences a slot.
+// scheduler is refused instead of corrupting a foreign queue. The firing
+// key (at, seq) orders a wheel bucket's list, which next threads; the
+// heap keeps its own copy of the key, so sifting never dereferences a
+// slot.
 type eventSlot struct {
+	at    Time
+	seq   uint64
+	next  *eventSlot // the bucket's next-later event; the latest's next is the earliest
 	gen   uint64
 	h     Handler
 	arg   any
 	n     uint64
-	index int32 // heap index, -1 once removed
+	index int32 // heap index, onWheel, or notQueued
 	owner *eventQueue
 }
 
@@ -69,9 +101,9 @@ func (e Event) At() Time { return e.at }
 // fired nor been cancelled. Safe on the zero Event.
 func (e Event) Pending() bool { return e.slot != nil && e.slot.gen == e.gen }
 
-// heapEntry is one pending event as the heap sees it: the (time, seq)
-// key by value, so sift comparisons read the heap's own contiguous
-// memory, plus the slot holding the callback.
+// heapEntry is one far event as the heap sees it: the (time, seq) key by
+// value, so sift comparisons read the heap's own contiguous memory, plus
+// the slot holding the callback.
 type heapEntry struct {
 	at   Time
 	seq  uint64
@@ -90,12 +122,113 @@ func (a *heapEntry) before(b *heapEntry) uint64 {
 	return borrow
 }
 
-// eventQueue is the Simulator's slab-pooled pending-event queue: a
-// heapArity-ary min-heap ordered by (time, seq), numbering pushes itself
-// so that events at the same instant fire in the order they were
-// scheduled. Each slot records its heap index so cancel is O(log n).
-// The zero value is ready to use. Not safe for concurrent use.
+// wheel is a hashed timing wheel: bucket i holds the events whose time
+// falls in bucket number i mod wheelSize, as a circular list in (at, seq)
+// order that tail[i] enters at its latest event. Every event on the
+// wheel lies in [cursor, cursor+wheelSize) bucket numbers, so a bucket
+// never mixes laps and the first occupied bucket at or after the cursor
+// holds the wheel's earliest event. occ has bit i set iff bucket i is
+// occupied. The zero value is an empty wheel.
+type wheel struct {
+	tail   [wheelSize]*eventSlot
+	occ    [wheelWords]uint64
+	cursor int64 // bucket number of the last popped event's time
+	n      int
+}
+
+// bucketOf returns the bucket number of time at.
+func bucketOf(at Time) int64 { return int64(at) >> wheelShift }
+
+// push links sl, whose at is within a lap of the cursor, into its
+// bucket. seq only grows, so sl goes after every event with the same or
+// an earlier time; usually that makes it the bucket's latest.
+func (w *wheel) push(sl *eventSlot) {
+	sl.index = onWheel
+	w.n++
+	b := int(bucketOf(sl.at)) & wheelMask
+	t := w.tail[b]
+	switch {
+	case t == nil:
+		sl.next = sl
+		w.tail[b] = sl
+		w.occ[b>>6] |= 1 << (b & 63)
+	case sl.at >= t.at:
+		sl.next = t.next
+		t.next = sl
+		w.tail[b] = sl
+	default:
+		// t is later than sl, so the walk from the head stops by t.
+		p := t
+		for p.next.at <= sl.at {
+			p = p.next
+		}
+		sl.next = p.next
+		p.next = sl
+	}
+}
+
+// scan returns the first occupied bucket in the bitmap words after
+// bucket c's, wrapping round to c's own word for the buckets below c —
+// the far end of the lap — or -1 when the wheel is empty. head checks
+// the rest of c's word itself, where the next event almost always is.
+func (w *wheel) scan(c int) int {
+	if w.n == 0 {
+		return -1
+	}
+	i := c >> 6
+	for j := 1; j <= wheelWords; j++ {
+		k := (i + j) & (wheelWords - 1)
+		if m := w.occ[k]; m != 0 {
+			return k<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	panic("sim: wheel count disagrees with its occupancy bitmap")
+}
+
+// pop unlinks and returns the earliest event of occupied bucket b.
+func (w *wheel) pop(b int) *eventSlot {
+	t := w.tail[b]
+	sl := t.next
+	if sl == t {
+		w.tail[b] = nil
+		w.occ[b>>6] &^= 1 << (b & 63)
+	} else {
+		t.next = sl.next
+	}
+	w.n--
+	return sl
+}
+
+// unlink removes sl from its bucket, wherever it sits in the list.
+func (w *wheel) unlink(sl *eventSlot) {
+	b := int(bucketOf(sl.at)) & wheelMask
+	t := w.tail[b]
+	p := t
+	for p.next != sl {
+		p = p.next
+	}
+	switch {
+	case p == sl: // sl was the bucket's only event
+		w.tail[b] = nil
+		w.occ[b>>6] &^= 1 << (b & 63)
+	case sl == t:
+		p.next = sl.next
+		w.tail[b] = p
+	default:
+		p.next = sl.next
+	}
+	w.n--
+}
+
+// eventQueue is the Simulator's slab-pooled pending-event queue, ordered
+// by (time, seq): it numbers pushes itself so that events at the same
+// instant fire in the order they were scheduled. Events due within a lap
+// of the wheel's cursor go on the wheel, the rest on a heapArity-ary
+// min-heap; the earliest event is the earlier of the wheel's first and
+// the heap's root. The zero value is ready to use. Not safe for
+// concurrent use.
 type eventQueue struct {
+	wheel wheel
 	heap  []heapEntry
 	seq   uint64 // next push's tie-break number
 	free  []*eventSlot
@@ -128,21 +261,32 @@ func (q *eventQueue) release(sl *eventSlot) {
 }
 
 // push queues h.Fire(arg, n) at time at and returns its handle. The
-// caller has already validated at against its clock.
+// caller has already validated at against its clock, which is never
+// earlier than the last popped event's: at's bucket is at or after the
+// cursor.
 func (q *eventQueue) push(at Time, h Handler, arg any, n uint64) Event {
 	sl := q.alloc()
 	sl.h, sl.arg, sl.n = h, arg, n
-	e := heapEntry{at: at, seq: q.seq, slot: sl}
+	sl.at, sl.seq = at, q.seq
 	q.seq++
+	if bucketOf(at)-q.wheel.cursor < wheelSize {
+		q.wheel.push(sl)
+	} else {
+		q.pushHeap(heapEntry{at: at, seq: sl.seq, slot: sl})
+	}
+	return Event{slot: sl, gen: sl.gen, at: at}
+}
+
+// pushHeap adds a far event to the heap.
+func (q *eventQueue) pushHeap(e heapEntry) {
 	if q.heap == nil {
 		// Start at a slab block's worth: doubling up from one entry
 		// would copy the 24-byte entries seven times on the way to a
-		// fresh simulator's first hundred events.
+		// fresh simulator's first hundred far events.
 		q.heap = make([]heapEntry, 0, slabBlock)
 	}
 	q.heap = append(q.heap, e)
 	q.up(len(q.heap)-1, e)
-	return Event{slot: sl, gen: sl.gen, at: at}
 }
 
 // up places e at or above the hole at index i.
@@ -193,10 +337,11 @@ func (q *eventQueue) down(i int, e heapEntry) {
 	e.slot.index = int32(i)
 }
 
-// remove takes the entry at heap index i out of the heap and returns it.
-func (q *eventQueue) remove(i int) heapEntry {
+// remove takes the entry at heap index i out of the heap and returns its
+// slot.
+func (q *eventQueue) remove(i int) *eventSlot {
 	h := q.heap
-	e := h[i]
+	sl := h[i].slot
 	n := len(h) - 1
 	last := h[n]
 	h[n] = heapEntry{}
@@ -208,24 +353,34 @@ func (q *eventQueue) remove(i int) heapEntry {
 			q.down(i, last)
 		}
 	}
-	e.slot.index = -1
-	return e
+	return sl
 }
 
-// headAt returns the firing time of the earliest pending event; ok is
-// false when the queue is empty.
-func (q *eventQueue) headAt() (at Time, ok bool) {
-	if len(q.heap) == 0 {
-		return 0, false
+// head finds the earliest pending event: its time, and the wheel bucket
+// whose first event it is, or -1 when it is the heap's root. ok is false
+// when the queue is empty.
+func (q *eventQueue) head() (at Time, b int, ok bool) {
+	// The wheel's earliest event heads the first occupied bucket at or
+	// after the cursor's.
+	w := &q.wheel
+	c := int(w.cursor) & wheelMask
+	if m := w.occ[c>>6] >> (c & 63); m != 0 {
+		b = c + bits.TrailingZeros64(m)
+	} else {
+		b = w.scan(c)
 	}
-	return q.heap[0].at, true
-}
-
-// pop removes the earliest pending event and returns its time and slot.
-// The caller releases the slot after capturing its callback.
-func (q *eventQueue) pop() (Time, *eventSlot) {
-	e := q.remove(0)
-	return e.at, e.slot
+	if b >= 0 {
+		sl := w.tail[b].next
+		if len(q.heap) == 0 {
+			return sl.at, b, true
+		}
+		if r := &q.heap[0]; sl.at < r.at || sl.at == r.at && sl.seq < r.seq {
+			return sl.at, b, true
+		}
+	} else if len(q.heap) == 0 {
+		return 0, -1, false
+	}
+	return q.heap[0].at, -1, true
 }
 
 // cancel removes a pending event, reporting whether it did. Handles that
@@ -233,18 +388,23 @@ func (q *eventQueue) pop() (Time, *eventSlot) {
 // are refused.
 func (q *eventQueue) cancel(e Event) bool {
 	sl := e.slot
-	if sl == nil || sl.gen != e.gen || sl.index < 0 || sl.owner != q {
+	if sl == nil || sl.gen != e.gen || sl.index == notQueued || sl.owner != q {
 		return false
 	}
-	q.remove(int(sl.index))
+	if sl.index == onWheel {
+		q.wheel.unlink(sl)
+	} else {
+		q.remove(int(sl.index))
+	}
+	sl.index = notQueued
 	q.release(sl)
 	return true
 }
 
-func (q *eventQueue) len() int { return len(q.heap) }
+func (q *eventQueue) len() int { return q.wheel.n + len(q.heap) }
 
-// shrink gives back the heap slice's slack after a burst drains, so a
-// queue that once held tens of thousands of in-flight events does not
+// shrink gives back the heap slice's slack after a burst of far events
+// drains, so a queue that once held tens of thousands of them does not
 // pin that memory for the rest of a long run.
 func (q *eventQueue) shrink() {
 	if cap(q.heap) >= 1024 && len(q.heap)*4 <= cap(q.heap) {

@@ -136,6 +136,8 @@ func appendEnvelope(payload []byte, env keys.Envelope) []byte {
 	return append(payload, env.Ciphertext...)
 }
 
+// parseEnvelope reads what appendEnvelope wrote, refusing a length
+// appendEnvelope could not have written.
 func parseEnvelope(b []byte) (keys.Envelope, error) {
 	if len(b) < 2 {
 		return keys.Envelope{}, fmt.Errorf("transport: truncated envelope length")
@@ -143,6 +145,9 @@ func parseEnvelope(b []byte) (keys.Envelope, error) {
 	n := int(binary.BigEndian.Uint16(b[:2]))
 	if n == 0 {
 		return keys.Envelope{}, nil
+	}
+	if n > gsiMaxEnvelope {
+		return keys.Envelope{}, fmt.Errorf("transport: envelope length %d exceeds the GSI limit %d", n, gsiMaxEnvelope)
 	}
 	if len(b) < 2+n {
 		return keys.Envelope{}, fmt.Errorf("transport: truncated envelope (%d < %d)", len(b)-2, n)

@@ -3,11 +3,11 @@
 # (the allocation budgets are ordinary tests among them and hold under
 # it), and once more in the poison build that faults on any use of a
 # message after its release point; an end-to-end -quick smoke of the
-# parallel experiment runner, including a manifest resume; a fuzz smoke
-# of the wire parsers; and a -quick run of the benchmark for its
-# correctness checks, then one full-length repetition against the
-# recorded digests. Nothing here gates on host time: bench/ measures it,
-# -compare judges it.
+# parallel experiment runner, including a manifest resume; a 5 s smoke
+# of every fuzz target, listed in one package/target table; and a -quick
+# run of the benchmark for its correctness checks, then one full-length
+# repetition against the recorded digests. Nothing here gates on host
+# time: bench/ measures it, -compare judges it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,16 +54,21 @@ for f in "$tmp"/csv/*.csv; do
   diff "$f" "$tmp/csv2/$base"
 done
 
-echo "== fuzz smoke (wire parsers, the seal, the SMP transit reseal, the HCA MAD dispatch, the P_Key table and the event queue, 5s each)"
-go test -run '^$' -fuzz '^FuzzPacketUnmarshal$' -fuzztime 5s ./internal/packet
-go test -run '^$' -fuzz '^FuzzCRC16$' -fuzztime 5s ./internal/icrc
-go test -run '^$' -fuzz '^FuzzSeal$' -fuzztime 5s ./internal/icrc
-go test -run '^$' -fuzz '^FuzzMADParse$' -fuzztime 5s ./internal/sm
-go test -run '^$' -fuzz '^FuzzSMPTransit$' -fuzztime 5s ./internal/sm
-go test -run '^$' -fuzz '^FuzzMADDispatch$' -fuzztime 5s ./internal/sm
-go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 5s ./internal/policy
-go test -run '^$' -fuzz '^FuzzPartitionTable$' -fuzztime 5s ./internal/keys
-go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 5s ./internal/sim
+echo "== fuzz smoke (every fuzz target, 5s each)"
+while read -r pkg target; do
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s "./internal/${pkg}" </dev/null
+done <<'EOF'
+packet    FuzzPacketUnmarshal
+icrc      FuzzCRC16
+icrc      FuzzSeal
+sm        FuzzMADParse
+sm        FuzzSMPTransit
+sm        FuzzMADDispatch
+transport FuzzGSI
+policy    FuzzUnmarshal
+keys      FuzzPartitionTable
+sim       FuzzEventQueue
+EOF
 
 echo "== bench -quick (every workload's mechanism engaged; rep-to-rep and traced-vs-untraced digests)"
 go run -C bench . -quick -out "$tmp/bench" >"$tmp/bench.out"
