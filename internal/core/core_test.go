@@ -485,8 +485,9 @@ func TestTable4Shape(t *testing.T) {
 	// EXPERIMENTS.md).
 	//
 	// The orderings compare host-timed throughputs, and the race detector
-	// instruments pure-Go UMAC but not the assembly behind CRC-32, MD5
-	// and SHA-1, so under -race on a busy box UMAC can tie HMAC-MD5.
+	// instruments pure-Go UMAC and CRC-32 (icrc.CRC32, the software table
+	// kernel) but not the assembly behind MD5 and SHA-1, so under -race
+	// on a busy box UMAC can tie HMAC-MD5.
 	// They are asserted uninstrumented only (scripts/ci.sh runs this test
 	// once without -race for that); everything else runs either way.
 	if !raceEnabled {

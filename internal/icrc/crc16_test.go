@@ -8,26 +8,39 @@ import (
 	"ibasec/internal/packet"
 )
 
-// The slicing-by-8 CRC16 must equal the bit-serial reference for every
-// length a wire image can have (and past it), and at every alignment of
-// the input within a shared buffer, so neither the 8-byte main loop nor
-// the byte-at-a-time tail can drift.
+// Both CRC-16 kernels — update16, which folds with PCLMULQDQ where the
+// CPU allows, and the slicing-by-8 update16Table — must equal the
+// bit-serial reference for every length a wire image can have (and past
+// it), at every alignment of the input against the fold's 16-byte blocks,
+// and from any starting register, so neither the 64-byte stride, the
+// single-block loop, the reduction nor either table loop can drift.
 func TestCRC16MatchesBitwise(t *testing.T) {
-	const maxLen = 2*packet.MTU + 8
-	buf := make([]byte, maxLen+8)
-	rand.New(rand.NewSource(16)).Read(buf)
-	for n := 0; n <= maxLen; n++ {
-		if got, want := CRC16(buf[:n]), CRC16Bitwise(buf[:n]); got != want {
-			t.Fatalf("len %d: CRC16 = %#04x, bitwise = %#04x", n, got, want)
-		}
+	if !hasCLMUL {
+		t.Log("no PCLMULQDQ or SSSE3 (or not amd64): update16 is the table kernel, the fold is not exercised")
 	}
-	for off := 0; off < 8; off++ {
-		for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, packet.MTU + 34, maxLen} {
-			data := buf[off : off+n]
-			if got, want := CRC16(data), CRC16Bitwise(data); got != want {
-				t.Fatalf("offset %d len %d: CRC16 = %#04x, bitwise = %#04x", off, n, got, want)
+	const maxLen = 2*packet.MTU + 8
+	rng := rand.New(rand.NewSource(16))
+	buf := make([]byte, maxLen+16)
+	rng.Read(buf)
+	for _, init := range []uint16{0xFFFF, 0, uint16(rng.Intn(1 << 16))} {
+		for off := 0; off < 16; off++ {
+			want := init
+			for n := 0; n <= maxLen; n++ {
+				data := buf[off : off+n]
+				if n > 0 {
+					want = update16Bitwise(want, data[n-1:])
+				}
+				if got := update16(init, data); got != want {
+					t.Fatalf("init %#04x offset %d len %d: update16 = %#04x, bitwise = %#04x", init, off, n, got, want)
+				}
+				if got := update16Table(init, data); got != want {
+					t.Fatalf("init %#04x offset %d len %d: update16Table = %#04x, bitwise = %#04x", init, off, n, got, want)
+				}
 			}
 		}
+	}
+	if got, want := CRC16(buf[:maxLen]), CRC16Bitwise(buf[:maxLen]); got != want {
+		t.Fatalf("CRC16 = %#04x, bitwise = %#04x", got, want)
 	}
 }
 
@@ -94,16 +107,31 @@ func TestPatchVCRC(t *testing.T) {
 	}
 }
 
-// FuzzCRC16 holds the table kernel to the bit-serial reference on
-// arbitrary input, and to the one guarantee every CRC whose generator
-// has a constant term gives: no single flipped bit goes unnoticed.
+// FuzzCRC16 holds the fold and the table kernel to the bit-serial
+// reference on arbitrary input, from the all-ones register and from one
+// drawn from bit, and to the one guarantee every CRC whose generator has a
+// constant term gives: no single flipped bit goes unnoticed. The seeds
+// straddle the fold's 32-byte threshold and its 64-byte stride.
 func FuzzCRC16(f *testing.F) {
 	f.Add(mkPacket(64, true).Marshal(), uint16(500))
 	f.Add(mkPacket(1024, false).Marshal(), uint16(8000))
+	for _, n := range []int{31, 32, 33, 63, 64, 127, 128, 129} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i*31 + n)
+		}
+		f.Add(data, uint16(n*13))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, bit uint16) {
 		base := CRC16(data)
-		if want := CRC16Bitwise(data); base != want {
-			t.Fatalf("len %d: CRC16 = %#04x, bitwise = %#04x", len(data), base, want)
+		for _, init := range []uint16{0xFFFF, bit} {
+			want := update16Bitwise(init, data)
+			if got := update16(init, data); got != want {
+				t.Fatalf("init %#04x len %d: update16 = %#04x, bitwise = %#04x", init, len(data), got, want)
+			}
+			if got := update16Table(init, data); got != want {
+				t.Fatalf("init %#04x len %d: update16Table = %#04x, bitwise = %#04x", init, len(data), got, want)
+			}
 		}
 		if len(data) == 0 {
 			return

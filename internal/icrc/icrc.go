@@ -15,16 +15,24 @@
 // ones and covers the packet from the first byte of the LRH through the
 // ICRC.
 //
-// Both CRCs run as slicing-by-8 table kernels (CRC32, CRC16) over
-// resumable register updates; the bit-serial CRC32Bitwise and
-// CRC16Bitwise are the references the tests cross-check them against.
-// Seal computes both CRCs of an unauthenticated packet in one pass over
-// its wire image, masking the variant header fields on the stack; PatchVCRC
-// is the VCRC-only writer for the paths that leave the ICRC field alone.
+// The wire path runs at hardware speed, as the paper's link-rate CRC
+// hardware (its reference [33]) would. The VCRC's update16 folds 16-byte
+// blocks with carry-less multiplies (PCLMULQDQ, amd64) and falls back to
+// the slicing-by-8 update16Table elsewhere. The ICRC walks the masked
+// header, at most 60 bytes copied onto the stack, with the slicing-by-8
+// table, and hands the payload to hash/crc32, whose IEEE checksum is this
+// CRC. CRC32 stays the software table kernel: Table 4 times it as the
+// paper's CRC-32 baseline against the MACs. The bit-serial CRC32Bitwise
+// and CRC16Bitwise are the references the tests hold every kernel to.
+//
+// Seal writes both CRCs of an unauthenticated packet into its wire image;
+// PatchVCRC is the VCRC-only writer for the paths that leave the ICRC
+// field alone.
 package icrc
 
 import (
 	"fmt"
+	"hash/crc32"
 
 	"ibasec/internal/packet"
 )
@@ -91,7 +99,8 @@ func init() {
 
 // CRC32 computes the reflected CRC-32 (poly 0x04C11DB7, init all-ones,
 // post-complement) over data with slicing-by-8. For raw data it is
-// bit-identical to hash/crc32's IEEE checksum.
+// bit-identical to hash/crc32's IEEE checksum, and deliberately not that
+// checksum: Table 4 times this software kernel, not the host's CLMUL unit.
 func CRC32(data []byte) uint32 { return ^update32(^uint32(0), data) }
 
 // update32 advances a raw CRC-32 register (no pre- or post-complement)
@@ -133,11 +142,13 @@ func CRC32Bitwise(data []byte) uint32 {
 }
 
 // CRC16 computes the IBA VCRC CRC-16 (poly 0x100B, init all-ones, no
-// reflection, no final XOR) over data, MSB-first, with slicing-by-8.
+// reflection, no final XOR) over data, MSB-first.
 func CRC16(data []byte) uint16 { return update16(^uint16(0), data) }
 
-// update16 advances a CRC-16 register over data; see update32.
-func update16(crc uint16, data []byte) uint16 {
+// update16Table advances a CRC-16 register over data with slicing-by-8;
+// see update32. It is update16's fallback and the reference its fold is
+// tested against.
+func update16Table(crc uint16, data []byte) uint16 {
 	for len(data) >= 8 {
 		crc = slicing16[7][data[0]^byte(crc>>8)] ^
 			slicing16[6][data[1]^byte(crc)] ^
@@ -156,9 +167,11 @@ func update16(crc uint16, data []byte) uint16 {
 }
 
 // CRC16Bitwise is the reference bit-serial implementation of CRC16, used
-// to cross-check the table-driven version in tests.
-func CRC16Bitwise(data []byte) uint16 {
-	crc := ^uint16(0)
+// to cross-check the fold and table kernels in tests.
+func CRC16Bitwise(data []byte) uint16 { return update16Bitwise(^uint16(0), data) }
+
+// update16Bitwise advances a CRC-16 register over data one bit at a time.
+func update16Bitwise(crc uint16, data []byte) uint16 {
 	for _, b := range data {
 		crc ^= uint16(b) << 8
 		for k := 0; k < 8; k++ {
@@ -251,58 +264,40 @@ func maskedHeader(hdr *[maxMaskedHeader]byte, wire []byte) (int, error) {
 // ICRC computes the Invariant CRC for a marshaled packet (which must
 // include space for the trailing ICRC and VCRC fields; their current
 // contents are ignored). It allocates nothing.
+//
+// The masked header, a copy on this stack, takes the table walk; the rest
+// of the region is read where it lies by hash/crc32, whose IEEE checksum is
+// this CRC (PCLMULQDQ on amd64, the CRC32 instructions on arm64). The
+// header stays out of hash/crc32, which would move it to the heap. The
+// table walk also takes the payload's first len%16 bytes, so hash/crc32
+// gets whole 16-byte blocks and no ragged tail, which it would walk a
+// byte at a time.
 func ICRC(wire []byte) (uint32, error) {
 	var hdr [maxMaskedHeader]byte
 	n, err := maskedHeader(&hdr, wire)
 	if err != nil {
 		return 0, err
 	}
-	crc := update32(^uint32(0), hdr[:n])
-	return ^update32(crc, wire[n:len(wire)-trailerSize]), nil
+	rest := wire[n : len(wire)-trailerSize]
+	k := len(rest) % 16
+	crc := update32(update32(^uint32(0), hdr[:n]), rest[:k])
+	return crc32.Update(^crc, crc32.IEEETable, rest[k:]), nil
 }
 
-// sealCRCs computes the ICRC and the VCRC of a wire image in one pass.
-// The two CRCs disagree only on the masked header bytes, which each
-// register consumes on its own; over the bytes they share one loop
-// advances both slicing-by-8 registers — two independent dependency
-// chains, where a CRC after a CRC would wait on each table load twice —
-// and the VCRC then runs on over the four ICRC bytes.
+// sealCRCs computes the ICRC of a wire image and writes it into the
+// trailer, then computes the VCRC over the image through that ICRC and
+// writes it too: the VCRC reads one contiguous run, which the fold takes
+// in whole 16-byte blocks wherever the image length allows.
 func sealCRCs(wire []byte) (uint32, uint16, error) {
-	var hdr [maxMaskedHeader]byte
-	n, err := maskedHeader(&hdr, wire)
+	ic, err := ICRC(wire)
 	if err != nil {
 		return 0, 0, err
 	}
-	c32 := update32(^uint32(0), hdr[:n])
-	c16 := update16(^uint16(0), wire[:n])
-	data := wire[n : len(wire)-trailerSize]
-	for len(data) >= 8 {
-		c32 ^= uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24
-		c32 = slicing8[7][byte(c32)] ^
-			slicing8[6][byte(c32>>8)] ^
-			slicing8[5][byte(c32>>16)] ^
-			slicing8[4][byte(c32>>24)] ^
-			slicing8[3][data[4]] ^
-			slicing8[2][data[5]] ^
-			slicing8[1][data[6]] ^
-			slicing8[0][data[7]]
-		c16 = slicing16[7][data[0]^byte(c16>>8)] ^
-			slicing16[6][data[1]^byte(c16)] ^
-			slicing16[5][data[2]] ^
-			slicing16[4][data[3]] ^
-			slicing16[3][data[4]] ^
-			slicing16[2][data[5]] ^
-			slicing16[1][data[6]] ^
-			slicing16[0][data[7]]
-		data = data[8:]
-	}
-	for _, b := range data {
-		c32 = c32>>8 ^ table32[byte(c32)^b]
-		c16 = c16<<8 ^ slicing16[0][byte(c16>>8)^b]
-	}
-	ic := ^c32
-	trailer := [packet.ICRCSize]byte{byte(ic >> 24), byte(ic >> 16), byte(ic >> 8), byte(ic)}
-	return ic, update16(c16, trailer[:]), nil
+	t := wire[len(wire)-trailerSize:]
+	t[0], t[1], t[2], t[3] = byte(ic>>24), byte(ic>>16), byte(ic>>8), byte(ic)
+	vc := CRC16(wire[:len(wire)-packet.VCRCSize])
+	t[4], t[5] = byte(vc>>8), byte(vc)
+	return ic, vc, nil
 }
 
 // VCRC computes the Variant CRC over LRH through ICRC of a marshaled
@@ -320,10 +315,9 @@ func VCRC(wire []byte) (uint16, error) {
 // is recomputed — this is the paper's Fig. 4(b) packet format.
 //
 // Seal serializes the packet exactly once (in place when the packet owns
-// its image, packet.AllocPayload) and reads it once: both CRCs come out
-// of one pass, the trailer bytes are patched into the image, and the
-// finished image stays the packet's cache (packet.Wire), so downstream
-// hops never marshal again.
+// its image, packet.AllocPayload), patches both CRCs into the image's
+// trailer, and leaves the finished image as the packet's cache
+// (packet.Wire), so downstream hops never marshal again.
 func Seal(p *packet.Packet) error {
 	if err := p.Finalize(); err != nil {
 		return err
@@ -332,15 +326,11 @@ func Seal(p *packet.Packet) error {
 	if p.BTH.AuthID != 0 {
 		return PatchVCRC(p)
 	}
-	wire := p.Wire()
-	ic, vc, err := sealCRCs(wire)
+	ic, vc, err := sealCRCs(p.Wire())
 	if err != nil {
 		return err
 	}
 	p.ICRC, p.VCRC = ic, vc
-	t := wire[len(wire)-trailerSize:]
-	t[0], t[1], t[2], t[3] = byte(ic>>24), byte(ic>>16), byte(ic>>8), byte(ic)
-	t[4], t[5] = byte(vc>>8), byte(vc)
 	return nil
 }
 

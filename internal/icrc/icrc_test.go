@@ -2,6 +2,7 @@ package icrc
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -247,13 +248,43 @@ func BenchmarkCRC32Table1024(b *testing.B) {
 	}
 }
 
-var sinkCRC16 uint16
+var (
+	sinkCRC16 uint16
+	sinkCRC32 uint32
+)
 
-func BenchmarkCRC16_1024(b *testing.B) {
-	data := make([]byte, 1024)
-	b.SetBytes(1024)
-	for i := 0; i < b.N; i++ {
-		sinkCRC16 = CRC16(data)
+// BenchmarkCRC16 times the VCRC kernel at a small packet's length (the
+// fold's threshold is 32 B) and at 1 KiB.
+func BenchmarkCRC16(b *testing.B) {
+	for _, n := range []int{96, 1024} {
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			data := make([]byte, n)
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				sinkCRC16 = CRC16(data)
+			}
+		})
+	}
+}
+
+// BenchmarkSealCRCs times both CRCs of a sealed UD packet at the small
+// payloads that must not get slower (64 B, and 68 B like an SMP's answer)
+// and at 256 B and the MTU.
+func BenchmarkSealCRCs(b *testing.B) {
+	for _, n := range []int{64, 68, 256, 1024} {
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			wire := mkPacket(n, false).Marshal()
+			b.SetBytes(int64(len(wire)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ic, vc, err := sealCRCs(wire)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkCRC32, sinkCRC16 = ic, vc
+			}
+		})
 	}
 }
 
@@ -435,16 +466,36 @@ func TestVerifierZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state InvariantRegion allocated %.1f times per packet, want 0", allocs)
 	}
-	allocs = testing.AllocsPerRun(100, func() {
-		if err := PatchVCRC(p); err != nil {
+	// Each CRC entry point on its own, at a size the fold takes in one
+	// stride and at the MTU, so neither hash/crc32 nor the fold kernel
+	// moves an argument to the heap.
+	for _, n := range []int{64, 1024} {
+		q := &packet.Packet{
+			BTH:  packet.BTH{OpCode: packet.UDSendOnly, PKey: 0x8005, DestQP: 11},
+			DETH: &packet.DETH{QKey: 0x1234, SrcQP: 6},
+		}
+		q.AllocPayload(n)
+		if err := Seal(q); err != nil {
 			t.Fatal(err)
 		}
-		ok, err := VerifyVCRC(p.Wire())
-		if err != nil || !ok {
-			t.Fatalf("ok=%v err=%v", ok, err)
+		w := q.Wire()
+		for _, c := range []struct {
+			name string
+			fn   func() error
+		}{
+			{"ICRC", func() error { _, err := ICRC(w); return err }},
+			{"VCRC", func() error { _, err := VCRC(w); return err }},
+			{"PatchVCRC", func() error { return PatchVCRC(q) }},
+			{"VerifyICRC", func() error { _, err := VerifyICRC(w); return err }},
+			{"VerifyVCRC", func() error { _, err := VerifyVCRC(w); return err }},
+		} {
+			if allocs := testing.AllocsPerRun(100, func() {
+				if err := c.fn(); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s at %d B allocated %.1f times per packet, want 0", c.name, n, allocs)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("PatchVCRC + VerifyVCRC allocated %.1f times per packet, want 0", allocs)
 	}
 }

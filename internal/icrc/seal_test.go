@@ -7,8 +7,8 @@ import (
 )
 
 // headerShapes are the extended-header combinations a sealed packet can
-// carry; each puts the payload, and so the 8-byte stride of the shared
-// CRC loop, at a different offset.
+// carry; each puts the payload at a different offset against the VCRC
+// fold's 16-byte blocks and the ICRC's header/payload split.
 var headerShapes = []struct {
 	name string
 	mk   func() *packet.Packet
@@ -50,9 +50,10 @@ var headerShapes = []struct {
 	}},
 }
 
-// checkSealed holds a sealed packet to the definition the one-pass seal
-// replaced: the ICRC is CRC32 over the masked invariant region, the VCRC
-// CRC16 over everything before it, and both are what the wire carries.
+// checkSealed holds a sealed packet to the two-pass definition: the ICRC
+// is the software CRC32 over a masked copy of the invariant region, the
+// VCRC CRC16 over everything before it, and both are what the wire
+// carries.
 func checkSealed(t *testing.T, p *packet.Packet) {
 	t.Helper()
 	wire := p.Wire()
@@ -80,7 +81,7 @@ func checkSealed(t *testing.T, p *packet.Packet) {
 	}
 }
 
-// The one-pass seal equals the two independent CRCs for every payload
+// Seal equals the two independent CRCs for every payload
 // length up to the MTU under every header shape, whether the packet owns
 // its image (built in place) or carries a caller's payload slice.
 func TestSealOnePassMatchesTwoPass(t *testing.T) {

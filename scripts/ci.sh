@@ -20,6 +20,11 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== cross-builds (the !amd64 CRC-16 fallback must keep compiling: arm64 runs hash/crc32 on its CRC32 instructions, 386 has neither)"
+GOARCH=arm64 go vet ./internal/icrc
+GOARCH=arm64 go build ./...
+GOARCH=386 go build ./...
+
 echo "== bench module vet + build (separate module; go build ./... does not descend into it)"
 (cd bench && go vet ./... && go build -o /dev/null ./...)
 
