@@ -186,6 +186,9 @@ type Cluster struct {
 	// discoverers lists every plane's SMP prober in creation order, so a
 	// composed run's request accounting can be read back per plane.
 	discoverers []*sm.Discoverer
+	// switchAgents holds the in-band switch agents, when any plane
+	// attached them, so their transit reseals can be read back.
+	switchAgents []*sm.SwitchAgent
 }
 
 // Run builds the cluster from cfg, simulates it, and returns the results.
@@ -560,7 +563,8 @@ func (cl *Cluster) armResilience() {
 		// answering SMPs on every switch and HCA. The filter reference lets
 		// switch agents answer enforcement-state audit attributes.
 		mkey := cfg.SM.MKey
-		for _, agent := range sm.AttachSwitchAgents(cl.Mesh, mkey) {
+		cl.switchAgents = sm.AttachSwitchAgents(cl.Mesh, mkey)
+		for _, agent := range cl.switchAgents {
 			agent.Enforce = cl.Filter
 			agent.DedupTIDs = cfg.HA.SplitBrain
 		}

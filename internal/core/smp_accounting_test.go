@@ -86,6 +86,28 @@ func TestAllPlanesSMPAccountingPinned(t *testing.T) {
 	}
 }
 
+// TestTransitResealsPatched holds every transit hop of a fault-free
+// all-planes run to the incremental reseal: each switch agent patched the
+// CRCs of the DR-SMPs it forwarded from the bytes it changed, and none
+// fell back to sealing the whole image. Were the patch path never taken,
+// every other test would still pass, the fallback being byte-identical.
+func TestTransitResealsPatched(t *testing.T) {
+	cl, err := Build(allPlanesCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Simulate()
+	var patched, sealed int
+	for _, a := range cl.switchAgents {
+		p, s := a.TransitReseals()
+		patched, sealed = patched+p, sealed+s
+	}
+	if patched == 0 || sealed != 0 {
+		t.Errorf("transit reseals: %d patched, %d sealed whole; want some and none", patched, sealed)
+	}
+	t.Logf("%d transit reseals, all patched", patched)
+}
+
 // agentsFirst is Simulate with the measurement collectors attached after
 // the SM agents instead of before.
 func agentsFirst(cl *Cluster) *Results {

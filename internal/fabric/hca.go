@@ -177,8 +177,10 @@ func (h *HCA) Send(d *Delivery) {
 	}
 	// Mutating the LRH stales any wire image cached at seal time, but
 	// only invalidate when a field actually changes: best-effort traffic
-	// already carries VL 0, so its sealed image survives to the receiver.
-	if d.Pkt.LRH.SLID == 0 {
+	// already carries VL 0, so its sealed image survives to the receiver,
+	// and an SM's HCA that has no LID yet sends its SMPs with SLID 0 as
+	// sealed, so transit switches can patch them (icrc.PatchPayload).
+	if d.Pkt.LRH.SLID == 0 && h.lid != 0 {
 		d.Pkt.LRH.SLID = h.lid
 		d.Pkt.InvalidateWire()
 	}

@@ -27,12 +27,14 @@
 //
 // Seal writes both CRCs of an unauthenticated packet into its wire image;
 // PatchVCRC is the VCRC-only writer for the paths that leave the ICRC
-// field alone.
+// field alone; PatchPayload edits a sealed image in place and updates
+// both CRCs from the bytes it changed.
 package icrc
 
 import (
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"ibasec/internal/packet"
 )
@@ -55,6 +57,18 @@ var slicing8 [8][256]uint32
 // advances a byte through t further zero bytes, so eight lookups consume
 // eight input bytes. 4 KiB, resident in L1 next to the packet.
 var slicing16 [8][256]uint16
+
+// contrib32[r][k] is the raw CRC-32 register advanced from 0 over the byte
+// 1<<k and then r zero bytes: what flipping bit k of a byte with r bytes
+// after it under the CRC does to the CRC. contrib16 is the same for the
+// CRC-16. PatchPayload reads them; rows run to the most bytes an edit can
+// leave after it, the rest of an MTU payload and its pad. 32 KiB and
+// 16 KiB, of which an edit touches one 32- and one 16-byte row per
+// changed byte.
+var (
+	contrib32 [packet.MTU + 3][8]uint32
+	contrib16 [packet.MTU + 3][8]uint16
+)
 
 func init() {
 	for i := range table32 {
@@ -93,6 +107,15 @@ func init() {
 		for t := 1; t < 8; t++ {
 			crc = crc<<8 ^ slicing16[0][crc>>8]
 			slicing16[t][i] = crc
+		}
+	}
+
+	for k := 0; k < 8; k++ {
+		c32, c16 := table32[1<<k], slicing16[0][1<<k]
+		for r := range contrib32 {
+			contrib32[r][k], contrib16[r][k] = c32, c16
+			c32 = c32>>8 ^ table32[byte(c32)]
+			c16 = c16<<8 ^ slicing16[0][byte(c16>>8)]
 		}
 	}
 }
@@ -382,6 +405,72 @@ func PatchVCRC(p *packet.Packet) error {
 	wire[off] = byte(vc >> 8)
 	wire[off+1] = byte(vc)
 	return nil
+}
+
+// PatchPayload writes b over p's payload at offset off and brings both
+// CRCs up to date from the bytes that changed, the way a router patches
+// the IP checksum after a TTL decrement (RFC 1624) instead of summing the
+// header again. A CRC register is linear in its input: two messages of one
+// length have checksums that differ by the raw register (no seed, no
+// complement) advanced from 0 over their XOR, and that XOR is zero but for
+// the bytes the edit changed. So each changed byte, with δ the XOR of its
+// old and new value and r the bytes after it in the invariant region (the
+// payload's rest and its pad), moves
+//
+//	the ICRC by the register over δ and r zero bytes,
+//	the VCRC by the register over δ and r+4 zero bytes,
+//
+// and the VCRC also by the register over the four bytes the ICRC moved,
+// which it covers next. A term over δ and r zeros is an XOR of contrib
+// rows, one per set bit of δ; the last four zeros of the VCRC's terms and
+// the ICRC's term come from one four-byte register step. So an edit costs
+// a look at each byte and a few table reads for each that changed,
+// whatever the packet's length. The payload
+// is covered unmasked, so both CRCs see the same δ. The patched trailer is
+// the one Seal would write exactly when the image was sealed; a trailer
+// that was wrong stays wrong by the same error.
+//
+// It refuses — returns false and leaves p untouched — unless p owns a
+// current image with its payload in place (packet.ImageInPlace; an empty
+// payload is no window), carries no authentication tag in the ICRC field
+// (BTH.AuthID 0), has a payload within the MTU, and b lies inside that
+// payload. b must not alias the image. It allocates nothing.
+func PatchPayload(p *packet.Packet, off int, b []byte) bool {
+	if p.BTH.AuthID != 0 || len(p.Payload) > packet.MTU || off < 0 || len(b) > len(p.Payload)-off || !p.ImageInPlace() {
+		return false
+	}
+	var (
+		ic uint32
+		vc uint16
+	)
+	pl := p.Payload[off : off+len(b)]
+	after := len(p.Payload) - off + int(p.BTH.PadCnt) - 1 // bytes after pl[0]
+	for i, nb := range b {
+		d := pl[i] ^ nb
+		if d == 0 {
+			continue
+		}
+		pl[i] = nb
+		c32, c16 := &contrib32[after-i], &contrib16[after-i]
+		for ; d != 0; d &= d - 1 {
+			k := bits.TrailingZeros8(d)
+			ic ^= c32[k]
+			vc ^= c16[k]
+		}
+	}
+	// The VCRC covers the ICRC next: running its register on over the
+	// ICRC's change adds that change's term and carries the edit's terms
+	// the four bytes further.
+	for _, m := range [packet.ICRCSize]byte{byte(ic >> 24), byte(ic >> 16), byte(ic >> 8), byte(ic)} {
+		vc = vc<<8 ^ slicing16[0][byte(vc>>8)^m]
+	}
+	p.ICRC ^= ic
+	p.VCRC ^= vc
+	wire := p.Wire()
+	t := wire[len(wire)-trailerSize:]
+	t[0], t[1], t[2], t[3] = byte(p.ICRC>>24), byte(p.ICRC>>16), byte(p.ICRC>>8), byte(p.ICRC)
+	t[4], t[5] = byte(p.VCRC>>8), byte(p.VCRC)
+	return true
 }
 
 // VerifyICRC reports whether a marshaled packet's stored ICRC matches the

@@ -2,6 +2,7 @@ package icrc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -467,9 +468,11 @@ func TestVerifierZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("steady-state InvariantRegion allocated %.1f times per packet, want 0", allocs)
 	}
 	// Each CRC entry point on its own, at a size the fold takes in one
-	// stride and at the MTU, so neither hash/crc32 nor the fold kernel
-	// moves an argument to the heap.
-	for _, n := range []int{64, 1024} {
+	// stride, at an SMP's 68 B and at the MTU, so neither hash/crc32 nor
+	// the fold kernel moves an argument to the heap. PatchPayload makes a
+	// transit switch's edit, a fresh hop pointer and return-path byte.
+	edit := []byte{0, 0, 0}
+	for _, n := range []int{64, 68, 1024} {
 		q := &packet.Packet{
 			BTH:  packet.BTH{OpCode: packet.UDSendOnly, PKey: 0x8005, DestQP: 11},
 			DETH: &packet.DETH{QKey: 0x1234, SrcQP: 6},
@@ -488,6 +491,14 @@ func TestVerifierZeroAllocSteadyState(t *testing.T) {
 			{"PatchVCRC", func() error { return PatchVCRC(q) }},
 			{"VerifyICRC", func() error { _, err := VerifyICRC(w); return err }},
 			{"VerifyVCRC", func() error { _, err := VerifyVCRC(w); return err }},
+			{"PatchPayload", func() error {
+				edit[0]++
+				edit[2]--
+				if !PatchPayload(q, 5, edit) {
+					return errors.New("refused")
+				}
+				return nil
+			}},
 		} {
 			if allocs := testing.AllocsPerRun(100, func() {
 				if err := c.fn(); err != nil {

@@ -243,6 +243,11 @@ func (p *Packet) payloadInPlace() bool {
 // packet.
 func (p *Packet) InvalidateWire() { p.wireOK = false }
 
+// ImageInPlace reports whether the packet owns a current wire image with
+// Payload a window into it: Wire would return the cached bytes without
+// serializing, and a write to Payload is a write to that image.
+func (p *Packet) ImageInPlace() bool { return p.wireOK && p.payloadInPlace() }
+
 // Unmarshal parses a wire buffer into p, replacing its contents.
 func (p *Packet) Unmarshal(b []byte) error {
 	*p = Packet{}

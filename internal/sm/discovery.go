@@ -102,17 +102,32 @@ func newResponse(pl []byte) (resp [smpTotalSize]byte) {
 	return resp
 }
 
-// reseal refreshes the packet CRCs after an in-flight payload mutation
-// (hop pointer / return path updates); a transit switch does this once
-// per DR-SMP. A MAD's payload is the window into its own image
-// (Params.NewMAD), so the bytes just written are already on the wire and
-// Seal allocates nothing: it rewrites the headers into that image and
-// recomputes both CRCs over all of it. A packet that does not own its
-// image (the bit-error model's re-parsed copy) gets a fresh one.
-func reseal(d *fabric.Delivery) {
+// reseal writes a transit hop's edit — b over the payload at off: the
+// hop pointer and, outbound, the return-path slot — and refreshes the
+// packet CRCs; a transit switch does this once per DR-SMP. A MAD's
+// payload is the window into its own sealed image (Params.NewMAD), so
+// icrc.PatchPayload writes the edit there and updates both CRCs from the
+// bytes it changed, without re-marshalling the headers or reading the
+// rest of the image. A tainted delivery (bit errors since its CRCs were
+// last checked) and a packet PatchPayload refuses — the bit-error model's
+// re-parsed copy owns no image — are resealed whole by Seal, which gives
+// the latter a fresh image.
+func (a *SwitchAgent) reseal(d *fabric.Delivery, off int, b []byte) {
+	if !d.Tainted && icrc.PatchPayload(d.Pkt, off, b) {
+		a.patched++
+		return
+	}
+	a.sealed++
+	copy(d.Pkt.Payload[off:], b)
 	if err := icrc.Seal(d.Pkt); err != nil {
 		panic(fmt.Sprintf("sm: resealing SMP: %v", err))
 	}
+}
+
+// TransitReseals reports how the agent refreshed the CRCs of the DR-SMPs
+// it forwarded: patched from the edit, or sealed whole.
+func (a *SwitchAgent) TransitReseals() (patched, sealed int) {
+	return int(a.patched), int(a.sealed)
 }
 
 // isDRSMP reports whether a delivery carries a directed-route SMP.
@@ -177,7 +192,11 @@ type SwitchAgent struct {
 	// the dedup window — the discoverer's monotone per-instance TIDs
 	// satisfy this within a sweep. Default off.
 	DedupTIDs bool
-	tids      *tidSet
+	// patched and sealed count the transit reseals of each kind
+	// (TransitReseals); they are not counters a CSV reports, and at 32
+	// bits they keep the agent in its 48-byte allocation size class.
+	patched, sealed uint32
+	tids            *tidSet
 	// portCounters is the handle of the switch's smp_portcounters counter,
 	// which every PerfMgr read increments.
 	portCounters *metrics.Counter
@@ -213,11 +232,13 @@ func (a *SwitchAgent) HandleMAD(sw *fabric.Switch, inPort int, d *fabric.Deliver
 	switch fr.Dir {
 	case 0: // outbound
 		if fr.HopPtr < fr.HopCnt {
-			// Transit hop: record the return port and forward along
-			// the initial path.
-			pl[smpOffRet+fr.HopPtr] = byte(inPort)
-			pl[smpOffHopPtr] = byte(fr.HopPtr + 1)
-			reseal(d)
+			// Transit hop: advance the hop pointer, record the return
+			// port and forward along the initial path. The edit is one
+			// window from the hop pointer to the return-path slot.
+			var w [smpOffRet + smpMaxHops - smpOffHopPtr]byte
+			n := copy(w[:], pl[smpOffHopPtr:smpOffRet+fr.HopPtr+1])
+			w[0], w[n-1] = byte(fr.HopPtr+1), byte(inPort)
+			a.reseal(d, smpOffHopPtr, w[:n])
 			sw.SendRaw(int(pl[smpOffInit+fr.HopPtr]), d)
 			return true
 		}
@@ -236,9 +257,8 @@ func (a *SwitchAgent) HandleMAD(sw *fabric.Switch, inPort int, d *fabric.Deliver
 		return true
 	default: // returning
 		if fr.HopPtr > 0 {
-			pl[smpOffHopPtr] = byte(fr.HopPtr - 1)
 			out := int(pl[smpOffRet+fr.HopPtr-1])
-			reseal(d)
+			a.reseal(d, smpOffHopPtr, []byte{byte(fr.HopPtr - 1)})
 			sw.SendRaw(out, d)
 			return true
 		}

@@ -49,17 +49,19 @@ func line(n int) (*sim.Simulator, *topology.Mesh, *Discoverer) {
 // TestSMPTransitAllocs holds one directed-route Get round trip to no
 // allocation at all — the request and the response MAD reuse the two
 // message blocks AllocsPerRun's warm-up round left on the fabric's free
-// list — whether the target is the SM's own switch or the far switch of a
-// three-switch line, two transit switches away in each direction, and
-// whether it reads NodeInfo or has the switch agent digest its
-// enforcement tables into an AuditState answer.
+// list — whether the target is the SM's own switch, a switch two transit
+// switches away in each direction, or one at the end of a 16-hop path,
+// whose transit switches write every return-path slot, and whether it
+// reads NodeInfo or has the switch agent digest its enforcement tables
+// into an AuditState answer. Every transit hop patches its CRCs.
 func TestSMPTransitAllocs(t *testing.T) {
 	if fabric.PoolPoison {
 		t.Skip("the poison build never reuses a message block")
 	}
-	s, mesh, disc := line(3)
+	s, mesh, disc := line(smpMaxHops + 1)
 	f := enforce.NewFilter(enforce.SIF, fabric.DefaultParams())
-	for _, a := range AttachSwitchAgents(mesh, discMKey) { // re-attached, now with a filter to audit
+	agents := AttachSwitchAgents(mesh, discMKey) // re-attached, now with a filter to audit
+	for _, a := range agents {
 		a.Enforce = f
 	}
 	for _, sw := range mesh.Switches {
@@ -79,19 +81,69 @@ func TestSMPTransitAllocs(t *testing.T) {
 		})
 	}
 	far := []byte{topology.PortEast, topology.PortEast}
+	longest := bytes.Repeat([]byte{topology.PortEast}, smpMaxHops)
 	for _, tc := range []struct {
 		attr byte
 		path []byte
-	}{{smpAttrNodeInfo, nil}, {smpAttrNodeInfo, far}, {smpAttrAuditState, far}} {
+	}{{smpAttrNodeInfo, nil}, {smpAttrNodeInfo, far}, {smpAttrAuditState, far}, {smpAttrNodeInfo, longest}} {
 		if got := roundTrip(tc.attr, tc.path); got != 0 {
 			t.Errorf("a Get %d along %v allocated %.0f times, want 0", tc.attr, tc.path, got)
 		}
 	}
-	if done.n != 3*51 {
-		t.Errorf("%d completions for %d requests", done.n, 3*51)
+	if done.n != 4*51 {
+		t.Errorf("%d completions for %d requests", done.n, 4*51)
 	}
 	if n := mesh.Switches[2].Counters.Get("smp_audit_state"); n != 51 {
 		t.Errorf("the far switch answered %d AuditState Gets, want 51", n)
+	}
+	// Each round trip crosses its path's transit switches both ways.
+	var patched, sealed int
+	for _, a := range agents {
+		p, s := a.TransitReseals()
+		patched, sealed = patched+p, sealed+s
+	}
+	if want := 51 * 2 * (2 + 2 + smpMaxHops); patched != want || sealed != 0 {
+		t.Errorf("%d transit reseals patched, %d sealed whole; want %d and 0", patched, sealed, want)
+	}
+}
+
+// BenchmarkSMPTransit measures one transit hop of a 68-byte DR-SMP at a
+// switch's SMA — the parse, the hop's edit, the CRC refresh and SendRaw —
+// outbound (hop pointer and return-path slot) and returning (hop pointer
+// only). Each op restores the sealed image and CRC fields from a copy, and
+// the path leads out of the lone switch's unconnected east port, where
+// SendRaw counts and drops the SMP instead of queueing it.
+func BenchmarkSMPTransit(b *testing.B) {
+	mesh := topology.NewBlankMesh(sim.New(), fabric.DefaultParams(), 1, 1)
+	sw := mesh.Switches[0]
+	agent := AttachSwitchAgents(mesh, discMKey)[0]
+	path := []byte{topology.PortEast, topology.PortEast}
+	out := newSMP(smpMethodGet, smpAttrNodeInfo, 3, discMKey, path)
+	ret := out
+	ret[smpOffDir], ret[smpOffHopPtr], ret[smpOffRet] = 1, 1, topology.PortEast
+	for _, tc := range []struct {
+		name string
+		pl   []byte
+	}{{"outbound", out[:]}, {"returning", ret[:]}} {
+		b.Run(tc.name, func(b *testing.B) {
+			pkt := sw.Params().NewMAD(1, packet.LIDPermissive, tc.pl).Pkt
+			sealed := append([]byte(nil), pkt.Wire()...)
+			ic, vc := pkt.ICRC, pkt.VCRC
+			var d fabric.Delivery
+			dead := sw.Counters.Get("dead_port")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(pkt.Wire(), sealed)
+				pkt.ICRC, pkt.VCRC = ic, vc
+				d = fabric.Delivery{Pkt: pkt, Class: fabric.ClassManagement, VL: fabric.VLManagement}
+				agent.HandleMAD(sw, topology.PortWest, &d)
+			}
+			b.StopTimer()
+			if n := sw.Counters.Get("dead_port") - dead; n != uint64(b.N) {
+				b.Fatalf("%d of %d SMPs forwarded", n, b.N)
+			}
+		})
 	}
 }
 
@@ -245,25 +297,44 @@ func TestPendingRingGrowth(t *testing.T) {
 // image of a packet freshly built from the same fields and sealed from
 // scratch — sealing over the image the edit was made in may not differ
 // from sealing a fresh one — and must pass both CRC checks; a frame with
-// malformed hop fields must still be consumed and counted. reparsed hands
-// over a packet that does not own its image (what the bit-error model
-// leaves behind), which Seal gives a new one.
+// malformed hop fields must still be consumed and counted. A forwarded
+// SMP's CRCs are patched from the edit, except that reparsed hands over a
+// packet that does not own its image (what the bit-error model leaves
+// behind) and tainted marks the delivery struck by bit errors: both must
+// be sealed whole, and Seal gives the former a new image.
 func FuzzSMPTransit(f *testing.F) {
 	out := newSMP(smpMethodGet, smpAttrNodeInfo, 3, discMKey, []byte{topology.PortEast, topology.PortEast})
-	f.Add(out[:], uint8(topology.PortWest), false)
-	f.Add(out[:], uint8(topology.PortWest), true) // no owned image
+	f.Add(out[:], uint8(topology.PortWest), false, false)
+	f.Add(out[:], uint8(topology.PortWest), true, false) // no owned image
+	f.Add(out[:], uint8(topology.PortWest), false, true) // tainted
 	ret := newSMP(smpMethodGet, smpAttrNodeInfo, 4, discMKey, []byte{topology.PortEast, topology.PortEast})
 	ret[smpOffDir], ret[smpOffHopPtr], ret[smpOffRet] = 1, 1, topology.PortWest
 	copy(ret[smpOffData:], "attribute data..")
-	f.Add(ret[:], uint8(topology.PortEast), false)
+	f.Add(ret[:], uint8(topology.PortEast), false, false)
+	f.Add(ret[:], uint8(topology.PortEast), false, true)
+	// A 16-hop path at every hop pointer, outbound (writing return-path
+	// slot h) and returning (rewinding the pointer to h).
+	path := bytes.Repeat([]byte{topology.PortEast}, smpMaxHops)
+	for h := 0; h < smpMaxHops; h++ {
+		o := newSMP(smpMethodGet, smpAttrNodeInfo, uint32(10+h), discMKey, path)
+		o[smpOffHopPtr] = byte(h)
+		f.Add(o[:], uint8(topology.PortWest), false, false)
+		r := o
+		r[smpOffDir], r[smpOffHopPtr] = 1, byte(h+1)
+		f.Add(r[:], uint8(topology.PortEast), false, false)
+	}
+	// An oversized SMP: a 1 KiB payload puts a long run after the edit.
+	long := make([]byte, packet.MTU)
+	copy(long, out[:])
+	f.Add(long, uint8(topology.PortWest), false, false)
 	target := newSMP(smpMethodSet, smpAttrSetRoute, 5, discMKey, nil)
-	f.Add(target[:], uint8(topology.PortHCA), false)
+	f.Add(target[:], uint8(topology.PortHCA), false, false)
 	bad := newSMP(smpMethodGet, smpAttrNodeInfo, 6, discMKey, []byte{1})
 	bad[smpOffHopCnt] = 200
-	f.Add(bad[:], uint8(1), false)
-	f.Add(bad[:smpHeaderSize+2], uint8(1), true)
+	f.Add(bad[:], uint8(1), false, false)
+	f.Add(bad[:smpHeaderSize+2], uint8(1), true, false)
 
-	f.Fuzz(func(t *testing.T, pl []byte, inPort uint8, reparsed bool) {
+	f.Fuzz(func(t *testing.T, pl []byte, inPort uint8, reparsed, tainted bool) {
 		if len(pl) > packet.MTU {
 			return
 		}
@@ -280,6 +351,7 @@ func FuzzSMPTransit(f *testing.F) {
 			}
 			d.Pkt = &q
 		}
+		d.Tainted = tainted
 		if owns := len(pl) > 0 && &d.Pkt.Wire()[d.Pkt.HeaderSize()] == &d.Pkt.Payload[0]; owns == reparsed && len(pl) > 0 {
 			t.Fatalf("payload is a window into the packet's image: %v, reparsed: %v", owns, reparsed)
 		}
@@ -310,6 +382,13 @@ func FuzzSMPTransit(f *testing.F) {
 
 		if !bytes.Equal(d.Pkt.Payload, want) {
 			t.Fatalf("forwarded payload\n got  %x\n want %x", d.Pkt.Payload, want)
+		}
+		wantPatched := 1
+		if reparsed || tainted {
+			wantPatched = 0
+		}
+		if patched, sealed := agent.TransitReseals(); patched != wantPatched || patched+sealed != 1 {
+			t.Fatalf("reparsed %v, tainted %v: %d patched, %d sealed whole; want %d patched of 1", reparsed, tainted, patched, sealed, wantPatched)
 		}
 		deth := *d.Pkt.DETH
 		fresh := &packet.Packet{LRH: d.Pkt.LRH, BTH: d.Pkt.BTH, DETH: &deth, Payload: want}

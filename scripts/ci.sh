@@ -66,6 +66,7 @@ done <<'EOF'
 packet    FuzzPacketUnmarshal
 icrc      FuzzCRC16
 icrc      FuzzSeal
+icrc      FuzzPatchPayload
 sm        FuzzMADParse
 sm        FuzzSMPTransit
 sm        FuzzMADDispatch
