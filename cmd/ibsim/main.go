@@ -39,43 +39,40 @@ import (
 )
 
 // experiment is one subcommand. The experiments table is the single
-// registry: -list, the usage text, dispatch, the decision to open the
-// result manifest and `ibsim all` are all loops over it.
+// registry: -list, the usage text, dispatch and `ibsim all` are all
+// loops over it.
 type experiment struct {
 	name    string
 	summary string
-	// sweep marks a command that executes simulation points through the
-	// runner, and so uses the worker pool and the result manifest.
-	sweep bool
-	run   func(e *env, args []string) error
+	run     func(e *env, args []string) error
 }
 
 var experiments = []experiment{
-	{"config", "print the Table 1 testbed parameters", false, runConfig},
-	{"fig1", "queuing/latency vs number of attackers", true, runFig1},
-	{"fig5", "NoFiltering/DPT/IF/SIF delay comparison", true, runFig5},
-	{"fig6", "authentication overhead", true, runFig6},
-	{"table2", "enforcement cost model", false, runTable2},
-	{"table4", "MAC throughput & forgery probability (host-timed)", false, runTable4},
-	{"attacks", "Table 3 key-theft matrix", false, runAttacks},
-	{"sweep", "ablation: SIF exposure vs attack duty", true, runSweep},
-	{"authrate", "ablation: MAC engine speed vs link speed", true, runAuthRate},
-	{"smdos", "ablation: management DoS against the SM", true, runSMDoS},
-	{"scale", "ablation: DoS damage vs mesh size", true, runScale},
-	{"faults", "chaos: link kills + BER bursts vs self-healing SM", true, runFaults},
-	{"failover", "robustness: SM kill + standby election + key-epoch rotation", true, runFailover},
-	{"apm", "robustness: RC NAK recovery + automatic path migration", true, runAPM},
-	{"drift", "policy plane: switch-state corruption vs the drift auditor", true, runDrift},
-	{"splitbrain", "robustness: subnet bisection, dual-master containment, merge reconciliation", true, runSplitBrain},
-	{"congestion", "robustness: FECN/BECN congestion control vs DoS injection rate", true, runCongestion},
-	{"health", "robustness: flaky-link quarantine (PerfMgr) vs gray failure and oscillating BER", true, runHealth},
-	{"trace", "dump a packet-lifecycle trace", false, runTrace},
+	{"config", "print the Table 1 testbed parameters", runConfig},
+	{"fig1", "queuing/latency vs number of attackers", runFig1},
+	{"fig5", "NoFiltering/DPT/IF/SIF delay comparison", runFig5},
+	{"fig6", "authentication overhead", runFig6},
+	{"table2", "enforcement cost model", runTable2},
+	{"table4", "MAC throughput & forgery probability (host-timed)", runTable4},
+	{"attacks", "Table 3 key-theft matrix", runAttacks},
+	{"sweep", "ablation: SIF exposure vs attack duty", runSweep},
+	{"authrate", "ablation: MAC engine speed vs link speed", runAuthRate},
+	{"smdos", "ablation: management DoS against the SM", runSMDoS},
+	{"scale", "ablation: DoS damage vs mesh size", runScale},
+	{"faults", "chaos: link kills + BER bursts vs self-healing SM", runFaults},
+	{"failover", "robustness: SM kill + standby election + key-epoch rotation", runFailover},
+	{"apm", "robustness: RC NAK recovery + automatic path migration", runAPM},
+	{"drift", "policy plane: switch-state corruption vs the drift auditor", runDrift},
+	{"splitbrain", "robustness: subnet bisection, dual-master containment, merge reconciliation", runSplitBrain},
+	{"congestion", "robustness: FECN/BECN congestion control vs DoS injection rate", runCongestion},
+	{"health", "robustness: flaky-link quarantine (PerfMgr) vs gray failure and oscillating BER", runHealth},
+	{"trace", "dump a packet-lifecycle trace", runTrace},
 }
 
 // "all" loops over the table, so it joins the table at init time (a
 // literal row would be an initialization cycle).
 func init() {
-	experiments = append(experiments, experiment{"all", "everything above, each with its default flags", true, runAll})
+	experiments = append(experiments, experiment{"all", "everything above, each with its default flags", runAll})
 }
 
 // env is what one invocation hands its experiment: the run-wide
@@ -99,8 +96,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole CLI. It returns the exit code instead of calling
 // os.Exit — on every path, bad input included — so the deferred profile
-// writers and the manifest Close always run, and so tests can drive it
-// in-process.
+// writers always run, and so tests can drive it in-process.
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ibsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -110,8 +106,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	cpuGHz := fs.Float64("cpu-ghz", 2.1, "CPU clock for table4 cycles/byte conversion")
 	csvDir := fs.String("csv", "", "also write each experiment's rows to <dir>/<name>.csv")
 	jobs := fs.Int("jobs", 0, "parallel simulation points per sweep (0 = GOMAXPROCS)")
-	resultsDir := fs.String("results", "results", "directory for the result manifest; empty disables persistence")
-	resume := fs.Bool("resume", false, "skip points already completed in the result manifest")
 	watchdog := fs.Duration("watchdog", 0, "wall-clock budget per simulation point; a wedged point fails with attribution instead of hanging the sweep (0 disables)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile at exit to this file")
@@ -182,22 +176,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	x := experiments[i]
 
-	// Ctrl-C / SIGTERM cancels cleanly between simulation points; the
-	// manifest keeps everything finished so far, so a later -resume run
-	// picks up where this one stopped.
+	// Ctrl-C / SIGTERM cancels cleanly between simulation points: points
+	// in flight finish, the rest fail as cancelled, and the run exits 1.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	var store *runner.Store
-	if *resultsDir != "" && x.sweep {
-		label := fmt.Sprintf("seed=%d duration_ms=%d quick=%v", *seed, *durationMS, *quick)
-		var err error
-		store, err = runner.Open(filepath.Join(*resultsDir, "manifest.jsonl"), label, *resume)
-		if err != nil {
-			return fail(err)
-		}
-		defer store.Close()
-	}
 
 	base := core.DefaultConfig()
 	base.Seed = *seed
@@ -212,7 +194,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		pool: runner.New(runner.Options{
 			Workers:  *jobs,
 			Progress: stderr,
-			Store:    store,
 			Watchdog: *watchdog,
 		}),
 		base:   base,
@@ -659,9 +640,7 @@ func runAll(e *env, _ []string) error {
 		}
 		fmt.Fprintln(e.stdout)
 		if e.ctx.Err() != nil {
-			// Interrupted: stop chaining; the manifest holds every
-			// finished point for a later -resume run.
-			break
+			break // interrupted: stop chaining
 		}
 	}
 	fmt.Fprintf(e.stderr, "ibsim: runner counters: %s\n", e.pool.Counters())

@@ -51,7 +51,7 @@ func TestGolden(t *testing.T) {
 					break
 				}
 				dir := t.TempDir()
-				args := append([]string{"-quick", "-jobs", jobs, "-results", "", "-csv", dir, g.cmd}, strings.Fields(g.args)...)
+				args := append([]string{"-quick", "-jobs", jobs, "-csv", dir, g.cmd}, strings.Fields(g.args)...)
 				if code, _, stderr := ibsim(args...); code != 0 {
 					t.Fatalf("ibsim %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
 				}
@@ -95,7 +95,9 @@ func TestTraceDeterministic(t *testing.T) {
 // TestBadInput: every kind of bad command line comes back from run as a
 // non-zero exit code with a message naming the culprit — never through
 // os.Exit (which would kill this test binary), so run's deferred
-// profile and manifest cleanup always happens.
+// profile writers always run. An unknown global flag (-resume and
+// -results are not flags) fails the same way, so a stale script stops
+// instead of being half-obeyed.
 func TestBadInput(t *testing.T) {
 	for _, tc := range []struct{ args, stderr string }{
 		{"", "Commands:"},
@@ -106,9 +108,10 @@ func TestBadInput(t *testing.T) {
 		{"fig1 -class x", "-class"},
 		{"fig1 -arb x", "-arb"},
 		{"fig6 -level x", "-level"},
+		{"-resume fig5", "-resume"},
+		{"-results x fig5", "-results"},
 	} {
-		args := append([]string{"-results", ""}, strings.Fields(tc.args)...)
-		code, stdout, stderr := ibsim(args...)
+		code, stdout, stderr := ibsim(strings.Fields(tc.args)...)
 		if code != 2 {
 			t.Errorf("ibsim %s: exit %d, want 2", tc.args, code)
 		}
@@ -121,11 +124,47 @@ func TestBadInput(t *testing.T) {
 	}
 }
 
+// TestSweepWritesOnlyCSV: a sweep's output is stdout and -csv, nothing
+// else — no state file appears in the working directory. (os.Chdir, not
+// t.Chdir: go.mod targets 1.22. The test is not parallel, so no other
+// test runs while the directory is changed.)
+func TestSweepWritesOnlyCSV(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if code, _, stderr := ibsim("-quick", "-csv", "csv", "fig6"); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	var written []string
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			written = append(written, filepath.ToSlash(path))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(written) != 1 || written[0] != "csv/fig6.csv" {
+		t.Fatalf("a sweep wrote %q, want only csv/fig6.csv", written)
+	}
+}
+
 // TestBadInputKeepsProfile is the cleanup half of TestBadInput: a bad
 // subcommand flag used to os.Exit inside run, leaving -cpuprofile empty.
 func TestBadInputKeepsProfile(t *testing.T) {
 	prof := filepath.Join(t.TempDir(), "cpu.pprof")
-	code, _, stderr := ibsim("-cpuprofile", prof, "-results", "", "fig5", "-nope")
+	code, _, stderr := ibsim("-cpuprofile", prof, "fig5", "-nope")
 	if code == 1 && strings.Contains(stderr, "already") {
 		t.Skip("the test binary is itself being CPU-profiled")
 	}

@@ -179,7 +179,7 @@ func PaperTable4Rates() map[string]float64 { return core.PaperTable4Rates() }
 type (
 	// Pool is a bounded worker pool for experiment sweeps.
 	Pool = runner.Pool
-	// PoolOptions configures a Pool (workers, progress writer, store,
+	// PoolOptions configures a Pool (workers, progress writer,
 	// watchdog).
 	PoolOptions = runner.Options
 )

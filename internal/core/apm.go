@@ -102,7 +102,7 @@ func APMSweep(ctx context.Context, pool *runner.Pool, bers []float64, kills []in
 		for _, ber := range bers {
 			for _, k := range kills {
 				arm, ber, k := arm, ber, k
-				jobs = append(jobs, sweepJob("apm", len(jobs), base.Seed,
+				jobs = append(jobs, sweepJob("apm", len(jobs),
 					fmt.Sprintf("arm=%s,ber=%g,kills=%d", arm, ber, k),
 					func(context.Context) (APMRow, error) {
 						return runAPMPoint(base, arm, ber, k)

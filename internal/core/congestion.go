@@ -81,7 +81,7 @@ func CongestionSweep(ctx context.Context, pool *runner.Pool, rates []float64, ba
 		for _, rate := range rates {
 			for _, cc := range []bool{false, true} {
 				mode, rate, cc := mode, rate, cc
-				jobs = append(jobs, sweepJob("congestion", len(jobs), base.Seed,
+				jobs = append(jobs, sweepJob("congestion", len(jobs),
 					fmt.Sprintf("mode=%v,rate=%v,cc=%v", mode, rate, cc),
 					func(context.Context) (CongestionRow, error) {
 						return runCongestionPoint(base, mode, rate, cc)

@@ -154,7 +154,7 @@ func TestConcurrentRunsShareNoMessages(t *testing.T) {
 	jobs := make([]runner.Job[*Results], len(cfgs))
 	for i, cfg := range cfgs {
 		cfg := cfg
-		jobs[i] = sweepJob("concurrent", i, cfg.Seed, fmt.Sprint(i), func(context.Context) (*Results, error) { return Run(cfg) })
+		jobs[i] = sweepJob("concurrent", i, fmt.Sprint(i), func(context.Context) (*Results, error) { return Run(cfg) })
 	}
 	concurrent, err := runner.Run(context.Background(), runner.New(runner.Options{Workers: len(jobs)}), jobs)
 	if err != nil {

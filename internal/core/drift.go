@@ -62,7 +62,7 @@ func DriftSweep(ctx context.Context, pool *runner.Pool, periodsUS []int, base Co
 			}
 			for _, repair := range arms {
 				mode, p, repair := mode, p, repair
-				jobs = append(jobs, sweepJob("drift", len(jobs), base.Seed,
+				jobs = append(jobs, sweepJob("drift", len(jobs),
 					fmt.Sprintf("mode=%v,period=%dus,repair=%v", mode, p, repair),
 					func(context.Context) (DriftRow, error) {
 						return runDriftPoint(base, mode, p, repair)

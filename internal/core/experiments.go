@@ -19,20 +19,12 @@ import (
 // ctx cancels between points, and a nil pool runs the points serially on
 // the calling goroutine with the same bytes as any worker count.
 
-// sweepJob builds one runner job for a sweep point. The simulation seed
-// stays the sweep's base seed — exactly what the serial harness always
-// ran, keeping every figure byte-identical at a fixed -seed — while the
-// job's identity seed is derived per point so manifests never conflate
-// points across experiments or base seeds.
-func sweepJob[T any](experiment string, index int, baseSeed int64, key string,
+// sweepJob builds one runner job for a sweep point. Every point runs at
+// the sweep's base seed, Config.Seed, so a figure is byte-identical at a
+// fixed -seed.
+func sweepJob[T any](experiment string, index int, key string,
 	run func(ctx context.Context) (T, error)) runner.Job[T] {
-	return runner.Job[T]{
-		Experiment: experiment,
-		Index:      index,
-		Key:        key,
-		Seed:       runner.DeriveSeed(baseSeed, experiment, key),
-		Run:        run,
-	}
+	return runner.Job[T]{Experiment: experiment, Index: index, Key: key, Run: run}
 }
 
 // Fig1Row is one point of Figure 1: mean legitimate-traffic delays (µs)
@@ -70,7 +62,7 @@ func Fig1(ctx context.Context, pool *runner.Pool, class fabric.Class, maxAttacke
 			cfg.RealtimeLoad, cfg.BestEffortLoad = 0, base.BestEffortLoad
 		}
 		k := k
-		jobs = append(jobs, sweepJob(name, len(jobs), base.Seed,
+		jobs = append(jobs, sweepJob(name, len(jobs),
 			fmt.Sprintf("attackers=%d", k),
 			func(context.Context) (Fig1Row, error) {
 				res, err := Run(cfg)
@@ -124,7 +116,7 @@ func Fig5(ctx context.Context, pool *runner.Pool, loads []float64, attackDuty fl
 			cfg.RealtimeLoad = 0
 			cfg.BestEffortLoad = load
 			load, mode := load, mode
-			jobs = append(jobs, sweepJob("fig5", len(jobs), base.Seed,
+			jobs = append(jobs, sweepJob("fig5", len(jobs),
 				fmt.Sprintf("load=%g,mode=%s", load, mode),
 				func(context.Context) (Fig5Row, error) {
 					res, err := Run(cfg)
@@ -176,7 +168,7 @@ func Fig6(ctx context.Context, pool *runner.Pool, loads []float64, level transpo
 			cfg.BestEffortLoad = load
 			cfg.Auth = AuthConfig{Enabled: withKey, FuncID: mac.IDUMAC32, Level: level}
 			load, withKey := load, withKey
-			jobs = append(jobs, sweepJob("fig6", len(jobs), base.Seed,
+			jobs = append(jobs, sweepJob("fig6", len(jobs),
 				fmt.Sprintf("load=%g,withkey=%v,level=%v", load, withKey, level),
 				func(context.Context) (Fig6Row, error) {
 					res, err := Run(cfg)
@@ -317,7 +309,7 @@ func AuthRateSweep(ctx context.Context, pool *runner.Pool, rates map[string]floa
 			ThroughputGbps: rate,
 		}
 		name := name
-		jobs = append(jobs, sweepJob("authrate", len(jobs), base.Seed,
+		jobs = append(jobs, sweepJob("authrate", len(jobs),
 			fmt.Sprintf("alg=%s,rate=%g", name, rate),
 			func(context.Context) (AuthRateRow, error) {
 				res, err := Run(cfg)
@@ -384,7 +376,7 @@ func ScaleSweep(ctx context.Context, pool *runner.Pool, sizes [][2]int, base Con
 			attackers = 1
 		}
 		wh := wh
-		jobs = append(jobs, sweepJob("scale", len(jobs), base.Seed,
+		jobs = append(jobs, sweepJob("scale", len(jobs),
 			fmt.Sprintf("mesh=%dx%d", wh[0], wh[1]),
 			func(context.Context) (ScaleRow, error) {
 				clean := cfg
@@ -441,7 +433,7 @@ func SMFloodSweep(ctx context.Context, pool *runner.Pool, rates []float64, base 
 			cfg.BestEffortLoad = 0.3
 		}
 		rate := rate
-		jobs = append(jobs, sweepJob("smdos", len(jobs), base.Seed,
+		jobs = append(jobs, sweepJob("smdos", len(jobs),
 			fmt.Sprintf("rate=%g", rate),
 			func(context.Context) (SMFloodRow, error) {
 				cl, err := Build(cfg)
@@ -511,7 +503,7 @@ func SweepDuty(ctx context.Context, pool *runner.Pool, duties []float64, load fl
 		cfg.RealtimeLoad = 0
 		cfg.BestEffortLoad = load
 		duty := duty
-		jobs = append(jobs, sweepJob("sweep_duty", len(jobs), base.Seed,
+		jobs = append(jobs, sweepJob("sweep_duty", len(jobs),
 			fmt.Sprintf("duty=%g,load=%g", duty, load),
 			func(context.Context) (Fig5Row, error) {
 				res, err := Run(cfg)

@@ -60,7 +60,7 @@ func FailoverSweep(ctx context.Context, pool *runner.Pool, standbys []int, heart
 		for _, hb := range heartbeatsUS {
 			for _, rk := range rekeysUS {
 				sb, hb, rk := sb, hb, rk
-				jobs = append(jobs, sweepJob("failover", len(jobs), base.Seed,
+				jobs = append(jobs, sweepJob("failover", len(jobs),
 					fmt.Sprintf("standbys=%d,heartbeat=%dus,rekey=%dus", sb, hb, rk),
 					func(context.Context) (FailoverRow, error) {
 						return runFailoverPoint(base, sb, hb, rk)

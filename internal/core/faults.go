@@ -76,7 +76,7 @@ func FaultsSweep(ctx context.Context, pool *runner.Pool, bers []float64, kills [
 		for _, ber := range bers {
 			for _, k := range kills {
 				mode, ber, k := mode, ber, k
-				jobs = append(jobs, sweepJob("faults", len(jobs), base.Seed,
+				jobs = append(jobs, sweepJob("faults", len(jobs),
 					fmt.Sprintf("mode=%s,ber=%g,kills=%d", mode, ber, k),
 					func(context.Context) (FaultRow, error) {
 						return runFaultPoint(base, mode, ber, k)

@@ -69,7 +69,7 @@ func HealthSweep(ctx context.Context, pool *runner.Pool, bers []float64, base Co
 			for _, arm := range arms {
 				for _, ber := range bers {
 					mode, attack, arm, ber := mode, attack, arm, ber
-					jobs = append(jobs, sweepJob("health", len(jobs), base.Seed,
+					jobs = append(jobs, sweepJob("health", len(jobs),
 						fmt.Sprintf("mode=%s,attack=%s,arm=%s,ber=%g", mode, attack, arm, ber),
 						func(context.Context) (HealthRow, error) {
 							return runHealthPoint(base, mode, attack, arm, ber)

@@ -2,87 +2,68 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"testing"
 
 	"ibasec/internal/fabric"
 	"ibasec/internal/runner"
 	"ibasec/internal/sim"
+	"ibasec/internal/transport"
 )
 
-// renderRows formats rows the way the CLI renders CSV cells, so equality
-// here means the exported artifacts are byte-identical.
-func renderRows[T any](rows []T) string {
-	s := ""
-	for _, r := range rows {
-		s += fmt.Sprintf("%#v\n", r)
-	}
-	return s
-}
-
-// The tentpole invariant: a sweep run on a parallel pool produces rows
-// byte-identical to the serial harness at the same seed — same values,
-// same order.
-func TestFig5ParallelMatchesSerial(t *testing.T) {
+// TestParallelMatchesSerial: every pooled paper sweep run on a
+// multi-worker pool produces rows identical to the serial path (nil
+// pool) at the same seed — same values, same order. Each sweep has at
+// least two points at quickCfg size, so the workers really interleave
+// and the -race run stays short.
+func TestParallelMatchesSerial(t *testing.T) {
+	ctx := context.Background()
 	base := quickCfg()
-	base.AttackCycle = sim.Millisecond
-
-	serial, err := Fig5(context.Background(), nil, nil2loads(), 0.05, base) // historical serial path (nil pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := runner.New(runner.Options{Workers: 4})
-	parallel, err := Fig5(context.Background(), pool, nil2loads(), 0.05, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel rows diverge from serial:\nserial:\n%s\nparallel:\n%s",
-			renderRows(serial), renderRows(parallel))
-	}
-	if renderRows(serial) != renderRows(parallel) {
-		t.Fatal("rendered rows not byte-identical")
-	}
-}
-
-func nil2loads() []float64 { return []float64{0.4, 0.6} }
-
-func TestFig1ParallelMatchesSerial(t *testing.T) {
-	base := quickCfg()
-	base.BestEffortLoad = 0.65
-
-	serial, err := Fig1(context.Background(), nil, fabric.ClassBestEffort, 2, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := runner.New(runner.Options{Workers: 3})
-	parallel, err := Fig1(context.Background(), pool, fabric.ClassBestEffort, 2, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("fig1 rows diverge:\n%s\nvs\n%s", renderRows(serial), renderRows(parallel))
-	}
-}
-
-// ScaleSweep runs two simulations per job; it must still be
-// order-stable and value-stable under parallelism.
-func TestScaleSweepParallelMatchesSerial(t *testing.T) {
-	base := quickCfg()
-	base.BestEffortLoad = 0.5
-	sizes := [][2]int{{2, 2}, {4, 4}}
-
-	serial, err := ScaleSweep(context.Background(), nil, sizes, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := runner.New(runner.Options{Workers: 2})
-	parallel, err := ScaleSweep(context.Background(), pool, sizes, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("scale rows diverge:\n%s\nvs\n%s", renderRows(serial), renderRows(parallel))
+	attackCycled := base
+	attackCycled.AttackCycle = sim.Millisecond
+	for _, tc := range []struct {
+		name  string
+		sweep func(*runner.Pool) (any, error)
+	}{
+		{"Fig1", func(p *runner.Pool) (any, error) {
+			cfg := base
+			cfg.BestEffortLoad = 0.65
+			return Fig1(ctx, p, fabric.ClassBestEffort, 2, cfg)
+		}},
+		{"Fig5", func(p *runner.Pool) (any, error) {
+			return Fig5(ctx, p, []float64{0.4, 0.6}, 0.05, attackCycled)
+		}},
+		{"Fig6", func(p *runner.Pool) (any, error) {
+			return Fig6(ctx, p, []float64{0.4}, transport.QPLevel, base) // two points: without and with keys
+		}},
+		{"SweepDuty", func(p *runner.Pool) (any, error) {
+			return SweepDuty(ctx, p, []float64{0.01, 0.25}, 0.4, attackCycled)
+		}},
+		{"AuthRateSweep", func(p *runner.Pool) (any, error) {
+			return AuthRateSweep(ctx, p, map[string]float64{"HMAC-SHA1": 0.22, "UMAC": 4}, 0.5, base)
+		}},
+		{"SMFloodSweep", func(p *runner.Pool) (any, error) {
+			return SMFloodSweep(ctx, p, []float64{0, 200e3}, base)
+		}},
+		// ScaleSweep runs two simulations per job.
+		{"ScaleSweep", func(p *runner.Pool) (any, error) {
+			cfg := base
+			cfg.BestEffortLoad = 0.5
+			return ScaleSweep(ctx, p, [][2]int{{2, 2}, {4, 4}}, cfg)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial, err := tc.sweep(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parallel, err := tc.sweep(runner.New(runner.Options{Workers: 3}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serial, parallel) {
+				t.Fatalf("parallel rows diverge from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
+			}
+		})
 	}
 }

@@ -201,7 +201,7 @@ func SplitBrainSweep(ctx context.Context, pool *runner.Pool, partitionsUS, heart
 		for _, hb := range heartbeatsUS {
 			for _, rk := range rekeysUS {
 				pt, hb, rk := pt, hb, rk
-				jobs = append(jobs, sweepJob("splitbrain", len(jobs), base.Seed,
+				jobs = append(jobs, sweepJob("splitbrain", len(jobs),
 					fmt.Sprintf("partition=%dus,heartbeat=%dus,rekey=%dus", pt, hb, rk),
 					func(context.Context) (SplitBrainRow, error) {
 						return runSplitBrainPoint(base, pt, hb, rk)

@@ -17,8 +17,7 @@ type progress struct {
 
 	mu        sync.Mutex
 	start     time.Time
-	done      int // completed by any means (ok, resumed, failed)
-	resumed   int
+	done      int // completed by any means (ok or failed)
 	failed    int
 	lastPrint time.Time
 }
@@ -32,16 +31,13 @@ func newProgress(w io.Writer, label string, total int) *progress {
 }
 
 // step records one finished job and prints a status line if due.
-func (p *progress) step(resumed, failed bool) {
+func (p *progress) step(failed bool) {
 	if p == nil || p.w == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.done++
-	if resumed {
-		p.resumed++
-	}
 	if failed {
 		p.failed++
 	}
@@ -53,16 +49,13 @@ func (p *progress) step(resumed, failed bool) {
 	p.lastPrint = now
 	elapsed := now.Sub(p.start)
 	line := fmt.Sprintf("runner: %-12s %d/%d done", p.label, p.done, p.total)
-	if p.resumed > 0 {
-		line += fmt.Sprintf(", %d resumed", p.resumed)
-	}
 	if p.failed > 0 {
 		line += fmt.Sprintf(", %d failed", p.failed)
 	}
 	line += fmt.Sprintf(", elapsed %s", elapsed.Round(time.Millisecond))
-	if executed := p.done - p.resumed; !final && executed > 0 {
+	if !final {
 		remaining := p.total - p.done
-		eta := time.Duration(float64(elapsed) / float64(executed) * float64(remaining))
+		eta := time.Duration(float64(elapsed) / float64(p.done) * float64(remaining))
 		line += fmt.Sprintf(", eta %s", eta.Round(time.Millisecond))
 	}
 	fmt.Fprintln(p.w, line)

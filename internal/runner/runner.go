@@ -1,16 +1,15 @@
-// Package runner is a generic, fault-tolerant job-orchestration engine
-// for the evaluation harness. Each simulation point of a sweep
-// (experiment × config × seed) becomes a self-describing Job; Run
-// executes jobs on a bounded worker pool, converts worker panics into
-// job errors, reports live progress, and persists every outcome to an
-// append-only JSON-lines manifest (Store) so an interrupted run resumes
-// by skipping already-completed points. A job is a seeded, deterministic
+// Package runner is the evaluation harness's worker pool. Each
+// simulation point of a sweep (experiment × config) becomes a Job; Run
+// executes jobs on a bounded pool, converts worker panics into job
+// errors attributed to their point, abandons a point that outlives the
+// watchdog, and reports live progress. A job is a seeded, deterministic
 // simulation, so it runs once: a retry would only repeat its failure.
+// Nothing is persisted: a run's rows are its return value.
 //
 // This is the only package that starts goroutines or takes locks. A
 // simulation run owns everything it builds and is one goroutine; what
-// the pool's workers share — its counters, progress line and store —
-// is synchronised here.
+// the pool's workers share — its counters and progress line — is
+// synchronised here.
 //
 // Results are reassembled by Job.Index, so a sweep's row order — and
 // therefore its CSV output — is byte-identical whether it runs on one
@@ -18,13 +17,11 @@
 //
 // The package is stdlib-only and deliberately knows nothing about the
 // simulator: internal/core enumerates its sweeps into jobs and the
-// cmd/ibsim CLI supplies the pool configuration (-jobs, -resume,
-// -results).
+// cmd/ibsim CLI supplies the pool configuration (-jobs, -watchdog).
 package runner
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"runtime"
@@ -43,9 +40,6 @@ type Options struct {
 	// Progress, when non-nil, receives live status lines
 	// (completed/total, failures, ETA).
 	Progress io.Writer
-	// Store, when non-nil, persists every job outcome and serves
-	// already-completed points on resume.
-	Store *Store
 	// Watchdog, when positive, is the wall-clock budget for a single job.
 	// A job that exceeds it is abandoned (its goroutine leaks —
 	// simulation jobs have no preemption points) and fails with a
@@ -74,8 +68,8 @@ func New(opts Options) *Pool {
 }
 
 // Counters returns the pool's lifetime counters: jobs_completed,
-// jobs_resumed, jobs_failed, job_panics, job_watchdog_aborts,
-// manifest_errors. Read them between Run calls.
+// jobs_failed, job_panics, job_watchdog_aborts. Read them between Run
+// calls.
 func (p *Pool) Counters() *metrics.Counters { return p.counters }
 
 // inc counts one event on the pool's counters.
@@ -89,16 +83,14 @@ func (p *Pool) inc(name string) {
 func (p *Pool) Workers() int { return p.opts.Workers }
 
 // Run executes jobs and returns their results ordered by Job.Index
-// (results[i] corresponds to jobs[i]). Jobs already completed in the
-// pool's Store are served from their stored payloads without
-// re-running. A failing or panicking job never kills the pool: its
-// error is collected (and recorded in the manifest) while the remaining
-// jobs proceed. The returned error joins every job failure plus the
-// context error, if any; results of successful jobs are valid even when
-// an error is returned.
+// (results[i] corresponds to jobs[i]). A failing or panicking job never
+// kills the pool: its error is collected while the remaining jobs
+// proceed. The returned error joins every job failure plus the context
+// error, if any; results of successful jobs are valid even when an
+// error is returned.
 //
-// A nil pool runs the jobs serially with no persistence or progress —
-// the behaviour of the historical serial harness.
+// A nil pool runs the jobs serially with no progress — the behaviour of
+// the historical serial harness.
 func Run[T any](ctx context.Context, p *Pool, jobs []Job[T]) ([]T, error) {
 	if p == nil {
 		p = New(Options{Workers: 1})
@@ -112,30 +104,7 @@ func Run[T any](ctx context.Context, p *Pool, jobs []Job[T]) ([]T, error) {
 	}
 	prog := newProgress(p.opts.Progress, label, len(jobs))
 
-	// Resume pass: serve completed points from the manifest.
-	pending := make([]int, 0, len(jobs))
-	for i := range jobs {
-		j := &jobs[i]
-		if p.opts.Store != nil {
-			if raw, ok := p.opts.Store.Lookup(j.Experiment, j.Key, j.Seed); ok {
-				var v T
-				if err := json.Unmarshal(raw, &v); err == nil {
-					results[i] = v
-					p.inc("jobs_resumed")
-					prog.step(true, false)
-					continue
-				}
-				// Undecodable payload (e.g. a row type changed shape):
-				// fall through and recompute the point.
-			}
-		}
-		pending = append(pending, i)
-	}
-
-	workers := p.opts.Workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
+	workers := min(p.opts.Workers, len(jobs))
 	ch := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -146,18 +115,18 @@ func Run[T any](ctx context.Context, p *Pool, jobs []Job[T]) ([]T, error) {
 				var err error
 				results[i], err = executeJob(ctx, p, &jobs[i])
 				jobErrs[i] = err
-				prog.step(false, err != nil)
+				prog.step(err != nil)
 			}
 		}()
 	}
 dispatch:
-	for n, i := range pending {
+	for i := range jobs {
 		select {
 		case ch <- i:
 		case <-ctx.Done():
 			// Mark every undispatched job (including this one) as
 			// cancelled so callers see which points never ran.
-			for _, j := range pending[n:] {
+			for j := i; j < len(jobs); j++ {
 				jobErrs[j] = &JobError{
 					Experiment: jobs[j].Experiment,
 					Key:        jobs[j].Key,
@@ -183,16 +152,13 @@ dispatch:
 	return results, errors.Join(errs...)
 }
 
-// executeJob runs one job once, with panic recovery, and records the
-// outcome in the pool's store.
+// executeJob runs one job once, with panic recovery, and counts its
+// outcome.
 func executeJob[T any](ctx context.Context, p *Pool, job *Job[T]) (T, error) {
 	var zero T
-	start := time.Now()
 	v, err := runGuarded(ctx, p, job)
-	elapsed := float64(time.Since(start)) / float64(time.Millisecond)
 	if err == nil {
 		p.inc("jobs_completed")
-		recordOutcome(p, job, Record{Status: StatusOK, ElapsedMS: elapsed}, v)
 		return v, nil
 	}
 	if errors.As(err, new(*PanicError)) {
@@ -201,12 +167,11 @@ func executeJob[T any](ctx context.Context, p *Pool, job *Job[T]) (T, error) {
 	if errors.As(err, new(*WatchdogError)) {
 		p.inc("job_watchdog_aborts")
 	} else if ctx.Err() != nil {
-		// Cancellation is not a job fault: it is not recorded.
+		// Cancellation is not a job fault: it is not counted.
 		return zero, &JobError{Experiment: job.Experiment, Key: job.Key,
 			Index: job.Index, Err: ctx.Err()}
 	}
 	p.inc("jobs_failed")
-	recordOutcome(p, job, Record{Status: StatusFailed, ElapsedMS: elapsed, Error: err.Error()}, zero)
 	return zero, &JobError{Experiment: job.Experiment, Key: job.Key,
 		Index: job.Index, Err: err}
 }
@@ -252,25 +217,4 @@ func runOnce[T any](ctx context.Context, job *Job[T]) (v T, err error) {
 		return v, err
 	}
 	return job.Run(ctx)
-}
-
-// recordOutcome files one outcome in the store (when configured). Store
-// errors must not fail the job — the result is already computed — so
-// they are counted instead of propagated.
-func recordOutcome[T any](p *Pool, job *Job[T], rec Record, v T) {
-	if p.opts.Store == nil {
-		return
-	}
-	rec.Experiment, rec.Key, rec.Seed = job.Experiment, job.Key, job.Seed
-	if rec.Status == StatusOK {
-		payload, err := json.Marshal(v)
-		if err != nil {
-			p.inc("manifest_errors")
-			return
-		}
-		rec.Payload = payload
-	}
-	if err := p.opts.Store.Append(rec); err != nil {
-		p.inc("manifest_errors")
-	}
 }

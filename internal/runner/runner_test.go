@@ -18,7 +18,6 @@ func intJobs(n int, run func(i int) (int, error)) []Job[int] {
 			Experiment: "test",
 			Index:      i,
 			Key:        fmt.Sprintf("i=%d", i),
-			Seed:       DeriveSeed(1, "test", fmt.Sprintf("i=%d", i)),
 			Run:        func(context.Context) (int, error) { return run(i) },
 		}
 	}
@@ -131,27 +130,6 @@ func TestContextCancellation(t *testing.T) {
 	}
 	if n := started.Load(); n >= 16 {
 		t.Fatalf("cancellation did not stop dispatch: %d jobs started", n)
-	}
-}
-
-func TestDeriveSeed(t *testing.T) {
-	s := DeriveSeed(1, "fig5", "load=0.4,mode=IF")
-	if s2 := DeriveSeed(1, "fig5", "load=0.4,mode=IF"); s2 != s {
-		t.Fatalf("not deterministic: %d vs %d", s, s2)
-	}
-	distinct := map[int64]string{s: "base"}
-	for name, v := range map[string]int64{
-		"base seed":  DeriveSeed(2, "fig5", "load=0.4,mode=IF"),
-		"experiment": DeriveSeed(1, "fig6", "load=0.4,mode=IF"),
-		"key":        DeriveSeed(1, "fig5", "load=0.5,mode=IF"),
-		// Separator matters: experiment/key boundary must not be
-		// ambiguous.
-		"boundary": DeriveSeed(1, "fig5load", "=0.4,mode=IF"),
-	} {
-		if prev, dup := distinct[v]; dup {
-			t.Fatalf("seed collision between %q and %q", name, prev)
-		}
-		distinct[v] = name
 	}
 }
 

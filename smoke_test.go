@@ -55,7 +55,7 @@ func TestSmokeIbsim(t *testing.T) {
 		return
 	}
 	csvDir := t.TempDir()
-	out := runBinary(t, bin, "-quick", "-jobs", "2", "-results", "", "-csv", csvDir, "fig6")
+	out := runBinary(t, bin, "-quick", "-jobs", "2", "-csv", csvDir, "fig6")
 	if !strings.Contains(out, "WithKey") {
 		t.Errorf("fig6 output missing WithKey rows:\n%s", out)
 	}
