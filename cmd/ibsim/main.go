@@ -354,7 +354,7 @@ func runFig1(e *env, args []string) error {
 			return err
 		}
 		title := fmt.Sprintf("Figure 1(%s). Average queuing time & network latency under DoS (%s traffic)", letter, name)
-		if err := e.emit(title, core.Fig1CSV("fig1_"+name, rows)); err != nil {
+		if err := e.emit(title, core.Table("fig1_"+name, rows)); err != nil {
 			return err
 		}
 		fmt.Fprintln(e.stdout)
@@ -375,7 +375,7 @@ func runFig5(e *env, args []string) error {
 		return err
 	}
 	title := fmt.Sprintf("Figure 5. Delay comparison among No Filtering, DPT, IF, SIF (4 attackers, %.0f%% duty)", *duty*100)
-	return e.emit(title, core.Fig5CSV(rows))
+	return e.emit(title, core.Table("fig5", rows))
 }
 
 func runFig6(e *env, args []string) error {
@@ -393,7 +393,7 @@ func runFig6(e *env, args []string) error {
 		return err
 	}
 	title := fmt.Sprintf("Figure 6. Message authentication overhead with key initialization (%v keys)", level)
-	return e.emit(title, core.Fig6CSV(rows))
+	return e.emit(title, core.Table("fig6", rows))
 }
 
 func runTable2(e *env, args []string) error {
@@ -405,7 +405,7 @@ func runTable2(e *env, args []string) error {
 		return err
 	}
 	title := fmt.Sprintf("Table 2. Partition enforcement overhead (n=16, s=16, p=%d, Pr=%.2f, Avg=%.1f)", *p, *pr, *avg)
-	return e.emit(title, core.Table2CSV(core.Table2Rows(*p, *pr, *avg)))
+	return e.emit(title, core.Table("table2", core.Table2Rows(*p, *pr, *avg)))
 }
 
 func runTable4(e *env, args []string) error {
@@ -416,7 +416,7 @@ func runTable4(e *env, args []string) error {
 		return err
 	}
 	title := fmt.Sprintf("Table 4. Time & forgery complexity (%d-byte messages, cycles at %.1f GHz)", *bytes, e.cpuGHz)
-	return e.emit(title, core.Table4CSV(core.Table4(*bytes, *budget, e.cpuGHz)))
+	return e.emit(title, core.Table("table4", core.Table4(*bytes, *budget, e.cpuGHz)))
 }
 
 func runAttacks(e *env, _ []string) error {
@@ -440,7 +440,7 @@ func runSweep(e *env, args []string) error {
 		return err
 	}
 	title := fmt.Sprintf("Ablation. SIF exposure vs attack duty cycle (load %.0f%%)", *load*100)
-	return e.emit(title, core.SweepDutyCSV(rows))
+	return e.emit(title, core.Table("sweep_duty", rows))
 }
 
 func runAuthRate(e *env, args []string) error {
@@ -455,7 +455,7 @@ func runAuthRate(e *env, args []string) error {
 	}
 	title := fmt.Sprintf("Section 5.2/7. Can the MAC keep up with the %.1f Gb/s link? (load %.0f%%, Table 4 rates)",
 		e.base.Params.LinkBandwidth/1e9, *load*100)
-	return e.emit(title, core.AuthRateCSV(rows))
+	return e.emit(title, core.Table("authrate", rows))
 }
 
 func runSMDoS(e *env, args []string) error {
@@ -466,7 +466,7 @@ func runSMDoS(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	return e.emit("Section 7. Management DoS: SIF registration latency vs MAD flood rate", core.SMFloodCSV(rows))
+	return e.emit("Section 7. Management DoS: SIF registration latency vs MAD flood rate", core.Table("smdos", rows))
 }
 
 func runScale(e *env, args []string) error {
@@ -483,7 +483,7 @@ func runScale(e *env, args []string) error {
 		return err
 	}
 	title := fmt.Sprintf("Ablation. DoS damage vs fabric size (load %.0f%%, nodes/4 attackers)", *load*100)
-	return e.emit(title, core.ScaleCSV(rows))
+	return e.emit(title, core.Table("scale", rows))
 }
 
 func runFaults(e *env, args []string) error {
@@ -497,7 +497,7 @@ func runFaults(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	return e.emit("Chaos. Deterministic link kills + BER bursts vs the self-healing SM", core.FaultsCSV(rows))
+	return e.emit("Chaos. Deterministic link kills + BER bursts vs the self-healing SM", core.Table("faults", rows))
 }
 
 func runFailover(e *env, args []string) error {
@@ -512,7 +512,7 @@ func runFailover(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	return e.emit("Robustness. SM kill + standby election + online key-epoch rotation", core.FailoverCSV(rows))
+	return e.emit("Robustness. SM kill + standby election + online key-epoch rotation", core.Table("failover", rows))
 }
 
 func runAPM(e *env, args []string) error {
@@ -526,7 +526,7 @@ func runAPM(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	return e.emit("Robustness. RC recovery: NAK, backoff, and automatic path migration vs primary-path kills", core.APMCSV(rows))
+	return e.emit("Robustness. RC recovery: NAK, backoff, and automatic path migration vs primary-path kills", core.Table("apm", rows))
 }
 
 func runDrift(e *env, args []string) error {
@@ -539,7 +539,7 @@ func runDrift(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	return e.emit("Policy plane. Out-of-band switch-state corruption vs the declarative drift auditor", core.DriftCSV(rows))
+	return e.emit("Policy plane. Out-of-band switch-state corruption vs the declarative drift auditor", core.Table("drift", rows))
 }
 
 func runSplitBrain(e *env, args []string) error {
@@ -554,7 +554,7 @@ func runSplitBrain(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	return e.emit("Robustness. Subnet bisection: containment, dual-master window, merge reconciliation", core.SplitBrainCSV(rows))
+	return e.emit("Robustness. Subnet bisection: containment, dual-master window, merge reconciliation", core.Table("splitbrain", rows))
 }
 
 func runCongestion(e *env, args []string) error {
@@ -567,7 +567,7 @@ func runCongestion(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	return e.emit("Robustness. FECN/BECN congestion control vs DoS injection rate (attack covers first 60% of the run)", core.CongestionCSV(rows))
+	return e.emit("Robustness. FECN/BECN congestion control vs DoS injection rate (attack covers first 60% of the run)", core.Table("congestion", rows))
 }
 
 func runHealth(e *env, args []string) error {
@@ -580,7 +580,7 @@ func runHealth(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	return e.emit("Robustness. Flaky-link quarantine (PerfMgr) vs gray failure (ramp) and oscillating BER (osc)", core.HealthCSV(rows))
+	return e.emit("Robustness. Flaky-link quarantine (PerfMgr) vs gray failure (ramp) and oscillating BER (osc)", core.Table("health", rows))
 }
 
 func runTrace(e *env, args []string) error {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"os"
 	"path/filepath"
@@ -20,18 +21,24 @@ func ibsim(args ...string) (code int, stdout, stderr string) {
 }
 
 // goldens is the one place a pinned sweep's arguments are written: the
-// golden file, the command that regenerates it, and that command's
-// flags. Refresh after an intentional behaviour change with
+// golden file, the command that regenerates it, the table it writes
+// (when that is not named after the command), and the command's flags.
+// Refresh after an intentional behaviour change with
 //
 //	go test -run TestGolden -update ./cmd/ibsim
-var goldens = []struct{ file, cmd, args string }{
-	{"faults_quick.csv", "faults", "-bers 0,1e-5 -kills 0,2"},
-	{"failover_quick.csv", "failover", "-standbys 1,2 -heartbeats-us 50 -rekeys-us 0,300"},
-	{"apm_quick.csv", "apm", "-bers 0,1e-5 -kills 0,1"},
-	{"drift_quick.csv", "drift", "-periods-us 0,200,50"},
-	{"splitbrain_quick.csv", "splitbrain", "-partitions-us 80,160,320 -heartbeats-us 10,20 -rekeys-us 0,60"},
-	{"congestion_quick.csv", "congestion", "-rates 0.5,1.0"},
-	{"health_quick.csv", "health", "-bers 1e-4"},
+var goldens = []struct{ file, cmd, table, args string }{
+	{"faults_quick.csv", "faults", "", "-bers 0,1e-5 -kills 0,2"},
+	{"failover_quick.csv", "failover", "", "-standbys 1,2 -heartbeats-us 50 -rekeys-us 0,300"},
+	{"apm_quick.csv", "apm", "", "-bers 0,1e-5 -kills 0,1"},
+	{"drift_quick.csv", "drift", "", "-periods-us 0,200,50"},
+	{"splitbrain_quick.csv", "splitbrain", "", "-partitions-us 80,160,320 -heartbeats-us 10,20 -rekeys-us 0,60"},
+	{"congestion_quick.csv", "congestion", "", "-rates 0.5,1.0"},
+	{"health_quick.csv", "health", "", "-bers 1e-4"},
+	{"table2_quick.csv", "table2", "", ""},
+	{"sweep_quick.csv", "sweep", "sweep_duty", ""},
+	{"authrate_quick.csv", "authrate", "", ""},
+	{"smdos_quick.csv", "smdos", "", ""},
+	{"scale_quick.csv", "scale", "", ""},
 }
 
 // TestGolden replays each pinned sweep through run — flag parsing,
@@ -40,7 +47,7 @@ var goldens = []struct{ file, cmd, args string }{
 // change to simulator behaviour (event order, RNG draws, CRC handling,
 // routing) shows up as a line diff, and worker scheduling cannot leak
 // into results. Under `go test -race` this is the race-instrumented
-// end-to-end replay of every robustness experiment.
+// end-to-end replay of every robustness experiment and ablation.
 func TestGolden(t *testing.T) {
 	for _, g := range goldens {
 		t.Run(g.cmd, func(t *testing.T) {
@@ -55,7 +62,8 @@ func TestGolden(t *testing.T) {
 				if code, _, stderr := ibsim(args...); code != 0 {
 					t.Fatalf("ibsim %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
 				}
-				got, err := os.ReadFile(filepath.Join(dir, g.cmd+".csv"))
+				table := cmp.Or(g.table, g.cmd)
+				got, err := os.ReadFile(filepath.Join(dir, table+".csv"))
 				if err != nil {
 					t.Fatal(err)
 				}

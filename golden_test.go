@@ -11,12 +11,12 @@ import (
 
 // Golden determinism tests for the three paper figures. Each sweep
 // below runs a quick (2 ms) configuration through the same experiment
-// drivers and CSV renderers that cmd/ibsim uses, then diffs the output
+// drivers and CSV renderer that cmd/ibsim uses, then diffs the output
 // byte-for-byte against a checked-in golden file. Any change to
 // simulator behaviour — event ordering, RNG draws, CRC handling, routing
 // — shows up here as a one-line diff instead of a silent drift. They
 // live here rather than in cmd/ibsim's TestGolden table (which pins the
-// seven robustness sweeps through the CLI) because their two-point load
+// robustness sweeps and the ablations through the CLI) because their two-point load
 // lists are not expressible through ibsim's flags.
 //
 // Refresh the goldens after an intentional behaviour change with:
@@ -86,7 +86,7 @@ func TestGoldenLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "latency_quick.csv", Fig1CSV("fig1_realtime", rows))
+	checkGolden(t, "latency_quick.csv", Table("fig1_realtime", rows))
 }
 
 // TestGoldenDoS pins the Figure 5 enforcement-mode comparison at two
@@ -98,7 +98,7 @@ func TestGoldenDoS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "dos_quick.csv", Fig5CSV(rows))
+	checkGolden(t, "dos_quick.csv", Table("fig5", rows))
 }
 
 // TestGoldenKeys pins the Figure 6 authentication-overhead sweep at two
@@ -108,7 +108,7 @@ func TestGoldenKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "keys_quick.csv", Fig6CSV(rows))
+	checkGolden(t, "keys_quick.csv", Table("fig6", rows))
 }
 
 // TestGoldenRerunIdentical runs the cheapest sweep twice in one process
@@ -121,7 +121,7 @@ func TestGoldenRerunIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Fig6CSV(rows).Bytes()
+		return Table("fig6", rows).Bytes()
 	}
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {

@@ -216,17 +216,11 @@ func AuthRateSweep(ctx context.Context, pool *Pool, rates map[string]float64, lo
 }
 
 // CSVTable is one experiment's rows rendered for an encoding/csv writer.
-// internal/core's renderers are the single source of truth for
-// experiment CSV formatting: cmd/ibsim and the golden-determinism tests
-// both go through them, so a golden diff can only mean the simulation
-// itself changed.
+// Table is the only way to build one: cmd/ibsim and the
+// golden-determinism tests both go through it, so a golden diff can
+// only mean the simulation itself changed.
 type CSVTable = core.CSVTable
 
-// Fig1CSV renders a Figure 1 sweep under the given table name.
-func Fig1CSV(name string, rows []Fig1Row) CSVTable { return core.Fig1CSV(name, rows) }
-
-// Fig5CSV renders the enforcement-mode delay comparison (Figure 5).
-func Fig5CSV(rows []Fig5Row) CSVTable { return core.Fig5CSV(rows) }
-
-// Fig6CSV renders the authentication-overhead sweep (Figure 6).
-func Fig6CSV(rows []Fig6Row) CSVTable { return core.Fig6CSV(rows) }
+// Table renders rows as the experiment CSV called name, one column per
+// `csv`-tagged field of the row type (see core.Table for the rules).
+func Table[T any](name string, rows []T) CSVTable { return core.Table(name, rows) }

@@ -67,30 +67,30 @@ func (a APMArm) enableAPM() bool { return a == ArmAPMRegistered || a == ArmAPMUn
 
 // APMRow is one (arm, BER, kills) point of the apm experiment.
 type APMRow struct {
-	Arm       APMArm
-	BER       float64
-	LinkKills int
+	Arm       APMArm  `csv:"arm"`
+	BER       float64 `csv:"ber,%g"`
+	LinkKills int     `csv:"kills"`
 
 	// Ride-through: probe messages sent vs delivered, and connections
 	// that broke outright.
-	RCSent        uint64
-	RCDelivered   uint64
-	DeliveredFrac float64
-	RCBroken      uint64
+	RCSent        uint64  `csv:"rc_sent"`
+	RCDelivered   uint64  `csv:"rc_delivered"`
+	DeliveredFrac float64 `csv:"delivered_frac"`
+	RCBroken      uint64  `csv:"rc_broken"`
 
 	// Recovery mechanics.
-	NAKs         uint64 // explicit sequence-error NAKs sent by responders
-	Migrations   uint64 // APM failovers onto the alternate path
-	Rearms       uint64 // returns to the healed primary
-	Retrans      uint64 // head retransmissions
-	RetransBytes uint64
-	StormMax     uint64 // densest 100 µs retransmission window
-	AltDropped   uint64 // migrated packets SIF dropped for missing registrations
+	NAKs         uint64 `csv:"naks"`       // explicit sequence-error NAKs sent by responders
+	Migrations   uint64 `csv:"migrations"` // APM failovers onto the alternate path
+	Rearms       uint64 `csv:"rearms"`     // returns to the healed primary
+	Retrans      uint64 `csv:"retrans"`    // head retransmissions
+	RetransBytes uint64 `csv:"retrans_bytes"`
+	StormMax     uint64 `csv:"storm_max"`   // densest 100 µs retransmission window
+	AltDropped   uint64 `csv:"alt_dropped"` // migrated packets SIF dropped for missing registrations
 
 	// Recovery latency: the delivered probes' end-to-end tail. Max is
 	// the longest ride-through any single message needed.
-	RCLatencyP99US float64
-	RCLatencyMaxUS float64
+	RCLatencyP99US float64 `csv:"p99_us"`
+	RCLatencyMaxUS float64 `csv:"max_us"`
 }
 
 // APMSweep runs the apm experiment: BER × primary-path link kills ×

@@ -21,41 +21,41 @@ import (
 // destination link; the row reports how much of the attack the fabric
 // absorbed and how fast the source was squeezed.
 type CongestionRow struct {
-	Mode enforce.Mode
+	Mode enforce.Mode `csv:"mode"`
 	// Rate is the attacker's injection rate as a fraction of line rate.
-	Rate float64
+	Rate float64 `csv:"rate,%g"`
 	// CC reports whether the annex was on for this arm.
-	CC bool
+	CC bool `csv:"cc"`
 
 	// BEp99US / BEMeanUS are victim best-effort network latency tails
 	// and mean, microseconds.
-	BEp99US  float64
-	BEMeanUS float64
+	BEp99US  float64 `csv:"be_p99_us"`
+	BEMeanUS float64 `csv:"be_mean_us"`
 	// Delivered counts legitimate datagram deliveries over the run;
 	// Violations counts attack packets that reached a victim HCA's
 	// P_Key check (the flood residue enforcement left for CC).
-	Delivered  uint64
-	Violations uint64
+	Delivered  uint64 `csv:"delivered"`
+	Violations uint64 `csv:"violations"`
 
 	// FECNMarked counts switch marking events; CNPs the notifications
 	// destinations reflected back; Throttled the injections the
 	// attacker's own HCA delayed under its congestion control table.
-	FECNMarked uint64
-	CNPs       uint64
-	Throttled  uint64
+	FECNMarked uint64 `csv:"fecn_marked"`
+	CNPs       uint64 `csv:"cnps"`
+	Throttled  uint64 `csv:"throttled"`
 	// AttackerCCT is the peak congestion-control-table index observed
 	// at the attacker's HCA — non-zero proves the source was throttled.
-	AttackerCCT int
+	AttackerCCT int `csv:"attacker_cct"`
 	// TreeSpan is the number of switches with marking activity (the
 	// SM's congestion log length): the congestion tree's blast radius.
-	TreeSpan int
+	TreeSpan int `csv:"tree_span"`
 	// RecoverUS is the time from attack stop until the attacker's CCT
 	// index drained to zero — how long the squeeze outlives the attack.
 	// -1 when it never drained (or CC was off).
-	RecoverUS float64
+	RecoverUS float64 `csv:"recover_us"`
 	// StallUS sums credit-stall time over every switch output port:
 	// upstream head-of-line pressure from the congestion tree.
-	StallUS float64
+	StallUS float64 `csv:"stall_us"`
 }
 
 // DefaultCCParams returns the congestion-control settings the experiment

@@ -23,27 +23,27 @@ import (
 // packets delivered to victims under IF, P_Key violations reaching
 // victim HCAs under SIF.
 type DriftRow struct {
-	Mode          enforce.Mode
-	AuditPeriodUS float64
-	Repair        bool
+	Mode          enforce.Mode `csv:"mode"`
+	AuditPeriodUS float64      `csv:"audit_period_us"`
+	Repair        bool         `csv:"repair"`
 
-	DriftEvents   uint64
-	DriftRepaired uint64
+	DriftEvents   uint64 `csv:"drift_events"`
+	DriftRepaired uint64 `csv:"drift_repaired"`
 	// DetectUS is corruption -> first drift detection; RepairUS is
 	// corruption -> first completed repair. -1 when it never happened.
-	DetectUS float64
-	RepairUS float64
+	DetectUS float64 `csv:"detect_us"`
+	RepairUS float64 `csv:"repair_us"`
 
-	Blast           uint64
-	AttackDelivered uint64
-	FilterDropped   uint64
-	HCAViolations   uint64
+	Blast           uint64 `csv:"blast"`
+	AttackDelivered uint64 `csv:"attack_delivered"`
+	FilterDropped   uint64 `csv:"filter_dropped"`
+	HCAViolations   uint64 `csv:"hca_violations"`
 
-	AuditMADs  uint64
-	RepairMADs uint64
+	AuditMADs  uint64 `csv:"audit_mads"`
+	RepairMADs uint64 `csv:"repair_mads"`
 
-	Sent      uint64
-	Delivered uint64
+	Sent      uint64 `csv:"sent"`
+	Delivered uint64 `csv:"delivered"`
 }
 
 // DriftSweep runs the drift experiment over every enforcement design ×

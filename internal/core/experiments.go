@@ -30,13 +30,13 @@ func sweepJob[T any](experiment string, index int, key string,
 // Fig1Row is one point of Figure 1: mean legitimate-traffic delays (µs)
 // under a DoS attack by Attackers compromised nodes.
 type Fig1Row struct {
-	Attackers  int
-	QueuingUS  float64
-	QueuingSD  float64
-	NetworkUS  float64
-	NetworkSD  float64
-	Delivered  uint64
-	AttackHits uint64
+	Attackers  int     `csv:"attackers"`
+	QueuingUS  float64 `csv:"queuing_us"`
+	QueuingSD  float64 `csv:"queuing_sd"`
+	NetworkUS  float64 `csv:"network_us"`
+	NetworkSD  float64 `csv:"network_sd"`
+	Delivered  uint64  `csv:"delivered"`
+	AttackHits uint64  `csv:"attack_pkts"`
 }
 
 // Fig1 regenerates Figure 1(a) (realtime) or 1(b) (best-effort): average
@@ -90,15 +90,14 @@ func Fig1(ctx context.Context, pool *runner.Pool, class fabric.Class, maxAttacke
 // Fig5Row is one bar of Figure 5: the delay split for one (load, mode)
 // pair under a duty-cycled four-attacker DoS.
 type Fig5Row struct {
-	Load       float64
-	Mode       enforce.Mode
-	QueuingUS  float64
-	NetworkUS  float64
-	TotalUS    float64
-	QueuingSD  float64
-	NetworkSD  float64
-	Dropped    uint64
-	AttackHits uint64
+	Load       float64      `csv:"load"`
+	Mode       enforce.Mode `csv:"mode"`
+	QueuingUS  float64      `csv:"queuing_us"`
+	NetworkUS  float64      `csv:"network_us"`
+	TotalUS    float64      `csv:"total_us"`
+	QueuingSD  float64      `csv:"queuing_sd"`
+	Dropped    uint64       `csv:"filtered"`
+	AttackHits uint64       `csv:"leaked"`
 }
 
 // Fig5 regenerates Figure 5: queuing and network delay of non-attacking
@@ -130,7 +129,6 @@ func Fig5(ctx context.Context, pool *runner.Pool, loads []float64, attackDuty fl
 						NetworkUS:  res.BestEffort.Network.Mean(),
 						TotalUS:    res.BestEffort.Queuing.Mean() + res.BestEffort.Network.Mean(),
 						QueuingSD:  res.BestEffort.Queuing.StdDev(),
-						NetworkSD:  res.BestEffort.Network.StdDev(),
 						Dropped:    res.FilterDropped,
 						AttackHits: res.HCAViolations,
 					}, nil
@@ -143,14 +141,15 @@ func Fig5(ctx context.Context, pool *runner.Pool, loads []float64, attackDuty fl
 // Fig6Row is one bar pair of Figure 6: delays without and with
 // authentication + key management at one input load.
 type Fig6Row struct {
-	Load          float64
-	WithKey       bool
-	QueuingUS     float64
-	NetworkUS     float64
-	QueuingSD     float64
-	NetworkSD     float64
-	KeyExchanges  uint64
-	PacketsSigned uint64
+	Load          float64 `csv:"load"`
+	Keys          string  `csv:"keys"` // "No Key" or "WithKey"
+	WithKey       bool    // Keys == "WithKey"; not a column
+	QueuingUS     float64 `csv:"queuing_us"`
+	QueuingSD     float64 `csv:"queuing_sd"`
+	NetworkUS     float64 `csv:"network_us"`
+	NetworkSD     float64 `csv:"network_sd"`
+	KeyExchanges  uint64  `csv:"key_exchanges"`
+	PacketsSigned uint64  `csv:"signed"`
 }
 
 // Fig6 regenerates Figure 6: message-authentication overhead with key
@@ -168,6 +167,10 @@ func Fig6(ctx context.Context, pool *runner.Pool, loads []float64, level transpo
 			cfg.BestEffortLoad = load
 			cfg.Auth = AuthConfig{Enabled: withKey, FuncID: mac.IDUMAC32, Level: level}
 			load, withKey := load, withKey
+			keys := "No Key"
+			if withKey {
+				keys = "WithKey"
+			}
 			jobs = append(jobs, sweepJob("fig6", len(jobs),
 				fmt.Sprintf("load=%g,withkey=%v,level=%v", load, withKey, level),
 				func(context.Context) (Fig6Row, error) {
@@ -177,10 +180,11 @@ func Fig6(ctx context.Context, pool *runner.Pool, loads []float64, level transpo
 					}
 					return Fig6Row{
 						Load:          load,
+						Keys:          keys,
 						WithKey:       withKey,
 						QueuingUS:     res.BestEffort.Queuing.Mean(),
-						NetworkUS:     res.BestEffort.Network.Mean(),
 						QueuingSD:     res.BestEffort.Queuing.StdDev(),
+						NetworkUS:     res.BestEffort.Network.Mean(),
 						NetworkSD:     res.BestEffort.Network.StdDev(),
 						KeyExchanges:  res.KeyExchanges,
 						PacketsSigned: res.PacketsSigned,
@@ -194,10 +198,10 @@ func Fig6(ctx context.Context, pool *runner.Pool, loads []float64, level transpo
 // Table4Row is one row of Table 4: per-algorithm authentication cost and
 // forgery probability.
 type Table4Row struct {
-	Name        string
-	CyclesByte  float64
-	GbitsPerSec float64
-	ForgeryProb float64
+	Name        string  `csv:"algorithm"`
+	CyclesByte  float64 `csv:"cycles_per_byte"`
+	GbitsPerSec float64 `csv:"gbits_per_sec"`
+	ForgeryProb float64 `csv:"forgery_prob,%.6g"` // 2^-30..2^-160
 }
 
 // Table4 regenerates Table 4 by timing real implementations on msgBytes
@@ -265,22 +269,22 @@ func Table2Rows(p int, prAttack, avgInvalid float64) []Table2Row {
 
 // Table2Row is one row of Table 2.
 type Table2Row struct {
-	Mode         enforce.Mode
-	MemPerSwitch float64
-	MemAll       float64
-	LookupLinear float64
-	LookupConst  float64
+	Mode         enforce.Mode `csv:"mode"`
+	MemPerSwitch float64      `csv:"mem_per_switch"`
+	MemAll       float64      `csv:"mem_all"`
+	LookupLinear float64      `csv:"lookups_linear"`
+	LookupConst  float64      `csv:"lookups_const"`
 }
 
 // AuthRateRow is one row of the authentication-rate ablation: the delay
 // impact of running a MAC engine at a given throughput.
 type AuthRateRow struct {
-	Name       string
-	RateGbps   float64
-	QueuingUS  float64
-	NetworkUS  float64
-	Delivered  uint64
-	Bottleneck bool // engine slower than the link
+	Name       string  `csv:"algorithm"`
+	RateGbps   float64 `csv:"rate_gbps"`
+	QueuingUS  float64 `csv:"queuing_us"`
+	NetworkUS  float64 `csv:"network_us"`
+	Delivered  uint64  `csv:"delivered"`
+	Bottleneck bool    // engine slower than the link
 }
 
 // AuthRateSweep answers the paper's section 5.2/7 question — "is it
@@ -342,15 +346,14 @@ func PaperTable4Rates() map[string]float64 {
 
 // ScaleRow is one point of the mesh-size ablation.
 type ScaleRow struct {
-	W, H      int
-	Nodes     int
-	Attackers int
+	Mesh      string `csv:"mesh"` // "WxH"
+	Nodes     int    `csv:"nodes"`
+	Attackers int    `csv:"attackers"`
 	// Baseline (no attackers) and under-attack delays.
-	BaseQueuingUS   float64
-	BaseNetworkUS   float64
-	AttackQueuingUS float64
-	AttackNetworkUS float64
-	AttackHits      uint64
+	BaseQueuingUS   float64 `csv:"base_queuing_us"`
+	AttackQueuingUS float64 `csv:"attack_queuing_us"`
+	BaseNetworkUS   float64 `csv:"base_network_us"`
+	AttackNetworkUS float64 `csv:"attack_network_us"`
 }
 
 // ScaleSweep is a beyond-paper ablation: how the DoS damage of section
@@ -393,12 +396,13 @@ func ScaleSweep(ctx context.Context, pool *runner.Pool, sizes [][2]int, base Con
 					return ScaleRow{}, err
 				}
 				return ScaleRow{
-					W: wh[0], H: wh[1], Nodes: nodes, Attackers: attackers,
+					Mesh:            fmt.Sprintf("%dx%d", wh[0], wh[1]),
+					Nodes:           nodes,
+					Attackers:       attackers,
 					BaseQueuingUS:   cleanRes.BestEffort.Queuing.Mean(),
-					BaseNetworkUS:   cleanRes.BestEffort.Network.Mean(),
 					AttackQueuingUS: hotRes.BestEffort.Queuing.Mean(),
+					BaseNetworkUS:   cleanRes.BestEffort.Network.Mean(),
 					AttackNetworkUS: hotRes.BestEffort.Network.Mean(),
-					AttackHits:      hotRes.HCAViolations,
 				}, nil
 			}))
 	}
@@ -407,11 +411,11 @@ func ScaleSweep(ctx context.Context, pool *runner.Pool, sizes [][2]int, base Con
 
 // SMFloodRow is one point of the management-DoS experiment.
 type SMFloodRow struct {
-	FloodRate     float64 // junk management packets per second
-	RegLatencyUS  float64 // mean trap->registration latency
-	RegLatencyMax float64
-	TrapsReceived uint64
-	Registrations uint64
+	FloodRate     float64 `csv:"flood_rate"`     // junk management packets per second
+	RegLatencyUS  float64 `csv:"reg_latency_us"` // mean trap->registration latency
+	RegLatencyMax float64 `csv:"reg_latency_max_us"`
+	TrapsReceived uint64  `csv:"mads_processed"`
+	Registrations uint64  `csv:"registrations"`
 }
 
 // SMFloodSweep quantifies the section-7 attack the paper leaves open:
@@ -490,11 +494,20 @@ func startMADFlood(cl *Cluster, pktPerSec float64) {
 	})
 }
 
+// DutyRow is one point of the SIF duty-cycle ablation.
+type DutyRow struct {
+	Duty       float64 `csv:"duty"`
+	QueuingUS  float64 `csv:"queuing_us"`
+	NetworkUS  float64 `csv:"network_us"`
+	Dropped    uint64  `csv:"filtered"`
+	AttackHits uint64  `csv:"leaked"`
+}
+
 // SweepDuty is an ablation beyond the paper: SIF delay as a function of
 // attack duty cycle, quantifying the registration-window leakage that
 // makes SIF slightly worse than IF at low loads in Figure 5.
-func SweepDuty(ctx context.Context, pool *runner.Pool, duties []float64, load float64, base Config) ([]Fig5Row, error) {
-	jobs := make([]runner.Job[Fig5Row], 0, len(duties))
+func SweepDuty(ctx context.Context, pool *runner.Pool, duties []float64, load float64, base Config) ([]DutyRow, error) {
+	jobs := make([]runner.Job[DutyRow], 0, len(duties))
 	for _, duty := range duties {
 		cfg := base
 		cfg.Enforcement = enforce.SIF
@@ -505,17 +518,15 @@ func SweepDuty(ctx context.Context, pool *runner.Pool, duties []float64, load fl
 		duty := duty
 		jobs = append(jobs, sweepJob("sweep_duty", len(jobs),
 			fmt.Sprintf("duty=%g,load=%g", duty, load),
-			func(context.Context) (Fig5Row, error) {
+			func(context.Context) (DutyRow, error) {
 				res, err := Run(cfg)
 				if err != nil {
-					return Fig5Row{}, err
+					return DutyRow{}, err
 				}
-				return Fig5Row{
-					Load:       duty, // reused column: the swept variable
-					Mode:       enforce.SIF,
+				return DutyRow{
+					Duty:       duty,
 					QueuingUS:  res.BestEffort.Queuing.Mean(),
 					NetworkUS:  res.BestEffort.Network.Mean(),
-					TotalUS:    res.BestEffort.Queuing.Mean() + res.BestEffort.Network.Mean(),
 					Dropped:    res.FilterDropped,
 					AttackHits: res.HCAViolations,
 				}, nil

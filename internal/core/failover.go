@@ -17,38 +17,38 @@ import (
 // partition's key is declared compromised at the halfway mark, for one
 // (standby count, heartbeat interval, rekey period) cell.
 type FailoverRow struct {
-	Standbys    int
-	HeartbeatUS float64
-	RekeyUS     float64 // 0: rotation disabled for this arm
+	Standbys    int     `csv:"standbys"`
+	HeartbeatUS float64 `csv:"heartbeat_us"`
+	RekeyUS     float64 `csv:"rekey_us"` // 0: rotation disabled for this arm
 
 	// Failover: all latencies are measured from the kill instant.
-	Takeovers  uint64
-	ElectionUS float64 // kill -> a standby declares itself master
-	TakeoverUS float64 // kill -> re-sweep done, tables + traps re-installed
+	Takeovers  uint64  `csv:"takeovers"`
+	ElectionUS float64 `csv:"election_us"` // kill -> a standby declares itself master
+	TakeoverUS float64 `csv:"takeover_us"` // kill -> re-sweep done, tables + traps re-installed
 	// MADsRecover counts the SMPs the winning standby's bounded re-sweep
 	// spent re-verifying fabric state.
-	MADsRecover uint64
+	MADsRecover uint64 `csv:"mads_recover"`
 	// MADsLostDeadSM counts management packets (violation traps) that
 	// arrived at the dead master and were lost — the detection window's
 	// cost.
-	MADsLostDeadSM uint64
+	MADsLostDeadSM uint64 `csv:"mads_lost_dead_sm"`
 
 	// Rotation.
-	Rollovers       uint64 // whole-fabric epoch rollover rounds
-	ForcedRotations uint64 // KeyCompromise responses
-	GraceMisses     uint64 // packets MAC'd under a retired epoch (rejected)
-	AuthOKGrace     uint64 // packets accepted under the previous epoch
+	Rollovers       uint64 `csv:"rollovers"`        // whole-fabric epoch rollover rounds
+	ForcedRotations uint64 `csv:"forced_rotations"` // KeyCompromise responses
+	GraceMisses     uint64 `csv:"grace_misses"`     // packets MAC'd under a retired epoch (rejected)
+	AuthOKGrace     uint64 `csv:"auth_ok_grace"`    // packets accepted under the previous epoch
 
 	// Enforcement continuity across the failover.
-	AuthOK        uint64
-	AuthFail      uint64
-	TrapsSent     uint64
-	SIFRegsPre    uint64 // SIF registrations performed by the original master
-	SIFRegsPost   uint64 // SIF registrations performed by promoted standbys
-	FilterDropped uint64
+	AuthOK        uint64 `csv:"auth_ok"`
+	AuthFail      uint64 `csv:"auth_fail"`
+	TrapsSent     uint64 `csv:"traps_sent"`
+	SIFRegsPre    uint64 `csv:"sif_regs_pre"`  // SIF registrations performed by the original master
+	SIFRegsPost   uint64 `csv:"sif_regs_post"` // SIF registrations performed by promoted standbys
+	FilterDropped uint64 `csv:"filter_dropped"`
 
-	Sent      uint64
-	Delivered uint64
+	Sent      uint64 `csv:"sent"`
+	Delivered uint64 `csv:"delivered"`
 }
 
 // FailoverSweep sweeps standby count × heartbeat interval × rekey period

@@ -23,34 +23,34 @@ import (
 // under a deterministic chaos plan (link outages and a bit-error burst)
 // with the SM's self-healing re-sweep active, for one enforcement design.
 type FaultRow struct {
-	Mode      enforce.Mode
-	BER       float64
-	LinkKills int
+	Mode      enforce.Mode `csv:"mode"`
+	BER       float64      `csv:"ber,%g"`
+	LinkKills int          `csv:"kills"`
 
 	// Datagram background traffic: delivered fraction tells how much the
 	// outages cost the unreliable service.
-	Sent          uint64
-	Delivered     uint64
-	DeliveredFrac float64
+	Sent          uint64  `csv:"sent"`
+	Delivered     uint64  `csv:"delivered"`
+	DeliveredFrac float64 `csv:"delivered_frac"`
 
 	// Where the missing packets went.
-	Blackholed   uint64 // destroyed by dead links/switches and MAD faults
-	CRCRejected  uint64 // VCRC/ICRC rejects from the bit-error burst
-	AuthRejected uint64
-	HOQDropped   uint64 // aged out by the Head-of-Queue lifetime limit
+	Blackholed   uint64 `csv:"blackholed"`   // destroyed by dead links/switches and MAD faults
+	HOQDropped   uint64 `csv:"hoq_dropped"`  // aged out by the Head-of-Queue lifetime limit
+	CRCRejected  uint64 `csv:"crc_rejected"` // VCRC/ICRC rejects from the bit-error burst
+	AuthRejected uint64 `csv:"auth_rejected"`
 
 	// Reliable probe flows: RC connections that must ride the outages out
 	// on retransmission while the SM heals the routes underneath them.
-	RCSent         uint64
-	RCDelivered    uint64
-	RCBroken       uint64
-	RCLatencyP99US float64 // p99 end-to-end latency: the recovery tail
+	RCSent         uint64  `csv:"rc_sent"`
+	RCDelivered    uint64  `csv:"rc_delivered"`
+	RCBroken       uint64  `csv:"rc_broken"`
+	RCLatencyP99US float64 `csv:"rc_p99_us"` // p99 end-to-end latency: the recovery tail
 
 	// Self-healing control loop.
-	DetectUS  float64 // mean failure-to-detection latency
-	RerouteUS float64 // mean detection-to-reprogrammed latency
-	Resweeps  uint64
-	Reroutes  uint64
+	DetectUS  float64 `csv:"detect_us"`  // mean failure-to-detection latency
+	RerouteUS float64 `csv:"reroute_us"` // mean detection-to-reprogrammed latency
+	Resweeps  uint64  `csv:"resweeps"`
+	Reroutes  uint64  `csv:"reroutes"`
 }
 
 // rcProbe is one reliable probe flow of the fault experiment.

@@ -17,42 +17,42 @@ import (
 // oscillating-BER attack, with the PerfMgr off (the reactive resweep
 // baseline), on without flap damping, or on with damping.
 type HealthRow struct {
-	Mode   enforce.Mode
-	Attack string // "ramp" (progressive gray failure) or "osc" (adversarial flapping)
-	Arm    string // "off", "undamped", "damped"
-	BER    float64
+	Mode   enforce.Mode `csv:"mode"`
+	Attack string       `csv:"attack"` // "ramp" (progressive gray failure) or "osc" (adversarial flapping)
+	Arm    string       `csv:"arm"`    // "off", "undamped", "damped"
+	BER    float64      `csv:"ber,%g"`
 
 	// Datagram background traffic.
-	Sent          uint64
-	Delivered     uint64
-	DeliveredFrac float64
+	Sent          uint64  `csv:"sent"`
+	Delivered     uint64  `csv:"delivered"`
+	DeliveredFrac float64 `csv:"delivered_frac"`
 
 	// CRC-rejected packets — the delivered-loss the bad link inflicts —
 	// split at the first quarantine of the target link: LostBeforeQ
 	// accrued while traffic still crossed it, LostAfterQ after the
 	// health plane had fenced it (the proactive win; with the plane off
 	// everything lands in LostBeforeQ).
-	CRCRejected uint64
-	LostBeforeQ uint64
-	LostAfterQ  uint64
+	CRCRejected uint64 `csv:"crc_rejected"`
+	LostBeforeQ uint64 `csv:"lost_before_q"`
+	LostAfterQ  uint64 `csv:"lost_after_q"`
 
 	// DetectUS is the BER onset → first target-link quarantine latency;
 	// zero when the link was never quarantined.
-	DetectUS float64
+	DetectUS float64 `csv:"detect_us"`
 
 	// Quarantine churn and its in-band cost.
-	Quarantines uint64
-	Readmits    uint64
-	Refused     uint64
+	Quarantines uint64 `csv:"quarantines"`
+	Readmits    uint64 `csv:"readmits"`
+	Refused     uint64 `csv:"refused"`
 	// FalseQuarantines counts quarantines of links other than the
 	// degraded target — healthy links the scorer wrongly fenced.
-	FalseQuarantines uint64
+	FalseQuarantines uint64 `csv:"false_quarantines"`
 	// Flaps is the target link's final flap count: how many times the
 	// attacker managed to force it in and out of service.
-	Flaps       int
-	SweepMADs   uint64
-	TrapMADs    uint64
-	RerouteMADs uint64
+	Flaps       int    `csv:"flaps"`
+	SweepMADs   uint64 `csv:"sweep_mads"`
+	TrapMADs    uint64 `csv:"trap_mads"`
+	RerouteMADs uint64 `csv:"reroute_mads"`
 }
 
 // HealthSweep runs the flaky-link experiment: for each enforcement

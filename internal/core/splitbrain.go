@@ -155,41 +155,41 @@ func (cl *Cluster) reconcileEpochs(winner *sm.SubnetManager, fork *keys.Partitio
 // each island elects or keeps a master, and the heal forces the merge
 // protocol to reconverge on a single master and a single key lineage.
 type SplitBrainRow struct {
-	PartitionUS float64
-	HeartbeatUS float64
-	RekeyUS     float64 // 0: rotation disabled for this arm
+	PartitionUS float64 `csv:"partition_us"`
+	HeartbeatUS float64 `csv:"heartbeat_us"`
+	RekeyUS     float64 `csv:"rekey_us"` // 0: rotation disabled for this arm
 
 	// Protocol events.
-	Containments       uint64 // sitting master dropped into island mode
-	ContainedTakeovers uint64 // island standby elected contained master
-	Abdications        uint64
-	Merges             uint64
-	CensusRounds       uint64
+	Containments       uint64 `csv:"containments"`        // sitting master dropped into island mode
+	ContainedTakeovers uint64 `csv:"contained_takeovers"` // island standby elected contained master
+	Abdications        uint64 `csv:"abdications"`
+	Merges             uint64 `csv:"merges"`
+	CensusRounds       uint64 `csv:"census_rounds"`
 
 	// Merge timeline, from the first completed merge. DualMasterUS is the
 	// loser's election -> abdication window; ReconvergeUS is cut mend ->
 	// merge complete (single master, fabric-wide state re-imposed).
-	DualMasterUS  float64
-	ReconvergeUS  float64
-	ReconcileMADs uint64
+	DualMasterUS  float64 `csv:"dual_master_us"`
+	ReconvergeUS  float64 `csv:"reconverge_us"`
+	ReconcileMADs uint64  `csv:"reconcile_mads"`
 
 	// Rotation: fabric rollover rounds plus the loser island's own.
-	Rollovers       uint64
-	IslandRollovers uint64
+	Rollovers       uint64 `csv:"rollovers"`
+	IslandRollovers uint64 `csv:"island_rollovers"`
 
 	// MAD hygiene across the partition (duplicate-TID suppression).
-	DupRequests uint64
+	DupRequests uint64 `csv:"dup_requests"`
 
 	// Auth health across the merge: GraceMisses (auth_epoch_expired)
 	// is the soft-landing path, AuthFail the storm that merge grace
 	// exists to prevent.
-	AuthOK      uint64
-	AuthFail    uint64
-	GraceMisses uint64
-	AuthOKGrace uint64
+	AuthOK      uint64 `csv:"auth_ok"`
+	AuthFail    uint64 `csv:"auth_fail"`
+	GraceMisses uint64 `csv:"grace_misses"`
+	AuthOKGrace uint64 `csv:"auth_ok_grace"`
 
-	Sent      uint64
-	Delivered uint64
+	Sent      uint64 `csv:"sent"`
+	Delivered uint64 `csv:"delivered"`
 }
 
 // SplitBrainSweep sweeps partition duration × heartbeat interval × rekey

@@ -182,8 +182,8 @@ type Counters struct {
 // and name address the same cell.
 type Counter struct {
 	v uint64
-	// live records that the cell has been added to or set: resolving a
-	// handle alone must not add a column to Names/CSVRow.
+	// live records that the cell has been added to: resolving a handle
+	// alone must not add a name to Names or String.
 	live bool
 }
 
@@ -197,7 +197,7 @@ func (h *Counter) Add(delta uint64) {
 func NewCounters() *Counters { return &Counters{m: make(map[string]*Counter)} }
 
 // Counter resolves name to its handle, creating the cell on first use.
-// The name shows up in Names and CSVRow only once something has been
+// The name shows up in Names and String only once something has been
 // added to it, by handle or by name.
 func (c *Counters) Counter(name string) *Counter {
 	h := c.m[name]
@@ -230,23 +230,6 @@ func (c *Counters) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// CSVRow returns the counter set as an aligned (header, values) pair
-// for CSV emission. Column order is the sorted name order of Names —
-// an explicit, test-enforced contract: adding a counter (say a new
-// drift/audit counter) inserts a column at its sorted position and
-// can never silently reorder or re-label the existing ones, so CSV
-// consumers that match columns by header stay correct.
-func (c *Counters) CSVRow() (header []string, values []uint64) {
-	names := c.Names()
-	header = make([]string, len(names))
-	values = make([]uint64, len(names))
-	for i, k := range names {
-		header[i] = k
-		values[i] = c.Get(k)
-	}
-	return header, values
 }
 
 func (c *Counters) String() string {

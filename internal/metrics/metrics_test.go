@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -180,64 +179,16 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-// TestCountersCSVRowSortedStable enforces the CSV column contract:
-// columns come out in sorted name order no matter the insertion order,
-// and introducing a new counter (an audit_* name here, as the drift
-// auditor does) inserts a column without disturbing the relative order
-// of the pre-existing ones.
-func TestCountersCSVRowSortedStable(t *testing.T) {
-	c := NewCounters()
-	for _, name := range []string{"traps_sent", "drops", "auth_fail", "resweeps"} {
-		c.Inc(name, 1)
-	}
-	header, values := c.CSVRow()
-	if len(header) != len(values) {
-		t.Fatalf("header/values misaligned: %d vs %d", len(header), len(values))
-	}
-	if !sort.StringsAreSorted(header) {
-		t.Fatalf("CSV header not sorted: %v", header)
-	}
-	before := append([]string(nil), header...)
-
-	c.Inc("audit_mads", 7) // sorts first: worst case for a silent reorder
-	header2, values2 := c.CSVRow()
-	if !sort.StringsAreSorted(header2) || len(header2) != len(before)+1 {
-		t.Fatalf("CSV header after insert: %v", header2)
-	}
-	// Every pre-existing column must survive, in the same relative
-	// order, paired with its own value.
-	i := 0
-	for j, name := range header2 {
-		if name == "audit_mads" {
-			if values2[j] != 7 {
-				t.Fatalf("audit_mads = %d", values2[j])
-			}
-			continue
-		}
-		if name != before[i] || values2[j] != c.Get(name) {
-			t.Fatalf("column %d: got %s=%d, want %s", j, name, values2[j], before[i])
-		}
-		i++
-	}
-	if i != len(before) {
-		t.Fatalf("lost %d pre-existing columns", len(before)-i)
-	}
-
-}
-
 // A Counter handle and the counter's name address one cell, and merely
-// resolving a handle adds no column: a device resolves its per-packet
+// resolving a handle adds no name: a device resolves its per-packet
 // counters at construction, and a run that never forwards a packet must
-// still emit the CSV header it always did.
+// still list the names it always did.
 func TestCounterHandle(t *testing.T) {
 	c := NewCounters()
 	fwd := c.Counter("forwarded")
 	idle := c.Counter("filtered")
 	if names := c.Names(); len(names) != 0 {
 		t.Fatalf("resolved-but-untouched handles appear in Names: %v", names)
-	}
-	if header, values := c.CSVRow(); len(header) != 0 || len(values) != 0 {
-		t.Fatalf("resolved-but-untouched handles appear in CSVRow: %v", header)
 	}
 	if c.String() != "" || c.Get("filtered") != 0 {
 		t.Fatalf("untouched handle is visible: %q", c.String())
@@ -256,21 +207,14 @@ func TestCounterHandle(t *testing.T) {
 		t.Fatalf("Names = %v, want [forwarded]", names)
 	}
 
-	// Like Inc(name, 0), adding zero makes the column exist.
+	// Like Inc(name, 0), adding zero makes the name exist.
 	idle.Add(0)
 	c.Inc("zero_by_name", 0)
 	// A handle resolved after the name was counted continues the count.
 	c.Inc("late", 4)
 	c.Counter("late").Add(1)
-	header, values := c.CSVRow()
-	want := map[string]uint64{"filtered": 0, "forwarded": 6, "late": 5, "zero_by_name": 0}
-	if len(header) != len(want) {
-		t.Fatalf("CSVRow header %v, want the %d names of %v", header, len(want), want)
-	}
-	for i, name := range header {
-		if v, ok := want[name]; !ok || v != values[i] {
-			t.Errorf("CSVRow %s = %d, want %d (present %v)", name, values[i], v, ok)
-		}
+	if got, want := c.String(), "filtered=0 forwarded=6 late=5 zero_by_name=0"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
 	}
 }
 

@@ -3,7 +3,8 @@
 # (the allocation budgets are ordinary tests among them and hold under
 # it), and once more in the poison build that faults on any use of a
 # message after its release point; an end-to-end -quick smoke of every
-# experiment through the parallel runner; a 5 s smoke of every fuzz
+# experiment through the parallel runner, whose CSV names and headers
+# must match the committed results/; a 5 s smoke of every fuzz
 # target, listed in one package/target table; and a -quick
 # run of the benchmark for its correctness checks, then one full-length
 # repetition against the recorded digests. Nothing here gates on host
@@ -46,6 +47,15 @@ echo "== ibsim all -quick -jobs 2 (runner end-to-end smoke)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/ibsim -quick -jobs 2 -csv "$tmp/csv" all >"$tmp/all.out"
+
+echo "== committed results/*.csv headers (each table name and header line the smoke writes matches the committed one)"
+for f in results/*.csv; do
+  got="$tmp/csv/$(basename "$f")"
+  if [ ! -f "$got" ] || [ "$(head -n 1 "$f")" != "$(head -n 1 "$got")" ]; then
+    echo "header of $f: smoke wrote '$(head -n 1 "$got" 2>/dev/null)', committed '$(head -n 1 "$f")'" >&2
+    exit 1
+  fi
+done
 
 echo "== fuzz smoke (every fuzz target, 5s each)"
 while read -r pkg target; do
