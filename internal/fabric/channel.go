@@ -41,14 +41,26 @@ func (p *Port) Connected() bool { return p != nil && p.out != nil }
 // per-VL credit counters, and the serializer. All state is driven by the
 // single simulation goroutine.
 type outChannel struct {
-	sim     *sim.Simulator
-	params  *Params
-	peer    Device
-	peerIn  int // peer's port id
-	queues  [NumVLs]vlQueue
+	sim    *sim.Simulator
+	params *Params
+	peer   Device
+	peerIn int // peer's port id
+	queues [NumVLs]vlQueue
+	// credits counts each lane's credits, the returns that have landed
+	// included; returns holds those still on the wire back to this
+	// sender, and busy is set while the serializer clocks a packet out,
+	// until its ticket ser passes. All three lag until settle (see
+	// ticket); a link that goes down mid-packet keeps busy set until it
+	// comes back up, since nothing finishes on a dead link.
 	credits [NumVLs]int
+	returns ticketRing
 	busy    bool
-	rr      [NumVLs]int // per-priority-level round-robin cursor base
+	// wakeAll makes wake schedule every ticket — the eager schedule,
+	// which FuzzLinkSchedule runs the lazy one against. Only tests set it.
+	wakeAll bool
+	ser     ticket
+	due     sim.Time // no later than the earliest live ticket's time
+	rr      int      // round-robin cursor: the lane the arbiter's walk starts at
 	// queuedBytes tracks the backlog for realtime source backpressure.
 	queuedBytes int
 	// occupied has bit vl set while queues[vl] is non-empty, so the
@@ -66,10 +78,10 @@ type outChannel struct {
 	busyTime  sim.Time
 
 	// Fault-injection state. A downed channel destroys traffic instead
-	// of transmitting it; epoch invalidates events (serializer
-	// completions, credit returns) scheduled before the last link-state
-	// transition, so a reset cannot double-return credits. Both stay at
-	// their zero values unless a fault plan drives them.
+	// of transmitting it; epoch invalidates events and tickets
+	// (serializer completions, credit returns) from before the last
+	// link-state transition, so a reset cannot double-return credits.
+	// Both stay at their zero values unless a fault plan drives them.
 	down       bool
 	epoch      uint64
 	blackholed uint64
@@ -144,6 +156,74 @@ func (q *vlQueue) pop() *Delivery {
 	q.fill--
 	return d
 }
+
+// ticket is a link event whose slot the channel has taken with
+// sim.Reserve but whose event it schedules (wake) only when a packet
+// waits on it: the serializer freeing or a credit return landing. Both
+// happen at every hop and usually find nobody waiting — an empty
+// backlog, a sender that is not short of credits — so the channel
+// instead treats a ticket as done once sim.Passed says its slot has gone
+// by, and settle applies it then. A scheduled ticket fires in its
+// reserved slot, exactly where the event scheduled in Reserve's place
+// would have, so same-instant ties keep their order.
+type ticket struct {
+	at     sim.Time
+	seq    uint64
+	vl     uint8 // a credit return's lane
+	queued bool  // its event is on the simulator's queue
+}
+
+// never is a time no ticket reaches.
+const never = sim.Time(math.MaxInt64)
+
+// before reports whether a's slot comes before b's.
+func (a *ticket) before(b *ticket) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// ticketRing is a FIFO of tickets: a power-of-two ring, like vlQueue,
+// whose first backing array is its own, so a channel with at most four
+// returns on the wire at once never allocates for them. The zero value
+// is an empty ring.
+type ticketRing struct {
+	ring []ticket // len is zero or a power of two
+	next int
+	fill int
+	own  [4]ticket
+}
+
+func (r *ticketRing) len() int { return r.fill }
+
+// at returns the i'th oldest entry, which must exist.
+func (r *ticketRing) at(i int) *ticket { return &r.ring[(r.next+i)&(len(r.ring)-1)] }
+
+func (r *ticketRing) push(t ticket) {
+	if r.fill == len(r.ring) {
+		r.grow()
+	}
+	r.ring[(r.next+r.fill)&(len(r.ring)-1)] = t
+	r.fill++
+}
+
+// grow moves a full ring to a backing array twice its size: the ring's
+// own array first.
+func (r *ticketRing) grow() {
+	ring := r.own[:]
+	if r.ring != nil {
+		ring = make([]ticket, 2*len(r.ring))
+		n := copy(ring, r.ring[r.next:])
+		copy(ring[n:], r.ring[:r.next])
+	}
+	r.ring, r.next = ring, 0
+}
+
+// pop drops the oldest entry, which must exist.
+func (r *ticketRing) pop() {
+	r.next = (r.next + 1) & (len(r.ring) - 1)
+	r.fill--
+}
+
+func (r *ticketRing) clear() { r.next, r.fill = 0, 0 }
 
 // The occupancy mask is sixteen bits, one per lane.
 var _ = [1]struct{}{}[NumVLs-16]
@@ -260,10 +340,11 @@ func (c *outChannel) armHOQ(vl uint8) {
 // allocates nothing (see sim.Handler). arg is the *Delivery where the
 // event concerns one; n is what a closure would have captured — the
 // link epoch at scheduling time, and for the events tied to a lane its
-// VL, packed by tag. They are scheduled in a fixed order
-// (serDone before wireArrive, the credit return wherever ReturnCredit
-// is called): same-instant events fire in scheduling order, so
-// reordering the calls reorders the simulation and moves every golden.
+// VL, packed by tag. Their slots are taken in a fixed order (the
+// serializer's ticket before wireArrive, a credit return's ticket
+// wherever ReturnCredit is called): same-instant events fire in slot
+// order, so reordering the calls reorders the simulation and moves every
+// golden.
 //
 // Message blocks are recycled (Params.release), so an event may carry a
 // *Delivery only while it is the message's one way to a terminal:
@@ -305,16 +386,19 @@ func (h *hoqExpire) Fire(arg any, n uint64) {
 	c.trySend()
 }
 
-// serDone fires when the serializer has clocked a packet's last byte
-// onto the wire: the link is free for the next one.
-type serDone outChannel
+// ticketDue fires in a scheduled ticket's slot: when the serializer has
+// clocked a packet's last byte onto the wire, or a credit return has
+// travelled back over it. trySend settles the ticket and serves whatever
+// waited on it. A ticket from
+// before a link transition does nothing: the reset already restored the
+// full credit complement and freed the serializer.
+type ticketDue outChannel
 
-func (h *serDone) Fire(_ any, tag uint64) {
+func (h *ticketDue) Fire(_ any, tag uint64) {
 	c := (*outChannel)(h)
 	if c.stale(tag) {
 		return
 	}
-	c.busy = false
 	c.trySend()
 }
 
@@ -336,18 +420,113 @@ func (h *wireArrive) Fire(arg any, tag uint64) {
 	c.peer.arrive(c.peerIn, d)
 }
 
-// creditBack fires when a credit return has travelled back over the
-// wire. A return from before a link reset is discarded: the reset
+// returnCredit puts a credit return on the wire back to this sender: a
+// ticket one propagation delay out. A return tagged before the last link
+// transition takes its slot all the same but is discarded, as the reset
 // already restored the full credit complement.
-type creditBack outChannel
-
-func (h *creditBack) Fire(_ any, tag uint64) {
-	c := (*outChannel)(h)
+func (c *outChannel) returnCredit(tag uint64) {
+	at := c.sim.Now() + c.params.PropDelay
+	seq := c.sim.Reserve(at)
 	if c.stale(tag) {
 		return
 	}
-	c.credits[uint8(tag)]++
-	c.trySend()
+	if c.returns.len() == len(c.returns.ring) {
+		c.settle() // land what has passed before the ring grows
+	}
+	// The delay is the fabric's one constant, so the ring stays in slot
+	// order.
+	c.returns.push(ticket{at: at, seq: seq, vl: uint8(tag)})
+	c.due = min(c.due, at)
+	c.wake()
+}
+
+// settle applies, in slot order, every ticket whose slot has passed: the
+// serializer frees, credits land. A ticket nobody scheduled had no
+// packet waiting on it (see wake), so its event would have found the
+// link busy or the backlog empty; in the second case, under
+// ArbWeighted, that event's arbitration pass refilled every WRR quantum,
+// which settle does in its place. Nothing reads the quanta in between:
+// only trySend arbitrates, and it settles first.
+func (c *outChannel) settle() {
+	if c.due <= c.sim.Now() {
+		c.settleTickets()
+	}
+}
+
+// settleTickets is settle past its check that a ticket may have passed.
+func (c *outChannel) settleTickets() {
+	if c.down {
+		return // a transition discarded every ticket
+	}
+	s, refill := c.sim, false
+	for {
+		var t *ticket
+		if c.returns.len() > 0 {
+			t = c.returns.at(0)
+		}
+		if c.busy && (t == nil || c.ser.before(t)) {
+			t = &c.ser
+		}
+		if t == nil || !s.Passed(t.at, t.seq) {
+			break
+		}
+		queued := t.queued
+		if t == &c.ser {
+			c.busy = false
+		} else {
+			c.credits[t.vl]++
+			c.returns.pop()
+		}
+		refill = refill || !queued && !c.busy
+	}
+	c.due = never
+	if c.busy {
+		c.due = c.ser.at
+	}
+	if c.returns.len() > 0 {
+		c.due = min(c.due, c.returns.at(0).at)
+	}
+	if refill && c.params.Arbitration == ArbWeighted {
+		c.refillQuanta(true)
+		c.refillQuanta(false)
+	}
+}
+
+// wake schedules the ticket events a packet now waits on: the
+// serializer's while a backlog stands behind it, and the oldest credit
+// return's while every backlogged lane is out of credits and the link is
+// idle (stalled). Each later return is scheduled as it becomes the
+// oldest, if the stall lasts. wakeAll schedules every ticket.
+func (c *outChannel) wake() {
+	if c.stalled || c.busy && c.occupied != 0 && !c.ser.queued || c.wakeAll {
+		c.wakeTickets()
+	}
+}
+
+// wakeTickets is wake past its check that some ticket may be waited on.
+func (c *outChannel) wakeTickets() {
+	if c.down {
+		return
+	}
+	all, tag := c.wakeAll, c.tag(0)
+	if c.busy && !c.ser.queued && (c.occupied != 0 || all) {
+		c.ser.queued = true
+		c.sim.ScheduleTicket(c.ser.at, c.ser.seq, (*ticketDue)(c), nil, tag)
+	}
+	n := c.returns.len()
+	switch {
+	case all:
+	case c.stalled:
+		n = min(n, 1)
+	default:
+		n = 0
+	}
+	for i := 0; i < n; i++ {
+		if r := c.returns.at(i); !r.queued {
+			r.queued = true
+			c.sim.ScheduleTicket(r.at, r.seq, (*ticketDue)(c), nil, tag)
+		}
+	}
 }
 
 // blackhole accounts for a packet destroyed by an injected fault: the
@@ -382,6 +561,11 @@ func (c *outChannel) setDown(down bool) {
 	if c.down == down {
 		return
 	}
+	// Tickets whose slots have passed fired before the transition; the
+	// rest would land stale.
+	c.settle()
+	c.returns.clear()
+	c.due = never // the serializer's ticket, if any, is stale too
 	c.down = down
 	c.epoch++
 	if down && c.health != nil {
@@ -434,10 +618,10 @@ func (c *outChannel) stallTime(now sim.Time) sim.Time {
 }
 
 // backlog returns the occupancy mask rotated so that bit off stands for
-// lane (rr[0]+off) % NumVLs: walking its set bits from the lowest visits
+// lane (rr+off) % NumVLs: walking its set bits from the lowest visits
 // the non-empty lanes in round-robin order from the cursor.
 func (c *outChannel) backlog() uint16 {
-	return bits.RotateLeft16(c.occupied, -c.rr[0])
+	return bits.RotateLeft16(c.occupied, -c.rr)
 }
 
 // pickVL chooses the next VL to serve according to the configured
@@ -450,7 +634,7 @@ func (c *outChannel) pickVL() int {
 	bestPrio := -1 << 31
 	best := -1
 	for m := c.backlog(); m != 0; m &= m - 1 {
-		vl := (c.rr[0] + bits.TrailingZeros16(m)) % NumVLs
+		vl := (c.rr + bits.TrailingZeros16(m)) % NumVLs
 		if c.credits[vl] <= 0 {
 			continue
 		}
@@ -474,7 +658,7 @@ func (c *outChannel) pickVLWeighted() int {
 		// Two passes: first VLs with remaining quantum, then refill.
 		for pass := 0; pass < 2; pass++ {
 			for m := c.backlog(); m != 0; m &= m - 1 {
-				vl := (c.rr[0] + bits.TrailingZeros16(m)) % NumVLs
+				vl := (c.rr + bits.TrailingZeros16(m)) % NumVLs
 				isHigh := c.params.VLPriority[vl] > 0
 				if isHigh != high || c.credits[vl] <= 0 {
 					continue
@@ -484,16 +668,7 @@ func (c *outChannel) pickVLWeighted() int {
 					return vl
 				}
 			}
-			// Refill this group's quanta and retry once.
-			for vl := 0; vl < NumVLs; vl++ {
-				if (c.params.VLPriority[vl] > 0) == high {
-					w := c.params.VLWeights[vl]
-					if w <= 0 {
-						w = 1
-					}
-					c.quantum[vl] = w
-				}
-			}
+			c.refillQuanta(high) // and retry once
 		}
 		return -1
 	}
@@ -514,6 +689,20 @@ func (c *outChannel) pickVLWeighted() int {
 		return vl
 	}
 	return -1
+}
+
+// refillQuanta resets the WRR quantum of every VL in one priority group
+// (VLPriority > 0 is high) to its weight.
+func (c *outChannel) refillQuanta(high bool) {
+	for vl := 0; vl < NumVLs; vl++ {
+		if (c.params.VLPriority[vl] > 0) == high {
+			w := c.params.VLWeights[vl]
+			if w <= 0 {
+				w = 1
+			}
+			c.quantum[vl] = w
+		}
+	}
 }
 
 // maybeCorrupt applies the link bit-error model: with the per-packet
@@ -554,12 +743,20 @@ func (c *outChannel) maybeCorrupt(d *Delivery) {
 	d.Tainted = true
 }
 
-// trySend starts serializing the next eligible packet if the link is
-// idle. It reschedules itself at serialization end and on credit return.
+// trySend settles the tickets that have passed, starts serializing the
+// next eligible packet if the link is idle, and schedules the tickets a
+// packet now waits on, whose events call it again.
 func (c *outChannel) trySend() {
-	if c.busy || c.down {
-		return
+	c.settle()
+	if !c.busy && !c.down {
+		c.sendNext()
 	}
+	c.wake()
+}
+
+// sendNext starts serializing the next eligible packet on an idle link,
+// or opens a credit stall when a backlog has no eligible lane.
+func (c *outChannel) sendNext() {
 	vl := c.pickVL()
 	if vl < 0 {
 		if c.queuedBytes > 0 && !c.stalled {
@@ -579,7 +776,7 @@ func (c *outChannel) trySend() {
 	c.queuedBytes -= d.Pkt.WireSize()
 	c.armHOQ(uint8(vl))
 	c.credits[vl]--
-	c.rr[0] = (vl + 1) % NumVLs
+	c.rr = (vl + 1) % NumVLs
 	c.busy = true
 
 	// Source injection: stamp the first byte on the wire.
@@ -594,8 +791,9 @@ func (c *outChannel) trySend() {
 	ser := c.params.SerializationDelay(d.Pkt.WireSize())
 	c.bytesSent += uint64(d.Pkt.WireSize())
 	c.busyTime += ser
-	tag := c.tag(uint8(vl))
-	c.sim.ScheduleCall(ser, (*serDone)(c), nil, tag)
+	at := c.sim.Now() + ser
+	c.ser = ticket{at: at, seq: c.sim.Reserve(at)}
+	c.due = min(c.due, at)
 	c.maybeCorrupt(d)
-	c.sim.ScheduleCall(ser+c.params.PropDelay, (*wireArrive)(c), d, tag)
+	c.sim.ScheduleCall(ser+c.params.PropDelay, (*wireArrive)(c), d, c.tag(uint8(vl)))
 }

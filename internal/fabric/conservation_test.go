@@ -145,6 +145,7 @@ func drainInStrides(t *testing.T, trial int, s *sim.Simulator, params *Params, h
 				trial, s.Now(), held, want, tm)
 		}
 		if s.Pending() == 0 {
+			s.Run() // land the credit returns still on the wire
 			return tm
 		}
 		s.RunUntil(s.Now() + 3*sim.Microsecond)
@@ -388,6 +389,7 @@ func TestPropertyConservationAcrossLinkDownUp(t *testing.T) {
 			if !p.Connected() {
 				return
 			}
+			p.out.settle() // land the returns whose slots have passed
 			for vl := 0; vl < NumVLs; vl++ {
 				if n := p.out.queues[vl].len(); n != 0 {
 					t.Fatalf("trial %d: %s VL %d holds %d packets after drain", trial, name, vl, n)

@@ -305,8 +305,10 @@ func TestExtraSendDelay(t *testing.T) {
 // TestReturnCreditIdempotent drives the credit fields directly: a
 // delivery holding a credit returns it exactly once however often
 // ReturnCredit is called, the return lands one propagation delay later
-// on the lane named by the tag, and a return tagged before a link reset
-// is discarded — the reset already restored the full complement.
+// on the lane named by the tag without an event of its own — nothing
+// waits on it — and a return tagged before a link reset is discarded,
+// whether it was on the wire at the reset or set out after it: the reset
+// already restored the full complement.
 func TestReturnCreditIdempotent(t *testing.T) {
 	params := DefaultParams()
 	s := sim.New()
@@ -315,6 +317,15 @@ func TestReturnCreditIdempotent(t *testing.T) {
 	Connect(s, params, a, 0, sw, 0)
 	ch := a.port.out
 	const vl = VLRealtime
+	full := func(when string) {
+		t.Helper()
+		ch.settle()
+		for lane, c := range ch.credits {
+			if c != params.CreditsPerVL {
+				t.Fatalf("%s: VL %d has %d credits, want %d", when, lane, c, params.CreditsPerVL)
+			}
+		}
+	}
 
 	ch.credits[vl]--
 	d := &Delivery{credCh: ch, credTag: ch.tag(vl)}
@@ -323,9 +334,13 @@ func TestReturnCreditIdempotent(t *testing.T) {
 	if d.credCh != nil {
 		t.Fatal("ReturnCredit left the credit attached")
 	}
-	if got := s.Pending(); got != 1 {
-		t.Fatalf("two ReturnCredit calls scheduled %d returns, want 1", got)
+	if n := ch.returns.len(); n != 1 {
+		t.Fatalf("two ReturnCredit calls put %d returns on the wire, want 1", n)
 	}
+	if n := s.Pending(); n != 0 {
+		t.Fatalf("a return nothing waits on queued %d events, want none", n)
+	}
+	ch.settle()
 	if ch.credits[vl] != params.CreditsPerVL-1 {
 		t.Fatal("credit restored before the return crossed the wire")
 	}
@@ -333,25 +348,26 @@ func TestReturnCreditIdempotent(t *testing.T) {
 	if s.Now() != params.PropDelay {
 		t.Fatalf("credit return took %v, want the propagation delay %v", s.Now(), params.PropDelay)
 	}
-	for lane, c := range ch.credits {
-		if c != params.CreditsPerVL {
-			t.Fatalf("VL %d has %d credits after the return, want %d", lane, c, params.CreditsPerVL)
-		}
-	}
+	full("after the return")
 
-	// A return minted before a reset must not push the lane past its
-	// complement once the link is back.
+	// A return on the wire when the link resets, and one minted before a
+	// reset but sent after it, must not push the lane past its complement
+	// once the link is back.
+	ch.credits[vl]--
+	inFlight := &Delivery{credCh: ch, credTag: ch.tag(vl)}
+	inFlight.ReturnCredit()
 	stale := &Delivery{credCh: ch, credTag: ch.tag(vl)}
 	a.SetLinkState(false)
 	a.SetLinkState(true)
 	stale.ReturnCredit()
-	s.Run()
-	if ch.credits[vl] != params.CreditsPerVL {
-		t.Fatalf("pre-reset credit return applied: VL %d has %d credits, want %d", vl, ch.credits[vl], params.CreditsPerVL)
+	if n := ch.returns.len(); n != 0 {
+		t.Fatalf("%d pre-reset returns still on the wire after the reset", n)
 	}
+	s.Run()
+	full("after pre-reset returns landed")
 	(&Delivery{}).ReturnCredit() // holding no credit: a no-op
-	if s.Pending() != 0 {
-		t.Fatal("ReturnCredit on a credit-less delivery scheduled an event")
+	if s.Pending() != 0 || ch.returns.len() != 0 {
+		t.Fatal("ReturnCredit on a credit-less delivery put a return on the wire")
 	}
 }
 

@@ -162,8 +162,14 @@ func TestHOQClockIgnoresRecycledDelivery(t *testing.T) {
 	lane := a.port.out
 	send() // t = 0: A's clock runs out at 100 us
 	s.ScheduleAt(50*sim.Microsecond, func() {
+		lane.settle()                  // A's credit is back
 		lane.credits[VLBestEffort] = 0 // the switch's input buffer is full
 		send()                         // B's clock runs out at 150 us
+	})
+	s.ScheduleAt(110*sim.Microsecond, func() {
+		if lane.QueueLen(VLBestEffort) != 1 {
+			t.Error("B was not at the head when A's clock ran out: the test exercises nothing")
+		}
 	})
 	s.ScheduleAt(120*sim.Microsecond, func() {
 		lane.credits[VLBestEffort] = 1

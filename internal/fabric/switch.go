@@ -373,6 +373,7 @@ func (sw *Switch) QueueDepth(port int) int {
 	for vl := 0; vl < NumVLs; vl++ {
 		n += ch.queues[vl].len()
 	}
+	ch.settle()
 	if ch.busy {
 		n++
 	}

@@ -128,7 +128,7 @@ func pickVLScan(c *outChannel) int {
 	bestPrio := -1 << 31
 	best := -1
 	for off := 0; off < NumVLs; off++ {
-		vl := (c.rr[0] + off) % NumVLs
+		vl := (c.rr + off) % NumVLs
 		if c.queues[vl].len() == 0 || c.credits[vl] <= 0 {
 			continue
 		}
@@ -172,7 +172,7 @@ func TestPickVLMatchesFullScan(t *testing.T) {
 				check := func(when string) {
 					t.Helper()
 					for rr := 0; rr < NumVLs; rr++ {
-						c.rr[0] = rr
+						c.rr = rr
 						if got, want := c.pickVL(), pickVLScan(c); got != want {
 							t.Fatalf("lanes %v, priorities #%d, starved %v, cursor %d, %s: picked VL %d, full scan picks %d",
 								lanes, pi, starved, rr, when, got, want)

@@ -7,6 +7,8 @@ import "fmt"
 // model is deliberately single-threaded so that runs are deterministic.
 type Simulator struct {
 	now     Time
+	done    uint64 // the slots at now with a seq below done have fired (see Passed)
+	last    Time   // the latest ticket's time (see Reserve)
 	q       eventQueue
 	fired   uint64
 	stopped bool
@@ -25,8 +27,9 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 func (s *Simulator) Pending() int { return s.q.len() }
 
 // Schedule queues fn to run after delay. A negative delay panics: the past
-// is immutable in a discrete-event simulation. Events scheduled for the
-// same instant run in the order they were scheduled.
+// is immutable in a discrete-event simulation. Events for the same instant
+// run in the order their slots were taken: by Schedule, ScheduleAt,
+// ScheduleCall or Reserve, whichever took each one (see Reserve).
 func (s *Simulator) Schedule(delay Time, fn func()) Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
@@ -60,6 +63,43 @@ func (s *Simulator) ScheduleCall(delay Time, h Handler, arg any, n uint64) Event
 	return s.q.push(s.now+delay, h, arg, n)
 }
 
+// Reserve takes the next slot in the (time, scheduling order) sequence for
+// an event at absolute time at, without queueing anything: the returned
+// seq and at are a ticket. ScheduleTicket queues the ticket's event later,
+// into that same slot, so it fires exactly where an event scheduled in
+// Reserve's place would have; a ticket never scheduled costs nothing, and
+// the caller settles it once Passed reports it fired. at must not precede
+// the current time.
+func (s *Simulator) Reserve(at Time) (seq uint64) {
+	if at < s.now {
+		panic("sim: reserve before now")
+	}
+	s.last = max(s.last, at)
+	seq = s.q.seq
+	s.q.seq++
+	return seq
+}
+
+// ScheduleTicket queues h.Fire(arg, n) in the slot Reserve gave the ticket
+// (at, seq). The ticket must not have passed.
+func (s *Simulator) ScheduleTicket(at Time, seq uint64, h Handler, arg any, n uint64) Event {
+	if seq >= s.q.seq || s.Passed(at, seq) {
+		panic(fmt.Sprintf("sim: ticket (%v, %d) not reserved or already passed", at, seq))
+	}
+	if h == nil {
+		panic("sim: nil event handler")
+	}
+	return s.q.insert(at, seq, h, arg, n)
+}
+
+// Passed reports whether an event in the slot (at, seq) would have fired
+// by now: it is earlier than the event firing, or is that event itself,
+// or — between runs — the clock has been moved past it by a RunUntil
+// deadline or a drained Run.
+func (s *Simulator) Passed(at Time, seq uint64) bool {
+	return at < s.now || at == s.now && seq < s.done
+}
+
 // Cancel removes a pending event so it never fires, reporting whether it
 // did. Cancelling an event that already fired, was already cancelled, a
 // zero Event, or an event belonging to another scheduler is a no-op
@@ -88,7 +128,7 @@ func (s *Simulator) fire(at Time, b int) {
 	}
 	sl.index = notQueued
 	s.q.wheel.cursor = bucketOf(at)
-	s.now = at
+	s.now, s.done = at, sl.seq+1
 	s.fired++
 	h, arg, n := sl.h, sl.arg, sl.n
 	// Release before firing: the handle is already invalidated, so a
@@ -99,10 +139,16 @@ func (s *Simulator) fire(at Time, b int) {
 	h.Fire(arg, n)
 }
 
-// Run fires events until the queue is empty or Stop is called.
+// Run fires events until the queue is empty or Stop is called. A drained
+// Run leaves the clock at the latest reserved ticket if that is later than
+// the last event: where the ticket's event would have fired had it been
+// scheduled.
 func (s *Simulator) Run() {
 	s.stopped = false
 	for !s.stopped && s.Step() {
+	}
+	if !s.stopped {
+		s.now, s.done = max(s.now, s.last), s.q.seq
 	}
 }
 
@@ -117,8 +163,8 @@ func (s *Simulator) RunUntil(deadline Time) {
 		}
 		s.fire(at, b)
 	}
-	if !s.stopped && s.now < deadline {
-		s.now = deadline
+	if !s.stopped && s.now <= deadline {
+		s.now, s.done = deadline, s.q.seq
 	}
 }
 

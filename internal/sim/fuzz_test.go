@@ -2,11 +2,15 @@ package sim
 
 import "testing"
 
-// fuzzEvent is the reference model's view of one scheduled event.
+// fuzzEvent is the reference model's view of one scheduled event or
+// reserved ticket; its index in the model is its slot order.
 type fuzzEvent struct {
-	at   Time
-	ev   Event
-	live bool
+	at     Time
+	ev     Event
+	live   bool
+	ticket bool   // taken by Reserve
+	pushed bool   // a ticket ScheduleTicket has queued
+	seq    uint64 // a ticket's slot
 }
 
 // fuzzLog is the ScheduleCall target of FuzzEventQueue: it records the
@@ -60,21 +64,28 @@ func fuzzDelay(now Time, arg byte) Time {
 }
 
 // FuzzEventQueue drives a Simulator with a byte-coded sequence of
-// schedule / schedule-call / cancel / step operations and checks it
-// against a reference model — a plain list ordered by (time, scheduling
-// order): every step fires exactly the model's earliest live event,
-// Pending() equals the model's live count, a handle stops being pending
-// the moment its event fires or is cancelled, and a dead handle (whose
-// slot may since have been recycled many times) can never cancel again.
+// schedule / schedule-call / cancel / step / reserve / schedule-ticket
+// operations and checks it against a reference model — a plain list
+// ordered by (time, slot order): every step fires exactly the model's
+// earliest live event, Pending() equals the model's live count, a handle
+// stops being pending the moment its event fires or is cancelled, a dead
+// handle (whose slot may since have been recycled many times) can never
+// cancel again, Passed agrees with the model for every ticket, and a
+// drained Run leaves the clock at the latest ticket.
 //
-// Each operation is two bytes: op, operand. op%4 selects 0 Schedule,
-// 1 ScheduleCall, 2 Cancel, 3 Step; the operand is a delay decoded by
-// fuzzDelay or the index of the handle to cancel.
+// Each operation is two bytes: op, operand. op%6 selects 0 Schedule,
+// 1 ScheduleCall, 2 Cancel, 3 Step, 4 Reserve (a ticket now) and
+// 5 ScheduleTicket (one reserved earlier, later); the operand is a delay
+// decoded by fuzzDelay, or the index of the handle to cancel or of the
+// ticket to schedule.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 3, 0, 3, 3, 0, 3, 0, 3, 0})             // ties across both primitives
 	f.Add([]byte{0, 5, 0, 1, 2, 0, 3, 0, 2, 0, 2, 1, 3, 0, 2, 1}) // cancel live, fired, cancelled
 	f.Add([]byte{1, 0, 3, 0, 1, 0, 3, 0, 2, 0, 2, 1})             // stale handle, recycled slot
+	f.Add([]byte{4, 0, 0, 0, 4, 0, 1, 0, 5, 3, 5, 0, 3, 0, 3, 0}) // tickets among same-instant ties
+	f.Add([]byte{4, 1, 0, 1, 4, 2, 0, 2, 3, 0, 5, 0, 5, 2, 3, 0}) // one ticket passed, one pushed late
+	f.Add([]byte{4, 4, 0, 4, 4, 6, 3, 0, 5, 0, 5, 2, 2, 2, 3, 0}) // far tickets into the heap; cancel one
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		s := New()
 		log := &fuzzLog{}
@@ -89,12 +100,17 @@ func FuzzEventQueue(f *testing.F) {
 			}
 			return n
 		}
+		// pos is the slot of the last event fired, -1 before the first.
+		pos := -1
+		passed := func(id int) bool {
+			return pos >= 0 && (model[id].at < model[pos].at || model[id].at == model[pos].at && id <= pos)
+		}
 		// step fires one event and checks it was the model's earliest.
 		step := func() {
 			want := -1
 			for id, m := range model {
 				if m.live && (want < 0 || m.at < model[want].at) {
-					want = id // ids ascend in scheduling order, so strict < keeps ties FIFO
+					want = id // ids ascend in slot order, so strict < keeps ties FIFO
 				}
 			}
 			before := len(log.fired)
@@ -111,10 +127,11 @@ func FuzzEventQueue(f *testing.F) {
 				t.Fatalf("clock %v after firing an event due at %v", s.Now(), model[want].at)
 			}
 			model[want].live = false
+			pos = want
 		}
 
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%4, ops[i+1]
+			op, arg := ops[i]%6, ops[i+1]
 			switch op {
 			case 0, 1:
 				id, delay := len(model), fuzzDelay(s.Now(), arg)
@@ -139,9 +156,34 @@ func FuzzEventQueue(f *testing.F) {
 				m.live = false
 			case 3:
 				step()
+			case 4:
+				at := s.Now() + fuzzDelay(s.Now(), arg)
+				model = append(model, fuzzEvent{at: at, ticket: true, seq: s.Reserve(at)})
+			case 5:
+				var tickets []int
+				for id, m := range model {
+					if m.ticket && !m.pushed && !passed(id) {
+						tickets = append(tickets, id)
+					}
+				}
+				if len(tickets) == 0 {
+					continue
+				}
+				id := tickets[int(arg)%len(tickets)]
+				m := &model[id]
+				m.ev = s.ScheduleTicket(m.at, m.seq, log, log, uint64(id))
+				if !m.ev.Pending() || m.ev.At() != m.at {
+					t.Fatalf("fresh ticket handle: pending=%v at=%v, want at %v", m.ev.Pending(), m.ev.At(), m.at)
+				}
+				m.pushed, m.live = true, true
 			}
 			if got, want := s.Pending(), live(); got != want {
 				t.Fatalf("after op %d: Pending() = %d, model holds %d", i/2, got, want)
+			}
+			for id, m := range model {
+				if m.ticket && s.Passed(m.at, m.seq) != passed(id) {
+					t.Fatalf("after op %d: ticket %d at %v Passed() = %v, model says %v", i/2, id, m.at, !passed(id), passed(id))
+				}
 			}
 			for id, m := range model {
 				if m.ev.Pending() != m.live {
@@ -154,6 +196,20 @@ func FuzzEventQueue(f *testing.F) {
 		}
 		if s.Step() || s.Pending() != 0 {
 			t.Fatal("queue not empty after the model drained")
+		}
+		end := s.Now()
+		for _, m := range model {
+			if m.ticket {
+				end = max(end, m.at) // pushed or not
+			}
+		}
+		if s.Run(); s.Now() != end {
+			t.Fatalf("drained Run left the clock at %v, want the latest ticket's %v", s.Now(), end)
+		}
+		for id, m := range model {
+			if m.ticket && !s.Passed(m.at, m.seq) {
+				t.Fatalf("ticket %d at %v not passed after a drained Run", id, m.at)
+			}
 		}
 		for id, m := range model {
 			if m.ev.Pending() || s.Cancel(m.ev) {

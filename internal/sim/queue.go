@@ -9,17 +9,19 @@ import "math/bits"
 const slabBlock = 64
 
 // The timing wheel holds every event due within one lap of the cursor:
-// wheelSize buckets of 2^wheelShift ps each. A fabric hop schedules four
-// events at four fixed delays — a credit return one propagation delay
-// out (20 ns), a switch lookup (200 ns), and serialisation and
-// serialisation plus propagation (0.31-0.33 us at 64 B, 3.39-3.41 us at
-// 1 KiB) — and those are nine in ten of all pushes, so the lap must
-// reach past 3.41 us plus a bucket. 512 buckets of 8.192 ns make a lap
-// of 2^22 ps (4.19 us) with 4 KiB of bucket pointers. Wider buckets
-// put more of a 64 B hop's events into each one, where a push that is
-// not its bucket's latest walks the bucket's list (a third of data-64b's
-// pushes walk 1.4 links at this width, half walk 2.4 at twice it);
-// narrower ones need more buckets for the same lap.
+// wheelSize buckets of 2^wheelShift ps each. A fabric hop pushes two
+// events at fixed delays — a switch lookup (200 ns) and the packet
+// landing at the peer, serialisation plus propagation (0.33 us at 64 B,
+// 3.41 us at 1 KiB) — and, only when a packet waits on one, the
+// serializer's end (0.31-3.39 us) or a credit return one propagation
+// delay out (20 ns), pushed late into the slot Reserve took for it.
+// Those are nearly all pushes, so the lap must reach past 3.41 us plus a
+// bucket. 512 buckets of 8.192 ns make a lap of 2^22 ps (4.19 us) with
+// 4 KiB of bucket pointers. Wider buckets put more of a 64 B hop's
+// events into each one, where a push that is not its bucket's latest
+// walks the bucket's list (a quarter of data-64b's pushes walk, 0.7
+// links on average, at this width); narrower ones need more buckets for
+// the same lap.
 const (
 	wheelShift = 13
 	wheelBits  = 9
@@ -47,7 +49,7 @@ const (
 // Handler is a pre-bound event target: ScheduleCall stores the handler
 // and its two operands in the event slot, and firing calls Fire with them.
 // Per-packet code implements it on a named type over the struct the
-// callback works on — (*serDone)(ch) is a free pointer conversion — and
+// callback works on — (*wireArrive)(ch) is a free pointer conversion — and
 // packs what a closure would have captured into arg (a pointer, which
 // boxes into an interface without allocating) and n, so scheduling
 // allocates nothing.
@@ -139,9 +141,15 @@ type wheel struct {
 // bucketOf returns the bucket number of time at.
 func bucketOf(at Time) int64 { return int64(at) >> wheelShift }
 
-// push links sl, whose at is within a lap of the cursor, into its
-// bucket. seq only grows, so sl goes after every event with the same or
-// an earlier time; usually that makes it the bucket's latest.
+// before reports whether a fires before b.
+func (a *eventSlot) before(b *eventSlot) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// push links sl, whose at is within a lap of the cursor, into its bucket
+// in (at, seq) order. A fresh push has the highest seq yet, so it goes
+// after every event with the same or an earlier time and is usually the
+// bucket's latest; a ticket's reserved seq can fall anywhere.
 func (w *wheel) push(sl *eventSlot) {
 	sl.index = onWheel
 	w.n++
@@ -152,14 +160,14 @@ func (w *wheel) push(sl *eventSlot) {
 		sl.next = sl
 		w.tail[b] = sl
 		w.occ[b>>6] |= 1 << (b & 63)
-	case sl.at >= t.at:
+	case t.before(sl):
 		sl.next = t.next
 		t.next = sl
 		w.tail[b] = sl
 	default:
 		// t is later than sl, so the walk from the head stops by t.
 		p := t
-		for p.next.at <= sl.at {
+		for p.next.before(sl) {
 			p = p.next
 		}
 		sl.next = p.next
@@ -221,16 +229,16 @@ func (w *wheel) unlink(sl *eventSlot) {
 }
 
 // eventQueue is the Simulator's slab-pooled pending-event queue, ordered
-// by (time, seq): it numbers pushes itself so that events at the same
-// instant fire in the order they were scheduled. Events due within a lap
-// of the wheel's cursor go on the wheel, the rest on a heapArity-ary
-// min-heap; the earliest event is the earlier of the wheel's first and
-// the heap's root. The zero value is ready to use. Not safe for
-// concurrent use.
+// by (time, seq): it numbers pushes and reservations itself so that
+// events at the same instant fire in the order their slots were taken.
+// Events due within a lap of the wheel's cursor go on the wheel, the rest
+// on a heapArity-ary min-heap; the earliest event is the earlier of the
+// wheel's first and the heap's root. The zero value is ready to use. Not
+// safe for concurrent use.
 type eventQueue struct {
 	wheel wheel
 	heap  []heapEntry
-	seq   uint64 // next push's tie-break number
+	seq   uint64 // next push's or reservation's tie-break number
 	free  []*eventSlot
 	block []eventSlot // tail of the current slab block, carved lazily
 }
@@ -260,15 +268,21 @@ func (q *eventQueue) release(sl *eventSlot) {
 	q.free = append(q.free, sl)
 }
 
-// push queues h.Fire(arg, n) at time at and returns its handle. The
-// caller has already validated at against its clock, which is never
-// earlier than the last popped event's: at's bucket is at or after the
-// cursor.
+// push queues h.Fire(arg, n) at time at, in the next seq, and returns its
+// handle. The caller has already validated at against its clock, which
+// is never earlier than the last popped event's: at's bucket is at or
+// after the cursor.
 func (q *eventQueue) push(at Time, h Handler, arg any, n uint64) Event {
+	q.seq++
+	return q.insert(at, q.seq-1, h, arg, n)
+}
+
+// insert queues h.Fire(arg, n) in the slot (at, seq), which push or a
+// reservation has already numbered.
+func (q *eventQueue) insert(at Time, seq uint64, h Handler, arg any, n uint64) Event {
 	sl := q.alloc()
 	sl.h, sl.arg, sl.n = h, arg, n
-	sl.at, sl.seq = at, q.seq
-	q.seq++
+	sl.at, sl.seq = at, seq
 	if bucketOf(at)-q.wheel.cursor < wheelSize {
 		q.wheel.push(sl)
 	} else {

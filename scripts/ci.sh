@@ -72,6 +72,7 @@ transport FuzzGSI
 policy    FuzzUnmarshal
 keys      FuzzPartitionTable
 sim       FuzzEventQueue
+fabric    FuzzLinkSchedule
 EOF
 
 echo "== bench -quick (every workload's mechanism engaged; rep-to-rep and traced-vs-untraced digests)"
