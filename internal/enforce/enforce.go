@@ -55,6 +55,7 @@ func (m Mode) String() string {
 
 // switchState is the per-switch enforcement state.
 type switchState struct {
+	sw *fabric.Switch // the switch the state is registered to
 	// mode is this switch's effective enforcement design. It defaults to
 	// the filter-wide mode and only differs when a policy document
 	// overrides it per switch (SetSwitchMode).
@@ -89,7 +90,9 @@ type Filter struct {
 	// ConstantLookup to model the one-cycle SRAM of section 6.
 	CostFn LookupCost
 
-	switches map[*fabric.Switch]*switchState
+	// states holds each switch's state at the index the switch carries
+	// (fabric.Switch.FilterSlot), in the order the filter first met them.
+	states []switchState
 
 	// altBase, when non-zero, arms SIF source-identity checking for
 	// migrated traffic: every non-management packet addressed at or
@@ -112,24 +115,31 @@ type Filter struct {
 
 // NewFilter returns a filter in the given mode.
 func NewFilter(mode Mode, params *fabric.Params) *Filter {
-	return &Filter{
-		mode:     mode,
-		params:   params,
-		CostFn:   LinearLookup,
-		switches: make(map[*fabric.Switch]*switchState),
-	}
+	return &Filter{mode: mode, params: params, CostFn: LinearLookup}
 }
 
 // Mode returns the filter's enforcement mode.
 func (f *Filter) Mode() Mode { return f.mode }
 
-func (f *Filter) state(sw *fabric.Switch) *switchState {
-	st := f.switches[sw]
-	if st == nil {
-		st = &switchState{mode: f.mode}
-		f.switches[sw] = st
+// lookup returns sw's state, or nil before the filter first met sw. The
+// index sw carries is checked against the switch registered there, so a
+// switch another filter numbered is simply not found.
+func (f *Filter) lookup(sw *fabric.Switch) *switchState {
+	if i := sw.FilterSlot(); i < len(f.states) && f.states[i].sw == sw {
+		return &f.states[i]
 	}
-	return st
+	return nil
+}
+
+// state returns sw's state, registering sw on first sight. The pointer
+// is valid until the next registration.
+func (f *Filter) state(sw *fabric.Switch) *switchState {
+	if st := f.lookup(sw); st != nil {
+		return st
+	}
+	sw.SetFilterSlot(len(f.states))
+	f.states = append(f.states, switchState{sw: sw, mode: f.mode})
+	return &f.states[len(f.states)-1]
 }
 
 // SetSwitchMode overrides one switch's enforcement design, leaving the
@@ -209,13 +219,13 @@ func (f *Filter) RegisterAltSource(sw *fabric.Switch, src packet.LID) {
 
 // Active reports whether SIF filtering is currently enabled at sw.
 func (f *Filter) Active(sw *fabric.Switch) bool {
-	st := f.switches[sw]
+	st := f.lookup(sw)
 	return st != nil && st.active
 }
 
 // Violations returns sw's Ingress P_Key Violation Counter.
 func (f *Filter) Violations(sw *fabric.Switch) uint64 {
-	st := f.switches[sw]
+	st := f.lookup(sw)
 	if st == nil {
 		return 0
 	}
@@ -232,7 +242,8 @@ func (f *Filter) StartAutoDisable(s *sim.Simulator, period sim.Time) (cancel fun
 		return func() {}
 	}
 	return s.Every(period, func() {
-		for _, st := range f.switches {
+		for i := range f.states {
+			st := &f.states[i]
 			if st.mode != SIF || !st.active {
 				continue
 			}

@@ -287,7 +287,8 @@ func (c *outChannel) enqueue(d *Delivery) {
 	}
 	q := &c.queues[d.VL]
 	c.push(d.VL, d)
-	c.queuedBytes += d.Pkt.WireSize()
+	d.wire = uint16(d.Pkt.WireSize())
+	c.queuedBytes += int(d.wire)
 	if c.ccThreshold > 0 && d.VL != VLManagement && q.len() >= c.ccThreshold {
 		c.markFECN(d)
 	}
@@ -376,7 +377,7 @@ func (h *hoqExpire) Fire(arg any, n uint64) {
 		return
 	}
 	c.pop(vl)
-	c.queuedBytes -= d.Pkt.WireSize()
+	c.queuedBytes -= int(d.wire)
 	c.hoqDropped[vl]++
 	c.noteXmitDiscard()
 	c.params.observe(c.sim.Now(), ObsHOQDrop, c.ownerName, d)
@@ -773,7 +774,7 @@ func (c *outChannel) sendNext() {
 		c.stalled = false
 	}
 	d := c.pop(uint8(vl))
-	c.queuedBytes -= d.Pkt.WireSize()
+	c.queuedBytes -= int(d.wire)
 	c.armHOQ(uint8(vl))
 	c.credits[vl]--
 	c.rr = (vl + 1) % NumVLs
@@ -788,8 +789,8 @@ func (c *outChannel) sendNext() {
 	// wire; that frees the upstream credit.
 	d.ReturnCredit()
 
-	ser := c.params.SerializationDelay(d.Pkt.WireSize())
-	c.bytesSent += uint64(d.Pkt.WireSize())
+	ser := c.params.SerializationDelay(int(d.wire))
+	c.bytesSent += uint64(d.wire)
 	c.busyTime += ser
 	at := c.sim.Now() + ser
 	c.ser = ticket{at: at, seq: c.sim.Reserve(at)}

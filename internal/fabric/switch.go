@@ -57,6 +57,8 @@ type Switch struct {
 	madHeld *Delivery
 	guid    uint64
 	down    bool
+	// filterSlot is the index its partition filter assigned (FilterSlot).
+	filterSlot int32
 	// ccThreshold is the programmed FECN marking threshold (zero until
 	// the SM's congestion manager programs the switch).
 	ccThreshold int
@@ -329,6 +331,12 @@ func (sw *Switch) checkHealthTrap(port int) {
 		sw.onHealthTrap(sw, port)
 	}
 }
+
+// FilterSlot and SetFilterSlot hold an index a partition filter assigns
+// the switch, so the filter finds its per-switch state without a map
+// lookup; the fabric itself never reads it.
+func (sw *Switch) FilterSlot() int     { return int(sw.filterSlot) }
+func (sw *Switch) SetFilterSlot(i int) { sw.filterSlot = int32(i) }
 
 // SetGUID assigns the switch's node GUID (reported in NodeInfo).
 func (sw *Switch) SetGUID(g uint64) { sw.guid = g }

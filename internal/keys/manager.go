@@ -23,11 +23,15 @@ type EpochKey struct {
 // (a grace-window miss, its own counter) from a plain forgery. The list
 // is bounded (retiredCap) because under a subnet merge a store may hold
 // tombstones for several epochs at once — its own rotation history plus
-// the losing island's epochs absorbed at reconciliation.
+// the losing island's epochs absorbed at reconciliation. Everything is
+// held by value, so an epoch installs and retires in place.
 type partitionSecrets struct {
 	current EpochKey
-	prev    *EpochKey
-	retired []EpochKey
+	prev    EpochKey
+	hasPrev bool
+	// retired[:nRetired] are the tombstones, oldest first.
+	retired  [retiredCap]EpochKey
+	nRetired int
 }
 
 // retiredCap bounds the per-partition retired-epoch tombstone list.
@@ -41,15 +45,17 @@ const retiredCap = 8
 // key lineages share numeric epochs, and both lineages' keys must stay
 // recognisable as expired.
 func (ps *partitionSecrets) addRetired(ek EpochKey) {
-	for i := range ps.retired {
-		if ps.retired[i] == ek {
+	for _, r := range ps.retired[:ps.nRetired] {
+		if r == ek {
 			return
 		}
 	}
-	ps.retired = append(ps.retired, ek)
-	if len(ps.retired) > retiredCap {
-		ps.retired = ps.retired[len(ps.retired)-retiredCap:]
+	if ps.nRetired == retiredCap {
+		copy(ps.retired[:], ps.retired[1:])
+		ps.nRetired--
 	}
+	ps.retired[ps.nRetired] = ek
+	ps.nRetired++
 }
 
 // Store is a Channel Adapter's table of installed authentication secrets,
@@ -114,8 +120,7 @@ func (s *Store) InstallPartitionEpoch(pk packet.PKey, epoch uint32, k SecretKey)
 	}
 	switch {
 	case epoch > ps.current.Epoch:
-		old := ps.current
-		ps.prev = &old
+		ps.prev, ps.hasPrev = ps.current, true
 		ps.current = EpochKey{Key: k, Epoch: epoch}
 	case epoch == ps.current.Epoch:
 		ps.current.Key = k
@@ -127,11 +132,11 @@ func (s *Store) InstallPartitionEpoch(pk packet.PKey, epoch uint32, k SecretKey)
 // tombstone. It reports whether a key was actually retired.
 func (s *Store) RetirePartitionEpoch(pk packet.PKey, epoch uint32) bool {
 	ps, ok := s.partition[pk.Base()]
-	if !ok || ps.prev == nil || ps.prev.Epoch > epoch {
+	if !ok || !ps.hasPrev || ps.prev.Epoch > epoch {
 		return false
 	}
-	ps.addRetired(*ps.prev)
-	ps.prev = nil
+	ps.addRetired(ps.prev)
+	ps.prev, ps.hasPrev = EpochKey{}, false
 	return true
 }
 
@@ -176,7 +181,10 @@ func (s *Store) PartitionVerifyKeys(pk packet.PKey) (cur, prev *EpochKey, ok boo
 	if !found {
 		return nil, nil, false
 	}
-	return &ps.current, ps.prev, true
+	if ps.hasPrev {
+		prev = &ps.prev
+	}
+	return &ps.current, prev, true
 }
 
 // RetiredPartitionKey returns the most recently retired epoch key for pk,
@@ -184,24 +192,24 @@ func (s *Store) PartitionVerifyKeys(pk packet.PKey) (cur, prev *EpochKey, ok boo
 // rejects to their own counter.
 func (s *Store) RetiredPartitionKey(pk packet.PKey) (EpochKey, bool) {
 	ps, ok := s.partition[pk.Base()]
-	if !ok || len(ps.retired) == 0 {
+	if !ok || ps.nRetired == 0 {
 		return EpochKey{}, false
 	}
-	return ps.retired[len(ps.retired)-1], true
+	return ps.retired[ps.nRetired-1], true
 }
 
-// RetiredPartitionKeys returns a copy of every retired tombstone for pk,
-// newest last. Verification tries each so that packets sealed under any
+// RetiredPartitionKeys returns every retired tombstone for pk, newest
+// last. Verification tries each so that packets sealed under any
 // recently retired epoch — including a merged-away island's — are
-// attributed to auth_epoch_expired.
+// attributed to auth_epoch_expired. Like the key pointers, the slice is a
+// read-only view into the store, not to be held across a call that
+// installs, retires or wipes keys.
 func (s *Store) RetiredPartitionKeys(pk packet.PKey) []EpochKey {
 	ps, ok := s.partition[pk.Base()]
-	if !ok || len(ps.retired) == 0 {
+	if !ok || ps.nRetired == 0 {
 		return nil
 	}
-	out := make([]EpochKey, len(ps.retired))
-	copy(out, ps.retired)
-	return out
+	return ps.retired[:ps.nRetired:ps.nRetired]
 }
 
 // WipePartitionSecret removes every epoch of pk's partition secret
@@ -270,6 +278,7 @@ type PartitionAuthority struct {
 	// reconciliation reads it to tombstone a losing island's epochs on
 	// the winning island's CAs and vice versa.
 	history map[uint16][]EpochKey
+	fresh   SecretKey // RotateEpoch's read buffer
 }
 
 // NewPartitionAuthority returns an authority drawing randomness from rng
@@ -336,11 +345,13 @@ func (a *PartitionAuthority) record(base uint16, ek EpochKey) {
 	if ek.Key == (SecretKey{}) {
 		return
 	}
-	h := append(a.history[base], ek)
-	if len(h) > retiredCap {
-		h = h[len(h)-retiredCap:]
+	h := a.history[base]
+	if len(h) == retiredCap {
+		copy(h, h[1:])
+		h[len(h)-1] = ek
+		return
 	}
-	a.history[base] = h
+	a.history[base] = append(h, ek)
 }
 
 // EnsureSecret returns the partition's current secret, generating it at
@@ -367,10 +378,12 @@ func (a *PartitionAuthority) Epoch(pk packet.PKey) uint32 {
 // RotateEpoch replaces the partition's secret and advances its epoch,
 // returning the fresh key and the new epoch.
 func (a *PartitionAuthority) RotateEpoch(pk packet.PKey) (SecretKey, uint32, error) {
-	k, err := NewSecretKey(a.rng)
-	if err != nil {
-		return SecretKey{}, 0, err
+	// Read into the authority's own buffer: a local array handed to the
+	// io.Reader would be allocated on every rotation.
+	if _, err := io.ReadFull(a.rng, a.fresh[:]); err != nil {
+		return SecretKey{}, 0, fmt.Errorf("keys: generating secret: %w", err)
 	}
+	k := a.fresh
 	old := a.secrets[pk.Base()]
 	next := old.Epoch + 1
 	a.record(pk.Base(), old)

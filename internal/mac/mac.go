@@ -154,7 +154,7 @@ func (u *umacAuth) Tag(key, msg []byte, nonce uint64) (uint32, error) {
 	if len(key) != umac.KeySize {
 		return 0, fmt.Errorf("mac: UMAC requires a %d-byte key, got %d", umac.KeySize, len(key))
 	}
-	inst, err := u.cache.get(key, umac.New)
+	inst, err := u.cache.get(key, (*umac.UMAC).SetKey)
 	if err != nil {
 		return 0, err
 	}
@@ -177,28 +177,34 @@ const keyCacheCap = 256
 // keys forever, and a cache that never forgot one would keep every
 // retired epoch's and every evicted node's credentials for the life of
 // the registry. An evicted key that is used again is simply re-expanded.
+// Once full, the cache expands a new key into the state of the key it
+// evicts, so a key epoch allocates only what expand itself must.
 type keyCache[T any] struct {
 	m     map[[16]byte]*T
 	order [keyCacheCap][16]byte // resident keys, oldest at next once full
 	next  int
 }
 
-// get returns the state for key, expanding and caching it on first use.
-func (c *keyCache[T]) get(key []byte, expand func([]byte) (*T, error)) (*T, error) {
+// get returns the state for key, expanding it into a cache slot on first
+// use.
+func (c *keyCache[T]) get(key []byte, expand func(st *T, key []byte) error) (*T, error) {
 	var kk [16]byte
 	copy(kk[:], key)
 	if st := c.m[kk]; st != nil {
 		return st, nil
 	}
-	st, err := expand(key)
-	if err != nil {
-		return nil, err
-	}
 	if c.m == nil {
 		c.m = make(map[[16]byte]*T)
 	}
+	var st *T
 	if len(c.m) == keyCacheCap {
+		st = c.m[c.order[c.next]]
 		delete(c.m, c.order[c.next])
+	} else {
+		st = new(T)
+	}
+	if err := expand(st, key); err != nil {
+		return nil, err // st, half expanded, is dropped
 	}
 	c.order[c.next] = kk
 	c.next = (c.next + 1) % keyCacheCap

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"bytes"
+	"crypto/aes"
 	"crypto/hmac"
 	"crypto/md5"
 	"crypto/sha1"
@@ -361,3 +362,46 @@ func BenchmarkCRC32_1024B(b *testing.B)    { benchAuth(b, NewCRC32(), 1024) }
 func BenchmarkHMACMD5_1024B(b *testing.B)  { benchAuth(b, NewHMACMD5(), 1024) }
 func BenchmarkHMACSHA1_1024B(b *testing.B) { benchAuth(b, NewHMACSHA1(), 1024) }
 func BenchmarkUMAC32_1024B(b *testing.B)   { benchAuth(b, NewUMAC32(), 1024) }
+
+// Once a key cache is full, a new key is expanded into the state of the
+// key it evicts: tagging under it allocates the AES key schedules the
+// expansion needs (UMAC's KDF and pad ciphers, PMAC's one) on top of what
+// a tag under a cached key does, and nothing more — no subkey state, no
+// KDF buffers — so a run that rotates keys for ever stops allocating for
+// them.
+func TestKeyCacheFullReusesState(t *testing.T) {
+	aesAllocs := testing.AllocsPerRun(100, func() {
+		if _, err := aes.NewCipher(key16); err != nil {
+			t.Fatal(err)
+		}
+	})
+	msg := []byte("one epoch more")
+	for _, c := range []struct {
+		a         Authenticator
+		schedules float64
+	}{
+		{NewUMAC32(), 2},
+		{NewPMAC(), 1},
+	} {
+		k := append([]byte(nil), key16...)
+		next := uint32(0)
+		tagFresh := func() {
+			next++
+			binary.BigEndian.PutUint32(k, next)
+			if _, err := c.a.Tag(k, msg, 9); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < keyCacheCap; i++ {
+			tagFresh()
+		}
+		cached := testing.AllocsPerRun(100, func() {
+			if _, err := c.a.Tag(k, msg, 9); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got, want := testing.AllocsPerRun(200, tagFresh), cached+c.schedules*aesAllocs; got > want {
+			t.Fatalf("%s: a new key on a full cache allocates %v times, want at most %v (a cached tag's %v and %v AES key schedules)", c.a.Name(), got, want, cached, c.schedules)
+		}
+	}
+}

@@ -31,9 +31,9 @@ const IDPMAC uint8 = 5
 
 type pmacState struct {
 	block cipher.Block
-	l     [16]byte   // L = E_K(0)
-	lInv  [16]byte   // L · x^{-1}
-	lPow  [][16]byte // L · x^i for the ntz offset schedule
+	l     [16]byte     // L = E_K(0)
+	lInv  [16]byte     // L · x^{-1}
+	lPow  [32][16]byte // L · x^i for the ntz offset schedule
 }
 
 // NewPMAC returns the PMAC-AES128 authenticator (32-bit truncated tag).
@@ -83,24 +83,24 @@ func xor16(dst *[16]byte, src [16]byte) {
 	}
 }
 
-// newPMACState expands a 16-byte key into its offset schedule.
-func newPMACState(key []byte) (*pmacState, error) {
+// setKey expands a 16-byte key into st's offset schedule, in place.
+func (st *pmacState) setKey(key []byte) error {
 	block, err := aes.NewCipher(key)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	st := &pmacState{block: block}
-	var zero [16]byte
-	block.Encrypt(st.l[:], zero[:])
+	st.block = block
+	st.lInv = [16]byte{} // E_K(0): the zero block, encrypted into l
+	block.Encrypt(st.l[:], st.lInv[:])
 	st.lInv = gfHalve(st.l)
 	// Precompute L·x^i for i up to log2(max blocks); 32 covers any
 	// message this library authenticates.
 	cur := st.l
-	for i := 0; i < 32; i++ {
-		st.lPow = append(st.lPow, cur)
+	for i := range st.lPow {
+		st.lPow[i] = cur
 		cur = gfDouble(cur)
 	}
-	return st, nil
+	return nil
 }
 
 // Tag computes the 32-bit truncated PMAC over nonce||msg.
@@ -108,7 +108,7 @@ func (p *pmacAuth) Tag(key, msg []byte, nonce uint64) (uint32, error) {
 	if len(key) != 16 {
 		return 0, fmt.Errorf("mac: PMAC requires a 16-byte key, got %d", len(key))
 	}
-	st, err := p.cache.get(key, newPMACState)
+	st, err := p.cache.get(key, (*pmacState).setKey)
 	if err != nil {
 		return 0, err
 	}

@@ -428,7 +428,10 @@ type DiscoveredNode struct {
 	LID      packet.LID
 }
 
-// Topology is the result of a discovery sweep.
+// DiscoveredTopology is the result of a discovery sweep. It, its node
+// records and their paths belong to the Discoverer, which clears and
+// refills them on the next sweep: a caller that keeps any of it past
+// Reset copies it.
 type DiscoveredTopology struct {
 	Switches []*DiscoveredNode
 	CAs      []*DiscoveredNode
@@ -488,6 +491,16 @@ type Discoverer struct {
 	// past sums the request counts of the sweeps Reset has closed (Stats).
 	past struct{ probes, retries, timeouts int }
 	seen map[uint64]*DiscoveredNode
+	// A sweep's working set, kept for the next one (Reset), so a sweep
+	// allocates only while it outgrows every sweep before it: the node
+	// probes, each request tagged with its index; their directed routes
+	// end to end, each probe's a window; the node records handed out,
+	// with the spare ones past len; and the inner maps Reset took out of
+	// the topology's edge set.
+	probes    []probe
+	paths     []byte
+	nodes     []*DiscoveredNode
+	freeEdges []map[int]uint64
 	// done remembers the last tidSetCap answered TIDs (a FIFO, doneN
 	// answers so far) so a second response to the same TID — the delayed
 	// original arriving after a retransmit was already answered — is
@@ -508,15 +521,10 @@ type SMPCompleter interface {
 	SMPDone(tag uint64, status byte, data, retPath []byte)
 }
 
-// smpFunc and QueryFunc let a plain callback be the completer; a func
-// value converts to the interface without allocating, but a closure
-// that captures anything is allocated where it is written.
-type smpFunc func(status byte, data, retPath []byte)
-
-func (f smpFunc) SMPDone(_ uint64, status byte, data, retPath []byte) { f(status, data, retPath) }
-
-// QueryFunc is the completer of a one-off Query: it ignores the tag and
-// the return path.
+// QueryFunc lets a plain callback complete a one-off request: it ignores
+// the tag and the return path. A func value converts to the interface
+// without allocating, but a closure that captures anything is allocated
+// where it is written.
 type QueryFunc func(status byte, data []byte)
 
 // SMPDone implements SMPCompleter.
@@ -554,9 +562,7 @@ func NewDiscoverer(s *sim.Simulator, hca *fabric.HCA, mkey keys.MKey, timeout si
 		mkey:    mkey,
 		timeout: timeout,
 		seen:    make(map[uint64]*DiscoveredNode),
-		topo: &DiscoveredTopology{
-			Edges: make(map[uint64]map[int]uint64),
-		},
+		topo:    &DiscoveredTopology{Edges: make(map[uint64]map[int]uint64)},
 	}
 	dispatcherOf(hca).disc = d
 	return d
@@ -656,8 +662,8 @@ func (d *Discoverer) slot(txID uint32) *request {
 // with the deadline doubling each attempt (exponential backoff), so a
 // single lost MAD cannot hide a live subtree; only the terminal failure
 // counts as a Timeout.
-func (d *Discoverer) send(method, attr byte, path []byte, data []byte, cb func(status byte, data, retPath []byte)) {
-	d.request(method, attr, path, data, d.MaxRetries, smpFunc(cb), 0)
+func (d *Discoverer) send(method, attr byte, path []byte, data []byte, cb QueryFunc) {
+	d.request(method, attr, path, data, d.MaxRetries, cb, 0)
 }
 
 // request is send with an explicit retry budget and a typed completion:
@@ -746,7 +752,7 @@ func (d *Discoverer) Discover(done func(*DiscoveredTopology)) {
 // actually changed.
 func (d *Discoverer) Probe(done func(*DiscoveredTopology)) {
 	// Start with the switch the SM's HCA is attached to (empty path).
-	d.probeNode(nil, 0, 0, func() { done(d.topo) })
+	d.probeNode(0, 0, 0, 0, done)
 }
 
 // Configure assigns LIDs and programs routes from the last completed
@@ -757,7 +763,8 @@ func (d *Discoverer) Configure(done func(*DiscoveredTopology)) { d.configure(don
 // The delivery hook installed at construction is reused, so repeated
 // sweeps do not grow the HCA's delivery chain; txIDs stay monotonic
 // across sweeps, so a straggler response from a previous sweep can never
-// complete a new probe.
+// complete a new probe. The topology, its node records and paths are
+// cleared in place, not remade (DiscoveredTopology).
 func (d *Discoverer) Reset() {
 	for i := range d.ring {
 		if rq := &d.ring[i]; rq.pending {
@@ -765,11 +772,18 @@ func (d *Discoverer) Reset() {
 			d.retire(rq)
 		}
 	}
-	d.seen = make(map[uint64]*DiscoveredNode)
-	d.past.probes += d.topo.Probes
-	d.past.retries += d.topo.Retries
-	d.past.timeouts += d.topo.Timeouts
-	d.topo = &DiscoveredTopology{Edges: make(map[uint64]map[int]uint64)}
+	clear(d.seen)
+	d.probes, d.paths, d.nodes = d.probes[:0], d.paths[:0], d.nodes[:0]
+	topo := d.topo
+	d.past.probes += topo.Probes
+	d.past.retries += topo.Retries
+	d.past.timeouts += topo.Timeouts
+	for _, ports := range topo.Edges {
+		clear(ports)
+		d.freeEdges = append(d.freeEdges, ports)
+	}
+	clear(topo.Edges)
+	*topo = DiscoveredTopology{Switches: topo.Switches[:0], CAs: topo.CAs[:0], Edges: topo.Edges}
 }
 
 // Stats reports the SMPs issued, retransmitted and terminally timed out
@@ -779,10 +793,20 @@ func (d *Discoverer) Stats() (probes, retries, timeouts int) {
 	return d.past.probes + d.topo.Probes, d.past.retries + d.topo.Retries, d.past.timeouts + d.topo.Timeouts
 }
 
-// probeNode probes the element at path; fromGUID/fromPort identify the
-// switch edge that led here (0 for the root). onQuiesce fires when no
-// probes remain outstanding.
-func (d *Discoverer) probeNode(path []byte, fromGUID uint64, fromPort int, onQuiesce func()) {
+// probe is one node probe of a sweep: the directed route to the element,
+// d.paths[off:off+n], the switch edge that led there (fromGUID 0 for
+// the root) and the sweep's completion.
+type probe struct {
+	off, n   int
+	fromGUID uint64
+	fromPort int
+	done     func(*DiscoveredTopology)
+}
+
+// probeNode probes the element at path d.paths[off:off+n]; fromGUID and
+// fromPort identify the switch edge that led here (0 for the root). done
+// fires with the topology when no probes remain outstanding.
+func (d *Discoverer) probeNode(off, n int, fromGUID uint64, fromPort int, done func(*DiscoveredTopology)) {
 	// Re-sweeps give the full retry budget only to edges that were alive
 	// at the last healthy view: there a silent probe likely means MAD
 	// loss and a retry protects a live subtree from being misdeclared
@@ -796,75 +820,119 @@ func (d *Discoverer) probeNode(path []byte, fromGUID uint64, fromPort int, onQui
 			retries = 0
 		}
 	}
-	d.request(smpMethodGet, smpAttrNodeInfo, path, nil, retries, smpFunc(func(status byte, data, retPath []byte) {
-		defer func() {
-			if d.outstanding == 0 {
-				onQuiesce()
-			}
-		}()
-		if status != smpStatusOK {
-			// Dead port or refused. A terminal timeout across an edge the
-			// SM knew to be alive is the detection signal for a failed
-			// link or device.
-			if status == 0xFF && d.OnLostEdge != nil && fromGUID != 0 {
-				if _, known := d.KnownEdges[fromGUID][fromPort]; known {
-					d.OnLostEdge(fromGUID, fromPort)
-				}
-			}
-			return
-		}
-		guid := binary.BigEndian.Uint64(data[2:])
-		if fromGUID != 0 {
-			if d.topo.Edges[fromGUID] == nil {
-				d.topo.Edges[fromGUID] = make(map[int]uint64)
-			}
-			d.topo.Edges[fromGUID][fromPort] = guid
-			// Switch targets report their own ingress port, giving the
-			// reverse edge without probing it: the graph must contain
-			// back-edges toward the SM or route computation from remote
-			// switches would see a one-way tree.
-			if data[0] == nodeTypeSwitch {
-				if d.topo.Edges[guid] == nil {
-					d.topo.Edges[guid] = make(map[int]uint64)
-				}
-				d.topo.Edges[guid][int(retPath[len(path)])] = fromGUID
+	tag := uint64(len(d.probes))
+	d.probes = append(d.probes, probe{off: off, n: n, fromGUID: fromGUID, fromPort: fromPort, done: done})
+	d.request(smpMethodGet, smpAttrNodeInfo, d.paths[off:off+n], nil, retries, (*probeDone)(d), tag)
+}
+
+// probeDone completes node probes: a named completer type over
+// Discoverer (see SMPCompleter) whose tag indexes the probe, so issuing
+// a probe allocates nothing but its MAD.
+type probeDone Discoverer
+
+func (h *probeDone) SMPDone(tag uint64, status byte, data, retPath []byte) {
+	d := (*Discoverer)(h)
+	pr := d.probes[tag] // by value: the probes issued below may move the slice
+	d.probed(pr, status, data, retPath)
+	if d.outstanding == 0 {
+		pr.done(d.topo)
+	}
+}
+
+// probed files one probe's answer — the node, the edge that led to it
+// and, for a switch met for the first time, a probe of each of its
+// other ports.
+func (d *Discoverer) probed(pr probe, status byte, data, retPath []byte) {
+	if status != smpStatusOK {
+		// Dead port or refused. A terminal timeout across an edge the
+		// SM knew to be alive is the detection signal for a failed
+		// link or device.
+		if status == 0xFF && d.OnLostEdge != nil && pr.fromGUID != 0 {
+			if _, known := d.KnownEdges[pr.fromGUID][pr.fromPort]; known {
+				d.OnLostEdge(pr.fromGUID, pr.fromPort)
 			}
 		}
-		if _, dup := d.seen[guid]; dup {
-			return
+		return
+	}
+	guid := binary.BigEndian.Uint64(data[2:])
+	if pr.fromGUID != 0 {
+		d.setEdge(pr.fromGUID, pr.fromPort, guid)
+		// Switch targets report their own ingress port, giving the
+		// reverse edge without probing it: the graph must contain
+		// back-edges toward the SM or route computation from remote
+		// switches would see a one-way tree.
+		if data[0] == nodeTypeSwitch {
+			d.setEdge(guid, int(retPath[pr.n]), pr.fromGUID)
 		}
-		node := &DiscoveredNode{
-			GUID:     guid,
-			IsSwitch: data[0] == nodeTypeSwitch,
-			NumPorts: int(data[1]),
-			Path:     append([]byte(nil), path...),
+	}
+	if _, dup := d.seen[guid]; dup {
+		return
+	}
+	node := d.newNode()
+	*node = DiscoveredNode{
+		GUID:     guid,
+		IsSwitch: data[0] == nodeTypeSwitch,
+		NumPorts: int(data[1]),
+	}
+	if pr.n > 0 {
+		node.Path = d.paths[pr.off : pr.off+pr.n : pr.off+pr.n]
+	}
+	d.seen[guid] = node
+	if !node.IsSwitch {
+		d.topo.CAs = append(d.topo.CAs, node)
+		return
+	}
+	d.topo.Switches = append(d.topo.Switches, node)
+	// The target switch recorded its own ingress port (the port
+	// leading back toward the SM) in return-path slot len(path).
+	// Skip it on transit switches — probing it would only re-find
+	// the previous switch — but NOT on the root switch, where the
+	// ingress leads to the SM's own CA, which must be discovered
+	// like any other.
+	ingress := -1
+	if pr.n > 0 {
+		ingress = int(retPath[pr.n])
+	}
+	for p := 0; p < node.NumPorts; p++ {
+		if p == ingress {
+			continue
 		}
-		d.seen[guid] = node
-		if !node.IsSwitch {
-			d.topo.CAs = append(d.topo.CAs, node)
-			return
+		off := len(d.paths)
+		d.paths = append(d.paths, d.paths[pr.off:pr.off+pr.n]...)
+		d.paths = append(d.paths, byte(p))
+		d.probeNode(off, pr.n+1, guid, p, pr.done)
+	}
+}
+
+// setEdge records the topology edge from → port → to, taking the port
+// set from those Reset kept, so the edge set holds exactly the entries
+// a freshly made one would.
+func (d *Discoverer) setEdge(from uint64, port int, to uint64) {
+	ports := d.topo.Edges[from]
+	if ports == nil {
+		if n := len(d.freeEdges); n > 0 {
+			ports, d.freeEdges = d.freeEdges[n-1], d.freeEdges[:n-1]
+		} else {
+			ports = make(map[int]uint64)
 		}
-		d.topo.Switches = append(d.topo.Switches, node)
-		// The target switch recorded its own ingress port (the port
-		// leading back toward the SM) in return-path slot len(path).
-		// Skip it on transit switches — probing it would only re-find
-		// the previous switch — but NOT on the root switch, where the
-		// ingress leads to the SM's own CA, which must be discovered
-		// like any other.
-		ingress := -1
-		if len(path) > 0 {
-			ingress = int(retPath[len(path)])
-		}
-		for p := 0; p < node.NumPorts; p++ {
-			if p == ingress {
-				continue
-			}
-			sub := make([]byte, len(path)+1)
-			copy(sub, path)
-			sub[len(path)] = byte(p)
-			d.probeNode(sub, guid, p, onQuiesce)
-		}
-	}), 0)
+		d.topo.Edges[from] = ports
+	}
+	ports[port] = to
+}
+
+// newNode returns the sweep's next node record, reusing the one an
+// earlier sweep held at the same position.
+func (d *Discoverer) newNode() *DiscoveredNode {
+	n := len(d.nodes)
+	if n < cap(d.nodes) {
+		d.nodes = d.nodes[:n+1]
+	} else {
+		d.nodes = append(d.nodes, nil)
+	}
+	if d.nodes[n] == nil {
+		d.nodes[n] = new(DiscoveredNode)
+	}
+	return d.nodes[n]
 }
 
 // configure assigns LIDs and programs routes, then reports.
@@ -926,7 +994,7 @@ func (d *Discoverer) configure(done func(*DiscoveredTopology)) {
 		remaining++
 		var lidData [2]byte
 		binary.BigEndian.PutUint16(lidData[:], uint16(ca.LID))
-		d.send(smpMethodSet, smpAttrSetLID, ca.Path, lidData[:], func(status byte, _, _ []byte) {
+		d.send(smpMethodSet, smpAttrSetLID, ca.Path, lidData[:], func(status byte, _ []byte) {
 			if status != smpStatusOK {
 				topo.Timeouts++ // counted as a failure
 			}
@@ -954,7 +1022,7 @@ func (d *Discoverer) configure(done func(*DiscoveredTopology)) {
 			var data [3]byte
 			binary.BigEndian.PutUint16(data[:2], uint16(ca.LID))
 			data[2] = byte(port)
-			d.send(smpMethodSet, smpAttrSetRoute, sw.Path, data[:], func(status byte, _, _ []byte) {
+			d.send(smpMethodSet, smpAttrSetRoute, sw.Path, data[:], func(status byte, _ []byte) {
 				if status != smpStatusOK {
 					topo.Timeouts++
 				}

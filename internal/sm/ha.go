@@ -252,12 +252,12 @@ type censusMAD struct {
 	ID   uint32 // round identifier, so stale pongs can't pollute a later census
 }
 
-func encodeCensus(typ byte, cm censusMAD) []byte {
-	pl := make([]byte, censusPayloadSize)
+// putCensus renders a census payload of the given type into
+// pl[:censusPayloadSize]; parseCensus(pl) then returns cm.
+func putCensus(pl []byte, typ byte, cm censusMAD) {
 	pl[0] = typ
 	binary.BigEndian.PutUint16(pl[1:3], cm.Node)
 	binary.BigEndian.PutUint32(pl[3:7], cm.ID)
-	return pl
 }
 
 func parseCensus(pl []byte) (censusMAD, error) {
@@ -384,9 +384,13 @@ type censusRound struct {
 	entry int
 	got   map[int]bool
 	pings int
-	done  func(got map[int]bool, pings int)
+	done  censusDone
 	fired bool
 }
+
+// censusDone receives a census verdict: the entry that ran it, the
+// reached set (valid until the call returns) and the pings spent.
+type censusDone func(entry int, got map[int]bool, pings int)
 
 // Coordinator wires a master SM and its standbys into the heartbeat /
 // lease / election protocol. All scheduling rides the deterministic sim
@@ -429,6 +433,10 @@ type Coordinator struct {
 
 	censusSeq uint32
 	censuses  map[int]*censusRound // per-entry in-flight rounds
+	// freeRounds holds finished rounds' records for reuse, and masterDone
+	// is masterVerdict as a func value, made once.
+	freeRounds []*censusRound
+	masterDone censusDone
 	// partialStreak counts the sitting master's consecutive partial
 	// censuses; containment needs two in a row so a single congestion-
 	// dropped pong cannot fake a partition.
@@ -506,6 +514,7 @@ func NewCoordinator(s *sim.Simulator, mesh *topology.Mesh, cfg HAConfig, mkey ke
 	c.abdicatedAt = make([]sim.Time, len(c.sms))
 	c.hbSeqs = make([]uint32, len(c.sms))
 	c.censuses = make(map[int]*censusRound)
+	c.masterDone = c.masterVerdict
 	c.stopHBs = make([]func(), len(c.sms))
 	c.stopLeases = make([]func(), len(c.sms))
 	c.isMaster[0] = true
@@ -749,7 +758,9 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 		// reachability is what is being measured, so a dead SM's node
 		// still pongs (its SMA outlives the SM process).
 		c.Counters.Inc("census_pongs_sent", 1)
-		c.sendMADFrom(node, int(cm.Node), encodeCensus(haTypeCensusPong, censusMAD{Node: uint16(node), ID: cm.ID}))
+		var pong [censusPayloadSize]byte
+		putCensus(pong[:], haTypeCensusPong, censusMAD{Node: uint16(node), ID: cm.ID})
+		c.sendMADFrom(node, int(cm.Node), pong[:])
 		return true
 	case haTypeCensusPong:
 		cm, err := parseCensus(d.Pkt.Payload)
@@ -848,7 +859,7 @@ func (c *Coordinator) checkLease(i int) {
 	// means the master is really gone — take over normally. Partial
 	// reach means this standby is on an island: elect a contained master
 	// that serves only what it can see.
-	c.runCensus(i, func(got map[int]bool, _ int) {
+	c.runCensus(i, func(i int, got map[int]bool, _ int) {
 		if c.dead[i] || c.isMaster[i] {
 			return
 		}
@@ -925,17 +936,20 @@ func (c *Coordinator) electionSweep(i int, done func(*DiscoveredTopology)) {
 // any: the stale round's pongs no longer match and its verdict is
 // swallowed — it describes reachability as of pings that a merge or a
 // newer round has already superseded.
-func (c *Coordinator) runCensus(entry int, done func(got map[int]bool, pings int)) {
+func (c *Coordinator) runCensus(entry int, done censusDone) {
 	c.censusSeq++
-	round := &censusRound{id: c.censusSeq, entry: entry, got: map[int]bool{c.nodes[entry]: true}, done: done}
+	round := c.newRound()
+	round.id, round.entry, round.pings, round.done, round.fired = c.censusSeq, entry, 0, done, false
+	round.got[c.nodes[entry]] = true
 	c.censuses[entry] = round
 	c.Counters.Inc("census_rounds", 1)
-	ping := encodeCensus(haTypeCensusPing, censusMAD{Node: uint16(c.nodes[entry]), ID: round.id})
+	var ping [censusPayloadSize]byte
+	putCensus(ping[:], haTypeCensusPing, censusMAD{Node: uint16(c.nodes[entry]), ID: round.id})
 	for nd := 0; nd < c.mesh.NumNodes(); nd++ {
 		if nd == c.nodes[entry] {
 			continue
 		}
-		c.sendMADFrom(c.nodes[entry], nd, ping)
+		c.sendMADFrom(c.nodes[entry], nd, ping[:])
 		round.pings++
 	}
 	c.Counters.Inc("census_pings", uint64(round.pings))
@@ -945,34 +959,69 @@ func (c *Coordinator) runCensus(entry int, done func(got map[int]bool, pings int
 	// verdict re-checks the lease, so a master elected meanwhile aborts
 	// the late census's election instead of double-electing.
 	wait := 2 * c.lease()
-	c.sim.Schedule(wait/2, func() {
-		if c.censuses[entry] != round || round.fired {
-			return
+	c.sim.ScheduleCall(wait/2, (*censusReping)(c), round, uint64(round.id))
+	c.sim.ScheduleCall(wait, (*censusDeadline)(c), round, uint64(round.id))
+}
+
+// newRound returns a census record with an empty reached set: a finished
+// round's (see finishCensus), or a new one.
+func (c *Coordinator) newRound() *censusRound {
+	if n := len(c.freeRounds); n > 0 {
+		round := c.freeRounds[n-1]
+		c.freeRounds = c.freeRounds[:n-1]
+		clear(round.got)
+		return round
+	}
+	return &censusRound{got: make(map[int]bool)}
+}
+
+// censusReping and censusDeadline are a round's midway re-ping and its
+// window's end: named handler types over Coordinator (see sim.Handler)
+// whose operands are the round and its id. A record is reused once its
+// round has finished, so an event whose id no longer matches belongs to
+// a finished round and does nothing.
+type (
+	censusReping   Coordinator
+	censusDeadline Coordinator
+)
+
+func (h *censusReping) Fire(arg any, id uint64) {
+	c, round := (*Coordinator)(h), arg.(*censusRound)
+	entry := round.entry
+	if round.id != uint32(id) || c.censuses[entry] != round || round.fired {
+		return
+	}
+	var ping [censusPayloadSize]byte
+	putCensus(ping[:], haTypeCensusPing, censusMAD{Node: uint16(c.nodes[entry]), ID: round.id})
+	for nd := 0; nd < c.mesh.NumNodes(); nd++ {
+		if nd == c.nodes[entry] || round.got[nd] {
+			continue
 		}
-		for nd := 0; nd < c.mesh.NumNodes(); nd++ {
-			if nd == c.nodes[entry] || round.got[nd] {
-				continue
-			}
-			c.sendMADFrom(c.nodes[entry], nd, ping)
-			round.pings++
-			c.Counters.Inc("census_repings", 1)
-		}
-	})
-	c.sim.Schedule(wait, func() { c.finishCensus(round) })
+		c.sendMADFrom(c.nodes[entry], nd, ping[:])
+		round.pings++
+		c.Counters.Inc("census_repings", 1)
+	}
+}
+
+func (h *censusDeadline) Fire(arg any, id uint64) {
+	if round := arg.(*censusRound); round.id == uint32(id) {
+		(*Coordinator)(h).finishCensus(round)
+	}
 }
 
 // finishCensus delivers a round's verdict exactly once — on unanimity or
 // at the window deadline, whichever comes first. A round that is no
 // longer its entry's current one was replaced mid-flight (a merge census
 // superseding the detection sweep); its verdict is stale evidence and is
-// dropped.
+// dropped. Once the verdict has run, the record is free for reuse.
 func (c *Coordinator) finishCensus(round *censusRound) {
 	if round.fired || c.censuses[round.entry] != round {
 		return
 	}
 	round.fired = true
 	delete(c.censuses, round.entry)
-	round.done(round.got, round.pings)
+	round.done(round.entry, round.got, round.pings)
+	c.freeRounds = append(c.freeRounds, round)
 }
 
 // masterCensus is the sitting master's periodic partition check: two
@@ -987,23 +1036,26 @@ func (c *Coordinator) masterCensus() {
 	if c.dead[i] || !c.isMaster[i] || c.censuses[i] != nil || c.mergeFrom >= 0 {
 		return
 	}
-	c.runCensus(i, func(got map[int]bool, _ int) {
-		if c.dead[i] || !c.isMaster[i] || c.mergeFrom >= 0 {
-			return
-		}
-		full := len(got) == c.mesh.NumNodes()
-		if full {
-			c.partialStreak = 0
-		} else {
-			c.partialStreak++
-		}
-		switch {
-		case !full && !c.contained[i] && c.partialStreak >= 2:
-			c.contain(i, got)
-		case full && c.contained[i]:
-			c.uncontain(i)
-		}
-	})
+	c.runCensus(i, c.masterDone)
+}
+
+// masterVerdict acts on the sitting master's periodic census.
+func (c *Coordinator) masterVerdict(i int, got map[int]bool, _ int) {
+	if c.dead[i] || !c.isMaster[i] || c.mergeFrom >= 0 {
+		return
+	}
+	full := len(got) == c.mesh.NumNodes()
+	if full {
+		c.partialStreak = 0
+	} else {
+		c.partialStreak++
+	}
+	switch {
+	case !full && !c.contained[i] && c.partialStreak >= 2:
+		c.contain(i, got)
+	case full && c.contained[i]:
+		c.uncontain(i)
+	}
 }
 
 // contain drops sitting master entry i into degraded island mode: every
@@ -1100,7 +1152,7 @@ func (c *Coordinator) startMerge(i, j int) {
 	c.mergeFrom = j
 	healed := c.sim.Now()
 	c.Counters.Inc("merges", 1)
-	c.runCensus(i, func(got map[int]bool, pings int) {
+	c.runCensus(i, func(i int, got map[int]bool, pings int) {
 		winner, loser := c.sms[i], c.sms[j]
 		c.active = i
 		c.contained[i] = false

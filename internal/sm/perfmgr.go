@@ -200,6 +200,8 @@ type PerfMgr struct {
 	firstLink []int
 	// quarantined holds the canonical halves of fenced links.
 	quarantined map[topology.LinkID]bool
+	// fenced is the view QuarantinedEdges refills on every call.
+	fenced map[uint64]map[int]bool
 
 	sweeping bool
 	// outstanding counts the links the sweep in flight has yet to score.
@@ -237,6 +239,7 @@ func NewPerfMgr(s *sim.Simulator, mesh *topology.Mesh, disc *Discoverer, smgr *S
 		sm:          smgr,
 		cfg:         cfg,
 		quarantined: make(map[topology.LinkID]bool),
+		fenced:      make(map[uint64]map[int]bool),
 		firstLink:   make([]int, len(mesh.Switches)+1),
 		Counters:    metrics.NewCounters(),
 	}
@@ -320,22 +323,26 @@ func (pm *PerfMgr) Quarantined() map[topology.LinkID]bool {
 // QuarantinedEdges translates the fenced set into the GUID-and-port
 // edge halves a Resweeper strips from probe results (both directions of
 // every fenced link), so a heal sweep never re-programs routes back
-// over a link the health plane fenced.
+// over a link the health plane fenced. The map is the PerfMgr's own
+// view, refilled by the next call: a caller reads it and lets it go. It
+// keeps an empty port set for a switch no longer fenced.
 func (pm *PerfMgr) QuarantinedEdges() map[uint64]map[int]bool {
-	out := make(map[uint64]map[int]bool)
-	add := func(guid uint64, port int) {
-		if out[guid] == nil {
-			out[guid] = make(map[int]bool)
+	for _, ports := range pm.fenced {
+		clear(ports)
+	}
+	fence := func(guid uint64, port int) {
+		if pm.fenced[guid] == nil {
+			pm.fenced[guid] = make(map[int]bool)
 		}
-		out[guid][port] = true
+		pm.fenced[guid][port] = true
 	}
 	for l := range pm.quarantined {
-		add(pm.mesh.Switches[l.Switch].GUID(), l.Port)
+		fence(pm.mesh.Switches[l.Switch].GUID(), l.Port)
 		if isHCA, peer, peerPort, ok := pm.mesh.LinkPeer(l.Switch, l.Port); ok && !isHCA {
-			add(pm.mesh.Switches[peer].GUID(), peerPort)
+			fence(pm.mesh.Switches[peer].GUID(), peerPort)
 		}
 	}
-	return out
+	return pm.fenced
 }
 
 // Sweep runs one sweep immediately (tests; Start drives it periodically).
@@ -591,25 +598,51 @@ func (pm *PerfMgr) rearm(swIdx, port int) {
 
 // SwitchPaths computes the directed-route path (egress ports, as SMPs
 // carry them) from the SM's node to every switch of a healthy mesh, by
-// switch index, nil when unreachable — the same BFS the discovery sweep
-// and heal path use, so PMA and audit probes travel the routes a real
-// sweep would find.
+// switch index, nil when unreachable — the paths the discovery sweep
+// would find, so PMA and audit probes travel the routes a real sweep
+// uses. It is one BFS from the SM's switch in ascending port order,
+// which reaches each switch along the lexicographically least shortest
+// port sequence: the same path as walking topology.NextHops hop by hop.
 func SwitchPaths(mesh *topology.Mesh, smNode int) [][]byte {
-	g := mesh.EdgeGUIDs()
-	next := topology.NextHops(g)
-	root := mesh.SwitchOf(smNode).GUID()
-	paths := make([][]byte, len(mesh.Switches))
-	for i, sw := range mesh.Switches {
-		tgt := sw.GUID()
-		path := []byte{} // the root's own path is empty, not absent
-		for cur := root; cur != tgt; {
-			p, ok := next[cur][tgt]
-			if !ok {
-				path = nil
-				break
+	return switchPaths(len(mesh.Switches), smNode, func(sw, port int) (int, bool) {
+		isHCA, peer, _, ok := mesh.LinkPeer(sw, port)
+		return peer, ok && !isHCA
+	})
+}
+
+// switchPaths is SwitchPaths over n switches of up to topology.PortNorth+1
+// ports each, with peer reporting the switch beyond a port. Every path is
+// a capacity-capped window into one shared array.
+func switchPaths(n, root int, peer func(sw, port int) (int, bool)) [][]byte {
+	parent := make([]int32, n) // BFS parent + 1; 0: unreached
+	port := make([]byte, n)    // egress port at the parent
+	depth := make([]int32, n)
+	queue := make([]int32, 1, n)
+	queue[0] = int32(root)
+	parent[root] = int32(root) + 1
+	total := 0
+	for q := 0; q < len(queue); q++ {
+		cur := int(queue[q])
+		for p := 0; p <= topology.PortNorth; p++ {
+			nb, ok := peer(cur, p)
+			if !ok || parent[nb] != 0 {
+				continue
 			}
-			path = append(path, byte(p))
-			cur = g[cur][p]
+			parent[nb], port[nb], depth[nb] = int32(cur)+1, byte(p), depth[cur]+1
+			total += int(depth[nb])
+			queue = append(queue, int32(nb))
+		}
+	}
+	arena := make([]byte, total)
+	paths := make([][]byte, n)
+	off := 0
+	for _, i := range queue { // parents before children
+		d := int(depth[i])
+		path := arena[off : off+d : off+d]
+		off += d
+		if d > 0 {
+			copy(path, paths[parent[i]-1])
+			path[d-1] = port[i]
 		}
 		paths[i] = path
 	}

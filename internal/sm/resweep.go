@@ -29,6 +29,13 @@ type Resweeper struct {
 	sweeping bool
 	sweeps   uint64
 	stop     func()
+	// The sweep in progress — when it started, its first detection and,
+	// once probed, its change — and its three steps as func values made
+	// once, so a sweep allocates nothing until its graph changes.
+	start, detectedAt  sim.Time
+	lost, gained       int
+	lostEdge           func(fromGUID uint64, port int)
+	probed, configured func(*DiscoveredTopology)
 
 	// Counters: sweeps, sweeps_skipped (previous sweep still running),
 	// detections, lost_links, restored_links, reroutes.
@@ -68,7 +75,7 @@ func NewResweeper(s *sim.Simulator, disc *Discoverer, period sim.Time) *Resweepe
 	if period <= 0 {
 		panic("sm: non-positive resweep period")
 	}
-	return &Resweeper{
+	r := &Resweeper{
 		sim:            s,
 		disc:           disc,
 		period:         period,
@@ -78,6 +85,8 @@ func NewResweeper(s *sim.Simulator, disc *Discoverer, period sim.Time) *Resweepe
 		SweepLatency:   metrics.NewRecorder(0, 10_000, 200),
 		RerouteLatency: metrics.NewRecorder(0, 10_000, 200),
 	}
+	r.lostEdge, r.probed, r.configured = r.onLostEdge, r.onProbed, r.onConfigured
+	return r
 }
 
 // PrimeStatic seeds the healthy view and LID pins from a statically
@@ -116,57 +125,65 @@ func (r *Resweeper) tick() {
 	}
 	r.sweeping = true
 	r.sweeps++
-	sweep := r.sweeps
 	r.Counters.Inc("sweeps", 1)
-	start := r.sim.Now()
+	r.start, r.detectedAt = r.sim.Now(), 0
 
 	r.disc.Reset()
 	r.disc.Pins = r.pins
 	r.disc.KnownEdges = r.edges
-	var detectedAt sim.Time
-	r.disc.OnLostEdge = func(uint64, int) {
-		if detectedAt == 0 {
-			detectedAt = r.sim.Now()
-			r.Counters.Inc("detections", 1)
-		}
+	r.disc.OnLostEdge = r.lostEdge
+	r.disc.Probe(r.probed)
+}
+
+// onLostEdge notes the sweep's first terminal timeout on a known edge.
+func (r *Resweeper) onLostEdge(uint64, int) {
+	if r.detectedAt == 0 {
+		r.detectedAt = r.sim.Now()
+		r.Counters.Inc("detections", 1)
 	}
-	r.disc.Probe(func(topo *DiscoveredTopology) {
-		r.SweepLatency.Add((r.sim.Now() - start).Microseconds())
-		if r.Quarantined != nil {
-			stripEdges(topo.Edges, r.Quarantined())
-		}
-		lost, gained := diffEdges(r.edges, topo.Edges)
-		if lost == 0 && gained == 0 {
-			r.sweeping = false
-			return
-		}
-		r.Counters.Inc("lost_links", uint64(lost))
-		r.Counters.Inc("restored_links", uint64(gained))
-		if detectedAt == 0 {
-			// Pure restoration: nothing timed out, the change is only
-			// visible once the sweep completes.
-			detectedAt = r.sim.Now()
-		}
-		r.disc.Configure(func(topo *DiscoveredTopology) {
-			healed := r.sim.Now()
-			r.Counters.Inc("reroutes", 1)
-			r.RerouteLatency.Add((healed - detectedAt).Microseconds())
-			for _, ca := range topo.CAs {
-				r.pins[ca.GUID] = ca.LID
-			}
-			r.edges = copyEdges(topo.Edges)
-			r.sweeping = false
-			if r.OnEvent != nil {
-				r.OnEvent(HealEvent{
-					Sweep:      sweep,
-					LostEdges:  lost,
-					NewEdges:   gained,
-					DetectedAt: detectedAt,
-					HealedAt:   healed,
-				})
-			}
+}
+
+// onProbed diffs the probed graph against the healthy view and, on a
+// change, reprograms the fabric.
+func (r *Resweeper) onProbed(topo *DiscoveredTopology) {
+	r.SweepLatency.Add((r.sim.Now() - r.start).Microseconds())
+	if r.Quarantined != nil {
+		stripEdges(topo.Edges, r.Quarantined())
+	}
+	r.lost, r.gained = diffEdges(r.edges, topo.Edges)
+	if r.lost == 0 && r.gained == 0 {
+		r.sweeping = false
+		return
+	}
+	r.Counters.Inc("lost_links", uint64(r.lost))
+	r.Counters.Inc("restored_links", uint64(r.gained))
+	if r.detectedAt == 0 {
+		// Pure restoration: nothing timed out, the change is only
+		// visible once the sweep completes.
+		r.detectedAt = r.sim.Now()
+	}
+	r.disc.Configure(r.configured)
+}
+
+// onConfigured adopts the reprogrammed graph as the healthy view.
+func (r *Resweeper) onConfigured(topo *DiscoveredTopology) {
+	healed := r.sim.Now()
+	r.Counters.Inc("reroutes", 1)
+	r.RerouteLatency.Add((healed - r.detectedAt).Microseconds())
+	for _, ca := range topo.CAs {
+		r.pins[ca.GUID] = ca.LID
+	}
+	r.edges = copyEdges(topo.Edges)
+	r.sweeping = false
+	if r.OnEvent != nil {
+		r.OnEvent(HealEvent{
+			Sweep:      r.sweeps,
+			LostEdges:  r.lost,
+			NewEdges:   r.gained,
+			DetectedAt: r.detectedAt,
+			HealedAt:   healed,
 		})
-	})
+	}
 }
 
 // stripEdges removes the fenced edge halves from a probed edge set —

@@ -3,6 +3,7 @@ package sm
 import (
 	"fmt"
 
+	"ibasec/internal/keys"
 	"ibasec/internal/metrics"
 	"ibasec/internal/packet"
 	"ibasec/internal/sim"
@@ -68,6 +69,8 @@ type Rotator struct {
 	cfg RotationConfig
 
 	stop func()
+	// free holds the rotation records no event refers to any more.
+	free []*rotation
 
 	// Counters: epoch_rollovers (whole-fabric rotation rounds),
 	// epochs_issued (per-partition rotations), forced_rotations
@@ -123,8 +126,8 @@ func (r *Rotator) ForceRotate(pk packet.PKey) error {
 // order for determinism.
 func (r *Rotator) rotateAll() {
 	r.Counters.Inc("epoch_rollovers", 1)
-	for _, base := range r.m.PartitionBases() {
-		if err := r.rotate(packet.PKey(0x8000 | base)); err != nil {
+	for i := range r.m.partitions { // rotate leaves the partition table alone
+		if err := r.rotate(packet.PKey(0x8000 | r.m.partitions[i].base)); err != nil {
 			panic(err)
 		}
 	}
@@ -143,24 +146,68 @@ func (r *Rotator) rotate(pk packet.PKey) error {
 		return err
 	}
 	r.Counters.Inc("epochs_issued", 1)
-	members := m.IslandMembers(pk)
-	r.sim.Schedule(r.cfg.DistributionDelay, func() {
-		if m.InstallSecret == nil {
-			return
-		}
-		for _, n := range members {
-			m.InstallSecret(n, pk, fresh, epoch)
-		}
-	})
-	prev := epoch - 1
+	rot := r.newRotation()
+	rot.m, rot.pk, rot.fresh, rot.epoch = m, pk, fresh, epoch
+	rot.members = m.appendIslandMembers(rot.members[:0], pk)
+	rot.due = 2
+	r.sim.ScheduleCall(r.cfg.DistributionDelay, (*installEpoch)(r), rot, 0)
 	r.Counters.Inc("retires_scheduled", 1)
-	r.sim.Schedule(r.cfg.Grace, func() {
-		if m.RetireSecret == nil {
-			return
-		}
-		for _, n := range members {
-			m.RetireSecret(n, pk, prev)
-		}
-	})
+	r.sim.ScheduleCall(r.cfg.Grace, (*retireEpoch)(r), rot, 0)
 	return nil
+}
+
+// rotation is one partition's epoch in flight: minted by m, installed on
+// the members (as of the mint) after DistributionDelay, its predecessor
+// retired on them after Grace. Records are pooled, so a rollover
+// allocates nothing once as many are in flight as ever were.
+type rotation struct {
+	m       *SubnetManager
+	pk      packet.PKey
+	fresh   keys.SecretKey
+	epoch   uint32
+	members []int
+	due     int // events yet to fire
+}
+
+func (r *Rotator) newRotation() *rotation {
+	if n := len(r.free); n > 0 {
+		rot := r.free[n-1]
+		r.free = r.free[:n-1]
+		return rot
+	}
+	return new(rotation)
+}
+
+// fired returns rot to the pool once both its events have fired.
+func (r *Rotator) fired(rot *rotation) {
+	if rot.due--; rot.due == 0 {
+		r.free = append(r.free, rot)
+	}
+}
+
+// installEpoch and retireEpoch are a rotation's two events: named handler
+// types over Rotator (see sim.Handler) whose operand is the record.
+type (
+	installEpoch Rotator
+	retireEpoch  Rotator
+)
+
+func (h *installEpoch) Fire(arg any, _ uint64) {
+	rot := arg.(*rotation)
+	if m := rot.m; m.InstallSecret != nil {
+		for _, n := range rot.members {
+			m.InstallSecret(n, rot.pk, rot.fresh, rot.epoch)
+		}
+	}
+	(*Rotator)(h).fired(rot)
+}
+
+func (h *retireEpoch) Fire(arg any, _ uint64) {
+	rot := arg.(*rotation)
+	if m := rot.m; m.RetireSecret != nil {
+		for _, n := range rot.members {
+			m.RetireSecret(n, rot.pk, rot.epoch-1)
+		}
+	}
+	(*Rotator)(h).fired(rot)
 }

@@ -114,7 +114,7 @@ type SubnetManager struct {
 	// would teleport state across the cut. Nil means the whole fabric.
 	island    map[int]bool
 	busyUntil sim.Time
-	trapSeen  map[trapKey]sim.Time
+	traps     *trapState // made at the first trap
 	stopTimer func()
 
 	Counters *metrics.Counters
@@ -136,6 +136,26 @@ type trapKey struct {
 	pkey     uint16
 }
 
+// trapState is the SM's trap bookkeeping. seen and old remember when each
+// (offender, P_Key) trap was last sent, in two generations: seen the
+// sends since seenAt, old the generation before. A generation older than
+// trapInterval can no longer suppress a trap, so sendTrap clears and
+// reuses it rather than grow one table for the whole run. free holds the
+// records of finished traps (trapWork) for reuse.
+type trapState struct {
+	seen, old map[trapKey]sim.Time
+	seenAt    sim.Time
+	free      []*trapWork
+}
+
+// trapState returns the SM's trap bookkeeping, making it at first use.
+func (m *SubnetManager) trapState() *trapState {
+	if m.traps == nil {
+		m.traps = &trapState{seen: make(map[trapKey]sim.Time), old: make(map[trapKey]sim.Time)}
+	}
+	return m.traps
+}
+
 // New creates a Subnet Manager for the mesh. filter may be nil when no
 // switch enforcement is in use.
 func New(s *sim.Simulator, mesh *topology.Mesh, filter *enforce.Filter, cfg Config) *SubnetManager {
@@ -154,7 +174,6 @@ func NewStandby(s *sim.Simulator, mesh *topology.Mesh, filter *enforce.Filter, c
 		sim:      s,
 		mesh:     mesh,
 		filter:   filter,
-		trapSeen: make(map[trapKey]sim.Time),
 		Counters: metrics.NewCounters(),
 	}
 }
@@ -339,21 +358,17 @@ func (m *SubnetManager) InIsland(node int) bool {
 	return m.island == nil || m.island[node]
 }
 
-// IslandMembers returns pk's members restricted to the island scope —
-// identical to Members when the SM is unscoped. Key rotation distributes
-// through this so a contained master mints island-local epochs without
-// reaching across the cut.
-func (m *SubnetManager) IslandMembers(pk packet.PKey) []int {
-	if m.island == nil {
-		return m.Members(pk)
-	}
-	var out []int
+// appendIslandMembers appends to dst pk's members restricted to the
+// island scope — all of them when the SM is unscoped. Key rotation
+// distributes through this so a contained master mints island-local
+// epochs without reaching across the cut.
+func (m *SubnetManager) appendIslandMembers(dst []int, pk packet.PKey) []int {
 	for _, n := range m.members(pk) {
-		if m.island[n] {
-			out = append(out, n)
+		if m.InIsland(n) {
+			dst = append(dst, n)
 		}
 	}
-	return out
+	return dst
 }
 
 // ProgramSwitchTables installs the per-switch valid-P_Key tables the
@@ -422,23 +437,33 @@ func (m *SubnetManager) AttachTraps() {
 // sendTrap emits (or suppresses) a trap for an observed violation.
 func (m *SubnetManager) sendTrap(victim int, victimHCA *fabric.HCA, d *fabric.Delivery) {
 	k := trapKey{offender: d.Pkt.LRH.SLID, pkey: uint16(d.Pkt.BTH.PKey)}
-	if last, ok := m.trapSeen[k]; ok && m.sim.Now()-last < trapInterval {
+	now := m.sim.Now()
+	ts := m.trapState()
+	if now-ts.seenAt >= trapInterval {
+		ts.seen, ts.old = ts.old, ts.seen
+		clear(ts.seen)
+		ts.seenAt = now
+	}
+	last, ok := ts.seen[k]
+	if !ok {
+		last, ok = ts.old[k]
+	}
+	if ok && now-last < trapInterval {
 		m.Counters.Inc("traps_suppressed", 1)
 		return
 	}
-	m.trapSeen[k] = m.sim.Now()
+	ts.seen[k] = now
 	m.Counters.Inc("traps_sent", 1)
 
 	tr := trapMAD{Offender: d.Pkt.LRH.SLID, PKey: d.Pkt.BTH.PKey}
-	payload := encodeTrap(tr)
-
 	if victim == m.cfg.Node {
 		// Local violation: no fabric transit.
-		arrived := m.sim.Now()
-		m.sim.Schedule(0, func() { m.processTrap(tr, arrived) })
+		m.sim.ScheduleCall(0, (*trapProcess)(m), m.newTrapWork(tr, now), 0)
 		return
 	}
-	trap := victimHCA.Params().NewMAD(victimHCA.LID(), topology.LIDOf(m.cfg.Node), payload)
+	var payload [trapPayloadSize]byte
+	putTrap(payload[:], tr)
+	trap := victimHCA.Params().NewMAD(victimHCA.LID(), topology.LIDOf(m.cfg.Node), payload[:])
 	trap.Source = victimHCA.Name()
 	victimHCA.Send(trap)
 }
@@ -467,29 +492,67 @@ func (m *SubnetManager) HandleManagement(d *fabric.Delivery) bool {
 		start = m.busyUntil
 	}
 	m.busyUntil = start + processingDelay
-	m.sim.ScheduleAt(m.busyUntil, func() { m.processTrap(tr, arrived) })
+	m.sim.ScheduleCall(m.busyUntil-arrived, (*trapProcess)(m), m.newTrapWork(tr, arrived), 0)
 	return true
 }
 
-// processTrap applies the SIF registration after the configuration MAD
-// reaches the offender's ingress switch. arrived is when the trap reached
-// the SM, for registration-latency accounting.
-func (m *SubnetManager) processTrap(tr trapMAD, arrived sim.Time) {
-	offender, pk := tr.Offender, tr.PKey
-	node := m.mesh.NodeByLID(offender)
+// trapWork is one trap in flight through the SM: what it reports, when
+// it reached the SM (for registration-latency accounting) and, once
+// processed, the offender's ingress switch. The records are pooled, so
+// a trap allocates nothing once as many are in flight as ever were.
+type trapWork struct {
+	tr      trapMAD
+	arrived sim.Time
+	sw      *fabric.Switch
+}
+
+func (m *SubnetManager) newTrapWork(tr trapMAD, arrived sim.Time) *trapWork {
+	ts := m.trapState()
+	var w *trapWork
+	if n := len(ts.free); n > 0 {
+		w, ts.free = ts.free[n-1], ts.free[:n-1]
+	} else {
+		w = new(trapWork)
+	}
+	*w = trapWork{tr: tr, arrived: arrived}
+	return w
+}
+
+// doneTrap returns a finished trap's record for reuse.
+func (m *SubnetManager) doneTrap(w *trapWork) { m.traps.free = append(m.traps.free, w) }
+
+// trapProcess and trapRegister are a trap's two events at the SM: named
+// handler types over SubnetManager (see sim.Handler) whose operand is
+// the trap's record.
+type (
+	trapProcess  SubnetManager
+	trapRegister SubnetManager
+)
+
+// Fire applies the SIF registration after the configuration MAD reaches
+// the offender's ingress switch.
+func (h *trapProcess) Fire(arg any, _ uint64) {
+	m, w := (*SubnetManager)(h), arg.(*trapWork)
+	node := m.mesh.NodeByLID(w.tr.Offender)
 	if node < 0 {
 		m.Counters.Inc("traps_unlocatable", 1)
+		m.doneTrap(w)
 		return
 	}
 	if m.filter == nil || m.filter.Mode() != enforce.SIF {
+		m.doneTrap(w)
 		return
 	}
-	sw := m.mesh.SwitchOf(node)
-	m.sim.Schedule(registrationDelay, func() {
-		m.filter.RegisterInvalid(sw, pk)
-		m.Counters.Inc("sif_registrations", 1)
-		m.RegLatency.Add((m.sim.Now() - arrived).Microseconds())
-	})
+	w.sw = m.mesh.SwitchOf(node)
+	m.sim.ScheduleCall(registrationDelay, (*trapRegister)(m), w, 0)
+}
+
+func (h *trapRegister) Fire(arg any, _ uint64) {
+	m, w := (*SubnetManager)(h), arg.(*trapWork)
+	m.filter.RegisterInvalid(w.sw, w.tr.PKey)
+	m.Counters.Inc("sif_registrations", 1)
+	m.RegLatency.Add((m.sim.Now() - w.arrived).Microseconds())
+	m.doneTrap(w)
 }
 
 // DistributeEnvelopes exercises the full sealed distribution path for a

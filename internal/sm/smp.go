@@ -92,11 +92,10 @@ func parseTrap(pl []byte) (trapMAD, error) {
 	}, nil
 }
 
-// encodeTrap renders a trap payload; parseTrap(encodeTrap(t)) == t.
-func encodeTrap(t trapMAD) []byte {
-	pl := make([]byte, trapPayloadSize)
+// putTrap renders a trap payload into pl[:trapPayloadSize];
+// parseTrap(pl) then returns t.
+func putTrap(pl []byte, t trapMAD) {
 	pl[0] = trapTypePKeyViolation
 	binary.BigEndian.PutUint16(pl[1:3], uint16(t.Offender))
 	binary.BigEndian.PutUint16(pl[3:5], uint16(t.PKey))
-	return pl
 }

@@ -214,3 +214,18 @@ func TestMalformedSMPDroppedByNodeAgent(t *testing.T) {
 		t.Fatalf("smp_malformed = %d, want 1", got)
 	}
 }
+
+// encodeTrap renders a trap payload; parseTrap(encodeTrap(t)) == t.
+func encodeTrap(t trapMAD) []byte {
+	pl := make([]byte, trapPayloadSize)
+	putTrap(pl, t)
+	return pl
+}
+
+// encodeCensus renders a census payload; parseCensus(encodeCensus(typ, cm))
+// == cm.
+func encodeCensus(typ byte, cm censusMAD) []byte {
+	pl := make([]byte, censusPayloadSize)
+	putCensus(pl, typ, cm)
+	return pl
+}

@@ -77,11 +77,18 @@ type iteration struct {
 	l3k2  [4]byte         // L3 output whitening
 }
 
+// iters is the number of Toeplitz iterations derived: enough for the
+// longest tag (8 bytes), so one UMAC produces both Tag32 and Tag64.
+const iters = 2
+
 // UMAC holds the expanded subkeys for one 16-byte user key. It is safe for
-// concurrent use after New returns: all state is read-only.
+// concurrent use after New or SetKey returns: tagging only reads it.
 type UMAC struct {
-	iters []iteration
+	iters [iters]iteration
 	pdf   cipher.Block // AES under the PDF subkey
+	// kin and kout are the KDF's AES blocks. They cross the cipher.Block
+	// interface, so they live here rather than on SetKey's stack.
+	kin, kout [aes.BlockSize]byte
 }
 
 // Scratch holds the two AES blocks of one pad derivation. They cross the
@@ -93,23 +100,32 @@ type Scratch struct {
 	in, out [aes.BlockSize]byte
 }
 
-// New expands a 16-byte user key into UMAC subkeys. The maximum supported
-// tag length (8 bytes, two iterations) is always derived so the same value
-// can produce both Tag32 and Tag64.
+// New expands a 16-byte user key into UMAC subkeys.
 func New(key []byte) (*UMAC, error) {
+	u := new(UMAC)
+	if err := u.SetKey(key); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// SetKey expands a 16-byte user key into u's subkeys in place, replacing
+// whatever key u held; only the two AES key schedules (the KDF's and the
+// pad's) are allocated. The subkeys for the maximum tag length (8 bytes,
+// two iterations) are always derived.
+func (u *UMAC) SetKey(key []byte) error {
 	if len(key) != KeySize {
-		return nil, fmt.Errorf("umac: key must be %d bytes, got %d", KeySize, len(key))
+		return fmt.Errorf("umac: key must be %d bytes, got %d", KeySize, len(key))
 	}
 	kdfCipher, err := aes.NewCipher(key)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	const iters = 2
-	u := &UMAC{iters: make([]iteration, iters)}
+	var buf [l1BlockSize + (iters-1)*16]byte
 
 	// L1 keys: 1024 + (iters-1)*16 bytes; iteration i uses a 16-byte
 	// Toeplitz shift into the shared buffer.
-	l1buf := kdf(kdfCipher, 1, l1BlockSize+(iters-1)*16)
+	l1buf := u.kdf(kdfCipher, 1, buf[:])
 	for it := 0; it < iters; it++ {
 		for w := 0; w < nhWords; w++ {
 			u.iters[it].l1key[w] = binary.BigEndian.Uint32(l1buf[it*16+w*4:])
@@ -117,7 +133,7 @@ func New(key []byte) (*UMAC, error) {
 	}
 	// L2 keys: 24 bytes per iteration; only the first 8 (masked) feed
 	// POLY-64 in this implementation.
-	l2buf := kdf(kdfCipher, 2, 24*iters)
+	l2buf := u.kdf(kdfCipher, 2, buf[:24*iters])
 	for it := 0; it < iters; it++ {
 		u.iters[it].k64 = binary.BigEndian.Uint64(l2buf[24*it:]) & 0x01FFFFFF01FFFFFF
 		u.iters[it].k128 = u128{
@@ -127,36 +143,36 @@ func New(key []byte) (*UMAC, error) {
 	}
 	// L3 keys: 64 bytes of integer key + 4 bytes of whitening per
 	// iteration.
-	l3buf1 := kdf(kdfCipher, 3, 64*iters)
-	l3buf2 := kdf(kdfCipher, 4, 4*iters)
+	l3buf1 := u.kdf(kdfCipher, 3, buf[:64*iters])
 	for it := 0; it < iters; it++ {
 		for i := 0; i < 8; i++ {
 			u.iters[it].l3k1[i] = binary.BigEndian.Uint64(l3buf1[64*it+8*i:]) % p36
 		}
+	}
+	l3buf2 := u.kdf(kdfCipher, 4, buf[:4*iters])
+	for it := 0; it < iters; it++ {
 		copy(u.iters[it].l3k2[:], l3buf2[4*it:4*it+4])
 	}
 	// PDF key: a fresh AES key.
-	pdfKey := kdf(kdfCipher, 0, KeySize)
-	pdfCipher, err := aes.NewCipher(pdfKey)
+	pdfCipher, err := aes.NewCipher(u.kdf(kdfCipher, 0, buf[:KeySize]))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	u.pdf = pdfCipher
-	return u, nil
+	return nil
 }
 
-// kdf generates n pseudorandom bytes for the given key index by encrypting
-// (index_64 || counter_64) blocks under the user key.
-func kdf(block cipher.Block, index uint64, n int) []byte {
-	out := make([]byte, 0, (n+15)/16*16)
-	var in, enc [16]byte
-	binary.BigEndian.PutUint64(in[0:8], index)
-	for ctr := uint64(1); len(out) < n; ctr++ {
-		binary.BigEndian.PutUint64(in[8:16], ctr)
-		block.Encrypt(enc[:], in[:])
-		out = append(out, enc[:]...)
+// kdf fills out with pseudorandom bytes for the given key index by
+// encrypting (index_64 || counter_64) blocks under the user key, and
+// returns it.
+func (u *UMAC) kdf(block cipher.Block, index uint64, out []byte) []byte {
+	binary.BigEndian.PutUint64(u.kin[0:8], index)
+	for off, ctr := 0, uint64(1); off < len(out); off, ctr = off+aes.BlockSize, ctr+1 {
+		binary.BigEndian.PutUint64(u.kin[8:16], ctr)
+		block.Encrypt(u.kout[:], u.kin[:])
+		copy(out[off:], u.kout[:])
 	}
-	return out[:n]
+	return out
 }
 
 // Tag32 computes the 4-byte UMAC-32 tag of msg under the given 8-byte

@@ -175,10 +175,16 @@ type Attacker struct {
 	// (the classic behaviour); the congestion experiment sweeps it.
 	Rate float64
 
-	gen  *Generator
 	rng  *rand.Rand
 	s    *sim.Simulator
 	done bool
+	// The burst in flight, one for the attacker's life: whether it is
+	// on, its packet spacing and on-time, its pending packet event and
+	// the packets it sent.
+	active bool
+	iv, on sim.Time
+	tick   sim.Event
+	sent   uint64
 	// Bursts counts attack windows started.
 	Bursts uint64
 }
@@ -206,55 +212,84 @@ func (a *Attacker) lineInterval() sim.Time {
 }
 
 func (a *Attacker) scheduleBurst(after sim.Time) {
-	a.s.Schedule(after, func() {
-		if a.done {
-			return
-		}
-		a.Bursts++
-		iv := a.lineInterval()
-		if a.Rate > 0 && a.Rate < 1 {
-			iv = sim.Time(float64(iv) / a.Rate)
-		}
-		gen := &Generator{}
-		gen.stop = a.s.Every(iv, func() {
-			gen.Sent++
-			dst := a.Targets[a.rng.Intn(len(a.Targets))]
-			pk := a.FixedPKey
-			if pk == 0 {
-				pk = packet.PKey(a.rng.Intn(1 << 16))
-			}
-			a.Sender.SendPKey(dst, a.Size, pk)
-		})
-		a.gen = gen
-		if a.DutyCycle >= 1 {
-			return // continuous attack, no off period
-		}
-		on := sim.Time(float64(a.Cycle) * a.DutyCycle)
-		a.s.Schedule(on, func() {
-			gen.Stop()
-			if !a.done {
-				a.scheduleBurst(a.Cycle - on)
-			}
-		})
-	})
+	a.s.ScheduleCall(after, (*burstOn)(a), nil, 0)
+}
+
+// burstOn, burstOff and attackSend are an attacker's events: named
+// handler types over Attacker (see sim.Handler), so a burst schedules
+// the same events a fresh generator per burst would and allocates
+// nothing.
+type (
+	burstOn    Attacker
+	burstOff   Attacker
+	attackSend Attacker
+)
+
+// Fire starts a burst: packets every iv from now on and, under a duty
+// cycle, the burst's end.
+func (h *burstOn) Fire(any, uint64) {
+	a := (*Attacker)(h)
+	if a.done {
+		return
+	}
+	a.Bursts++
+	a.iv = a.lineInterval()
+	if a.Rate > 0 && a.Rate < 1 {
+		a.iv = sim.Time(float64(a.iv) / a.Rate)
+	}
+	a.active, a.sent = true, 0
+	a.tick = a.s.ScheduleCall(a.iv, (*attackSend)(a), nil, 0)
+	if a.DutyCycle >= 1 {
+		return // continuous attack, no off period
+	}
+	a.on = sim.Time(float64(a.Cycle) * a.DutyCycle)
+	a.s.ScheduleCall(a.on, (*burstOff)(a), nil, 0)
+}
+
+// Fire ends a burst and schedules the next.
+func (h *burstOff) Fire(any, uint64) {
+	a := (*Attacker)(h)
+	a.stopBurst()
+	if !a.done {
+		a.scheduleBurst(a.Cycle - a.on)
+	}
+}
+
+// Fire sends one attack packet and schedules the next.
+func (h *attackSend) Fire(any, uint64) {
+	a := (*Attacker)(h)
+	if !a.active {
+		return
+	}
+	a.sent++
+	dst := a.Targets[a.rng.Intn(len(a.Targets))]
+	pk := a.FixedPKey
+	if pk == 0 {
+		pk = packet.PKey(a.rng.Intn(1 << 16))
+	}
+	a.Sender.SendPKey(dst, a.Size, pk)
+	if a.active {
+		a.tick = a.s.ScheduleCall(a.iv, (*attackSend)(a), nil, 0)
+	}
+}
+
+// stopBurst cancels the burst's pending packet. Idempotent.
+func (a *Attacker) stopBurst() {
+	if a.active {
+		a.active = false
+		a.s.Cancel(a.tick)
+	}
 }
 
 // Stop halts the attacker permanently.
 func (a *Attacker) Stop() {
 	a.done = true
-	if a.gen != nil {
-		a.gen.Stop()
-	}
+	a.stopBurst()
 }
 
 // Sent returns the number of attack packets emitted in the current or
-// last burst generator. For total volume use the HCA counters.
-func (a *Attacker) Sent() uint64 {
-	if a.gen == nil {
-		return 0
-	}
-	return a.gen.Sent
-}
+// last burst. For total volume use the HCA counters.
+func (a *Attacker) Sent() uint64 { return a.sent }
 
 // PoissonMeanCheck is a helper for tests: the expected packets for a
 // Poisson source over horizon at the given rate and size.

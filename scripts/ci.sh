@@ -68,6 +68,7 @@ icrc      FuzzPatchPayload
 sm        FuzzMADParse
 sm        FuzzSMPTransit
 sm        FuzzMADDispatch
+sm        FuzzResweep
 transport FuzzGSI
 policy    FuzzUnmarshal
 keys      FuzzPartitionTable
