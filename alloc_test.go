@@ -15,8 +15,9 @@ import (
 // a tier-1 failure. A run sends about 350 packets and, with the SM
 // planes on, several hundred MADs, none of which allocates in steady
 // state (message blocks and their images are recycled; DESIGN §8) — what
-// a row counts is set-up, the free list growing to the run's peak of
-// messages in flight, and each plane's start; after it nothing periodic
+// a row counts is set-up (sized once from the fabric), the slabs the
+// message free list and the lanes' first rings carve from as they grow
+// to the run's peak, and each plane's start; after it nothing periodic
 // allocates (TestSteadyStateAllocs holds that per plane). So one
 // more allocation per packet or per MAD anywhere on the path exceeds
 // the headroom of every row, and sm.TestSMPTransitAllocs holds the SMP
@@ -35,10 +36,10 @@ func TestRunAllocBudget(t *testing.T) {
 		enable   func(*Config)           // nil: every feature off
 		engaged  func(res *Results) bool // nil: delivering is enough
 	}{
-		{name: "plain", measured: 320},
+		{name: "plain", measured: 177},
 		{
 			// UMAC-32 tags in the ICRC field, partition-level keys.
-			name: "auth", measured: 439,
+			name: "auth", measured: 302,
 			enable: func(cfg *Config) {
 				cfg.Auth = AuthConfig{Enabled: true, FuncID: AuthUMAC32, Level: PartitionLevel}
 			},
@@ -47,7 +48,7 @@ func TestRunAllocBudget(t *testing.T) {
 		{
 			// The Congestion Control Annex under a line-rate incast flood:
 			// FECN marking, CNP reflection and CCT throttling all run.
-			name: "congestion", measured: 549,
+			name: "congestion", measured: 224,
 			enable: func(cfg *Config) {
 				cfg.Congestion = DefaultCCParams()
 				cfg.Attackers = 1
@@ -61,7 +62,7 @@ func TestRunAllocBudget(t *testing.T) {
 		{
 			// The performance manager at a short sweep period: PortCounters
 			// Get MADs over VL15 on every watched link, scoring, trap arming.
-			name: "health", measured: 407,
+			name: "health", measured: 230,
 			enable: func(cfg *Config) {
 				cfg.Health = HealthParams{SweepPeriod: 40 * Microsecond, TrapThreshold: 6, Damping: true}
 			},
@@ -75,7 +76,7 @@ func TestRunAllocBudget(t *testing.T) {
 			// and the one reroute the composed planes make of a fault-free
 			// fabric (ROADMAP item 2), whose configure pass builds its
 			// maps and one callback per Set.
-			name: "all-planes", measured: 750,
+			name: "all-planes", measured: 607,
 			enable: func(cfg *Config) {
 				cfg.BestEffortLoad = 0.1
 				cfg.Enforcement = SIF

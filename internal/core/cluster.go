@@ -123,10 +123,9 @@ type Cluster struct {
 	Mesh      *topology.Mesh
 	Filter    *enforce.Filter
 	SM        *sm.SubnetManager
-	Endpoints []*transport.Endpoint  // nil entries when auth is off
-	PKeyOf    []packet.PKey          // node -> its primary partition P_Key
-	Partners  [][]int                // node -> same-partition peers (deduped)
-	PairPKey  map[[2]int]packet.PKey // (src,dst) -> shared partition key
+	Endpoints []*transport.Endpoint // nil entries when auth is off
+	PKeyOf    []packet.PKey         // node -> its primary partition P_Key
+	Partners  [][]int               // node -> same-partition peers (deduped)
 	AttackSet map[int]bool
 	Rng       *rand.Rand
 	// Trace is the packet-lifecycle recorder, non-nil when
@@ -172,6 +171,10 @@ type Cluster struct {
 	// from it.
 	IslandRotators map[*sm.SubnetManager]*sm.Rotator
 
+	// pairs is the dense n×n shared-partition table behind PairPKey: row
+	// a, column b holds the P_Key of the first partition a and b share,
+	// 0 where they share none.
+	pairs      []packet.PKey
 	res        *Results
 	healEvents []sm.HealEvent
 	// rngSplit feeds authority forks at contained takeovers — its own
@@ -208,9 +211,9 @@ func Build(cfg Config) (*Cluster, error) {
 	// Three independent streams so that enabling authentication (which
 	// consumes crypto randomness) cannot change partition grouping,
 	// attacker placement, or traffic arrival times — experiment arms
-	// must differ only in the mechanism under test.
+	// must differ only in the mechanism under test. Authentication is
+	// the crypto stream's only consumer, so it is seeded only then.
 	rngSetup := rand.New(rand.NewSource(cfg.Seed))
-	rngCrypto := rand.New(rand.NewSource(cfg.Seed ^ 0x5EC0DE))
 	rngTraffic := rand.New(rand.NewSource(cfg.Seed ^ 0x7AFF1C))
 	// Each cluster owns a copy of the params: sweep points running
 	// concurrently share the base config's value, and the fabric's message
@@ -255,7 +258,7 @@ func Build(cfg Config) (*Cluster, error) {
 		Endpoints: make([]*transport.Endpoint, n),
 		PKeyOf:    make([]packet.PKey, n),
 		Partners:  make([][]int, n),
-		PairPKey:  make(map[[2]int]packet.PKey),
+		pairs:     make([]packet.PKey, n*n),
 		AttackSet: make(map[int]bool),
 		Rng:       rngTraffic,
 		Trace:     ring,
@@ -267,40 +270,13 @@ func Build(cfg Config) (*Cluster, error) {
 		cl.rngSplit = rand.New(rand.NewSource(cfg.Seed ^ 0x5B117B))
 	}
 
-	// Random partitioning: shuffle nodes, slice into NumPartitions
-	// groups (section 3.1). With PartitionsPerNode > 1 each node also
-	// joins extra random groups (Table 2's p).
-	order := rngSetup.Perm(n)
-	groups := make([][]int, cfg.NumPartitions)
-	primary := make([]int, n)
-	for i, node := range order {
-		g := i % cfg.NumPartitions
-		groups[g] = append(groups[g], node)
-		primary[node] = g
-	}
-	perNode := cfg.PartitionsPerNode
-	if perNode < 1 {
-		perNode = 1
-	}
-	for node := 0; node < n; node++ {
-		if perNode == 1 {
-			break
-		}
-		joined := map[int]bool{primary[node]: true}
-		for len(joined) < perNode {
-			g := rngSetup.Intn(cfg.NumPartitions)
-			if joined[g] {
-				continue
-			}
-			joined[g] = true
-			groups[g] = append(groups[g], node)
-		}
-	}
+	groups, primary := partitionGroups(&cfg, rngSetup, n)
 
 	// Key-management scaffolding.
 	var dir *keys.Directory
 	kps := make([]*keys.NodeKeyPair, n)
 	if cfg.Auth.Enabled {
+		rngCrypto := rand.New(rand.NewSource(cfg.Seed ^ 0x5EC0DE))
 		dir = keys.NewDirectory()
 		if cfg.Auth.Level == transport.QPLevel {
 			for i := 0; i < n; i++ {
@@ -355,11 +331,12 @@ func Build(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	// Create the partitions through the SM. Partners lists each peer
-	// once, under the first partition the pair shares; PKeyOf holds the
-	// node's primary partition key. Under the policy plane the same
-	// grouping is expressed as a declarative document and programmed
-	// from its compiled intent instead of imperative calls.
+	// Create the partitions through the SM. The pair table records each
+	// pair under the first partition it shares; PKeyOf holds the node's
+	// primary partition key. Under the policy plane the same grouping is
+	// expressed as a declarative document and programmed from its
+	// compiled intent instead of imperative calls.
+	partners := make([]int, n) // each node's partner count
 	for g, members := range groups {
 		pk := packet.PKey(0x8000 | uint16(g+1))
 		if !cfg.Policy.Enabled {
@@ -368,18 +345,16 @@ func Build(cfg Config) (*Cluster, error) {
 			}
 		}
 		for _, node := range members {
+			row := cl.pairRow(node)
 			for _, peer := range members {
-				if peer == node {
-					continue
-				}
-				key := [2]int{node, peer}
-				if _, dup := cl.PairPKey[key]; !dup {
-					cl.PairPKey[key] = pk
-					cl.Partners[node] = append(cl.Partners[node], peer)
+				if peer != node && row[peer] == 0 {
+					row[peer] = pk
+					partners[node]++
 				}
 			}
 		}
 	}
+	cl.fillPartners(groups, partners)
 	for node := 0; node < n; node++ {
 		cl.PKeyOf[node] = packet.PKey(0x8000 | uint16(primary[node]+1))
 	}
@@ -462,6 +437,77 @@ func Build(cfg Config) (*Cluster, error) {
 		cl.Rotator = r
 	}
 	return cl, nil
+}
+
+// partitionGroups draws the random partitioning: shuffle the nodes and
+// slice them into NumPartitions groups (section 3.1); with
+// PartitionsPerNode > 1 each node also joins extra random groups (Table
+// 2's p). primary is each node's first group.
+func partitionGroups(cfg *Config, rng *rand.Rand, n int) (groups [][]int, primary []int) {
+	order := rng.Perm(n)
+	groups = make([][]int, cfg.NumPartitions)
+	primary = make([]int, n)
+	for i, node := range order {
+		g := i % cfg.NumPartitions
+		groups[g] = append(groups[g], node)
+		primary[node] = g
+	}
+	perNode := max(cfg.PartitionsPerNode, 1)
+	if perNode == 1 {
+		return groups, primary
+	}
+	joined := make([]bool, cfg.NumPartitions)
+	for node := 0; node < n; node++ {
+		clear(joined)
+		joined[primary[node]] = true
+		for k := 1; k < perNode; {
+			g := rng.Intn(cfg.NumPartitions)
+			if joined[g] {
+				continue
+			}
+			joined[g] = true
+			groups[g] = append(groups[g], node)
+			k++
+		}
+	}
+	return groups, primary
+}
+
+// fillPartners lists each node's peers once, in the order the groups
+// first pair them — group by group, members in group order — as windows
+// of one slab sized by the per-node counts.
+func (cl *Cluster) fillPartners(groups [][]int, counts []int) {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	slab := make([]int, total)
+	for node, c := range counts {
+		cl.Partners[node], slab = slab[:0:c], slab[c:]
+	}
+	for g, members := range groups {
+		pk := packet.PKey(0x8000 | uint16(g+1))
+		for _, node := range members {
+			row := cl.pairRow(node)
+			for _, peer := range members {
+				// A pair two groups share was recorded under the first.
+				if peer != node && row[peer] == pk {
+					cl.Partners[node] = append(cl.Partners[node], peer)
+				}
+			}
+		}
+	}
+}
+
+// PairPKey returns the P_Key of the first partition nodes a and b share,
+// or 0 when they share none.
+func (cl *Cluster) PairPKey(a, b int) packet.PKey { return cl.pairRow(a)[b] }
+
+// pairRow returns node's row of the pair table: column b is
+// PairPKey(node, b).
+func (cl *Cluster) pairRow(node int) []packet.PKey {
+	n := len(cl.PKeyOf)
+	return cl.pairs[node*n : (node+1)*n]
 }
 
 // policyDocument expresses the run's random partition grouping as a
@@ -824,11 +870,8 @@ func (cl *Cluster) senders(node int, targets []int) (rt, be workload.SendFunc) {
 	cfg := cl.Cfg
 	if !cfg.Auth.Enabled {
 		// The partition each pair shares (relevant when nodes join
-		// several partitions), resolved once: Build fixes PairPKey.
-		pairPKey := make([]packet.PKey, len(cl.Mesh.HCAs))
-		for dst := range pairPKey {
-			pairPKey[dst] = cl.PairPKey[[2]int{node, dst}]
-		}
+		// several partitions): the node's row of the pair table.
+		pairPKey := cl.pairRow(node)
 		mk := func(class fabric.Class) workload.SendFunc {
 			sender := &workload.RawUDSender{
 				HCA:   cl.Mesh.HCA(node),

@@ -545,8 +545,8 @@ func TestMultiPartitionMembership(t *testing.T) {
 		// Every partner pair must have a recorded shared key that the
 		// partner's table accepts.
 		for _, p := range cl.Partners[i] {
-			pk, ok := cl.PairPKey[[2]int{i, p}]
-			if !ok {
+			pk := cl.PairPKey(i, p)
+			if pk == 0 {
 				t.Fatalf("pair (%d,%d) has no shared P_Key", i, p)
 			}
 			if !cl.Mesh.HCA(p).PKeyTable.Check(pk) {

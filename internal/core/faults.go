@@ -225,19 +225,20 @@ type rcPair struct{ a, b, dist int }
 // link-disjoint from the X-then-Y primary and killing the primary's
 // first hop cannot touch it.
 func rcPairs(cl *Cluster, max int, bothDims bool) []rcPair {
-	w := cl.Cfg.MeshW
+	w, n := cl.Cfg.MeshW, len(cl.PKeyOf)
 	var pairs []rcPair
-	for key := range cl.PairPKey {
-		a, b := key[0], key[1]
-		if a >= b {
-			continue
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if cl.PairPKey(a, b) == 0 {
+				continue
+			}
+			ax, ay := a%w, a/w
+			bx, by := b%w, b/w
+			if bothDims && (ax == bx || ay == by) {
+				continue // primary and alternate would share links
+			}
+			pairs = append(pairs, rcPair{a, b, abs(ax-bx) + abs(ay-by)})
 		}
-		ax, ay := a%w, a/w
-		bx, by := b%w, b/w
-		if bothDims && (ax == bx || ay == by) {
-			continue // primary and alternate would share links
-		}
-		pairs = append(pairs, rcPair{a, b, abs(ax-bx) + abs(ay-by)})
 	}
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].dist != pairs[j].dist {
@@ -278,7 +279,7 @@ func armRCProbes(cl *Cluster, pairs []rcPair, tcfg transport.Config, altPath fun
 
 	var probes []*rcProbe
 	for _, pr := range pairs {
-		pk := cl.PairPKey[[2]int{pr.a, pr.b}]
+		pk := cl.PairPKey(pr.a, pr.b)
 		epA, epB := endpoint(pr.a), endpoint(pr.b)
 		qpA := epA.CreateRCQP(pk)
 		qpB := epB.CreateRCQP(pk)

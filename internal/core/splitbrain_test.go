@@ -168,7 +168,7 @@ func TestSplitBrainEpochReconciliation(t *testing.T) {
 		src, dst, pk, found := 0, 0, packet.PKey(0), false
 		for a := 0; a < nodes && !found; a++ {
 			for b := 0; b < nodes && !found; b++ {
-				if p, ok := cl.PairPKey[[2]int{a, b}]; ok {
+				if p := cl.PairPKey(a, b); p != 0 {
 					if _, dead := loser[p]; dead {
 						src, dst, pk, found = a, b, p, true
 					}

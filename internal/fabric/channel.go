@@ -228,9 +228,14 @@ func (r *ticketRing) clear() { r.next, r.fill = 0, 0 }
 // The occupancy mask is sixteen bits, one per lane.
 var _ = [1]struct{}{}[NumVLs-16]
 
-// push queues d on a lane.
+// push queues d on a lane. A lane's first ring comes from the fabric's
+// slab (Params.firstRing); a full one doubles on its own.
 func (c *outChannel) push(vl uint8, d *Delivery) {
-	c.queues[vl].push(d)
+	q := &c.queues[vl]
+	if q.ring == nil {
+		q.ring = c.params.firstRing()
+	}
+	q.push(d)
 	c.occupied |= 1 << vl
 }
 
@@ -246,16 +251,43 @@ func (c *outChannel) pop(vl uint8) *Delivery {
 
 // Connect wires port pa of device a to port pb of device b with a
 // full-duplex link using the given parameters; s drives both
-// directions. Ports are created lazily; reconnecting a port panics.
+// directions. Reconnecting a port panics. A fabric of many links wires
+// them through one Links instead.
 func Connect(s *sim.Simulator, params *Params, a Device, pa int, b Device, pb int) {
+	NewLinks(s, params, 1).Connect(a, pa, b, pb)
+}
+
+// Links wires a fabric's links. It validates the parameters once and
+// draws each link's two channels from one slab sized to the link count
+// it was made for.
+type Links struct {
+	sim    *sim.Simulator
+	params *Params
+	chans  []outChannel // the channels not yet wired
+}
+
+// NewLinks returns a Links for n links over params, which it validates
+// (panicking on an invalid set, like Connect).
+func NewLinks(s *sim.Simulator, params *Params, n int) *Links {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
-	ach := &outChannel{sim: s, params: params, peer: b, peerIn: pb, ownerName: a.Name()}
-	bch := &outChannel{sim: s, params: params, peer: a, peerIn: pa, ownerName: b.Name()}
+	params.slabs().channels += 2 * n
+	return &Links{sim: s, params: params, chans: make([]outChannel, 2*n)}
+}
+
+// Connect wires port pa of device a to port pb of device b.
+func (l *Links) Connect(a Device, pa int, b Device, pb int) {
+	if len(l.chans) < 2 {
+		panic(fmt.Sprintf("fabric: wiring %s to %s: more links than NewLinks was sized for", a.Name(), b.Name()))
+	}
+	ach, bch := &l.chans[0], &l.chans[1]
+	l.chans = l.chans[2:]
+	*ach = outChannel{sim: l.sim, params: l.params, peer: b, peerIn: pb, ownerName: a.Name()}
+	*bch = outChannel{sim: l.sim, params: l.params, peer: a, peerIn: pa, ownerName: b.Name()}
 	for vl := 0; vl < NumVLs; vl++ {
-		ach.credits[vl] = params.CreditsPerVL
-		bch.credits[vl] = params.CreditsPerVL
+		ach.credits[vl] = l.params.CreditsPerVL
+		bch.credits[vl] = l.params.CreditsPerVL
 	}
 	bindPort(a, pa, ach)
 	bindPort(b, pb, bch)

@@ -49,9 +49,8 @@ func sendUD(t *testing.T, h *HCA, dlid packet.LID, pk packet.PKey, class Class, 
 	t.Helper()
 	d := h.Params().NewMessage(class,
 		packet.LRH{SLID: h.LID(), DLID: dlid},
-		packet.BTH{OpCode: packet.UDSendOnly, PKey: pk, DestQP: 1, PSN: psn})
+		packet.BTH{OpCode: packet.UDSendOnly, PKey: pk, DestQP: 1, PSN: psn}, size)
 	*d.Pkt.DETH = packet.DETH{QKey: 1, SrcQP: 1}
-	d.Pkt.AllocPayload(size)
 	if err := icrc.Seal(d.Pkt); err != nil {
 		t.Fatal(err)
 	}
@@ -266,9 +265,9 @@ func TestICRCDropReleasesMessage(t *testing.T) {
 	_, hcas := chain(s, params, 2)
 	hcas[1].OnDeliver = func(*Delivery) { t.Fatal("delivered a packet whose ICRC is wrong") }
 	d := params.NewMessage(ClassBestEffort,
-		packet.LRH{SLID: 1, DLID: 2}, packet.BTH{OpCode: packet.UDSendOnly, PKey: goodPKey, DestQP: 1})
+		packet.LRH{SLID: 1, DLID: 2}, packet.BTH{OpCode: packet.UDSendOnly, PKey: goodPKey, DestQP: 1}, 64)
 	*d.Pkt.DETH = packet.DETH{QKey: 1, SrcQP: 1}
-	d.Pkt.AllocPayload(64)[5] = 0x5A
+	d.Pkt.Payload[5] = 0x5A
 	if err := icrc.Seal(d.Pkt); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +306,7 @@ func TestReleaseTwicePanics(t *testing.T) {
 func TestDiscardReturnsBlock(t *testing.T) {
 	params := DefaultParams()
 	draw := func() *Delivery {
-		return params.NewMessage(ClassBestEffort, packet.LRH{SLID: 1, DLID: 2}, packet.BTH{OpCode: packet.UDSendOnly})
+		return params.NewMessage(ClassBestEffort, packet.LRH{SLID: 1, DLID: 2}, packet.BTH{OpCode: packet.UDSendOnly}, 0)
 	}
 	d := draw()
 	params.Discard(d)
@@ -404,12 +403,12 @@ func TestPropertyConservationAcrossLinkDownUp(t *testing.T) {
 			}
 		}
 		for i, sw := range sws {
-			for pi, port := range sw.ports {
-				check(fmt.Sprintf("sw%d port %d", i, pi), port)
+			for pi := range sw.ports {
+				check(fmt.Sprintf("sw%d port %d", i, pi), &sw.ports[pi])
 			}
 		}
 		for i, h := range hcas {
-			check(fmt.Sprintf("hca%d", i), h.port)
+			check(fmt.Sprintf("hca%d", i), &h.port)
 		}
 	}
 	if seen["switch down"] == 0 {

@@ -20,7 +20,7 @@ type HCA struct {
 	lid    packet.LID
 	sim    *sim.Simulator
 	params *Params
-	port   *Port
+	port   Port
 
 	// PKeyTable is the HCA's partition table; every arriving data
 	// packet is checked against it.
@@ -80,19 +80,35 @@ type SMI interface {
 
 // NewHCA creates an HCA with the given LID.
 func NewHCA(s *sim.Simulator, params *Params, name string, lid packet.LID) *HCA {
-	h := &HCA{
-		name:      name,
-		lid:       lid,
-		sim:       s,
-		params:    params,
-		PKeyTable: keys.NewPartitionTable(0),
-		Counters:  metrics.NewCounters(),
-	}
-	h.sent = h.Counters.Counter("sent")
-	h.delivered = h.Counters.Counter("delivered")
-	h.altLIDArrivals = h.Counters.Counter("alt_lid_arrivals")
-	h.port = &Port{owner: h, id: 0}
+	h := NewHCAs(s, params, 1, func(int) string { return name })[0]
+	h.lid = lid
 	return h
+}
+
+// NewHCAs creates a fabric's n HCAs, named by name(i), with no LID yet.
+// The HCAs and their partition tables are one allocation per kind, not
+// one per object.
+func NewHCAs(s *sim.Simulator, params *Params, n int, name func(i int) string) []*HCA {
+	hcas := make([]HCA, n)
+	tables := make([]keys.PartitionTable, n)
+	out := make([]*HCA, n)
+	for i := range hcas {
+		h := &hcas[i]
+		tables[i] = *keys.NewPartitionTable(0)
+		*h = HCA{
+			name:      name(i),
+			sim:       s,
+			params:    params,
+			PKeyTable: &tables[i],
+			Counters:  metrics.NewCounters(),
+		}
+		h.sent = h.Counters.Counter("sent")
+		h.delivered = h.Counters.Counter("delivered")
+		h.altLIDArrivals = h.Counters.Counter("alt_lid_arrivals")
+		h.port = Port{owner: h, id: 0}
+		out[i] = h
+	}
+	return out
 }
 
 // bump adds one to a counter through its handle, resolving the handle on
@@ -366,7 +382,7 @@ func (h *HCA) CCTIndex() int {
 func (h *HCA) sendCNP(orig *Delivery) {
 	d := h.params.NewMessage(ClassBestEffort,
 		packet.LRH{LNH: packet.LNHIBALocal, DLID: orig.Pkt.LRH.SLID, SLID: h.lid},
-		packet.BTH{OpCode: packet.CNPNotify, PKey: orig.Pkt.BTH.PKey, BECN: true})
+		packet.BTH{OpCode: packet.CNPNotify, PKey: orig.Pkt.BTH.PKey, BECN: true}, 0)
 	if err := icrc.Seal(d.Pkt); err != nil {
 		panic(fmt.Sprintf("fabric: sealing CNP: %v", err))
 	}

@@ -69,7 +69,7 @@ func (passFilter) Inspect(*fabric.Switch, int, bool, *fabric.Delivery) (bool, si
 // fabric's free list, as every sender in the repository does.
 func (m *hopMesh) send(src int) {
 	h := m.mesh.HCA(src)
-	d := h.Params().NewMessage(fabric.ClassBestEffort, packet.LRH{}, packet.BTH{})
+	d := h.Params().NewMessage(fabric.ClassBestEffort, packet.LRH{}, packet.BTH{}, 0)
 	d.Pkt = m.pkts[src]
 	h.Send(d)
 }

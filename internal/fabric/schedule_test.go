@@ -124,8 +124,8 @@ func linkScheduleRun(t *testing.T, seed int64, knobs byte, eager bool) *linkRun 
 
 	var chans []*outChannel
 	for _, sw := range sws {
-		for _, p := range sw.ports {
-			if p.Connected() {
+		for i := range sw.ports {
+			if p := &sw.ports[i]; p.Connected() {
 				chans = append(chans, p.out)
 			}
 		}
@@ -140,16 +140,16 @@ func linkScheduleRun(t *testing.T, seed int64, knobs byte, eager bool) *linkRun 
 	psn := uint32(0)
 	send := func(h *HCA) {
 		dst := packet.LID(1 + rng.Intn(len(hcas)))
-		d := params.NewMessage(ClassBestEffort, packet.LRH{SLID: h.LID(), DLID: dst},
-			packet.BTH{OpCode: packet.UDSendOnly, PKey: goodPKey, DestQP: 1, PSN: psn})
-		psn++
-		d.VL = uint8(rng.Intn(4))
-		*d.Pkt.DETH = packet.DETH{QKey: 1, SrcQP: 1}
+		vl := uint8(rng.Intn(4))
 		size := 64
 		if knobs&32 == 0 {
 			size = rng.Intn(1024)
 		}
-		d.Pkt.AllocPayload(size)
+		d := params.NewMessage(ClassBestEffort, packet.LRH{SLID: h.LID(), DLID: dst},
+			packet.BTH{OpCode: packet.UDSendOnly, PKey: goodPKey, DestQP: 1, PSN: psn}, size)
+		psn++
+		d.VL = vl
+		*d.Pkt.DETH = packet.DETH{QKey: 1, SrcQP: 1}
 		if err := icrc.Seal(d.Pkt); err != nil {
 			t.Fatal(err)
 		}

@@ -41,13 +41,13 @@ type Switch struct {
 	name    string
 	sim     *sim.Simulator
 	params  *Params
-	ports   []*Port
+	ports   []Port
 	ingress []bool // per port: directly connected to an end node
 	// fwd is the linear forwarding table: out-port + 1 indexed by LID,
-	// zero meaning no route. It grows on demand to the highest LID
-	// routed, so a mesh using only base LIDs stays at a few dozen bytes
-	// and one using APM alternate LIDs (0x1000 up) at 8 KiB; the bound
-	// is 128 KiB at LID 0xFFFF.
+	// zero meaning no route. NewSwitches sizes it once to the fabric's
+	// LIDs; it grows on demand past them, so a mesh using APM alternate
+	// LIDs (0x1000 up) reaches 8 KiB, and the bound is 128 KiB at LID
+	// 0xFFFF.
 	fwd    []uint16
 	filter Filter
 	madh   MADHandler
@@ -78,21 +78,40 @@ type Switch struct {
 
 // NewSwitch creates a switch with nports ports.
 func NewSwitch(s *sim.Simulator, params *Params, name string, nports int) *Switch {
-	sw := &Switch{
-		name:     name,
-		sim:      s,
-		params:   params,
-		ports:    make([]*Port, nports),
-		ingress:  make([]bool, nports),
-		Counters: metrics.NewCounters(),
+	return NewSwitches(s, params, 1, nports, 0, func(int) string { return name })[0]
+}
+
+// NewSwitches creates a fabric's n switches of nports ports each, named
+// by name(i), with each linear forwarding table sized for the LIDs below
+// lids. The switches, their ports, ingress marks and forwarding tables
+// are one allocation per kind, not one per object, so a fabric's set-up
+// cost grows with its size, not its object count.
+func NewSwitches(s *sim.Simulator, params *Params, n, nports, lids int, name func(i int) string) []*Switch {
+	sws := make([]Switch, n)
+	out := make([]*Switch, n)
+	ports := make([]Port, n*nports)
+	ingress := make([]bool, n*nports)
+	fwd := make([]uint16, n*lids)
+	for i := range sws {
+		sw := &sws[i]
+		*sw = Switch{
+			name:     name(i),
+			sim:      s,
+			params:   params,
+			ports:    ports[i*nports : (i+1)*nports : (i+1)*nports],
+			ingress:  ingress[i*nports : (i+1)*nports : (i+1)*nports],
+			fwd:      fwd[i*lids : (i+1)*lids : (i+1)*lids],
+			Counters: metrics.NewCounters(),
+		}
+		sw.forwarded = sw.Counters.Counter("forwarded")
+		sw.drForwarded = sw.Counters.Counter("dr_forwarded")
+		sw.filtered = sw.Counters.Counter("filtered")
+		for j := range sw.ports {
+			sw.ports[j] = Port{owner: sw, id: j}
+		}
+		out[i] = sw
 	}
-	sw.forwarded = sw.Counters.Counter("forwarded")
-	sw.drForwarded = sw.Counters.Counter("dr_forwarded")
-	sw.filtered = sw.Counters.Counter("filtered")
-	for i := range sw.ports {
-		sw.ports[i] = &Port{owner: sw, id: i}
-	}
-	return sw
+	return out
 }
 
 // Name returns the switch's name.
@@ -180,9 +199,9 @@ func (sw *Switch) SetDown(down bool) {
 	if down {
 		clear(sw.fwd)
 	}
-	for _, p := range sw.ports {
-		if p.out != nil {
-			p.out.setDown(down)
+	for i := range sw.ports {
+		if ch := sw.ports[i].out; ch != nil {
+			ch.setDown(down)
 		}
 	}
 }
@@ -225,9 +244,9 @@ func (sw *Switch) HOQDropped() uint64 {
 // turns marking off. Applies to ports connected later too.
 func (sw *Switch) SetCongestionControl(markingThreshold int) {
 	sw.ccThreshold = markingThreshold
-	for _, p := range sw.ports {
-		if p.out != nil {
-			p.out.ccThreshold = markingThreshold
+	for i := range sw.ports {
+		if ch := sw.ports[i].out; ch != nil {
+			ch.ccThreshold = markingThreshold
 		}
 	}
 }
@@ -305,8 +324,8 @@ func (sw *Switch) ClearPortBER(port int) {
 func (sw *Switch) SetHealthTrap(threshold uint64, fn func(sw *Switch, port int)) {
 	sw.trapThreshold = threshold
 	sw.onHealthTrap = fn
-	for _, p := range sw.ports {
-		p.trapArmed = threshold > 0 && fn != nil
+	for i := range sw.ports {
+		sw.ports[i].trapArmed = threshold > 0 && fn != nil
 	}
 }
 

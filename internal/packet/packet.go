@@ -122,7 +122,7 @@ func (p *Packet) AllocPayload(n int) []byte {
 	}
 	hs := p.HeaderSize()
 	p.BTH.PadCnt = uint8(payloadPad(n))
-	size := hs + n + int(p.BTH.PadCnt) + ICRCSize + VCRCSize
+	size := hs + n + int(p.BTH.PadCnt) + ICRCSize + VCRCSize // ImageSize(n)
 	if cap(p.img) >= size {
 		p.img = p.img[:size]
 		clear(p.img[hs : hs+n])
@@ -133,6 +133,22 @@ func (p *Packet) AllocPayload(n int) []byte {
 	p.Payload = p.img[hs : hs+n : hs+n]
 	return p.Payload
 }
+
+// ImageSize returns the size of the wire image AllocPayload(n) makes
+// under the headers already set.
+func (p *Packet) ImageSize(n int) int {
+	return p.HeaderSize() + n + payloadPad(n) + ICRCSize + VCRCSize
+}
+
+// ImageCap returns the capacity of the storage the packet holds for its
+// wire image: an AllocPayload needing no more reuses it.
+func (p *Packet) ImageCap() int { return cap(p.img) }
+
+// ProvideImage hands the packet storage for its wire image, which the
+// next AllocPayload uses when its capacity suffices — so a caller that
+// carves images from a slab decides where they live. It invalidates the
+// cached image.
+func (p *Packet) ProvideImage(buf []byte) { p.img, p.wireOK = buf[:0], false }
 
 // Reset returns the packet to its zero value but keeps the wire image's
 // storage for the next AllocPayload (fabric.Params.NewMessage).

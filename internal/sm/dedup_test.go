@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ibasec/internal/fabric"
+	"ibasec/internal/packet"
 	"ibasec/internal/sim"
 	"ibasec/internal/topology"
 )
@@ -90,5 +91,47 @@ func TestDedupTIDsSuppressesDuplicateSMPs(t *testing.T) {
 	}
 	if n := doubleAnswers(mesh); n == 0 {
 		t.Fatal("duplicate request was not re-answered with dedup off; delay injection broken")
+	}
+}
+
+// The duplicate-detection window is a fixed ring: a TID inside the last
+// tidSetCap adds is a duplicate, one evicted from it is fresh again, and
+// once the window has filled an add allocates nothing — ten windows of
+// fresh TIDs included.
+func TestTIDSetWindow(t *testing.T) {
+	s := newTIDSet()
+	key := func(i int) tidKey { return tidKey{lid: packet.LID(1 + i%3), txID: uint32(i)} }
+	for i := 0; i < tidSetCap; i++ {
+		if s.add(key(i)) {
+			t.Fatalf("fresh TID %d reported as a duplicate", i)
+		}
+	}
+	for i := 0; i < tidSetCap; i++ {
+		if !s.add(key(i)) {
+			t.Fatalf("TID %d inside the window not reported as a duplicate", i)
+		}
+	}
+	if s.add(key(tidSetCap)) {
+		t.Fatal("fresh TID reported as a duplicate")
+	}
+	if s.add(key(0)) {
+		t.Fatal("TID evicted from the window still reported as a duplicate")
+	}
+	if !s.add(key(2)) {
+		t.Fatal("TID 2, still inside the window, not reported as a duplicate")
+	}
+	if len(s.seen) != tidSetCap {
+		t.Fatalf("the index holds %d keys, want the window's %d", len(s.seen), tidSetCap)
+	}
+
+	next := 2 * tidSetCap
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < 10*tidSetCap; i++ {
+			s.add(key(next))
+			next++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per 10 windows of adds, want 0", allocs)
 	}
 }

@@ -144,31 +144,38 @@ type tidKey struct {
 	txID uint32
 }
 
-// tidSet is a bounded FIFO set of recently seen transactions. The bound
-// keeps a responder's memory constant no matter how long the run; an
-// entry old enough to have been evicted is also old enough that its
-// requester's retry budget is long exhausted.
+// tidSet is a bounded FIFO set of recently seen transactions: the last
+// tidSetCap keys added, held in a fixed ring with a map for lookup, from
+// which an eviction deletes just the key it drops. The bound keeps a
+// responder's memory constant no matter how long the run, and once the
+// window has filled an add allocates nothing; an entry old enough to
+// have been evicted is also old enough that its requester's retry budget
+// is long exhausted.
 type tidSet struct {
-	seen  map[tidKey]bool
-	order []tidKey
-	limit int
+	seen  map[tidKey]struct{}
+	order [tidSetCap]tidKey
+	next  int // ring index of the oldest key
+	fill  int // keys in the window
 }
 
-func newTIDSet(limit int) *tidSet {
-	return &tidSet{seen: make(map[tidKey]bool, limit), limit: limit}
+func newTIDSet() *tidSet {
+	return &tidSet{seen: make(map[tidKey]struct{}, tidSetCap)}
 }
 
 // add records k and reports whether it was already present.
 func (s *tidSet) add(k tidKey) bool {
-	if s.seen[k] {
+	if _, dup := s.seen[k]; dup {
 		return true
 	}
-	s.seen[k] = true
-	s.order = append(s.order, k)
-	if len(s.order) > s.limit {
-		delete(s.seen, s.order[0])
-		s.order = s.order[1:]
+	if s.fill == tidSetCap {
+		delete(s.seen, s.order[s.next])
+		s.order[s.next] = k
+		s.next = (s.next + 1) % tidSetCap
+	} else {
+		s.order[(s.next+s.fill)%tidSetCap] = k
+		s.fill++
 	}
+	s.seen[k] = struct{}{}
 	return false
 }
 
@@ -245,7 +252,7 @@ func (a *SwitchAgent) HandleMAD(sw *fabric.Switch, inPort int, d *fabric.Deliver
 		// This switch is the target.
 		if a.DedupTIDs {
 			if a.tids == nil {
-				a.tids = newTIDSet(tidSetCap)
+				a.tids = newTIDSet()
 			}
 			if a.tids.add(tidKey{d.Pkt.LRH.SLID, fr.TxID}) {
 				sw.Counters.Inc("smp_dup_requests", 1)
@@ -384,7 +391,7 @@ func (a *NodeAgent) receive(d *fabric.Delivery) {
 	}
 	if a.DedupTIDs {
 		if a.tids == nil {
-			a.tids = newTIDSet(tidSetCap)
+			a.tids = newTIDSet()
 		}
 		if a.tids.add(tidKey{d.Pkt.LRH.SLID, fr.TxID}) {
 			a.HCA.Counters.Inc("smp_dup_requests", 1)

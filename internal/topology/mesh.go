@@ -50,32 +50,33 @@ func NewBlankMesh(s *sim.Simulator, params *fabric.Params, w, h int) *Mesh {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("topology: invalid mesh %dx%d", w, h))
 	}
+	// One allocation per kind of object (fabric.NewSwitches, NewHCAs,
+	// NewLinks), each forwarding table sized for the LIDs NewMesh assigns.
+	n := w * h
 	m := &Mesh{
-		W:        w,
-		H:        h,
-		Switches: make([]*fabric.Switch, w*h),
-		HCAs:     make([]*fabric.HCA, w*h),
+		W: w,
+		H: h,
+		Switches: fabric.NewSwitches(s, params, n, 5, n+1, func(i int) string {
+			return fmt.Sprintf("sw%d-%d", i%w, i/w)
+		}),
+		HCAs: fabric.NewHCAs(s, params, n, func(i int) string { return fmt.Sprintf("hca%d", i) }),
 	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			i := y*w + x
-			m.Switches[i] = fabric.NewSwitch(s, params, fmt.Sprintf("sw%d-%d", x, y), 5)
-			m.Switches[i].SetGUID(0x5100_0000 + uint64(i))
-			m.HCAs[i] = fabric.NewHCA(s, params, fmt.Sprintf("hca%d", i), 0)
-			m.HCAs[i].SetGUID(0xCA00_0000 + uint64(i))
-		}
+	for i := 0; i < n; i++ {
+		m.Switches[i].SetGUID(0x5100_0000 + uint64(i))
+		m.HCAs[i].SetGUID(0xCA00_0000 + uint64(i))
 	}
 	// Wire HCAs and inter-switch links.
+	links := fabric.NewLinks(s, params, n+(w-1)*h+w*(h-1))
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			i := y*w + x
-			fabric.Connect(s, params, m.HCAs[i], 0, m.Switches[i], PortHCA)
+			links.Connect(m.HCAs[i], 0, m.Switches[i], PortHCA)
 			m.Switches[i].MarkIngress(PortHCA)
 			if x+1 < w {
-				fabric.Connect(s, params, m.Switches[i], PortEast, m.Switches[y*w+x+1], PortWest)
+				links.Connect(m.Switches[i], PortEast, m.Switches[y*w+x+1], PortWest)
 			}
 			if y+1 < h {
-				fabric.Connect(s, params, m.Switches[i], PortSouth, m.Switches[(y+1)*w+x], PortNorth)
+				links.Connect(m.Switches[i], PortSouth, m.Switches[(y+1)*w+x], PortNorth)
 			}
 		}
 	}

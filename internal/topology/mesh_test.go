@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"runtime"
 	"testing"
 
 	"ibasec/internal/fabric"
@@ -182,5 +183,22 @@ func TestNonSquareMesh(t *testing.T) {
 	s.Run()
 	if n != 1 {
 		t.Fatal("delivery across non-square mesh failed")
+	}
+}
+
+// Each switch's forwarding table is sized once, to the mesh's LIDs, when
+// the mesh is wired: programming every route of a blank mesh allocates
+// nothing.
+func TestMeshTablesSizedOnce(t *testing.T) {
+	m := NewBlankMesh(sim.New(), fabric.DefaultParams(), 8, 8)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	m.programDOR()
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n != 0 {
+		t.Fatalf("programming an 8x8 mesh's routes allocated %d times, want 0", n)
+	}
+	if port, ok := m.Switches[0].Route(LIDOf(63)); !ok || port != PortEast {
+		t.Fatalf("sw0-0 routes LID %d to port %d (%v), want east", LIDOf(63), port, ok)
 	}
 }

@@ -55,9 +55,9 @@ type pendKey struct {
 
 // sendGSI transmits a control message to the destination's QP 1.
 func (e *Endpoint) sendGSI(dstLID packet.LID, pkey packet.PKey, payload []byte) {
-	d := e.newMessage(fabric.ClassBestEffort, dstLID, packet.BTH{OpCode: packet.UDSendOnly, PKey: pkey, DestQP: qpnGSI})
+	d := e.newMessage(fabric.ClassBestEffort, dstLID, packet.BTH{OpCode: packet.UDSendOnly, PKey: pkey, DestQP: qpnGSI}, len(payload))
 	*d.Pkt.DETH = packet.DETH{QKey: 0, SrcQP: qpnGSI}
-	copy(d.Pkt.AllocPayload(len(payload)), payload)
+	copy(d.Pkt.Payload, payload)
 	if err := icrc.Seal(d.Pkt); err != nil {
 		panic(fmt.Sprintf("transport: sealing GSI packet: %v", err))
 	}

@@ -338,7 +338,7 @@ func (e *Endpoint) sendAckSyndrome(q *QP, psn uint32, syndrome uint8, counter st
 	if q.RemoteLID == 0 {
 		return
 	}
-	d := e.newMessage(fabric.ClassBestEffort, q.RemoteLID, packet.BTH{OpCode: packet.RCAck, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: psn, BECN: becn})
+	d := e.newMessage(fabric.ClassBestEffort, q.RemoteLID, packet.BTH{OpCode: packet.RCAck, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: psn, BECN: becn}, 0)
 	*d.Pkt.AETH = packet.AETH{Syndrome: syndrome, MSN: psn}
 	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 		e.Counters.Inc("rc_ack_seal_failed", 1)

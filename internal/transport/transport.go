@@ -176,11 +176,12 @@ type Endpoint struct {
 	verif icrc.Verifier
 }
 
-// newMessage draws a message of the given class from the fabric's free
-// list (fabric.Params.NewMessage), addressed from this endpoint's HCA; the
-// caller fills in headers and payload, seals it and hands it to e.hca.Send.
-func (e *Endpoint) newMessage(class fabric.Class, dlid packet.LID, bth packet.BTH) *fabric.Delivery {
-	d := e.hca.Params().NewMessage(class, packet.LRH{SLID: e.hca.LID(), DLID: dlid}, bth)
+// newMessage draws a message of the given class with a zeroed n-byte
+// payload window from the fabric's free list (fabric.Params.NewMessage),
+// addressed from this endpoint's HCA; the caller fills in headers and
+// payload, seals it and hands it to e.hca.Send.
+func (e *Endpoint) newMessage(class fabric.Class, dlid packet.LID, bth packet.BTH, n int) *fabric.Delivery {
+	d := e.hca.Params().NewMessage(class, packet.LRH{SLID: e.hca.LID(), DLID: dlid}, bth, n)
 	d.Source = e.hca.Name()
 	return d
 }
@@ -387,9 +388,9 @@ func (e *Endpoint) SendUD(q *QP, dstLID packet.LID, dstQPN packet.QPN, dstQKey p
 	if len(payload) > packet.MTU {
 		return ErrPayloadSize
 	}
-	d := e.newMessage(class, dstLID, packet.BTH{OpCode: packet.UDSendOnly, PKey: q.PKey, DestQP: dstQPN, PSN: q.nextPSN()})
+	d := e.newMessage(class, dstLID, packet.BTH{OpCode: packet.UDSendOnly, PKey: q.PKey, DestQP: dstQPN, PSN: q.nextPSN()}, len(payload))
 	*d.Pkt.DETH = packet.DETH{QKey: dstQKey, SrcQP: q.N}
-	copy(d.Pkt.AllocPayload(len(payload)), payload)
+	copy(d.Pkt.Payload, payload)
 	if err := e.sealMessage(d, q, dstLID, dstQPN); err != nil {
 		return err
 	}
@@ -406,8 +407,8 @@ func (e *Endpoint) SendRC(q *QP, payload []byte, class fabric.Class) error {
 	if len(payload) > packet.MTU {
 		return ErrPayloadSize
 	}
-	d := e.newMessage(class, q.dataDLID(), packet.BTH{OpCode: packet.RCSendOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()})
-	copy(d.Pkt.AllocPayload(len(payload)), payload)
+	d := e.newMessage(class, q.dataDLID(), packet.BTH{OpCode: packet.RCSendOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()}, len(payload))
+	copy(d.Pkt.Payload, payload)
 	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 		return err
 	}
@@ -427,9 +428,9 @@ func (e *Endpoint) RDMAWrite(q *QP, va uint64, rkey packet.RKey, payload []byte,
 	if len(payload) > packet.MTU {
 		return ErrPayloadSize
 	}
-	d := e.newMessage(class, q.dataDLID(), packet.BTH{OpCode: packet.RCRDMAWriteOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()})
+	d := e.newMessage(class, q.dataDLID(), packet.BTH{OpCode: packet.RCRDMAWriteOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()}, len(payload))
 	*d.Pkt.RETH = packet.RETH{VA: va, RKey: rkey, DMALen: uint32(len(payload))}
-	copy(d.Pkt.AllocPayload(len(payload)), payload)
+	copy(d.Pkt.Payload, payload)
 	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 		return err
 	}

@@ -41,8 +41,8 @@ func (e *Endpoint) SendUC(q *QP, payload []byte, class fabric.Class) error {
 	if len(payload) > packet.MTU {
 		return ErrPayloadSize
 	}
-	d := e.newMessage(class, q.RemoteLID, packet.BTH{OpCode: packet.UCSendOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()})
-	copy(d.Pkt.AllocPayload(len(payload)), payload)
+	d := e.newMessage(class, q.RemoteLID, packet.BTH{OpCode: packet.UCSendOnly, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: q.nextPSN()}, len(payload))
+	copy(d.Pkt.Payload, payload)
 	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 		return err
 	}
@@ -66,7 +66,7 @@ func (e *Endpoint) RDMARead(q *QP, va uint64, rkey packet.RKey, length uint32, c
 	if _, dup := e.pendingReads[psn]; dup {
 		return ErrReadPending
 	}
-	d := e.newMessage(class, q.RemoteLID, packet.BTH{OpCode: packet.RCRDMAReadReq, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: psn})
+	d := e.newMessage(class, q.RemoteLID, packet.BTH{OpCode: packet.RCRDMAReadReq, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: psn}, 0)
 	*d.Pkt.RETH = packet.RETH{VA: va, RKey: rkey, DMALen: length}
 	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 		return err
@@ -96,9 +96,9 @@ func (e *Endpoint) handleRDMAReadReq(q *QP, p *packet.Packet) {
 		return
 	}
 	e.Counters.Inc("rdma_reads", 1)
-	d := e.newMessage(fabric.ClassBestEffort, q.RemoteLID, packet.BTH{OpCode: packet.RCRDMAReadRespO, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: p.BTH.PSN})
+	d := e.newMessage(fabric.ClassBestEffort, q.RemoteLID, packet.BTH{OpCode: packet.RCRDMAReadRespO, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: p.BTH.PSN}, int(p.RETH.DMALen))
 	*d.Pkt.AETH = packet.AETH{Syndrome: 0, MSN: p.BTH.PSN}
-	copy(d.Pkt.AllocPayload(int(p.RETH.DMALen)), r.Data[off:])
+	copy(d.Pkt.Payload, r.Data[off:])
 	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 		e.Counters.Inc("rdma_read_seal_failed", 1)
 		return

@@ -142,9 +142,9 @@ func (r *RawUDSender) SendPKey(dst int, size int, pk packet.PKey) {
 	}
 	d := r.HCA.Params().NewMessage(r.Class,
 		packet.LRH{SLID: r.HCA.LID(), DLID: r.LIDOf(dst)},
-		packet.BTH{OpCode: packet.UDSendOnly, PKey: pk, DestQP: 2, PSN: r.psn & 0xFFFFFF})
+		packet.BTH{OpCode: packet.UDSendOnly, PKey: pk, DestQP: 2, PSN: r.psn & 0xFFFFFF},
+		size) // all zeros: the image is the payload
 	*d.Pkt.DETH = packet.DETH{QKey: 0x1, SrcQP: 2}
-	d.Pkt.AllocPayload(size) // all zeros: the image is the payload
 	r.psn++
 	if err := icrc.Seal(d.Pkt); err != nil {
 		panic(err)

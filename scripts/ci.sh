@@ -2,7 +2,8 @@
 # CI gate: static checks; unit/integration tests with the race detector
 # (the allocation budgets are ordinary tests among them and hold under
 # it), and once more in the poison build that faults on any use of a
-# message after its release point; an end-to-end -quick smoke of every
+# message after its release point; one untimed pass of the Build
+# benchmark up to a 32x32 fabric; an end-to-end -quick smoke of every
 # experiment through the parallel runner, whose CSV names and headers
 # must match the committed results/; a 5 s smoke of every fuzz
 # target, listed in one package/target table; and a -quick
@@ -42,6 +43,9 @@ go test -tags poolpoison ./...
 
 echo "== Table 4 throughput ordering (host-timed; only meaningful uninstrumented)"
 go test -count=1 -run '^TestTable4Shape$' ./internal/core
+
+echo "== BenchmarkBuild once (the set-up profiling entry point, up to 32x32, keeps compiling and running; no timing gate)"
+go test -run '^$' -bench '^BenchmarkBuild$' -benchtime 1x ./internal/core
 
 echo "== ibsim all -quick -jobs 2 (runner end-to-end smoke)"
 tmp="$(mktemp -d)"
