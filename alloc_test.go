@@ -36,10 +36,10 @@ func TestRunAllocBudget(t *testing.T) {
 		enable   func(*Config)           // nil: every feature off
 		engaged  func(res *Results) bool // nil: delivering is enough
 	}{
-		{name: "plain", measured: 177},
+		{name: "plain", measured: 125},
 		{
 			// UMAC-32 tags in the ICRC field, partition-level keys.
-			name: "auth", measured: 302,
+			name: "auth", measured: 214,
 			enable: func(cfg *Config) {
 				cfg.Auth = AuthConfig{Enabled: true, FuncID: AuthUMAC32, Level: PartitionLevel}
 			},
@@ -48,7 +48,7 @@ func TestRunAllocBudget(t *testing.T) {
 		{
 			// The Congestion Control Annex under a line-rate incast flood:
 			// FECN marking, CNP reflection and CCT throttling all run.
-			name: "congestion", measured: 224,
+			name: "congestion", measured: 159,
 			enable: func(cfg *Config) {
 				cfg.Congestion = DefaultCCParams()
 				cfg.Attackers = 1
@@ -62,7 +62,7 @@ func TestRunAllocBudget(t *testing.T) {
 		{
 			// The performance manager at a short sweep period: PortCounters
 			// Get MADs over VL15 on every watched link, scoring, trap arming.
-			name: "health", measured: 230,
+			name: "health", measured: 169,
 			enable: func(cfg *Config) {
 				cfg.Health = HealthParams{SweepPeriod: 40 * Microsecond, TrapThreshold: 6, Damping: true}
 			},
@@ -76,7 +76,7 @@ func TestRunAllocBudget(t *testing.T) {
 			// and the one reroute the composed planes make of a fault-free
 			// fabric (ROADMAP item 2), whose configure pass builds its
 			// maps and one callback per Set.
-			name: "all-planes", measured: 607,
+			name: "all-planes", measured: 478,
 			enable: func(cfg *Config) {
 				cfg.BestEffortLoad = 0.1
 				cfg.Enforcement = SIF

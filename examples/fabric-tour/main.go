@@ -90,15 +90,15 @@ func failureDemo() {
 	s.Run()
 	var crcDrops uint64
 	for _, sw := range mesh.Switches {
-		crcDrops += sw.Counters.Get("vcrc_drops")
+		crcDrops += sw.Counters.Value(fabric.SwVCRCDrops)
 	}
 	for i := 0; i < 4; i++ {
-		crcDrops += mesh.HCA(i).Counters.Get("vcrc_drops") + mesh.HCA(i).Counters.Get("icrc_drops")
+		crcDrops += mesh.HCA(i).Counters.Value(fabric.HCAVCRCDrops) + mesh.HCA(i).Counters.Value(fabric.HCAICRCDrops)
 	}
 	fmt.Printf("  sent %d packets over lossy links (BER 4e-6)\n", n)
 	fmt.Printf("  CRC checks dropped %d corrupted packets\n", crcDrops)
 	fmt.Printf("  reliability layer retransmitted %d, delivered %d/%d in order, broken=%v\n",
-		eps[0].Counters.Get("rc_retransmissions"), delivered, n, a.Broken())
+		eps[0].Counters.Value(transport.EpRCRetransmissions), delivered, n, a.Broken())
 	fmt.Println()
 }
 
@@ -125,7 +125,7 @@ func rdmaDemo() {
 	}
 	s.Run()
 	fmt.Printf("  wrote then read back: %q\n", readBack)
-	fmt.Printf("  responder counters: %s\n", eps[2].Counters)
+	fmt.Printf("  responder counters: %s\n", eps[2].Counters.String())
 }
 
 func main() {

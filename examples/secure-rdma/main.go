@@ -108,7 +108,7 @@ func scenario(withAuth bool) {
 	}
 	fmt.Printf("%s victim memory: %q\n", mode, string(region.Data[:27]))
 	fmt.Printf("%s rdma writes applied=%d, rkey checks passed with forged tag rejected=%d\n\n",
-		mode, victim.Counters.Get("rdma_writes"), victim.Counters.Get("auth_missing")+victim.Counters.Get("auth_fail"))
+		mode, victim.Counters.Value(transport.EpRDMAWrites), victim.Counters.Value(transport.EpAuthMissing)+victim.Counters.Value(transport.EpAuthFail))
 }
 
 func main() {

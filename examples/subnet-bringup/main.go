@@ -56,7 +56,7 @@ func main() {
 	fmt.Printf("  LIDs assigned: %v\n", lids)
 	var routes uint64
 	for _, sw := range mesh.Switches {
-		routes += sw.Counters.Get("smp_routes_set")
+		routes += sw.Counters.Value(fabric.SwSMPRoutesSet)
 	}
 	fmt.Printf("  forwarding entries programmed in-band: %d\n\n", routes)
 
@@ -92,7 +92,7 @@ func main() {
 	s2.Run()
 	var violations uint64
 	for _, sw := range mesh2.Switches {
-		violations += sw.Counters.Get("smp_mkey_violations")
+		violations += sw.Counters.Value(fabric.SwSMPMKeyViolations)
 	}
 	fmt.Printf("rogue SM without the M_Key: %d Set operations rejected, fabric untouched\n", violations)
 	fmt.Println("(Table 3, M_Key row: whoever holds this key owns the subnet)")

@@ -262,7 +262,7 @@ func BKeyTheft(seed int64) Outcome {
 	bb2 := sm.NewBaseboard(keys.BKey(0xB10C0DE))
 	guess := keys.BKey(0xBAD0000 + uint64(seed))
 	auth := bb2.SetPower(guess, false) == nil
-	if bb2.Counters.Get("bkey_violations") == 0 {
+	if bb2.Counters.Value(sm.BoardBKeyViolations) == 0 {
 		auth = true // the guard must at least have fired
 	}
 	return Outcome{

@@ -233,11 +233,11 @@ func runAPMPoint(base Config, arm APMArm, ber float64, kills int) (APMRow, error
 		row.DeliveredFrac = float64(row.RCDelivered) / float64(row.RCSent)
 	}
 	for _, ep := range eps {
-		row.NAKs += ep.Counters.Get("rc_naks_sent")
-		row.Migrations += ep.Counters.Get("rc_migrations")
-		row.Rearms += ep.Counters.Get("rc_rearms")
-		row.Retrans += ep.Counters.Get("rc_retransmissions")
-		row.RetransBytes += ep.Counters.Get("rc_retrans_bytes")
+		row.NAKs += ep.Counters.Value(transport.EpRCNAKsSent)
+		row.Migrations += ep.Counters.Value(transport.EpRCMigrations)
+		row.Rearms += ep.Counters.Value(transport.EpRCRearms)
+		row.Retrans += ep.Counters.Value(transport.EpRCRetransmissions)
+		row.RetransBytes += ep.Counters.Value(transport.EpRCRetransBytes)
 		if ep.Storm != nil && ep.Storm.Max() > row.StormMax {
 			row.StormMax = ep.Storm.Max()
 		}

@@ -28,7 +28,10 @@ func mustBuild(tb testing.TB, cfg Config) *Cluster {
 // fabric: set-up structures are sized once from it, with no per-pair map
 // (DESIGN §8, "A run's fixed cost"). Build's allocations per end port at
 // 16×16 stay within 1.25× those at 4×4, and its bytes at 16×16 — where a
-// map over the 65 280 ordered node pairs cost 11.1 MB — within 5 MB.
+// map over the 65 280 ordered node pairs cost 11.1 MB — within 5 MB. A
+// 4×4 Build's allocations stay within 92, measured under Go 1.24, plus
+// 25%: a device's counters live in the device (DESIGN §8, "Counters"),
+// and one allocation per device more exceeds that.
 func TestBuildScalesWithFabric(t *testing.T) {
 	perPort := func(k int) float64 {
 		cfg := buildConfig(k)
@@ -37,6 +40,10 @@ func TestBuildScalesWithFabric(t *testing.T) {
 	small, large := perPort(4), perPort(16)
 	if large > 1.25*small {
 		t.Errorf("Build allocates %.2f times per end port at 16x16, %.2f at 4x4: more than 1.25x", large, small)
+	}
+	const measured4x4 = 92
+	if n := small * 16; n > measured4x4*1.25 {
+		t.Errorf("a 4x4 Build allocates %.0f times, ceiling %.0f (%d measured + 25%%)", n, measured4x4*1.25, measured4x4)
 	}
 
 	cfg := buildConfig(16)

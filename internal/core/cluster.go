@@ -669,7 +669,7 @@ func (cl *Cluster) takeover(newMaster *sm.SubnetManager) {
 // which is counted, never a panic.
 func (cl *Cluster) rejectSyncState(m *sm.SubnetManager, magic string) {
 	m.SetSyncState(magic, nil)
-	cl.HA.Counters.Inc("sync_state_rejected", 1)
+	cl.HA.Counters.Add(sm.HASyncStateRejected, 1)
 }
 
 // stopMasterDuties stops the control loops that run beside the master
@@ -800,18 +800,18 @@ func (cl *Cluster) run() *Results {
 		cl.res.FilterDropped = cl.Filter.Dropped
 		cl.res.FilterActivations = cl.Filter.Activations
 	}
-	cl.res.TrapsSent = cl.SM.Counters.Get("traps_sent")
-	cl.res.SIFRegistrations = cl.SM.Counters.Get("sif_registrations")
+	cl.res.TrapsSent = cl.SM.Counters.Value(sm.SMTrapsSent)
+	cl.res.SIFRegistrations = cl.SM.Counters.Value(sm.SMSIFRegistrations)
 	for _, sb := range cl.Standbys {
-		cl.res.TrapsSent += sb.Counters.Get("traps_sent")
-		cl.res.SIFRegistrations += sb.Counters.Get("sif_registrations")
+		cl.res.TrapsSent += sb.Counters.Value(sm.SMTrapsSent)
+		cl.res.SIFRegistrations += sb.Counters.Value(sm.SMSIFRegistrations)
 	}
 	for _, ep := range cl.Endpoints {
 		if ep != nil {
-			cl.res.KeyExchanges += ep.Counters.Get("qkey_established")
-			cl.res.PacketsSigned += ep.Counters.Get("packets_signed")
-			cl.res.AuthOK += ep.Counters.Get("auth_ok")
-			cl.res.AuthFail += ep.Counters.Get("auth_fail")
+			cl.res.KeyExchanges += ep.Counters.Value(transport.EpQKeyEstablished)
+			cl.res.PacketsSigned += ep.Counters.Value(transport.EpPacketsSigned)
+			cl.res.AuthOK += ep.Counters.Value(transport.EpAuthOK)
+			cl.res.AuthFail += ep.Counters.Value(transport.EpAuthFail)
 		}
 	}
 
@@ -822,9 +822,9 @@ func (cl *Cluster) run() *Results {
 	}
 	for node, hca := range cl.Mesh.HCAs {
 		cl.res.CreditStallNs += uint64(hca.CreditStallTime() / sim.Nanosecond)
-		cl.res.CNPsSent += hca.Counters.Get("cnp_sent")
-		cl.res.BECNsNotified += hca.Counters.Get("becn_notified")
-		cl.res.CCTThrottled += hca.Counters.Get("cct_throttled")
+		cl.res.CNPsSent += hca.Counters.Value(fabric.HCACNPSent)
+		cl.res.BECNsNotified += hca.Counters.Value(fabric.HCABECNNotified)
+		cl.res.CCTThrottled += hca.Counters.Value(fabric.HCACCTThrottled)
 		if cl.AttackSet[node] {
 			if idx := hca.CCTIndex(); idx > cl.res.AttackerCCT {
 				cl.res.AttackerCCT = idx

@@ -86,7 +86,7 @@ func TestCongestionSurvivesFailover(t *testing.T) {
 
 	var promoted *sm.SubnetManager
 	for _, sb := range cl.Standbys {
-		if sb.Counters.Get("cc_program_mads") > 0 {
+		if sb.Counters.Value(sm.SMCCProgramMADs) > 0 {
 			promoted = sb
 		}
 	}

@@ -226,7 +226,7 @@ func (cl *Cluster) collectDrift() {
 				cl.res.DriftRepaired++
 			}
 		}
-		cl.res.AuditMADs += a.Counters.Get("audit_mads")
-		cl.res.RepairMADs += a.Counters.Get("repair_mads")
+		cl.res.AuditMADs += a.Counters.Value(policy.AuditMADs)
+		cl.res.RepairMADs += a.Counters.Value(policy.AuditRepairMADs)
 	}
 }

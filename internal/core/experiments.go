@@ -11,6 +11,7 @@ import (
 	"ibasec/internal/mac"
 	"ibasec/internal/runner"
 	"ibasec/internal/sim"
+	"ibasec/internal/sm"
 	"ibasec/internal/topology"
 	"ibasec/internal/transport"
 )
@@ -452,8 +453,8 @@ func SMFloodSweep(ctx context.Context, pool *runner.Pool, rates []float64, base 
 					FloodRate:     rate,
 					RegLatencyUS:  cl.SM.RegLatency.Mean(),
 					RegLatencyMax: cl.SM.RegLatency.Max(),
-					TrapsReceived: cl.SM.Counters.Get("traps_received"),
-					Registrations: cl.SM.Counters.Get("sif_registrations"),
+					TrapsReceived: cl.SM.Counters.Value(sm.SMTrapsReceived),
+					Registrations: cl.SM.Counters.Value(sm.SMSIFRegistrations),
 				}, nil
 			}))
 	}

@@ -9,6 +9,7 @@ import (
 	"ibasec/internal/faults"
 	"ibasec/internal/runner"
 	"ibasec/internal/sim"
+	"ibasec/internal/sm"
 	"ibasec/internal/transport"
 )
 
@@ -133,19 +134,19 @@ func runFailoverPoint(base Config, standbys, heartbeatUS, rekeyUS int) (Failover
 	if cl.Filter != nil {
 		row.FilterDropped = cl.Filter.Dropped
 	}
-	row.SIFRegsPre = cl.SM.Counters.Get("sif_registrations")
+	row.SIFRegsPre = cl.SM.Counters.Value(sm.SMSIFRegistrations)
 	for _, sb := range cl.Standbys {
-		row.SIFRegsPost += sb.Counters.Get("sif_registrations")
+		row.SIFRegsPost += sb.Counters.Value(sm.SMSIFRegistrations)
 	}
 	for _, ep := range cl.Endpoints {
 		if ep != nil {
-			row.GraceMisses += ep.Counters.Get("auth_epoch_expired")
-			row.AuthOKGrace += ep.Counters.Get("auth_ok_grace")
+			row.GraceMisses += ep.Counters.Value(transport.EpAuthEpochExpired)
+			row.AuthOKGrace += ep.Counters.Value(transport.EpAuthOKGrace)
 		}
 	}
 	if cl.HA != nil {
-		row.Takeovers = cl.HA.Counters.Get("takeovers")
-		row.MADsLostDeadSM = cl.HA.Counters.Get("mads_to_dead_sm")
+		row.Takeovers = cl.HA.Counters.Value(sm.HATakeovers)
+		row.MADsLostDeadSM = cl.HA.Counters.Value(sm.HAMADsToDeadSM)
 		if len(cl.HA.Events) > 0 {
 			ev := cl.HA.Events[0]
 			row.ElectionUS = (ev.ElectedAt - killAt).Microseconds()
@@ -154,8 +155,8 @@ func runFailoverPoint(base Config, standbys, heartbeatUS, rekeyUS int) (Failover
 		}
 	}
 	if cl.Rotator != nil {
-		row.Rollovers = cl.Rotator.Counters.Get("epoch_rollovers")
-		row.ForcedRotations = cl.Rotator.Counters.Get("forced_rotations")
+		row.Rollovers = cl.Rotator.Counters.Value(sm.RotEpochRollovers)
+		row.ForcedRotations = cl.Rotator.Counters.Value(sm.RotForcedRotations)
 	}
 	return row, nil
 }

@@ -11,6 +11,7 @@ import (
 	"ibasec/internal/keys"
 	"ibasec/internal/mac"
 	"ibasec/internal/packet"
+	"ibasec/internal/policy"
 	"ibasec/internal/sim"
 	"ibasec/internal/sm"
 	"ibasec/internal/topology"
@@ -29,12 +30,12 @@ func rekeyCfg() Config {
 	return cfg
 }
 
-// epochCounters sums the named per-endpoint counter across the cluster.
-func epochCounters(cl *Cluster, name string) uint64 {
+// epochCounters sums one per-endpoint counter across the cluster.
+func epochCounters(cl *Cluster, id transport.EndpointCounter) uint64 {
 	var n uint64
 	for _, ep := range cl.Endpoints {
 		if ep != nil {
-			n += ep.Counters.Get(name)
+			n += ep.Counters.Value(id)
 		}
 	}
 	return n
@@ -53,18 +54,18 @@ func TestRekeyRolloversZeroRejects(t *testing.T) {
 	}
 	res := cl.Simulate()
 
-	if n := cl.Rotator.Counters.Get("epoch_rollovers"); n < 3 {
+	if n := cl.Rotator.Counters.Value(sm.RotEpochRollovers); n < 3 {
 		t.Fatalf("only %d rollovers, want >= 3", n)
 	}
 	if res.AuthFail != 0 {
 		t.Fatalf("%d auth failures across rollovers", res.AuthFail)
 	}
-	if n := epochCounters(cl, "auth_epoch_expired"); n != 0 {
+	if n := epochCounters(cl, transport.EpAuthEpochExpired); n != 0 {
 		t.Fatalf("%d grace-window misses with adequate grace", n)
 	}
 	// The grace window did real work: some packets were verified under
 	// the previous epoch while their receiver had already rolled over.
-	if n := epochCounters(cl, "auth_ok_grace"); n == 0 {
+	if n := epochCounters(cl, transport.EpAuthOKGrace); n == 0 {
 		t.Fatal("no packet ever needed the grace window — rotation untested")
 	}
 	if res.AuthOK == 0 {
@@ -92,10 +93,10 @@ func TestStaleEpochHolderRejectedAfterGrace(t *testing.T) {
 	}
 	cl.Simulate()
 
-	if n := epochCounters(cl, "auth_epoch_expired"); n == 0 {
+	if n := epochCounters(cl, transport.EpAuthEpochExpired); n == 0 {
 		t.Fatal("stale-epoch packets never rejected as epoch-expired")
 	}
-	if n := epochCounters(cl, "auth_ok_grace"); n == 0 {
+	if n := epochCounters(cl, transport.EpAuthOKGrace); n == 0 {
 		t.Fatal("stale-epoch packets never accepted during grace")
 	}
 }
@@ -131,7 +132,7 @@ func TestEvictionWipesAllSecrets(t *testing.T) {
 	if p != 0 || r != 0 || s != 0 {
 		t.Fatalf("evicted node still holds secrets: partition=%d recv=%d send=%d", p, r, s)
 	}
-	if n := cl.SM.Counters.Get("secrets_wiped"); n != 1 {
+	if n := cl.SM.Counters.Value(sm.SMSecretsWiped); n != 1 {
 		t.Fatalf("secrets_wiped = %d, want 1", n)
 	}
 }
@@ -256,10 +257,10 @@ func TestForgedStateSyncRejected(t *testing.T) {
 			})
 			res := cl.Simulate()
 
-			if n := cl.HA.Counters.Get("syncs_rejected"); n < 1 {
+			if n := cl.HA.Counters.Value(sm.HASyncsRejected); n < 1 {
 				t.Fatalf("syncs_rejected = %d: the forged sync never arrived or was adopted", n)
 			}
-			if n := cl.HA.Counters.Get("takeovers"); n != 1 || cl.HA.Active() != standby {
+			if n := cl.HA.Counters.Value(sm.HATakeovers); n != 1 || cl.HA.Active() != standby {
 				t.Fatalf("takeovers = %d, active on node %d: the standby did not take over", n, cl.HA.ActiveNode())
 			}
 			// The lease runs from the last genuine beat, which the kill
@@ -274,7 +275,7 @@ func TestForgedStateSyncRejected(t *testing.T) {
 			if got, want := partitionsOf(standby), partitionsOf(cl.SM); !reflect.DeepEqual(got, want) {
 				t.Fatalf("promoted master's partitions differ from the killed master's:\n got %v\nwant %v", got, want)
 			}
-			if n := cl.Rotator.Counters.Get("epoch_rollovers"); n < 4 {
+			if n := cl.Rotator.Counters.Value(sm.RotEpochRollovers); n < 4 {
 				t.Fatalf("only %d rollovers: none ran under the promoted master", n)
 			}
 		})
@@ -314,9 +315,9 @@ func TestForgedTrailerRefused(t *testing.T) {
 			name: "bad-length IBHQ, health plane on", trailer: "IBHQ\x01\x02", rejected: true,
 			enable: func(cfg *Config) { cfg.Health = HealthParams{SweepPeriod: 40 * sim.Microsecond} },
 			check: func(t *testing.T, cl *Cluster) {
-				if len(cl.perfMgrs) != 2 || cl.PerfMgr.Counters.Get("sweeps") == 0 {
+				if len(cl.perfMgrs) != 2 || cl.PerfMgr.Counters.Value(sm.PMSweeps) == 0 {
 					t.Errorf("%d PerfMgrs, the last swept %d times: the health plane did not restart clean",
-						len(cl.perfMgrs), cl.PerfMgr.Counters.Get("sweeps"))
+						len(cl.perfMgrs), cl.PerfMgr.Counters.Value(sm.PMSweeps))
 				}
 			},
 		},
@@ -327,9 +328,9 @@ func TestForgedTrailerRefused(t *testing.T) {
 				cfg.Policy = PolicyParams{Enabled: true, AuditPeriod: 100 * sim.Microsecond}
 			},
 			check: func(t *testing.T, cl *Cluster) {
-				if len(cl.auditors) != 2 || cl.Auditor.Counters.Get("audit_sweeps") == 0 {
+				if len(cl.auditors) != 2 || cl.Auditor.Counters.Value(policy.AuditSweeps) == 0 {
 					t.Errorf("%d auditors, the last swept %d times: the genuine policy state was displaced",
-						len(cl.auditors), cl.Auditor.Counters.Get("audit_sweeps"))
+						len(cl.auditors), cl.Auditor.Counters.Value(policy.AuditSweeps))
 				}
 			},
 		},
@@ -371,16 +372,16 @@ func TestForgedTrailerRefused(t *testing.T) {
 			})
 			res := cl.Simulate()
 
-			if n := cl.HA.Counters.Get("takeovers"); n != 1 || cl.HA.Active() != standby {
+			if n := cl.HA.Counters.Value(sm.HATakeovers); n != 1 || cl.HA.Active() != standby {
 				t.Fatalf("takeovers = %d, active on node %d: the standby did not take over", n, cl.HA.ActiveNode())
 			}
 			// A refused blob is counted and dropped; one nothing reads
 			// stays filed, which also shows the forged MAD arrived.
-			n, filed := cl.HA.Counters.Get("sync_state_rejected"), standby.SyncState(tc.trailer[:4]) != nil
+			n, filed := cl.HA.Counters.Value(sm.HASyncStateRejected), standby.SyncState(tc.trailer[:4]) != nil
 			if (n >= 1) != tc.rejected || filed == tc.rejected {
 				t.Errorf("sync_state_rejected = %d, still filed = %v; want rejected = %v", n, filed, tc.rejected)
 			}
-			if n := standby.Counters.Get("cc_program_mads"); n != 0 {
+			if n := standby.Counters.Value(sm.SMCCProgramMADs); n != 0 {
 				t.Errorf("the promoted master programmed congestion control (%d MADs) in a run with it off", n)
 			}
 			if res.AuthFail != 0 {

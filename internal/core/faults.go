@@ -110,11 +110,11 @@ func runFaultPoint(base Config, mode enforce.Mode, ber float64, kills int) (Faul
 		row.DeliveredFrac = float64(row.Delivered) / float64(row.Sent)
 	}
 	for _, sw := range cl.Mesh.Switches {
-		row.CRCRejected += sw.Counters.Get("vcrc_drops")
+		row.CRCRejected += sw.Counters.Value(fabric.SwVCRCDrops)
 		row.HOQDropped += sw.HOQDropped()
 	}
 	for _, h := range cl.Mesh.HCAs {
-		row.CRCRejected += h.Counters.Get("vcrc_drops") + h.Counters.Get("icrc_drops")
+		row.CRCRejected += h.Counters.Value(fabric.HCAVCRCDrops) + h.Counters.Value(fabric.HCAICRCDrops)
 		row.HOQDropped += h.HOQDropped()
 	}
 
@@ -130,8 +130,8 @@ func runFaultPoint(base Config, mode enforce.Mode, ber float64, kills int) (Faul
 	}
 
 	if r := cl.Resweeper; r != nil {
-		row.Resweeps = r.Counters.Get("sweeps")
-		row.Reroutes = r.Counters.Get("reroutes")
+		row.Resweeps = r.Counters.Value(sm.ResweepSweeps)
+		row.Reroutes = r.Counters.Value(sm.ResweepReroutes)
 		row.RerouteUS = r.RerouteLatency.Mean()
 	}
 	row.DetectUS = meanDetectionUS(cfg.FaultPlan, cl.healEvents)

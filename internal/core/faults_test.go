@@ -10,6 +10,7 @@ import (
 	"ibasec/internal/mac"
 	"ibasec/internal/packet"
 	"ibasec/internal/sim"
+	"ibasec/internal/sm"
 	"ibasec/internal/topology"
 	"ibasec/internal/transport"
 )
@@ -110,15 +111,15 @@ func TestLinkKillRCRidesThroughResweep(t *testing.T) {
 	if r == nil {
 		t.Fatal("resweeper not armed")
 	}
-	if r.Counters.Get("detections") == 0 {
+	if r.Counters.Value(sm.ResweepDetections) == 0 {
 		t.Fatal("dead link never detected")
 	}
-	if r.Counters.Get("lost_links") == 0 || r.Counters.Get("restored_links") == 0 {
-		t.Fatalf("lost=%d restored=%d links", r.Counters.Get("lost_links"), r.Counters.Get("restored_links"))
+	if r.Counters.Value(sm.ResweepLostLinks) == 0 || r.Counters.Value(sm.ResweepRestoredLinks) == 0 {
+		t.Fatalf("lost=%d restored=%d links", r.Counters.Value(sm.ResweepLostLinks), r.Counters.Value(sm.ResweepRestoredLinks))
 	}
 	// One reroute for the loss, one when the link comes back.
-	if r.Counters.Get("reroutes") < 2 {
-		t.Fatalf("reroutes = %d, want >= 2", r.Counters.Get("reroutes"))
+	if r.Counters.Value(sm.ResweepReroutes) < 2 {
+		t.Fatalf("reroutes = %d, want >= 2", r.Counters.Value(sm.ResweepReroutes))
 	}
 	if r.RerouteLatency.N() == 0 || r.RerouteLatency.Mean() <= 0 {
 		t.Fatal("reroute latency not recorded")

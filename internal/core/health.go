@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ibasec/internal/enforce"
+	"ibasec/internal/fabric"
 	"ibasec/internal/faults"
 	"ibasec/internal/runner"
 	"ibasec/internal/sim"
@@ -205,10 +206,10 @@ func runHealthPoint(base Config, mode enforce.Mode, attack, arm string, ber floa
 func crcLoss(cl *Cluster) uint64 {
 	var n uint64
 	for _, sw := range cl.Mesh.Switches {
-		n += sw.Counters.Get("vcrc_drops")
+		n += sw.Counters.Value(fabric.SwVCRCDrops)
 	}
 	for _, h := range cl.Mesh.HCAs {
-		n += h.Counters.Get("vcrc_drops") + h.Counters.Get("icrc_drops")
+		n += h.Counters.Value(fabric.HCAVCRCDrops) + h.Counters.Value(fabric.HCAICRCDrops)
 	}
 	return n
 }
@@ -250,11 +251,11 @@ func (cl *Cluster) startPerfMgr(master *sm.SubnetManager) {
 // and in-band MAD cost into the results.
 func (cl *Cluster) collectHealth() {
 	for _, pm := range cl.perfMgrs {
-		cl.res.Quarantines += pm.Counters.Get("quarantines")
-		cl.res.Readmits += pm.Counters.Get("readmits")
-		cl.res.QuarantineRefused += pm.Counters.Get("quarantine_refused")
-		cl.res.HealthSweepMADs += pm.Counters.Get("health_sweep_mads")
-		cl.res.HealthTrapMADs += pm.Counters.Get("health_trap_mads") + pm.Counters.Get("trap_rearm_mads")
-		cl.res.HealthRerouteMADs += pm.Counters.Get("reroute_mads")
+		cl.res.Quarantines += pm.Counters.Value(sm.PMQuarantines)
+		cl.res.Readmits += pm.Counters.Value(sm.PMReadmits)
+		cl.res.QuarantineRefused += pm.Counters.Value(sm.PMQuarantineRefused)
+		cl.res.HealthSweepMADs += pm.Counters.Value(sm.PMHealthSweepMADs)
+		cl.res.HealthTrapMADs += pm.Counters.Value(sm.PMHealthTrapMADs) + pm.Counters.Value(sm.PMTrapRearmMADs)
+		cl.res.HealthRerouteMADs += pm.Counters.Value(sm.PMRerouteMADs)
 	}
 }

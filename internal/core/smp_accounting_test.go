@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"ibasec/internal/fabric"
+	"ibasec/internal/policy"
+	"ibasec/internal/sm"
 )
 
 // smpAccounting is the request-side bookkeeping of one composed run:
@@ -33,10 +37,10 @@ func smpAccountingOf(t *testing.T, cfg Config, simulate func(*Cluster) *Results)
 	simulate(cl)
 	var got smpAccounting
 	for node, hca := range cl.Mesh.HCAs {
-		if n := hca.Counters.Get("smp_late_responses"); n > 0 {
+		if n := hca.Counters.Value(fabric.HCASMPLateResponses); n > 0 {
 			got.Late = append(got.Late, fmt.Sprintf("%d:%d", node, n))
 		}
-		if n := hca.Counters.Get("smp_dup_responses"); n > 0 {
+		if n := hca.Counters.Value(fabric.HCASMPDupResponses); n > 0 {
 			got.Dup = append(got.Dup, fmt.Sprintf("%d:%d", node, n))
 		}
 	}
@@ -45,13 +49,13 @@ func smpAccountingOf(t *testing.T, cfg Config, simulate func(*Cluster) *Results)
 		got.Discoverers = append(got.Discoverers, fmt.Sprintf("%d/%d/%d", probes, retries, timeouts))
 	}
 	for _, a := range cl.auditors {
-		got.AuditUnanswered += a.Counters.Get("audit_unanswered")
+		got.AuditUnanswered += a.Counters.Value(policy.AuditUnanswered)
 	}
 	for _, pm := range cl.perfMgrs {
-		got.HealthUnanswered += pm.Counters.Get("health_unanswered")
+		got.HealthUnanswered += pm.Counters.Value(sm.PMHealthUnanswered)
 	}
-	got.LostLinks = cl.Resweeper.Counters.Get("lost_links")
-	got.Reroutes = cl.Resweeper.Counters.Get("reroutes")
+	got.LostLinks = cl.Resweeper.Counters.Value(sm.ResweepLostLinks)
+	got.Reroutes = cl.Resweeper.Counters.Value(sm.ResweepReroutes)
 	return got
 }
 

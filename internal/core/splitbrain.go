@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ibasec/internal/enforce"
+	"ibasec/internal/fabric"
 	"ibasec/internal/faults"
 	"ibasec/internal/keys"
 	"ibasec/internal/packet"
@@ -280,11 +281,11 @@ func runSplitBrainPoint(base Config, partitionUS, heartbeatUS, rekeyUS int) (Spl
 		Delivered:    res.DeliveredUD,
 	}
 	if cl.HA != nil {
-		row.Containments = cl.HA.Counters.Get("containments")
-		row.ContainedTakeovers = cl.HA.Counters.Get("contained_takeovers")
-		row.Abdications = cl.HA.Counters.Get("abdications")
-		row.Merges = cl.HA.Counters.Get("merges")
-		row.CensusRounds = cl.HA.Counters.Get("census_rounds")
+		row.Containments = cl.HA.Counters.Value(sm.HAContainments)
+		row.ContainedTakeovers = cl.HA.Counters.Value(sm.HAContainedTakeovers)
+		row.Abdications = cl.HA.Counters.Value(sm.HAAbdications)
+		row.Merges = cl.HA.Counters.Value(sm.HAMerges)
+		row.CensusRounds = cl.HA.Counters.Value(sm.HACensusRounds)
 		if len(cl.HA.Merges) > 0 {
 			ev := cl.HA.Merges[0]
 			row.DualMasterUS = (ev.AbdicatedAt - ev.ContainedAt).Microseconds()
@@ -293,21 +294,21 @@ func runSplitBrainPoint(base Config, partitionUS, heartbeatUS, rekeyUS int) (Spl
 		}
 	}
 	if cl.Rotator != nil {
-		row.Rollovers = cl.Rotator.Counters.Get("epoch_rollovers")
+		row.Rollovers = cl.Rotator.Counters.Value(sm.RotEpochRollovers)
 	}
 	for _, rot := range cl.IslandRotators {
-		row.IslandRollovers += rot.Counters.Get("epoch_rollovers")
+		row.IslandRollovers += rot.Counters.Value(sm.RotEpochRollovers)
 	}
 	for _, sw := range cl.Mesh.Switches {
-		row.DupRequests += sw.Counters.Get("smp_dup_requests")
+		row.DupRequests += sw.Counters.Value(fabric.SwSMPDupRequests)
 	}
 	for _, hca := range cl.Mesh.HCAs {
-		row.DupRequests += hca.Counters.Get("smp_dup_requests")
+		row.DupRequests += hca.Counters.Value(fabric.HCASMPDupRequests)
 	}
 	for _, ep := range cl.Endpoints {
 		if ep != nil {
-			row.GraceMisses += ep.Counters.Get("auth_epoch_expired")
-			row.AuthOKGrace += ep.Counters.Get("auth_ok_grace")
+			row.GraceMisses += ep.Counters.Value(transport.EpAuthEpochExpired)
+			row.AuthOKGrace += ep.Counters.Value(transport.EpAuthOKGrace)
 		}
 	}
 	return row, nil

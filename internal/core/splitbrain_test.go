@@ -35,9 +35,9 @@ func TestSplitBrainMergeReconverges(t *testing.T) {
 	}
 	res := cl.Simulate()
 
-	for _, counter := range []string{"contained_takeovers", "abdications", "merges"} {
-		if cl.HA.Counters.Get(counter) == 0 {
-			t.Fatalf("%s = 0, want >= 1", counter)
+	for _, counter := range []sm.HACounter{sm.HAContainedTakeovers, sm.HAAbdications, sm.HAMerges} {
+		if cl.HA.Counters.Value(counter) == 0 {
+			t.Fatalf("HA counter %d = 0, want >= 1: %s", counter, &cl.HA.Counters)
 		}
 	}
 	if masters := cl.HA.Masters(); len(masters) != 1 {
@@ -69,7 +69,7 @@ func TestSplitBrainMergeReconverges(t *testing.T) {
 	// through the tombstone path, and the residual hard failures (the
 	// heal -> reconcile window, before the merged epoch lands) must stay
 	// below the soft-landing volume — a storm would dwarf it.
-	graceMisses := epochCounters(cl, "auth_epoch_expired")
+	graceMisses := epochCounters(cl, transport.EpAuthEpochExpired)
 	if graceMisses == 0 {
 		t.Fatal("merge drained no stale-epoch traffic as auth_epoch_expired")
 	}
@@ -190,8 +190,8 @@ func TestSplitBrainEpochReconciliation(t *testing.T) {
 		savedKey := *live
 		savedEpoch, _ := srcEp.Store.PartitionEpoch(pk)
 		srcEp.Store.InstallPartitionSecret(pk, loser[pk].Key)
-		expiredBefore = dstEp.Counters.Get("auth_epoch_expired")
-		failBefore = dstEp.Counters.Get("auth_fail")
+		expiredBefore = dstEp.Counters.Value(transport.EpAuthEpochExpired)
+		failBefore = dstEp.Counters.Value(transport.EpAuthFail)
 		probeDst = dstEp
 		if err := srcEp.SendUD(sq, topology.LIDOf(dst), rq.N, rq.QKey,
 			[]byte("stale island epoch"), fabric.ClassBestEffort); err != nil {
@@ -210,11 +210,11 @@ func TestSplitBrainEpochReconciliation(t *testing.T) {
 		if probeDst == nil {
 			return // earlier callback already failed the test
 		}
-		if got := probeDst.Counters.Get("auth_epoch_expired"); got != expiredBefore+1 {
+		if got := probeDst.Counters.Value(transport.EpAuthEpochExpired); got != expiredBefore+1 {
 			t.Errorf("auth_epoch_expired went %d -> %d, want exactly one stale-epoch reject",
 				expiredBefore, got)
 		}
-		if got := probeDst.Counters.Get("auth_fail"); got != failBefore {
+		if got := probeDst.Counters.Value(transport.EpAuthFail); got != failBefore {
 			t.Errorf("auth_fail went %d -> %d: stale-epoch packet misread as forgery",
 				failBefore, got)
 		}

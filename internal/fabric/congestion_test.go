@@ -125,7 +125,7 @@ func TestFECNMarkingAtThreshold(t *testing.T) {
 	s.Run()
 	if delivered != 16 {
 		t.Fatalf("delivered %d/16 (VCRC drops: %d) — FECN repatch corrupted the wire?",
-			delivered, b.Counters.Get("vcrc_drops"))
+			delivered, b.Counters.Value(HCAVCRCDrops))
 	}
 	if sw.FECNMarkedTotal() == 0 || marked == 0 {
 		t.Fatalf("incast flood never marked: switch=%d delivered-marked=%d",
@@ -183,31 +183,31 @@ func TestCongestionFeedbackLoop(t *testing.T) {
 	})
 	s.Run()
 
-	if got := b.Counters.Get("fecn_received"); got != 1 {
+	if got := b.Counters.Value(HCAFECNReceived); got != 1 {
 		t.Errorf("fecn_received = %d, want 1", got)
 	}
-	if got := b.Counters.Get("cnp_sent"); got != 1 {
+	if got := b.Counters.Value(HCACNPSent); got != 1 {
 		t.Errorf("cnp_sent = %d, want 1", got)
 	}
-	if got := a.Counters.Get("cnp_received"); got != 1 {
+	if got := a.Counters.Value(HCACNPReceived); got != 1 {
 		t.Errorf("cnp_received = %d, want 1", got)
 	}
-	if got := a.Counters.Get("becn_notified"); got != 1 {
+	if got := a.Counters.Value(HCABECNNotified); got != 1 {
 		t.Errorf("becn_notified = %d, want 1", got)
 	}
-	if got := a.Counters.Get("delivered"); got != 0 {
+	if got := a.Counters.Value(HCADelivered); got != 0 {
 		t.Errorf("CNP delivered as traffic at the source (delivered = %d)", got)
 	}
 	if idxAtProbe != 1 {
 		t.Errorf("CCT index at probe = %d, want 1", idxAtProbe)
 	}
-	if got := a.Counters.Get("cct_throttled"); got != 1 {
+	if got := a.Counters.Value(HCACCTThrottled); got != 1 {
 		t.Errorf("cct_throttled = %d, want 1", got)
 	}
 	if got := a.CCTIndex(); got != 0 {
 		t.Errorf("CCT index %d did not decay to zero by run end", got)
 	}
-	if got := b.Counters.Get("delivered"); got != 2 {
+	if got := b.Counters.Value(HCADelivered); got != 2 {
 		t.Errorf("victim delivered = %d, want 2 (marked datagram + throttled follow-up)", got)
 	}
 }
@@ -244,16 +244,16 @@ func TestCCOffIsInert(t *testing.T) {
 	a.NotifyBECN(2)
 	s.Run()
 
-	if got := b.Counters.Get("cnp_sent"); got != 0 {
+	if got := b.Counters.Value(HCACNPSent); got != 0 {
 		t.Errorf("unprogrammed HCA sent %d CNPs", got)
 	}
-	if got := b.Counters.Get("delivered"); got != 1 {
+	if got := b.Counters.Value(HCADelivered); got != 1 {
 		t.Errorf("marked packet not delivered normally (delivered = %d)", got)
 	}
 	if got := a.CCTIndex(); got != 0 {
 		t.Errorf("NotifyBECN moved an unprogrammed CCT to %d", got)
 	}
-	if got := a.Counters.Get("cct_throttled"); got != 0 {
+	if got := a.Counters.Value(HCACCTThrottled); got != 0 {
 		t.Errorf("unprogrammed HCA throttled %d sends", got)
 	}
 }

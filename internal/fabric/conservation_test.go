@@ -74,21 +74,21 @@ type terminals map[string]uint64
 func settled(hcas []*HCA, sws []*Switch, consumed uint64) terminals {
 	tm := terminals{"mad consumed": consumed}
 	for _, h := range hcas {
-		tm["delivered"] += h.Counters.Get("delivered")
+		tm["delivered"] += h.Counters.Value(HCADelivered)
 		tm["pkey reject"] += h.PKeyViolations()
-		tm["hca vcrc"] += h.Counters.Get("vcrc_drops")
-		tm["hca icrc"] += h.Counters.Get("icrc_drops")
-		tm["cnp consumed"] += h.Counters.Get("cnp_received")
+		tm["hca vcrc"] += h.Counters.Value(HCAVCRCDrops)
+		tm["hca icrc"] += h.Counters.Value(HCAICRCDrops)
+		tm["cnp consumed"] += h.Counters.Value(HCACNPReceived)
 		tm["link blackhole"] += h.Blackholed()
 		tm["hoq"] += h.HOQDropped()
 	}
 	for _, sw := range sws {
-		tm["filtered"] += sw.Counters.Get("filtered")
-		tm["unroutable"] += sw.Counters.Get("unroutable")
-		tm["dead port"] += sw.Counters.Get("dead_port")
-		tm["switch vcrc"] += sw.Counters.Get("vcrc_drops")
-		tm["switch down"] += sw.Counters.Get("blackholed")
-		tm["mad tap"] += sw.Counters.Get("mad_dropped")
+		tm["filtered"] += sw.Counters.Value(SwFiltered)
+		tm["unroutable"] += sw.Counters.Value(SwUnroutable)
+		tm["dead port"] += sw.Counters.Value(SwDeadPort)
+		tm["switch vcrc"] += sw.Counters.Value(SwVCRCDrops)
+		tm["switch down"] += sw.Counters.Value(SwBlackholed)
+		tm["mad tap"] += sw.Counters.Value(SwMADDropped)
 		for p := range sw.ports {
 			tm["link blackhole"] += sw.PortBlackholed(p)
 		}
@@ -106,7 +106,7 @@ func (tm terminals) total() (n uint64) {
 
 func sentBy(hcas []*HCA) (n uint64) {
 	for _, h := range hcas {
-		n += h.Counters.Get("sent")
+		n += h.Counters.Value(HCASent)
 	}
 	return n
 }
@@ -278,7 +278,7 @@ func TestICRCDropReleasesMessage(t *testing.T) {
 	d.Tainted = true
 	hcas[0].Send(d)
 	s.Run()
-	if got := hcas[1].Counters.Get("icrc_drops"); got != 1 {
+	if got := hcas[1].Counters.Value(HCAICRCDrops); got != 1 {
 		t.Fatalf("icrc_drops = %d, want 1", got)
 	}
 	if held := params.inFlight(); held != 0 {

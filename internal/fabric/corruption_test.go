@@ -70,8 +70,8 @@ func TestCorruptionDetectedNeverDelivered(t *testing.T) {
 	}
 	s.Run()
 
-	drops := sw.Counters.Get("vcrc_drops") + b.Counters.Get("vcrc_drops") +
-		b.Counters.Get("icrc_drops")
+	drops := sw.Counters.Value(SwVCRCDrops) + b.Counters.Value(HCAVCRCDrops) +
+		b.Counters.Value(HCAICRCDrops)
 	if drops == 0 {
 		t.Fatal("no corruption events at 2e-5 BER over 400 KiB")
 	}
@@ -109,8 +109,8 @@ func TestICRCEndToEndCatch(t *testing.T) {
 	if delivered != 0 {
 		t.Fatal("ICRC-stale packet delivered")
 	}
-	if b.Counters.Get("icrc_drops") != 1 {
-		t.Fatalf("icrc_drops = %d", b.Counters.Get("icrc_drops"))
+	if b.Counters.Value(HCAICRCDrops) != 1 {
+		t.Fatalf("icrc_drops = %d", b.Counters.Value(HCAICRCDrops))
 	}
 }
 
@@ -150,7 +150,7 @@ func TestMalformedAlwaysDropped(t *testing.T) {
 	if n != 0 {
 		t.Fatal("malformed packet delivered")
 	}
-	if sw.Counters.Get("vcrc_drops") != 1 {
-		t.Fatalf("vcrc_drops = %d", sw.Counters.Get("vcrc_drops"))
+	if sw.Counters.Value(SwVCRCDrops) != 1 {
+		t.Fatalf("vcrc_drops = %d", sw.Counters.Value(SwVCRCDrops))
 	}
 }

@@ -112,8 +112,8 @@ func TestEndToEndDelivery(t *testing.T) {
 	if got.Hops != 1 {
 		t.Fatalf("Hops = %d, want 1", got.Hops)
 	}
-	if sw.Counters.Get("forwarded") != 1 {
-		t.Fatalf("switch forwarded = %d", sw.Counters.Get("forwarded"))
+	if sw.Counters.Value(SwForwarded) != 1 {
+		t.Fatalf("switch forwarded = %d", sw.Counters.Value(SwForwarded))
 	}
 	// Latency sanity: two serializations (HCA->sw, sw->HCA) plus lookup
 	// plus two propagation delays.
@@ -205,8 +205,8 @@ func TestCreditBackpressureNoLoss(t *testing.T) {
 	if n != 20 {
 		t.Fatalf("delivered %d/20 with tight credits", n)
 	}
-	if sw.Counters.Get("forwarded") != 20 {
-		t.Fatalf("switch forwarded %d", sw.Counters.Get("forwarded"))
+	if sw.Counters.Value(SwForwarded) != 20 {
+		t.Fatalf("switch forwarded %d", sw.Counters.Value(SwForwarded))
 	}
 }
 
@@ -256,8 +256,8 @@ func TestSwitchFilterDropsAndCharges(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d, want only the legitimate packet", delivered)
 	}
-	if sw.Counters.Get("filtered") != 1 {
-		t.Fatalf("filtered = %d", sw.Counters.Get("filtered"))
+	if sw.Counters.Value(SwFiltered) != 1 {
+		t.Fatalf("filtered = %d", sw.Counters.Value(SwFiltered))
 	}
 }
 
@@ -272,8 +272,8 @@ func TestUnroutableDropped(t *testing.T) {
 	s, a, _, sw := twoHCAs(t, params)
 	a.Send(&Delivery{Pkt: mkPkt(1, 99, VLBestEffort, 64), Class: ClassBestEffort, VL: VLBestEffort})
 	s.Run()
-	if sw.Counters.Get("unroutable") != 1 {
-		t.Fatalf("unroutable = %d", sw.Counters.Get("unroutable"))
+	if sw.Counters.Value(SwUnroutable) != 1 {
+		t.Fatalf("unroutable = %d", sw.Counters.Value(SwUnroutable))
 	}
 }
 
@@ -402,10 +402,10 @@ func TestPermissiveLIDIsNotAnAlternateLID(t *testing.T) {
 	sw.SetMADHandler(drToPort(1))
 	a.Send(a.Params().NewMAD(a.LID(), packet.LIDPermissive, []byte("a directed-route response")))
 	s.Run()
-	if got := b.Counters.Get("delivered"); got != 1 {
+	if got := b.Counters.Value(HCADelivered); got != 1 {
 		t.Fatalf("delivered = %d, want the SMP", got)
 	}
-	if got := b.Counters.Get("alt_lid_arrivals"); got != 0 {
+	if got := b.Counters.Value(HCAAltLIDArrivals); got != 0 {
 		t.Fatalf("alt_lid_arrivals = %d after a permissive-LID SMP, want 0", got)
 	}
 	for _, name := range b.Counters.Names() {
@@ -418,7 +418,7 @@ func TestPermissiveLIDIsNotAnAlternateLID(t *testing.T) {
 	sw.SetRoute(altLID, 1)
 	a.Send(&Delivery{Pkt: mkPkt(1, altLID, VLBestEffort, 64), Class: ClassBestEffort, VL: VLBestEffort})
 	s.Run()
-	if got := b.Counters.Get("alt_lid_arrivals"); got != 1 {
+	if got := b.Counters.Value(HCAAltLIDArrivals); got != 1 {
 		t.Fatalf("alt_lid_arrivals = %d after an alternate-LID arrival, want 1", got)
 	}
 }

@@ -42,13 +42,8 @@ type HCA struct {
 	// than the link becomes the bottleneck (paper section 7).
 	ExtraSendDelay sim.Time
 
-	Counters *metrics.Counters
-	// Handles for the counters every packet touches, resolved once, and
-	// for those only an attack, congestion or a bit error touches,
-	// resolved by bump on first use so that NewHCA does not pay for them.
-	sent, delivered, altLIDArrivals *metrics.Counter
-	pkeyViolationCtr, cctThrottled, cnpSent, cnpReceived,
-	fecnReceived, becnNotified, vcrcDrops, icrcDrops *metrics.Counter
+	Counters metrics.Set[HCACounter]
+	ctr      [numHCACounters]uint64 // Counters' cells
 
 	smi            SMI
 	pkeyViolations uint64
@@ -100,24 +95,12 @@ func NewHCAs(s *sim.Simulator, params *Params, n int, name func(i int) string) [
 			sim:       s,
 			params:    params,
 			PKeyTable: &tables[i],
-			Counters:  metrics.NewCounters(),
 		}
-		h.sent = h.Counters.Counter("sent")
-		h.delivered = h.Counters.Counter("delivered")
-		h.altLIDArrivals = h.Counters.Counter("alt_lid_arrivals")
+		h.Counters.Bind(&hcaCounters, h.ctr[:])
 		h.port = Port{owner: h, id: 0}
 		out[i] = h
 	}
 	return out
-}
-
-// bump adds one to a counter through its handle, resolving the handle on
-// first use.
-func (h *HCA) bump(c **metrics.Counter, name string) {
-	if *c == nil {
-		*c = h.Counters.Counter(name)
-	}
-	(*c).Add(1)
 }
 
 // Name returns the HCA's name.
@@ -205,7 +188,7 @@ func (h *HCA) Send(d *Delivery) {
 		d.Pkt.InvalidateWire()
 	}
 	d.EnqueuedAt = h.sim.Now()
-	h.sent.Add(1)
+	h.Counters.Add(HCASent, 1)
 	h.params.observe(h.sim.Now(), ObsEnqueue, h.name, d)
 	extra := h.ExtraSendDelay
 	if len(h.ccFlows) > 0 && d.Class != ClassManagement && d.Pkt.BTH.OpCode != packet.CNPNotify {
@@ -216,7 +199,7 @@ func (h *HCA) Send(d *Delivery) {
 		// fabric — which is the entire point of the annex.
 		if f := h.ccFlows[d.Pkt.LRH.DLID]; f != nil && f.index > 0 {
 			extra += sim.Time(f.index) * h.cc.CCTStep
-			h.bump(&h.cctThrottled, "cct_throttled")
+			h.Counters.Add(HCACCTThrottled, 1)
 		}
 	}
 	if extra > 0 {
@@ -331,7 +314,7 @@ func (h *HCA) NotifyBECN(dst packet.LID) {
 	if f.index < h.cc.CCTSize {
 		f.index++
 	}
-	h.bump(&h.becnNotified, "becn_notified")
+	h.Counters.Add(HCABECNNotified, 1)
 	if !f.armed {
 		f.armed = true
 		h.armCCTDecay(f)
@@ -386,7 +369,7 @@ func (h *HCA) sendCNP(orig *Delivery) {
 	if err := icrc.Seal(d.Pkt); err != nil {
 		panic(fmt.Sprintf("fabric: sealing CNP: %v", err))
 	}
-	h.bump(&h.cnpSent, "cnp_sent")
+	h.Counters.Add(HCACNPSent, 1)
 	h.params.observe(h.sim.Now(), ObsCNP, h.name, d)
 	h.Send(d)
 }
@@ -406,14 +389,14 @@ func (h *HCA) receive(d *Delivery) ObsKind {
 	d.DeliveredAt = h.sim.Now()
 	d.ReturnCredit()
 	if !vcrcOK(d) {
-		h.bump(&h.vcrcDrops, "vcrc_drops")
+		h.Counters.Add(HCAVCRCDrops, 1)
 		h.health.AddRcvErrors(1)
 		h.params.observe(h.sim.Now(), ObsCRCDrop, h.name, d)
 		return ObsCRCDrop
 	}
 	if d.Tainted && d.Pkt.BTH.AuthID == 0 {
 		if ok, err := icrc.VerifyICRC(d.Pkt.Wire()); err != nil || !ok {
-			h.bump(&h.icrcDrops, "icrc_drops")
+			h.Counters.Add(HCAICRCDrops, 1)
 			h.health.AddRcvErrors(1)
 			h.params.observe(h.sim.Now(), ObsCRCDrop, h.name, d)
 			return ObsCRCDrop
@@ -426,13 +409,13 @@ func (h *HCA) receive(d *Delivery) ObsKind {
 		// carried), and a FECN-marked arrival is reflected back to its
 		// source so the congestion tree is starved where it is fed.
 		if d.Pkt.BTH.OpCode == packet.CNPNotify {
-			h.bump(&h.cnpReceived, "cnp_received")
+			h.Counters.Add(HCACNPReceived, 1)
 			h.params.observe(h.sim.Now(), ObsBECN, h.name, d)
 			h.NotifyBECN(d.Pkt.LRH.SLID)
 			return ObsBECN
 		}
 		if d.Pkt.BTH.FECN {
-			h.bump(&h.fecnReceived, "fecn_received")
+			h.Counters.Add(HCAFECNReceived, 1)
 			if svc := d.Pkt.BTH.OpCode.Service(); svc == packet.ServiceUD || svc == packet.ServiceUC {
 				// No ACK stream to piggyback BECN on: answer with a
 				// standalone CNP. RC flows are handled by the transport
@@ -443,7 +426,7 @@ func (h *HCA) receive(d *Delivery) ObsKind {
 	}
 	if d.Class != ClassManagement && !h.PKeyTable.Check(d.Pkt.BTH.PKey) {
 		h.pkeyViolations++
-		h.bump(&h.pkeyViolationCtr, "pkey_violations")
+		h.Counters.Add(HCAPKeyViolations, 1)
 		h.params.observe(h.sim.Now(), ObsPKeyReject, h.name, d)
 		if h.OnPKeyViolation != nil {
 			h.OnPKeyViolation(d)
@@ -456,9 +439,9 @@ func (h *HCA) receive(d *Delivery) ObsKind {
 		// transport layer uses the mismatch to mirror acknowledgements
 		// onto the alternate path. A directed-route SMP is addressed to
 		// the permissive LID, not to an alternate one.
-		h.altLIDArrivals.Add(1)
+		h.Counters.Add(HCAAltLIDArrivals, 1)
 	}
-	h.delivered.Add(1)
+	h.Counters.Add(HCADelivered, 1)
 	h.params.observe(h.sim.Now(), ObsDeliver, h.name, d)
 	if d.Class == ClassManagement && h.smi != nil && h.smi.ReceiveMAD(d) {
 		return ObsDeliver

@@ -53,7 +53,7 @@ func (m *hopMesh) delivery(src int) fabric.Delivery {
 func (m *hopMesh) delivered() uint64 {
 	var n uint64
 	for _, h := range m.mesh.HCAs {
-		n += h.Counters.Get("delivered")
+		n += h.Counters.Value(fabric.HCADelivered)
 	}
 	return n
 }

@@ -71,9 +71,8 @@ type Switch struct {
 	trapThreshold uint64
 	onHealthTrap  func(sw *Switch, port int)
 
-	Counters *metrics.Counters
-	// Handles for the counters every packet touches, resolved once.
-	forwarded, drForwarded, filtered *metrics.Counter
+	Counters metrics.Set[SwitchCounter]
+	ctr      [numSwitchCounters]uint64 // Counters' cells
 }
 
 // NewSwitch creates a switch with nports ports.
@@ -95,17 +94,14 @@ func NewSwitches(s *sim.Simulator, params *Params, n, nports, lids int, name fun
 	for i := range sws {
 		sw := &sws[i]
 		*sw = Switch{
-			name:     name(i),
-			sim:      s,
-			params:   params,
-			ports:    ports[i*nports : (i+1)*nports : (i+1)*nports],
-			ingress:  ingress[i*nports : (i+1)*nports : (i+1)*nports],
-			fwd:      fwd[i*lids : (i+1)*lids : (i+1)*lids],
-			Counters: metrics.NewCounters(),
+			name:    name(i),
+			sim:     s,
+			params:  params,
+			ports:   ports[i*nports : (i+1)*nports : (i+1)*nports],
+			ingress: ingress[i*nports : (i+1)*nports : (i+1)*nports],
+			fwd:     fwd[i*lids : (i+1)*lids : (i+1)*lids],
 		}
-		sw.forwarded = sw.Counters.Counter("forwarded")
-		sw.drForwarded = sw.Counters.Counter("dr_forwarded")
-		sw.filtered = sw.Counters.Counter("filtered")
+		sw.Counters.Bind(&switchCounters, sw.ctr[:])
 		for j := range sw.ports {
 			sw.ports[j] = Port{owner: sw, id: j}
 		}
@@ -219,7 +215,7 @@ func (sw *Switch) PortBlackholed(port int) uint64 {
 // sum over ports of outbound link losses plus packets that arrived while
 // the switch itself was dead or whose MAD was dropped by the tap.
 func (sw *Switch) Blackholed() uint64 {
-	n := sw.Counters.Get("blackholed") + sw.Counters.Get("mad_dropped")
+	n := sw.Counters.Value(SwBlackholed) + sw.Counters.Value(SwMADDropped)
 	for i := range sw.ports {
 		n += sw.PortBlackholed(i)
 	}
@@ -346,7 +342,7 @@ func (sw *Switch) checkHealthTrap(port int) {
 	}
 	if sw.ports[port].health.ErrorSum() >= sw.trapThreshold {
 		sw.ports[port].trapArmed = false
-		sw.Counters.Inc("health_traps", 1)
+		sw.Counters.Add(SwHealthTraps, 1)
 		sw.onHealthTrap(sw, port)
 	}
 }
@@ -372,12 +368,12 @@ func (sw *Switch) SendRaw(port int, d *Delivery) {
 		sw.madHeld = nil
 	}
 	if port < 0 || port >= len(sw.ports) || sw.ports[port].out == nil {
-		sw.Counters.Inc("dead_port", 1)
+		sw.Counters.Add(SwDeadPort, 1)
 		d.ReturnCredit()
 		sw.params.release(d, ObsUnroutable)
 		return
 	}
-	sw.drForwarded.Add(1)
+	sw.Counters.Add(SwDRForwarded, 1)
 	d.Hops++
 	sw.ports[port].out.enqueue(d)
 }
@@ -438,14 +434,14 @@ func (sw *Switch) arrive(port int, d *Delivery) {
 		// A dead switch destroys everything that lands on it; the
 		// sender's buffer credit is still released (the packet left the
 		// wire), so flow control stays conserved.
-		sw.Counters.Inc("blackholed", 1)
+		sw.Counters.Add(SwBlackholed, 1)
 		sw.params.observe(sw.sim.Now(), ObsBlackhole, sw.name, d)
 		d.ReturnCredit()
 		sw.params.release(d, ObsBlackhole)
 		return
 	}
 	if !vcrcOK(d) {
-		sw.Counters.Inc("vcrc_drops", 1)
+		sw.Counters.Add(SwVCRCDrops, 1)
 		sw.ports[port].health.AddRcvErrors(1)
 		sw.checkHealthTrap(port)
 		sw.params.observe(sw.sim.Now(), ObsCRCDrop, sw.name, d)
@@ -461,7 +457,7 @@ func (sw *Switch) arrive(port int, d *Delivery) {
 		if sw.madTap != nil {
 			drop, delay := sw.madTap(sw, d)
 			if drop {
-				sw.Counters.Inc("mad_dropped", 1)
+				sw.Counters.Add(SwMADDropped, 1)
 				sw.ports[port].health.AddVL15Dropped(1)
 				sw.params.observe(sw.sim.Now(), ObsBlackhole, sw.name, d)
 				d.ReturnCredit()
@@ -518,7 +514,7 @@ type swForward Switch
 func (h *swForward) Fire(arg any, drop uint64) {
 	sw, d := (*Switch)(h), arg.(*Delivery)
 	if drop != 0 {
-		sw.filtered.Add(1)
+		sw.Counters.Add(SwFiltered, 1)
 		sw.params.observe(sw.sim.Now(), ObsFiltered, sw.name, d)
 		d.ReturnCredit()
 		sw.params.release(d, ObsFiltered)
@@ -531,7 +527,7 @@ func (h *swForward) Fire(arg any, drop uint64) {
 func (sw *Switch) routeByLID(d *Delivery) {
 	out, ok := sw.Route(d.Pkt.LRH.DLID)
 	if !ok {
-		sw.Counters.Inc("unroutable", 1)
+		sw.Counters.Add(SwUnroutable, 1)
 		sw.params.observe(sw.sim.Now(), ObsUnroutable, sw.name, d)
 		d.ReturnCredit()
 		sw.params.release(d, ObsUnroutable)
@@ -539,14 +535,14 @@ func (sw *Switch) routeByLID(d *Delivery) {
 	}
 	ch := sw.ports[out].out
 	if ch == nil {
-		sw.Counters.Inc("dead_port", 1)
+		sw.Counters.Add(SwDeadPort, 1)
 		sw.params.observe(sw.sim.Now(), ObsUnroutable, sw.name, d)
 		d.ReturnCredit()
 		sw.params.release(d, ObsUnroutable)
 		return
 	}
 	d.Hops++
-	sw.forwarded.Add(1)
+	sw.Counters.Add(SwForwarded, 1)
 	sw.params.observe(sw.sim.Now(), ObsForward, sw.name, d)
 	ch.enqueue(d)
 }

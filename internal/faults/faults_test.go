@@ -384,7 +384,7 @@ func TestInstallLinkBERWindow(t *testing.T) {
 	if struck.SymbolErrors == 0 {
 		t.Fatal("no symbol errors recorded on the degraded half")
 	}
-	rejected := m.Switches[1].Counters.Get("vcrc_drops") + m.HCA(1).Counters.Get("vcrc_drops") + m.HCA(1).Counters.Get("icrc_drops")
+	rejected := m.Switches[1].Counters.Value(fabric.SwVCRCDrops) + m.HCA(1).Counters.Value(fabric.HCAVCRCDrops) + m.HCA(1).Counters.Value(fabric.HCAICRCDrops)
 	if rejected == 0 {
 		t.Fatal("no CRC rejects downstream of the degraded link")
 	}

@@ -120,12 +120,33 @@ func (kp *NodeKeyPair) OpenEpoch(e Envelope) (SecretKey, uint32, error) {
 type EnvelopeOpener struct {
 	kp       *NodeKeyPair
 	floor    map[uint16]uint32 // lowest still-acceptable epoch per P_Key base
-	Counters *metrics.Counters
+	Counters metrics.Set[EnvelopeCounter]
+	ctr      [numEnvelopeCounters]uint64 // Counters' cells
 }
+
+// EnvelopeCounter identifies one of an EnvelopeOpener's counters.
+type EnvelopeCounter uint8
+
+// The ids of an EnvelopeOpener's counters, in name order.
+const (
+	EnvelopeOpened EnvelopeCounter = iota
+	EnvelopeReplayed
+	EnvelopeTampered
+	numEnvelopeCounters
+)
+
+// envelopeCounters names each id.
+var envelopeCounters = metrics.Table{Set: "envelope", Names: []string{
+	EnvelopeOpened:   "envelope_opened",
+	EnvelopeReplayed: "envelope_replayed",
+	EnvelopeTampered: "envelope_tampered",
+}}
 
 // NewEnvelopeOpener returns an opener decrypting with kp.
 func NewEnvelopeOpener(kp *NodeKeyPair) *EnvelopeOpener {
-	return &EnvelopeOpener{kp: kp, floor: make(map[uint16]uint32), Counters: metrics.NewCounters()}
+	o := &EnvelopeOpener{kp: kp, floor: make(map[uint16]uint32)}
+	o.Counters.Bind(&envelopeCounters, o.ctr[:])
+	return o
 }
 
 // Open decrypts an epoch envelope for partition pkBase. Tampered
@@ -135,14 +156,14 @@ func NewEnvelopeOpener(kp *NodeKeyPair) *EnvelopeOpener {
 func (o *EnvelopeOpener) Open(pkBase uint16, e Envelope) (SecretKey, uint32, error) {
 	k, epoch, err := o.kp.OpenEpoch(e)
 	if err != nil {
-		o.Counters.Inc("envelope_tampered", 1)
+		o.Counters.Add(EnvelopeTampered, 1)
 		return SecretKey{}, 0, err
 	}
 	if floor := o.floor[pkBase]; epoch < floor {
-		o.Counters.Inc("envelope_replayed", 1)
+		o.Counters.Add(EnvelopeReplayed, 1)
 		return SecretKey{}, 0, fmt.Errorf("%w: epoch %d below retirement floor %d", ErrEnvelopeReplayed, epoch, floor)
 	}
-	o.Counters.Inc("envelope_opened", 1)
+	o.Counters.Add(EnvelopeOpened, 1)
 	return k, epoch, nil
 }
 

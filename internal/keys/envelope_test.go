@@ -222,13 +222,13 @@ func TestOpenerTamperVsReplayCounters(t *testing.T) {
 		t.Fatalf("retirement leaked across partitions: %v", err)
 	}
 
-	for name, want := range map[string]uint64{
-		"envelope_tampered": 1,
-		"envelope_replayed": 1,
-		"envelope_opened":   4,
+	for id, want := range map[EnvelopeCounter]uint64{
+		EnvelopeTampered: 1,
+		EnvelopeReplayed: 1,
+		EnvelopeOpened:   4,
 	} {
-		if got := o.Counters.Get(name); got != want {
-			t.Fatalf("%s = %d, want %d", name, got, want)
+		if got := o.Counters.Value(id); got != want {
+			t.Fatalf("%s = %d, want %d", envelopeCounters.Names[id], got, want)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -169,63 +170,80 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.hi
 }
 
-// Counters is a set of named monotonic counters. Like everything a
-// simulation run owns, a set belongs to one goroutine and takes no lock;
-// the runner's pool, the one set shared across goroutines, serialises
-// its own updates. The zero value is unusable; use NewCounters.
+// Table declares one kind of owner's counters: the set's name, which a
+// misnamed read's panic names, and each counter's name, indexed by the
+// owner's typed counter id.
+type Table struct {
+	Set   string
+	Names []string
+}
+
+// live is a cell's top bit: it records that the cell has been added to,
+// so a declared counter nothing has touched stays out of Names and
+// String, and one touched by a zero add shows up.
+const live = 1 << 63
+
+// Counters is a set of monotonic counters, one uint64 cell per name of
+// its Table. Devices and planes use it through a Set, which addresses the
+// cells by typed id. Like everything a simulation run owns, a set belongs
+// to one goroutine and takes no lock; the runner's pool, the one set
+// shared across goroutines, serialises its own updates.
 type Counters struct {
-	m map[string]*Counter
+	t *Table
+	v []uint64
+	// grows marks a set made by NewCounters, whose table gains a name at
+	// the first Inc of it.
+	grows bool
 }
 
-// Counter is a pre-resolved handle to one named cell of a Counters set,
-// for per-packet code: Add is a field update with no map lookup. Handle
-// and name address the same cell.
-type Counter struct {
-	v uint64
-	// live records that the cell has been added to: resolving a handle
-	// alone must not add a name to Names or String.
-	live bool
+// NewCounters returns a set declaring names whose table grows: Inc of a
+// name it lacks adds the name.
+func NewCounters(names ...string) *Counters {
+	return &Counters{t: &Table{Set: "by-name", Names: names}, v: make([]uint64, len(names)), grows: true}
 }
 
-// Add adds delta to the counter.
-func (h *Counter) Add(delta uint64) {
-	h.v += delta
-	h.live = true
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{m: make(map[string]*Counter)} }
-
-// Counter resolves name to its handle, creating the cell on first use.
-// The name shows up in Names and String only once something has been
-// added to it, by handle or by name.
-func (c *Counters) Counter(name string) *Counter {
-	h := c.m[name]
-	if h == nil {
-		h = new(Counter)
-		c.m[name] = h
+// index returns name's cell, or -1.
+func (c *Counters) index(name string) int {
+	for i, n := range c.t.Names {
+		if n == name {
+			return i
+		}
 	}
-	return h
+	return -1
 }
 
-// Inc adds delta to the named counter.
-func (c *Counters) Inc(name string, delta uint64) { c.Counter(name).Add(delta) }
-
-// Get returns the named counter's value (0 if never incremented).
-func (c *Counters) Get(name string) uint64 {
-	if h := c.m[name]; h != nil {
-		return h.v
+// must returns name's cell, panicking if the set does not declare it: a
+// mistyped name fails loudly instead of reading zero.
+func (c *Counters) must(name string) int {
+	i := c.index(name)
+	if i < 0 {
+		panic(fmt.Sprintf("metrics: %s counters have no %q", c.t.Set, name))
 	}
-	return 0
+	return i
 }
+
+// Inc adds delta to the named counter. A set made by NewCounters gains
+// the name if it lacks it; any other set panics.
+func (c *Counters) Inc(name string, delta uint64) {
+	if c.grows && c.index(name) < 0 {
+		c.t.Names = append(c.t.Names, name)
+		c.v = append(c.v, 0)
+	}
+	i := c.must(name)
+	c.v[i] = (c.v[i] + delta) | live
+}
+
+// Get returns the named counter's value. It panics if the set does not
+// declare name.
+func (c *Counters) Get(name string) uint64 { return c.v[c.must(name)] &^ live }
 
 // Names returns the names of all counters added to so far, in sorted
 // order.
 func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for k, h := range c.m {
-		if h.live {
-			names = append(names, k)
+	var names []string
+	for i, n := range c.t.Names {
+		if c.v[i]&live != 0 {
+			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
@@ -241,6 +259,54 @@ func (c *Counters) String() string {
 		fmt.Fprintf(&b, "%s=%d", k, c.Get(k))
 	}
 	return b.String()
+}
+
+// Set is a Counters whose cells the owner keeps in its own struct and
+// addresses by its typed counter id ID, the index of the counter's name
+// in the owner's Table: a set costs its owner no allocation, and an
+// increment is an indexed add.
+type Set[ID ~uint8] struct{ Counters }
+
+// Bind names cells, the owner's storage for the set, by t.
+func (s *Set[ID]) Bind(t *Table, cells []uint64) {
+	if len(cells) != len(t.Names) {
+		panic(fmt.Sprintf("metrics: %s counters declare %d names for %d cells", t.Set, len(t.Names), len(cells)))
+	}
+	s.t, s.v = t, cells
+}
+
+// Add adds delta to counter id.
+func (s *Set[ID]) Add(id ID, delta uint64) { s.v[id] = (s.v[id] + delta) | live }
+
+// Value returns counter id's value.
+func (s *Set[ID]) Value(id ID) uint64 { return s.v[id] &^ live }
+
+// CheckTable is the test of a declaring package's counters: it fails
+// unless t names each of the n ids of ID with a unique snake_case name
+// and each id's by-name read equals its typed read after an add.
+func CheckTable[ID ~uint8](t *Table, n ID) error {
+	if len(t.Names) != int(n) {
+		return fmt.Errorf("%s counters: %d names for %d ids", t.Set, len(t.Names), n)
+	}
+	var s Set[ID]
+	s.Bind(t, make([]uint64, n))
+	snake := regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+	seen := make(map[string]bool)
+	for i, name := range t.Names {
+		id := ID(i)
+		if !snake.MatchString(name) || seen[name] {
+			return fmt.Errorf("%s counter %d: name %q is empty, repeated or not snake_case", t.Set, i, name)
+		}
+		seen[name] = true
+		s.Add(id, uint64(i)+1)
+		if s.Get(name) != s.Value(id) || s.Value(id) != uint64(i)+1 {
+			return fmt.Errorf("%s counter %q: Get reads %d, Value %d", t.Set, name, s.Get(name), s.Value(id))
+		}
+	}
+	if len(s.Names()) != len(t.Names) {
+		return fmt.Errorf("%s counters: %d of %d names listed after an add to each", t.Set, len(s.Names()), len(t.Names))
+	}
+	return nil
 }
 
 // Recorder combines a Welford accumulator with a histogram so a latency

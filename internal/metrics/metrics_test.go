@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -167,7 +168,7 @@ func TestCounters(t *testing.T) {
 	c.Inc("drops", 1)
 	c.Inc("drops", 2)
 	c.Inc("traps", 1)
-	if c.Get("drops") != 3 || c.Get("traps") != 1 || c.Get("missing") != 0 {
+	if c.Get("drops") != 3 || c.Get("traps") != 1 {
 		t.Fatalf("counters: %v", c)
 	}
 	names := c.Names()
@@ -177,44 +178,89 @@ func TestCounters(t *testing.T) {
 	if c.String() != "drops=3 traps=1" {
 		t.Fatalf("String = %q", c.String())
 	}
+	// A declared name reads zero before its first Inc and stays unlisted.
+	if d := NewCounters("jobs_failed"); d.Get("jobs_failed") != 0 || d.String() != "" {
+		t.Fatalf("declared, untouched: Get = %d, String = %q", d.Get("jobs_failed"), d.String())
+	}
 }
 
-// A Counter handle and the counter's name address one cell, and merely
-// resolving a handle adds no name: a device resolves its per-packet
-// counters at construction, and a run that never forwards a packet must
-// still list the names it always did.
-func TestCounterHandle(t *testing.T) {
-	c := NewCounters()
-	fwd := c.Counter("forwarded")
-	idle := c.Counter("filtered")
-	if names := c.Names(); len(names) != 0 {
-		t.Fatalf("resolved-but-untouched handles appear in Names: %v", names)
-	}
-	if c.String() != "" || c.Get("filtered") != 0 {
-		t.Fatalf("untouched handle is visible: %q", c.String())
-	}
+// mustPanic fails unless f panics with a message containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one naming %q", msg, want)
+		}
+	}()
+	f()
+}
 
-	fwd.Add(2)
-	c.Inc("forwarded", 3)
-	fwd.Add(1)
-	if got := c.Get("forwarded"); got != 6 {
-		t.Fatalf("handle and name disagree: Get = %d, want 6", got)
-	}
-	if c.Counter("forwarded") != fwd {
-		t.Fatal("resolving a name twice returned different handles")
-	}
-	if names := c.Names(); len(names) != 1 || names[0] != "forwarded" {
-		t.Fatalf("Names = %v, want [forwarded]", names)
-	}
+// A mistyped name fails loudly: a read of a name the set does not
+// declare would otherwise print 0 in a CSV column.
+func TestCountersMissingNamePanics(t *testing.T) {
+	mustPanic(t, `"missing"`, func() { NewCounters("drops").Get("missing") })
 
-	// Like Inc(name, 0), adding zero makes the name exist.
-	idle.Add(0)
-	c.Inc("zero_by_name", 0)
-	// A handle resolved after the name was counted continues the count.
-	c.Inc("late", 4)
-	c.Counter("late").Add(1)
-	if got, want := c.String(), "filtered=0 forwarded=6 late=5 zero_by_name=0"; got != want {
+	var s Set[testCounter]
+	s.Bind(&testCounters, make([]uint64, numTestCounters))
+	mustPanic(t, `test counters have no "missing"`, func() { s.Get("missing") })
+	mustPanic(t, `test counters have no "missing"`, func() { s.Inc("missing", 1) })
+	mustPanic(t, "declare 3 names for 2 cells", func() { s.Bind(&testCounters, make([]uint64, 2)) })
+}
+
+type testCounter uint8
+
+const (
+	testForwarded testCounter = iota
+	testFiltered
+	testZero
+	numTestCounters
+)
+
+var testCounters = Table{Set: "test", Names: []string{
+	testForwarded: "forwarded",
+	testFiltered:  "filtered",
+	testZero:      "zero",
+}}
+
+// A typed id and the counter's name address one cell, and a declared
+// counter nothing has added to is not listed: a run that never filters a
+// packet must still list the names it always did.
+func TestSet(t *testing.T) {
+	var s Set[testCounter]
+	s.Bind(&testCounters, make([]uint64, numTestCounters))
+	if names := s.Names(); len(names) != 0 || s.String() != "" || s.Get("filtered") != 0 {
+		t.Fatalf("untouched counters are visible: %v %q", names, s.String())
+	}
+	s.Add(testForwarded, 2)
+	s.Inc("forwarded", 3)
+	s.Add(testForwarded, 1)
+	if got := s.Get("forwarded"); got != 6 || s.Value(testForwarded) != 6 {
+		t.Fatalf("id and name disagree: Get = %d, Value = %d, want 6", got, s.Value(testForwarded))
+	}
+	// Adding zero makes the name exist.
+	s.Add(testZero, 0)
+	if got, want := s.String(), "forwarded=6 zero=0"; got != want {
 		t.Fatalf("String = %q, want %q", got, want)
+	}
+}
+
+func TestCheckTable(t *testing.T) {
+	if err := CheckTable(&testCounters, numTestCounters); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		names []string
+		want  string
+	}{
+		{[]string{"ok", "fine"}, "2 names for 3 ids"},
+		{[]string{"ok", "Not_Snake", "fine"}, `"Not_Snake" is empty, repeated or not snake_case`},
+		{[]string{"ok", "", "fine"}, `"" is empty`},
+		{[]string{"ok", "fine", "ok"}, `"ok" is empty, repeated`},
+	} {
+		bad := Table{Set: "bad", Names: tc.names}
+		if err := CheckTable(&bad, numTestCounters); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("CheckTable(%q) = %v, want an error containing %q", tc.names, err, tc.want)
+		}
 	}
 }
 

@@ -78,7 +78,8 @@ type Auditor struct {
 	// Counters: audit_sweeps, audit_skipped (a period elapsed while the
 	// previous sweep was still in flight), audit_mads (Get probes),
 	// audit_unanswered (terminal timeouts), drift_events, repair_mads.
-	Counters *metrics.Counters
+	Counters metrics.Set[AuditCounter]
+	ctr      [numAuditCounters]uint64 // Counters' cells
 	// Events accumulates every detected drift in detection order.
 	Events []*DriftEvent
 	// OnDrift, when non-nil, observes each event at detection time
@@ -96,6 +97,32 @@ type Auditor struct {
 	stop        func()
 }
 
+// AuditCounter identifies one of an Auditor's counters.
+type AuditCounter uint8
+
+// The ids of an Auditor's counters, in name order.
+const (
+	AuditMADs AuditCounter = iota
+	AuditSkipped
+	AuditSweeps
+	AuditUnanswered
+	AuditDriftEvents
+	AuditRepairMADs
+	AuditRepairsCompleted
+	numAuditCounters
+)
+
+// auditCounters names each id.
+var auditCounters = metrics.Table{Set: "audit", Names: []string{
+	AuditMADs:             "audit_mads",
+	AuditSkipped:          "audit_skipped",
+	AuditSweeps:           "audit_sweeps",
+	AuditUnanswered:       "audit_unanswered",
+	AuditDriftEvents:      "drift_events",
+	AuditRepairMADs:       "repair_mads",
+	AuditRepairsCompleted: "repairs_completed",
+}}
+
 // NewAuditor builds an auditor driving disc (which must be the
 // auditor's own Discoverer — sharing the resweeper's would let its
 // per-sweep Reset cancel audit probes mid-flight) along the given
@@ -107,13 +134,13 @@ func NewAuditor(s *sim.Simulator, disc *sm.Discoverer, intent *Intent, paths [][
 		intent:     intent,
 		paths:      paths,
 		cfg:        cfg,
-		Counters:   metrics.NewCounters(),
 		expValid:   make(map[int]uint32),
 		expInvalid: make(map[int]uint32),
 		expAlt:     make(map[int]uint32),
 		lastOKInv:  make(map[int]uint32),
 		lastOKAlt:  make(map[int]uint32),
 	}
+	a.Counters.Bind(&auditCounters, a.ctr[:])
 	for i := range intent.Switches {
 		si := &intent.Switches[i]
 		v, inv, alt := si.Digests()
@@ -147,11 +174,11 @@ func (a *Auditor) Sweep() { a.tick() }
 
 func (a *Auditor) tick() {
 	if a.auditing {
-		a.Counters.Inc("audit_skipped", 1)
+		a.Counters.Add(AuditSkipped, 1)
 		return
 	}
 	a.auditing = true
-	a.Counters.Inc("audit_sweeps", 1)
+	a.Counters.Add(AuditSweeps, 1)
 	for i := range a.intent.Switches {
 		path := a.paths[a.intent.Switches[i].Switch]
 		if path == nil {
@@ -160,7 +187,7 @@ func (a *Auditor) tick() {
 		// One AuditState probe per switch, answered through stateProbe
 		// under the switch's intent index.
 		a.outstanding++
-		a.Counters.Inc("audit_mads", 1)
+		a.Counters.Add(AuditMADs, 1)
 		a.disc.Query(sm.MethodGet, sm.AttrAuditState, path, nil, (*stateProbe)(a), uint64(i))
 	}
 	if a.outstanding == 0 {
@@ -187,7 +214,7 @@ func (p *stateProbe) SMPDone(tag uint64, status byte, data, _ []byte) {
 	a := (*Auditor)(p)
 	defer a.done()
 	if status != sm.StatusOK {
-		a.Counters.Inc("audit_unanswered", 1)
+		a.Counters.Add(AuditUnanswered, 1)
 		return
 	}
 	si := &a.intent.Switches[tag]
@@ -264,7 +291,7 @@ func (a *Auditor) finalize(si *SwitchIntent, path []byte, ev *DriftEvent) {
 	if !ev.drifted() {
 		return
 	}
-	a.Counters.Inc("drift_events", 1)
+	a.Counters.Add(AuditDriftEvents, 1)
 	a.Events = append(a.Events, ev)
 	if a.OnDrift != nil {
 		a.OnDrift(ev)
@@ -280,11 +307,11 @@ func (a *Auditor) readTable(path []byte, sel int, cb func(entries []uint16, ok b
 	var step func(start int)
 	step = func(start int) {
 		a.outstanding++
-		a.Counters.Inc("audit_mads", 1)
+		a.Counters.Add(AuditMADs, 1)
 		a.disc.Query(sm.MethodGet, sm.AttrAuditEntries, path, sm.EncodeAuditEntriesReq(sel, start), sm.QueryFunc(func(status byte, data []byte) {
 			defer a.done()
 			if status != sm.StatusOK {
-				a.Counters.Inc("audit_unanswered", 1)
+				a.Counters.Add(AuditUnanswered, 1)
 				cb(nil, false)
 				return
 			}
@@ -329,7 +356,7 @@ func (a *Auditor) repairSwitch(path []byte, ev *DriftEvent) {
 	acked := 0
 	for _, f := range fixes {
 		a.outstanding++
-		a.Counters.Inc("repair_mads", 1)
+		a.Counters.Add(AuditRepairMADs, 1)
 		a.disc.Query(sm.MethodSet, sm.AttrAuditRepair, path, sm.EncodeAuditRepairReq(f.op, f.val), sm.QueryFunc(func(status byte, _ []byte) {
 			defer a.done()
 			if status == sm.StatusOK {
@@ -339,7 +366,7 @@ func (a *Auditor) repairSwitch(path []byte, ev *DriftEvent) {
 			if pending == 0 && acked == len(fixes) {
 				ev.Repaired = true
 				ev.RepairedAt = a.sim.Now()
-				a.Counters.Inc("repairs_completed", 1)
+				a.Counters.Add(AuditRepairsCompleted, 1)
 			}
 		}), 0)
 	}

@@ -77,12 +77,12 @@ func TestAuditorCleanFabricNoDrift(t *testing.T) {
 	if n := len(rig.auditor.Events); n != 0 {
 		t.Fatalf("clean fabric raised %d drift events: %+v", n, rig.auditor.Events[0])
 	}
-	sweeps := rig.auditor.Counters.Get("audit_sweeps")
+	sweeps := rig.auditor.Counters.Value(AuditSweeps)
 	if sweeps < 8 {
 		t.Fatalf("only %d sweeps in 500us at 50us period", sweeps)
 	}
 	// Digest agreement keeps a clean sweep at exactly one MAD per switch.
-	if mads := rig.auditor.Counters.Get("audit_mads"); mads != sweeps*uint64(len(rig.mesh.Switches)) {
+	if mads := rig.auditor.Counters.Value(AuditMADs); mads != sweeps*uint64(len(rig.mesh.Switches)) {
 		t.Errorf("audit_mads = %d, want %d (1 per switch per sweep)",
 			mads, sweeps*uint64(len(rig.mesh.Switches)))
 	}
@@ -104,7 +104,7 @@ func TestAuditorSweepAllocFree(t *testing.T) {
 		t.Errorf("a no-drift sweep allocated %.0f times, want 0", n)
 	}
 	switches := uint64(len(rig.mesh.Switches))
-	if got := rig.auditor.Counters.Get("audit_mads"); got != 101*switches || len(rig.auditor.Events) != 0 {
+	if got := rig.auditor.Counters.Value(AuditMADs); got != 101*switches || len(rig.auditor.Events) != 0 {
 		t.Errorf("%d probes and %d drift events over 101 sweeps, want %d and none", got, len(rig.auditor.Events), 101*switches)
 	}
 }
@@ -217,7 +217,7 @@ func TestAuditorToleratesRuntimeSupersets(t *testing.T) {
 	})
 	var madsAfterFirstVerify uint64
 	rig.s.ScheduleAt(260*sim.Microsecond, func() {
-		madsAfterFirstVerify = rig.auditor.Counters.Get("audit_mads")
+		madsAfterFirstVerify = rig.auditor.Counters.Value(AuditMADs)
 	})
 	rig.s.RunUntil(500 * sim.Microsecond)
 
@@ -226,7 +226,7 @@ func TestAuditorToleratesRuntimeSupersets(t *testing.T) {
 	}
 	// After the superset is verified once, its digest is cached: later
 	// sweeps are back to one MAD per switch.
-	finalMads := rig.auditor.Counters.Get("audit_mads")
+	finalMads := rig.auditor.Counters.Value(AuditMADs)
 	sweepsLeft := uint64(5) // sweeps at 300..500us inclusive
 	perSwitch := uint64(len(rig.mesh.Switches))
 	if finalMads != madsAfterFirstVerify+sweepsLeft*perSwitch {

@@ -64,7 +64,7 @@ func New(opts Options) *Pool {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{opts: opts, counters: metrics.NewCounters()}
+	return &Pool{opts: opts, counters: metrics.NewCounters("jobs_completed", "jobs_failed", "job_panics", "job_watchdog_aborts")}
 }
 
 // Counters returns the pool's lifetime counters: jobs_completed,

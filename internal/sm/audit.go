@@ -152,7 +152,7 @@ func (a *SwitchAgent) auditState(sw *fabric.Switch, resp []byte) {
 		Active:        snap.Active,
 		Mode:          snap.Mode,
 	})
-	sw.Counters.Inc("smp_audit_state", 1)
+	sw.Counters.Add(fabric.SwSMPAuditState, 1)
 }
 
 // auditEntries answers an AuditEntries Get from the request in pl.
@@ -175,7 +175,7 @@ func (a *SwitchAgent) auditEntries(sw *fabric.Switch, pl, resp []byte) {
 		resp[smpOffStatus] = smpStatusUnsupported
 		return
 	}
-	sw.Counters.Inc("smp_audit_entries", 1)
+	sw.Counters.Add(fabric.SwSMPAuditEntries, 1)
 }
 
 // putAuditChunk encodes an AuditEntries response: the table's size and
@@ -214,5 +214,5 @@ func (a *SwitchAgent) auditRepair(sw *fabric.Switch, pl, resp []byte) {
 		resp[smpOffStatus] = smpStatusUnsupported
 		return
 	}
-	sw.Counters.Inc("smp_repairs", 1)
+	sw.Counters.Add(fabric.SwSMPRepairs, 1)
 }

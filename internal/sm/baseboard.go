@@ -21,23 +21,21 @@ type Baseboard struct {
 	// FirmwareVersion is the installed firmware revision.
 	FirmwareVersion int
 
-	Counters *metrics.Counters
+	Counters metrics.Set[BoardCounter]
+	ctr      [numBoardCounters]uint64 // Counters' cells
 }
 
 // NewBaseboard returns a powered-on baseboard guarded by bkey.
 func NewBaseboard(bkey keys.BKey) *Baseboard {
-	return &Baseboard{
-		bkey:            bkey,
-		PowerOn:         true,
-		FirmwareVersion: 1,
-		Counters:        metrics.NewCounters(),
-	}
+	b := &Baseboard{bkey: bkey, PowerOn: true, FirmwareVersion: 1}
+	b.Counters.Bind(&boardCounters, b.ctr[:])
+	return b
 }
 
 // check validates the presented B_Key.
 func (b *Baseboard) check(k keys.BKey) error {
 	if k != b.bkey {
-		b.Counters.Inc("bkey_violations", 1)
+		b.Counters.Add(BoardBKeyViolations, 1)
 		return fmt.Errorf("sm: B_Key mismatch")
 	}
 	return nil
@@ -50,7 +48,7 @@ func (b *Baseboard) SetPower(k keys.BKey, on bool) error {
 		return err
 	}
 	b.PowerOn = on
-	b.Counters.Inc("power_ops", 1)
+	b.Counters.Add(BoardPowerOps, 1)
 	return nil
 }
 
@@ -63,7 +61,7 @@ func (b *Baseboard) UpdateFirmware(k keys.BKey, version int) error {
 		return fmt.Errorf("sm: firmware downgrade %d -> %d rejected", b.FirmwareVersion, version)
 	}
 	b.FirmwareVersion = version
-	b.Counters.Inc("firmware_ops", 1)
+	b.Counters.Add(BoardFirmwareOps, 1)
 	return nil
 }
 
@@ -73,6 +71,6 @@ func (b *Baseboard) RotateBKey(old, next keys.BKey) error {
 		return err
 	}
 	b.bkey = next
-	b.Counters.Inc("bkey_rotations", 1)
+	b.Counters.Add(BoardBKeyRotations, 1)
 	return nil
 }

@@ -15,7 +15,7 @@ func TestBaseboardGuards(t *testing.T) {
 	if err := bb.SetPower(keys.BKey(1), false); err == nil {
 		t.Fatal("wrong B_Key accepted")
 	}
-	if bb.Counters.Get("bkey_violations") != 1 {
+	if bb.Counters.Value(BoardBKeyViolations) != 1 {
 		t.Fatal("violation not counted")
 	}
 	if err := bb.SetPower(good, false); err != nil {

@@ -74,14 +74,14 @@ func (m *SubnetManager) ProgramCongestionControl(cc fabric.CCParams) {
 			continue
 		}
 		sw.SetCongestionControl(cc.MarkingThreshold)
-		m.Counters.Inc("cc_program_mads", 1)
+		m.Counters.Add(SMCCProgramMADs, 1)
 	}
 	for i, hca := range m.mesh.HCAs {
 		if !m.InIsland(i) {
 			continue
 		}
 		hca.SetCongestionControl(cc)
-		m.Counters.Inc("cc_program_mads", 1)
+		m.Counters.Add(SMCCProgramMADs, 1)
 	}
 	var blob []byte
 	if cc.Enabled() {
@@ -111,7 +111,7 @@ func (m *SubnetManager) QueryCongestionLog() []CongestionLogEntry {
 		if !m.InIsland(i) {
 			continue
 		}
-		m.Counters.Inc("cc_log_queries", 1)
+		m.Counters.Add(SMCCLogQueries, 1)
 		total := sw.FECNMarkedTotal()
 		if total == 0 {
 			continue

@@ -203,7 +203,7 @@ func TestSyncStateAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, beat); n != 0 {
 		t.Errorf("a beat to two standbys allocated %.0f times, want 0", n)
 	}
-	if got, want := c.Counters.Get("syncs_adopted"), uint64(2*102); got != want {
+	if got, want := c.Counters.Value(HASyncsAdopted), uint64(2*102); got != want {
 		t.Errorf("syncs_adopted = %d after 102 beats to two standbys, want %d", got, want)
 	}
 }
@@ -224,7 +224,7 @@ func TestProgramCongestionControl(t *testing.T) {
 		t.Fatal("programmed HCA ignored a BECN")
 	}
 	devices := uint64(len(r.mesh.Switches) + len(r.mesh.HCAs))
-	if got := r.m.Counters.Get("cc_program_mads"); got != devices {
+	if got := r.m.Counters.Value(SMCCProgramMADs); got != devices {
 		t.Fatalf("cc_program_mads = %d, want one per device (%d)", got, devices)
 	}
 	want, err := ParseCCBlob(r.m.SyncState(CCMagic))

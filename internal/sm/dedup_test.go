@@ -58,10 +58,10 @@ func dedupSweep(t *testing.T, dedup bool) (*topology.Mesh, *DiscoveredTopology) 
 func dupRequests(mesh *topology.Mesh) uint64 {
 	var n uint64
 	for _, sw := range mesh.Switches {
-		n += sw.Counters.Get("smp_dup_requests")
+		n += sw.Counters.Value(fabric.SwSMPDupRequests)
 	}
 	for _, hca := range mesh.HCAs {
-		n += hca.Counters.Get("smp_dup_requests")
+		n += hca.Counters.Value(fabric.HCASMPDupRequests)
 	}
 	return n
 }

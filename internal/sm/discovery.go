@@ -8,7 +8,6 @@ import (
 	"ibasec/internal/fabric"
 	"ibasec/internal/icrc"
 	"ibasec/internal/keys"
-	"ibasec/internal/metrics"
 	"ibasec/internal/packet"
 	"ibasec/internal/sim"
 	"ibasec/internal/topology"
@@ -204,18 +203,13 @@ type SwitchAgent struct {
 	// bits they keep the agent in its 48-byte allocation size class.
 	patched, sealed uint32
 	tids            *tidSet
-	// portCounters is the handle of the switch's smp_portcounters counter,
-	// which every PerfMgr read increments.
-	portCounters *metrics.Counter
 }
 
-// AttachSwitchAgents installs a SwitchAgent on every switch of a mesh;
-// it is the one constructor (an agent holds a handle into its switch's
-// counters).
+// AttachSwitchAgents installs a SwitchAgent on every switch of a mesh.
 func AttachSwitchAgents(m *topology.Mesh, mkey keys.MKey) []*SwitchAgent {
 	agents := make([]*SwitchAgent, len(m.Switches))
 	for i, sw := range m.Switches {
-		agents[i] = &SwitchAgent{MKey: mkey, portCounters: sw.Counters.Counter("smp_portcounters")}
+		agents[i] = &SwitchAgent{MKey: mkey}
 		sw.SetMADHandler(agents[i])
 	}
 	return agents
@@ -231,7 +225,7 @@ func (a *SwitchAgent) HandleMAD(sw *fabric.Switch, inPort int, d *fabric.Deliver
 		// Truncated or hop-field-corrupted SMP: consuming it here (rather
 		// than indexing the path arrays with unchecked bytes) keeps a
 		// hostile MAD from crashing the switch.
-		sw.Counters.Inc("smp_malformed", 1)
+		sw.Counters.Add(fabric.SwSMPMalformed, 1)
 		d.ReturnCredit()
 		return true
 	}
@@ -255,7 +249,7 @@ func (a *SwitchAgent) HandleMAD(sw *fabric.Switch, inPort int, d *fabric.Deliver
 				a.tids = newTIDSet()
 			}
 			if a.tids.add(tidKey{d.Pkt.LRH.SLID, fr.TxID}) {
-				sw.Counters.Inc("smp_dup_requests", 1)
+				sw.Counters.Add(fabric.SwSMPDupRequests, 1)
 				d.ReturnCredit()
 				return true
 			}
@@ -271,7 +265,7 @@ func (a *SwitchAgent) HandleMAD(sw *fabric.Switch, inPort int, d *fabric.Deliver
 		}
 		// A response with an exhausted pointer should already be at
 		// the requester's HCA; drop defensively.
-		sw.Counters.Inc("smp_misrouted", 1)
+		sw.Counters.Add(fabric.SwSMPMisrouted, 1)
 		d.ReturnCredit()
 		return true
 	}
@@ -293,12 +287,12 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 		data[0] = nodeTypeSwitch
 		data[1] = byte(sw.NumPorts())
 		binary.BigEndian.PutUint64(data[2:], sw.GUID())
-		sw.Counters.Inc("smp_nodeinfo", 1)
+		sw.Counters.Add(fabric.SwSMPNodeInfo, 1)
 
 	case fr.Method == smpMethodSet && fr.Attr == smpAttrSetRoute:
 		if fr.MKey != a.MKey {
 			resp[smpOffStatus] = smpStatusBadMKey
-			sw.Counters.Inc("smp_mkey_violations", 1)
+			sw.Counters.Add(fabric.SwSMPMKeyViolations, 1)
 			break
 		}
 		lid := packet.LID(binary.BigEndian.Uint16(pl[smpOffData:]))
@@ -308,7 +302,7 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 			break
 		}
 		sw.SetRoute(lid, port)
-		sw.Counters.Inc("smp_routes_set", 1)
+		sw.Counters.Add(fabric.SwSMPRoutesSet, 1)
 
 	case fr.Method == smpMethodGet && fr.Attr == smpAttrPortCounters:
 		port := int(pl[smpOffData])
@@ -317,14 +311,14 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 			break
 		}
 		encodePortCounters(data, sw.PortHealth(port))
-		a.portCounters.Add(1)
+		sw.Counters.Add(fabric.SwSMPPortCounters, 1)
 
 	case fr.Method == smpMethodSet && fr.Attr == smpAttrPortCounters:
 		// PerfMgr re-arms the switch's threshold trap for one port after
 		// consuming a trap notice (IBA PortCounters writes reset/rearm).
 		if fr.MKey != a.MKey {
 			resp[smpOffStatus] = smpStatusBadMKey
-			sw.Counters.Inc("smp_mkey_violations", 1)
+			sw.Counters.Add(fabric.SwSMPMKeyViolations, 1)
 			break
 		}
 		port := int(pl[smpOffData])
@@ -333,7 +327,7 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 			break
 		}
 		sw.RearmHealthTrap(port)
-		sw.Counters.Inc("smp_trap_rearm", 1)
+		sw.Counters.Add(fabric.SwSMPTrapRearm, 1)
 
 	case fr.Method == smpMethodGet && fr.Attr == smpAttrAuditState:
 		a.auditState(sw, resp[:])
@@ -344,7 +338,7 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 	case fr.Method == smpMethodSet && fr.Attr == smpAttrAuditRepair:
 		if fr.MKey != a.MKey {
 			resp[smpOffStatus] = smpStatusBadMKey
-			sw.Counters.Inc("smp_mkey_violations", 1)
+			sw.Counters.Add(fabric.SwSMPMKeyViolations, 1)
 			break
 		}
 		a.auditRepair(sw, pl, resp[:])
@@ -381,12 +375,12 @@ func AttachNodeAgent(hca *fabric.HCA, mkey keys.MKey) *NodeAgent {
 func (a *NodeAgent) receive(d *fabric.Delivery) {
 	fr, err := parseSMP(d.Pkt.Payload)
 	if err != nil {
-		a.HCA.Counters.Inc("smp_malformed", 1)
+		a.HCA.Counters.Add(fabric.HCASMPMalformed, 1)
 		return
 	}
 	pl := d.Pkt.Payload
 	if fr.HopPtr != fr.HopCnt {
-		a.HCA.Counters.Inc("smp_misrouted", 1)
+		a.HCA.Counters.Add(fabric.HCASMPMisrouted, 1)
 		return
 	}
 	if a.DedupTIDs {
@@ -394,7 +388,7 @@ func (a *NodeAgent) receive(d *fabric.Delivery) {
 			a.tids = newTIDSet()
 		}
 		if a.tids.add(tidKey{d.Pkt.LRH.SLID, fr.TxID}) {
-			a.HCA.Counters.Inc("smp_dup_requests", 1)
+			a.HCA.Counters.Add(fabric.HCASMPDupRequests, 1)
 			return
 		}
 	}
@@ -414,11 +408,11 @@ func (a *NodeAgent) receive(d *fabric.Delivery) {
 	case fr.Method == smpMethodSet && fr.Attr == smpAttrSetLID:
 		if fr.MKey != a.MKey {
 			resp[smpOffStatus] = smpStatusBadMKey
-			a.HCA.Counters.Inc("smp_mkey_violations", 1)
+			a.HCA.Counters.Add(fabric.HCASMPMKeyViolations, 1)
 			break
 		}
 		a.HCA.SetLID(packet.LID(binary.BigEndian.Uint16(pl[smpOffData:])))
-		a.HCA.Counters.Inc("smp_lid_set", 1)
+		a.HCA.Counters.Add(fabric.HCASMPLIDSet, 1)
 
 	default:
 		resp[smpOffStatus] = smpStatusUnsupported
@@ -579,7 +573,7 @@ func NewDiscoverer(s *sim.Simulator, hca *fabric.HCA, mkey keys.MKey, timeout si
 func (d *Discoverer) receive(dv *fabric.Delivery) {
 	fr, err := parseSMP(dv.Pkt.Payload)
 	if err != nil {
-		d.hca.Counters.Inc("smp_malformed", 1)
+		d.hca.Counters.Add(fabric.HCASMPMalformed, 1)
 		return
 	}
 	pl := dv.Pkt.Payload
@@ -591,9 +585,9 @@ func (d *Discoverer) receive(dv *fabric.Delivery) {
 		// another discoverer's traffic on this HCA, which the dispatcher
 		// hands the newest discoverer (see dispatcher.ReceiveMAD).
 		if d.answered(fr.TxID) {
-			d.hca.Counters.Inc("smp_dup_responses", 1)
+			d.hca.Counters.Add(fabric.HCASMPDupResponses, 1)
 		} else {
-			d.hca.Counters.Inc("smp_late_responses", 1)
+			d.hca.Counters.Add(fabric.HCASMPLateResponses, 1)
 		}
 		return
 	}

@@ -152,10 +152,10 @@ func TestDiscoveryRejectedWithoutMKey(t *testing.T) {
 		}
 	}
 	for _, sw := range mesh.Switches {
-		if sw.Counters.Get("smp_routes_set") != 0 {
+		if sw.Counters.Value(fabric.SwSMPRoutesSet) != 0 {
 			t.Fatal("rogue SM programmed a route")
 		}
-		if sw.Counters.Get("smp_mkey_violations") == 0 {
+		if sw.Counters.Value(fabric.SwSMPMKeyViolations) == 0 {
 			t.Fatal("M_Key violations not counted")
 		}
 	}

@@ -433,17 +433,23 @@ type Coordinator struct {
 
 	censusSeq uint32
 	censuses  map[int]*censusRound // per-entry in-flight rounds
-	// freeRounds holds finished rounds' records for reuse, and masterDone
-	// is masterVerdict as a func value, made once.
-	freeRounds []*censusRound
-	masterDone censusDone
+	// freeRounds holds finished rounds' records for reuse, and
+	// freeElections finished election sweeps'. masterDone, electDone and
+	// mergeDone are masterVerdict, electionVerdict and mergeVerdict as
+	// func values, made once.
+	freeRounds    []*censusRound
+	freeElections []*election
+	masterDone    censusDone
+	electDone     censusDone
+	mergeDone     censusDone
 	// partialStreak counts the sitting master's consecutive partial
 	// censuses; containment needs two in a row so a single congestion-
 	// dropped pong cannot fake a partition.
 	partialStreak int
 	// mergeFrom is the entry being absorbed by an in-flight merge, -1
-	// when no merge is running.
-	mergeFrom int
+	// when no merge is running; mergeHealed is when that merge started.
+	mergeFrom   int
+	mergeHealed sim.Time
 
 	// OnTakeover, when non-nil, runs after a standby finishes promotion
 	// (the core layer rebinds the key rotator here).
@@ -466,7 +472,8 @@ type Coordinator struct {
 
 	Events   []TakeoverEvent
 	Merges   []MergeEvent
-	Counters *metrics.Counters
+	Counters metrics.Set[HACounter]
+	ctr      [numHACounters]uint64 // Counters' cells
 }
 
 // NewCoordinator builds the HA ensemble. master must be the currently
@@ -486,13 +493,8 @@ func NewCoordinator(s *sim.Simulator, mesh *topology.Mesh, cfg HAConfig, mkey ke
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 50 * sim.Microsecond
 	}
-	c := &Coordinator{
-		sim:      s,
-		mesh:     mesh,
-		cfg:      cfg,
-		mkey:     mkey,
-		Counters: metrics.NewCounters(),
-	}
+	c := &Coordinator{sim: s, mesh: mesh, cfg: cfg, mkey: mkey}
+	c.Counters.Bind(&haCounters, c.ctr[:])
 	c.sms = append([]*SubnetManager{master}, standbys...)
 	for i, m := range c.sms {
 		n := m.Node()
@@ -514,7 +516,7 @@ func NewCoordinator(s *sim.Simulator, mesh *topology.Mesh, cfg HAConfig, mkey ke
 	c.abdicatedAt = make([]sim.Time, len(c.sms))
 	c.hbSeqs = make([]uint32, len(c.sms))
 	c.censuses = make(map[int]*censusRound)
-	c.masterDone = c.masterVerdict
+	c.masterDone, c.electDone, c.mergeDone = c.masterVerdict, c.electionVerdict, c.mergeVerdict
 	c.stopHBs = make([]func(), len(c.sms))
 	c.stopLeases = make([]func(), len(c.sms))
 	c.isMaster[0] = true
@@ -600,7 +602,7 @@ func (c *Coordinator) KillMaster() {
 		return
 	}
 	c.dead[c.active] = true
-	c.Counters.Inc("master_kills", 1)
+	c.Counters.Add(HAMasterKills, 1)
 	if c.stopHBs[c.active] != nil {
 		c.stopHBs[c.active]()
 		c.stopHBs[c.active] = nil
@@ -641,7 +643,7 @@ func (c *Coordinator) beatFrom(idx int) {
 		}
 		c.sendMADFrom(c.nodes[idx], c.nodes[i], c.hb)
 		c.sendMADFrom(c.nodes[idx], c.nodes[i], c.ss)
-		c.Counters.Inc("heartbeats_sent", 1)
+		c.Counters.Add(HAHeartbeatsSent, 1)
 	}
 }
 
@@ -703,7 +705,7 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 		i := c.indexOfNode(node)
 		if i > 0 && !c.dead[i] && !c.isMaster[i] {
 			c.lastHeard[i] = c.sim.Now()
-			c.Counters.Inc("heartbeats_received", 1)
+			c.Counters.Add(HAHeartbeatsReceived, 1)
 		}
 		if c.cfg.SplitBrain && i >= 0 && !c.dead[i] && c.isMaster[i] {
 			// A master hearing another master's beat is the mutual-
@@ -734,7 +736,7 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 			// break its partition table's order. One bad field refuses the
 			// whole sync, lease refresh included.
 			if !c.validSync(sync) {
-				c.Counters.Inc("syncs_rejected", 1)
+				c.Counters.Add(HASyncsRejected, 1)
 				return true
 			}
 			c.lastHeard[i] = c.sim.Now()
@@ -743,9 +745,9 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 				c.sms[i].adoptSyncState(b)
 			}
 			if fnv1a32(sync.Partitions) != sync.DirDigest {
-				c.Counters.Inc("sync_digest_mismatch", 1)
+				c.Counters.Add(HASyncDigestMismatch, 1)
 			} else {
-				c.Counters.Inc("syncs_adopted", 1)
+				c.Counters.Add(HASyncsAdopted, 1)
 			}
 		}
 		return true
@@ -757,7 +759,7 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 		// Every node's management agent answers a census ping, SM or not:
 		// reachability is what is being measured, so a dead SM's node
 		// still pongs (its SMA outlives the SM process).
-		c.Counters.Inc("census_pongs_sent", 1)
+		c.Counters.Add(HACensusPongsSent, 1)
 		var pong [censusPayloadSize]byte
 		putCensus(pong[:], haTypeCensusPong, censusMAD{Node: uint16(node), ID: cm.ID})
 		c.sendMADFrom(node, int(cm.Node), pong[:])
@@ -770,7 +772,7 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 		if e := c.indexOfNode(node); e >= 0 {
 			if round := c.censuses[e]; round != nil && cm.ID == round.id {
 				round.got[int(cm.Node)] = true
-				c.Counters.Inc("census_pongs_received", 1)
+				c.Counters.Add(HACensusPongsReceived, 1)
 				if len(round.got) == c.mesh.NumNodes() {
 					// Unanimous: the verdict cannot change, deliver it now.
 					// Only a genuine cut ever waits out the full window.
@@ -783,7 +785,7 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 	// Anything else (traps) belongs to a master serving this node.
 	if i := c.indexOfNode(node); i >= 0 {
 		if c.dead[i] {
-			c.Counters.Inc("mads_to_dead_sm", 1)
+			c.Counters.Add(HAMADsToDeadSM, 1)
 			return true // the dead SM consumes nothing, the packet is lost
 		}
 		if c.isMaster[i] {
@@ -855,23 +857,26 @@ func (c *Coordinator) checkLease(i int) {
 		c.takeover(i)
 		return
 	}
-	// Partition-aware election: census the fabric first. Full reach
-	// means the master is really gone — take over normally. Partial
-	// reach means this standby is on an island: elect a contained master
-	// that serves only what it can see.
-	c.runCensus(i, func(i int, got map[int]bool, _ int) {
-		if c.dead[i] || c.isMaster[i] {
-			return
-		}
-		if c.sim.Now() < c.lastHeard[i]+c.lease() {
-			return // heartbeats resumed while the census was collecting
-		}
-		if len(got) == c.mesh.NumNodes() {
-			c.takeover(i)
-			return
-		}
-		c.containedTakeover(i, got)
-	})
+	// Partition-aware election: census the fabric first.
+	c.runCensus(i, c.electDone)
+}
+
+// electionVerdict acts on standby i's election census. Full reach means
+// the master is really gone — take over normally. Partial reach means
+// this standby is on an island: elect a contained master that serves
+// only what it can see.
+func (c *Coordinator) electionVerdict(i int, got map[int]bool, _ int) {
+	if c.dead[i] || c.isMaster[i] {
+		return
+	}
+	if c.sim.Now() < c.lastHeard[i]+c.lease() {
+		return // heartbeats resumed while the census was collecting
+	}
+	if len(got) == c.mesh.NumNodes() {
+		c.takeover(i)
+		return
+	}
+	c.containedTakeover(i, got)
 }
 
 // takeover promotes standby i: it re-verifies fabric state with a bounded
@@ -888,8 +893,7 @@ func (c *Coordinator) takeover(i int) {
 	c.isMaster[c.active] = false
 	c.active = i
 	c.isMaster[i] = true
-	c.Counters.Inc("takeovers", 1)
-	m := c.sms[i]
+	c.Counters.Add(HATakeovers, 1)
 
 	// Assert mastership immediately: one beat now and the periodic
 	// beacon from here on. Without this the surviving standbys hear
@@ -898,30 +902,68 @@ func (c *Coordinator) takeover(i int) {
 	c.beatFrom(i)
 	c.startHeartbeatsFrom(i)
 
-	c.electionSweep(i, func(topo *DiscoveredTopology) {
-		m.ProgramSwitchTables()
-		m.AttachTraps()
-		m.ResumeTimers()
-		healed := c.sim.Now()
-		c.Events = append(c.Events, TakeoverEvent{
-			DetectedAt: detected,
-			ElectedAt:  elected,
-			HealedAt:   healed,
-			NewMaster:  c.nodes[i],
-			ProbeMADs:  topo.Probes,
-		})
-		if c.OnTakeover != nil {
-			c.OnTakeover(m)
-		}
-	})
+	c.electionSweep(i, false, detected, elected)
+}
+
+// election is the record of one election sweep in flight: the entry it
+// promotes, whether to an island (containedTakeover) or the whole fabric
+// (takeover), and for the latter when the loss was detected and the
+// entry elected. done is finish as a func value, made once per record;
+// a record is reused once its sweep has finished.
+type election struct {
+	c                 *Coordinator
+	i                 int
+	contained         bool
+	detected, elected sim.Time
+	done              func(*DiscoveredTopology)
 }
 
 // electionSweep re-verifies fabric state with a bounded probe from newly
-// elected entry i's own HCA, then runs done.
-func (c *Coordinator) electionSweep(i int, done func(*DiscoveredTopology)) {
+// elected entry i's own HCA; its record's finish completes the promotion.
+func (c *Coordinator) electionSweep(i int, contained bool, detected, elected sim.Time) {
+	var e *election
+	if n := len(c.freeElections); n > 0 {
+		e = c.freeElections[n-1]
+		c.freeElections = c.freeElections[:n-1]
+	} else {
+		e = &election{c: c}
+		e.done = e.finish
+	}
+	e.i, e.contained, e.detected, e.elected = i, contained, detected, elected
 	disc := NewDiscoverer(c.sim, c.mesh.HCA(c.nodes[i]), c.mkey, electionSweepTimeout)
 	disc.MaxRetries = 1
-	disc.Probe(done)
+	disc.Probe(e.done)
+}
+
+// finish completes an election once its sweep has probed the fabric: the
+// new master programs tables, attaches traps and resumes its timers —
+// unless an island master abdicated before its re-sweep finished.
+func (e *election) finish(topo *DiscoveredTopology) {
+	r := *e
+	c, m := r.c, r.c.sms[r.i]
+	c.freeElections = append(c.freeElections, e)
+	if r.contained && (c.dead[r.i] || !c.isMaster[r.i]) {
+		return // abdicated before the island re-sweep finished
+	}
+	m.ProgramSwitchTables()
+	m.AttachTraps()
+	m.ResumeTimers()
+	if r.contained {
+		if c.OnContainedTakeover != nil {
+			c.OnContainedTakeover(m)
+		}
+		return
+	}
+	c.Events = append(c.Events, TakeoverEvent{
+		DetectedAt: r.detected,
+		ElectedAt:  r.elected,
+		HealedAt:   c.sim.Now(),
+		NewMaster:  c.nodes[r.i],
+		ProbeMADs:  topo.Probes,
+	})
+	if c.OnTakeover != nil {
+		c.OnTakeover(m)
+	}
 }
 
 // runCensus starts a reachability census from entry's node: one ping to
@@ -942,7 +984,7 @@ func (c *Coordinator) runCensus(entry int, done censusDone) {
 	round.id, round.entry, round.pings, round.done, round.fired = c.censusSeq, entry, 0, done, false
 	round.got[c.nodes[entry]] = true
 	c.censuses[entry] = round
-	c.Counters.Inc("census_rounds", 1)
+	c.Counters.Add(HACensusRounds, 1)
 	var ping [censusPayloadSize]byte
 	putCensus(ping[:], haTypeCensusPing, censusMAD{Node: uint16(c.nodes[entry]), ID: round.id})
 	for nd := 0; nd < c.mesh.NumNodes(); nd++ {
@@ -952,7 +994,7 @@ func (c *Coordinator) runCensus(entry int, done censusDone) {
 		c.sendMADFrom(c.nodes[entry], nd, ping[:])
 		round.pings++
 	}
-	c.Counters.Inc("census_pings", uint64(round.pings))
+	c.Counters.Add(HACensusPings, uint64(round.pings))
 	// The window must cover a fabric-diameter MAD round trip, or healthy
 	// distant nodes read as unreachable and the master contains itself in
 	// a whole fabric. Outlasting the heartbeat is safe: every election
@@ -999,7 +1041,7 @@ func (h *censusReping) Fire(arg any, id uint64) {
 		}
 		c.sendMADFrom(c.nodes[entry], nd, ping[:])
 		round.pings++
-		c.Counters.Inc("census_repings", 1)
+		c.Counters.Add(HACensusRepings, 1)
 	}
 }
 
@@ -1066,7 +1108,7 @@ func (c *Coordinator) masterVerdict(i int, got map[int]bool, _ int) {
 func (c *Coordinator) contain(i int, got map[int]bool) {
 	c.contained[i] = true
 	c.containedAt[i] = c.sim.Now()
-	c.Counters.Inc("containments", 1)
+	c.Counters.Add(HAContainments, 1)
 	c.sms[i].SetIsland(sortedNodes(got))
 }
 
@@ -1076,7 +1118,7 @@ func (c *Coordinator) contain(i int, got map[int]bool) {
 // missed every rotation during the partition).
 func (c *Coordinator) uncontain(i int) {
 	c.contained[i] = false
-	c.Counters.Inc("uncontainments", 1)
+	c.Counters.Add(HAUncontainments, 1)
 	m := c.sms[i]
 	m.SetIsland(nil)
 	m.ProgramSwitchTables()
@@ -1096,23 +1138,13 @@ func (c *Coordinator) containedTakeover(i int, got map[int]bool) {
 	c.isMaster[i] = true
 	c.contained[i] = true
 	c.containedAt[i] = c.sim.Now()
-	c.Counters.Inc("contained_takeovers", 1)
+	c.Counters.Add(HAContainedTakeovers, 1)
 	m := c.sms[i]
 	m.SetIsland(sortedNodes(got))
 	c.beatFrom(i)
 	c.startHeartbeatsFrom(i)
 
-	c.electionSweep(i, func(topo *DiscoveredTopology) {
-		if c.dead[i] || !c.isMaster[i] {
-			return // abdicated before the island re-sweep finished
-		}
-		m.ProgramSwitchTables()
-		m.AttachTraps()
-		m.ResumeTimers()
-		if c.OnContainedTakeover != nil {
-			c.OnContainedTakeover(m)
-		}
-	})
+	c.electionSweep(i, true, 0, 0)
 }
 
 // abdicate steps island master entry i down in favour of the winning
@@ -1126,7 +1158,7 @@ func (c *Coordinator) abdicate(i int) {
 	c.isMaster[i] = false
 	c.contained[i] = false
 	c.abdicatedAt[i] = c.sim.Now()
-	c.Counters.Inc("abdications", 1)
+	c.Counters.Add(HAAbdications, 1)
 	if c.stopHBs[i] != nil {
 		c.stopHBs[i]()
 		c.stopHBs[i] = nil
@@ -1149,32 +1181,36 @@ func (c *Coordinator) startMerge(i, j int) {
 	if c.mergeFrom >= 0 || c.dead[i] || !c.isMaster[i] {
 		return
 	}
-	c.mergeFrom = j
-	healed := c.sim.Now()
-	c.Counters.Inc("merges", 1)
-	c.runCensus(i, func(i int, got map[int]bool, pings int) {
-		winner, loser := c.sms[i], c.sms[j]
-		c.active = i
-		c.contained[i] = false
-		c.partialStreak = 0 // detection starts fresh on the merged fabric
-		winner.SetIsland(nil)
-		winner.ProgramSwitchTables()
-		winner.AttachTraps()
-		winner.ResumeTimers()
-		c.Merges = append(c.Merges, MergeEvent{
-			ContainedAt:   c.containedAt[j],
-			HealedAt:      healed,
-			AbdicatedAt:   c.abdicatedAt[j],
-			MergedAt:      c.sim.Now(),
-			Winner:        c.nodes[i],
-			Loser:         c.nodes[j],
-			ReconcileMADs: pings + len(got) - 1,
-		})
-		if c.OnMerge != nil {
-			c.OnMerge(winner, loser)
-		}
-		c.mergeFrom = -1
+	c.mergeFrom, c.mergeHealed = j, c.sim.Now()
+	c.Counters.Add(HAMerges, 1)
+	c.runCensus(i, c.mergeDone)
+}
+
+// mergeVerdict completes the merge of entry mergeFrom into winner i once
+// the merge census has re-verified reachability.
+func (c *Coordinator) mergeVerdict(i int, got map[int]bool, pings int) {
+	j := c.mergeFrom
+	winner, loser := c.sms[i], c.sms[j]
+	c.active = i
+	c.contained[i] = false
+	c.partialStreak = 0 // detection starts fresh on the merged fabric
+	winner.SetIsland(nil)
+	winner.ProgramSwitchTables()
+	winner.AttachTraps()
+	winner.ResumeTimers()
+	c.Merges = append(c.Merges, MergeEvent{
+		ContainedAt:   c.containedAt[j],
+		HealedAt:      c.mergeHealed,
+		AbdicatedAt:   c.abdicatedAt[j],
+		MergedAt:      c.sim.Now(),
+		Winner:        c.nodes[i],
+		Loser:         c.nodes[j],
+		ReconcileMADs: pings + len(got) - 1,
 	})
+	if c.OnMerge != nil {
+		c.OnMerge(winner, loser)
+	}
+	c.mergeFrom = -1
 }
 
 // sortedNodes flattens a census result into a deterministic island list.

@@ -212,10 +212,8 @@ type PerfMgr struct {
 	// Counters: sweeps, sweeps_skipped, health_sweep_mads,
 	// health_unanswered, quarantines, readmits, quarantine_refused,
 	// reroute_mads, health_trap_mads, trap_rearm_mads.
-	Counters *metrics.Counters
-	// sweepMADs is the handle of health_sweep_mads, the one counter every
-	// port read touches.
-	sweepMADs *metrics.Counter
+	Counters metrics.Set[PerfCounter]
+	ctr      [numPerfCounters]uint64 // Counters' cells
 	// OnEvent, when non-nil, receives every quarantine transition.
 	OnEvent func(HealthEvent)
 	Events  []HealthEvent
@@ -241,9 +239,8 @@ func NewPerfMgr(s *sim.Simulator, mesh *topology.Mesh, disc *Discoverer, smgr *S
 		quarantined: make(map[topology.LinkID]bool),
 		fenced:      make(map[uint64]map[int]bool),
 		firstLink:   make([]int, len(mesh.Switches)+1),
-		Counters:    metrics.NewCounters(),
 	}
-	pm.sweepMADs = pm.Counters.Counter("health_sweep_mads")
+	pm.Counters.Bind(&perfCounters, pm.ctr[:])
 	var smNode int
 	if smgr != nil {
 		smNode = smgr.Node()
@@ -353,11 +350,11 @@ func (pm *PerfMgr) tick() {
 		return
 	}
 	if pm.sweeping {
-		pm.Counters.Inc("sweeps_skipped", 1)
+		pm.Counters.Add(PMSweepsSkipped, 1)
 		return
 	}
 	pm.sweeping = true
-	pm.Counters.Inc("sweeps", 1)
+	pm.Counters.Add(PMSweeps, 1)
 	pm.outstanding = len(pm.links)
 	if pm.outstanding == 0 {
 		pm.sweeping = false
@@ -388,7 +385,7 @@ func (pm *PerfMgr) readPort(swIdx, port int, tag uint64) {
 		pm.portRead(tag, false, fabric.PortCounters{})
 		return
 	}
-	pm.sweepMADs.Add(1)
+	pm.Counters.Add(PMHealthSweepMADs, 1)
 	req := [1]byte{byte(port)}
 	pm.disc.request(smpMethodGet, smpAttrPortCounters, path, req[:], pm.disc.MaxRetries, pm, tag)
 }
@@ -397,7 +394,7 @@ func (pm *PerfMgr) readPort(swIdx, port int, tag uint64) {
 func (pm *PerfMgr) SMPDone(tag uint64, status byte, data, _ []byte) {
 	if pm.stopped || status != smpStatusOK || len(data) < portCountersSize {
 		if status != smpStatusOK {
-			pm.Counters.Inc("health_unanswered", 1)
+			pm.Counters.Add(PMHealthUnanswered, 1)
 		}
 		pm.portRead(tag, false, fabric.PortCounters{})
 		return
@@ -488,14 +485,14 @@ func (pm *PerfMgr) decide(i int) bool {
 		// destination unroutable is refused; the link stays in service
 		// (degraded beats disconnected).
 		if !pm.routesComplete(proposed) {
-			pm.Counters.Inc("quarantine_refused", 1)
+			pm.Counters.Add(PMQuarantineRefused, 1)
 			return false
 		}
 		st.quarantined = true
 		st.flaps++
 		st.holdUntil = now + pm.holdFor(st.flaps)
 		pm.quarantined[l] = true
-		pm.Counters.Inc("quarantines", 1)
+		pm.Counters.Add(PMQuarantines, 1)
 		pm.emit(HealthEvent{Link: l, At: now, Quarantined: true, Score: st.score, Flaps: st.flaps})
 		return true
 	}
@@ -505,7 +502,7 @@ func (pm *PerfMgr) decide(i int) bool {
 	if now >= st.holdUntil && st.score <= pm.cfg.QuarantineScore/8 {
 		st.quarantined = false
 		delete(pm.quarantined, l)
-		pm.Counters.Inc("readmits", 1)
+		pm.Counters.Add(PMReadmits, 1)
 		pm.emit(HealthEvent{Link: l, At: now, Quarantined: false, Score: st.score, Flaps: st.flaps})
 		return true
 	}
@@ -536,7 +533,7 @@ func (pm *PerfMgr) routesComplete(proposed map[topology.LinkID]bool) bool {
 func (pm *PerfMgr) reprogram() {
 	routes := pm.mesh.RoutesAvoiding(nil, pm.quarantined)
 	pm.mesh.Reprogram(routes)
-	pm.Counters.Inc("reroute_mads", uint64(len(routes))*uint64(len(pm.mesh.HCAs)))
+	pm.Counters.Add(PMRerouteMADs, uint64(len(routes))*uint64(len(pm.mesh.HCAs)))
 	pm.updateBlob()
 }
 
@@ -557,7 +554,7 @@ func (pm *PerfMgr) onTrap(swIdx, port int) {
 	}
 	// The trap notice is charged as one MAD; handling is deferred a tick
 	// so the fabric finishes delivering the packet that struck out.
-	pm.Counters.Inc("health_trap_mads", 1)
+	pm.Counters.Add(PMHealthTrapMADs, 1)
 	pm.sim.Schedule(0, func() { pm.handleTrap(swIdx, port) })
 }
 
@@ -592,7 +589,7 @@ func (pm *PerfMgr) rearm(swIdx, port int) {
 	if path == nil {
 		return
 	}
-	pm.Counters.Inc("trap_rearm_mads", 1)
+	pm.Counters.Add(PMTrapRearmMADs, 1)
 	pm.disc.Query(smpMethodSet, smpAttrPortCounters, path, []byte{byte(port)}, QueryFunc(func(byte, []byte) {}), 0)
 }
 

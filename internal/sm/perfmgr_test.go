@@ -189,7 +189,7 @@ func TestPortCountersMAD(t *testing.T) {
 	if status != smpStatusBadMKey {
 		t.Fatalf("rogue trap rearm got status %#x, want BadMKey", status)
 	}
-	if n := mesh.Switches[5].Counters.Get("smp_mkey_violations"); n == 0 {
+	if n := mesh.Switches[5].Counters.Value(fabric.SwSMPMKeyViolations); n == 0 {
 		t.Fatal("M_Key violation not counted")
 	}
 }
@@ -256,7 +256,7 @@ func TestPerfMgrQuarantinesAndReadmits(t *testing.T) {
 	if p, ok := mesh.Switches[5].Route(topology.LIDOf(6)); !ok || p != topology.PortEast {
 		t.Fatalf("route not restored after readmit (port %d, ok %v)", p, ok)
 	}
-	if pm.Counters.Get("health_sweep_mads") == 0 {
+	if pm.Counters.Value(PMHealthSweepMADs) == 0 {
 		t.Fatal("no sweep MADs counted")
 	}
 }
@@ -289,10 +289,10 @@ func TestPerfMgrTrapFastPath(t *testing.T) {
 	if pm.Events[0].At >= sweep {
 		t.Fatalf("quarantine at %v, not ahead of the first sweep at %v", pm.Events[0].At, sweep)
 	}
-	if pm.Counters.Get("health_trap_mads") == 0 {
+	if pm.Counters.Value(PMHealthTrapMADs) == 0 {
 		t.Fatal("no trap notifications counted")
 	}
-	if mesh.Switches[5].Counters.Get("health_traps") == 0 {
+	if mesh.Switches[5].Counters.Value(fabric.SwHealthTraps) == 0 {
 		t.Fatal("switch never fired its threshold trap")
 	}
 }
@@ -396,15 +396,15 @@ func TestResweeperRespectsQuarantine(t *testing.T) {
 	}
 	s.RunUntil(400 * sim.Microsecond) // first sweep completed
 	check("after first sweep")
-	if r.Counters.Get("reroutes") == 0 {
+	if r.Counters.Value(ResweepReroutes) == 0 {
 		t.Fatal("resweeper never rerouted around the fenced link")
 	}
-	reroutes := r.Counters.Get("reroutes")
+	reroutes := r.Counters.Value(ResweepReroutes)
 	s.RunUntil(1200 * sim.Microsecond) // several more sweeps
 	check("after later sweeps")
 	// Steady state: the fence is stable, so later sweeps must not flap
 	// routes (each flap would be a reroute).
-	if got := r.Counters.Get("reroutes"); got != reroutes {
+	if got := r.Counters.Value(ResweepReroutes); got != reroutes {
 		t.Fatalf("route flapping under a stable fence: %d reroutes, want %d", got, reroutes)
 	}
 	r.Stop()

@@ -39,7 +39,8 @@ type Resweeper struct {
 
 	// Counters: sweeps, sweeps_skipped (previous sweep still running),
 	// detections, lost_links, restored_links, reroutes.
-	Counters *metrics.Counters
+	Counters metrics.Set[ResweepCounter]
+	ctr      [numResweepCounters]uint64 // Counters' cells
 	// SweepLatency records each probe phase's duration in microseconds.
 	SweepLatency *metrics.Recorder
 	// RerouteLatency records, for each sweep that changed the graph, the
@@ -81,10 +82,10 @@ func NewResweeper(s *sim.Simulator, disc *Discoverer, period sim.Time) *Resweepe
 		period:         period,
 		edges:          make(map[uint64]map[int]uint64),
 		pins:           make(map[uint64]packet.LID),
-		Counters:       metrics.NewCounters(),
 		SweepLatency:   metrics.NewRecorder(0, 10_000, 200),
 		RerouteLatency: metrics.NewRecorder(0, 10_000, 200),
 	}
+	r.Counters.Bind(&resweepCounters, r.ctr[:])
 	r.lostEdge, r.probed, r.configured = r.onLostEdge, r.onProbed, r.onConfigured
 	return r
 }
@@ -120,12 +121,12 @@ func (r *Resweeper) Edges() map[uint64]map[int]uint64 { return r.edges }
 
 func (r *Resweeper) tick() {
 	if r.sweeping {
-		r.Counters.Inc("sweeps_skipped", 1)
+		r.Counters.Add(ResweepSweepsSkipped, 1)
 		return
 	}
 	r.sweeping = true
 	r.sweeps++
-	r.Counters.Inc("sweeps", 1)
+	r.Counters.Add(ResweepSweeps, 1)
 	r.start, r.detectedAt = r.sim.Now(), 0
 
 	r.disc.Reset()
@@ -139,7 +140,7 @@ func (r *Resweeper) tick() {
 func (r *Resweeper) onLostEdge(uint64, int) {
 	if r.detectedAt == 0 {
 		r.detectedAt = r.sim.Now()
-		r.Counters.Inc("detections", 1)
+		r.Counters.Add(ResweepDetections, 1)
 	}
 }
 
@@ -155,8 +156,8 @@ func (r *Resweeper) onProbed(topo *DiscoveredTopology) {
 		r.sweeping = false
 		return
 	}
-	r.Counters.Inc("lost_links", uint64(r.lost))
-	r.Counters.Inc("restored_links", uint64(r.gained))
+	r.Counters.Add(ResweepLostLinks, uint64(r.lost))
+	r.Counters.Add(ResweepRestoredLinks, uint64(r.gained))
 	if r.detectedAt == 0 {
 		// Pure restoration: nothing timed out, the change is only
 		// visible once the sweep completes.
@@ -168,7 +169,7 @@ func (r *Resweeper) onProbed(topo *DiscoveredTopology) {
 // onConfigured adopts the reprogrammed graph as the healthy view.
 func (r *Resweeper) onConfigured(topo *DiscoveredTopology) {
 	healed := r.sim.Now()
-	r.Counters.Inc("reroutes", 1)
+	r.Counters.Add(ResweepReroutes, 1)
 	r.RerouteLatency.Add((healed - r.detectedAt).Microseconds())
 	for _, ca := range topo.CAs {
 		r.pins[ca.GUID] = ca.LID

@@ -93,7 +93,7 @@ func TestSMPTransitAllocs(t *testing.T) {
 	if done.n != 4*51 {
 		t.Errorf("%d completions for %d requests", done.n, 4*51)
 	}
-	if n := mesh.Switches[2].Counters.Get("smp_audit_state"); n != 51 {
+	if n := mesh.Switches[2].Counters.Value(fabric.SwSMPAuditState); n != 51 {
 		t.Errorf("the far switch answered %d AuditState Gets, want 51", n)
 	}
 	// Each round trip crosses its path's transit switches both ways.
@@ -130,7 +130,7 @@ func BenchmarkSMPTransit(b *testing.B) {
 			sealed := append([]byte(nil), pkt.Wire()...)
 			ic, vc := pkt.ICRC, pkt.VCRC
 			var d fabric.Delivery
-			dead := sw.Counters.Get("dead_port")
+			dead := sw.Counters.Value(fabric.SwDeadPort)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -140,7 +140,7 @@ func BenchmarkSMPTransit(b *testing.B) {
 				agent.HandleMAD(sw, topology.PortWest, &d)
 			}
 			b.StopTimer()
-			if n := sw.Counters.Get("dead_port") - dead; n != uint64(b.N) {
+			if n := sw.Counters.Value(fabric.SwDeadPort) - dead; n != uint64(b.N) {
 				b.Fatalf("%d of %d SMPs forwarded", n, b.N)
 			}
 		})
@@ -177,10 +177,10 @@ func TestPendingRingGrowth(t *testing.T) {
 		}
 		var routes, lids uint64
 		for _, sw := range mesh.Switches {
-			routes += sw.Counters.Get("smp_routes_set")
+			routes += sw.Counters.Value(fabric.SwSMPRoutesSet)
 		}
 		for _, hca := range mesh.HCAs {
-			lids += hca.Counters.Get("smp_lid_set")
+			lids += hca.Counters.Value(fabric.HCASMPLIDSet)
 		}
 		if routes != 256 || lids != 16 {
 			t.Errorf("executed %d SetRoute and %d SetLID, want 256 and 16", routes, lids)
@@ -251,7 +251,7 @@ func TestPendingRingGrowth(t *testing.T) {
 		if done.status != smpStatusOK {
 			t.Fatalf("status %#x", done.status)
 		}
-		if dup, late := hca.Counters.Get("smp_dup_responses"), hca.Counters.Get("smp_late_responses"); dup != 1 || late != 0 {
+		if dup, late := hca.Counters.Value(fabric.HCASMPDupResponses), hca.Counters.Value(fabric.HCASMPLateResponses); dup != 1 || late != 0 {
 			t.Errorf("dup %d late %d, want 1 and 0", dup, late)
 		}
 	})
@@ -263,7 +263,7 @@ func TestPendingRingGrowth(t *testing.T) {
 		if done.status != 0xFF {
 			t.Fatalf("status %#x", done.status)
 		}
-		if dup, late := hca.Counters.Get("smp_dup_responses"), hca.Counters.Get("smp_late_responses"); dup != 0 || late != 1 {
+		if dup, late := hca.Counters.Value(fabric.HCASMPDupResponses), hca.Counters.Value(fabric.HCASMPLateResponses); dup != 0 || late != 1 {
 			t.Errorf("dup %d late %d, want 0 and 1", dup, late)
 		}
 	})
@@ -365,8 +365,8 @@ func FuzzSMPTransit(f *testing.F) {
 			}
 			return
 		case err != nil:
-			if !consumed || sw.Counters.Get("smp_malformed") != 1 {
-				t.Fatalf("malformed SMP: consumed %v, smp_malformed %d", consumed, sw.Counters.Get("smp_malformed"))
+			if !consumed || sw.Counters.Value(fabric.SwSMPMalformed) != 1 {
+				t.Fatalf("malformed SMP: consumed %v, smp_malformed %d", consumed, sw.Counters.Value(fabric.SwSMPMalformed))
 			}
 			return
 		case !consumed:

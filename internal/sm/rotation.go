@@ -75,7 +75,8 @@ type Rotator struct {
 	// Counters: epoch_rollovers (whole-fabric rotation rounds),
 	// epochs_issued (per-partition rotations), forced_rotations
 	// (KeyCompromise responses), retires_scheduled.
-	Counters *metrics.Counters
+	Counters metrics.Set[RotatorCounter]
+	ctr      [numRotatorCounters]uint64 // Counters' cells
 }
 
 // NewRotator prepares rotation driven by m's authority, with cfg's
@@ -91,7 +92,9 @@ func NewRotator(s *sim.Simulator, m *SubnetManager, cfg RotationConfig) (*Rotato
 	if m.Authority == nil {
 		return nil, fmt.Errorf("sm: rotation requires a partition authority")
 	}
-	return &Rotator{sim: s, m: m, cfg: cfg, Counters: metrics.NewCounters()}, nil
+	r := &Rotator{sim: s, m: m, cfg: cfg}
+	r.Counters.Bind(&rotatorCounters, r.ctr[:])
+	return r, nil
 }
 
 // Start begins periodic rollover; Stop cancels it.
@@ -118,14 +121,14 @@ func (r *Rotator) Rebind(m *SubnetManager) { r.m = m }
 // partition out-of-cycle. The grace window still applies, so holders of
 // the compromised epoch retain access only until retirement.
 func (r *Rotator) ForceRotate(pk packet.PKey) error {
-	r.Counters.Inc("forced_rotations", 1)
+	r.Counters.Add(RotForcedRotations, 1)
 	return r.rotate(pk)
 }
 
 // rotateAll rolls every partition to its next epoch, in ascending P_Key
 // order for determinism.
 func (r *Rotator) rotateAll() {
-	r.Counters.Inc("epoch_rollovers", 1)
+	r.Counters.Add(RotEpochRollovers, 1)
 	for i := range r.m.partitions { // rotate leaves the partition table alone
 		if err := r.rotate(packet.PKey(0x8000 | r.m.partitions[i].base)); err != nil {
 			panic(err)
@@ -145,13 +148,13 @@ func (r *Rotator) rotate(pk packet.PKey) error {
 	if err != nil {
 		return err
 	}
-	r.Counters.Inc("epochs_issued", 1)
+	r.Counters.Add(RotEpochsIssued, 1)
 	rot := r.newRotation()
 	rot.m, rot.pk, rot.fresh, rot.epoch = m, pk, fresh, epoch
 	rot.members = m.appendIslandMembers(rot.members[:0], pk)
 	rot.due = 2
 	r.sim.ScheduleCall(r.cfg.DistributionDelay, (*installEpoch)(r), rot, 0)
-	r.Counters.Inc("retires_scheduled", 1)
+	r.Counters.Add(RotRetiresScheduled, 1)
 	r.sim.ScheduleCall(r.cfg.Grace, (*retireEpoch)(r), rot, 0)
 	return nil
 }

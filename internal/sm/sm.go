@@ -117,7 +117,8 @@ type SubnetManager struct {
 	traps     *trapState // made at the first trap
 	stopTimer func()
 
-	Counters *metrics.Counters
+	Counters metrics.Set[SMCounter]
+	ctr      [numSMCounters]uint64 // Counters' cells
 	// RegLatency tracks microseconds from trap arrival at the SM to the
 	// switch registration taking effect — the quantity degraded by the
 	// section-7 management-DoS attack (flooding the SM with MADs).
@@ -169,13 +170,9 @@ func New(s *sim.Simulator, mesh *topology.Mesh, filter *enforce.Filter, cfg Conf
 // promoted to master (ResumeTimers). HA standbys are built this way so N
 // instances never run N duplicate timers.
 func NewStandby(s *sim.Simulator, mesh *topology.Mesh, filter *enforce.Filter, cfg Config) *SubnetManager {
-	return &SubnetManager{
-		cfg:      cfg,
-		sim:      s,
-		mesh:     mesh,
-		filter:   filter,
-		Counters: metrics.NewCounters(),
-	}
+	m := &SubnetManager{cfg: cfg, sim: s, mesh: mesh, filter: filter}
+	m.Counters.Bind(&smCounters, m.ctr[:])
+	return m
 }
 
 // ResumeTimers starts the SM's periodic duties (the SIF auto-disable
@@ -201,7 +198,7 @@ func (m *SubnetManager) Stop() {
 // CheckMKey validates a management key for configuration operations.
 func (m *SubnetManager) CheckMKey(k keys.MKey) error {
 	if k != m.cfg.MKey {
-		m.Counters.Inc("mkey_violations", 1)
+		m.Counters.Add(SMMKeyViolations, 1)
 		return fmt.Errorf("sm: M_Key mismatch")
 	}
 	return nil
@@ -245,7 +242,7 @@ func (m *SubnetManager) CreatePartition(mkey keys.MKey, pk packet.PKey, members 
 			m.InstallSecret(n, pk, secret, m.Authority.Epoch(pk))
 		}
 	}
-	m.Counters.Inc("partitions_created", 1)
+	m.Counters.Add(SMPartitionsCreated, 1)
 	return nil
 }
 
@@ -288,7 +285,7 @@ func (m *SubnetManager) RemoveFromPartition(mkey keys.MKey, pk packet.PKey, node
 	p := &m.partitions[i]
 	p.members = slices.Delete(p.members, idx, idx+1)
 	m.mesh.HCA(node).PKeyTable.Remove(pk)
-	m.Counters.Inc("members_removed", 1)
+	m.Counters.Add(SMMembersRemoved, 1)
 
 	// Destroy everything the evicted node holds before rotating: its copy
 	// of the partition secret and its QP-level send/recv secrets, which
@@ -296,7 +293,7 @@ func (m *SubnetManager) RemoveFromPartition(mkey keys.MKey, pk packet.PKey, node
 	// credentials.
 	if m.WipeSecrets != nil {
 		m.WipeSecrets(node, pk)
-		m.Counters.Inc("secrets_wiped", 1)
+		m.Counters.Add(SMSecretsWiped, 1)
 	}
 
 	if m.Authority != nil {
@@ -309,7 +306,7 @@ func (m *SubnetManager) RemoveFromPartition(mkey keys.MKey, pk packet.PKey, node
 				m.InstallSecret(n, pk, fresh, epoch)
 			}
 		}
-		m.Counters.Inc("secrets_rotated", 1)
+		m.Counters.Add(SMSecretsRotated, 1)
 	}
 	return nil
 }
@@ -449,11 +446,11 @@ func (m *SubnetManager) sendTrap(victim int, victimHCA *fabric.HCA, d *fabric.De
 		last, ok = ts.old[k]
 	}
 	if ok && now-last < trapInterval {
-		m.Counters.Inc("traps_suppressed", 1)
+		m.Counters.Add(SMTrapsSuppressed, 1)
 		return
 	}
 	ts.seen[k] = now
-	m.Counters.Inc("traps_sent", 1)
+	m.Counters.Add(SMTrapsSent, 1)
 
 	tr := trapMAD{Offender: d.Pkt.LRH.SLID, PKey: d.Pkt.BTH.PKey}
 	if victim == m.cfg.Node {
@@ -483,7 +480,7 @@ func (m *SubnetManager) HandleManagement(d *fabric.Delivery) bool {
 	if err != nil {
 		return false
 	}
-	m.Counters.Inc("traps_received", 1)
+	m.Counters.Add(SMTrapsReceived, 1)
 	// The SM is a serial processor: a flood of management packets
 	// queues up (the management-DoS vector of section 7).
 	arrived := m.sim.Now()
@@ -535,7 +532,7 @@ func (h *trapProcess) Fire(arg any, _ uint64) {
 	m, w := (*SubnetManager)(h), arg.(*trapWork)
 	node := m.mesh.NodeByLID(w.tr.Offender)
 	if node < 0 {
-		m.Counters.Inc("traps_unlocatable", 1)
+		m.Counters.Add(SMTrapsUnlocatable, 1)
 		m.doneTrap(w)
 		return
 	}
@@ -550,7 +547,7 @@ func (h *trapProcess) Fire(arg any, _ uint64) {
 func (h *trapRegister) Fire(arg any, _ uint64) {
 	m, w := (*SubnetManager)(h), arg.(*trapWork)
 	m.filter.RegisterInvalid(w.sw, w.tr.PKey)
-	m.Counters.Inc("sif_registrations", 1)
+	m.Counters.Add(SMSIFRegistrations, 1)
 	m.RegLatency.Add((m.sim.Now() - w.arrived).Microseconds())
 	m.doneTrap(w)
 }

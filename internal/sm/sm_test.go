@@ -64,7 +64,7 @@ func TestMKeyGuard(t *testing.T) {
 	if err := r.m.CheckMKey(good + 1); err == nil {
 		t.Fatal("wrong M_Key accepted")
 	}
-	if r.m.Counters.Get("mkey_violations") != 1 {
+	if r.m.Counters.Value(SMMKeyViolations) != 1 {
 		t.Fatal("violation not counted")
 	}
 	if err := r.m.CreatePartition(good+1, testPKey, []int{0, 1}); err == nil {
@@ -176,14 +176,14 @@ func TestSIFControlLoop(t *testing.T) {
 	// the trap.
 	r.sendData(4, 7, bad, true)
 	r.s.Run()
-	if r.m.Counters.Get("traps_sent") != 1 {
-		t.Fatalf("traps_sent = %d", r.m.Counters.Get("traps_sent"))
+	if r.m.Counters.Value(SMTrapsSent) != 1 {
+		t.Fatalf("traps_sent = %d", r.m.Counters.Value(SMTrapsSent))
 	}
-	if r.m.Counters.Get("traps_received") != 1 {
-		t.Fatalf("traps_received = %d", r.m.Counters.Get("traps_received"))
+	if r.m.Counters.Value(SMTrapsReceived) != 1 {
+		t.Fatalf("traps_received = %d", r.m.Counters.Value(SMTrapsReceived))
 	}
-	if r.m.Counters.Get("sif_registrations") != 1 {
-		t.Fatalf("sif_registrations = %d", r.m.Counters.Get("sif_registrations"))
+	if r.m.Counters.Value(SMSIFRegistrations) != 1 {
+		t.Fatalf("sif_registrations = %d", r.m.Counters.Value(SMSIFRegistrations))
 	}
 	if !r.f.Active(attackerSwitch) {
 		t.Fatal("ingress switch not activated")
@@ -215,11 +215,11 @@ func TestTrapSuppression(t *testing.T) {
 	r.sendData(4, 7, bad, true)
 	r.sendData(4, 7, bad, true)
 	r.s.Run()
-	if sent := r.m.Counters.Get("traps_sent"); sent != 1 {
+	if sent := r.m.Counters.Value(SMTrapsSent); sent != 1 {
 		t.Fatalf("traps_sent = %d, want 1 (suppression)", sent)
 	}
-	if r.m.Counters.Get("traps_suppressed") != 1 {
-		t.Fatalf("traps_suppressed = %d", r.m.Counters.Get("traps_suppressed"))
+	if r.m.Counters.Value(SMTrapsSuppressed) != 1 {
+		t.Fatalf("traps_suppressed = %d", r.m.Counters.Value(SMTrapsSuppressed))
 	}
 }
 
@@ -234,7 +234,7 @@ func TestLocalTrap(t *testing.T) {
 
 	r.sendData(4, 0, packet.PKey(0x5555), true) // attack the SM node
 	r.s.Run()
-	if r.m.Counters.Get("sif_registrations") != 1 {
+	if r.m.Counters.Value(SMSIFRegistrations) != 1 {
 		t.Fatal("local trap not processed")
 	}
 	if !r.f.Active(r.mesh.SwitchOf(4)) {
@@ -263,8 +263,8 @@ func TestSMSerialProcessing(t *testing.T) {
 	if elapsed < minimum {
 		t.Fatalf("4 traps handled in %v, less than serial minimum %v", elapsed, minimum)
 	}
-	if r.m.Counters.Get("sif_registrations") != 4 {
-		t.Fatalf("registrations = %d", r.m.Counters.Get("sif_registrations"))
+	if r.m.Counters.Value(SMSIFRegistrations) != 4 {
+		t.Fatalf("registrations = %d", r.m.Counters.Value(SMSIFRegistrations))
 	}
 }
 
@@ -329,8 +329,8 @@ func TestRemoveFromPartitionRotatesSecret(t *testing.T) {
 	if err := r.m.RemoveFromPartition(mkey+1, testPKey, 2); err == nil {
 		t.Fatal("wrong M_Key accepted")
 	}
-	if r.m.Counters.Get("secrets_rotated") != 1 {
-		t.Fatalf("rotations = %d", r.m.Counters.Get("secrets_rotated"))
+	if r.m.Counters.Value(SMSecretsRotated) != 1 {
+		t.Fatalf("rotations = %d", r.m.Counters.Value(SMSecretsRotated))
 	}
 }
 

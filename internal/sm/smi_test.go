@@ -87,10 +87,10 @@ func (r *smiRig) tally() smiTally {
 func (r *smiRig) deliver(t testing.TB, pl []byte) smiTally {
 	t.Helper()
 	hca := r.mesh.HCA(0)
-	before, arrived := r.tally(), hca.Counters.Get("delivered")
+	before, arrived := r.tally(), hca.Counters.Value(fabric.HCADelivered)
 	r.mesh.HCA(1).Send(hca.Params().NewMAD(topology.LIDOf(1), topology.LIDOf(0), pl))
 	r.s.Run()
-	if n := hca.Counters.Get("delivered") - arrived; n != 1 {
+	if n := hca.Counters.Value(fabric.HCADelivered) - arrived; n != 1 {
 		t.Fatalf("%d deliveries arrived at node 0, want 1", n)
 	}
 	return r.tally().minus(before)

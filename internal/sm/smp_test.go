@@ -170,7 +170,7 @@ func TestMalformedSMPDropped(t *testing.T) {
 	s.Run()
 
 	sw := mesh.SwitchOf(0)
-	if got := sw.Counters.Get("smp_malformed"); got != 3 {
+	if got := sw.Counters.Value(fabric.SwSMPMalformed); got != 3 {
 		t.Fatalf("smp_malformed = %d, want 3", got)
 	}
 }
@@ -210,7 +210,7 @@ func TestMalformedSMPDroppedByNodeAgent(t *testing.T) {
 	pl := newSMP(smpMethodGet, smpAttrNodeInfo, 1, discMKey, nil)
 	d := mesh.HCA(0).Params().NewMAD(0, packet.LIDPermissive, pl[:smpHeaderSize+1])
 	agent.receive(d)
-	if got := mesh.HCA(0).Counters.Get("smp_malformed"); got != 1 {
+	if got := mesh.HCA(0).Counters.Value(fabric.HCASMPMalformed); got != 1 {
 		t.Fatalf("smp_malformed = %d, want 1", got)
 	}
 }

@@ -69,7 +69,7 @@ func TestSignedSendUDAllocations(t *testing.T) {
 	if captured == nil {
 		t.Fatal("no delivery captured")
 	}
-	if ok := eps[1].Counters.Get("auth_ok"); ok != 1 {
+	if ok := eps[1].Counters.Value(EpAuthOK); ok != 1 {
 		t.Fatalf("auth_ok = %d, want 1", ok)
 	}
 
@@ -79,7 +79,7 @@ func TestSignedSendUDAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { eps[1].Deliver(captured) }); got != 0 {
 		t.Errorf("Deliver of a signed datagram allocated %.1f times, want 0", got)
 	}
-	if fail := eps[1].Counters.Get("auth_fail"); fail != 0 {
+	if fail := eps[1].Counters.Value(EpAuthFail); fail != 0 {
 		t.Fatalf("auth_fail = %d", fail)
 	}
 }
@@ -99,7 +99,7 @@ func BenchmarkSendUDAuth(b *testing.B) {
 		s.Run()
 	}
 	b.StopTimer()
-	if got := eps[1].Counters.Get("auth_ok"); got != uint64(b.N)+1 {
+	if got := eps[1].Counters.Value(EpAuthOK); got != uint64(b.N)+1 {
 		b.Fatalf("auth_ok = %d, want %d", got, b.N+1)
 	}
 }

@@ -51,7 +51,7 @@ func (e *Endpoint) RearmQP(q *QP) {
 	}
 	st.migrated = false
 	st.consecTimeouts = 0
-	e.Counters.Inc("rc_rearms", 1)
+	e.Counters.Add(EpRCRearms, 1)
 }
 
 // RearmAll rearms every migrated RC QP on the endpoint. (Map iteration

@@ -61,7 +61,7 @@ func (e *Endpoint) sendGSI(dstLID packet.LID, pkey packet.PKey, payload []byte) 
 	if err := icrc.Seal(d.Pkt); err != nil {
 		panic(fmt.Sprintf("transport: sealing GSI packet: %v", err))
 	}
-	e.Counters.Inc("gsi_sent", 1)
+	e.Counters.Add(EpGSISent, 1)
 	e.hca.Send(d)
 }
 
@@ -82,7 +82,7 @@ func (e *Endpoint) RequestQKey(q *QP, dstLID packet.LID, targetQPN packet.QPN, c
 		return ErrNotUD
 	}
 	e.pendingQKey[pendKey{q.N, dstLID}] = &qkeyRequest{q: q, dstLID: dstLID, target: targetQPN, cb: cb}
-	e.Counters.Inc("qkey_requests", 1)
+	e.Counters.Add(EpQKeyRequests, 1)
 	e.sendGSI(dstLID, q.PKey, gsiHeader(gsiQKeyRequest, q.N, targetQPN))
 	return nil
 }
@@ -91,12 +91,12 @@ func (e *Endpoint) RequestQKey(q *QP, dstLID packet.LID, targetQPN packet.QPN, c
 // targetQPN). Under QP-level key management the initiator generates the
 // pair secret and ships it sealed to the responder's public key.
 func (e *Endpoint) ConnectRC(q *QP, dstLID packet.LID, targetQPN packet.QPN, cb func(err error)) error {
-	return e.connect(q, packet.ServiceRC, "rc_connects", dstLID, targetQPN, cb)
+	return e.connect(q, packet.ServiceRC, EpRCConnects, dstLID, targetQPN, cb)
 }
 
 // connect runs the connection handshake for a QP of service svc and
 // counts it under counter.
-func (e *Endpoint) connect(q *QP, svc packet.Service, counter string, dstLID packet.LID, targetQPN packet.QPN, cb func(err error)) error {
+func (e *Endpoint) connect(q *QP, svc packet.Service, counter EndpointCounter, dstLID packet.LID, targetQPN packet.QPN, cb func(err error)) error {
 	if q.Service != svc {
 		return ErrNotRC
 	}
@@ -113,7 +113,7 @@ func (e *Endpoint) connect(q *QP, svc packet.Service, counter string, dstLID pac
 		payload = append(payload, 0, 0)
 	}
 	e.pendingRC[pendKey{q.N, dstLID}] = req
-	e.Counters.Inc(counter, 1)
+	e.Counters.Add(counter, 1)
 	e.sendGSI(dstLID, q.PKey, payload)
 	return nil
 }
@@ -159,14 +159,14 @@ func parseEnvelope(b []byte) (keys.Envelope, error) {
 func (e *Endpoint) handleGSI(d *fabric.Delivery) {
 	p := d.Pkt
 	if len(p.Payload) < gsiHeaderSize {
-		e.Counters.Inc("gsi_malformed", 1)
+		e.Counters.Add(EpGSIMalformed, 1)
 		return
 	}
 	msgType := p.Payload[0]
 	qpA := packet.QPN(binary.BigEndian.Uint32(p.Payload[1:5]))
 	qpB := packet.QPN(binary.BigEndian.Uint32(p.Payload[5:9]))
 	rest := p.Payload[gsiHeaderSize:]
-	e.Counters.Inc("gsi_received", 1)
+	e.Counters.Add(EpGSIReceived, 1)
 
 	switch msgType {
 	case gsiQKeyRequest:
@@ -178,14 +178,14 @@ func (e *Endpoint) handleGSI(d *fabric.Delivery) {
 	case gsiRCConnectAck:
 		e.handleRCConnectAck(p.LRH.SLID, qpA, qpB)
 	default:
-		e.Counters.Inc("gsi_malformed", 1)
+		e.Counters.Add(EpGSIMalformed, 1)
 	}
 }
 
 func (e *Endpoint) handleQKeyRequest(src packet.LID, pkey packet.PKey, reqQP, targetQPN packet.QPN) {
 	target, ok := e.qps[targetQPN]
 	if !ok || target.Service != packet.ServiceUD {
-		e.Counters.Inc("gsi_no_target", 1)
+		e.Counters.Add(EpGSINoTarget, 1)
 		return
 	}
 	payload := gsiHeader(gsiQKeyResponse, reqQP, targetQPN)
@@ -195,7 +195,7 @@ func (e *Endpoint) handleQKeyRequest(src packet.LID, pkey packet.PKey, reqQP, ta
 	if e.cfg.KeyLevel == QPLevel {
 		secret, env, err := e.issueFor(src)
 		if err != nil {
-			e.Counters.Inc("gsi_issue_failed", 1)
+			e.Counters.Add(EpGSIIssueFailed, 1)
 			return
 		}
 		// "a secret key is generated at every Q_Key request" — indexed
@@ -212,7 +212,7 @@ func (e *Endpoint) handleQKeyResponse(src packet.LID, reqQP, targetQPN packet.QP
 	k := pendKey{reqQP, src}
 	pending, ok := e.pendingQKey[k]
 	if !ok || pending.target != targetQPN {
-		e.Counters.Inc("gsi_unexpected", 1)
+		e.Counters.Add(EpGSIUnexpected, 1)
 		return
 	}
 	delete(e.pendingQKey, k)
@@ -238,7 +238,7 @@ func (e *Endpoint) handleQKeyResponse(src packet.LID, reqQP, targetQPN packet.QP
 		}
 		e.Store.InstallSendQPSecret(pending.q.N, src, targetQPN, secret)
 	}
-	e.Counters.Inc("qkey_established", 1)
+	e.Counters.Add(EpQKeyEstablished, 1)
 	if pending.cb != nil {
 		pending.cb(qkey, nil)
 	}
@@ -253,25 +253,25 @@ func (r *qkeyRequest) fail(err error) {
 func (e *Endpoint) handleRCConnectReq(src packet.LID, pkey packet.PKey, initQP, targetQPN packet.QPN, rest []byte) {
 	target, ok := e.qps[targetQPN]
 	if !ok || (target.Service != packet.ServiceRC && target.Service != packet.ServiceUC) {
-		e.Counters.Inc("gsi_no_target", 1)
+		e.Counters.Add(EpGSINoTarget, 1)
 		return
 	}
 	if e.cfg.KeyLevel == QPLevel {
 		env, err := parseEnvelope(rest)
 		if err != nil || e.cfg.KeyPair == nil {
-			e.Counters.Inc("gsi_issue_failed", 1)
+			e.Counters.Add(EpGSIIssueFailed, 1)
 			return
 		}
 		secret, err := e.cfg.KeyPair.Open(env)
 		if err != nil {
-			e.Counters.Inc("gsi_issue_failed", 1)
+			e.Counters.Add(EpGSIIssueFailed, 1)
 			return
 		}
 		e.Store.InstallSendQPSecret(targetQPN, src, initQP, secret)
 	}
 	target.RemoteLID = src
 	target.RemoteQPN = initQP
-	e.Counters.Inc("rc_accepted", 1)
+	e.Counters.Add(EpRCAccepted, 1)
 	e.sendGSI(src, pkey, gsiHeader(gsiRCConnectAck, initQP, targetQPN))
 }
 
@@ -279,7 +279,7 @@ func (e *Endpoint) handleRCConnectAck(src packet.LID, initQP, targetQPN packet.Q
 	k := pendKey{initQP, src}
 	pending, ok := e.pendingRC[k]
 	if !ok || pending.target != targetQPN {
-		e.Counters.Inc("gsi_unexpected", 1)
+		e.Counters.Add(EpGSIUnexpected, 1)
 		return
 	}
 	delete(e.pendingRC, k)
@@ -288,7 +288,7 @@ func (e *Endpoint) handleRCConnectAck(src packet.LID, initQP, targetQPN packet.Q
 	if e.cfg.KeyLevel == QPLevel {
 		e.Store.InstallSendQPSecret(pending.q.N, src, targetQPN, pending.secret)
 	}
-	e.Counters.Inc("rc_established", 1)
+	e.Counters.Add(EpRCEstablished, 1)
 	if pending.cb != nil {
 		pending.cb(nil)
 	}

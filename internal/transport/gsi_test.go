@@ -46,11 +46,11 @@ func TestGSIMalformedInputs(t *testing.T) {
 	}
 	w.s.Run()
 
-	if w.eps[3].Counters.Get("gsi_received") == 0 {
+	if w.eps[3].Counters.Value(EpGSIReceived) == 0 {
 		t.Fatal("no GSI messages processed")
 	}
 	// Malformed traffic must not fabricate state.
-	if w.eps[3].Counters.Get("rc_accepted") != 0 || w.eps[3].Counters.Get("qkey_established") != 0 {
+	if w.eps[3].Counters.Value(EpRCAccepted) != 0 || w.eps[3].Counters.Value(EpQKeyEstablished) != 0 {
 		t.Fatal("malformed GSI traffic established state")
 	}
 	// The endpoint still works afterwards.
@@ -82,7 +82,7 @@ func TestGSIUnsolicitedResponse(t *testing.T) {
 	}
 	w.mesh.HCA(1).Send(&fabric.Delivery{Pkt: p, Class: fabric.ClassBestEffort, VL: fabric.VLBestEffort})
 	w.s.Run()
-	if w.eps[0].Counters.Get("gsi_unexpected") != 1 {
+	if w.eps[0].Counters.Value(EpGSIUnexpected) != 1 {
 		t.Fatalf("unsolicited response not flagged: %v", w.eps[0].Counters)
 	}
 }
@@ -98,7 +98,7 @@ func TestGSIConnectWrongServiceRefused(t *testing.T) {
 	if done {
 		t.Fatal("connect to a UD QP completed")
 	}
-	if w.eps[3].Counters.Get("gsi_no_target") != 1 {
+	if w.eps[3].Counters.Value(EpGSINoTarget) != 1 {
 		t.Fatal("wrong-service connect not counted")
 	}
 }

@@ -110,7 +110,7 @@ func TestRCPipelineAcrossPSNWrap(t *testing.T) {
 	if len(a.rc().unacked) != 0 {
 		t.Fatal("window not drained: post-wrap ACKs failed to release pre-wrap sends")
 	}
-	if w.eps[0].Counters.Get("rc_retransmissions") != 0 {
+	if w.eps[0].Counters.Value(EpRCRetransmissions) != 0 {
 		t.Fatal("spurious retransmissions on a clean wrap")
 	}
 
@@ -121,7 +121,7 @@ func TestRCPipelineAcrossPSNWrap(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("pre-wrap duplicate re-delivered: %v", got)
 	}
-	if w.eps[3].Counters.Get("rc_duplicates") != 1 {
+	if w.eps[3].Counters.Value(EpRCDuplicates) != 1 {
 		t.Fatal("pre-wrap duplicate not recognised after the wrap")
 	}
 }
@@ -163,17 +163,17 @@ func TestRCRetransmissionStraddlesWrap(t *testing.T) {
 	if b.rc().ePSN != 3 {
 		t.Fatalf("responder ePSN = %#x, want 3", b.rc().ePSN)
 	}
-	if w.eps[0].Counters.Get("rc_retransmissions") == 0 {
+	if w.eps[0].Counters.Value(EpRCRetransmissions) == 0 {
 		t.Fatal("loss at the wrap point produced no retransmission")
 	}
-	ooo := w.eps[3].Counters.Get("rc_out_of_order")
+	ooo := w.eps[3].Counters.Value(EpRCOutOfOrder)
 	if ooo == 0 {
 		t.Fatal("post-loss arrivals not seen as out of order")
 	}
 	// Every delivery, duplicate and gap emits exactly one cumulative
 	// ACK — the gap ACKs at ePSN == 0 must not be suppressed.
-	want := uint64(n) + w.eps[3].Counters.Get("rc_duplicates") + ooo
-	if acks := w.eps[3].Counters.Get("rc_acks_sent"); acks != want {
+	want := uint64(n) + w.eps[3].Counters.Value(EpRCDuplicates) + ooo
+	if acks := w.eps[3].Counters.Value(EpRCAcksSent); acks != want {
 		t.Fatalf("acks sent = %d, want %d (go-back ACK suppressed at ePSN 0?)", acks, want)
 	}
 }
@@ -225,13 +225,13 @@ func TestRCNakRetransmissionAcrossWrap(t *testing.T) {
 	}
 	// One gap episode, one NAK — the later out-of-order arrivals (PSNs 1
 	// and 2) are coalesced into it.
-	if naks := w.eps[3].Counters.Get("rc_naks_sent"); naks != 1 {
+	if naks := w.eps[3].Counters.Value(EpRCNAKsSent); naks != 1 {
 		t.Fatalf("naks sent = %d, want 1", naks)
 	}
-	if naks := w.eps[0].Counters.Get("rc_naks_received"); naks != 1 {
+	if naks := w.eps[0].Counters.Value(EpRCNAKsReceived); naks != 1 {
 		t.Fatalf("naks received = %d, want 1", naks)
 	}
-	if w.eps[0].Counters.Get("rc_retransmissions") == 0 {
+	if w.eps[0].Counters.Value(EpRCRetransmissions) == 0 {
 		t.Fatal("no retransmission despite the loss")
 	}
 	// NAK recovery is responder-clocked: the whole burst completes well

@@ -63,17 +63,17 @@ func TestRCNakRecoversFasterThanTimeout(t *testing.T) {
 	slow, base, _ := run(false)
 	fast, nakw, nakQP := run(true)
 
-	if base.eps[3].Counters.Get("rc_naks_sent") != 0 {
+	if base.eps[3].Counters.Value(EpRCNAKsSent) != 0 {
 		t.Fatal("NAKs sent with EnableNAK off")
 	}
-	if n := nakw.eps[3].Counters.Get("rc_naks_sent"); n != 1 {
+	if n := nakw.eps[3].Counters.Value(EpRCNAKsSent); n != 1 {
 		t.Fatalf("naks sent = %d, want 1 (one per gap episode, coalesced)", n)
 	}
-	if n := nakw.eps[0].Counters.Get("rc_naks_received"); n != 1 {
+	if n := nakw.eps[0].Counters.Value(EpRCNAKsReceived); n != 1 {
 		t.Fatalf("naks received = %d", n)
 	}
 	// m3 and m4 both arrived out of order, but only the first drew a NAK.
-	if ooo := nakw.eps[3].Counters.Get("rc_out_of_order"); ooo != 2 {
+	if ooo := nakw.eps[3].Counters.Value(EpRCOutOfOrder); ooo != 2 {
 		t.Fatalf("out of order = %d, want 2", ooo)
 	}
 	if slow < defaultRetryTimeout {
@@ -111,11 +111,11 @@ func TestRCRNRNakDelaysAndRecovers(t *testing.T) {
 	if a.Broken() {
 		t.Fatal("connection broken by a transient RNR condition")
 	}
-	rnrs := w.eps[3].Counters.Get("rc_rnr_naks_sent")
+	rnrs := w.eps[3].Counters.Value(EpRCRNRNAKsSent)
 	if rnrs == 0 {
 		t.Fatal("receiver-not-ready window produced no RNR NAKs")
 	}
-	if recv := w.eps[0].Counters.Get("rc_rnr_naks_received"); recv != rnrs {
+	if recv := w.eps[0].Counters.Value(EpRCRNRNAKsReceived); recv != rnrs {
 		t.Fatalf("rnr naks received = %d, sent = %d", recv, rnrs)
 	}
 	st := a.rc()
@@ -124,7 +124,7 @@ func TestRCRNRNakDelaysAndRecovers(t *testing.T) {
 	}
 	// The RNR NAK on a fresh responder (ePSN 0) must not acknowledge
 	// anything: the PSN-0 head stays in the window until delivered.
-	if w.eps[0].Counters.Get("rc_broken") != 0 {
+	if w.eps[0].Counters.Value(EpRCBroken) != 0 {
 		t.Fatal("rc_broken counted")
 	}
 }
@@ -152,17 +152,17 @@ func TestRCRNRExhaustionBreaks(t *testing.T) {
 	if !a.Broken() {
 		t.Fatal("connection not marked broken")
 	}
-	if w.eps[0].Counters.Get("rc_rnr_exhausted") != 1 {
+	if w.eps[0].Counters.Value(EpRCRNRExhausted) != 1 {
 		t.Fatal("rc_rnr_exhausted not counted")
 	}
-	if w.eps[0].Counters.Get("rc_broken") != 1 {
+	if w.eps[0].Counters.Value(EpRCBroken) != 1 {
 		t.Fatal("rc_broken not counted")
 	}
 	// 3 replays allowed; the 4th RNR NAK exhausts the budget.
-	if got := w.eps[0].Counters.Get("rc_rnr_naks_received"); got != 4 {
+	if got := w.eps[0].Counters.Value(EpRCRNRNAKsReceived); got != 4 {
 		t.Fatalf("rnr naks received = %d, want 4", got)
 	}
-	if got := w.eps[0].Counters.Get("rc_retransmissions"); got != 3 {
+	if got := w.eps[0].Counters.Value(EpRCRetransmissions); got != 3 {
 		t.Fatalf("retransmissions = %d, want 3", got)
 	}
 }
@@ -227,7 +227,7 @@ func TestRCBackoffStretchesRetryHorizon(t *testing.T) {
 		if !a.Broken() {
 			t.Fatalf("backoff=%v: connection not broken", backoff)
 		}
-		if got := w.eps[0].Counters.Get("rc_retransmissions"); got != 3 {
+		if got := w.eps[0].Counters.Value(EpRCRetransmissions); got != 3 {
 			t.Fatalf("backoff=%v: retransmissions = %d, want 3", backoff, got)
 		}
 		return w.s.Now() - start
@@ -282,10 +282,10 @@ func TestRCAPMMigratesAndRearms(t *testing.T) {
 	if a.Broken() {
 		t.Fatal("connection broken despite alternate path")
 	}
-	if w.eps[0].Counters.Get("rc_migrations") != 1 {
-		t.Fatalf("rc_migrations = %d", w.eps[0].Counters.Get("rc_migrations"))
+	if w.eps[0].Counters.Value(EpRCMigrations) != 1 {
+		t.Fatalf("rc_migrations = %d", w.eps[0].Counters.Value(EpRCMigrations))
 	}
-	if w.mesh.HCA(3).Counters.Get("alt_lid_arrivals") == 0 {
+	if w.mesh.HCA(3).Counters.Value(fabric.HCAAltLIDArrivals) == 0 {
 		t.Fatal("no arrivals on the alternate LID")
 	}
 
@@ -296,10 +296,10 @@ func TestRCAPMMigratesAndRearms(t *testing.T) {
 	if a.Migrated() {
 		t.Fatal("QP still migrated after rearm")
 	}
-	if w.eps[0].Counters.Get("rc_rearms") != 1 {
-		t.Fatalf("rc_rearms = %d", w.eps[0].Counters.Get("rc_rearms"))
+	if w.eps[0].Counters.Value(EpRCRearms) != 1 {
+		t.Fatalf("rc_rearms = %d", w.eps[0].Counters.Value(EpRCRearms))
 	}
-	altBefore := w.mesh.HCA(3).Counters.Get("alt_lid_arrivals")
+	altBefore := w.mesh.HCA(3).Counters.Value(fabric.HCAAltLIDArrivals)
 	if err := w.eps[0].SendRC(a, []byte("back on primary"), fabric.ClassBestEffort); err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +307,11 @@ func TestRCAPMMigratesAndRearms(t *testing.T) {
 	if len(got) != 2 || got[1] != "back on primary" {
 		t.Fatalf("deliveries after rearm = %v", got)
 	}
-	if w.mesh.HCA(3).Counters.Get("alt_lid_arrivals") != altBefore {
+	if w.mesh.HCA(3).Counters.Value(fabric.HCAAltLIDArrivals) != altBefore {
 		t.Fatal("post-rearm traffic still used the alternate LID")
 	}
 	// Migration recovery must not have counted against rc_broken.
-	if w.eps[0].Counters.Get("rc_broken") != 0 {
+	if w.eps[0].Counters.Value(EpRCBroken) != 0 {
 		t.Fatal("rc_broken counted")
 	}
 }
@@ -340,10 +340,10 @@ func TestRCAPMMigratedResealAuthenticated(t *testing.T) {
 	if !a.Migrated() {
 		t.Fatal("QP did not migrate")
 	}
-	if w.eps[3].Counters.Get("auth_fail") != 0 {
-		t.Fatalf("auth_fail = %d on migrated retransmission", w.eps[3].Counters.Get("auth_fail"))
+	if w.eps[3].Counters.Value(EpAuthFail) != 0 {
+		t.Fatalf("auth_fail = %d on migrated retransmission", w.eps[3].Counters.Value(EpAuthFail))
 	}
-	if w.eps[0].Counters.Get("rc_reseal_failed") != 0 {
+	if w.eps[0].Counters.Value(EpRCResealFailed) != 0 {
 		t.Fatal("reseal failed")
 	}
 }
@@ -367,10 +367,10 @@ func TestRCDestroyQPCancelsRetryTimer(t *testing.T) {
 		t.Fatal("retry timer still pending after DestroyQP")
 	}
 	w.s.Run()
-	if got := w.eps[0].Counters.Get("rc_retransmissions"); got != 0 {
+	if got := w.eps[0].Counters.Value(EpRCRetransmissions); got != 0 {
 		t.Fatalf("destroyed QP retransmitted %d times", got)
 	}
-	if w.eps[0].Counters.Get("rc_broken") != 0 {
+	if w.eps[0].Counters.Value(EpRCBroken) != 0 {
 		t.Fatal("destroyed QP counted as broken")
 	}
 	// Destroy is idempotent and unknown QPNs are ignored.
@@ -401,9 +401,9 @@ func TestRCRetryRearmStrictlyFuture(t *testing.T) {
 		w.s.Cancel(st.retryTimer)
 		st.retryTimer = sim.Event{}
 		st.lastProgress = w.s.Now() - off
-		before := ep.Counters.Get("rc_retransmissions")
+		before := ep.Counters.Value(EpRCRetransmissions)
 		ep.onRetryTimeout(a)
-		if got := ep.Counters.Get("rc_retransmissions"); got != before {
+		if got := ep.Counters.Value(EpRCRetransmissions); got != before {
 			t.Fatalf("off=%v: retransmitted during a draining window", off)
 		}
 		if !st.retryTimer.Pending() {
@@ -418,9 +418,9 @@ func TestRCRetryRearmStrictlyFuture(t *testing.T) {
 	w.s.Cancel(st.retryTimer)
 	st.retryTimer = sim.Event{}
 	st.lastProgress = w.s.Now() - 10*sim.Microsecond
-	before := ep.Counters.Get("rc_retransmissions")
+	before := ep.Counters.Value(EpRCRetransmissions)
 	ep.onRetryTimeout(a)
-	if got := ep.Counters.Get("rc_retransmissions"); got != before+1 {
+	if got := ep.Counters.Value(EpRCRetransmissions); got != before+1 {
 		t.Fatal("full quiet period did not retransmit")
 	}
 	if !st.retryTimer.Pending() || st.retryTimer.At() <= w.s.Now() {

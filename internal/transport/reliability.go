@@ -203,7 +203,7 @@ func (e *Endpoint) onRetryTimeout(q *QP) {
 	st.consecTimeouts++
 	if st.retries > maxRetries {
 		st.broken = true
-		e.Counters.Inc("rc_broken", 1)
+		e.Counters.Add(EpRCBroken, 1)
 		return
 	}
 	// APM: enough consecutive quiet periods prove the primary path dead;
@@ -212,7 +212,7 @@ func (e *Endpoint) onRetryTimeout(q *QP) {
 	if !st.migrated && q.AltLID != 0 && q.MigrateAfter > 0 && st.consecTimeouts >= q.MigrateAfter {
 		st.migrated = true
 		st.retries = 0
-		e.Counters.Inc("rc_migrations", 1)
+		e.Counters.Add(EpRCMigrations, 1)
 	}
 	st.recovering = true
 	e.resendHead(q)
@@ -234,12 +234,12 @@ func (e *Endpoint) resendHead(q *QP) {
 		// fully re-sealed, not just readdressed.
 		p.LRH.DLID = dlid
 		if err := e.seal(p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
-			e.Counters.Inc("rc_reseal_failed", 1)
+			e.Counters.Add(EpRCResealFailed, 1)
 			return
 		}
 	}
-	e.Counters.Inc("rc_retransmissions", 1)
-	e.Counters.Inc("rc_retrans_bytes", uint64(len(ps.pkt.Payload)))
+	e.Counters.Add(EpRCRetransmissions, 1)
+	e.Counters.Add(EpRCRetransBytes, uint64(len(ps.pkt.Payload)))
 	if e.Storm != nil {
 		e.Storm.Add(float64(e.hca.Sim().Now()) / float64(sim.Microsecond))
 	}
@@ -277,7 +277,7 @@ func (e *Endpoint) handleRCRequest(q *QP, p *packet.Packet, d *fabric.Delivery) 
 	case st.gotAny && psnBefore(p.BTH.PSN, st.ePSN):
 		// Duplicate of an already-delivered request: re-acknowledge,
 		// do not re-deliver.
-		e.Counters.Inc("rc_duplicates", 1)
+		e.Counters.Add(EpRCDuplicates, 1)
 		e.sendAck(q, (st.ePSN-1)&0xFFFFFF, p.BTH.FECN)
 		return false
 	default:
@@ -286,7 +286,7 @@ func (e *Endpoint) handleRCRequest(q *QP, p *packet.Packet, d *fabric.Delivery) 
 		// per gap episode triggers immediate retransmission; otherwise
 		// re-acknowledge the last in-order PSN so the stock timeout path
 		// still converges.
-		e.Counters.Inc("rc_out_of_order", 1)
+		e.Counters.Add(EpRCOutOfOrder, 1)
 		if !st.gotAny {
 			return false
 		}
@@ -312,13 +312,13 @@ func psnBefore(a, b uint32) bool {
 // requester as a backward congestion notification (CC annex: RC flows
 // piggyback BECN on the ACK stream instead of standalone CNPs).
 func (e *Endpoint) sendAck(q *QP, psn uint32, becn bool) {
-	e.sendAckSyndrome(q, psn, packet.AETHAck, "rc_acks_sent", becn)
+	e.sendAckSyndrome(q, psn, packet.AETHAck, EpRCAcksSent, becn)
 }
 
 // sendNakSeq emits a PSN-sequence-error NAK naming the last in-order
 // PSN, so the requester goes back immediately instead of timing out.
 func (e *Endpoint) sendNakSeq(q *QP, psn uint32) {
-	e.sendAckSyndrome(q, psn, packet.AETHNAKSeq, "rc_naks_sent", false)
+	e.sendAckSyndrome(q, psn, packet.AETHNAKSeq, EpRCNAKsSent, false)
 }
 
 // sendRNRNak emits a receiver-not-ready NAK carrying the QP's advertised
@@ -328,26 +328,26 @@ func (e *Endpoint) sendNakSeq(q *QP, psn uint32) {
 // consumed". MSN 0 would instead falsely acknowledge (and discard) the
 // un-delivered PSN-0 head of the window.
 func (e *Endpoint) sendRNRNak(q *QP, st *rcState) {
-	e.sendAckSyndrome(q, (st.ePSN-1)&0xFFFFFF, packet.AETHRNRNak|rnrCode(q.RNRDelay), "rc_rnr_naks_sent", false)
+	e.sendAckSyndrome(q, (st.ePSN-1)&0xFFFFFF, packet.AETHRNRNak|rnrCode(q.RNRDelay), EpRCRNRNAKsSent, false)
 }
 
 // sendAckSyndrome builds, seals and sends one acknowledgement packet
 // with the given AETH syndrome, counting it under counter. becn sets
 // the backward-congestion-notification bit.
-func (e *Endpoint) sendAckSyndrome(q *QP, psn uint32, syndrome uint8, counter string, becn bool) {
+func (e *Endpoint) sendAckSyndrome(q *QP, psn uint32, syndrome uint8, counter EndpointCounter, becn bool) {
 	if q.RemoteLID == 0 {
 		return
 	}
 	d := e.newMessage(fabric.ClassBestEffort, q.RemoteLID, packet.BTH{OpCode: packet.RCAck, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: psn, BECN: becn}, 0)
 	*d.Pkt.AETH = packet.AETH{Syndrome: syndrome, MSN: psn}
 	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
-		e.Counters.Inc("rc_ack_seal_failed", 1)
+		e.Counters.Add(EpRCAckSealFailed, 1)
 		return
 	}
 	if becn {
-		e.Counters.Inc("rc_becn_sent", 1)
+		e.Counters.Add(EpRCBECNSent, 1)
 	}
-	e.Counters.Inc(counter, 1)
+	e.Counters.Add(counter, 1)
 	e.hca.Send(d)
 }
 
@@ -371,7 +371,7 @@ func (e *Endpoint) handleRCAck(q *QP, p *packet.Packet) {
 	if p.BTH.BECN {
 		// The responder saw our requests FECN-marked: bump the flow's
 		// congestion-control-table index so injection slows at the source.
-		e.Counters.Inc("rc_becn_received", 1)
+		e.Counters.Add(EpRCBECNReceived, 1)
 		e.hca.NotifyBECN(p.LRH.SLID)
 	}
 	st := q.rc()
@@ -390,7 +390,7 @@ func (e *Endpoint) handleRCAck(q *QP, p *packet.Packet) {
 		st.lastProgress = e.hca.Sim().Now()
 	}
 	st.unacked = kept
-	e.rcAcksReceived.Add(1)
+	e.Counters.Add(EpRCAcksReceived, 1)
 	switch {
 	case p.AETH.IsNAK():
 		e.onSeqNak(q, st)
@@ -417,7 +417,7 @@ func (e *Endpoint) handleRCAck(q *QP, p *packet.Packet) {
 // immediately. NAK-triggered retransmission is responder-clocked, so it
 // does not consume the timeout retry budget.
 func (e *Endpoint) onSeqNak(q *QP, st *rcState) {
-	e.Counters.Inc("rc_naks_received", 1)
+	e.Counters.Add(EpRCNAKsReceived, 1)
 	if len(st.unacked) == 0 || st.broken {
 		return
 	}
@@ -430,7 +430,7 @@ func (e *Endpoint) onSeqNak(q *QP, st *rcState) {
 // onRNRNak handles a receiver-not-ready NAK: wait out the advertised
 // delay, then replay the head. RNR rounds have their own budget.
 func (e *Endpoint) onRNRNak(q *QP, st *rcState, code uint8) {
-	e.Counters.Inc("rc_rnr_naks_received", 1)
+	e.Counters.Add(EpRCRNRNAKsReceived, 1)
 	if len(st.unacked) == 0 || st.broken {
 		return
 	}
@@ -441,8 +441,8 @@ func (e *Endpoint) onRNRNak(q *QP, st *rcState, code uint8) {
 	st.rnrRetries++
 	if st.rnrRetries > limit {
 		st.broken = true
-		e.Counters.Inc("rc_broken", 1)
-		e.Counters.Inc("rc_rnr_exhausted", 1)
+		e.Counters.Add(EpRCBroken, 1)
+		e.Counters.Add(EpRCRNRExhausted, 1)
 		return
 	}
 	e.hca.Sim().Cancel(st.retryTimer)

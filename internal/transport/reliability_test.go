@@ -48,16 +48,16 @@ func TestRCAckCompletesSend(t *testing.T) {
 	if !bytes.Equal(got, []byte("reliable")) {
 		t.Fatalf("payload %q", got)
 	}
-	if w.eps[3].Counters.Get("rc_acks_sent") != 1 {
-		t.Fatalf("acks sent = %d", w.eps[3].Counters.Get("rc_acks_sent"))
+	if w.eps[3].Counters.Value(EpRCAcksSent) != 1 {
+		t.Fatalf("acks sent = %d", w.eps[3].Counters.Value(EpRCAcksSent))
 	}
-	if w.eps[0].Counters.Get("rc_acks_received") != 1 {
-		t.Fatalf("acks received = %d", w.eps[0].Counters.Get("rc_acks_received"))
+	if w.eps[0].Counters.Value(EpRCAcksReceived) != 1 {
+		t.Fatalf("acks received = %d", w.eps[0].Counters.Value(EpRCAcksReceived))
 	}
 	if len(a.rc().unacked) != 0 {
 		t.Fatal("unacked queue not drained")
 	}
-	if w.eps[0].Counters.Get("rc_retransmissions") != 0 {
+	if w.eps[0].Counters.Value(EpRCRetransmissions) != 0 {
 		t.Fatal("spurious retransmissions on a clean path")
 	}
 	if a.Broken() {
@@ -97,7 +97,7 @@ func TestRCRetransmitAfterLoss(t *testing.T) {
 	if len(deliveries) != 1 || !bytes.Equal(deliveries[0], []byte("lost once")) {
 		t.Fatalf("deliveries = %v", deliveries)
 	}
-	if w.eps[0].Counters.Get("rc_retransmissions") == 0 {
+	if w.eps[0].Counters.Value(EpRCRetransmissions) == 0 {
 		t.Fatal("no retransmission recorded")
 	}
 	if a.Broken() {
@@ -124,11 +124,11 @@ func TestRCBreaksAfterMaxRetries(t *testing.T) {
 	if !a.Broken() {
 		t.Fatal("connection not marked broken")
 	}
-	if w.eps[0].Counters.Get("rc_broken") != 1 {
+	if w.eps[0].Counters.Value(EpRCBroken) != 1 {
 		t.Fatal("rc_broken not counted")
 	}
 	// 7 retry rounds x 1 packet.
-	if got := w.eps[0].Counters.Get("rc_retransmissions"); got != defaultMaxRetries {
+	if got := w.eps[0].Counters.Value(EpRCRetransmissions); got != defaultMaxRetries {
 		t.Fatalf("retransmissions = %d, want %d", got, defaultMaxRetries)
 	}
 }
@@ -159,11 +159,11 @@ func TestRCDuplicateSuppression(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("delivered %d times", n)
 	}
-	if w.eps[3].Counters.Get("rc_duplicates") != 1 {
+	if w.eps[3].Counters.Value(EpRCDuplicates) != 1 {
 		t.Fatal("duplicate not counted")
 	}
-	if w.eps[3].Counters.Get("rc_acks_sent") != 2 {
-		t.Fatalf("acks sent = %d, want re-ack", w.eps[3].Counters.Get("rc_acks_sent"))
+	if w.eps[3].Counters.Value(EpRCAcksSent) != 2 {
+		t.Fatalf("acks sent = %d, want re-ack", w.eps[3].Counters.Value(EpRCAcksSent))
 	}
 }
 
@@ -210,11 +210,11 @@ func TestRCAuthenticatedAcks(t *testing.T) {
 		t.Fatalf("payload %q", got)
 	}
 	// Both the data packet and the ACK were verified.
-	if w.eps[3].Counters.Get("auth_ok") != 1 {
-		t.Fatalf("responder auth_ok = %d", w.eps[3].Counters.Get("auth_ok"))
+	if w.eps[3].Counters.Value(EpAuthOK) != 1 {
+		t.Fatalf("responder auth_ok = %d", w.eps[3].Counters.Value(EpAuthOK))
 	}
-	if w.eps[0].Counters.Get("auth_ok") != 1 {
-		t.Fatalf("requester auth_ok (ACK) = %d", w.eps[0].Counters.Get("auth_ok"))
+	if w.eps[0].Counters.Value(EpAuthOK) != 1 {
+		t.Fatalf("requester auth_ok (ACK) = %d", w.eps[0].Counters.Value(EpAuthOK))
 	}
 	if a.Broken() || b.Broken() {
 		t.Fatal("healthy connection marked broken")
@@ -235,10 +235,10 @@ func TestRCReliableRDMA(t *testing.T) {
 	if !bytes.Equal(region.Data[:3], []byte("dma")) {
 		t.Fatalf("region = %q", region.Data[:3])
 	}
-	if w.eps[3].Counters.Get("rdma_writes") != 1 {
-		t.Fatalf("rdma_writes = %d (duplicate applied?)", w.eps[3].Counters.Get("rdma_writes"))
+	if w.eps[3].Counters.Value(EpRDMAWrites) != 1 {
+		t.Fatalf("rdma_writes = %d (duplicate applied?)", w.eps[3].Counters.Value(EpRDMAWrites))
 	}
-	if w.eps[0].Counters.Get("rc_retransmissions") == 0 {
+	if w.eps[0].Counters.Value(EpRCRetransmissions) == 0 {
 		t.Fatal("no retransmission")
 	}
 }
@@ -300,13 +300,13 @@ func TestRCRecoversThroughBitErrors(t *testing.T) {
 			t.Fatalf("ordering/content broken at %d: %q", i, m)
 		}
 	}
-	retx := src.Counters.Get("rc_retransmissions")
+	retx := src.Counters.Value(EpRCRetransmissions)
 	crcDrops := uint64(0)
 	for _, sw := range mesh.Switches {
-		crcDrops += sw.Counters.Get("vcrc_drops")
+		crcDrops += sw.Counters.Value(fabric.SwVCRCDrops)
 	}
 	for i := 0; i < 4; i++ {
-		crcDrops += mesh.HCA(i).Counters.Get("vcrc_drops") + mesh.HCA(i).Counters.Get("icrc_drops")
+		crcDrops += mesh.HCA(i).Counters.Value(fabric.HCAVCRCDrops) + mesh.HCA(i).Counters.Value(fabric.HCAICRCDrops)
 	}
 	if crcDrops == 0 || retx == 0 {
 		t.Fatalf("no corruption exercised: drops=%d retx=%d (weak BER?)", crcDrops, retx)

@@ -160,10 +160,8 @@ type Endpoint struct {
 	// pendingReads holds outstanding RDMA read callbacks by request PSN.
 	pendingReads map[uint32]func([]byte)
 
-	Counters *metrics.Counters
-	// Handles for the counters the per-packet success path touches,
-	// resolved once; every other site counts by name.
-	packetsSigned, udSent, rcSent, delivered, authOK, rcAcksReceived *metrics.Counter
+	Counters metrics.Set[EndpointCounter]
+	ctr      [numEndpointCounters]uint64 // Counters' cells
 
 	// Storm, when non-nil, receives one event per RC retransmission
 	// (timestamped in microseconds) so experiments can report the peak
@@ -212,14 +210,8 @@ func NewEndpoint(hca *fabric.HCA, cfg Config) *Endpoint {
 		nextVA:      0x1000,
 		pendingQKey: make(map[pendKey]*qkeyRequest),
 		pendingRC:   make(map[pendKey]*rcRequest),
-		Counters:    metrics.NewCounters(),
 	}
-	e.packetsSigned = e.Counters.Counter("packets_signed")
-	e.udSent = e.Counters.Counter("ud_sent")
-	e.rcSent = e.Counters.Counter("rc_sent")
-	e.delivered = e.Counters.Counter("delivered")
-	e.authOK = e.Counters.Counter("auth_ok")
-	e.rcAcksReceived = e.Counters.Counter("rc_acks_received")
+	e.Counters.Bind(&endpointCounters, e.ctr[:])
 	hca.OnDeliver = e.Deliver
 	return e
 }
@@ -355,7 +347,7 @@ func (e *Endpoint) seal(p *packet.Packet, q *QP, dstLID packet.LID, dstQPN packe
 		return err
 	}
 	p.ICRC = tag
-	e.packetsSigned.Add(1)
+	e.Counters.Add(EpPacketsSigned, 1)
 	// AuthID != 0: the ICRC field carries the tag and only the VCRC needs
 	// computing, so patch the trailer into the image built above instead
 	// of marshalling a second time. The patched image stays installed as
@@ -394,7 +386,7 @@ func (e *Endpoint) SendUD(q *QP, dstLID packet.LID, dstQPN packet.QPN, dstQKey p
 	if err := e.sealMessage(d, q, dstLID, dstQPN); err != nil {
 		return err
 	}
-	e.udSent.Add(1)
+	e.Counters.Add(EpUDSent, 1)
 	e.hca.Send(d)
 	return nil
 }
@@ -413,7 +405,7 @@ func (e *Endpoint) SendRC(q *QP, payload []byte, class fabric.Class) error {
 		return err
 	}
 	e.trackReliable(q, d.Pkt, class)
-	e.rcSent.Add(1)
+	e.Counters.Add(EpRCSent, 1)
 	e.hca.Send(d)
 	return nil
 }
@@ -435,7 +427,7 @@ func (e *Endpoint) RDMAWrite(q *QP, va uint64, rkey packet.RKey, payload []byte,
 		return err
 	}
 	e.trackReliable(q, d.Pkt, class)
-	e.Counters.Inc("rdma_sent", 1)
+	e.Counters.Add(EpRDMASent, 1)
 	e.hca.Send(d)
 	return nil
 }
@@ -449,7 +441,7 @@ func (e *Endpoint) Deliver(d *fabric.Delivery) {
 	}
 	q, ok := e.qps[p.BTH.DestQP]
 	if !ok {
-		e.Counters.Inc("drop_no_qp", 1)
+		e.Counters.Add(EpDropNoQP, 1)
 		return
 	}
 
@@ -457,7 +449,7 @@ func (e *Endpoint) Deliver(d *fabric.Delivery) {
 	// have a legitimate Q_Key" (section 4.3).
 	if q.Service == packet.ServiceUD {
 		if p.DETH == nil || p.DETH.QKey != q.QKey {
-			e.Counters.Inc("qkey_violations", 1)
+			e.Counters.Add(EpQKeyViolations, 1)
 			return
 		}
 	}
@@ -470,7 +462,7 @@ func (e *Endpoint) Deliver(d *fabric.Delivery) {
 	// Replay check (optional extension; RC duplicates are handled by
 	// the reliability protocol's PSN ordering instead).
 	if e.cfg.ReplayProtect && q.Service == packet.ServiceUD && !e.replayOK(q, p) {
-		e.Counters.Inc("replay_drops", 1)
+		e.Counters.Add(EpReplayDrops, 1)
 		return
 	}
 
@@ -500,7 +492,7 @@ func (e *Endpoint) Deliver(d *fabric.Delivery) {
 	case packet.RCRDMAReadReq:
 		e.handleRDMAReadReq(q, p)
 	case packet.UDSendOnly, packet.UDSendOnlyImm, packet.RCSendOnly, packet.UCSendOnly:
-		e.delivered.Add(1)
+		e.Counters.Add(EpDelivered, 1)
 		if q.OnRecv != nil {
 			src, srcQP := p.LRH.SLID, packet.QPN(0)
 			if p.DETH != nil {
@@ -511,7 +503,7 @@ func (e *Endpoint) Deliver(d *fabric.Delivery) {
 			q.OnRecv(p.Payload, src, srcQP)
 		}
 	default:
-		e.Counters.Inc("drop_unhandled_opcode", 1)
+		e.Counters.Add(EpDropUnhandledOpcode, 1)
 	}
 }
 
@@ -530,18 +522,18 @@ func (e *Endpoint) verifyAuth(q *QP, d *fabric.Delivery) bool {
 	if p.BTH.AuthID == 0 {
 		if q.AuthRequired {
 			// Policy: this QP only accepts authenticated traffic.
-			e.Counters.Inc("auth_missing", 1)
+			e.Counters.Add(EpAuthMissing, 1)
 			return false
 		}
 		return true // legacy ICRC packet, nothing to verify here
 	}
 	if e.cfg.Registry == nil {
-		e.Counters.Inc("auth_unsupported", 1)
+		e.Counters.Add(EpAuthUnsupported, 1)
 		return false
 	}
 	a, ok := e.cfg.Registry.Lookup(p.BTH.AuthID)
 	if !ok {
-		e.Counters.Inc("auth_unsupported", 1)
+		e.Counters.Add(EpAuthUnsupported, 1)
 		return false
 	}
 	if e.cfg.KeyLevel == PartitionLevel {
@@ -549,21 +541,21 @@ func (e *Endpoint) verifyAuth(q *QP, d *fabric.Delivery) bool {
 	}
 	key, ok := e.verifyKey(q, p)
 	if !ok {
-		e.Counters.Inc("auth_no_key", 1)
+		e.Counters.Add(EpAuthNoKey, 1)
 		return false
 	}
 	region, err := e.verif.InvariantRegion(p.Wire())
 	if err != nil {
-		e.Counters.Inc("auth_fail", 1)
+		e.Counters.Add(EpAuthFail, 1)
 		return false
 	}
 	nonce := nonceFor(p.BTH.OpCode, e.peerQPN(q, p), q.N, p.BTH.PSN)
 	valid, err := mac.Verify(a, key[:], region, nonce, p.ICRC)
 	if err != nil || !valid {
-		e.Counters.Inc("auth_fail", 1)
+		e.Counters.Add(EpAuthFail, 1)
 		return false
 	}
-	e.authOK.Add(1)
+	e.Counters.Add(EpAuthOK, 1)
 	return true
 }
 
@@ -578,38 +570,38 @@ func (e *Endpoint) verifyAuth(q *QP, d *fabric.Delivery) bool {
 func (e *Endpoint) verifyPartitionAuth(a mac.Authenticator, q *QP, p *packet.Packet) bool {
 	cur, prev, ok := e.Store.PartitionVerifyKeys(p.BTH.PKey)
 	if !ok {
-		e.Counters.Inc("auth_no_key", 1)
+		e.Counters.Add(EpAuthNoKey, 1)
 		return false
 	}
 	region, err := e.verif.InvariantRegion(p.Wire())
 	if err != nil {
-		e.Counters.Inc("auth_fail", 1)
+		e.Counters.Add(EpAuthFail, 1)
 		return false
 	}
 	nonce := nonceFor(p.BTH.OpCode, e.peerQPN(q, p), q.N, p.BTH.PSN)
 	valid, err := mac.Verify(a, cur.Key[:], region, nonce, p.ICRC)
 	if err != nil {
-		e.Counters.Inc("auth_fail", 1)
+		e.Counters.Add(EpAuthFail, 1)
 		return false
 	}
 	if valid {
-		e.authOK.Add(1)
+		e.Counters.Add(EpAuthOK, 1)
 		return true
 	}
 	if prev != nil {
 		if valid, _ = mac.Verify(a, prev.Key[:], region, nonce, p.ICRC); valid {
-			e.authOK.Add(1)
-			e.Counters.Inc("auth_ok_grace", 1)
+			e.Counters.Add(EpAuthOK, 1)
+			e.Counters.Add(EpAuthOKGrace, 1)
 			return true
 		}
 	}
 	for _, ret := range e.Store.RetiredPartitionKeys(p.BTH.PKey) {
 		if valid, _ = mac.Verify(a, ret.Key[:], region, nonce, p.ICRC); valid {
-			e.Counters.Inc("auth_epoch_expired", 1)
+			e.Counters.Add(EpAuthEpochExpired, 1)
 			return false
 		}
 	}
-	e.Counters.Inc("auth_fail", 1)
+	e.Counters.Add(EpAuthFail, 1)
 	return false
 }
 
@@ -646,14 +638,14 @@ func (e *Endpoint) replayOK(q *QP, p *packet.Packet) bool {
 func (e *Endpoint) applyRDMAWrite(p *packet.Packet) {
 	r, ok := e.regions[p.RETH.RKey]
 	if !ok {
-		e.Counters.Inc("rkey_violations", 1)
+		e.Counters.Add(EpRKeyViolations, 1)
 		return
 	}
 	off := p.RETH.VA - r.VA
 	if p.RETH.VA < r.VA || off+uint64(len(p.Payload)) > uint64(len(r.Data)) {
-		e.Counters.Inc("rdma_bounds_violations", 1)
+		e.Counters.Add(EpRDMABoundsViolations, 1)
 		return
 	}
 	copy(r.Data[off:], p.Payload)
-	e.Counters.Inc("rdma_writes", 1)
+	e.Counters.Add(EpRDMAWrites, 1)
 }

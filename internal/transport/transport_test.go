@@ -88,7 +88,7 @@ func TestUDPlainDelivery(t *testing.T) {
 	if gotSrc != topology.LIDOf(0) {
 		t.Fatalf("src = %d", gotSrc)
 	}
-	if w.eps[3].Counters.Get("delivered") != 1 {
+	if w.eps[3].Counters.Value(EpDelivered) != 1 {
 		t.Fatal("delivered counter")
 	}
 }
@@ -106,7 +106,7 @@ func TestQKeyViolation(t *testing.T) {
 	if n != 0 {
 		t.Fatal("wrong Q_Key delivered")
 	}
-	if w.eps[1].Counters.Get("qkey_violations") != 1 {
+	if w.eps[1].Counters.Value(EpQKeyViolations) != 1 {
 		t.Fatal("violation not counted")
 	}
 }
@@ -116,7 +116,7 @@ func TestUnknownQPDropped(t *testing.T) {
 	src := w.eps[0].CreateUDQP(pkeyAB, 0)
 	w.eps[0].SendUD(src, topology.LIDOf(1), 77, 0, []byte("x"), fabric.ClassBestEffort)
 	w.s.Run()
-	if w.eps[1].Counters.Get("drop_no_qp") != 1 {
+	if w.eps[1].Counters.Value(EpDropNoQP) != 1 {
 		t.Fatal("no_qp drop not counted")
 	}
 }
@@ -138,10 +138,10 @@ func TestPartitionLevelAuth(t *testing.T) {
 	if !bytes.Equal(got, []byte("signed")) {
 		t.Fatalf("payload = %q", got)
 	}
-	if w.eps[0].Counters.Get("packets_signed") != 1 {
+	if w.eps[0].Counters.Value(EpPacketsSigned) != 1 {
 		t.Fatal("not signed")
 	}
-	if w.eps[3].Counters.Get("auth_ok") != 1 {
+	if w.eps[3].Counters.Value(EpAuthOK) != 1 {
 		t.Fatal("not verified")
 	}
 }
@@ -164,7 +164,7 @@ func TestAuthRequiredRejectsUnsigned(t *testing.T) {
 	if n != 0 {
 		t.Fatal("unsigned packet accepted by auth-required QP")
 	}
-	if w.eps[3].Counters.Get("auth_missing") != 1 {
+	if w.eps[3].Counters.Value(EpAuthMissing) != 1 {
 		t.Fatal("auth_missing not counted")
 	}
 }
@@ -194,7 +194,7 @@ func TestForgedTagRejected(t *testing.T) {
 	if n != 0 {
 		t.Fatal("forged tag accepted")
 	}
-	if w.eps[3].Counters.Get("auth_fail") != 1 {
+	if w.eps[3].Counters.Value(EpAuthFail) != 1 {
 		t.Fatal("auth_fail not counted")
 	}
 }
@@ -228,7 +228,7 @@ func TestTamperedPayloadRejected(t *testing.T) {
 	if n != 0 {
 		t.Fatal("tampered payload accepted")
 	}
-	if w.eps[3].Counters.Get("auth_fail") != 1 {
+	if w.eps[3].Counters.Value(EpAuthFail) != 1 {
 		t.Fatal("auth_fail not counted")
 	}
 }
@@ -261,9 +261,9 @@ func TestGraceEpochRetireBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.s.Run()
-	if n != 1 || w.eps[3].Counters.Get("auth_ok_grace") != 1 {
+	if n != 1 || w.eps[3].Counters.Value(EpAuthOKGrace) != 1 {
 		t.Fatalf("grace-window packet: delivered=%d auth_ok_grace=%d",
-			n, w.eps[3].Counters.Get("auth_ok_grace"))
+			n, w.eps[3].Counters.Value(EpAuthOKGrace))
 	}
 
 	// Close the grace window in the same timestep the next packet
@@ -281,10 +281,10 @@ func TestGraceEpochRetireBoundary(t *testing.T) {
 	if n != 1 {
 		t.Fatal("stale-epoch packet accepted at retire time")
 	}
-	if got := w.eps[3].Counters.Get("auth_epoch_expired"); got != 1 {
+	if got := w.eps[3].Counters.Value(EpAuthEpochExpired); got != 1 {
 		t.Fatalf("auth_epoch_expired = %d, want 1", got)
 	}
-	if got := w.eps[3].Counters.Get("auth_fail"); got != 0 {
+	if got := w.eps[3].Counters.Value(EpAuthFail); got != 0 {
 		t.Fatalf("tombstoned-epoch reject miscounted as auth_fail (%d)", got)
 	}
 }
@@ -347,7 +347,7 @@ func TestQPLevelKeyExchangeAndAuth(t *testing.T) {
 	if !bytes.Equal(got, []byte("per-qp")) {
 		t.Fatalf("payload = %q", got)
 	}
-	if w.eps[3].Counters.Get("auth_ok") != 1 {
+	if w.eps[3].Counters.Value(EpAuthOK) != 1 {
 		t.Fatal("QP-level verification missing")
 	}
 }
@@ -408,7 +408,7 @@ func TestRCConnectAndSend(t *testing.T) {
 	if !bytes.Equal(got, []byte("rc data")) {
 		t.Fatalf("payload = %q", got)
 	}
-	if w.eps[2].Counters.Get("auth_ok") != 1 {
+	if w.eps[2].Counters.Value(EpAuthOK) != 1 {
 		t.Fatal("RC auth verification missing")
 	}
 }
@@ -443,7 +443,7 @@ func TestRDMAWriteAndRKeyCheck(t *testing.T) {
 	if !bytes.Equal(region.Data[16:20], []byte("dma!")) {
 		t.Fatalf("region = %q", region.Data[16:20])
 	}
-	if w.eps[1].Counters.Get("rdma_writes") != 1 {
+	if w.eps[1].Counters.Value(EpRDMAWrites) != 1 {
 		t.Fatal("rdma_writes counter")
 	}
 
@@ -452,7 +452,7 @@ func TestRDMAWriteAndRKeyCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.s.Run()
-	if w.eps[1].Counters.Get("rkey_violations") != 1 {
+	if w.eps[1].Counters.Value(EpRKeyViolations) != 1 {
 		t.Fatal("rkey violation not counted")
 	}
 
@@ -461,7 +461,7 @@ func TestRDMAWriteAndRKeyCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.s.Run()
-	if w.eps[1].Counters.Get("rdma_bounds_violations") != 1 {
+	if w.eps[1].Counters.Value(EpRDMABoundsViolations) != 1 {
 		t.Fatal("bounds violation not counted")
 	}
 }
@@ -499,7 +499,7 @@ func TestReplayProtection(t *testing.T) {
 	if n != 1 {
 		t.Fatal("replayed packet delivered")
 	}
-	if w.eps[1].Counters.Get("replay_drops") != 1 {
+	if w.eps[1].Counters.Value(EpReplayDrops) != 1 {
 		t.Fatal("replay not counted")
 	}
 }

@@ -28,7 +28,7 @@ func (e *Endpoint) CreateUCQP(pkey packet.PKey) *QP {
 // connect GSI exchange (including QP-level secret establishment) but the
 // resulting connection is unacknowledged.
 func (e *Endpoint) ConnectUC(q *QP, dstLID packet.LID, targetQPN packet.QPN, cb func(err error)) error {
-	return e.connect(q, packet.ServiceUC, "uc_connects", dstLID, targetQPN, cb)
+	return e.connect(q, packet.ServiceUC, EpUCConnects, dstLID, targetQPN, cb)
 }
 
 // SendUC sends payload over a connected UC QP: no acknowledgement, no
@@ -46,7 +46,7 @@ func (e *Endpoint) SendUC(q *QP, payload []byte, class fabric.Class) error {
 	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 		return err
 	}
-	e.Counters.Inc("uc_sent", 1)
+	e.Counters.Add(EpUCSent, 1)
 	e.hca.Send(d)
 	return nil
 }
@@ -76,7 +76,7 @@ func (e *Endpoint) RDMARead(q *QP, va uint64, rkey packet.RKey, length uint32, c
 	}
 	e.pendingReads[psn] = cb
 	e.trackReliable(q, d.Pkt, class)
-	e.Counters.Inc("rdma_read_sent", 1)
+	e.Counters.Add(EpRDMAReadSent, 1)
 	e.hca.Send(d)
 	return nil
 }
@@ -87,20 +87,20 @@ func (e *Endpoint) RDMARead(q *QP, va uint64, rkey packet.RKey, length uint32, c
 func (e *Endpoint) handleRDMAReadReq(q *QP, p *packet.Packet) {
 	r, ok := e.regions[p.RETH.RKey]
 	if !ok {
-		e.Counters.Inc("rkey_violations", 1)
+		e.Counters.Add(EpRKeyViolations, 1)
 		return
 	}
 	off := p.RETH.VA - r.VA
 	if p.RETH.VA < r.VA || off+uint64(p.RETH.DMALen) > uint64(len(r.Data)) {
-		e.Counters.Inc("rdma_bounds_violations", 1)
+		e.Counters.Add(EpRDMABoundsViolations, 1)
 		return
 	}
-	e.Counters.Inc("rdma_reads", 1)
+	e.Counters.Add(EpRDMAReads, 1)
 	d := e.newMessage(fabric.ClassBestEffort, q.RemoteLID, packet.BTH{OpCode: packet.RCRDMAReadRespO, PKey: q.PKey, DestQP: q.RemoteQPN, PSN: p.BTH.PSN}, int(p.RETH.DMALen))
 	*d.Pkt.AETH = packet.AETH{Syndrome: 0, MSN: p.BTH.PSN}
 	copy(d.Pkt.Payload, r.Data[off:])
 	if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
-		e.Counters.Inc("rdma_read_seal_failed", 1)
+		e.Counters.Add(EpRDMAReadSealFailed, 1)
 		return
 	}
 	e.hca.Send(d)
@@ -112,11 +112,11 @@ func (e *Endpoint) handleRDMAReadResp(q *QP, p *packet.Packet) {
 	e.handleRCAck(q, p) // implicit acknowledgement
 	cb, ok := e.pendingReads[p.BTH.PSN]
 	if !ok {
-		e.Counters.Inc("rdma_read_unexpected", 1)
+		e.Counters.Add(EpRDMAReadUnexpected, 1)
 		return
 	}
 	delete(e.pendingReads, p.BTH.PSN)
-	e.Counters.Inc("rdma_read_completed", 1)
+	e.Counters.Add(EpRDMAReadCompleted, 1)
 	if cb != nil {
 		cb(p.Payload)
 	}

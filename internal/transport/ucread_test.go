@@ -51,7 +51,7 @@ func TestUCSendDelivery(t *testing.T) {
 		t.Fatalf("srcQP = %d", gotSrcQP)
 	}
 	// UC is unacknowledged: no ACK machinery involved.
-	if w.eps[3].Counters.Get("rc_acks_sent") != 0 {
+	if w.eps[3].Counters.Value(EpRCAcksSent) != 0 {
 		t.Fatal("UC generated acknowledgements")
 	}
 	if a.rcs != nil && len(a.rcs.unacked) > 0 {
@@ -96,7 +96,7 @@ func TestUCLossIsSilent(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("delivered %d, want exactly the undropped packet", n)
 	}
-	if w.eps[0].Counters.Get("rc_retransmissions") != 0 {
+	if w.eps[0].Counters.Value(EpRCRetransmissions) != 0 {
 		t.Fatal("UC retransmitted")
 	}
 }
@@ -123,7 +123,7 @@ func TestUCAuthenticated(t *testing.T) {
 	if !bytes.Equal(got, []byte("signed uc")) {
 		t.Fatalf("payload %q", got)
 	}
-	if w.eps[3].Counters.Get("auth_ok") != 1 {
+	if w.eps[3].Counters.Value(EpAuthOK) != 1 {
 		t.Fatal("UC auth verification missing")
 	}
 }
@@ -159,10 +159,10 @@ func TestRDMARead(t *testing.T) {
 	if !bytes.Equal(got, []byte("remote secret")) {
 		t.Fatalf("read %q", got)
 	}
-	if w.eps[3].Counters.Get("rdma_reads") != 1 {
+	if w.eps[3].Counters.Value(EpRDMAReads) != 1 {
 		t.Fatal("read not counted at responder")
 	}
-	if w.eps[0].Counters.Get("rdma_read_completed") != 1 {
+	if w.eps[0].Counters.Value(EpRDMAReadCompleted) != 1 {
 		t.Fatal("completion not counted")
 	}
 	// The response implicitly acknowledged the request.
@@ -184,7 +184,7 @@ func TestRDMAReadBadRKey(t *testing.T) {
 	if called {
 		t.Fatal("read with bad R_Key completed")
 	}
-	if w.eps[3].Counters.Get("rkey_violations") == 0 {
+	if w.eps[3].Counters.Value(EpRKeyViolations) == 0 {
 		t.Fatal("rkey violation not counted")
 	}
 }
@@ -199,7 +199,7 @@ func TestRDMAReadBounds(t *testing.T) {
 	if called {
 		t.Fatal("out-of-bounds read completed")
 	}
-	if w.eps[3].Counters.Get("rdma_bounds_violations") == 0 {
+	if w.eps[3].Counters.Value(EpRDMABoundsViolations) == 0 {
 		t.Fatal("bounds violation not counted")
 	}
 }
@@ -217,9 +217,9 @@ func TestRDMAReadAuthenticated(t *testing.T) {
 		t.Fatalf("read %q", got)
 	}
 	// Request verified at responder, response verified at requester.
-	if w.eps[3].Counters.Get("auth_ok") != 1 || w.eps[0].Counters.Get("auth_ok") != 1 {
+	if w.eps[3].Counters.Value(EpAuthOK) != 1 || w.eps[0].Counters.Value(EpAuthOK) != 1 {
 		t.Fatalf("auth counters: responder=%d requester=%d",
-			w.eps[3].Counters.Get("auth_ok"), w.eps[0].Counters.Get("auth_ok"))
+			w.eps[3].Counters.Value(EpAuthOK), w.eps[0].Counters.Value(EpAuthOK))
 	}
 }
 

@@ -173,7 +173,7 @@ func TestAttackerFullSpeed(t *testing.T) {
 	s.Run()
 	// Line rate at 2.5 Gb/s with ~1052-byte packets: ~3.37us/packet;
 	// 2ms / 3.37us ~ 594 send events.
-	sent := m.HCA(0).Counters.Get("sent")
+	sent := m.HCA(0).Counters.Value(fabric.HCASent)
 	if sent < 400 || sent > 700 {
 		t.Fatalf("attacker sent %d packets in 2ms, want ~594", sent)
 	}
@@ -191,7 +191,7 @@ func TestAttackerDutyCycle(t *testing.T) {
 	s.RunUntil(10 * sim.Millisecond)
 	a.Stop()
 	s.Run()
-	sent := m.HCA(0).Counters.Get("sent")
+	sent := m.HCA(0).Counters.Value(fabric.HCASent)
 	full := uint64(10 * 297) // ~297 packets/ms at line rate
 	if sent < full/20 || sent > full/5 {
 		t.Fatalf("duty-cycled attacker sent %d, want ~%d", sent, full/10)

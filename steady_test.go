@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ibasec/internal/fabric"
+	"ibasec/internal/sm"
 )
 
 // TestSteadyStateAllocs holds each control plane to DESIGN §8's rule that
@@ -67,7 +68,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			name:   "ha",
 			enable: func(cfg *Config) { cfg.HA = HAParams{Standbys: 2, Heartbeat: 50 * Microsecond} },
 			engaged: func(cl *Cluster, _ *Results) uint64 {
-				return cl.HA.Counters.Get("heartbeats_sent")
+				return cl.HA.Counters.Value(sm.HAHeartbeatsSent)
 			},
 		},
 		{
@@ -76,7 +77,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			name:   "ha-census",
 			enable: func(cfg *Config) { cfg.HA = HAParams{Standbys: 2, Heartbeat: 50 * Microsecond, SplitBrain: true} },
 			engaged: func(cl *Cluster, _ *Results) uint64 {
-				return cl.HA.Counters.Get("census_rounds")
+				return cl.HA.Counters.Value(sm.HACensusRounds)
 			},
 		},
 		{
@@ -89,7 +90,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 				cfg.Rekey = RekeyParams{Period: 100 * Microsecond, Grace: 30 * Microsecond, DistributionDelay: 2 * Microsecond}
 			},
 			engaged: func(cl *Cluster, _ *Results) uint64 {
-				return cl.Rotator.Counters.Get("epoch_rollovers")
+				return cl.Rotator.Counters.Value(sm.RotEpochRollovers)
 			},
 			perPeriod: 1 + 2*aesAllocs,
 		},
