@@ -39,7 +39,7 @@ func TestRunAllocBudget(t *testing.T) {
 		{name: "plain", measured: 125},
 		{
 			// UMAC-32 tags in the ICRC field, partition-level keys.
-			name: "auth", measured: 214,
+			name: "auth", measured: 210,
 			enable: func(cfg *Config) {
 				cfg.Auth = AuthConfig{Enabled: true, FuncID: AuthUMAC32, Level: PartitionLevel}
 			},
@@ -76,7 +76,7 @@ func TestRunAllocBudget(t *testing.T) {
 			// and the one reroute the composed planes make of a fault-free
 			// fabric (ROADMAP item 2), whose configure pass builds its
 			// maps and one callback per Set.
-			name: "all-planes", measured: 478,
+			name: "all-planes", measured: 471,
 			enable: func(cfg *Config) {
 				cfg.BestEffortLoad = 0.1
 				cfg.Enforcement = SIF

@@ -216,7 +216,7 @@ func TestPKeyViolationCounter(t *testing.T) {
 	delivered := 0
 	b.OnDeliver = func(d *Delivery) { delivered++ }
 	var violation *Delivery
-	b.OnPKeyViolation = func(d *Delivery) { violation = d }
+	b.OnPKeyViolation = func(_ int, d *Delivery) { violation = d }
 
 	bad := mkPkt(1, 2, VLBestEffort, 64)
 	bad.BTH.PKey = 0x7777 // not in B's table

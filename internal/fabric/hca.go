@@ -18,6 +18,7 @@ import (
 type HCA struct {
 	name   string
 	lid    packet.LID
+	node   int32 // index among the fabric's HCAs (NewHCAs' i); int32 to sit in lid's padding
 	sim    *sim.Simulator
 	params *Params
 	port   Port
@@ -30,9 +31,10 @@ type HCA struct {
 	// the management agent, if any, did not take.
 	OnDeliver func(d *Delivery)
 	// OnPKeyViolation fires for packets failing the P_Key check, after
-	// the violation counter increments; the subnet-management layer
-	// hooks traps here (section 3.3).
-	OnPKeyViolation func(d *Delivery)
+	// the violation counter increments, with the HCA's node index; the
+	// subnet-management layer hooks traps here (section 3.3), one
+	// handler for every HCA.
+	OnPKeyViolation func(node int, d *Delivery)
 
 	// ExtraSendDelay is charged once per injected packet before
 	// serialization, modelling per-message work such as MAC generation
@@ -92,6 +94,7 @@ func NewHCAs(s *sim.Simulator, params *Params, n int, name func(i int) string) [
 		tables[i] = *keys.NewPartitionTable(0)
 		*h = HCA{
 			name:      name(i),
+			node:      int32(i),
 			sim:       s,
 			params:    params,
 			PKeyTable: &tables[i],
@@ -429,7 +432,7 @@ func (h *HCA) receive(d *Delivery) ObsKind {
 		h.Counters.Add(HCAPKeyViolations, 1)
 		h.params.observe(h.sim.Now(), ObsPKeyReject, h.name, d)
 		if h.OnPKeyViolation != nil {
-			h.OnPKeyViolation(d)
+			h.OnPKeyViolation(int(h.node), d)
 		}
 		return ObsPKeyReject
 	}

@@ -31,22 +31,23 @@ func mkPacket(payload int, grh bool) *packet.Packet {
 	return p
 }
 
-// Our table-driven CRC-32 must match the stdlib IEEE implementation on raw
-// data — both are the reflected 0x04C11DB7 CRC.
+// The slicing-by-8 update32, which the ICRC runs over the masked header,
+// must match the stdlib IEEE checksum (CRC32 itself) on raw data — both
+// are the reflected 0x04C11DB7 CRC.
 func TestCRC32MatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 100; i++ {
 		n := rng.Intn(2000)
 		data := make([]byte, n)
 		rng.Read(data)
-		if got, want := CRC32(data), crc32.ChecksumIEEE(data); got != want {
-			t.Fatalf("len %d: CRC32 = %#x, stdlib = %#x", n, got, want)
+		if got, want := ^update32(^uint32(0), data), crc32.ChecksumIEEE(data); got != want {
+			t.Fatalf("len %d: update32 = %#x, stdlib = %#x", n, got, want)
 		}
 	}
 }
 
 func TestCRC32BitwiseMatchesTable(t *testing.T) {
-	f := func(data []byte) bool { return CRC32(data) == CRC32Bitwise(data) }
+	f := func(data []byte) bool { return ^update32(^uint32(0), data) == CRC32Bitwise(data) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestShortBufferErrors(t *testing.T) {
 	}
 }
 
-func BenchmarkCRC32Table1024(b *testing.B) {
+func BenchmarkCRC32_1024(b *testing.B) {
 	data := make([]byte, 1024)
 	b.SetBytes(1024)
 	for i := 0; i < b.N; i++ {

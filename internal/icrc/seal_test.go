@@ -51,7 +51,7 @@ var headerShapes = []struct {
 }
 
 // checkSealed holds a sealed packet to the two-pass definition: the ICRC
-// is the software CRC32 over a masked copy of the invariant region, the
+// is CRC32 over a masked copy of the invariant region, the
 // VCRC CRC16 over everything before it, and both are what the wire
 // carries.
 func checkSealed(t *testing.T, p *packet.Packet) {

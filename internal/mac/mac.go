@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"sort"
 
 	"ibasec/internal/icrc"
 	"ibasec/internal/umac"
@@ -228,17 +227,16 @@ func (crcAuth) Tag(_ []byte, msg []byte, _ uint64) (uint32, error) {
 	return icrc.CRC32(msg), nil
 }
 
-// Registry maps authentication-function IDs to implementations. The zero
-// value is empty; DefaultRegistry returns one with all standard functions.
+// Registry maps authentication-function IDs to implementations. An ID is
+// one byte, so the registry is an array indexed by it: a per-packet
+// Lookup is one load. The zero value is empty; DefaultRegistry returns one
+// with all standard functions.
 type Registry struct {
-	byID  map[uint8]Authenticator
-	names map[string]uint8
+	byID [256]Authenticator
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byID: map[uint8]Authenticator{}, names: map[string]uint8{}}
-}
+func NewRegistry() *Registry { return new(Registry) }
 
 // DefaultRegistry returns a registry holding HMAC-MD5, HMAC-SHA1 and
 // UMAC-32 under their well-known IDs.
@@ -258,26 +256,26 @@ func (r *Registry) Register(a Authenticator) error {
 	if a.ID() == IDNone {
 		return fmt.Errorf("mac: cannot register under reserved ID 0 (%s)", a.Name())
 	}
-	if _, dup := r.byID[a.ID()]; dup {
+	if r.byID[a.ID()] != nil {
 		return fmt.Errorf("mac: ID %d already registered", a.ID())
 	}
 	r.byID[a.ID()] = a
-	r.names[a.Name()] = a.ID()
 	return nil
 }
 
 // Lookup returns the authenticator registered under id.
 func (r *Registry) Lookup(id uint8) (Authenticator, bool) {
-	a, ok := r.byID[id]
-	return a, ok
+	a := r.byID[id]
+	return a, a != nil
 }
 
 // IDs returns all registered IDs in ascending order.
 func (r *Registry) IDs() []uint8 {
-	ids := make([]uint8, 0, len(r.byID))
-	for id := range r.byID {
-		ids = append(ids, id)
+	var ids []uint8
+	for id, a := range r.byID {
+		if a != nil {
+			ids = append(ids, uint8(id))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }

@@ -115,6 +115,9 @@ type SubnetManager struct {
 	island    map[int]bool
 	busyUntil sim.Time
 	traps     *trapState // made at the first trap
+	// onTrap is sendTrap as one func value, the handler AttachTraps
+	// gives every HCA; made at its first call.
+	onTrap    func(victim int, d *fabric.Delivery)
 	stopTimer func()
 
 	Counters metrics.Set[SMCounter]
@@ -416,23 +419,25 @@ func (m *SubnetManager) ProgramSwitchTables() {
 }
 
 // AttachTraps hooks every HCA's P_Key-violation callback to send a trap
-// MAD to the SM over the fabric's management VL. Under an island scope
-// only member HCAs are re-routed — the other side keeps whatever trap
-// destination its own master last imposed.
+// MAD to the SM over the fabric's management VL. Every HCA gets the same
+// handler, which the HCA calls with its node index, so re-attaching after
+// a takeover allocates nothing. Under an island scope only member HCAs
+// are re-routed — the other side keeps whatever trap destination its own
+// master last imposed.
 func (m *SubnetManager) AttachTraps() {
+	if m.onTrap == nil {
+		m.onTrap = m.sendTrap
+	}
 	for i, hca := range m.mesh.HCAs {
-		if !m.InIsland(i) {
-			continue
-		}
-		i, hca := i, hca
-		hca.OnPKeyViolation = func(d *fabric.Delivery) {
-			m.sendTrap(i, hca, d)
+		if m.InIsland(i) {
+			hca.OnPKeyViolation = m.onTrap
 		}
 	}
 }
 
-// sendTrap emits (or suppresses) a trap for an observed violation.
-func (m *SubnetManager) sendTrap(victim int, victimHCA *fabric.HCA, d *fabric.Delivery) {
+// sendTrap emits (or suppresses) a trap for a violation observed at node
+// victim.
+func (m *SubnetManager) sendTrap(victim int, d *fabric.Delivery) {
 	k := trapKey{offender: d.Pkt.LRH.SLID, pkey: uint16(d.Pkt.BTH.PKey)}
 	now := m.sim.Now()
 	ts := m.trapState()
@@ -460,6 +465,7 @@ func (m *SubnetManager) sendTrap(victim int, victimHCA *fabric.HCA, d *fabric.De
 	}
 	var payload [trapPayloadSize]byte
 	putTrap(payload[:], tr)
+	victimHCA := m.mesh.HCA(victim)
 	trap := victimHCA.Params().NewMAD(victimHCA.LID(), topology.LIDOf(m.cfg.Node), payload[:])
 	trap.Source = victimHCA.Name()
 	victimHCA.Send(trap)

@@ -207,7 +207,7 @@ func TestAttackerRandomizesPKeyAndDest(t *testing.T) {
 	pkeys := map[packet.PKey]bool{}
 	dests := map[packet.LID]bool{}
 	for i := 1; i < 4; i++ {
-		m.HCA(i).OnPKeyViolation = func(d *fabric.Delivery) {
+		m.HCA(i).OnPKeyViolation = func(_ int, d *fabric.Delivery) {
 			pkeys[d.Pkt.BTH.PKey] = true
 			dests[d.Pkt.LRH.DLID] = true
 		}

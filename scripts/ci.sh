@@ -78,6 +78,7 @@ policy    FuzzUnmarshal
 keys      FuzzPartitionTable
 sim       FuzzEventQueue
 fabric    FuzzLinkSchedule
+umac      FuzzNH
 EOF
 
 echo "== bench -quick (every workload's mechanism engaged; rep-to-rep and traced-vs-untraced digests)"
