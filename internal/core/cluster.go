@@ -274,11 +274,12 @@ func Build(cfg Config) (*Cluster, error) {
 
 	// Key-management scaffolding.
 	var dir *keys.Directory
-	kps := make([]*keys.NodeKeyPair, n)
+	var kps []*keys.NodeKeyPair
 	if cfg.Auth.Enabled {
 		rngCrypto := rand.New(rand.NewSource(cfg.Seed ^ 0x5EC0DE))
 		dir = keys.NewDirectory()
 		if cfg.Auth.Level == transport.QPLevel {
+			kps = make([]*keys.NodeKeyPair, n)
 			for i := 0; i < n; i++ {
 				kp, err := keys.GenerateNodeKeyPair(rngCrypto)
 				if err != nil {
@@ -310,24 +311,22 @@ func Build(cfg Config) (*Cluster, error) {
 		}
 		// Transport endpoints (created before partitions so secret
 		// installation finds their stores).
-		reg := mac.DefaultRegistry()
-		for i := 0; i < n; i++ {
-			cl.Endpoints[i] = transport.NewEndpoint(mesh.HCA(i), transport.Config{
-				Registry:  reg,
-				AuthID:    cfg.Auth.FuncID,
-				KeyLevel:  cfg.Auth.Level,
-				RNG:       rngCrypto,
-				Directory: dir,
-				KeyPair:   kps[i],
-			})
-			// MAC generation adds one pipeline stage per message
-			// (section 6) — or, when a finite engine throughput is
-			// configured, the time to digest the message at that rate.
-			if cfg.Auth.ThroughputGbps > 0 {
-				mesh.HCA(i).ExtraSendDelay = sim.Time(float64(cfg.MsgSize*8) / cfg.Auth.ThroughputGbps * 1000)
-			} else {
-				mesh.HCA(i).ExtraSendDelay = cfg.Params.ClockCycle
-			}
+		cl.Endpoints = transport.NewEndpoints(mesh.HCAs, transport.Config{
+			Registry:  mac.DefaultRegistry(),
+			AuthID:    cfg.Auth.FuncID,
+			KeyLevel:  cfg.Auth.Level,
+			RNG:       rngCrypto,
+			Directory: dir,
+		}, kps)
+		// MAC generation adds one pipeline stage per message (section 6)
+		// — or, when a finite engine throughput is configured, the time
+		// to digest the message at that rate.
+		extra := cfg.Params.ClockCycle
+		if cfg.Auth.ThroughputGbps > 0 {
+			extra = sim.Time(float64(cfg.MsgSize*8) / cfg.Auth.ThroughputGbps * 1000)
+		}
+		for _, h := range mesh.HCAs {
+			h.ExtraSendDelay = extra
 		}
 	}
 
@@ -533,40 +532,44 @@ func policyDocument(cfg *Config, groups [][]int) *policy.Document {
 	return doc
 }
 
-// attachCollectors wraps each node's delivery path with measurement.
+// attachCollectors wraps each node's delivery path with measurement: one
+// collector for every HCA, keyed by the node a packet was delivered to.
+func (cl *Cluster) attachCollectors() {
+	collect := cl.collect
+	for _, hca := range cl.Mesh.HCAs {
+		hca.OnDeliver = collect
+	}
+}
+
+// collect measures one delivery and hands it to the node's endpoint.
 // Management traffic stays out of the statistics: what reaches here is
 // what the node's management receive path did not take.
-func (cl *Cluster) attachCollectors() {
-	for i, hca := range cl.Mesh.HCAs {
-		ep := cl.Endpoints[i]
-		hca.OnDeliver = func(d *fabric.Delivery) {
-			switch {
-			case d.Class == fabric.ClassManagement:
-			case d.Attack:
-				cl.res.AttackDelivered++
-			case d.Pkt.BTH.OpCode.Service() == packet.ServiceUD:
-				// Only datagram traffic counts toward the legit delivery
-				// statistics: RC probe flows (fault experiments) measure
-				// their own delivery and latency, and their ACK stream
-				// would double-count otherwise.
-				cl.res.DeliveredUD++
-				if d.EnqueuedAt >= cl.Cfg.Warmup {
-					q := d.QueuingTime().Microseconds()
-					net := d.NetworkLatency().Microseconds()
-					switch d.Class {
-					case fabric.ClassRealtime:
-						cl.res.Realtime.AddSample(q, net)
-					case fabric.ClassBestEffort:
-						cl.res.BestEffort.AddSample(q, net)
-						cl.res.BETail.Add(net)
-					}
-					cl.res.DeliveredLegit++
-				}
+func (cl *Cluster) collect(d *fabric.Delivery) {
+	switch {
+	case d.Class == fabric.ClassManagement:
+	case d.Attack:
+		cl.res.AttackDelivered++
+	case d.Pkt.BTH.OpCode.Service() == packet.ServiceUD:
+		// Only datagram traffic counts toward the legit delivery
+		// statistics: RC probe flows (fault experiments) measure their
+		// own delivery and latency, and their ACK stream would
+		// double-count otherwise.
+		cl.res.DeliveredUD++
+		if d.EnqueuedAt >= cl.Cfg.Warmup {
+			q := d.QueuingTime().Microseconds()
+			net := d.NetworkLatency().Microseconds()
+			switch d.Class {
+			case fabric.ClassRealtime:
+				cl.res.Realtime.AddSample(q, net)
+			case fabric.ClassBestEffort:
+				cl.res.BestEffort.AddSample(q, net)
+				cl.res.BETail.Add(net)
 			}
-			if ep != nil {
-				ep.Deliver(d)
-			}
+			cl.res.DeliveredLegit++
 		}
+	}
+	if ep := cl.Endpoints[d.DeliveredTo]; ep != nil {
+		ep.Deliver(d)
 	}
 }
 
@@ -614,9 +617,9 @@ func (cl *Cluster) armResilience() {
 			agent.Enforce = cl.Filter
 			agent.DedupTIDs = cfg.HA.SplitBrain
 		}
-		for _, h := range cl.Mesh.HCAs {
-			na := sm.AttachNodeAgent(h, mkey)
-			na.DedupTIDs = cfg.HA.SplitBrain
+		agents := sm.AttachNodeAgents(cl.Mesh.HCAs, mkey)
+		for i := range agents {
+			agents[i].DedupTIDs = cfg.HA.SplitBrain
 		}
 	}
 	if auditing {
@@ -701,76 +704,46 @@ func (cl *Cluster) Simulate() *Results {
 func (cl *Cluster) run() *Results {
 	cfg := cl.Cfg
 
-	var gens []*workload.Generator
+	n := cl.Mesh.NumNodes()
+	tr := cl.newTraffic()
 	var attackers []*workload.Attacker
-	bw := cfg.Params.LinkBandwidth
-
-	for node := 0; node < cl.Mesh.NumNodes(); node++ {
-		node := node
-		hca := cl.Mesh.HCA(node)
-		if cl.AttackSet[node] {
-			sender := &workload.RawUDSender{
-				HCA:   hca,
-				Class: cfg.AttackClass,
-				LIDOf: topology.LIDOf,
-			}
-			targets := allExcept(cl.Mesh.NumNodes(), node)
-			fixedPKey := cfg.AttackPKey
-			if cfg.AttackIncast {
-				// Stolen-key incast: flood the lowest-index legitimate
-				// co-member of the attacker's own primary partition with
-				// that partition's key. Valid at every enforcement hop,
-				// so the single hot destination link builds the
-				// congestion tree the CC annex is measured against.
-				fixedPKey = cl.PKeyOf[node]
-				for _, peer := range allExcept(cl.Mesh.NumNodes(), node) {
-					if !cl.AttackSet[peer] && cl.PKeyOf[peer] == fixedPKey {
-						targets = []int{peer}
-						break
-					}
+	for node := 0; node < n; node++ {
+		if !cl.AttackSet[node] {
+			tr.start(cl, node)
+			continue
+		}
+		sender := &workload.RawUDSender{
+			HCA:   cl.Mesh.HCA(node),
+			Class: cfg.AttackClass,
+			LIDOf: topology.LIDOf,
+		}
+		targets := allExcept(n, node)
+		fixedPKey := cfg.AttackPKey
+		if cfg.AttackIncast {
+			// Stolen-key incast: flood the lowest-index legitimate
+			// co-member of the attacker's own primary partition with that
+			// partition's key. Valid at every enforcement hop, so the
+			// single hot destination link builds the congestion tree the
+			// CC annex is measured against.
+			fixedPKey = cl.PKeyOf[node]
+			for _, peer := range allExcept(n, node) {
+				if !cl.AttackSet[peer] && cl.PKeyOf[peer] == fixedPKey {
+					targets = []int{peer}
+					break
 				}
 			}
-			atk := workload.StartAttacker(
-				cl.Sim, cl.Rng, sender, targets, cfg.MsgSize, cfg.AttackDuty, cfg.AttackCycle)
-			atk.FixedPKey = fixedPKey
-			atk.Rate = cfg.AttackRate
-			attackers = append(attackers, atk)
-			continue
 		}
-		if len(cl.Partners[node]) == 0 {
-			continue
-		}
-		// Exclude attacker peers from target lists: attackers send no
-		// legitimate traffic and never reply, but they can still be
-		// receive targets; the paper keeps them as pure sources, so we
-		// target only non-attackers.
-		targets := make([]int, 0, len(cl.Partners[node]))
-		for _, p := range cl.Partners[node] {
-			if !cl.AttackSet[p] {
-				targets = append(targets, p)
-			}
-		}
-		if len(targets) == 0 {
-			continue
-		}
-
-		sendRT, sendBE := cl.senders(node, targets)
-		if cfg.RealtimeLoad > 0 {
-			admit := func() bool {
-				return hca.SendQueueLen(fabric.VLRealtime) < realtimeMaxQueue
-			}
-			g := workload.Realtime(cl.Sim, cl.Rng, cfg.RealtimeLoad*bw, cfg.MsgSize, targets, admit, sendRT)
-			gens = append(gens, g)
-		}
-		if cfg.BestEffortLoad > 0 {
-			g := workload.BestEffort(cl.Sim, cl.Rng, cfg.BestEffortLoad*bw, cfg.MsgSize, targets, sendBE)
-			gens = append(gens, g)
-		}
+		atk := workload.StartAttacker(
+			cl.Sim, cl.Rng, sender, targets, cfg.MsgSize, cfg.AttackDuty, cfg.AttackCycle)
+		atk.FixedPKey = fixedPKey
+		atk.Rate = cfg.AttackRate
+		attackers = append(attackers, atk)
 	}
 
 	cl.Sim.RunUntil(cfg.Duration)
 
-	for _, g := range gens {
+	for i := range tr.gens {
+		g := &tr.gens[i]
 		g.Stop()
 		cl.res.SentLegit += g.Sent
 		cl.res.WithheldRT += g.Withheld
@@ -864,26 +837,119 @@ func (cl *Cluster) run() *Results {
 	return cl.res
 }
 
-// senders builds the per-node send functions for the two classes: raw
-// HCA injection without authentication, transport-layer sends with it.
-func (cl *Cluster) senders(node int, targets []int) (rt, be workload.SendFunc) {
+// traffic is a run's legitimate sources, one slab per kind sized by a
+// counting pass before the first starts: each sending node's targets, the
+// senders its two classes go out through — raw HCA injection without
+// authentication, transport-layer sends with it — and its generators.
+// Each slab is filled in node order to exactly its length, so nothing a
+// started source points at ever moves.
+type traffic struct {
+	targets []int                  // unclaimed target slots
+	gens    []workload.Generator   // started sources (len) and room for the rest (cap)
+	raw     []workload.RawUDSender // unclaimed raw senders, two per sending node
+	signed  []signedSender         // unclaimed signed senders, two per sending node
+	// qkeys is the QP-level Q_Key table: row a, column b holds the Q_Key
+	// a's exchange with b delivered, 0 while it is in flight.
+	qkeys []packet.QKey
+}
+
+// newTraffic counts the run's sending nodes and their targets — every
+// non-attacker with a non-attacker partner — and makes the slabs.
+func (cl *Cluster) newTraffic() *traffic {
+	cfg := cl.Cfg
+	n := cl.Mesh.NumNodes()
+	nodes, targets := 0, 0
+	for node := 0; node < n; node++ {
+		if k := cl.numTargets(node); k > 0 {
+			nodes++
+			targets += k
+		}
+	}
+	perNode := 0
+	for _, load := range []float64{cfg.RealtimeLoad, cfg.BestEffortLoad} {
+		if load > 0 {
+			perNode++
+		}
+	}
+	tr := &traffic{
+		targets: make([]int, targets),
+		gens:    make([]workload.Generator, 0, nodes*perNode),
+	}
+	switch {
+	case !cfg.Auth.Enabled:
+		tr.raw = make([]workload.RawUDSender, 2*nodes)
+	default:
+		tr.signed = make([]signedSender, 2*nodes)
+		if cfg.Auth.Level == transport.QPLevel {
+			tr.qkeys = make([]packet.QKey, n*n)
+		}
+	}
+	return tr
+}
+
+// numTargets counts node's legitimate targets: none for an attacker, else
+// its partners less the attackers. Attackers send no legitimate traffic
+// and never reply, but they can still be receive targets; the paper keeps
+// them as pure sources, so only non-attackers are targeted.
+func (cl *Cluster) numTargets(node int) int {
+	if cl.AttackSet[node] {
+		return 0
+	}
+	k := 0
+	for _, p := range cl.Partners[node] {
+		if !cl.AttackSet[p] {
+			k++
+		}
+	}
+	return k
+}
+
+// start starts node's legitimate sources, if it has targets.
+func (tr *traffic) start(cl *Cluster, node int) {
+	k := cl.numTargets(node)
+	if k == 0 {
+		return
+	}
+	targets := tr.targets[:0:k]
+	tr.targets = tr.targets[k:]
+	for _, p := range cl.Partners[node] {
+		if !cl.AttackSet[p] {
+			targets = append(targets, p)
+		}
+	}
+	rt, be := tr.senders(cl, node, targets)
+	cfg := cl.Cfg
+	bw := cfg.Params.LinkBandwidth
+	if cfg.RealtimeLoad > 0 {
+		tr.gens = tr.gens[:len(tr.gens)+1]
+		admit := (*realtimeAdmit)(cl.Mesh.HCA(node))
+		tr.gens[len(tr.gens)-1].StartRealtime(cl.Sim, cl.Rng, cfg.RealtimeLoad*bw, cfg.MsgSize, targets, admit, rt)
+	}
+	if cfg.BestEffortLoad > 0 {
+		tr.gens = tr.gens[:len(tr.gens)+1]
+		tr.gens[len(tr.gens)-1].StartBestEffort(cl.Sim, cl.Rng, cfg.BestEffortLoad*bw, cfg.MsgSize, targets, be)
+	}
+}
+
+// senders claims node's senders for the two classes: raw HCA injection
+// without authentication, transport-layer sends with it.
+func (tr *traffic) senders(cl *Cluster, node int, targets []int) (rt, be workload.Sender) {
 	cfg := cl.Cfg
 	if !cfg.Auth.Enabled {
-		// The partition each pair shares (relevant when nodes join
-		// several partitions): the node's row of the pair table.
-		pairPKey := cl.pairRow(node)
-		mk := func(class fabric.Class) workload.SendFunc {
-			sender := &workload.RawUDSender{
+		pair := tr.raw[:2]
+		tr.raw = tr.raw[2:]
+		for i, class := range []fabric.Class{fabric.ClassRealtime, fabric.ClassBestEffort} {
+			// The partition each pair shares (relevant when nodes join
+			// several partitions): the node's row of the pair table.
+			pair[i] = workload.RawUDSender{
 				HCA:   cl.Mesh.HCA(node),
 				Class: class,
 				PKey:  cl.PKeyOf[node],
+				PKeys: cl.pairRow(node),
 				LIDOf: topology.LIDOf,
 			}
-			return func(dst, size int) {
-				sender.SendPKey(dst, size, pairPKey[dst])
-			}
 		}
-		return mk(fabric.ClassRealtime), mk(fabric.ClassBestEffort)
+		return &pair[0], &pair[1]
 	}
 
 	// Authenticated path: one UD QP per node; peers' QP numbers are the
@@ -891,43 +957,66 @@ func (cl *Cluster) senders(node int, targets []int) (rt, be workload.SendFunc) {
 	ep := cl.Endpoints[node]
 	qp := ep.CreateUDQP(cl.PKeyOf[node], serviceQKey(node))
 	qp.AuthRequired = true
-
-	ready := make(map[int]packet.QKey, len(targets))
-	if cfg.Auth.Level == transport.QPLevel {
+	var qkeys []packet.QKey
+	if tr.qkeys != nil {
 		// One key-exchange round trip per destination before traffic
-		// flows (Figure 6's "With Key" overhead).
+		// flows (Figure 6's "With Key" overhead). Partition-level
+		// secrets and Q_Keys are pre-distributed by the SM instead; no
+		// exchange is needed (the paper: "Key distribution overhead is
+		// virtually zero").
+		n := cl.Mesh.NumNodes()
+		row := tr.qkeys[node*n : (node+1)*n]
+		qkeys = row
 		for _, dst := range targets {
 			dst := dst
 			err := ep.RequestQKey(qp, topology.LIDOf(dst), serviceQPN, func(qk packet.QKey, err error) {
 				if err == nil {
-					ready[dst] = qk
+					row[dst] = qk
 				}
 			})
 			if err != nil {
 				panic(err)
 			}
 		}
-	} else {
-		// Partition-level: secrets and Q_Keys are pre-distributed by
-		// the SM; no exchange needed (the paper: "Key distribution
-		// overhead is virtually zero").
-		for _, dst := range targets {
-			ready[dst] = serviceQKey(dst)
-		}
 	}
+	pair := tr.signed[:2]
+	tr.signed = tr.signed[2:]
+	for i, class := range []fabric.Class{fabric.ClassRealtime, fabric.ClassBestEffort} {
+		pair[i] = signedSender{ep: ep, qp: qp, class: class, qkeys: qkeys}
+	}
+	return &pair[0], &pair[1]
+}
 
-	mk := func(class fabric.Class) workload.SendFunc {
-		return func(dst, size int) {
-			qk, ok := ready[dst]
-			if !ok {
-				return // key exchange still in flight
-			}
-			if err := ep.SendUD(qp, topology.LIDOf(dst), serviceQPN, qk, zeroPayload[:size], class); err != nil {
-				panic(fmt.Sprintf("core: node %d send: %v", node, err))
-			}
+// signedSender sends one class of a node's traffic on its service QP.
+type signedSender struct {
+	ep    *transport.Endpoint
+	qp    *transport.QP
+	class fabric.Class
+	// qkeys is the node's row of the QP-level Q_Key table, nil at
+	// partition level, where a destination's Q_Key is known.
+	qkeys []packet.QKey
+}
+
+// Send implements workload.Sender.
+func (s *signedSender) Send(dst, size int) {
+	qk := serviceQKey(dst)
+	if s.qkeys != nil {
+		if qk = s.qkeys[dst]; qk == 0 {
+			return // key exchange still in flight
 		}
 	}
-	return mk(fabric.ClassRealtime), mk(fabric.ClassBestEffort)
+	if err := s.ep.SendUD(s.qp, topology.LIDOf(dst), serviceQPN, qk, zeroPayload[:size], s.class); err != nil {
+		panic(fmt.Sprintf("core: node %d send: %v", s.ep.HCA().Node(), err))
+	}
+}
+
+// realtimeAdmit is a realtime source's admission check on its HCA: the
+// paper's realtime applications send only while the network keeps up.
+type realtimeAdmit fabric.HCA
+
+// Admit implements workload.Admitter.
+func (h *realtimeAdmit) Admit() bool {
+	return (*fabric.HCA)(h).SendQueueLen(fabric.VLRealtime) < realtimeMaxQueue
 }
 
 // zeroPayload is the message body every generated send carries. SendUD

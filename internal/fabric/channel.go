@@ -139,13 +139,19 @@ func (q *vlQueue) head() *Delivery { return q.ring[q.next] }
 
 func (q *vlQueue) push(d *Delivery) {
 	if q.fill == len(q.ring) {
-		ring := make([]*Delivery, max(2*len(q.ring), 8))
-		n := copy(ring, q.ring[q.next:])
-		copy(ring[n:], q.ring[:q.next])
-		q.ring, q.next = ring, 0
+		q.regrow(make([]*Delivery, max(2*len(q.ring), 8)))
 	}
 	q.ring[(q.next+q.fill)&(len(q.ring)-1)] = d
 	q.fill++
+}
+
+// regrow moves the queue into ring, empty and twice as long as the full
+// one, and clears the old ring.
+func (q *vlQueue) regrow(ring []*Delivery) {
+	n := copy(ring, q.ring[q.next:])
+	copy(ring[n:], q.ring[:q.next])
+	clear(q.ring)
+	q.ring, q.next = ring, 0
 }
 
 // pop removes and returns the oldest entry; the queue must not be empty.
@@ -228,12 +234,16 @@ func (r *ticketRing) clear() { r.next, r.fill = 0, 0 }
 // The occupancy mask is sixteen bits, one per lane.
 var _ = [1]struct{}{}[NumVLs-16]
 
-// push queues d on a lane. A lane's first ring comes from the fabric's
-// slab (Params.firstRing); a full one doubles on its own.
+// push queues d on a lane. A lane's rings come from the fabric's slabs:
+// its first from one sized one per channel (Params.firstRing), each
+// doubling after from one sized to the end ports (Params.grownRing).
 func (c *outChannel) push(vl uint8, d *Delivery) {
 	q := &c.queues[vl]
-	if q.ring == nil {
+	switch {
+	case q.ring == nil:
 		q.ring = c.params.firstRing()
+	case q.fill == len(q.ring):
+		q.regrow(c.params.grownRing(2 * len(q.ring)))
 	}
 	q.push(d)
 	c.occupied |= 1 << vl

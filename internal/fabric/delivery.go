@@ -48,6 +48,10 @@ type Delivery struct {
 	// marks corruption that destroyed the framing itself.
 	Tainted   bool
 	Malformed bool
+	// DeliveredTo is the node index of the HCA that delivered the packet,
+	// stamped with DeliveredAt: a collector shared by a fabric's HCAs
+	// keys its per-node state by it. It fills padding after Malformed.
+	DeliveredTo int32
 
 	// credCh and credTag name the input-buffer credit this packet holds
 	// at the upstream sender: the channel it arrived over (nil when it
@@ -92,9 +96,12 @@ type pool struct {
 	slab   []block     // blocks not yet handed out
 	images []byte      // wire-image bytes not yet handed out
 	rings  []*Delivery // first-ring slots not yet handed out
+	grown  []*Delivery // slots for lanes that outgrew their ring
 	// channels counts the fabric's channels (Links): a ring slab holds
-	// one first ring per channel.
-	channels int
+	// one first ring per channel. ends counts its HCAs (NewHCAs): the
+	// messages in flight grow with them, so a block or image slab holds
+	// at least one per end port.
+	channels, ends int
 }
 
 // Slab sizes. blockSlab blocks of 280 bytes (TestBlockSize) fill the
@@ -102,7 +109,10 @@ type pool struct {
 // or above imageSlab images of the size that ran out (a power of two is
 // an exact size class), so it holds 8 to 15 of them and leaves less than
 // one unused at its end; each is carved at its exact size, where an
-// image's own allocation rounded up to its size class.
+// image's own allocation rounded up to its size class. A fabric with more
+// end ports than those counts makes its slabs one block, or one image,
+// per end port; an image slab past the largest size class, 32 KiB, is
+// whole pages and is made at its exact length.
 const (
 	blockSlab = 17
 	imageSlab = 8
@@ -121,7 +131,7 @@ func (p *Params) slabs() *pool {
 // used up.
 func (pl *pool) newBlock() *block {
 	if len(pl.slab) == 0 {
-		pl.slab = make([]block, blockSlab)
+		pl.slab = make([]block, max(blockSlab, pl.ends))
 	}
 	b := &pl.slab[0]
 	pl.slab = pl.slab[1:]
@@ -133,7 +143,11 @@ func (pl *pool) newBlock() *block {
 // length.
 func (pl *pool) image(size int) []byte {
 	if len(pl.images) < size {
-		pl.images = make([]byte, 1<<bits.Len(uint(imageSlab*size-1)))
+		n := max(imageSlab, pl.ends) * size
+		if n <= 32<<10 {
+			n = 1 << bits.Len(uint(n-1))
+		}
+		pl.images = make([]byte, n)
 	}
 	img := pl.images[:size:size]
 	pl.images = pl.images[size:]
@@ -148,6 +162,18 @@ func (p *Params) firstRing() []*Delivery {
 	}
 	r := pl.rings[:firstRing:firstRing]
 	pl.rings = pl.rings[firstRing:]
+	return r
+}
+
+// grownRing hands out an empty n-slot ring for a lane that outgrew its
+// last, from a slab of at least two first rings' slots per end port.
+func (p *Params) grownRing(n int) []*Delivery {
+	pl := p.slabs()
+	if len(pl.grown) < n {
+		pl.grown = make([]*Delivery, max(n, 2*firstRing*pl.ends))
+	}
+	r := pl.grown[:n:n]
+	pl.grown = pl.grown[n:]
 	return r
 }
 

@@ -57,7 +57,8 @@ type HCA struct {
 	// ccFlows is the congestion control table, keyed by destination LID:
 	// each BECN arrival bumps the flow's index, each index level adds
 	// CCTStep of inter-packet injection delay, and a per-flow timer
-	// decays the index back every CCTDecay.
+	// decays the index back every CCTDecay. The table is made by the
+	// first BECN.
 	cc      CCParams
 	ccFlows map[packet.LID]*ccFlow
 
@@ -84,14 +85,14 @@ func NewHCA(s *sim.Simulator, params *Params, name string, lid packet.LID) *HCA 
 
 // NewHCAs creates a fabric's n HCAs, named by name(i), with no LID yet.
 // The HCAs and their partition tables are one allocation per kind, not
-// one per object.
+// one per object; each table holds its first entry in a shared slab.
 func NewHCAs(s *sim.Simulator, params *Params, n int, name func(i int) string) []*HCA {
 	hcas := make([]HCA, n)
-	tables := make([]keys.PartitionTable, n)
+	tables := keys.NewPartitionTables(n, 1)
 	out := make([]*HCA, n)
+	params.slabs().ends += n
 	for i := range hcas {
 		h := &hcas[i]
-		tables[i] = *keys.NewPartitionTable(0)
 		*h = HCA{
 			name:      name(i),
 			node:      int32(i),
@@ -108,6 +109,9 @@ func NewHCAs(s *sim.Simulator, params *Params, n int, name func(i int) string) [
 
 // Name returns the HCA's name.
 func (h *HCA) Name() string { return h.name }
+
+// Node returns the HCA's index among its fabric's HCAs.
+func (h *HCA) Node() int { return int(h.node) }
 
 // LID returns the HCA's local identifier (0 until assigned).
 func (h *HCA) LID() packet.LID { return h.lid }
@@ -295,9 +299,6 @@ type ccFlow struct {
 // processing.
 func (h *HCA) SetCongestionControl(cc CCParams) {
 	h.cc = cc
-	if cc.Enabled() && h.ccFlows == nil {
-		h.ccFlows = make(map[packet.LID]*ccFlow)
-	}
 }
 
 // NotifyBECN records a backward congestion notification for the flow
@@ -311,6 +312,9 @@ func (h *HCA) NotifyBECN(dst packet.LID) {
 	}
 	f := h.ccFlows[dst]
 	if f == nil {
+		if h.ccFlows == nil {
+			h.ccFlows = make(map[packet.LID]*ccFlow)
+		}
 		f = &ccFlow{}
 		h.ccFlows[dst] = f
 	}
@@ -389,7 +393,7 @@ func (h *HCA) arrive(_ int, d *Delivery) {
 // ICRC (when the packet is not carrying an authentication tag) guards end
 // to end.
 func (h *HCA) receive(d *Delivery) ObsKind {
-	d.DeliveredAt = h.sim.Now()
+	d.DeliveredAt, d.DeliveredTo = h.sim.Now(), h.node
 	d.ReturnCredit()
 	if !vcrcOK(d) {
 		h.Counters.Add(HCAVCRCDrops, 1)

@@ -59,6 +59,8 @@ type Switch struct {
 	down    bool
 	// filterSlot is the index its partition filter assigned (FilterSlot).
 	filterSlot int32
+	// index is the switch's index among its fabric's (NewSwitches' i).
+	index int32
 	// ccThreshold is the programmed FECN marking threshold (zero until
 	// the SM's congestion manager programs the switch).
 	ccThreshold int
@@ -69,7 +71,7 @@ type Switch struct {
 	// fires once and disarms until re-armed. The per-port counters and
 	// arm bits live on the Port itself.
 	trapThreshold uint64
-	onHealthTrap  func(sw *Switch, port int)
+	onHealthTrap  func(sw, port int)
 
 	Counters metrics.Set[SwitchCounter]
 	ctr      [numSwitchCounters]uint64 // Counters' cells
@@ -95,6 +97,7 @@ func NewSwitches(s *sim.Simulator, params *Params, n, nports, lids int, name fun
 		sw := &sws[i]
 		*sw = Switch{
 			name:    name(i),
+			index:   int32(i),
 			sim:     s,
 			params:  params,
 			ports:   ports[i*nports : (i+1)*nports : (i+1)*nports],
@@ -315,9 +318,10 @@ func (sw *Switch) ClearPortBER(port int) {
 
 // SetHealthTrap programs the switch's error-threshold trap (the
 // PerfMgr's fast path): every port arms, and the first port whose
-// error sum reaches the threshold fires fn once and disarms. Zero
-// threshold (or nil fn) turns traps off.
-func (sw *Switch) SetHealthTrap(threshold uint64, fn func(sw *Switch, port int)) {
+// error sum reaches the threshold fires fn once, with the switch's index
+// among its fabric's, and disarms. Zero threshold (or nil fn) turns traps
+// off. One fn serves every switch of a fabric.
+func (sw *Switch) SetHealthTrap(threshold uint64, fn func(sw, port int)) {
 	sw.trapThreshold = threshold
 	sw.onHealthTrap = fn
 	for i := range sw.ports {
@@ -343,7 +347,7 @@ func (sw *Switch) checkHealthTrap(port int) {
 	if sw.ports[port].health.ErrorSum() >= sw.trapThreshold {
 		sw.ports[port].trapArmed = false
 		sw.Counters.Add(SwHealthTraps, 1)
-		sw.onHealthTrap(sw, port)
+		sw.onHealthTrap(int(sw.index), port)
 	}
 }
 

@@ -19,9 +19,13 @@ import (
 // payloads in the system, exactly matching the paper's
 // confidentiality-only-for-keys design (section 2.2).
 
-// EnvelopeKeyBits is the RSA modulus size for node key pairs. 1024-bit
-// keys keep deterministic test setup fast; production deployments would
-// use 2048+.
+// EnvelopeKeyBits is the RSA modulus size for node key pairs;
+// production deployments would use 2048+. Key generation is neither
+// deterministic nor fast at this size: rsa.GenerateKey reads one extra
+// random byte, or none, at random (randutil.MaybeReadByte), so the same
+// seeded stream gives different keys from run to run, and generating one
+// key per node makes a QP-level 4×4 Build take about 1.2 s. ROADMAP item
+// 14 replaces it with seeded, cheap node keys.
 const EnvelopeKeyBits = 1024
 
 // NodeKeyPair is a node's asymmetric key pair for receiving key envelopes.

@@ -83,6 +83,18 @@ func NewPartitionTable(limit int) *PartitionTable {
 	return &PartitionTable{limit: limit}
 }
 
+// NewPartitionTables returns n empty tables bounded at the IBA maximum,
+// as one allocation per kind: each table's first each entries come from
+// one shared slab, and only a table that outgrows them grows alone.
+func NewPartitionTables(n, each int) []PartitionTable {
+	tables := make([]PartitionTable, n)
+	slab := make([]packet.PKey, n*each)
+	for i := range tables {
+		tables[i] = PartitionTable{keys: slab[i*each : i*each : (i+1)*each], limit: MaxPKeysPerPort}
+	}
+	return tables
+}
+
 // find binary-searches for the entry with base value b: its index, or
 // where it would be inserted. It is written out because Check runs per
 // delivered packet, and slices.BinarySearchFunc's comparison callback

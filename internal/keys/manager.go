@@ -3,6 +3,7 @@ package keys
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"ibasec/internal/packet"
 )
@@ -75,9 +76,18 @@ func (ps *partitionSecrets) addRetired(ek EpochKey) {
 // such a pointer is for immediate use — read-only, and not to be held
 // across a call that installs, rotates, retires or wipes keys.
 type Store struct {
-	partition map[uint16]*partitionSecrets
-	recvQP    map[recvIndex]*SecretKey
-	sendQP    map[pairIndex]*SecretKey
+	// partitions holds one entry per installed partition, in install
+	// order: a CA is in few partitions, so lookups scan.
+	partitions []partitionEntry
+	// The QP-level tables are made by their first install.
+	recvQP map[recvIndex]*SecretKey
+	sendQP map[pairIndex]*SecretKey
+}
+
+// partitionEntry is one partition's secrets in a Store, by P_Key base.
+type partitionEntry struct {
+	base uint16
+	partitionSecrets
 }
 
 type recvIndex struct {
@@ -93,19 +103,45 @@ type pairIndex struct {
 }
 
 // NewStore returns an empty secret-key store.
-func NewStore() *Store {
-	return &Store{
-		partition: make(map[uint16]*partitionSecrets),
-		recvQP:    make(map[recvIndex]*SecretKey),
-		sendQP:    make(map[pairIndex]*SecretKey),
+func NewStore() *Store { return &NewStores(1)[0] }
+
+// NewStores returns n empty stores, one per CA of a fabric, as one
+// allocation per kind: each store's first partition entry comes from one
+// shared slab.
+func NewStores(n int) []Store {
+	stores := make([]Store, n)
+	entries := make([]partitionEntry, n)
+	for i := range stores {
+		stores[i].partitions = entries[i : i : i+1]
 	}
+	return stores
+}
+
+// lookup returns pk's partition secrets, or nil.
+func (s *Store) lookup(pk packet.PKey) *partitionSecrets {
+	base := pk.Base()
+	for i := range s.partitions {
+		if e := &s.partitions[i]; e.base == base {
+			return &e.partitionSecrets
+		}
+	}
+	return nil
+}
+
+// install sets pk's partition secrets to ps, adding the entry if absent.
+func (s *Store) install(pk packet.PKey, ps partitionSecrets) {
+	if cur := s.lookup(pk); cur != nil {
+		*cur = ps
+		return
+	}
+	s.partitions = append(s.partitions, partitionEntry{base: pk.Base(), partitionSecrets: ps})
 }
 
 // InstallPartitionSecret stores the shared secret for a partition at
 // epoch 0, resetting any rotation state (the pre-rotation installation
 // path).
 func (s *Store) InstallPartitionSecret(pk packet.PKey, k SecretKey) {
-	s.partition[pk.Base()] = &partitionSecrets{current: EpochKey{Key: k}}
+	s.install(pk, partitionSecrets{current: EpochKey{Key: k}})
 }
 
 // InstallPartitionEpoch installs the partition secret for one epoch. A
@@ -113,9 +149,9 @@ func (s *Store) InstallPartitionSecret(pk packet.PKey, k SecretKey) {
 // equal epoch replaces the key in place; an older epoch is ignored (a
 // late re-delivery must not roll the store backwards).
 func (s *Store) InstallPartitionEpoch(pk packet.PKey, epoch uint32, k SecretKey) {
-	ps, ok := s.partition[pk.Base()]
-	if !ok {
-		s.partition[pk.Base()] = &partitionSecrets{current: EpochKey{Key: k, Epoch: epoch}}
+	ps := s.lookup(pk)
+	if ps == nil {
+		s.install(pk, partitionSecrets{current: EpochKey{Key: k, Epoch: epoch}})
 		return
 	}
 	switch {
@@ -131,8 +167,8 @@ func (s *Store) InstallPartitionEpoch(pk packet.PKey, epoch uint32, k SecretKey)
 // is at or below the given epoch, stops verifying and becomes a retired
 // tombstone. It reports whether a key was actually retired.
 func (s *Store) RetirePartitionEpoch(pk packet.PKey, epoch uint32) bool {
-	ps, ok := s.partition[pk.Base()]
-	if !ok || !ps.hasPrev || ps.prev.Epoch > epoch {
+	ps := s.lookup(pk)
+	if ps == nil || !ps.hasPrev || ps.prev.Epoch > epoch {
 		return false
 	}
 	ps.addRetired(ps.prev)
@@ -147,8 +183,8 @@ func (s *Store) RetirePartitionEpoch(pk packet.PKey, epoch uint32) bool {
 // tombstone at or above the current epoch is ignored: it must never
 // shadow a live key.
 func (s *Store) AddRetiredPartitionEpoch(pk packet.PKey, ek EpochKey) {
-	ps, ok := s.partition[pk.Base()]
-	if !ok || ek.Epoch >= ps.current.Epoch {
+	ps := s.lookup(pk)
+	if ps == nil || ek.Epoch >= ps.current.Epoch {
 		return
 	}
 	ps.addRetired(ek)
@@ -157,8 +193,8 @@ func (s *Store) AddRetiredPartitionEpoch(pk packet.PKey, ek EpochKey) {
 // PartitionSecret returns the current-epoch secret for pk's partition
 // (the send-path key).
 func (s *Store) PartitionSecret(pk packet.PKey) (*SecretKey, bool) {
-	ps, ok := s.partition[pk.Base()]
-	if !ok {
+	ps := s.lookup(pk)
+	if ps == nil {
 		return nil, false
 	}
 	return &ps.current.Key, true
@@ -166,8 +202,8 @@ func (s *Store) PartitionSecret(pk packet.PKey) (*SecretKey, bool) {
 
 // PartitionEpoch returns the current epoch of pk's partition secret.
 func (s *Store) PartitionEpoch(pk packet.PKey) (uint32, bool) {
-	ps, ok := s.partition[pk.Base()]
-	if !ok {
+	ps := s.lookup(pk)
+	if ps == nil {
 		return 0, false
 	}
 	return ps.current.Epoch, true
@@ -177,8 +213,8 @@ func (s *Store) PartitionEpoch(pk packet.PKey) (uint32, bool) {
 // the current epoch and, while a grace window is open, the previous
 // epoch (nil otherwise). ok is false when no secret is installed at all.
 func (s *Store) PartitionVerifyKeys(pk packet.PKey) (cur, prev *EpochKey, ok bool) {
-	ps, found := s.partition[pk.Base()]
-	if !found {
+	ps := s.lookup(pk)
+	if ps == nil {
 		return nil, nil, false
 	}
 	if ps.hasPrev {
@@ -191,8 +227,8 @@ func (s *Store) PartitionVerifyKeys(pk packet.PKey) (cur, prev *EpochKey, ok boo
 // kept so verification can attribute "signed under a retired epoch"
 // rejects to their own counter.
 func (s *Store) RetiredPartitionKey(pk packet.PKey) (EpochKey, bool) {
-	ps, ok := s.partition[pk.Base()]
-	if !ok || ps.nRetired == 0 {
+	ps := s.lookup(pk)
+	if ps == nil || ps.nRetired == 0 {
 		return EpochKey{}, false
 	}
 	return ps.retired[ps.nRetired-1], true
@@ -205,8 +241,8 @@ func (s *Store) RetiredPartitionKey(pk packet.PKey) (EpochKey, bool) {
 // read-only view into the store, not to be held across a call that
 // installs, retires or wipes keys.
 func (s *Store) RetiredPartitionKeys(pk packet.PKey) []EpochKey {
-	ps, ok := s.partition[pk.Base()]
-	if !ok || ps.nRetired == 0 {
+	ps := s.lookup(pk)
+	if ps == nil || ps.nRetired == 0 {
 		return nil
 	}
 	return ps.retired[:ps.nRetired:ps.nRetired]
@@ -216,7 +252,7 @@ func (s *Store) RetiredPartitionKeys(pk packet.PKey) []EpochKey {
 // (including the retired tombstone), as done when this CA is evicted from
 // the partition.
 func (s *Store) WipePartitionSecret(pk packet.PKey) {
-	delete(s.partition, pk.Base())
+	s.partitions = slices.DeleteFunc(s.partitions, func(e partitionEntry) bool { return e.base == pk.Base() })
 }
 
 // WipeQPSecrets clears every QP-level send and receive secret, returning
@@ -224,8 +260,8 @@ func (s *Store) WipePartitionSecret(pk packet.PKey) {
 // retains no per-QP credentials that rotation could otherwise resurrect.
 func (s *Store) WipeQPSecrets() int {
 	n := len(s.recvQP) + len(s.sendQP)
-	s.recvQP = make(map[recvIndex]*SecretKey)
-	s.sendQP = make(map[pairIndex]*SecretKey)
+	clear(s.recvQP)
+	clear(s.sendQP)
 	return n
 }
 
@@ -235,6 +271,9 @@ func (s *Store) WipeQPSecrets() int {
 // numbers are only unique per CA, the source LID is added to make the
 // index unambiguous when two nodes happen to use the same QP number.
 func (s *Store) InstallRecvQPSecret(qk packet.QKey, lid packet.LID, src packet.QPN, k SecretKey) {
+	if s.recvQP == nil {
+		s.recvQP = make(map[recvIndex]*SecretKey)
+	}
 	s.recvQP[recvIndex{qk, lid, src}] = &k
 }
 
@@ -249,6 +288,9 @@ func (s *Store) RecvQPSecret(qk packet.QKey, lid packet.LID, src packet.QPN) (*S
 // specific remote (LID, QP). As with the receive index, the remote LID
 // disambiguates QP numbers that are only unique per CA.
 func (s *Store) InstallSendQPSecret(local packet.QPN, remoteLID packet.LID, remote packet.QPN, k SecretKey) {
+	if s.sendQP == nil {
+		s.sendQP = make(map[pairIndex]*SecretKey)
+	}
 	s.sendQP[pairIndex{local, remoteLID, remote}] = &k
 }
 
@@ -262,7 +304,7 @@ func (s *Store) SendQPSecret(local packet.QPN, remoteLID packet.LID, remote pack
 // Counts returns the number of partition, receive-QP and send-QP entries,
 // used by memory-overhead accounting.
 func (s *Store) Counts() (partition, recvQP, sendQP int) {
-	return len(s.partition), len(s.recvQP), len(s.sendQP)
+	return len(s.partitions), len(s.recvQP), len(s.sendQP)
 }
 
 // PartitionAuthority is the Subnet Manager side of partition-level key

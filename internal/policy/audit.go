@@ -86,15 +86,20 @@ type Auditor struct {
 	// (before any repair completes).
 	OnDrift func(*DriftEvent)
 
-	expValid   map[int]uint32
-	expInvalid map[int]uint32
-	expAlt     map[int]uint32
-	lastOKInv  map[int]uint32
-	lastOKAlt  map[int]uint32
+	// digests[i] is intent.Switches[i]'s table digests.
+	digests []auditDigests
 
 	outstanding int
 	auditing    bool
 	stop        func()
+}
+
+// auditDigests are one switch's expected table digests, from the
+// intent, and the last digests of its dynamic tables a drill-down found
+// to be verified supersets of the intent (zero until one is).
+type auditDigests struct {
+	valid, invalid, alt uint32
+	okInv, okAlt        uint32
 }
 
 // AuditCounter identifies one of an Auditor's counters.
@@ -129,24 +134,17 @@ var auditCounters = metrics.Table{Set: "audit", Names: []string{
 // directed-route paths, by switch index (sm.SwitchPaths).
 func NewAuditor(s *sim.Simulator, disc *sm.Discoverer, intent *Intent, paths [][]byte, cfg AuditConfig) *Auditor {
 	a := &Auditor{
-		sim:        s,
-		disc:       disc,
-		intent:     intent,
-		paths:      paths,
-		cfg:        cfg,
-		expValid:   make(map[int]uint32),
-		expInvalid: make(map[int]uint32),
-		expAlt:     make(map[int]uint32),
-		lastOKInv:  make(map[int]uint32),
-		lastOKAlt:  make(map[int]uint32),
+		sim:     s,
+		disc:    disc,
+		intent:  intent,
+		paths:   paths,
+		cfg:     cfg,
+		digests: make([]auditDigests, len(intent.Switches)),
 	}
 	a.Counters.Bind(&auditCounters, a.ctr[:])
 	for i := range intent.Switches {
-		si := &intent.Switches[i]
-		v, inv, alt := si.Digests()
-		a.expValid[si.Switch] = v
-		a.expInvalid[si.Switch] = inv
-		a.expAlt[si.Switch] = alt
+		d := &a.digests[i]
+		d.valid, d.invalid, d.alt = intent.Switches[i].Digests()
 	}
 	return a
 }
@@ -217,13 +215,13 @@ func (p *stateProbe) SMPDone(tag uint64, status byte, data, _ []byte) {
 		a.Counters.Add(AuditUnanswered, 1)
 		return
 	}
-	si := &a.intent.Switches[tag]
+	si, dg := &a.intent.Switches[tag], &a.digests[tag]
 	st := sm.ParseAuditState(data)
 	modeMismatch := st.Mode != si.Mode
 	inactive := si.Active && !st.Active
-	needValid := st.ValidDigest != a.expValid[si.Switch]
-	needInv := st.InvalidDigest != a.expInvalid[si.Switch] && st.InvalidDigest != a.lastOKInv[si.Switch]
-	needAlt := st.AltDigest != a.expAlt[si.Switch] && st.AltDigest != a.lastOKAlt[si.Switch]
+	needValid := st.ValidDigest != dg.valid
+	needInv := st.InvalidDigest != dg.invalid && st.InvalidDigest != dg.okInv
+	needAlt := st.AltDigest != dg.alt && st.AltDigest != dg.okAlt
 	if !modeMismatch && !inactive && !needValid && !needInv && !needAlt {
 		return
 	}
@@ -267,7 +265,7 @@ func (p *stateProbe) SMPDone(tag uint64, status byte, data, _ []byte) {
 				if len(ev.MissingInvalid) == 0 {
 					// A verified superset: remember its digest so the
 					// next sweep's mismatch costs no drill-down.
-					a.lastOKInv[si.Switch] = enforce.Digest16(obs)
+					dg.okInv = enforce.Digest16(obs)
 				}
 			}
 			finish()
@@ -278,7 +276,7 @@ func (p *stateProbe) SMPDone(tag uint64, status byte, data, _ []byte) {
 			if ok {
 				ev.MissingAlt = diff(si.AltSources, obs)
 				if len(ev.MissingAlt) == 0 {
-					a.lastOKAlt[si.Switch] = enforce.Digest16(obs)
+					dg.okAlt = enforce.Digest16(obs)
 				}
 			}
 			finish()

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"sort"
 
 	"ibasec/internal/enforce"
@@ -76,7 +77,7 @@ func Compile(doc *Document, numNodes int) (*Intent, error) {
 	intent := &Intent{Mode: doc.Mode}
 
 	// Partitions: expand port ranges, full membership winning.
-	memberOf := make([]map[uint16]bool, numNodes) // node -> bases
+	memberships := make([]int, numNodes) // node -> partitions it is in
 	totalMemberships := 0
 	allBases := make([]uint16, 0, len(doc.Rules))
 	for _, r := range doc.Rules {
@@ -100,10 +101,7 @@ func Compile(doc *Document, numNodes int) (*Intent, error) {
 				continue
 			}
 			part.Members = append(part.Members, PartitionMember{Node: n, Full: full[n]})
-			if memberOf[n] == nil {
-				memberOf[n] = make(map[uint16]bool)
-			}
-			memberOf[n][r.Base] = true
+			memberships[n]++
 			totalMemberships++
 		}
 		intent.Partitions = append(intent.Partitions, part)
@@ -112,7 +110,7 @@ func Compile(doc *Document, numNodes int) (*Intent, error) {
 	sort.Slice(intent.Partitions, func(i, j int) bool {
 		return intent.Partitions[i].Base < intent.Partitions[j].Base
 	})
-	sort.Slice(allBases, func(i, j int) bool { return allBases[i] < allBases[j] })
+	slices.Sort(allBases)
 
 	// The subnet-wide table every DPT switch duplicates: full-membership
 	// entries, one per partition (the switch check only needs the base;
@@ -121,43 +119,57 @@ func Compile(doc *Document, numNodes int) (*Intent, error) {
 	for i, b := range allBases {
 		union[i] = 0x8000 | b
 	}
+	// Each IF/SIF switch's table is its node's partitions, filled in base
+	// order — ascending — into windows of one slab; each DPT switch's, a
+	// copy of the union from another.
+	own := make([][]uint16, numNodes)
+	ownSlab := make([]uint16, totalMemberships)
+	for n, k := range memberships {
+		own[n], ownSlab = ownSlab[:0:k], ownSlab[k:]
+	}
+	for _, part := range intent.Partitions {
+		for _, m := range part.Members {
+			own[m.Node] = append(own[m.Node], 0x8000|part.Base)
+		}
+	}
+	var unionSlab []uint16
 
+	intent.Switches = make([]SwitchIntent, 0, numNodes)
 	for sw := 0; sw < numNodes; sw++ {
 		si := SwitchIntent{Switch: sw, Mode: doc.EffectiveMode(sw)}
 		switch si.Mode {
 		case enforce.DPT:
-			si.Valid = append([]uint16(nil), union...)
+			if len(union) > 0 {
+				if len(unionSlab) == 0 {
+					unionSlab = make([]uint16, numNodes*len(union))
+				}
+				si.Valid, unionSlab = unionSlab[:len(union):len(union)], unionSlab[len(union):]
+				copy(si.Valid, union)
+			}
 			si.ModelEntries = totalMemberships
 		case enforce.IF, enforce.SIF:
-			for b := range memberOf[sw] {
-				si.Valid = append(si.Valid, 0x8000|b)
+			if len(own[sw]) > 0 {
+				si.Valid = own[sw]
 			}
-			sort.Slice(si.Valid, func(i, j int) bool { return si.Valid[i] < si.Valid[j] })
 			si.ModelEntries = len(si.Valid)
 		}
 		if si.Mode == enforce.SIF {
-			pinned := make(map[uint16]bool)
 			for _, p := range doc.Pinned {
 				if p.Switch == sw || p.Switch == -1 {
-					pinned[p.Base] = true
+					si.Invalid = append(si.Invalid, p.Base)
 				}
 			}
-			for b := range pinned {
-				si.Invalid = append(si.Invalid, b)
-			}
-			sort.Slice(si.Invalid, func(i, j int) bool { return si.Invalid[i] < si.Invalid[j] })
+			slices.Sort(si.Invalid)
+			si.Invalid = slices.Compact(si.Invalid)
 			si.Active = len(si.Invalid) > 0
 		}
-		alt := make(map[uint16]bool)
 		for _, a := range doc.AltSources {
 			if a.Switch == sw {
-				alt[a.Src] = true
+				si.AltSources = append(si.AltSources, a.Src)
 			}
 		}
-		for s := range alt {
-			si.AltSources = append(si.AltSources, s)
-		}
-		sort.Slice(si.AltSources, func(i, j int) bool { return si.AltSources[i] < si.AltSources[j] })
+		slices.Sort(si.AltSources)
+		si.AltSources = slices.Compact(si.AltSources)
 		intent.Switches = append(intent.Switches, si)
 	}
 	return intent, nil

@@ -268,9 +268,11 @@ func scaledDoc(tb testing.TB) *Document {
 	return doc
 }
 
-// TestCompileAllocBudget holds compiling scaledDoc to the 459
+// TestCompileAllocBudget holds compiling scaledDoc to the 133
 // allocations measured under Go 1.24 plus 25%; the compiler builds
-// maps, whose allocation counts differ between Go releases.
+// maps, whose allocation counts differ between Go releases. The switch
+// tables are windows of two slabs, so one allocation per switch more
+// exceeds the headroom.
 func TestCompileAllocBudget(t *testing.T) {
 	doc := scaledDoc(t)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -278,7 +280,7 @@ func TestCompileAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 459 * 1.25
+	const ceiling = 133 * 1.25
 	if allocs > ceiling {
 		t.Fatalf("Compile allocated %.0f times, ceiling %.0f", allocs, ceiling)
 	}

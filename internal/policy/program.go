@@ -62,12 +62,18 @@ func Apply(intent *Intent, mesh *topology.Mesh, filter *enforce.Filter) {
 	if filter == nil {
 		return
 	}
+	// The switches' tables are one slab, each sized for the largest.
+	each := 0
+	for i := range intent.Switches {
+		each = max(each, len(intent.Switches[i].Valid))
+	}
+	tables := keys.NewPartitionTables(len(intent.Switches), each)
 	for i := range intent.Switches {
 		si := &intent.Switches[i]
 		sw := mesh.Switches[si.Switch]
 		filter.SetSwitchMode(sw, si.Mode)
 		if si.Mode != enforce.NoFiltering {
-			tbl := keys.NewPartitionTable(0)
+			tbl := &tables[i]
 			for _, v := range si.Valid {
 				if err := tbl.Add(packet.PKey(v)); err != nil {
 					panic(err) // compiled tables are far below the IBA limit

@@ -206,10 +206,13 @@ type SwitchAgent struct {
 }
 
 // AttachSwitchAgents installs a SwitchAgent on every switch of a mesh.
+// The agents are one allocation.
 func AttachSwitchAgents(m *topology.Mesh, mkey keys.MKey) []*SwitchAgent {
+	slab := make([]SwitchAgent, len(m.Switches))
 	agents := make([]*SwitchAgent, len(m.Switches))
 	for i, sw := range m.Switches {
-		agents[i] = &SwitchAgent{MKey: mkey}
+		slab[i] = SwitchAgent{MKey: mkey}
+		agents[i] = &slab[i]
 		sw.SetMADHandler(agents[i])
 	}
 	return agents
@@ -366,9 +369,18 @@ type NodeAgent struct {
 // AttachNodeAgent registers an SMA with the HCA's management receive
 // path: it answers the directed-route requests arriving there.
 func AttachNodeAgent(hca *fabric.HCA, mkey keys.MKey) *NodeAgent {
-	a := &NodeAgent{HCA: hca, MKey: mkey}
-	dispatcherOf(hca).sma = a
-	return a
+	return &AttachNodeAgents([]*fabric.HCA{hca}, mkey)[0]
+}
+
+// AttachNodeAgents registers an SMA with each of hcas, the agents one
+// allocation.
+func AttachNodeAgents(hcas []*fabric.HCA, mkey keys.MKey) []NodeAgent {
+	agents := make([]NodeAgent, len(hcas))
+	for i, hca := range hcas {
+		agents[i] = NodeAgent{HCA: hca, MKey: mkey}
+		dispatcherOf(hca).sma = &agents[i]
+	}
+	return agents
 }
 
 // receive answers one directed-route request.
@@ -477,7 +489,7 @@ type Discoverer struct {
 	// of the fabric; OnLostEdge fires each time a probe across one of
 	// those edges terminally times out during the current sweep — the
 	// earliest in-band signal that a link or its far-side device died.
-	KnownEdges map[uint64]map[int]uint64
+	KnownEdges EdgeSet
 	OnLostEdge func(fromGUID uint64, port int)
 
 	// ring is the outstanding-request table: a power-of-two slice of value
@@ -817,7 +829,7 @@ func (d *Discoverer) probeNode(off, n int, fromGUID uint64, fromPort int, done f
 	// on a newly cabled port just gets picked up one period later.
 	retries := d.MaxRetries
 	if d.KnownEdges != nil && fromGUID != 0 {
-		if _, known := d.KnownEdges[fromGUID][fromPort]; !known {
+		if _, known := d.KnownEdges[EdgeHalf{fromGUID, fromPort}]; !known {
 			retries = 0
 		}
 	}
@@ -849,7 +861,7 @@ func (d *Discoverer) probed(pr probe, status byte, data, retPath []byte) {
 		// SM knew to be alive is the detection signal for a failed
 		// link or device.
 		if status == 0xFF && d.OnLostEdge != nil && pr.fromGUID != 0 {
-			if _, known := d.KnownEdges[pr.fromGUID][pr.fromPort]; known {
+			if _, known := d.KnownEdges[EdgeHalf{pr.fromGUID, pr.fromPort}]; known {
 				d.OnLostEdge(pr.fromGUID, pr.fromPort)
 			}
 		}

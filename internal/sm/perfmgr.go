@@ -190,6 +190,8 @@ type PerfMgr struct {
 	disc *Discoverer
 	sm   *SubnetManager // holds the synced quarantine state; may be nil in tests
 	cfg  PerfConfig
+	// trap is onTrap, the threshold trap every switch fires, made once.
+	trap func(sw, port int)
 
 	// paths is the directed-route path to each switch, by switch index
 	// (nil: unreachable). links is every watched link in canonical order —
@@ -239,6 +241,7 @@ func NewPerfMgr(s *sim.Simulator, mesh *topology.Mesh, disc *Discoverer, smgr *S
 		quarantined: make(map[topology.LinkID]bool),
 		fenced:      make(map[uint64]map[int]bool),
 		firstLink:   make([]int, len(mesh.Switches)+1),
+		links:       make([]linkHealth, 0, 2*len(mesh.Switches)),
 	}
 	pm.Counters.Bind(&perfCounters, pm.ctr[:])
 	var smNode int
@@ -287,9 +290,11 @@ func (pm *PerfMgr) Start() {
 	}
 	pm.stopped = false
 	if pm.cfg.TrapThreshold > 0 {
-		for i, sw := range pm.mesh.Switches {
-			i := i
-			sw.SetHealthTrap(pm.cfg.TrapThreshold, func(_ *fabric.Switch, port int) { pm.onTrap(i, port) })
+		if pm.trap == nil {
+			pm.trap = pm.onTrap
+		}
+		for _, sw := range pm.mesh.Switches {
+			sw.SetHealthTrap(pm.cfg.TrapThreshold, pm.trap)
 		}
 	}
 	pm.stop = pm.sim.Every(pm.cfg.SweepPeriod, pm.tick)

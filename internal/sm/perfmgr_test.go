@@ -460,12 +460,18 @@ func TestSwitchPaths(t *testing.T) {
 		t.Errorf("path to corner = %v, want 2 hops", paths[0])
 	}
 	// Every path must land on its target when walked over the mesh edges.
-	g := mesh.EdgeGUIDs()
+	g := map[uint64][]uint64{}
+	for _, row := range mesh.EdgeGUIDs() {
+		g[row.GUID] = row.Peers
+	}
 	for i, path := range paths {
 		cur := mesh.Switches[4].GUID()
 		for _, p := range path {
-			nbr, ok := g[cur][int(p)]
-			if !ok {
+			var nbr uint64
+			if peers := g[cur]; int(p) < len(peers) {
+				nbr = peers[p]
+			}
+			if nbr == 0 {
 				t.Fatalf("path to switch %d leaves the mesh at port %d", i, p)
 			}
 			cur = nbr

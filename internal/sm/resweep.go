@@ -23,7 +23,7 @@ type Resweeper struct {
 	disc   *Discoverer
 	period sim.Time
 
-	edges map[uint64]map[int]uint64 // last adopted (healthy) edge set
+	edges EdgeSet // last adopted (healthy) edge set
 	pins  map[uint64]packet.LID
 
 	sweeping bool
@@ -80,7 +80,7 @@ func NewResweeper(s *sim.Simulator, disc *Discoverer, period sim.Time) *Resweepe
 		sim:            s,
 		disc:           disc,
 		period:         period,
-		edges:          make(map[uint64]map[int]uint64),
+		edges:          make(EdgeSet),
 		pins:           make(map[uint64]packet.LID),
 		SweepLatency:   metrics.NewRecorder(0, 10_000, 200),
 		RerouteLatency: metrics.NewRecorder(0, 10_000, 200),
@@ -94,7 +94,7 @@ func NewResweeper(s *sim.Simulator, disc *Discoverer, period sim.Time) *Resweepe
 // configured mesh, so the first periodic sweep diffs against the real
 // initial fabric instead of adopting whatever it happens to find.
 func (r *Resweeper) PrimeStatic(m *topology.Mesh) {
-	r.edges = map[uint64]map[int]uint64(m.EdgeGUIDs())
+	r.edges = edgeSetOf(m.EdgeGUIDs())
 	for _, h := range m.HCAs {
 		r.pins[h.GUID()] = h.LID()
 	}
@@ -115,9 +115,6 @@ func (r *Resweeper) Stop() {
 		r.stop = nil
 	}
 }
-
-// Edges returns the last adopted edge set (for tests and diagnostics).
-func (r *Resweeper) Edges() map[uint64]map[int]uint64 { return r.edges }
 
 func (r *Resweeper) tick() {
 	if r.sweeping {
@@ -198,19 +195,44 @@ func stripEdges(edges map[uint64]map[int]uint64, fenced map[uint64]map[int]bool)
 	}
 }
 
+// EdgeHalf names one switch port of an edge set by the switch's GUID.
+type EdgeHalf struct {
+	GUID uint64
+	Port int
+}
+
+// EdgeSet is a port-labelled edge set in one map: the neighbour GUID at
+// each connected switch port.
+type EdgeSet map[EdgeHalf]uint64
+
+// edgeSetOf collects a switch-indexed edge table into an EdgeSet.
+func edgeSetOf(rows []topology.SwitchEdges) EdgeSet {
+	n := 0
+	for _, row := range rows {
+		n += len(row.Peers)
+	}
+	e := make(EdgeSet, n)
+	for _, row := range rows {
+		for p, nbr := range row.Peers {
+			if nbr != 0 {
+				e[EdgeHalf{row.GUID, p}] = nbr
+			}
+		}
+	}
+	return e
+}
+
 // diffEdges counts directed edges in old-but-not-new (lost) and
 // new-but-not-old (gained).
-func diffEdges(old, new map[uint64]map[int]uint64) (lost, gained int) {
-	for g, ports := range old {
-		for p, nbr := range ports {
-			if new[g][p] != nbr {
-				lost++
-			}
+func diffEdges(old EdgeSet, new map[uint64]map[int]uint64) (lost, gained int) {
+	for h, nbr := range old {
+		if new[h.GUID][h.Port] != nbr {
+			lost++
 		}
 	}
 	for g, ports := range new {
 		for p, nbr := range ports {
-			if old[g][p] != nbr {
+			if old[EdgeHalf{g, p}] != nbr {
 				gained++
 			}
 		}
@@ -218,15 +240,17 @@ func diffEdges(old, new map[uint64]map[int]uint64) (lost, gained int) {
 	return lost, gained
 }
 
-// copyEdges deep-copies an edge set.
-func copyEdges(e map[uint64]map[int]uint64) map[uint64]map[int]uint64 {
-	out := make(map[uint64]map[int]uint64, len(e))
+// copyEdges copies a discovered edge set into a new EdgeSet.
+func copyEdges(e map[uint64]map[int]uint64) EdgeSet {
+	n := 0
+	for _, ports := range e {
+		n += len(ports)
+	}
+	out := make(EdgeSet, n)
 	for g, ports := range e {
-		m := make(map[int]uint64, len(ports))
 		for p, nbr := range ports {
-			m[p] = nbr
+			out[EdgeHalf{g, p}] = nbr
 		}
-		out[g] = m
 	}
 	return out
 }

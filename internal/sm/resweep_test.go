@@ -14,7 +14,7 @@ import (
 // request counts and the lost-edge reports in the order they came.
 type sweepRecord struct {
 	Switches, CAs             []DiscoveredNode
-	Edges                     map[uint64]map[int]uint64
+	Edges                     EdgeSet
 	Probes, Retries, Timeouts int
 	Lost                      [][2]uint64 // (from GUID, port)
 }
@@ -45,7 +45,7 @@ func resweepRun(t *testing.T, w, h int, script []byte, fresh bool) []sweepRecord
 	for i := range up {
 		up[i] = true
 	}
-	known := map[uint64]map[int]uint64(mesh.EdgeGUIDs())
+	known := edgeSetOf(mesh.EdgeGUIDs())
 	var disc *Discoverer
 	var out []sweepRecord
 	for sweep := 0; sweep <= len(script); sweep++ {

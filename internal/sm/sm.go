@@ -400,11 +400,14 @@ func (m *SubnetManager) ProgramSwitchTables() {
 			m.filter.SetSwitchTable(sw, global, memberships)
 		}
 	case enforce.IF, enforce.SIF:
+		// One table per node, each with room for a node in every
+		// partition (up to eight) in one slab.
+		tables := keys.NewPartitionTables(len(m.mesh.HCAs), min(len(m.partitions), 8))
 		for i := range m.mesh.HCAs {
 			if !m.InIsland(i) {
 				continue
 			}
-			tbl := keys.NewPartitionTable(0)
+			tbl := &tables[i]
 			for _, p := range m.partitions {
 				if slices.Contains(p.members, i) {
 					if err := tbl.Add(packet.PKey(0x8000 | p.base)); err != nil {

@@ -111,28 +111,41 @@ func (m *Mesh) LinkPeer(sw, port int) (isHCA bool, peer, peerPort int, ok bool) 
 	return false, 0, 0, false
 }
 
-// EdgeGUIDs returns the mesh's healthy port-labelled edge set — switch
-// GUID to neighbour GUID per port, including the HCA on PortHCA — the
-// "known good" view a re-sweeping Subnet Manager diffs dead fabrics
-// against.
-func (m *Mesh) EdgeGUIDs() SwitchGraph {
-	g := make(SwitchGraph, len(m.Switches))
+// SwitchEdges is one switch's row of an edge set: its GUID and, by
+// port, the GUID of the node on each port's other end (0: no link).
+type SwitchEdges struct {
+	GUID  uint64
+	Peers []uint64
+}
+
+// EdgeGUIDs returns the mesh's healthy port-labelled edge set, indexed
+// by switch — each switch's neighbour GUID per port, including the HCA
+// on PortHCA — the "known good" view a re-sweeping Subnet Manager diffs
+// dead fabrics against. The rows and their port slots are one
+// allocation each.
+func (m *Mesh) EdgeGUIDs() []SwitchEdges {
+	rows := make([]SwitchEdges, len(m.Switches))
+	ports := 0
+	for _, sw := range m.Switches {
+		ports += sw.NumPorts()
+	}
+	slab := make([]uint64, ports)
 	for i, sw := range m.Switches {
-		edges := make(map[int]uint64)
-		for p := 0; p < sw.NumPorts(); p++ {
+		n := sw.NumPorts()
+		rows[i] = SwitchEdges{GUID: sw.GUID(), Peers: slab[:n:n]}
+		slab = slab[n:]
+		for p := range rows[i].Peers {
 			isHCA, peer, _, ok := m.LinkPeer(i, p)
-			if !ok {
-				continue
-			}
-			if isHCA {
-				edges[p] = m.HCAs[peer].GUID()
-			} else {
-				edges[p] = m.Switches[peer].GUID()
+			switch {
+			case !ok:
+			case isHCA:
+				rows[i].Peers[p] = m.HCAs[peer].GUID()
+			default:
+				rows[i].Peers[p] = m.Switches[peer].GUID()
 			}
 		}
-		g[m.Switches[i].GUID()] = edges
 	}
-	return g
+	return rows
 }
 
 // RoutesAvoiding computes, for every live switch, a forwarding table

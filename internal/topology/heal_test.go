@@ -50,15 +50,15 @@ func TestLinkPeerSymmetric(t *testing.T) {
 func TestNextHopsShortestAndDeterministic(t *testing.T) {
 	_, m := build(t, 4, 4)
 	g := SwitchGraph{}
-	for guid, edges := range m.EdgeGUIDs() {
+	for _, row := range m.EdgeGUIDs() {
 		// Switch-only view: drop the HCA leaves.
 		e := map[int]uint64{}
-		for p, n := range edges {
-			if p != PortHCA {
+		for p, n := range row.Peers {
+			if p != PortHCA && n != 0 {
 				e[p] = n
 			}
 		}
-		g[guid] = e
+		g[row.GUID] = e
 	}
 	a := NextHops(g)
 	b := NextHops(g)

@@ -6,6 +6,8 @@ package topology
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"ibasec/internal/fabric"
 	"ibasec/internal/packet"
@@ -53,13 +55,12 @@ func NewBlankMesh(s *sim.Simulator, params *fabric.Params, w, h int) *Mesh {
 	// One allocation per kind of object (fabric.NewSwitches, NewHCAs,
 	// NewLinks), each forwarding table sized for the LIDs NewMesh assigns.
 	n := w * h
+	names := meshNames(w, h)
 	m := &Mesh{
-		W: w,
-		H: h,
-		Switches: fabric.NewSwitches(s, params, n, 5, n+1, func(i int) string {
-			return fmt.Sprintf("sw%d-%d", i%w, i/w)
-		}),
-		HCAs: fabric.NewHCAs(s, params, n, func(i int) string { return fmt.Sprintf("hca%d", i) }),
+		W:        w,
+		H:        h,
+		Switches: fabric.NewSwitches(s, params, n, 5, n+1, names),
+		HCAs:     fabric.NewHCAs(s, params, n, func(i int) string { return names(n + i) }),
 	}
 	for i := 0; i < n; i++ {
 		m.Switches[i].SetGUID(0x5100_0000 + uint64(i))
@@ -81,6 +82,37 @@ func NewBlankMesh(s *sim.Simulator, params *fabric.Params, w, h int) *Mesh {
 		}
 	}
 	return m
+}
+
+// meshNames returns the names of a w×h mesh's devices — switch i is
+// "sw<x>-<y>", HCA i is "hca<i>" at index w*h+i — as substrings of one
+// string.
+func meshNames(w, h int) func(i int) string {
+	n := w * h
+	ends := make([]int32, 2*n)
+	var b strings.Builder
+	b.Grow(n * len("sw999-999hca999999"))
+	var num [20]byte
+	for i := range ends {
+		if i < n {
+			b.WriteString("sw")
+			b.Write(strconv.AppendInt(num[:0], int64(i%w), 10))
+			b.WriteByte('-')
+			b.Write(strconv.AppendInt(num[:0], int64(i/w), 10))
+		} else {
+			b.WriteString("hca")
+			b.Write(strconv.AppendInt(num[:0], int64(i-n), 10))
+		}
+		ends[i] = int32(b.Len())
+	}
+	all := b.String()
+	return func(i int) string {
+		start := int32(0)
+		if i > 0 {
+			start = ends[i-1]
+		}
+		return all[start:ends[i]]
+	}
 }
 
 // programDOR installs dimension-ordered (X then Y) routing tables for the

@@ -54,11 +54,10 @@ func (e *Endpoint) RearmQP(q *QP) {
 	e.Counters.Add(EpRCRearms, 1)
 }
 
-// RearmAll rearms every migrated RC QP on the endpoint. (Map iteration
-// order is irrelevant: rearming is pure state, no packets are sent.)
+// RearmAll rearms every migrated RC QP on the endpoint.
 func (e *Endpoint) RearmAll() {
 	for _, q := range e.qps {
-		if q.Service == packet.ServiceRC {
+		if q != nil && q.Service == packet.ServiceRC {
 			e.RearmQP(q)
 		}
 	}

@@ -81,6 +81,9 @@ func (e *Endpoint) RequestQKey(q *QP, dstLID packet.LID, targetQPN packet.QPN, c
 	if q.Service != packet.ServiceUD {
 		return ErrNotUD
 	}
+	if e.pendingQKey == nil {
+		e.pendingQKey = make(map[pendKey]*qkeyRequest)
+	}
 	e.pendingQKey[pendKey{q.N, dstLID}] = &qkeyRequest{q: q, dstLID: dstLID, target: targetQPN, cb: cb}
 	e.Counters.Add(EpQKeyRequests, 1)
 	e.sendGSI(dstLID, q.PKey, gsiHeader(gsiQKeyRequest, q.N, targetQPN))
@@ -111,6 +114,9 @@ func (e *Endpoint) connect(q *QP, svc packet.Service, counter EndpointCounter, d
 		payload = appendEnvelope(payload, env)
 	} else {
 		payload = append(payload, 0, 0)
+	}
+	if e.pendingRC == nil {
+		e.pendingRC = make(map[pendKey]*rcRequest)
 	}
 	e.pendingRC[pendKey{q.N, dstLID}] = req
 	e.Counters.Add(counter, 1)
@@ -183,7 +189,7 @@ func (e *Endpoint) handleGSI(d *fabric.Delivery) {
 }
 
 func (e *Endpoint) handleQKeyRequest(src packet.LID, pkey packet.PKey, reqQP, targetQPN packet.QPN) {
-	target, ok := e.qps[targetQPN]
+	target, ok := e.QPByNumber(targetQPN)
 	if !ok || target.Service != packet.ServiceUD {
 		e.Counters.Add(EpGSINoTarget, 1)
 		return
@@ -251,7 +257,7 @@ func (r *qkeyRequest) fail(err error) {
 }
 
 func (e *Endpoint) handleRCConnectReq(src packet.LID, pkey packet.PKey, initQP, targetQPN packet.QPN, rest []byte) {
-	target, ok := e.qps[targetQPN]
+	target, ok := e.QPByNumber(targetQPN)
 	if !ok || (target.Service != packet.ServiceRC && target.Service != packet.ServiceUC) {
 		e.Counters.Add(EpGSINoTarget, 1)
 		return

@@ -125,7 +125,7 @@ type QP struct {
 	OnRecv func(payload []byte, src packet.LID, srcQP packet.QPN)
 
 	psn     uint32
-	lastPSN map[uint64]uint32 // replay floor per remote (lid, qp)
+	lastPSN map[uint64]uint32 // replay floor per remote (lid, qp); made by its first entry
 	rcs     *rcState          // RC reliability state
 }
 
@@ -146,15 +146,18 @@ type MemoryRegion struct {
 
 // Endpoint is the per-node transport layer bound to one HCA.
 type Endpoint struct {
-	hca  *fabric.HCA
-	cfg  Config
-	qps  map[packet.QPN]*QP
-	next packet.QPN
+	hca *fabric.HCA
+	cfg Config
+	// qps[i] is QP number firstQPN+i, nil once destroyed; the first QP
+	// the endpoint creates is qp0, held in the endpoint itself.
+	qps []*QP
+	qp0 QP
 
 	Store   *keys.Store
 	regions map[packet.RKey]*MemoryRegion
 	nextVA  uint64
 
+	// The maps are made by their first entry.
 	pendingQKey map[pendKey]*qkeyRequest // keyed by (requester QP, peer LID)
 	pendingRC   map[pendKey]*rcRequest
 	// pendingReads holds outstanding RDMA read callbacks by request PSN.
@@ -169,10 +172,16 @@ type Endpoint struct {
 	Storm *metrics.Storm
 
 	// verif holds the scratch buffer the MAC's invariant region is masked
-	// into; per-endpoint because simulations run concurrently under the
-	// experiment runner.
-	verif icrc.Verifier
+	// into, shared by a fabric's endpoints (NewEndpoints): a simulation is
+	// one goroutine, and the region is used before any other endpoint
+	// runs, but simulations run concurrently under the experiment runner,
+	// so fabrics share none.
+	verif *icrc.Verifier
 }
+
+// firstQPN is the first QP number an endpoint allocates: 0 and 1 are
+// reserved.
+const firstQPN packet.QPN = 2
 
 // newMessage draws a message of the given class with a zeroed n-byte
 // payload window from the fabric's free list (fabric.Params.NewMessage),
@@ -197,23 +206,49 @@ var (
 // NewEndpoint builds the transport layer for an HCA and wires its
 // delivery callback.
 func NewEndpoint(hca *fabric.HCA, cfg Config) *Endpoint {
+	e := &Endpoint{}
+	e.init(hca, cfg, keys.NewStore(), new(icrc.Verifier))
+	hca.OnDeliver = e.Deliver
+	return e
+}
+
+// NewEndpoints builds the transport layer for every HCA of a fabric —
+// hcas is the fabric's HCA list, hcas[i] node i — as one allocation per
+// kind: the endpoints, their key stores, the slots of their first QPs and
+// one invariant-region scratch they share. keyPairs, when non-nil, sets each endpoint's
+// Config.KeyPair. Every HCA's delivery callback is one function that
+// hands a delivery to the endpoint of the node it was delivered to.
+func NewEndpoints(hcas []*fabric.HCA, cfg Config, keyPairs []*keys.NodeKeyPair) []*Endpoint {
+	eps := make([]Endpoint, len(hcas))
+	out := make([]*Endpoint, len(hcas))
+	stores := keys.NewStores(len(hcas))
+	qps := make([]*QP, len(hcas))
+	verif := new(icrc.Verifier)
+	for i, hca := range hcas {
+		if hca.Node() != i {
+			panic(fmt.Sprintf("transport: HCA %s is node %d, not %d", hca.Name(), hca.Node(), i))
+		}
+		if keyPairs != nil {
+			cfg.KeyPair = keyPairs[i]
+		}
+		eps[i].init(hca, cfg, &stores[i], verif)
+		eps[i].qps = qps[i : i : i+1]
+		out[i] = &eps[i]
+	}
+	deliver := func(d *fabric.Delivery) { out[d.DeliveredTo].Deliver(d) }
+	for _, hca := range hcas {
+		hca.OnDeliver = deliver
+	}
+	return out
+}
+
+// init sets up an endpoint in place.
+func (e *Endpoint) init(hca *fabric.HCA, cfg Config, store *keys.Store, verif *icrc.Verifier) {
 	if cfg.NameOf == nil {
 		cfg.NameOf = func(lid packet.LID) string { return fmt.Sprintf("hca%d", int(lid)-1) }
 	}
-	e := &Endpoint{
-		hca:         hca,
-		cfg:         cfg,
-		qps:         make(map[packet.QPN]*QP),
-		next:        2, // 0 and 1 are reserved
-		Store:       keys.NewStore(),
-		regions:     make(map[packet.RKey]*MemoryRegion),
-		nextVA:      0x1000,
-		pendingQKey: make(map[pendKey]*qkeyRequest),
-		pendingRC:   make(map[pendKey]*rcRequest),
-	}
+	*e = Endpoint{hca: hca, cfg: cfg, Store: store, nextVA: 0x1000, verif: verif}
 	e.Counters.Bind(&endpointCounters, e.ctr[:])
-	hca.OnDeliver = e.Deliver
-	return e
 }
 
 // HCA returns the endpoint's channel adapter.
@@ -237,22 +272,28 @@ func (e *Endpoint) CreateRCQP(pkey packet.PKey) *QP {
 // createQP allocates the endpoint's next QP number to a QP of the given
 // service.
 func (e *Endpoint) createQP(svc packet.Service, pkey packet.PKey, qkey packet.QKey) *QP {
-	q := &QP{
-		N:       e.next,
+	var q *QP
+	if len(e.qps) == 0 {
+		q = &e.qp0
+	} else {
+		q = new(QP)
+	}
+	*q = QP{
+		N:       firstQPN + packet.QPN(len(e.qps)),
 		Service: svc,
 		PKey:    pkey,
 		QKey:    qkey,
-		lastPSN: make(map[uint64]uint32),
 	}
-	e.next++
-	e.qps[q.N] = q
+	e.qps = append(e.qps, q)
 	return q
 }
 
 // QPByNumber returns a QP by number.
 func (e *Endpoint) QPByNumber(n packet.QPN) (*QP, bool) {
-	q, ok := e.qps[n]
-	return q, ok
+	if i := uint(n - firstQPN); i < uint(len(e.qps)) && e.qps[i] != nil {
+		return e.qps[i], true
+	}
+	return nil, false
 }
 
 // DestroyQP tears down a queue pair: any pending retransmission timer is
@@ -260,7 +301,7 @@ func (e *Endpoint) QPByNumber(n packet.QPN) (*QP, bool) {
 // unacknowledged window is released, and the QP stops accepting
 // deliveries.
 func (e *Endpoint) DestroyQP(n packet.QPN) {
-	q, ok := e.qps[n]
+	q, ok := e.QPByNumber(n)
 	if !ok {
 		return
 	}
@@ -270,7 +311,7 @@ func (e *Endpoint) DestroyQP(n packet.QPN) {
 		st.unacked = nil
 		st.broken = true
 	}
-	delete(e.qps, n)
+	e.qps[n-firstQPN] = nil
 }
 
 // RegisterMemory registers size bytes and returns the region with fresh
@@ -283,6 +324,9 @@ func (e *Endpoint) RegisterMemory(size int) *MemoryRegion {
 		RKey: packet.RKey(0x20000 + uint32(len(e.regions))),
 	}
 	e.nextVA += uint64(size) + 0x1000
+	if e.regions == nil {
+		e.regions = make(map[packet.RKey]*MemoryRegion)
+	}
 	e.regions[r.RKey] = r
 	return r
 }
@@ -439,7 +483,7 @@ func (e *Endpoint) Deliver(d *fabric.Delivery) {
 		e.handleGSI(d)
 		return
 	}
-	q, ok := e.qps[p.BTH.DestQP]
+	q, ok := e.QPByNumber(p.BTH.DestQP)
 	if !ok {
 		e.Counters.Add(EpDropNoQP, 1)
 		return
@@ -628,6 +672,9 @@ func (e *Endpoint) replayOK(q *QP, p *packet.Packet) bool {
 	last, seen := q.lastPSN[key]
 	if seen && p.BTH.PSN <= last {
 		return false
+	}
+	if q.lastPSN == nil {
+		q.lastPSN = make(map[uint64]uint32)
 	}
 	q.lastPSN[key] = p.BTH.PSN
 	return true

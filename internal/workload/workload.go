@@ -15,15 +15,50 @@ import (
 	"ibasec/internal/sim"
 )
 
-// SendFunc emits one message of size bytes to the destination node index.
+// Sender emits one message of size bytes to the destination node index.
 // Implementations either inject raw packets through an HCA (the DoS
 // experiments) or go through the transport layer (the authentication
 // experiments).
-type SendFunc func(dst int, size int)
+type Sender interface {
+	Send(dst, size int)
+}
 
-// Generator is a running traffic source; Stop halts it.
+// SendFunc adapts a function to Sender.
+type SendFunc func(dst, size int)
+
+// Send calls f.
+func (f SendFunc) Send(dst, size int) { f(dst, size) }
+
+// Admitter gates a realtime source: Admit reports whether the network
+// can take the next packet now.
+type Admitter interface {
+	Admit() bool
+}
+
+// AdmitFunc adapts a function to Admitter.
+type AdmitFunc func() bool
+
+// Admit calls f.
+func (f AdmitFunc) Admit() bool { return f() }
+
+// Generator is one traffic source. Its events are named handler types
+// over it (see sim.Handler), so a running source allocates nothing, and
+// the zero value is an idle source that StartRealtime or StartBestEffort
+// starts in place: a run keeps all its sources in one slice.
 type Generator struct {
-	stop    func()
+	s       *sim.Simulator
+	rng     *rand.Rand
+	send    Sender
+	admit   Admitter // realtime only; nil admits every packet
+	targets []int
+	size    int
+	// interval is a realtime source's period; mean is a best-effort
+	// source's mean inter-arrival time in picoseconds.
+	interval sim.Time
+	mean     float64
+	// tick is a realtime source's pending periodic send: zero until its
+	// first, random-phase send has fired.
+	tick    sim.Event
 	stopped bool
 	// Sent counts messages emitted.
 	Sent uint64
@@ -31,21 +66,43 @@ type Generator struct {
 	Withheld uint64
 }
 
-// Stop halts the generator. Idempotent.
+// Stop halts the generator. Idempotent. A realtime source's pending
+// periodic send is cancelled; its first send, and a best-effort source's
+// next arrival, still fire but emit nothing.
 func (g *Generator) Stop() {
-	if !g.stopped && g.stop != nil {
+	if !g.stopped && g.s != nil {
 		g.stopped = true
-		g.stop()
+		g.s.Cancel(g.tick)
 	}
 }
 
-// Realtime starts a constant-bit-rate source sending size-byte messages
-// at the given offered rate (bits/s) to destinations drawn uniformly from
-// targets. Before each send it consults admit; when admit returns false
-// the packet is withheld, modelling the paper's "an application does not
-// send any packet when the current network status cannot support the
-// application's bandwidth requirement".
+// Realtime starts a constant-bit-rate source (see StartRealtime); nil
+// admit admits every packet.
 func Realtime(s *sim.Simulator, rng *rand.Rand, rate float64, size int, targets []int, admit func() bool, send SendFunc) *Generator {
+	var a Admitter
+	if admit != nil {
+		a = AdmitFunc(admit)
+	}
+	g := new(Generator)
+	g.StartRealtime(s, rng, rate, size, targets, a, send)
+	return g
+}
+
+// BestEffort starts a Poisson source (see StartBestEffort).
+func BestEffort(s *sim.Simulator, rng *rand.Rand, rate float64, size int, targets []int, send SendFunc) *Generator {
+	g := new(Generator)
+	g.StartBestEffort(s, rng, rate, size, targets, send)
+	return g
+}
+
+// StartRealtime starts g as a constant-bit-rate source sending size-byte
+// messages at the given offered rate (bits/s) to destinations drawn
+// uniformly from targets. Before each send it consults admit (nil admits
+// all); when admit returns false the packet is withheld, modelling the
+// paper's "an application does not send any packet when the current
+// network status cannot support the application's bandwidth
+// requirement".
+func (g *Generator) StartRealtime(s *sim.Simulator, rng *rand.Rand, rate float64, size int, targets []int, admit Admitter, send Sender) {
 	if rate <= 0 || len(targets) == 0 {
 		panic("workload: realtime source needs a positive rate and targets")
 	}
@@ -53,66 +110,67 @@ func Realtime(s *sim.Simulator, rng *rand.Rand, rate float64, size int, targets 
 	if interval <= 0 {
 		interval = 1
 	}
-	g := &Generator{}
-	stopped := false
-	tick := func() {
-		if admit != nil && !admit() {
-			g.Withheld++
-			return
-		}
-		g.Sent++
-		send(targets[rng.Intn(len(targets))], size)
-	}
+	*g = Generator{s: s, rng: rng, send: send, admit: admit, targets: targets, size: size, interval: interval}
 	// Sources start at a random phase within their period so that a
 	// fleet of same-rate CBR streams does not inject in lockstep.
 	phase := sim.Time(rng.Int63n(int64(interval))) + 1
-	var cancelEvery func()
-	s.Schedule(phase, func() {
-		if stopped {
-			return
-		}
-		tick()
-		cancelEvery = s.Every(interval, tick)
-	})
-	g.stop = func() {
-		stopped = true
-		if cancelEvery != nil {
-			cancelEvery()
-		}
-	}
-	return g
+	s.ScheduleCall(phase, (*realtimeSend)(g), nil, 0)
 }
 
-// BestEffort starts a Poisson source with mean offered rate (bits/s): the
-// inter-arrival times are exponential and sends ignore network state.
-func BestEffort(s *sim.Simulator, rng *rand.Rand, rate float64, size int, targets []int, send SendFunc) *Generator {
+// StartBestEffort starts g as a Poisson source with mean offered rate
+// (bits/s): the inter-arrival times are exponential and sends ignore
+// network state.
+func (g *Generator) StartBestEffort(s *sim.Simulator, rng *rand.Rand, rate float64, size int, targets []int, send Sender) {
 	if rate <= 0 || len(targets) == 0 {
 		panic("workload: best-effort source needs a positive rate and targets")
 	}
-	mean := float64(size*8) / rate * 1e12 // picoseconds between arrivals
-	g := &Generator{}
-	stopped := false
-	// One arrival callback for the source's lifetime, not one closure
-	// per arrival.
-	var arrive func()
-	arm := func() {
-		d := sim.Time(rng.ExpFloat64() * mean)
-		if d < 1 {
-			d = 1
-		}
-		s.Schedule(d, arrive)
+	*g = Generator{s: s, rng: rng, send: send, targets: targets, size: size, mean: float64(size*8) / rate * 1e12}
+	g.arm()
+}
+
+// realtimeSend and bestEffortArrival are a source's events.
+type (
+	realtimeSend      Generator
+	bestEffortArrival Generator
+)
+
+// Fire sends (or withholds) one realtime packet, then schedules the next
+// a period on — after the send, so each tick keeps the event slot a
+// periodic timer armed after its callback would take.
+func (h *realtimeSend) Fire(any, uint64) {
+	g := (*Generator)(h)
+	if g.stopped {
+		return
 	}
-	arrive = func() {
-		if stopped {
-			return
-		}
+	if g.admit != nil && !g.admit.Admit() {
+		g.Withheld++
+	} else {
 		g.Sent++
-		send(targets[rng.Intn(len(targets))], size)
-		arm()
+		g.send.Send(g.targets[g.rng.Intn(len(g.targets))], g.size)
 	}
-	arm()
-	g.stop = func() { stopped = true }
-	return g
+	if !g.stopped {
+		g.tick = g.s.ScheduleCall(g.interval, h, nil, 0)
+	}
+}
+
+// Fire sends one best-effort packet and draws the next arrival.
+func (h *bestEffortArrival) Fire(any, uint64) {
+	g := (*Generator)(h)
+	if g.stopped {
+		return
+	}
+	g.Sent++
+	g.send.Send(g.targets[g.rng.Intn(len(g.targets))], g.size)
+	g.arm()
+}
+
+// arm schedules a best-effort source's next arrival.
+func (g *Generator) arm() {
+	d := sim.Time(g.rng.ExpFloat64() * g.mean)
+	if d < 1 {
+		d = 1
+	}
+	g.s.ScheduleCall(d, (*bestEffortArrival)(g), nil, 0)
 }
 
 // RawUDSender injects UD packets directly through an HCA, bypassing the
@@ -122,6 +180,9 @@ type RawUDSender struct {
 	HCA   *fabric.HCA
 	Class fabric.Class
 	PKey  packet.PKey
+	// PKeys, when non-nil, replaces PKey per destination: Send uses
+	// PKeys[dst] (a node's row of the run's shared-partition table).
+	PKeys []packet.PKey
 	// LIDOf maps a node index to its LID.
 	LIDOf func(int) packet.LID
 	// Attack marks emitted deliveries as attack traffic.
@@ -132,7 +193,11 @@ type RawUDSender struct {
 
 // Send builds, seals and injects one UD packet of the given payload size.
 func (r *RawUDSender) Send(dst int, size int) {
-	r.SendPKey(dst, size, r.PKey)
+	pk := r.PKey
+	if r.PKeys != nil {
+		pk = r.PKeys[dst]
+	}
+	r.SendPKey(dst, size, pk)
 }
 
 // SendPKey is Send with an explicit P_Key (attackers randomize it).

@@ -3,7 +3,7 @@
 # (the allocation budgets are ordinary tests among them and hold under
 # it), and once more in the poison build that faults on any use of a
 # message after its release point; one untimed pass of the Build
-# benchmark up to a 32x32 fabric; an end-to-end -quick smoke of every
+# and Start benchmarks up to a 32x32 fabric; an end-to-end -quick smoke of every
 # experiment through the parallel runner, whose CSV names and headers
 # must match the committed results/; a 5 s smoke of every fuzz
 # target, listed in one package/target table; and a -quick
@@ -47,6 +47,9 @@ go test -count=1 -run '^TestTable4Shape$' ./internal/core
 echo "== BenchmarkBuild once (the set-up profiling entry point, up to 32x32, keeps compiling and running; no timing gate)"
 go test -run '^$' -bench '^BenchmarkBuild$' -benchtime 1x ./internal/core
 
+echo "== BenchmarkStart once (Build plus a warm-up-length Simulate, up to 32x32, keeps compiling and running; no timing gate)"
+go test -run '^$' -bench '^BenchmarkStart$' -benchtime 1x ./internal/core
+
 echo "== ibsim all -quick -jobs 2 (runner end-to-end smoke)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -79,6 +82,7 @@ keys      FuzzPartitionTable
 sim       FuzzEventQueue
 fabric    FuzzLinkSchedule
 umac      FuzzNH
+workload  FuzzSources
 EOF
 
 echo "== bench -quick (every workload's mechanism engaged; rep-to-rep and traced-vs-untraced digests)"
