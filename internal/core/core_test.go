@@ -484,10 +484,12 @@ func TestTable4Shape(t *testing.T) {
 	// require them to be in the same band (documented in
 	// EXPERIMENTS.md).
 	//
-	// The orderings compare host-timed throughputs, and the race detector
-	// instruments pure-Go UMAC but not the assembly behind MD5, SHA-1 and
-	// CRC-32 (icrc.CRC32 is hash/crc32, the ICRC's payload kernel), so
-	// under -race on a busy box UMAC can tie HMAC-MD5.
+	// The orderings compare host-timed throughputs. The race detector
+	// instruments UMAC's Go code around NH (the L3 hash, the pad), and NH
+	// itself where it falls back to the Go loop, but no assembly: not NH's
+	// AVX2 kernel on amd64, nor MD5, SHA-1 and CRC-32 (icrc.CRC32 is
+	// hash/crc32, the ICRC's payload kernel). So under -race on a busy box
+	// UMAC can tie HMAC-MD5.
 	// They are asserted uninstrumented only (scripts/ci.sh runs this test
 	// once without -race for that); everything else runs either way.
 	if !raceEnabled {

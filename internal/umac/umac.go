@@ -12,7 +12,9 @@
 //
 //	L1: NH — 1024-byte blocks compressed with the NH inner product
 //	    over 32-bit words (the SIMD-friendly layer; the paper's speed
-//	    numbers come from MMX implementations of exactly this loop),
+//	    numbers come from MMX implementations of exactly this loop,
+//	    and here it runs in AVX2 on amd64 CPUs that have it and as an
+//	    unrolled Go loop elsewhere),
 //	L2: polynomial evaluation hash over the prime 2^64-59,
 //	L3: inner-product hash over the prime 2^36-5 producing 4 bytes.
 //
@@ -261,10 +263,7 @@ func (u *UMAC) uhash(it *iteration, msg []byte) [4]byte {
 	var l2buf [8 * l2Stack]byte
 	l2input := l2buf[:0]
 	if len(msg) <= l1BlockSize {
-		y := nh(it, msg)
-		var b [16]byte
-		binary.BigEndian.PutUint64(b[8:], y)
-		return l3(it, b)
+		return l3(it, 0, nh(it, msg))
 	}
 	for off := 0; off < len(msg); off += l1BlockSize {
 		end := off + l1BlockSize
@@ -277,11 +276,8 @@ func (u *UMAC) uhash(it *iteration, msg []byte) [4]byte {
 	}
 	// L2: POLY-64 over the NH outputs, ramping to POLY-128 when the L1
 	// output exceeds the POLY-64 word-range budget (RFC 4418 5.4).
-	var b [16]byte
 	if len(l2input) <= poly64MaxBytes {
-		y := poly64(it.k64, l2input)
-		binary.BigEndian.PutUint64(b[8:], y)
-		return l3(it, b)
+		return l3(it, 0, poly64(it.k64, l2input))
 	}
 	y64 := poly64(it.k64, l2input[:poly64MaxBytes])
 	// M2 = remainder || 0x80, zero-padded to a 16-byte multiple.
@@ -291,9 +287,7 @@ func (u *UMAC) uhash(it *iteration, msg []byte) [4]byte {
 	copy(m2[16:], rest)
 	m2[16+len(rest)] = 0x80
 	y := poly128(it.k128, m2)
-	binary.BigEndian.PutUint64(b[0:8], y.hi)
-	binary.BigEndian.PutUint64(b[8:16], y.lo)
-	return l3(it, b)
+	return l3(it, y.hi, y.lo)
 }
 
 // nh compresses up to 1024 bytes with the NH hash: pairs of 32-bit
@@ -319,14 +313,24 @@ func nh(it *iteration, chunk []byte) uint64 {
 }
 
 // nhGroups sums the NH products of buf, a whole number of 32-byte word
-// groups whose first word pairs with key word first. One iteration is
-// one group: four multiply-adds on fixed-size windows of the message
-// and the key, so the compiler drops every bounds check inside the loop
-// — the unrolled loop the paper's MMX UMAC times (Table 4). nh passes
-// at most one 1024-byte block, so the key window never wraps; slicing
-// it up front makes a caller that broke that panic, not truncate.
+// groups whose first word pairs with key word first, on nhAVX2 where the
+// CPU has AVX2 and on nhGo elsewhere. nh passes at most one 1024-byte
+// block, so the key window never wraps; slicing it up front makes a
+// caller that broke that panic, not truncate, and lets either kernel
+// read len(buf)/4 key words without a check.
 func nhGroups(it *iteration, buf []byte, first int) uint64 {
 	k := it.l1key[first : first+len(buf)/4]
+	if hasAVX2 {
+		return nhAVX2(buf, k)
+	}
+	return nhGo(buf, k)
+}
+
+// nhGo is the portable NH kernel over buf's whole 32-byte groups and
+// the key words k, one per message word. One iteration is one group:
+// four multiply-adds on fixed-size windows of the message and the key,
+// so the compiler drops every bounds check inside the loop.
+func nhGo(buf []byte, k []uint32) uint64 {
 	var y uint64
 	for len(buf) >= 32 {
 		m, kw := buf[:32:32], k[:8:8]
@@ -374,20 +378,15 @@ func polyStep(k, y, m uint64) uint64 {
 	return lo
 }
 
-// l3 hashes a 16-byte input to 4 bytes with the inner-product hash over
-// prime 2^36-5, whitened with the L3 subkey.
-func l3(it *iteration, m [16]byte) [4]byte {
-	var y uint64
-	for i := 0; i < 8; i++ {
-		mi := uint64(binary.BigEndian.Uint16(m[2*i:]))
-		// Each term is < 2^36 * 2^16 = 2^52; eight terms fit in uint64.
-		y += mi * it.l3k1[i]
-	}
-	y %= p36
+// l3 hashes a 16-byte input, hi||lo read big-endian, to 4 bytes with the
+// inner-product hash over prime 2^36-5, whitened with the L3 subkey. The
+// eight 16-bit words are taken from the two halves by shifts: each term
+// is < 2^16 * 2^36 = 2^52, so the eight fit in a uint64.
+func l3(it *iteration, hi, lo uint64) [4]byte {
+	k := &it.l3k1
+	y := (hi>>48)*k[0] + (hi>>32&0xffff)*k[1] + (hi>>16&0xffff)*k[2] + (hi&0xffff)*k[3] +
+		(lo>>48)*k[4] + (lo>>32&0xffff)*k[5] + (lo>>16&0xffff)*k[6] + (lo&0xffff)*k[7]
 	var out [4]byte
-	binary.BigEndian.PutUint32(out[:], uint32(y))
-	for i := 0; i < 4; i++ {
-		out[i] ^= it.l3k2[i]
-	}
+	binary.BigEndian.PutUint32(out[:], uint32(y%p36)^binary.BigEndian.Uint32(it.l3k2[:]))
 	return out
 }

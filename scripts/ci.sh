@@ -22,8 +22,8 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== cross-builds (the !amd64 CRC-16 fallback must keep compiling: arm64 runs hash/crc32 on its CRC32 instructions, 386 has neither)"
-GOARCH=arm64 go vet ./internal/icrc
+echo "== cross-builds (the !amd64 CRC-16 and NH fallbacks must keep compiling: arm64 runs hash/crc32 on its CRC32 instructions, 386 has none, and both run NH on the Go loop)"
+GOARCH=arm64 go vet ./internal/icrc ./internal/umac
 GOARCH=arm64 go build ./...
 GOARCH=386 go build ./...
 
