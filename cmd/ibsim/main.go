@@ -231,7 +231,8 @@ func parse(fs *flag.FlagSet, args []string) error {
 }
 
 // badValue rejects a flag value the flag package could not check itself
-// (an unknown enum name), reporting it the way parse errors are.
+// (an unknown enum name, a number out of range), reporting it the way
+// parse errors are.
 func badValue(fs *flag.FlagSet, name, value, want string) error {
 	fmt.Fprintf(fs.Output(), "invalid value %q for flag -%s: want %s\n", value, name, want)
 	fs.Usage()
@@ -403,6 +404,14 @@ func runTable2(e *env, args []string) error {
 	avg := fs.Float64("avg", 2, "Avg(p): mean Invalid_P_Key_Table entries")
 	if err := parse(fs, args); err != nil {
 		return err
+	}
+	switch {
+	case *p < 1:
+		return badValue(fs, "p", strconv.Itoa(*p), "at least 1")
+	case *pr < 0 || *pr > 1:
+		return badValue(fs, "pr", fmt.Sprint(*pr), "a probability in [0, 1]")
+	case *avg < 0:
+		return badValue(fs, "avg", fmt.Sprint(*avg), "a non-negative mean")
 	}
 	title := fmt.Sprintf("Table 2. Partition enforcement overhead (n=16, s=16, p=%d, Pr=%.2f, Avg=%.1f)", *p, *pr, *avg)
 	return e.emit(title, core.Table("table2", core.Table2Rows(*p, *pr, *avg)))

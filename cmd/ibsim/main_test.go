@@ -116,6 +116,9 @@ func TestBadInput(t *testing.T) {
 		{"fig1 -class x", "-class"},
 		{"fig1 -arb x", "-arb"},
 		{"fig6 -level x", "-level"},
+		{"table2 -p 0", "-p"},
+		{"table2 -pr 1.5", "-pr"},
+		{"table2 -avg -1", "-avg"},
 		{"-resume fig5", "-resume"},
 		{"-results x fig5", "-results"},
 	} {
@@ -128,6 +131,53 @@ func TestBadInput(t *testing.T) {
 		}
 		if stdout != "" {
 			t.Errorf("ibsim %s: bad input produced output:\n%s", tc.args, stdout)
+		}
+	}
+}
+
+// TestFig1NegativeAttackers: a negative attacker count is an error
+// naming the sweep, not a makeslice panic with a Go stack trace.
+func TestFig1NegativeAttackers(t *testing.T) {
+	code, stdout, stderr := ibsim("-quick", "fig1", "-attackers", "-1")
+	if code == 0 {
+		t.Fatalf("exit 0, want non-zero\n%s", stderr)
+	}
+	if strings.Contains(stderr, "panic") || strings.Contains(stderr, "goroutine") {
+		t.Errorf("stderr shows a panic:\n%s", stderr)
+	}
+	if !strings.Contains(stderr, "fig1") || !strings.Contains(stderr, "-1 attackers") {
+		t.Errorf("stderr does not name the sweep and the count:\n%s", stderr)
+	}
+	if stdout != "" {
+		t.Errorf("printed output:\n%s", stdout)
+	}
+}
+
+// TestOutOfRangeSweepValues: a sweep value the simulation cannot honour
+// fails its point with a runner.JobError naming the experiment and the
+// point, and the run exits 1 with nothing on stdout, instead of printing
+// rows labelled with the value but simulated without it.
+func TestOutOfRangeSweepValues(t *testing.T) {
+	for _, tc := range []struct{ args, point, cause string }{
+		{"faults -bers -1 -kills 0", "faults[{Mode:DPT BER:-1 Kills:0}]", "BER burst rate -1"},
+		{"faults -bers 0 -kills -1", "faults[{Mode:DPT BER:0 Kills:-1}]", "-1 link kills"},
+		{"apm -bers -1 -kills 0", "apm[{Arm:timeout BER:-1 Kills:0}]", "BER burst rate -1"},
+		{"apm -bers 0 -kills -1", "apm[{Arm:timeout BER:0 Kills:-1}]", "-1 link kills"},
+		{"failover -standbys 1 -heartbeats-us 50 -rekeys-us -1", "failover[{Standbys:1 HeartbeatUS:50 RekeyUS:-1}]", "negative rotation period"},
+		{"failover -standbys -1 -heartbeats-us 50 -rekeys-us 0", "failover[{Standbys:-1 HeartbeatUS:50 RekeyUS:0}]", "-1 SM standbys"},
+		{"splitbrain -partitions-us -1 -heartbeats-us 10 -rekeys-us 0", "splitbrain[{PartitionUS:-1 HeartbeatUS:10 RekeyUS:0}]", "partition window"},
+		{"splitbrain -partitions-us 80 -heartbeats-us 10 -rekeys-us -5", "splitbrain[{PartitionUS:80 HeartbeatUS:10 RekeyUS:-5}]", "negative rotation period"},
+		{"health -bers -1", "health[{Mode:DPT Attack:ramp Arm:off BER:-1}]", "link BER rate"},
+	} {
+		code, stdout, stderr := ibsim(append([]string{"-quick"}, strings.Fields(tc.args)...)...)
+		if code != 1 {
+			t.Errorf("ibsim %s: exit %d, want 1", tc.args, code)
+		}
+		if !strings.Contains(stderr, "runner: "+tc.point+" failed") || !strings.Contains(stderr, tc.cause) {
+			t.Errorf("ibsim %s: stderr does not attribute %q to %s:\n%s", tc.args, tc.cause, tc.point, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("ibsim %s: printed rows:\n%s", tc.args, stdout)
 		}
 	}
 }

@@ -173,8 +173,8 @@ func PaperTable4Rates() map[string]float64 { return core.PaperTable4Rates() }
 
 // Parallel experiment orchestration (internal/runner). A Pool executes
 // a sweep's simulation points on a bounded worker pool with panic
-// recovery and live progress. Results are reassembled by job index, so
-// output is byte-identical to the serial harness at a fixed seed
+// recovery and live progress. Each job's result keeps its job's place,
+// so output is byte-identical to the serial harness at a fixed seed
 // regardless of worker count.
 type (
 	// Pool is a bounded worker pool for experiment sweeps.

@@ -96,39 +96,33 @@ type APMRow struct {
 // APMSweep runs the apm experiment: BER × primary-path link kills ×
 // recovery arm, against RC probe flows.
 func APMSweep(ctx context.Context, pool *runner.Pool, bers []float64, kills []int, base Config) ([]APMRow, error) {
-	arms := []APMArm{ArmTimeout, ArmNAK, ArmAPMRegistered, ArmAPMUnregistered}
-	jobs := make([]runner.Job[APMRow], 0, len(arms)*len(bers)*len(kills))
-	for _, arm := range arms {
+	var points []apmPoint
+	for _, arm := range []APMArm{ArmTimeout, ArmNAK, ArmAPMRegistered, ArmAPMUnregistered} {
 		for _, ber := range bers {
 			for _, k := range kills {
-				arm, ber, k := arm, ber, k
-				jobs = append(jobs, sweepJob("apm", len(jobs),
-					fmt.Sprintf("arm=%s,ber=%g,kills=%d", arm, ber, k),
-					func(context.Context) (APMRow, error) {
-						return runAPMPoint(base, arm, ber, k)
-					}))
+				points = append(points, apmPoint{Arm: arm, BER: ber, Kills: k})
 			}
 		}
 	}
-	return runner.Run(ctx, pool, jobs)
+	return sweep(ctx, pool, "apm", points, func(p apmPoint) (APMRow, error) { return runAPMPoint(base, p) })
+}
+
+// apmPoint is one cell of the apm sweep.
+type apmPoint struct {
+	Arm   APMArm
+	BER   float64
+	Kills int
 }
 
 // maxAPMFlows bounds the probe pairs per run.
 const maxAPMFlows = 4
 
-// runAPMPoint runs one (arm, BER, kills) cell of the sweep.
-func runAPMPoint(base Config, arm APMArm, ber float64, kills int) (APMRow, error) {
-	cfg := base
-	cfg.Enforcement = enforce.SIF
-	cfg.Attackers = 0
-	cfg.RealtimeLoad = 0
-	cfg.BestEffortLoad = 0.3
-	cfg.ResweepPeriod = 200 * sim.Microsecond
-	// Copy the params before arming HOQ ageing: the base config's value
-	// is shared across concurrent sweep points, and healed routes can
-	// deadlock without it (see runFaultPoint).
-	cfg.Params = cfg.Params.Clone()
-	cfg.Params.HOQLife = 100 * sim.Microsecond
+// runAPMPoint runs one cell of the sweep.
+func runAPMPoint(base Config, p apmPoint) (APMRow, error) {
+	if p.Kills < 0 {
+		return APMRow{}, fmt.Errorf("core: %d link kills", p.Kills)
+	}
+	cfg := healingCfg(base, enforce.SIF)
 
 	// The fault plan targets the probe flows' primary paths, and the
 	// probe pairs depend on the seed-derived partition grouping computed
@@ -148,7 +142,7 @@ func runAPMPoint(base Config, arm APMArm, ber float64, kills int) (APMRow, error
 	killUntil := cfg.Duration * 5 / 8
 	seen := make(map[topology.LinkID]bool)
 	for _, pr := range pairs {
-		if len(plan.Links) >= kills {
+		if len(plan.Links) >= p.Kills {
 			break
 		}
 		link, ok := faults.PrimaryHopLink(cfg.MeshW, pr.a, pr.b)
@@ -158,9 +152,9 @@ func runAPMPoint(base Config, arm APMArm, ber float64, kills int) (APMRow, error
 		seen[link] = true
 		plan.Links = append(plan.Links, faults.LinkKill{Link: link, DownAt: killAt, UpAt: killUntil})
 	}
-	if ber > 0 {
+	if p.BER != 0 { // a negative rate reaches the plan's validation
 		plan.BER = append(plan.BER, faults.BERBurst{
-			Rate: ber, From: cfg.Warmup, Until: cfg.Duration * 3 / 4,
+			Rate: p.BER, From: cfg.Warmup, Until: cfg.Duration * 3 / 4,
 		})
 	}
 	cfg.FaultPlan = plan
@@ -186,13 +180,13 @@ func runAPMPoint(base Config, arm APMArm, ber float64, kills int) (APMRow, error
 		// outage so the timeout-only arm measures latency, not breakage.
 		RetryTimeout: 20 * sim.Microsecond,
 		MaxRetries:   30,
-		EnableNAK:    arm.enableNAK(),
-		RetryBackoff: arm.enableNAK(),
+		EnableNAK:    p.Arm.enableNAK(),
+		RetryBackoff: p.Arm.enableNAK(),
 	}
 	var altPath func(rcPair, *transport.QP) error
-	if arm.enableAPM() {
+	if p.Arm.enableAPM() {
 		altPath = func(pr rcPair, qp *transport.QP) error {
-			rec, err := cl.SM.QueryPathRecord(mkey, pr.a, pr.b, arm == ArmAPMRegistered)
+			rec, err := cl.SM.QueryPathRecord(mkey, pr.a, pr.b, p.Arm == ArmAPMRegistered)
 			if err != nil {
 				return err
 			}
@@ -207,7 +201,7 @@ func runAPMPoint(base Config, arm APMArm, ber float64, kills int) (APMRow, error
 	for _, ep := range eps {
 		ep.Storm = metrics.NewStorm(100) // 100 µs windows
 	}
-	if arm.enableAPM() {
+	if p.Arm.enableAPM() {
 		// Rearm migrated connections whenever a re-sweep reconfigures
 		// the fabric: after a reroute (or a restoration) the primary
 		// LIDs are reachable again.
@@ -221,7 +215,7 @@ func runAPMPoint(base Config, arm APMArm, ber float64, kills int) (APMRow, error
 	}
 	cl.Simulate()
 
-	row := APMRow{Arm: arm, BER: ber, LinkKills: kills}
+	row := APMRow{Arm: p.Arm, BER: p.BER, LinkKills: p.Kills}
 	for _, pr := range probes {
 		row.RCSent += pr.sent
 		row.RCDelivered += pr.delivered

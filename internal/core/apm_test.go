@@ -12,15 +12,15 @@ import (
 func TestAPMRideThrough(t *testing.T) {
 	base := quickCfg()
 
-	timeout, err := runAPMPoint(base, ArmTimeout, 0, 1)
+	timeout, err := runAPMPoint(base, apmPoint{Arm: ArmTimeout, Kills: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := runAPMPoint(base, ArmAPMRegistered, 0, 1)
+	reg, err := runAPMPoint(base, apmPoint{Arm: ArmAPMRegistered, Kills: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unreg, err := runAPMPoint(base, ArmAPMUnregistered, 0, 1)
+	unreg, err := runAPMPoint(base, apmPoint{Arm: ArmAPMUnregistered, Kills: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

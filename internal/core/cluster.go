@@ -968,7 +968,6 @@ func (tr *traffic) senders(cl *Cluster, node int, targets []int) (rt, be workloa
 		row := tr.qkeys[node*n : (node+1)*n]
 		qkeys = row
 		for _, dst := range targets {
-			dst := dst
 			err := ep.RequestQKey(qp, topology.LIDOf(dst), serviceQPN, func(qk packet.QKey, err error) {
 				if err == nil {
 					row[dst] = qk

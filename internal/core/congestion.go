@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
@@ -75,29 +74,30 @@ func DefaultCCParams() fabric.CCParams {
 // CongestionSweep runs the congestion experiment over every enforcement
 // design × attacker rate × CC arm.
 func CongestionSweep(ctx context.Context, pool *runner.Pool, rates []float64, base Config) ([]CongestionRow, error) {
-	modes := []enforce.Mode{enforce.DPT, enforce.IF, enforce.SIF}
-	var jobs []runner.Job[CongestionRow]
-	for _, mode := range modes {
+	var points []congestionPoint
+	for _, mode := range []enforce.Mode{enforce.DPT, enforce.IF, enforce.SIF} {
 		for _, rate := range rates {
 			for _, cc := range []bool{false, true} {
-				mode, rate, cc := mode, rate, cc
-				jobs = append(jobs, sweepJob("congestion", len(jobs),
-					fmt.Sprintf("mode=%v,rate=%v,cc=%v", mode, rate, cc),
-					func(context.Context) (CongestionRow, error) {
-						return runCongestionPoint(base, mode, rate, cc)
-					}))
+				points = append(points, congestionPoint{Mode: mode, Rate: rate, CC: cc})
 			}
 		}
 	}
-	return runner.Run(ctx, pool, jobs)
+	return sweep(ctx, pool, "congestion", points, func(p congestionPoint) (CongestionRow, error) { return runCongestionPoint(base, p) })
+}
+
+// congestionPoint is one cell of the congestion sweep.
+type congestionPoint struct {
+	Mode enforce.Mode
+	Rate float64
+	CC   bool
 }
 
 // runCongestionPoint runs one (mode, rate, cc) cell. The attack is a
 // single burst covering the first 60% of the run; the remaining 40% is
 // the recovery window a CC-on arm drains its throttle state in.
-func runCongestionPoint(base Config, mode enforce.Mode, rate float64, cc bool) (CongestionRow, error) {
+func runCongestionPoint(base Config, p congestionPoint) (CongestionRow, error) {
 	cfg := base
-	cfg.Enforcement = mode
+	cfg.Enforcement = p.Mode
 	cfg.RealtimeLoad = 0
 	if cfg.BestEffortLoad == 0 {
 		cfg.BestEffortLoad = 0.3
@@ -107,10 +107,10 @@ func runCongestionPoint(base Config, mode enforce.Mode, rate float64, cc bool) (
 	}
 	cfg.AttackClass = fabric.ClassBestEffort
 	cfg.AttackIncast = true
-	cfg.AttackRate = rate
+	cfg.AttackRate = p.Rate
 	cfg.AttackDuty = 0.6
 	cfg.AttackCycle = cfg.Duration // exactly one burst, then silence
-	if cc {
+	if p.CC {
 		if base.Congestion.Enabled() {
 			cfg.Congestion = base.Congestion
 		} else {
@@ -131,7 +131,7 @@ func runCongestionPoint(base Config, mode enforce.Mode, rate float64, cc bool) (
 	attackStop := sim.Time(float64(cfg.AttackCycle) * cfg.AttackDuty)
 	peakCCT := 0
 	recoverAt := sim.Time(-1)
-	if cc {
+	if p.CC {
 		const step = 5 * sim.Microsecond
 		var probe func()
 		probe = func() {
@@ -161,9 +161,9 @@ func runCongestionPoint(base Config, mode enforce.Mode, rate float64, cc bool) (
 	res := cl.Simulate()
 
 	row := CongestionRow{
-		Mode:        mode,
-		Rate:        rate,
-		CC:          cc,
+		Mode:        p.Mode,
+		Rate:        p.Rate,
+		CC:          p.CC,
 		BEp99US:     res.BETail.P99(),
 		BEMeanUS:    res.BestEffort.Network.Mean(),
 		Delivered:   res.DeliveredUD,

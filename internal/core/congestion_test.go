@@ -22,11 +22,11 @@ func TestCongestionThrottlesAttacker(t *testing.T) {
 	base := quickCfg()
 	const rate = 1.0
 
-	off, err := runCongestionPoint(base, enforce.DPT, rate, false)
+	off, err := runCongestionPoint(base, congestionPoint{Mode: enforce.DPT, Rate: rate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := runCongestionPoint(base, enforce.DPT, rate, true)
+	on, err := runCongestionPoint(base, congestionPoint{Mode: enforce.DPT, Rate: rate, CC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCongestionSurvivesFailover(t *testing.T) {
 // back to zero inside the run's recovery window (RecoverUS >= 0), so a
 // past attack does not permanently tax the source.
 func TestCongestionRecovers(t *testing.T) {
-	row, err := runCongestionPoint(quickCfg(), enforce.DPT, 0.5, true)
+	row, err := runCongestionPoint(quickCfg(), congestionPoint{Mode: enforce.DPT, Rate: 0.5, CC: true})
 	if err != nil {
 		t.Fatal(err)
 	}

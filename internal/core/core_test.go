@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -48,6 +47,7 @@ func TestConfigValidation(t *testing.T) {
 		"health alpha":     func(c *Config) { c.Health.SweepPeriod = 40 * sim.Microsecond; c.Health.Alpha = 1.0 },
 		"health neg alpha": func(c *Config) { c.Health.SweepPeriod = 40 * sim.Microsecond; c.Health.Alpha = -0.5 },
 		"health no sweep":  func(c *Config) { c.Health.Damping = true },
+		"neg rekey period": func(c *Config) { c.Rekey.Period = -sim.Microsecond },
 		"cc deep marking": func(c *Config) {
 			c.Congestion = fabric.CCParams{MarkingThreshold: 999, CCTSize: 16, CCTStep: sim.Microsecond, CCTDecay: sim.Microsecond}
 		},
@@ -151,12 +151,7 @@ func TestConcurrentRunsShareNoMessages(t *testing.T) {
 		}
 		serial = append(serial, res)
 	}
-	jobs := make([]runner.Job[*Results], len(cfgs))
-	for i, cfg := range cfgs {
-		cfg := cfg
-		jobs[i] = sweepJob("concurrent", i, fmt.Sprint(i), func(context.Context) (*Results, error) { return Run(cfg) })
-	}
-	concurrent, err := runner.Run(context.Background(), runner.New(runner.Options{Workers: len(jobs)}), jobs)
+	concurrent, err := sweep(context.Background(), runner.New(runner.Options{Workers: len(cfgs)}), "concurrent", cfgs, Run)
 	if err != nil {
 		t.Fatal(err)
 	}

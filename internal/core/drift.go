@@ -52,25 +52,26 @@ type DriftRow struct {
 // meaningless without detection), every other period runs both a
 // detect-only and a repair arm.
 func DriftSweep(ctx context.Context, pool *runner.Pool, periodsUS []int, base Config) ([]DriftRow, error) {
-	modes := []enforce.Mode{enforce.DPT, enforce.IF, enforce.SIF}
-	var jobs []runner.Job[DriftRow]
-	for _, mode := range modes {
-		for _, p := range periodsUS {
+	var points []driftPoint
+	for _, mode := range []enforce.Mode{enforce.DPT, enforce.IF, enforce.SIF} {
+		for _, period := range periodsUS {
 			arms := []bool{false, true}
-			if p == 0 {
+			if period == 0 {
 				arms = []bool{false}
 			}
 			for _, repair := range arms {
-				mode, p, repair := mode, p, repair
-				jobs = append(jobs, sweepJob("drift", len(jobs),
-					fmt.Sprintf("mode=%v,period=%dus,repair=%v", mode, p, repair),
-					func(context.Context) (DriftRow, error) {
-						return runDriftPoint(base, mode, p, repair)
-					}))
+				points = append(points, driftPoint{Mode: mode, PeriodUS: period, Repair: repair})
 			}
 		}
 	}
-	return runner.Run(ctx, pool, jobs)
+	return sweep(ctx, pool, "drift", points, func(p driftPoint) (DriftRow, error) { return runDriftPoint(base, p) })
+}
+
+// driftPoint is one cell of the drift sweep.
+type driftPoint struct {
+	Mode     enforce.Mode
+	PeriodUS int
+	Repair   bool
 }
 
 // runDriftPoint runs one (mode, audit period, repair) cell. Each
@@ -86,22 +87,22 @@ func DriftSweep(ctx context.Context, pool *runner.Pool, periodsUS []int, base Co
 //     HCAs until the trap path re-registers or the auditor restores
 //     the pin (the contrast between the reactive and the declarative
 //     control loop).
-func runDriftPoint(base Config, mode enforce.Mode, periodUS int, repair bool) (DriftRow, error) {
+func runDriftPoint(base Config, p driftPoint) (DriftRow, error) {
 	cfg := base
-	cfg.Enforcement = mode
+	cfg.Enforcement = p.Mode
 	cfg.RealtimeLoad = 0
 	if cfg.BestEffortLoad == 0 {
 		cfg.BestEffortLoad = 0.3
 	}
 	cfg.Policy = PolicyParams{
 		Enabled:     true,
-		AuditPeriod: sim.Time(periodUS) * sim.Microsecond,
-		Repair:      repair,
+		AuditPeriod: sim.Time(p.PeriodUS) * sim.Microsecond,
+		Repair:      p.Repair,
 	}
 
 	corruptAt := cfg.Duration / 4
 	plan := &faults.Plan{Seed: cfg.Seed}
-	switch mode {
+	switch p.Mode {
 	case enforce.DPT:
 		cfg.Attackers = 0
 		plan.Corruptions = []faults.TableCorruption{
@@ -133,7 +134,7 @@ func runDriftPoint(base Config, mode enforce.Mode, periodUS int, repair bool) (D
 			{Switch: faults.SwitchAttackerIngress, At: corruptAt, Op: faults.CorruptDeactivate},
 		}
 	default:
-		return DriftRow{}, fmt.Errorf("drift: unsupported enforcement mode %v", mode)
+		return DriftRow{}, fmt.Errorf("drift: unsupported enforcement mode %v", p.Mode)
 	}
 	cfg.FaultPlan = plan
 
@@ -144,9 +145,9 @@ func runDriftPoint(base Config, mode enforce.Mode, periodUS int, repair bool) (D
 	res := cl.Simulate()
 
 	row := DriftRow{
-		Mode:            mode,
-		AuditPeriodUS:   (sim.Time(periodUS) * sim.Microsecond).Microseconds(),
-		Repair:          repair,
+		Mode:            p.Mode,
+		AuditPeriodUS:   (sim.Time(p.PeriodUS) * sim.Microsecond).Microseconds(),
+		Repair:          p.Repair,
 		DriftEvents:     res.DriftEvents,
 		DriftRepaired:   res.DriftRepaired,
 		DetectUS:        -1,
@@ -159,7 +160,7 @@ func runDriftPoint(base Config, mode enforce.Mode, periodUS int, repair bool) (D
 		Sent:            res.SentLegit,
 		Delivered:       res.DeliveredUD,
 	}
-	switch mode {
+	switch p.Mode {
 	case enforce.DPT:
 		row.Blast = res.FilterDropped
 	case enforce.IF:

@@ -21,7 +21,7 @@ func TestDriftTighterAuditShrinksBlast(t *testing.T) {
 	base.Duration = 2040 * sim.Microsecond
 	base.Warmup = 200 * sim.Microsecond
 
-	baseline, err := runDriftPoint(base, enforce.IF, 0, false)
+	baseline, err := runDriftPoint(base, driftPoint{Mode: enforce.IF})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestDriftTighterAuditShrinksBlast(t *testing.T) {
 	prev := baseline
 	prev.DetectUS = 1e18 // baseline never detects; any real latency beats it
 	for _, periodUS := range []int{400, 200, 100, 50} {
-		row, err := runDriftPoint(base, enforce.IF, periodUS, true)
+		row, err := runDriftPoint(base, driftPoint{Mode: enforce.IF, PeriodUS: periodUS, Repair: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,7 +84,7 @@ func allPlanesFailoverCfg() Config {
 // cancel path.
 func faultsRCCfg() Config {
 	cfg := quickCfg()
-	cfg = faultPointCfg(cfg, cfg.Enforcement, 1e-5, 2)
+	cfg = faultPointCfg(cfg, faultPoint{Mode: cfg.Enforcement, BER: 1e-5, Kills: 2})
 	cfg.TraceCapacity = 1
 	return cfg
 }

@@ -16,16 +16,27 @@ import (
 	"ibasec/internal/transport"
 )
 
-// Every sweep in this package has one entry point, X(ctx, pool, …):
-// ctx cancels between points, and a nil pool runs the points serially on
-// the calling goroutine with the same bytes as any worker count.
+// Every sweep in this package has one entry point, X(ctx, pool, …), and
+// is two things: its points, in row order, and one point function that
+// turns a point into a row. ctx cancels between points, and a nil pool
+// runs the points serially on the calling goroutine with the same bytes
+// as any worker count. Every point runs at the sweep's base seed,
+// Config.Seed, so a figure is byte-identical at a fixed -seed.
 
-// sweepJob builds one runner job for a sweep point. Every point runs at
-// the sweep's base seed, Config.Seed, so a figure is byte-identical at a
-// fixed -seed.
-func sweepJob[T any](experiment string, index int, key string,
-	run func(ctx context.Context) (T, error)) runner.Job[T] {
-	return runner.Job[T]{Experiment: experiment, Index: index, Key: key, Run: run}
+// sweep runs row on every point, one runner job per point, and returns
+// the rows in the points' order. A job's key is %+v of its point, so a
+// point struct's field names label the point's failure. An empty point
+// list is an error naming the experiment, not an empty table.
+func sweep[P, R any](ctx context.Context, pool *runner.Pool, name string, points []P, row func(P) (R, error)) ([]R, error) {
+	if len(points) == 0 {
+		return nil, fmt.Errorf("core: %s: no points to run", name)
+	}
+	jobs := make([]runner.Job[R], len(points))
+	for i, p := range points {
+		jobs[i] = runner.Job[R]{Experiment: name, Index: i, Key: fmt.Sprintf("%+v", p),
+			Run: func(context.Context) (R, error) { return row(p) }}
+	}
+	return runner.Run(ctx, pool, jobs)
 }
 
 // Fig1Row is one point of Figure 1: mean legitimate-traffic delays (µs)
@@ -49,11 +60,17 @@ func Fig1(ctx context.Context, pool *runner.Pool, class fabric.Class, maxAttacke
 	if class == fabric.ClassRealtime {
 		name = "fig1_realtime"
 	}
-	jobs := make([]runner.Job[Fig1Row], 0, maxAttackers+1)
+	if maxAttackers < 0 {
+		return nil, fmt.Errorf("core: %s: %d attackers", name, maxAttackers)
+	}
+	var points []fig1Point
 	for k := 0; k <= maxAttackers; k++ {
+		points = append(points, fig1Point{Attackers: k})
+	}
+	return sweep(ctx, pool, name, points, func(p fig1Point) (Fig1Row, error) {
 		cfg := base
 		cfg.Enforcement = enforce.NoFiltering
-		cfg.Attackers = k
+		cfg.Attackers = p.Attackers
 		cfg.AttackDuty = 1.0
 		cfg.AttackClass = class
 		switch class {
@@ -62,31 +79,28 @@ func Fig1(ctx context.Context, pool *runner.Pool, class fabric.Class, maxAttacke
 		default:
 			cfg.RealtimeLoad, cfg.BestEffortLoad = 0, base.BestEffortLoad
 		}
-		k := k
-		jobs = append(jobs, sweepJob(name, len(jobs),
-			fmt.Sprintf("attackers=%d", k),
-			func(context.Context) (Fig1Row, error) {
-				res, err := Run(cfg)
-				if err != nil {
-					return Fig1Row{}, err
-				}
-				split := &res.BestEffort
-				if class == fabric.ClassRealtime {
-					split = &res.Realtime
-				}
-				return Fig1Row{
-					Attackers:  k,
-					QueuingUS:  split.Queuing.Mean(),
-					QueuingSD:  split.Queuing.StdDev(),
-					NetworkUS:  split.Network.Mean(),
-					NetworkSD:  split.Network.StdDev(),
-					Delivered:  res.DeliveredLegit,
-					AttackHits: res.HCAViolations,
-				}, nil
-			}))
-	}
-	return runner.Run(ctx, pool, jobs)
+		res, err := Run(cfg)
+		if err != nil {
+			return Fig1Row{}, err
+		}
+		split := &res.BestEffort
+		if class == fabric.ClassRealtime {
+			split = &res.Realtime
+		}
+		return Fig1Row{
+			Attackers:  p.Attackers,
+			QueuingUS:  split.Queuing.Mean(),
+			QueuingSD:  split.Queuing.StdDev(),
+			NetworkUS:  split.Network.Mean(),
+			NetworkSD:  split.Network.StdDev(),
+			Delivered:  res.DeliveredLegit,
+			AttackHits: res.HCAViolations,
+		}, nil
+	})
 }
+
+// fig1Point is one point of Figure 1.
+type fig1Point struct{ Attackers int }
 
 // Fig5Row is one bar of Figure 5: the delay split for one (load, mode)
 // pair under a duty-cycled four-attacker DoS.
@@ -105,38 +119,40 @@ type Fig5Row struct {
 // best-effort traffic at input loads for each enforcement design, with
 // four attackers active attackDuty of the time (the paper uses 1%).
 func Fig5(ctx context.Context, pool *runner.Pool, loads []float64, attackDuty float64, base Config) ([]Fig5Row, error) {
-	modes := []enforce.Mode{enforce.NoFiltering, enforce.DPT, enforce.IF, enforce.SIF}
-	jobs := make([]runner.Job[Fig5Row], 0, len(loads)*len(modes))
+	var points []fig5Point
 	for _, load := range loads {
-		for _, mode := range modes {
-			cfg := base
-			cfg.Enforcement = mode
-			cfg.Attackers = 4
-			cfg.AttackDuty = attackDuty
-			cfg.RealtimeLoad = 0
-			cfg.BestEffortLoad = load
-			load, mode := load, mode
-			jobs = append(jobs, sweepJob("fig5", len(jobs),
-				fmt.Sprintf("load=%g,mode=%s", load, mode),
-				func(context.Context) (Fig5Row, error) {
-					res, err := Run(cfg)
-					if err != nil {
-						return Fig5Row{}, err
-					}
-					return Fig5Row{
-						Load:       load,
-						Mode:       mode,
-						QueuingUS:  res.BestEffort.Queuing.Mean(),
-						NetworkUS:  res.BestEffort.Network.Mean(),
-						TotalUS:    res.BestEffort.Queuing.Mean() + res.BestEffort.Network.Mean(),
-						QueuingSD:  res.BestEffort.Queuing.StdDev(),
-						Dropped:    res.FilterDropped,
-						AttackHits: res.HCAViolations,
-					}, nil
-				}))
+		for _, mode := range []enforce.Mode{enforce.NoFiltering, enforce.DPT, enforce.IF, enforce.SIF} {
+			points = append(points, fig5Point{Load: load, Mode: mode})
 		}
 	}
-	return runner.Run(ctx, pool, jobs)
+	return sweep(ctx, pool, "fig5", points, func(p fig5Point) (Fig5Row, error) {
+		cfg := base
+		cfg.Enforcement = p.Mode
+		cfg.Attackers = 4
+		cfg.AttackDuty = attackDuty
+		cfg.RealtimeLoad = 0
+		cfg.BestEffortLoad = p.Load
+		res, err := Run(cfg)
+		if err != nil {
+			return Fig5Row{}, err
+		}
+		return Fig5Row{
+			Load:       p.Load,
+			Mode:       p.Mode,
+			QueuingUS:  res.BestEffort.Queuing.Mean(),
+			NetworkUS:  res.BestEffort.Network.Mean(),
+			TotalUS:    res.BestEffort.Queuing.Mean() + res.BestEffort.Network.Mean(),
+			QueuingSD:  res.BestEffort.Queuing.StdDev(),
+			Dropped:    res.FilterDropped,
+			AttackHits: res.HCAViolations,
+		}, nil
+	})
+}
+
+// fig5Point is one bar of Figure 5.
+type fig5Point struct {
+	Load float64
+	Mode enforce.Mode
 }
 
 // Fig6Row is one bar pair of Figure 6: delays without and with
@@ -158,42 +174,45 @@ type Fig6Row struct {
 // key management (one key-exchange round trip per QP pair at start) plus
 // per-message MAC generation (one clock cycle).
 func Fig6(ctx context.Context, pool *runner.Pool, loads []float64, level transport.KeyLevel, base Config) ([]Fig6Row, error) {
-	jobs := make([]runner.Job[Fig6Row], 0, 2*len(loads))
+	var points []fig6Point
 	for _, load := range loads {
 		for _, withKey := range []bool{false, true} {
-			cfg := base
-			cfg.Enforcement = enforce.NoFiltering
-			cfg.Attackers = 0
-			cfg.RealtimeLoad = 0
-			cfg.BestEffortLoad = load
-			cfg.Auth = AuthConfig{Enabled: withKey, FuncID: mac.IDUMAC32, Level: level}
-			load, withKey := load, withKey
-			keys := "No Key"
-			if withKey {
-				keys = "WithKey"
-			}
-			jobs = append(jobs, sweepJob("fig6", len(jobs),
-				fmt.Sprintf("load=%g,withkey=%v,level=%v", load, withKey, level),
-				func(context.Context) (Fig6Row, error) {
-					res, err := Run(cfg)
-					if err != nil {
-						return Fig6Row{}, err
-					}
-					return Fig6Row{
-						Load:          load,
-						Keys:          keys,
-						WithKey:       withKey,
-						QueuingUS:     res.BestEffort.Queuing.Mean(),
-						QueuingSD:     res.BestEffort.Queuing.StdDev(),
-						NetworkUS:     res.BestEffort.Network.Mean(),
-						NetworkSD:     res.BestEffort.Network.StdDev(),
-						KeyExchanges:  res.KeyExchanges,
-						PacketsSigned: res.PacketsSigned,
-					}, nil
-				}))
+			points = append(points, fig6Point{Load: load, WithKey: withKey})
 		}
 	}
-	return runner.Run(ctx, pool, jobs)
+	return sweep(ctx, pool, "fig6", points, func(p fig6Point) (Fig6Row, error) {
+		cfg := base
+		cfg.Enforcement = enforce.NoFiltering
+		cfg.Attackers = 0
+		cfg.RealtimeLoad = 0
+		cfg.BestEffortLoad = p.Load
+		cfg.Auth = AuthConfig{Enabled: p.WithKey, FuncID: mac.IDUMAC32, Level: level}
+		res, err := Run(cfg)
+		if err != nil {
+			return Fig6Row{}, err
+		}
+		keys := "No Key"
+		if p.WithKey {
+			keys = "WithKey"
+		}
+		return Fig6Row{
+			Load:          p.Load,
+			Keys:          keys,
+			WithKey:       p.WithKey,
+			QueuingUS:     res.BestEffort.Queuing.Mean(),
+			QueuingSD:     res.BestEffort.Queuing.StdDev(),
+			NetworkUS:     res.BestEffort.Network.Mean(),
+			NetworkSD:     res.BestEffort.Network.StdDev(),
+			KeyExchanges:  res.KeyExchanges,
+			PacketsSigned: res.PacketsSigned,
+		}, nil
+	})
+}
+
+// fig6Point is one bar of Figure 6.
+type fig6Point struct {
+	Load    float64
+	WithKey bool
 }
 
 // Table4Row is one row of Table 4: per-algorithm authentication cost and
@@ -300,8 +319,7 @@ func AuthRateSweep(ctx context.Context, pool *runner.Pool, rates map[string]floa
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	jobs := make([]runner.Job[AuthRateRow], 0, len(rates))
-	for _, name := range names {
+	return sweep(ctx, pool, "authrate", names, func(name string) (AuthRateRow, error) {
 		rate := rates[name]
 		cfg := base
 		cfg.Attackers = 0
@@ -313,25 +331,19 @@ func AuthRateSweep(ctx context.Context, pool *runner.Pool, rates map[string]floa
 			Level:          transport.PartitionLevel,
 			ThroughputGbps: rate,
 		}
-		name := name
-		jobs = append(jobs, sweepJob("authrate", len(jobs),
-			fmt.Sprintf("alg=%s,rate=%g", name, rate),
-			func(context.Context) (AuthRateRow, error) {
-				res, err := Run(cfg)
-				if err != nil {
-					return AuthRateRow{}, err
-				}
-				return AuthRateRow{
-					Name:       name,
-					RateGbps:   rate,
-					QueuingUS:  res.BestEffort.Queuing.Mean(),
-					NetworkUS:  res.BestEffort.Network.Mean(),
-					Delivered:  res.DeliveredLegit,
-					Bottleneck: rate < base.Params.LinkBandwidth/1e9,
-				}, nil
-			}))
-	}
-	return runner.Run(ctx, pool, jobs)
+		res, err := Run(cfg)
+		if err != nil {
+			return AuthRateRow{}, err
+		}
+		return AuthRateRow{
+			Name:       name,
+			RateGbps:   rate,
+			QueuingUS:  res.BestEffort.Queuing.Mean(),
+			NetworkUS:  res.BestEffort.Network.Mean(),
+			Delivered:  res.DeliveredLegit,
+			Bottleneck: rate < base.Params.LinkBandwidth/1e9,
+		}, nil
+	})
 }
 
 // PaperTable4Rates returns the paper's Table 4 throughput column (Gb/s,
@@ -362,8 +374,7 @@ type ScaleRow struct {
 // workload once clean and once with nodes/4 attackers, keeping per-node
 // loads constant.
 func ScaleSweep(ctx context.Context, pool *runner.Pool, sizes [][2]int, base Config) ([]ScaleRow, error) {
-	jobs := make([]runner.Job[ScaleRow], 0, len(sizes))
-	for _, wh := range sizes {
+	return sweep(ctx, pool, "scale", sizes, func(wh [2]int) (ScaleRow, error) {
 		cfg := base
 		cfg.MeshW, cfg.MeshH = wh[0], wh[1]
 		nodes := wh[0] * wh[1]
@@ -379,35 +390,29 @@ func ScaleSweep(ctx context.Context, pool *runner.Pool, sizes [][2]int, base Con
 		if attackers < 1 {
 			attackers = 1
 		}
-		wh := wh
-		jobs = append(jobs, sweepJob("scale", len(jobs),
-			fmt.Sprintf("mesh=%dx%d", wh[0], wh[1]),
-			func(context.Context) (ScaleRow, error) {
-				clean := cfg
-				clean.Attackers = 0
-				cleanRes, err := Run(clean)
-				if err != nil {
-					return ScaleRow{}, err
-				}
-				hot := cfg
-				hot.Attackers = attackers
-				hot.AttackDuty = 1.0
-				hotRes, err := Run(hot)
-				if err != nil {
-					return ScaleRow{}, err
-				}
-				return ScaleRow{
-					Mesh:            fmt.Sprintf("%dx%d", wh[0], wh[1]),
-					Nodes:           nodes,
-					Attackers:       attackers,
-					BaseQueuingUS:   cleanRes.BestEffort.Queuing.Mean(),
-					AttackQueuingUS: hotRes.BestEffort.Queuing.Mean(),
-					BaseNetworkUS:   cleanRes.BestEffort.Network.Mean(),
-					AttackNetworkUS: hotRes.BestEffort.Network.Mean(),
-				}, nil
-			}))
-	}
-	return runner.Run(ctx, pool, jobs)
+		clean := cfg
+		clean.Attackers = 0
+		cleanRes, err := Run(clean)
+		if err != nil {
+			return ScaleRow{}, err
+		}
+		hot := cfg
+		hot.Attackers = attackers
+		hot.AttackDuty = 1.0
+		hotRes, err := Run(hot)
+		if err != nil {
+			return ScaleRow{}, err
+		}
+		return ScaleRow{
+			Mesh:            fmt.Sprintf("%dx%d", wh[0], wh[1]),
+			Nodes:           nodes,
+			Attackers:       attackers,
+			BaseQueuingUS:   cleanRes.BestEffort.Queuing.Mean(),
+			AttackQueuingUS: hotRes.BestEffort.Queuing.Mean(),
+			BaseNetworkUS:   cleanRes.BestEffort.Network.Mean(),
+			AttackNetworkUS: hotRes.BestEffort.Network.Mean(),
+		}, nil
+	})
 }
 
 // SMFloodRow is one point of the management-DoS experiment.
@@ -428,8 +433,7 @@ type SMFloodRow struct {
 // long legitimate SIF registrations take as the SM's serial MAD
 // processor backs up.
 func SMFloodSweep(ctx context.Context, pool *runner.Pool, rates []float64, base Config) ([]SMFloodRow, error) {
-	jobs := make([]runner.Job[SMFloodRow], 0, len(rates))
-	for _, rate := range rates {
+	return sweep(ctx, pool, "smdos", rates, func(rate float64) (SMFloodRow, error) {
 		cfg := base
 		cfg.Enforcement = enforce.SIF
 		cfg.Attackers = 1
@@ -437,28 +441,22 @@ func SMFloodSweep(ctx context.Context, pool *runner.Pool, rates []float64, base 
 		if cfg.BestEffortLoad == 0 && cfg.RealtimeLoad == 0 {
 			cfg.BestEffortLoad = 0.3
 		}
-		rate := rate
-		jobs = append(jobs, sweepJob("smdos", len(jobs),
-			fmt.Sprintf("rate=%g", rate),
-			func(context.Context) (SMFloodRow, error) {
-				cl, err := Build(cfg)
-				if err != nil {
-					return SMFloodRow{}, err
-				}
-				if rate > 0 {
-					startMADFlood(cl, rate)
-				}
-				cl.Simulate()
-				return SMFloodRow{
-					FloodRate:     rate,
-					RegLatencyUS:  cl.SM.RegLatency.Mean(),
-					RegLatencyMax: cl.SM.RegLatency.Max(),
-					TrapsReceived: cl.SM.Counters.Value(sm.SMTrapsReceived),
-					Registrations: cl.SM.Counters.Value(sm.SMSIFRegistrations),
-				}, nil
-			}))
-	}
-	return runner.Run(ctx, pool, jobs)
+		cl, err := Build(cfg)
+		if err != nil {
+			return SMFloodRow{}, err
+		}
+		if rate > 0 {
+			startMADFlood(cl, rate)
+		}
+		cl.Simulate()
+		return SMFloodRow{
+			FloodRate:     rate,
+			RegLatencyUS:  cl.SM.RegLatency.Mean(),
+			RegLatencyMax: cl.SM.RegLatency.Max(),
+			TrapsReceived: cl.SM.Counters.Value(sm.SMTrapsReceived),
+			Registrations: cl.SM.Counters.Value(sm.SMSIFRegistrations),
+		}, nil
+	})
 }
 
 // startMADFlood arms a junk-trap generator on a non-SM, non-attacker
@@ -508,30 +506,23 @@ type DutyRow struct {
 // attack duty cycle, quantifying the registration-window leakage that
 // makes SIF slightly worse than IF at low loads in Figure 5.
 func SweepDuty(ctx context.Context, pool *runner.Pool, duties []float64, load float64, base Config) ([]DutyRow, error) {
-	jobs := make([]runner.Job[DutyRow], 0, len(duties))
-	for _, duty := range duties {
+	return sweep(ctx, pool, "sweep_duty", duties, func(duty float64) (DutyRow, error) {
 		cfg := base
 		cfg.Enforcement = enforce.SIF
 		cfg.Attackers = 4
 		cfg.AttackDuty = duty
 		cfg.RealtimeLoad = 0
 		cfg.BestEffortLoad = load
-		duty := duty
-		jobs = append(jobs, sweepJob("sweep_duty", len(jobs),
-			fmt.Sprintf("duty=%g,load=%g", duty, load),
-			func(context.Context) (DutyRow, error) {
-				res, err := Run(cfg)
-				if err != nil {
-					return DutyRow{}, err
-				}
-				return DutyRow{
-					Duty:       duty,
-					QueuingUS:  res.BestEffort.Queuing.Mean(),
-					NetworkUS:  res.BestEffort.Network.Mean(),
-					Dropped:    res.FilterDropped,
-					AttackHits: res.HCAViolations,
-				}, nil
-			}))
-	}
-	return runner.Run(ctx, pool, jobs)
+		res, err := Run(cfg)
+		if err != nil {
+			return DutyRow{}, err
+		}
+		return DutyRow{
+			Duty:       duty,
+			QueuingUS:  res.BestEffort.Queuing.Mean(),
+			NetworkUS:  res.BestEffort.Network.Mean(),
+			Dropped:    res.FilterDropped,
+			AttackHits: res.HCAViolations,
+		}, nil
+	})
 }

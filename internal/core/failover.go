@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
@@ -56,29 +55,49 @@ type FailoverRow struct {
 // under an SMKill + KeyCompromise fault plan. heartbeatsUS and rekeysUS
 // are in microseconds; a rekey of 0 runs that arm with rotation disabled.
 func FailoverSweep(ctx context.Context, pool *runner.Pool, standbys []int, heartbeatsUS []int, rekeysUS []int, base Config) ([]FailoverRow, error) {
-	jobs := make([]runner.Job[FailoverRow], 0, len(standbys)*len(heartbeatsUS)*len(rekeysUS))
+	var points []failoverPoint
 	for _, sb := range standbys {
 		for _, hb := range heartbeatsUS {
 			for _, rk := range rekeysUS {
-				sb, hb, rk := sb, hb, rk
-				jobs = append(jobs, sweepJob("failover", len(jobs),
-					fmt.Sprintf("standbys=%d,heartbeat=%dus,rekey=%dus", sb, hb, rk),
-					func(context.Context) (FailoverRow, error) {
-						return runFailoverPoint(base, sb, hb, rk)
-					}))
+				points = append(points, failoverPoint{Standbys: sb, HeartbeatUS: hb, RekeyUS: rk})
 			}
 		}
 	}
-	return runner.Run(ctx, pool, jobs)
+	return sweep(ctx, pool, "failover", points, func(p failoverPoint) (FailoverRow, error) { return runFailoverPoint(base, p) })
 }
 
-// runFailoverPoint runs one (standbys, heartbeat, rekey) cell.
-func runFailoverPoint(base Config, standbys, heartbeatUS, rekeyUS int) (FailoverRow, error) {
+// failoverPoint is one cell of the failover sweep; times in microseconds.
+type failoverPoint struct{ Standbys, HeartbeatUS, RekeyUS int }
+
+// haCfg is base set up for the SM-plane experiments (failover,
+// splitbrain): SIF and partition-level authentication over a fixed
+// moderate load, standbys SM standbys heartbeating every heartbeatUS,
+// and a key rotation every rekeyUS microseconds (0 disables it).
+func haCfg(base Config, standbys, heartbeatUS, rekeyUS int) Config {
 	cfg := base
 	cfg.Enforcement = enforce.SIF
 	cfg.Auth = AuthConfig{Enabled: true, FuncID: cfg.Auth.FuncID, Level: transport.PartitionLevel}
 	cfg.RealtimeLoad = 0
 	cfg.BestEffortLoad = 0.3
+	cfg.SM.AutoDisablePeriod = cfg.Duration / 32
+	cfg.HA = HAParams{
+		Standbys:  standbys,
+		Heartbeat: sim.Time(heartbeatUS) * sim.Microsecond,
+	}
+	if rekeyUS != 0 { // a negative period reaches the config's validation
+		period := sim.Time(rekeyUS) * sim.Microsecond
+		cfg.Rekey = RekeyParams{
+			Period:            period,
+			Grace:             period / 3,
+			DistributionDelay: 2 * sim.Microsecond,
+		}
+	}
+	return cfg
+}
+
+// runFailoverPoint runs one cell of the sweep.
+func runFailoverPoint(base Config, p failoverPoint) (FailoverRow, error) {
+	cfg := haCfg(base, p.Standbys, p.HeartbeatUS, p.RekeyUS)
 	// A single bursty attacker: each burst re-raises P_Key violations
 	// after the SIF auto-disable timer has cleared the previous
 	// registration, so trap -> SM -> registration round trips happen both
@@ -90,27 +109,13 @@ func runFailoverPoint(base Config, standbys, heartbeatUS, rekeyUS int) (Failover
 	cfg.AttackDuty = 0.2
 	cfg.AttackCycle = cfg.Duration / 8
 	cfg.AttackClass = fabric.ClassBestEffort
-	cfg.SM.AutoDisablePeriod = cfg.Duration / 32
-
-	cfg.HA = HAParams{
-		Standbys:  standbys,
-		Heartbeat: sim.Time(heartbeatUS) * sim.Microsecond,
-	}
-	if rekeyUS > 0 {
-		period := sim.Time(rekeyUS) * sim.Microsecond
-		cfg.Rekey = RekeyParams{
-			Period:            period,
-			Grace:             period / 3,
-			DistributionDelay: 2 * sim.Microsecond,
-		}
-	}
 
 	killAt := cfg.Duration / 3
 	plan := &faults.Plan{
 		Seed:    cfg.Seed,
 		SMKills: []faults.SMKill{{At: killAt}},
 	}
-	if rekeyUS > 0 {
+	if p.RekeyUS > 0 {
 		plan.Compromises = []faults.KeyCompromise{{PKey: 0x8001, At: cfg.Duration / 2}}
 	}
 	cfg.FaultPlan = plan
@@ -122,9 +127,9 @@ func runFailoverPoint(base Config, standbys, heartbeatUS, rekeyUS int) (Failover
 	res := cl.Simulate()
 
 	row := FailoverRow{
-		Standbys:    standbys,
-		HeartbeatUS: (sim.Time(heartbeatUS) * sim.Microsecond).Microseconds(),
-		RekeyUS:     (sim.Time(rekeyUS) * sim.Microsecond).Microseconds(),
+		Standbys:    p.Standbys,
+		HeartbeatUS: (sim.Time(p.HeartbeatUS) * sim.Microsecond).Microseconds(),
+		RekeyUS:     (sim.Time(p.RekeyUS) * sim.Microsecond).Microseconds(),
 		AuthOK:      res.AuthOK,
 		AuthFail:    res.AuthFail,
 		TrapsSent:   res.TrapsSent,

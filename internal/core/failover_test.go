@@ -143,7 +143,7 @@ func TestEvictionWipesAllSecrets(t *testing.T) {
 // zero permanent loss and zero spurious auth rejects.
 func TestFailoverPointContinuity(t *testing.T) {
 	base := quickCfg()
-	row, err := runFailoverPoint(base, 2, 50, 300)
+	row, err := runFailoverPoint(base, failoverPoint{Standbys: 2, HeartbeatUS: 50, RekeyUS: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFailoverPointContinuity(t *testing.T) {
 // and no compromise response.
 func TestFailoverNoStandbyBaseline(t *testing.T) {
 	base := quickCfg()
-	row, err := runFailoverPoint(base, 0, 50, 300)
+	row, err := runFailoverPoint(base, failoverPoint{HeartbeatUS: 50, RekeyUS: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,26 +70,30 @@ type rcProbe struct {
 // Unreliable background traffic measures raw loss; RC probe flows
 // measure whether connections survive and how long the recovery tail is.
 func FaultsSweep(ctx context.Context, pool *runner.Pool, bers []float64, kills []int, base Config) ([]FaultRow, error) {
-	modes := []enforce.Mode{enforce.DPT, enforce.IF, enforce.SIF}
-	jobs := make([]runner.Job[FaultRow], 0, len(modes)*len(bers)*len(kills))
-	for _, mode := range modes {
+	var points []faultPoint
+	for _, mode := range []enforce.Mode{enforce.DPT, enforce.IF, enforce.SIF} {
 		for _, ber := range bers {
 			for _, k := range kills {
-				mode, ber, k := mode, ber, k
-				jobs = append(jobs, sweepJob("faults", len(jobs),
-					fmt.Sprintf("mode=%s,ber=%g,kills=%d", mode, ber, k),
-					func(context.Context) (FaultRow, error) {
-						return runFaultPoint(base, mode, ber, k)
-					}))
+				points = append(points, faultPoint{Mode: mode, BER: ber, Kills: k})
 			}
 		}
 	}
-	return runner.Run(ctx, pool, jobs)
+	return sweep(ctx, pool, "faults", points, func(p faultPoint) (FaultRow, error) { return runFaultPoint(base, p) })
 }
 
-// runFaultPoint runs one (mode, BER, kills) cell of the sweep.
-func runFaultPoint(base Config, mode enforce.Mode, ber float64, kills int) (FaultRow, error) {
-	cfg := faultPointCfg(base, mode, ber, kills)
+// faultPoint is one cell of the fault sweep.
+type faultPoint struct {
+	Mode  enforce.Mode
+	BER   float64
+	Kills int
+}
+
+// runFaultPoint runs one cell of the sweep.
+func runFaultPoint(base Config, p faultPoint) (FaultRow, error) {
+	if p.Kills < 0 {
+		return FaultRow{}, fmt.Errorf("core: %d link kills", p.Kills)
+	}
+	cfg := faultPointCfg(base, p)
 	cl, err := Build(cfg)
 	if err != nil {
 		return FaultRow{}, err
@@ -101,7 +105,7 @@ func runFaultPoint(base Config, mode enforce.Mode, ber float64, kills int) (Faul
 	res := cl.Simulate()
 
 	row := FaultRow{
-		Mode: mode, BER: ber, LinkKills: kills,
+		Mode: p.Mode, BER: p.BER, LinkKills: p.Kills,
 		Sent: res.SentLegit, Delivered: res.DeliveredUD,
 		Blackholed:   faults.Blackholed(cl.Mesh),
 		AuthRejected: res.AuthFail,
@@ -138,9 +142,27 @@ func runFaultPoint(base Config, mode enforce.Mode, ber float64, kills int) (Faul
 	return row, nil
 }
 
-// faultPointCfg is base configured as one (mode, BER, kills) cell: its
-// chaos plan, background load, re-sweep and HOQ lifetime.
-func faultPointCfg(base Config, mode enforce.Mode, ber float64, kills int) Config {
+// faultPointCfg is base configured as one cell: healingCfg plus the
+// cell's chaos plan.
+func faultPointCfg(base Config, p faultPoint) Config {
+	cfg := healingCfg(base, p.Mode)
+	// Outages fall in [warmup, duration/2) so every killed link also
+	// restores well before the run ends and the probe flows can drain.
+	plan := faults.Chaos(cfg.Seed, cfg.MeshW, cfg.MeshH, p.Kills, cfg.Warmup, cfg.Duration/2)
+	if p.BER != 0 { // a negative rate reaches the plan's validation
+		plan.BER = append(plan.BER, faults.BERBurst{
+			Rate: p.BER, From: cfg.Warmup, Until: cfg.Duration * 3 / 4,
+		})
+	}
+	cfg.FaultPlan = plan
+	return cfg
+}
+
+// healingCfg is base set up for the experiments that break the fabric
+// under the SM's periodic self-healing re-sweep (faults, apm, health):
+// the given enforcement mode, no attackers, a fixed background load and
+// a Head-of-Queue lifetime.
+func healingCfg(base Config, mode enforce.Mode) Config {
 	cfg := base
 	cfg.Enforcement = mode
 	cfg.Attackers = 0
@@ -159,16 +181,6 @@ func faultPointCfg(base Config, mode enforce.Mode, ber float64, kills int) Confi
 	// base config's value is shared across concurrent sweep points.
 	cfg.Params = cfg.Params.Clone()
 	cfg.Params.HOQLife = 100 * sim.Microsecond
-
-	// Outages fall in [warmup, duration/2) so every killed link also
-	// restores well before the run ends and the probe flows can drain.
-	plan := faults.Chaos(cfg.Seed, cfg.MeshW, cfg.MeshH, kills, cfg.Warmup, cfg.Duration/2)
-	if ber > 0 {
-		plan.BER = append(plan.BER, faults.BERBurst{
-			Rate: ber, From: cfg.Warmup, Until: cfg.Duration * 3 / 4,
-		})
-	}
-	cfg.FaultPlan = plan
 	return cfg
 }
 
@@ -311,7 +323,6 @@ func armRCProbes(cl *Cluster, pairs []rcPair, tcfg transport.Config, altPath fun
 	interval := 20 * sim.Microsecond
 	cutoff := cl.Cfg.Duration * 3 / 4
 	for i, probe := range probes {
-		probe := probe
 		cl.Sim.ScheduleAt(sim.Time(i)*interval/sim.Time(len(probes)), func() {
 			cl.Sim.Every(interval, func() {
 				if !probe.connected || probe.qp.Broken() || cl.Sim.Now() > cutoff {
@@ -374,7 +385,6 @@ func (cl *Cluster) installFaultPlan() {
 		})
 	}
 	for _, tc := range plan.Corruptions {
-		tc := tc
 		target := cl.resolveCorruptionSwitch(tc.Switch)
 		cl.Sim.ScheduleAt(tc.At, func() {
 			// Out-of-band state corruption: the switch's programmed
@@ -396,7 +406,6 @@ func (cl *Cluster) installFaultPlan() {
 		})
 	}
 	for _, kc := range plan.Compromises {
-		kc := kc
 		cl.Sim.ScheduleAt(kc.At, func() {
 			if cl.Rotator == nil {
 				return

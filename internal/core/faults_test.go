@@ -149,7 +149,7 @@ func TestFaultPointDeterministic(t *testing.T) {
 	cfg.Warmup = 200 * sim.Microsecond
 
 	run := func() FaultRow {
-		row, err := runFaultPoint(cfg, cfg.Enforcement, 1e-5, 2)
+		row, err := runFaultPoint(cfg, faultPoint{Mode: cfg.Enforcement, BER: 1e-5, Kills: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestFaultPointCleanBaseline(t *testing.T) {
 	cfg.Duration = 2 * sim.Millisecond
 	cfg.Warmup = 200 * sim.Microsecond
 
-	row, err := runFaultPoint(cfg, cfg.Enforcement, 0, 0)
+	row, err := runFaultPoint(cfg, faultPoint{Mode: cfg.Enforcement})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,25 +61,24 @@ type HealthRow struct {
 // inter-switch link and measures detection latency, loss before/after
 // quarantine, false positives, route churn and MAD overhead.
 func HealthSweep(ctx context.Context, pool *runner.Pool, bers []float64, base Config) ([]HealthRow, error) {
-	modes := []enforce.Mode{enforce.DPT, enforce.IF, enforce.SIF}
-	attacks := []string{"ramp", "osc"}
-	arms := []string{"off", "undamped", "damped"}
-	jobs := make([]runner.Job[HealthRow], 0, len(modes)*len(attacks)*len(arms)*len(bers))
-	for _, mode := range modes {
-		for _, attack := range attacks {
-			for _, arm := range arms {
+	var points []healthPoint
+	for _, mode := range []enforce.Mode{enforce.DPT, enforce.IF, enforce.SIF} {
+		for _, attack := range []string{"ramp", "osc"} {
+			for _, arm := range []string{"off", "undamped", "damped"} {
 				for _, ber := range bers {
-					mode, attack, arm, ber := mode, attack, arm, ber
-					jobs = append(jobs, sweepJob("health", len(jobs),
-						fmt.Sprintf("mode=%s,attack=%s,arm=%s,ber=%g", mode, attack, arm, ber),
-						func(context.Context) (HealthRow, error) {
-							return runHealthPoint(base, mode, attack, arm, ber)
-						}))
+					points = append(points, healthPoint{Mode: mode, Attack: attack, Arm: arm, BER: ber})
 				}
 			}
 		}
 	}
-	return runner.Run(ctx, pool, jobs)
+	return sweep(ctx, pool, "health", points, func(p healthPoint) (HealthRow, error) { return runHealthPoint(base, p) })
+}
+
+// healthPoint is one cell of the health sweep.
+type healthPoint struct {
+	Mode        enforce.Mode
+	Attack, Arm string
+	BER         float64
 }
 
 // healthTargetLink is the degraded link: the East link of the switch at
@@ -91,26 +90,15 @@ func healthTargetLink() topology.LinkID {
 	return topology.LinkID{Switch: 5, Port: topology.PortEast}
 }
 
-// runHealthPoint runs one (mode, attack, arm, ber) cell of the sweep.
-func runHealthPoint(base Config, mode enforce.Mode, attack, arm string, ber float64) (HealthRow, error) {
-	cfg := base
-	cfg.Enforcement = mode
-	cfg.Attackers = 0
-	cfg.RealtimeLoad = 0
-	// Fixed moderate background load, as in the chaos experiment: the
-	// measurement is loss inflicted by the bad link, not congestion.
-	cfg.BestEffortLoad = 0.3
-	// The reactive baseline every arm is compared against: the periodic
-	// heal re-sweep, which only notices the link once its probes die.
-	cfg.ResweepPeriod = 200 * sim.Microsecond
-	// Healed/quarantine routes are shortest-path, not dimension-ordered;
-	// arm HOQ ageing so a transient cyclic credit dependency cannot hold
-	// buffers to the end of the run. Copy the params first: the base
-	// config's value is shared across concurrent sweep points.
-	cfg.Params = cfg.Params.Clone()
-	cfg.Params.HOQLife = 100 * sim.Microsecond
+// runHealthPoint runs one cell of the sweep.
+func runHealthPoint(base Config, p healthPoint) (HealthRow, error) {
+	// The measurement is loss inflicted by the bad link, not congestion;
+	// the periodic heal re-sweep is the reactive baseline every arm is
+	// compared against, which only notices the link once its probes die.
+	// Quarantine routes, like healed ones, are shortest-path.
+	cfg := healingCfg(base, p.Mode)
 
-	switch arm {
+	switch p.Arm {
 	case "off":
 		// Reactive baseline: no health plane at all.
 	case "undamped", "damped":
@@ -122,10 +110,10 @@ func runHealthPoint(base Config, mode enforce.Mode, attack, arm string, ber floa
 			// already means a large fraction of its traffic is dying.
 			QuarantineScore: 1.0,
 			TrapThreshold:   6,
-			Damping:         arm == "damped",
+			Damping:         p.Arm == "damped",
 		}
 	default:
-		return HealthRow{}, fmt.Errorf("core: unknown health arm %q", arm)
+		return HealthRow{}, fmt.Errorf("core: unknown health arm %q", p.Arm)
 	}
 
 	// The attack window: BER starts at warmup and ends at 3/4 of the
@@ -133,24 +121,24 @@ func runHealthPoint(base Config, mode enforce.Mode, attack, arm string, ber floa
 	target := healthTargetLink()
 	from, until := cfg.Warmup, cfg.Duration*3/4
 	plan := &faults.Plan{Seed: cfg.Seed}
-	switch attack {
+	switch p.Attack {
 	case "ramp":
 		// Progressive gray failure: the link's BER climbs in three
 		// steps (ber/4, ber, 4·ber) — the proactive plane should fence
 		// it mid-ramp, before the link degrades to useless.
 		step := (until - from) / 3
 		plan.LinkBER = []faults.LinkBER{
-			{Link: target, Rate: ber / 4, From: from, Until: from + step},
-			{Link: target, Rate: ber, From: from + step, Until: from + 2*step},
-			{Link: target, Rate: ber * 4, From: from + 2*step, Until: until},
+			{Link: target, Rate: p.BER / 4, From: from, Until: from + step},
+			{Link: target, Rate: p.BER, From: from + step, Until: from + 2*step},
+			{Link: target, Rate: p.BER * 4, From: from + 2*step, Until: until},
 		}
 	case "osc":
 		// Adversarial flapping: full-rate BER toggled on and off every
 		// half period, shaped to bounce the link in and out of
 		// quarantine — the route-churn attack flap damping bounds.
-		plan.LinkBER = faults.OscillatingBER(target, ber*4, 240*sim.Microsecond, from, until)
+		plan.LinkBER = faults.OscillatingBER(target, p.BER*4, 240*sim.Microsecond, from, until)
 	default:
-		return HealthRow{}, fmt.Errorf("core: unknown health attack %q", attack)
+		return HealthRow{}, fmt.Errorf("core: unknown health attack %q", p.Attack)
 	}
 	cfg.FaultPlan = plan
 
@@ -159,7 +147,7 @@ func runHealthPoint(base Config, mode enforce.Mode, attack, arm string, ber floa
 		return HealthRow{}, err
 	}
 
-	row := HealthRow{Mode: mode, Attack: attack, Arm: arm, BER: ber}
+	row := HealthRow{Mode: p.Mode, Attack: p.Attack, Arm: p.Arm, BER: p.BER}
 	// Snapshot the CRC-loss counters at the instant the target link is
 	// first quarantined: everything after that is loss the fence did
 	// not prevent.

@@ -11,11 +11,11 @@ import (
 	"ibasec/internal/transport"
 )
 
-// TestParallelMatchesSerial: every pooled paper sweep run on a
-// multi-worker pool produces rows identical to the serial path (nil
-// pool) at the same seed — same values, same order. Each sweep has at
-// least two points at quickCfg size, so the workers really interleave
-// and the -race run stays short.
+// TestParallelMatchesSerial: every sweep run on a multi-worker pool
+// produces rows identical to the serial path (nil pool) at the same seed
+// — same values, same order. Each sweep has at least two points at
+// quickCfg size, so the workers really interleave and the -race run
+// stays short.
 func TestParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	base := quickCfg()
@@ -51,6 +51,30 @@ func TestParallelMatchesSerial(t *testing.T) {
 			cfg.BestEffortLoad = 0.5
 			return ScaleSweep(ctx, p, [][2]int{{2, 2}, {4, 4}}, cfg)
 		}},
+		// The robustness sweeps: their fixed axes (modes, arms, attack
+		// shapes) give the points; the swept axes are one value where
+		// that already makes two.
+		{"FaultsSweep", func(p *runner.Pool) (any, error) {
+			return FaultsSweep(ctx, p, []float64{1e-5}, []int{1}, base)
+		}},
+		{"FailoverSweep", func(p *runner.Pool) (any, error) {
+			return FailoverSweep(ctx, p, []int{1, 2}, []int{50}, []int{300}, base)
+		}},
+		{"APMSweep", func(p *runner.Pool) (any, error) {
+			return APMSweep(ctx, p, []float64{0}, []int{1}, base)
+		}},
+		{"DriftSweep", func(p *runner.Pool) (any, error) {
+			return DriftSweep(ctx, p, []int{50}, base)
+		}},
+		{"HealthSweep", func(p *runner.Pool) (any, error) {
+			return HealthSweep(ctx, p, []float64{1e-4}, base)
+		}},
+		{"CongestionSweep", func(p *runner.Pool) (any, error) {
+			return CongestionSweep(ctx, p, []float64{0.5}, base)
+		}},
+		{"SplitBrainSweep", func(p *runner.Pool) (any, error) {
+			return SplitBrainSweep(ctx, p, []int{80}, []int{10}, []int{0, 60}, base)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			serial, err := tc.sweep(nil)
@@ -60,6 +84,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 			parallel, err := tc.sweep(runner.New(runner.Options{Workers: 3}))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if n := reflect.ValueOf(serial).Len(); n < 2 {
+				t.Fatalf("%d rows: the workers do not interleave", n)
 			}
 			if !reflect.DeepEqual(serial, parallel) {
 				t.Fatalf("parallel rows diverge from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
 	"ibasec/internal/faults"
 	"ibasec/internal/keys"
@@ -197,21 +196,20 @@ type SplitBrainRow struct {
 // period under a mesh-bisection fault plan with split-brain handling on.
 // All axes are in microseconds; a rekey of 0 disables rotation.
 func SplitBrainSweep(ctx context.Context, pool *runner.Pool, partitionsUS, heartbeatsUS, rekeysUS []int, base Config) ([]SplitBrainRow, error) {
-	jobs := make([]runner.Job[SplitBrainRow], 0, len(partitionsUS)*len(heartbeatsUS)*len(rekeysUS))
+	var points []splitBrainPoint
 	for _, pt := range partitionsUS {
 		for _, hb := range heartbeatsUS {
 			for _, rk := range rekeysUS {
-				pt, hb, rk := pt, hb, rk
-				jobs = append(jobs, sweepJob("splitbrain", len(jobs),
-					fmt.Sprintf("partition=%dus,heartbeat=%dus,rekey=%dus", pt, hb, rk),
-					func(context.Context) (SplitBrainRow, error) {
-						return runSplitBrainPoint(base, pt, hb, rk)
-					}))
+				points = append(points, splitBrainPoint{PartitionUS: pt, HeartbeatUS: hb, RekeyUS: rk})
 			}
 		}
 	}
-	return runner.Run(ctx, pool, jobs)
+	return sweep(ctx, pool, "splitbrain", points, func(p splitBrainPoint) (SplitBrainRow, error) { return runSplitBrainPoint(base, p) })
 }
+
+// splitBrainPoint is one cell of the split-brain sweep; times in
+// microseconds.
+type splitBrainPoint struct{ PartitionUS, HeartbeatUS, RekeyUS int }
 
 // splitBrainConfig builds one (partition duration, heartbeat, rekey)
 // cell's configuration: SIF + partition-level auth brought up through
@@ -220,37 +218,19 @@ func SplitBrainSweep(ctx context.Context, pool *runner.Pool, partitionsUS, heart
 // attacker: bursty floods delay census pongs enough to fake partial
 // reachability, and this experiment measures the partition protocol, not
 // congestion noise.
-func splitBrainConfig(base Config, partitionUS, heartbeatUS, rekeyUS int) Config {
-	cfg := base
-	cfg.Enforcement = enforce.SIF
-	cfg.Auth = AuthConfig{Enabled: true, FuncID: cfg.Auth.FuncID, Level: transport.PartitionLevel}
-	cfg.RealtimeLoad = 0
-	cfg.BestEffortLoad = 0.3
-	cfg.SM.AutoDisablePeriod = cfg.Duration / 32
+func splitBrainConfig(base Config, p splitBrainPoint) Config {
+	cfg := haCfg(base, 1, p.HeartbeatUS, p.RekeyUS)
+	cfg.HA.SplitBrain = true
 	// Bring-up through the policy plane (no auditor): the merge re-imposes
 	// the winner's compiled intent, not membership-derived tables.
 	cfg.Policy = PolicyParams{Enabled: true}
 	cfg.ResweepPeriod = 0
 
-	cfg.HA = HAParams{
-		Standbys:   1,
-		Heartbeat:  sim.Time(heartbeatUS) * sim.Microsecond,
-		SplitBrain: true,
-	}
-	if rekeyUS > 0 {
-		period := sim.Time(rekeyUS) * sim.Microsecond
-		cfg.Rekey = RekeyParams{
-			Period:            period,
-			Grace:             period / 3,
-			DistributionDelay: 2 * sim.Microsecond,
-		}
-	}
-
 	// Vertical bisection: the master (node 0) lands in the west island,
 	// the single standby (highest-index node) in the east one, so the
 	// partition always produces a contained master on each side.
 	downAt := cfg.Duration / 3
-	upAt := downAt + sim.Time(partitionUS)*sim.Microsecond
+	upAt := downAt + sim.Time(p.PartitionUS)*sim.Microsecond
 	part := faults.Bisect(cfg.MeshW, cfg.MeshH, cfg.MeshW/2)
 	part.DownAt = downAt
 	part.UpAt = upAt
@@ -259,8 +239,8 @@ func splitBrainConfig(base Config, partitionUS, heartbeatUS, rekeyUS int) Config
 }
 
 // runSplitBrainPoint runs one cell and harvests its row.
-func runSplitBrainPoint(base Config, partitionUS, heartbeatUS, rekeyUS int) (SplitBrainRow, error) {
-	cfg := splitBrainConfig(base, partitionUS, heartbeatUS, rekeyUS)
+func runSplitBrainPoint(base Config, p splitBrainPoint) (SplitBrainRow, error) {
+	cfg := splitBrainConfig(base, p)
 	upAt := cfg.FaultPlan.Partitions[0].UpAt
 
 	cl, err := Build(cfg)
@@ -270,9 +250,9 @@ func runSplitBrainPoint(base Config, partitionUS, heartbeatUS, rekeyUS int) (Spl
 	res := cl.Simulate()
 
 	row := SplitBrainRow{
-		PartitionUS:  (sim.Time(partitionUS) * sim.Microsecond).Microseconds(),
-		HeartbeatUS:  (sim.Time(heartbeatUS) * sim.Microsecond).Microseconds(),
-		RekeyUS:      (sim.Time(rekeyUS) * sim.Microsecond).Microseconds(),
+		PartitionUS:  (sim.Time(p.PartitionUS) * sim.Microsecond).Microseconds(),
+		HeartbeatUS:  (sim.Time(p.HeartbeatUS) * sim.Microsecond).Microseconds(),
+		RekeyUS:      (sim.Time(p.RekeyUS) * sim.Microsecond).Microseconds(),
 		DualMasterUS: -1,
 		ReconvergeUS: -1,
 		AuthOK:       res.AuthOK,

@@ -17,7 +17,7 @@ import (
 // heartbeat, 60us rotation — long enough that the east island elects a
 // contained master and its fork completes a rollover before the heal.
 func splitCfg() Config {
-	return splitBrainConfig(quickCfg(), 320, 10, 60)
+	return splitBrainConfig(quickCfg(), splitBrainPoint{PartitionUS: 320, HeartbeatUS: 10, RekeyUS: 60})
 }
 
 // TestSplitBrainMergeReconverges asserts the tentpole end-to-end: the

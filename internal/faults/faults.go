@@ -266,6 +266,9 @@ func (p *Plan) Validate(m *topology.Mesh) error {
 		if pt.DownAt < 0 {
 			return fmt.Errorf("faults: partition at negative time %v", pt.DownAt)
 		}
+		if pt.UpAt != 0 && pt.UpAt <= pt.DownAt {
+			return fmt.Errorf("faults: partition window [%v,%v) is empty", pt.DownAt, pt.UpAt)
+		}
 		inA := make(map[int]bool, len(pt.IslandA))
 		for _, i := range pt.IslandA {
 			if i < 0 || i >= len(m.Switches) {
@@ -364,14 +367,12 @@ func Install(s *sim.Simulator, m *topology.Mesh, params *fabric.Params, p *Plan)
 	rng := rand.New(rand.NewSource(p.Seed ^ 0x0FA17))
 
 	for _, lk := range p.Links {
-		lk := lk
 		s.ScheduleAt(lk.DownAt, func() { inj.setLink(lk.Link, false) })
 		if lk.UpAt > lk.DownAt {
 			s.ScheduleAt(lk.UpAt, func() { inj.setLink(lk.Link, true) })
 		}
 	}
 	for _, sk := range p.Switches {
-		sk := sk
 		s.ScheduleAt(sk.DownAt, func() { m.Switches[sk.Switch].SetDown(true) })
 		if sk.UpAt > sk.DownAt {
 			s.ScheduleAt(sk.UpAt, func() { m.Switches[sk.Switch].SetDown(false) })
@@ -379,7 +380,6 @@ func Install(s *sim.Simulator, m *topology.Mesh, params *fabric.Params, p *Plan)
 	}
 	for _, pt := range p.Partitions {
 		for _, l := range pt.CutLinks(m.W, m.H) {
-			l := l
 			s.ScheduleAt(pt.DownAt, func() { inj.setLink(l, false) })
 			if pt.UpAt > pt.DownAt {
 				s.ScheduleAt(pt.UpAt, func() { inj.setLink(l, true) })
@@ -387,7 +387,6 @@ func Install(s *sim.Simulator, m *topology.Mesh, params *fabric.Params, p *Plan)
 		}
 	}
 	for _, b := range p.BER {
-		b := b
 		var saved float64
 		s.ScheduleAt(b.From, func() {
 			saved = params.BitErrorRate
@@ -401,7 +400,6 @@ func Install(s *sim.Simulator, m *topology.Mesh, params *fabric.Params, p *Plan)
 		}
 	}
 	for _, lb := range p.LinkBER {
-		lb := lb
 		s.ScheduleAt(lb.From, func() {
 			if params.RNG == nil {
 				params.RNG = rng

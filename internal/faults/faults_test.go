@@ -187,6 +187,7 @@ func TestPartitionCutGraph(t *testing.T) {
 		{Partitions: []Partition{{IslandA: []int{0, 0}}}},                          // duplicate
 		{Partitions: []Partition{{IslandA: []int{0, 15}}}},                         // disconnected island
 		{Partitions: []Partition{{IslandA: []int{1, 2}, DownAt: -sim.Nanosecond}}}, // negative time
+		{Partitions: []Partition{{IslandA: []int{1, 2}, DownAt: 2, UpAt: 1}}},      // heals before it splits
 	}
 	for i, p := range bad {
 		if err := p.Validate(m); err == nil {

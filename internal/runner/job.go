@@ -7,15 +7,15 @@ import (
 )
 
 // Job is one unit of work: a single simulation point of one experiment.
-// Experiment labels the progress line, Experiment and Key name the
-// point in the *JobError of a failure, and Index places its row.
+// Experiment labels the progress line; Experiment, Key and Index name
+// the point in the *JobError of a failure. A job's position in the
+// slice handed to Run, not its Index, places its result.
 type Job[T any] struct {
 	// Experiment names the sweep this point belongs to ("fig5",
 	// "scale", ...).
 	Experiment string
-	// Index is the point's position in the sweep's row order. Results
-	// are reassembled by Index, which is what keeps parallel output
-	// byte-identical to the serial harness.
+	// Index is the point's position in the sweep's row order; it
+	// attributes a failure and does not place the result.
 	Index int
 	// Key identifies the point within its experiment, e.g.
 	// "load=0.4,mode=IF".

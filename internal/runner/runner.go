@@ -11,13 +11,14 @@
 // the pool's workers share — its counters and progress line — is
 // synchronised here.
 //
-// Results are reassembled by Job.Index, so a sweep's row order — and
-// therefore its CSV output — is byte-identical whether it runs on one
-// worker or many.
+// Result i is written to position i, the place of jobs[i], whichever
+// worker ran it, so a sweep's row order — and therefore its CSV output —
+// is byte-identical whether it runs on one worker or many.
 //
 // The package is stdlib-only and deliberately knows nothing about the
-// simulator: internal/core enumerates its sweeps into jobs and the
-// cmd/ibsim CLI supplies the pool configuration (-jobs, -watchdog).
+// simulator: internal/core's one sweep engine turns each sweep's points
+// into jobs and the cmd/ibsim CLI supplies the pool configuration
+// (-jobs, -watchdog).
 package runner
 
 import (
@@ -82,8 +83,8 @@ func (p *Pool) inc(name string) {
 // Workers returns the pool's concurrency.
 func (p *Pool) Workers() int { return p.opts.Workers }
 
-// Run executes jobs and returns their results ordered by Job.Index
-// (results[i] corresponds to jobs[i]). A failing or panicking job never
+// Run executes jobs and returns their results in the jobs' order:
+// results[i] is jobs[i]'s, whatever its Index. A failing or panicking job never
 // kills the pool: its error is collected while the remaining jobs
 // proceed. The returned error joins every job failure plus the context
 // error, if any; results of successful jobs are valid even when an

@@ -561,7 +561,6 @@ func (c *Coordinator) Start() {
 	}
 	c.startHeartbeatsFrom(c.active)
 	for i := 1; i < len(c.sms); i++ {
-		i := i
 		c.stopLeases[i] = c.sim.Every(c.cfg.Heartbeat, func() { c.checkLease(i) })
 	}
 	if c.cfg.SplitBrain {

@@ -42,9 +42,12 @@ func (c RotationConfig) WithDefaults() RotationConfig {
 	return c
 }
 
-// Validate reports configuration errors in an enabled config; a disabled
-// one has nothing to check.
+// Validate reports a negative period and the configuration errors of an
+// enabled config; a disabled one has nothing else to check.
 func (c RotationConfig) Validate() error {
+	if c.Period < 0 {
+		return fmt.Errorf("sm: negative rotation period %v", c.Period)
+	}
 	if !c.Enabled() {
 		return nil
 	}

@@ -5,7 +5,9 @@
 # message after its release point; one untimed pass of the Build
 # and Start benchmarks up to a 32x32 fabric; an end-to-end -quick smoke of every
 # experiment through the parallel runner, whose CSV names and headers
-# must match the committed results/; a 5 s smoke of every fuzz
+# must match the committed results/ and whose CSVs, but for the
+# host-timed table4.csv, a one-worker run must repeat byte for byte; a
+# 5 s smoke of every fuzz
 # target, listed in one package/target table; and a -quick
 # run of the benchmark for its correctness checks, then one full-length
 # repetition against the recorded digests. Nothing here gates on host
@@ -54,6 +56,13 @@ echo "== ibsim all -quick -jobs 2 (runner end-to-end smoke)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/ibsim -quick -jobs 2 -csv "$tmp/csv" all >"$tmp/all.out"
+
+echo "== ibsim all -quick -jobs 1 (every CSV but the host-timed table4.csv byte-identical to the -jobs 2 run)"
+go run ./cmd/ibsim -quick -jobs 1 -csv "$tmp/csv1" all >"$tmp/all1.out"
+for f in "$tmp"/csv/*.csv; do
+  name="$(basename "$f")"
+  [ "$name" = table4.csv ] || cmp "$f" "$tmp/csv1/$name"
+done
 
 echo "== committed results/*.csv headers (each table name and header line the smoke writes matches the committed one)"
 for f in results/*.csv; do
