@@ -424,6 +424,12 @@ func runTable4(e *env, args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
+	switch {
+	case *bytes < 1:
+		return badValue(fs, "bytes", strconv.Itoa(*bytes), "at least 1")
+	case *budget <= 0:
+		return badValue(fs, "budget", budget.String(), "a positive duration")
+	}
 	title := fmt.Sprintf("Table 4. Time & forgery complexity (%d-byte messages, cycles at %.1f GHz)", *bytes, e.cpuGHz)
 	return e.emit(title, core.Table("table4", core.Table4(*bytes, *budget, e.cpuGHz)))
 }
@@ -597,6 +603,9 @@ func runTrace(e *env, args []string) error {
 	events := fs.Int("events", 30, "how many trailing events to print")
 	if err := parse(fs, args); err != nil {
 		return err
+	}
+	if *events < 0 {
+		return badValue(fs, "events", strconv.Itoa(*events), "a non-negative count")
 	}
 	cfg := e.base
 	cfg.Duration = 200 * sim.Microsecond

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden CSV files under testdata/golden")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
 
 // ibsim drives the whole CLI in-process and returns its exit code and
 // output streams.
@@ -52,7 +52,6 @@ func TestGolden(t *testing.T) {
 	for _, g := range goldens {
 		t.Run(g.cmd, func(t *testing.T) {
 			t.Parallel()
-			path := filepath.Join("..", "..", "testdata", "golden", g.file)
 			for _, jobs := range []string{"4", "1"} {
 				if jobs == "1" && testing.Short() {
 					break
@@ -67,23 +66,46 @@ func TestGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if *updateGolden {
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					t.Logf("rewrote %s (%d bytes)", path, len(got))
+				if !matchGolden(t, g.file, "-jobs "+jobs, got) {
 					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden (run with -update to create): %v", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("-jobs %s: %s drifted from golden\n--- golden\n%s--- got\n%s", jobs, g.file, want, got)
 				}
 			}
 		})
 	}
+}
+
+// TestGoldenAttacks pins `ibsim attacks` stdout, the Table 3 threat
+// matrix, byte for byte (refresh with -update).
+func TestGoldenAttacks(t *testing.T) {
+	code, stdout, stderr := ibsim("attacks")
+	if code != 0 {
+		t.Fatalf("ibsim attacks: exit %d\n%s", code, stderr)
+	}
+	matchGolden(t, "attacks.txt", "attacks", []byte(stdout))
+}
+
+// matchGolden compares got with the golden file under testdata/golden,
+// reporting a drift under label. With -update it rewrites the file
+// instead and returns false, so callers replaying one golden several
+// ways stop after the first.
+func matchGolden(t *testing.T, file, label string, got []byte) bool {
+	t.Helper()
+	path := filepath.Join("..", "..", "testdata", "golden", file)
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
+		return false
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: %s drifted from golden\n--- golden\n%s--- got\n%s", label, file, want, got)
+	}
+	return true
 }
 
 // TestTraceDeterministic pins `ibsim trace` stdout: the per-kind counts
@@ -119,6 +141,11 @@ func TestBadInput(t *testing.T) {
 		{"table2 -p 0", "-p"},
 		{"table2 -pr 1.5", "-pr"},
 		{"table2 -avg -1", "-avg"},
+		{"table4 -bytes 0", "-bytes"},
+		{"table4 -bytes -1", "-bytes"},
+		{"table4 -budget 0s", "-budget"},
+		{"table4 -budget -1s", "-budget"},
+		{"trace -events -1", "-events"},
 		{"-resume fig5", "-resume"},
 		{"-results x fig5", "-results"},
 	} {
@@ -161,6 +188,7 @@ func TestOutOfRangeSweepValues(t *testing.T) {
 	for _, tc := range []struct{ args, point, cause string }{
 		{"faults -bers -1 -kills 0", "faults[{Mode:DPT BER:-1 Kills:0}]", "BER burst rate -1"},
 		{"faults -bers 0 -kills -1", "faults[{Mode:DPT BER:0 Kills:-1}]", "-1 link kills"},
+		{"faults -bers 0 -kills 100", "faults[{Mode:DPT BER:0 Kills:100}]", "100 link kills"},
 		{"apm -bers -1 -kills 0", "apm[{Arm:timeout BER:-1 Kills:0}]", "BER burst rate -1"},
 		{"apm -bers 0 -kills -1", "apm[{Arm:timeout BER:0 Kills:-1}]", "-1 link kills"},
 		{"failover -standbys 1 -heartbeats-us 50 -rekeys-us -1", "failover[{Standbys:1 HeartbeatUS:50 RekeyUS:-1}]", "negative rotation period"},

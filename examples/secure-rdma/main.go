@@ -3,65 +3,47 @@
 // nothing but a stolen R_Key on plain IBA, and is rejected once QP-level
 // authentication keys (section 4.3) gate the connection.
 //
-// This example drives the library's internal transport layer directly to
-// show the verification pipeline; the top-level ibasec package wraps the
-// same machinery for whole-cluster experiments.
+// The fabric comes from ibasec.Build, the builder behind every
+// experiment, with QP-level keys; the example then drives the cluster's
+// transport endpoints directly to show the verification pipeline. The
+// two runs differ only in whether the connection's QPs require
+// authentication.
 package main
 
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
+	"ibasec"
 	"ibasec/internal/fabric"
 	"ibasec/internal/icrc"
-	"ibasec/internal/keys"
-	"ibasec/internal/mac"
 	"ibasec/internal/packet"
-	"ibasec/internal/sim"
 	"ibasec/internal/topology"
 	"ibasec/internal/transport"
 )
 
+// pkey is the one partition's key: Build names partition g 0x8000|(g+1).
 const pkey = packet.PKey(0x8001)
 
-// buildWorld wires a 2x2 mesh with a transport endpoint per node.
-func buildWorld(withAuth bool) (*sim.Simulator, *topology.Mesh, []*transport.Endpoint) {
-	rng := rand.New(rand.NewSource(42))
-	s := sim.New()
-	mesh := topology.NewMesh(s, fabric.DefaultParams(), 2, 2)
-	dir := keys.NewDirectory()
-	var kps []*keys.NodeKeyPair
-	for i := 0; i < mesh.NumNodes(); i++ {
-		kp, err := keys.GenerateNodeKeyPair(rng)
-		if err != nil {
-			log.Fatal(err)
-		}
-		kps = append(kps, kp)
-		dir.Register(mesh.HCA(i).Name(), kp.Public())
+// buildWorld builds a 2x2 mesh whose one partition holds every node, with
+// a transport endpoint per node and QP-level keys; no traffic runs.
+func buildWorld() *ibasec.Cluster {
+	cfg := ibasec.DefaultConfig()
+	cfg.MeshW, cfg.MeshH = 2, 2
+	cfg.NumPartitions = 1
+	cfg.Seed = 42
+	cfg.Auth = ibasec.AuthConfig{Enabled: true, FuncID: ibasec.AuthUMAC32, Level: ibasec.QPLevel}
+	cl, err := ibasec.Build(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var eps []*transport.Endpoint
-	authID := uint8(0)
-	if withAuth {
-		authID = mac.IDUMAC32
-	}
-	for i := 0; i < mesh.NumNodes(); i++ {
-		mesh.HCA(i).PKeyTable.Add(pkey)
-		eps = append(eps, transport.NewEndpoint(mesh.HCA(i), transport.Config{
-			Registry:  mac.DefaultRegistry(),
-			AuthID:    authID,
-			KeyLevel:  transport.QPLevel,
-			RNG:       rng,
-			Directory: dir,
-			KeyPair:   kps[i],
-		}))
-	}
-	return s, mesh, eps
+	return cl
 }
 
 func scenario(withAuth bool) {
-	s, mesh, eps := buildWorld(withAuth)
-	app, victim, attacker := eps[0], eps[3], 1
+	cl := buildWorld()
+	s, mesh := cl.Sim, cl.Mesh
+	app, victim, attacker := cl.Endpoints[0], cl.Endpoints[3], 1
 
 	// The victim registers a buffer; its R_Key would normally be shared
 	// only with the application peer, but the paper's threat model says

@@ -44,7 +44,13 @@ func goldenPool() *Pool {
 
 func checkGolden(t *testing.T, file string, table CSVTable) {
 	t.Helper()
-	got := table.Bytes()
+	checkGoldenBytes(t, file, table.Bytes())
+}
+
+// checkGoldenBytes diffs got line by line against the golden file, or
+// rewrites the file under -update.
+func checkGoldenBytes(t *testing.T, file string, got []byte) {
+	t.Helper()
 	path := filepath.Join("testdata", "golden", file)
 	if *updateGolden {
 		if err := os.WriteFile(path, got, 0o644); err != nil {

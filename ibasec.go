@@ -65,7 +65,8 @@ type (
 	HealthParams = core.HealthParams
 	// Results holds a run's measurements (delays in microseconds).
 	Results = core.Results
-	// Cluster is a fully wired simulation instance (advanced use).
+	// Cluster is a fully wired simulation instance (advanced use; see
+	// Build).
 	Cluster = core.Cluster
 )
 
@@ -146,7 +147,9 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // Run simulates one configuration and returns its measurements.
 func Run(cfg Config) (*Results, error) { return core.Run(cfg) }
 
-// Build assembles a cluster without starting traffic (advanced use).
+// Build assembles a cluster without starting traffic (advanced use: the
+// fabric, SM, key management and endpoints every experiment runs on, for
+// callers that drive them by hand, as examples/secure-rdma does).
 func Build(cfg Config) (*Cluster, error) { return core.Build(cfg) }
 
 // Table2 evaluates the partition-enforcement cost model for p partitions
@@ -164,7 +167,7 @@ func Table4(msgBytes int, budget time.Duration, cpuGHz float64) []Table4Row {
 }
 
 // AttackMatrix runs the Table 3 key-theft scenarios against plain and
-// authenticated IBA.
+// authenticated IBA, each on a 2x2 cluster from Build.
 func AttackMatrix(seed int64) []AttackOutcome { return attack.Matrix(seed) }
 
 // PaperTable4Rates returns the paper's Table 4 throughput column for use

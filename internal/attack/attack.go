@@ -8,15 +8,13 @@ package attack
 
 import (
 	"fmt"
-	"math/rand"
 
-	"ibasec/internal/enforce"
+	"ibasec/internal/core"
 	"ibasec/internal/fabric"
 	"ibasec/internal/icrc"
 	"ibasec/internal/keys"
 	"ibasec/internal/mac"
 	"ibasec/internal/packet"
-	"ibasec/internal/sim"
 	"ibasec/internal/sm"
 	"ibasec/internal/topology"
 	"ibasec/internal/transport"
@@ -46,57 +44,56 @@ func (o Outcome) String() string {
 		o.Key, o.Scenario, verdict(o.SucceededPlain), verdict(o.SucceededAuth), o.Note)
 }
 
-// world is a 2x2 mesh with transport endpoints, the attacker on node 1,
-// victims on nodes 0 and 3.
-type world struct {
-	s    *sim.Simulator
-	mesh *topology.Mesh
-	eps  []*transport.Endpoint
+const (
+	victimPKey = packet.PKey(0x8001)
+	attacker   = 1 // victims sit on nodes 0 and 3
+)
+
+// world builds a scenario's fabric through core.Build: a 2x2 mesh whose
+// one partition, victimPKey, holds all four nodes, with ICRC-as-MAC keys
+// managed at level. Build starts no traffic. Both arms of a scenario run
+// on this world; they differ only in whether the victim's QPs set
+// AuthRequired, the paper's per-QP choice.
+func world(seed int64, level transport.KeyLevel) *core.Cluster {
+	cfg := core.DefaultConfig()
+	cfg.MeshW, cfg.MeshH = 2, 2
+	cfg.NumPartitions = 1
+	cfg.Seed = seed
+	cfg.Auth = core.AuthConfig{Enabled: true, FuncID: mac.IDUMAC32, Level: level}
+	cl, err := core.Build(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return cl
 }
 
-const victimPKey = packet.PKey(0x8001)
+// steal is the key theft: the SM evicts the attacker from the partition,
+// wiping its secrets and rotating the partition secret for the members
+// left, and the attacker puts the captured P_Key back into its own
+// table. It holds the P_Key, plaintext on the wire, but not the secret.
+func steal(cl *core.Cluster) {
+	if err := cl.SM.RemoveFromPartition(cl.Cfg.SM.MKey, victimPKey, attacker); err != nil {
+		panic(err)
+	}
+	if err := cl.Mesh.HCA(attacker).PKeyTable.Add(victimPKey); err != nil {
+		panic(err)
+	}
+}
 
-func newWorld(seed int64, withAuth bool, level transport.KeyLevel) *world {
-	rng := rand.New(rand.NewSource(seed))
-	s := sim.New()
-	mesh := topology.NewMesh(s, fabric.DefaultParams(), 2, 2)
-	dir := keys.NewDirectory()
-	kps := make([]*keys.NodeKeyPair, mesh.NumNodes())
-	for i := range kps {
-		kp, err := keys.GenerateNodeKeyPair(rng)
-		if err != nil {
-			panic(err)
-		}
-		kps[i] = kp
-		dir.Register(mesh.HCA(i).Name(), kp.Public())
+// inject sends p from the attacker's HCA exactly as it stands and runs
+// the fabric until it settles.
+func inject(cl *core.Cluster, p *packet.Packet) {
+	cl.Mesh.HCA(attacker).Send(&fabric.Delivery{Pkt: p, Class: fabric.ClassBestEffort, VL: fabric.VLBestEffort})
+	cl.Sim.Run()
+}
+
+// forge seals a hand-built packet with a plain ICRC, as any HCA can, and
+// injects it.
+func forge(cl *core.Cluster, p *packet.Packet) {
+	if err := icrc.Seal(p); err != nil {
+		panic(err)
 	}
-	w := &world{s: s, mesh: mesh}
-	authID := uint8(0)
-	if withAuth {
-		authID = mac.IDUMAC32
-	}
-	for i := 0; i < mesh.NumNodes(); i++ {
-		mesh.HCA(i).PKeyTable.Add(victimPKey)
-		w.eps = append(w.eps, transport.NewEndpoint(mesh.HCA(i), transport.Config{
-			Registry:  mac.DefaultRegistry(),
-			AuthID:    authID,
-			KeyLevel:  level,
-			RNG:       rng,
-			Directory: dir,
-			KeyPair:   kps[i],
-		}))
-	}
-	if withAuth && level == transport.PartitionLevel {
-		var secret keys.SecretKey
-		rng.Read(secret[:])
-		// The attacker's endpoint (node 1) deliberately does NOT get
-		// the partition secret: stealing the P_Key is not stealing the
-		// partition's authentication secret.
-		for _, i := range []int{0, 2, 3} {
-			w.eps[i].Store.InstallPartitionSecret(victimPKey, secret)
-		}
-	}
-	return w
+	inject(cl, p)
 }
 
 // PKeyTheft: the attacker captured a valid P_Key on the wire and injects
@@ -104,25 +101,21 @@ func newWorld(seed int64, withAuth bool, level transport.KeyLevel) *world {
 // partition can break membership restriction of the partition").
 func PKeyTheft(seed int64) Outcome {
 	run := func(withAuth bool) bool {
-		w := newWorld(seed, withAuth, transport.PartitionLevel)
-		victim := w.eps[3].CreateUDQP(victimPKey, 0x42)
+		cl := world(seed, transport.PartitionLevel)
+		steal(cl)
+		victim := cl.Endpoints[3].CreateUDQP(victimPKey, 0x42)
 		victim.AuthRequired = withAuth
 		received := false
 		victim.OnRecv = func([]byte, packet.LID, packet.QPN) { received = true }
 
 		// The attacker knows the stolen P_Key and the victim's Q_Key
 		// (both plaintext on the wire) but has no secret key.
-		p := &packet.Packet{
-			LRH:     packet.LRH{SLID: topology.LIDOf(1), DLID: topology.LIDOf(3)},
+		forge(cl, &packet.Packet{
+			LRH:     packet.LRH{SLID: topology.LIDOf(attacker), DLID: topology.LIDOf(3)},
 			BTH:     packet.BTH{OpCode: packet.UDSendOnly, PKey: victimPKey, DestQP: victim.N, PSN: 1},
 			DETH:    &packet.DETH{QKey: victim.QKey, SrcQP: 9},
 			Payload: []byte("intruder in your partition"),
-		}
-		if err := icrc.Seal(p); err != nil {
-			panic(err)
-		}
-		w.mesh.HCA(1).Send(&fabric.Delivery{Pkt: p, Class: fabric.ClassBestEffort, VL: fabric.VLBestEffort})
-		w.s.Run()
+		})
 		return received
 	}
 	return Outcome{
@@ -139,23 +132,19 @@ func PKeyTheft(seed int64) Outcome {
 // packet").
 func QKeyTheft(seed int64) Outcome {
 	run := func(withAuth bool) bool {
-		w := newWorld(seed, withAuth, transport.PartitionLevel)
-		victim := w.eps[3].CreateUDQP(victimPKey, 0xFEED)
+		cl := world(seed, transport.PartitionLevel)
+		steal(cl)
+		victim := cl.Endpoints[3].CreateUDQP(victimPKey, 0xFEED)
 		victim.AuthRequired = withAuth
 		hijacked := false
 		victim.OnRecv = func([]byte, packet.LID, packet.QPN) { hijacked = true }
 
-		p := &packet.Packet{
-			LRH:     packet.LRH{SLID: topology.LIDOf(1), DLID: topology.LIDOf(3)},
+		forge(cl, &packet.Packet{
+			LRH:     packet.LRH{SLID: topology.LIDOf(attacker), DLID: topology.LIDOf(3)},
 			BTH:     packet.BTH{OpCode: packet.UDSendOnly, PKey: victimPKey, DestQP: victim.N, PSN: 7},
 			DETH:    &packet.DETH{QKey: victim.QKey, SrcQP: 4}, // stolen Q_Key
 			Payload: []byte("forged datagram"),
-		}
-		if err := icrc.Seal(p); err != nil {
-			panic(err)
-		}
-		w.mesh.HCA(1).Send(&fabric.Delivery{Pkt: p, Class: fabric.ClassBestEffort, VL: fabric.VLBestEffort})
-		w.s.Run()
+		})
 		return hijacked
 	}
 	return Outcome{
@@ -173,34 +162,30 @@ func QKeyTheft(seed int64) Outcome {
 // of destination QP").
 func RKeyTheft(seed int64) Outcome {
 	run := func(withAuth bool) bool {
-		w := newWorld(seed, withAuth, transport.QPLevel)
-		victimQP := w.eps[3].CreateRCQP(victimPKey)
+		cl := world(seed, transport.QPLevel)
+		steal(cl)
+		victimQP := cl.Endpoints[3].CreateRCQP(victimPKey)
 		victimQP.AuthRequired = withAuth
-		region := w.eps[3].RegisterMemory(128)
+		region := cl.Endpoints[3].RegisterMemory(128)
 		copy(region.Data, []byte("precious data"))
 
 		// Legitimate peer (node 0) establishes the RC connection the
 		// attacker will try to piggyback on.
-		legit := w.eps[0].CreateRCQP(victimPKey)
+		legit := cl.Endpoints[0].CreateRCQP(victimPKey)
 		legit.AuthRequired = withAuth
-		w.eps[0].ConnectRC(legit, topology.LIDOf(3), victimQP.N, nil)
-		w.s.Run()
+		cl.Endpoints[0].ConnectRC(legit, topology.LIDOf(3), victimQP.N, nil)
+		cl.Sim.Run()
 
 		// Attacker forges an RDMA write using the stolen R_Key,
 		// spoofing the legitimate peer's LID and QP so the packet
 		// matches the victim QP's connection state, and using the next
 		// expected PSN (PSNs, like keys, are plaintext on the wire).
-		p := &packet.Packet{
+		forge(cl, &packet.Packet{
 			LRH:     packet.LRH{SLID: topology.LIDOf(0), DLID: topology.LIDOf(3)},
 			BTH:     packet.BTH{OpCode: packet.RCRDMAWriteOnly, PKey: victimPKey, DestQP: victimQP.N, PSN: 0},
 			RETH:    &packet.RETH{VA: region.VA, RKey: region.RKey, DMALen: 9},
 			Payload: []byte("corrupted"),
-		}
-		if err := icrc.Seal(p); err != nil {
-			panic(err)
-		}
-		w.mesh.HCA(1).Send(&fabric.Delivery{Pkt: p, Class: fabric.ClassBestEffort, VL: fabric.VLBestEffort})
-		w.s.Run()
+		})
 		return string(region.Data[:9]) == "corrupted"
 	}
 	return Outcome{
@@ -218,23 +203,14 @@ func RKeyTheft(seed int64) Outcome {
 // a serious problem" — key secrecy is the only defence, which the
 // paper's confidentiality-of-keys design addresses).
 func MKeyTheft(seed int64) Outcome {
-	build := func() *sm.SubnetManager {
-		s := sim.New()
-		mesh := topology.NewMesh(s, fabric.DefaultParams(), 2, 2)
-		cfg := sm.DefaultConfig()
-		cfg.AutoDisablePeriod = 0
-		return sm.New(s, mesh, (*enforce.Filter)(nil), cfg)
-	}
 	// Plain IBA: an attacker who sniffed the plaintext M_Key succeeds.
-	manager := build()
-	stolen := sm.DefaultConfig().MKey
-	plain := manager.CreatePartition(stolen, packet.PKey(0x8099), []int{0, 1}) == nil
+	cl := world(seed, transport.PartitionLevel)
+	plain := cl.SM.CreatePartition(cl.Cfg.SM.MKey, packet.PKey(0x8099), []int{0, attacker}) == nil
 
 	// With encrypted key distribution the M_Key never appears on the
 	// wire; the attacker is reduced to guessing.
-	manager2 := build()
-	guess := keys.MKey(0xDEAD)
-	auth := manager2.CreatePartition(guess, packet.PKey(0x8099), []int{0, 1}) == nil
+	cl = world(seed, transport.PartitionLevel)
+	auth := cl.SM.CreatePartition(keys.MKey(0xDEAD), packet.PKey(0x8099), []int{0, attacker}) == nil
 
 	return Outcome{
 		Key:            "M_Key",
@@ -279,37 +255,20 @@ func BKeyTheft(seed int64) Outcome {
 // extension does.
 func Replay(seed int64) Outcome {
 	run := func(replayProtect bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := sim.New()
-		mesh := topology.NewMesh(s, fabric.DefaultParams(), 2, 2)
-		for i := 0; i < 4; i++ {
-			mesh.HCA(i).PKeyTable.Add(victimPKey)
-		}
-		mkEp := func(i int) *transport.Endpoint {
-			return transport.NewEndpoint(mesh.HCA(i), transport.Config{
-				Registry:      mac.DefaultRegistry(),
-				AuthID:        mac.IDUMAC32,
-				KeyLevel:      transport.PartitionLevel,
-				ReplayProtect: replayProtect,
-				RNG:           rng,
-			})
-		}
-		src, dst := mkEp(0), mkEp(3)
-		var secret keys.SecretKey
-		rng.Read(secret[:])
-		src.Store.InstallPartitionSecret(victimPKey, secret)
-		dst.Store.InstallPartitionSecret(victimPKey, secret)
-
+		cl := world(seed, transport.PartitionLevel)
+		src, dst := cl.Endpoints[0], cl.Endpoints[3]
 		sq := src.CreateUDQP(victimPKey, 0)
 		dq := dst.CreateUDQP(victimPKey, 0x42)
 		sq.AuthRequired, dq.AuthRequired = true, true
+		dq.ReplayProtect = replayProtect
 		deliveries := 0
 		dq.OnRecv = func([]byte, packet.LID, packet.QPN) { deliveries++ }
 
 		// Capture the signed packet in flight.
 		var captured *packet.Packet
-		inner := mesh.HCA(3).OnDeliver
-		mesh.HCA(3).OnDeliver = func(d *fabric.Delivery) {
+		hca := cl.Mesh.HCA(3)
+		inner := hca.OnDeliver
+		hca.OnDeliver = func(d *fabric.Delivery) {
 			if captured == nil && d.Pkt.BTH.DestQP == dq.N {
 				captured = d.Pkt.Clone()
 			}
@@ -318,10 +277,9 @@ func Replay(seed int64) Outcome {
 		if err := src.SendUD(sq, topology.LIDOf(3), dq.N, dq.QKey, []byte("wire $100"), fabric.ClassBestEffort); err != nil {
 			panic(err)
 		}
-		s.Run()
+		cl.Sim.Run()
 		// Replay verbatim from the attacker's position.
-		mesh.HCA(1).Send(&fabric.Delivery{Pkt: captured, Class: fabric.ClassBestEffort, VL: fabric.VLBestEffort})
-		s.Run()
+		inject(cl, captured)
 		return deliveries > 1
 	}
 	return Outcome{

@@ -3,6 +3,8 @@ package attack
 import (
 	"strings"
 	"testing"
+
+	"ibasec/internal/transport"
 )
 
 // The whole point of the paper: every key-theft attack succeeds against
@@ -14,6 +16,32 @@ func TestPKeyTheft(t *testing.T) {
 	}
 	if o.SucceededAuth {
 		t.Fatal("stolen P_Key should be useless against authenticated IBA")
+	}
+}
+
+// TestStealState pins what a theft leaves behind: the attacker holds the
+// victim P_Key but no secret for it, and every member left holds the
+// partition secret the eviction rotated to.
+func TestStealState(t *testing.T) {
+	cl := world(8, transport.PartitionLevel)
+	steal(cl)
+	if !cl.Mesh.HCA(attacker).PKeyTable.Check(victimPKey) {
+		t.Fatal("the attacker's HCA does not hold the stolen P_Key")
+	}
+	if _, ok := cl.Endpoints[attacker].Store.PartitionSecret(victimPKey); ok {
+		t.Fatal("the evicted attacker still holds a partition secret")
+	}
+	cur, ok := cl.SM.Authority.CurrentKey(victimPKey)
+	if !ok || cur.Epoch != 1 {
+		t.Fatalf("authority key for %#x: epoch %d (present %v), want a rotation to epoch 1", victimPKey, cur.Epoch, ok)
+	}
+	for _, node := range []int{0, 2, 3} {
+		store := cl.Endpoints[node].Store
+		epoch, _ := store.PartitionEpoch(victimPKey)
+		key, ok := store.PartitionSecret(victimPKey)
+		if !ok || epoch != cur.Epoch || *key != cur.Key {
+			t.Errorf("node %d holds epoch %d (present %v), want the rotated epoch %d key", node, epoch, ok, cur.Epoch)
+		}
 	}
 }
 

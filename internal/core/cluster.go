@@ -115,8 +115,9 @@ func (r *Results) Combined() (queuingUS, networkUS float64) {
 }
 
 // Cluster is a fully wired simulation instance. Most callers use Run;
-// Build is exposed for the attack scenarios and tests that need to poke
-// at the assembled system.
+// Build is exposed for what drives the assembled system by hand: the
+// Table 3 attack scenarios (internal/attack), examples/secure-rdma and
+// tests.
 type Cluster struct {
 	Cfg       Config
 	Sim       *sim.Simulator

@@ -84,7 +84,10 @@ func allPlanesFailoverCfg() Config {
 // cancel path.
 func faultsRCCfg() Config {
 	cfg := quickCfg()
-	cfg = faultPointCfg(cfg, faultPoint{Mode: cfg.Enforcement, BER: 1e-5, Kills: 2})
+	cfg, err := faultPointCfg(cfg, faultPoint{Mode: cfg.Enforcement, BER: 1e-5, Kills: 2})
+	if err != nil {
+		panic(err)
+	}
 	cfg.TraceCapacity = 1
 	return cfg
 }

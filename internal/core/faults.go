@@ -90,10 +90,10 @@ type faultPoint struct {
 
 // runFaultPoint runs one cell of the sweep.
 func runFaultPoint(base Config, p faultPoint) (FaultRow, error) {
-	if p.Kills < 0 {
-		return FaultRow{}, fmt.Errorf("core: %d link kills", p.Kills)
+	cfg, err := faultPointCfg(base, p)
+	if err != nil {
+		return FaultRow{}, err
 	}
-	cfg := faultPointCfg(base, p)
 	cl, err := Build(cfg)
 	if err != nil {
 		return FaultRow{}, err
@@ -144,18 +144,21 @@ func runFaultPoint(base Config, p faultPoint) (FaultRow, error) {
 
 // faultPointCfg is base configured as one cell: healingCfg plus the
 // cell's chaos plan.
-func faultPointCfg(base Config, p faultPoint) Config {
+func faultPointCfg(base Config, p faultPoint) (Config, error) {
 	cfg := healingCfg(base, p.Mode)
 	// Outages fall in [warmup, duration/2) so every killed link also
 	// restores well before the run ends and the probe flows can drain.
-	plan := faults.Chaos(cfg.Seed, cfg.MeshW, cfg.MeshH, p.Kills, cfg.Warmup, cfg.Duration/2)
+	plan, err := faults.Chaos(cfg.Seed, cfg.MeshW, cfg.MeshH, p.Kills, cfg.Warmup, cfg.Duration/2)
+	if err != nil {
+		return Config{}, err
+	}
 	if p.BER != 0 { // a negative rate reaches the plan's validation
 		plan.BER = append(plan.BER, faults.BERBurst{
 			Rate: p.BER, From: cfg.Warmup, Until: cfg.Duration * 3 / 4,
 		})
 	}
 	cfg.FaultPlan = plan
-	return cfg
+	return cfg, nil
 }
 
 // healingCfg is base set up for the experiments that break the fabric

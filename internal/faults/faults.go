@@ -496,15 +496,22 @@ func Blackholed(m *topology.Mesh) uint64 {
 // transient inter-switch link outages whose down times fall in the first
 // half of [from, until) and whose outages last between a half and three
 // quarters of the window — long enough that a periodic re-sweep is
-// guaranteed to sample the fabric during the outage even on short runs. The killed set is re-drawn (bounded) until the
-// switch graph stays connected with every killed link removed at once,
-// so the experiment measures re-routing rather than partition loss; HCA
-// uplinks are never killed, so the Subnet Manager keeps its in-band
-// reach. The same seed always yields the same plan.
-func Chaos(seed int64, w, h, kills int, from, until sim.Time) *Plan {
+// guaranteed to sample the fabric during the outage even on short runs.
+// The killed set is re-drawn (bounded) until the switch graph stays
+// connected with every killed link removed at once, so the experiment
+// measures re-routing rather than partition loss; HCA uplinks are never
+// killed, so the Subnet Manager keeps its in-band reach. A count the
+// mesh cannot honour — negative, more than its inter-switch links, or
+// with no connected draw among the bounded tries — is an error, never a
+// plan labelled with the count but simulated with another. The same
+// seed always yields the same plan.
+func Chaos(seed int64, w, h, kills int, from, until sim.Time) (*Plan, error) {
 	p := &Plan{Seed: seed}
-	if kills <= 0 || until <= from {
-		return p
+	if kills < 0 {
+		return nil, fmt.Errorf("faults: %d link kills", kills)
+	}
+	if kills == 0 || until <= from {
+		return p, nil
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0xC4A05))
 
@@ -522,14 +529,17 @@ func Chaos(seed int64, w, h, kills int, from, until sim.Time) *Plan {
 		}
 	}
 	if kills > len(links) {
-		kills = len(links)
+		return nil, fmt.Errorf("faults: %d link kills in a %dx%d mesh of %d inter-switch links", kills, w, h, len(links))
 	}
 
-	var chosen []topology.LinkID
-	for attempt := 0; attempt < 100; attempt++ {
+	const draws = 100
+	chosen := make([]topology.LinkID, kills)
+	for attempt := 0; ; attempt++ {
+		if attempt == draws {
+			return nil, fmt.Errorf("faults: no draw of %d link kills in %d keeps the %dx%d mesh connected", kills, draws, w, h)
+		}
 		perm := rng.Perm(len(links))
-		chosen = make([]topology.LinkID, kills)
-		for i := 0; i < kills; i++ {
+		for i := range chosen {
 			chosen[i] = links[perm[i]]
 		}
 		if meshConnectedWithout(w, h, chosen) {
@@ -543,7 +553,7 @@ func Chaos(seed int64, w, h, kills int, from, until sim.Time) *Plan {
 		outage := window/2 + sim.Time(rng.Int63n(int64(window/4)+1))
 		p.Links = append(p.Links, LinkKill{Link: l, DownAt: down, UpAt: down + outage})
 	}
-	return p
+	return p, nil
 }
 
 // PrimaryHopLink returns the first inter-switch link on the primary

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"strings"
 	"testing"
 
 	"ibasec/internal/fabric"
@@ -24,8 +25,8 @@ func mkPkt(src, dst packet.LID) *packet.Packet {
 }
 
 func TestChaosDeterministic(t *testing.T) {
-	a := Chaos(42, 4, 4, 3, 100*sim.Microsecond, sim.Millisecond)
-	b := Chaos(42, 4, 4, 3, 100*sim.Microsecond, sim.Millisecond)
+	a := mustChaos(t, 42, 4, 4, 3, 100*sim.Microsecond, sim.Millisecond)
+	b := mustChaos(t, 42, 4, 4, 3, 100*sim.Microsecond, sim.Millisecond)
 	if len(a.Links) != 3 || len(b.Links) != 3 {
 		t.Fatalf("drew %d and %d kills, want 3", len(a.Links), len(b.Links))
 	}
@@ -34,7 +35,7 @@ func TestChaosDeterministic(t *testing.T) {
 			t.Fatalf("kill %d differs across identical seeds: %+v vs %+v", i, a.Links[i], b.Links[i])
 		}
 	}
-	c := Chaos(43, 4, 4, 3, 100*sim.Microsecond, sim.Millisecond)
+	c := mustChaos(t, 43, 4, 4, 3, 100*sim.Microsecond, sim.Millisecond)
 	same := true
 	for i := range a.Links {
 		if a.Links[i] != c.Links[i] {
@@ -54,7 +55,7 @@ func TestChaosPlanInvariants(t *testing.T) {
 	from, until := 200*sim.Microsecond, sim.Millisecond
 	for seed := int64(0); seed < 30; seed++ {
 		for _, kills := range []int{1, 2, 4} {
-			p := Chaos(seed, 4, 4, kills, from, until)
+			p := mustChaos(t, seed, 4, 4, kills, from, until)
 			if len(p.Links) != kills {
 				t.Fatalf("seed %d: %d kills, want %d", seed, len(p.Links), kills)
 			}
@@ -90,10 +91,41 @@ func linksOf(p *Plan) []topology.LinkID {
 	return ids
 }
 
+func mustChaos(t *testing.T, seed int64, w, h, kills int, from, until sim.Time) *Plan {
+	t.Helper()
+	p, err := Chaos(seed, w, h, kills, from, until)
+	if err != nil {
+		t.Fatalf("Chaos(seed %d, %dx%d, %d kills): %v", seed, w, h, kills, err)
+	}
+	return p
+}
+
 func TestChaosZeroKills(t *testing.T) {
-	p := Chaos(7, 4, 4, 0, 0, sim.Millisecond)
+	p := mustChaos(t, 7, 4, 4, 0, 0, sim.Millisecond)
 	if len(p.Links) != 0 || len(p.Switches) != 0 || len(p.BER) != 0 || p.MAD != nil {
 		t.Fatalf("empty chaos plan not empty: %+v", p)
+	}
+}
+
+// A kill count the mesh cannot honour is an error, not a plan with some
+// other count or one that partitions the fabric: a 4x4 mesh has 24
+// inter-switch links, and its 16 switches stay connected only while at
+// least 15 of them survive.
+func TestChaosRejectsUnhonourableCounts(t *testing.T) {
+	for _, tc := range []struct {
+		kills int
+		want  string
+	}{
+		{-1, "-1 link kills"},
+		{25, "25 link kills in a 4x4 mesh of 24"},
+		{100, "100 link kills in a 4x4 mesh of 24"},
+		{10, "no draw of 10 link kills"},
+		{24, "no draw of 24 link kills"},
+	} {
+		p, err := Chaos(1, 4, 4, tc.kills, 0, sim.Millisecond)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%d kills: plan %+v, err %v; want an error mentioning %q", tc.kills, p, err, tc.want)
+		}
 	}
 }
 

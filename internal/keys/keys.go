@@ -55,12 +55,8 @@ var Rand io.Reader = rand.Reader
 // table (the paper sizes SIF memory from this: 32768 × 16 bits = 64 KB).
 const MaxPKeysPerPort = 32768
 
-// Errors returned by table operations.
-var (
-	ErrTableFull   = errors.New("keys: partition table full")
-	ErrNotMember   = errors.New("keys: P_Key not in partition table")
-	ErrNoSecretKey = errors.New("keys: no secret key for index")
-)
+// ErrTableFull is returned by PartitionTable.Add on a full table.
+var ErrTableFull = errors.New("keys: partition table full")
 
 // PartitionTable is the per-port table of P_Keys a Channel Adapter or an
 // enforcing switch port accepts (IBA 10.9.2). A table belongs to the one

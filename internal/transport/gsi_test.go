@@ -14,7 +14,7 @@ import (
 // handlers must survive arbitrary payloads without panicking and without
 // corrupting endpoint state.
 func TestGSIMalformedInputs(t *testing.T) {
-	w := newWorld(t, 0, QPLevel, false)
+	w := newWorld(t, 0, QPLevel)
 	rng := rand.New(rand.NewSource(7))
 
 	send := func(payload []byte) {
@@ -68,7 +68,7 @@ func TestGSIMalformedInputs(t *testing.T) {
 
 // A QKey response for a request that was never made must be ignored.
 func TestGSIUnsolicitedResponse(t *testing.T) {
-	w := newWorld(t, 0, QPLevel, false)
+	w := newWorld(t, 0, QPLevel)
 	payload := gsiHeader(gsiQKeyResponse, 2, 2)
 	payload = append(payload, 0, 0, 0, 0x42, 0, 0)
 	p := &packet.Packet{
@@ -89,7 +89,7 @@ func TestGSIUnsolicitedResponse(t *testing.T) {
 
 // An RC connect aimed at a UD QP must be refused.
 func TestGSIConnectWrongServiceRefused(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	udTarget := w.eps[3].CreateUDQP(pkeyAB, 0x11)
 	a := w.eps[0].CreateRCQP(pkeyAB)
 	done := false

@@ -72,7 +72,7 @@ func wrapRC(t *testing.T, w *world, start uint32) (*QP, *QP) {
 // A pipelined burst whose PSNs cross 0xFFFFFF -> 0 is delivered in order
 // and the cumulative ACK flow drains the whole window.
 func TestRCPipelineAcrossPSNWrap(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, b := wrapRC(t, w, 0xFFFFFD)
 
 	var got []string
@@ -132,7 +132,7 @@ func TestRCPipelineAcrossPSNWrap(t *testing.T) {
 // yet". Every out-of-order arrival must still draw the go-back ACK, and
 // retransmission must carry the burst through in order.
 func TestRCRetransmissionStraddlesWrap(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, b := wrapRC(t, w, 0xFFFFFD)
 	var got []string
 	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = append(got, string(p)) }
@@ -184,7 +184,7 @@ func TestRCRetransmissionStraddlesWrap(t *testing.T) {
 // that MSN, go back immediately, and drain the window without waiting
 // out a retry period.
 func TestRCNakRetransmissionAcrossWrap(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	for _, ep := range w.eps {
 		ep.cfg.EnableNAK = true
 	}

@@ -24,7 +24,7 @@ func enableNAK(w *world) {
 // retransmitted in link time instead of after a full retry period.
 func TestRCNakRecoversFasterThanTimeout(t *testing.T) {
 	run := func(nak bool) (recovery sim.Time, w *world, a *QP) {
-		w = newWorld(t, 0, PartitionLevel, false)
+		w = newWorld(t, 0, PartitionLevel)
 		if nak {
 			enableNAK(w)
 		}
@@ -92,7 +92,7 @@ func TestRCNakRecoversFasterThanTimeout(t *testing.T) {
 // waits out the advertised delay and replays until the receiver drains,
 // without consuming the transport retry budget.
 func TestRCRNRNakDelaysAndRecovers(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	enableNAK(w)
 	a, b := connectRC(t, w, false)
 	var got []byte
@@ -132,7 +132,7 @@ func TestRCRNRNakDelaysAndRecovers(t *testing.T) {
 // A receiver that never drains exhausts the separate RNR budget and the
 // connection breaks with the dedicated counter.
 func TestRCRNRExhaustionBreaks(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	enableNAK(w)
 	w.eps[0].cfg.RNRRetries = 3
 	a, b := connectRC(t, w, false)
@@ -169,7 +169,7 @@ func TestRCRNRExhaustionBreaks(t *testing.T) {
 
 // retryDelay doubles per quiet timeout and saturates at the cap.
 func TestRCBackoffGrowsAndCaps(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	ep := w.eps[0]
 	ep.cfg.RetryTimeout = 10 * sim.Microsecond
 	a, _ := connectRC(t, w, false)
@@ -213,7 +213,7 @@ func TestRCBackoffGrowsAndCaps(t *testing.T) {
 // a longer horizon, so the break happens later than at a fixed period.
 func TestRCBackoffStretchesRetryHorizon(t *testing.T) {
 	run := func(backoff bool) sim.Time {
-		w := newWorld(t, 0, PartitionLevel, false)
+		w := newWorld(t, 0, PartitionLevel)
 		w.eps[0].cfg.RetryTimeout = 10 * sim.Microsecond
 		w.eps[0].cfg.MaxRetries = 3
 		w.eps[0].cfg.RetryBackoff = backoff
@@ -256,7 +256,7 @@ func (f *lidDropFilter) Inspect(_ *fabric.Switch, _ int, _ bool, d *fabric.Deliv
 // over to the alternate LID, traffic completes there, and a rearm
 // returns it to the healed primary.
 func TestRCAPMMigratesAndRearms(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	w.mesh.ProgramAlternatePaths()
 	w.eps[0].cfg.RetryTimeout = 10 * sim.Microsecond
 	a, b := connectRC(t, w, false)
@@ -320,7 +320,7 @@ func TestRCAPMMigratesAndRearms(t *testing.T) {
 // verifies when the DLID — inside the MAC-covered invariant region —
 // changes under it.
 func TestRCAPMMigratedResealAuthenticated(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, QPLevel, false)
+	w := newWorld(t, mac.IDUMAC32, QPLevel)
 	w.mesh.ProgramAlternatePaths()
 	w.eps[0].cfg.RetryTimeout = 10 * sim.Microsecond
 	a, b := connectRC(t, w, true)
@@ -351,7 +351,7 @@ func TestRCAPMMigratedResealAuthenticated(t *testing.T) {
 // Destroying a QP cancels its pending retry timer: no retransmissions
 // fire for a connection that no longer exists.
 func TestRCDestroyQPCancelsRetryTimer(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, _ := connectRC(t, w, false)
 	w.mesh.SwitchOf(0).SetFilter(&dropFilter{remaining: 1 << 30})
 
@@ -382,7 +382,7 @@ func TestRCDestroyQPCancelsRetryTimer(t *testing.T) {
 // strictly in the future — a zero-delay re-arm would re-enter the
 // handler at the same timestamp forever.
 func TestRCRetryRearmStrictlyFuture(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	ep := w.eps[0]
 	ep.cfg.RetryTimeout = 10 * sim.Microsecond
 	a, _ := connectRC(t, w, false)

@@ -36,7 +36,7 @@ func connectRC(t *testing.T, w *world, auth bool) (*QP, *QP) {
 }
 
 func TestRCAckCompletesSend(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, b := connectRC(t, w, false)
 	var got []byte
 	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = append([]byte(nil), p...) }
@@ -81,7 +81,7 @@ func (f *dropFilter) Inspect(_ *fabric.Switch, _ int, _ bool, d *fabric.Delivery
 // A dropped request must be retransmitted and eventually delivered
 // exactly once.
 func TestRCRetransmitAfterLoss(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, b := connectRC(t, w, false)
 	var deliveries [][]byte
 	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) {
@@ -108,7 +108,7 @@ func TestRCRetransmitAfterLoss(t *testing.T) {
 // When the path drops everything, the requester gives up after
 // MaxRetries and marks the connection broken.
 func TestRCBreaksAfterMaxRetries(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, b := connectRC(t, w, false)
 	n := 0
 	b.OnRecv = func([]byte, packet.LID, packet.QPN) { n++ }
@@ -136,7 +136,7 @@ func TestRCBreaksAfterMaxRetries(t *testing.T) {
 // A duplicated request (e.g. a retransmission racing a slow ACK) must be
 // re-acknowledged but delivered only once.
 func TestRCDuplicateSuppression(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, b := connectRC(t, w, false)
 	n := 0
 	b.OnRecv = func([]byte, packet.LID, packet.QPN) { n++ }
@@ -170,7 +170,7 @@ func TestRCDuplicateSuppression(t *testing.T) {
 // Multiple pipelined sends arrive in order and a single cumulative ACK
 // flow keeps the window moving.
 func TestRCPipelinedOrdering(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, b := connectRC(t, w, false)
 	var got []string
 	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = append(got, string(p)) }
@@ -198,7 +198,7 @@ func TestRCPipelinedOrdering(t *testing.T) {
 // the tag check looks like loss and the sender retries then breaks —
 // while the legitimate stream keeps working.
 func TestRCAuthenticatedAcks(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, QPLevel, false)
+	w := newWorld(t, mac.IDUMAC32, QPLevel)
 	a, b := connectRC(t, w, true)
 	var got []byte
 	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = append([]byte(nil), p...) }
@@ -223,7 +223,7 @@ func TestRCAuthenticatedAcks(t *testing.T) {
 
 // RDMA writes ride the same reliability machinery.
 func TestRCReliableRDMA(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, _ := connectRC(t, w, false)
 	region := w.eps[3].RegisterMemory(64)
 	w.mesh.SwitchOf(0).SetFilter(&dropFilterRDMA{remaining: 1})

@@ -62,9 +62,6 @@ type Config struct {
 	AuthID uint8
 	// KeyLevel selects partition-level or QP-level secrets.
 	KeyLevel KeyLevel
-	// ReplayProtect enables the PSN-based replay check (the paper's
-	// section-7 nonce extension).
-	ReplayProtect bool
 	// RNG supplies key-generation randomness.
 	RNG io.Reader
 	// Directory is the shared public-key directory; KeyPair is this
@@ -120,6 +117,11 @@ type QP struct {
 	// this QP: outgoing packets are signed and unsigned arrivals are
 	// rejected.
 	AuthRequired bool
+	// ReplayProtect turns the PSN replay check (the paper's section-7
+	// nonce extension) on for this UD QP: an arrival whose PSN is not
+	// above the floor recorded for its (source LID, source QP) is
+	// dropped. Authentication alone accepts a verbatim resend.
+	ReplayProtect bool
 
 	// OnRecv delivers verified payloads.
 	OnRecv func(payload []byte, src packet.LID, srcQP packet.QPN)
@@ -195,7 +197,6 @@ func (e *Endpoint) newMessage(class fabric.Class, dlid packet.LID, bth packet.BT
 
 // Errors returned by transport operations.
 var (
-	ErrNoQP        = errors.New("transport: unknown queue pair")
 	ErrNotUD       = errors.New("transport: operation requires a UD QP")
 	ErrNotRC       = errors.New("transport: operation requires a connected RC QP")
 	ErrPayloadSize = errors.New("transport: payload exceeds MTU")
@@ -253,9 +254,6 @@ func (e *Endpoint) init(hca *fabric.HCA, cfg Config, store *keys.Store, verif *i
 
 // HCA returns the endpoint's channel adapter.
 func (e *Endpoint) HCA() *fabric.HCA { return e.hca }
-
-// Config returns the endpoint's configuration.
-func (e *Endpoint) Config() Config { return e.cfg }
 
 // CreateUDQP allocates an Unreliable Datagram QP in the given partition
 // with the given Q_Key.
@@ -505,7 +503,7 @@ func (e *Endpoint) Deliver(d *fabric.Delivery) {
 
 	// Replay check (optional extension; RC duplicates are handled by
 	// the reliability protocol's PSN ordering instead).
-	if e.cfg.ReplayProtect && q.Service == packet.ServiceUD && !e.replayOK(q, p) {
+	if q.ReplayProtect && q.Service == packet.ServiceUD && !e.replayOK(q, p) {
 		e.Counters.Add(EpReplayDrops, 1)
 		return
 	}

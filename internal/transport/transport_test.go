@@ -25,7 +25,7 @@ type world struct {
 	kps  []*keys.NodeKeyPair
 }
 
-func newWorld(t *testing.T, authID uint8, level KeyLevel, replay bool) *world {
+func newWorld(t *testing.T, authID uint8, level KeyLevel) *world {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
 	s := sim.New()
@@ -45,13 +45,12 @@ func newWorld(t *testing.T, authID uint8, level KeyLevel, replay bool) *world {
 		hca := mesh.HCA(i)
 		hca.PKeyTable.Add(pkeyAB)
 		ep := NewEndpoint(hca, Config{
-			Registry:      reg,
-			AuthID:        authID,
-			KeyLevel:      level,
-			ReplayProtect: replay,
-			RNG:           rng,
-			Directory:     dir,
-			KeyPair:       w.kps[i],
+			Registry:  reg,
+			AuthID:    authID,
+			KeyLevel:  level,
+			RNG:       rng,
+			Directory: dir,
+			KeyPair:   w.kps[i],
 		})
 		w.eps = append(w.eps, ep)
 	}
@@ -69,7 +68,7 @@ func (w *world) installPartitionSecret() keys.SecretKey {
 }
 
 func TestUDPlainDelivery(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	src := w.eps[0].CreateUDQP(pkeyAB, 0)
 	dst := w.eps[3].CreateUDQP(pkeyAB, 0x1234)
 
@@ -95,7 +94,7 @@ func TestUDPlainDelivery(t *testing.T) {
 
 // Table 3, Q_Key row: a packet with the wrong Q_Key must be rejected.
 func TestQKeyViolation(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	src := w.eps[0].CreateUDQP(pkeyAB, 0)
 	dst := w.eps[1].CreateUDQP(pkeyAB, 0x1234)
 	n := 0
@@ -112,7 +111,7 @@ func TestQKeyViolation(t *testing.T) {
 }
 
 func TestUnknownQPDropped(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	src := w.eps[0].CreateUDQP(pkeyAB, 0)
 	w.eps[0].SendUD(src, topology.LIDOf(1), 77, 0, []byte("x"), fabric.ClassBestEffort)
 	w.s.Run()
@@ -122,7 +121,7 @@ func TestUnknownQPDropped(t *testing.T) {
 }
 
 func TestPartitionLevelAuth(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, PartitionLevel, false)
+	w := newWorld(t, mac.IDUMAC32, PartitionLevel)
 	w.installPartitionSecret()
 	src := w.eps[0].CreateUDQP(pkeyAB, 0)
 	dst := w.eps[3].CreateUDQP(pkeyAB, 0x42)
@@ -149,7 +148,7 @@ func TestPartitionLevelAuth(t *testing.T) {
 // On-demand policy: an auth-required QP rejects unsigned packets even
 // with a valid Q_Key — this closes the paper's Q_Key exposure threat.
 func TestAuthRequiredRejectsUnsigned(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, PartitionLevel, false)
+	w := newWorld(t, mac.IDUMAC32, PartitionLevel)
 	w.installPartitionSecret()
 	// The attacker's endpoint does not sign (AuthID 0 / no requirement).
 	attacker := w.eps[1].CreateUDQP(pkeyAB, 0)
@@ -171,7 +170,7 @@ func TestAuthRequiredRejectsUnsigned(t *testing.T) {
 
 // A forged tag (attacker without the secret key) must fail verification.
 func TestForgedTagRejected(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, PartitionLevel, false)
+	w := newWorld(t, mac.IDUMAC32, PartitionLevel)
 	w.installPartitionSecret()
 	dst := w.eps[3].CreateUDQP(pkeyAB, 0x42)
 	dst.AuthRequired = true
@@ -201,7 +200,7 @@ func TestForgedTagRejected(t *testing.T) {
 
 // In-flight payload tampering must invalidate the tag.
 func TestTamperedPayloadRejected(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, PartitionLevel, false)
+	w := newWorld(t, mac.IDUMAC32, PartitionLevel)
 	k := w.installPartitionSecret()
 	_ = k
 	dst := w.eps[3].CreateUDQP(pkeyAB, 0x42)
@@ -239,7 +238,7 @@ func TestTamperedPayloadRejected(t *testing.T) {
 // boundary is exclusive — and is refused under auth_epoch_expired, not
 // auth_fail, so sweeps can tell stale-key traffic from forgeries.
 func TestGraceEpochRetireBoundary(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, PartitionLevel, false)
+	w := newWorld(t, mac.IDUMAC32, PartitionLevel)
 	var k0, k1 keys.SecretKey
 	copy(k0[:], "epoch-zero-secret")
 	copy(k1[:], "epoch-one-secret")
@@ -290,7 +289,7 @@ func TestGraceEpochRetireBoundary(t *testing.T) {
 }
 
 func TestSendWithoutKeyFails(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, PartitionLevel, false)
+	w := newWorld(t, mac.IDUMAC32, PartitionLevel)
 	// No partition secret installed.
 	src := w.eps[0].CreateUDQP(pkeyAB, 0)
 	src.AuthRequired = true
@@ -303,7 +302,7 @@ func TestSendWithoutKeyFails(t *testing.T) {
 // QP-level flow: Q_Key request establishes the per-pair secret in one
 // round trip, then authenticated traffic flows.
 func TestQPLevelKeyExchangeAndAuth(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, QPLevel, false)
+	w := newWorld(t, mac.IDUMAC32, QPLevel)
 	src := w.eps[0].CreateUDQP(pkeyAB, 0)
 	dst := w.eps[3].CreateUDQP(pkeyAB, 0x77)
 	src.AuthRequired = true
@@ -355,7 +354,7 @@ func TestQPLevelKeyExchangeAndAuth(t *testing.T) {
 // The key exchange costs one fabric round trip — the overhead Figure 6
 // charges to QP-level key management.
 func TestKeyExchangeCostsOneRTT(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, QPLevel, false)
+	w := newWorld(t, mac.IDUMAC32, QPLevel)
 	src := w.eps[0].CreateUDQP(pkeyAB, 0)
 	dst := w.eps[3].CreateUDQP(pkeyAB, 0x77)
 	var doneAt sim.Time
@@ -375,7 +374,7 @@ func TestKeyExchangeCostsOneRTT(t *testing.T) {
 }
 
 func TestRCConnectAndSend(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, QPLevel, false)
+	w := newWorld(t, mac.IDUMAC32, QPLevel)
 	a := w.eps[0].CreateRCQP(pkeyAB)
 	b := w.eps[2].CreateRCQP(pkeyAB)
 	a.AuthRequired = true
@@ -414,7 +413,7 @@ func TestRCConnectAndSend(t *testing.T) {
 }
 
 func TestRCSendBeforeConnectFails(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a := w.eps[0].CreateRCQP(pkeyAB)
 	if err := w.eps[0].SendRC(a, []byte("x"), fabric.ClassBestEffort); err == nil {
 		t.Fatal("send on unconnected RC QP succeeded")
@@ -424,7 +423,7 @@ func TestRCSendBeforeConnectFails(t *testing.T) {
 // Table 3, R_Key row: RDMA writes land without destination QP
 // intervention when the R_Key is valid, and are rejected otherwise.
 func TestRDMAWriteAndRKeyCheck(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a := w.eps[0].CreateRCQP(pkeyAB)
 	b := w.eps[1].CreateRCQP(pkeyAB)
 	region := w.eps[1].RegisterMemory(256)
@@ -469,12 +468,13 @@ func TestRDMAWriteAndRKeyCheck(t *testing.T) {
 // Replay protection (paper section 7): a byte-identical resend with the
 // same PSN must be dropped when the nonce extension is on.
 func TestReplayProtection(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, PartitionLevel, true)
+	w := newWorld(t, mac.IDUMAC32, PartitionLevel)
 	w.installPartitionSecret()
 	src := w.eps[0].CreateUDQP(pkeyAB, 0)
 	dst := w.eps[1].CreateUDQP(pkeyAB, 0x42)
 	src.AuthRequired = true
 	dst.AuthRequired = true
+	dst.ReplayProtect = true
 	n := 0
 	dst.OnRecv = func(p []byte, s packet.LID, q packet.QPN) { n++ }
 
@@ -507,7 +507,7 @@ func TestReplayProtection(t *testing.T) {
 // Without replay protection the same replay succeeds — the vulnerability
 // the paper acknowledges in section 7.
 func TestReplayWithoutProtectionSucceeds(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, PartitionLevel, false)
+	w := newWorld(t, mac.IDUMAC32, PartitionLevel)
 	w.installPartitionSecret()
 	src := w.eps[0].CreateUDQP(pkeyAB, 0)
 	dst := w.eps[1].CreateUDQP(pkeyAB, 0x42)
@@ -534,7 +534,7 @@ func TestReplayWithoutProtectionSucceeds(t *testing.T) {
 }
 
 func TestPayloadTooLarge(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	src := w.eps[0].CreateUDQP(pkeyAB, 0)
 	big := make([]byte, packet.MTU+1)
 	if err := w.eps[0].SendUD(src, topology.LIDOf(1), 5, 0, big, fabric.ClassBestEffort); err == nil {
@@ -543,7 +543,7 @@ func TestPayloadTooLarge(t *testing.T) {
 }
 
 func TestQPNumbersStartAboveReserved(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	q := w.eps[0].CreateUDQP(pkeyAB, 0)
 	if q.N < 2 {
 		t.Fatalf("QP number %d collides with SMI/GSI", q.N)

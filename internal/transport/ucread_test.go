@@ -34,7 +34,7 @@ func connectUC(t *testing.T, w *world, auth bool) (*QP, *QP) {
 }
 
 func TestUCSendDelivery(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, b := connectUC(t, w, false)
 	var got []byte
 	var gotSrcQP packet.QPN
@@ -61,7 +61,7 @@ func TestUCSendDelivery(t *testing.T) {
 
 // UC packets carry no DETH: the wire format must not contain a Q_Key.
 func TestUCHasNoQKey(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, _ := connectUC(t, w, false)
 
 	var captured *packet.Packet
@@ -84,7 +84,7 @@ func TestUCHasNoQKey(t *testing.T) {
 
 // A UC packet lost to the fabric stays lost — no retransmission.
 func TestUCLossIsSilent(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, b := connectUC(t, w, false)
 	n := 0
 	b.OnRecv = func([]byte, packet.LID, packet.QPN) { n++ }
@@ -112,7 +112,7 @@ func (f *dropFilterUC) Inspect(_ *fabric.Switch, _ int, _ bool, d *fabric.Delive
 }
 
 func TestUCAuthenticated(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, QPLevel, false)
+	w := newWorld(t, mac.IDUMAC32, QPLevel)
 	a, b := connectUC(t, w, true)
 	var got []byte
 	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = append([]byte(nil), p...) }
@@ -129,7 +129,7 @@ func TestUCAuthenticated(t *testing.T) {
 }
 
 func TestUCSendBeforeConnectFails(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a := w.eps[0].CreateUCQP(pkeyAB)
 	if err := w.eps[0].SendUC(a, []byte("x"), fabric.ClassBestEffort); err == nil {
 		t.Fatal("send on unconnected UC QP succeeded")
@@ -143,7 +143,7 @@ func TestUCSendBeforeConnectFails(t *testing.T) {
 // ---- RDMA Read ----
 
 func TestRDMARead(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, _ := connectRC(t, w, false)
 	region := w.eps[3].RegisterMemory(128)
 	copy(region.Data[32:], []byte("remote secret"))
@@ -172,7 +172,7 @@ func TestRDMARead(t *testing.T) {
 }
 
 func TestRDMAReadBadRKey(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, _ := connectRC(t, w, false)
 	region := w.eps[3].RegisterMemory(64)
 
@@ -190,7 +190,7 @@ func TestRDMAReadBadRKey(t *testing.T) {
 }
 
 func TestRDMAReadBounds(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, _ := connectRC(t, w, false)
 	region := w.eps[3].RegisterMemory(64)
 	called := false
@@ -206,7 +206,7 @@ func TestRDMAReadBounds(t *testing.T) {
 
 // RDMA read with authentication: both request and response are signed.
 func TestRDMAReadAuthenticated(t *testing.T) {
-	w := newWorld(t, mac.IDUMAC32, QPLevel, false)
+	w := newWorld(t, mac.IDUMAC32, QPLevel)
 	a, _ := connectRC(t, w, true)
 	region := w.eps[3].RegisterMemory(64)
 	copy(region.Data, []byte("signed read"))
@@ -224,7 +224,7 @@ func TestRDMAReadAuthenticated(t *testing.T) {
 }
 
 func TestRDMAReadTooLarge(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel, false)
+	w := newWorld(t, 0, PartitionLevel)
 	a, _ := connectRC(t, w, false)
 	if err := w.eps[0].RDMARead(a, 0, 0, packet.MTU+1, fabric.ClassBestEffort, nil); err == nil {
 		t.Fatal("oversized read accepted")
