@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -36,6 +37,7 @@ import (
 	"ibasec/internal/runner"
 	"ibasec/internal/sim"
 	"ibasec/internal/transport"
+	"ibasec/internal/umac"
 )
 
 // experiment is one subcommand. The experiments table is the single
@@ -124,6 +126,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	switch {
+	case !(*cpuGHz > 0 && *cpuGHz < math.Inf(1)):
+		badValue(fs, "cpu-ghz", fmt.Sprint(*cpuGHz), "a finite clock rate above 0 GHz")
+		return 2
+	case *jobs < 0:
+		badValue(fs, "jobs", strconv.Itoa(*jobs), "a non-negative count (0 = GOMAXPROCS)")
+		return 2
+	case *watchdog < 0:
+		badValue(fs, "watchdog", watchdog.String(), "a non-negative duration (0 disables)")
 		return 2
 	}
 	fail := func(err error) int {
@@ -408,10 +421,10 @@ func runTable2(e *env, args []string) error {
 	switch {
 	case *p < 1:
 		return badValue(fs, "p", strconv.Itoa(*p), "at least 1")
-	case *pr < 0 || *pr > 1:
+	case !(*pr >= 0 && *pr <= 1):
 		return badValue(fs, "pr", fmt.Sprint(*pr), "a probability in [0, 1]")
-	case *avg < 0:
-		return badValue(fs, "avg", fmt.Sprint(*avg), "a non-negative mean")
+	case !(*avg >= 0 && *avg < math.Inf(1)):
+		return badValue(fs, "avg", fmt.Sprint(*avg), "a finite non-negative mean")
 	}
 	title := fmt.Sprintf("Table 2. Partition enforcement overhead (n=16, s=16, p=%d, Pr=%.2f, Avg=%.1f)", *p, *pr, *avg)
 	return e.emit(title, core.Table("table2", core.Table2Rows(*p, *pr, *avg)))
@@ -425,8 +438,8 @@ func runTable4(e *env, args []string) error {
 		return err
 	}
 	switch {
-	case *bytes < 1:
-		return badValue(fs, "bytes", strconv.Itoa(*bytes), "at least 1")
+	case *bytes < 1 || *bytes > umac.MaxMessage:
+		return badValue(fs, "bytes", strconv.Itoa(*bytes), fmt.Sprintf("1 to %d (UMAC's message limit)", umac.MaxMessage))
 	case *budget <= 0:
 		return badValue(fs, "budget", budget.String(), "a positive duration")
 	}

@@ -140,12 +140,22 @@ func TestBadInput(t *testing.T) {
 		{"fig6 -level x", "-level"},
 		{"table2 -p 0", "-p"},
 		{"table2 -pr 1.5", "-pr"},
+		{"table2 -pr NaN", "-pr"},
 		{"table2 -avg -1", "-avg"},
+		{"table2 -avg NaN", "-avg"},
+		{"table2 -avg Inf", "-avg"},
 		{"table4 -bytes 0", "-bytes"},
 		{"table4 -bytes -1", "-bytes"},
+		{"table4 -bytes 16777217", "-bytes"},
 		{"table4 -budget 0s", "-budget"},
 		{"table4 -budget -1s", "-budget"},
 		{"trace -events -1", "-events"},
+		{"-cpu-ghz 0 table4", "-cpu-ghz"},
+		{"-cpu-ghz -1 table4", "-cpu-ghz"},
+		{"-cpu-ghz NaN table4", "-cpu-ghz"},
+		{"-cpu-ghz Inf table4", "-cpu-ghz"},
+		{"-jobs -3 table2", "-jobs"},
+		{"-watchdog -1s table2", "-watchdog"},
 		{"-resume fig5", "-resume"},
 		{"-results x fig5", "-results"},
 	} {
@@ -163,20 +173,24 @@ func TestBadInput(t *testing.T) {
 }
 
 // TestFig1NegativeAttackers: a negative attacker count is an error
-// naming the sweep, not a makeslice panic with a Go stack trace.
+// naming the sweep, not a makeslice panic with a Go stack trace; so is
+// a count that leaves no node to attack, up to the largest int, and it
+// fails before a point is built for each count.
 func TestFig1NegativeAttackers(t *testing.T) {
-	code, stdout, stderr := ibsim("-quick", "fig1", "-attackers", "-1")
-	if code == 0 {
-		t.Fatalf("exit 0, want non-zero\n%s", stderr)
-	}
-	if strings.Contains(stderr, "panic") || strings.Contains(stderr, "goroutine") {
-		t.Errorf("stderr shows a panic:\n%s", stderr)
-	}
-	if !strings.Contains(stderr, "fig1") || !strings.Contains(stderr, "-1 attackers") {
-		t.Errorf("stderr does not name the sweep and the count:\n%s", stderr)
-	}
-	if stdout != "" {
-		t.Errorf("printed output:\n%s", stdout)
+	for _, n := range []string{"-1", "16", "9223372036854775807"} {
+		code, stdout, stderr := ibsim("-quick", "fig1", "-attackers", n)
+		if code == 0 {
+			t.Fatalf("-attackers %s: exit 0, want non-zero\n%s", n, stderr)
+		}
+		if strings.Contains(stderr, "panic") || strings.Contains(stderr, "goroutine") {
+			t.Errorf("-attackers %s: stderr shows a panic:\n%s", n, stderr)
+		}
+		if !strings.Contains(stderr, "fig1") || !strings.Contains(stderr, n+" attackers") {
+			t.Errorf("-attackers %s: stderr does not name the sweep and the count:\n%s", n, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("-attackers %s: printed output:\n%s", n, stdout)
+		}
 	}
 }
 
@@ -196,6 +210,14 @@ func TestOutOfRangeSweepValues(t *testing.T) {
 		{"splitbrain -partitions-us -1 -heartbeats-us 10 -rekeys-us 0", "splitbrain[{PartitionUS:-1 HeartbeatUS:10 RekeyUS:0}]", "partition window"},
 		{"splitbrain -partitions-us 80 -heartbeats-us 10 -rekeys-us -5", "splitbrain[{PartitionUS:80 HeartbeatUS:10 RekeyUS:-5}]", "negative rotation period"},
 		{"health -bers -1", "health[{Mode:DPT Attack:ramp Arm:off BER:-1}]", "link BER rate"},
+		{"health -bers NaN", "health[{Mode:DPT Attack:ramp Arm:off BER:NaN}]", "link BER rate NaN"},
+		{"faults -bers NaN -kills 0", "faults[{Mode:DPT BER:NaN Kills:0}]", "BER burst rate NaN"},
+		{"fig5 -duty NaN", "fig5[{Load:0.4 Mode:NoFiltering}]", "attack duty NaN"},
+		{"fig5 -duty Inf", "fig5[{Load:0.4 Mode:NoFiltering}]", "attack duty +Inf"},
+		{"sweep -load NaN", "sweep_duty[0.005]", "loads must be in [0,1]"},
+		{"authrate -load NaN", "authrate[CRC-32]", "loads must be in [0,1]"},
+		{"scale -load NaN", "scale[[2 2]]", "loads must be in [0,1]"},
+		{"congestion -rates NaN", "congestion[{Mode:DPT Rate:NaN CC:false}]", "attack rate NaN"},
 	} {
 		code, stdout, stderr := ibsim(append([]string{"-quick"}, strings.Fields(tc.args)...)...)
 		if code != 1 {

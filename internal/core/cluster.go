@@ -290,7 +290,7 @@ func Build(cfg Config) (*Cluster, error) {
 				dir.Register(mesh.HCA(i).Name(), kp.Public())
 			}
 		} else {
-			manager.Authority = keys.NewPartitionAuthority(rngCrypto, dir)
+			manager.Authority = keys.NewPartitionAuthority(rngCrypto)
 		}
 		// Distribution hooks: the SM (and any standby promoted in its
 		// place) reaches member key stores through these closures.

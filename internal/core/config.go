@@ -234,7 +234,8 @@ func (c *Config) Validate() error {
 	if c.MsgSize <= 0 || c.MsgSize > 1024 {
 		return fmt.Errorf("core: message size %d outside (0,1024]", c.MsgSize)
 	}
-	if c.RealtimeLoad < 0 || c.RealtimeLoad > 1 || c.BestEffortLoad < 0 || c.BestEffortLoad > 1 {
+	// Each float range check is written so that NaN fails it.
+	if !(c.RealtimeLoad >= 0 && c.RealtimeLoad <= 1 && c.BestEffortLoad >= 0 && c.BestEffortLoad <= 1) {
 		return fmt.Errorf("core: loads must be in [0,1]")
 	}
 	if c.RealtimeLoad == 0 && c.BestEffortLoad == 0 && c.Attackers == 0 {
@@ -243,7 +244,7 @@ func (c *Config) Validate() error {
 	if c.Duration <= 0 || c.Warmup < 0 || c.Warmup >= c.Duration {
 		return fmt.Errorf("core: bad duration/warmup %v/%v", c.Duration, c.Warmup)
 	}
-	if c.AttackDuty <= 0 || c.AttackDuty > 1 {
+	if !(c.AttackDuty > 0 && c.AttackDuty <= 1) {
 		return fmt.Errorf("core: attack duty %v outside (0,1]", c.AttackDuty)
 	}
 	if c.Params == nil {
@@ -291,7 +292,7 @@ func (c *Config) Validate() error {
 	if c.AttackIncast && c.Attackers == 0 {
 		return fmt.Errorf("core: AttackIncast set with no attackers")
 	}
-	if c.AttackRate < 0 || c.AttackRate > 1 {
+	if !(c.AttackRate >= 0 && c.AttackRate <= 1) {
 		return fmt.Errorf("core: attack rate %v outside [0,1]", c.AttackRate)
 	}
 	if c.FaultPlan != nil {

@@ -53,15 +53,16 @@ type Fig1Row struct {
 
 // Fig1 regenerates Figure 1(a) (realtime) or 1(b) (best-effort): average
 // queuing time and network latency as the number of attackers grows from
-// 0 to maxAttackers. Attackers flood at full line rate with random
-// P_Keys and destinations; no switch filtering is in place.
+// 0 to maxAttackers, which must leave at least one node that does not
+// attack. Attackers flood at full line rate with random P_Keys and
+// destinations; no switch filtering is in place.
 func Fig1(ctx context.Context, pool *runner.Pool, class fabric.Class, maxAttackers int, base Config) ([]Fig1Row, error) {
 	name := "fig1_best-effort"
 	if class == fabric.ClassRealtime {
 		name = "fig1_realtime"
 	}
-	if maxAttackers < 0 {
-		return nil, fmt.Errorf("core: %s: %d attackers", name, maxAttackers)
+	if n := base.MeshW * base.MeshH; maxAttackers < 0 || maxAttackers >= n {
+		return nil, fmt.Errorf("core: %s: %d attackers for %d nodes", name, maxAttackers, n)
 	}
 	var points []fig1Point
 	for k := 0; k <= maxAttackers; k++ {

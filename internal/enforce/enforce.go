@@ -223,15 +223,6 @@ func (f *Filter) Active(sw *fabric.Switch) bool {
 	return st != nil && st.active
 }
 
-// Violations returns sw's Ingress P_Key Violation Counter.
-func (f *Filter) Violations(sw *fabric.Switch) uint64 {
-	st := f.lookup(sw)
-	if st == nil {
-		return 0
-	}
-	return st.violations
-}
-
 // StartAutoDisable arms the SIF self-disable rule on a simulator: every
 // period, any switch whose violation counter has not advanced disables
 // its ingress filtering and clears its Invalid_P_Key_Table ("If this

@@ -9,6 +9,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ibasec/internal/sim"
@@ -321,8 +322,8 @@ func (p *Params) SerializationDelay(n int) sim.Time {
 
 // Validate reports configuration errors.
 func (p *Params) Validate() error {
-	if p.LinkBandwidth <= 0 {
-		return fmt.Errorf("fabric: non-positive link bandwidth %v", p.LinkBandwidth)
+	if !(p.LinkBandwidth > 0 && p.LinkBandwidth < math.Inf(1)) {
+		return fmt.Errorf("fabric: link bandwidth %v is not positive and finite", p.LinkBandwidth)
 	}
 	if p.CreditsPerVL <= 0 {
 		return fmt.Errorf("fabric: credits per VL must be positive, got %d", p.CreditsPerVL)
@@ -333,7 +334,7 @@ func (p *Params) Validate() error {
 	if p.HOQLife < 0 {
 		return fmt.Errorf("fabric: negative head-of-queue lifetime %v", p.HOQLife)
 	}
-	if p.BitErrorRate < 0 || p.BitErrorRate >= 1 {
+	if !(p.BitErrorRate >= 0 && p.BitErrorRate < 1) {
 		return fmt.Errorf("fabric: bit error rate %v outside [0,1)", p.BitErrorRate)
 	}
 	if p.BitErrorRate > 0 && p.RNG == nil {

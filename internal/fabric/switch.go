@@ -382,30 +382,8 @@ func (sw *Switch) SendRaw(port int, d *Delivery) {
 	sw.ports[port].out.enqueue(d)
 }
 
-// Sim returns the simulator driving this switch.
-func (sw *Switch) Sim() *sim.Simulator { return sw.sim }
-
 // PortConnected reports whether the port has been wired to a link.
 func (sw *Switch) PortConnected(port int) bool { return sw.ports[port].Connected() }
-
-// QueueDepth returns the packets waiting in the port's output queues
-// summed over all VLs, plus one if the serializer is mid-transmission —
-// the port's total unsent backlog.
-func (sw *Switch) QueueDepth(port int) int {
-	ch := sw.ports[port].out
-	if ch == nil {
-		return 0
-	}
-	n := 0
-	for vl := 0; vl < NumVLs; vl++ {
-		n += ch.queues[vl].len()
-	}
-	ch.settle()
-	if ch.busy {
-		n++
-	}
-	return n
-}
 
 // PortStats returns the bytes transmitted and cumulative serialization
 // time of the port's outbound channel (zero values when unconnected).

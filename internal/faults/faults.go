@@ -287,7 +287,7 @@ func (p *Plan) Validate(m *topology.Mesh) error {
 		}
 	}
 	for _, b := range p.BER {
-		if b.Rate < 0 || b.Rate >= 1 {
+		if !(b.Rate >= 0 && b.Rate < 1) {
 			return fmt.Errorf("faults: BER burst rate %v outside [0,1)", b.Rate)
 		}
 	}
@@ -298,7 +298,7 @@ func (p *Plan) Validate(m *topology.Mesh) error {
 		if _, _, _, ok := m.LinkPeer(lb.Link.Switch, lb.Link.Port); !ok {
 			return fmt.Errorf("faults: link BER on unconnected port %d of switch %d", lb.Link.Port, lb.Link.Switch)
 		}
-		if lb.Rate < 0 || lb.Rate >= 1 {
+		if !(lb.Rate >= 0 && lb.Rate < 1) {
 			return fmt.Errorf("faults: link BER rate %v outside [0,1)", lb.Rate)
 		}
 		if lb.From < 0 {
@@ -308,7 +308,7 @@ func (p *Plan) Validate(m *topology.Mesh) error {
 			return fmt.Errorf("faults: link BER window [%v,%v) is empty", lb.From, lb.Until)
 		}
 	}
-	if p.MAD != nil && (p.MAD.DropProb < 0 || p.MAD.DropProb > 1) {
+	if p.MAD != nil && !(p.MAD.DropProb >= 0 && p.MAD.DropProb <= 1) {
 		return fmt.Errorf("faults: MAD drop probability %v outside [0,1]", p.MAD.DropProb)
 	}
 	for _, sk := range p.SMKills {

@@ -8,6 +8,25 @@ import (
 	"ibasec/internal/packet"
 )
 
+// CRC16Bitwise is the reference bit-serial implementation of CRC16, used
+// to cross-check the fold and table kernels in tests.
+func CRC16Bitwise(data []byte) uint16 { return update16Bitwise(^uint16(0), data) }
+
+// update16Bitwise advances a CRC-16 register over data one bit at a time.
+func update16Bitwise(crc uint16, data []byte) uint16 {
+	for _, b := range data {
+		crc ^= uint16(b) << 8
+		for k := 0; k < 8; k++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ poly16
+			} else {
+				crc <<= 1
+			}
+		}
+	}
+	return crc
+}
+
 // Both CRC-16 kernels — update16, which folds with PCLMULQDQ where the
 // CPU allows, and the slicing-by-8 update16Table — must equal the
 // bit-serial reference for every length a wire image can have (and past

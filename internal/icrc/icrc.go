@@ -22,8 +22,8 @@
 // header, at most 60 bytes copied onto the stack, with the slicing-by-8
 // table, and hands the payload to hash/crc32, whose IEEE checksum is this
 // CRC. CRC32 is that same stdlib kernel, so Table 4's CRC-32 baseline
-// times the CRC the wire runs. The bit-serial CRC32Bitwise and
-// CRC16Bitwise are the references the tests hold every kernel to.
+// times the CRC the wire runs. The tests hold every kernel to bit-serial
+// references of their own (CRC32Bitwise, CRC16Bitwise).
 //
 // Seal writes both CRCs of an unauthenticated packet into its wire image;
 // PatchVCRC is the VCRC-only writer for the paths that leave the ICRC
@@ -150,23 +150,6 @@ func update32(crc uint32, data []byte) uint32 {
 	return crc
 }
 
-// CRC32Bitwise is the reference bit-serial implementation of CRC32, used
-// to cross-check update32 in tests.
-func CRC32Bitwise(data []byte) uint32 {
-	crc := ^uint32(0)
-	for _, b := range data {
-		crc ^= uint32(b)
-		for k := 0; k < 8; k++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ poly32Reflected
-			} else {
-				crc >>= 1
-			}
-		}
-	}
-	return ^crc
-}
-
 // CRC16 computes the IBA VCRC CRC-16 (poly 0x100B, init all-ones, no
 // reflection, no final XOR) over data, MSB-first.
 func CRC16(data []byte) uint16 { return update16(^uint16(0), data) }
@@ -188,25 +171,6 @@ func update16Table(crc uint16, data []byte) uint16 {
 	}
 	for _, b := range data {
 		crc = crc<<8 ^ slicing16[0][byte(crc>>8)^b]
-	}
-	return crc
-}
-
-// CRC16Bitwise is the reference bit-serial implementation of CRC16, used
-// to cross-check the fold and table kernels in tests.
-func CRC16Bitwise(data []byte) uint16 { return update16Bitwise(^uint16(0), data) }
-
-// update16Bitwise advances a CRC-16 register over data one bit at a time.
-func update16Bitwise(crc uint16, data []byte) uint16 {
-	for _, b := range data {
-		crc ^= uint16(b) << 8
-		for k := 0; k < 8; k++ {
-			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ poly16
-			} else {
-				crc <<= 1
-			}
-		}
 	}
 	return crc
 }
@@ -365,7 +329,7 @@ func Seal(p *packet.Packet) error {
 // The zero value is ready to use. A Verifier is not safe for concurrent
 // use — give each HCA/endpoint its own (the experiment runner executes
 // whole simulations in parallel, so package-global scratch would race).
-// Its Seal, ICRC and VerifyICRC are the package functions, which need no
+// Its Seal and VerifyICRC are the package functions, which need no
 // scratch.
 type Verifier struct {
 	scratch []byte
@@ -382,9 +346,6 @@ func (v *Verifier) InvariantRegion(wire []byte) ([]byte, error) {
 	v.scratch = r
 	return r, nil
 }
-
-// ICRC is the package's ICRC.
-func (v *Verifier) ICRC(wire []byte) (uint32, error) { return ICRC(wire) }
 
 // VerifyICRC is the package's VerifyICRC.
 func (v *Verifier) VerifyICRC(wire []byte) (bool, error) { return VerifyICRC(wire) }

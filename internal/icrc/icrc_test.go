@@ -46,6 +46,23 @@ func TestCRC32MatchesStdlib(t *testing.T) {
 	}
 }
 
+// CRC32Bitwise is the reference bit-serial implementation of CRC32, used
+// to cross-check update32 in tests.
+func CRC32Bitwise(data []byte) uint32 {
+	crc := ^uint32(0)
+	for _, b := range data {
+		crc ^= uint32(b)
+		for k := 0; k < 8; k++ {
+			if crc&1 != 0 {
+				crc = crc>>1 ^ poly32Reflected
+			} else {
+				crc >>= 1
+			}
+		}
+	}
+	return ^crc
+}
+
 func TestCRC32BitwiseMatchesTable(t *testing.T) {
 	f := func(data []byte) bool { return ^update32(^uint32(0), data) == CRC32Bitwise(data) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -363,17 +380,6 @@ func TestVerifierMatchesPackageFunctions(t *testing.T) {
 			if !bytes.Equal(wantRegion, gotRegion) {
 				t.Fatalf("grh=%v n=%d: Verifier region differs", grh, n)
 			}
-			want, err := ICRC(wire)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := v.ICRC(wire)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("grh=%v n=%d: Verifier ICRC %#x, want %#x", grh, n, got, want)
-			}
 			ok, err := v.VerifyICRC(wire)
 			if err != nil || !ok {
 				t.Fatalf("grh=%v n=%d: Verifier.VerifyICRC ok=%v err=%v", grh, n, ok, err)
@@ -384,7 +390,7 @@ func TestVerifierMatchesPackageFunctions(t *testing.T) {
 	if _, err := v.InvariantRegion(make([]byte, 4)); err == nil {
 		t.Fatal("short buffer accepted")
 	}
-	if _, err := v.ICRC(nil); err == nil {
+	if _, err := v.VerifyICRC(nil); err == nil {
 		t.Fatal("nil buffer accepted")
 	}
 }
@@ -445,7 +451,7 @@ func TestVerifierZeroAllocSteadyState(t *testing.T) {
 	wire := p.Marshal()
 	allocs = testing.AllocsPerRun(100, func() {
 		var v Verifier // fresh each time: there is no scratch to warm up
-		if _, err := v.ICRC(wire); err != nil {
+		if _, err := ICRC(wire); err != nil {
 			t.Fatal(err)
 		}
 		ok, err := v.VerifyICRC(wire)

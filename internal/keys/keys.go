@@ -12,7 +12,6 @@
 package keys
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -48,9 +47,6 @@ func NewSecretKey(r io.Reader) (SecretKey, error) {
 	return k, nil
 }
 
-// Rand is the default randomness source for key generation.
-var Rand io.Reader = rand.Reader
-
 // MaxPKeysPerPort is the IBA-specified capacity of a port's partition
 // table (the paper sizes SIF memory from this: 32768 × 16 bits = 64 KB).
 const MaxPKeysPerPort = 32768
@@ -60,14 +56,13 @@ var ErrTableFull = errors.New("keys: partition table full")
 
 // PartitionTable is the per-port table of P_Keys a Channel Adapter or an
 // enforcing switch port accepts (IBA 10.9.2). A table belongs to the one
-// simulation run that built it — Check counts every lookup — so it takes
-// no lock; parallelism is across runs (internal/runner).
+// simulation run that built it and takes no lock; parallelism is across
+// runs (internal/runner).
 type PartitionTable struct {
 	// keys holds one full P_Key entry per base value, ascending by base:
 	// the order Check searches and Keys hands out.
-	keys   []packet.PKey
-	limit  int
-	checks uint64 // lookups performed (feeds the Table 2 cost model)
+	keys  []packet.PKey
+	limit int
 }
 
 // NewPartitionTable returns an empty table bounded by limit entries
@@ -133,7 +128,6 @@ func (t *PartitionTable) Remove(k packet.PKey) {
 // match a table entry's base value, and at least one of the two keys must
 // have full membership (two limited members cannot talk, IBA 10.9.3).
 func (t *PartitionTable) Check(k packet.PKey) bool {
-	t.checks++
 	i, ok := t.find(k.Base())
 	return ok && (k.Full() || t.keys[i].Full())
 }
@@ -141,12 +135,6 @@ func (t *PartitionTable) Check(k packet.PKey) bool {
 // Len returns the number of entries.
 func (t *PartitionTable) Len() int {
 	return len(t.keys)
-}
-
-// Lookups returns the number of Check calls, the per-packet cost the
-// paper's Table 2 accounts as f(p).
-func (t *PartitionTable) Lookups() uint64 {
-	return t.checks
 }
 
 // Keys returns the table's P_Keys ascending by base value. The slice is

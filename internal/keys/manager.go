@@ -223,17 +223,6 @@ func (s *Store) PartitionVerifyKeys(pk packet.PKey) (cur, prev *EpochKey, ok boo
 	return &ps.current, prev, true
 }
 
-// RetiredPartitionKey returns the most recently retired epoch key for pk,
-// kept so verification can attribute "signed under a retired epoch"
-// rejects to their own counter.
-func (s *Store) RetiredPartitionKey(pk packet.PKey) (EpochKey, bool) {
-	ps := s.lookup(pk)
-	if ps == nil || ps.nRetired == 0 {
-		return EpochKey{}, false
-	}
-	return ps.retired[ps.nRetired-1], true
-}
-
 // RetiredPartitionKeys returns every retired tombstone for pk, newest
 // last. Verification tries each so that packets sealed under any
 // recently retired epoch — including a merged-away island's — are
@@ -301,19 +290,18 @@ func (s *Store) SendQPSecret(local packet.QPN, remoteLID packet.LID, remote pack
 	return k, ok
 }
 
-// Counts returns the number of partition, receive-QP and send-QP entries,
-// used by memory-overhead accounting.
+// Counts returns the number of partition, receive-QP and send-QP entries.
 func (s *Store) Counts() (partition, recvQP, sendQP int) {
 	return len(s.partitions), len(s.recvQP), len(s.sendQP)
 }
 
 // PartitionAuthority is the Subnet Manager side of partition-level key
 // management (paper section 4.2): it owns one epoch-tagged secret per
-// partition and seals it to each member CA's public key. It belongs to
-// one simulation run and takes no lock.
+// partition, which the SM installs at each member CA out of band
+// (sm.SubnetManager.InstallSecret). It belongs to one simulation run and
+// takes no lock.
 type PartitionAuthority struct {
 	rng     io.Reader
-	dir     *Directory
 	secrets map[uint16]EpochKey
 	// history keeps the last few keys this authority minted per
 	// partition (newest last, bounded by retiredCap). Merge
@@ -323,12 +311,10 @@ type PartitionAuthority struct {
 	fresh   SecretKey // RotateEpoch's read buffer
 }
 
-// NewPartitionAuthority returns an authority drawing randomness from rng
-// and resolving node public keys through dir.
-func NewPartitionAuthority(rng io.Reader, dir *Directory) *PartitionAuthority {
+// NewPartitionAuthority returns an authority drawing randomness from rng.
+func NewPartitionAuthority(rng io.Reader) *PartitionAuthority {
 	return &PartitionAuthority{
 		rng:     rng,
-		dir:     dir,
 		secrets: make(map[uint16]EpochKey),
 		history: make(map[uint16][]EpochKey),
 	}
@@ -340,7 +326,7 @@ func NewPartitionAuthority(rng io.Reader, dir *Directory) *PartitionAuthority {
 // authority so its island-scoped rotations diverge from the other
 // island's without touching the state they shared.
 func (a *PartitionAuthority) Fork(rng io.Reader) *PartitionAuthority {
-	f := NewPartitionAuthority(rng, a.dir)
+	f := NewPartitionAuthority(rng)
 	for base, ek := range a.secrets {
 		f.secrets[base] = ek
 	}
@@ -431,25 +417,6 @@ func (a *PartitionAuthority) RotateEpoch(pk packet.PKey) (SecretKey, uint32, err
 	a.record(pk.Base(), old)
 	a.secrets[pk.Base()] = EpochKey{Key: k, Epoch: next}
 	return k, next, nil
-}
-
-// EnvelopeForEpoch seals the current partition secret, epoch-tagged, to
-// the named node's public key, returning the envelope and the epoch it
-// carries.
-func (a *PartitionAuthority) EnvelopeForEpoch(pk packet.PKey, node string) (Envelope, uint32, error) {
-	pub, ok := a.dir.Lookup(node)
-	if !ok {
-		return Envelope{}, 0, fmt.Errorf("keys: node %q not in public-key directory", node)
-	}
-	if _, err := a.EnsureSecret(pk); err != nil {
-		return Envelope{}, 0, err
-	}
-	ek := a.secrets[pk.Base()]
-	env, err := SealEpoch(a.rng, pub, ek.Key, ek.Epoch)
-	if err != nil {
-		return Envelope{}, 0, err
-	}
-	return env, ek.Epoch, nil
 }
 
 // IssueQPSecret implements the QP-level issuance step (paper section 4.3):

@@ -32,11 +32,10 @@ import (
 // Well-known authentication function IDs (values of BTH.Resv8a). ID 0 is
 // reserved for "no authentication; ICRC in use".
 const (
-	IDNone      uint8 = 0
-	IDHMACMD5   uint8 = 1
-	IDHMACSHA1  uint8 = 2
-	IDUMAC32    uint8 = 3
-	IDTruncUMAC uint8 = 4 // fast mode: digest a bounded prefix (paper §7)
+	IDNone     uint8 = 0
+	IDHMACMD5  uint8 = 1
+	IDHMACSHA1 uint8 = 2
+	IDUMAC32   uint8 = 3
 )
 
 // TagSize is the authentication tag size in bytes — it must equal the
@@ -108,57 +107,24 @@ func NewHMACSHA1() Authenticator {
 // umacAuth is the paper's preferred algorithm: provable 2^-30 forgery at
 // 32-bit tags and near-CRC speed.
 type umacAuth struct {
-	cache   keyCache[umac.UMAC]
+	cache   keyCache
 	scratch umac.Scratch // the pad derivation's AES blocks, reused per tag
-	// prefix > 0 enables the paper's section-7 fast mode: only the
-	// first prefix bytes of the message are digested, trading forgery
-	// probability for speed.
-	prefix int
-	id     uint8
-	name   string
 }
 
 // NewUMAC32 returns the UMAC-32 authenticator.
-func NewUMAC32() Authenticator {
-	return &umacAuth{id: IDUMAC32, name: "UMAC-32"}
-}
+func NewUMAC32() Authenticator { return new(umacAuth) }
 
-// NewTruncatedUMAC returns the section-7 "fast authentication" variant
-// that digests only the first prefix bytes of each message. Forgery
-// probability on the undigested suffix is 1, so the effective bound is
-// dominated by how much of the packet an attacker needs to control.
-func NewTruncatedUMAC(prefix int) Authenticator {
-	if prefix <= 0 {
-		panic("mac: prefix must be positive")
-	}
-	return &umacAuth{
-		prefix: prefix,
-		id:     IDTruncUMAC,
-		name:   fmt.Sprintf("UMAC-32/prefix%d", prefix),
-	}
-}
-
-func (u *umacAuth) ID() uint8    { return u.id }
-func (u *umacAuth) Name() string { return u.name }
-
-func (u *umacAuth) ForgeryProb() float64 {
-	if u.prefix > 0 {
-		// Tampering beyond the digested prefix is undetectable.
-		return 1.0
-	}
-	return 1.0 / (1 << 30) // proven bound for UMAC-32
-}
+func (u *umacAuth) ID() uint8            { return IDUMAC32 }
+func (u *umacAuth) Name() string         { return "UMAC-32" }
+func (u *umacAuth) ForgeryProb() float64 { return 1.0 / (1 << 30) } // proven bound for UMAC-32
 
 func (u *umacAuth) Tag(key, msg []byte, nonce uint64) (uint32, error) {
 	if len(key) != umac.KeySize {
 		return 0, fmt.Errorf("mac: UMAC requires a %d-byte key, got %d", umac.KeySize, len(key))
 	}
-	inst, err := u.cache.get(key, (*umac.UMAC).SetKey)
+	inst, err := u.cache.get(key)
 	if err != nil {
 		return 0, err
-	}
-	if u.prefix > 0 && len(msg) > u.prefix {
-		msg = msg[:u.prefix]
 	}
 	return inst.Tag32UintScratch(&u.scratch, msg, nonce)
 }
@@ -170,39 +136,39 @@ func (u *umacAuth) Tag(key, msg []byte, nonce uint64) (uint32, error) {
 // keys that rotation, retirement or a wipe has already left behind.
 const keyCacheCap = 256
 
-// keyCache memoizes the state an authenticator expands from a 16-byte
-// key (≈ 2.3 KB of UMAC subkeys), keyed by the raw key bytes. It holds at
-// most keyCacheCap entries and evicts in insertion order: rotation mints
-// keys forever, and a cache that never forgot one would keep every
-// retired epoch's and every evicted node's credentials for the life of
-// the registry. An evicted key that is used again is simply re-expanded.
-// Once full, the cache expands a new key into the state of the key it
-// evicts, so a key epoch allocates only what expand itself must.
-type keyCache[T any] struct {
-	m     map[[16]byte]*T
+// keyCache memoizes the UMAC subkeys (≈ 2.3 KB) expanded from a 16-byte
+// key, keyed by the raw key bytes. It holds at most keyCacheCap entries
+// and evicts in insertion order: rotation mints keys forever, and a cache
+// that never forgot one would keep every retired epoch's and every
+// evicted node's credentials for the life of the registry. An evicted key
+// that is used again is simply re-expanded. Once full, the cache expands
+// a new key into the state of the key it evicts, so a key epoch allocates
+// only what SetKey itself must.
+type keyCache struct {
+	m     map[[16]byte]*umac.UMAC
 	order [keyCacheCap][16]byte // resident keys, oldest at next once full
 	next  int
 }
 
-// get returns the state for key, expanding it into a cache slot on first
-// use.
-func (c *keyCache[T]) get(key []byte, expand func(st *T, key []byte) error) (*T, error) {
+// get returns the subkeys for key, expanding them into a cache slot on
+// first use.
+func (c *keyCache) get(key []byte) (*umac.UMAC, error) {
 	var kk [16]byte
 	copy(kk[:], key)
 	if st := c.m[kk]; st != nil {
 		return st, nil
 	}
 	if c.m == nil {
-		c.m = make(map[[16]byte]*T)
+		c.m = make(map[[16]byte]*umac.UMAC)
 	}
-	var st *T
+	var st *umac.UMAC
 	if len(c.m) == keyCacheCap {
 		st = c.m[c.order[c.next]]
 		delete(c.m, c.order[c.next])
 	} else {
-		st = new(T)
+		st = new(umac.UMAC)
 	}
-	if err := expand(st, key); err != nil {
+	if err := st.SetKey(key); err != nil {
 		return nil, err // st, half expanded, is dropped
 	}
 	c.order[c.next] = kk
@@ -267,15 +233,4 @@ func (r *Registry) Register(a Authenticator) error {
 func (r *Registry) Lookup(id uint8) (Authenticator, bool) {
 	a := r.byID[id]
 	return a, a != nil
-}
-
-// IDs returns all registered IDs in ascending order.
-func (r *Registry) IDs() []uint8 {
-	var ids []uint8
-	for id, a := range r.byID {
-		if a != nil {
-			ids = append(ids, uint8(id))
-		}
-	}
-	return ids
 }

@@ -139,15 +139,6 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// N returns the total number of samples, including out-of-range ones.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over uint64) { return h.underflow, h.overflow }
-
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1) assuming
 // uniform density within buckets. Out-of-range samples clamp to the edges.
 func (h *Histogram) Quantile(q float64) float64 {
@@ -374,7 +365,6 @@ type Storm struct {
 	cur      int64
 	curCount uint64
 	max      uint64
-	total    uint64
 }
 
 // NewStorm creates a storm gauge with the given window size, in the
@@ -393,7 +383,6 @@ func (s *Storm) Add(t float64) {
 		s.cur, s.curCount = idx, 0
 	}
 	s.curCount++
-	s.total++
 	if s.curCount > s.max {
 		s.max = s.curCount
 	}
@@ -401,6 +390,3 @@ func (s *Storm) Add(t float64) {
 
 // Max returns the highest event count observed in any single window.
 func (s *Storm) Max() uint64 { return s.max }
-
-// Total returns the total number of events counted.
-func (s *Storm) Total() uint64 { return s.total }

@@ -18,10 +18,9 @@ const (
 	VCRCSize = 2
 )
 
-// LNH (Link Next Header) values in the LRH.
+// LNH (Link Next Header) values in the LRH for IBA transport packets;
+// the raw (0) and IPv6 (1) encodings are never built here.
 const (
-	LNHRaw       = 0x0 // raw, no IBA transport
-	LNHIPv6      = 0x1
 	LNHIBALocal  = 0x2 // BTH follows (no GRH)
 	LNHIBAGlobal = 0x3 // GRH then BTH
 )
@@ -118,10 +117,6 @@ func (k PKey) Full() bool { return k&0x8000 != 0 }
 
 // Base returns the 15-bit key value without the membership bit.
 func (k PKey) Base() uint16 { return uint16(k) & 0x7FFF }
-
-// SameBase reports whether two P_Keys name the same partition, ignoring
-// membership bits.
-func (k PKey) SameBase(o PKey) bool { return k.Base() == o.Base() }
 
 // BTH is the 12-byte Base Transport Header (IBA 9.2).
 //

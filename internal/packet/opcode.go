@@ -113,11 +113,6 @@ func (op OpCode) HasAETH() bool { return op == RCAck || op == RCRDMAReadRespO }
 // immediate-data field after the transport headers.
 func (op OpCode) HasImm() bool { return op == UDSendOnlyImm }
 
-// HasPayload reports whether packets with this opcode may carry payload.
-func (op OpCode) HasPayload() bool {
-	return op != RCAck && op != RCRDMAReadReq && op != CNPNotify
-}
-
 func (op OpCode) String() string {
 	switch op {
 	case RCSendFirst:

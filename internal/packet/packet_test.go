@@ -77,9 +77,6 @@ func TestPKeyMembership(t *testing.T) {
 	if full.Base() != 0x0123 || lim.Base() != 0x0123 {
 		t.Fatal("base value")
 	}
-	if !full.SameBase(lim) || full.SameBase(PKey(0x8124)) {
-		t.Fatal("SameBase")
-	}
 }
 
 func TestUDRoundTrip(t *testing.T) {

@@ -166,10 +166,6 @@ func (a *Auditor) Stop() {
 	}
 }
 
-// Sweep runs one audit pass immediately (tests; Start drives it
-// periodically).
-func (a *Auditor) Sweep() { a.tick() }
-
 func (a *Auditor) tick() {
 	if a.auditing {
 		a.Counters.Add(AuditSkipped, 1)

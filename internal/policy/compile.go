@@ -55,16 +55,6 @@ type Intent struct {
 	Switches   []SwitchIntent
 }
 
-// Switch returns the intent for one switch, or nil.
-func (in *Intent) Switch(sw int) *SwitchIntent {
-	for i := range in.Switches {
-		if in.Switches[i].Switch == sw {
-			return &in.Switches[i]
-		}
-	}
-	return nil
-}
-
 // Compile validates doc and lowers it to per-device intent for a subnet
 // of numNodes end ports (node i attached to switch i). DPT switches get
 // their own copy of the subnet-wide table — per the paper's Duplicate

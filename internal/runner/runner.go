@@ -80,9 +80,6 @@ func (p *Pool) inc(name string) {
 	p.mu.Unlock()
 }
 
-// Workers returns the pool's concurrency.
-func (p *Pool) Workers() int { return p.opts.Workers }
-
 // Run executes jobs and returns their results in the jobs' order:
 // results[i] is jobs[i]'s, whatever its Index. A failing or panicking job never
 // kills the pool: its error is collected while the remaining jobs

@@ -6,12 +6,11 @@ import "fmt"
 // is ready to use. Simulator is not safe for concurrent use; the fabric
 // model is deliberately single-threaded so that runs are deterministic.
 type Simulator struct {
-	now     Time
-	done    uint64 // the slots at now with a seq below done have fired (see Passed)
-	last    Time   // the latest ticket's time (see Reserve)
-	q       eventQueue
-	fired   uint64
-	stopped bool
+	now   Time
+	done  uint64 // the slots at now with a seq below done have fired (see Passed)
+	last  Time   // the latest ticket's time (see Reserve)
+	q     eventQueue
+	fired uint64
 }
 
 // New returns a ready-to-run Simulator at time zero.
@@ -139,37 +138,29 @@ func (s *Simulator) fire(at Time, b int) {
 	h.Fire(arg, n)
 }
 
-// Run fires events until the queue is empty or Stop is called. A drained
-// Run leaves the clock at the latest reserved ticket if that is later than
-// the last event: where the ticket's event would have fired had it been
-// scheduled.
+// Run fires events until the queue is empty, then leaves the clock at
+// the latest reserved ticket if that is later than the last event: where
+// the ticket's event would have fired had it been scheduled.
 func (s *Simulator) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
+	for s.Step() {
 	}
-	if !s.stopped {
-		s.now, s.done = max(s.now, s.last), s.q.seq
-	}
+	s.now, s.done = max(s.now, s.last), s.q.seq
 }
 
 // RunUntil fires events with timestamps <= deadline, then advances the
 // clock to the deadline. Events scheduled beyond the deadline stay queued.
 func (s *Simulator) RunUntil(deadline Time) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		at, b, ok := s.q.head()
 		if !ok || at > deadline {
 			break
 		}
 		s.fire(at, b)
 	}
-	if !s.stopped && s.now <= deadline {
+	if s.now <= deadline {
 		s.now, s.done = deadline, s.q.seq
 	}
 }
-
-// Stop makes the innermost Run or RunUntil return after the current event.
-func (s *Simulator) Stop() { s.stopped = true }
 
 // Every schedules fn to run now+period, then every period thereafter,
 // until the returned cancel function is called. fn may itself call cancel.

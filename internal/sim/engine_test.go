@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestTimeUnits(t *testing.T) {
@@ -17,15 +16,6 @@ func TestTimeUnits(t *testing.T) {
 	}
 	if got := (2500 * Nanosecond).Microseconds(); got != 2.5 {
 		t.Fatalf("Microseconds = %v, want 2.5", got)
-	}
-	if got := (3 * Microsecond).Nanoseconds(); got != 3000 {
-		t.Fatalf("Nanoseconds = %v, want 3000", got)
-	}
-	if got := FromDuration(2 * time.Microsecond); got != 2*Microsecond {
-		t.Fatalf("FromDuration = %v", got)
-	}
-	if got := (5 * Microsecond).Duration(); got != 5*time.Microsecond {
-		t.Fatalf("Duration = %v", got)
 	}
 }
 
@@ -356,27 +346,6 @@ func TestRunUntil(t *testing.T) {
 	s.RunUntil(100 * Nanosecond)
 	if len(fired) != 4 {
 		t.Fatalf("fired = %v", fired)
-	}
-}
-
-func TestStop(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	s.Run() // resumes
-	if count != 10 {
-		t.Fatalf("count = %d, want 10", count)
 	}
 }
 

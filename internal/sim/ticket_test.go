@@ -61,16 +61,16 @@ func TestTicketsFireInSlotOrder(t *testing.T) {
 }
 
 // Passed tracks the engine's position through Step, an event's own
-// firing, RunUntil (up to and including its deadline), Stop and a
-// drained Run; a ticket reserved between runs at the current instant
-// has not passed.
+// firing, RunUntil (up to and including its deadline) and a drained
+// Run; a ticket reserved between runs at the current instant has not
+// passed.
 func TestPassedAcrossRuns(t *testing.T) {
 	s := New()
 	var inside []bool
 	r0 := s.Reserve(10)
 	s.ScheduleAt(10, func() { inside = append(inside, s.Passed(10, 1), s.Passed(10, 2)) }) // slot 1
 	r2 := s.Reserve(10)
-	s.ScheduleAt(20, s.Stop) // slot 3
+	s.ScheduleAt(20, func() {}) // slot 3
 	r4 := s.Reserve(20)
 	r5 := s.Reserve(40)
 	check := func(when string, at Time, seq uint64, want bool) {
@@ -91,11 +91,11 @@ func TestPassedAcrossRuns(t *testing.T) {
 	check("after RunUntil(15)", 10, r2, true)
 	check("after RunUntil(15)", 15, r6, true)
 	check("after RunUntil(15)", 20, r4, false)
-	s.Run() // stopped by the event at 20, slot 3
-	check("after a stopped Run", 20, 3, true)
-	check("after a stopped Run", 20, r4, false)
+	s.Step() // the event at 20, slot 3
+	check("after Step at 20", 20, 3, true)
+	check("after Step at 20", 20, r4, false)
 	if s.Now() != 20 {
-		t.Fatalf("stopped Run left the clock at %v, want 20", s.Now())
+		t.Fatalf("Step left the clock at %v, want 20", s.Now())
 	}
 	r7 := s.Reserve(s.Now())
 	check("reserved between runs", 20, r7, false)

@@ -8,10 +8,7 @@
 // a fixed seed.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a simulation timestamp or duration in picoseconds.
 type Time int64
@@ -25,21 +22,8 @@ const (
 	Second           = 1000 * Millisecond
 )
 
-// Nanoseconds returns t as a floating-point nanosecond count.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
 // Microseconds returns t as a floating-point microsecond count.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
-
-// Seconds returns t as a floating-point second count.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Duration converts t to a time.Duration (nanosecond resolution,
-// truncating sub-nanosecond remainder).
-func (t Time) Duration() time.Duration { return time.Duration(t / Nanosecond) }
-
-// FromDuration converts a time.Duration to a simulation Time.
-func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) * Nanosecond }
 
 // String formats the time with an adaptive unit, e.g. "12.8ns" or "3.456us".
 func (t Time) String() string {

@@ -64,13 +64,3 @@ func (b *Baseboard) UpdateFirmware(k keys.BKey, version int) error {
 	b.Counters.Add(BoardFirmwareOps, 1)
 	return nil
 }
-
-// RotateBKey replaces the B_Key; the old key must be presented.
-func (b *Baseboard) RotateBKey(old, next keys.BKey) error {
-	if err := b.check(old); err != nil {
-		return err
-	}
-	b.bkey = next
-	b.Counters.Add(BoardBKeyRotations, 1)
-	return nil
-}

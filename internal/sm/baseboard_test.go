@@ -34,20 +34,3 @@ func TestBaseboardGuards(t *testing.T) {
 		t.Fatal("downgrade accepted")
 	}
 }
-
-func TestBaseboardRotation(t *testing.T) {
-	old, next := keys.BKey(1), keys.BKey(2)
-	bb := NewBaseboard(old)
-	if err := bb.RotateBKey(keys.BKey(99), next); err == nil {
-		t.Fatal("rotation with wrong key accepted")
-	}
-	if err := bb.RotateBKey(old, next); err != nil {
-		t.Fatal(err)
-	}
-	if err := bb.SetPower(old, false); err == nil {
-		t.Fatal("old key still valid after rotation")
-	}
-	if err := bb.SetPower(next, false); err != nil {
-		t.Fatal(err)
-	}
-}

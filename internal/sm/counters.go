@@ -175,8 +175,7 @@ type BoardCounter uint8
 
 // The ids of a Baseboard's counters, in name order.
 const (
-	BoardBKeyRotations BoardCounter = iota
-	BoardBKeyViolations
+	BoardBKeyViolations BoardCounter = iota
 	BoardFirmwareOps
 	BoardPowerOps
 	numBoardCounters
@@ -184,7 +183,6 @@ const (
 
 // boardCounters names each id.
 var boardCounters = metrics.Table{Set: "baseboard", Names: []string{
-	BoardBKeyRotations:  "bkey_rotations",
 	BoardBKeyViolations: "bkey_violations",
 	BoardFirmwareOps:    "firmware_ops",
 	BoardPowerOps:       "power_ops",

@@ -29,10 +29,6 @@ import (
 // threshold trap after the PerfMgr consumed a trap notice.
 const smpAttrPortCounters = 7
 
-// AttrPortCounters is the exported attribute value for callers driving
-// the PMA protocol through Discoverer.Query.
-const AttrPortCounters = smpAttrPortCounters
-
 // portCountersSize is the encoded attribute size: symbol(2), rcv(2),
 // linkDowned(1), xmitDiscards(2), vl15Dropped(2) — well inside the
 // 16-byte SMP data area, so PMA traffic is wire-identical in size and
@@ -117,10 +113,10 @@ func (c PerfConfig) Validate() error {
 		}
 		return nil
 	}
-	if c.Alpha < 0 || c.Alpha >= 1 {
+	if !(c.Alpha >= 0 && c.Alpha < 1) {
 		return fmt.Errorf("sm: health EWMA alpha %v outside [0,1)", c.Alpha)
 	}
-	if c.QuarantineScore < 0 {
+	if !(c.QuarantineScore >= 0) {
 		return fmt.Errorf("sm: negative health score threshold")
 	}
 	return nil
@@ -313,15 +309,6 @@ func (pm *PerfMgr) Stop() {
 	}
 }
 
-// Quarantined returns a copy of the fenced-link set (canonical halves).
-func (pm *PerfMgr) Quarantined() map[topology.LinkID]bool {
-	out := make(map[topology.LinkID]bool, len(pm.quarantined))
-	for l := range pm.quarantined {
-		out[l] = true
-	}
-	return out
-}
-
 // QuarantinedEdges translates the fenced set into the GUID-and-port
 // edge halves a Resweeper strips from probe results (both directions of
 // every fenced link), so a heal sweep never re-programs routes back
@@ -346,9 +333,6 @@ func (pm *PerfMgr) QuarantinedEdges() map[uint64]map[int]bool {
 	}
 	return pm.fenced
 }
-
-// Sweep runs one sweep immediately (tests; Start drives it periodically).
-func (pm *PerfMgr) Sweep() { pm.tick() }
 
 func (pm *PerfMgr) tick() {
 	if pm.stopped {

@@ -157,7 +157,7 @@ func TestPortCountersMAD(t *testing.T) {
 	req[0] = byte(topology.PortEast)
 	var status byte = 0xEE
 	var pc fabric.PortCounters
-	disc.Query(MethodGet, AttrPortCounters, paths[5], req, QueryFunc(func(st byte, data []byte) {
+	disc.Query(smpMethodGet, smpAttrPortCounters, paths[5], req, QueryFunc(func(st byte, data []byte) {
 		status = st
 		pc = ParsePortCounters(data)
 	}), 0)
@@ -174,7 +174,7 @@ func TestPortCountersMAD(t *testing.T) {
 	bad[0] = 99
 	status = 0xEE
 	disc.Reset()
-	disc.Query(MethodGet, AttrPortCounters, paths[5], bad, QueryFunc(func(st byte, _ []byte) { status = st }), 0)
+	disc.Query(smpMethodGet, smpAttrPortCounters, paths[5], bad, QueryFunc(func(st byte, _ []byte) { status = st }), 0)
 	s.Run()
 	if status == StatusOK || status == 0xEE {
 		t.Fatalf("out-of-range port answered with status %#x", status)
@@ -184,7 +184,7 @@ func TestPortCountersMAD(t *testing.T) {
 	// mutation, or an attacker could rearm (and so spam) traps.
 	rogue := NewDiscoverer(s, mesh.HCA(0), keys.MKey(0xBAD), 25*sim.Microsecond)
 	status = 0xEE
-	rogue.Query(MethodSet, AttrPortCounters, paths[5], req, QueryFunc(func(st byte, _ []byte) { status = st }), 0)
+	rogue.Query(smpMethodSet, smpAttrPortCounters, paths[5], req, QueryFunc(func(st byte, _ []byte) { status = st }), 0)
 	s.Run()
 	if status != smpStatusBadMKey {
 		t.Fatalf("rogue trap rearm got status %#x, want BadMKey", status)
@@ -431,7 +431,7 @@ func TestPortCountersReadDoesNotReset(t *testing.T) {
 	req := make([]byte, smpDataSize)
 	req[0] = byte(topology.PortEast)
 	var got fabric.PortCounters
-	disc.Query(MethodGet, AttrPortCounters, paths[5], req, QueryFunc(func(st byte, data []byte) {
+	disc.Query(smpMethodGet, smpAttrPortCounters, paths[5], req, QueryFunc(func(st byte, data []byte) {
 		if st == StatusOK {
 			got = ParsePortCounters(data)
 		}

@@ -15,7 +15,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"slices"
 
 	"ibasec/internal/enforce"
@@ -559,22 +558,4 @@ func (h *trapRegister) Fire(arg any, _ uint64) {
 	m.Counters.Add(SMSIFRegistrations, 1)
 	m.RegLatency.Add((m.sim.Now() - w.arrived).Microseconds())
 	m.doneTrap(w)
-}
-
-// DistributeEnvelopes exercises the full sealed distribution path for a
-// partition: for each member it produces an envelope encrypted to that
-// node's public key (paper section 4.2). Returns node->envelope.
-func (m *SubnetManager) DistributeEnvelopes(pk packet.PKey, dir *keys.Directory, rng io.Reader, names func(int) string) (map[int]keys.Envelope, error) {
-	if m.Authority == nil {
-		return nil, fmt.Errorf("sm: no partition authority configured")
-	}
-	out := make(map[int]keys.Envelope)
-	for _, n := range m.members(pk) {
-		env, _, err := m.Authority.EnvelopeForEpoch(pk, names(n))
-		if err != nil {
-			return nil, err
-		}
-		out[n] = env
-	}
-	return out, nil
 }

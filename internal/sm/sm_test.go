@@ -98,8 +98,7 @@ func TestCreatePartitionProgramsHCAs(t *testing.T) {
 func TestCreatePartitionDistributesSecrets(t *testing.T) {
 	r := newRig(t, enforce.NoFiltering)
 	rng := rand.New(rand.NewSource(2))
-	dir := keys.NewDirectory()
-	r.m.Authority = keys.NewPartitionAuthority(rng, dir)
+	r.m.Authority = keys.NewPartitionAuthority(rng)
 	installed := map[int]keys.SecretKey{}
 	r.m.InstallSecret = func(node int, pk packet.PKey, k keys.SecretKey, epoch uint32) {
 		installed[node] = k
@@ -291,8 +290,7 @@ func TestHandleManagementRejectsNonTraps(t *testing.T) {
 func TestRemoveFromPartitionRotatesSecret(t *testing.T) {
 	r := newRig(t, enforce.NoFiltering)
 	rng := rand.New(rand.NewSource(4))
-	dir := keys.NewDirectory()
-	r.m.Authority = keys.NewPartitionAuthority(rng, dir)
+	r.m.Authority = keys.NewPartitionAuthority(rng)
 	installed := map[int]keys.SecretKey{}
 	r.m.InstallSecret = func(node int, pk packet.PKey, k keys.SecretKey, epoch uint32) { installed[node] = k }
 	mkey := DefaultConfig().MKey
@@ -339,8 +337,7 @@ func TestRemoveFromPartitionRotatesSecret(t *testing.T) {
 func TestEvictedNodeCannotAuthenticate(t *testing.T) {
 	r := newRig(t, enforce.NoFiltering)
 	rng := rand.New(rand.NewSource(5))
-	dir := keys.NewDirectory()
-	r.m.Authority = keys.NewPartitionAuthority(rng, dir)
+	r.m.Authority = keys.NewPartitionAuthority(rng)
 	secrets := map[int]keys.SecretKey{}
 	r.m.InstallSecret = func(node int, pk packet.PKey, k keys.SecretKey, epoch uint32) { secrets[node] = k }
 	mkey := DefaultConfig().MKey
@@ -350,40 +347,5 @@ func TestEvictedNodeCannotAuthenticate(t *testing.T) {
 	// Node 4 still knows the old secret; node 1 has the rotated one.
 	if secrets[4] == secrets[1] {
 		t.Fatal("rotation did not separate the keys")
-	}
-}
-
-func TestDistributeEnvelopes(t *testing.T) {
-	r := newRig(t, enforce.NoFiltering)
-	rng := rand.New(rand.NewSource(3))
-	dir := keys.NewDirectory()
-	kps := map[int]*keys.NodeKeyPair{}
-	for _, n := range []int{2, 3} {
-		kp, err := keys.GenerateNodeKeyPair(rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kps[n] = kp
-		dir.Register(r.mesh.HCA(n).Name(), kp.Public())
-	}
-	r.m.Authority = keys.NewPartitionAuthority(rng, dir)
-	if err := r.m.CreatePartition(DefaultConfig().MKey, testPKey, []int{2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	envs, err := r.m.DistributeEnvelopes(testPKey, dir, rng, func(n int) string {
-		return r.mesh.HCA(n).Name()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := r.m.Authority.EnsureSecret(testPKey)
-	for n, env := range envs {
-		got, err := kps[n].Open(env)
-		if err != nil {
-			t.Fatalf("node %d: %v", n, err)
-		}
-		if got != want {
-			t.Fatalf("node %d decrypted wrong secret", n)
-		}
 	}
 }

@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 
 	"ibasec/internal/fabric"
 	"ibasec/internal/packet"
@@ -83,9 +82,6 @@ func (r *Ring) Observe(at sim.Time, kind fabric.ObsKind, node string, d *fabric.
 // Total returns how many events were observed (including overwritten).
 func (r *Ring) Total() uint64 { return r.total }
 
-// Len returns how many events are currently retained.
-func (r *Ring) Len() int { return len(r.buf) }
-
 // Events returns retained events, oldest first.
 func (r *Ring) Events() []Event {
 	out := make([]Event, 0, len(r.buf))
@@ -95,28 +91,6 @@ func (r *Ring) Events() []Event {
 		return out
 	}
 	return append(out, r.buf...)
-}
-
-// WriteText dumps the retained events, oldest first.
-func (r *Ring) WriteText(w io.Writer) error {
-	for _, ev := range r.Events() {
-		if _, err := fmt.Fprintln(w, ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Lifecycle extracts the events of one packet, identified by (SLID, PSN),
-// in order — the packet's path through the fabric.
-func (r *Ring) Lifecycle(slid packet.LID, psn uint32) []Event {
-	var out []Event
-	for _, ev := range r.Events() {
-		if ev.SLID == slid && ev.PSN == psn {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // CountByKind tallies retained events per kind.

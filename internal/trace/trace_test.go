@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -40,12 +39,24 @@ func send(t *testing.T, m *topology.Mesh, src, dst int, pk packet.PKey, psn uint
 	m.HCA(src).Send(&fabric.Delivery{Pkt: p, Class: fabric.ClassBestEffort, VL: fabric.VLBestEffort})
 }
 
+// lifecycle extracts the events of one packet, identified by (SLID, PSN),
+// in order — the packet's path through the fabric.
+func lifecycle(r *Ring, slid packet.LID, psn uint32) []Event {
+	var out []Event
+	for _, ev := range r.Events() {
+		if ev.SLID == slid && ev.PSN == psn {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 func TestLifecycleRecorded(t *testing.T) {
 	s, m, ring := traceMesh(t, 128)
 	send(t, m, 0, 3, 0x8001, 42)
 	s.Run()
 
-	life := ring.Lifecycle(topology.LIDOf(0), 42)
+	life := lifecycle(ring, topology.LIDOf(0), 42)
 	if len(life) < 4 {
 		t.Fatalf("lifecycle too short: %v", life)
 	}
@@ -94,8 +105,8 @@ func TestRingOverwrite(t *testing.T) {
 		send(t, m, 0, 1, 0x8001, uint32(i))
 	}
 	s.Run()
-	if ring.Len() != 8 {
-		t.Fatalf("Len = %d, want capacity 8", ring.Len())
+	if n := len(ring.Events()); n != 8 {
+		t.Fatalf("%d events retained, want capacity 8", n)
 	}
 	if ring.Total() <= 8 {
 		t.Fatalf("Total = %d, want > capacity", ring.Total())
@@ -114,8 +125,8 @@ func TestFilter(t *testing.T) {
 	send(t, m, 0, 1, 0x8001, 1)
 	send(t, m, 0, 2, 0x8001, 2)
 	s.Run()
-	if ring.Len() != 2 {
-		t.Fatalf("filtered ring holds %d, want 2 delivers", ring.Len())
+	if n := len(ring.Events()); n != 2 {
+		t.Fatalf("filtered ring holds %d, want 2 delivers", n)
 	}
 	for _, ev := range ring.Events() {
 		if ev.Kind != fabric.ObsDeliver {
@@ -124,15 +135,15 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestWriteText(t *testing.T) {
+func TestEventText(t *testing.T) {
 	s, m, ring := traceMesh(t, 64)
 	send(t, m, 0, 3, 0x8001, 99)
 	s.Run()
-	var buf bytes.Buffer
-	if err := ring.WriteText(&buf); err != nil {
-		t.Fatal(err)
+	var b strings.Builder
+	for _, ev := range ring.Events() {
+		b.WriteString(ev.String() + "\n")
 	}
-	out := buf.String()
+	out := b.String()
 	if !strings.Contains(out, "deliver") || !strings.Contains(out, "psn=99") {
 		t.Fatalf("text dump missing fields:\n%s", out)
 	}

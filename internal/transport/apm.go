@@ -28,9 +28,6 @@ func (q *QP) SetAlternatePath(altLID packet.LID, migrateAfter int) {
 	q.MigrateAfter = migrateAfter
 }
 
-// Migrated reports whether the QP currently sends on its alternate path.
-func (q *QP) Migrated() bool { return q.rcs != nil && q.rcs.migrated }
-
 // dataDLID returns the address outgoing requests travel to: the
 // alternate LID while migrated, the primary otherwise.
 func (q *QP) dataDLID() packet.LID {
@@ -57,7 +54,7 @@ func (e *Endpoint) RearmQP(q *QP) {
 // RearmAll rearms every migrated RC QP on the endpoint.
 func (e *Endpoint) RearmAll() {
 	for _, q := range e.qps {
-		if q != nil && q.Service == packet.ServiceRC {
+		if q.Service == packet.ServiceRC {
 			e.RearmQP(q)
 		}
 	}

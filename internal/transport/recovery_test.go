@@ -276,7 +276,7 @@ func TestRCAPMMigratesAndRearms(t *testing.T) {
 	if len(got) != 1 || got[0] != "via alt" {
 		t.Fatalf("deliveries = %v", got)
 	}
-	if !a.Migrated() {
+	if !a.rcs.migrated {
 		t.Fatal("QP did not migrate")
 	}
 	if a.Broken() {
@@ -293,7 +293,7 @@ func TestRCAPMMigratesAndRearms(t *testing.T) {
 	// sends go back to the primary LID.
 	w.mesh.SwitchOf(0).SetFilter(nil)
 	w.eps[0].RearmAll()
-	if a.Migrated() {
+	if a.rcs.migrated {
 		t.Fatal("QP still migrated after rearm")
 	}
 	if w.eps[0].Counters.Value(EpRCRearms) != 1 {
@@ -337,7 +337,7 @@ func TestRCAPMMigratedResealAuthenticated(t *testing.T) {
 	if !bytes.Equal(got, []byte("signed detour")) {
 		t.Fatalf("payload %q (reseal after DLID rewrite broken?)", got)
 	}
-	if !a.Migrated() {
+	if !a.rcs.migrated {
 		t.Fatal("QP did not migrate")
 	}
 	if w.eps[3].Counters.Value(EpAuthFail) != 0 {
@@ -346,36 +346,6 @@ func TestRCAPMMigratedResealAuthenticated(t *testing.T) {
 	if w.eps[0].Counters.Value(EpRCResealFailed) != 0 {
 		t.Fatal("reseal failed")
 	}
-}
-
-// Destroying a QP cancels its pending retry timer: no retransmissions
-// fire for a connection that no longer exists.
-func TestRCDestroyQPCancelsRetryTimer(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel)
-	a, _ := connectRC(t, w, false)
-	w.mesh.SwitchOf(0).SetFilter(&dropFilter{remaining: 1 << 30})
-
-	if err := w.eps[0].SendRC(a, []byte("orphan"), fabric.ClassBestEffort); err != nil {
-		t.Fatal(err)
-	}
-	st := a.rc()
-	if !st.retryTimer.Pending() {
-		t.Fatal("retry timer not armed after send")
-	}
-	w.eps[0].DestroyQP(a.N)
-	if st.retryTimer.Pending() {
-		t.Fatal("retry timer still pending after DestroyQP")
-	}
-	w.s.Run()
-	if got := w.eps[0].Counters.Value(EpRCRetransmissions); got != 0 {
-		t.Fatalf("destroyed QP retransmitted %d times", got)
-	}
-	if w.eps[0].Counters.Value(EpRCBroken) != 0 {
-		t.Fatal("destroyed QP counted as broken")
-	}
-	// Destroy is idempotent and unknown QPNs are ignored.
-	w.eps[0].DestroyQP(a.N)
-	w.eps[0].DestroyQP(9999)
 }
 
 // A retry timeout that coincides with window progress must re-arm
@@ -426,6 +396,6 @@ func TestRCRetryRearmStrictlyFuture(t *testing.T) {
 	if !st.retryTimer.Pending() || st.retryTimer.At() <= w.s.Now() {
 		t.Fatal("retransmission did not re-arm strictly in the future")
 	}
-	w.eps[0].DestroyQP(a.N)
+	w.s.Cancel(st.retryTimer)
 	w.s.Run()
 }

@@ -150,8 +150,8 @@ type MemoryRegion struct {
 type Endpoint struct {
 	hca *fabric.HCA
 	cfg Config
-	// qps[i] is QP number firstQPN+i, nil once destroyed; the first QP
-	// the endpoint creates is qp0, held in the endpoint itself.
+	// qps[i] is QP number firstQPN+i; the first QP the endpoint
+	// creates is qp0, held in the endpoint itself.
 	qps []*QP
 	qp0 QP
 
@@ -288,28 +288,10 @@ func (e *Endpoint) createQP(svc packet.Service, pkey packet.PKey, qkey packet.QK
 
 // QPByNumber returns a QP by number.
 func (e *Endpoint) QPByNumber(n packet.QPN) (*QP, bool) {
-	if i := uint(n - firstQPN); i < uint(len(e.qps)) && e.qps[i] != nil {
+	if i := uint(n - firstQPN); i < uint(len(e.qps)) {
 		return e.qps[i], true
 	}
 	return nil, false
-}
-
-// DestroyQP tears down a queue pair: any pending retransmission timer is
-// cancelled so a stale timer cannot fire on destroyed QP state, the
-// unacknowledged window is released, and the QP stops accepting
-// deliveries.
-func (e *Endpoint) DestroyQP(n packet.QPN) {
-	q, ok := e.QPByNumber(n)
-	if !ok {
-		return
-	}
-	if st := q.rcs; st != nil {
-		e.hca.Sim().Cancel(st.retryTimer)
-		st.retryTimer = sim.Event{}
-		st.unacked = nil
-		st.broken = true
-	}
-	e.qps[n-firstQPN] = nil
 }
 
 // RegisterMemory registers size bytes and returns the region with fresh

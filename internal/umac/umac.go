@@ -19,8 +19,9 @@
 //	L3: inner-product hash over the prime 2^36-5 producing 4 bytes.
 //
 // Subkeys are derived from the 16-byte user key with an AES-CTR style KDF.
-// Tags of 4 bytes (UMAC-32, one UHASH iteration) and 8 bytes (UMAC-64, two
-// Toeplitz-shifted iterations) are supported.
+// The simulator tags with UMAC-32 (one UHASH iteration); SetKey also
+// derives UMAC-64's second, Toeplitz-shifted iteration, through which the
+// tests check the KDF against RFC 4418's UMAC-64 vectors.
 //
 // The implementation is bit-exact against the RFC 4418 test vectors for
 // UMAC-32 and UMAC-64 (see umac_vectors_test.go), which cover messages up
@@ -79,12 +80,12 @@ type iteration struct {
 	l3k2  [4]byte         // L3 output whitening
 }
 
-// iters is the number of Toeplitz iterations derived: enough for the
-// longest tag (8 bytes), so one UMAC produces both Tag32 and Tag64.
+// iters is the number of Toeplitz iterations derived: enough for
+// UMAC-64's 8-byte tag, which the tests check against RFC 4418.
 const iters = 2
 
 // UMAC holds the expanded subkeys for one 16-byte user key. It is safe for
-// concurrent use after New or SetKey returns: tagging only reads it.
+// concurrent use after SetKey returns: tagging only reads it.
 type UMAC struct {
 	iters [iters]iteration
 	pdf   cipher.Block // AES under the PDF subkey
@@ -95,20 +96,11 @@ type UMAC struct {
 
 // Scratch holds the two AES blocks of one pad derivation. They cross the
 // cipher.Block interface, so as locals they escape to the heap on every
-// tag; a caller that tags per packet owns one Scratch and passes it to
-// Tag32UintScratch instead. A Scratch belongs to one goroutine; the UMAC
+// tag, so a caller that tags per packet owns one Scratch and passes it to
+// Tag32UintScratch. A Scratch belongs to one goroutine; the UMAC
 // it is used with may still be shared.
 type Scratch struct {
 	in, out [aes.BlockSize]byte
-}
-
-// New expands a 16-byte user key into UMAC subkeys.
-func New(key []byte) (*UMAC, error) {
-	u := new(UMAC)
-	if err := u.SetKey(key); err != nil {
-		return nil, err
-	}
-	return u, nil
 }
 
 // SetKey expands a 16-byte user key into u's subkeys in place, replacing
@@ -177,15 +169,6 @@ func (u *UMAC) kdf(block cipher.Block, index uint64, out []byte) []byte {
 	return out
 }
 
-// Tag32 computes the 4-byte UMAC-32 tag of msg under the given 8-byte
-// nonce. A (key, nonce) pair must never authenticate two different
-// messages; the transport layer uses the packet PSN and QP numbers to keep
-// nonces unique.
-func (u *UMAC) Tag32(msg, nonce []byte) ([4]byte, error) {
-	var s Scratch
-	return u.tag32(&s, msg, nonce)
-}
-
 func (u *UMAC) tag32(s *Scratch, msg, nonce []byte) ([4]byte, error) {
 	var tag [4]byte
 	if len(msg) > MaxMessage {
@@ -202,35 +185,12 @@ func (u *UMAC) tag32(s *Scratch, msg, nonce []byte) ([4]byte, error) {
 	return tag, nil
 }
 
-// Tag64 computes the 8-byte UMAC-64 tag of msg (two Toeplitz iterations).
-func (u *UMAC) Tag64(msg, nonce []byte) ([8]byte, error) {
-	var tag [8]byte
-	if len(msg) > MaxMessage {
-		return tag, ErrMessageTooLong
-	}
-	if len(nonce) != NonceSize {
-		return tag, fmt.Errorf("umac: nonce must be %d bytes, got %d", NonceSize, len(nonce))
-	}
-	h1 := u.uhash(&u.iters[0], msg)
-	h2 := u.uhash(&u.iters[1], msg)
-	var s Scratch
-	pad := u.pdfBytes(&s, nonce, 8)
-	for i := 0; i < 4; i++ {
-		tag[i] = h1[i] ^ pad[i]
-		tag[4+i] = h2[i] ^ pad[4+i]
-	}
-	return tag, nil
-}
-
-// Tag32Uint returns the UMAC-32 tag as a uint32, convenient for storing in
-// the packet ICRC field.
-func (u *UMAC) Tag32Uint(msg []byte, nonce uint64) (uint32, error) {
-	var s Scratch
-	return u.Tag32UintScratch(&s, msg, nonce)
-}
-
-// Tag32UintScratch is Tag32Uint with the pad derivation's AES blocks in
-// the caller's Scratch, so a tag allocates nothing.
+// Tag32UintScratch returns the UMAC-32 tag of msg under the 8-byte
+// big-endian nonce as a uint32, the form the packet's ICRC field stores.
+// The pad derivation's AES blocks live in the caller's Scratch, so a tag
+// allocates nothing. A (key, nonce) pair must never authenticate two
+// different messages; the transport layer uses the packet PSN and QP
+// numbers to keep nonces unique.
 func (u *UMAC) Tag32UintScratch(s *Scratch, msg []byte, nonce uint64) (uint32, error) {
 	var nb [8]byte
 	binary.BigEndian.PutUint64(nb[:], nonce)

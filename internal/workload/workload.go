@@ -35,12 +35,6 @@ type Admitter interface {
 	Admit() bool
 }
 
-// AdmitFunc adapts a function to Admitter.
-type AdmitFunc func() bool
-
-// Admit calls f.
-func (f AdmitFunc) Admit() bool { return f() }
-
 // Generator is one traffic source. Its events are named handler types
 // over it (see sim.Handler), so a running source allocates nothing, and
 // the zero value is an idle source that StartRealtime or StartBestEffort
@@ -74,18 +68,6 @@ func (g *Generator) Stop() {
 		g.stopped = true
 		g.s.Cancel(g.tick)
 	}
-}
-
-// Realtime starts a constant-bit-rate source (see StartRealtime); nil
-// admit admits every packet.
-func Realtime(s *sim.Simulator, rng *rand.Rand, rate float64, size int, targets []int, admit func() bool, send SendFunc) *Generator {
-	var a Admitter
-	if admit != nil {
-		a = AdmitFunc(admit)
-	}
-	g := new(Generator)
-	g.StartRealtime(s, rng, rate, size, targets, a, send)
-	return g
 }
 
 // BestEffort starts a Poisson source (see StartBestEffort).
@@ -244,12 +226,10 @@ type Attacker struct {
 	s    *sim.Simulator
 	done bool
 	// The burst in flight, one for the attacker's life: whether it is
-	// on, its packet spacing and on-time, its pending packet event and
-	// the packets it sent.
+	// on, its packet spacing and on-time, and its pending packet event.
 	active bool
 	iv, on sim.Time
 	tick   sim.Event
-	sent   uint64
 	// Bursts counts attack windows started.
 	Bursts uint64
 }
@@ -302,7 +282,7 @@ func (h *burstOn) Fire(any, uint64) {
 	if a.Rate > 0 && a.Rate < 1 {
 		a.iv = sim.Time(float64(a.iv) / a.Rate)
 	}
-	a.active, a.sent = true, 0
+	a.active = true
 	a.tick = a.s.ScheduleCall(a.iv, (*attackSend)(a), nil, 0)
 	if a.DutyCycle >= 1 {
 		return // continuous attack, no off period
@@ -326,7 +306,6 @@ func (h *attackSend) Fire(any, uint64) {
 	if !a.active {
 		return
 	}
-	a.sent++
 	dst := a.Targets[a.rng.Intn(len(a.Targets))]
 	pk := a.FixedPKey
 	if pk == 0 {
@@ -350,15 +329,4 @@ func (a *Attacker) stopBurst() {
 func (a *Attacker) Stop() {
 	a.done = true
 	a.stopBurst()
-}
-
-// Sent returns the number of attack packets emitted in the current or
-// last burst. For total volume use the HCA counters.
-func (a *Attacker) Sent() uint64 { return a.sent }
-
-// PoissonMeanCheck is a helper for tests: the expected packets for a
-// Poisson source over horizon at the given rate and size.
-func PoissonMeanCheck(rate float64, size int, horizon sim.Time) float64 {
-	perPacket := float64(size*8) / rate // seconds
-	return horizon.Seconds() / perPacket
 }

@@ -7,8 +7,8 @@
 # experiment through the parallel runner, whose CSV names and headers
 # must match the committed results/ and whose CSVs, but for the
 # host-timed table4.csv, a one-worker run must repeat byte for byte; a
-# 5 s smoke of every fuzz
-# target, listed in one package/target table; and a -quick
+# 5 s smoke of every fuzz target, listed in one table of package paths
+# and target names (cmd/ibsim's FuzzRun among them); and a -quick
 # run of the benchmark for its correctness checks, then one full-length
 # repetition against the recorded digests. Nothing here gates on host
 # time: bench/ measures it, -compare judges it.
@@ -75,23 +75,24 @@ done
 
 echo "== fuzz smoke (every fuzz target, 5s each)"
 while read -r pkg target; do
-  go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s "./internal/${pkg}" </dev/null
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s "./${pkg}" </dev/null
 done <<'EOF'
-packet    FuzzPacketUnmarshal
-icrc      FuzzCRC16
-icrc      FuzzSeal
-icrc      FuzzPatchPayload
-sm        FuzzMADParse
-sm        FuzzSMPTransit
-sm        FuzzMADDispatch
-sm        FuzzResweep
-transport FuzzGSI
-policy    FuzzUnmarshal
-keys      FuzzPartitionTable
-sim       FuzzEventQueue
-fabric    FuzzLinkSchedule
-umac      FuzzNH
-workload  FuzzSources
+internal/packet    FuzzPacketUnmarshal
+internal/icrc      FuzzCRC16
+internal/icrc      FuzzSeal
+internal/icrc      FuzzPatchPayload
+internal/sm        FuzzMADParse
+internal/sm        FuzzSMPTransit
+internal/sm        FuzzMADDispatch
+internal/sm        FuzzResweep
+internal/transport FuzzGSI
+internal/policy    FuzzUnmarshal
+internal/keys      FuzzPartitionTable
+internal/sim       FuzzEventQueue
+internal/fabric    FuzzLinkSchedule
+internal/umac      FuzzNH
+internal/workload  FuzzSources
+cmd/ibsim          FuzzRun
 EOF
 
 echo "== bench -quick (every workload's mechanism engaged; rep-to-rep and traced-vs-untraced digests)"

@@ -69,11 +69,11 @@ func TestSmokeIbsim(t *testing.T) {
 
 // TestSmokeExamples builds every example and runs it to completion.
 // The two long-running walkthroughs are skipped in -short mode but
-// still compiled. An example with a golden file must print it byte for
-// byte; refresh with `go test -run TestSmokeExamples -update .`.
+// still compiled. Each example must print its golden,
+// testdata/golden/<name>.txt, byte for byte; refresh with
+// `go test -run TestSmokeExamples -update .`.
 func TestSmokeExamples(t *testing.T) {
 	slow := map[string]bool{"quickstart": true, "dos-defense": true}
-	golden := map[string]string{"secure-rdma": "secure-rdma.txt"}
 	for _, name := range []string{
 		"dos-defense", "fabric-tour", "mac-packet",
 		"quickstart", "secure-rdma", "subnet-bringup",
@@ -85,13 +85,7 @@ func TestSmokeExamples(t *testing.T) {
 			if testing.Short() && slow[name] {
 				t.Skip("built only: multi-second walkthrough")
 			}
-			out := runBinary(t, bin)
-			if len(out) == 0 {
-				t.Error("example produced no output")
-			}
-			if file, ok := golden[name]; ok {
-				checkGoldenBytes(t, file, []byte(out))
-			}
+			checkGoldenBytes(t, name+".txt", []byte(runBinary(t, bin)))
 		})
 	}
 }

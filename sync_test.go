@@ -1,12 +1,18 @@
 package ibasec
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
+	pathpkg "path"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -97,4 +103,212 @@ func TestNoCountingByName(t *testing.T) {
 			return true
 		})
 	})
+}
+
+// modulePackages is this module and bench/ (its own module, which
+// imports this one by its import path) type-checked from source: one
+// package per directory of non-test files that build on this platform,
+// with every identifier's definition and uses in one types.Info.
+type modulePackages struct {
+	fset  *token.FileSet
+	std   types.ImporterFrom
+	info  types.Info
+	dirs  map[string]string // import path → directory
+	files map[string][]*ast.File
+	pkgs  map[string]*types.Package
+	// testRefs holds, per directory, what its _test.go files name:
+	// "path.Name" for a selector on an imported package and ".Name"
+	// for every selector.
+	testRefs map[string]map[string]bool
+}
+
+func loadModule(t *testing.T) *modulePackages {
+	t.Helper()
+	fset := token.NewFileSet()
+	m := &modulePackages{
+		fset:     fset,
+		std:      importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		info:     types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		dirs:     map[string]string{},
+		files:    map[string][]*ast.File{},
+		pkgs:     map[string]*types.Package{},
+		testRefs: map[string]map[string]bool{},
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir, name := filepath.Dir(path), d.Name()
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(name, "_test.go") {
+			m.noteTestRefs(dir, f)
+			return nil
+		}
+		m.files[dir] = append(m.files[dir], f)
+		m.dirs[filepath.ToSlash(filepath.Join("ibasec", dir))] = dir
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path := range m.dirs {
+		if _, err := m.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+// noteTestRefs records the selectors of a _test.go file in dir.
+func (m *modulePackages) noteTestRefs(dir string, f *ast.File) {
+	imports := map[string]string{} // local name → import path
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		name := pathpkg.Base(path)
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		imports[name] = path
+	}
+	refs := m.testRefs[dir]
+	if refs == nil {
+		refs = map[string]bool{}
+		m.testRefs[dir] = refs
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			refs["."+sel.Sel.Name] = true
+			if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+				refs[imports[x.Name]+"."+sel.Sel.Name] = true
+			}
+		}
+		return true
+	})
+}
+
+// Import checks a package of this module once, recording its
+// definitions and uses, and hands any other to the standard library's
+// source importer.
+func (m *modulePackages) Import(path string) (*types.Package, error) {
+	return m.ImportFrom(path, "", 0)
+}
+
+func (m *modulePackages) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
+	dir, ok := m.dirs[path]
+	if !ok {
+		return m.std.ImportFrom(path, srcDir, mode)
+	}
+	if pkg, ok := m.pkgs[path]; ok {
+		return pkg, nil
+	}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.fset, m.files[dir], &m.info)
+	m.pkgs[path] = pkg
+	return pkg, err
+}
+
+// TestNoTestOnlyExports keeps production code that only tests call out
+// of the module: every exported func, method, type and var declared in a
+// non-test file under internal/ must be used by a non-test file of this
+// module (cmd/ and examples/ included) or of bench/. The one exception
+// is a name another directory's _test.go files refer to, by name, since
+// export_test.go cannot serve another package's tests. A seam or
+// reference kernel that only its own package's tests need belongs in
+// export_test.go or another _test.go file, and code no run needs is
+// deleted. Constants are exempt, and so is a method that may satisfy an
+// interface: one named like a method of an interface this module
+// declares, or Error, String or Unwrap.
+func TestNoTestOnlyExports(t *testing.T) {
+	m := loadModule(t)
+	used := map[types.Object]bool{}
+	for _, obj := range m.info.Uses {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		used[obj] = true
+	}
+	interfaceMethods := map[string]bool{"Error": true, "String": true, "Unwrap": true}
+	for _, files := range m.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					for _, fld := range it.Methods.List {
+						for _, name := range fld.Names {
+							interfaceMethods[name.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var found []string
+	for path, dir := range m.dirs {
+		if !strings.HasPrefix(path, "ibasec/internal/") {
+			continue
+		}
+		// check reports id unless a non-test file uses it or another
+		// directory's tests name it by ref.
+		check := func(id *ast.Ident, ref, what string) {
+			if !id.IsExported() || used[m.info.Defs[id]] {
+				return
+			}
+			for d, refs := range m.testRefs {
+				if d != dir && refs[ref] {
+					return
+				}
+			}
+			found = append(found, fmt.Sprintf("%s: %s", m.fset.Position(id.Pos()), what))
+		}
+		for _, f := range m.files[dir] {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						check(d.Name, path+"."+d.Name.Name, "func "+d.Name.Name)
+					} else if !interfaceMethods[d.Name.Name] {
+						check(d.Name, "."+d.Name.Name, "method "+types.ExprString(d.Recv.List[0].Type)+"."+d.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							check(s.Name, path+"."+s.Name.Name, "type "+s.Name.Name)
+						case *ast.ValueSpec:
+							if d.Tok == token.VAR {
+								for _, id := range s.Names {
+									check(id, path+"."+id.Name, "var "+id.Name)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(found)
+	for _, f := range found {
+		t.Errorf("%s is used only by its own package's tests: delete it, or move it into export_test.go or another _test.go file", f)
+	}
+	if len(found) > 0 {
+		t.Logf("%d test-only exports", len(found))
+	}
 }
