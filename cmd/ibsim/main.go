@@ -292,6 +292,22 @@ func ints(fs *flag.FlagSet, name, def, usage string) *[]int {
 	return listVar(fs, name, def, usage, strconv.Atoi)
 }
 
+// maxMicros is the largest microsecond count a sim.Time holds.
+const maxMicros = math.MaxInt64 / int64(sim.Microsecond)
+
+// micros is ints for a list of microsecond counts: a count whose
+// sim.Time would overflow, and so wrap to some other period than its
+// row label shows, is refused at parse time, naming the flag.
+func micros(fs *flag.FlagSet, name, def, usage string) *[]int {
+	return listVar(fs, name, def, usage, func(s string) (int, error) {
+		v, err := strconv.Atoi(s)
+		if err == nil && (int64(v) > maxMicros || int64(v) < -maxMicros) {
+			err = fmt.Errorf("want microseconds within ±%d", maxMicros)
+		}
+		return v, err
+	})
+}
+
 // emit is every experiment's one output path: the title, the table's
 // CSV columns aligned for reading on stdout, and — when -csv is set —
 // the same cells as <dir>/<Name>.csv.
@@ -531,8 +547,8 @@ func runFaults(e *env, args []string) error {
 func runFailover(e *env, args []string) error {
 	fs := e.flags("failover")
 	standbys := ints(fs, "standbys", "0,1,2", "comma-separated standby SM counts (0 = no HA baseline)")
-	heartbeats := ints(fs, "heartbeats-us", "50,100", "comma-separated heartbeat intervals (us)")
-	rekeys := ints(fs, "rekeys-us", "0,300", "comma-separated rekey periods (us); 0 disables rotation")
+	heartbeats := micros(fs, "heartbeats-us", "50,100", "comma-separated heartbeat intervals (us)")
+	rekeys := micros(fs, "rekeys-us", "0,300", "comma-separated rekey periods (us); 0 disables rotation")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -559,7 +575,7 @@ func runAPM(e *env, args []string) error {
 
 func runDrift(e *env, args []string) error {
 	fs := e.flags("drift")
-	periods := ints(fs, "periods-us", "0,200,50", "comma-separated audit sweep periods (us); 0 = no auditor baseline")
+	periods := micros(fs, "periods-us", "0,200,50", "comma-separated audit sweep periods (us); 0 = no auditor baseline")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -572,9 +588,9 @@ func runDrift(e *env, args []string) error {
 
 func runSplitBrain(e *env, args []string) error {
 	fs := e.flags("splitbrain")
-	partitions := ints(fs, "partitions-us", "80,160,320", "comma-separated partition durations (us)")
-	heartbeats := ints(fs, "heartbeats-us", "10,20", "comma-separated heartbeat intervals (us)")
-	rekeys := ints(fs, "rekeys-us", "0,60", "comma-separated rekey periods (us); 0 disables rotation")
+	partitions := micros(fs, "partitions-us", "80,160,320", "comma-separated partition durations (us)")
+	heartbeats := micros(fs, "heartbeats-us", "10,20", "comma-separated heartbeat intervals (us)")
+	rekeys := micros(fs, "rekeys-us", "0,60", "comma-separated rekey periods (us); 0 disables rotation")
 	if err := parse(fs, args); err != nil {
 		return err
 	}

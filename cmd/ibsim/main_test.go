@@ -150,6 +150,13 @@ func TestBadInput(t *testing.T) {
 		{"table4 -budget 0s", "-budget"},
 		{"table4 -budget -1s", "-budget"},
 		{"trace -events -1", "-events"},
+		{"-quick drift -periods-us 18446744073709552", "-periods-us"}, // wrapped to a 0.384 µs period
+		{"drift -periods-us 0,9223372036855", "-periods-us"},
+		{"failover -standbys 1 -rekeys-us 9223372036854775807", "-rekeys-us"},
+		{"failover -heartbeats-us 9223372036855", "-heartbeats-us"},
+		{"splitbrain -partitions-us 9223372036855", "-partitions-us"},
+		{"splitbrain -heartbeats-us -9223372036855", "-heartbeats-us"},
+		{"splitbrain -rekeys-us 9223372036855", "-rekeys-us"},
 		{"-cpu-ghz 0 table4", "-cpu-ghz"},
 		{"-cpu-ghz -1 table4", "-cpu-ghz"},
 		{"-cpu-ghz NaN table4", "-cpu-ghz"},

@@ -92,10 +92,10 @@ type congestionPoint struct {
 	CC   bool
 }
 
-// runCongestionPoint runs one (mode, rate, cc) cell. The attack is a
-// single burst covering the first 60% of the run; the remaining 40% is
-// the recovery window a CC-on arm drains its throttle state in.
-func runCongestionPoint(base Config, p congestionPoint) (CongestionRow, error) {
+// congestionCfg is base set up for one congestion cell: no realtime
+// load, one incast attacker burst covering the first 60% of the run, and
+// congestion control on or off as the cell says.
+func congestionCfg(base Config, p congestionPoint) Config {
 	cfg := base
 	cfg.Enforcement = p.Mode
 	cfg.RealtimeLoad = 0
@@ -119,7 +119,14 @@ func runCongestionPoint(base Config, p congestionPoint) (CongestionRow, error) {
 	} else {
 		cfg.Congestion = fabric.CCParams{}
 	}
+	return cfg
+}
 
+// runCongestionPoint runs one (mode, rate, cc) cell. The attack is a
+// single burst covering the first 60% of the run; the remaining 40% is
+// the recovery window a CC-on arm drains its throttle state in.
+func runCongestionPoint(base Config, p congestionPoint) (CongestionRow, error) {
+	cfg := congestionCfg(base, p)
 	cl, err := Build(cfg)
 	if err != nil {
 		return CongestionRow{}, err

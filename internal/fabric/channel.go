@@ -345,22 +345,20 @@ func (c *outChannel) enqueue(d *Delivery) {
 // the programmed threshold, so the destination is told a congestion
 // tree is forming on its path. The bit lives in the ICRC-variant Resv8a
 // byte, so the wire image is patched in place and only the per-link
-// VCRC recomputed — neither the end-to-end ICRC nor the authentication
+// VCRC owed anew — neither the end-to-end ICRC nor the authentication
 // tag covers it, exactly as a real switch requires.
 func (c *outChannel) markFECN(d *Delivery) {
 	if d.Pkt.BTH.FECN || d.Malformed {
 		return
 	}
 	d.Pkt.BTH.FECN = true
-	wire := d.Pkt.Wire()
+	wire := d.Pkt.Image()
 	off := packet.LRHSize + 4
 	if d.Pkt.GRH != nil {
 		off += packet.GRHSize
 	}
 	wire[off] |= packet.BTHFECNBit
-	if err := icrc.PatchVCRC(d.Pkt); err != nil {
-		panic(fmt.Sprintf("fabric: resealing FECN-marked packet: %v", err))
-	}
+	icrc.PatchVCRC(d.Pkt)
 	c.fecnMarked++
 	c.params.observe(c.sim.Now(), ObsFECNMark, c.ownerName, d)
 }

@@ -271,10 +271,9 @@ func TestICRCDropReleasesMessage(t *testing.T) {
 	if err := icrc.Seal(d.Pkt); err != nil {
 		t.Fatal(err)
 	}
-	d.Pkt.Payload[5] = 0xA5 // a flip neither CRC has seen …
-	if err := icrc.PatchVCRC(d.Pkt); err != nil {
-		t.Fatal(err) // … which the last link's VCRC now vouches for
-	}
+	d.Pkt.Wire()            // settle the CRCs Seal left owed, so the ICRC is written …
+	d.Pkt.Payload[5] = 0xA5 // … before a flip neither CRC has seen …
+	icrc.PatchVCRC(d.Pkt)   // … which the last link's VCRC now vouches for
 	d.Tainted = true
 	hcas[0].Send(d)
 	s.Run()

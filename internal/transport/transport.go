@@ -339,8 +339,9 @@ func (e *Endpoint) verifyKey(q *QP, p *packet.Packet) (*keys.SecretKey, bool) {
 
 // seal finalizes, optionally signs, and CRC-protects a packet. It is the
 // one writer of a fresh packet's wire image: the image is serialized once
-// (in place, around the payload the caller built in it) and the trailer
-// patched into it.
+// (in place, around the payload the caller built in it), a tag patched
+// into its trailer, and the CRCs it still needs left owed (icrc.Seal,
+// icrc.PatchVCRC).
 func (e *Endpoint) seal(p *packet.Packet, q *QP, dstLID packet.LID, dstQPN packet.QPN, srcQP packet.QPN) error {
 	sign := q.AuthRequired && e.cfg.AuthID != 0
 	if !sign {
@@ -373,15 +374,17 @@ func (e *Endpoint) seal(p *packet.Packet, q *QP, dstLID packet.LID, dstQPN packe
 	p.ICRC = tag
 	e.Counters.Add(EpPacketsSigned, 1)
 	// AuthID != 0: the ICRC field carries the tag and only the VCRC needs
-	// computing, so patch the trailer into the image built above instead
-	// of marshalling a second time. The patched image stays installed as
-	// the packet's wire cache for every hop downstream.
+	// computing, so patch the tag into the image built above instead of
+	// marshalling a second time, and leave the VCRC owed. The patched
+	// image stays installed as the packet's wire cache for every hop
+	// downstream.
 	off := len(wire) - packet.ICRCSize - packet.VCRCSize
 	wire[off] = byte(tag >> 24)
 	wire[off+1] = byte(tag >> 16)
 	wire[off+2] = byte(tag >> 8)
 	wire[off+3] = byte(tag)
-	return icrc.PatchVCRC(p)
+	icrc.PatchVCRC(p)
+	return nil
 }
 
 // sealMessage seals a message drawn with newMessage for sending from q; one
@@ -568,7 +571,7 @@ func (e *Endpoint) verifyAuth(q *QP, d *fabric.Delivery) bool {
 		e.Counters.Add(EpAuthNoKey, 1)
 		return false
 	}
-	region, err := e.verif.InvariantRegion(p.Wire())
+	region, err := e.verif.InvariantRegion(p.Image())
 	if err != nil {
 		e.Counters.Add(EpAuthFail, 1)
 		return false
@@ -597,7 +600,7 @@ func (e *Endpoint) verifyPartitionAuth(a mac.Authenticator, q *QP, p *packet.Pac
 		e.Counters.Add(EpAuthNoKey, 1)
 		return false
 	}
-	region, err := e.verif.InvariantRegion(p.Wire())
+	region, err := e.verif.InvariantRegion(p.Image())
 	if err != nil {
 		e.Counters.Add(EpAuthFail, 1)
 		return false

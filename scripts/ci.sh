@@ -81,6 +81,7 @@ internal/packet    FuzzPacketUnmarshal
 internal/icrc      FuzzCRC16
 internal/icrc      FuzzSeal
 internal/icrc      FuzzPatchPayload
+internal/icrc      FuzzSealOnRead
 internal/sm        FuzzMADParse
 internal/sm        FuzzSMPTransit
 internal/sm        FuzzMADDispatch
