@@ -91,9 +91,9 @@ func TestAllPlanesSMPAccountingPinned(t *testing.T) {
 }
 
 // TestTransitResealsPatched holds every transit hop of a fault-free
-// all-planes run to the incremental reseal: each switch agent patched the
-// CRCs of the DR-SMPs it forwarded from the bytes it changed, and none
-// fell back to sealing the whole image. Were the patch path never taken,
+// all-planes run to the patch path: each switch agent wrote its edit into
+// the owing image of every DR-SMP it forwarded, and none fell back to
+// sealing the whole image. Were the patch path never taken,
 // every other test would still pass, the fallback being byte-identical.
 func TestTransitResealsPatched(t *testing.T) {
 	cl, err := Build(allPlanesCfg())

@@ -123,6 +123,7 @@ func TestTaintedAuthPacketReachesTransport(t *testing.T) {
 	b.OnDeliver = func(d *Delivery) { delivered++ }
 
 	p := mkPkt(1, 2, VLBestEffort, 64)
+	p.InvalidateWire() // settle the sealed CRCs before the tag takes the ICRC field
 	p.BTH.AuthID = 3
 	p.ICRC = 0xABCD1234 // tag, not a CRC
 	if err := icrc.Seal(p); err != nil {

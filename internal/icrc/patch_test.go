@@ -14,14 +14,16 @@ const (
 	patchTagged      // sealed with a tag in the ICRC field (AuthID ≠ 0)
 	patchInvalidated // its image marked stale
 	patchLiteral     // sealed, but its payload is not a window into the image
+	patchRead        // sealed, and its trailer read: the CRCs are computed
 	patchStates
 )
 
 // patchCase builds a packet of the given header shape and payload, brings
 // it to state, applies PatchPayload(off, edit) and holds the outcome to
-// the contract: a sealed packet and an edit inside its payload are
-// patched into exactly what Seal makes of the edited packet, image and
-// CRC fields; anything else is refused with the packet unchanged.
+// the contract: a sealed packet whose trailer is unread and an edit inside
+// its payload are patched into exactly what Seal makes of the edited
+// packet, image and CRC fields; anything else is refused with the packet
+// left as a twin brought to the same state.
 func patchCase(t *testing.T, shape int, grh bool, payload []byte, off int, edit []byte, state int) {
 	t.Helper()
 	mk := func() *packet.Packet {
@@ -33,21 +35,27 @@ func patchCase(t *testing.T, shape int, grh bool, payload []byte, off int, edit 
 		p.BTH.PKey, p.BTH.DestQP, p.BTH.PSN = 0xFFFF, 1, 77
 		return p
 	}
-	p := mk()
-	copy(p.AllocPayload(len(payload)), payload)
-	switch state {
-	case patchTagged:
-		p.BTH.AuthID, p.ICRC = 1, 0xA5A5A5A5
-	case patchLiteral:
-		p.Payload = append([]byte(nil), payload...)
+	prepare := func() *packet.Packet {
+		p := mk()
+		copy(p.AllocPayload(len(payload)), payload)
+		switch state {
+		case patchTagged:
+			p.BTH.AuthID, p.ICRC = 1, 0xA5A5A5A5
+		case patchLiteral:
+			p.Payload = append([]byte(nil), payload...)
+		}
+		if err := Seal(p); err != nil {
+			t.Fatal(err)
+		}
+		switch state {
+		case patchInvalidated:
+			p.InvalidateWire()
+		case patchRead:
+			p.Wire()
+		}
+		return p
 	}
-	if err := Seal(p); err != nil {
-		t.Fatal(err)
-	}
-	if state == patchInvalidated {
-		p.InvalidateWire()
-	}
-	before, ic, vc := p.Marshal(), p.ICRC, p.VCRC
+	p, twin := prepare(), prepare()
 
 	// An empty payload is no window into the image, so there is nothing
 	// to edit in place.
@@ -57,7 +65,7 @@ func patchCase(t *testing.T, shape int, grh bool, payload []byte, off int, edit 
 		t.Fatalf("PatchPayload(off %d, %d B) on a %d B payload in state %d = %v, want %v", off, len(edit), len(payload), state, got, want)
 	}
 	if !want {
-		if !bytes.Equal(p.Marshal(), before) || p.ICRC != ic || p.VCRC != vc {
+		if p.Owes() != twin.Owes() || !bytes.Equal(p.Marshal(), twin.Marshal()) || p.ICRC != twin.ICRC || p.VCRC != twin.VCRC {
 			t.Fatalf("a refused edit (off %d, %d B, state %d) changed the packet", off, len(edit), state)
 		}
 		return
@@ -79,8 +87,7 @@ func patchCase(t *testing.T, shape int, grh bool, payload []byte, off int, edit 
 // PatchPayload equals a fresh Seal under every header shape, with and
 // without a GRH, for payload lengths across the MTU and edits at the
 // start, in the middle and at the end of the payload, from a single byte
-// to a window longer than its 64-byte delta buffer; and it refuses what
-// the contract excludes.
+// to 200; and it refuses what the contract excludes.
 func TestPatchPayloadMatchesSeal(t *testing.T) {
 	for shape := range headerShapes {
 		for _, grh := range []bool{false, true} {
@@ -120,6 +127,7 @@ func FuzzPatchPayload(f *testing.F) {
 	f.Add(uint8(0), false, smp, int16(5), []byte{9}, uint8(patchTagged))
 	f.Add(uint8(0), true, smp, int16(5), []byte{9}, uint8(patchInvalidated))
 	f.Add(uint8(0), false, smp, int16(5), []byte{9}, uint8(patchLiteral))
+	f.Add(uint8(0), false, smp, int16(5), []byte{9}, uint8(patchRead))
 	f.Fuzz(func(t *testing.T, shape uint8, grh bool, payload []byte, off int16, edit []byte, state uint8) {
 		if len(payload) > packet.MTU {
 			payload = payload[:packet.MTU]

@@ -53,7 +53,8 @@ func line(n int) (*sim.Simulator, *topology.Mesh, *Discoverer) {
 // switches away in each direction, or one at the end of a 16-hop path,
 // whose transit switches write every return-path slot, and whether it
 // reads NodeInfo or has the switch agent digest its enforcement tables
-// into an AuditState answer. Every transit hop patches its CRCs.
+// into an AuditState answer. Every transit hop writes its edit into an
+// image that still owes its CRCs.
 func TestSMPTransitAllocs(t *testing.T) {
 	if fabric.PoolPoison {
 		t.Skip("the poison build never reuses a message block")
@@ -298,7 +299,7 @@ func TestPendingRingGrowth(t *testing.T) {
 // scratch — sealing over the image the edit was made in may not differ
 // from sealing a fresh one — and must pass both CRC checks; a frame with
 // malformed hop fields must still be consumed and counted. A forwarded
-// SMP's CRCs are patched from the edit, except that reparsed hands over a
+// SMP's edit is patched into its owing image, except that reparsed hands over a
 // packet that does not own its image (what the bit-error model leaves
 // behind) and tainted marks the delivery struck by bit errors: both must
 // be sealed whole, and Seal gives the former a new image.
@@ -352,7 +353,7 @@ func FuzzSMPTransit(f *testing.F) {
 			d.Pkt = &q
 		}
 		d.Tainted = tainted
-		if owns := len(pl) > 0 && &d.Pkt.Wire()[d.Pkt.HeaderSize()] == &d.Pkt.Payload[0]; owns == reparsed && len(pl) > 0 {
+		if owns := len(pl) > 0 && &d.Pkt.Image()[d.Pkt.HeaderSize()] == &d.Pkt.Payload[0]; owns == reparsed && len(pl) > 0 {
 			t.Fatalf("payload is a window into the packet's image: %v, reparsed: %v", owns, reparsed)
 		}
 		want := append([]byte(nil), pl...)

@@ -119,7 +119,9 @@ func (q *QP) rc() *rcState {
 // retries.
 func (q *QP) Broken() bool { return q.rcs != nil && q.rcs.broken }
 
-// trackReliable registers an outgoing RC request for retransmission.
+// trackReliable registers an outgoing RC request for retransmission. The
+// clone settles the request's owed CRCs (packet.Packet.Clone), so an RC
+// send computes both at send time, as an eager seal did.
 func (e *Endpoint) trackReliable(q *QP, p *packet.Packet, class fabric.Class) {
 	st := q.rc()
 	st.unacked = append(st.unacked, &pendingSend{pkt: p.Clone(), class: class})
