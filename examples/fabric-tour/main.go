@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"ibasec/internal/fabric"
 	"ibasec/internal/packet"
@@ -26,7 +25,7 @@ func buildMesh(params *fabric.Params) (*sim.Simulator, *topology.Mesh, []*transp
 	for i := 0; i < mesh.NumNodes(); i++ {
 		mesh.HCA(i).PKeyTable.Add(pkey)
 		eps = append(eps, transport.NewEndpoint(mesh.HCA(i), transport.Config{
-			RNG: rand.New(rand.NewSource(int64(i) + 1)),
+			RNG: sim.NewRand(int64(i) + 1),
 		}))
 	}
 	return s, mesh, eps
@@ -71,7 +70,7 @@ func failureDemo() {
 	fmt.Println("== Link bit errors: CRC detection + RC retransmission ==")
 	params := fabric.DefaultParams()
 	params.BitErrorRate = 4e-6
-	params.RNG = rand.New(rand.NewSource(99))
+	params.RNG = sim.NewRand(99)
 	s, mesh, eps := buildMesh(params)
 
 	a := eps[0].CreateRCQP(pkey)

@@ -214,8 +214,8 @@ func Build(cfg Config) (*Cluster, error) {
 	// attacker placement, or traffic arrival times — experiment arms
 	// must differ only in the mechanism under test. Authentication is
 	// the crypto stream's only consumer, so it is seeded only then.
-	rngSetup := rand.New(rand.NewSource(cfg.Seed))
-	rngTraffic := rand.New(rand.NewSource(cfg.Seed ^ 0x7AFF1C))
+	rngSetup := sim.NewRand(cfg.Seed)
+	rngTraffic := sim.NewRand(cfg.Seed ^ 0x7AFF1C)
 	// Each cluster owns a copy of the params: sweep points running
 	// concurrently share the base config's value, and the fabric's message
 	// free list hangs off it; error injection, tracing and congestion
@@ -223,7 +223,7 @@ func Build(cfg Config) (*Cluster, error) {
 	p := cfg.Params.Clone()
 	if cfg.BitErrorRate > 0 {
 		p.BitErrorRate = cfg.BitErrorRate
-		p.RNG = rand.New(rand.NewSource(cfg.Seed ^ 0xBE4))
+		p.RNG = sim.NewRand(cfg.Seed ^ 0xBE4)
 	}
 	var ring *trace.Ring
 	if cfg.TraceCapacity > 0 {
@@ -268,7 +268,7 @@ func Build(cfg Config) (*Cluster, error) {
 		IslandRotators: make(map[*sm.SubnetManager]*sm.Rotator),
 	}
 	if cfg.HA.SplitBrain {
-		cl.rngSplit = rand.New(rand.NewSource(cfg.Seed ^ 0x5B117B))
+		cl.rngSplit = sim.NewRand(cfg.Seed ^ 0x5B117B)
 	}
 
 	groups, primary := partitionGroups(&cfg, rngSetup, n)
@@ -277,7 +277,7 @@ func Build(cfg Config) (*Cluster, error) {
 	var dir *keys.Directory
 	var kps []*keys.NodeKeyPair
 	if cfg.Auth.Enabled {
-		rngCrypto := rand.New(rand.NewSource(cfg.Seed ^ 0x5EC0DE))
+		rngCrypto := sim.NewRand(cfg.Seed ^ 0x5EC0DE)
 		dir = keys.NewDirectory()
 		if cfg.Auth.Level == transport.QPLevel {
 			kps = make([]*keys.NodeKeyPair, n)

@@ -12,7 +12,6 @@ package faults
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ibasec/internal/fabric"
 	"ibasec/internal/sim"
@@ -364,7 +363,7 @@ func Install(s *sim.Simulator, m *topology.Mesh, params *fabric.Params, p *Plan)
 		return nil, err
 	}
 	inj := &Injector{mesh: m, plan: p}
-	rng := rand.New(rand.NewSource(p.Seed ^ 0x0FA17))
+	rng := sim.NewRand(p.Seed ^ 0x0FA17)
 
 	for _, lk := range p.Links {
 		s.ScheduleAt(lk.DownAt, func() { inj.setLink(lk.Link, false) })
@@ -513,7 +512,7 @@ func Chaos(seed int64, w, h, kills int, from, until sim.Time) (*Plan, error) {
 	if kills == 0 || until <= from {
 		return p, nil
 	}
-	rng := rand.New(rand.NewSource(seed ^ 0xC4A05))
+	rng := sim.NewRand(seed ^ 0xC4A05)
 
 	// All inter-switch links, from the lower-indexed side.
 	var links []topology.LinkID
