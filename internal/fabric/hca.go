@@ -181,19 +181,14 @@ func (h *HCA) Send(d *Delivery) {
 	if h.port.out == nil {
 		panic(fmt.Sprintf("fabric: HCA %s not connected", h.name))
 	}
-	// Mutating the LRH stales any wire image cached at seal time, but
-	// only invalidate when a field actually changes: best-effort traffic
-	// already carries VL 0, so its sealed image survives to the receiver,
-	// and an SM's HCA that has no LID yet sends its SMPs with SLID 0 as
-	// sealed, so transit switches can patch them (icrc.PatchPayload).
-	if d.Pkt.LRH.SLID == 0 && h.lid != 0 {
-		d.Pkt.LRH.SLID = h.lid
-		d.Pkt.InvalidateWire()
+	// The LRH stamp edits a sealed image in place and owes the CRCs over
+	// it again, so the trailer on the wire is the one a seal of the
+	// stamped packet writes.
+	slid := d.Pkt.LRH.SLID
+	if slid == 0 {
+		slid = h.lid
 	}
-	if d.Pkt.LRH.VL != d.VL {
-		d.Pkt.LRH.VL = d.VL
-		d.Pkt.InvalidateWire()
-	}
+	d.Pkt.Restamp(d.VL, slid)
 	d.EnqueuedAt = h.sim.Now()
 	h.Counters.Add(HCASent, 1)
 	h.params.observe(h.sim.Now(), ObsEnqueue, h.name, d)
