@@ -216,6 +216,9 @@ func TestOutOfRangeSweepValues(t *testing.T) {
 		{"failover -standbys -1 -heartbeats-us 50 -rekeys-us 0", "failover[{Standbys:-1 HeartbeatUS:50 RekeyUS:0}]", "-1 SM standbys"},
 		{"splitbrain -partitions-us -1 -heartbeats-us 10 -rekeys-us 0", "splitbrain[{PartitionUS:-1 HeartbeatUS:10 RekeyUS:0}]", "partition window"},
 		{"splitbrain -partitions-us 80 -heartbeats-us 10 -rekeys-us -5", "splitbrain[{PartitionUS:80 HeartbeatUS:10 RekeyUS:-5}]", "negative rotation period"},
+		{"failover -standbys 1 -heartbeats-us 50 -rekeys-us 9223372036854", "failover[{Standbys:1 HeartbeatUS:50 RekeyUS:9223372036854}]", "rotation period 9223372036.854ms, starting as late as 2.000ms, ends past the simulator's largest time"},
+		{"failover -standbys 1 -heartbeats-us 9223372036854 -rekeys-us 0", "failover[{Standbys:1 HeartbeatUS:9223372036854 RekeyUS:0}]", "HA heartbeat 9223372036.854ms, starting as late as 2.000ms, ends past"},
+		{"splitbrain -partitions-us 9223372036854 -heartbeats-us 10 -rekeys-us 0", "splitbrain[{PartitionUS:9223372036854 HeartbeatUS:10 RekeyUS:0}]", "partition window from 666.667us lasting 9223372036.854ms ends past the simulator's largest time"},
 		{"health -bers -1", "health[{Mode:DPT Attack:ramp Arm:off BER:-1}]", "link BER rate"},
 		{"health -bers NaN", "health[{Mode:DPT Attack:ramp Arm:off BER:NaN}]", "link BER rate NaN"},
 		{"faults -bers NaN -kills 0", "faults[{Mode:DPT BER:NaN Kills:0}]", "BER burst rate NaN"},

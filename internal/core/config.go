@@ -253,8 +253,8 @@ func (c *Config) Validate() error {
 	// Each plane validates its own config; what stays here are the rules
 	// that span planes.
 	for _, err := range []error{
-		c.HA.Validate(),
-		c.Rekey.Validate(),
+		c.HA.Validate(c.Duration),
+		c.Rekey.Validate(c.Duration),
 		c.Health.Validate(),
 		c.Congestion.Validate(c.Params.CreditsPerVL),
 	} {

@@ -217,8 +217,9 @@ type splitBrainPoint struct{ PartitionUS, HeartbeatUS, RekeyUS int }
 // and a vertical bisection of the mesh for the given window. No
 // attacker: bursty floods delay census pongs enough to fake partial
 // reachability, and this experiment measures the partition protocol, not
-// congestion noise.
-func splitBrainConfig(base Config, p splitBrainPoint) Config {
+// congestion noise. A window whose end would pass sim.MaxTime is
+// refused here, where its end is summed: past that point it has wrapped.
+func splitBrainConfig(base Config, p splitBrainPoint) (Config, error) {
 	cfg := haCfg(base, 1, p.HeartbeatUS, p.RekeyUS)
 	cfg.HA.SplitBrain = true
 	// Bring-up through the policy plane (no auditor): the merge re-imposes
@@ -230,17 +231,23 @@ func splitBrainConfig(base Config, p splitBrainPoint) Config {
 	// the single standby (highest-index node) in the east one, so the
 	// partition always produces a contained master on each side.
 	downAt := cfg.Duration / 3
-	upAt := downAt + sim.Time(p.PartitionUS)*sim.Microsecond
+	length := sim.Time(p.PartitionUS) * sim.Microsecond
+	if length > sim.MaxTime-downAt {
+		return Config{}, fmt.Errorf("core: partition window from %v lasting %v ends past the simulator's largest time %v", downAt, length, sim.MaxTime)
+	}
 	part := faults.Bisect(cfg.MeshW, cfg.MeshH, cfg.MeshW/2)
 	part.DownAt = downAt
-	part.UpAt = upAt
+	part.UpAt = downAt + length
 	cfg.FaultPlan = &faults.Plan{Seed: cfg.Seed, Partitions: []faults.Partition{part}}
-	return cfg
+	return cfg, nil
 }
 
 // runSplitBrainPoint runs one cell and harvests its row.
 func runSplitBrainPoint(base Config, p splitBrainPoint) (SplitBrainRow, error) {
-	cfg := splitBrainConfig(base, p)
+	cfg, err := splitBrainConfig(base, p)
+	if err != nil {
+		return SplitBrainRow{}, err
+	}
 	upAt := cfg.FaultPlan.Partitions[0].UpAt
 
 	cl, err := Build(cfg)

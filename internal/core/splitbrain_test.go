@@ -17,7 +17,11 @@ import (
 // heartbeat, 60us rotation — long enough that the east island elects a
 // contained master and its fork completes a rollover before the heal.
 func splitCfg() Config {
-	return splitBrainConfig(quickCfg(), splitBrainPoint{PartitionUS: 320, HeartbeatUS: 10, RekeyUS: 60})
+	cfg, err := splitBrainConfig(quickCfg(), splitBrainPoint{PartitionUS: 320, HeartbeatUS: 10, RekeyUS: 60})
+	if err != nil {
+		panic(err)
+	}
+	return cfg
 }
 
 // TestSplitBrainMergeReconverges asserts the tentpole end-to-end: the

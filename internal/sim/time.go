@@ -8,7 +8,10 @@
 // a fixed seed.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a simulation timestamp or duration in picoseconds.
 type Time int64
@@ -21,6 +24,11 @@ const (
 	Millisecond      = 1000 * Microsecond
 	Second           = 1000 * Millisecond
 )
+
+// MaxTime is the largest time the engine represents. A period or window
+// whose end would pass it wraps negative, so its owner's Validate refuses
+// it rather than let Schedule see a time before now.
+const MaxTime = Time(math.MaxInt64)
 
 // Microseconds returns t as a floating-point microsecond count.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }

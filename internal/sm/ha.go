@@ -317,14 +317,19 @@ type HAConfig struct {
 // Enabled reports whether any standby runs.
 func (h HAConfig) Enabled() bool { return h.Standbys > 0 }
 
-// Validate reports configuration errors.
-func (h HAConfig) Validate() error {
+// Validate reports configuration errors. HA may start beating as late
+// as start (a run's end), and a heartbeat whose first beat from there
+// would pass sim.MaxTime is refused.
+func (h HAConfig) Validate(start sim.Time) error {
 	if h.Standbys < 0 {
 		return fmt.Errorf("sm: %d SM standbys", h.Standbys)
 	}
 	if h.Enabled() {
 		if h.Heartbeat <= 0 {
 			return fmt.Errorf("sm: HA requires a positive heartbeat")
+		}
+		if h.Heartbeat > sim.MaxTime-start {
+			return fmt.Errorf("sm: HA heartbeat %v, starting as late as %v, ends past the simulator's largest time %v", h.Heartbeat, start, sim.MaxTime)
 		}
 	} else if h.SplitBrain {
 		return fmt.Errorf("sm: split-brain handling requires HA standbys")
@@ -484,7 +489,7 @@ type Coordinator struct {
 // unrecovered-loss baseline of a plan that kills the SM) the heartbeat
 // defaults to 50 µs.
 func NewCoordinator(s *sim.Simulator, mesh *topology.Mesh, cfg HAConfig, mkey keys.MKey, master *SubnetManager, standbys []*SubnetManager) (*Coordinator, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(s.Now()); err != nil {
 		return nil, err
 	}
 	if len(standbys) != cfg.Standbys {

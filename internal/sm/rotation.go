@@ -43,13 +43,18 @@ func (c RotationConfig) WithDefaults() RotationConfig {
 }
 
 // Validate reports a negative period and the configuration errors of an
-// enabled config; a disabled one has nothing else to check.
-func (c RotationConfig) Validate() error {
+// enabled config; a disabled one has nothing else to check. Rotation may
+// start as late as start (a run's end), and a period whose first
+// rollover from there would pass sim.MaxTime is refused.
+func (c RotationConfig) Validate(start sim.Time) error {
 	if c.Period < 0 {
 		return fmt.Errorf("sm: negative rotation period %v", c.Period)
 	}
 	if !c.Enabled() {
 		return nil
+	}
+	if c.Period > sim.MaxTime-start {
+		return fmt.Errorf("sm: rotation period %v, starting as late as %v, ends past the simulator's largest time %v", c.Period, start, sim.MaxTime)
 	}
 	c = c.WithDefaults()
 	if c.Grace <= 0 || c.Grace >= c.Period {
@@ -89,7 +94,7 @@ func NewRotator(s *sim.Simulator, m *SubnetManager, cfg RotationConfig) (*Rotato
 		return nil, fmt.Errorf("sm: rotation period must be positive")
 	}
 	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(s.Now()); err != nil {
 		return nil, err
 	}
 	if m.Authority == nil {
