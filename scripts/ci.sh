@@ -90,6 +90,7 @@ internal/transport FuzzGSI
 internal/policy    FuzzUnmarshal
 internal/keys      FuzzPartitionTable
 internal/sim       FuzzEventQueue
+internal/sim       FuzzNewRand
 internal/fabric    FuzzLinkSchedule
 internal/umac      FuzzNH
 internal/workload  FuzzSources
