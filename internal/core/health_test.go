@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"ibasec/internal/enforce"
+	"ibasec/internal/fabric"
 	"ibasec/internal/faults"
 	"ibasec/internal/sim"
 	"ibasec/internal/sm"
@@ -105,4 +107,34 @@ func TestHealthSurvivesFailover(t *testing.T) {
 	if !edges[guid][target.Port] {
 		t.Fatalf("promoted PerfMgr does not fence the flaky link: %v", edges)
 	}
+}
+
+// TestHealthPointAllocBudget holds one health-experiment point — the
+// damped arm under the BER ramp, as `ibsim -quick health` runs it — to
+// an allocation ceiling. The point quarantines the target link, so the
+// PerfMgr checks that each fence keeps the mesh connected and reroutes
+// around it: the route computation is inside what this counts. While
+// the check built all-pairs route maps the point allocated 4747 times;
+// the ceiling is the count measured under Go 1.24 plus 25%.
+func TestHealthPointAllocBudget(t *testing.T) {
+	if fabric.PoolPoison {
+		t.Skip("the poison build never reuses a message block")
+	}
+	const measured = 746
+	base := quickCfg()
+	p := healthPoint{Mode: enforce.SIF, Attack: "ramp", Arm: "damped", BER: 1e-4}
+	allocs := testing.AllocsPerRun(2, func() {
+		row, err := runHealthPoint(base, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Quarantines == 0 || row.RerouteMADs == 0 {
+			t.Fatalf("the point never quarantined and rerouted — the budget bounds nothing: %+v", row)
+		}
+	})
+	ceiling := measured * 1.25
+	if allocs > ceiling {
+		t.Fatalf("a health point allocated %.0f times, ceiling %.0f (%d measured + 25%%)", allocs, ceiling, measured)
+	}
+	t.Logf("%.0f allocations per point, ceiling %.0f", allocs, ceiling)
 }

@@ -114,15 +114,9 @@ func (pt *Partition) CutLinks(w, h int) []topology.LinkID {
 		inA[i] = true
 	}
 	var cut []topology.LinkID
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			i := y*w + x
-			if x+1 < w && inA[i] != inA[i+1] {
-				cut = append(cut, topology.LinkID{Switch: i, Port: topology.PortEast})
-			}
-			if y+1 < h && inA[i] != inA[i+w] {
-				cut = append(cut, topology.LinkID{Switch: i, Port: topology.PortSouth})
-			}
+	for _, l := range topology.MeshLinks(w, h) {
+		if far, _, _ := topology.MeshNeighbor(w, h, l.Switch, l.Port); inA[l.Switch] != inA[far] {
+			cut = append(cut, l)
 		}
 	}
 	return cut
@@ -514,19 +508,7 @@ func Chaos(seed int64, w, h, kills int, from, until sim.Time) (*Plan, error) {
 	}
 	rng := sim.NewRand(seed ^ 0xC4A05)
 
-	// All inter-switch links, from the lower-indexed side.
-	var links []topology.LinkID
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			i := y*w + x
-			if x+1 < w {
-				links = append(links, topology.LinkID{Switch: i, Port: topology.PortEast})
-			}
-			if y+1 < h {
-				links = append(links, topology.LinkID{Switch: i, Port: topology.PortSouth})
-			}
-		}
-	}
+	links := topology.MeshLinks(w, h)
 	if kills > len(links) {
 		return nil, fmt.Errorf("faults: %d link kills in a %dx%d mesh of %d inter-switch links", kills, w, h, len(links))
 	}
@@ -562,18 +544,8 @@ func Chaos(seed int64, w, h, kills int, from, until sim.Time) (*Plan, error) {
 // intact for any pair whose coordinates differ in both dimensions — the
 // targeted fault the apm experiment rides out via path migration.
 func PrimaryHopLink(w int, src, dst int) (topology.LinkID, bool) {
-	sx, sy := src%w, src/w
-	tx, ty := dst%w, dst/w
-	sw := sy*w + sx
-	switch {
-	case tx > sx:
-		return topology.LinkID{Switch: sw, Port: topology.PortEast}, true
-	case tx < sx:
-		return topology.LinkID{Switch: sw, Port: topology.PortWest}, true
-	case ty > sy:
-		return topology.LinkID{Switch: sw, Port: topology.PortSouth}, true
-	case ty < sy:
-		return topology.LinkID{Switch: sw, Port: topology.PortNorth}, true
+	if p := topology.DORPort(src%w, src/w, dst%w, dst/w, false); p != topology.PortHCA {
+		return topology.LinkID{Switch: src, Port: p}, true
 	}
 	return topology.LinkID{}, false
 }
@@ -581,10 +553,8 @@ func PrimaryHopLink(w int, src, dst int) (topology.LinkID, bool) {
 // islandConnected reports whether the switches of one partition side
 // (inA[i] == side) form a connected subgraph of the W×H grid.
 func islandConnected(w, h int, inA map[int]bool, side bool) bool {
-	n := w * h
-	start := -1
-	total := 0
-	for i := 0; i < n; i++ {
+	start, total := -1, 0
+	for i := 0; i < w*h; i++ {
 		if inA[i] == side {
 			total++
 			if start < 0 {
@@ -595,27 +565,9 @@ func islandConnected(w, h int, inA map[int]bool, side bool) bool {
 	if total == 0 {
 		return false
 	}
-	visited := make(map[int]bool, total)
-	visited[start] = true
-	queue := []int{start}
-	count := 1
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		x, y := i%w, i/w
-		try := func(j int, ok bool) {
-			if ok && inA[j] == side && !visited[j] {
-				visited[j] = true
-				count++
-				queue = append(queue, j)
-			}
-		}
-		try(i+1, x+1 < w)
-		try(i-1, x > 0)
-		try(i+w, y+1 < h)
-		try(i-w, y > 0)
-	}
-	return count == total
+	var t topology.Tree
+	t.SearchMesh(w, h, start, func(_, far topology.LinkID) bool { return inA[far.Switch] == side })
+	return t.Reached() == total
 }
 
 // meshConnectedWithout reports whether the W×H switch grid stays
@@ -625,30 +577,7 @@ func meshConnectedWithout(w, h int, dead []topology.LinkID) bool {
 	for _, l := range dead {
 		deadSet[l] = true
 	}
-	cut := func(a, b, portA, portB int) bool {
-		return deadSet[topology.LinkID{Switch: a, Port: portA}] ||
-			deadSet[topology.LinkID{Switch: b, Port: portB}]
-	}
-	n := w * h
-	visited := make([]bool, n)
-	queue := []int{0}
-	visited[0] = true
-	count := 1
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		x, y := i%w, i/w
-		try := func(j int, ok bool) {
-			if ok && !visited[j] {
-				visited[j] = true
-				count++
-				queue = append(queue, j)
-			}
-		}
-		try(i+1, x+1 < w && !cut(i, i+1, topology.PortEast, topology.PortWest))
-		try(i-1, x > 0 && !cut(i-1, i, topology.PortEast, topology.PortWest))
-		try(i+w, y+1 < h && !cut(i, i+w, topology.PortSouth, topology.PortNorth))
-		try(i-w, y > 0 && !cut(i-w, i, topology.PortSouth, topology.PortNorth))
-	}
-	return count == n
+	var t topology.Tree
+	t.SearchMesh(w, h, 0, func(near, far topology.LinkID) bool { return !deadSet[near] && !deadSet[far] })
+	return t.Reached() == w*h
 }

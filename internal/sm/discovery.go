@@ -988,7 +988,12 @@ func (d *Discoverer) configure(done func(*DiscoveredTopology)) {
 		}
 	}
 	// Shortest paths between switches over the discovered graph.
-	nextHop := d.computeNextHops()
+	index, adj, ports := switchGraph(topo)
+	peer := func(sw, port int) (int, bool) {
+		next := adj[sw*ports+port]
+		return int(next) - 1, next > 0
+	}
+	var tree topology.Tree
 
 	remaining := 0
 	finish := func() {
@@ -1019,15 +1024,17 @@ func (d *Discoverer) configure(done func(*DiscoveredTopology)) {
 	remaining++
 
 	// Program every switch's route for every CA LID.
-	for _, sw := range topo.Switches {
+	for i, sw := range topo.Switches {
+		tree.Search(len(topo.Switches), ports, i, peer)
 		for _, ca := range topo.CAs {
 			at := attach[ca.GUID]
 			var port int
 			if at.sw == sw.GUID {
 				port = at.port
 			} else {
-				p, ok := nextHop[sw.GUID][at.sw]
-				if !ok {
+				j, known := index[at.sw]
+				p, ok := tree.FirstHop(j)
+				if !known || !ok {
 					continue // disconnected (should not happen)
 				}
 				port = p
@@ -1047,21 +1054,28 @@ func (d *Discoverer) configure(done func(*DiscoveredTopology)) {
 	finish() // release the hold
 }
 
-// computeNextHops runs BFS over the discovered switch graph:
-// nextHop[src][dst] is the egress port at src on a shortest path to dst.
-// The BFS itself is the shared deterministic implementation in
-// internal/topology, which breaks equal-length ties by lowest port —
-// matching the sweep's ascending-port probe order.
-func (d *Discoverer) computeNextHops() map[uint64]map[uint64]int {
-	g := make(topology.SwitchGraph, len(d.topo.Switches))
-	for _, sw := range d.topo.Switches {
-		edges := make(map[int]uint64)
-		for port, nbr := range d.topo.Edges[sw.GUID] {
-			if n := d.seen[nbr]; n != nil && n.IsSwitch {
-				edges[port] = nbr
+// switchGraph numbers the discovered switches in topo.Switches order
+// (index, by GUID) and returns the out-edges topo.Edges holds for each,
+// at switch index times ports plus port: the index of the switch
+// beyond, plus one (0: no discovered switch there). ports is one more
+// than the highest port of any edge. A switch keeps only its own
+// out-edges: a link probed from one side only leaves the discovered
+// graph asymmetric.
+func switchGraph(topo *DiscoveredTopology) (index map[uint64]int, adj []int32, ports int) {
+	index = make(map[uint64]int, len(topo.Switches))
+	for i, sw := range topo.Switches {
+		index[sw.GUID] = i
+		for p := range topo.Edges[sw.GUID] {
+			ports = max(ports, p+1)
+		}
+	}
+	adj = make([]int32, len(topo.Switches)*ports)
+	for i, sw := range topo.Switches {
+		for p, nbr := range topo.Edges[sw.GUID] {
+			if j, ok := index[nbr]; ok {
+				adj[i*ports+p] = int32(j) + 1
 			}
 		}
-		g[sw.GUID] = edges
 	}
-	return topology.NextHops(g)
+	return index, adj, ports
 }

@@ -463,17 +463,12 @@ func (pm *PerfMgr) decide(i int) bool {
 		if st.score < pm.cfg.QuarantineScore {
 			return false
 		}
-		proposed := make(map[topology.LinkID]bool, len(pm.quarantined)+1)
-		for q := range pm.quarantined {
-			proposed[q] = true
-		}
-		proposed[l] = true
 		// Never let the health plane partition the fabric: an attacker
 		// degrading many links must not be able to talk the PerfMgr into
 		// fencing the last path. A quarantine that would leave any
 		// destination unroutable is refused; the link stays in service
 		// (degraded beats disconnected).
-		if !pm.routesComplete(proposed) {
+		if !pm.routesComplete(l) {
 			pm.Counters.Add(PMQuarantineRefused, 1)
 			return false
 		}
@@ -498,22 +493,17 @@ func (pm *PerfMgr) decide(i int) bool {
 	return false
 }
 
-// routesComplete reports whether avoiding the proposed fenced set still
-// leaves every switch a route to every assigned LID.
-func (pm *PerfMgr) routesComplete(proposed map[topology.LinkID]bool) bool {
-	lids := 0
-	for _, h := range pm.mesh.HCAs {
-		if h.LID() != 0 {
-			lids++
-		}
+// routesComplete reports whether fencing link l beside the quarantined
+// set still leaves every switch a route to every assigned LID. The
+// PerfMgr fences only inter-switch links and every HCA holds its LID, so
+// that is whether the surviving switch graph stays connected.
+func (pm *PerfMgr) routesComplete(l topology.LinkID) bool {
+	up := func(near, far topology.LinkID) bool {
+		return near != l && far != l && !pm.quarantined[near] && !pm.quarantined[far]
 	}
-	routes := pm.mesh.RoutesAvoiding(nil, proposed)
-	for i := range pm.mesh.Switches {
-		if len(routes[i]) != lids {
-			return false
-		}
-	}
-	return true
+	var t topology.Tree
+	t.SearchMesh(pm.mesh.W, pm.mesh.H, 0, up)
+	return t.Reached() == len(pm.mesh.Switches)
 }
 
 // reprogram recomputes forwarding around the fenced set, writes every
@@ -586,53 +576,13 @@ func (pm *PerfMgr) rearm(swIdx, port int) {
 // carry them) from the SM's node to every switch of a healthy mesh, by
 // switch index, nil when unreachable — the paths the discovery sweep
 // would find, so PMA and audit probes travel the routes a real sweep
-// uses. It is one BFS from the SM's switch in ascending port order,
-// which reaches each switch along the lexicographically least shortest
-// port sequence: the same path as walking topology.NextHops hop by hop.
+// uses. They are read off one search from the SM's switch (topology's
+// routing rule), which reaches each switch along the lexicographically
+// least shortest port sequence.
 func SwitchPaths(mesh *topology.Mesh, smNode int) [][]byte {
-	return switchPaths(len(mesh.Switches), smNode, func(sw, port int) (int, bool) {
-		isHCA, peer, _, ok := mesh.LinkPeer(sw, port)
-		return peer, ok && !isHCA
-	})
-}
-
-// switchPaths is SwitchPaths over n switches of up to topology.PortNorth+1
-// ports each, with peer reporting the switch beyond a port. Every path is
-// a capacity-capped window into one shared array.
-func switchPaths(n, root int, peer func(sw, port int) (int, bool)) [][]byte {
-	parent := make([]int32, n) // BFS parent + 1; 0: unreached
-	port := make([]byte, n)    // egress port at the parent
-	depth := make([]int32, n)
-	queue := make([]int32, 1, n)
-	queue[0] = int32(root)
-	parent[root] = int32(root) + 1
-	total := 0
-	for q := 0; q < len(queue); q++ {
-		cur := int(queue[q])
-		for p := 0; p <= topology.PortNorth; p++ {
-			nb, ok := peer(cur, p)
-			if !ok || parent[nb] != 0 {
-				continue
-			}
-			parent[nb], port[nb], depth[nb] = int32(cur)+1, byte(p), depth[cur]+1
-			total += int(depth[nb])
-			queue = append(queue, int32(nb))
-		}
-	}
-	arena := make([]byte, total)
-	paths := make([][]byte, n)
-	off := 0
-	for _, i := range queue { // parents before children
-		d := int(depth[i])
-		path := arena[off : off+d : off+d]
-		off += d
-		if d > 0 {
-			copy(path, paths[parent[i]-1])
-			path[d-1] = port[i]
-		}
-		paths[i] = path
-	}
-	return paths
+	var t topology.Tree
+	t.SearchMesh(mesh.W, mesh.H, smNode, func(_, _ topology.LinkID) bool { return true })
+	return t.Paths()
 }
 
 // --- HA quarantine blob -------------------------------------------------

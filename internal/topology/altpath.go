@@ -20,26 +20,10 @@ func AltLIDOf(i int) packet.LID { return AltLIDBase + packet.LID(i+1) }
 // alternate LID on every switch. Purely additive: base-LID routes are
 // untouched, so programming alternates cannot perturb primary traffic.
 func (m *Mesh) ProgramAlternatePaths() {
-	for sy := 0; sy < m.H; sy++ {
-		for sx := 0; sx < m.W; sx++ {
-			sw := m.Switches[sy*m.W+sx]
-			for ti := 0; ti < m.W*m.H; ti++ {
-				tx, ty := ti%m.W, ti/m.W
-				var port int
-				switch {
-				case ty > sy:
-					port = PortSouth
-				case ty < sy:
-					port = PortNorth
-				case tx > sx:
-					port = PortEast
-				case tx < sx:
-					port = PortWest
-				default:
-					port = PortHCA
-				}
-				sw.SetRoute(AltLIDOf(ti), port)
-			}
+	for i, sw := range m.Switches {
+		sx, sy := i%m.W, i/m.W
+		for t := range m.HCAs {
+			sw.SetRoute(AltLIDOf(t), DORPort(sx, sy, t%m.W, t/m.W, true))
 		}
 	}
 }
@@ -50,25 +34,10 @@ func (m *Mesh) ProgramAlternatePaths() {
 // source-identity registrations for migrated traffic to survive SIF
 // enforcement.
 func (m *Mesh) AltPathSwitches(src, dst int) []int {
-	sx, sy := src%m.W, src/m.W
-	tx, ty := dst%m.W, dst/m.W
-	path := []int{sy*m.W + sx}
-	x, y := sx, sy
-	for y != ty {
-		if ty > y {
-			y++
-		} else {
-			y--
-		}
-		path = append(path, y*m.W+x)
-	}
-	for x != tx {
-		if tx > x {
-			x++
-		} else {
-			x--
-		}
-		path = append(path, y*m.W+x)
+	path := []int{src}
+	for sw := src; sw != dst; {
+		_, sw, _, _ = m.LinkPeer(sw, DORPort(sw%m.W, sw/m.W, dst%m.W, dst/m.W, true))
+		path = append(path, sw)
 	}
 	return path
 }

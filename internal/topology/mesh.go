@@ -118,26 +118,10 @@ func meshNames(w, h int) func(i int) string {
 // programDOR installs dimension-ordered (X then Y) routing tables for the
 // static LID assignment.
 func (m *Mesh) programDOR() {
-	for sy := 0; sy < m.H; sy++ {
-		for sx := 0; sx < m.W; sx++ {
-			sw := m.Switches[sy*m.W+sx]
-			for ti := 0; ti < m.W*m.H; ti++ {
-				tx, ty := ti%m.W, ti/m.W
-				var port int
-				switch {
-				case tx > sx:
-					port = PortEast
-				case tx < sx:
-					port = PortWest
-				case ty > sy:
-					port = PortSouth
-				case ty < sy:
-					port = PortNorth
-				default:
-					port = PortHCA
-				}
-				sw.SetRoute(LIDOf(ti), port)
-			}
+	for i, sw := range m.Switches {
+		sx, sy := i%m.W, i/m.W
+		for t := range m.HCAs {
+			sw.SetRoute(LIDOf(t), DORPort(sx, sy, t%m.W, t/m.W, false))
 		}
 	}
 }

@@ -94,6 +94,7 @@ internal/sim       FuzzNewRand
 internal/fabric    FuzzLinkSchedule
 internal/umac      FuzzNH
 internal/workload  FuzzSources
+internal/topology  FuzzRoutesAvoiding
 cmd/ibsim          FuzzRun
 EOF
 
