@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ibasec/internal/enforce"
@@ -8,6 +9,7 @@ import (
 	"ibasec/internal/faults"
 	"ibasec/internal/sim"
 	"ibasec/internal/sm"
+	"ibasec/internal/topology"
 )
 
 // TestHealthQuarantinesFlakyLink is the core-level smoke for the
@@ -104,7 +106,7 @@ func TestHealthSurvivesFailover(t *testing.T) {
 	// a clean slate.
 	guid := cl.Mesh.Switches[target.Switch].GUID()
 	edges := cl.PerfMgr.QuarantinedEdges()
-	if !edges[guid][target.Port] {
+	if !slices.Contains(edges, topology.EdgeHalf{GUID: guid, Port: target.Port}) {
 		t.Fatalf("promoted PerfMgr does not fence the flaky link: %v", edges)
 	}
 }

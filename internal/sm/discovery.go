@@ -440,6 +440,10 @@ type DiscoveredNode struct {
 	NumPorts int
 	Path     []byte // directed-route path from the SM
 	LID      packet.LID
+	// Switch is a switch's own index in DiscoveredTopology.Switches and a
+	// CA's attachment: the index of the switch it was found through (-1
+	// for none) and Port, that switch's port.
+	Switch, Port int
 }
 
 // DiscoveredTopology is the result of a discovery sweep. It, its node
@@ -450,7 +454,7 @@ type DiscoveredTopology struct {
 	Switches []*DiscoveredNode
 	CAs      []*DiscoveredNode
 	// Edges maps a switch GUID and egress port to the neighbour GUID.
-	Edges map[uint64]map[int]uint64
+	Edges topology.EdgeSet
 	// Probes counts SMPs issued; Retries counts retransmissions of
 	// probes whose earlier attempts went unanswered; Timeouts counts
 	// probes that stayed unanswered after every retry (dead ports).
@@ -490,7 +494,7 @@ type Discoverer struct {
 	// of the fabric; OnLostEdge fires each time a probe across one of
 	// those edges terminally times out during the current sweep — the
 	// earliest in-band signal that a link or its far-side device died.
-	KnownEdges EdgeSet
+	KnownEdges topology.EdgeSet
 	OnLostEdge func(fromGUID uint64, port int)
 
 	// ring is the outstanding-request table: a power-of-two slice of value
@@ -508,13 +512,15 @@ type Discoverer struct {
 	// A sweep's working set, kept for the next one (Reset), so a sweep
 	// allocates only while it outgrows every sweep before it: the node
 	// probes, each request tagged with its index; their directed routes
-	// end to end, each probe's a window; the node records handed out,
-	// with the spare ones past len; and the inner maps Reset took out of
-	// the topology's edge set.
-	probes    []probe
-	paths     []byte
-	nodes     []*DiscoveredNode
-	freeEdges []map[int]uint64
+	// end to end, each probe's a window; and the node records handed
+	// out, with the spare ones past len.
+	probes []probe
+	paths  []byte
+	nodes  []*DiscoveredNode
+	// configuring counts the configure pass's Sets in flight, plus its
+	// hold while it issues them; configured is its completion.
+	configuring int
+	configured  func(*DiscoveredTopology)
 	// done remembers the last tidSetCap answered TIDs (a FIFO, doneN
 	// answers so far) so a second response to the same TID — the delayed
 	// original arriving after a retransmit was already answered — is
@@ -576,7 +582,7 @@ func NewDiscoverer(s *sim.Simulator, hca *fabric.HCA, mkey keys.MKey, timeout si
 		mkey:    mkey,
 		timeout: timeout,
 		seen:    make(map[uint64]*DiscoveredNode),
-		topo:    &DiscoveredTopology{Edges: make(map[uint64]map[int]uint64)},
+		topo:    &DiscoveredTopology{Edges: make(topology.EdgeSet)},
 	}
 	dispatcherOf(hca).disc = d
 	return d
@@ -667,22 +673,16 @@ func (d *Discoverer) slot(txID uint32) *request {
 	return d.at(txID)
 }
 
-// send issues one SMP and registers its callback; cb receives status
-// 0xFF when every attempt times out. Discovery probes use the short
-// dead-port timeout; configuration Sets — hundreds of which are issued
-// back to back and queue behind one another on the SM's uplink — use a
-// generous deadline so a slow acknowledgement is not misread as a dead
-// port. An unanswered attempt is retransmitted up to MaxRetries times
+// request issues one SMP: to.SMPDone(tag, …) is called exactly once,
+// with the response or, status 0xFF, the terminal timeout. Nothing but
+// the MAD itself is allocated. Gets use the short dead-port timeout;
+// Sets — hundreds of which a configure pass issues back to back, to
+// queue behind one another on the SM's uplink — use a generous deadline
+// (SetTimeoutMult) so a slow acknowledgement is not misread as a dead
+// port. An unanswered attempt is retransmitted up to maxRetries times
 // with the deadline doubling each attempt (exponential backoff), so a
 // single lost MAD cannot hide a live subtree; only the terminal failure
 // counts as a Timeout.
-func (d *Discoverer) send(method, attr byte, path []byte, data []byte, cb QueryFunc) {
-	d.request(method, attr, path, data, d.MaxRetries, cb, 0)
-}
-
-// request is send with an explicit retry budget and a typed completion:
-// to.SMPDone(tag, …) is called exactly once, with the response or the
-// terminal timeout. Nothing but the MAD itself is allocated.
 func (d *Discoverer) request(method, attr byte, path []byte, data []byte, maxRetries int, to SMPCompleter, tag uint64) {
 	if len(path) > smpMaxHops {
 		panic("sm: directed route exceeds max hops")
@@ -766,11 +766,12 @@ func (d *Discoverer) Discover(done func(*DiscoveredTopology)) {
 // actually changed.
 func (d *Discoverer) Probe(done func(*DiscoveredTopology)) {
 	// Start with the switch the SM's HCA is attached to (empty path).
-	d.probeNode(0, 0, 0, 0, done)
+	d.probeNode(0, 0, topology.EdgeHalf{}, done)
 }
 
 // Configure assigns LIDs and programs routes from the last completed
-// sweep, honouring Pins.
+// sweep, honouring Pins. A configure pass completes, or is cancelled by
+// Reset, before the next one starts.
 func (d *Discoverer) Configure(done func(*DiscoveredTopology)) { d.configure(done) }
 
 // Reset clears sweep state so the Discoverer can sweep the fabric again.
@@ -792,12 +793,9 @@ func (d *Discoverer) Reset() {
 	d.past.probes += topo.Probes
 	d.past.retries += topo.Retries
 	d.past.timeouts += topo.Timeouts
-	for _, ports := range topo.Edges {
-		clear(ports)
-		d.freeEdges = append(d.freeEdges, ports)
-	}
 	clear(topo.Edges)
 	*topo = DiscoveredTopology{Switches: topo.Switches[:0], CAs: topo.CAs[:0], Edges: topo.Edges}
+	d.configuring, d.configured = 0, nil
 }
 
 // Stats reports the SMPs issued, retransmitted and terminally timed out
@@ -808,19 +806,18 @@ func (d *Discoverer) Stats() (probes, retries, timeouts int) {
 }
 
 // probe is one node probe of a sweep: the directed route to the element,
-// d.paths[off:off+n], the switch edge that led there (fromGUID 0 for
-// the root) and the sweep's completion.
+// d.paths[off:off+n], the switch port that led there (GUID 0 for the
+// root) and the sweep's completion.
 type probe struct {
-	off, n   int
-	fromGUID uint64
-	fromPort int
-	done     func(*DiscoveredTopology)
+	off, n int
+	from   topology.EdgeHalf
+	done   func(*DiscoveredTopology)
 }
 
-// probeNode probes the element at path d.paths[off:off+n]; fromGUID and
-// fromPort identify the switch edge that led here (0 for the root). done
-// fires with the topology when no probes remain outstanding.
-func (d *Discoverer) probeNode(off, n int, fromGUID uint64, fromPort int, done func(*DiscoveredTopology)) {
+// probeNode probes the element at path d.paths[off:off+n]; from is the
+// switch port that led here (GUID 0 for the root). done fires with the
+// topology when no probes remain outstanding.
+func (d *Discoverer) probeNode(off, n int, from topology.EdgeHalf, done func(*DiscoveredTopology)) {
 	// Re-sweeps give the full retry budget only to edges that were alive
 	// at the last healthy view: there a silent probe likely means MAD
 	// loss and a retry protects a live subtree from being misdeclared
@@ -829,13 +826,13 @@ func (d *Discoverer) probeNode(off, n int, fromGUID uint64, fromPort int, done f
 	// sweep would stretch the sweep past its period — a rare lost probe
 	// on a newly cabled port just gets picked up one period later.
 	retries := d.MaxRetries
-	if d.KnownEdges != nil && fromGUID != 0 {
-		if _, known := d.KnownEdges[EdgeHalf{fromGUID, fromPort}]; !known {
+	if d.KnownEdges != nil && from.GUID != 0 {
+		if _, known := d.KnownEdges[from]; !known {
 			retries = 0
 		}
 	}
 	tag := uint64(len(d.probes))
-	d.probes = append(d.probes, probe{off: off, n: n, fromGUID: fromGUID, fromPort: fromPort, done: done})
+	d.probes = append(d.probes, probe{off: off, n: n, from: from, done: done})
 	d.request(smpMethodGet, smpAttrNodeInfo, d.paths[off:off+n], nil, retries, (*probeDone)(d), tag)
 }
 
@@ -861,22 +858,22 @@ func (d *Discoverer) probed(pr probe, status byte, data, retPath []byte) {
 		// Dead port or refused. A terminal timeout across an edge the
 		// SM knew to be alive is the detection signal for a failed
 		// link or device.
-		if status == 0xFF && d.OnLostEdge != nil && pr.fromGUID != 0 {
-			if _, known := d.KnownEdges[EdgeHalf{pr.fromGUID, pr.fromPort}]; known {
-				d.OnLostEdge(pr.fromGUID, pr.fromPort)
+		if status == 0xFF && d.OnLostEdge != nil && pr.from.GUID != 0 {
+			if _, known := d.KnownEdges[pr.from]; known {
+				d.OnLostEdge(pr.from.GUID, pr.from.Port)
 			}
 		}
 		return
 	}
 	guid := binary.BigEndian.Uint64(data[2:])
-	if pr.fromGUID != 0 {
-		d.setEdge(pr.fromGUID, pr.fromPort, guid)
+	if pr.from.GUID != 0 {
+		d.topo.Edges[pr.from] = guid
 		// Switch targets report their own ingress port, giving the
 		// reverse edge without probing it: the graph must contain
 		// back-edges toward the SM or route computation from remote
 		// switches would see a one-way tree.
 		if data[0] == nodeTypeSwitch {
-			d.setEdge(guid, int(retPath[pr.n]), pr.fromGUID)
+			d.topo.Edges[topology.EdgeHalf{GUID: guid, Port: int(retPath[pr.n])}] = pr.from.GUID
 		}
 	}
 	if _, dup := d.seen[guid]; dup {
@@ -887,15 +884,20 @@ func (d *Discoverer) probed(pr probe, status byte, data, retPath []byte) {
 		GUID:     guid,
 		IsSwitch: data[0] == nodeTypeSwitch,
 		NumPorts: int(data[1]),
+		Switch:   -1,
 	}
 	if pr.n > 0 {
 		node.Path = d.paths[pr.off : pr.off+pr.n : pr.off+pr.n]
 	}
 	d.seen[guid] = node
 	if !node.IsSwitch {
+		if from := d.seen[pr.from.GUID]; from != nil {
+			node.Switch, node.Port = from.Switch, pr.from.Port
+		}
 		d.topo.CAs = append(d.topo.CAs, node)
 		return
 	}
+	node.Switch = len(d.topo.Switches)
 	d.topo.Switches = append(d.topo.Switches, node)
 	// The target switch recorded its own ingress port (the port
 	// leading back toward the SM) in return-path slot len(path).
@@ -914,24 +916,8 @@ func (d *Discoverer) probed(pr probe, status byte, data, retPath []byte) {
 		off := len(d.paths)
 		d.paths = append(d.paths, d.paths[pr.off:pr.off+pr.n]...)
 		d.paths = append(d.paths, byte(p))
-		d.probeNode(off, pr.n+1, guid, p, pr.done)
+		d.probeNode(off, pr.n+1, topology.EdgeHalf{GUID: guid, Port: p}, pr.done)
 	}
-}
-
-// setEdge records the topology edge from → port → to, taking the port
-// set from those Reset kept, so the edge set holds exactly the entries
-// a freshly made one would.
-func (d *Discoverer) setEdge(from uint64, port int, to uint64) {
-	ports := d.topo.Edges[from]
-	if ports == nil {
-		if n := len(d.freeEdges); n > 0 {
-			ports, d.freeEdges = d.freeEdges[n-1], d.freeEdges[:n-1]
-		} else {
-			ports = make(map[int]uint64)
-		}
-		d.topo.Edges[from] = ports
-	}
-	ports[port] = to
 }
 
 // newNode returns the sweep's next node record, reusing the one an
@@ -971,37 +957,16 @@ func (d *Discoverer) configure(done func(*DiscoveredTopology)) {
 		ca.LID = free
 		used[free] = true
 	}
-	// Locate each CA's attachment: the switch+port whose edge points at
-	// the CA's GUID.
-	attach := make(map[uint64]struct {
-		sw   uint64
-		port int
-	})
-	for swGUID, edges := range topo.Edges {
-		for port, nbr := range edges {
-			if n := d.seen[nbr]; n != nil && !n.IsSwitch {
-				attach[nbr] = struct {
-					sw   uint64
-					port int
-				}{swGUID, port}
-			}
-		}
-	}
 	// Shortest paths between switches over the discovered graph.
-	index, adj, ports := switchGraph(topo)
+	adj, ports := d.switchGraph()
 	peer := func(sw, port int) (int, bool) {
 		next := adj[sw*ports+port]
 		return int(next) - 1, next > 0
 	}
 	var tree topology.Tree
 
-	remaining := 0
-	finish := func() {
-		remaining--
-		if remaining == 0 {
-			done(topo)
-		}
-	}
+	// Hold the completion until every Set below is issued.
+	d.configuring, d.configured = 1, done
 
 	// Assign LIDs in-band.
 	for _, ca := range topo.CAs {
@@ -1010,72 +975,72 @@ func (d *Discoverer) configure(done func(*DiscoveredTopology)) {
 			d.hca.SetLID(ca.LID)
 			continue
 		}
-		remaining++
 		var lidData [2]byte
 		binary.BigEndian.PutUint16(lidData[:], uint16(ca.LID))
-		d.send(smpMethodSet, smpAttrSetLID, ca.Path, lidData[:], func(status byte, _ []byte) {
-			if status != smpStatusOK {
-				topo.Timeouts++ // counted as a failure
-			}
-			finish()
-		})
+		d.configuring++
+		d.request(smpMethodSet, smpAttrSetLID, ca.Path, lidData[:], d.MaxRetries, (*configureDone)(d), 0)
 	}
-	// Hold the completion until all sets below are also issued.
-	remaining++
 
 	// Program every switch's route for every CA LID.
 	for i, sw := range topo.Switches {
 		tree.Search(len(topo.Switches), ports, i, peer)
 		for _, ca := range topo.CAs {
-			at := attach[ca.GUID]
-			var port int
-			if at.sw == sw.GUID {
-				port = at.port
-			} else {
-				j, known := index[at.sw]
-				p, ok := tree.FirstHop(j)
-				if !known || !ok {
-					continue // disconnected (should not happen)
-				}
-				port = p
+			port, ok := ca.Port, ca.Switch == i
+			if !ok && ca.Switch >= 0 {
+				port, ok = tree.FirstHop(ca.Switch)
 			}
-			remaining++
+			if !ok {
+				continue // disconnected (should not happen)
+			}
 			var data [3]byte
 			binary.BigEndian.PutUint16(data[:2], uint16(ca.LID))
 			data[2] = byte(port)
-			d.send(smpMethodSet, smpAttrSetRoute, sw.Path, data[:], func(status byte, _ []byte) {
-				if status != smpStatusOK {
-					topo.Timeouts++
-				}
-				finish()
-			})
+			d.configuring++
+			d.request(smpMethodSet, smpAttrSetRoute, sw.Path, data[:], d.MaxRetries, (*configureDone)(d), 0)
 		}
 	}
-	finish() // release the hold
+	d.configureStep() // release the hold
 }
 
-// switchGraph numbers the discovered switches in topo.Switches order
-// (index, by GUID) and returns the out-edges topo.Edges holds for each,
-// at switch index times ports plus port: the index of the switch
-// beyond, plus one (0: no discovered switch there). ports is one more
-// than the highest port of any edge. A switch keeps only its own
-// out-edges: a link probed from one side only leaves the discovered
+// configureDone completes configure's Sets: a named completer over
+// Discoverer (see SMPCompleter), so issuing a Set allocates nothing but
+// its MAD.
+type configureDone Discoverer
+
+func (h *configureDone) SMPDone(_ uint64, status byte, _, _ []byte) {
+	d := (*Discoverer)(h)
+	if status != smpStatusOK {
+		d.topo.Timeouts++ // counted as a failure
+	}
+	d.configureStep()
+}
+
+// configureStep retires one Set, or the hold, and reports the
+// configured topology once none remain.
+func (d *Discoverer) configureStep() {
+	d.configuring--
+	if d.configuring == 0 {
+		done := d.configured
+		d.configured = nil
+		done(d.topo)
+	}
+}
+
+// switchGraph returns the out-edges topo.Edges holds for each
+// discovered switch, at its index times ports plus port: the index of
+// the switch beyond, plus one (0: no discovered switch there). ports is
+// one more than the highest port of any edge. A switch keeps only its
+// own out-edges: a link probed from one side only leaves the discovered
 // graph asymmetric.
-func switchGraph(topo *DiscoveredTopology) (index map[uint64]int, adj []int32, ports int) {
-	index = make(map[uint64]int, len(topo.Switches))
-	for i, sw := range topo.Switches {
-		index[sw.GUID] = i
-		for p := range topo.Edges[sw.GUID] {
-			ports = max(ports, p+1)
+func (d *Discoverer) switchGraph() (adj []int32, ports int) {
+	for h := range d.topo.Edges {
+		ports = max(ports, h.Port+1)
+	}
+	adj = make([]int32, len(d.topo.Switches)*ports)
+	for h, nbr := range d.topo.Edges {
+		if n := d.seen[nbr]; n != nil && n.IsSwitch {
+			adj[d.seen[h.GUID].Switch*ports+h.Port] = int32(n.Switch) + 1
 		}
 	}
-	adj = make([]int32, len(topo.Switches)*ports)
-	for i, sw := range topo.Switches {
-		for p, nbr := range topo.Edges[sw.GUID] {
-			if j, ok := index[nbr]; ok {
-				adj[i*ports+p] = int32(j) + 1
-			}
-		}
-	}
-	return index, adj, ports
+	return adj, ports
 }

@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"math/rand"
 	"testing"
 
 	"ibasec/internal/fabric"
@@ -242,17 +243,82 @@ func TestDiscoveredEdgesMatchMesh(t *testing.T) {
 		for x := 0; x < 2; x++ {
 			i := y*2 + x
 			sw := mesh.Switches[i]
-			edges := topo.Edges[sw.GUID()]
 			if x+1 < 2 {
 				want := mesh.Switches[y*2+x+1].GUID()
-				if edges[topology.PortEast] != want {
-					t.Fatalf("switch %d east edge = %#x, want %#x", i, edges[topology.PortEast], want)
+				if got := topo.Edges[topology.EdgeHalf{GUID: sw.GUID(), Port: topology.PortEast}]; got != want {
+					t.Fatalf("switch %d east edge = %#x, want %#x", i, got, want)
 				}
 			}
 			// Port 0 must point at the local HCA.
-			if edges[topology.PortHCA] != mesh.HCA(i).GUID() {
+			if topo.Edges[topology.EdgeHalf{GUID: sw.GUID(), Port: topology.PortHCA}] != mesh.HCA(i).GUID() {
 				t.Fatalf("switch %d HCA edge wrong", i)
 			}
 		}
 	}
+}
+
+// TestInBandRoutesMatchRoutesAvoiding is differential: on blank w×h
+// meshes (w, h in 1..5) with seeded random sets of dead inter-switch
+// links, the forwarding tables an in-band Discover from node 0 programs
+// are the ones RoutesAvoiding computes for the same dead links, at
+// every switch for every HCA reachable from node 0's switch (only those
+// get a LID). The two share the search but not the graph: configure's
+// is the one the sweep discovered, each CA attached where its probe
+// found it.
+func TestInBandRoutesMatchRoutesAvoiding(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const trials = 16
+	checked := 0
+	for w := 1; w <= 5; w++ {
+		for h := 1; h <= 5; h++ {
+			for trial := 0; trial < trials; trial++ {
+				s := sim.New()
+				mesh := topology.NewBlankMesh(s, fabric.DefaultParams(), w, h)
+				AttachSwitchAgents(mesh, discMKey)
+				AttachNodeAgents(mesh.HCAs, discMKey)
+				dead := make(map[topology.LinkID]bool)
+				kill := rng.Float64() / 2
+				for i := range mesh.Switches {
+					for _, p := range []int{topology.PortEast, topology.PortSouth} {
+						peer, back, ok := topology.MeshNeighbor(w, h, i, p)
+						if ok && rng.Float64() < kill {
+							dead[topology.LinkID{Switch: i, Port: p}] = true
+							mesh.Switches[i].SetLinkState(p, false)
+							mesh.Switches[peer].SetLinkState(back, false)
+						}
+					}
+				}
+				disc := NewDiscoverer(s, mesh.HCA(0), discMKey, 50*sim.Microsecond)
+				configured := false
+				disc.Discover(func(*DiscoveredTopology) { configured = true })
+				s.Run()
+				if !configured {
+					t.Fatalf("%dx%d, dead %v: discovery never completed", w, h, dead)
+				}
+				want := mesh.RoutesAvoiding(nil, dead)
+				var reach topology.Tree
+				reach.SearchMesh(w, h, 0, func(near, far topology.LinkID) bool { return !dead[near] && !dead[far] })
+				for n, hca := range mesh.HCAs {
+					_, reached := reach.FirstHop(n)
+					lid := hca.LID()
+					if (n == 0 || reached) != (lid != 0) {
+						t.Fatalf("%dx%d, dead %v: node %d has LID %d, reachable %v", w, h, dead, n, lid, n == 0 || reached)
+					}
+					if lid == 0 {
+						continue
+					}
+					for i, sw := range mesh.Switches {
+						port, ok := sw.Route(lid)
+						wantPort, wantOK := want[i][lid]
+						if port != wantPort || ok != wantOK {
+							t.Fatalf("%dx%d, dead %v: switch %d routes LID %d to port %d (%v), RoutesAvoiding to %d (%v)",
+								w, h, dead, i, lid, port, ok, wantPort, wantOK)
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d forwarding entries checked", checked)
 }

@@ -199,7 +199,7 @@ type PerfMgr struct {
 	// quarantined holds the canonical halves of fenced links.
 	quarantined map[topology.LinkID]bool
 	// fenced is the view QuarantinedEdges refills on every call.
-	fenced map[uint64]map[int]bool
+	fenced []topology.EdgeHalf
 
 	sweeping bool
 	// outstanding counts the links the sweep in flight has yet to score.
@@ -235,7 +235,6 @@ func NewPerfMgr(s *sim.Simulator, mesh *topology.Mesh, disc *Discoverer, smgr *S
 		sm:          smgr,
 		cfg:         cfg,
 		quarantined: make(map[topology.LinkID]bool),
-		fenced:      make(map[uint64]map[int]bool),
 		firstLink:   make([]int, len(mesh.Switches)+1),
 		links:       make([]linkHealth, 0, 2*len(mesh.Switches)),
 	}
@@ -310,25 +309,16 @@ func (pm *PerfMgr) Stop() {
 }
 
 // QuarantinedEdges translates the fenced set into the GUID-and-port
-// edge halves a Resweeper strips from probe results (both directions of
+// edge halves a Resweeper deletes from probe results (both directions of
 // every fenced link), so a heal sweep never re-programs routes back
-// over a link the health plane fenced. The map is the PerfMgr's own
-// view, refilled by the next call: a caller reads it and lets it go. It
-// keeps an empty port set for a switch no longer fenced.
-func (pm *PerfMgr) QuarantinedEdges() map[uint64]map[int]bool {
-	for _, ports := range pm.fenced {
-		clear(ports)
-	}
-	fence := func(guid uint64, port int) {
-		if pm.fenced[guid] == nil {
-			pm.fenced[guid] = make(map[int]bool)
-		}
-		pm.fenced[guid][port] = true
-	}
+// over a link the health plane fenced. The slice is the PerfMgr's own
+// view, refilled by the next call: a caller reads it and lets it go.
+func (pm *PerfMgr) QuarantinedEdges() []topology.EdgeHalf {
+	pm.fenced = pm.fenced[:0]
 	for l := range pm.quarantined {
-		fence(pm.mesh.Switches[l.Switch].GUID(), l.Port)
+		pm.fenced = append(pm.fenced, topology.EdgeHalf{GUID: pm.mesh.Switches[l.Switch].GUID(), Port: l.Port})
 		if isHCA, peer, peerPort, ok := pm.mesh.LinkPeer(l.Switch, l.Port); ok && !isHCA {
-			fence(pm.mesh.Switches[peer].GUID(), peerPort)
+			pm.fenced = append(pm.fenced, topology.EdgeHalf{GUID: pm.mesh.Switches[peer].GUID(), Port: peerPort})
 		}
 	}
 	return pm.fenced

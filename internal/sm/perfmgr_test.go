@@ -2,6 +2,7 @@ package sm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ibasec/internal/fabric"
@@ -223,8 +224,8 @@ func TestPerfMgrQuarantinesAndReadmits(t *testing.T) {
 			t.Errorf("switch 5 still routes node 6 east during quarantine (port %d, ok %v)", p, ok)
 		}
 		edges := pm.QuarantinedEdges()
-		if !edges[mesh.Switches[5].GUID()][topology.PortEast] ||
-			!edges[mesh.Switches[6].GUID()][topology.PortWest] {
+		if !slices.Contains(edges, topology.EdgeHalf{GUID: mesh.Switches[5].GUID(), Port: topology.PortEast}) ||
+			!slices.Contains(edges, topology.EdgeHalf{GUID: mesh.Switches[6].GUID(), Port: topology.PortWest}) {
 			t.Error("QuarantinedEdges missing a fenced half")
 		}
 	})
@@ -377,11 +378,11 @@ func TestResweeperRespectsQuarantine(t *testing.T) {
 	disc := perfDisc(s, mesh)
 	r := NewResweeper(s, disc, 200*sim.Microsecond)
 	r.PrimeStatic(mesh)
-	fenced := map[uint64]map[int]bool{
-		mesh.Switches[5].GUID(): {topology.PortEast: true},
-		mesh.Switches[6].GUID(): {topology.PortWest: true},
+	fenced := []topology.EdgeHalf{
+		{GUID: mesh.Switches[5].GUID(), Port: topology.PortEast},
+		{GUID: mesh.Switches[6].GUID(), Port: topology.PortWest},
 	}
-	r.Quarantined = func() map[uint64]map[int]bool { return fenced }
+	r.Quarantined = func() []topology.EdgeHalf { return fenced }
 	r.Start()
 
 	check := func(when string) {
@@ -459,17 +460,11 @@ func TestSwitchPaths(t *testing.T) {
 		t.Errorf("path to corner = %v, want 2 hops", paths[0])
 	}
 	// Every path must land on its target when walked over the mesh edges.
-	g := map[uint64][]uint64{}
-	for _, row := range mesh.EdgeGUIDs() {
-		g[row.GUID] = row.Peers
-	}
+	edges := mesh.Edges()
 	for i, path := range paths {
 		cur := mesh.Switches[4].GUID()
 		for _, p := range path {
-			var nbr uint64
-			if peers := g[cur]; int(p) < len(peers) {
-				nbr = peers[p]
-			}
+			nbr := edges[topology.EdgeHalf{GUID: cur, Port: int(p)}]
 			if nbr == 0 {
 				t.Fatalf("path to switch %d leaves the mesh at port %d", i, p)
 			}

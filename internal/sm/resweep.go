@@ -1,6 +1,8 @@
 package sm
 
 import (
+	"maps"
+
 	"ibasec/internal/metrics"
 	"ibasec/internal/packet"
 	"ibasec/internal/sim"
@@ -23,7 +25,7 @@ type Resweeper struct {
 	disc   *Discoverer
 	period sim.Time
 
-	edges EdgeSet // last adopted (healthy) edge set
+	edges topology.EdgeSet // last adopted (healthy) edge set, refilled in place
 	pins  map[uint64]packet.LID
 
 	sweeping bool
@@ -53,12 +55,12 @@ type Resweeper struct {
 	OnEvent func(HealEvent)
 	// Quarantined, when non-nil, reports the directed switch-edge halves
 	// (GUID and port, both directions) the performance manager currently
-	// has fenced. The resweeper strips them from every probe result
+	// has fenced. The resweeper deletes them from every probe result
 	// before diffing and before route programming, so a heal sweep —
 	// whose probes still traverse the physically-up fenced link — can
 	// never re-program routes back over it (the double-programming race
 	// between the health plane's reroute and a concurrent heal).
-	Quarantined func() map[uint64]map[int]bool
+	Quarantined func() []topology.EdgeHalf
 }
 
 // HealEvent reports one completed healing round.
@@ -80,7 +82,7 @@ func NewResweeper(s *sim.Simulator, disc *Discoverer, period sim.Time) *Resweepe
 		sim:            s,
 		disc:           disc,
 		period:         period,
-		edges:          make(EdgeSet),
+		edges:          make(topology.EdgeSet),
 		pins:           make(map[uint64]packet.LID),
 		SweepLatency:   metrics.NewRecorder(0, 10_000, 200),
 		RerouteLatency: metrics.NewRecorder(0, 10_000, 200),
@@ -94,7 +96,7 @@ func NewResweeper(s *sim.Simulator, disc *Discoverer, period sim.Time) *Resweepe
 // configured mesh, so the first periodic sweep diffs against the real
 // initial fabric instead of adopting whatever it happens to find.
 func (r *Resweeper) PrimeStatic(m *topology.Mesh) {
-	r.edges = edgeSetOf(m.EdgeGUIDs())
+	r.edges = m.Edges()
 	for _, h := range m.HCAs {
 		r.pins[h.GUID()] = h.LID()
 	}
@@ -146,7 +148,9 @@ func (r *Resweeper) onLostEdge(uint64, int) {
 func (r *Resweeper) onProbed(topo *DiscoveredTopology) {
 	r.SweepLatency.Add((r.sim.Now() - r.start).Microseconds())
 	if r.Quarantined != nil {
-		stripEdges(topo.Edges, r.Quarantined())
+		for _, h := range r.Quarantined() {
+			delete(topo.Edges, h)
+		}
 	}
 	r.lost, r.gained = diffEdges(r.edges, topo.Edges)
 	if r.lost == 0 && r.gained == 0 {
@@ -171,7 +175,8 @@ func (r *Resweeper) onConfigured(topo *DiscoveredTopology) {
 	for _, ca := range topo.CAs {
 		r.pins[ca.GUID] = ca.LID
 	}
-	r.edges = copyEdges(topo.Edges)
+	clear(r.edges)
+	maps.Copy(r.edges, topo.Edges)
 	r.sweeping = false
 	if r.OnEvent != nil {
 		r.OnEvent(HealEvent{
@@ -184,73 +189,18 @@ func (r *Resweeper) onConfigured(topo *DiscoveredTopology) {
 	}
 }
 
-// stripEdges removes the fenced edge halves from a probed edge set —
-// the discovered graph then treats the quarantined link as absent, so
-// both the change diff and any subsequent route programming avoid it.
-func stripEdges(edges map[uint64]map[int]uint64, fenced map[uint64]map[int]bool) {
-	for guid, ports := range fenced {
-		for p := range ports {
-			delete(edges[guid], p)
-		}
-	}
-}
-
-// EdgeHalf names one switch port of an edge set by the switch's GUID.
-type EdgeHalf struct {
-	GUID uint64
-	Port int
-}
-
-// EdgeSet is a port-labelled edge set in one map: the neighbour GUID at
-// each connected switch port.
-type EdgeSet map[EdgeHalf]uint64
-
-// edgeSetOf collects a switch-indexed edge table into an EdgeSet.
-func edgeSetOf(rows []topology.SwitchEdges) EdgeSet {
-	n := 0
-	for _, row := range rows {
-		n += len(row.Peers)
-	}
-	e := make(EdgeSet, n)
-	for _, row := range rows {
-		for p, nbr := range row.Peers {
-			if nbr != 0 {
-				e[EdgeHalf{row.GUID, p}] = nbr
-			}
-		}
-	}
-	return e
-}
-
 // diffEdges counts directed edges in old-but-not-new (lost) and
 // new-but-not-old (gained).
-func diffEdges(old EdgeSet, new map[uint64]map[int]uint64) (lost, gained int) {
+func diffEdges(old, new topology.EdgeSet) (lost, gained int) {
 	for h, nbr := range old {
-		if new[h.GUID][h.Port] != nbr {
+		if new[h] != nbr {
 			lost++
 		}
 	}
-	for g, ports := range new {
-		for p, nbr := range ports {
-			if old[EdgeHalf{g, p}] != nbr {
-				gained++
-			}
+	for h, nbr := range new {
+		if old[h] != nbr {
+			gained++
 		}
 	}
 	return lost, gained
-}
-
-// copyEdges copies a discovered edge set into a new EdgeSet.
-func copyEdges(e map[uint64]map[int]uint64) EdgeSet {
-	n := 0
-	for _, ports := range e {
-		n += len(ports)
-	}
-	out := make(EdgeSet, n)
-	for g, ports := range e {
-		for p, nbr := range ports {
-			out[EdgeHalf{g, p}] = nbr
-		}
-	}
-	return out
 }

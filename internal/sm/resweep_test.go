@@ -1,30 +1,38 @@
 package sm
 
 import (
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ibasec/internal/fabric"
+	"ibasec/internal/packet"
 	"ibasec/internal/sim"
 	"ibasec/internal/topology"
 )
 
-// sweepRecord is one probe sweep's result, copied out of the
-// Discoverer's storage: the nodes with their paths, the edges, the
-// request counts and the lost-edge reports in the order they came.
+// sweepRecord is one sweep's result, copied out of the Discoverer's
+// storage: the nodes with their paths, the edges, the request counts
+// and the lost-edge reports in the order they came; then, for a sweep
+// that configured, every switch's forwarding entry by LID (-1: none)
+// and every HCA's LID.
 type sweepRecord struct {
 	Switches, CAs             []DiscoveredNode
-	Edges                     EdgeSet
+	Edges                     topology.EdgeSet
 	Probes, Retries, Timeouts int
 	Lost                      [][2]uint64 // (from GUID, port)
+	Routes                    []int
+	LIDs                      []packet.LID
 }
 
 // resweepRun probes a blank w x h mesh from node 0 once, then once more
 // per script byte, flipping the link the byte names (any switch port
 // with a peer, HCA links included) before that sweep. Each sweep's
-// known edges are the last sweep's. fresh gives every sweep a new
-// Discoverer; otherwise one Discoverer is Reset and reused, as the
-// Resweeper does.
+// known edges are the last sweep's. The first sweep, and each whose
+// edges changed, then configures with every LID assigned so far pinned,
+// as the Resweeper does. fresh gives every sweep a new Discoverer;
+// otherwise one Discoverer is Reset and reused.
 func resweepRun(t *testing.T, w, h int, script []byte, fresh bool) []sweepRecord {
 	t.Helper()
 	s := sim.New()
@@ -45,7 +53,8 @@ func resweepRun(t *testing.T, w, h int, script []byte, fresh bool) []sweepRecord
 	for i := range up {
 		up[i] = true
 	}
-	known := edgeSetOf(mesh.EdgeGUIDs())
+	known := mesh.Edges()
+	pins := make(map[uint64]packet.LID)
 	var disc *Discoverer
 	var out []sweepRecord
 	for sweep := 0; sweep <= len(script); sweep++ {
@@ -81,12 +90,39 @@ func resweepRun(t *testing.T, w, h int, script []byte, fresh bool) []sweepRecord
 				c.Path = append([]byte(nil), n.Path...)
 				rec.CAs = append(rec.CAs, c)
 			}
-			rec.Edges = copyEdges(topo.Edges)
+			rec.Edges = maps.Clone(topo.Edges)
 			rec.Probes, rec.Retries, rec.Timeouts = topo.Probes, topo.Retries, topo.Timeouts
 		})
 		s.Run() // drains late responses too, so no sweep sees the last one's
 		if !done {
 			t.Fatalf("sweep %d never completed", sweep)
+		}
+		if sweep == 0 || !maps.Equal(rec.Edges, known) {
+			done = false
+			disc.Pins = pins
+			disc.Configure(func(topo *DiscoveredTopology) {
+				done = true
+				for _, ca := range topo.CAs {
+					pins[ca.GUID] = ca.LID
+				}
+				rec.Probes, rec.Retries, rec.Timeouts = topo.Probes, topo.Retries, topo.Timeouts
+			})
+			s.Run()
+			if !done {
+				t.Fatalf("sweep %d never finished configuring", sweep)
+			}
+			for _, sw := range mesh.Switches {
+				for lid := packet.LID(1); int(lid) <= len(mesh.HCAs); lid++ {
+					port, ok := sw.Route(lid)
+					if !ok {
+						port = -1
+					}
+					rec.Routes = append(rec.Routes, port)
+				}
+			}
+			for _, hca := range mesh.HCAs {
+				rec.LIDs = append(rec.LIDs, hca.LID())
+			}
 		}
 		known = rec.Edges
 		out = append(out, rec)
@@ -95,11 +131,13 @@ func resweepRun(t *testing.T, w, h int, script []byte, fresh bool) []sweepRecord
 }
 
 // FuzzResweep is differential: a Discoverer that reuses its state over
-// several sweeps — its node records, paths, probe slots and edge maps —
-// with links dying and returning between sweeps must report, sweep for
-// sweep, exactly what a fresh Discoverer per sweep reports: the same
-// switches and CAs with the same paths, the same edges, the same probe,
-// retry and timeout counts and the same lost-edge reports.
+// several sweeps — its node records, paths, probe slots, edge set and
+// configure count — with links dying and returning between sweeps must
+// report, sweep for sweep, exactly what a fresh Discoverer per sweep
+// reports: the same switches and CAs with the same paths and
+// attachments, the same edges, the same probe, retry and timeout counts
+// and the same lost-edge reports, and after a configure the same
+// forwarding tables and LIDs.
 func FuzzResweep(f *testing.F) {
 	for _, seed := range []struct {
 		size   byte
@@ -125,10 +163,65 @@ func FuzzResweep(f *testing.F) {
 		if len(fresh[0].Switches) != w*h || len(fresh[0].CAs) != w*h {
 			t.Fatalf("the first sweep found %d switches and %d CAs of %d", len(fresh[0].Switches), len(fresh[0].CAs), w*h)
 		}
+		if slices.Contains(fresh[0].Routes, -1) || slices.Contains(fresh[0].LIDs, 0) {
+			t.Fatalf("the first configure left a route or a LID unset: routes %v, LIDs %v", fresh[0].Routes, fresh[0].LIDs)
+		}
 		for i := range fresh {
 			if !reflect.DeepEqual(reused[i], fresh[i]) {
 				t.Fatalf("sweep %d of %dx%d, script %v:\nreused %+v\nfresh  %+v", i, w, h, script, reused[i], fresh[i])
 			}
 		}
 	})
+}
+
+// TestResweepAllocations holds a primed 4×4 Resweeper, its Discoverer
+// set up as a cluster's is (MaxRetries 2, SetTimeoutMult 10), to an
+// allocation gate: a sweep of an unchanged fabric allocates nothing, and
+// an inter-switch link going down and coming back — two sweeps, each a
+// reroute through in-band configure — allocates only what the two
+// configure passes make. The budget is the count measured under Go 1.24
+// (10) plus a margin.
+func TestResweepAllocations(t *testing.T) {
+	if fabric.PoolPoison {
+		t.Skip("the poison build never reuses a message block")
+	}
+	const flapBudget = 10 + 4
+	s := sim.New()
+	mesh := topology.NewMesh(s, fabric.DefaultParams(), 4, 4)
+	AttachSwitchAgents(mesh, discMKey)
+	AttachNodeAgents(mesh.HCAs, discMKey)
+	disc := NewDiscoverer(s, mesh.HCA(0), discMKey, 25*sim.Microsecond)
+	disc.MaxRetries, disc.SetTimeoutMult = 2, 10
+	r := NewResweeper(s, disc, 200*sim.Microsecond)
+	r.PrimeStatic(mesh)
+	sweep := func() {
+		r.tick()
+		s.Run()
+	}
+	setLink := func(up bool) {
+		mesh.Switches[5].SetLinkState(topology.PortEast, up)
+		mesh.Switches[6].SetLinkState(topology.PortWest, up)
+	}
+	flap := func() {
+		setLink(false)
+		sweep()
+		setLink(true)
+		sweep()
+	}
+
+	if got := testing.AllocsPerRun(10, sweep); got != 0 {
+		t.Errorf("a steady sweep allocated %.1f times, want 0", got)
+	}
+	if n := r.Counters.Value(ResweepReroutes); n != 0 {
+		t.Fatalf("%d reroutes on an unchanged fabric", n)
+	}
+	const runs = 5
+	got := testing.AllocsPerRun(runs, flap)
+	if n := r.Counters.Value(ResweepReroutes); n != 2*(runs+1) {
+		t.Fatalf("%d reroutes over %d flaps, want two each", n, runs+1)
+	}
+	t.Logf("a link flap (two reroutes) allocated %.1f times", got)
+	if got > flapBudget {
+		t.Errorf("a link flap (two reroutes) allocated %.1f times, want at most %d", got, flapBudget)
+	}
 }

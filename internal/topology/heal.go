@@ -27,41 +27,35 @@ func (m *Mesh) LinkPeer(sw, port int) (isHCA bool, peer, peerPort int, ok bool) 
 	return false, peer, peerPort, ok
 }
 
-// SwitchEdges is one switch's row of an edge set: its GUID and, by
-// port, the GUID of the node on each port's other end (0: no link).
-type SwitchEdges struct {
-	GUID  uint64
-	Peers []uint64
+// EdgeHalf names one switch port by the switch's GUID.
+type EdgeHalf struct {
+	GUID uint64
+	Port int
 }
 
-// EdgeGUIDs returns the mesh's healthy port-labelled edge set, indexed
-// by switch — each switch's neighbour GUID per port, including the HCA
-// on PortHCA — the "known good" view a re-sweeping Subnet Manager diffs
-// dead fabrics against. The rows and their port slots are one
-// allocation each.
-func (m *Mesh) EdgeGUIDs() []SwitchEdges {
-	rows := make([]SwitchEdges, len(m.Switches))
-	ports := 0
-	for _, sw := range m.Switches {
-		ports += sw.NumPorts()
-	}
-	slab := make([]uint64, ports)
+// EdgeSet is a port-labelled edge set in one map: the GUID of the node
+// beyond each connected switch port.
+type EdgeSet map[EdgeHalf]uint64
+
+// Edges returns the mesh's healthy edge set — each switch's neighbour
+// GUID per port, including the HCA on PortHCA — the "known good" view a
+// re-sweeping Subnet Manager diffs dead fabrics against.
+func (m *Mesh) Edges() EdgeSet {
+	// One entry per HCA link, two per inter-switch link.
+	e := make(EdgeSet, len(m.HCAs)+2*((m.W-1)*m.H+m.W*(m.H-1)))
 	for i, sw := range m.Switches {
-		n := sw.NumPorts()
-		rows[i] = SwitchEdges{GUID: sw.GUID(), Peers: slab[:n:n]}
-		slab = slab[n:]
-		for p := range rows[i].Peers {
+		for p := range sw.NumPorts() {
 			isHCA, peer, _, ok := m.LinkPeer(i, p)
 			switch {
 			case !ok:
 			case isHCA:
-				rows[i].Peers[p] = m.HCAs[peer].GUID()
+				e[EdgeHalf{sw.GUID(), p}] = m.HCAs[peer].GUID()
 			default:
-				rows[i].Peers[p] = m.Switches[peer].GUID()
+				e[EdgeHalf{sw.GUID(), p}] = m.Switches[peer].GUID()
 			}
 		}
 	}
-	return rows
+	return e
 }
 
 // RoutesAvoiding computes, for every live switch, a forwarding table

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ibasec/internal/fabric"
+	"ibasec/internal/keys"
 	"ibasec/internal/mac"
 	"ibasec/internal/packet"
 	"ibasec/internal/sim"
@@ -81,6 +82,65 @@ func TestSignedSendUDAllocations(t *testing.T) {
 	}
 	if fail := eps[1].Counters.Value(EpAuthFail); fail != 0 {
 		t.Fatalf("auth_fail = %d", fail)
+	}
+}
+
+// A rejected signed datagram is tried against each retired-epoch
+// tombstone before it is counted — the forgery path once keys rotate —
+// and that costs nothing: neither a datagram signed under a retired
+// epoch (auth_epoch_expired at the first tombstone) nor a forged one
+// (auth_fail after every tombstone) allocates.
+func TestRetiredEpochVerifyAllocations(t *testing.T) {
+	if fabric.PoolPoison {
+		t.Skip("the poison build never reuses a message block")
+	}
+	s, eps, send := authPair(t)
+	var captured *fabric.Delivery
+	inner := eps[1].HCA().OnDeliver
+	eps[1].HCA().OnDeliver = func(d *fabric.Delivery) {
+		if captured == nil {
+			captured = detach(d)
+		}
+		inner(d)
+	}
+	send()
+	s.Run()
+	if captured == nil {
+		t.Fatal("no delivery captured")
+	}
+	// The receiver rolls two epochs past the sender's key, leaving the
+	// sender's epoch 0 and epoch 1 as tombstones.
+	st := eps[1].Store
+	var k1, k2 keys.SecretKey
+	copy(k1[:], "epoch-one-secret")
+	copy(k2[:], "epoch-two-secret")
+	st.InstallPartitionEpoch(pkeyAB, 1, k1)
+	st.RetirePartitionEpoch(pkeyAB, 0)
+	st.InstallPartitionEpoch(pkeyAB, 2, k2)
+	st.RetirePartitionEpoch(pkeyAB, 1)
+	if n := len(st.RetiredPartitionKeys(pkeyAB)); n != 2 {
+		t.Fatalf("%d retired tombstones, want 2", n)
+	}
+	forged := detach(captured)
+	forged.Pkt.ICRC ^= 1
+
+	const runs = 100
+	for _, c := range []struct {
+		name string
+		d    *fabric.Delivery
+		want EndpointCounter
+	}{
+		{"retired epoch", captured, EpAuthEpochExpired},
+		{"forged", forged, EpAuthFail},
+	} {
+		before := eps[1].Counters.Value(c.want)
+		if got := testing.AllocsPerRun(runs, func() { eps[1].Deliver(c.d) }); got != 0 {
+			t.Errorf("%s: Deliver allocated %.1f times, want 0", c.name, got)
+		}
+		// AllocsPerRun makes one warm-up call before its runs.
+		if n := eps[1].Counters.Value(c.want) - before; n != runs+1 {
+			t.Errorf("%s: counted %d of %d deliveries", c.name, n, runs+1)
+		}
 	}
 }
 

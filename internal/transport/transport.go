@@ -622,8 +622,11 @@ func (e *Endpoint) verifyPartitionAuth(a mac.Authenticator, q *QP, p *packet.Pac
 			return true
 		}
 	}
-	for _, ret := range e.Store.RetiredPartitionKeys(p.BTH.PKey) {
-		if valid, _ = mac.Verify(a, ret.Key[:], region, nonce, p.ICRC); valid {
+	// Index the tombstones: a range copy's Key would escape to mac.Verify,
+	// one allocation per epoch tried.
+	rets := e.Store.RetiredPartitionKeys(p.BTH.PKey)
+	for i := range rets {
+		if valid, _ = mac.Verify(a, rets[i].Key[:], region, nonce, p.ICRC); valid {
 			e.Counters.Add(EpAuthEpochExpired, 1)
 			return false
 		}
