@@ -16,8 +16,8 @@ import (
 // planes on, several hundred MADs, none of which allocates in steady
 // state (message blocks and their images are recycled; DESIGN §8) — what
 // a row counts is set-up (sized once from the fabric), the slabs the
-// message free list and the lanes' first rings carve from as they grow
-// to the run's peak, and each plane's start; after it nothing periodic
+// message free list and the lanes carve from as they grow to the run's
+// peak, and each plane's start; after it nothing periodic
 // allocates (TestSteadyStateAllocs holds that per plane). So one
 // more allocation per packet or per MAD anywhere on the path exceeds
 // the headroom of every row, and sm.TestSMPTransitAllocs holds the SMP

@@ -34,7 +34,10 @@ func mustBuild(tb testing.TB, cfg Config) *Cluster {
 // 4×4 Build's allocations stay within 47, measured under Go 1.24, plus
 // 25%: a device's counters live in the device (DESIGN §8, "Counters"),
 // and its name in one string the fabric's names share, so one allocation
-// per device more exceeds that.
+// per device more exceeds that. Its bytes stay within 107 504, measured
+// under Go 1.24, plus 10%: the link channels' slab is most of them, and
+// when each channel inlined all sixteen lanes (DESIGN §8, "Link channel
+// layout") a 4×4 Build took 173 040.
 func TestBuildScalesWithFabric(t *testing.T) {
 	perPort := func(k int) float64 {
 		cfg := buildConfig(k)
@@ -49,18 +52,28 @@ func TestBuildScalesWithFabric(t *testing.T) {
 		t.Errorf("a 4x4 Build allocates %.0f times, ceiling %.0f (%d measured + 25%%)", n, measured4x4*1.25, measured4x4)
 	}
 
-	cfg := buildConfig(16)
+	const measured4x4Bytes = 107504
+	if n := float64(buildBytes(t, 4)); n > measured4x4Bytes*1.1 {
+		t.Errorf("a 4x4 Build allocates %.0f bytes, ceiling %.0f (%d measured + 10%%)", n, measured4x4Bytes*1.1, measured4x4Bytes)
+	}
+
+	const limit = 5 << 20
+	if bytes := buildBytes(t, 16); bytes > limit {
+		t.Errorf("a 16x16 Build allocates %d bytes, limit %d", bytes, limit)
+	} else {
+		t.Logf("allocations per end port: %.2f at 4x4, %.2f at 16x16; 16x16 bytes %d", small, large, bytes)
+	}
+}
+
+// buildBytes returns the bytes one k×k Build allocates.
+func buildBytes(t *testing.T, k int) uint64 {
+	cfg := buildConfig(k)
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	mustBuild(t, cfg)
 	runtime.ReadMemStats(&m1)
-	const limit = 5 << 20
-	if bytes := m1.TotalAlloc - m0.TotalAlloc; bytes > limit {
-		t.Errorf("a 16x16 Build allocates %d bytes, limit %d", bytes, limit)
-	} else {
-		t.Logf("allocations per end port: %.2f at 4x4, %.2f at 16x16; 16x16 bytes %d", small, large, bytes)
-	}
+	return m1.TotalAlloc - m0.TotalAlloc
 }
 
 // BenchmarkBuild is a profiling entry point for set-up cost at four

@@ -39,64 +39,79 @@ func (p *Port) Connected() bool { return p != nil && p.out != nil }
 
 // outChannel is one direction of a link: the sender-side output queues,
 // per-VL credit counters, and the serializer. All state is driven by the
-// single simulation goroutine.
+// single simulation goroutine. The fields every packet touches come
+// first; state only a fault, an error, an arbiter mode or a report reads
+// follows (DESIGN §8, "Link channel layout").
 type outChannel struct {
-	sim    *sim.Simulator
-	params *Params
-	peer   Device
-	peerIn int // peer's port id
-	queues [NumVLs]vlQueue
+	// queues holds each VL's lane, nil until the lane's first push
+	// carves it (Params.newLane); it then stays the channel's for good.
+	queues [NumVLs]*lane
 	// credits counts each lane's credits, the returns that have landed
 	// included; returns holds those still on the wire back to this
 	// sender, and busy is set while the serializer clocks a packet out,
 	// until its ticket ser passes. All three lag until settle (see
 	// ticket); a link that goes down mid-packet keeps busy set until it
 	// comes back up, since nothing finishes on a dead link.
-	credits [NumVLs]int
-	returns ticketRing
-	busy    bool
-	// wakeAll makes wake schedule every ticket — the eager schedule,
-	// which FuzzLinkSchedule runs the lazy one against. Only tests set it.
-	wakeAll bool
-	ser     ticket
-	due     sim.Time // no later than the earliest live ticket's time
-	rr      int      // round-robin cursor: the lane the arbiter's walk starts at
-	// queuedBytes tracks the backlog for realtime source backpressure.
-	queuedBytes int
+	credits [NumVLs]int32
 	// occupied has bit vl set while queues[vl] is non-empty, so the
 	// arbiter visits the one or two lanes in use instead of all sixteen.
 	// push and pop keep it exact.
 	occupied uint16
+	busy     bool
+	// A downed channel destroys traffic instead of transmitting it (see
+	// epoch below).
+	down bool
+	// stalled is set while packets are queued but no lane is eligible
+	// (every backlogged VL out of credits) and the serializer is idle —
+	// the HOL-blocking signature a congestion tree spreads upstream.
+	stalled bool
+	// wakeAll makes wake schedule every ticket — the eager schedule,
+	// which FuzzLinkSchedule runs the lazy one against. Only tests set it.
+	wakeAll bool
+	// berSet makes berOverride this link direction's bit error rate.
+	berSet  bool
+	rr      uint8 // round-robin cursor: the lane the arbiter's walk starts at
+	ser     ticket
+	due     sim.Time // no later than the earliest live ticket's time
+	returns ticketRing
 
-	// Weighted-arbitration state (ArbWeighted): per-VL remaining WRR
-	// quantum and the consecutive high-priority service counter.
-	quantum [NumVLs]int
-	hiRun   int
+	sim    *sim.Simulator
+	params *Params
+	peer   Device
+	peerIn int // peer's port id
+	// queuedBytes tracks the backlog for realtime source backpressure.
+	queuedBytes int
+	// epoch invalidates events and tickets (serializer completions,
+	// credit returns) from before the last link-state transition, so a
+	// reset cannot double-return credits. It stays zero unless a fault
+	// plan drives the link.
+	epoch uint64
+	// ccThreshold is the Congestion Control Annex per-VL queue-depth
+	// marking threshold this channel was programmed with (zero until
+	// the SM's congestion manager programs the owning switch).
+	ccThreshold int
 
 	// Link accounting for utilization reports.
 	bytesSent uint64
 	busyTime  sim.Time
 
-	// Fault-injection state. A downed channel destroys traffic instead
-	// of transmitting it; epoch invalidates events and tickets
-	// (serializer completions, credit returns) from before the last
-	// link-state transition, so a reset cannot double-return credits.
-	// Both stay at their zero values unless a fault plan drives them.
-	down       bool
-	epoch      uint64
+	// Weighted-arbitration state, read only under ArbWeighted: per-VL
+	// remaining WRR quantum and the consecutive high-priority service
+	// counter.
+	quantum [NumVLs]int32
+	hiRun   int32
+	// healthPort is the owning switch's port this channel leaves by (see
+	// health below).
+	healthPort int32
+
+	// blackholed counts packets a downed link destroyed; hoqDropped
+	// those aged out by the Head-of-Queue lifetime limit
+	// (Params.HOQLife), all lanes together (ObsHOQDrop carries the
+	// VL); fecnMarked those marked on this port.
 	blackholed uint64
+	hoqDropped uint64
+	fecnMarked uint64
 	ownerName  string
-
-	// hoqDropped counts packets aged out by the Head-of-Queue lifetime
-	// limit (Params.HOQLife), per VL.
-	hoqDropped [NumVLs]uint64
-
-	// Congestion Control Annex state. ccThreshold is the per-VL
-	// queue-depth marking threshold this channel was programmed with
-	// (zero until the SM's congestion manager programs the owning
-	// switch); fecnMarked counts packets marked on this port.
-	ccThreshold int
-	fecnMarked  uint64
 
 	// Performance Management state. health points at the owning port's
 	// IBA error counters (set at bind; every increment site is an error
@@ -108,17 +123,19 @@ type outChannel struct {
 	// gray-failure injection the health experiment drives.
 	health      *PortCounters
 	healthSw    *Switch
-	healthPort  int
 	berOverride float64
-	berSet      bool
 
-	// Credit-stall accounting: time spent with packets queued but no
-	// eligible VL (every backlogged VL out of credits) while the
-	// serializer is idle — the HOL-blocking signature a congestion tree
-	// spreads upstream.
-	stalled     bool
+	// Credit-stall accounting: the time spent stalled, and when the
+	// open stall interval began.
 	stallSince  sim.Time
 	creditStall sim.Time
+}
+
+// lane is one VL's output queue as a channel holds it: the queue and its
+// first ring, carved together from the fabric's lane slab.
+type lane struct {
+	vlQueue
+	first [firstRing]*Delivery
 }
 
 // vlQueue is one VL's output FIFO: a power-of-two ring that grows by
@@ -234,29 +251,40 @@ func (r *ticketRing) clear() { r.next, r.fill = 0, 0 }
 // The occupancy mask is sixteen bits, one per lane.
 var _ = [1]struct{}{}[NumVLs-16]
 
-// push queues d on a lane. A lane's rings come from the fabric's slabs:
-// its first from one sized one per channel (Params.firstRing), each
-// doubling after from one sized to the end ports (Params.grownRing).
-func (c *outChannel) push(vl uint8, d *Delivery) {
-	q := &c.queues[vl]
+// push queues d on a lane and returns the lane. The lane's first push
+// carves it, its first ring its own, from the fabric's lane slab
+// (Params.newLane); each doubling after comes from a slab sized to the
+// end ports (Params.grownRing).
+func (c *outChannel) push(vl uint8, d *Delivery) *lane {
+	q := c.queues[vl]
 	switch {
-	case q.ring == nil:
-		q.ring = c.params.firstRing()
+	case q == nil:
+		q = c.params.newLane()
+		c.queues[vl] = q
 	case q.fill == len(q.ring):
 		q.regrow(c.params.grownRing(2 * len(q.ring)))
 	}
 	q.push(d)
 	c.occupied |= 1 << vl
+	return q
 }
 
 // pop removes and returns the head of a lane, which must not be empty.
 func (c *outChannel) pop(vl uint8) *Delivery {
-	q := &c.queues[vl]
+	q := c.queues[vl]
 	d := q.pop()
-	if q.len() == 0 {
+	if q.fill == 0 {
 		c.occupied &^= 1 << vl
 	}
 	return d
+}
+
+// qlen returns the packets queued on a lane, zero for a lane never made.
+func (c *outChannel) qlen(vl uint8) int {
+	if q := c.queues[vl]; q != nil {
+		return q.fill
+	}
+	return 0
 }
 
 // Connect wires port pa of device a to port pb of device b with a
@@ -293,14 +321,28 @@ func (l *Links) Connect(a Device, pa int, b Device, pb int) {
 	}
 	ach, bch := &l.chans[0], &l.chans[1]
 	l.chans = l.chans[2:]
-	*ach = outChannel{sim: l.sim, params: l.params, peer: b, peerIn: pb, ownerName: a.Name()}
-	*bch = outChannel{sim: l.sim, params: l.params, peer: a, peerIn: pa, ownerName: b.Name()}
-	for vl := 0; vl < NumVLs; vl++ {
-		ach.credits[vl] = l.params.CreditsPerVL
-		bch.credits[vl] = l.params.CreditsPerVL
-	}
+	ach.connect(l, b, pb, a.Name())
+	bch.connect(l, a, pa, b.Name())
 	bindPort(a, pa, ach)
 	bindPort(b, pb, bch)
+}
+
+// connect points a zeroed channel of l's slab at port peerIn of peer,
+// with a full credit complement. It sets the fields one by one: assigning
+// a whole channel would copy all of it, under the GC's write barrier
+// while a cycle is marking.
+func (c *outChannel) connect(l *Links, peer Device, peerIn int, owner string) {
+	c.sim, c.params = l.sim, l.params
+	c.peer, c.peerIn, c.ownerName = peer, peerIn, owner
+	c.refillCredits()
+}
+
+// refillCredits gives every lane the full complement, CreditsPerVL
+// (which Params.Validate holds within int32).
+func (c *outChannel) refillCredits() {
+	for vl := range c.credits {
+		c.credits[vl] = int32(c.params.CreditsPerVL)
+	}
 }
 
 // porter lets Connect reach the devices' port slices without exposing
@@ -327,8 +369,7 @@ func (c *outChannel) enqueue(d *Delivery) {
 		c.blackhole(d)
 		return
 	}
-	q := &c.queues[d.VL]
-	c.push(d.VL, d)
+	q := c.push(d.VL, d)
 	d.wire = uint16(d.Pkt.WireSize())
 	c.queuedBytes += int(d.wire)
 	if c.ccThreshold > 0 && d.VL != VLManagement && q.len() >= c.ccThreshold {
@@ -369,7 +410,7 @@ func (c *outChannel) markFECN(d *Delivery) {
 // forward-progress guarantee that lets the fabric recover from credit
 // deadlock (see Params.HOQLife). No-op while the limit is disabled.
 func (c *outChannel) armHOQ(vl uint8) {
-	if c.params.HOQLife <= 0 || c.queues[vl].len() == 0 {
+	if c.params.HOQLife <= 0 || c.qlen(vl) == 0 {
 		return
 	}
 	d := c.queues[vl].head()
@@ -411,14 +452,13 @@ type hoqExpire outChannel
 
 func (h *hoqExpire) Fire(arg any, n uint64) {
 	c, d, vl := (*outChannel)(h), arg.(*Delivery), uint8(n)
-	q := &c.queues[vl]
 	if uint32(n) != uint32(c.tag(vl)) || uint32(n>>32) != d.generation() ||
-		c.down || q.len() == 0 || q.head() != d {
+		c.down || c.qlen(vl) == 0 || c.queues[vl].head() != d {
 		return
 	}
 	c.pop(vl)
 	c.queuedBytes -= int(d.wire)
-	c.hoqDropped[vl]++
+	c.hoqDropped++
 	c.noteXmitDiscard()
 	c.params.observe(c.sim.Now(), ObsHOQDrop, c.ownerName, d)
 	d.ReturnCredit()
@@ -590,7 +630,7 @@ func (c *outChannel) noteXmitDiscard() {
 		c.health.AddXmitDiscards(1)
 	}
 	if c.healthSw != nil {
-		c.healthSw.checkHealthTrap(c.healthPort)
+		c.healthSw.checkHealthTrap(int(c.healthPort))
 	}
 }
 
@@ -619,33 +659,18 @@ func (c *outChannel) setDown(down bool) {
 		c.stalled = false
 	}
 	if down {
+		// Each lane is emptied but kept: it is the channel's for good.
 		for vl := range c.queues {
-			for c.queues[vl].len() > 0 {
+			for c.qlen(uint8(vl)) > 0 {
 				c.blackhole(c.pop(uint8(vl)))
 			}
-			c.queues[vl] = vlQueue{}
 		}
 		c.queuedBytes = 0
 		return
 	}
-	for vl := 0; vl < NumVLs; vl++ {
-		c.credits[vl] = c.params.CreditsPerVL
-	}
+	c.refillCredits()
 	c.busy = false
 	c.trySend()
-}
-
-// QueueLen returns the number of packets waiting on a VL (used by
-// realtime sources for admission decisions).
-func (c *outChannel) QueueLen(vl uint8) int { return c.queues[vl].len() }
-
-// hoqTotal sums the per-VL Head-of-Queue drop counters.
-func (c *outChannel) hoqTotal() uint64 {
-	var n uint64
-	for vl := range c.hoqDropped {
-		n += c.hoqDropped[vl]
-	}
-	return n
 }
 
 // stallTime returns the accumulated credit-stall time, closing any
@@ -662,7 +687,7 @@ func (c *outChannel) stallTime(now sim.Time) sim.Time {
 // lane (rr+off) % NumVLs: walking its set bits from the lowest visits
 // the non-empty lanes in round-robin order from the cursor.
 func (c *outChannel) backlog() uint16 {
-	return bits.RotateLeft16(c.occupied, -c.rr)
+	return bits.RotateLeft16(c.occupied, -int(c.rr))
 }
 
 // pickVL chooses the next VL to serve according to the configured
@@ -675,7 +700,7 @@ func (c *outChannel) pickVL() int {
 	bestPrio := -1 << 31
 	best := -1
 	for m := c.backlog(); m != 0; m &= m - 1 {
-		vl := (c.rr + bits.TrailingZeros16(m)) % NumVLs
+		vl := (int(c.rr) + bits.TrailingZeros16(m)) % NumVLs
 		if c.credits[vl] <= 0 {
 			continue
 		}
@@ -699,7 +724,7 @@ func (c *outChannel) pickVLWeighted() int {
 		// Two passes: first VLs with remaining quantum, then refill.
 		for pass := 0; pass < 2; pass++ {
 			for m := c.backlog(); m != 0; m &= m - 1 {
-				vl := (c.rr + bits.TrailingZeros16(m)) % NumVLs
+				vl := (int(c.rr) + bits.TrailingZeros16(m)) % NumVLs
 				isHigh := c.params.VLPriority[vl] > 0
 				if isHigh != high || c.credits[vl] <= 0 {
 					continue
@@ -715,7 +740,7 @@ func (c *outChannel) pickVLWeighted() int {
 	}
 	// Anti-starvation: after limit high-priority packets, serve one
 	// low-priority packet if any is waiting.
-	if c.hiRun >= limit {
+	if int(c.hiRun) >= limit {
 		if vl := pickGroup(false); vl >= 0 {
 			c.hiRun = 0
 			return vl
@@ -741,7 +766,9 @@ func (c *outChannel) refillQuanta(high bool) {
 			if w <= 0 {
 				w = 1
 			}
-			c.quantum[vl] = w
+			// A quantum is spent one packet at a time, so one of
+			// MaxInt32 packets outlasts any run as a larger one would.
+			c.quantum[vl] = int32(min(w, math.MaxInt32))
 		}
 	}
 }
@@ -770,7 +797,7 @@ func (c *outChannel) maybeCorrupt(d *Delivery) {
 		c.health.AddSymbolErrors(1)
 	}
 	if c.healthSw != nil {
-		c.healthSw.checkHealthTrap(c.healthPort)
+		c.healthSw.checkHealthTrap(int(c.healthPort))
 	}
 	wire := d.Pkt.Marshal()
 	i := c.params.RNG.Intn(len(wire) * 8)
@@ -817,7 +844,7 @@ func (c *outChannel) sendNext() {
 	c.queuedBytes -= int(d.wire)
 	c.armHOQ(uint8(vl))
 	c.credits[vl]--
-	c.rr = (vl + 1) % NumVLs
+	c.rr = uint8((vl + 1) % NumVLs)
 	c.busy = true
 
 	// Source injection: stamp the first byte on the wire.

@@ -389,10 +389,10 @@ func TestPropertyConservationAcrossLinkDownUp(t *testing.T) {
 			}
 			p.out.settle() // land the returns whose slots have passed
 			for vl := 0; vl < NumVLs; vl++ {
-				if n := p.out.queues[vl].len(); n != 0 {
+				if n := p.out.qlen(uint8(vl)); n != 0 {
 					t.Fatalf("trial %d: %s VL %d holds %d packets after drain", trial, name, vl, n)
 				}
-				if c := p.out.credits[vl]; c != params.CreditsPerVL {
+				if c := p.out.credits[vl]; int(c) != params.CreditsPerVL {
 					t.Fatalf("trial %d: %s VL %d has %d credits, want %d",
 						trial, name, vl, c, params.CreditsPerVL)
 				}

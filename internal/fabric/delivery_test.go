@@ -25,8 +25,8 @@ func TestBlockSize(t *testing.T) {
 // 64 messages of a 64-byte payload take their blocks and wire images from
 // about a dozen slabs, not 128 allocations, each image carved at exactly
 // its size;
-// and the first rings of every lane a fabric's links use come from one
-// allocation.
+// and every lane a fabric's links use, each with its first ring, comes
+// from a slab of one lane per channel.
 func TestWarmUpDrawsFromSlabs(t *testing.T) {
 	const msgs = 64
 	allocs := testing.AllocsPerRun(3, func() {
@@ -60,13 +60,13 @@ func TestWarmUpDrawsFromSlabs(t *testing.T) {
 			for vl := uint8(0); vl < 2; vl++ {
 				c.push(vl, d)
 				c.pop(vl)
-				c.queues[vl] = vlQueue{}
+				c.queues[vl] = nil // the next run carves the lane anew
 			}
 		}
 	})
-	// Two lanes on each of 2×links channels: two slabs of one ring per
+	// Two lanes on each of 2×links channels: two slabs of one lane per
 	// channel.
 	if allocs != 2 {
-		t.Errorf("first rings of %d lanes allocated %.0f times, want 2", 4*links, allocs)
+		t.Errorf("%d lanes allocated %.0f times, want 2", 4*links, allocs)
 	}
 }

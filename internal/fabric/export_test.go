@@ -10,7 +10,7 @@ func (sw *Switch) QueueDepth(port int) int {
 	}
 	n := 0
 	for vl := 0; vl < NumVLs; vl++ {
-		n += ch.queues[vl].len()
+		n += ch.qlen(uint8(vl))
 	}
 	ch.settle()
 	if ch.busy {

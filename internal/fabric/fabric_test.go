@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"ibasec/internal/icrc"
@@ -73,6 +75,17 @@ func TestParamsValidate(t *testing.T) {
 	p.CreditsPerVL = -4
 	if p.Validate() == nil {
 		t.Fatal("accepted negative credits")
+	}
+	p = DefaultParams()
+	p.CreditsPerVL = math.MaxInt32
+	if err := p.Validate(); err != nil {
+		t.Fatalf("refused the largest credit count a lane holds: %v", err)
+	}
+	if big := int64(math.MaxInt32) + 1; int64(int(big)) == big { // a 64-bit int
+		p.CreditsPerVL = int(big)
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "credits per VL") {
+			t.Fatalf("credits per VL past int32: got %v, want an error naming them", err)
+		}
 	}
 	p = DefaultParams()
 	p.PropDelay = -1
@@ -321,7 +334,7 @@ func TestReturnCreditIdempotent(t *testing.T) {
 		t.Helper()
 		ch.settle()
 		for lane, c := range ch.credits {
-			if c != params.CreditsPerVL {
+			if int(c) != params.CreditsPerVL {
 				t.Fatalf("%s: VL %d has %d credits, want %d", when, lane, c, params.CreditsPerVL)
 			}
 		}
@@ -341,7 +354,7 @@ func TestReturnCreditIdempotent(t *testing.T) {
 		t.Fatalf("a return nothing waits on queued %d events, want none", n)
 	}
 	ch.settle()
-	if ch.credits[vl] != params.CreditsPerVL-1 {
+	if int(ch.credits[vl]) != params.CreditsPerVL-1 {
 		t.Fatal("credit restored before the return crossed the wire")
 	}
 	s.Run()

@@ -230,7 +230,7 @@ func (h *HCA) SendQueueLen(vl uint8) int {
 	if h.port.out == nil {
 		return 0
 	}
-	return h.port.out.QueueLen(vl)
+	return h.port.out.qlen(vl)
 }
 
 // PKeyViolations returns the HCA's P_Key violation counter (the IBA
@@ -269,7 +269,7 @@ func (h *HCA) HOQDropped() uint64 {
 	if h.port.out == nil {
 		return 0
 	}
-	return h.port.out.hoqTotal()
+	return h.port.out.hoqDropped
 }
 
 // CreditStallTime returns the cumulative time the HCA's outbound port

@@ -167,7 +167,7 @@ func TestHOQClockIgnoresRecycledDelivery(t *testing.T) {
 		send()                         // B's clock runs out at 150 us
 	})
 	s.ScheduleAt(110*sim.Microsecond, func() {
-		if lane.QueueLen(VLBestEffort) != 1 {
+		if lane.qlen(VLBestEffort) != 1 {
 			t.Error("B was not at the head when A's clock ran out: the test exercises nothing")
 		}
 	})

@@ -328,6 +328,10 @@ func (p *Params) Validate() error {
 	if p.CreditsPerVL <= 0 {
 		return fmt.Errorf("fabric: credits per VL must be positive, got %d", p.CreditsPerVL)
 	}
+	if p.CreditsPerVL > math.MaxInt32 {
+		// A channel counts each lane's credits in an int32.
+		return fmt.Errorf("fabric: credits per VL %d exceed the largest credit count %d", p.CreditsPerVL, math.MaxInt32)
+	}
 	if p.PropDelay < 0 || p.SwitchLookup < 0 || p.ClockCycle < 0 {
 		return fmt.Errorf("fabric: negative delay parameter")
 	}

@@ -47,10 +47,10 @@ func (o *linkObserver) Observe(at sim.Time, kind ObsKind, where string, d *Deliv
 type linkRun struct {
 	obs     []linkObs
 	depth   []int
-	credits [][NumVLs]int
+	credits [][NumVLs]int32
 	busy    []bool
 	stall   []sim.Time
-	hoq     [][NumVLs]uint64
+	hoq     []uint64
 	now     sim.Time
 }
 
@@ -241,7 +241,7 @@ func FuzzLinkSchedule(f *testing.F) {
 		// complement and each serializer is idle.
 		for i, c := range lazy.credits {
 			for vl, n := range c {
-				if n != 1+int(knobs&3) || lazy.busy[i] {
+				if int(n) != 1+int(knobs&3) || lazy.busy[i] {
 					t.Fatalf("channel %d VL %d: %d credits, busy %v after the drain", i, vl, n, lazy.busy[i])
 				}
 			}

@@ -231,7 +231,7 @@ func (sw *Switch) HOQDropped() uint64 {
 	var n uint64
 	for i := range sw.ports {
 		if ch := sw.ports[i].out; ch != nil {
-			n += ch.hoqTotal()
+			n += ch.hoqDropped
 		}
 	}
 	return n
@@ -404,7 +404,7 @@ func (sw *Switch) bind(port int, ch *outChannel) {
 	}
 	ch.ccThreshold = sw.ccThreshold
 	ch.health = &sw.ports[port].health
-	ch.healthSw, ch.healthPort = sw, port
+	ch.healthSw, ch.healthPort = sw, int32(port)
 	sw.ports[port].out = ch
 }
 

@@ -86,7 +86,8 @@ func (l *blackholeLog) Observe(_ sim.Time, kind ObsKind, _ string, d *Delivery) 
 }
 
 // Taking a link down destroys everything queued on it, lane by lane in
-// FIFO order, and leaves the queues empty and holding no memory.
+// FIFO order, and leaves each lane empty, kept for the link's return, and
+// holding no destroyed packet.
 func TestSetDownDrainsQueuesInOrder(t *testing.T) {
 	params := DefaultParams()
 	log := &blackholeLog{}
@@ -113,8 +114,14 @@ func TestSetDownDrainsQueuesInOrder(t *testing.T) {
 			t.Fatalf("blackholed packet %d out of FIFO order", i)
 		}
 	}
-	if q := a.port.out.queues[VLBestEffort]; q.len() != 0 || q.ring != nil {
-		t.Fatalf("queue after link-down: len %d, ring of %d", q.len(), len(q.ring))
+	q := a.port.out.queues[VLBestEffort]
+	if q == nil || q.len() != 0 {
+		t.Fatalf("lane after link-down: %v, want kept and empty", q)
+	}
+	for i, d := range q.ring {
+		if d != nil {
+			t.Fatalf("drained lane still references a delivery at %d", i)
+		}
 	}
 	if m := a.port.out.occupied; m != 0 {
 		t.Fatalf("occupancy mask after link-down: %#04x, want 0", m)
@@ -128,8 +135,8 @@ func pickVLScan(c *outChannel) int {
 	bestPrio := -1 << 31
 	best := -1
 	for off := 0; off < NumVLs; off++ {
-		vl := (c.rr + off) % NumVLs
-		if c.queues[vl].len() == 0 || c.credits[vl] <= 0 {
+		vl := (int(c.rr) + off) % NumVLs
+		if c.qlen(uint8(vl)) == 0 || c.credits[vl] <= 0 {
 			continue
 		}
 		if p := c.params.VLPriority[vl]; p > bestPrio {
@@ -172,7 +179,7 @@ func TestPickVLMatchesFullScan(t *testing.T) {
 				check := func(when string) {
 					t.Helper()
 					for rr := 0; rr < NumVLs; rr++ {
-						c.rr = rr
+						c.rr = uint8(rr)
 						if got, want := c.pickVL(), pickVLScan(c); got != want {
 							t.Fatalf("lanes %v, priorities #%d, starved %v, cursor %d, %s: picked VL %d, full scan picks %d",
 								lanes, pi, starved, rr, when, got, want)

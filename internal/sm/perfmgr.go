@@ -500,9 +500,8 @@ func (pm *PerfMgr) routesComplete(l topology.LinkID) bool {
 // switch, and refreshes the HA-synced quarantine blob. Each route write
 // is charged as one configuration MAD.
 func (pm *PerfMgr) reprogram() {
-	routes := pm.mesh.RoutesAvoiding(nil, pm.quarantined)
-	pm.mesh.Reprogram(routes)
-	pm.Counters.Add(PMRerouteMADs, uint64(len(routes))*uint64(len(pm.mesh.HCAs)))
+	switches := pm.mesh.ProgramAvoiding(nil, pm.quarantined)
+	pm.Counters.Add(PMRerouteMADs, uint64(switches)*uint64(len(pm.mesh.HCAs)))
 	pm.updateBlob()
 }
 

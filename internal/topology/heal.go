@@ -4,7 +4,8 @@ import "ibasec/internal/packet"
 
 // Failure-aware route recomputation. When the health plane fences a
 // link, the mesh needs forwarding tables that route around it:
-// RoutesAvoiding reads them off one search per live switch (route.go).
+// RoutesAvoiding reads them off one search per live switch (route.go), and
+// ProgramAvoiding writes the same first hops into the switches.
 // The Subnet Manager's in-band reroute runs the same search over the
 // graph it discovered.
 
@@ -66,46 +67,57 @@ func (m *Mesh) Edges() EdgeSet {
 // omitted (packets to them will count as unroutable rather than ride a
 // stale route into a black hole).
 func (m *Mesh) RoutesAvoiding(deadSwitches map[int]bool, deadLinks map[LinkID]bool) map[int]map[packet.LID]int {
+	routes := make(map[int]map[packet.LID]int, len(m.Switches))
+	m.routesAvoiding(deadSwitches, deadLinks, func(sw int, lid packet.LID, port int, ok bool) {
+		table := routes[sw]
+		if table == nil {
+			table = make(map[packet.LID]int, len(m.HCAs))
+			routes[sw] = table
+		}
+		if ok {
+			table[lid] = port
+		}
+	})
+	return routes
+}
+
+// ProgramAvoiding writes the routes RoutesAvoiding computes straight into
+// the live switches, clearing the entry of each LID a table would omit,
+// and returns the number of switches it wrote.
+func (m *Mesh) ProgramAvoiding(deadSwitches map[int]bool, deadLinks map[LinkID]bool) int {
+	return m.routesAvoiding(deadSwitches, deadLinks, func(sw int, lid packet.LID, port int, ok bool) {
+		if ok {
+			m.Switches[sw].SetRoute(lid, port)
+		} else {
+			m.Switches[sw].ClearRoute(lid)
+		}
+	})
+}
+
+// routesAvoiding runs one search per live switch and hands hop, switch by
+// switch, each HCA's LID and the first hop toward it, ok false where the
+// switch has no route to it. It returns the number of switches searched.
+func (m *Mesh) routesAvoiding(deadSwitches map[int]bool, deadLinks map[LinkID]bool, hop func(sw int, lid packet.LID, port int, ok bool)) int {
 	up := func(near, far LinkID) bool {
 		return !deadSwitches[far.Switch] && !deadLinks[near] && !deadLinks[far]
 	}
-	routes := make(map[int]map[packet.LID]int, len(m.Switches))
+	live := 0
 	var t Tree
 	for i := range m.Switches {
 		if deadSwitches[i] {
 			continue
 		}
+		live++
 		t.SearchMesh(m.W, m.H, i, up)
-		table := make(map[packet.LID]int, len(m.HCAs))
 		for n, hca := range m.HCAs {
 			// Destination n's attachment must be alive.
 			lid := hca.LID()
-			if deadSwitches[n] || deadLinks[LinkID{n, PortHCA}] || lid == 0 {
-				continue
+			port, ok := PortHCA, n == i
+			if !ok {
+				port, ok = t.FirstHop(n)
 			}
-			if n == i {
-				table[lid] = PortHCA
-			} else if p, ok := t.FirstHop(n); ok {
-				table[lid] = p
-			}
-		}
-		routes[i] = table
-	}
-	return routes
-}
-
-// Reprogram replaces every listed switch's routes with the given tables
-// (as RoutesAvoiding returns), clearing entries for LIDs a table omits.
-func (m *Mesh) Reprogram(routes map[int]map[packet.LID]int) {
-	for idx, table := range routes {
-		sw := m.Switches[idx]
-		for n := range m.HCAs {
-			lid := m.HCAs[n].LID()
-			if port, ok := table[lid]; ok {
-				sw.SetRoute(lid, port)
-			} else {
-				sw.ClearRoute(lid)
-			}
+			hop(i, lid, port, ok && lid != 0 && !deadSwitches[n] && !deadLinks[LinkID{n, PortHCA}])
 		}
 	}
+	return live
 }

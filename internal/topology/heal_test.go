@@ -76,7 +76,7 @@ func TestRoutesAvoidingDeadLink(t *testing.T) {
 		}
 	}
 
-	m.Reprogram(routes)
+	m.ProgramAvoiding(nil, dead)
 	for idx, table := range routes {
 		for n := range m.HCAs {
 			lid := LIDOf(n)
@@ -110,13 +110,13 @@ func TestRoutesAvoidingDeadSwitch(t *testing.T) {
 	}
 }
 
-// Reprogram clears entries for destinations a new table omits, so
+// Reprogramming clears entries for destinations a new table omits, so
 // packets to severed LIDs become unroutable instead of blackholed.
 func TestReprogramClearsSeveredRoutes(t *testing.T) {
 	_, m := build(t, 2, 2)
 	// Sever node 3's HCA uplink.
 	dead := map[LinkID]bool{{Switch: 3, Port: PortHCA}: true}
-	m.Reprogram(m.RoutesAvoiding(nil, dead))
+	m.ProgramAvoiding(nil, dead)
 	for idx := range m.Switches {
 		if _, ok := m.Switches[idx].Route(LIDOf(3)); ok {
 			t.Fatalf("switch %d kept a route to the severed HCA", idx)

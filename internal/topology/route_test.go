@@ -125,9 +125,9 @@ func deadSet(rng *rand.Rand, m *Mesh, pSw, pLink float64) (map[int]bool, map[Lin
 
 // TestRoutesMatchReference is the differential test of the one search:
 // on every mesh from 1x1 to 8x8, whole and with seeded random dead
-// switches and dead links, RoutesAvoiding's tables, the search's paths
-// and first hops from every root, and its reach count all equal what
-// the reference gives.
+// switches and dead links, RoutesAvoiding's tables and the forwarding
+// entries ProgramAvoiding writes, the search's paths and first hops from
+// every root, and its reach count all equal what the reference gives.
 func TestRoutesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	unreached := 0
@@ -145,8 +145,21 @@ func TestRoutesMatchReference(t *testing.T) {
 				case 3:
 					deadSw, deadLinks = deadSet(rng, m, 0.1, 0.15)
 				}
-				if got, want := m.RoutesAvoiding(deadSw, deadLinks), m.routesAvoidingRef(deadSw, deadLinks); !reflect.DeepEqual(got, want) {
+				want := m.routesAvoidingRef(deadSw, deadLinks)
+				if got := m.RoutesAvoiding(deadSw, deadLinks); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%dx%d trial %d: RoutesAvoiding\n%v\nreference\n%v", w, h, trial, got, want)
+				}
+				if n := m.ProgramAvoiding(deadSw, deadLinks); n != len(want) {
+					t.Fatalf("%dx%d trial %d: ProgramAvoiding wrote %d switches, want %d", w, h, trial, n, len(want))
+				}
+				for sw, table := range want {
+					for _, hca := range m.HCAs {
+						port, ok := m.Switches[sw].Route(hca.LID())
+						if wantPort, wantOK := table[hca.LID()]; ok != wantOK || port != wantPort && ok {
+							t.Fatalf("%dx%d trial %d: switch %d programs LID %d to %d,%v, reference %d,%v",
+								w, h, trial, sw, hca.LID(), port, ok, wantPort, wantOK)
+						}
+					}
 				}
 				unreached += checkAgainstNextHops(t, m, deadSw, func(sw, port int) (int, bool) {
 					next, back, ok := MeshNeighbor(w, h, sw, port)

@@ -47,10 +47,10 @@ echo "== Table 4 throughput ordering (host-timed; only meaningful uninstrumented
 go test -count=1 -run '^TestTable4Shape$' ./internal/core
 
 echo "== BenchmarkBuild once (the set-up profiling entry point, up to 32x32, keeps compiling and running; no timing gate)"
-go test -run '^$' -bench '^BenchmarkBuild$' -benchtime 1x ./internal/core
+go test -run '^$' -bench '^BenchmarkBuild$' -benchtime 1x -benchmem ./internal/core
 
 echo "== BenchmarkStart once (Build plus a warm-up-length Simulate, up to 32x32, keeps compiling and running; no timing gate)"
-go test -run '^$' -bench '^BenchmarkStart$' -benchtime 1x ./internal/core
+go test -run '^$' -bench '^BenchmarkStart$' -benchtime 1x -benchmem ./internal/core
 
 echo "== ibsim all -quick -jobs 2 (runner end-to-end smoke)"
 tmp="$(mktemp -d)"
