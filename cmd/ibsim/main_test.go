@@ -127,7 +127,8 @@ func TestTraceDeterministic(t *testing.T) {
 // os.Exit (which would kill this test binary), so run's deferred
 // profile writers always run. An unknown global flag (-resume and
 // -results are not flags) fails the same way, so a stale script stops
-// instead of being half-obeyed.
+// instead of being half-obeyed; so do an unknown flag and a leftover
+// argument after any command. `<command> -h` exits 0 for every command.
 func TestBadInput(t *testing.T) {
 	for _, tc := range []struct{ args, stderr string }{
 		{"", "Commands:"},
@@ -165,6 +166,17 @@ func TestBadInput(t *testing.T) {
 		{"-watchdog -1s table2", "-watchdog"},
 		{"-resume fig5", "-resume"},
 		{"-results x fig5", "-results"},
+		{"-quick fig5 x -duty 0.5", `unexpected argument "x": ibsim fig5 takes only flags`},
+		{"config x", `unexpected argument "x"`},
+		{"attacks x", `unexpected argument "x"`},
+		{"smdos extra", `unexpected argument "extra"`},
+		{"config -nope", "-nope"},
+		{"attacks -nope", "-nope"},
+		{"all -nope", "-nope"},
+		{"-duration-ms 0 config", "-duration-ms"},
+		{"-duration-ms -1 config", "-duration-ms"},
+		{"-duration-ms 9223372036855 config", "-duration-ms"},   // wrapped to 224 µs points
+		{"-duration-ms 18446744073709552 fig5", "-duration-ms"}, // wrapped to 384 µs points
 	} {
 		code, stdout, stderr := ibsim(strings.Fields(tc.args)...)
 		if code != 2 {
@@ -175,6 +187,12 @@ func TestBadInput(t *testing.T) {
 		}
 		if stdout != "" {
 			t.Errorf("ibsim %s: bad input produced output:\n%s", tc.args, stdout)
+		}
+	}
+	for _, x := range experiments {
+		code, stdout, stderr := ibsim(x.name, "-h")
+		if code != 0 || stdout != "" || !strings.HasPrefix(stderr, "Usage of ibsim "+x.name+":") {
+			t.Errorf("ibsim %s -h: exit %d, want 0 with its usage on stderr alone\nstdout:\n%s\nstderr:\n%s", x.name, code, stdout, stderr)
 		}
 	}
 }

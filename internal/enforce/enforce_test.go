@@ -276,6 +276,41 @@ func TestRegisterInvalidIgnoredOutsideSIF(t *testing.T) {
 	}
 }
 
+// TestSIFAltPathSourceCheck pins the migrated-path check: a packet
+// addressed at or above the alternate base from a source no registration
+// names is dropped, counted as an alternate-path drop, and charged a scan
+// of the switch's registrations plus one; a registered source falls
+// through to the ordinary SIF ingress check.
+func TestSIFAltPathSourceCheck(t *testing.T) {
+	const base = packet.LID(0x100)
+	r := newRig(t, SIF)
+	r.f.EnableAltPathEnforcement(base)
+	r.f.RegisterAltSource(r.sw, 1)
+	r.f.RegisterAltSource(r.sw, 3)
+	r.f.RegisterInvalid(r.sw, badPKey) // arms the ordinary check
+	inspect := func(slid packet.LID, pk packet.PKey) (bool, sim.Time) {
+		p := &packet.Packet{LRH: packet.LRH{SLID: slid, DLID: base}, BTH: packet.BTH{PKey: pk}}
+		return r.f.Inspect(r.sw, 0, true, &fabric.Delivery{Pkt: p, Class: fabric.ClassBestEffort})
+	}
+	cycles := func(entries float64) sim.Time { return sim.Time(LinearLookup(entries)) * r.f.params.ClockCycle }
+
+	if drop, delay := inspect(2, goodPKey); !drop || delay != cycles(3) {
+		t.Fatalf("unregistered source: drop=%v delay=%v, want a drop charged %v", drop, delay, cycles(3))
+	}
+	if r.f.Dropped != 1 || r.f.AltDropped != 1 {
+		t.Fatalf("Dropped=%d AltDropped=%d, want 1 and 1", r.f.Dropped, r.f.AltDropped)
+	}
+	if drop, delay := inspect(3, goodPKey); drop || delay != cycles(1) {
+		t.Fatalf("registered source, valid key: drop=%v delay=%v, want a pass charged the invalid table's %v", drop, delay, cycles(1))
+	}
+	if drop, _ := inspect(1, badPKey); !drop || r.f.Violations(r.sw) != 1 {
+		t.Fatalf("registered source, invalid key: drop=%v violations=%d, want the SIF ingress drop", drop, r.f.Violations(r.sw))
+	}
+	if r.f.Dropped != 2 || r.f.AltDropped != 1 {
+		t.Fatalf("Dropped=%d AltDropped=%d, want 2 and 1", r.f.Dropped, r.f.AltDropped)
+	}
+}
+
 // TestSnapshotMatchesReference drives one SIF switch through random
 // RegisterInvalid, ClearInvalid, RegisterAltSource, DropAltSource and
 // auto-disable steps, mirrored in maps, and after every step requires

@@ -27,6 +27,15 @@ var runnerDir = filepath.Join("internal", "runner")
 // visit.
 func walkSources(t *testing.T, mode parser.Mode, visit func(path string, fset *token.FileSet, f *ast.File)) {
 	t.Helper()
+	walkGo(t, mode, func(path string) bool {
+		return !strings.HasSuffix(path, "_test.go") && filepath.Dir(path) != runnerDir
+	}, visit)
+}
+
+// walkGo parses, with mode, every Go file of this module (not bench/)
+// whose path keep accepts and hands it to visit.
+func walkGo(t *testing.T, mode parser.Mode, keep func(path string) bool, visit func(path string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	checked := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -45,7 +54,7 @@ func walkSources(t *testing.T, mode parser.Mode, visit func(path string, fset *t
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || filepath.Dir(path) == runnerDir {
+		if !strings.HasSuffix(path, ".go") || !keep(path) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, mode)
@@ -103,6 +112,37 @@ func TestNoCountingByName(t *testing.T) {
 			return true
 		})
 	})
+}
+
+// TestEveryFuzzTargetInCI keeps scripts/ci.sh's fuzz table whole: each
+// func FuzzX in a _test.go file of this module (not bench/) needs a
+// "<package dir> FuzzX" line there, or CI never fuzzes it.
+func TestEveryFuzzTargetInCI(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join("scripts", "ci.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(ci), "<<'EOF'\n")
+	table, _, _ = strings.Cut(table, "\nEOF")
+	listed := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		listed[strings.Join(strings.Fields(line), " ")] = true
+	}
+	found := 0
+	walkGo(t, parser.SkipObjectResolution, func(path string) bool { return strings.HasSuffix(path, "_test.go") },
+		func(path string, _ *token.FileSet, f *ast.File) {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
+					found++
+					if entry := filepath.ToSlash(filepath.Dir(path)) + " " + fn.Name.Name; !listed[entry] {
+						t.Errorf("%s: %s is not in scripts/ci.sh's fuzz table: add the line %q", path, fn.Name.Name, entry)
+					}
+				}
+			}
+		})
+	if found == 0 {
+		t.Fatal("no fuzz targets found")
+	}
 }
 
 // modulePackages is this module and bench/ (its own module, which
