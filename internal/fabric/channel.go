@@ -799,15 +799,7 @@ func (c *outChannel) maybeCorrupt(d *Delivery) {
 	if c.healthSw != nil {
 		c.healthSw.checkHealthTrap(int(c.healthPort))
 	}
-	wire := d.Pkt.Marshal()
-	i := c.params.RNG.Intn(len(wire) * 8)
-	wire[i/8] ^= 1 << uint(i%8)
-	var q packet.Packet
-	if err := q.Unmarshal(wire); err != nil {
-		d.Malformed = true
-	} else {
-		d.Pkt = &q
-	}
+	c.params.strike(d, c.params.RNG.Intn(d.Pkt.WireSize()*8))
 	d.Tainted = true
 }
 

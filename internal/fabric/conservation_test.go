@@ -58,12 +58,12 @@ func sendUD(t *testing.T, h *HCA, dlid packet.LID, pk packet.PKey, class Class, 
 }
 
 // inFlight is the pool's own count of the messages queued or on the wire:
-// the blocks it has made that are not on its free list.
+// the blocks it has made that are on neither of its free stacks.
 func (p *Params) inFlight() int {
 	if p.pool == nil {
 		return 0
 	}
-	return p.pool.blocks - len(p.pool.free)
+	return p.pool.blocks - p.pool.idle()
 }
 
 // terminals tallies, by kind, the messages that have reached a terminal:

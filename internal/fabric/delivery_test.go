@@ -34,7 +34,7 @@ func TestWarmUpDrawsFromSlabs(t *testing.T) {
 		for i := 0; i < msgs; i++ {
 			d := params.NewMessage(ClassBestEffort, packet.LRH{SLID: 1, DLID: 2},
 				packet.BTH{OpCode: packet.UDSendOnly}, 64)
-			if size := d.Pkt.ImageSize(64); d.Pkt.ImageCap() != size {
+			if size := packet.UDSendOnly.ImageSize(64); d.Pkt.ImageCap() != size {
 				t.Fatalf("image capacity %d, want its size %d", d.Pkt.ImageCap(), size)
 			}
 		}

@@ -113,6 +113,26 @@ func (op OpCode) HasAETH() bool { return op == RCAck || op == RCRDMAReadRespO }
 // immediate-data field after the transport headers.
 func (op OpCode) HasImm() bool { return op == UDSendOnlyImm }
 
+// HeaderSize returns the bytes of headers a packet of this opcode carries
+// without a GRH: LRH, BTH, and the extended transport headers and
+// immediate data the opcode calls for.
+func (op OpCode) HeaderSize() int {
+	n := LRHSize + BTHSize
+	if op.HasDETH() {
+		n += DETHSize
+	}
+	if op.HasRETH() {
+		n += RETHSize
+	}
+	if op.HasAETH() {
+		n += AETHSize
+	}
+	if op.HasImm() {
+		n += ImmSize
+	}
+	return n
+}
+
 func (op OpCode) String() string {
 	switch op {
 	case RCSendFirst:

@@ -17,13 +17,16 @@ const MTU = 1024
 // ICRC and VCRC are current once the image has been read through Wire,
 // Marshal or Clone, or the packet has been invalidated.
 type Packet struct {
-	LRH     LRH
-	GRH     *GRH // present iff LRH.LNH == LNHIBAGlobal
+	LRH LRH
+	// Imm sits in LRH's padding, which keeps a message block (the
+	// packet, its delivery and its extended headers) at 280 bytes with
+	// room for the block's strike pointer.
+	Imm     uint32 // valid iff BTH.OpCode.HasImm()
+	GRH     *GRH   // present iff LRH.LNH == LNHIBAGlobal
 	BTH     BTH
 	DETH    *DETH
 	RETH    *RETH
 	AETH    *AETH
-	Imm     uint32 // valid iff BTH.OpCode.HasImm()
 	Payload []byte
 	// ICRC is the invariant CRC or the authentication tag, and VCRC the
 	// variant CRC. A CRC the image owes is stale here until the image
@@ -157,22 +160,9 @@ var (
 // extended transport header, including immediate data, excluding payload
 // and CRCs) for the packet's opcode and LNH.
 func (p *Packet) HeaderSize() int {
-	n := LRHSize + BTHSize
+	n := p.BTH.OpCode.HeaderSize()
 	if p.GRH != nil {
 		n += GRHSize
-	}
-	op := p.BTH.OpCode
-	if op.HasDETH() {
-		n += DETHSize
-	}
-	if op.HasRETH() {
-		n += RETHSize
-	}
-	if op.HasAETH() {
-		n += AETHSize
-	}
-	if op.HasImm() {
-		n += ImmSize
 	}
 	return n
 }
@@ -232,7 +222,7 @@ func (p *Packet) AllocPayload(n int) []byte {
 	p.InvalidateWire()
 	hs := p.HeaderSize()
 	p.BTH.PadCnt = uint8(payloadPad(n))
-	size := hs + n + int(p.BTH.PadCnt) + ICRCSize + VCRCSize // ImageSize(n)
+	size := hs + n + int(p.BTH.PadCnt) + ICRCSize + VCRCSize // OpCode.ImageSize(n), plus any GRH
 	if cap(p.img) >= size {
 		p.img = p.img[:size]
 		clear(p.img[hs : hs+n])
@@ -243,10 +233,11 @@ func (p *Packet) AllocPayload(n int) []byte {
 	return p.Payload
 }
 
-// ImageSize returns the size of the wire image AllocPayload(n) makes
-// under the headers already set.
-func (p *Packet) ImageSize(n int) int {
-	return p.HeaderSize() + n + payloadPad(n) + ICRCSize + VCRCSize
+// ImageSize returns the size of the wire image AllocPayload(n) makes for
+// a packet of this opcode without a GRH: the size a message's block must
+// hold before the message is built.
+func (op OpCode) ImageSize(n int) int {
+	return op.HeaderSize() + n + payloadPad(n) + ICRCSize + VCRCSize
 }
 
 // ImageCap returns the capacity of the storage the packet holds for its
@@ -267,14 +258,20 @@ func (p *Packet) ProvideImage(buf []byte) {
 func (p *Packet) Reset() { *p = Packet{img: p.img[:0]} }
 
 // Marshal serializes the packet into a fresh buffer the caller owns (the
-// bit-error model and the attack suite tamper with the result). Call
-// Finalize first; Marshal panics if the length fields are inconsistent
-// with the structure.
+// attack suite tampers with the result). Call Finalize first; Marshal
+// panics if the length fields are inconsistent with the structure.
 func (p *Packet) Marshal() []byte {
-	p.settle()
 	b := make([]byte, p.WireSize())
-	p.marshalInto(b)
+	p.MarshalTo(b)
 	return b
+}
+
+// MarshalTo is Marshal into b, which must be WireSize bytes and must not
+// hold the packet's own image: the bit-error model serializes a packet
+// into storage it keeps for the flip.
+func (p *Packet) MarshalTo(b []byte) {
+	p.settle()
+	p.marshalInto(b)
 }
 
 // marshalInto writes the packet into b, which must be WireSize bytes.
@@ -397,6 +394,52 @@ func (p *Packet) ImageInPlace() bool { return p.wireOK && p.payloadInPlace() }
 
 // Unmarshal parses a wire buffer into p, replacing its contents.
 func (p *Packet) Unmarshal(b []byte) error {
+	if err := p.parse(b, nil, nil); err != nil {
+		return err
+	}
+	if p.Payload != nil {
+		p.Payload = append([]byte(nil), p.Payload...)
+	}
+	return nil
+}
+
+// Ext is storage for the extended transport headers a packet points at,
+// one of each: the block a message travels in holds one, and a packet
+// parsed in place (ParseImage) points into it.
+type Ext struct {
+	DETH DETH
+	RETH RETH
+	AETH AETH
+}
+
+// ParseImage is Unmarshal into storage the packet already holds: img is
+// copied into the packet's own image storage — reused when large enough
+// (ProvideImage), allocated otherwise — and parsed there in place, its
+// payload a window into the copy, the extended headers the opcode calls
+// for in ext and a GRH in grh (allocated when grh is nil). It yields the
+// fields Unmarshal does. The copy is not taken for the packet's image: as
+// for an unmarshalled packet, the first read of the image serializes the
+// fields into that storage, which drops any bit of img no field holds
+// (reserved bits, pad bytes).
+func (p *Packet) ParseImage(img []byte, ext *Ext, grh *GRH) error {
+	buf := p.img[:0]
+	if cap(buf) < len(img) {
+		buf = make([]byte, len(img))
+	}
+	buf = buf[:len(img)]
+	copy(buf, img)
+	if err := p.parse(buf, ext, grh); err != nil {
+		p.img = buf[:0]
+		return err
+	}
+	p.img = buf
+	return nil
+}
+
+// parse parses b into p, replacing its contents, with Payload a window
+// into b (nil when empty). The extended headers go in ext and a GRH in
+// grh; where either is nil, parse allocates them.
+func (p *Packet) parse(b []byte, ext *Ext, grh *GRH) error {
 	*p = Packet{}
 	if len(b) < LRHSize+BTHSize+ICRCSize+VCRCSize {
 		return ErrTooShort
@@ -411,18 +454,24 @@ func (p *Packet) Unmarshal(b []byte) error {
 		if len(b) < off+GRHSize+BTHSize+ICRCSize+VCRCSize {
 			return ErrTooShort
 		}
-		p.GRH = new(GRH)
+		if grh == nil {
+			grh = new(GRH)
+		}
+		p.GRH = grh
 		p.GRH.unmarshal(b[off : off+GRHSize])
 		off += GRHSize
 	}
 	p.BTH.unmarshal(b[off : off+BTHSize])
 	off += BTHSize
 	op := p.BTH.OpCode
+	if ext == nil && (op.HasDETH() || op.HasRETH() || op.HasAETH()) {
+		ext = new(Ext)
+	}
 	if op.HasDETH() {
 		if len(b) < off+DETHSize {
 			return ErrTooShort
 		}
-		p.DETH = new(DETH)
+		p.DETH = &ext.DETH
 		p.DETH.unmarshal(b[off : off+DETHSize])
 		off += DETHSize
 	}
@@ -430,7 +479,7 @@ func (p *Packet) Unmarshal(b []byte) error {
 		if len(b) < off+RETHSize {
 			return ErrTooShort
 		}
-		p.RETH = new(RETH)
+		p.RETH = &ext.RETH
 		p.RETH.unmarshal(b[off : off+RETHSize])
 		off += RETHSize
 	}
@@ -438,7 +487,7 @@ func (p *Packet) Unmarshal(b []byte) error {
 		if len(b) < off+AETHSize {
 			return ErrTooShort
 		}
-		p.AETH = new(AETH)
+		p.AETH = &ext.AETH
 		p.AETH.unmarshal(b[off : off+AETHSize])
 		off += AETHSize
 	}
@@ -454,7 +503,7 @@ func (p *Packet) Unmarshal(b []byte) error {
 		return ErrTooShort
 	}
 	if payEnd > off {
-		p.Payload = append([]byte(nil), b[off:payEnd]...)
+		p.Payload = b[off:payEnd:payEnd]
 	}
 	off = len(b) - VCRCSize - ICRCSize
 	p.ICRC = uint32(b[off])<<24 | uint32(b[off+1])<<16 | uint32(b[off+2])<<8 | uint32(b[off+3])

@@ -75,7 +75,7 @@ func (f funcHandler) Fire(any, uint64) { f() }
 type eventSlot struct {
 	at    Time
 	seq   uint64
-	next  *eventSlot // the bucket's next-later event; the latest's next is the earliest
+	next  *eventSlot // the bucket's next-later event (the latest's next is the earliest); on the free list, the next free slot
 	gen   uint64
 	h     Handler
 	arg   any
@@ -238,16 +238,14 @@ func (w *wheel) unlink(sl *eventSlot) {
 type eventQueue struct {
 	wheel wheel
 	heap  []heapEntry
-	seq   uint64 // next push's or reservation's tie-break number
-	free  []*eventSlot
+	seq   uint64      // next push's or reservation's tie-break number
+	free  *eventSlot  // the free list, a LIFO stack threaded through next
 	block []eventSlot // tail of the current slab block, carved lazily
 }
 
 func (q *eventQueue) alloc() *eventSlot {
-	if n := len(q.free); n > 0 {
-		sl := q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
+	if sl := q.free; sl != nil {
+		q.free = sl.next
 		return sl
 	}
 	if len(q.block) == 0 {
@@ -265,7 +263,7 @@ func (q *eventQueue) alloc() *eventSlot {
 func (q *eventQueue) release(sl *eventSlot) {
 	sl.gen++
 	sl.h, sl.arg = nil, nil
-	q.free = append(q.free, sl)
+	sl.next, q.free = q.free, sl
 }
 
 // push queues h.Fire(arg, n) at time at, in the next seq, and returns its

@@ -102,8 +102,13 @@ type rcState struct {
 	nakSent bool
 }
 
+// pendingSend is the copy of one unacknowledged RC request that
+// retransmissions are drawn from: its wire image as sent, with the CRCs
+// it owed settled. The copies come from the endpoint's pool (keep) and go
+// back to it at the acknowledgement that retires them (drop).
 type pendingSend struct {
-	pkt   *packet.Packet
+	img   []byte
+	psn   uint32
 	class fabric.Class
 }
 
@@ -119,12 +124,10 @@ func (q *QP) rc() *rcState {
 // retries.
 func (q *QP) Broken() bool { return q.rcs != nil && q.rcs.broken }
 
-// trackReliable registers an outgoing RC request for retransmission. The
-// clone settles the request's owed CRCs (packet.Packet.Clone), so an RC
-// send computes both at send time, as an eager seal did.
+// trackReliable registers an outgoing RC request for retransmission.
 func (e *Endpoint) trackReliable(q *QP, p *packet.Packet, class fabric.Class) {
 	st := q.rc()
-	st.unacked = append(st.unacked, &pendingSend{pkt: p.Clone(), class: class})
+	st.unacked = append(st.unacked, e.keep(p, class))
 	if len(st.unacked) == 1 {
 		// Window (re)opens: the clock measures time since the oldest
 		// unacked request could first have been answered. Later sends
@@ -133,6 +136,35 @@ func (e *Endpoint) trackReliable(q *QP, p *packet.Packet, class fabric.Class) {
 		st.lastProgress = e.hca.Sim().Now()
 	}
 	e.armRetry(q)
+}
+
+// keep takes a copy of the sealed request p from the endpoint's pool. The
+// copy reads p's image through Wire, which settles the CRCs it owes, so an
+// RC send computes both at send time, as an eager seal did.
+func (e *Endpoint) keep(p *packet.Packet, class fabric.Class) *pendingSend {
+	var ps *pendingSend
+	if n := len(e.copies); n > 0 {
+		ps, e.copies = e.copies[n-1], e.copies[:n-1]
+	} else {
+		ps = new(pendingSend)
+	}
+	ps.img = append(ps.img[:0], p.Wire()...)
+	ps.psn, ps.class = p.BTH.PSN, class
+	return ps
+}
+
+// drop returns an acknowledged request's copy to the endpoint's pool. The
+// poison build (-tags poolpoison) scribbles over the image and retires the
+// copy instead, so a reader past the acknowledgement faults.
+func (e *Endpoint) drop(ps *pendingSend) {
+	if fabric.PoolPoison {
+		for i := range ps.img {
+			ps.img[i] = 0xDB
+		}
+		ps.img = nil
+		return
+	}
+	e.copies = append(e.copies, ps)
 }
 
 // retryTimeout returns the configured or default base retry period.
@@ -229,28 +261,25 @@ func (e *Endpoint) resendHead(q *QP) {
 		return
 	}
 	ps := st.unacked[0]
-	p := ps.pkt.Clone()
+	d := e.hca.Params().NewMessageImage(ps.class, ps.img)
+	d.Source = e.hca.Name()
+	p := d.Pkt
 	if dlid := q.dataDLID(); p.LRH.DLID != dlid {
 		// The DLID sits inside the ICRC/MAC-covered invariant region, so
 		// a retransmission crossing a migration (or a rearm) must be
 		// fully re-sealed, not just readdressed.
 		p.LRH.DLID = dlid
-		if err := e.seal(p, q, q.RemoteLID, q.RemoteQPN, q.N); err != nil {
+		if err := e.sealMessage(d, q, q.RemoteLID, q.RemoteQPN); err != nil {
 			e.Counters.Add(EpRCResealFailed, 1)
 			return
 		}
 	}
 	e.Counters.Add(EpRCRetransmissions, 1)
-	e.Counters.Add(EpRCRetransBytes, uint64(len(ps.pkt.Payload)))
+	e.Counters.Add(EpRCRetransBytes, uint64(len(p.Payload)))
 	if e.Storm != nil {
 		e.Storm.Add(float64(e.hca.Sim().Now()) / float64(sim.Microsecond))
 	}
-	e.hca.Send(&fabric.Delivery{
-		Pkt:    p,
-		Class:  ps.class,
-		VL:     ps.class.VL(),
-		Source: e.hca.Name(),
-	})
+	e.hca.Send(d)
 }
 
 // handleRCRequest runs the responder-side ordering check. It returns
@@ -380,7 +409,9 @@ func (e *Endpoint) handleRCAck(q *QP, p *packet.Packet) {
 	acked := p.AETH.MSN
 	kept := st.unacked[:0]
 	for _, ps := range st.unacked {
-		if !psnBefore(ps.pkt.BTH.PSN, (acked+1)&0xFFFFFF) {
+		if psnBefore(ps.psn, (acked+1)&0xFFFFFF) {
+			e.drop(ps)
+		} else {
 			kept = append(kept, ps)
 		}
 	}

@@ -331,3 +331,74 @@ func TestPSNBefore(t *testing.T) {
 		}
 	}
 }
+
+// RC keeps one copy per unacknowledged request, taken from the endpoint's
+// pool: the acknowledgement returns it and the next send takes it again,
+// and a retransmission is drawn from the fabric's free list as a message
+// of its own, parsed from the copy.
+func TestRCCopiesRecycled(t *testing.T) {
+	if fabric.PoolPoison {
+		t.Skip("the poison build never reuses a retransmit copy")
+	}
+	w := newWorld(t, 0, PartitionLevel)
+	a, b := connectRC(t, w, false)
+	ep := w.eps[0]
+	var got []string
+	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = append(got, string(p)) }
+	send := func(msg string) *pendingSend {
+		if err := ep.SendRC(a, []byte(msg), fabric.ClassBestEffort); err != nil {
+			t.Fatal(err)
+		}
+		return a.rc().unacked[0]
+	}
+	first := send("first")
+	w.s.Run()
+	if len(a.rc().unacked) != 0 || len(ep.copies) != 1 || ep.copies[0] != first {
+		t.Fatalf("the acknowledged copy did not return to the pool: %d unacked, %d pooled", len(a.rc().unacked), len(ep.copies))
+	}
+	w.mesh.SwitchOf(0).SetFilter(&dropFilter{remaining: 1})
+	if again := send("second, lost once"); again != first {
+		t.Fatal("the next send did not reuse the pooled copy")
+	}
+	w.s.Run()
+	if n := ep.Counters.Value(EpRCRetransmissions); n != 1 {
+		t.Fatalf("%d retransmissions, want 1", n)
+	}
+	if len(got) != 2 || got[1] != "second, lost once" {
+		t.Fatalf("delivered %q", got)
+	}
+	if len(ep.copies) != 1 {
+		t.Fatalf("%d copies pooled after the retransmission's ACK, want 1", len(ep.copies))
+	}
+}
+
+// In the poison build an RC copy read after the acknowledgement that
+// retires it faults: its image reads the poison bytes, and a resend from
+// it panics instead of sending stale bytes.
+func TestRCCopyPoisonedAtAck(t *testing.T) {
+	if !fabric.PoolPoison {
+		t.Skip("use-after-release is detected only under -tags poolpoison")
+	}
+	w := newWorld(t, 0, PartitionLevel)
+	a, _ := connectRC(t, w, false)
+	if err := w.eps[0].SendRC(a, []byte("held past its ack"), fabric.ClassBestEffort); err != nil {
+		t.Fatal(err)
+	}
+	ps := a.rc().unacked[0]
+	held := ps.img
+	w.s.Run()
+	if len(a.rc().unacked) != 0 {
+		t.Fatal("the request was not acknowledged")
+	}
+	for i, c := range held {
+		if c != 0xDB {
+			t.Fatalf("copy byte %d reads %#x after the ACK, want the poison 0xdb", i, c)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("resending from a released copy did not fault")
+		}
+	}()
+	w.eps[0].HCA().Params().NewMessageImage(ps.class, ps.img)
+}

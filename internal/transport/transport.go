@@ -164,6 +164,9 @@ type Endpoint struct {
 	pendingRC   map[pendKey]*rcRequest
 	// pendingReads holds outstanding RDMA read callbacks by request PSN.
 	pendingReads map[uint32]func([]byte)
+	// copies holds the RC retransmit copies no request is using (keep,
+	// drop).
+	copies []*pendingSend
 
 	Counters metrics.Set[EndpointCounter]
 	ctr      [numEndpointCounters]uint64 // Counters' cells

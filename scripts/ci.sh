@@ -92,6 +92,7 @@ internal/keys      FuzzPartitionTable
 internal/sim       FuzzEventQueue
 internal/sim       FuzzNewRand
 internal/fabric    FuzzLinkSchedule
+internal/fabric    FuzzStrike
 internal/umac      FuzzNH
 internal/workload  FuzzSources
 internal/topology  FuzzRoutesAvoiding
