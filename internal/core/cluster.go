@@ -125,8 +125,8 @@ type Cluster struct {
 	Filter    *enforce.Filter
 	SM        *sm.SubnetManager
 	Endpoints []*transport.Endpoint // nil entries when auth is off
-	PKeyOf    []packet.PKey         // node -> its primary partition P_Key
-	Partners  [][]int               // node -> same-partition peers (deduped)
+	PKeyOf    []packet.PKey         // node -> its partition's P_Key
+	Partners  [][]int               // node -> its partition's other members
 	AttackSet map[int]bool
 	Rng       *rand.Rand
 	// Trace is the packet-lifecycle recorder, non-nil when
@@ -172,10 +172,6 @@ type Cluster struct {
 	// from it.
 	IslandRotators map[*sm.SubnetManager]*sm.Rotator
 
-	// pairs is the dense n×n shared-partition table behind PairPKey: row
-	// a, column b holds the P_Key of the first partition a and b share,
-	// 0 where they share none.
-	pairs      []packet.PKey
 	res        *Results
 	healEvents []sm.HealEvent
 	// rngSplit feeds authority forks at contained takeovers — its own
@@ -221,10 +217,6 @@ func Build(cfg Config) (*Cluster, error) {
 	// free list hangs off it; error injection, tracing and congestion
 	// settings then cannot leak into other runs either.
 	p := cfg.Params.Clone()
-	if cfg.BitErrorRate > 0 {
-		p.BitErrorRate = cfg.BitErrorRate
-		p.RNG = sim.NewRand(cfg.Seed ^ 0xBE4)
-	}
 	var ring *trace.Ring
 	if cfg.TraceCapacity > 0 {
 		ring = trace.NewRing(cfg.TraceCapacity)
@@ -259,7 +251,6 @@ func Build(cfg Config) (*Cluster, error) {
 		Endpoints: make([]*transport.Endpoint, n),
 		PKeyOf:    make([]packet.PKey, n),
 		Partners:  make([][]int, n),
-		pairs:     make([]packet.PKey, n*n),
 		AttackSet: make(map[int]bool),
 		Rng:       rngTraffic,
 		Trace:     ring,
@@ -271,7 +262,7 @@ func Build(cfg Config) (*Cluster, error) {
 		cl.rngSplit = sim.NewRand(cfg.Seed ^ 0x5B117B)
 	}
 
-	groups, primary := partitionGroups(&cfg, rngSetup, n)
+	groups := partitionGroups(&cfg, rngSetup, n)
 
 	// Key-management scaffolding.
 	var dir *keys.Directory
@@ -331,12 +322,16 @@ func Build(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	// Create the partitions through the SM. The pair table records each
-	// pair under the first partition it shares; PKeyOf holds the node's
-	// primary partition key. Under the policy plane the same grouping is
-	// expressed as a declarative document and programmed from its
-	// compiled intent instead of imperative calls.
-	partners := make([]int, n) // each node's partner count
+	// Create the partitions through the SM; PKeyOf holds each node's
+	// partition key and Partners its partition's other members, in group
+	// order, as windows of one slab. Under the policy plane the same
+	// grouping is expressed as a declarative document and programmed
+	// from its compiled intent instead of imperative calls.
+	slots := 0
+	for _, members := range groups {
+		slots += len(members) * (len(members) - 1)
+	}
+	slab := make([]int, 0, slots)
 	for g, members := range groups {
 		pk := packet.PKey(0x8000 | uint16(g+1))
 		if !cfg.Policy.Enabled {
@@ -345,18 +340,15 @@ func Build(cfg Config) (*Cluster, error) {
 			}
 		}
 		for _, node := range members {
-			row := cl.pairRow(node)
+			cl.PKeyOf[node] = pk
+			start := len(slab)
 			for _, peer := range members {
-				if peer != node && row[peer] == 0 {
-					row[peer] = pk
-					partners[node]++
+				if peer != node {
+					slab = append(slab, peer)
 				}
 			}
+			cl.Partners[node] = slab[start:len(slab):len(slab)]
 		}
-	}
-	cl.fillPartners(groups, partners)
-	for node := 0; node < n; node++ {
-		cl.PKeyOf[node] = packet.PKey(0x8000 | uint16(primary[node]+1))
 	}
 	if cfg.Policy.Enabled {
 		doc := policyDocument(&cfg, groups)
@@ -440,74 +432,23 @@ func Build(cfg Config) (*Cluster, error) {
 }
 
 // partitionGroups draws the random partitioning: shuffle the nodes and
-// slice them into NumPartitions groups (section 3.1); with
-// PartitionsPerNode > 1 each node also joins extra random groups (Table
-// 2's p). primary is each node's first group.
-func partitionGroups(cfg *Config, rng *rand.Rand, n int) (groups [][]int, primary []int) {
-	order := rng.Perm(n)
-	groups = make([][]int, cfg.NumPartitions)
-	primary = make([]int, n)
-	for i, node := range order {
+// slice them into NumPartitions groups (section 3.1), one per node.
+func partitionGroups(cfg *Config, rng *rand.Rand, n int) [][]int {
+	groups := make([][]int, cfg.NumPartitions)
+	for i, node := range rng.Perm(n) {
 		g := i % cfg.NumPartitions
 		groups[g] = append(groups[g], node)
-		primary[node] = g
 	}
-	perNode := max(cfg.PartitionsPerNode, 1)
-	if perNode == 1 {
-		return groups, primary
-	}
-	joined := make([]bool, cfg.NumPartitions)
-	for node := 0; node < n; node++ {
-		clear(joined)
-		joined[primary[node]] = true
-		for k := 1; k < perNode; {
-			g := rng.Intn(cfg.NumPartitions)
-			if joined[g] {
-				continue
-			}
-			joined[g] = true
-			groups[g] = append(groups[g], node)
-			k++
-		}
-	}
-	return groups, primary
+	return groups
 }
 
-// fillPartners lists each node's peers once, in the order the groups
-// first pair them — group by group, members in group order — as windows
-// of one slab sized by the per-node counts.
-func (cl *Cluster) fillPartners(groups [][]int, counts []int) {
-	total := 0
-	for _, c := range counts {
-		total += c
+// PairPKey returns the P_Key of the partition nodes a and b share, or 0
+// when they are the same node or in different partitions.
+func (cl *Cluster) PairPKey(a, b int) packet.PKey {
+	if a == b || cl.PKeyOf[a] != cl.PKeyOf[b] {
+		return 0
 	}
-	slab := make([]int, total)
-	for node, c := range counts {
-		cl.Partners[node], slab = slab[:0:c], slab[c:]
-	}
-	for g, members := range groups {
-		pk := packet.PKey(0x8000 | uint16(g+1))
-		for _, node := range members {
-			row := cl.pairRow(node)
-			for _, peer := range members {
-				// A pair two groups share was recorded under the first.
-				if peer != node && row[peer] == pk {
-					cl.Partners[node] = append(cl.Partners[node], peer)
-				}
-			}
-		}
-	}
-}
-
-// PairPKey returns the P_Key of the first partition nodes a and b share,
-// or 0 when they share none.
-func (cl *Cluster) PairPKey(a, b int) packet.PKey { return cl.pairRow(a)[b] }
-
-// pairRow returns node's row of the pair table: column b is
-// PairPKey(node, b).
-func (cl *Cluster) pairRow(node int) []packet.PKey {
-	n := len(cl.PKeyOf)
-	return cl.pairs[node*n : (node+1)*n]
+	return cl.PKeyOf[a]
 }
 
 // policyDocument expresses the run's random partition grouping as a
@@ -940,13 +881,10 @@ func (tr *traffic) senders(cl *Cluster, node int, targets []int) (rt, be workloa
 		pair := tr.raw[:2]
 		tr.raw = tr.raw[2:]
 		for i, class := range []fabric.Class{fabric.ClassRealtime, fabric.ClassBestEffort} {
-			// The partition each pair shares (relevant when nodes join
-			// several partitions): the node's row of the pair table.
 			pair[i] = workload.RawUDSender{
 				HCA:   cl.Mesh.HCA(node),
 				Class: class,
 				PKey:  cl.PKeyOf[node],
-				PKeys: cl.pairRow(node),
 				LIDOf: topology.LIDOf,
 			}
 		}

@@ -86,14 +86,9 @@ type Config struct {
 	Auth AuthConfig
 
 	// NumPartitions random node groups are formed ("we partition the
-	// IBA network into four random groups", section 3.1).
+	// IBA network into four random groups", section 3.1); each node
+	// joins one.
 	NumPartitions int
-	// PartitionsPerNode is Table 2's p: how many partitions each node
-	// joins (default 1). Values above 1 grow the switch tables and the
-	// DPT/IF lookup costs exactly as the cost model predicts. Requires
-	// Auth.Enabled to be false (the authenticated workload binds one
-	// QP per node to its primary partition).
-	PartitionsPerNode int
 
 	// MsgSize is the payload size per message (Table 1 MTU: 1024).
 	MsgSize int
@@ -137,17 +132,14 @@ type Config struct {
 	Duration sim.Time
 	Warmup   sim.Time
 
-	// BitErrorRate injects per-bit link corruption; the fabric's VCRC
-	// and ICRC checks drop struck packets (failure-injection knob).
-	BitErrorRate float64
-
 	// TraceCapacity, when positive, attaches a packet-lifecycle trace
 	// ring of that many events to the fabric; read it from
 	// Cluster.Trace after Simulate.
 	TraceCapacity int
 
-	// FaultPlan, when non-nil, schedules deterministic link/switch
-	// kills, BER bursts and MAD faults on the run (internal/faults).
+	// FaultPlan, when non-nil, schedules deterministic link kills,
+	// fabric bisections, BER bursts and management-plane faults on the
+	// run (internal/faults).
 	// Params are copied per run so the plan's mutations cannot leak into
 	// other runs sharing the same Params value.
 	FaultPlan *faults.Plan
@@ -221,12 +213,6 @@ func (c *Config) Validate() error {
 	n := c.MeshW * c.MeshH
 	if c.NumPartitions <= 0 || c.NumPartitions > n {
 		return fmt.Errorf("core: %d partitions for %d nodes", c.NumPartitions, n)
-	}
-	if c.PartitionsPerNode < 0 || c.PartitionsPerNode > c.NumPartitions {
-		return fmt.Errorf("core: %d partitions per node with %d partitions", c.PartitionsPerNode, c.NumPartitions)
-	}
-	if c.PartitionsPerNode > 1 && c.Auth.Enabled {
-		return fmt.Errorf("core: multi-partition membership is not supported with authentication enabled")
 	}
 	if c.Attackers < 0 || c.Attackers >= n {
 		return fmt.Errorf("core: %d attackers for %d nodes", c.Attackers, n)

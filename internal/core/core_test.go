@@ -523,49 +523,6 @@ func TestSweepDuty(t *testing.T) {
 	}
 }
 
-// Multi-partition membership: with p>1 every node holds several P_Keys
-// and traffic still flows inside every shared partition.
-func TestMultiPartitionMembership(t *testing.T) {
-	cfg := quickCfg()
-	cfg.PartitionsPerNode = 2
-	cl, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, hca := range cl.Mesh.HCAs {
-		if got := hca.PKeyTable.Len(); got != 2 {
-			t.Fatalf("node %d holds %d P_Keys, want 2", i, got)
-		}
-		if len(cl.Partners[i]) < 3 {
-			t.Fatalf("node %d has only %d partners", i, len(cl.Partners[i]))
-		}
-		// Every partner pair must have a recorded shared key that the
-		// partner's table accepts.
-		for _, p := range cl.Partners[i] {
-			pk := cl.PairPKey(i, p)
-			if pk == 0 {
-				t.Fatalf("pair (%d,%d) has no shared P_Key", i, p)
-			}
-			if !cl.Mesh.HCA(p).PKeyTable.Check(pk) {
-				t.Fatalf("pair (%d,%d): partner rejects shared key %#x", i, p, pk)
-			}
-		}
-	}
-	res := cl.Simulate()
-	if res.DeliveredLegit == 0 {
-		t.Fatal("no traffic delivered")
-	}
-	if res.HCAViolations != 0 {
-		t.Fatalf("%d P_Key violations from legitimate multi-partition traffic", res.HCAViolations)
-	}
-
-	// The authenticated path refuses p>1 for now.
-	cfg.Auth.Enabled = true
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("auth + multi-partition accepted")
-	}
-}
-
 // Section 7's open problem: flooding the SM with management MADs delays
 // legitimate SIF registrations. Latency must grow monotonically with the
 // flood rate and the junk traps must never cause registrations.

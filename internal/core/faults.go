@@ -34,7 +34,7 @@ type FaultRow struct {
 	DeliveredFrac float64 `csv:"delivered_frac"`
 
 	// Where the missing packets went.
-	Blackholed   uint64 `csv:"blackholed"`   // destroyed by dead links/switches and MAD faults
+	Blackholed   uint64 `csv:"blackholed"`   // destroyed by dead links
 	HOQDropped   uint64 `csv:"hoq_dropped"`  // aged out by the Head-of-Queue lifetime limit
 	CRCRejected  uint64 `csv:"crc_rejected"` // VCRC/ICRC rejects from the bit-error burst
 	AuthRejected uint64 `csv:"auth_rejected"`
@@ -204,9 +204,6 @@ func meanDetectionUS(p *faults.Plan, events []sm.HealEvent) float64 {
 	var downs []sim.Time
 	for _, lk := range p.Links {
 		downs = append(downs, lk.DownAt)
-	}
-	for _, sk := range p.Switches {
-		downs = append(downs, sk.DownAt)
 	}
 	sort.Slice(downs, func(i, j int) bool { return downs[i] < downs[j] })
 	var w metrics.Welford
@@ -401,8 +398,6 @@ func (cl *Cluster) installFaultPlan() {
 				cl.Filter.RemoveValid(sw, packet.PKey(tc.PKey))
 			case faults.CorruptClearInvalid:
 				cl.Filter.ClearInvalid(sw)
-			case faults.CorruptDropAltSource:
-				cl.Filter.DropAltSource(sw, packet.LID(tc.Src))
 			case faults.CorruptDeactivate:
 				cl.Filter.SetActive(sw, false)
 			}

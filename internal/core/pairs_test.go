@@ -10,10 +10,10 @@ import (
 	"ibasec/internal/packet"
 )
 
-// refPairs is the pair bookkeeping Build kept before the dense table: a
-// map over every ordered pair sharing a partition, filled group by group
-// with each pair kept under the first partition it shares, and each
-// node's partner list appended in that same order.
+// refPairs is the pair bookkeeping Build once kept: a map over every
+// ordered pair sharing a partition, filled group by group with each pair
+// kept under the first partition it shares, and each node's partner list
+// appended in that same order.
 func refPairs(groups [][]int, n int) (pair map[[2]int]packet.PKey, partners [][]int) {
 	pair = make(map[[2]int]packet.PKey)
 	partners = make([][]int, n)
@@ -66,24 +66,22 @@ func refRCPairs(pair map[[2]int]packet.PKey, w, max int, bothDims bool) []rcPair
 	return pairs
 }
 
-// TestPairTableMatchesMap holds Build's dense pair table to the map it
-// replaced: every pair's P_Key, each node's partner list in order, and
-// the RC probe pairs chosen from them, across seeds, partition shapes
-// and mesh sizes. The reference groups are drawn by the same
+// TestPairTableMatchesMap holds Build's partner lists and PairPKey to
+// the pair map: every pair's P_Key, each node's partner list in order,
+// and the RC probe pairs chosen from them, across seeds, partition
+// counts and mesh sizes. The reference groups are drawn by the same
 // partitionGroups call from the same seed, and each node's partition
-// table must hold exactly the groups that name it.
+// table must hold exactly the group that names it.
 func TestPairTableMatchesMap(t *testing.T) {
 	for k := 2; k <= 8; k++ {
 		for _, parts := range []int{1, 4} {
-			for perNode := 1; perNode <= min(parts, 3); perNode++ {
-				for seed := int64(1); seed <= 8; seed++ {
-					name := fmt.Sprintf("%dx%d/parts=%d/p=%d/seed=%d", k, k, parts, perNode, seed)
-					cfg := DefaultConfig()
-					cfg.MeshW, cfg.MeshH = k, k
-					cfg.NumPartitions, cfg.PartitionsPerNode = parts, perNode
-					cfg.Seed = seed
-					checkPairTable(t, name, cfg)
-				}
+			for seed := int64(1); seed <= 8; seed++ {
+				name := fmt.Sprintf("%dx%d/parts=%d/seed=%d", k, k, parts, seed)
+				cfg := DefaultConfig()
+				cfg.MeshW, cfg.MeshH = k, k
+				cfg.NumPartitions = parts
+				cfg.Seed = seed
+				checkPairTable(t, name, cfg)
 			}
 		}
 	}
@@ -96,7 +94,7 @@ func checkPairTable(t *testing.T, name string, cfg Config) {
 		t.Fatalf("%s: %v", name, err)
 	}
 	n := cl.Mesh.NumNodes()
-	groups, _ := partitionGroups(&cfg, rand.New(rand.NewSource(cfg.Seed)), n)
+	groups := partitionGroups(&cfg, rand.New(rand.NewSource(cfg.Seed)), n)
 	for node := 0; node < n; node++ {
 		var want []packet.PKey
 		for g, members := range groups {

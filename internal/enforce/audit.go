@@ -1,8 +1,6 @@
 package enforce
 
 import (
-	"slices"
-
 	"ibasec/internal/fabric"
 	"ibasec/internal/keys"
 	"ibasec/internal/packet"
@@ -84,14 +82,6 @@ func (f *Filter) RemoveValid(sw *fabric.Switch, pk packet.PKey) {
 func (f *Filter) ClearInvalid(sw *fabric.Switch) {
 	st := f.state(sw)
 	st.invalid = st.invalid[:0]
-}
-
-// DropAltSource forgets one registered alternate-path source at sw.
-func (f *Filter) DropAltSource(sw *fabric.Switch, src packet.LID) {
-	st := f.state(sw)
-	if i, found := slices.BinarySearch(st.altSources, src); found {
-		st.altSources = slices.Delete(st.altSources, i, i+1)
-	}
 }
 
 // SetActive force-sets sw's SIF ingress-filtering flag, bypassing the

@@ -312,11 +312,11 @@ func TestSIFAltPathSourceCheck(t *testing.T) {
 }
 
 // TestSnapshotMatchesReference drives one SIF switch through random
-// RegisterInvalid, ClearInvalid, RegisterAltSource, DropAltSource and
-// auto-disable steps, mirrored in maps, and after every step requires
-// Snapshot to equal the maps read back in ascending order: the tables are
-// kept in the order the audit digests them, with the invalid table capped
-// at the valid table's size.
+// RegisterInvalid, ClearInvalid, RegisterAltSource and auto-disable
+// steps, mirrored in maps, and after every step requires Snapshot to
+// equal the maps read back in ascending order: the tables are kept in
+// the order the audit digests them, with the invalid table capped at
+// the valid table's size.
 func TestSnapshotMatchesReference(t *testing.T) {
 	const period = 10 * sim.Microsecond
 	for seed := int64(1); seed <= 20; seed++ {
@@ -329,7 +329,7 @@ func TestSnapshotMatchesReference(t *testing.T) {
 		invalid, alt, active := map[uint16]bool{}, map[packet.LID]bool{}, false
 		for step := 0; step < 200; step++ {
 			v := uint16(rng.Intn(12))
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0:
 				r.f.RegisterInvalid(r.sw, packet.PKey(0x7000|v))
 				if len(invalid) < 4 {
@@ -343,9 +343,6 @@ func TestSnapshotMatchesReference(t *testing.T) {
 				r.f.RegisterAltSource(r.sw, packet.LID(v))
 				alt[packet.LID(v)] = true
 			case 3:
-				r.f.DropAltSource(r.sw, packet.LID(v))
-				delete(alt, packet.LID(v))
-			case 4:
 				// No traffic, so the violation counter never advances: the
 				// next check disables an active switch and clears its table.
 				r.s.RunUntil(r.s.Now() + period)

@@ -84,14 +84,12 @@ func TestWeightedInterleavesLowPriority(t *testing.T) {
 	}
 }
 
-// Weights bias bandwidth: with RT weight 3 vs BE weight 1 and both
-// backlogged, roughly 3 of every 4 services go to realtime.
+// HighPriLimit sets the split of bandwidth: with a limit of 3 and both
+// classes backlogged, 3 of every 4 services go to realtime.
 func TestWeightedProportions(t *testing.T) {
 	params := DefaultParams()
 	params.Arbitration = ArbWeighted
 	params.HighPriLimit = 3
-	params.VLWeights[VLRealtime] = 3
-	params.VLWeights[VLBestEffort] = 1
 	s, a, b, _ := twoHCAs(t, params)
 	var order []Class
 	b.OnDeliver = func(d *Delivery) { order = append(order, d.Class) }
@@ -109,7 +107,7 @@ func TestWeightedProportions(t *testing.T) {
 		}
 	}
 	if rt < 7 || rt > 11 {
-		t.Fatalf("rt/total = %d/12, want ~9 under 3:1 weights (order %v)", rt, order[:12])
+		t.Fatalf("rt/total = %d/12, want ~9 under a high-priority limit of 3 (order %v)", rt, order[:12])
 	}
 }
 

@@ -95,11 +95,11 @@ type outChannel struct {
 	bytesSent uint64
 	busyTime  sim.Time
 
-	// Weighted-arbitration state, read only under ArbWeighted: per-VL
-	// remaining WRR quantum and the consecutive high-priority service
-	// counter.
-	quantum [NumVLs]int32
+	// Weighted-arbitration state, read only under ArbWeighted: the
+	// consecutive high-priority service counter, and the mask of lanes
+	// that still have their one packet of this WRR round left.
 	hiRun   int32
+	wrrLeft uint16
 	// healthPort is the owning switch's port this channel leaves by (see
 	// health below).
 	healthPort int32
@@ -525,8 +525,8 @@ func (c *outChannel) returnCredit(tag uint64) {
 // serializer frees, credits land. A ticket nobody scheduled had no
 // packet waiting on it (see wake), so its event would have found the
 // link busy or the backlog empty; in the second case, under
-// ArbWeighted, that event's arbitration pass refilled every WRR quantum,
-// which settle does in its place. Nothing reads the quanta in between:
+// ArbWeighted, that event's arbitration pass refilled every WRR round,
+// which settle does in its place. Nothing reads the round in between:
 // only trySend arbitrates, and it settles first.
 func (c *outChannel) settle() {
 	if c.due <= c.sim.Now() {
@@ -568,8 +568,8 @@ func (c *outChannel) settleTickets() {
 		c.due = min(c.due, c.returns.at(0).at)
 	}
 	if refill && c.params.Arbitration == ArbWeighted {
-		c.refillQuanta(true)
-		c.refillQuanta(false)
+		c.refillRound(true)
+		c.refillRound(false)
 	}
 }
 
@@ -721,7 +721,7 @@ func (c *outChannel) pickVLWeighted() int {
 		limit = 4
 	}
 	pickGroup := func(high bool) int {
-		// Two passes: first VLs with remaining quantum, then refill.
+		// Two passes: first VLs with their packet left, then refill.
 		for pass := 0; pass < 2; pass++ {
 			for m := c.backlog(); m != 0; m &= m - 1 {
 				vl := (int(c.rr) + bits.TrailingZeros16(m)) % NumVLs
@@ -729,12 +729,12 @@ func (c *outChannel) pickVLWeighted() int {
 				if isHigh != high || c.credits[vl] <= 0 {
 					continue
 				}
-				if c.quantum[vl] > 0 {
-					c.quantum[vl]--
+				if c.wrrLeft&(1<<vl) != 0 {
+					c.wrrLeft &^= 1 << vl
 					return vl
 				}
 			}
-			c.refillQuanta(high) // and retry once
+			c.refillRound(high) // and retry once
 		}
 		return -1
 	}
@@ -757,18 +757,12 @@ func (c *outChannel) pickVLWeighted() int {
 	return -1
 }
 
-// refillQuanta resets the WRR quantum of every VL in one priority group
-// (VLPriority > 0 is high) to its weight.
-func (c *outChannel) refillQuanta(high bool) {
+// refillRound starts a new WRR round for one priority group
+// (VLPriority > 0 is high): every VL in it gets its one packet back.
+func (c *outChannel) refillRound(high bool) {
 	for vl := 0; vl < NumVLs; vl++ {
 		if (c.params.VLPriority[vl] > 0) == high {
-			w := c.params.VLWeights[vl]
-			if w <= 0 {
-				w = 1
-			}
-			// A quantum is spent one packet at a time, so one of
-			// MaxInt32 packets outlasts any run as a larger one would.
-			c.quantum[vl] = int32(min(w, math.MaxInt32))
+			c.wrrLeft |= 1 << vl
 		}
 	}
 }

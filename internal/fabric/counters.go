@@ -9,8 +9,7 @@ type SwitchCounter uint8
 
 // The ids of a switch's counters, in name order.
 const (
-	SwBlackholed SwitchCounter = iota
-	SwDeadPort
+	SwDeadPort SwitchCounter = iota
 	SwDRForwarded
 	SwFiltered
 	SwForwarded
@@ -34,7 +33,6 @@ const (
 
 // switchCounters names each id.
 var switchCounters = metrics.Table{Set: "switch", Names: []string{
-	SwBlackholed:        "blackholed",
 	SwDeadPort:          "dead_port",
 	SwDRForwarded:       "dr_forwarded",
 	SwFiltered:          "filtered",

@@ -31,7 +31,7 @@ type PortCounters struct {
 	// Head-of-Queue lifetime ageing.
 	XmitDiscards uint16
 	// VL15Dropped counts management packets dropped on arrival
-	// (VL15Dropped) — the MAD-loss fault tap.
+	// (VL15Dropped) — the MAD tap's drops.
 	VL15Dropped uint16
 }
 

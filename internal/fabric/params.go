@@ -90,15 +90,12 @@ type Params struct {
 	VLPriority [NumVLs]int
 	// Arbitration selects the arbiter. ArbStrictPriority always serves
 	// the highest-priority eligible VL; ArbWeighted models the IBA
-	// high/low-priority weighted-round-robin tables (IBA 7.6.9): VLs
-	// with VLPriority > 0 form the high-priority table and are served
-	// WRR by VLWeights, but after HighPriLimit consecutive
-	// high-priority packets one low-priority packet is served if
-	// waiting, so low-priority lanes cannot starve.
+	// high/low-priority weighted-round-robin tables (IBA 7.6.9) with
+	// every weight 1: VLs with VLPriority > 0 form the high-priority
+	// table and are served round-robin, but after HighPriLimit
+	// consecutive high-priority packets one low-priority packet is
+	// served if waiting, so low-priority lanes cannot starve.
 	Arbitration ArbitrationMode
-	// VLWeights are the WRR quanta (in packets) for ArbWeighted; zero
-	// means weight 1.
-	VLWeights [NumVLs]int
 	// HighPriLimit bounds consecutive high-priority packets in
 	// ArbWeighted (the IBA Limit of High-Priority counter); zero means
 	// 4.
@@ -224,7 +221,7 @@ const (
 	ObsCRCDrop            // VCRC/ICRC verification failed
 	ObsPKeyReject         // destination HCA partition check failed
 	ObsDeliver            // destination HCA accepted it
-	ObsBlackhole          // destroyed by an injected fault (link/switch down, MAD drop)
+	ObsBlackhole          // destroyed by an injected fault (link down, MAD drop)
 	ObsHOQDrop            // aged out by the Head-of-Queue lifetime limit
 	ObsFECNMark           // switch set FECN: output queue at/above the marking threshold
 	ObsBECN               // source HCA received backward congestion notification

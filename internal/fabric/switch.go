@@ -29,9 +29,10 @@ type MADHandler interface {
 }
 
 // MADTap intercepts management datagrams arriving at a switch before the
-// MAD handler or LID forwarding sees them — the fault layer's drop/delay
-// hook. Return drop to destroy the MAD, or a positive delay to add to its
-// processing latency. A nil tap changes nothing.
+// MAD handler or LID forwarding sees them — a drop/delay hook for
+// injecting management-plane loss. Return drop to destroy the MAD, or a
+// positive delay to add to its processing latency. A nil tap changes
+// nothing.
 type MADTap func(sw *Switch, d *Delivery) (drop bool, delay sim.Time)
 
 // Switch is a store-and-forward IBA switch with a LID-indexed linear
@@ -56,7 +57,6 @@ type Switch struct {
 	// takes it back: one still held when HandleMAD returns true was consumed.
 	madHeld *Delivery
 	guid    uint64
-	down    bool
 	// filterSlot is the index its partition filter assigned (FilterSlot).
 	filterSlot int32
 	// index is the switch's index among its fabric's (NewSwitches' i).
@@ -171,7 +171,7 @@ func (sw *Switch) SetFilter(f Filter) { sw.filter = f }
 // SetMADHandler installs the management-datagram agent (nil disables).
 func (sw *Switch) SetMADHandler(h MADHandler) { sw.madh = h }
 
-// SetMADTap installs the fault layer's MAD drop/delay hook (nil disables).
+// SetMADTap installs a MAD drop/delay hook (nil disables).
 func (sw *Switch) SetMADTap(t MADTap) { sw.madTap = t }
 
 // SetLinkState raises or lowers the outbound half of the link on the
@@ -185,26 +185,6 @@ func (sw *Switch) SetLinkState(port int, up bool) {
 	sw.ports[port].out.setDown(!up)
 }
 
-// SetDown kills or revives the whole switch. A dead switch destroys
-// every arriving packet (neighbours see probes into it time out), stops
-// transmitting on all ports, and loses its forwarding table — a revived
-// switch is blank until the Subnet Manager reprograms it. Reviving also
-// raises all the switch's outbound links.
-func (sw *Switch) SetDown(down bool) {
-	if sw.down == down {
-		return
-	}
-	sw.down = down
-	if down {
-		clear(sw.fwd)
-	}
-	for i := range sw.ports {
-		if ch := sw.ports[i].out; ch != nil {
-			ch.setDown(down)
-		}
-	}
-}
-
 // PortBlackholed returns the number of packets destroyed on the port's
 // outbound channel while its link was down.
 func (sw *Switch) PortBlackholed(port int) uint64 {
@@ -215,10 +195,9 @@ func (sw *Switch) PortBlackholed(port int) uint64 {
 }
 
 // Blackholed returns the packets destroyed by faults at this switch: the
-// sum over ports of outbound link losses plus packets that arrived while
-// the switch itself was dead or whose MAD was dropped by the tap.
+// sum over ports of outbound link losses plus MADs the tap dropped.
 func (sw *Switch) Blackholed() uint64 {
-	n := sw.Counters.Value(SwBlackholed) + sw.Counters.Value(SwMADDropped)
+	n := sw.Counters.Value(SwMADDropped)
 	for i := range sw.ports {
 		n += sw.PortBlackholed(i)
 	}
@@ -412,16 +391,6 @@ func (sw *Switch) bind(port int, ch *outChannel) {
 // Corrupted packets are discarded by the per-link VCRC check first
 // (IBA 7.8: the variant CRC is validated at every link).
 func (sw *Switch) arrive(port int, d *Delivery) {
-	if sw.down {
-		// A dead switch destroys everything that lands on it; the
-		// sender's buffer credit is still released (the packet left the
-		// wire), so flow control stays conserved.
-		sw.Counters.Add(SwBlackholed, 1)
-		sw.params.observe(sw.sim.Now(), ObsBlackhole, sw.name, d)
-		d.ReturnCredit()
-		sw.params.release(d, ObsBlackhole)
-		return
-	}
 	if !vcrcOK(d) {
 		sw.Counters.Add(SwVCRCDrops, 1)
 		sw.ports[port].health.AddRcvErrors(1)

@@ -1,9 +1,9 @@
 // Package faults is the deterministic, seed-driven fault-injection layer
 // of the simulator. A Plan schedules failures on the simulation engine —
-// link and switch down/up events, bit-error-rate bursts that exercise the
-// CRC16/ICRC/MAC reject paths on live traffic, and MAD drop/delay faults
-// against the management plane — through small injection points in
-// internal/fabric that change nothing when no plan is installed. Paired
+// link down/up events, fabric bisections, and bit-error-rate bursts that
+// exercise the CRC16/ICRC/MAC reject paths on live traffic — through
+// small injection points in internal/fabric that change nothing when no
+// plan is installed. Paired
 // with the Subnet Manager's periodic re-sweep (internal/sm.Resweeper),
 // it turns "the fabric discards traffic" from a unit-test premise into a
 // live scenario: the same seed and the same plan always reproduce the
@@ -23,15 +23,6 @@ import (
 // from the switch side; the HCA-facing link is Port PortHCA.
 type LinkKill struct {
 	Link   topology.LinkID
-	DownAt sim.Time
-	UpAt   sim.Time
-}
-
-// SwitchKill takes a whole switch down and optionally revives it. A dead
-// switch destroys everything that lands on it and loses its forwarding
-// table; a revived switch stays blank until the SM reprograms it.
-type SwitchKill struct {
-	Switch int
 	DownAt sim.Time
 	UpAt   sim.Time
 }
@@ -76,16 +67,6 @@ func OscillatingBER(link topology.LinkID, rate float64, period, from, until sim.
 		out = append(out, LinkBER{Link: link, Rate: rate, From: t, Until: end})
 	}
 	return out
-}
-
-// MADLoss drops each management datagram arriving at any switch with
-// probability DropProb and delays the survivors by Delay, during
-// [From, Until) (Until zero: until the end of the run).
-type MADLoss struct {
-	DropProb float64
-	Delay    sim.Time
-	From     sim.Time
-	Until    sim.Time
 }
 
 // Partition splits the fabric into two islands for [DownAt, UpAt): every
@@ -160,13 +141,11 @@ type CorruptOp int
 
 // Table-corruption operations, mirroring the entry-level mutators of
 // internal/enforce: the first two hit the valid-P_Key table, the rest
-// the SIF state (Invalid_P_Key_Table, alt-source registrations, the
-// ingress-filtering enable flag).
+// the SIF state (Invalid_P_Key_Table, the ingress-filtering enable flag).
 const (
 	CorruptAddValid CorruptOp = iota + 1
 	CorruptRemoveValid
 	CorruptClearInvalid
-	CorruptDropAltSource
 	CorruptDeactivate
 )
 
@@ -178,8 +157,6 @@ func (op CorruptOp) String() string {
 		return "RemoveValid"
 	case CorruptClearInvalid:
 		return "ClearInvalid"
-	case CorruptDropAltSource:
-		return "DropAltSource"
 	case CorruptDeactivate:
 		return "Deactivate"
 	default:
@@ -213,17 +190,14 @@ type TableCorruption struct {
 	Op     CorruptOp
 	// PKey is the operand of AddValid/RemoveValid (full 16-bit entry).
 	PKey uint16
-	// Src is the operand of DropAltSource (a source LID).
-	Src uint16
 }
 
 // Plan is a complete, deterministic fault schedule for one run.
 type Plan struct {
-	// Seed drives every random draw the plan makes at run time (MAD
-	// drops, BER strikes on an RNG-less fabric).
-	Seed     int64
-	Links    []LinkKill
-	Switches []SwitchKill
+	// Seed drives every random draw the plan makes at run time (BER
+	// strikes on an RNG-less fabric).
+	Seed  int64
+	Links []LinkKill
 	// Partitions are fabric bisections, expanded at Install time into
 	// the link kills of each cut.
 	Partitions []Partition
@@ -231,7 +205,6 @@ type Plan struct {
 	// LinkBER are per-link bit-error windows (gray links); unlike BER
 	// they leave the rest of the fabric clean.
 	LinkBER []LinkBER
-	MAD     *MADLoss
 	// SMKills and Compromises are management-plane faults; the core
 	// layer schedules them against its SM coordinator and key rotator
 	// (Install only validates them — they have no fabric-level effect).
@@ -248,11 +221,6 @@ func (p *Plan) Validate(m *topology.Mesh) error {
 		}
 		if _, _, _, ok := m.LinkPeer(lk.Link.Switch, lk.Link.Port); !ok {
 			return fmt.Errorf("faults: link kill on unconnected port %d of switch %d", lk.Link.Port, lk.Link.Switch)
-		}
-	}
-	for _, sk := range p.Switches {
-		if sk.Switch < 0 || sk.Switch >= len(m.Switches) {
-			return fmt.Errorf("faults: switch kill on switch %d of %d", sk.Switch, len(m.Switches))
 		}
 	}
 	for _, pt := range p.Partitions {
@@ -301,9 +269,6 @@ func (p *Plan) Validate(m *topology.Mesh) error {
 			return fmt.Errorf("faults: link BER window [%v,%v) is empty", lb.From, lb.Until)
 		}
 	}
-	if p.MAD != nil && !(p.MAD.DropProb >= 0 && p.MAD.DropProb <= 1) {
-		return fmt.Errorf("faults: MAD drop probability %v outside [0,1]", p.MAD.DropProb)
-	}
 	for _, sk := range p.SMKills {
 		if sk.At < 0 {
 			return fmt.Errorf("faults: SM kill at negative time %v", sk.At)
@@ -328,10 +293,6 @@ func (p *Plan) Validate(m *topology.Mesh) error {
 		case CorruptAddValid, CorruptRemoveValid:
 			if tc.PKey&0x7FFF == 0 {
 				return fmt.Errorf("faults: %v corruption with zero P_Key base", tc.Op)
-			}
-		case CorruptDropAltSource:
-			if tc.Src == 0 {
-				return fmt.Errorf("faults: DropAltSource corruption with LID 0")
 			}
 		case CorruptClearInvalid, CorruptDeactivate:
 		default:
@@ -365,12 +326,6 @@ func Install(s *sim.Simulator, m *topology.Mesh, params *fabric.Params, p *Plan)
 			s.ScheduleAt(lk.UpAt, func() { inj.setLink(lk.Link, true) })
 		}
 	}
-	for _, sk := range p.Switches {
-		s.ScheduleAt(sk.DownAt, func() { m.Switches[sk.Switch].SetDown(true) })
-		if sk.UpAt > sk.DownAt {
-			s.ScheduleAt(sk.UpAt, func() { m.Switches[sk.Switch].SetDown(false) })
-		}
-	}
 	for _, pt := range p.Partitions {
 		for _, l := range pt.CutLinks(m.W, m.H) {
 			s.ScheduleAt(pt.DownAt, func() { inj.setLink(l, false) })
@@ -401,26 +356,6 @@ func Install(s *sim.Simulator, m *topology.Mesh, params *fabric.Params, p *Plan)
 		})
 		if lb.Until > lb.From {
 			s.ScheduleAt(lb.Until, func() { inj.clearLinkBER(lb.Link) })
-		}
-	}
-	if mad := p.MAD; mad != nil {
-		tap := func(sw *fabric.Switch, d *fabric.Delivery) (bool, sim.Time) {
-			if mad.DropProb > 0 && rng.Float64() < mad.DropProb {
-				return true, 0
-			}
-			return false, mad.Delay
-		}
-		s.ScheduleAt(mad.From, func() {
-			for _, sw := range m.Switches {
-				sw.SetMADTap(tap)
-			}
-		})
-		if mad.Until > mad.From {
-			s.ScheduleAt(mad.Until, func() {
-				for _, sw := range m.Switches {
-					sw.SetMADTap(nil)
-				}
-			})
 		}
 	}
 	return inj, nil
@@ -472,8 +407,8 @@ func (inj *Injector) clearLinkBER(l topology.LinkID) {
 }
 
 // Blackholed sums every fault-destroyed packet across the mesh: packets
-// dropped on downed output channels, packets that landed on dead
-// switches, and MADs destroyed by the tap.
+// dropped on downed output channels and MADs destroyed by a switch's
+// MAD tap.
 func Blackholed(m *topology.Mesh) uint64 {
 	var n uint64
 	for _, sw := range m.Switches {

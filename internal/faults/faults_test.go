@@ -102,7 +102,7 @@ func mustChaos(t *testing.T, seed int64, w, h, kills int, from, until sim.Time) 
 
 func TestChaosZeroKills(t *testing.T) {
 	p := mustChaos(t, 7, 4, 4, 0, 0, sim.Millisecond)
-	if len(p.Links) != 0 || len(p.Switches) != 0 || len(p.BER) != 0 || p.MAD != nil {
+	if len(p.Links) != 0 || len(p.BER) != 0 {
 		t.Fatalf("empty chaos plan not empty: %+v", p)
 	}
 }
@@ -135,9 +135,7 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	bad := []*Plan{
 		{Links: []LinkKill{{Link: topology.LinkID{Switch: 9, Port: topology.PortEast}}}},
 		{Links: []LinkKill{{Link: topology.LinkID{Switch: 1, Port: topology.PortEast}}}}, // east boundary of a 2x2
-		{Switches: []SwitchKill{{Switch: -1}}},
 		{BER: []BERBurst{{Rate: 1.5}}},
-		{MAD: &MADLoss{DropProb: 2}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(m); err == nil {
@@ -145,10 +143,8 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		}
 	}
 	good := &Plan{
-		Links:    []LinkKill{{Link: topology.LinkID{Switch: 0, Port: topology.PortEast}, DownAt: 1, UpAt: 2}},
-		Switches: []SwitchKill{{Switch: 3, DownAt: 1}},
-		BER:      []BERBurst{{Rate: 1e-6}},
-		MAD:      &MADLoss{DropProb: 0.5},
+		Links: []LinkKill{{Link: topology.LinkID{Switch: 0, Port: topology.PortEast}, DownAt: 1, UpAt: 2}},
+		BER:   []BERBurst{{Rate: 1e-6}},
 	}
 	if err := good.Validate(m); err != nil {
 		t.Fatalf("good plan rejected: %v", err)

@@ -257,24 +257,17 @@ func (h *AETH) unmarshal(b []byte) {
 	h.MSN = uint24(b[1:4])
 }
 
-// AETH syndrome encodings (IBA 9.7.5.2.1, reduced to the three classes
+// AETH syndrome encodings (IBA 9.7.5.2.1, reduced to the two classes
 // this model generates). The top three bits select the class — ACK
-// (000), RNR NAK (001), NAK (011) — and the low five bits carry the RNR
-// timer code or the NAK code (0 = PSN sequence error).
+// (000), NAK (011) — and the low five bits carry the NAK code (0 = PSN
+// sequence error).
 const (
 	AETHAck    uint8 = 0x00
-	AETHRNRNak uint8 = 0x20
 	AETHNAKSeq uint8 = 0x60
 )
 
-// IsRNR reports whether the syndrome encodes a receiver-not-ready NAK.
-func (h *AETH) IsRNR() bool { return h.Syndrome&0xE0 == AETHRNRNak }
-
 // IsNAK reports whether the syndrome encodes a PSN-sequence-error NAK.
 func (h *AETH) IsNAK() bool { return h.Syndrome&0xE0 == 0x60 }
-
-// RNRTimer extracts the 5-bit RNR timer code.
-func (h *AETH) RNRTimer() uint8 { return h.Syndrome & 0x1F }
 
 func putUint24(b []byte, v uint32) {
 	if v > 0xFFFFFF {

@@ -82,9 +82,6 @@ type Auditor struct {
 	ctr      [numAuditCounters]uint64 // Counters' cells
 	// Events accumulates every detected drift in detection order.
 	Events []*DriftEvent
-	// OnDrift, when non-nil, observes each event at detection time
-	// (before any repair completes).
-	OnDrift func(*DriftEvent)
 
 	// digests[i] is intent.Switches[i]'s table digests.
 	digests []auditDigests
@@ -287,9 +284,6 @@ func (a *Auditor) finalize(si *SwitchIntent, path []byte, ev *DriftEvent) {
 	}
 	a.Counters.Add(AuditDriftEvents, 1)
 	a.Events = append(a.Events, ev)
-	if a.OnDrift != nil {
-		a.OnDrift(ev)
-	}
 	if a.cfg.Repair {
 		a.repairSwitch(path, ev)
 	}

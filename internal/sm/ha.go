@@ -14,9 +14,9 @@ import (
 	"ibasec/internal/topology"
 )
 
-// HA MAD payload types, continuing the trap numbering (type 1). Both ride
-// VL 15 as management-class UD packets to DestQP 0, so MAD-loss fault
-// injection applies to them exactly as to traps.
+// HA MAD payload types, continuing the trap numbering (type 1). All ride
+// VL 15 as management-class UD packets to DestQP 0, so a switch's MAD
+// tap drops or delays them exactly as it does traps.
 const (
 	haTypeHeartbeat  = 2
 	haTypeStateSync  = 3
@@ -400,8 +400,8 @@ type censusDone func(entry int, got map[int]bool, pings int)
 // Coordinator wires a master SM and its standbys into the heartbeat /
 // lease / election protocol. All scheduling rides the deterministic sim
 // clock; heartbeat and state-sync MADs are real management packets, so
-// fabric faults (MAD loss, link kills) perturb failover exactly as they
-// would in a physical subnet.
+// fabric faults (link kills, MAD loss at a switch's tap) perturb failover
+// exactly as they would in a physical subnet.
 type Coordinator struct {
 	sim  *sim.Simulator
 	mesh *topology.Mesh

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"runtime"
 	"testing"
 
 	"ibasec/internal/fabric"
@@ -188,17 +187,25 @@ func TestNonSquareMesh(t *testing.T) {
 
 // Each switch's forwarding table is sized once, to the mesh's LIDs, when
 // the mesh is wired: programming every route of a blank mesh allocates
-// nothing.
+// nothing. Each run, AllocsPerRun's warm-up included, programs a mesh of
+// its own, so every one measured is a first programming.
 func TestMeshTablesSizedOnce(t *testing.T) {
-	m := NewBlankMesh(sim.New(), fabric.DefaultParams(), 8, 8)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	m.programDOR()
-	runtime.ReadMemStats(&m1)
-	if n := m1.Mallocs - m0.Mallocs; n != 0 {
-		t.Fatalf("programming an 8x8 mesh's routes allocated %d times, want 0", n)
+	const runs = 3
+	meshes := make([]*Mesh, runs+1)
+	for i := range meshes {
+		meshes[i] = NewBlankMesh(sim.New(), fabric.DefaultParams(), 8, 8)
 	}
-	if port, ok := m.Switches[0].Route(LIDOf(63)); !ok || port != PortEast {
-		t.Fatalf("sw0-0 routes LID %d to port %d (%v), want east", LIDOf(63), port, ok)
+	next := 0
+	program := func() {
+		meshes[next].programDOR()
+		next++
+	}
+	if n := testing.AllocsPerRun(runs, program); n != 0 {
+		t.Fatalf("programming an 8x8 mesh's routes allocated %.1f times, want 0", n)
+	}
+	for _, m := range meshes {
+		if port, ok := m.Switches[0].Route(LIDOf(63)); !ok || port != PortEast {
+			t.Fatalf("sw0-0 routes LID %d to port %d (%v), want east", LIDOf(63), port, ok)
+		}
 	}
 }

@@ -163,3 +163,30 @@ func BenchmarkSendUDAuth(b *testing.B) {
 		b.Fatalf("auth_ok = %d, want %d", got, b.N+1)
 	}
 }
+
+// Arming the RC retry timer, and pushing its deadline out when the window
+// progressed since, allocate nothing: the timer is a named handler over
+// the endpoint whose operand is the QP.
+func TestRetryTimerAllocations(t *testing.T) {
+	w := newWorld(t, 0, PartitionLevel)
+	a, _ := connectRC(t, w, false)
+	ep, st := w.eps[0], a.rc()
+	st.unacked = append(st.unacked, &pendingSend{})
+	arm := func() {
+		ep.armRetry(a)
+		w.s.Cancel(st.retryTimer)
+	}
+	rearm := func() {
+		st.lastProgress = w.s.Now()
+		ep.onRetryTimeout(a) // progress within the period: re-arms
+		if !w.s.Cancel(st.retryTimer) {
+			t.Fatal("onRetryTimeout did not re-arm the timer")
+		}
+	}
+	if got := testing.AllocsPerRun(100, arm); got != 0 {
+		t.Errorf("armRetry allocated %.1f times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, rearm); got != 0 {
+		t.Errorf("re-arming from onRetryTimeout allocated %.1f times, want 0", got)
+	}
+}

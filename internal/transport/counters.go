@@ -45,9 +45,6 @@ const (
 	EpRCResealFailed
 	EpRCRetransBytes
 	EpRCRetransmissions
-	EpRCRNRExhausted
-	EpRCRNRNAKsReceived
-	EpRCRNRNAKsSent
 	EpRCSent
 	EpRDMABoundsViolations
 	EpRDMAReadCompleted
@@ -105,9 +102,6 @@ var endpointCounters = metrics.Table{Set: "endpoint", Names: []string{
 	EpRCResealFailed:       "rc_reseal_failed",
 	EpRCRetransBytes:       "rc_retrans_bytes",
 	EpRCRetransmissions:    "rc_retransmissions",
-	EpRCRNRExhausted:       "rc_rnr_exhausted",
-	EpRCRNRNAKsReceived:    "rc_rnr_naks_received",
-	EpRCRNRNAKsSent:        "rc_rnr_naks_sent",
 	EpRCSent:               "rc_sent",
 	EpRDMABoundsViolations: "rdma_bounds_violations",
 	EpRDMAReadCompleted:    "rdma_read_completed",

@@ -88,85 +88,6 @@ func TestRCNakRecoversFasterThanTimeout(t *testing.T) {
 	}
 }
 
-// A receiver with no posted buffers answers with RNR NAKs; the requester
-// waits out the advertised delay and replays until the receiver drains,
-// without consuming the transport retry budget.
-func TestRCRNRNakDelaysAndRecovers(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel)
-	enableNAK(w)
-	a, b := connectRC(t, w, false)
-	var got []byte
-	b.OnRecv = func(p []byte, _ packet.LID, _ packet.QPN) { got = append([]byte(nil), p...) }
-	b.RNRDelay = 10 * sim.Microsecond
-	b.RNRUntil = w.s.Now() + 30*sim.Microsecond
-
-	if err := w.eps[0].SendRC(a, []byte("patience"), fabric.ClassBestEffort); err != nil {
-		t.Fatal(err)
-	}
-	w.s.Run()
-
-	if !bytes.Equal(got, []byte("patience")) {
-		t.Fatalf("payload %q", got)
-	}
-	if a.Broken() {
-		t.Fatal("connection broken by a transient RNR condition")
-	}
-	rnrs := w.eps[3].Counters.Value(EpRCRNRNAKsSent)
-	if rnrs == 0 {
-		t.Fatal("receiver-not-ready window produced no RNR NAKs")
-	}
-	if recv := w.eps[0].Counters.Value(EpRCRNRNAKsReceived); recv != rnrs {
-		t.Fatalf("rnr naks received = %d, sent = %d", recv, rnrs)
-	}
-	st := a.rc()
-	if st.rnrRetries != 0 || st.retries != 0 {
-		t.Fatalf("budgets not reset after recovery: rnr=%d timeout=%d", st.rnrRetries, st.retries)
-	}
-	// The RNR NAK on a fresh responder (ePSN 0) must not acknowledge
-	// anything: the PSN-0 head stays in the window until delivered.
-	if w.eps[0].Counters.Value(EpRCBroken) != 0 {
-		t.Fatal("rc_broken counted")
-	}
-}
-
-// A receiver that never drains exhausts the separate RNR budget and the
-// connection breaks with the dedicated counter.
-func TestRCRNRExhaustionBreaks(t *testing.T) {
-	w := newWorld(t, 0, PartitionLevel)
-	enableNAK(w)
-	w.eps[0].cfg.RNRRetries = 3
-	a, b := connectRC(t, w, false)
-	n := 0
-	b.OnRecv = func([]byte, packet.LID, packet.QPN) { n++ }
-	b.RNRDelay = 10 * sim.Microsecond
-	b.RNRUntil = w.s.Now() + 10*sim.Millisecond // never drains in this test
-
-	if err := w.eps[0].SendRC(a, []byte("starved"), fabric.ClassBestEffort); err != nil {
-		t.Fatal(err)
-	}
-	w.s.Run()
-
-	if n != 0 {
-		t.Fatal("delivered through a permanently not-ready receiver")
-	}
-	if !a.Broken() {
-		t.Fatal("connection not marked broken")
-	}
-	if w.eps[0].Counters.Value(EpRCRNRExhausted) != 1 {
-		t.Fatal("rc_rnr_exhausted not counted")
-	}
-	if w.eps[0].Counters.Value(EpRCBroken) != 1 {
-		t.Fatal("rc_broken not counted")
-	}
-	// 3 replays allowed; the 4th RNR NAK exhausts the budget.
-	if got := w.eps[0].Counters.Value(EpRCRNRNAKsReceived); got != 4 {
-		t.Fatalf("rnr naks received = %d, want 4", got)
-	}
-	if got := w.eps[0].Counters.Value(EpRCRetransmissions); got != 3 {
-		t.Fatalf("retransmissions = %d, want 3", got)
-	}
-}
-
 // retryDelay doubles per quiet timeout and saturates at the cap.
 func TestRCBackoffGrowsAndCaps(t *testing.T) {
 	w := newWorld(t, 0, PartitionLevel)
@@ -182,7 +103,7 @@ func TestRCBackoffGrowsAndCaps(t *testing.T) {
 	}
 
 	ep.cfg.RetryBackoff = true
-	// Default cap is backoffCapFactor x base.
+	// The cap is backoffCapFactor x base.
 	for _, c := range []struct {
 		retries int
 		want    sim.Time
@@ -199,14 +120,6 @@ func TestRCBackoffGrowsAndCaps(t *testing.T) {
 			t.Errorf("retries=%d: delay = %v, want %v", c.retries, d, c.want)
 		}
 	}
-
-	// An explicit cap clamps even when it is not a power-of-two multiple.
-	ep.cfg.MaxRetryTimeout = 25 * sim.Microsecond
-	st.retries = 2
-	if d := ep.retryDelay(a); d != 25*sim.Microsecond {
-		t.Fatalf("explicit cap: delay = %v, want 25us", d)
-	}
-	st.retries = 0
 }
 
 // End to end: with backoff the same retry budget probes a dead path over

@@ -28,14 +28,13 @@ import (
 //
 //   - Explicit NAK (Config.EnableNAK): a responder that sees a PSN gap
 //     sends one NAK (AETH syndrome 011) per gap episode naming the last
-//     in-order PSN, and a receiver that is temporarily not ready sends an
-//     RNR NAK (syndrome 001) carrying a timer code. The requester
-//     retransmits immediately (or after the advertised RNR delay) instead
-//     of waiting out a full retry period, and neither path consumes the
-//     transport retry budget — RNR has its own counter (Config.RNRRetries).
+//     in-order PSN. The requester retransmits immediately instead of
+//     waiting out a full retry period, and the NAK does not consume the
+//     transport retry budget.
 //   - Exponential backoff (Config.RetryBackoff): the retry period doubles
-//     after every quiet timeout, capped at Config.MaxRetryTimeout, so a
-//     dead path is probed at a decaying rate instead of a fixed one.
+//     after every quiet timeout, capped at backoffCapFactor times the
+//     base period, so a dead path is probed at a decaying rate instead of
+//     a fixed one.
 //   - Automatic Path Migration (QP.SetAlternatePath): after MigrateAfter
 //     consecutive quiet timeouts the requester rewrites the head of the
 //     window onto the pre-loaded alternate DLID and keeps sending there;
@@ -50,14 +49,9 @@ import (
 const (
 	defaultRetryTimeout = 100 * sim.Microsecond
 	defaultMaxRetries   = 7
-	defaultRNRRetries   = 7
-	// backoffCapFactor bounds the doubled retry period when
-	// Config.MaxRetryTimeout is unset.
+	// backoffCapFactor bounds the doubled retry period, as a multiple of
+	// the base period.
 	backoffCapFactor = 8
-	// rnrBaseDelay is the delay encoded by RNR timer code 0; each
-	// increment of the 5-bit code doubles it (a simplification of IBA
-	// table 45's fixed lattice that keeps encode/decode exact).
-	rnrBaseDelay = 10 * sim.Microsecond
 )
 
 // rcState tracks one RC QP's requester and responder progress.
@@ -77,10 +71,6 @@ type rcState struct {
 	// (the original copies behind a loss were dropped out-of-order at
 	// the responder and must all be resent).
 	recovering bool
-	// rnrRetries counts receiver-not-ready rounds since the last window
-	// progress; it is bounded by Config.RNRRetries, separately from the
-	// transport timeout budget (IBA 9.7.5.2.8).
-	rnrRetries int
 	// consecTimeouts counts quiet retry periods since the last ACK
 	// progress; reaching QP.MigrateAfter triggers path migration.
 	consecTimeouts int
@@ -177,16 +167,13 @@ func (e *Endpoint) retryTimeout() sim.Time {
 
 // retryDelay returns the current retry period for a QP: the base period,
 // or — with RetryBackoff — the base doubled per consecutive quiet
-// timeout, capped at MaxRetryTimeout.
+// timeout, capped at backoffCapFactor × base.
 func (e *Endpoint) retryDelay(q *QP) sim.Time {
 	base := e.retryTimeout()
 	if !e.cfg.RetryBackoff {
 		return base
 	}
-	limit := e.cfg.MaxRetryTimeout
-	if limit <= 0 {
-		limit = backoffCapFactor * base
-	}
+	limit := backoffCapFactor * base
 	st := q.rc()
 	d := base
 	for i := 0; i < st.retries && d < limit; i++ {
@@ -204,8 +191,15 @@ func (e *Endpoint) armRetry(q *QP) {
 	if st.retryTimer.Pending() {
 		return
 	}
-	st.retryTimer = e.hca.Sim().Schedule(e.retryDelay(q), func() { e.onRetryTimeout(q) })
+	st.retryTimer = e.hca.Sim().ScheduleCall(e.retryDelay(q), (*retryDeadline)(e), q, 0)
 }
+
+// retryDeadline fires an RC QP's retransmission timer: a named handler
+// type over Endpoint (see sim.Handler) whose operand is the QP, so arming
+// the timer allocates nothing.
+type retryDeadline Endpoint
+
+func (h *retryDeadline) Fire(q any, _ uint64) { (*Endpoint)(h).onRetryTimeout(q.(*QP)) }
 
 // onRetryTimeout retransmits the head of the unacknowledged window
 // (go-back-N) if a full retry period passed with no window progress, and
@@ -226,7 +220,7 @@ func (e *Endpoint) onRetryTimeout(q *QP) {
 		if delay < sim.Picosecond {
 			delay = sim.Picosecond
 		}
-		st.retryTimer = e.hca.Sim().Schedule(delay, func() { e.onRetryTimeout(q) })
+		st.retryTimer = e.hca.Sim().ScheduleCall(delay, (*retryDeadline)(e), q, 0)
 		return
 	}
 	maxRetries := e.cfg.MaxRetries
@@ -289,13 +283,6 @@ func (e *Endpoint) handleRCRequest(q *QP, p *packet.Packet, d *fabric.Delivery) 
 	st := q.rc()
 	switch {
 	case p.BTH.PSN == st.ePSN:
-		// Receiver not ready (e.g. no posted receive buffers): NAK with
-		// the advertised back-off delay and do not advance ePSN — the
-		// requester replays this PSN after the delay (IBA 9.7.5.2.8).
-		if now := e.hca.Sim().Now(); now < q.RNRUntil {
-			e.sendRNRNak(q, st)
-			return false
-		}
 		st.ePSN = (st.ePSN + 1) & 0xFFFFFF
 		st.gotAny = true
 		st.nakSent = false
@@ -352,16 +339,6 @@ func (e *Endpoint) sendNakSeq(q *QP, psn uint32) {
 	e.sendAckSyndrome(q, psn, packet.AETHNAKSeq, EpRCNAKsSent, false)
 }
 
-// sendRNRNak emits a receiver-not-ready NAK carrying the QP's advertised
-// delay. The MSN is (ePSN-1) mod 2^24 even on a fresh responder: with
-// ePSN == 0 that is 0xFFFFFF, whose cumulative window [.., 0xFFFFFF]
-// contains none of the requester's outstanding PSNs — i.e. "nothing
-// consumed". MSN 0 would instead falsely acknowledge (and discard) the
-// un-delivered PSN-0 head of the window.
-func (e *Endpoint) sendRNRNak(q *QP, st *rcState) {
-	e.sendAckSyndrome(q, (st.ePSN-1)&0xFFFFFF, packet.AETHRNRNak|rnrCode(q.RNRDelay), EpRCRNRNAKsSent, false)
-}
-
 // sendAckSyndrome builds, seals and sends one acknowledgement packet
 // with the given AETH syndrome, counting it under counter. becn sets
 // the backward-congestion-notification bit.
@@ -380,21 +357,6 @@ func (e *Endpoint) sendAckSyndrome(q *QP, psn uint32, syndrome uint8, counter En
 	}
 	e.Counters.Add(counter, 1)
 	e.hca.Send(d)
-}
-
-// rnrCode encodes an RNR delay as the smallest 5-bit timer code whose
-// decoded delay covers it (code c decodes to rnrBaseDelay << c).
-func rnrCode(d sim.Time) uint8 {
-	var c uint8
-	for c < 31 && rnrDelay(c) < d {
-		c++
-	}
-	return c
-}
-
-// rnrDelay decodes a 5-bit RNR timer code into a wait period.
-func rnrDelay(c uint8) sim.Time {
-	return rnrBaseDelay << c
 }
 
 // handleRCAck processes an acknowledgement (or NAK) at the requester.
@@ -418,18 +380,13 @@ func (e *Endpoint) handleRCAck(q *QP, p *packet.Packet) {
 	progressed := len(kept) < len(st.unacked)
 	if progressed {
 		st.retries = 0 // forward progress
-		st.rnrRetries = 0
 		st.consecTimeouts = 0
 		st.lastProgress = e.hca.Sim().Now()
 	}
 	st.unacked = kept
 	e.Counters.Add(EpRCAcksReceived, 1)
-	switch {
-	case p.AETH.IsNAK():
+	if p.AETH.IsNAK() {
 		e.onSeqNak(q, st)
-		return
-	case p.AETH.IsRNR():
-		e.onRNRNak(q, st, p.AETH.RNRTimer())
 		return
 	}
 	if len(st.unacked) == 0 {
@@ -458,35 +415,4 @@ func (e *Endpoint) onSeqNak(q *QP, st *rcState) {
 	st.lastProgress = e.hca.Sim().Now()
 	e.resendHead(q)
 	e.armRetry(q)
-}
-
-// onRNRNak handles a receiver-not-ready NAK: wait out the advertised
-// delay, then replay the head. RNR rounds have their own budget.
-func (e *Endpoint) onRNRNak(q *QP, st *rcState, code uint8) {
-	e.Counters.Add(EpRCRNRNAKsReceived, 1)
-	if len(st.unacked) == 0 || st.broken {
-		return
-	}
-	limit := e.cfg.RNRRetries
-	if limit <= 0 {
-		limit = defaultRNRRetries
-	}
-	st.rnrRetries++
-	if st.rnrRetries > limit {
-		st.broken = true
-		e.Counters.Add(EpRCBroken, 1)
-		e.Counters.Add(EpRCRNRExhausted, 1)
-		return
-	}
-	e.hca.Sim().Cancel(st.retryTimer)
-	st.retryTimer = sim.Event{}
-	st.recovering = true
-	e.hca.Sim().Schedule(rnrDelay(code), func() {
-		if len(st.unacked) == 0 || st.broken {
-			return
-		}
-		st.lastProgress = e.hca.Sim().Now()
-		e.resendHead(q)
-		e.armRetry(q)
-	})
 }

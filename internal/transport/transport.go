@@ -75,19 +75,13 @@ type Config struct {
 	RetryTimeout sim.Time
 	MaxRetries   int
 	// EnableNAK turns on responder-generated explicit NAKs: a PSN gap
-	// answers with a sequence-error NAK and a not-ready receiver with an
-	// RNR NAK, letting the requester recover responder-clocked instead
-	// of waiting out RetryTimeout. Off by default: the base protocol is
-	// bit-for-bit unchanged.
+	// answers with a sequence-error NAK, letting the requester recover
+	// responder-clocked instead of waiting out RetryTimeout. Off by
+	// default: the base protocol is bit-for-bit unchanged.
 	EnableNAK bool
 	// RetryBackoff doubles the retry period after every quiet timeout,
-	// capped at MaxRetryTimeout (zero = 8 × RetryTimeout). Off by
-	// default.
-	RetryBackoff    bool
-	MaxRetryTimeout sim.Time
-	// RNRRetries bounds consecutive receiver-not-ready rounds before the
-	// connection breaks (zero = 7), separately from MaxRetries.
-	RNRRetries int
+	// capped at 8 × RetryTimeout. Off by default.
+	RetryBackoff bool
 }
 
 // QP is one queue pair.
@@ -106,12 +100,6 @@ type QP struct {
 	// periods the requester migrates onto it.
 	AltLID       packet.LID
 	MigrateAfter int
-
-	// RNR receive-side model: while Sim().Now() < RNRUntil the responder
-	// answers in-order requests with an RNR NAK advertising RNRDelay
-	// instead of consuming them (simulates exhausted receive buffers).
-	RNRUntil sim.Time
-	RNRDelay sim.Time
 
 	// AuthRequired turns the paper's on-demand authentication on for
 	// this QP: outgoing packets are signed and unsigned arrivals are

@@ -162,9 +162,6 @@ type RawUDSender struct {
 	HCA   *fabric.HCA
 	Class fabric.Class
 	PKey  packet.PKey
-	// PKeys, when non-nil, replaces PKey per destination: Send uses
-	// PKeys[dst] (a node's row of the run's shared-partition table).
-	PKeys []packet.PKey
 	// LIDOf maps a node index to its LID.
 	LIDOf func(int) packet.LID
 	// Attack marks emitted deliveries as attack traffic.
@@ -175,11 +172,7 @@ type RawUDSender struct {
 
 // Send builds, seals and injects one UD packet of the given payload size.
 func (r *RawUDSender) Send(dst int, size int) {
-	pk := r.PKey
-	if r.PKeys != nil {
-		pk = r.PKeys[dst]
-	}
-	r.SendPKey(dst, size, pk)
+	r.SendPKey(dst, size, r.PKey)
 }
 
 // SendPKey is Send with an explicit P_Key (attackers randomize it).

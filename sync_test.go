@@ -241,6 +241,17 @@ func (m *modulePackages) noteTestRefs(dir string, f *ast.File) {
 	})
 }
 
+// namedByOtherTests reports whether the _test.go files of a directory
+// other than dir name ref (see testRefs).
+func (m *modulePackages) namedByOtherTests(dir, ref string) bool {
+	for d, refs := range m.testRefs {
+		if d != dir && refs[ref] {
+			return true
+		}
+	}
+	return false
+}
+
 // Import checks a package of this module once, recording its
 // definitions and uses, and hands any other to the standard library's
 // source importer.
@@ -308,13 +319,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 		// check reports id unless a non-test file uses it or another
 		// directory's tests name it by ref.
 		check := func(id *ast.Ident, ref, what string) {
-			if !id.IsExported() || used[m.info.Defs[id]] {
+			if !id.IsExported() || used[m.info.Defs[id]] || m.namedByOtherTests(dir, ref) {
 				return
-			}
-			for d, refs := range m.testRefs {
-				if d != dir && refs[ref] {
-					return
-				}
 			}
 			found = append(found, fmt.Sprintf("%s: %s", m.fset.Position(id.Pos()), what))
 		}
@@ -350,5 +356,122 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	if len(found) > 0 {
 		t.Logf("%d test-only exports", len(found))
+	}
+}
+
+// TestNoTestOnlyKnobs keeps options that no run sets out of the module:
+// every exported field of a struct declared in a non-test file under
+// internal/ that a non-test file reads must also be written by one — this
+// module's (cmd/ and examples/ included) or bench/'s. A write is an
+// assignment or ++/-- to the field (or to an element or field inside
+// it), a composite-literal key, &x.F, a method call on x.F, or a copy
+// into x.F. A field read but never written holds its zero value in every
+// run, so the code that reads it is dead; it goes, with the field. As in
+// TestNoTestOnlyExports, a field another directory's _test.go files
+// name, by name, is a seam and stays.
+func TestNoTestOnlyKnobs(t *testing.T) {
+	m := loadModule(t)
+	written := map[types.Object]bool{}
+	// write marks every field selected along e: x.F.G[i] = v writes
+	// both G and F.
+	var write func(e ast.Expr)
+	write = func(e ast.Expr) {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			if v, ok := m.info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+				written[v.Origin()] = true
+			}
+			write(x.X)
+		case *ast.IndexExpr:
+			write(x.X)
+		case *ast.SliceExpr:
+			write(x.X)
+		case *ast.StarExpr:
+			write(x.X)
+		case *ast.ParenExpr:
+			write(x.X)
+		}
+	}
+	for _, files := range m.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						write(lhs)
+					}
+				case *ast.IncDecStmt:
+					write(x.X)
+				case *ast.RangeStmt:
+					if x.Tok == token.ASSIGN {
+						write(x.Key)
+						if x.Value != nil {
+							write(x.Value)
+						}
+					}
+				case *ast.UnaryExpr:
+					if x.Op == token.AND {
+						write(x.X)
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := x.Key.(*ast.Ident); ok {
+						if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+							written[v.Origin()] = true
+						}
+					}
+				case *ast.CallExpr:
+					if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
+						if _, ok := m.info.Uses[sel.Sel].(*types.Func); ok {
+							write(sel.X)
+						}
+					}
+					if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "copy" && len(x.Args) > 0 {
+						write(x.Args[0])
+					}
+				}
+				return true
+			})
+		}
+	}
+	read := map[types.Object]bool{}
+	for _, obj := range m.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			read[v.Origin()] = true
+		}
+	}
+	var found []string
+	for path, dir := range m.dirs {
+		if !strings.HasPrefix(path, "ibasec/internal/") {
+			continue
+		}
+		for _, f := range m.files[dir] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, fld := range st.Fields.List {
+					for _, id := range fld.Names {
+						obj := m.info.Defs[id]
+						if !id.IsExported() || !read[obj] || written[obj] || m.namedByOtherTests(dir, "."+id.Name) {
+							continue
+						}
+						found = append(found, fmt.Sprintf("%s: field %s.%s", m.fset.Position(id.Pos()), ts.Name.Name, id.Name))
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(found)
+	for _, f := range found {
+		t.Errorf("%s is read by non-test code but written only by tests, or by nothing: delete it and the code that reads it", f)
+	}
+	if len(found) > 0 {
+		t.Logf("%d test-only knobs", len(found))
 	}
 }
