@@ -131,7 +131,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	fail := func(err error) int {
-		fmt.Fprintf(stderr, "ibsim: %v\n", err)
+		report(stderr, err)
 		return 1
 	}
 
@@ -216,6 +216,28 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	return 0
+}
+
+// report writes err as one "ibsim: " line, then the stack of each job
+// panic inside it, under the point that panicked.
+func report(w io.Writer, err error) {
+	fmt.Fprintf(w, "ibsim: %v\n", err)
+	var walk func(err error, job *runner.JobError)
+	walk = func(err error, job *runner.JobError) {
+		switch e := err.(type) {
+		case *runner.PanicError:
+			fmt.Fprintf(w, "ibsim: %s[%s] panicked: %v\n%s", job.Experiment, job.Key, e.Value, e.Stack)
+		case *runner.JobError:
+			walk(e.Err, e)
+		case interface{ Unwrap() []error }:
+			for _, err := range e.Unwrap() {
+				walk(err, job)
+			}
+		case interface{ Unwrap() error }:
+			walk(e.Unwrap(), job)
+		}
+	}
+	walk(err, nil)
 }
 
 // parse is every command's one flag path: it registers x's flags on a

@@ -3,11 +3,16 @@ package main
 import (
 	"bytes"
 	"cmp"
+	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ibasec/internal/runner"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
@@ -309,5 +314,39 @@ func TestBadInputKeepsProfile(t *testing.T) {
 	}
 	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
 		t.Fatalf("CPU profile not flushed: %v, %v", st, err)
+	}
+}
+
+// panickingPoint is a point function that panics, so its name must show
+// in the stack report prints.
+func panickingPoint(context.Context) (int, error) { panic("boom") }
+
+// TestReportPrintsPanicStack holds report to printing, after the error
+// line, the stack of a point that panicked, attributed to the point,
+// even when the error arrives wrapped the way the all command wraps it;
+// an error with no panic in it stays one line.
+func TestReportPrintsPanicStack(t *testing.T) {
+	ok := func(context.Context) (int, error) { return 0, nil }
+	_, err := runner.Run(context.Background(), runner.New(runner.Options{Workers: 1}), []runner.Job[int]{
+		{Experiment: "demo", Key: "p=0", Index: 0, Run: ok},
+		{Experiment: "demo", Key: "p=1", Index: 1, Run: panickingPoint},
+	})
+	if err == nil {
+		t.Fatal("a panicking point produced no error")
+	}
+	var out bytes.Buffer
+	report(&out, fmt.Errorf("1/1 experiments failed:\n%w", errors.Join(fmt.Errorf("demo: %w", err))))
+	got := out.String()
+	first, rest, _ := strings.Cut(got, "\n")
+	if !strings.HasPrefix(first, "ibsim: 1/1 experiments failed:") {
+		t.Fatalf("report does not start with the error line:\n%s", got)
+	}
+	if !strings.Contains(rest, "ibsim: demo[p=1] panicked: boom\n") || !strings.Contains(rest, "ibsim.panickingPoint(") {
+		t.Fatalf("report lacks the attributed stack of panickingPoint:\n%s", got)
+	}
+	out.Reset()
+	report(&out, errors.New("plain failure"))
+	if got := out.String(); got != "ibsim: plain failure\n" {
+		t.Fatalf("report of an error with no panic = %q, want one line", got)
 	}
 }

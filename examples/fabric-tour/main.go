@@ -31,6 +31,13 @@ func buildMesh(params *fabric.Params) (*sim.Simulator, *topology.Mesh, []*transp
 	return s, mesh, eps
 }
 
+// check exits non-zero on a transport call's error.
+func check(err error) {
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
 func arbitrationDemo() {
 	fmt.Println("== VL arbitration: strict priority vs IBA weighted tables ==")
 	for _, mode := range []fabric.ArbitrationMode{fabric.ArbStrictPriority, fabric.ArbWeighted} {
@@ -48,15 +55,15 @@ func arbitrationDemo() {
 		var order []string
 		peerRT.OnRecv = func([]byte, packet.LID, packet.QPN) { order = append(order, "RT") }
 		peerBE.OnRecv = func([]byte, packet.LID, packet.QPN) { order = append(order, "BE") }
-		eps[0].ConnectRC(rcRT, topology.LIDOf(1), peerRT.N, nil)
-		eps[0].ConnectUC(rcBE, topology.LIDOf(1), peerBE.N, nil)
+		check(eps[0].ConnectRC(rcRT, topology.LIDOf(1), peerRT.N, nil))
+		check(eps[0].ConnectUC(rcBE, topology.LIDOf(1), peerBE.N, nil))
 		s.Run()
 
 		for i := 0; i < 3; i++ {
-			eps[0].SendUC(rcBE, make([]byte, 1024), fabric.ClassBestEffort)
+			check(eps[0].SendUC(rcBE, make([]byte, 1024), fabric.ClassBestEffort))
 		}
 		for i := 0; i < 6; i++ {
-			eps[0].SendRC(rcRT, make([]byte, 1024), fabric.ClassRealtime)
+			check(eps[0].SendRC(rcRT, make([]byte, 1024), fabric.ClassRealtime))
 		}
 		s.Run()
 		fmt.Printf("  %-16v service order: %v\n", mode, order)
@@ -77,14 +84,12 @@ func failureDemo() {
 	b := eps[3].CreateRCQP(pkey)
 	delivered := 0
 	b.OnRecv = func([]byte, packet.LID, packet.QPN) { delivered++ }
-	eps[0].ConnectRC(a, topology.LIDOf(3), b.N, nil)
+	check(eps[0].ConnectRC(a, topology.LIDOf(3), b.N, nil))
 	s.Run()
 
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := eps[0].SendRC(a, make([]byte, 1024), fabric.ClassBestEffort); err != nil {
-			log.Fatal(err)
-		}
+		check(eps[0].SendRC(a, make([]byte, 1024), fabric.ClassBestEffort))
 	}
 	s.Run()
 	var crcDrops uint64
@@ -107,21 +112,17 @@ func rdmaDemo() {
 	s, _, eps := buildMesh(params)
 	a := eps[0].CreateRCQP(pkey)
 	b := eps[2].CreateRCQP(pkey)
-	eps[0].ConnectRC(a, topology.LIDOf(2), b.N, nil)
+	check(eps[0].ConnectRC(a, topology.LIDOf(2), b.N, nil))
 	s.Run()
 
 	region := eps[2].RegisterMemory(256)
-	if err := eps[0].RDMAWrite(a, region.VA, region.RKey, []byte("written by node 0 via RDMA"), fabric.ClassBestEffort); err != nil {
-		log.Fatal(err)
-	}
+	check(eps[0].RDMAWrite(a, region.VA, region.RKey, []byte("written by node 0 via RDMA"), fabric.ClassBestEffort))
 	s.Run()
 
 	var readBack []byte
-	if err := eps[0].RDMARead(a, region.VA, region.RKey, 26, fabric.ClassBestEffort, func(data []byte) {
+	check(eps[0].RDMARead(a, region.VA, region.RKey, 26, fabric.ClassBestEffort, func(data []byte) {
 		readBack = data
-	}); err != nil {
-		log.Fatal(err)
-	}
+	}))
 	s.Run()
 	fmt.Printf("  wrote then read back: %q\n", readBack)
 	fmt.Printf("  responder counters: %s\n", eps[2].Counters.String())

@@ -7,7 +7,6 @@ import (
 
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
-	"ibasec/internal/faults"
 	"ibasec/internal/keys"
 	"ibasec/internal/mac"
 	"ibasec/internal/metrics"
@@ -135,9 +134,6 @@ type Cluster struct {
 	// Resweeper is the SM's periodic self-healing loop, non-nil when
 	// Config.ResweepPeriod > 0 (wired during Simulate).
 	Resweeper *sm.Resweeper
-	// Injector is the installed fault plan's handle, non-nil when
-	// Config.FaultPlan != nil (wired during Simulate).
-	Injector *faults.Injector
 	// HA is the SM failover coordinator, non-nil when Config.HA has
 	// standbys or the fault plan schedules an SMKill.
 	HA *sm.Coordinator

@@ -55,7 +55,6 @@ type FaultRow struct {
 
 // rcProbe is one reliable probe flow of the fault experiment.
 type rcProbe struct {
-	src, dst  int
 	qp        *transport.QP
 	ep        *transport.Endpoint
 	connected bool
@@ -300,7 +299,7 @@ func armRCProbes(cl *Cluster, pairs []rcPair, tcfg transport.Config, altPath fun
 				return nil, nil, nil, err
 			}
 		}
-		probe := &rcProbe{src: pr.a, dst: pr.b, qp: qpA, ep: epA, latency: lat}
+		probe := &rcProbe{qp: qpA, ep: epA, latency: lat}
 		qpB.OnRecv = func(payload []byte, _ packet.LID, _ packet.QPN) {
 			if len(payload) < 8 {
 				return
@@ -369,12 +368,10 @@ func (cl *Cluster) startResweeper() {
 // they are scheduled here and not in faults.Install.
 func (cl *Cluster) installFaultPlan() {
 	plan := cl.Cfg.FaultPlan
-	inj, err := faults.Install(cl.Sim, cl.Mesh, cl.Cfg.Params, plan)
-	if err != nil {
+	if err := faults.Install(cl.Sim, cl.Mesh, cl.Cfg.Params, plan); err != nil {
 		// The plan was validated against this mesh in Build.
 		panic(fmt.Sprintf("core: installing fault plan: %v", err))
 	}
-	cl.Injector = inj
 
 	for _, sk := range plan.SMKills {
 		cl.Sim.ScheduleAt(sk.At, func() {

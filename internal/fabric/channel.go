@@ -22,9 +22,7 @@ type Device interface {
 // Port is one physical port of a device. Its out channel transmits toward
 // the link peer; arriving packets are handed to the owning device.
 type Port struct {
-	owner Device
-	id    int
-	out   *outChannel
+	out *outChannel
 
 	// health holds the port's IBA PortCounters (swept by the
 	// Performance Management plane); trapArmed is the port's

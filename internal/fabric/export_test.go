@@ -18,3 +18,12 @@ func (sw *Switch) QueueDepth(port int) int {
 	}
 	return n
 }
+
+// FECNMarked returns the packets FECN-marked on one output port (zero
+// for unconnected ports).
+func (sw *Switch) FECNMarked(port int) uint64 {
+	if port < 0 || port >= len(sw.ports) || sw.ports[port].out == nil {
+		return 0
+	}
+	return sw.ports[port].out.fecnMarked
+}

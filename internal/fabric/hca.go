@@ -101,7 +101,6 @@ func NewHCAs(s *sim.Simulator, params *Params, n int, name func(i int) string) [
 			PKeyTable: &tables[i],
 		}
 		h.Counters.Bind(&hcaCounters, h.ctr[:])
-		h.port = Port{owner: h, id: 0}
 		out[i] = h
 	}
 	return out

@@ -105,9 +105,6 @@ func NewSwitches(s *sim.Simulator, params *Params, n, nports, lids int, name fun
 			fwd:     fwd[i*lids : (i+1)*lids : (i+1)*lids],
 		}
 		sw.Counters.Bind(&switchCounters, sw.ctr[:])
-		for j := range sw.ports {
-			sw.ports[j] = Port{owner: sw, id: j}
-		}
 		out[i] = sw
 	}
 	return out
@@ -227,15 +224,6 @@ func (sw *Switch) SetCongestionControl(markingThreshold int) {
 			ch.ccThreshold = markingThreshold
 		}
 	}
-}
-
-// FECNMarked returns the packets FECN-marked on one output port (zero
-// for unconnected ports).
-func (sw *Switch) FECNMarked(port int) uint64 {
-	if port < 0 || port >= len(sw.ports) || sw.ports[port].out == nil {
-		return 0
-	}
-	return sw.ports[port].out.fecnMarked
 }
 
 // FECNMarkedTotal sums FECN markings over all output ports — non-zero

@@ -302,35 +302,28 @@ func (p *Plan) Validate(m *topology.Mesh) error {
 	return nil
 }
 
-// Injector is an installed plan's runtime handle.
-type Injector struct {
-	mesh *topology.Mesh
-	plan *Plan
-}
-
 // Install validates the plan and schedules every fault on the simulator.
 // params must be the same Params the mesh was built with (BER bursts
 // mutate it; callers that also run clean experiments must hand each run
 // its own copy). Install must be called before the simulator runs past
 // the earliest fault time.
-func Install(s *sim.Simulator, m *topology.Mesh, params *fabric.Params, p *Plan) (*Injector, error) {
+func Install(s *sim.Simulator, m *topology.Mesh, params *fabric.Params, p *Plan) error {
 	if err := p.Validate(m); err != nil {
-		return nil, err
+		return err
 	}
-	inj := &Injector{mesh: m, plan: p}
 	rng := sim.NewRand(p.Seed ^ 0x0FA17)
 
 	for _, lk := range p.Links {
-		s.ScheduleAt(lk.DownAt, func() { inj.setLink(lk.Link, false) })
+		s.ScheduleAt(lk.DownAt, func() { setLink(m, lk.Link, false) })
 		if lk.UpAt > lk.DownAt {
-			s.ScheduleAt(lk.UpAt, func() { inj.setLink(lk.Link, true) })
+			s.ScheduleAt(lk.UpAt, func() { setLink(m, lk.Link, true) })
 		}
 	}
 	for _, pt := range p.Partitions {
 		for _, l := range pt.CutLinks(m.W, m.H) {
-			s.ScheduleAt(pt.DownAt, func() { inj.setLink(l, false) })
+			s.ScheduleAt(pt.DownAt, func() { setLink(m, l, false) })
 			if pt.UpAt > pt.DownAt {
-				s.ScheduleAt(pt.UpAt, func() { inj.setLink(l, true) })
+				s.ScheduleAt(pt.UpAt, func() { setLink(m, l, true) })
 			}
 		}
 	}
@@ -352,57 +345,57 @@ func Install(s *sim.Simulator, m *topology.Mesh, params *fabric.Params, p *Plan)
 			if params.RNG == nil {
 				params.RNG = rng
 			}
-			inj.setLinkBER(lb.Link, lb.Rate)
+			setLinkBER(m, lb.Link, lb.Rate)
 		})
 		if lb.Until > lb.From {
-			s.ScheduleAt(lb.Until, func() { inj.clearLinkBER(lb.Link) })
+			s.ScheduleAt(lb.Until, func() { clearLinkBER(m, lb.Link) })
 		}
 	}
-	return inj, nil
+	return nil
 }
 
 // setLink changes both halves of a full-duplex link.
-func (inj *Injector) setLink(l topology.LinkID, up bool) {
-	inj.mesh.Switches[l.Switch].SetLinkState(l.Port, up)
-	isHCA, peer, peerPort, ok := inj.mesh.LinkPeer(l.Switch, l.Port)
+func setLink(m *topology.Mesh, l topology.LinkID, up bool) {
+	m.Switches[l.Switch].SetLinkState(l.Port, up)
+	isHCA, peer, peerPort, ok := m.LinkPeer(l.Switch, l.Port)
 	if !ok {
 		return
 	}
 	if isHCA {
-		inj.mesh.HCAs[peer].SetLinkState(up)
+		m.HCAs[peer].SetLinkState(up)
 	} else {
-		inj.mesh.Switches[peer].SetLinkState(peerPort, up)
+		m.Switches[peer].SetLinkState(peerPort, up)
 	}
 }
 
 // setLinkBER raises a per-link bit-error override on both halves of a
 // full-duplex link: a marginal cable corrupts traffic in both
 // directions.
-func (inj *Injector) setLinkBER(l topology.LinkID, rate float64) {
-	inj.mesh.Switches[l.Switch].SetPortBER(l.Port, rate)
-	isHCA, peer, peerPort, ok := inj.mesh.LinkPeer(l.Switch, l.Port)
+func setLinkBER(m *topology.Mesh, l topology.LinkID, rate float64) {
+	m.Switches[l.Switch].SetPortBER(l.Port, rate)
+	isHCA, peer, peerPort, ok := m.LinkPeer(l.Switch, l.Port)
 	if !ok {
 		return
 	}
 	if isHCA {
-		inj.mesh.HCAs[peer].SetLinkBER(rate)
+		m.HCAs[peer].SetLinkBER(rate)
 	} else {
-		inj.mesh.Switches[peer].SetPortBER(peerPort, rate)
+		m.Switches[peer].SetPortBER(peerPort, rate)
 	}
 }
 
 // clearLinkBER drops the override from both halves, restoring the
 // fabric-wide rate.
-func (inj *Injector) clearLinkBER(l topology.LinkID) {
-	inj.mesh.Switches[l.Switch].ClearPortBER(l.Port)
-	isHCA, peer, peerPort, ok := inj.mesh.LinkPeer(l.Switch, l.Port)
+func clearLinkBER(m *topology.Mesh, l topology.LinkID) {
+	m.Switches[l.Switch].ClearPortBER(l.Port)
+	isHCA, peer, peerPort, ok := m.LinkPeer(l.Switch, l.Port)
 	if !ok {
 		return
 	}
 	if isHCA {
-		inj.mesh.HCAs[peer].ClearLinkBER()
+		m.HCAs[peer].ClearLinkBER()
 	} else {
-		inj.mesh.Switches[peer].ClearPortBER(peerPort)
+		m.Switches[peer].ClearPortBER(peerPort)
 	}
 }
 

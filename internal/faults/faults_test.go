@@ -235,7 +235,7 @@ func TestPartitionInstallHeal(t *testing.T) {
 	pt := Bisect(2, 2, 1) // island A: column 0 (switches 0, 2)
 	pt.DownAt = 10 * sim.Microsecond
 	pt.UpAt = 40 * sim.Microsecond
-	if _, err := Install(s, m, fabric.DefaultParams(), &Plan{Partitions: []Partition{pt}}); err != nil {
+	if err := Install(s, m, fabric.DefaultParams(), &Plan{Partitions: []Partition{pt}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -279,7 +279,7 @@ func TestInstallLinkKillBlackholes(t *testing.T) {
 		Link:   topology.LinkID{Switch: 0, Port: topology.PortEast},
 		DownAt: 10 * sim.Microsecond,
 	}}}
-	if _, err := Install(s, m, fabric.DefaultParams(), p); err != nil {
+	if err := Install(s, m, fabric.DefaultParams(), p); err != nil {
 		t.Fatal(err)
 	}
 	// Traffic from node 0 to node 1 crosses the doomed link; send one
@@ -388,7 +388,7 @@ func TestInstallLinkBERWindow(t *testing.T) {
 		Rate: 1e-3,
 		From: 10 * sim.Microsecond, Until: 100 * sim.Microsecond,
 	}}}
-	if _, err := Install(s, m, params, p); err != nil {
+	if err := Install(s, m, params, p); err != nil {
 		t.Fatal(err)
 	}
 	m.HCA(0).PKeyTable.Add(0x8001)

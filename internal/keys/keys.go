@@ -26,9 +26,6 @@ type (
 	BKey uint64
 )
 
-// LKey is a 32-bit local memory key.
-type LKey uint32
-
 // SecretKeySize is the size of the authentication secret keys generated
 // by both management schemes (sized for UMAC/AES-128).
 const SecretKeySize = 16

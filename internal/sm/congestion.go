@@ -3,7 +3,6 @@ package sm
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"ibasec/internal/fabric"
 	"ibasec/internal/sim"
@@ -90,49 +89,20 @@ func (m *SubnetManager) ProgramCongestionControl(cc fabric.CCParams) {
 	m.SetSyncState(CCMagic, blob)
 }
 
-// CongestionLogEntry is one switch's row of the SM's congestion log
-// (the annex's SwitchCongestionLog attribute, reduced to what the
-// simulator measures): how many packets the switch FECN-marked per
-// port, and the time its output ports spent credit-stalled.
-type CongestionLogEntry struct {
-	Switch      int
-	PortMarked  []uint64
-	TotalMarked uint64
-	StallNs     uint64
-}
-
-// QueryCongestionLog collects the congestion log from every switch the
-// SM serves, in switch order, charging one query MAD per switch.
-// Switches with no marking activity are omitted — the log's length is
-// the span of the congestion tree.
-func (m *SubnetManager) QueryCongestionLog() []CongestionLogEntry {
-	var log []CongestionLogEntry
+// CongestionTreeSpan returns the number of served switches with any
+// marking activity — the blast-radius metric the congestion experiment
+// sweeps. It reads each served switch's marks, charging one congestion
+// log query MAD per switch (the annex's SwitchCongestionLog attribute).
+func (m *SubnetManager) CongestionTreeSpan() int {
+	span := 0
 	for i, sw := range m.mesh.Switches {
 		if !m.InIsland(i) {
 			continue
 		}
 		m.Counters.Add(SMCCLogQueries, 1)
-		total := sw.FECNMarkedTotal()
-		if total == 0 {
-			continue
+		if sw.FECNMarkedTotal() != 0 {
+			span++
 		}
-		e := CongestionLogEntry{
-			Switch:      i,
-			TotalMarked: total,
-			StallNs:     uint64(sw.CreditStallTime()),
-		}
-		for p := 0; p < sw.NumPorts(); p++ {
-			e.PortMarked = append(e.PortMarked, sw.FECNMarked(p))
-		}
-		log = append(log, e)
 	}
-	sort.Slice(log, func(a, b int) bool { return log[a].Switch < log[b].Switch })
-	return log
-}
-
-// CongestionTreeSpan returns the number of served switches with any
-// marking activity — the blast-radius metric the congestion experiment
-// sweeps.
-func (m *SubnetManager) CongestionTreeSpan() int {
-	return len(m.QueryCongestionLog())
+	return span
 }

@@ -231,8 +231,8 @@ func TestProgramCongestionControl(t *testing.T) {
 	if err != nil || want != cc {
 		t.Fatalf("SM did not retain the synced blob: %v %+v", err, want)
 	}
-	if len(r.m.QueryCongestionLog()) != 0 {
-		t.Fatal("congestion log non-empty on an idle fabric")
+	if r.m.CongestionTreeSpan() != 0 {
+		t.Fatal("congestion tree spans switches on an idle fabric")
 	}
 
 	r.m.ProgramCongestionControl(fabric.CCParams{})

@@ -351,8 +351,6 @@ type TakeoverEvent struct {
 	// HealedAt is when the re-sweep finished and switch P_Key tables and
 	// traps were re-installed — full enforcement restored.
 	HealedAt sim.Time
-	// NewMaster is the winning standby's mesh node index.
-	NewMaster int
 	// ProbeMADs counts the SMPs the bounded re-sweep spent re-verifying
 	// fabric state before reprogramming.
 	ProbeMADs int
@@ -962,7 +960,6 @@ func (e *election) finish(topo *DiscoveredTopology) {
 		DetectedAt: r.detected,
 		ElectedAt:  r.elected,
 		HealedAt:   c.sim.Now(),
-		NewMaster:  c.nodes[r.i],
 		ProbeMADs:  topo.Probes,
 	})
 	if c.OnTakeover != nil {

@@ -140,7 +140,6 @@ type HealthEvent struct {
 	At   sim.Time
 	// Quarantined true: the link was fenced; false: re-admitted.
 	Quarantined bool
-	Score       float64
 	Flaps       int // quarantine entries so far, this one included
 }
 
@@ -467,7 +466,7 @@ func (pm *PerfMgr) decide(i int) bool {
 		st.holdUntil = now + pm.holdFor(st.flaps)
 		pm.quarantined[l] = true
 		pm.Counters.Add(PMQuarantines, 1)
-		pm.emit(HealthEvent{Link: l, At: now, Quarantined: true, Score: st.score, Flaps: st.flaps})
+		pm.emit(HealthEvent{Link: l, At: now, Quarantined: true, Flaps: st.flaps})
 		return true
 	}
 	// Quarantined: a fenced link carries no traffic, so its score decays
@@ -477,7 +476,7 @@ func (pm *PerfMgr) decide(i int) bool {
 		st.quarantined = false
 		delete(pm.quarantined, l)
 		pm.Counters.Add(PMReadmits, 1)
-		pm.emit(HealthEvent{Link: l, At: now, Quarantined: false, Score: st.score, Flaps: st.flaps})
+		pm.emit(HealthEvent{Link: l, At: now, Quarantined: false, Flaps: st.flaps})
 		return true
 	}
 	return false

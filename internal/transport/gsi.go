@@ -33,14 +33,12 @@ const (
 
 type qkeyRequest struct {
 	q      *QP
-	dstLID packet.LID
 	target packet.QPN
 	cb     func(qkey packet.QKey, err error)
 }
 
 type rcRequest struct {
 	q      *QP
-	dstLID packet.LID
 	target packet.QPN
 	secret keys.SecretKey
 	cb     func(err error)
@@ -84,7 +82,7 @@ func (e *Endpoint) RequestQKey(q *QP, dstLID packet.LID, targetQPN packet.QPN, c
 	if e.pendingQKey == nil {
 		e.pendingQKey = make(map[pendKey]*qkeyRequest)
 	}
-	e.pendingQKey[pendKey{q.N, dstLID}] = &qkeyRequest{q: q, dstLID: dstLID, target: targetQPN, cb: cb}
+	e.pendingQKey[pendKey{q.N, dstLID}] = &qkeyRequest{q: q, target: targetQPN, cb: cb}
 	e.Counters.Add(EpQKeyRequests, 1)
 	e.sendGSI(dstLID, q.PKey, gsiHeader(gsiQKeyRequest, q.N, targetQPN))
 	return nil
@@ -103,7 +101,7 @@ func (e *Endpoint) connect(q *QP, svc packet.Service, counter EndpointCounter, d
 	if q.Service != svc {
 		return ErrNotRC
 	}
-	req := &rcRequest{q: q, dstLID: dstLID, target: targetQPN, cb: cb}
+	req := &rcRequest{q: q, target: targetQPN, cb: cb}
 	payload := gsiHeader(gsiRCConnectReq, q.N, targetQPN)
 	if e.cfg.KeyLevel == QPLevel {
 		secret, env, err := e.issueFor(dstLID)

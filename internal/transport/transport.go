@@ -130,7 +130,6 @@ func (q *QP) nextPSN() uint32 {
 type MemoryRegion struct {
 	VA   uint64
 	Data []byte
-	LKey keys.LKey
 	RKey packet.RKey
 }
 
@@ -285,13 +284,12 @@ func (e *Endpoint) QPByNumber(n packet.QPN) (*QP, bool) {
 	return nil, false
 }
 
-// RegisterMemory registers size bytes and returns the region with fresh
-// L_Key/R_Key values (IBA 10.6). The VA space is per-endpoint.
+// RegisterMemory registers size bytes and returns the region with a
+// fresh R_Key (IBA 10.6). The VA space is per-endpoint.
 func (e *Endpoint) RegisterMemory(size int) *MemoryRegion {
 	r := &MemoryRegion{
 		VA:   e.nextVA,
 		Data: make([]byte, size),
-		LKey: keys.LKey(0x10000 + uint32(len(e.regions))),
 		RKey: packet.RKey(0x20000 + uint32(len(e.regions))),
 	}
 	e.nextVA += uint64(size) + 0x1000

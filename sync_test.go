@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -162,13 +163,33 @@ type modulePackages struct {
 	testRefs map[string]map[string]bool
 }
 
+var (
+	moduleOnce    sync.Once
+	module        *modulePackages
+	moduleLoadErr error
+)
+
+// loadModule type-checks the module once per test binary; the
+// declaration gates share the result and only read it.
 func loadModule(t *testing.T) *modulePackages {
 	t.Helper()
+	moduleOnce.Do(func() { module, moduleLoadErr = checkModule() })
+	if moduleLoadErr != nil {
+		t.Fatal(moduleLoadErr)
+	}
+	return module
+}
+
+func checkModule() (*modulePackages, error) {
 	fset := token.NewFileSet()
 	m := &modulePackages{
-		fset:     fset,
-		std:      importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		info:     types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		info: types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		},
 		dirs:     map[string]string{},
 		files:    map[string][]*ast.File{},
 		pkgs:     map[string]*types.Package{},
@@ -204,14 +225,14 @@ func loadModule(t *testing.T) *modulePackages {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	for path := range m.dirs {
 		if _, err := m.Import(path); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
-	return m
+	return m, nil
 }
 
 // noteTestRefs records the selectors of a _test.go file in dir.
@@ -359,37 +380,30 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
-// TestNoTestOnlyKnobs keeps options that no run sets out of the module:
-// every exported field of a struct declared in a non-test file under
-// internal/ that a non-test file reads must also be written by one — this
-// module's (cmd/ and examples/ included) or bench/'s. A write is an
-// assignment or ++/-- to the field (or to an element or field inside
-// it), a composite-literal key, &x.F, a method call on x.F, or a copy
-// into x.F. A field read but never written holds its zero value in every
-// run, so the code that reads it is dead; it goes, with the field. As in
-// TestNoTestOnlyExports, a field another directory's _test.go files
-// name, by name, is a seam and stays.
-func TestNoTestOnlyKnobs(t *testing.T) {
-	m := loadModule(t)
-	written := map[types.Object]bool{}
-	// write marks every field selected along e: x.F.G[i] = v writes
-	// both G and F.
-	var write func(e ast.Expr)
-	write = func(e ast.Expr) {
+// fieldWrites hands visit every field identifier a non-test file of
+// the module or bench/ writes through, and whether that write is a
+// store: an assignment or ++/-- to the field (or to an element or field
+// inside it, so x.F.G[i] = v stores through both G and F), or a
+// composite-literal key. The other writes, &x.F, a method call on x.F
+// and a copy into x.F, may read the field too.
+func (m *modulePackages) fieldWrites(visit func(id *ast.Ident, v *types.Var, store bool)) {
+	// write visits every field selected along e.
+	var write func(e ast.Expr, store bool)
+	write = func(e ast.Expr, store bool) {
 		switch x := e.(type) {
 		case *ast.SelectorExpr:
 			if v, ok := m.info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
-				written[v.Origin()] = true
+				visit(x.Sel, v.Origin(), store)
 			}
-			write(x.X)
+			write(x.X, store)
 		case *ast.IndexExpr:
-			write(x.X)
+			write(x.X, store)
 		case *ast.SliceExpr:
-			write(x.X)
+			write(x.X, store)
 		case *ast.StarExpr:
-			write(x.X)
+			write(x.X, store)
 		case *ast.ParenExpr:
-			write(x.X)
+			write(x.X, store)
 		}
 	}
 	for _, files := range m.files {
@@ -398,48 +412,47 @@ func TestNoTestOnlyKnobs(t *testing.T) {
 				switch x := n.(type) {
 				case *ast.AssignStmt:
 					for _, lhs := range x.Lhs {
-						write(lhs)
+						write(lhs, true)
 					}
 				case *ast.IncDecStmt:
-					write(x.X)
+					write(x.X, true)
 				case *ast.RangeStmt:
 					if x.Tok == token.ASSIGN {
-						write(x.Key)
+						write(x.Key, true)
 						if x.Value != nil {
-							write(x.Value)
+							write(x.Value, true)
 						}
 					}
 				case *ast.UnaryExpr:
 					if x.Op == token.AND {
-						write(x.X)
+						write(x.X, false)
 					}
 				case *ast.KeyValueExpr:
 					if id, ok := x.Key.(*ast.Ident); ok {
 						if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
-							written[v.Origin()] = true
+							visit(id, v.Origin(), true)
 						}
 					}
 				case *ast.CallExpr:
 					if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
 						if _, ok := m.info.Uses[sel.Sel].(*types.Func); ok {
-							write(sel.X)
+							write(sel.X, false)
 						}
 					}
 					if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "copy" && len(x.Args) > 0 {
-						write(x.Args[0])
+						write(x.Args[0], false)
 					}
 				}
 				return true
 			})
 		}
 	}
-	read := map[types.Object]bool{}
-	for _, obj := range m.info.Uses {
-		if v, ok := obj.(*types.Var); ok && v.IsField() {
-			read[v.Origin()] = true
-		}
-	}
-	var found []string
+}
+
+// internalFields hands visit every named field of a struct type
+// declared in a non-test file under internal/, with the type's name and
+// its directory.
+func (m *modulePackages) internalFields(visit func(dir string, ts *ast.TypeSpec, fld *ast.Field, id *ast.Ident)) {
 	for path, dir := range m.dirs {
 		if !strings.HasPrefix(path, "ibasec/internal/") {
 			continue
@@ -450,23 +463,45 @@ func TestNoTestOnlyKnobs(t *testing.T) {
 				if !ok {
 					return true
 				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				for _, fld := range st.Fields.List {
-					for _, id := range fld.Names {
-						obj := m.info.Defs[id]
-						if !id.IsExported() || !read[obj] || written[obj] || m.namedByOtherTests(dir, "."+id.Name) {
-							continue
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, fld := range st.Fields.List {
+						for _, id := range fld.Names {
+							visit(dir, ts, fld, id)
 						}
-						found = append(found, fmt.Sprintf("%s: field %s.%s", m.fset.Position(id.Pos()), ts.Name.Name, id.Name))
 					}
 				}
 				return true
 			})
 		}
 	}
+}
+
+// TestNoTestOnlyKnobs keeps options that no run sets out of the module:
+// every exported field of a struct declared in a non-test file under
+// internal/ that a non-test file reads must also be written by one — this
+// module's (cmd/ and examples/ included) or bench/'s (see fieldWrites;
+// any write counts). A field read but never written holds its zero value
+// in every run, so the code that reads it is dead; it goes, with the
+// field. As in TestNoTestOnlyExports, a field another directory's
+// _test.go files name, by name, is a seam and stays.
+func TestNoTestOnlyKnobs(t *testing.T) {
+	m := loadModule(t)
+	written := map[types.Object]bool{}
+	m.fieldWrites(func(_ *ast.Ident, v *types.Var, _ bool) { written[v] = true })
+	read := map[types.Object]bool{}
+	for _, obj := range m.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			read[v.Origin()] = true
+		}
+	}
+	var found []string
+	m.internalFields(func(dir string, ts *ast.TypeSpec, _ *ast.Field, id *ast.Ident) {
+		obj := m.info.Defs[id]
+		if !id.IsExported() || !read[obj] || written[obj] || m.namedByOtherTests(dir, "."+id.Name) {
+			return
+		}
+		found = append(found, fmt.Sprintf("%s: field %s.%s", m.fset.Position(id.Pos()), ts.Name.Name, id.Name))
+	})
 	sort.Strings(found)
 	for _, f := range found {
 		t.Errorf("%s is read by non-test code but written only by tests, or by nothing: delete it and the code that reads it", f)
@@ -474,4 +509,98 @@ func TestNoTestOnlyKnobs(t *testing.T) {
 	if len(found) > 0 {
 		t.Logf("%d test-only knobs", len(found))
 	}
+}
+
+// TestNoWriteOnlyState keeps state that nothing reads out of the
+// module: every field of a struct declared in a non-test file under
+// internal/ that a non-test file stores to (an assignment, ++/-- or a
+// composite-literal key; see fieldWrites) must also be read. Any other
+// use of the field by a non-test file of this module or bench/ is a
+// read, and so is a selector of that name in a _test.go file that can
+// name it: any, for an exported field, and its own package's for an
+// unexported one. A field only ever stored to costs its writes and its
+// bytes and changes no output; it goes, with the code that only
+// computes what it holds. Three kinds of field are read where no
+// identifier shows it and are exempt: a tagged field (csv and json read
+// it by reflection), a field whose name a string literal spells in a
+// file that imports reflect (bench's digest reads Results by name), and
+// a field of a struct type that is a map key or an operand of == or !=,
+// since equality reads every field.
+func TestNoWriteOnlyState(t *testing.T) {
+	m := loadModule(t)
+	stored := map[*ast.Ident]bool{}
+	written := map[types.Object]bool{}
+	m.fieldWrites(func(id *ast.Ident, v *types.Var, store bool) {
+		if store {
+			stored[id] = true
+			written[v] = true
+		}
+	})
+	read := map[types.Object]bool{}
+	for id, obj := range m.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !stored[id] {
+			read[v.Origin()] = true
+		}
+	}
+	// compared holds the struct types whose every field equality reads.
+	compared := map[types.Type]bool{}
+	compare := func(typ types.Type) {
+		if _, ok := typ.Underlying().(*types.Struct); ok {
+			compared[typ] = true
+		}
+	}
+	for e, tv := range m.info.Types {
+		if mt, ok := tv.Type.(*types.Map); ok && tv.IsType() {
+			compare(mt.Key())
+		}
+		if b, ok := e.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
+			compare(m.info.Types[b.X].Type)
+		}
+	}
+	// reflected holds the names that string literals spell in files
+	// that import reflect, which may read a field by its name.
+	reflected := map[string]bool{}
+	for _, files := range m.files {
+		for _, f := range files {
+			if !importsReflect(f) {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if s, err := strconv.Unquote(lit.Value); err == nil {
+						reflected[s] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	var found []string
+	m.internalFields(func(dir string, ts *ast.TypeSpec, fld *ast.Field, id *ast.Ident) {
+		obj := m.info.Defs[id]
+		if !written[obj] || read[obj] || fld.Tag != nil || reflected[id.Name] || compared[m.info.Defs[ts.Name].Type()] {
+			return
+		}
+		// Only the package's own tests can name an unexported field.
+		if m.testRefs[dir]["."+id.Name] || id.IsExported() && m.namedByOtherTests(dir, "."+id.Name) {
+			return
+		}
+		found = append(found, fmt.Sprintf("%s: field %s.%s", m.fset.Position(id.Pos()), ts.Name.Name, id.Name))
+	})
+	sort.Strings(found)
+	for _, f := range found {
+		t.Errorf("%s is written by non-test code but read by nothing: delete it and the code that only fills it", f)
+	}
+	if len(found) > 0 {
+		t.Logf("%d write-only fields", len(found))
+	}
+}
+
+func importsReflect(f *ast.File) bool {
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"reflect"` {
+			return true
+		}
+	}
+	return false
 }
