@@ -43,8 +43,10 @@ import (
 // 1.22 (CI) and 1.24. The all-planes row is held to its byte count plus
 // 10% as well, a narrower margin because it must catch its image reuse
 // slipping back: it allocated 153 kB while a block that had carried a
-// MAD was handed to a full-MTU message, which then cut a new image, and
-// 136 kB once the free list kept full-size blocks apart. (The sweep rows
+// MAD was handed to a full-MTU message, which then cut a new image,
+// 136 kB once the free list kept full-size blocks apart, and 117 kB once
+// only the congestion experiment kept a best-effort tail histogram
+// (16.5 kB). (The sweep rows
 // run their points on a runner pool, whose bytes the race detector
 // moves by more than that margin.)
 func TestRunAllocBudget(t *testing.T) {
@@ -63,10 +65,10 @@ func TestRunAllocBudget(t *testing.T) {
 		// mechanism the row is about engaged in every one.
 		run func(cfg Config) (engaged bool, err error)
 	}{
-		{name: "plain", measured: 64},
+		{name: "plain", measured: 58},
 		{
 			// UMAC-32 tags in the ICRC field, partition-level keys.
-			name: "auth", measured: 93,
+			name: "auth", measured: 87,
 			enable: func(cfg *Config) {
 				cfg.Auth = AuthConfig{Enabled: true, FuncID: AuthUMAC32, Level: PartitionLevel}
 			},
@@ -75,7 +77,7 @@ func TestRunAllocBudget(t *testing.T) {
 		{
 			// The Congestion Control Annex under a line-rate incast flood:
 			// FECN marking, CNP reflection and CCT throttling all run.
-			name: "congestion", measured: 108,
+			name: "congestion", measured: 89,
 			enable: func(cfg *Config) {
 				cfg.Congestion = DefaultCCParams()
 				cfg.Attackers = 1
@@ -89,7 +91,7 @@ func TestRunAllocBudget(t *testing.T) {
 		{
 			// The performance manager at a short sweep period: PortCounters
 			// Get MADs over VL15 on every watched link, scoring, trap arming.
-			name: "health", measured: 94,
+			name: "health", measured: 87,
 			enable: func(cfg *Config) {
 				cfg.Health = HealthParams{SweepPeriod: 40 * Microsecond, TrapThreshold: 6, Damping: true}
 			},
@@ -103,7 +105,7 @@ func TestRunAllocBudget(t *testing.T) {
 			// and the one reroute the composed planes make of a fault-free
 			// fabric (ROADMAP item 2), whose configure pass builds its
 			// maps and one callback per Set.
-			name: "all-planes", measured: 292, bytes: 136112,
+			name: "all-planes", measured: 287, bytes: 117484,
 			enable: func(cfg *Config) {
 				cfg.BestEffortLoad = 0.1
 				cfg.Enforcement = SIF
@@ -122,7 +124,7 @@ func TestRunAllocBudget(t *testing.T) {
 			// burst and two link kills under the healing re-sweep, with RC
 			// probe flows riding them out on retransmission. Two kills
 			// disconnect every 2x2 mesh, so the row runs on 3x3.
-			name: "faults", measured: 1775,
+			name: "faults", measured: 1558,
 			run: func(cfg Config) (bool, error) {
 				cfg.MeshW, cfg.MeshH = 3, 3
 				rows, err := core.FaultsSweep(context.Background(), serial, []float64{1e-5}, []int{2}, cfg)
@@ -137,7 +139,7 @@ func TestRunAllocBudget(t *testing.T) {
 			// One `ibsim apm` cell per recovery arm: BER 1e-5 and one kill
 			// of each probe flow's primary path, recovered by timeout,
 			// NAK or path migration — every arm retransmits.
-			name: "apm", measured: 1637,
+			name: "apm", measured: 1454,
 			run: func(cfg Config) (bool, error) {
 				rows, err := core.APMSweep(context.Background(), serial, []float64{1e-5}, []int{1}, cfg)
 				engaged := len(rows) > 0
@@ -151,7 +153,7 @@ func TestRunAllocBudget(t *testing.T) {
 			// The PerfMgr against one gray link (BER 1e-4 from warm-up to
 			// three quarters of the run): it scores the link's symbol
 			// errors, quarantines it and reroutes around it.
-			name: "health-quarantine", measured: 129,
+			name: "health-quarantine", measured: 122,
 			enable: func(cfg *Config) {
 				cfg.Health = HealthParams{SweepPeriod: 40 * Microsecond, Alpha: 0.5, QuarantineScore: 1, TrapThreshold: 6, Damping: true}
 				cfg.FaultPlan = &faults.Plan{Seed: cfg.Seed, LinkBER: []faults.LinkBER{{

@@ -65,12 +65,6 @@ type Results struct {
 	AuditMADs     uint64
 	RepairMADs    uint64
 
-	// BETail records best-effort network latency (µs) with tail
-	// quantiles; the congestion experiment reads its p99. Always
-	// collected (a histogram add per delivery is noise next to the
-	// Welford pass), always non-nil after Build.
-	BETail *metrics.Recorder
-
 	// Congestion-control aggregates, all zero unless Config.Congestion
 	// enables the annex. AttackerCCT is the largest congestion-control-
 	// table index across attacker HCAs at the end of the run (non-zero
@@ -250,7 +244,7 @@ func Build(cfg Config) (*Cluster, error) {
 		AttackSet: make(map[int]bool),
 		Rng:       rngTraffic,
 		Trace:     ring,
-		res:       &Results{Config: cfg, BETail: metrics.NewRecorder(0, 1000, 2000)},
+		res:       &Results{Config: cfg},
 
 		IslandRotators: make(map[*sm.SubnetManager]*sm.Rotator),
 	}
@@ -488,27 +482,32 @@ func (cl *Cluster) collect(d *fabric.Delivery) {
 	case d.Attack:
 		cl.res.AttackDelivered++
 	case d.Pkt.BTH.OpCode.Service() == packet.ServiceUD:
-		// Only datagram traffic counts toward the legit delivery
-		// statistics: RC probe flows (fault experiments) measure their
-		// own delivery and latency, and their ACK stream would
-		// double-count otherwise.
 		cl.res.DeliveredUD++
-		if d.EnqueuedAt >= cl.Cfg.Warmup {
-			q := d.QueuingTime().Microseconds()
-			net := d.NetworkLatency().Microseconds()
-			switch d.Class {
-			case fabric.ClassRealtime:
-				cl.res.Realtime.AddSample(q, net)
-			case fabric.ClassBestEffort:
-				cl.res.BestEffort.AddSample(q, net)
-				cl.res.BETail.Add(net)
-			}
-			cl.res.DeliveredLegit++
+	}
+	if sampled(d, cl.Cfg.Warmup) {
+		q := d.QueuingTime().Microseconds()
+		net := d.NetworkLatency().Microseconds()
+		switch d.Class {
+		case fabric.ClassRealtime:
+			cl.res.Realtime.AddSample(q, net)
+		case fabric.ClassBestEffort:
+			cl.res.BestEffort.AddSample(q, net)
 		}
+		cl.res.DeliveredLegit++
 	}
 	if ep := cl.Endpoints[d.DeliveredTo]; ep != nil {
 		ep.Deliver(d)
 	}
+}
+
+// sampled reports whether the delivery statistics take d's latency: a
+// datagram, neither management nor attack traffic, enqueued at or after
+// warmup. Only datagram traffic counts toward them: RC probe flows
+// (fault experiments) measure their own delivery and latency, and their
+// ACK stream would double-count otherwise.
+func sampled(d *fabric.Delivery, warmup sim.Time) bool {
+	return d.Class != fabric.ClassManagement && !d.Attack &&
+		d.Pkt.BTH.OpCode.Service() == packet.ServiceUD && d.EnqueuedAt >= warmup
 }
 
 // newDiscoverer returns a fresh SMP prober sourced at node. Every plane

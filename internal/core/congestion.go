@@ -5,6 +5,7 @@ import (
 
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
+	"ibasec/internal/metrics"
 	"ibasec/internal/runner"
 	"ibasec/internal/sim"
 	"ibasec/internal/sm"
@@ -127,6 +128,11 @@ func congestionCfg(base Config, p congestionPoint) Config {
 // the recovery window a CC-on arm drains its throttle state in.
 func runCongestionPoint(base Config, p congestionPoint) (CongestionRow, error) {
 	cfg := congestionCfg(base, p)
+	tail := beTail{warmup: cfg.Warmup, rec: metrics.NewRecorder(0, 1000, 2000)}
+	if cfg.Params != nil { // nil fails Build's validation
+		cfg.Params = cfg.Params.Clone()
+		cfg.Params.Observer = &tail
+	}
 	cl, err := Build(cfg)
 	if err != nil {
 		return CongestionRow{}, err
@@ -171,7 +177,7 @@ func runCongestionPoint(base Config, p congestionPoint) (CongestionRow, error) {
 		Mode:        p.Mode,
 		Rate:        p.Rate,
 		CC:          p.CC,
-		BEp99US:     res.BETail.P99(),
+		BEp99US:     tail.rec.P99(),
 		BEMeanUS:    res.BestEffort.Network.Mean(),
 		Delivered:   res.DeliveredUD,
 		Violations:  res.HCAViolations,
@@ -187,6 +193,20 @@ func runCongestionPoint(base Config, p congestionPoint) (CongestionRow, error) {
 		row.RecoverUS = (recoverAt - attackStop).Microseconds()
 	}
 	return row, nil
+}
+
+// beTail records the network latency (µs) of each best-effort delivery
+// the statistics sample (see sampled), for the row's p99.
+type beTail struct {
+	warmup sim.Time
+	rec    *metrics.Recorder
+}
+
+// Observe implements fabric.Observer.
+func (t *beTail) Observe(_ sim.Time, kind fabric.ObsKind, _ string, d *fabric.Delivery) {
+	if kind == fabric.ObsDeliver && d.Class == fabric.ClassBestEffort && sampled(d, t.warmup) {
+		t.rec.Add(d.NetworkLatency().Microseconds())
+	}
 }
 
 // inheritCongestion carries congestion control across a failover: the

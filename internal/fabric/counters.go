@@ -15,17 +15,12 @@ const (
 	SwForwarded
 	SwHealthTraps
 	SwMADDropped
-	SwSMPAuditEntries
 	SwSMPAuditState
 	SwSMPDupRequests
 	SwSMPMalformed
 	SwSMPMisrouted
 	SwSMPMKeyViolations
-	SwSMPNodeInfo
-	SwSMPPortCounters
-	SwSMPRepairs
 	SwSMPRoutesSet
-	SwSMPTrapRearm
 	SwUnroutable
 	SwVCRCDrops
 	numSwitchCounters
@@ -39,17 +34,12 @@ var switchCounters = metrics.Table{Set: "switch", Names: []string{
 	SwForwarded:         "forwarded",
 	SwHealthTraps:       "health_traps",
 	SwMADDropped:        "mad_dropped",
-	SwSMPAuditEntries:   "smp_audit_entries",
 	SwSMPAuditState:     "smp_audit_state",
 	SwSMPDupRequests:    "smp_dup_requests",
 	SwSMPMalformed:      "smp_malformed",
 	SwSMPMisrouted:      "smp_misrouted",
 	SwSMPMKeyViolations: "smp_mkey_violations",
-	SwSMPNodeInfo:       "smp_nodeinfo",
-	SwSMPPortCounters:   "smp_portcounters",
-	SwSMPRepairs:        "smp_repairs",
 	SwSMPRoutesSet:      "smp_routes_set",
-	SwSMPTrapRearm:      "smp_trap_rearm",
 	SwUnroutable:        "unroutable",
 	SwVCRCDrops:         "vcrc_drops",
 }}
@@ -69,7 +59,6 @@ const (
 	HCADelivered
 	HCAFECNReceived
 	HCAICRCDrops
-	HCAPKeyViolations
 	HCASent
 	HCASMPDupRequests
 	HCASMPDupResponses
@@ -92,7 +81,6 @@ var hcaCounters = metrics.Table{Set: "hca", Names: []string{
 	HCADelivered:         "delivered",
 	HCAFECNReceived:      "fecn_received",
 	HCAICRCDrops:         "icrc_drops",
-	HCAPKeyViolations:    "pkey_violations",
 	HCASent:              "sent",
 	HCASMPDupRequests:    "smp_dup_requests",
 	HCASMPDupResponses:   "smp_dup_responses",

@@ -427,7 +427,6 @@ func (h *HCA) receive(d *Delivery) ObsKind {
 	}
 	if d.Class != ClassManagement && !h.PKeyTable.Check(d.Pkt.BTH.PKey) {
 		h.pkeyViolations++
-		h.Counters.Add(HCAPKeyViolations, 1)
 		h.params.observe(h.sim.Now(), ObsPKeyReject, h.name, d)
 		if h.OnPKeyViolation != nil {
 			h.OnPKeyViolation(int(h.node), d)

@@ -75,9 +75,8 @@ type Auditor struct {
 	paths  [][]byte
 	cfg    AuditConfig
 
-	// Counters: audit_sweeps, audit_skipped (a period elapsed while the
-	// previous sweep was still in flight), audit_mads (Get probes),
-	// audit_unanswered (terminal timeouts), drift_events, repair_mads.
+	// Counters: audit_sweeps, audit_mads (Get probes), audit_unanswered
+	// (terminal timeouts), drift_events, repair_mads.
 	Counters metrics.Set[AuditCounter]
 	ctr      [numAuditCounters]uint64 // Counters' cells
 	// Events accumulates every detected drift in detection order.
@@ -105,24 +104,20 @@ type AuditCounter uint8
 // The ids of an Auditor's counters, in name order.
 const (
 	AuditMADs AuditCounter = iota
-	AuditSkipped
 	AuditSweeps
 	AuditUnanswered
 	AuditDriftEvents
 	AuditRepairMADs
-	AuditRepairsCompleted
 	numAuditCounters
 )
 
 // auditCounters names each id.
 var auditCounters = metrics.Table{Set: "audit", Names: []string{
-	AuditMADs:             "audit_mads",
-	AuditSkipped:          "audit_skipped",
-	AuditSweeps:           "audit_sweeps",
-	AuditUnanswered:       "audit_unanswered",
-	AuditDriftEvents:      "drift_events",
-	AuditRepairMADs:       "repair_mads",
-	AuditRepairsCompleted: "repairs_completed",
+	AuditMADs:        "audit_mads",
+	AuditSweeps:      "audit_sweeps",
+	AuditUnanswered:  "audit_unanswered",
+	AuditDriftEvents: "drift_events",
+	AuditRepairMADs:  "repair_mads",
 }}
 
 // NewAuditor builds an auditor driving disc (which must be the
@@ -165,7 +160,6 @@ func (a *Auditor) Stop() {
 
 func (a *Auditor) tick() {
 	if a.auditing {
-		a.Counters.Add(AuditSkipped, 1)
 		return
 	}
 	a.auditing = true
@@ -354,7 +348,6 @@ func (a *Auditor) repairSwitch(path []byte, ev *DriftEvent) {
 			if pending == 0 && acked == len(fixes) {
 				ev.Repaired = true
 				ev.RepairedAt = a.sim.Now()
-				a.Counters.Add(AuditRepairsCompleted, 1)
 			}
 		}), 0)
 	}

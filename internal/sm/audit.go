@@ -175,7 +175,6 @@ func (a *SwitchAgent) auditEntries(sw *fabric.Switch, pl, resp []byte) {
 		resp[smpOffStatus] = smpStatusUnsupported
 		return
 	}
-	sw.Counters.Add(fabric.SwSMPAuditEntries, 1)
 }
 
 // putAuditChunk encodes an AuditEntries response: the table's size and
@@ -214,5 +213,4 @@ func (a *SwitchAgent) auditRepair(sw *fabric.Switch, pl, resp []byte) {
 		resp[smpOffStatus] = smpStatusUnsupported
 		return
 	}
-	sw.Counters.Add(fabric.SwSMPRepairs, 1)
 }

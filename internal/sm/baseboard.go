@@ -48,7 +48,6 @@ func (b *Baseboard) SetPower(k keys.BKey, on bool) error {
 		return err
 	}
 	b.PowerOn = on
-	b.Counters.Add(BoardPowerOps, 1)
 	return nil
 }
 
@@ -61,6 +60,5 @@ func (b *Baseboard) UpdateFirmware(k keys.BKey, version int) error {
 		return fmt.Errorf("sm: firmware downgrade %d -> %d rejected", b.FirmwareVersion, version)
 	}
 	b.FirmwareVersion = version
-	b.Counters.Add(BoardFirmwareOps, 1)
 	return nil
 }

@@ -91,15 +91,14 @@ func (m *SubnetManager) ProgramCongestionControl(cc fabric.CCParams) {
 
 // CongestionTreeSpan returns the number of served switches with any
 // marking activity — the blast-radius metric the congestion experiment
-// sweeps. It reads each served switch's marks, charging one congestion
-// log query MAD per switch (the annex's SwitchCongestionLog attribute).
+// sweeps. It reads each served switch's marks, as one congestion log
+// query (the annex's SwitchCongestionLog attribute) would.
 func (m *SubnetManager) CongestionTreeSpan() int {
 	span := 0
 	for i, sw := range m.mesh.Switches {
 		if !m.InIsland(i) {
 			continue
 		}
-		m.Counters.Add(SMCCLogQueries, 1)
 		if sw.FECNMarkedTotal() != 0 {
 			span++
 		}

@@ -291,7 +291,6 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 		data[0] = nodeTypeSwitch
 		data[1] = byte(sw.NumPorts())
 		binary.BigEndian.PutUint64(data[2:], sw.GUID())
-		sw.Counters.Add(fabric.SwSMPNodeInfo, 1)
 
 	case fr.Method == smpMethodSet && fr.Attr == smpAttrSetRoute:
 		if fr.MKey != a.MKey {
@@ -315,7 +314,6 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 			break
 		}
 		encodePortCounters(data, sw.PortHealth(port))
-		sw.Counters.Add(fabric.SwSMPPortCounters, 1)
 
 	case fr.Method == smpMethodSet && fr.Attr == smpAttrPortCounters:
 		// PerfMgr re-arms the switch's threshold trap for one port after
@@ -331,7 +329,6 @@ func (a *SwitchAgent) execute(sw *fabric.Switch, inPort int, d *fabric.Delivery,
 			break
 		}
 		sw.RearmHealthTrap(port)
-		sw.Counters.Add(fabric.SwSMPTrapRearm, 1)
 
 	case fr.Method == smpMethodGet && fr.Attr == smpAttrAuditState:
 		a.auditState(sw, resp[:])

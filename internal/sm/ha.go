@@ -38,7 +38,7 @@ var (
 type heartbeatMAD struct {
 	Master uint16 // mesh node index of the sender
 	Seq    uint32
-	Digest uint32 // FNV-1a over the master's partition state (drift check)
+	Digest uint32 // the last state sync's DirDigest; no receiver checks it
 }
 
 // appendHeartbeat appends h's wire image to dst.
@@ -64,10 +64,10 @@ func parseHeartbeat(pl []byte) (heartbeatMAD, error) {
 }
 
 // stateSyncMAD carries the master's partition state to a standby:
-// membership plus the current key epoch per partition, and a digest of
-// the public-key directory so a standby can detect divergence. A parsed
-// one is made of windows into the payload it was parsed from, valid as
-// long as that payload is.
+// membership plus the current key epoch per partition, and DirDigest,
+// the FNV-1a over those partitions (fnv1a32) that the heartbeat carries
+// too. A parsed one is made of windows into the payload it was parsed
+// from, valid as long as that payload is.
 type stateSyncMAD struct {
 	Master     uint16
 	DirDigest  uint32
@@ -273,7 +273,7 @@ func parseCensus(pl []byte) (censusMAD, error) {
 	}, nil
 }
 
-// fnv1a32 is the digest both sides compute over synced state: FNV-1a
+// fnv1a32 is the digest the master sends with its synced state: FNV-1a
 // over each partition's base, epoch and members, big-endian.
 func fnv1a32(parts []syncPartition) uint32 {
 	h := uint32(2166136261)
@@ -604,7 +604,6 @@ func (c *Coordinator) KillMaster() {
 		return
 	}
 	c.dead[c.active] = true
-	c.Counters.Add(HAMasterKills, 1)
 	if c.stopHBs[c.active] != nil {
 		c.stopHBs[c.active]()
 		c.stopHBs[c.active] = nil
@@ -707,7 +706,6 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 		i := c.indexOfNode(node)
 		if i > 0 && !c.dead[i] && !c.isMaster[i] {
 			c.lastHeard[i] = c.sim.Now()
-			c.Counters.Add(HAHeartbeatsReceived, 1)
 		}
 		if c.cfg.SplitBrain && i >= 0 && !c.dead[i] && c.isMaster[i] {
 			// A master hearing another master's beat is the mutual-
@@ -746,11 +744,7 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 			for _, b := range sync.Blobs {
 				c.sms[i].adoptSyncState(b)
 			}
-			if fnv1a32(sync.Partitions) != sync.DirDigest {
-				c.Counters.Add(HASyncDigestMismatch, 1)
-			} else {
-				c.Counters.Add(HASyncsAdopted, 1)
-			}
+			c.Counters.Add(HASyncsAdopted, 1)
 		}
 		return true
 	case haTypeCensusPing:
@@ -761,7 +755,6 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 		// Every node's management agent answers a census ping, SM or not:
 		// reachability is what is being measured, so a dead SM's node
 		// still pongs (its SMA outlives the SM process).
-		c.Counters.Add(HACensusPongsSent, 1)
 		var pong [censusPayloadSize]byte
 		putCensus(pong[:], haTypeCensusPong, censusMAD{Node: uint16(node), ID: cm.ID})
 		c.sendMADFrom(node, int(cm.Node), pong[:])
@@ -774,7 +767,6 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 		if e := c.indexOfNode(node); e >= 0 {
 			if round := c.censuses[e]; round != nil && cm.ID == round.id {
 				round.got[int(cm.Node)] = true
-				c.Counters.Add(HACensusPongsReceived, 1)
 				if len(round.got) == c.mesh.NumNodes() {
 					// Unanimous: the verdict cannot change, deliver it now.
 					// Only a genuine cut ever waits out the full window.
@@ -995,7 +987,6 @@ func (c *Coordinator) runCensus(entry int, done censusDone) {
 		c.sendMADFrom(c.nodes[entry], nd, ping[:])
 		round.pings++
 	}
-	c.Counters.Add(HACensusPings, uint64(round.pings))
 	// The window must cover a fabric-diameter MAD round trip, or healthy
 	// distant nodes read as unreachable and the master contains itself in
 	// a whole fabric. Outlasting the heartbeat is safe: every election
@@ -1042,7 +1033,6 @@ func (h *censusReping) Fire(arg any, id uint64) {
 		}
 		c.sendMADFrom(c.nodes[entry], nd, ping[:])
 		round.pings++
-		c.Counters.Add(HACensusRepings, 1)
 	}
 }
 
@@ -1119,7 +1109,6 @@ func (c *Coordinator) contain(i int, got map[int]bool) {
 // missed every rotation during the partition).
 func (c *Coordinator) uncontain(i int) {
 	c.contained[i] = false
-	c.Counters.Add(HAUncontainments, 1)
 	m := c.sms[i]
 	m.SetIsland(nil)
 	m.ProgramSwitchTables()

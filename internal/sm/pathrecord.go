@@ -32,7 +32,6 @@ func (m *SubnetManager) ProgramAlternatePaths(mkey keys.MKey) error {
 		return err
 	}
 	m.mesh.ProgramAlternatePaths()
-	m.Counters.Add(SMAltPathsProgrammed, 1)
 	return nil
 }
 
@@ -51,12 +50,10 @@ func (m *SubnetManager) QueryPathRecord(mkey keys.MKey, src, dst int, register b
 		return PathRecord{}, fmt.Errorf("sm: path record for invalid pair %d->%d", src, dst)
 	}
 	rec := PathRecord{DLID: topology.LIDOf(dst), AltDLID: topology.AltLIDOf(dst)}
-	m.Counters.Add(SMPathRecords, 1)
 	if register && m.filter != nil && m.filter.Mode() == enforce.SIF {
 		srcLID := topology.LIDOf(src)
 		for _, swi := range m.mesh.AltPathSwitches(src, dst) {
 			m.filter.RegisterAltSource(m.mesh.Switches[swi], srcLID)
-			m.Counters.Add(SMAltRegistrations, 1)
 		}
 	}
 	return rec, nil

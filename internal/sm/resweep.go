@@ -29,7 +29,6 @@ type Resweeper struct {
 	pins  map[uint64]packet.LID
 
 	sweeping bool
-	sweeps   uint64
 	stop     func()
 	// The sweep in progress — when it started, its first detection and,
 	// once probed, its change — and its three steps as func values made
@@ -124,7 +123,6 @@ func (r *Resweeper) tick() {
 		return
 	}
 	r.sweeping = true
-	r.sweeps++
 	r.Counters.Add(ResweepSweeps, 1)
 	r.start, r.detectedAt = r.sim.Now(), 0
 
@@ -180,7 +178,7 @@ func (r *Resweeper) onConfigured(topo *DiscoveredTopology) {
 	r.sweeping = false
 	if r.OnEvent != nil {
 		r.OnEvent(HealEvent{
-			Sweep:      r.sweeps,
+			Sweep:      r.Counters.Value(ResweepSweeps),
 			LostEdges:  r.lost,
 			NewEdges:   r.gained,
 			DetectedAt: r.detectedAt,

@@ -81,8 +81,7 @@ type Rotator struct {
 	free []*rotation
 
 	// Counters: epoch_rollovers (whole-fabric rotation rounds),
-	// epochs_issued (per-partition rotations), forced_rotations
-	// (KeyCompromise responses), retires_scheduled.
+	// forced_rotations (KeyCompromise responses).
 	Counters metrics.Set[RotatorCounter]
 	ctr      [numRotatorCounters]uint64 // Counters' cells
 }
@@ -156,13 +155,11 @@ func (r *Rotator) rotate(pk packet.PKey) error {
 	if err != nil {
 		return err
 	}
-	r.Counters.Add(RotEpochsIssued, 1)
 	rot := r.newRotation()
 	rot.m, rot.pk, rot.fresh, rot.epoch = m, pk, fresh, epoch
 	rot.members = m.appendIslandMembers(rot.members[:0], pk)
 	rot.due = 2
 	r.sim.ScheduleCall(r.cfg.DistributionDelay, (*installEpoch)(r), rot, 0)
-	r.Counters.Add(RotRetiresScheduled, 1)
 	r.sim.ScheduleCall(r.cfg.Grace, (*retireEpoch)(r), rot, 0)
 	return nil
 }

@@ -244,7 +244,6 @@ func (m *SubnetManager) CreatePartition(mkey keys.MKey, pk packet.PKey, members 
 			m.InstallSecret(n, pk, secret, m.Authority.Epoch(pk))
 		}
 	}
-	m.Counters.Add(SMPartitionsCreated, 1)
 	return nil
 }
 
@@ -287,7 +286,6 @@ func (m *SubnetManager) RemoveFromPartition(mkey keys.MKey, pk packet.PKey, node
 	p := &m.partitions[i]
 	p.members = slices.Delete(p.members, idx, idx+1)
 	m.mesh.HCA(node).PKeyTable.Remove(pk)
-	m.Counters.Add(SMMembersRemoved, 1)
 
 	// Destroy everything the evicted node holds before rotating: its copy
 	// of the partition secret and its QP-level send/recv secrets, which
@@ -540,7 +538,6 @@ func (h *trapProcess) Fire(arg any, _ uint64) {
 	m, w := (*SubnetManager)(h), arg.(*trapWork)
 	node := m.mesh.NodeByLID(w.tr.Offender)
 	if node < 0 {
-		m.Counters.Add(SMTrapsUnlocatable, 1)
 		m.doneTrap(w)
 		return
 	}

@@ -158,9 +158,13 @@ type modulePackages struct {
 	files map[string][]*ast.File
 	pkgs  map[string]*types.Package
 	// testRefs holds, per directory, what its _test.go files name:
-	// "path.Name" for a selector on an imported package and ".Name"
-	// for every selector.
+	// "path.Name" for a selector on an imported package, ".Name" for
+	// every selector and "Name" for every identifier. The first
+	// argument of an Add call adds to a counter and reads nothing, so
+	// it is recorded only as a selector.
 	testRefs map[string]map[string]bool
+	// testStrings holds the string literals of every _test.go file.
+	testStrings map[string]bool
 }
 
 var (
@@ -190,10 +194,11 @@ func checkModule() (*modulePackages, error) {
 			Defs:  map[*ast.Ident]types.Object{},
 			Uses:  map[*ast.Ident]types.Object{},
 		},
-		dirs:     map[string]string{},
-		files:    map[string][]*ast.File{},
-		pkgs:     map[string]*types.Package{},
-		testRefs: map[string]map[string]bool{},
+		dirs:        map[string]string{},
+		files:       map[string][]*ast.File{},
+		pkgs:        map[string]*types.Package{},
+		testRefs:    map[string]map[string]bool{},
+		testStrings: map[string]bool{},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -251,15 +256,44 @@ func (m *modulePackages) noteTestRefs(dir string, f *ast.File) {
 		refs = map[string]bool{}
 		m.testRefs[dir] = refs
 	}
+	added := map[*ast.Ident]bool{} // the counter ids of Add calls
 	ast.Inspect(f, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			refs["."+sel.Sel.Name] = true
-			if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-				refs[imports[x.Name]+"."+sel.Sel.Name] = true
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			if id := addedID(x); id != nil {
+				added[id] = true
+			}
+		case *ast.SelectorExpr:
+			refs["."+x.Sel.Name] = true
+			if pkg, ok := x.X.(*ast.Ident); ok && imports[pkg.Name] != "" && !added[x.Sel] {
+				refs[imports[pkg.Name]+"."+x.Sel.Name] = true
+			}
+		case *ast.Ident:
+			if !added[x] {
+				refs[x.Name] = true
+			}
+		case *ast.BasicLit:
+			if s, err := strconv.Unquote(x.Value); err == nil && x.Kind == token.STRING {
+				m.testStrings[s] = true
 			}
 		}
 		return true
 	})
+}
+
+// addedID returns the identifier naming the first argument of call, x
+// or the Name of pkg.Name, when call is an Add method call.
+func addedID(call *ast.CallExpr) *ast.Ident {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Add" || len(call.Args) == 0 {
+		return nil
+	}
+	switch a := call.Args[0].(type) {
+	case *ast.Ident:
+		return a
+	case *ast.SelectorExpr:
+		return a.Sel
+	}
+	return nil
 }
 
 // namedByOtherTests reports whether the _test.go files of a directory
@@ -600,6 +634,161 @@ func importsReflect(f *ast.File) bool {
 	for _, imp := range f.Imports {
 		if imp.Path.Value == `"reflect"` {
 			return true
+		}
+	}
+	return false
+}
+
+// TestNoWriteOnlyCounters keeps counters that nothing reads out of the
+// module (DESIGN §8, Counters): a cell ships with the code that reads
+// it. A counter id, a constant of the ID type of a metrics.Set[ID]
+// field, fails when all of these hold:
+//   - non-test code (the module's, bench/'s and examples/') uses it only
+//     as the first argument of Add and as the key of its name in the
+//     set's metrics.Table;
+//   - no _test.go file names it, other than as the first argument of
+//     an Add;
+//   - its name is a word of no string literal but its own table entry,
+//     test files included, so no Get and no check of printed output
+//     reads it;
+//   - no non-test code reads its whole set: uses a metrics.Set[ID]
+//     other than through Add, Value, Bind or a Get of a literal name,
+//     as String and Names do.
+//
+// Such a cell costs its add and its bytes and changes no output; it
+// goes, with its id, its name and the code that only fed it.
+func TestNoWriteOnlyCounters(t *testing.T) {
+	m := loadModule(t)
+	// idType returns ID when typ is metrics.Set[ID], or a pointer to
+	// one, for a declared ID type, and nil otherwise.
+	idType := func(typ types.Type) types.Type {
+		if p, ok := typ.(*types.Pointer); ok {
+			typ = p.Elem()
+		}
+		if n, ok := typ.(*types.Named); ok && n.Obj().Pkg() != nil &&
+			n.Obj().Pkg().Path() == "ibasec/internal/metrics" && n.Obj().Name() == "Set" && n.TypeArgs().Len() == 1 {
+			if id, ok := n.TypeArgs().At(0).(*types.Named); ok {
+				return id
+			}
+		}
+		return nil
+	}
+	idTypes := map[types.Type]bool{}
+	for _, tv := range m.info.Types {
+		if id := idType(tv.Type); id != nil {
+			idTypes[id] = true
+		}
+	}
+	counter := func(obj types.Object) (*types.Const, bool) {
+		c, ok := obj.(*types.Const)
+		return c, ok && idTypes[c.Type()]
+	}
+	added := map[*ast.Ident]bool{}            // ids passed as Add's first argument
+	entries := map[*ast.Ident]bool{}          // ids keying a table's name
+	entry := map[*types.Const]*ast.BasicLit{} // id → its name in the table
+	consumed := map[ast.Expr]bool{}           // sets read by Add, Value, Bind or Get(literal)
+	spellings := map[string][]*ast.BasicLit{} // string literal → where (nil: a test)
+	for _, files := range m.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CallExpr:
+					sel, ok := x.Fun.(*ast.SelectorExpr)
+					if !ok || idType(m.info.Types[sel.X].Type) == nil {
+						break
+					}
+					switch sel.Sel.Name {
+					case "Add":
+						added[addedID(x)] = true
+						consumed[sel.X] = true
+					case "Value", "Bind":
+						consumed[sel.X] = true
+					case "Get":
+						if lit, ok := x.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							consumed[sel.X] = true
+						}
+					}
+				case *ast.KeyValueExpr:
+					key, _ := x.Key.(*ast.Ident)
+					lit, _ := x.Value.(*ast.BasicLit)
+					if key == nil || lit == nil || lit.Kind != token.STRING {
+						break
+					}
+					if c, ok := counter(m.info.Uses[key]); ok {
+						entries[key] = true
+						entry[c] = lit
+					}
+				case *ast.BasicLit:
+					if s, err := strconv.Unquote(x.Value); err == nil && x.Kind == token.STRING {
+						spellings[s] = append(spellings[s], x)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for s := range m.testStrings {
+		spellings[s] = append(spellings[s], nil)
+	}
+	// printed holds the id types whose whole set non-test code reads.
+	printed := map[types.Type]bool{}
+	for e, tv := range m.info.Types {
+		if id := idType(tv.Type); id != nil && !tv.IsType() && !consumed[e] {
+			printed[id] = true
+		}
+	}
+	read := map[*types.Const]bool{}
+	for id, obj := range m.info.Uses {
+		if c, ok := counter(obj); ok && !added[id] && !entries[id] {
+			read[c] = true
+		}
+	}
+	var found []string
+	for id, obj := range m.info.Defs {
+		c, ok := counter(obj)
+		if !ok || read[c] || printed[c.Type()] || entry[c] == nil {
+			continue
+		}
+		name, _ := strconv.Unquote(entry[c].Value)
+		if spelled(spellings, name, entry[c]) {
+			continue
+		}
+		path := c.Pkg().Path()
+		dir := m.dirs[path]
+		if m.testRefs[dir][c.Name()] || m.testRefs[dir][path+"."+c.Name()] || m.namedByOtherTests(dir, path+"."+c.Name()) {
+			continue
+		}
+		found = append(found, fmt.Sprintf("%s: counter %s (%q)", m.fset.Position(id.Pos()), c.Name(), name))
+	}
+	sort.Strings(found)
+	for _, f := range found {
+		t.Errorf("%s is only ever added to: delete it with its name and its Add calls, or read it", f)
+	}
+	if len(found) > 0 {
+		t.Logf("%d write-only counters", len(found))
+	}
+}
+
+// spelled reports whether name is a word of a string literal other
+// than the one at own: a run of letters, digits and underscores that no
+// such character extends.
+func spelled(spellings map[string][]*ast.BasicLit, name string, own *ast.BasicLit) bool {
+	word := func(b byte) bool {
+		return b == '_' || '0' <= b && b <= '9' || 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z'
+	}
+	for s, at := range spellings {
+		if len(at) == 1 && at[0] == own {
+			continue
+		}
+		for i := 0; ; i++ {
+			j := strings.Index(s[i:], name)
+			if j < 0 {
+				break
+			}
+			i += j
+			if end := i + len(name); (i == 0 || !word(s[i-1])) && (end == len(s) || !word(s[end])) {
+				return true
+			}
 		}
 	}
 	return false
