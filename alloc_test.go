@@ -155,7 +155,7 @@ func TestRunAllocBudget(t *testing.T) {
 			// errors, quarantines it and reroutes around it.
 			name: "health-quarantine", measured: 122,
 			enable: func(cfg *Config) {
-				cfg.Health = HealthParams{SweepPeriod: 40 * Microsecond, Alpha: 0.5, QuarantineScore: 1, TrapThreshold: 6, Damping: true}
+				cfg.Health = HealthParams{SweepPeriod: 40 * Microsecond, QuarantineScore: 1, TrapThreshold: 6, Damping: true}
 				cfg.FaultPlan = &faults.Plan{Seed: cfg.Seed, LinkBER: []faults.LinkBER{{
 					Link: topology.LinkID{Switch: 0, Port: topology.PortEast},
 					Rate: 1e-4, From: cfg.Warmup, Until: cfg.Duration * 3 / 4,

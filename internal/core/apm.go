@@ -181,7 +181,6 @@ func runAPMPoint(base Config, p apmPoint) (APMRow, error) {
 		RetryTimeout: 20 * sim.Microsecond,
 		MaxRetries:   30,
 		EnableNAK:    p.Arm.enableNAK(),
-		RetryBackoff: p.Arm.enableNAK(),
 	}
 	var altPath func(rcPair, *transport.QP) error
 	if p.Arm.enableAPM() {

@@ -459,7 +459,7 @@ func policyDocument(cfg *Config, groups [][]int) *policy.Document {
 		doc.Rules = append(doc.Rules, r)
 	}
 	if cfg.Policy.PinInvalid != 0 {
-		doc.Pinned = []policy.PinnedInvalid{{Switch: -1, Base: cfg.Policy.PinInvalid}}
+		doc.Pinned = []uint16{cfg.Policy.PinInvalid}
 	}
 	return doc
 }

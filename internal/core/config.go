@@ -49,14 +49,13 @@ type (
 
 // PolicyParams configures the declarative security policy plane
 // (internal/policy). The zero value disables it entirely: partitions
-// are created imperatively and switch tables are programmed from
-// membership, exactly the pre-policy behaviour.
+// are created imperatively, exactly the pre-policy behaviour.
 type PolicyParams struct {
 	// Enabled routes bring-up through a compiled policy document: the
 	// run's partition grouping is synthesized into a policy.Document,
-	// compiled to per-switch intent, and programmed from that intent.
+	// compiled to per-switch intent, and programmed through the SM.
 	// The SM then carries the marshalled document (synced to HA
-	// standbys) and a reprogram hook that restores compiled state.
+	// standbys).
 	Enabled bool
 	// AuditPeriod, when positive, runs the continuous drift auditor at
 	// that sweep interval: in-band audit SMPs compare every switch's

@@ -44,8 +44,7 @@ func TestConfigValidation(t *testing.T) {
 		"attack rate > 1":  func(c *Config) { c.Attackers = 1; c.AttackRate = 1.5 },
 		"incast no attack": func(c *Config) { c.AttackIncast = true },
 		"cc no threshold":  func(c *Config) { c.Congestion.CCTSize = 16 },
-		"health alpha":     func(c *Config) { c.Health.SweepPeriod = 40 * sim.Microsecond; c.Health.Alpha = 1.0 },
-		"health neg alpha": func(c *Config) { c.Health.SweepPeriod = 40 * sim.Microsecond; c.Health.Alpha = -0.5 },
+		"health neg score": func(c *Config) { c.Health.SweepPeriod = 40 * sim.Microsecond; c.Health.QuarantineScore = -1 },
 		"health no sweep":  func(c *Config) { c.Health.Damping = true },
 		"neg rekey period": func(c *Config) { c.Rekey.Period = -sim.Microsecond },
 		"cc deep marking": func(c *Config) {

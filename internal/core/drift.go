@@ -193,10 +193,11 @@ func (cl *Cluster) startAuditor(intent *policy.Intent, master *sm.SubnetManager)
 }
 
 // inheritPolicy carries the policy plane across a failover through the
-// synced document: the promoted master recompiles intent from it, takes
-// over table reprogramming, and the drift auditor restarts bound to its
-// node. Only a run that audits inherits — without an auditor nothing
-// reads the intent again.
+// synced document: the promoted master recompiles intent from it and
+// the drift auditor restarts bound to its node; the master programs
+// tables from the partitions it adopted, as any master does. Only a run
+// that audits inherits — without an auditor nothing reads the intent
+// again.
 func (cl *Cluster) inheritPolicy(newMaster *sm.SubnetManager) {
 	blob := newMaster.SyncState(policy.Magic)
 	if cl.Auditor == nil || len(blob) == 0 {
@@ -212,8 +213,6 @@ func (cl *Cluster) inheritPolicy(newMaster *sm.SubnetManager) {
 		cl.rejectSyncState(newMaster, policy.Magic)
 		return
 	}
-	mesh, filter := cl.Mesh, cl.Filter
-	newMaster.ProgramTables = func() { policy.Apply(intent, mesh, filter) }
 	cl.startAuditor(intent, newMaster)
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/hex"
 	"testing"
 
 	"ibasec/internal/enforce"
+	"ibasec/internal/policy"
 	"ibasec/internal/sim"
 )
 
@@ -52,5 +54,29 @@ func TestDriftTighterAuditShrinksBlast(t *testing.T) {
 				periodUS, row.Blast, baseline.Blast)
 		}
 		prev = row
+	}
+}
+
+// TestPolicyDocumentWireBytes pins the bytes a run's policy document
+// puts on the wire, with and without a pinned invalid key: they ride
+// every HA state-sync MAD, so the delivered-wire pins and bench's
+// digests hash them. The frozen fields of dropped features (a zero
+// limited-member count per rule, switch -1 on the pin, zero
+// alternate-source and switch-mode counts) are in the hex.
+func TestPolicyDocumentWireBytes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Enforcement = enforce.SIF
+	groups := [][]int{{5, 0, 2}, {1, 4, 3}}
+	const (
+		rules = "4942504c000103000206706172742d3100010003000000000002000200050005000006706172742d32000200030001000100030003000400040000"
+		plain = rules + "0000" + "00000000"
+		pin   = rules + "0001ffff0fff" + "00000000"
+	)
+	if got := hex.EncodeToString(policy.Marshal(policyDocument(&cfg, groups))); got != plain {
+		t.Errorf("document without a pin:\n got %s\nwant %s", got, plain)
+	}
+	cfg.Policy.PinInvalid = 0x0FFF
+	if got := hex.EncodeToString(policy.Marshal(policyDocument(&cfg, groups))); got != pin {
+		t.Errorf("document with a pin:\n got %s\nwant %s", got, pin)
 	}
 }

@@ -104,7 +104,6 @@ func runHealthPoint(base Config, p healthPoint) (HealthRow, error) {
 	case "undamped", "damped":
 		cfg.Health = HealthParams{
 			SweepPeriod: 40 * sim.Microsecond,
-			Alpha:       0.5,
 			// The target link carries only a few background packets per
 			// 40 µs sweep, so a sustained error-rate of one per sweep
 			// already means a large fraction of its traffic is dying.

@@ -32,7 +32,6 @@ func TestHealthQuarantinesFlakyLink(t *testing.T) {
 		if health {
 			cfg.Health = HealthParams{
 				SweepPeriod:     40 * sim.Microsecond,
-				Alpha:           0.5,
 				QuarantineScore: 1,
 				TrapThreshold:   6,
 				Damping:         true,
@@ -70,7 +69,6 @@ func TestHealthSurvivesFailover(t *testing.T) {
 	cfg.BestEffortLoad = 0.3
 	cfg.Health = HealthParams{
 		SweepPeriod:     40 * sim.Microsecond,
-		Alpha:           0.5,
 		QuarantineScore: 1,
 		TrapThreshold:   6,
 		Damping:         true,

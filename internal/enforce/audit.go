@@ -34,7 +34,7 @@ type SwitchSnapshot struct {
 // Snapshot reads back sw's enforcement state.
 func (f *Filter) Snapshot(sw *fabric.Switch) SwitchSnapshot {
 	st := f.state(sw)
-	snap := SwitchSnapshot{Mode: st.mode, Invalid: st.invalid, AltSources: st.altSources, Active: st.active}
+	snap := SwitchSnapshot{Mode: f.mode, Invalid: st.invalid, AltSources: st.altSources, Active: st.active}
 	if st.valid != nil {
 		snap.Valid = st.valid.Keys()
 	}
@@ -55,9 +55,8 @@ func Digest16[T ~uint16](vals []T) uint32 {
 
 // AddValid inserts an entry into sw's valid-P_Key table (a corruption
 // when the entry is not in the compiled intent; a repair when it is).
-// Switches programmed from a shared table — the policy-off DPT layout —
-// see the mutation fabric-wide; per-switch corruption needs the
-// per-switch tables the policy compiler programs.
+// Every switch owns its table (sm.ProgramSwitchTables), so the mutation
+// stays on sw.
 func (f *Filter) AddValid(sw *fabric.Switch, pk packet.PKey) {
 	st := f.state(sw)
 	if st.valid == nil {

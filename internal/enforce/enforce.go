@@ -55,12 +55,8 @@ func (m Mode) String() string {
 
 // switchState is the per-switch enforcement state.
 type switchState struct {
-	sw *fabric.Switch // the switch the state is registered to
-	// mode is this switch's effective enforcement design. It defaults to
-	// the filter-wide mode and only differs when a policy document
-	// overrides it per switch (SetSwitchMode).
-	mode  Mode
-	valid *keys.PartitionTable // legal P_Keys (DPT: global; IF/SIF: attached node's)
+	sw    *fabric.Switch       // the switch the state is registered to
+	valid *keys.PartitionTable // legal P_Keys (DPT: every partition's; IF/SIF: attached node's)
 	// modelEntries is the Table 2 table size charged per lookup (DPT:
 	// n×p, IF/SIF: p); the actual table may deduplicate entries.
 	modelEntries int
@@ -83,12 +79,6 @@ type switchState struct {
 type Filter struct {
 	mode   Mode
 	params *fabric.Params
-
-	// CostFn converts a table size into lookup operations; each
-	// operation costs one ClockCycle of forwarding latency. Defaults to
-	// LinearLookup, matching Table 2's f(i) with a linear scan; set
-	// ConstantLookup to model the one-cycle SRAM of section 6.
-	CostFn LookupCost
 
 	// states holds each switch's state at the index the switch carries
 	// (fabric.Switch.FilterSlot), in the order the filter first met them.
@@ -115,7 +105,7 @@ type Filter struct {
 
 // NewFilter returns a filter in the given mode.
 func NewFilter(mode Mode, params *fabric.Params) *Filter {
-	return &Filter{mode: mode, params: params, CostFn: LinearLookup}
+	return &Filter{mode: mode, params: params}
 }
 
 // Mode returns the filter's enforcement mode.
@@ -138,16 +128,8 @@ func (f *Filter) state(sw *fabric.Switch) *switchState {
 		return st
 	}
 	sw.SetFilterSlot(len(f.states))
-	f.states = append(f.states, switchState{sw: sw, mode: f.mode})
+	f.states = append(f.states, switchState{sw: sw})
 	return &f.states[len(f.states)-1]
-}
-
-// SetSwitchMode overrides one switch's enforcement design, leaving the
-// rest of the mesh on the filter-wide mode. The SIF auto-disable duty
-// and the alternate-path check stay gated on the filter-wide mode, so a
-// per-switch SIF override on a non-SIF filter filters statically.
-func (f *Filter) SetSwitchMode(sw *fabric.Switch, mode Mode) {
-	f.state(sw).mode = mode
 }
 
 // SetSwitchTable installs the valid-P_Key table a switch filters against
@@ -164,10 +146,11 @@ func (f *Filter) SetSwitchTable(sw *fabric.Switch, table *keys.PartitionTable, m
 	st.modelEntries = modelEntries
 }
 
-// lookupDelay converts a model table size into forwarding latency.
+// lookupDelay converts a model table size into forwarding latency: one
+// ClockCycle per entry, Table 2's f(i) with a linear scan
+// (LinearLookup).
 func (f *Filter) lookupDelay(entries int) sim.Time {
-	ops := f.CostFn(float64(entries))
-	return sim.Time(ops) * f.params.ClockCycle
+	return sim.Time(entries) * f.params.ClockCycle
 }
 
 // RegisterInvalid is the Subnet Manager's SIF action: record an invalid
@@ -176,10 +159,10 @@ func (f *Filter) lookupDelay(entries int) sim.Time {
 // partition table; beyond the cap the switch falls back to positive
 // (valid-table) filtering, per the paper's table-growth discussion.
 func (f *Filter) RegisterInvalid(sw *fabric.Switch, pk packet.PKey) {
-	st := f.state(sw)
-	if st.mode != SIF {
+	if f.mode != SIF {
 		return
 	}
+	st := f.state(sw)
 	cap := 0
 	if st.valid != nil {
 		cap = st.valid.Len()
@@ -235,7 +218,7 @@ func (f *Filter) StartAutoDisable(s *sim.Simulator, period sim.Time) (cancel fun
 	return s.Every(period, func() {
 		for i := range f.states {
 			st := &f.states[i]
-			if st.mode != SIF || !st.active {
+			if !st.active {
 				continue
 			}
 			if st.violations == st.lastViolCount {
@@ -260,7 +243,7 @@ func (f *Filter) Inspect(sw *fabric.Switch, _ int, ingress bool, d *fabric.Deliv
 	// registered with at setup time, so under stateful filtering each hop
 	// demands its own registration — this is the drop cliff the apm
 	// experiment measures when alternate paths are left unregistered.
-	if f.altBase != 0 && st.mode == SIF && d.Pkt.LRH.DLID >= f.altBase {
+	if f.altBase != 0 && d.Pkt.LRH.DLID >= f.altBase {
 		f.Lookups++
 		if _, registered := slices.BinarySearch(st.altSources, d.Pkt.LRH.SLID); !registered {
 			f.Dropped++
@@ -270,7 +253,7 @@ func (f *Filter) Inspect(sw *fabric.Switch, _ int, ingress bool, d *fabric.Deliv
 		// Registered: fall through to the normal SIF ingress check.
 	}
 
-	switch st.mode {
+	switch f.mode {
 	case NoFiltering:
 		return false, 0
 

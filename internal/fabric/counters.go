@@ -66,28 +66,26 @@ const (
 	HCASMPLIDSet
 	HCASMPMalformed
 	HCASMPMisrouted
-	HCASMPMKeyViolations
 	HCAVCRCDrops
 	numHCACounters
 )
 
 // hcaCounters names each id.
 var hcaCounters = metrics.Table{Set: "hca", Names: []string{
-	HCAAltLIDArrivals:    "alt_lid_arrivals",
-	HCABECNNotified:      "becn_notified",
-	HCACCTThrottled:      "cct_throttled",
-	HCACNPReceived:       "cnp_received",
-	HCACNPSent:           "cnp_sent",
-	HCADelivered:         "delivered",
-	HCAFECNReceived:      "fecn_received",
-	HCAICRCDrops:         "icrc_drops",
-	HCASent:              "sent",
-	HCASMPDupRequests:    "smp_dup_requests",
-	HCASMPDupResponses:   "smp_dup_responses",
-	HCASMPLateResponses:  "smp_late_responses",
-	HCASMPLIDSet:         "smp_lid_set",
-	HCASMPMalformed:      "smp_malformed",
-	HCASMPMisrouted:      "smp_misrouted",
-	HCASMPMKeyViolations: "smp_mkey_violations",
-	HCAVCRCDrops:         "vcrc_drops",
+	HCAAltLIDArrivals:   "alt_lid_arrivals",
+	HCABECNNotified:     "becn_notified",
+	HCACCTThrottled:     "cct_throttled",
+	HCACNPReceived:      "cnp_received",
+	HCACNPSent:          "cnp_sent",
+	HCADelivered:        "delivered",
+	HCAFECNReceived:     "fecn_received",
+	HCAICRCDrops:        "icrc_drops",
+	HCASent:             "sent",
+	HCASMPDupRequests:   "smp_dup_requests",
+	HCASMPDupResponses:  "smp_dup_responses",
+	HCASMPLateResponses: "smp_late_responses",
+	HCASMPLIDSet:        "smp_lid_set",
+	HCASMPMalformed:     "smp_malformed",
+	HCASMPMisrouted:     "smp_misrouted",
+	HCAVCRCDrops:        "vcrc_drops",
 }}

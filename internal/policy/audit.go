@@ -18,11 +18,12 @@ import (
 //
 // The valid table is held to the intent exactly: an extra entry is a
 // hole an attacker squeezes traffic through, a missing one silently
-// blackholes a legitimate partition. Invalid_P_Key_Table and
-// alternate-source registrations are held as minimums, because the SIF
-// control loop legitimately adds entries at runtime; for those tables
-// only missing intent entries are drift, and the digest of a verified
-// superset is cached so the next sweep's mismatch costs no drill-down.
+// blackholes a legitimate partition. The Invalid_P_Key_Table is held as
+// a minimum, because the SIF control loop legitimately adds entries at
+// runtime; there only missing intent entries are drift, and the digest
+// of a verified superset is cached so the next sweep's mismatch costs no
+// drill-down. No intent declares an alternate-path source, so every
+// switch's alternate-source table covers the intent and is not read.
 
 // DriftEvent is one detected divergence between a switch's programmed
 // enforcement state and the compiled intent.
@@ -35,12 +36,12 @@ type DriftEvent struct {
 	ModeMismatch bool
 	// Inactive reports SIF filtering off where intent requires it on.
 	Inactive bool
-	// MissingValid/ExtraValid attribute valid-table drift; the other
-	// two list intent entries absent from the observed tables.
+	// MissingValid/ExtraValid attribute valid-table drift;
+	// MissingInvalid lists pinned entries absent from the observed
+	// Invalid_P_Key_Table.
 	MissingValid   []uint16
 	ExtraValid     []uint16
 	MissingInvalid []uint16
-	MissingAlt     []uint16
 	// Repaired is set once every repair MAD for the event was
 	// acknowledged; RepairedAt is when the last acknowledgement landed.
 	Repaired   bool
@@ -51,7 +52,7 @@ type DriftEvent struct {
 func (ev *DriftEvent) drifted() bool {
 	return ev.ModeMismatch || ev.Inactive ||
 		len(ev.MissingValid) > 0 || len(ev.ExtraValid) > 0 ||
-		len(ev.MissingInvalid) > 0 || len(ev.MissingAlt) > 0
+		len(ev.MissingInvalid) > 0
 }
 
 // AuditConfig tunes an Auditor.
@@ -91,11 +92,10 @@ type Auditor struct {
 }
 
 // auditDigests are one switch's expected table digests, from the
-// intent, and the last digests of its dynamic tables a drill-down found
-// to be verified supersets of the intent (zero until one is).
+// intent, and the last digest of its Invalid_P_Key_Table a drill-down
+// found to be a verified superset of the intent (zero until one is).
 type auditDigests struct {
-	valid, invalid, alt uint32
-	okInv, okAlt        uint32
+	valid, invalid, okInv uint32
 }
 
 // AuditCounter identifies one of an Auditor's counters.
@@ -136,7 +136,7 @@ func NewAuditor(s *sim.Simulator, disc *sm.Discoverer, intent *Intent, paths [][
 	a.Counters.Bind(&auditCounters, a.ctr[:])
 	for i := range intent.Switches {
 		d := &a.digests[i]
-		d.valid, d.invalid, d.alt = intent.Switches[i].Digests()
+		d.valid, d.invalid = intent.Switches[i].Digests()
 	}
 	return a
 }
@@ -204,12 +204,11 @@ func (p *stateProbe) SMPDone(tag uint64, status byte, data, _ []byte) {
 	}
 	si, dg := &a.intent.Switches[tag], &a.digests[tag]
 	st := sm.ParseAuditState(data)
-	modeMismatch := st.Mode != si.Mode
+	modeMismatch := st.Mode != a.intent.Mode
 	inactive := si.Active && !st.Active
 	needValid := st.ValidDigest != dg.valid
 	needInv := st.InvalidDigest != dg.invalid && st.InvalidDigest != dg.okInv
-	needAlt := st.AltDigest != dg.alt && st.AltDigest != dg.okAlt
-	if !modeMismatch && !inactive && !needValid && !needInv && !needAlt {
+	if !modeMismatch && !inactive && !needValid && !needInv {
 		return
 	}
 	ev := &DriftEvent{Switch: si.Switch, DetectedAt: a.sim.Now(), ModeMismatch: modeMismatch, Inactive: inactive}
@@ -227,9 +226,6 @@ func (p *stateProbe) SMPDone(tag uint64, status byte, data, _ []byte) {
 		pending++
 	}
 	if needInv {
-		pending++
-	}
-	if needAlt {
 		pending++
 	}
 	if pending == 0 {
@@ -253,17 +249,6 @@ func (p *stateProbe) SMPDone(tag uint64, status byte, data, _ []byte) {
 					// A verified superset: remember its digest so the
 					// next sweep's mismatch costs no drill-down.
 					dg.okInv = enforce.Digest16(obs)
-				}
-			}
-			finish()
-		})
-	}
-	if needAlt {
-		a.readTable(path, sm.AuditTableAlt, func(obs []uint16, ok bool) {
-			if ok {
-				ev.MissingAlt = diff(si.AltSources, obs)
-				if len(ev.MissingAlt) == 0 {
-					dg.okAlt = enforce.Digest16(obs)
 				}
 			}
 			finish()
@@ -324,9 +309,6 @@ func (a *Auditor) repairSwitch(path []byte, ev *DriftEvent) {
 	}
 	for _, b := range ev.MissingInvalid {
 		fixes = append(fixes, fix{sm.RepairAddInvalid, b})
-	}
-	for _, s := range ev.MissingAlt {
-		fixes = append(fixes, fix{sm.RepairAddAltSource, s})
 	}
 	if ev.Inactive {
 		fixes = append(fixes, fix{sm.RepairActivate, 0})

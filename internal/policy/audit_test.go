@@ -52,13 +52,13 @@ func newAuditRig(t *testing.T, doc *Document, cfg AuditConfig) *auditRig {
 }
 
 // assertMatchesIntent fails unless every switch's observed state equals
-// (valid) / covers (invalid, alt, active) its intent.
+// (valid) / covers (invalid, active) its intent.
 func (r *auditRig) assertMatchesIntent(t *testing.T) {
 	t.Helper()
 	for i := range r.intent.Switches {
 		si := &r.intent.Switches[i]
 		snap := r.filter.Snapshot(r.mesh.Switches[si.Switch])
-		wv, _, _ := si.Digests()
+		wv, _ := si.Digests()
 		if enforce.Digest16(snap.Valid) != wv {
 			t.Errorf("switch %d valid table still diverges from intent", si.Switch)
 		}
@@ -172,7 +172,7 @@ func TestAuditorRepairsSIFDeactivation(t *testing.T) {
 			{Name: "compute", Base: 0x0001, Full: []PortRange{{0, 2}}},
 			{Name: "storage", Base: 0x0002, Full: []PortRange{{1, 3}}},
 		},
-		Pinned: []PinnedInvalid{{Switch: -1, Base: 0x0FFF}},
+		Pinned: []uint16{0x0FFF},
 	}
 	rig := newAuditRig(t, doc, AuditConfig{Period: 50 * sim.Microsecond, Repair: true})
 	sw := rig.mesh.Switches[2]
@@ -207,7 +207,7 @@ func TestAuditorToleratesRuntimeSupersets(t *testing.T) {
 			{Name: "compute", Base: 0x0001, Full: []PortRange{{0, 3}}},
 			{Name: "storage", Base: 0x0002, Full: []PortRange{{0, 3}}},
 		},
-		Pinned: []PinnedInvalid{{Switch: -1, Base: 0x0FFF}},
+		Pinned: []uint16{0x0FFF},
 	}
 	rig := newAuditRig(t, doc, AuditConfig{Period: 50 * sim.Microsecond, Repair: true})
 	// The running SIF control loop registers an extra invalid key the

@@ -2,53 +2,43 @@ package policy
 
 import (
 	"slices"
-	"sort"
 
 	"ibasec/internal/enforce"
 )
 
-// PartitionMember is one end port's membership in a compiled partition.
-type PartitionMember struct {
-	Node int
-	Full bool
-}
-
-// Partition is a compiled partition: members in ascending node order,
-// each with its membership class (a node selected as both full and
-// limited compiles to full).
+// Partition is a compiled partition: its base and its member nodes in
+// ascending order.
 type Partition struct {
 	Base    uint16
-	Members []PartitionMember
+	Members []int
 }
 
 // SwitchIntent is the complete enforcement state one switch must hold:
-// its mode, valid-P_Key table (full 16-bit entries, ascending), Table 2
-// model size, pinned Invalid_P_Key_Table bases (ascending), registered
-// alternate-path source LIDs (ascending), and whether SIF filtering is
-// active at bring-up. The drift auditor treats Valid as exact — any
-// extra or missing entry is drift — and Invalid/AltSources as minimums,
-// because the running SIF control loop legitimately adds entries the
-// policy never declared.
+// its valid-P_Key table (full 16-bit entries, ascending), Table 2 model
+// size, pinned Invalid_P_Key_Table bases (ascending), and whether SIF
+// filtering is active at bring-up. The drift auditor treats Valid as
+// exact — any extra or missing entry is drift — and Invalid as a
+// minimum, because the running SIF control loop legitimately adds
+// entries the policy never declared.
 type SwitchIntent struct {
 	Switch       int
-	Mode         enforce.Mode
 	Valid        []uint16
 	ModelEntries int
 	Invalid      []uint16
-	AltSources   []uint16
 	Active       bool
 }
 
-// Digests returns the intent's three audit fingerprints in the order
+// Digests returns the intent's valid and invalid table fingerprints, as
 // the AuditState SMP carries them.
-func (si *SwitchIntent) Digests() (valid, invalid, alt uint32) {
-	return enforce.Digest16(si.Valid), enforce.Digest16(si.Invalid), enforce.Digest16(si.AltSources)
+func (si *SwitchIntent) Digests() (valid, invalid uint32) {
+	return enforce.Digest16(si.Valid), enforce.Digest16(si.Invalid)
 }
 
 // Intent is a compiled policy document: the exact per-device state the
 // programmer installs and the auditor verifies. Partitions are in
 // ascending base order and Switches in ascending switch order, so two
-// compilations of the same document are deep-equal.
+// compilations of the same document are deep-equal. Switches share
+// their table slices: the intent is only read.
 type Intent struct {
 	Mode       enforce.Mode
 	Partitions []Partition
@@ -56,111 +46,74 @@ type Intent struct {
 }
 
 // Compile validates doc and lowers it to per-device intent for a subnet
-// of numNodes end ports (node i attached to switch i). DPT switches get
-// their own copy of the subnet-wide table — per the paper's Duplicate
-// Partition Table design — sized at Table 2's n×p model cost; IF and
-// SIF switches get the attached node's partition set at cost p.
+// of numNodes end ports (node i attached to switch i). DPT switches hold
+// the subnet-wide table — per the paper's Duplicate Partition Table
+// design — sized at Table 2's n×p model cost; IF and SIF switches hold
+// the attached node's partition set at cost p.
 func Compile(doc *Document, numNodes int) (*Intent, error) {
 	if err := doc.Validate(numNodes); err != nil {
 		return nil, err
 	}
-	intent := &Intent{Mode: doc.Mode}
+	intent := &Intent{Mode: doc.Mode, Partitions: make([]Partition, len(doc.Rules))}
 
-	// Partitions: expand port ranges, full membership winning.
+	// Partitions: expand port ranges into ascending, duplicate-free
+	// member lists. in[n] is the index+1 of the last rule that took n.
+	in := make([]int, numNodes)
 	memberships := make([]int, numNodes) // node -> partitions it is in
-	totalMemberships := 0
-	allBases := make([]uint16, 0, len(doc.Rules))
-	for _, r := range doc.Rules {
-		full := make(map[int]bool)
-		lim := make(map[int]bool)
+	total := 0
+	for i, r := range doc.Rules {
+		part := &intent.Partitions[i]
+		part.Base = r.Base
 		for _, pr := range r.Full {
 			for n := pr.First; n <= pr.Last; n++ {
-				full[n] = true
-			}
-		}
-		for _, pr := range r.Limited {
-			for n := pr.First; n <= pr.Last; n++ {
-				if !full[n] {
-					lim[n] = true
+				if in[n] != i+1 {
+					in[n] = i + 1
+					part.Members = append(part.Members, n)
+					memberships[n]++
+					total++
 				}
 			}
 		}
-		part := Partition{Base: r.Base}
-		for n := 0; n < numNodes; n++ {
-			if !full[n] && !lim[n] {
-				continue
-			}
-			part.Members = append(part.Members, PartitionMember{Node: n, Full: full[n]})
-			memberships[n]++
-			totalMemberships++
-		}
-		intent.Partitions = append(intent.Partitions, part)
-		allBases = append(allBases, r.Base)
+		slices.Sort(part.Members)
 	}
-	sort.Slice(intent.Partitions, func(i, j int) bool {
-		return intent.Partitions[i].Base < intent.Partitions[j].Base
-	})
-	slices.Sort(allBases)
+	slices.SortFunc(intent.Partitions, func(a, b Partition) int { return int(a.Base) - int(b.Base) })
 
-	// The subnet-wide table every DPT switch duplicates: full-membership
-	// entries, one per partition (the switch check only needs the base;
-	// the full bit lets limited members' packets through, IBA 10.9.3).
-	union := make([]uint16, len(allBases))
-	for i, b := range allBases {
-		union[i] = 0x8000 | b
-	}
 	// Each IF/SIF switch's table is its node's partitions, filled in base
-	// order — ascending — into windows of one slab; each DPT switch's, a
-	// copy of the union from another.
+	// order — ascending — into windows of one slab; DPT switches all hold
+	// the union.
 	own := make([][]uint16, numNodes)
-	ownSlab := make([]uint16, totalMemberships)
+	slab := make([]uint16, total)
 	for n, k := range memberships {
-		own[n], ownSlab = ownSlab[:0:k], ownSlab[k:]
+		own[n], slab = slab[:0:k], slab[k:]
 	}
-	for _, part := range intent.Partitions {
-		for _, m := range part.Members {
-			own[m.Node] = append(own[m.Node], 0x8000|part.Base)
+	union := make([]uint16, len(intent.Partitions))
+	for i, part := range intent.Partitions {
+		union[i] = 0x8000 | part.Base
+		for _, n := range part.Members {
+			own[n] = append(own[n], union[i])
 		}
 	}
-	var unionSlab []uint16
+	var pins []uint16 // Validate allows pins only under SIF
+	if len(doc.Pinned) > 0 {
+		pins = slices.Clone(doc.Pinned)
+		slices.Sort(pins)
+		pins = slices.Compact(pins)
+	}
 
-	intent.Switches = make([]SwitchIntent, 0, numNodes)
-	for sw := 0; sw < numNodes; sw++ {
-		si := SwitchIntent{Switch: sw, Mode: doc.EffectiveMode(sw)}
-		switch si.Mode {
+	intent.Switches = make([]SwitchIntent, numNodes)
+	for sw := range intent.Switches {
+		si := &intent.Switches[sw]
+		si.Switch = sw
+		switch doc.Mode {
 		case enforce.DPT:
-			if len(union) > 0 {
-				if len(unionSlab) == 0 {
-					unionSlab = make([]uint16, numNodes*len(union))
-				}
-				si.Valid, unionSlab = unionSlab[:len(union):len(union)], unionSlab[len(union):]
-				copy(si.Valid, union)
-			}
-			si.ModelEntries = totalMemberships
+			si.Valid, si.ModelEntries = union, total
 		case enforce.IF, enforce.SIF:
 			if len(own[sw]) > 0 {
 				si.Valid = own[sw]
 			}
 			si.ModelEntries = len(si.Valid)
 		}
-		if si.Mode == enforce.SIF {
-			for _, p := range doc.Pinned {
-				if p.Switch == sw || p.Switch == -1 {
-					si.Invalid = append(si.Invalid, p.Base)
-				}
-			}
-			slices.Sort(si.Invalid)
-			si.Invalid = slices.Compact(si.Invalid)
-			si.Active = len(si.Invalid) > 0
-		}
-		for _, a := range doc.AltSources {
-			if a.Switch == sw {
-				si.AltSources = append(si.AltSources, a.Src)
-			}
-		}
-		slices.Sort(si.AltSources)
-		si.AltSources = slices.Compact(si.AltSources)
-		intent.Switches = append(intent.Switches, si)
+		si.Invalid, si.Active = pins, len(pins) > 0
 	}
 	return intent, nil
 }

@@ -8,8 +8,9 @@ import (
 // FuzzUnmarshal feeds arbitrary bytes to the policy-document decoder,
 // the twin of sm.FuzzMADParse for the one state-sync trailer that
 // package cannot parse. A hostile sync MAD must not panic the standby
-// that reads it, an accepted blob is read to its last byte so it must
-// marshal back to itself, and the compiler a promoted master hands the
+// that reads it (the seeds include a blob declaring each feature the
+// document dropped, which must be refused), an accepted blob is read to
+// its last byte so it must marshal back to itself, and the compiler a promoted master hands the
 // document to must answer with intent or an error.
 func FuzzUnmarshal(f *testing.F) {
 	blob := Marshal(testDoc())
@@ -18,6 +19,9 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(append(blob[:len(blob):len(blob)], 0))
 	f.Add([]byte("IBPL"))
 	f.Add([]byte("XXXX"))
+	for _, name := range []string{"limited members", "alternate sources", "per-switch modes", "per-switch pin"} {
+		f.Add(droppedFeatureBlobs()[name])
+	}
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		doc, err := Unmarshal(blob)

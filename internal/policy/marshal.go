@@ -17,15 +17,25 @@ import (
 //
 //	"IBPL" u16 version, u8 mode
 //	u16 nRules; each: u8 nameLen, name, u16 base,
-//	    u16 nFull  pairs (u16 first, u16 last),
-//	    u16 nLimited pairs
-//	u16 nPinned; each: i16 switch (-1 = all), u16 base
-//	u16 nAlt;    each: u16 switch, u16 src
-//	u16 nModes;  each: u16 switch, u8 mode
+//	    u16 nFull pairs (u16 first, u16 last),
+//	    u16 0 (limited members)
+//	u16 nPinned; each: i16 -1 (switch), u16 base
+//	u16 0 (alternate-source registrations)
+//	u16 0 (per-switch mode overrides)
+//
+// The zero counts and the -1 switch are frozen fields of features the
+// document no longer has (limited members, per-switch pins, alternate
+// sources, per-switch modes). They stay on the wire, so the state-sync
+// MADs keep their bytes, until ROADMAP item 19 redoes the MAD layout;
+// Unmarshal refuses any other value.
 
 // Magic opens every marshalled document and names the policy plane's
 // sync state on its SM (sm.SetSyncState).
 const Magic = "IBPL"
+
+// pinAllSwitches is the frozen switch field of every pin: -1, every
+// switch.
+const pinAllSwitches = 0xFFFF
 
 // Marshal encodes doc deterministically.
 func Marshal(doc *Document) []byte {
@@ -43,27 +53,15 @@ func Marshal(doc *Document) []byte {
 			u16(uint16(pr.First))
 			u16(uint16(pr.Last))
 		}
-		u16(uint16(len(r.Limited)))
-		for _, pr := range r.Limited {
-			u16(uint16(pr.First))
-			u16(uint16(pr.Last))
-		}
+		u16(0)
 	}
 	u16(uint16(len(doc.Pinned)))
-	for _, p := range doc.Pinned {
-		u16(uint16(int16(p.Switch)))
-		u16(p.Base)
+	for _, b := range doc.Pinned {
+		u16(pinAllSwitches)
+		u16(b)
 	}
-	u16(uint16(len(doc.AltSources)))
-	for _, a := range doc.AltSources {
-		u16(uint16(a.Switch))
-		u16(a.Src)
-	}
-	u16(uint16(len(doc.SwitchModes)))
-	for _, m := range doc.SwitchModes {
-		u16(uint16(m.Switch))
-		out = append(out, byte(m.Mode))
-	}
+	u16(0)
+	u16(0)
 	return out
 }
 
@@ -90,68 +88,53 @@ func Unmarshal(blob []byte) (*Document, error) {
 		}
 		return binary.BigEndian.Uint16(b), true
 	}
-	u8 := func() (byte, bool) {
-		b, ok := take(1)
+	// frozen reads one of the frozen fields, which must hold want.
+	frozen := func(what string, want uint16) error {
+		v, ok := u16()
 		if !ok {
-			return 0, false
+			return errTruncated
 		}
-		return b[0], true
+		if v != want {
+			return fmt.Errorf("policy: %s %#x, want %#x", what, v, want)
+		}
+		return nil
 	}
 
 	magic, ok := take(len(Magic))
 	if !ok || string(magic) != Magic {
 		return nil, fmt.Errorf("policy: bad document magic")
 	}
-	doc := &Document{}
 	ver, ok1 := u16()
-	mode, ok2 := u8()
-	if !ok1 || !ok2 {
+	mode, ok2 := take(1)
+	nRules, ok3 := u16()
+	if !ok1 || !ok2 || !ok3 {
 		return nil, errTruncated
 	}
-	doc.Version = int(ver)
-	doc.Mode = enforce.Mode(mode)
-
-	nRules, ok := u16()
-	if !ok {
-		return nil, errTruncated
-	}
-	readRanges := func() ([]PortRange, bool) {
-		n, ok := u16()
+	doc := &Document{Version: int(ver), Mode: enforce.Mode(mode[0])}
+	for i := 0; i < int(nRules); i++ {
+		nl, ok := take(1)
 		if !ok {
-			return nil, false
+			return nil, errTruncated
 		}
-		var rs []PortRange
-		for i := 0; i < int(n); i++ {
+		name, ok1 := take(int(nl[0]))
+		base, ok2 := u16()
+		n, ok3 := u16()
+		if !ok1 || !ok2 || !ok3 {
+			return nil, errTruncated
+		}
+		r := Rule{Name: string(name), Base: base}
+		for j := 0; j < int(n); j++ {
 			f, ok1 := u16()
 			l, ok2 := u16()
 			if !ok1 || !ok2 {
-				return nil, false
+				return nil, errTruncated
 			}
-			rs = append(rs, PortRange{First: int(f), Last: int(l)})
+			r.Full = append(r.Full, PortRange{First: int(f), Last: int(l)})
 		}
-		return rs, true
-	}
-	for i := 0; i < int(nRules); i++ {
-		nl, ok := u8()
-		if !ok {
-			return nil, errTruncated
+		if err := frozen("limited-member count", 0); err != nil {
+			return nil, err
 		}
-		name, ok := take(int(nl))
-		if !ok {
-			return nil, errTruncated
-		}
-		base, ok := u16()
-		if !ok {
-			return nil, errTruncated
-		}
-		full, ok1 := readRanges()
-		lim, ok2 := readRanges()
-		if !ok1 || !ok2 {
-			return nil, errTruncated
-		}
-		doc.Rules = append(doc.Rules, Rule{
-			Name: string(name), Base: base, Full: full, Limited: lim,
-		})
+		doc.Rules = append(doc.Rules, r)
 	}
 
 	nPinned, ok := u16()
@@ -159,36 +142,20 @@ func Unmarshal(blob []byte) (*Document, error) {
 		return nil, errTruncated
 	}
 	for i := 0; i < int(nPinned); i++ {
-		sw, ok1 := u16()
-		base, ok2 := u16()
-		if !ok1 || !ok2 {
+		if err := frozen("pin switch", pinAllSwitches); err != nil {
+			return nil, err
+		}
+		base, ok := u16()
+		if !ok {
 			return nil, errTruncated
 		}
-		doc.Pinned = append(doc.Pinned, PinnedInvalid{Switch: int(int16(sw)), Base: base})
+		doc.Pinned = append(doc.Pinned, base)
 	}
-	nAlt, ok := u16()
-	if !ok {
-		return nil, errTruncated
+	if err := frozen("alternate-source count", 0); err != nil {
+		return nil, err
 	}
-	for i := 0; i < int(nAlt); i++ {
-		sw, ok1 := u16()
-		src, ok2 := u16()
-		if !ok1 || !ok2 {
-			return nil, errTruncated
-		}
-		doc.AltSources = append(doc.AltSources, AltSourceReg{Switch: int(sw), Src: src})
-	}
-	nModes, ok := u16()
-	if !ok {
-		return nil, errTruncated
-	}
-	for i := 0; i < int(nModes); i++ {
-		sw, ok1 := u16()
-		m, ok2 := u8()
-		if !ok1 || !ok2 {
-			return nil, errTruncated
-		}
-		doc.SwitchModes = append(doc.SwitchModes, SwitchMode{Switch: int(sw), Mode: enforce.Mode(m)})
+	if err := frozen("switch-mode count", 0); err != nil {
+		return nil, err
 	}
 	if off != len(blob) {
 		return nil, fmt.Errorf("policy: %d trailing bytes after document", len(blob)-off)

@@ -1,12 +1,12 @@
 // Package policy is the declarative security-policy plane: a single
 // validated document describes the subnet's intended partition layout
-// (P_Key ranges, full/limited membership), per-switch enforcement modes,
-// pinned Invalid_P_Key_Table entries and alternate-path source
-// registrations. The compiler lowers the document into per-device intent
-// (internal/enforce switch tables, HCA partition tables), the programmer
-// applies that intent through the Subnet Manager, and the drift auditor
-// continuously verifies the fabric against it with in-band audit SMPs
-// (internal/sm audit attributes), repairing divergence entry by entry.
+// (P_Key bases and their member end ports), its enforcement mode and
+// the Invalid_P_Key_Table entries every switch holds from bring-up. The
+// compiler lowers the document into per-device intent (internal/enforce
+// switch tables, SM partitions), the programmer applies that intent
+// through the Subnet Manager, and the drift auditor continuously
+// verifies the fabric against it with in-band audit SMPs (internal/sm
+// audit attributes), repairing divergence entry by entry.
 //
 // The paper's section 3.3 designs (DPT/IF/SIF) configure switches
 // imperatively at bring-up and then trust them; the policy plane makes
@@ -28,67 +28,31 @@ type PortRange struct {
 }
 
 // Rule declares one partition: its 15-bit P_Key base and the end ports
-// that join with full and limited membership (IBA 10.9.3: two limited
-// members cannot communicate). A node selected by both lists is full.
+// that join it, every one a full member.
 type Rule struct {
 	// Name identifies the rule in diagnostics; unique per document.
 	Name string
 	// Base is the partition's 15-bit P_Key base value.
 	Base uint16
-	// Full and Limited select member end ports by node index.
-	Full    []PortRange
-	Limited []PortRange
-}
-
-// PinnedInvalid pre-registers a P_Key base in a switch's
-// Invalid_P_Key_Table at bring-up, arming SIF filtering against a known
-// hostile key before any trap fires. Switch -1 pins at every switch
-// whose effective mode is SIF.
-type PinnedInvalid struct {
-	Switch int
-	Base   uint16
-}
-
-// AltSourceReg registers a source LID as a legitimate user of
-// alternate-path addresses through one switch (the APM source-identity
-// state of internal/enforce).
-type AltSourceReg struct {
-	Switch int
-	Src    uint16
-}
-
-// SwitchMode overrides the document-wide enforcement mode for one
-// switch.
-type SwitchMode struct {
-	Switch int
-	Mode   enforce.Mode
+	// Full selects member end ports by node index.
+	Full []PortRange
 }
 
 // Document is a complete declarative security policy for one subnet.
 type Document struct {
 	// Version is the document schema version; currently 1.
 	Version int
-	// Mode is the subnet-wide enforcement design; SwitchModes override
-	// it per switch.
-	Mode        enforce.Mode
-	Rules       []Rule
-	Pinned      []PinnedInvalid
-	AltSources  []AltSourceReg
-	SwitchModes []SwitchMode
+	// Mode is the enforcement design every switch runs.
+	Mode  enforce.Mode
+	Rules []Rule
+	// Pinned lists the P_Key bases pre-registered in every switch's
+	// Invalid_P_Key_Table at bring-up, arming SIF filtering against a
+	// known hostile key before any trap fires (SIF only).
+	Pinned []uint16
 }
 
 // CurrentVersion is the schema version this package compiles.
 const CurrentVersion = 1
-
-// EffectiveMode returns the enforcement mode switch sw operates under.
-func (d *Document) EffectiveMode(sw int) enforce.Mode {
-	for _, o := range d.SwitchModes {
-		if o.Switch == sw {
-			return o.Mode
-		}
-	}
-	return d.Mode
-}
 
 // Validate checks the document against a subnet of numNodes end ports
 // (one switch per node, the testbed topology). It is the only gate
@@ -110,17 +74,6 @@ func (d *Document) Validate(numNodes int) error {
 
 	seenName := make(map[string]bool, len(d.Rules))
 	seenBase := make(map[uint16]bool, len(d.Rules))
-	checkRanges := func(rule string, rs []PortRange) (int, error) {
-		members := 0
-		for _, r := range rs {
-			if r.First < 0 || r.Last >= numNodes || r.First > r.Last {
-				return 0, fmt.Errorf("policy: rule %q selects ports [%d,%d] outside [0,%d]",
-					rule, r.First, r.Last, numNodes-1)
-			}
-			members += r.Last - r.First + 1
-		}
-		return members, nil
-	}
 	for _, r := range d.Rules {
 		if r.Name == "" {
 			return fmt.Errorf("policy: rule with empty name")
@@ -136,65 +89,26 @@ func (d *Document) Validate(numNodes int) error {
 			return fmt.Errorf("policy: P_Key base %#x declared twice", r.Base)
 		}
 		seenBase[r.Base] = true
-		nf, err := checkRanges(r.Name, r.Full)
-		if err != nil {
-			return err
+		for _, pr := range r.Full {
+			if pr.First < 0 || pr.Last >= numNodes || pr.First > pr.Last {
+				return fmt.Errorf("policy: rule %q selects ports [%d,%d] outside [0,%d]",
+					r.Name, pr.First, pr.Last, numNodes-1)
+			}
 		}
-		nl, err := checkRanges(r.Name, r.Limited)
-		if err != nil {
-			return err
-		}
-		if nf+nl == 0 {
+		if len(r.Full) == 0 {
 			return fmt.Errorf("policy: rule %q has no members", r.Name)
 		}
 	}
 
-	seenOverride := make(map[int]bool, len(d.SwitchModes))
-	for _, o := range d.SwitchModes {
-		if o.Switch < 0 || o.Switch >= numNodes {
-			return fmt.Errorf("policy: mode override for switch %d outside [0,%d]", o.Switch, numNodes-1)
-		}
-		if o.Mode < enforce.NoFiltering || o.Mode > enforce.SIF {
-			return fmt.Errorf("policy: switch %d override to unknown mode %d", o.Switch, int(o.Mode))
-		}
-		if seenOverride[o.Switch] {
-			return fmt.Errorf("policy: switch %d has two mode overrides", o.Switch)
-		}
-		seenOverride[o.Switch] = true
+	if len(d.Pinned) > 0 && d.Mode != enforce.SIF {
+		return fmt.Errorf("policy: pinned invalid keys but the subnet runs %v, not SIF", d.Mode)
 	}
-
-	anySIF := false
-	for sw := 0; sw < numNodes; sw++ {
-		if d.EffectiveMode(sw) == enforce.SIF {
-			anySIF = true
-			break
+	for _, b := range d.Pinned {
+		if b == 0 || b >= 0x8000 {
+			return fmt.Errorf("policy: pinned invalid base %#x outside (0, 0x8000)", b)
 		}
-	}
-	for _, p := range d.Pinned {
-		if p.Switch < -1 || p.Switch >= numNodes {
-			return fmt.Errorf("policy: pinned invalid at switch %d outside [-1,%d]", p.Switch, numNodes-1)
-		}
-		if p.Base == 0 || p.Base >= 0x8000 {
-			return fmt.Errorf("policy: pinned invalid base %#x outside (0, 0x8000)", p.Base)
-		}
-		if seenBase[p.Base] {
-			return fmt.Errorf("policy: pinned invalid base %#x is also a declared partition", p.Base)
-		}
-		if p.Switch == -1 {
-			if !anySIF {
-				return fmt.Errorf("policy: subnet-wide pinned invalid %#x but no switch runs SIF", p.Base)
-			}
-		} else if d.EffectiveMode(p.Switch) != enforce.SIF {
-			return fmt.Errorf("policy: pinned invalid %#x at switch %d, which is not SIF", p.Base, p.Switch)
-		}
-	}
-
-	for _, a := range d.AltSources {
-		if a.Switch < 0 || a.Switch >= numNodes {
-			return fmt.Errorf("policy: alt-source registration at switch %d outside [0,%d]", a.Switch, numNodes-1)
-		}
-		if a.Src == 0 {
-			return fmt.Errorf("policy: alt-source registration with LID 0 at switch %d", a.Switch)
+		if seenBase[b] {
+			return fmt.Errorf("policy: pinned invalid base %#x is also a declared partition", b)
 		}
 	}
 	return nil

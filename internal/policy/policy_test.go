@@ -6,7 +6,6 @@ import (
 
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
-	"ibasec/internal/keys"
 	"ibasec/internal/packet"
 	"ibasec/internal/sim"
 	"ibasec/internal/sm"
@@ -14,20 +13,17 @@ import (
 )
 
 // testDoc is a representative document over a 4-node subnet: two
-// partitions (one with a limited member), an IF-wide fabric with one
-// SIF switch carrying a pinned invalid key and an alt-source
-// registration.
+// partitions sharing node 2, under SIF with one key pinned invalid at
+// every switch.
 func testDoc() *Document {
 	return &Document{
 		Version: 1,
-		Mode:    enforce.IF,
+		Mode:    enforce.SIF,
 		Rules: []Rule{
 			{Name: "compute", Base: 0x0001, Full: []PortRange{{0, 2}}},
-			{Name: "storage", Base: 0x0002, Full: []PortRange{{2, 3}}, Limited: []PortRange{{0, 0}}},
+			{Name: "storage", Base: 0x0002, Full: []PortRange{{2, 3}, {3, 3}}},
 		},
-		Pinned:      []PinnedInvalid{{Switch: 3, Base: 0x0FFF}},
-		AltSources:  []AltSourceReg{{Switch: 1, Src: 9}},
-		SwitchModes: []SwitchMode{{Switch: 3, Mode: enforce.SIF}},
+		Pinned: []uint16{0x0FFF},
 	}
 }
 
@@ -37,6 +33,7 @@ func TestValidateRejects(t *testing.T) {
 		mutate func(*Document)
 	}{
 		{"bad version", func(d *Document) { d.Version = 2 }},
+		{"unknown mode", func(d *Document) { d.Mode = enforce.SIF + 1 }},
 		{"no rules", func(d *Document) { d.Rules = nil }},
 		{"empty rule name", func(d *Document) { d.Rules[0].Name = "" }},
 		{"duplicate rule name", func(d *Document) { d.Rules[1].Name = d.Rules[0].Name }},
@@ -45,19 +42,10 @@ func TestValidateRejects(t *testing.T) {
 		{"duplicate base", func(d *Document) { d.Rules[1].Base = d.Rules[0].Base }},
 		{"range out of bounds", func(d *Document) { d.Rules[0].Full = []PortRange{{0, 4}} }},
 		{"inverted range", func(d *Document) { d.Rules[0].Full = []PortRange{{2, 1}} }},
-		{"memberless rule", func(d *Document) { d.Rules[0].Full, d.Rules[0].Limited = nil, nil }},
-		{"override out of range", func(d *Document) { d.SwitchModes[0].Switch = 4 }},
-		{"duplicate override", func(d *Document) {
-			d.SwitchModes = append(d.SwitchModes, SwitchMode{Switch: 3, Mode: enforce.IF})
-		}},
-		{"pin at non-SIF switch", func(d *Document) { d.Pinned[0].Switch = 1 }},
-		{"pin collides with partition", func(d *Document) { d.Pinned[0].Base = 0x0001 }},
-		{"pin with no SIF anywhere", func(d *Document) {
-			d.SwitchModes = nil
-			d.Pinned[0].Switch = -1
-		}},
-		{"alt source LID zero", func(d *Document) { d.AltSources[0].Src = 0 }},
-		{"alt source switch out of range", func(d *Document) { d.AltSources[0].Switch = -1 }},
+		{"memberless rule", func(d *Document) { d.Rules[0].Full = nil }},
+		{"pin without SIF", func(d *Document) { d.Mode = enforce.IF }},
+		{"pin collides with partition", func(d *Document) { d.Pinned[0] = 0x0001 }},
+		{"membership-bit pin", func(d *Document) { d.Pinned[0] = 0x8FFF }},
 	}
 	for _, tc := range cases {
 		doc := testDoc()
@@ -83,30 +71,25 @@ func TestCompileIntent(t *testing.T) {
 	if storage.Base != 0x0002 {
 		t.Fatalf("partitions not in base order: %#x", storage.Base)
 	}
-	wantMembers := []PartitionMember{{Node: 0, Full: false}, {Node: 2, Full: true}, {Node: 3, Full: true}}
-	if !reflect.DeepEqual(storage.Members, wantMembers) {
-		t.Errorf("storage members = %+v, want %+v", storage.Members, wantMembers)
+	// Node 3 is selected twice and listed once.
+	if want := []int{2, 3}; !reflect.DeepEqual(storage.Members, want) {
+		t.Errorf("storage members = %v, want %v", storage.Members, want)
 	}
 
-	// Node 2 is in both partitions; its IF switch table holds both.
+	// Node 2 is in both partitions; its SIF switch table holds both.
 	si2 := intent.Switch(2)
 	if want := []uint16{0x8001, 0x8002}; !reflect.DeepEqual(si2.Valid, want) {
 		t.Errorf("switch 2 valid = %#x, want %#x", si2.Valid, want)
 	}
-	if si2.Mode != enforce.IF || si2.ModelEntries != 2 {
-		t.Errorf("switch 2 mode/model = %v/%d", si2.Mode, si2.ModelEntries)
+	if si2.ModelEntries != 2 {
+		t.Errorf("switch 2 model entries = %d, want 2", si2.ModelEntries)
 	}
 
-	// Switch 3 is the SIF override with the pin: active from bring-up.
-	si3 := intent.Switch(3)
-	if si3.Mode != enforce.SIF || !si3.Active {
-		t.Errorf("switch 3 mode=%v active=%v, want SIF active", si3.Mode, si3.Active)
-	}
-	if want := []uint16{0x0FFF}; !reflect.DeepEqual(si3.Invalid, want) {
-		t.Errorf("switch 3 invalid = %#x, want %#x", si3.Invalid, want)
-	}
-	if si1 := intent.Switch(1); !reflect.DeepEqual(si1.AltSources, []uint16{9}) {
-		t.Errorf("switch 1 alt sources = %v", si1.AltSources)
+	// The pin holds at every switch: each is active from bring-up.
+	for _, si := range intent.Switches {
+		if want := []uint16{0x0FFF}; !si.Active || !reflect.DeepEqual(si.Invalid, want) {
+			t.Errorf("switch %d active=%v invalid=%#x, want active with %#x", si.Switch, si.Active, si.Invalid, want)
+		}
 	}
 
 	// Determinism: compiling twice yields deep-equal intent.
@@ -116,29 +99,61 @@ func TestCompileIntent(t *testing.T) {
 	}
 }
 
+// TestCompileDPTCopies holds every DPT switch to the subnet-wide table
+// at Table 2's n×p model size, and checks that the SM programs each
+// switch its own copy of it, so corrupting one switch's table leaves
+// the others alone.
 func TestCompileDPTCopies(t *testing.T) {
 	doc := testDoc()
 	doc.Mode = enforce.DPT
-	doc.SwitchModes = nil
 	doc.Pinned = nil
 	intent, err := Compile(doc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 members in compute + 3 in storage = Table 2's n×p model size.
+	// 3 members in compute + 2 in storage = Table 2's n×p model size.
 	for _, si := range intent.Switches {
 		if want := []uint16{0x8001, 0x8002}; !reflect.DeepEqual(si.Valid, want) {
 			t.Fatalf("switch %d DPT table = %#x, want %#x", si.Switch, si.Valid, want)
 		}
-		if si.ModelEntries != 6 {
-			t.Fatalf("switch %d model entries = %d, want 6", si.Switch, si.ModelEntries)
+		if si.ModelEntries != 5 {
+			t.Fatalf("switch %d model entries = %d, want 5", si.Switch, si.ModelEntries)
 		}
 	}
-	// The copies must be distinct slices: corrupting one switch's table
-	// must not alias the others.
-	intent.Switches[0].Valid[0] = 0xDEAD
-	if intent.Switches[1].Valid[0] == 0xDEAD {
-		t.Error("DPT switch tables alias one another")
+
+	s := sim.New()
+	params := fabric.DefaultParams()
+	mesh := topology.NewMesh(s, params, 2, 2)
+	filter := enforce.NewFilter(enforce.DPT, params)
+	mesh.SetFilterAll(filter)
+	if _, err := Program(doc, sm.New(s, mesh, filter, sm.DefaultConfig()), mesh, filter, testMKey); err != nil {
+		t.Fatal(err)
+	}
+	filter.AddValid(mesh.Switches[0], packet.PKey(0x8123))
+	for i, sw := range mesh.Switches {
+		wv, _ := intent.Switches[i].Digests()
+		if got := enforce.Digest16(filter.Snapshot(sw).Valid) == wv; got != (i != 0) {
+			t.Errorf("switch %d table matches intent = %v after corrupting switch 0", i, got)
+		}
+	}
+}
+
+// droppedFeatureBlobs are testDoc's blob with one frozen wire field set
+// to what a removed feature wrote: a limited member count, a pin at one
+// switch, an alternate-source registration and a per-switch mode.
+func droppedFeatureBlobs() map[string][]byte {
+	blob := Marshal(testDoc())
+	n := len(blob) // ... limited u16, nPinned u16, switch i16, base u16, nAlt u16, nModes u16
+	set := func(off int, v ...byte) []byte {
+		b := append([]byte(nil), blob...)
+		copy(b[off:], v)
+		return b
+	}
+	return map[string][]byte{
+		"limited members":   set(n-12, 0, 1),
+		"per-switch pin":    set(n-8, 0, 3),
+		"alternate sources": set(n-4, 0, 1),
+		"per-switch modes":  set(n-2, 0, 1),
 	}
 }
 
@@ -167,56 +182,55 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if _, err := Unmarshal([]byte("XXXX")); err == nil {
 		t.Error("bad magic accepted")
 	}
+	for name, b := range droppedFeatureBlobs() {
+		if _, err := Unmarshal(b); err == nil {
+			t.Errorf("%s: decoded a blob that declares them", name)
+		}
+	}
 }
 
 func TestProgramInstallsIntent(t *testing.T) {
 	s := sim.New()
 	params := fabric.DefaultParams()
 	mesh := topology.NewMesh(s, params, 2, 2)
-	filter := enforce.NewFilter(enforce.IF, params)
+	filter := enforce.NewFilter(enforce.SIF, params)
 	mesh.SetFilterAll(filter)
-	mkey := keys.MKey(0x5EC0DE0FDEADBEEF)
-	cfg := sm.DefaultConfig()
-	manager := sm.New(s, mesh, filter, cfg)
+	manager := sm.New(s, mesh, filter, sm.DefaultConfig())
 
 	doc := testDoc()
-	intent, err := Program(doc, manager, mesh, filter, mkey)
+	if _, err := Program(doc, manager, mesh, enforce.NewFilter(enforce.IF, params), testMKey); err == nil {
+		t.Fatal("Program accepted a filter running another mode")
+	}
+	intent, err := Program(doc, manager, mesh, filter, testMKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(manager.SyncState(Magic)) == 0 || manager.ProgramTables == nil {
-		t.Fatal("Program left no policy blob or reprogram hook on the SM")
+	if len(manager.SyncState(Magic)) == 0 {
+		t.Fatal("Program left no policy blob on the SM")
 	}
 
-	// HCA tables: node 0 is full in compute, limited in storage.
+	// HCA tables: node 0 is in compute, not in storage.
 	if !mesh.HCA(0).PKeyTable.Check(packet.PKey(0x8001)) {
-		t.Error("node 0 rejects full-member traffic in compute")
+		t.Error("node 0 rejects its own partition compute")
 	}
-	// Limited vs limited must fail; limited vs full must pass (10.9.3).
-	if mesh.HCA(0).PKeyTable.Check(packet.PKey(0x0002)) {
-		t.Error("two limited members can talk in storage")
-	}
-	if !mesh.HCA(0).PKeyTable.Check(packet.PKey(0x8002)) {
-		t.Error("limited member rejects a full member in storage")
+	if mesh.HCA(0).PKeyTable.Check(packet.PKey(0x8002)) {
+		t.Error("node 0 accepts storage, which it is not in")
 	}
 
 	// Switch state matches compiled intent exactly.
 	for i := range intent.Switches {
 		si := &intent.Switches[i]
 		snap := filter.Snapshot(mesh.Switches[si.Switch])
-		wv, wi, wa := si.Digests()
+		wv, wi := si.Digests()
 		if enforce.Digest16(snap.Valid) != wv {
 			t.Errorf("switch %d valid table differs from intent", si.Switch)
 		}
 		if enforce.Digest16(snap.Invalid) != wi {
 			t.Errorf("switch %d invalid table differs from intent", si.Switch)
 		}
-		if enforce.Digest16(snap.AltSources) != wa {
-			t.Errorf("switch %d alt sources differ from intent", si.Switch)
-		}
-		if snap.Mode != si.Mode || snap.Active != si.Active {
+		if snap.Mode != intent.Mode || snap.Active != si.Active {
 			t.Errorf("switch %d mode/active = %v/%v, want %v/%v",
-				si.Switch, snap.Mode, snap.Active, si.Mode, si.Active)
+				si.Switch, snap.Mode, snap.Active, intent.Mode, si.Active)
 		}
 	}
 
@@ -225,13 +239,13 @@ func TestProgramInstallsIntent(t *testing.T) {
 		t.Errorf("SM partition bases = %v", got)
 	}
 
-	// The reprogram hook restores corrupted state wholesale.
+	// Reprogramming from the SM's membership restores corrupted state
+	// wholesale.
 	sw := mesh.Switches[2]
 	filter.RemoveValid(sw, packet.PKey(0x8001))
-	manager.ProgramSwitchTables() // delegates to the policy hook
-	snap := filter.Snapshot(sw)
-	wv, _, _ := intent.Switch(2).Digests()
-	if enforce.Digest16(snap.Valid) != wv {
+	manager.ProgramSwitchTables()
+	wv, _ := intent.Switch(2).Digests()
+	if enforce.Digest16(filter.Snapshot(sw).Valid) != wv {
 		t.Error("ProgramSwitchTables did not restore the compiled table")
 	}
 
@@ -261,17 +275,17 @@ func scaledDoc(tb testing.TB) *Document {
 			Full: []PortRange{{First: (p * 4) % 64, Last: (p*4)%64 + 3}},
 		})
 	}
-	doc.Pinned = []PinnedInvalid{{Switch: -1, Base: 0x0FFF}}
+	doc.Pinned = []uint16{0x0FFF}
 	if err := doc.Validate(64); err != nil {
 		tb.Fatal(err)
 	}
 	return doc
 }
 
-// TestCompileAllocBudget holds compiling scaledDoc to the 133
-// allocations measured under Go 1.24 plus 25%; the compiler builds
-// maps, whose allocation counts differ between Go releases. The switch
-// tables are windows of two slabs, so one allocation per switch more
+// TestCompileAllocBudget holds compiling scaledDoc to the 63
+// allocations measured under Go 1.24 plus 25%; validation builds maps,
+// whose allocation counts differ between Go releases. The switch
+// tables are windows of one slab, so one allocation per switch more
 // exceeds the headroom.
 func TestCompileAllocBudget(t *testing.T) {
 	doc := scaledDoc(t)
@@ -280,7 +294,7 @@ func TestCompileAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 133 * 1.25
+	const ceiling = 63 * 1.25
 	if allocs > ceiling {
 		t.Fatalf("Compile allocated %.0f times, ceiling %.0f", allocs, ceiling)
 	}

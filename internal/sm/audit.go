@@ -16,9 +16,11 @@ import (
 //   - AuditState (Get): one probe returns digests of the switch's
 //     programmed enforcement state — valid table, Invalid_P_Key_Table,
 //     alternate-source registrations — plus the SIF active flag and the
-//     effective mode. The auditor compares these against compiled
-//     intent; matching digests end the audit of that switch at a cost of
-//     a single MAD.
+//     mode. The auditor compares these against compiled intent;
+//     matching digests end the audit of that switch at a cost of a
+//     single MAD. No intent declares an alternate source, so no auditor
+//     reads that digest; it stays in the response, whose bytes the
+//     delivered-wire pins hash.
 //   - AuditEntries (Get): chunked read-back of one table, six 16-bit
 //     entries per SMP, for drift attribution after a digest mismatch.
 //   - AuditRepair (Set, M_Key-guarded): applies one entry-level fix.
@@ -45,16 +47,15 @@ const (
 const (
 	AuditTableValid   = 0
 	AuditTableInvalid = 1
-	AuditTableAlt     = 2
 )
 
-// Repair operations for AuditRepair.
+// Repair operations for AuditRepair. The values are wire bytes; 4 was
+// an alternate-source registration.
 const (
-	RepairAddValid     = 1
-	RepairRemoveValid  = 2
-	RepairAddInvalid   = 3
-	RepairAddAltSource = 4
-	RepairActivate     = 5
+	RepairAddValid    = 1
+	RepairRemoveValid = 2
+	RepairAddInvalid  = 3
+	RepairActivate    = 5
 )
 
 // AuditEntriesPerChunk is how many 16-bit entries one AuditEntries
@@ -120,7 +121,7 @@ func EncodeAuditEntriesReq(table int, start int) []byte {
 }
 
 // EncodeAuditRepairReq builds the AuditRepair request data: operation
-// and 16-bit operand (P_Key for table ops, source LID for alt-source).
+// and 16-bit operand (a P_Key; ignored by Activate).
 func EncodeAuditRepairReq(op int, val uint16) []byte {
 	data := make([]byte, 3)
 	data[0] = byte(op)
@@ -169,8 +170,6 @@ func (a *SwitchAgent) auditEntries(sw *fabric.Switch, pl, resp []byte) {
 		putAuditChunk(data, snap.Valid, start)
 	case AuditTableInvalid:
 		putAuditChunk(data, snap.Invalid, start)
-	case AuditTableAlt:
-		putAuditChunk(data, snap.AltSources, start)
 	default:
 		resp[smpOffStatus] = smpStatusUnsupported
 		return
@@ -205,8 +204,6 @@ func (a *SwitchAgent) auditRepair(sw *fabric.Switch, pl, resp []byte) {
 		a.Enforce.RemoveValid(sw, packet.PKey(val))
 	case RepairAddInvalid:
 		a.Enforce.RegisterInvalid(sw, packet.PKey(val))
-	case RepairAddAltSource:
-		a.Enforce.RegisterAltSource(sw, packet.LID(val))
 	case RepairActivate:
 		a.Enforce.SetActive(sw, true)
 	default:

@@ -90,7 +90,6 @@ const (
 	ResweepReroutes
 	ResweepRestoredLinks
 	ResweepSweeps
-	ResweepSweepsSkipped
 	numResweepCounters
 )
 
@@ -101,7 +100,6 @@ var resweepCounters = metrics.Table{Set: "resweep", Names: []string{
 	ResweepReroutes:      "reroutes",
 	ResweepRestoredLinks: "restored_links",
 	ResweepSweeps:        "sweeps",
-	ResweepSweepsSkipped: "sweeps_skipped",
 }}
 
 // PerfCounter identifies one of a PerfMgr's counters.
@@ -117,7 +115,6 @@ const (
 	PMReadmits
 	PMRerouteMADs
 	PMSweeps
-	PMSweepsSkipped
 	PMTrapRearmMADs
 	numPerfCounters
 )
@@ -132,7 +129,6 @@ var perfCounters = metrics.Table{Set: "perfmgr", Names: []string{
 	PMReadmits:          "readmits",
 	PMRerouteMADs:       "reroute_mads",
 	PMSweeps:            "sweeps",
-	PMSweepsSkipped:     "sweeps_skipped",
 	PMTrapRearmMADs:     "trap_rearm_mads",
 }}
 

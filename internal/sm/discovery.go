@@ -418,7 +418,6 @@ func (a *NodeAgent) receive(d *fabric.Delivery) {
 	case fr.Method == smpMethodSet && fr.Attr == smpAttrSetLID:
 		if fr.MKey != a.MKey {
 			resp[smpOffStatus] = smpStatusBadMKey
-			a.HCA.Counters.Add(fabric.HCASMPMKeyViolations, 1)
 			break
 		}
 		a.HCA.SetLID(packet.LID(binary.BigEndian.Uint16(pl[smpOffData:])))

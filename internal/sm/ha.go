@@ -1164,9 +1164,9 @@ func (c *Coordinator) abdicate(i int) {
 
 // startMerge is the winning master's half of the merge protocol: a merge
 // census re-verifies what is reachable now that the cut has mended, then
-// the winner re-imposes fabric-wide state — switch tables (through the
-// policy plane when it is wired), trap routing, periodic duties — and
-// hands the two key-epoch lineages to the core layer for reconciliation.
+// the winner re-imposes fabric-wide state — switch tables, trap
+// routing, periodic duties — and hands the two key-epoch lineages to
+// the core layer for reconciliation.
 func (c *Coordinator) startMerge(i, j int) {
 	if c.mergeFrom >= 0 || c.dead[i] || !c.isMaster[i] {
 		return

@@ -81,10 +81,6 @@ type PerfConfig struct {
 	// SweepPeriod is the full-fabric PortCounters sweep interval; zero
 	// disables the whole health plane.
 	SweepPeriod sim.Time
-	// Alpha is the EWMA smoothing factor applied to each link's
-	// per-sweep error count: score = α·errs + (1−α)·score. Zero defaults
-	// to 0.5.
-	Alpha float64
 	// QuarantineScore fences a link when its EWMA error score reaches
 	// it; zero defaults to 4 (errors per sweep, both directions). A
 	// fenced link is re-admitted once its score decays to
@@ -113,9 +109,6 @@ func (c PerfConfig) Validate() error {
 		}
 		return nil
 	}
-	if !(c.Alpha >= 0 && c.Alpha < 1) {
-		return fmt.Errorf("sm: health EWMA alpha %v outside [0,1)", c.Alpha)
-	}
 	if !(c.QuarantineScore >= 0) {
 		return fmt.Errorf("sm: negative health score threshold")
 	}
@@ -125,9 +118,6 @@ func (c PerfConfig) Validate() error {
 // withDefaults returns c with its zero fields resolved as the field
 // comments state.
 func (c PerfConfig) withDefaults() PerfConfig {
-	if c.Alpha == 0 {
-		c.Alpha = 0.5
-	}
 	if c.QuarantineScore == 0 {
 		c.QuarantineScore = 4
 	}
@@ -168,6 +158,10 @@ type linkHealth struct {
 	trapSwitch, trapPort int
 }
 
+// healthAlpha is the EWMA smoothing factor applied to each link's
+// per-sweep error count: score = α·errs + (1−α)·score.
+const healthAlpha = 0.5
+
 // The two sampling contexts of linkHealth.samples, and of a read's tag.
 const (
 	sampleSweep = 0
@@ -206,9 +200,9 @@ type PerfMgr struct {
 	stopped     bool
 	stop        func()
 
-	// Counters: sweeps, sweeps_skipped, health_sweep_mads,
-	// health_unanswered, quarantines, readmits, quarantine_refused,
-	// reroute_mads, health_trap_mads, trap_rearm_mads.
+	// Counters: sweeps, health_sweep_mads, health_unanswered,
+	// quarantines, readmits, quarantine_refused, reroute_mads,
+	// health_trap_mads, trap_rearm_mads.
 	Counters metrics.Set[PerfCounter]
 	ctr      [numPerfCounters]uint64 // Counters' cells
 	// OnEvent, when non-nil, receives every quarantine transition.
@@ -328,7 +322,6 @@ func (pm *PerfMgr) tick() {
 		return
 	}
 	if pm.sweeping {
-		pm.Counters.Add(PMSweepsSkipped, 1)
 		return
 	}
 	pm.sweeping = true
@@ -395,7 +388,7 @@ func (pm *PerfMgr) portRead(tag uint64, ok bool, cur fabric.PortCounters) {
 	if sample.remaining > 0 {
 		return
 	}
-	st.score = pm.cfg.Alpha*float64(sample.errs) + (1-pm.cfg.Alpha)*st.score
+	st.score = healthAlpha*float64(sample.errs) + (1-healthAlpha)*st.score
 	pm.sampled(i, ctx)
 }
 

@@ -202,7 +202,6 @@ func TestPerfMgrQuarantinesAndReadmits(t *testing.T) {
 	s, mesh := perfTestMesh(t)
 	pm := NewPerfMgr(s, mesh, perfDisc(s, mesh), nil, PerfConfig{
 		SweepPeriod:     50 * sim.Microsecond,
-		Alpha:           0.5,
 		QuarantineScore: 1,
 	})
 	pm.Start()
@@ -269,7 +268,6 @@ func TestPerfMgrTrapFastPath(t *testing.T) {
 	sweep := 800 * sim.Microsecond
 	pm := NewPerfMgr(s, mesh, perfDisc(s, mesh), nil, PerfConfig{
 		SweepPeriod:     sweep,
-		Alpha:           0.5,
 		QuarantineScore: 1,
 		TrapThreshold:   5,
 	})
@@ -304,7 +302,6 @@ func TestHoldForDamping(t *testing.T) {
 	s, mesh := perfTestMesh(t)
 	base := PerfConfig{
 		SweepPeriod:     25 * sim.Microsecond,
-		Alpha:           0.5,
 		QuarantineScore: 1,
 	}
 	undamped := NewPerfMgr(s, mesh, perfDisc(s, mesh), nil, base)
@@ -336,7 +333,6 @@ func TestPerfMgrAdopt(t *testing.T) {
 	s, mesh := perfTestMesh(t)
 	pm := NewPerfMgr(s, mesh, perfDisc(s, mesh), nil, PerfConfig{
 		SweepPeriod:     50 * sim.Microsecond,
-		Alpha:           0.5,
 		QuarantineScore: 1,
 		Damping:         true,
 	})

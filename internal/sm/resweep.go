@@ -38,8 +38,7 @@ type Resweeper struct {
 	lostEdge           func(fromGUID uint64, port int)
 	probed, configured func(*DiscoveredTopology)
 
-	// Counters: sweeps, sweeps_skipped (previous sweep still running),
-	// detections, lost_links, restored_links, reroutes.
+	// Counters: sweeps, detections, lost_links, restored_links, reroutes.
 	Counters metrics.Set[ResweepCounter]
 	ctr      [numResweepCounters]uint64 // Counters' cells
 	// SweepLatency records each probe phase's duration in microseconds.
@@ -119,7 +118,6 @@ func (r *Resweeper) Stop() {
 
 func (r *Resweeper) tick() {
 	if r.sweeping {
-		r.Counters.Add(ResweepSweepsSkipped, 1)
 		return
 	}
 	r.sweeping = true

@@ -96,12 +96,6 @@ type SubnetManager struct {
 	// SetSyncState in ha.go). The coordinator appends the non-empty ones
 	// to every state-sync MAD so a promoted standby inherits them.
 	syncState []syncEntry
-	// ProgramTables, when non-nil, replaces ProgramSwitchTables'
-	// built-in membership-derived programming with compiled-intent
-	// programming — wired by the core layer when the policy plane is
-	// enabled, so a post-failover reprogram restores intent rather than
-	// re-deriving tables from membership.
-	ProgramTables func()
 
 	// partitions holds every partition's membership, ascending by base:
 	// the order rotation, table programming and HA state sync walk.
@@ -369,32 +363,33 @@ func (m *SubnetManager) appendIslandMembers(dst []int, pk packet.PKey) []int {
 }
 
 // ProgramSwitchTables installs the per-switch valid-P_Key tables the
-// filter needs: for DPT every switch gets the union of all partitions;
-// for IF/SIF each switch gets the partitions of its attached node.
-// Under an island scope only member switches are written.
+// filter needs: for DPT every switch gets its own copy of the union of
+// all partitions (the paper's Duplicate Partition Table), so corruption
+// and repair of one switch's table stay local to it; for IF/SIF each
+// switch gets the partitions of its attached node. Under an island
+// scope only member switches are written.
 func (m *SubnetManager) ProgramSwitchTables() {
-	if m.ProgramTables != nil {
-		m.ProgramTables()
-		return
-	}
 	if m.filter == nil {
 		return
 	}
 	switch m.filter.Mode() {
 	case enforce.DPT:
-		global := keys.NewPartitionTable(0)
 		memberships := 0 // Table 2's n×p: one entry per (node, partition)
 		for _, p := range m.partitions {
 			memberships += len(p.members)
-			if err := global.Add(packet.PKey(0x8000 | p.base)); err != nil {
-				panic(err)
-			}
 		}
+		tables := keys.NewPartitionTables(len(m.mesh.Switches), len(m.partitions))
 		for i, sw := range m.mesh.Switches {
 			if !m.InIsland(i) {
 				continue
 			}
-			m.filter.SetSwitchTable(sw, global, memberships)
+			tbl := &tables[i]
+			for _, p := range m.partitions {
+				if err := tbl.Add(packet.PKey(0x8000 | p.base)); err != nil {
+					panic(err)
+				}
+			}
+			m.filter.SetSwitchTable(sw, tbl, memberships)
 		}
 	case enforce.IF, enforce.SIF:
 		// One table per node, each with room for a node in every

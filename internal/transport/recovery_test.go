@@ -102,7 +102,7 @@ func TestRCBackoffGrowsAndCaps(t *testing.T) {
 		t.Fatalf("backoff off: delay = %v", d)
 	}
 
-	ep.cfg.RetryBackoff = true
+	ep.cfg.EnableNAK = true
 	// The cap is backoffCapFactor x base.
 	for _, c := range []struct {
 		retries int
@@ -129,7 +129,7 @@ func TestRCBackoffStretchesRetryHorizon(t *testing.T) {
 		w := newWorld(t, 0, PartitionLevel)
 		w.eps[0].cfg.RetryTimeout = 10 * sim.Microsecond
 		w.eps[0].cfg.MaxRetries = 3
-		w.eps[0].cfg.RetryBackoff = backoff
+		w.eps[0].cfg.EnableNAK = backoff
 		a, _ := connectRC(t, w, false)
 		w.mesh.SwitchOf(0).SetFilter(&dropFilter{remaining: 1 << 30})
 		start := w.s.Now()

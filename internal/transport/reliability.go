@@ -23,18 +23,18 @@ import (
 // how an attacker forging traffic against an authenticated QP shows up as
 // a stalled, not corrupted, connection.
 //
-// Three IBA recovery mechanisms layer on top, each behind a default-off
-// knob so the base protocol is bit-for-bit unchanged when disabled:
+// Three IBA recovery mechanisms layer on top, off by default so the
+// base protocol is bit-for-bit unchanged; Config.EnableNAK turns on the
+// first two together:
 //
-//   - Explicit NAK (Config.EnableNAK): a responder that sees a PSN gap
-//     sends one NAK (AETH syndrome 011) per gap episode naming the last
-//     in-order PSN. The requester retransmits immediately instead of
-//     waiting out a full retry period, and the NAK does not consume the
-//     transport retry budget.
-//   - Exponential backoff (Config.RetryBackoff): the retry period doubles
-//     after every quiet timeout, capped at backoffCapFactor times the
-//     base period, so a dead path is probed at a decaying rate instead of
-//     a fixed one.
+//   - Explicit NAK: a responder that sees a PSN gap sends one NAK (AETH
+//     syndrome 011) per gap episode naming the last in-order PSN. The
+//     requester retransmits immediately instead of waiting out a full
+//     retry period, and the NAK does not consume the transport retry
+//     budget.
+//   - Exponential backoff: the retry period doubles after every quiet
+//     timeout, capped at backoffCapFactor times the base period, so a
+//     dead path is probed at a decaying rate instead of a fixed one.
 //   - Automatic Path Migration (QP.SetAlternatePath): after MigrateAfter
 //     consecutive quiet timeouts the requester rewrites the head of the
 //     window onto the pre-loaded alternate DLID and keeps sending there;
@@ -166,11 +166,11 @@ func (e *Endpoint) retryTimeout() sim.Time {
 }
 
 // retryDelay returns the current retry period for a QP: the base period,
-// or — with RetryBackoff — the base doubled per consecutive quiet
+// or — with EnableNAK — the base doubled per consecutive quiet
 // timeout, capped at backoffCapFactor × base.
 func (e *Endpoint) retryDelay(q *QP) sim.Time {
 	base := e.retryTimeout()
-	if !e.cfg.RetryBackoff {
+	if !e.cfg.EnableNAK {
 		return base
 	}
 	limit := backoffCapFactor * base

@@ -74,14 +74,14 @@ type Config struct {
 	// select the defaults (100 µs, 7 rounds).
 	RetryTimeout sim.Time
 	MaxRetries   int
-	// EnableNAK turns on responder-generated explicit NAKs: a PSN gap
-	// answers with a sequence-error NAK, letting the requester recover
-	// responder-clocked instead of waiting out RetryTimeout. Off by
-	// default: the base protocol is bit-for-bit unchanged.
+	// EnableNAK turns on the two recovery refinements together:
+	// responder-generated explicit NAKs (a PSN gap answers with a
+	// sequence-error NAK, letting the requester recover
+	// responder-clocked instead of waiting out RetryTimeout), and a
+	// retry period that doubles after every quiet timeout, capped at
+	// 8 × RetryTimeout. Off by default: the base protocol is
+	// bit-for-bit unchanged.
 	EnableNAK bool
-	// RetryBackoff doubles the retry period after every quiet timeout,
-	// capped at 8 × RetryTimeout. Off by default.
-	RetryBackoff bool
 }
 
 // QP is one queue pair.

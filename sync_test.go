@@ -12,6 +12,7 @@ import (
 	"os"
 	pathpkg "path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -419,15 +420,23 @@ func TestNoTestOnlyExports(t *testing.T) {
 // store: an assignment or ++/-- to the field (or to an element or field
 // inside it, so x.F.G[i] = v stores through both G and F), or a
 // composite-literal key. The other writes, &x.F, a method call on x.F
-// and a copy into x.F, may read the field too.
-func (m *modulePackages) fieldWrites(visit func(id *ast.Ident, v *types.Var, store bool)) {
+// and a copy into x.F, may read the field too. decoded reports a write
+// inside a decoder of the field's own package: a function or method
+// whose name begins with Unmarshal, Parse or parse.
+func (m *modulePackages) fieldWrites(visit func(id *ast.Ident, v *types.Var, store, decoded bool)) {
+	// decoder is the package of the enclosing decoder, or nil outside one.
+	var decoder *types.Package
+	field := func(id *ast.Ident, v *types.Var, store bool) {
+		v = v.Origin()
+		visit(id, v, store, decoder != nil && decoder == v.Pkg())
+	}
 	// write visits every field selected along e.
 	var write func(e ast.Expr, store bool)
 	write = func(e ast.Expr, store bool) {
 		switch x := e.(type) {
 		case *ast.SelectorExpr:
 			if v, ok := m.info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
-				visit(x.Sel, v.Origin(), store)
+				field(x.Sel, v, store)
 			}
 			write(x.X, store)
 		case *ast.IndexExpr:
@@ -442,43 +451,52 @@ func (m *modulePackages) fieldWrites(visit func(id *ast.Ident, v *types.Var, sto
 	}
 	for _, files := range m.files {
 		for _, f := range files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range x.Lhs {
-						write(lhs, true)
-					}
-				case *ast.IncDecStmt:
-					write(x.X, true)
-				case *ast.RangeStmt:
-					if x.Tok == token.ASSIGN {
-						write(x.Key, true)
-						if x.Value != nil {
-							write(x.Value, true)
-						}
-					}
-				case *ast.UnaryExpr:
-					if x.Op == token.AND {
-						write(x.X, false)
-					}
-				case *ast.KeyValueExpr:
-					if id, ok := x.Key.(*ast.Ident); ok {
-						if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
-							visit(id, v.Origin(), true)
-						}
-					}
-				case *ast.CallExpr:
-					if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-						if _, ok := m.info.Uses[sel.Sel].(*types.Func); ok {
-							write(sel.X, false)
-						}
-					}
-					if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "copy" && len(x.Args) > 0 {
-						write(x.Args[0], false)
+			for _, decl := range f.Decls {
+				decoder = nil
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					name, obj := fd.Name.Name, m.info.Defs[fd.Name]
+					if obj != nil && (strings.HasPrefix(name, "Unmarshal") || strings.HasPrefix(name, "Parse") || strings.HasPrefix(name, "parse")) {
+						decoder = obj.Pkg()
 					}
 				}
-				return true
-			})
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range x.Lhs {
+							write(lhs, true)
+						}
+					case *ast.IncDecStmt:
+						write(x.X, true)
+					case *ast.RangeStmt:
+						if x.Tok == token.ASSIGN {
+							write(x.Key, true)
+							if x.Value != nil {
+								write(x.Value, true)
+							}
+						}
+					case *ast.UnaryExpr:
+						if x.Op == token.AND {
+							write(x.X, false)
+						}
+					case *ast.KeyValueExpr:
+						if id, ok := x.Key.(*ast.Ident); ok {
+							if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+								field(id, v, true)
+							}
+						}
+					case *ast.CallExpr:
+						if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
+							if _, ok := m.info.Uses[sel.Sel].(*types.Func); ok {
+								write(sel.X, false)
+							}
+						}
+						if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "copy" && len(x.Args) > 0 {
+							write(x.Args[0], false)
+						}
+					}
+					return true
+				})
+			}
 		}
 	}
 }
@@ -514,14 +532,37 @@ func (m *modulePackages) internalFields(visit func(dir string, ts *ast.TypeSpec,
 // every exported field of a struct declared in a non-test file under
 // internal/ that a non-test file reads must also be written by one — this
 // module's (cmd/ and examples/ included) or bench/'s (see fieldWrites;
-// any write counts). A field read but never written holds its zero value
-// in every run, so the code that reads it is dead; it goes, with the
-// field. As in TestNoTestOnlyExports, a field another directory's
-// _test.go files name, by name, is a seam and stays.
+// any write counts but a decoder's). A field read but never written
+// holds its zero value in every run, so the code that reads it is dead;
+// it goes, with the field. A decoder of the field's own package
+// (Unmarshal*, Parse*, parse*) only copies back what an encoder wrote,
+// so its write sets nothing unless the struct is a wire view that only
+// decoders build (smpFrame, AuditChunk): no other code writes any of
+// its fields, and a decoder's write counts. As in
+// TestNoTestOnlyExports, a field another directory's _test.go files
+// name, by name, is a seam and stays: that is why the check cannot see
+// a decoded-only field whose name a test elsewhere selects on another
+// type, as policy.Document.AltSources hid behind
+// enforce.SwitchSnapshot.AltSources.
 func TestNoTestOnlyKnobs(t *testing.T) {
 	m := loadModule(t)
-	written := map[types.Object]bool{}
-	m.fieldWrites(func(_ *ast.Ident, v *types.Var, _ bool) { written[v] = true })
+	written := map[types.Object]bool{} // by code other than a decoder of its package
+	decoded := map[types.Object]bool{}
+	m.fieldWrites(func(_ *ast.Ident, v *types.Var, _, decoder bool) {
+		if decoder {
+			decoded[v] = true
+		} else {
+			written[v] = true
+		}
+	})
+	// built holds the struct types code other than a decoder writes a
+	// field of; any other is a wire view.
+	built := map[*ast.TypeSpec]bool{}
+	m.internalFields(func(_ string, ts *ast.TypeSpec, _ *ast.Field, id *ast.Ident) {
+		if written[m.info.Defs[id]] {
+			built[ts] = true
+		}
+	})
 	read := map[types.Object]bool{}
 	for _, obj := range m.info.Uses {
 		if v, ok := obj.(*types.Var); ok && v.IsField() {
@@ -531,14 +572,14 @@ func TestNoTestOnlyKnobs(t *testing.T) {
 	var found []string
 	m.internalFields(func(dir string, ts *ast.TypeSpec, _ *ast.Field, id *ast.Ident) {
 		obj := m.info.Defs[id]
-		if !id.IsExported() || !read[obj] || written[obj] || m.namedByOtherTests(dir, "."+id.Name) {
+		if !id.IsExported() || !read[obj] || written[obj] || decoded[obj] && !built[ts] || m.namedByOtherTests(dir, "."+id.Name) {
 			return
 		}
 		found = append(found, fmt.Sprintf("%s: field %s.%s", m.fset.Position(id.Pos()), ts.Name.Name, id.Name))
 	})
 	sort.Strings(found)
 	for _, f := range found {
-		t.Errorf("%s is read by non-test code but written only by tests, or by nothing: delete it and the code that reads it", f)
+		t.Errorf("%s is read by non-test code but written only by tests, by a decoder, or by nothing: delete it and the code that reads it", f)
 	}
 	if len(found) > 0 {
 		t.Logf("%d test-only knobs", len(found))
@@ -564,7 +605,7 @@ func TestNoWriteOnlyState(t *testing.T) {
 	m := loadModule(t)
 	stored := map[*ast.Ident]bool{}
 	written := map[types.Object]bool{}
-	m.fieldWrites(func(id *ast.Ident, v *types.Var, store bool) {
+	m.fieldWrites(func(id *ast.Ident, v *types.Var, store, _ bool) {
 		if store {
 			stored[id] = true
 			written[v] = true
@@ -648,9 +689,10 @@ func importsReflect(f *ast.File) bool {
 //     set's metrics.Table;
 //   - no _test.go file names it, other than as the first argument of
 //     an Add;
-//   - its name is a word of no string literal but its own table entry,
-//     test files included, so no Get and no check of printed output
-//     reads it;
+//   - its name is a word of no string literal but the counter tables'
+//     entries, test files included, so no Get and no check of printed
+//     output reads it (another table's cell of the same name is another
+//     counter, and reads nothing of this one);
 //   - no non-test code reads its whole set: uses a metrics.Set[ID]
 //     other than through Add, Value, Bind or a Get of a literal name,
 //     as String and Names do.
@@ -737,6 +779,10 @@ func TestNoWriteOnlyCounters(t *testing.T) {
 			printed[id] = true
 		}
 	}
+	tableNames := map[*ast.BasicLit]bool{}
+	for _, lit := range entry {
+		tableNames[lit] = true
+	}
 	read := map[*types.Const]bool{}
 	for id, obj := range m.info.Uses {
 		if c, ok := counter(obj); ok && !added[id] && !entries[id] {
@@ -750,7 +796,7 @@ func TestNoWriteOnlyCounters(t *testing.T) {
 			continue
 		}
 		name, _ := strconv.Unquote(entry[c].Value)
-		if spelled(spellings, name, entry[c]) {
+		if spelled(spellings, name, tableNames) {
 			continue
 		}
 		path := c.Pkg().Path()
@@ -769,15 +815,15 @@ func TestNoWriteOnlyCounters(t *testing.T) {
 	}
 }
 
-// spelled reports whether name is a word of a string literal other
-// than the one at own: a run of letters, digits and underscores that no
-// such character extends.
-func spelled(spellings map[string][]*ast.BasicLit, name string, own *ast.BasicLit) bool {
+// spelled reports whether name is a word of a string literal that
+// appears somewhere other than as a counter table's entry (skip): a run
+// of letters, digits and underscores that no such character extends.
+func spelled(spellings map[string][]*ast.BasicLit, name string, skip map[*ast.BasicLit]bool) bool {
 	word := func(b byte) bool {
 		return b == '_' || '0' <= b && b <= '9' || 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z'
 	}
 	for s, at := range spellings {
-		if len(at) == 1 && at[0] == own {
+		if !slices.ContainsFunc(at, func(lit *ast.BasicLit) bool { return !skip[lit] }) {
 			continue
 		}
 		for i := 0; ; i++ {
