@@ -327,6 +327,8 @@ func list[T any](conv func(string) (T, error)) func(string) ([]T, error) {
 
 func atof(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
+func atoi64(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }
+
 // maxMicros and maxMillis are the largest microsecond and millisecond
 // counts a sim.Time holds.
 const (
@@ -337,10 +339,11 @@ const (
 var (
 	floats = list(atof)
 	ints   = list(strconv.Atoi)
-	// micros is ints for a list of microsecond counts: a count whose
-	// sim.Time would overflow, and so wrap to some other period than its
-	// row label shows, is refused at parse time, naming the flag.
-	micros = list(within(strconv.Atoi, func(v int) bool { return int64(v) <= maxMicros && int64(v) >= -maxMicros },
+	// micros is a list of microsecond counts, int64 on every platform:
+	// a count whose sim.Time would overflow, and so wrap to some other
+	// period than its row label shows, is refused at parse time, naming
+	// the flag.
+	micros = list(within(atoi64, func(v int64) bool { return v <= maxMicros && v >= -maxMicros },
 		fmt.Sprintf("microseconds within ±%d", maxMicros)))
 )
 
@@ -392,7 +395,7 @@ func fig1Flags(fs *flag.FlagSet) func(*env) error {
 		"be":   {fabric.ClassBestEffort},
 		"both": {fabric.ClassRealtime, fabric.ClassBestEffort},
 	}))
-	attackers := fs.Int("attackers", 4, "maximum number of attackers")
+	attackers := fs.Int64("attackers", 4, "maximum number of attackers")
 	weighted := checked(fs, "arb", "strict", "VL arbiter: strict or weighted (ablation)", oneOf(map[string]bool{"strict": false, "weighted": true}))
 	return func(e *env) error {
 		base := e.base

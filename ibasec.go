@@ -196,7 +196,7 @@ func NewPool(opts PoolOptions) *Pool { return runner.New(opts) }
 
 // Fig1 regenerates Figure 1: queuing time and network latency versus the
 // number of line-rate attackers, for the given traffic class.
-func Fig1(ctx context.Context, pool *Pool, class Class, maxAttackers int, base Config) ([]Fig1Row, error) {
+func Fig1(ctx context.Context, pool *Pool, class Class, maxAttackers int64, base Config) ([]Fig1Row, error) {
 	return core.Fig1(ctx, pool, class, maxAttackers, base)
 }
 

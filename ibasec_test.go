@@ -26,9 +26,12 @@ func TestFacadeRun(t *testing.T) {
 	if res.AuthFail != 0 {
 		t.Fatalf("authFail=%d", res.AuthFail)
 	}
-	q, n := res.Combined()
-	if q < 0 || n <= 0 {
-		t.Fatalf("combined stats %v/%v", q, n)
+	// The default load is best-effort only.
+	if n := res.Realtime.Network.N(); n != 0 {
+		t.Fatalf("realtime: %d samples at zero realtime load", n)
+	}
+	if q, n := res.BestEffort.Queuing.Mean(), res.BestEffort.Network.Mean(); q < 0 || n <= 0 {
+		t.Fatalf("best-effort: queuing %v us, network %v us", q, n)
 	}
 }
 

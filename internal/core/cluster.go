@@ -96,17 +96,6 @@ type Results struct {
 	HealthRerouteMADs uint64
 }
 
-// Combined returns the mean queuing and network delay over both traffic
-// classes, weighted by sample counts (the single-bar view of Figure 5).
-func (r *Results) Combined() (queuingUS, networkUS float64) {
-	var q, n metrics.Welford
-	q.Merge(&r.Realtime.Queuing)
-	q.Merge(&r.BestEffort.Queuing)
-	n.Merge(&r.Realtime.Network)
-	n.Merge(&r.BestEffort.Network)
-	return q.Mean(), n.Mean()
-}
-
 // Cluster is a fully wired simulation instance. Most callers use Run;
 // Build is exposed for what drives the assembled system by hand: the
 // Table 3 attack scenarios (internal/attack), examples/secure-rdma and

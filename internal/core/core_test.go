@@ -355,22 +355,6 @@ func TestClusterTracing(t *testing.T) {
 	}
 }
 
-func TestCombinedMerge(t *testing.T) {
-	cfg := quickCfg()
-	cfg.RealtimeLoad = 0.2
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, n := res.Combined()
-	if q < 0 || n <= 0 {
-		t.Fatalf("combined = %v, %v", q, n)
-	}
-	if res.Realtime.Network.N() == 0 || res.BestEffort.Network.N() == 0 {
-		t.Fatal("both classes should have samples")
-	}
-}
-
 func TestFig1ShapeQuick(t *testing.T) {
 	base := quickCfg()
 	base.BestEffortLoad = 0.65

@@ -51,7 +51,7 @@ type DriftRow struct {
 // microseconds; 0 runs the no-auditor baseline (one arm — repair is
 // meaningless without detection), every other period runs both a
 // detect-only and a repair arm.
-func DriftSweep(ctx context.Context, pool *runner.Pool, periodsUS []int, base Config) ([]DriftRow, error) {
+func DriftSweep(ctx context.Context, pool *runner.Pool, periodsUS []int64, base Config) ([]DriftRow, error) {
 	var points []driftPoint
 	for _, mode := range []enforce.Mode{enforce.DPT, enforce.IF, enforce.SIF} {
 		for _, period := range periodsUS {
@@ -70,7 +70,7 @@ func DriftSweep(ctx context.Context, pool *runner.Pool, periodsUS []int, base Co
 // driftPoint is one cell of the drift sweep.
 type driftPoint struct {
 	Mode     enforce.Mode
-	PeriodUS int
+	PeriodUS int64
 	Repair   bool
 }
 

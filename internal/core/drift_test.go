@@ -33,7 +33,7 @@ func TestDriftTighterAuditShrinksBlast(t *testing.T) {
 
 	prev := baseline
 	prev.DetectUS = 1e18 // baseline never detects; any real latency beats it
-	for _, periodUS := range []int{400, 200, 100, 50} {
+	for _, periodUS := range []int64{400, 200, 100, 50} {
 		row, err := runDriftPoint(base, driftPoint{Mode: enforce.IF, PeriodUS: periodUS, Repair: true})
 		if err != nil {
 			t.Fatal(err)

@@ -56,16 +56,16 @@ type Fig1Row struct {
 // 0 to maxAttackers, which must leave at least one node that does not
 // attack. Attackers flood at full line rate with random P_Keys and
 // destinations; no switch filtering is in place.
-func Fig1(ctx context.Context, pool *runner.Pool, class fabric.Class, maxAttackers int, base Config) ([]Fig1Row, error) {
+func Fig1(ctx context.Context, pool *runner.Pool, class fabric.Class, maxAttackers int64, base Config) ([]Fig1Row, error) {
 	name := "fig1_best-effort"
 	if class == fabric.ClassRealtime {
 		name = "fig1_realtime"
 	}
-	if n := base.MeshW * base.MeshH; maxAttackers < 0 || maxAttackers >= n {
+	if n := base.MeshW * base.MeshH; maxAttackers < 0 || maxAttackers >= int64(n) {
 		return nil, fmt.Errorf("core: %s: %d attackers for %d nodes", name, maxAttackers, n)
 	}
 	var points []fig1Point
-	for k := 0; k <= maxAttackers; k++ {
+	for k := 0; k <= int(maxAttackers); k++ {
 		points = append(points, fig1Point{Attackers: k})
 	}
 	return sweep(ctx, pool, name, points, func(p fig1Point) (Fig1Row, error) {

@@ -54,7 +54,7 @@ type FailoverRow struct {
 // FailoverSweep sweeps standby count × heartbeat interval × rekey period
 // under an SMKill + KeyCompromise fault plan. heartbeatsUS and rekeysUS
 // are in microseconds; a rekey of 0 runs that arm with rotation disabled.
-func FailoverSweep(ctx context.Context, pool *runner.Pool, standbys []int, heartbeatsUS []int, rekeysUS []int, base Config) ([]FailoverRow, error) {
+func FailoverSweep(ctx context.Context, pool *runner.Pool, standbys []int, heartbeatsUS, rekeysUS []int64, base Config) ([]FailoverRow, error) {
 	var points []failoverPoint
 	for _, sb := range standbys {
 		for _, hb := range heartbeatsUS {
@@ -67,13 +67,16 @@ func FailoverSweep(ctx context.Context, pool *runner.Pool, standbys []int, heart
 }
 
 // failoverPoint is one cell of the failover sweep; times in microseconds.
-type failoverPoint struct{ Standbys, HeartbeatUS, RekeyUS int }
+type failoverPoint struct {
+	Standbys             int
+	HeartbeatUS, RekeyUS int64
+}
 
 // haCfg is base set up for the SM-plane experiments (failover,
 // splitbrain): SIF and partition-level authentication over a fixed
 // moderate load, standbys SM standbys heartbeating every heartbeatUS,
 // and a key rotation every rekeyUS microseconds (0 disables it).
-func haCfg(base Config, standbys, heartbeatUS, rekeyUS int) Config {
+func haCfg(base Config, standbys int, heartbeatUS, rekeyUS int64) Config {
 	cfg := base
 	cfg.Enforcement = enforce.SIF
 	cfg.Auth = AuthConfig{Enabled: true, FuncID: cfg.Auth.FuncID, Level: transport.PartitionLevel}

@@ -196,11 +196,11 @@ func TestFailoverNoStandbyBaseline(t *testing.T) {
 // its inputs.
 func TestFailoverSweepDeterministic(t *testing.T) {
 	base := quickCfg()
-	a, err := FailoverSweep(context.Background(), nil, []int{0, 1}, []int{50}, []int{0, 300}, base)
+	a, err := FailoverSweep(context.Background(), nil, []int{0, 1}, []int64{50}, []int64{0, 300}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FailoverSweep(context.Background(), nil, []int{0, 1}, []int{50}, []int{0, 300}, base)
+	b, err := FailoverSweep(context.Background(), nil, []int{0, 1}, []int64{50}, []int64{0, 300}, base)
 	if err != nil {
 		t.Fatal(err)
 	}

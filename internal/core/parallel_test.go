@@ -58,13 +58,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 			return FaultsSweep(ctx, p, []float64{1e-5}, []int{1}, base)
 		}},
 		{"FailoverSweep", func(p *runner.Pool) (any, error) {
-			return FailoverSweep(ctx, p, []int{1, 2}, []int{50}, []int{300}, base)
+			return FailoverSweep(ctx, p, []int{1, 2}, []int64{50}, []int64{300}, base)
 		}},
 		{"APMSweep", func(p *runner.Pool) (any, error) {
 			return APMSweep(ctx, p, []float64{0}, []int{1}, base)
 		}},
 		{"DriftSweep", func(p *runner.Pool) (any, error) {
-			return DriftSweep(ctx, p, []int{50}, base)
+			return DriftSweep(ctx, p, []int64{50}, base)
 		}},
 		{"HealthSweep", func(p *runner.Pool) (any, error) {
 			return HealthSweep(ctx, p, []float64{1e-4}, base)
@@ -73,7 +73,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			return CongestionSweep(ctx, p, []float64{0.5}, base)
 		}},
 		{"SplitBrainSweep", func(p *runner.Pool) (any, error) {
-			return SplitBrainSweep(ctx, p, []int{80}, []int{10}, []int{0, 60}, base)
+			return SplitBrainSweep(ctx, p, []int64{80}, []int64{10}, []int64{0, 60}, base)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

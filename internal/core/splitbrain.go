@@ -195,7 +195,7 @@ type SplitBrainRow struct {
 // SplitBrainSweep sweeps partition duration × heartbeat interval × rekey
 // period under a mesh-bisection fault plan with split-brain handling on.
 // All axes are in microseconds; a rekey of 0 disables rotation.
-func SplitBrainSweep(ctx context.Context, pool *runner.Pool, partitionsUS, heartbeatsUS, rekeysUS []int, base Config) ([]SplitBrainRow, error) {
+func SplitBrainSweep(ctx context.Context, pool *runner.Pool, partitionsUS, heartbeatsUS, rekeysUS []int64, base Config) ([]SplitBrainRow, error) {
 	var points []splitBrainPoint
 	for _, pt := range partitionsUS {
 		for _, hb := range heartbeatsUS {
@@ -209,7 +209,7 @@ func SplitBrainSweep(ctx context.Context, pool *runner.Pool, partitionsUS, heart
 
 // splitBrainPoint is one cell of the split-brain sweep; times in
 // microseconds.
-type splitBrainPoint struct{ PartitionUS, HeartbeatUS, RekeyUS int }
+type splitBrainPoint struct{ PartitionUS, HeartbeatUS, RekeyUS int64 }
 
 // splitBrainConfig builds one (partition duration, heartbeat, rekey)
 // cell's configuration: SIF + partition-level auth brought up through

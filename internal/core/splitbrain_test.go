@@ -238,7 +238,7 @@ func TestSplitBrainEpochReconciliation(t *testing.T) {
 // time to diverge before the heal->reconcile window exposes them to
 // each other. Every arm still reconverges to one merge.
 func TestSplitBrainDualMasterMonotonic(t *testing.T) {
-	rows, err := SplitBrainSweep(context.Background(), nil, []int{80, 320}, []int{10}, []int{0, 60}, quickCfg())
+	rows, err := SplitBrainSweep(context.Background(), nil, []int64{80, 320}, []int64{10}, []int64{0, 60}, quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

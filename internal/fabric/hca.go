@@ -151,26 +151,6 @@ func (h *HCA) bind(port int, ch *outChannel) {
 // PortHealth returns a copy of the HCA port's IBA PortCounters.
 func (h *HCA) PortHealth() PortCounters { return h.health }
 
-// SetLinkBER overrides the bit-error rate of the HCA's outbound link
-// direction (per-link gray-failure injection); the fabric Params' RNG
-// must be installed. No-op while unconnected.
-func (h *HCA) SetLinkBER(rate float64) {
-	if h.port.out == nil {
-		return
-	}
-	h.port.out.berOverride = rate
-	h.port.out.berSet = true
-}
-
-// ClearLinkBER removes the HCA's outbound bit-error override.
-func (h *HCA) ClearLinkBER() {
-	if h.port.out == nil {
-		return
-	}
-	h.port.out.berSet = false
-	h.port.out.berOverride = 0
-}
-
 // Send queues a packet for injection. The delivery is stamped with the
 // enqueue time; its queuing time ends when serialization starts. The
 // source LID is filled in when unset but an explicit SLID is preserved:

@@ -19,8 +19,8 @@ import (
 )
 
 // LinkKill takes one full-duplex link down at DownAt and, when UpAt is
-// later, back up at UpAt (zero means it stays down). The link is named
-// from the switch side; the HCA-facing link is Port PortHCA.
+// later, back up at UpAt (zero means it stays down). The link is an
+// inter-switch link, named from either switch.
 type LinkKill struct {
 	Link   topology.LinkID
 	DownAt sim.Time
@@ -39,8 +39,8 @@ type BERBurst struct {
 // during [From, Until) (Until zero: until the end of the run), leaving
 // every other link clean — the gray-failure fault BERBurst cannot
 // express (a burst is fabric-wide). Both directions of the link degrade,
-// like a real marginal cable. The link is named from the switch side;
-// the HCA-facing uplink is Port PortHCA.
+// like a real marginal cable. The link is an inter-switch link, named
+// from either switch.
 type LinkBER struct {
 	Link  topology.LinkID
 	Rate  float64
@@ -216,11 +216,8 @@ type Plan struct {
 // Validate checks the plan against a mesh's geometry.
 func (p *Plan) Validate(m *topology.Mesh) error {
 	for _, lk := range p.Links {
-		if lk.Link.Switch < 0 || lk.Link.Switch >= len(m.Switches) {
-			return fmt.Errorf("faults: link kill on switch %d of %d", lk.Link.Switch, len(m.Switches))
-		}
-		if _, _, _, ok := m.LinkPeer(lk.Link.Switch, lk.Link.Port); !ok {
-			return fmt.Errorf("faults: link kill on unconnected port %d of switch %d", lk.Link.Port, lk.Link.Switch)
+		if err := checkLink(m, lk.Link, "link kill"); err != nil {
+			return err
 		}
 	}
 	for _, pt := range p.Partitions {
@@ -253,11 +250,8 @@ func (p *Plan) Validate(m *topology.Mesh) error {
 		}
 	}
 	for _, lb := range p.LinkBER {
-		if lb.Link.Switch < 0 || lb.Link.Switch >= len(m.Switches) {
-			return fmt.Errorf("faults: link BER on switch %d of %d", lb.Link.Switch, len(m.Switches))
-		}
-		if _, _, _, ok := m.LinkPeer(lb.Link.Switch, lb.Link.Port); !ok {
-			return fmt.Errorf("faults: link BER on unconnected port %d of switch %d", lb.Link.Port, lb.Link.Switch)
+		if err := checkLink(m, lb.Link, "link BER"); err != nil {
+			return err
 		}
 		if !(lb.Rate >= 0 && lb.Rate < 1) {
 			return fmt.Errorf("faults: link BER rate %v outside [0,1)", lb.Rate)
@@ -354,49 +348,45 @@ func Install(s *sim.Simulator, m *topology.Mesh, params *fabric.Params, p *Plan)
 	return nil
 }
 
-// setLink changes both halves of a full-duplex link.
-func setLink(m *topology.Mesh, l topology.LinkID, up bool) {
-	m.Switches[l.Switch].SetLinkState(l.Port, up)
-	isHCA, peer, peerPort, ok := m.LinkPeer(l.Switch, l.Port)
+// checkLink refuses a link a plan cannot fail: one off the mesh, on an
+// unconnected port, or HCA-facing. Only inter-switch links fail, so the
+// SM keeps in-band reach to every node.
+func checkLink(m *topology.Mesh, l topology.LinkID, what string) error {
+	if l.Switch < 0 || l.Switch >= len(m.Switches) {
+		return fmt.Errorf("faults: %s on switch %d of %d", what, l.Switch, len(m.Switches))
+	}
+	isHCA, _, _, ok := m.LinkPeer(l.Switch, l.Port)
 	if !ok {
-		return
+		return fmt.Errorf("faults: %s on unconnected port %d of switch %d", what, l.Port, l.Switch)
 	}
 	if isHCA {
-		m.HCAs[peer].SetLinkState(up)
-	} else {
-		m.Switches[peer].SetLinkState(peerPort, up)
+		return fmt.Errorf("faults: %s on the HCA-facing port of switch %d: only inter-switch links fail", what, l.Switch)
 	}
+	return nil
+}
+
+// setLink changes both halves of a full-duplex inter-switch link.
+func setLink(m *topology.Mesh, l topology.LinkID, up bool) {
+	peer, peerPort, _ := topology.MeshNeighbor(m.W, m.H, l.Switch, l.Port)
+	m.Switches[l.Switch].SetLinkState(l.Port, up)
+	m.Switches[peer].SetLinkState(peerPort, up)
 }
 
 // setLinkBER raises a per-link bit-error override on both halves of a
-// full-duplex link: a marginal cable corrupts traffic in both
-// directions.
+// full-duplex inter-switch link: a marginal cable corrupts traffic in
+// both directions.
 func setLinkBER(m *topology.Mesh, l topology.LinkID, rate float64) {
+	peer, peerPort, _ := topology.MeshNeighbor(m.W, m.H, l.Switch, l.Port)
 	m.Switches[l.Switch].SetPortBER(l.Port, rate)
-	isHCA, peer, peerPort, ok := m.LinkPeer(l.Switch, l.Port)
-	if !ok {
-		return
-	}
-	if isHCA {
-		m.HCAs[peer].SetLinkBER(rate)
-	} else {
-		m.Switches[peer].SetPortBER(peerPort, rate)
-	}
+	m.Switches[peer].SetPortBER(peerPort, rate)
 }
 
 // clearLinkBER drops the override from both halves, restoring the
 // fabric-wide rate.
 func clearLinkBER(m *topology.Mesh, l topology.LinkID) {
+	peer, peerPort, _ := topology.MeshNeighbor(m.W, m.H, l.Switch, l.Port)
 	m.Switches[l.Switch].ClearPortBER(l.Port)
-	isHCA, peer, peerPort, ok := m.LinkPeer(l.Switch, l.Port)
-	if !ok {
-		return
-	}
-	if isHCA {
-		m.HCAs[peer].ClearLinkBER()
-	} else {
-		m.Switches[peer].ClearPortBER(peerPort)
-	}
+	m.Switches[peer].ClearPortBER(peerPort)
 }
 
 // Blackholed sums every fault-destroyed packet across the mesh: packets

@@ -142,6 +142,12 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 			t.Fatalf("bad plan %d validated", i)
 		}
 	}
+	// Only inter-switch links fail: a kill on an HCA uplink is refused
+	// whole, never half-applied to the switch side.
+	hca := &Plan{Links: []LinkKill{{Link: topology.LinkID{Switch: 3, Port: topology.PortHCA}, DownAt: 1}}}
+	if err := hca.Validate(m); err == nil || !strings.Contains(err.Error(), "HCA-facing") {
+		t.Fatalf("HCA-facing link kill: Validate = %v, want an HCA-facing refusal", err)
+	}
 	good := &Plan{
 		Links: []LinkKill{{Link: topology.LinkID{Switch: 0, Port: topology.PortEast}, DownAt: 1, UpAt: 2}},
 		BER:   []BERBurst{{Rate: 1e-6}},
@@ -326,9 +332,21 @@ func TestValidateRejectsBadLinkBER(t *testing.T) {
 			t.Errorf("bad link-BER plan %d validated", i)
 		}
 	}
+	// An HCA uplink is no BER target, alone or beside a valid window.
+	for _, sw := range []int{0, 3} {
+		uplink := LinkBER{Link: topology.LinkID{Switch: sw, Port: topology.PortHCA}, Rate: 1e-6}
+		for _, p := range []*Plan{
+			{LinkBER: []LinkBER{uplink}},
+			{LinkBER: []LinkBER{{Link: east, Rate: 1e-5}, uplink}},
+		} {
+			if err := p.Validate(m); err == nil || !strings.Contains(err.Error(), "HCA-facing") {
+				t.Errorf("link BER on switch %d's HCA uplink: Validate = %v, want an HCA-facing refusal", sw, err)
+			}
+		}
+	}
 	good := &Plan{LinkBER: []LinkBER{
 		{Link: east, Rate: 1e-5, From: 10 * sim.Microsecond, Until: 20 * sim.Microsecond},
-		{Link: topology.LinkID{Switch: 3, Port: topology.PortHCA}, Rate: 1e-6}, // HCA uplink is a valid target
+		{Link: topology.LinkID{Switch: 3, Port: topology.PortNorth}, Rate: 1e-6}, // named from the other switch
 	}}
 	if err := good.Validate(m); err != nil {
 		t.Fatalf("good link-BER plan rejected: %v", err)

@@ -75,34 +75,6 @@ func (w *Welford) Max() float64 {
 	return w.max
 }
 
-// Merge folds other into w, as if every sample of other had been Added.
-func (w *Welford) Merge(other *Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *other
-		return
-	}
-	n1, n2 := float64(w.n), float64(other.n)
-	d := other.mean - w.mean
-	tot := n1 + n2
-	w.mean += d * n2 / tot
-	w.m2 += other.m2 + d*d*n1*n2/tot
-	w.n += other.n
-	if other.min < w.min {
-		w.min = other.min
-	}
-	if other.max > w.max {
-		w.max = other.max
-	}
-}
-
-func (w *Welford) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f",
-		w.n, w.Mean(), w.StdDev(), w.Min(), w.Max())
-}
-
 // Histogram counts samples into equal-width buckets over [lo, hi); samples
 // outside the range land in underflow/overflow counters.
 type Histogram struct {

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -70,51 +69,6 @@ func TestPropertyWelfordMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: merging two accumulators equals accumulating the concatenation.
-func TestPropertyWelfordMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		n1, n2 := rng.Intn(50), rng.Intn(50)
-		var a, b, all Welford
-		for i := 0; i < n1; i++ {
-			x := rng.NormFloat64()*10 + 50
-			a.Add(x)
-			all.Add(x)
-		}
-		for i := 0; i < n2; i++ {
-			x := rng.NormFloat64()*3 - 20
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(&b)
-		if a.N() != all.N() {
-			t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-		}
-		if all.N() > 0 && !almost(a.Mean(), all.Mean(), 1e-9) {
-			t.Fatalf("merged mean %v, want %v", a.Mean(), all.Mean())
-		}
-		if all.N() > 1 && !almost(a.Variance(), all.Variance(), 1e-7) {
-			t.Fatalf("merged var %v, want %v", a.Variance(), all.Variance())
-		}
-		if a.Min() != all.Min() || a.Max() != all.Max() {
-			t.Fatal("merged min/max mismatch")
-		}
-	}
-}
-
-func TestWelfordMergeEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(1)
-	a.Merge(&b) // merging empty: no-op
-	if a.N() != 1 {
-		t.Fatal("merge with empty changed N")
-	}
-	b.Merge(&a) // merging into empty: copy
-	if b.N() != 1 || b.Mean() != 1 {
-		t.Fatal("merge into empty lost data")
 	}
 }
 

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # CI gate: static checks; unit/integration tests with the race detector
 # (the allocation budgets are ordinary tests among them and hold under
-# it), and once more in the poison build that faults on any use of a
-# message after its release point; one untimed pass of the Build
-# and Start benchmarks up to a 32x32 fabric; an end-to-end -quick smoke of every
-# experiment through the parallel runner, whose CSV names and headers
-# must match the committed results/ and whose CSVs, but for the
-# host-timed table4.csv, a one-worker run must repeat byte for byte; a
+# it), the golden packages once more under GOARCH=386, and once more in
+# the poison build that faults on any use of a message after its release
+# point; one untimed pass of the Build and Start benchmarks up to a
+# 32x32 fabric; an end-to-end -quick smoke of every experiment through
+# the parallel runner, whose CSV names and headers must match the
+# committed results/ and whose CSVs, but for the host-timed table4.csv, a
+# one-worker run must repeat byte for byte; the reachability gate over
+# that smoke, the examples and bench -quick (testdata/unreached.txt); a
 # 5 s smoke of every fuzz target, listed in one table of package paths
-# and target names (cmd/ibsim's FuzzRun among them); and a -quick
-# run of the benchmark for its correctness checks, then one full-length
+# and target names (cmd/ibsim's FuzzRun among them); and a -quick run of
+# the benchmark for its correctness checks, then one full-length
 # repetition against the recorded digests. Nothing here gates on host
 # time: bench/ measures it, -compare judges it.
 set -euo pipefail
@@ -36,6 +38,9 @@ echo "== go test -race -shuffle=on"
 # This includes the race-instrumented end-to-end CLI replay (TestGolden)
 # of every golden sweep, at -jobs 4 and -jobs 1.
 go test -race -shuffle=on ./...
+
+echo "== GOARCH=386 go test (the goldens and pins through the portable kernels: nhGo and the CRC fallbacks end to end, and 32-bit int)"
+GOARCH=386 go test ./internal/core . ./cmd/ibsim
 
 echo "== go test -race -count=10 ./internal/runner (the one package with goroutines and locks)"
 go test -race -count=10 ./internal/runner
@@ -72,6 +77,36 @@ for f in results/*.csv; do
     exit 1
   fi
 done
+
+echo "== reachability (every function under internal/ and cmd/ that no run executes is listed in testdata/unreached.txt; no listed one is reached)"
+# The runs are ibsim all -quick, every example and bench -quick, built
+# with coverage into one GOCOVERDIR. The list only shrinks: an unreached
+# function that is not listed fails here, and so does a listed one that
+# a run now reaches. TestUnreachedListed checks the list's shape.
+reach="$tmp/reach"
+mkdir -p "$reach/bin" "$reach/cov"
+go build -cover -coverpkg=./... -o "$reach/bin/ibsim" ./cmd/ibsim
+for d in examples/*/; do
+  go build -cover -coverpkg=./... -o "$reach/bin/example-$(basename "$d")" "./$d"
+done
+go build -C bench -cover -coverpkg=ibasec/... -o "$reach/bin/bench" .
+GOCOVERDIR="$reach/cov" "$reach/bin/ibsim" -quick -jobs 2 -csv "$reach/csv" all >"$reach/all.out"
+for d in examples/*/; do
+  GOCOVERDIR="$reach/cov" "$reach/bin/example-$(basename "$d")" >/dev/null
+done
+GOCOVERDIR="$reach/cov" "$reach/bin/bench" -quick -out "$reach/bench" >"$reach/bench.out"
+go tool covdata func -i "$reach/cov" |
+  awk '$NF == "0.0%" { sub(/^ibasec\//, "", $1); sub(/:[0-9]+:$/, "", $1); sub(/^\*/, "", $2); print $1, $2 }' |
+  grep -E '^(internal|cmd)/' | LC_ALL=C sort >"$reach/unreached"
+awk '!/^#/ && NF { print $1, $2 }' testdata/unreached.txt | LC_ALL=C sort >"$reach/listed"
+unlisted="$(LC_ALL=C comm -23 "$reach/unreached" "$reach/listed")"
+stale="$(LC_ALL=C comm -13 "$reach/unreached" "$reach/listed")"
+if [ -n "$unlisted" ] || [ -n "$stale" ]; then
+  [ -z "$unlisted" ] || printf 'reached by no run and not in testdata/unreached.txt (reach it, delete it, or list it with a kind and a reason):\n%s\n' "$unlisted" >&2
+  [ -z "$stale" ] || printf 'listed in testdata/unreached.txt but reached by a run (delete its line):\n%s\n' "$stale" >&2
+  exit 1
+fi
+echo "$(wc -l <"$reach/unreached") unreached functions, all listed"
 
 echo "== fuzz smoke (every fuzz target, 5s each)"
 while read -r pkg target; do

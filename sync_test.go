@@ -12,6 +12,7 @@ import (
 	"os"
 	pathpkg "path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strconv"
@@ -838,4 +839,87 @@ func spelled(spellings map[string][]*ast.BasicLit, name string, skip map[*ast.Ba
 		}
 	}
 	return false
+}
+
+// unreachedKinds are the kinds a testdata/unreached.txt entry may give,
+// each with the ROADMAP item its reason must name, or nil.
+var unreachedKinds = map[string]*regexp.Regexp{
+	"inherit": regexp.MustCompile(`\bitem 25\b`),
+	"route":   regexp.MustCompile(`\bitem 2\b`),
+	"seam":    nil,
+	"kernel":  nil,
+	"build":   nil,
+	"full":    nil,
+	"error":   nil,
+}
+
+// TestUnreachedListed checks the shape of testdata/unreached.txt, the
+// list scripts/ci.sh's reachability stanza holds the runs' unreached
+// functions to (DESIGN §5). Each line is "file function kind reason":
+// the file is a non-test Go file under internal/ or cmd/ that declares
+// the function, named as `go tool covdata func` names it (Recv.Name for
+// a method, without the pointer star); the kind is one of
+// unreachedKinds, and an inherit or route reason names its ROADMAP
+// item; the reason is not empty. Lines are sorted by file and function,
+// with no repeats. A rename or a deletion fails here, not only in ci.sh.
+func TestUnreachedListed(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "unreached.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]map[string]bool{} // file → its functions
+	walkGo(t, parser.SkipObjectResolution, func(path string) bool { return !strings.HasSuffix(path, "_test.go") },
+		func(path string, _ *token.FileSet, f *ast.File) {
+			funcs := map[string]bool{}
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					funcs[coverName(fn)] = true
+				}
+			}
+			declared[filepath.ToSlash(path)] = funcs
+		})
+	prev, entries := "", 0
+	for i, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		entries++
+		f := strings.SplitN(line, " ", 4)
+		if len(f) < 4 || strings.TrimSpace(f[3]) == "" {
+			t.Errorf("unreached.txt:%d: %q: want \"file function kind reason\"", i+1, line)
+			continue
+		}
+		file, fn, kind, reason := f[0], f[1], f[2], f[3]
+		if key := file + " " + fn; key <= prev {
+			t.Errorf("unreached.txt:%d: %s %s is out of order or repeated (after %s)", i+1, file, fn, prev)
+		} else {
+			prev = key
+		}
+		if !strings.HasPrefix(file, "internal/") && !strings.HasPrefix(file, "cmd/") {
+			t.Errorf("unreached.txt:%d: %s is outside internal/ and cmd/, which the gate covers", i+1, file)
+		} else if !declared[file][fn] {
+			t.Errorf("unreached.txt:%d: %s declares no function %s", i+1, file, fn)
+		}
+		if item, ok := unreachedKinds[kind]; !ok {
+			t.Errorf("unreached.txt:%d: %s: unknown kind %q", i+1, fn, kind)
+		} else if item != nil && !item.MatchString(reason) {
+			t.Errorf("unreached.txt:%d: %s: the reason of a %q entry names its ROADMAP item (%s)", i+1, fn, kind, item)
+		}
+	}
+	if entries == 0 {
+		t.Fatal("testdata/unreached.txt lists no function")
+	}
+}
+
+// coverName is fn's name as `go tool covdata func` prints it, less a
+// pointer receiver's star: Name, or Recv.Name for a method.
+func coverName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return fn.Name.Name
+	}
+	recv := fn.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	return types.ExprString(recv) + "." + fn.Name.Name
 }
