@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"ibasec/internal/mac"
 	"ibasec/internal/sim"
+	"ibasec/internal/transport"
 )
 
 // buildConfig is the cluster a k×k Build test assembles: the defaults
@@ -15,6 +17,14 @@ func buildConfig(k int) Config {
 	cfg := DefaultConfig()
 	cfg.MeshW, cfg.MeshH = k, k
 	cfg.NumPartitions = 1
+	return cfg
+}
+
+// qpConfig is buildConfig with QP-level keys: one X25519 key pair per
+// node, drawn from the seeded stream, and the public-key directory.
+func qpConfig(k int) Config {
+	cfg := buildConfig(k)
+	cfg.Auth = AuthConfig{Enabled: true, FuncID: mac.IDUMAC32, Level: transport.QPLevel}
 	return cfg
 }
 
@@ -34,11 +44,15 @@ func mustBuild(tb testing.TB, cfg Config) *Cluster {
 // 4×4 Build's allocations stay within 41, measured under Go 1.24, plus
 // 25%: a device's counters live in the device (DESIGN §8, "Counters"),
 // and its name in one string the fabric's names share, so one allocation
-// per device more exceeds that. Its bytes stay within 87 192, measured
-// under Go 1.24, plus 10%: the link channels' slab is most of them, and
-// when each channel inlined all sixteen lanes (DESIGN §8, "Link channel
-// layout") a 4×4 Build took 173 040, and 104 120 while every run kept
-// the congestion experiment's best-effort tail histogram.
+// per device more exceeds that. Its bytes stay within 56 488, measured
+// under Go 1.24, plus 10%: the link channels' slab is a third of them,
+// and a 4×4 Build took 173 040 when each channel inlined all sixteen
+// lanes (DESIGN §8, "Link channel layout"), 104 120 while every run kept
+// the congestion experiment's best-effort tail histogram and 87 176 with
+// each channel's sixteen lane pointers and credit counts inline. A
+// QP-level 4×4 Build, which draws each node's X25519 key pair from the
+// seeded stream, stays within its 162 allocations and 99 888 bytes plus
+// the same margins; each RSA-1024 key pair took about 4 800.
 func TestBuildScalesWithFabric(t *testing.T) {
 	perPort := func(k int) float64 {
 		cfg := buildConfig(k)
@@ -53,22 +67,30 @@ func TestBuildScalesWithFabric(t *testing.T) {
 		t.Errorf("a 4x4 Build allocates %.0f times, ceiling %.0f (%d measured + 25%%)", n, measured4x4*1.25, measured4x4)
 	}
 
-	const measured4x4Bytes = 87192
-	if n := float64(buildBytes(t, 4)); n > measured4x4Bytes*1.1 {
+	const measured4x4Bytes = 56488
+	if n := float64(buildBytes(t, buildConfig(4))); n > measured4x4Bytes*1.1 {
 		t.Errorf("a 4x4 Build allocates %.0f bytes, ceiling %.0f (%d measured + 10%%)", n, measured4x4Bytes*1.1, measured4x4Bytes)
 	}
 
+	const measuredQP, measuredQPBytes = 162, 99888
+	qp := qpConfig(4)
+	if n := testing.AllocsPerRun(3, func() { mustBuild(t, qp) }); n > measuredQP*1.25 {
+		t.Errorf("a QP-level 4x4 Build allocates %.0f times, ceiling %.0f (%d measured + 25%%)", n, measuredQP*1.25, measuredQP)
+	}
+	if n := float64(buildBytes(t, qp)); n > measuredQPBytes*1.1 {
+		t.Errorf("a QP-level 4x4 Build allocates %.0f bytes, ceiling %.0f (%d measured + 10%%)", n, measuredQPBytes*1.1, measuredQPBytes)
+	}
+
 	const limit = 5 << 20
-	if bytes := buildBytes(t, 16); bytes > limit {
+	if bytes := buildBytes(t, buildConfig(16)); bytes > limit {
 		t.Errorf("a 16x16 Build allocates %d bytes, limit %d", bytes, limit)
 	} else {
 		t.Logf("allocations per end port: %.2f at 4x4, %.2f at 16x16; 16x16 bytes %d", small, large, bytes)
 	}
 }
 
-// buildBytes returns the bytes one k×k Build allocates.
-func buildBytes(t *testing.T, k int) uint64 {
-	cfg := buildConfig(k)
+// buildBytes returns the bytes one Build of cfg allocates.
+func buildBytes(t *testing.T, cfg Config) uint64 {
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
@@ -78,19 +100,22 @@ func buildBytes(t *testing.T, k int) uint64 {
 }
 
 // BenchmarkBuild is a profiling entry point for set-up cost at four
-// fabric sizes (go test -run '^$' -bench '^BenchmarkBuild$' -benchmem
-// -cpuprofile/-memprofile ./internal/core). Host time is bench/'s to
-// measure; nothing compares these readings.
+// fabric sizes, and at 4×4 with QP-level keys (go test -run '^$' -bench
+// '^BenchmarkBuild$' -benchmem -cpuprofile/-memprofile ./internal/core).
+// Host time is bench/'s to measure; nothing compares these readings.
 func BenchmarkBuild(b *testing.B) {
-	for _, k := range []int{4, 8, 16, 32} {
-		b.Run(fmt.Sprintf("%dx%d", k, k), func(b *testing.B) {
-			cfg := buildConfig(k)
+	run := func(name string, cfg Config) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				mustBuild(b, cfg)
 			}
 		})
 	}
+	for _, k := range []int{4, 8, 16, 32} {
+		run(fmt.Sprintf("%dx%d", k, k), buildConfig(k))
+	}
+	run("4x4-qp", qpConfig(4))
 }
 
 // BenchmarkStart is the profiling entry point for a run's start: Build

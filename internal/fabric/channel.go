@@ -37,25 +37,28 @@ func (p *Port) Connected() bool { return p != nil && p.out != nil }
 
 // outChannel is one direction of a link: the sender-side output queues,
 // per-VL credit counters, and the serializer. All state is driven by the
-// single simulation goroutine. The fields every packet touches come
-// first; state only a fault, an error, an arbiter mode or a report reads
-// follows (DESIGN §8, "Link channel layout").
+// single simulation goroutine. It holds only what a hop touches; state
+// only a fault, health, congestion or WRR plane touches lives in a
+// planeState carved when a plane first touches it (DESIGN §8, "Link
+// channel layout").
 type outChannel struct {
-	// queues holds each VL's lane, nil until the lane's first push
-	// carves it (Params.newLane); it then stays the channel's for good.
-	queues [NumVLs]*lane
-	// credits counts each lane's credits, the returns that have landed
-	// included; returns holds those still on the wire back to this
-	// sender, and busy is set while the serializer clocks a packet out,
-	// until its ticket ser passes. All three lag until settle (see
+	// lanes lists the channel's lanes in VL order. A VL's first push
+	// carves its lane (Params.newLane), which then stays the channel's
+	// for good; a VL with no lane has never sent, so it holds the full
+	// credit complement.
+	lanes *lane
+	// occupied has bit vl set while vl's lane is non-empty, and starved
+	// while it holds no credit, so the arbiter visits the one or two
+	// lanes it may serve instead of all sixteen. push and pop keep
+	// occupied exact; every credit change keeps starved.
+	occupied uint16
+	starved  uint16
+	// busy is set while the serializer clocks a packet out, until its
+	// ticket ser passes. The credits, the returns still on the wire back
+	// to this sender (returns) and busy all lag until settle (see
 	// ticket); a link that goes down mid-packet keeps busy set until it
 	// comes back up, since nothing finishes on a dead link.
-	credits [NumVLs]int32
-	// occupied has bit vl set while queues[vl] is non-empty, so the
-	// arbiter visits the one or two lanes in use instead of all sixteen.
-	// push and pop keep it exact.
-	occupied uint16
-	busy     bool
+	busy bool
 	// A downed channel destroys traffic instead of transmitting it (see
 	// epoch below).
 	down bool
@@ -66,74 +69,86 @@ type outChannel struct {
 	// wakeAll makes wake schedule every ticket — the eager schedule,
 	// which FuzzLinkSchedule runs the lazy one against. Only tests set it.
 	wakeAll bool
-	// berSet makes berOverride this link direction's bit error rate.
-	berSet  bool
 	rr      uint8 // round-robin cursor: the lane the arbiter's walk starts at
-	ser     ticket
-	due     sim.Time // no later than the earliest live ticket's time
-	returns ticketRing
-
-	sim    *sim.Simulator
-	params *Params
-	peer   Device
-	peerIn int // peer's port id
-	// queuedBytes tracks the backlog for realtime source backpressure.
-	queuedBytes int
+	peerIn  int32 // peer's port id
 	// epoch invalidates events and tickets (serializer completions,
 	// credit returns) from before the last link-state transition, so a
 	// reset cannot double-return credits. It stays zero unless a fault
 	// plan drives the link.
-	epoch uint64
+	epoch uint32
 	// ccThreshold is the Congestion Control Annex per-VL queue-depth
 	// marking threshold this channel was programmed with (zero until
 	// the SM's congestion manager programs the owning switch).
-	ccThreshold int
+	ccThreshold int32
+	ser         ticket
+	due         sim.Time // no later than the earliest live ticket's time
+	returns     ticketRing
 
-	// Link accounting for utilization reports.
+	sim    *sim.Simulator
+	params *Params
+	peer   Device
+	// queuedBytes tracks the backlog for realtime source backpressure.
+	queuedBytes int
+	// bytesSent is the link's transmitted bytes, for utilization
+	// reports; its busy time is their serialization delay.
 	bytesSent uint64
-	busyTime  sim.Time
-
-	// Weighted-arbitration state, read only under ArbWeighted: the
-	// consecutive high-priority service counter, and the mask of lanes
-	// that still have their one packet of this WRR round left.
-	hiRun   int32
-	wrrLeft uint16
-	// healthPort is the owning switch's port this channel leaves by (see
-	// health below).
-	healthPort int32
-
-	// blackholed counts packets a downed link destroyed; hoqDropped
-	// those aged out by the Head-of-Queue lifetime limit
-	// (Params.HOQLife), all lanes together (ObsHOQDrop carries the
-	// VL); fecnMarked those marked on this port.
-	blackholed uint64
-	hoqDropped uint64
-	fecnMarked uint64
-	ownerName  string
-
-	// Performance Management state. health points at the owning port's
-	// IBA error counters (set at bind; every increment site is an error
-	// path, so a clean run never touches them); healthSw, when non-nil,
-	// is the owning switch whose threshold trap is checked after each
-	// error increment (fields rather than a closure so binding costs no
-	// allocation). berOverride, when berSet, replaces the fabric-wide
-	// BitErrorRate for this one link direction — the per-link
-	// gray-failure injection the health experiment drives.
-	health      *PortCounters
-	healthSw    *Switch
-	berOverride float64
-
 	// Credit-stall accounting: the time spent stalled, and when the
 	// open stall interval began.
 	stallSince  sim.Time
 	creditStall sim.Time
+
+	// planes is the state only a plane touches, nil until one does.
+	planes *planeState
 }
 
-// lane is one VL's output queue as a channel holds it: the queue and its
-// first ring, carved together from the fabric's lane slab.
+// planeState is a channel's state that no hop of a fault-free,
+// strict-priority run touches: the counts of packets a downed link
+// destroyed (blackholed), that the Head-of-Queue lifetime limit aged out
+// (hoqDropped; Params.HOQLife, all lanes together — ObsHOQDrop carries the
+// VL) and that were FECN-marked on this port; the per-link bit error rate
+// override the health experiment drives (berOverride, when berSet,
+// replaces the fabric-wide BitErrorRate for this one link direction);
+// and the weighted arbiter's round, read only under ArbWeighted — the
+// consecutive high-priority service counter, and the mask of lanes that
+// still have their one packet of this WRR round left. Channels carve it
+// from a slab of one per channel (Params.newPlaneState).
+type planeState struct {
+	blackholed  uint64
+	hoqDropped  uint64
+	fecnMarked  uint64
+	berOverride float64
+	berSet      bool
+	wrrLeft     uint16
+	hiRun       int32
+}
+
+// plane returns the channel's plane state, carving it on first use.
+func (c *outChannel) plane() *planeState {
+	if c.planes == nil {
+		c.planes = c.params.newPlaneState()
+	}
+	return c.planes
+}
+
+// counts returns a copy of the channel's plane state, the zero state
+// while no plane has touched it.
+func (c *outChannel) counts() planeState {
+	if c.planes == nil {
+		return planeState{}
+	}
+	return *c.planes
+}
+
+// lane is one VL's output queue as a channel holds it: the queue, the
+// lane's credits (the returns that have landed included), its VL, the
+// channel's next lane, and its first ring, carved together from the
+// fabric's lane slab.
 type lane struct {
 	vlQueue
-	first [firstRing]*Delivery
+	credits int32
+	vl      uint8
+	next    *lane
+	first   [firstRing]*Delivery
 }
 
 // vlQueue is one VL's output FIFO: a power-of-two ring that grows by
@@ -143,20 +158,20 @@ type lane struct {
 // array, so append reallocates forever. The zero value is an empty queue.
 type vlQueue struct {
 	ring []*Delivery // len is zero or a power of two
-	next int         // ring index of the head entry
-	fill int         // entries queued
+	next int32       // ring index of the head entry
+	fill int32       // entries queued
 }
 
-func (q *vlQueue) len() int { return q.fill }
+func (q *vlQueue) len() int { return int(q.fill) }
 
 // head returns the oldest entry; the queue must not be empty.
 func (q *vlQueue) head() *Delivery { return q.ring[q.next] }
 
 func (q *vlQueue) push(d *Delivery) {
-	if q.fill == len(q.ring) {
+	if q.len() == len(q.ring) {
 		q.regrow(make([]*Delivery, max(2*len(q.ring), 8)))
 	}
-	q.ring[(q.next+q.fill)&(len(q.ring)-1)] = d
+	q.ring[int(q.next+q.fill)&(len(q.ring)-1)] = d
 	q.fill++
 }
 
@@ -173,7 +188,7 @@ func (q *vlQueue) regrow(ring []*Delivery) {
 func (q *vlQueue) pop() *Delivery {
 	d := q.ring[q.next]
 	q.ring[q.next] = nil
-	q.next = (q.next + 1) & (len(q.ring) - 1)
+	q.next = (q.next + 1) & int32(len(q.ring)-1)
 	q.fill--
 	return d
 }
@@ -188,18 +203,29 @@ func (q *vlQueue) pop() *Delivery {
 // reserved slot, exactly where the event scheduled in Reserve's place
 // would have, so same-instant ties keep their order.
 type ticket struct {
-	at     sim.Time
-	seq    uint64
-	vl     uint8 // a credit return's lane
-	queued bool  // its event is on the simulator's queue
+	at sim.Time
+	// slot packs, so that a ticket is two words, the sequence number
+	// sim.Reserve gave it (a run reserves far fewer than 2⁵⁹) above a
+	// credit return's lane and the bit set once its event is on the
+	// simulator's queue.
+	slot uint64
 }
+
+func newTicket(at sim.Time, seq uint64, vl uint8) ticket {
+	return ticket{at: at, slot: seq<<5 | uint64(vl)<<1}
+}
+
+func (t *ticket) seq() uint64  { return t.slot >> 5 }
+func (t *ticket) vl() uint8    { return uint8(t.slot>>1) & (NumVLs - 1) }
+func (t *ticket) queued() bool { return t.slot&1 != 0 }
+func (t *ticket) queue()       { t.slot |= 1 }
 
 // never is a time no ticket reaches.
 const never = sim.Time(math.MaxInt64)
 
 // before reports whether a's slot comes before b's.
 func (a *ticket) before(b *ticket) bool {
-	return a.at < b.at || a.at == b.at && a.seq < b.seq
+	return a.at < b.at || a.at == b.at && a.seq() < b.seq()
 }
 
 // ticketRing is a FIFO of tickets: a power-of-two ring, like vlQueue,
@@ -208,21 +234,21 @@ func (a *ticket) before(b *ticket) bool {
 // is an empty ring.
 type ticketRing struct {
 	ring []ticket // len is zero or a power of two
-	next int
-	fill int
+	next int32
+	fill int32
 	own  [4]ticket
 }
 
-func (r *ticketRing) len() int { return r.fill }
+func (r *ticketRing) len() int { return int(r.fill) }
 
 // at returns the i'th oldest entry, which must exist.
-func (r *ticketRing) at(i int) *ticket { return &r.ring[(r.next+i)&(len(r.ring)-1)] }
+func (r *ticketRing) at(i int) *ticket { return &r.ring[(int(r.next)+i)&(len(r.ring)-1)] }
 
 func (r *ticketRing) push(t ticket) {
-	if r.fill == len(r.ring) {
+	if r.len() == len(r.ring) {
 		r.grow()
 	}
-	r.ring[(r.next+r.fill)&(len(r.ring)-1)] = t
+	r.ring[int(r.next+r.fill)&(len(r.ring)-1)] = t
 	r.fill++
 }
 
@@ -240,26 +266,36 @@ func (r *ticketRing) grow() {
 
 // pop drops the oldest entry, which must exist.
 func (r *ticketRing) pop() {
-	r.next = (r.next + 1) & (len(r.ring) - 1)
+	r.next = (r.next + 1) & int32(len(r.ring)-1)
 	r.fill--
 }
 
 func (r *ticketRing) clear() { r.next, r.fill = 0, 0 }
 
-// The occupancy mask is sixteen bits, one per lane.
+// The occupancy and starved masks are sixteen bits, one per lane.
 var _ = [1]struct{}{}[NumVLs-16]
 
+// laneOf returns vl's lane, or nil while no push has carved it.
+func (c *outChannel) laneOf(vl uint8) *lane {
+	for q := c.lanes; q != nil; q = q.next {
+		if q.vl == vl {
+			return q
+		}
+	}
+	return nil
+}
+
 // push queues d on a lane and returns the lane. The lane's first push
-// carves it, its first ring its own, from the fabric's lane slab
-// (Params.newLane); each doubling after comes from a slab sized to the
-// end ports (Params.grownRing).
+// carves it with the full credit complement, its first ring its own,
+// from the fabric's lane slab (Params.newLane), and links it in VL
+// order; each doubling after comes from a slab sized to the end ports
+// (Params.grownRing).
 func (c *outChannel) push(vl uint8, d *Delivery) *lane {
-	q := c.queues[vl]
+	q := c.laneOf(vl)
 	switch {
 	case q == nil:
-		q = c.params.newLane()
-		c.queues[vl] = q
-	case q.fill == len(q.ring):
+		q = c.carve(vl)
+	case q.len() == len(q.ring):
 		q.regrow(c.params.grownRing(2 * len(q.ring)))
 	}
 	q.push(d)
@@ -267,20 +303,32 @@ func (c *outChannel) push(vl uint8, d *Delivery) *lane {
 	return q
 }
 
+// carve makes vl's lane with the full credit complement and links it
+// in VL order.
+func (c *outChannel) carve(vl uint8) *lane {
+	q := c.params.newLane()
+	q.vl, q.credits = vl, int32(c.params.CreditsPerVL)
+	at := &c.lanes
+	for *at != nil && (*at).vl < vl {
+		at = &(*at).next
+	}
+	q.next, *at = *at, q
+	return q
+}
+
 // pop removes and returns the head of a lane, which must not be empty.
-func (c *outChannel) pop(vl uint8) *Delivery {
-	q := c.queues[vl]
+func (c *outChannel) pop(q *lane) *Delivery {
 	d := q.pop()
 	if q.fill == 0 {
-		c.occupied &^= 1 << vl
+		c.occupied &^= 1 << q.vl
 	}
 	return d
 }
 
 // qlen returns the packets queued on a lane, zero for a lane never made.
 func (c *outChannel) qlen(vl uint8) int {
-	if q := c.queues[vl]; q != nil {
-		return q.fill
+	if q := c.laneOf(vl); q != nil {
+		return q.len()
 	}
 	return 0
 }
@@ -319,34 +367,51 @@ func (l *Links) Connect(a Device, pa int, b Device, pb int) {
 	}
 	ach, bch := &l.chans[0], &l.chans[1]
 	l.chans = l.chans[2:]
-	ach.connect(l, b, pb, a.Name())
-	bch.connect(l, a, pa, b.Name())
+	ach.connect(l, b, pb)
+	bch.connect(l, a, pa)
 	bindPort(a, pa, ach)
 	bindPort(b, pb, bch)
 }
 
-// connect points a zeroed channel of l's slab at port peerIn of peer,
-// with a full credit complement. It sets the fields one by one: assigning
-// a whole channel would copy all of it, under the GC's write barrier
-// while a cycle is marking.
-func (c *outChannel) connect(l *Links, peer Device, peerIn int, owner string) {
+// connect points a zeroed channel of l's slab at port peerIn of peer;
+// with no lane yet, it holds the full credit complement. It sets the
+// fields one by one: assigning a whole channel would copy all of it,
+// under the GC's write barrier while a cycle is marking.
+func (c *outChannel) connect(l *Links, peer Device, peerIn int) {
 	c.sim, c.params = l.sim, l.params
-	c.peer, c.peerIn, c.ownerName = peer, peerIn, owner
-	c.refillCredits()
+	c.peer, c.peerIn = peer, int32(peerIn)
 }
 
 // refillCredits gives every lane the full complement, CreditsPerVL
 // (which Params.Validate holds within int32).
 func (c *outChannel) refillCredits() {
-	for vl := range c.credits {
-		c.credits[vl] = int32(c.params.CreditsPerVL)
+	for q := c.lanes; q != nil; q = q.next {
+		q.credits = int32(c.params.CreditsPerVL)
 	}
+	c.starved = 0
 }
 
-// porter lets Connect reach the devices' port slices without exposing
-// them; Switch and HCA implement it.
+// porter lets Connect reach the devices' ports without exposing them;
+// Switch and HCA implement it.
 type porter interface {
 	bind(port int, ch *outChannel)
+	portAt(port int) *Port
+}
+
+// owner returns the device this channel leaves by and the port it leaves
+// through: the peer of the channel the other way, which the peer's port
+// sends on. Only a fault, an error or an observation asks.
+func (c *outChannel) owner() (Device, int) {
+	back := c.peer.(porter).portAt(int(c.peerIn)).out
+	return back.peer, int(back.peerIn)
+}
+
+// observe reports a packet event at this channel's owner.
+func (c *outChannel) observe(kind ObsKind, d *Delivery) {
+	if c.params.Observer != nil {
+		dev, _ := c.owner()
+		c.params.Observer.Observe(c.sim.Now(), kind, dev.Name(), d)
+	}
 }
 
 func bindPort(d Device, port int, ch *outChannel) {
@@ -370,11 +435,11 @@ func (c *outChannel) enqueue(d *Delivery) {
 	q := c.push(d.VL, d)
 	d.wire = uint16(d.Pkt.WireSize())
 	c.queuedBytes += int(d.wire)
-	if c.ccThreshold > 0 && d.VL != VLManagement && q.len() >= c.ccThreshold {
+	if c.ccThreshold > 0 && d.VL != VLManagement && q.fill >= c.ccThreshold {
 		c.markFECN(d)
 	}
-	if q.len() == 1 {
-		c.armHOQ(d.VL)
+	if q.fill == 1 {
+		c.armHOQ(q)
 	}
 	c.trySend()
 }
@@ -398,21 +463,21 @@ func (c *outChannel) markFECN(d *Delivery) {
 	}
 	wire[off] |= packet.BTHFECNBit
 	icrc.PatchVCRC(d.Pkt)
-	c.fecnMarked++
-	c.params.observe(c.sim.Now(), ObsFECNMark, c.ownerName, d)
+	c.plane().fecnMarked++
+	c.observe(ObsFECNMark, d)
 }
 
 // armHOQ starts the Head-of-Queue lifetime clock for the packet at the
-// head of the VL queue. If it is still the unsent head when the clock
-// expires, it is discarded and its upstream credit released — the
+// head of a lane. If it is still the unsent head when the clock expires,
+// it is discarded and its upstream credit released — the
 // forward-progress guarantee that lets the fabric recover from credit
 // deadlock (see Params.HOQLife). No-op while the limit is disabled.
-func (c *outChannel) armHOQ(vl uint8) {
-	if c.params.HOQLife <= 0 || c.qlen(vl) == 0 {
+func (c *outChannel) armHOQ(q *lane) {
+	if c.params.HOQLife <= 0 || q.fill == 0 {
 		return
 	}
-	d := c.queues[vl].head()
-	c.sim.ScheduleCall(c.params.HOQLife, (*hoqExpire)(c), d, uint64(d.generation())<<32|c.tag(vl)&0xFFFFFFFF)
+	d := q.head()
+	c.sim.ScheduleCall(c.params.HOQLife, (*hoqExpire)(c), d, uint64(d.generation())<<32|c.tag(q.vl)&0xFFFFFFFF)
 }
 
 // The channel's per-packet events are named handler types over
@@ -437,11 +502,11 @@ func (c *outChannel) armHOQ(vl uint8) {
 
 // tag packs the current link epoch and a VL into an event operand; the
 // epoch gains one per link-state transition, so the shift loses nothing.
-func (c *outChannel) tag(vl uint8) uint64 { return c.epoch<<8 | uint64(vl) }
+func (c *outChannel) tag(vl uint8) uint64 { return uint64(c.epoch)<<8 | uint64(vl) }
 
 // stale reports whether tag was minted before the last link-state
 // transition: the event it rides belongs to a link that no longer exists.
-func (c *outChannel) stale(tag uint64) bool { return c.epoch != tag>>8 }
+func (c *outChannel) stale(tag uint64) bool { return uint64(c.epoch) != tag>>8 }
 
 // hoqExpire fires when a Head-of-Queue lifetime clock runs out; it acts
 // only if the message it was armed for is still the unsent head. n is
@@ -450,18 +515,21 @@ type hoqExpire outChannel
 
 func (h *hoqExpire) Fire(arg any, n uint64) {
 	c, d, vl := (*outChannel)(h), arg.(*Delivery), uint8(n)
-	if uint32(n) != uint32(c.tag(vl)) || uint32(n>>32) != d.generation() ||
-		c.down || c.qlen(vl) == 0 || c.queues[vl].head() != d {
+	if uint32(n) != uint32(c.tag(vl)) || uint32(n>>32) != d.generation() || c.down {
 		return
 	}
-	c.pop(vl)
+	q := c.laneOf(vl)
+	if q == nil || q.fill == 0 || q.head() != d {
+		return
+	}
+	c.pop(q)
 	c.queuedBytes -= int(d.wire)
-	c.hoqDropped++
+	c.plane().hoqDropped++
 	c.noteXmitDiscard()
-	c.params.observe(c.sim.Now(), ObsHOQDrop, c.ownerName, d)
+	c.observe(ObsHOQDrop, d)
 	d.ReturnCredit()
 	c.params.release(d, ObsHOQDrop)
-	c.armHOQ(vl)
+	c.armHOQ(q)
 	c.trySend()
 }
 
@@ -496,7 +564,7 @@ func (h *wireArrive) Fire(arg any, tag uint64) {
 	// The packet now occupies one credit of the peer's input buffer
 	// until the peer consumes it.
 	d.credCh, d.credTag = c, tag
-	c.peer.arrive(c.peerIn, d)
+	c.peer.arrive(int(c.peerIn), d)
 }
 
 // returnCredit puts a credit return on the wire back to this sender: a
@@ -514,7 +582,7 @@ func (c *outChannel) returnCredit(tag uint64) {
 	}
 	// The delay is the fabric's one constant, so the ring stays in slot
 	// order.
-	c.returns.push(ticket{at: at, seq: seq, vl: uint8(tag)})
+	c.returns.push(newTicket(at, seq, uint8(tag)))
 	c.due = min(c.due, at)
 	c.wake()
 }
@@ -546,14 +614,16 @@ func (c *outChannel) settleTickets() {
 		if c.busy && (t == nil || c.ser.before(t)) {
 			t = &c.ser
 		}
-		if t == nil || !s.Passed(t.at, t.seq) {
+		if t == nil || !s.Passed(t.at, t.seq()) {
 			break
 		}
-		queued := t.queued
+		queued := t.queued()
 		if t == &c.ser {
 			c.busy = false
 		} else {
-			c.credits[t.vl]++
+			// The lane sent the packet the credit returns for.
+			c.laneOf(t.vl()).credits++
+			c.starved &^= 1 << t.vl()
 			c.returns.pop()
 		}
 		refill = refill || !queued && !c.busy
@@ -577,7 +647,7 @@ func (c *outChannel) settleTickets() {
 // idle (stalled). Each later return is scheduled as it becomes the
 // oldest, if the stall lasts. wakeAll schedules every ticket.
 func (c *outChannel) wake() {
-	if c.stalled || c.busy && c.occupied != 0 && !c.ser.queued || c.wakeAll {
+	if c.stalled || c.busy && c.occupied != 0 && !c.ser.queued() || c.wakeAll {
 		c.wakeTickets()
 	}
 }
@@ -588,9 +658,9 @@ func (c *outChannel) wakeTickets() {
 		return
 	}
 	all, tag := c.wakeAll, c.tag(0)
-	if c.busy && !c.ser.queued && (c.occupied != 0 || all) {
-		c.ser.queued = true
-		c.sim.ScheduleTicket(c.ser.at, c.ser.seq, (*ticketDue)(c), nil, tag)
+	if c.busy && !c.ser.queued() && (c.occupied != 0 || all) {
+		c.ser.queue()
+		c.sim.ScheduleTicket(c.ser.at, c.ser.seq(), (*ticketDue)(c), nil, tag)
 	}
 	n := c.returns.len()
 	switch {
@@ -601,9 +671,9 @@ func (c *outChannel) wakeTickets() {
 		n = 0
 	}
 	for i := 0; i < n; i++ {
-		if r := c.returns.at(i); !r.queued {
-			r.queued = true
-			c.sim.ScheduleTicket(r.at, r.seq, (*ticketDue)(c), nil, tag)
+		if r := c.returns.at(i); !r.queued() {
+			r.queue()
+			c.sim.ScheduleTicket(r.at, r.seq(), (*ticketDue)(c), nil, tag)
 		}
 	}
 }
@@ -613,9 +683,9 @@ func (c *outChannel) wakeTickets() {
 // is released, and the loss is counted so delivered + rejected +
 // blackholed still equals sent.
 func (c *outChannel) blackhole(d *Delivery) {
-	c.blackholed++
+	c.plane().blackholed++
 	c.noteXmitDiscard()
-	c.params.observe(c.sim.Now(), ObsBlackhole, c.ownerName, d)
+	c.observe(ObsBlackhole, d)
 	d.ReturnCredit()
 	c.params.release(d, ObsBlackhole)
 }
@@ -624,11 +694,17 @@ func (c *outChannel) blackhole(d *Delivery) {
 // the port's PortXmitDiscards counter and runs the owner's threshold-
 // trap check.
 func (c *outChannel) noteXmitDiscard() {
-	if c.health != nil {
-		c.health.AddXmitDiscards(1)
-	}
-	if c.healthSw != nil {
-		c.healthSw.checkHealthTrap(int(c.healthPort))
+	c.countError((*PortCounters).AddXmitDiscards)
+}
+
+// countError bumps one of the owning port's IBA error counters (every
+// increment site is an error path, so a clean run never comes here) and,
+// on a switch, checks the port's threshold trap.
+func (c *outChannel) countError(add func(*PortCounters, uint16)) {
+	dev, port := c.owner()
+	add(&dev.(porter).portAt(port).health, 1)
+	if sw, ok := dev.(*Switch); ok {
+		sw.checkHealthTrap(port)
 	}
 }
 
@@ -647,8 +723,9 @@ func (c *outChannel) setDown(down bool) {
 	c.due = never // the serializer's ticket, if any, is stale too
 	c.down = down
 	c.epoch++
-	if down && c.health != nil {
-		c.health.AddLinkDowned(1)
+	if down {
+		dev, port := c.owner()
+		dev.(porter).portAt(port).health.AddLinkDowned(1)
 	}
 	if c.stalled {
 		// Close the open stall interval: a downed link empties its
@@ -657,10 +734,11 @@ func (c *outChannel) setDown(down bool) {
 		c.stalled = false
 	}
 	if down {
-		// Each lane is emptied but kept: it is the channel's for good.
-		for vl := range c.queues {
-			for c.qlen(uint8(vl)) > 0 {
-				c.blackhole(c.pop(uint8(vl)))
+		// Each lane is emptied, in VL order, but kept: it is the
+		// channel's for good.
+		for q := c.lanes; q != nil; q = q.next {
+			for q.fill > 0 {
+				c.blackhole(c.pop(q))
 			}
 		}
 		c.queuedBytes = 0
@@ -669,6 +747,12 @@ func (c *outChannel) setDown(down bool) {
 	c.refillCredits()
 	c.busy = false
 	c.trySend()
+}
+
+// linkStats returns the bytes the channel transmitted and the time it
+// spent serializing them.
+func (c *outChannel) linkStats() (bytes uint64, busy sim.Time) {
+	return c.bytesSent, sim.Time(c.bytesSent) * c.params.ByteTime()
 }
 
 // stallTime returns the accumulated credit-stall time, closing any
@@ -681,11 +765,12 @@ func (c *outChannel) stallTime(now sim.Time) sim.Time {
 	return t
 }
 
-// backlog returns the occupancy mask rotated so that bit off stands for
-// lane (rr+off) % NumVLs: walking its set bits from the lowest visits
-// the non-empty lanes in round-robin order from the cursor.
-func (c *outChannel) backlog() uint16 {
-	return bits.RotateLeft16(c.occupied, -int(c.rr))
+// eligible returns the mask of the lanes the arbiter may serve — queued
+// and holding a credit — rotated so that bit off stands for lane
+// (rr+off) % NumVLs: walking its set bits from the lowest visits them in
+// round-robin order from the cursor.
+func (c *outChannel) eligible() uint16 {
+	return bits.RotateLeft16(c.occupied&^c.starved, -int(c.rr))
 }
 
 // pickVL chooses the next VL to serve according to the configured
@@ -697,11 +782,8 @@ func (c *outChannel) pickVL() int {
 	}
 	bestPrio := -1 << 31
 	best := -1
-	for m := c.backlog(); m != 0; m &= m - 1 {
+	for m := c.eligible(); m != 0; m &= m - 1 {
 		vl := (int(c.rr) + bits.TrailingZeros16(m)) % NumVLs
-		if c.credits[vl] <= 0 {
-			continue
-		}
 		if p := c.params.VLPriority[vl]; p > bestPrio {
 			bestPrio = p
 			best = vl
@@ -718,17 +800,17 @@ func (c *outChannel) pickVLWeighted() int {
 	if limit <= 0 {
 		limit = 4
 	}
+	ps := c.plane()
 	pickGroup := func(high bool) int {
 		// Two passes: first VLs with their packet left, then refill.
 		for pass := 0; pass < 2; pass++ {
-			for m := c.backlog(); m != 0; m &= m - 1 {
+			for m := c.eligible(); m != 0; m &= m - 1 {
 				vl := (int(c.rr) + bits.TrailingZeros16(m)) % NumVLs
-				isHigh := c.params.VLPriority[vl] > 0
-				if isHigh != high || c.credits[vl] <= 0 {
+				if isHigh := c.params.VLPriority[vl] > 0; isHigh != high {
 					continue
 				}
-				if c.wrrLeft&(1<<vl) != 0 {
-					c.wrrLeft &^= 1 << vl
+				if ps.wrrLeft&(1<<vl) != 0 {
+					ps.wrrLeft &^= 1 << vl
 					return vl
 				}
 			}
@@ -738,18 +820,18 @@ func (c *outChannel) pickVLWeighted() int {
 	}
 	// Anti-starvation: after limit high-priority packets, serve one
 	// low-priority packet if any is waiting.
-	if int(c.hiRun) >= limit {
+	if int(ps.hiRun) >= limit {
 		if vl := pickGroup(false); vl >= 0 {
-			c.hiRun = 0
+			ps.hiRun = 0
 			return vl
 		}
 	}
 	if vl := pickGroup(true); vl >= 0 {
-		c.hiRun++
+		ps.hiRun++
 		return vl
 	}
 	if vl := pickGroup(false); vl >= 0 {
-		c.hiRun = 0
+		ps.hiRun = 0
 		return vl
 	}
 	return -1
@@ -758,9 +840,10 @@ func (c *outChannel) pickVLWeighted() int {
 // refillRound starts a new WRR round for one priority group
 // (VLPriority > 0 is high): every VL in it gets its one packet back.
 func (c *outChannel) refillRound(high bool) {
+	ps := c.plane()
 	for vl := 0; vl < NumVLs; vl++ {
 		if (c.params.VLPriority[vl] > 0) == high {
-			c.wrrLeft |= 1 << vl
+			ps.wrrLeft |= 1 << vl
 		}
 	}
 }
@@ -772,10 +855,10 @@ func (c *outChannel) refillRound(high bool) {
 // downstream.
 func (c *outChannel) maybeCorrupt(d *Delivery) {
 	ber := c.params.BitErrorRate
-	if c.berSet {
+	if ps := c.planes; ps != nil && ps.berSet {
 		// Per-link gray-failure injection: this one link direction
 		// corrupts at its own rate, overriding the fabric-wide model.
-		ber = c.berOverride
+		ber = ps.berOverride
 	}
 	if ber == 0 {
 		return
@@ -785,12 +868,7 @@ func (c *outChannel) maybeCorrupt(d *Delivery) {
 	if c.params.RNG.Float64() >= pStrike {
 		return
 	}
-	if c.health != nil {
-		c.health.AddSymbolErrors(1)
-	}
-	if c.healthSw != nil {
-		c.healthSw.checkHealthTrap(int(c.healthPort))
-	}
+	c.countError((*PortCounters).AddSymbolErrors)
 	c.params.strike(d, c.params.RNG.Intn(d.Pkt.WireSize()*8))
 	d.Tainted = true
 }
@@ -824,10 +902,13 @@ func (c *outChannel) sendNext() {
 		c.creditStall += c.sim.Now() - c.stallSince
 		c.stalled = false
 	}
-	d := c.pop(uint8(vl))
+	q := c.laneOf(uint8(vl))
+	d := c.pop(q)
 	c.queuedBytes -= int(d.wire)
-	c.armHOQ(uint8(vl))
-	c.credits[vl]--
+	c.armHOQ(q)
+	if q.credits--; q.credits == 0 {
+		c.starved |= 1 << vl
+	}
 	c.rr = uint8((vl + 1) % NumVLs)
 	c.busy = true
 
@@ -842,9 +923,8 @@ func (c *outChannel) sendNext() {
 
 	ser := c.params.SerializationDelay(int(d.wire))
 	c.bytesSent += uint64(d.wire)
-	c.busyTime += ser
 	at := c.sim.Now() + ser
-	c.ser = ticket{at: at, seq: c.sim.Reserve(at)}
+	c.ser = newTicket(at, c.sim.Reserve(at), 0)
 	c.due = min(c.due, at)
 	c.maybeCorrupt(d)
 	c.sim.ScheduleCall(ser+c.params.PropDelay, (*wireArrive)(c), d, c.tag(uint8(vl)))

@@ -381,7 +381,7 @@ func TestPropertyConservationAcrossLinkDownUp(t *testing.T) {
 				if n := p.out.qlen(uint8(vl)); n != 0 {
 					t.Fatalf("trial %d: %s VL %d holds %d packets after drain", trial, name, vl, n)
 				}
-				if c := p.out.credits[vl]; int(c) != params.CreditsPerVL {
+				if c := p.out.credits()[vl]; int(c) != params.CreditsPerVL {
 					t.Fatalf("trial %d: %s VL %d has %d credits, want %d",
 						trial, name, vl, c, params.CreditsPerVL)
 				}

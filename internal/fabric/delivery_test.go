@@ -58,10 +58,9 @@ func TestWarmUpDrawsFromSlabs(t *testing.T) {
 		for _, h := range hcas {
 			c := h.port.out
 			for vl := uint8(0); vl < 2; vl++ {
-				c.push(vl, d)
-				c.pop(vl)
-				c.queues[vl] = nil // the next run carves the lane anew
+				c.pop(c.push(vl, d))
 			}
+			c.lanes = nil // the next run carves the lanes anew
 		}
 	})
 	// Two lanes on each of 2×links channels: two slabs of one lane per

@@ -25,5 +25,32 @@ func (sw *Switch) FECNMarked(port int) uint64 {
 	if port < 0 || port >= len(sw.ports) || sw.ports[port].out == nil {
 		return 0
 	}
-	return sw.ports[port].out.fecnMarked
+	return sw.ports[port].out.counts().fecnMarked
+}
+
+// credits returns each VL's credits: its lane's, or the full complement
+// for a VL no push has carved a lane for.
+func (c *outChannel) credits() [NumVLs]int32 {
+	var cr [NumVLs]int32
+	for vl := range cr {
+		cr[vl] = int32(c.params.CreditsPerVL)
+	}
+	for q := c.lanes; q != nil; q = q.next {
+		cr[q.vl] = q.credits
+	}
+	return cr
+}
+
+// setCredits gives vl's lane n credits, carving the lane if no push has,
+// and keeps the starved mask.
+func (c *outChannel) setCredits(vl uint8, n int32) {
+	q := c.laneOf(vl)
+	if q == nil {
+		q = c.carve(vl)
+	}
+	q.credits = n
+	c.starved &^= 1 << vl
+	if n <= 0 {
+		c.starved |= 1 << vl
+	}
 }

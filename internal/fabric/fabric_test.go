@@ -333,14 +333,14 @@ func TestReturnCreditIdempotent(t *testing.T) {
 	full := func(when string) {
 		t.Helper()
 		ch.settle()
-		for lane, c := range ch.credits {
+		for lane, c := range ch.credits() {
 			if int(c) != params.CreditsPerVL {
 				t.Fatalf("%s: VL %d has %d credits, want %d", when, lane, c, params.CreditsPerVL)
 			}
 		}
 	}
 
-	ch.credits[vl]--
+	ch.setCredits(vl, ch.credits()[vl]-1)
 	d := &Delivery{credCh: ch, credTag: ch.tag(vl)}
 	d.ReturnCredit()
 	d.ReturnCredit()
@@ -354,7 +354,7 @@ func TestReturnCreditIdempotent(t *testing.T) {
 		t.Fatalf("a return nothing waits on queued %d events, want none", n)
 	}
 	ch.settle()
-	if int(ch.credits[vl]) != params.CreditsPerVL-1 {
+	if int(ch.credits()[vl]) != params.CreditsPerVL-1 {
 		t.Fatal("credit restored before the return crossed the wire")
 	}
 	s.Run()
@@ -366,7 +366,7 @@ func TestReturnCreditIdempotent(t *testing.T) {
 	// A return on the wire when the link resets, and one minted before a
 	// reset but sent after it, must not push the lane past its complement
 	// once the link is back.
-	ch.credits[vl]--
+	ch.setCredits(vl, ch.credits()[vl]-1)
 	inFlight := &Delivery{credCh: ch, credTag: ch.tag(vl)}
 	inFlight.ReturnCredit()
 	stale := &Delivery{credCh: ch, credTag: ch.tag(vl)}

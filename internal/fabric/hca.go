@@ -61,10 +61,6 @@ type HCA struct {
 	// first BECN.
 	cc      CCParams
 	ccFlows map[packet.LID]*ccFlow
-
-	// health holds the CA port's IBA PortCounters (one port per HCA),
-	// swept by the Performance Management plane over PMA MADs.
-	health PortCounters
 }
 
 // SMI is an HCA's management receive path, the HCA-side counterpart of a
@@ -144,12 +140,13 @@ func (h *HCA) bind(port int, ch *outChannel) {
 	if h.port.out != nil {
 		panic(fmt.Sprintf("fabric: HCA %s already connected", h.name))
 	}
-	ch.health = &h.health
 	h.port.out = ch
 }
 
+func (h *HCA) portAt(int) *Port { return &h.port }
+
 // PortHealth returns a copy of the HCA port's IBA PortCounters.
-func (h *HCA) PortHealth() PortCounters { return h.health }
+func (h *HCA) PortHealth() PortCounters { return h.port.health }
 
 // Send queues a packet for injection. The delivery is stamped with the
 // enqueue time; its queuing time ends when serialization starts. The
@@ -222,7 +219,7 @@ func (h *HCA) PortStats() (bytes uint64, busy sim.Time) {
 	if h.port.out == nil {
 		return 0, 0
 	}
-	return h.port.out.bytesSent, h.port.out.busyTime
+	return h.port.out.linkStats()
 }
 
 // SetLinkState raises or lowers the outbound half of the HCA's link; the
@@ -239,7 +236,7 @@ func (h *HCA) Blackholed() uint64 {
 	if h.port.out == nil {
 		return 0
 	}
-	return h.port.out.blackholed
+	return h.port.out.counts().blackholed
 }
 
 // HOQDropped returns the packets aged out of the HCA's send queues by
@@ -248,7 +245,7 @@ func (h *HCA) HOQDropped() uint64 {
 	if h.port.out == nil {
 		return 0
 	}
-	return h.port.out.hoqDropped
+	return h.port.out.counts().hoqDropped
 }
 
 // CreditStallTime returns the cumulative time the HCA's outbound port
@@ -371,14 +368,14 @@ func (h *HCA) receive(d *Delivery) ObsKind {
 	d.ReturnCredit()
 	if !vcrcOK(d) {
 		h.Counters.Add(HCAVCRCDrops, 1)
-		h.health.AddRcvErrors(1)
+		h.port.health.AddRcvErrors(1)
 		h.params.observe(h.sim.Now(), ObsCRCDrop, h.name, d)
 		return ObsCRCDrop
 	}
 	if d.Tainted && d.Pkt.BTH.AuthID == 0 {
 		if ok, err := icrc.VerifyICRC(d.Pkt.Wire()); err != nil || !ok {
 			h.Counters.Add(HCAICRCDrops, 1)
-			h.health.AddRcvErrors(1)
+			h.port.health.AddRcvErrors(1)
 			h.params.observe(h.sim.Now(), ObsCRCDrop, h.name, d)
 			return ObsCRCDrop
 		}

@@ -162,9 +162,9 @@ func TestHOQClockIgnoresRecycledDelivery(t *testing.T) {
 	lane := a.port.out
 	send() // t = 0: A's clock runs out at 100 us
 	s.ScheduleAt(50*sim.Microsecond, func() {
-		lane.settle()                  // A's credit is back
-		lane.credits[VLBestEffort] = 0 // the switch's input buffer is full
-		send()                         // B's clock runs out at 150 us
+		lane.settle()                    // A's credit is back
+		lane.setCredits(VLBestEffort, 0) // the switch's input buffer is full
+		send()                           // B's clock runs out at 150 us
 	})
 	s.ScheduleAt(110*sim.Microsecond, func() {
 		if lane.qlen(VLBestEffort) != 1 {
@@ -172,7 +172,7 @@ func TestHOQClockIgnoresRecycledDelivery(t *testing.T) {
 		}
 	})
 	s.ScheduleAt(120*sim.Microsecond, func() {
-		lane.credits[VLBestEffort] = 1
+		lane.setCredits(VLBestEffort, 1)
 		lane.trySend()
 	})
 	s.Run()

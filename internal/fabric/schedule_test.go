@@ -195,10 +195,10 @@ func linkScheduleRun(t *testing.T, seed int64, knobs byte, eager bool) *linkRun 
 
 	for _, c := range chans {
 		c.settle()
-		run.credits = append(run.credits, c.credits)
+		run.credits = append(run.credits, c.credits())
 		run.busy = append(run.busy, c.busy)
 		run.stall = append(run.stall, c.stallTime(s.Now()))
-		run.hoq = append(run.hoq, c.hoqDropped)
+		run.hoq = append(run.hoq, c.counts().hoqDropped)
 	}
 	return run
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"ibasec/internal/metrics"
 	"ibasec/internal/packet"
@@ -62,8 +63,9 @@ type Switch struct {
 	// index is the switch's index among its fabric's (NewSwitches' i).
 	index int32
 	// ccThreshold is the programmed FECN marking threshold (zero until
-	// the SM's congestion manager programs the switch).
-	ccThreshold int
+	// the SM's congestion manager programs the switch), which each port's
+	// channel holds too.
+	ccThreshold int32
 
 	// trapThreshold and onHealthTrap are the PerfMgr's programmed
 	// threshold trap: when a port's error sum (symbol + receive errors)
@@ -188,7 +190,7 @@ func (sw *Switch) PortBlackholed(port int) uint64 {
 	if port < 0 || port >= len(sw.ports) || sw.ports[port].out == nil {
 		return 0
 	}
-	return sw.ports[port].out.blackholed
+	return sw.ports[port].out.counts().blackholed
 }
 
 // Blackholed returns the packets destroyed by faults at this switch: the
@@ -207,7 +209,7 @@ func (sw *Switch) HOQDropped() uint64 {
 	var n uint64
 	for i := range sw.ports {
 		if ch := sw.ports[i].out; ch != nil {
-			n += ch.hoqDropped
+			n += ch.counts().hoqDropped
 		}
 	}
 	return n
@@ -218,10 +220,12 @@ func (sw *Switch) HOQDropped() uint64 {
 // forwarded packets whose VL queue is at or past the threshold. Zero
 // turns marking off. Applies to ports connected later too.
 func (sw *Switch) SetCongestionControl(markingThreshold int) {
-	sw.ccThreshold = markingThreshold
+	// No queue reaches 2³¹ packets, so a deeper threshold marks as
+	// this one does: never.
+	sw.ccThreshold = int32(min(markingThreshold, math.MaxInt32))
 	for i := range sw.ports {
 		if ch := sw.ports[i].out; ch != nil {
-			ch.ccThreshold = markingThreshold
+			ch.ccThreshold = sw.ccThreshold
 		}
 	}
 }
@@ -232,7 +236,7 @@ func (sw *Switch) FECNMarkedTotal() uint64 {
 	var n uint64
 	for i := range sw.ports {
 		if ch := sw.ports[i].out; ch != nil {
-			n += ch.fecnMarked
+			n += ch.counts().fecnMarked
 		}
 	}
 	return n
@@ -269,8 +273,8 @@ func (sw *Switch) SetPortBER(port int, rate float64) {
 	if port < 0 || port >= len(sw.ports) || sw.ports[port].out == nil {
 		return
 	}
-	sw.ports[port].out.berOverride = rate
-	sw.ports[port].out.berSet = true
+	ps := sw.ports[port].out.plane()
+	ps.berOverride, ps.berSet = rate, true
 }
 
 // ClearPortBER removes the port's bit-error override; the fabric-wide
@@ -279,8 +283,9 @@ func (sw *Switch) ClearPortBER(port int) {
 	if port < 0 || port >= len(sw.ports) || sw.ports[port].out == nil {
 		return
 	}
-	sw.ports[port].out.berSet = false
-	sw.ports[port].out.berOverride = 0
+	if ps := sw.ports[port].out.planes; ps != nil {
+		ps.berOverride, ps.berSet = 0, false
+	}
 }
 
 // SetHealthTrap programs the switch's error-threshold trap (the
@@ -359,7 +364,7 @@ func (sw *Switch) PortStats(port int) (bytes uint64, busy sim.Time) {
 	if ch == nil {
 		return 0, 0
 	}
-	return ch.bytesSent, ch.busyTime
+	return ch.linkStats()
 }
 
 // Params returns the fabric parameters.
@@ -370,10 +375,10 @@ func (sw *Switch) bind(port int, ch *outChannel) {
 		panic(fmt.Sprintf("fabric: %s port %d already connected", sw.name, port))
 	}
 	ch.ccThreshold = sw.ccThreshold
-	ch.health = &sw.ports[port].health
-	ch.healthSw, ch.healthPort = sw, int32(port)
 	sw.ports[port].out = ch
 }
+
+func (sw *Switch) portAt(port int) *Port { return &sw.ports[port] }
 
 // arrive implements Device: route (and filter) after the lookup latency.
 // Corrupted packets are discarded by the per-link VCRC check first

@@ -114,7 +114,7 @@ func TestSetDownDrainsQueuesInOrder(t *testing.T) {
 			t.Fatalf("blackholed packet %d out of FIFO order", i)
 		}
 	}
-	q := a.port.out.queues[VLBestEffort]
+	q := a.port.out.laneOf(VLBestEffort)
 	if q == nil || q.len() != 0 {
 		t.Fatalf("lane after link-down: %v, want kept and empty", q)
 	}
@@ -136,7 +136,7 @@ func pickVLScan(c *outChannel) int {
 	best := -1
 	for off := 0; off < NumVLs; off++ {
 		vl := (int(c.rr) + off) % NumVLs
-		if c.qlen(uint8(vl)) == 0 || c.credits[vl] <= 0 {
+		if c.qlen(uint8(vl)) == 0 || c.credits()[vl] <= 0 {
 			continue
 		}
 		if p := c.params.VLPriority[vl]; p > bestPrio {
@@ -166,15 +166,12 @@ func TestPickVLMatchesFullScan(t *testing.T) {
 		for pi, params := range []*Params{flat, DefaultParams(), distinct} {
 			for _, starved := range [][]int{nil, {1}, {0, 15}} {
 				c := &outChannel{params: params}
-				for vl := range c.credits {
-					c.credits[vl] = 1
-				}
-				for _, vl := range starved {
-					c.credits[vl] = 0
-				}
 				for _, vl := range lanes {
 					c.push(uint8(vl), &Delivery{})
 					c.push(uint8(vl), &Delivery{})
+				}
+				for _, vl := range starved {
+					c.setCredits(uint8(vl), 0)
 				}
 				check := func(when string) {
 					t.Helper()
@@ -188,9 +185,9 @@ func TestPickVLMatchesFullScan(t *testing.T) {
 				}
 				check("full")
 				for i, vl := range lanes {
-					c.pop(uint8(vl)) // one left: lane stays occupied
+					c.pop(c.laneOf(uint8(vl))) // one left: lane stays occupied
 					if i%2 == 0 {
-						c.pop(uint8(vl)) // emptied: lane must leave the mask
+						c.pop(c.laneOf(uint8(vl))) // emptied: lane must leave the mask
 					}
 					check("draining")
 				}

@@ -159,6 +159,20 @@ func parseEnvelope(b []byte) (keys.Envelope, error) {
 	return keys.Envelope{Ciphertext: append([]byte(nil), b[2:2+n]...)}, nil
 }
 
+// openEnvelope parses the envelope at the start of b and opens it with
+// this node's key pair. Either path that carries one counts a refusal
+// as gsi_issue_failed: a forged or damaged envelope is tamper.
+func (e *Endpoint) openEnvelope(b []byte) (keys.SecretKey, error) {
+	env, err := parseEnvelope(b)
+	if err != nil {
+		return keys.SecretKey{}, err
+	}
+	if e.cfg.KeyPair == nil {
+		return keys.SecretKey{}, fmt.Errorf("transport: no key pair to open envelope")
+	}
+	return e.cfg.KeyPair.Open(env)
+}
+
 // handleGSI dispatches control messages arriving at QP 1.
 func (e *Endpoint) handleGSI(d *fabric.Delivery) {
 	p := d.Pkt
@@ -226,17 +240,9 @@ func (e *Endpoint) handleQKeyResponse(src packet.LID, reqQP, targetQPN packet.QP
 	}
 	qkey := packet.QKey(binary.BigEndian.Uint32(rest[:4]))
 	if e.cfg.KeyLevel == QPLevel {
-		env, err := parseEnvelope(rest[4:])
+		secret, err := e.openEnvelope(rest[4:])
 		if err != nil {
-			pending.fail(err)
-			return
-		}
-		if e.cfg.KeyPair == nil {
-			pending.fail(fmt.Errorf("transport: no key pair to open envelope"))
-			return
-		}
-		secret, err := e.cfg.KeyPair.Open(env)
-		if err != nil {
+			e.Counters.Add(EpGSIIssueFailed, 1)
 			pending.fail(err)
 			return
 		}
@@ -261,12 +267,7 @@ func (e *Endpoint) handleRCConnectReq(src packet.LID, pkey packet.PKey, initQP, 
 		return
 	}
 	if e.cfg.KeyLevel == QPLevel {
-		env, err := parseEnvelope(rest)
-		if err != nil || e.cfg.KeyPair == nil {
-			e.Counters.Add(EpGSIIssueFailed, 1)
-			return
-		}
-		secret, err := e.cfg.KeyPair.Open(env)
+		secret, err := e.openEnvelope(rest)
 		if err != nil {
 			e.Counters.Add(EpGSIIssueFailed, 1)
 			return

@@ -32,14 +32,13 @@ const (
 // accepts, and parseEnvelope must refuse any length above gsiMaxEnvelope,
 // which appendEnvelope would never have written.
 func FuzzGSI(f *testing.F) {
-	kps, err := nodeKeys()
+	// One key pair stands in for every node's: the endpoint seals to its
+	// peers' keys and opens what is sealed to its own.
+	rng := rand.New(rand.NewSource(28))
+	kp, err := keys.GenerateNodeKeyPair(rng)
 	if err != nil {
 		f.Fatal(err)
 	}
-	// One key pair stands in for every node's: the endpoint seals to its
-	// peers' keys and opens what is sealed to its own.
-	kp := kps[0]
-	rng := rand.New(rand.NewSource(28))
 	dir := keys.NewDirectory()
 	names := topology.NewMesh(sim.New(), fabric.DefaultParams(), 2, 2)
 	for i := 0; i < names.NumNodes(); i++ {

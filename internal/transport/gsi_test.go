@@ -6,6 +6,7 @@ import (
 
 	"ibasec/internal/fabric"
 	"ibasec/internal/icrc"
+	"ibasec/internal/keys"
 	"ibasec/internal/packet"
 	"ibasec/internal/topology"
 )
@@ -101,4 +102,84 @@ func TestGSIConnectWrongServiceRefused(t *testing.T) {
 	if w.eps[3].Counters.Value(EpGSINoTarget) != 1 {
 		t.Fatal("wrong-service connect not counted")
 	}
+}
+
+// injectGSI sends payload to the QP 1 of node to from node from's HCA,
+// as any node can, and runs the fabric until it settles.
+func (w *world) injectGSI(t *testing.T, from, to int, payload []byte) {
+	t.Helper()
+	p := &packet.Packet{
+		LRH:     packet.LRH{SLID: topology.LIDOf(from), DLID: topology.LIDOf(to)},
+		BTH:     packet.BTH{OpCode: packet.UDSendOnly, PKey: pkeyAB, DestQP: 1},
+		DETH:    &packet.DETH{QKey: 0, SrcQP: 1},
+		Payload: payload,
+	}
+	if err := icrc.Seal(p); err != nil {
+		t.Fatal(err)
+	}
+	w.mesh.HCA(from).Send(&fabric.Delivery{Pkt: p, Class: fabric.ClassBestEffort, VL: fabric.VLBestEffort})
+	w.s.Run()
+}
+
+// TestGSIForgedEnvelopeCounted sends envelopes that do not open —
+// bit-flipped, sealed to another node, and malformed — down both paths
+// that carry one, a Q_Key response and an RC connect request. Each is
+// refused and counted as gsi_issue_failed, and none establishes a key.
+func TestGSIForgedEnvelopeCounted(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	forged := func(w *world, to int) map[string][]byte {
+		env, err := keys.Seal(rng, w.kps[to].Public(), keys.SecretKey{7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipped := append([]byte(nil), env.Ciphertext...)
+		flipped[keys.EnvelopeSize/2] ^= 0x40
+		other, err := keys.Seal(rng, w.kps[2].Public(), keys.SecretKey{7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string][]byte{
+			"bit-flipped":      appendEnvelope(nil, keys.Envelope{Ciphertext: flipped}),
+			"wrong recipient":  appendEnvelope(nil, other),
+			"truncated":        appendEnvelope(nil, keys.Envelope{Ciphertext: env.Ciphertext[:keys.EnvelopeSize-1]}),
+			"length past body": {0, 200, 1, 2, 3},
+		}
+	}
+
+	t.Run("qkey response", func(t *testing.T) {
+		w := newWorld(t, 0, QPLevel)
+		for name, env := range forged(w, 0) {
+			src := w.eps[0].CreateUDQP(pkeyAB, 0)
+			var got error
+			// Node 1 has no QP 0x77, so only the forged response answers.
+			w.eps[0].RequestQKey(src, topology.LIDOf(1), 0x77, func(_ packet.QKey, err error) { got = err })
+			w.s.Run()
+			before := w.eps[0].Counters.Value(EpGSIIssueFailed)
+			w.injectGSI(t, 1, 0, append(append(gsiHeader(gsiQKeyResponse, src.N, 0x77), 0, 0, 0, 0x42), env...))
+			if got == nil {
+				t.Errorf("%s: the Q_Key request completed without error", name)
+			}
+			if n := w.eps[0].Counters.Value(EpGSIIssueFailed) - before; n != 1 {
+				t.Errorf("%s: gsi_issue_failed moved by %d, want 1", name, n)
+			}
+		}
+		if n := w.eps[0].Counters.Value(EpQKeyEstablished); n != 0 {
+			t.Fatalf("%d forged responses established a key", n)
+		}
+	})
+
+	t.Run("rc connect", func(t *testing.T) {
+		w := newWorld(t, 0, QPLevel)
+		target := w.eps[3].CreateRCQP(pkeyAB)
+		for name, env := range forged(w, 3) {
+			before := w.eps[3].Counters.Value(EpGSIIssueFailed)
+			w.injectGSI(t, 1, 3, append(gsiHeader(gsiRCConnectReq, 9, target.N), env...))
+			if n := w.eps[3].Counters.Value(EpGSIIssueFailed) - before; n != 1 {
+				t.Errorf("%s: gsi_issue_failed moved by %d, want 1", name, n)
+			}
+		}
+		if n := w.eps[3].Counters.Value(EpRCAccepted); n != 0 {
+			t.Fatalf("%d forged connects were accepted", n)
+		}
+	})
 }

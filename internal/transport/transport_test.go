@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"ibasec/internal/fabric"
@@ -26,36 +25,21 @@ type world struct {
 	kps  []*keys.NodeKeyPair
 }
 
-// nodeKeys generates, once per test binary, the key pairs of a world's
-// four nodes, which every world shares: RSA key generation would be most
-// of a world's set-up, and no test depends on which keys the nodes hold.
-var nodeKeys = sync.OnceValues(func() ([]*keys.NodeKeyPair, error) {
-	rng := rand.New(rand.NewSource(99))
-	kps := make([]*keys.NodeKeyPair, 4)
-	for i := range kps {
-		kp, err := keys.GenerateNodeKeyPair(rng)
-		if err != nil {
-			return nil, err
-		}
-		kps[i] = kp
-	}
-	return kps, nil
-})
-
 func newWorld(t *testing.T, authID uint8, level KeyLevel) *world {
 	t.Helper()
-	kps, err := nodeKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(99))
 	s := sim.New()
 	mesh := topology.NewMesh(s, fabric.DefaultParams(), 2, 2)
 	dir := keys.NewDirectory()
-	w := &world{s: s, mesh: mesh, dir: dir, kps: kps}
+	w := &world{s: s, mesh: mesh, dir: dir}
 	reg := mac.DefaultRegistry()
 	for i := 0; i < mesh.NumNodes(); i++ {
-		dir.Register(mesh.HCA(i).Name(), kps[i].Public())
+		kp, err := keys.GenerateNodeKeyPair(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.kps = append(w.kps, kp)
+		dir.Register(mesh.HCA(i).Name(), kp.Public())
 	}
 	for i := 0; i < mesh.NumNodes(); i++ {
 		hca := mesh.HCA(i)

@@ -124,6 +124,7 @@ internal/sm        FuzzResweep
 internal/transport FuzzGSI
 internal/policy    FuzzUnmarshal
 internal/keys      FuzzPartitionTable
+internal/keys      FuzzEnvelope
 internal/sim       FuzzEventQueue
 internal/sim       FuzzNewRand
 internal/fabric    FuzzLinkSchedule
