@@ -230,6 +230,81 @@ func TestSplitBrainEpochReconciliation(t *testing.T) {
 	}
 }
 
+// TestSplitBrainUncontainReinstallsEpochs covers the heal with no rival:
+// a cut isolates the mesh's centre 2×2 block of switches, which holds
+// neither the master (node 0) nor the standby (node 15) and lies off the
+// dimension-ordered route between them, so the standby keeps hearing the
+// master and nobody on the island can elect. The master
+// contains itself and keeps rotating island-scoped, the island's stores
+// fall behind, and once the cut mends the master's census sees the whole
+// fabric again and lifts the containment without any merge. At that
+// moment every member's store must hold each partition's current
+// authority epoch: the rejoined side missed every rotation of the cut,
+// and waiting for the next rollover would leave it sending under a stale
+// epoch until then.
+func TestSplitBrainUncontainReinstallsEpochs(t *testing.T) {
+	cfg := splitCfg()
+	cut := &cfg.FaultPlan.Partitions[0]
+	cut.IslandA = []int{5, 6, 9, 10}
+	const islandNode = 5
+	cl, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Poll from the heal on: the containment must still hold at the
+	// heal, and the first poll that finds the island back in the
+	// master's scope checks every store against the authority.
+	contained, checked := false, false
+	var stopPoll func()
+	cl.Sim.Schedule(cut.UpAt, func() {
+		contained = !cl.HA.Active().InIsland(islandNode)
+		stopPoll = cl.Sim.Every(sim.Microsecond, func() {
+			m := cl.HA.Active()
+			if checked || !m.InIsland(islandNode) {
+				return
+			}
+			checked = true
+			stopPoll()
+			for _, base := range m.PartitionBases() {
+				pk := packet.PKey(0x8000 | base)
+				ek, ok := m.Authority.CurrentKey(pk)
+				if !ok {
+					t.Errorf("pk %#x has no current key", uint16(pk))
+					continue
+				}
+				for _, n := range m.Members(pk) {
+					store := cl.Endpoints[n].Store
+					if e, _ := store.PartitionEpoch(pk); e != ek.Epoch {
+						t.Errorf("node %d: pk %#x at epoch %d after uncontain, authority at %d", n, uint16(pk), e, ek.Epoch)
+					} else if k, _ := store.PartitionSecret(pk); *k != ek.Key {
+						t.Errorf("node %d: pk %#x epoch %d holds a key the authority did not mint", n, uint16(pk), e)
+					}
+				}
+			}
+		})
+	})
+	cl.Simulate()
+
+	if !contained {
+		t.Fatal("the master did not contain itself before the heal")
+	}
+	if !checked {
+		t.Fatal("the master never uncontained after the heal")
+	}
+	if n := cl.Rotator.Counters.Value(sm.RotEpochRollovers); n == 0 {
+		t.Fatal("no rollover: the island had no epoch to miss")
+	}
+	for _, counter := range []sm.HACounter{sm.HAContainedTakeovers, sm.HAAbdications, sm.HAMerges} {
+		if n := cl.HA.Counters.Value(counter); n != 0 {
+			t.Fatalf("HA counter %d = %d, want 0 with no SM on the island: %s", counter, n, &cl.HA.Counters)
+		}
+	}
+	if masters := cl.HA.Masters(); len(masters) != 1 || masters[0] != cfg.SM.Node {
+		t.Fatalf("masters = %v, want only node %d", masters, cfg.SM.Node)
+	}
+}
+
 // TestSplitBrainDualMasterMonotonic: the dual-master window is the
 // partition's price, so it must grow with partition duration — a longer
 // cut means the loser island governs alone for longer before the heal
