@@ -126,13 +126,14 @@ func runAPMPoint(base Config, p apmPoint) (APMRow, error) {
 
 	// The fault plan targets the probe flows' primary paths, and the
 	// probe pairs depend on the seed-derived partition grouping computed
-	// inside Build — so assemble a scout cluster (never simulated) purely
-	// to learn the pair set. Same config, same pairs.
-	scout, err := Build(cfg)
+	// inside Build — so the plan is drawn up from the built cluster's
+	// pairs, then validated against its mesh and attached for Simulate to
+	// install.
+	cl, err := Build(cfg)
 	if err != nil {
 		return APMRow{}, err
 	}
-	pairs := rcPairs(scout, maxAPMFlows, true)
+	pairs := rcPairs(cl, maxAPMFlows, true)
 
 	// One synchronized kill shortly after warmup, restored at 5/8 of the
 	// run: every arm faces the same outage and the drain window still
@@ -157,12 +158,11 @@ func runAPMPoint(base Config, p apmPoint) (APMRow, error) {
 			Rate: p.BER, From: cfg.Warmup, Until: cfg.Duration * 3 / 4,
 		})
 	}
-	cfg.FaultPlan = plan
-
-	cl, err := Build(cfg)
-	if err != nil {
+	if err := plan.Validate(cl.Mesh); err != nil {
 		return APMRow{}, err
 	}
+	cl.Cfg.FaultPlan = plan
+
 	mkey := cfg.SM.MKey
 	// Alternate routes and the SIF alternate-path check are armed in
 	// every arm, so the only difference between apm-reg and apm-unreg is

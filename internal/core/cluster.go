@@ -145,18 +145,8 @@ type Cluster struct {
 	// latency).
 	OnHealth func(sm.HealthEvent)
 
-	// IslandRotators tracks per-island key rotators started at contained
-	// takeovers, keyed by the island master SM. Populated only with
-	// HA.SplitBrain; the splitbrain experiment reads rollover counts
-	// from it.
-	IslandRotators map[*sm.SubnetManager]*sm.Rotator
-
 	res        *Results
 	healEvents []sm.HealEvent
-	// rngSplit feeds authority forks at contained takeovers — its own
-	// stream, so enabling split-brain handling cannot perturb the
-	// setup/crypto/traffic draws other arms depend on.
-	rngSplit *rand.Rand
 	// auditors and perfMgrs list every drift auditor and performance
 	// manager the run started, the ones a failover displaced included, so
 	// all their counters and events reach the results.
@@ -234,11 +224,6 @@ func Build(cfg Config) (*Cluster, error) {
 		Rng:       rngTraffic,
 		Trace:     ring,
 		res:       &Results{Config: cfg},
-
-		IslandRotators: make(map[*sm.SubnetManager]*sm.Rotator),
-	}
-	if cfg.HA.SplitBrain {
-		cl.rngSplit = sim.NewRand(cfg.Seed ^ 0x5B117B)
 	}
 
 	groups := partitionGroups(&cfg, rngSetup, n)
@@ -262,26 +247,9 @@ func Build(cfg Config) (*Cluster, error) {
 		} else {
 			manager.Authority = keys.NewPartitionAuthority(rngCrypto)
 		}
-		// Distribution hooks: the SM (and any standby promoted in its
-		// place) reaches member key stores through these closures.
-		manager.InstallSecret = func(node int, pk packet.PKey, k keys.SecretKey, epoch uint32) {
-			if ep := cl.Endpoints[node]; ep != nil {
-				ep.Store.InstallPartitionEpoch(pk, epoch, k)
-			}
-		}
-		manager.RetireSecret = func(node int, pk packet.PKey, epoch uint32) {
-			if ep := cl.Endpoints[node]; ep != nil {
-				ep.Store.RetirePartitionEpoch(pk, epoch)
-			}
-		}
-		manager.WipeSecrets = func(node int, pk packet.PKey) {
-			if ep := cl.Endpoints[node]; ep != nil {
-				ep.Store.WipePartitionSecret(pk)
-				ep.Store.WipeQPSecrets()
-			}
-		}
-		// Transport endpoints (created before partitions so secret
-		// installation finds their stores).
+		// Transport endpoints, created before the partitions so the SM
+		// (and any standby promoted in its place) distributes secrets
+		// straight into their key stores.
 		cl.Endpoints = transport.NewEndpoints(mesh.HCAs, transport.Config{
 			Registry:  mac.DefaultRegistry(),
 			AuthID:    cfg.Auth.FuncID,
@@ -289,6 +257,10 @@ func Build(cfg Config) (*Cluster, error) {
 			RNG:       rngCrypto,
 			Directory: dir,
 		}, kps)
+		manager.Stores = make([]*keys.Store, n)
+		for i, ep := range cl.Endpoints {
+			manager.Stores[i] = ep.Store
+		}
 		// MAC generation adds one pipeline stage per message (section 6)
 		// — or, when a finite engine throughput is configured, the time
 		// to digest the message at that rate.
@@ -375,26 +347,31 @@ func Build(cfg Config) (*Cluster, error) {
 		cl.AttackSet[candidates[i]] = true
 	}
 
-	// HA ensemble: standby SMs share the master's filter and key
-	// authority, run on their own nodes with every periodic duty parked,
-	// and are seeded by the coordinator with the initial partition state
-	// (its in-band state-sync MADs keep them fresh thereafter). A coordinator
-	// also exists with zero standbys when the plan kills the SM, so the
-	// unrecovered-loss baseline is measured through the same machinery.
+	// HA ensemble: standby SMs share the master's filter, key authority
+	// and member key stores, run on their own nodes with every periodic
+	// duty parked, and are seeded by the coordinator with the initial
+	// partition state (its in-band state-sync MADs keep them fresh
+	// thereafter). A coordinator also exists with zero standbys when the
+	// plan kills the SM, so the unrecovered-loss baseline is measured
+	// through the same machinery.
 	if cfg.HA.Enabled() || (cfg.FaultPlan != nil && len(cfg.FaultPlan.SMKills) > 0) {
 		for _, node := range standbyNodes {
 			sbCfg := cfg.SM
 			sbCfg.Node = node
 			sb := sm.NewStandby(s, mesh, filter, sbCfg)
 			sb.Authority = manager.Authority
-			sb.InstallSecret = manager.InstallSecret
-			sb.RetireSecret = manager.RetireSecret
-			sb.WipeSecrets = manager.WipeSecrets
+			sb.Stores = manager.Stores
 			cl.Standbys = append(cl.Standbys, sb)
 		}
 		coord, err := sm.NewCoordinator(s, mesh, cfg.HA, cfg.SM.MKey, manager, cl.Standbys)
 		if err != nil {
 			return nil, fmt.Errorf("core: building HA coordinator: %w", err)
+		}
+		if cfg.HA.SplitBrain {
+			// Authority forks draw from their own stream, so enabling
+			// split-brain handling cannot perturb the setup, crypto or
+			// traffic draws other arms depend on.
+			coord.SetSplitKeys(cfg.Rekey, sim.NewRand(cfg.Seed^0x5B117B))
 		}
 		cl.HA = coord
 	}
@@ -559,9 +536,6 @@ func (cl *Cluster) armResilience() {
 	}
 	if cl.HA != nil {
 		cl.HA.OnTakeover = cl.takeover
-		if cfg.HA.SplitBrain {
-			cl.wireSplitBrain()
-		}
 		cl.HA.Start()
 	}
 	if cl.Rotator != nil {
@@ -685,9 +659,6 @@ func (cl *Cluster) run() *Results {
 		cl.HA.Stop()
 	}
 	cl.stopMasterDuties()
-	for _, rot := range cl.IslandRotators {
-		rot.Stop()
-	}
 	cl.collectHealth()
 	cl.collectDrift()
 

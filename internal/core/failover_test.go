@@ -74,7 +74,8 @@ func TestRekeyRolloversZeroRejects(t *testing.T) {
 }
 
 // TestStaleEpochHolderRejectedAfterGrace models a node that misses a key
-// distribution (its InstallSecret is dropped): its packets pass during
+// distribution (after bring-up the SM's store for it is a detached one,
+// so rotation installs and retires never reach it): its packets pass during
 // the grace window and are rejected as epoch-expired — not as generic
 // forgeries — once the old epoch retires.
 func TestStaleEpochHolderRejectedAfterGrace(t *testing.T) {
@@ -84,13 +85,7 @@ func TestStaleEpochHolderRejectedAfterGrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	const stale = 0
-	orig := cl.SM.InstallSecret
-	cl.SM.InstallSecret = func(node int, pk packet.PKey, k keys.SecretKey, epoch uint32) {
-		if node == stale {
-			return // distribution to this node silently lost
-		}
-		orig(node, pk, k, epoch)
-	}
+	cl.SM.Stores[stale] = keys.NewStore() // distribution to this node silently lost
 	cl.Simulate()
 
 	if n := epochCounters(cl, transport.EpAuthEpochExpired); n == 0 {

@@ -6,149 +6,11 @@ import (
 
 	"ibasec/internal/fabric"
 	"ibasec/internal/faults"
-	"ibasec/internal/keys"
-	"ibasec/internal/packet"
 	"ibasec/internal/runner"
 	"ibasec/internal/sim"
 	"ibasec/internal/sm"
 	"ibasec/internal/transport"
 )
-
-// wireSplitBrain hooks the HA coordinator's partition-lifecycle callbacks
-// into the key plane. The coordinator owns detection, containment and the
-// merge protocol; what lives here is everything that needs the cluster's
-// endpoints and RNG streams:
-//
-//   - a contained island master forks the shared partition authority so
-//     its island-scoped rotations diverge without racing the other side,
-//     and gets an island rotator on the same cadence as the fabric one;
-//   - an abdicating loser parks its island rotator (the fork stays
-//     readable until the merge reconciles it);
-//   - a merge reconciles the two key-epoch lineages (reconcileEpochs);
-//   - an uncontain (heal with no rival ever elected) re-installs the
-//     current epochs fabric-wide, because the far side missed every
-//     rotation during the partition.
-func (cl *Cluster) wireSplitBrain() {
-	cl.HA.OnContainedTakeover = func(m *sm.SubnetManager) {
-		if m.Authority != nil && cl.rngSplit != nil {
-			m.Authority = m.Authority.Fork(cl.rngSplit)
-		}
-		if cl.Cfg.Rekey.Enabled() && m.Authority != nil {
-			rot, err := sm.NewRotator(cl.Sim, m, cl.Cfg.Rekey)
-			if err != nil {
-				panic(fmt.Sprintf("core: island rotator: %v", err))
-			}
-			rot.Start()
-			cl.IslandRotators[m] = rot
-		}
-	}
-	cl.HA.OnAbdicate = func(m *sm.SubnetManager) {
-		if rot := cl.IslandRotators[m]; rot != nil {
-			rot.Stop()
-		}
-	}
-	cl.HA.OnUncontain = func(m *sm.SubnetManager) {
-		if m.Authority == nil || m.InstallSecret == nil {
-			return
-		}
-		for _, base := range m.PartitionBases() {
-			pk := packet.PKey(0x8000 | base)
-			ek, ok := m.Authority.CurrentKey(pk)
-			if !ok {
-				continue
-			}
-			for _, n := range m.Members(pk) {
-				// The rejoined side's stores hold a stale epoch; installing
-				// the current one displaces it into the grace window, so
-				// straggler traffic drains instead of hard-failing.
-				m.InstallSecret(n, pk, ek.Key, ek.Epoch)
-			}
-		}
-	}
-	cl.HA.OnMerge = func(winner, loser *sm.SubnetManager) {
-		fork := loser.Authority
-		// The loser rejoins the standby pool under the winner's authority,
-		// so a later (non-partition) failover rotates the unified lineage.
-		loser.Authority = winner.Authority
-		if winner.Authority == nil || fork == nil || fork == winner.Authority {
-			return
-		}
-		cl.reconcileEpochs(winner, fork)
-	}
-}
-
-// reconcileEpochs is the key-plane half of a split-brain merge. During
-// the partition both islands kept rotating, so each partition secret now
-// has two diverged lineages sharing numeric epochs. For every partition
-// the winner mints a fresh key at max(both currents)+1 and distributes
-// it fabric-wide; both lineages' recent keys become retired tombstones
-// on every CA, so in-flight packets sealed under either island's epochs
-// drain as auth_epoch_expired instead of an auth_fail storm; and after
-// the merge grace window — the rotation's own Grace, which exceeds the
-// distribution delay — the displaced pre-merge keys retire too.
-//
-// Ordering matters on each store: the merged epoch must be installed
-// before the tombstones (AddRetiredPartitionEpoch refuses tombstones at
-// or above the current epoch, so they land in the same scheduled
-// callback, install first).
-func (cl *Cluster) reconcileEpochs(winner *sm.SubnetManager, fork *keys.PartitionAuthority) {
-	if !cl.Cfg.Rekey.Enabled() {
-		return // epoch 0 everywhere: the lineages never diverged
-	}
-	rk := cl.Cfg.Rekey.WithDefaults()
-	for _, base := range winner.PartitionBases() {
-		pk := packet.PKey(0x8000 | base)
-		eW, okW := winner.Authority.CurrentKey(pk)
-		eL, okL := fork.CurrentKey(pk)
-		if !okW && !okL {
-			continue
-		}
-		merged := eW.Epoch
-		if eL.Epoch > merged {
-			merged = eL.Epoch
-		}
-		merged++
-		// Both lineages' non-current keys, plus both currents. Exact-match
-		// dedup in the store makes the overlap (keys minted before the
-		// fork appear in both histories) harmless.
-		var tombs []keys.EpochKey
-		tombs = append(tombs, winner.Authority.RecentKeys(pk)...)
-		tombs = append(tombs, fork.RecentKeys(pk)...)
-		if okW {
-			tombs = append(tombs, eW)
-		}
-		if okL {
-			tombs = append(tombs, eL)
-		}
-		fresh, err := winner.Authority.MintEpoch(pk, merged)
-		if err != nil {
-			panic(fmt.Sprintf("core: merge mint for %#x: %v", uint16(pk), err))
-		}
-		members := winner.Members(pk)
-		cl.Sim.Schedule(rk.DistributionDelay, func() {
-			for _, n := range members {
-				ep := cl.Endpoints[n]
-				if ep == nil {
-					continue
-				}
-				ep.Store.InstallPartitionEpoch(pk, merged, fresh)
-				for _, t := range tombs {
-					ep.Store.AddRetiredPartitionEpoch(pk, t)
-				}
-			}
-		})
-		cl.Sim.Schedule(rk.Grace, func() {
-			for _, n := range members {
-				if ep := cl.Endpoints[n]; ep != nil {
-					// One call covers both islands: each store's grace slot
-					// holds its own island's pre-merge current, and every
-					// pre-merge epoch is at most merged-1.
-					ep.Store.RetirePartitionEpoch(pk, merged-1)
-				}
-			}
-		})
-	}
-}
 
 // SplitBrainRow is one point of the split-brain experiment: the mesh is
 // bisected a third of the way into the run for PartitionUS microseconds,
@@ -273,6 +135,7 @@ func runSplitBrainPoint(base Config, p splitBrainPoint) (SplitBrainRow, error) {
 		row.Abdications = cl.HA.Counters.Value(sm.HAAbdications)
 		row.Merges = cl.HA.Counters.Value(sm.HAMerges)
 		row.CensusRounds = cl.HA.Counters.Value(sm.HACensusRounds)
+		row.IslandRollovers = cl.HA.IslandRollovers()
 		if len(cl.HA.Merges) > 0 {
 			ev := cl.HA.Merges[0]
 			row.DualMasterUS = (ev.AbdicatedAt - ev.ContainedAt).Microseconds()
@@ -282,9 +145,6 @@ func runSplitBrainPoint(base Config, p splitBrainPoint) (SplitBrainRow, error) {
 	}
 	if cl.Rotator != nil {
 		row.Rollovers = cl.Rotator.Counters.Value(sm.RotEpochRollovers)
-	}
-	for _, rot := range cl.IslandRotators {
-		row.IslandRollovers += rot.Counters.Value(sm.RotEpochRollovers)
 	}
 	for _, sw := range cl.Mesh.Switches {
 		row.DupRequests += sw.Counters.Value(fabric.SwSMPDupRequests)

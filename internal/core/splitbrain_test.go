@@ -99,28 +99,19 @@ func TestSplitBrainEpochReconciliation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Capture the loser island's current epochs at the moment it steps
-	// down: abdication runs before OnMerge swaps the fork out, so
-	// m.Authority is still the island's diverged lineage. Simulate()
-	// wires the cluster's own OnAbdicate when it arms resilience, so the
-	// wrapper must chain in from inside the run, not before it.
-	loser := map[packet.PKey]keys.EpochKey{}
-	cl.Sim.Schedule(sim.Microsecond, func() {
-		prevAb := cl.HA.OnAbdicate
-		cl.HA.OnAbdicate = func(m *sm.SubnetManager) {
-			if m.Authority != nil {
-				for _, b := range m.PartitionBases() {
-					pk := packet.PKey(0x8000 | b)
-					if ek, ok := m.Authority.CurrentKey(pk); ok {
-						loser[pk] = ek
-					}
-				}
-			}
-			if prevAb != nil {
-				prevAb(m)
-			}
+	// The loser island's lineage. At the heal the east standby still
+	// holds the authority its contained takeover forked (the merge swaps
+	// it for the winner's), and abdication stops its island rotator, so
+	// from then on the fork's current keys are the ones the island held
+	// when it stepped down.
+	loserSM := cl.Standbys[0]
+	var fork *keys.PartitionAuthority
+	cl.Sim.Schedule(upAt, func() {
+		if a := loserSM.Authority; a != cl.SM.Authority {
+			fork = a
 		}
 	})
+	loser := map[packet.PKey]keys.EpochKey{}
 
 	// Well after the merge grace window closed (merge completes ~46us
 	// past the heal, grace 20us later) but before later rotations can
@@ -131,8 +122,18 @@ func TestSplitBrainEpochReconciliation(t *testing.T) {
 	var probeDst *transport.Endpoint
 
 	cl.Sim.Schedule(probeAt, func() {
+		if fork == nil {
+			t.Error("the east island held no authority fork at the heal — nothing to reconcile")
+			return
+		}
+		for _, b := range loserSM.PartitionBases() {
+			pk := packet.PKey(0x8000 | b)
+			if ek, ok := fork.CurrentKey(pk); ok {
+				loser[pk] = ek
+			}
+		}
 		if len(loser) == 0 {
-			t.Error("no abdication observed — nothing to reconcile")
+			t.Error("the fork holds no keys — nothing to reconcile")
 			return
 		}
 		// Fabric-wide store state first (the crafted send below perturbs
@@ -225,6 +226,12 @@ func TestSplitBrainEpochReconciliation(t *testing.T) {
 	})
 
 	cl.Simulate()
+	if cl.HA.Counters.Value(sm.HAAbdications) == 0 {
+		t.Fatal("no abdication observed — nothing to reconcile")
+	}
+	if len(cl.HA.Merges) == 0 || cl.HA.Merges[0].Loser != loserSM.Node() {
+		t.Fatalf("merges %+v: want the east standby (node %d) to lose the first", cl.HA.Merges, loserSM.Node())
+	}
 	if crafted != 0 {
 		t.Fatalf("packet sealed under a retired island epoch was delivered %d times", crafted)
 	}

@@ -298,7 +298,7 @@ func (s *Store) Counts() (partition, recvQP, sendQP int) {
 // PartitionAuthority is the Subnet Manager side of partition-level key
 // management (paper section 4.2): it owns one epoch-tagged secret per
 // partition, which the SM installs at each member CA out of band
-// (sm.SubnetManager.InstallSecret). It belongs to one simulation run and
+// (sm.SubnetManager.Stores). It belongs to one simulation run and
 // takes no lock.
 type PartitionAuthority struct {
 	rng     io.Reader

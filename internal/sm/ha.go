@@ -3,6 +3,7 @@ package sm
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 
@@ -369,7 +370,8 @@ type MergeEvent struct {
 	AbdicatedAt sim.Time
 	// MergedAt is when the winner finished absorbing the island: merge
 	// census done, tables, traps and timers re-imposed fabric-wide, and
-	// epoch reconciliation handed to the key plane.
+	// (with rotation on) the merged epoch minted and its distribution
+	// scheduled.
 	MergedAt sim.Time
 	// Winner and Loser are mesh node indices.
 	Winner, Loser int
@@ -395,6 +397,29 @@ type censusRound struct {
 // reached set (valid until the call returns) and the pings spent.
 type censusDone func(entry int, got map[int]bool, pings int)
 
+// entry is one ensemble member: its SM and node, and where it stands in
+// the heartbeat / lease / election protocol.
+type entry struct {
+	sm        *SubnetManager
+	node      int
+	dead      bool
+	lastHeard sim.Time
+	// isMaster marks an entry asserting mastership. With SplitBrain off
+	// only the active entry does; under a partition a second entry can
+	// hold an island.
+	isMaster bool
+	// contained marks a master running in degraded island mode.
+	contained                bool
+	containedAt, abdicatedAt sim.Time
+	hbSeq                    uint32
+	stopHB, stopLease        func()
+	// census is the entry's in-flight reachability census, nil when none.
+	census *censusRound
+	// island is the key rotator the entry's latest contained takeover
+	// started, nil when none did.
+	island *Rotator
+}
+
 // Coordinator wires a master SM and its standbys into the heartbeat /
 // lease / election protocol. All scheduling rides the deterministic sim
 // clock; heartbeat and state-sync MADs are real management packets, so
@@ -406,21 +431,9 @@ type Coordinator struct {
 	cfg  HAConfig
 	mkey keys.MKey
 
-	sms   []*SubnetManager // [0] = initial master, then standbys in priority order
-	nodes []int            // mesh node per sms entry
+	entries []entry // [0] = initial master, then standbys in priority order
+	active  int     // index into entries of the current fabric-wide master
 
-	active    int // index into sms of the current fabric-wide master
-	dead      []bool
-	lastHeard []sim.Time
-	// isMaster marks every entry currently asserting mastership. With
-	// SplitBrain off it is exactly {active}; under a partition a second
-	// entry can hold an island.
-	isMaster []bool
-	// contained marks masters running in degraded island mode.
-	contained   []bool
-	containedAt []sim.Time
-	abdicatedAt []sim.Time
-	hbSeqs      []uint32
 	// Buffers reused from beat to beat and sync to sync: out is the state
 	// sync the master stages (its member lists are windows into members),
 	// hb and ss the two encoded payloads, and in the state sync a standby
@@ -430,12 +443,8 @@ type Coordinator struct {
 	hb, ss  []byte
 	in      stateSyncMAD
 
-	stopHBs    []func()
-	stopLeases []func()
 	stopCensus func()
-
-	censusSeq uint32
-	censuses  map[int]*censusRound // per-entry in-flight rounds
+	censusSeq  uint32
 	// freeRounds holds finished rounds' records for reuse, and
 	// freeElections finished election sweeps'. masterDone, electDone and
 	// mergeDone are masterVerdict, electionVerdict and mergeVerdict as
@@ -454,24 +463,13 @@ type Coordinator struct {
 	mergeFrom   int
 	mergeHealed sim.Time
 
+	// rekey and forks feed split-brain key handling (SetSplitKeys).
+	rekey RotationConfig
+	forks io.Reader
+
 	// OnTakeover, when non-nil, runs after a standby finishes promotion
-	// (the core layer rebinds the key rotator here).
+	// (the core layer restarts the planes it owns on the new master).
 	OnTakeover func(newMaster *SubnetManager)
-	// OnContainedTakeover runs after a standby finishes a contained
-	// island promotion (the core layer forks the key authority and
-	// starts an island-scoped rotator here).
-	OnContainedTakeover func(m *SubnetManager)
-	// OnAbdicate runs when an island master steps down (the core layer
-	// stops its island rotator here; the authority fork stays readable
-	// until OnMerge reconciles it).
-	OnAbdicate func(m *SubnetManager)
-	// OnMerge runs after the winner re-imposed fabric-wide state (the
-	// core layer reconciles the two key-epoch lineages here).
-	OnMerge func(winner, loser *SubnetManager)
-	// OnUncontain runs when a sitting master's census sees the full
-	// fabric again without a rival ever having been elected (the core
-	// layer re-installs current epochs to the rejoined side here).
-	OnUncontain func(m *SubnetManager)
 
 	Events   []TakeoverEvent
 	Merges   []MergeEvent
@@ -498,31 +496,19 @@ func NewCoordinator(s *sim.Simulator, mesh *topology.Mesh, cfg HAConfig, mkey ke
 	}
 	c := &Coordinator{sim: s, mesh: mesh, cfg: cfg, mkey: mkey}
 	c.Counters.Bind(&haCounters, c.ctr[:])
-	c.sms = append([]*SubnetManager{master}, standbys...)
-	for i, m := range c.sms {
+	c.entries = make([]entry, 0, 1+len(standbys))
+	for _, m := range append([]*SubnetManager{master}, standbys...) {
 		n := m.Node()
 		if n < 0 || n >= mesh.NumNodes() {
 			return nil, fmt.Errorf("sm: HA node %d out of range", n)
 		}
-		for j := 0; j < i; j++ {
-			if c.nodes[j] == n {
-				return nil, fmt.Errorf("sm: HA node %d listed twice", n)
-			}
+		if c.indexOfNode(n) >= 0 {
+			return nil, fmt.Errorf("sm: HA node %d listed twice", n)
 		}
-		c.nodes = append(c.nodes, n)
+		c.entries = append(c.entries, entry{sm: m, node: n})
 	}
-	c.dead = make([]bool, len(c.sms))
-	c.lastHeard = make([]sim.Time, len(c.sms))
-	c.isMaster = make([]bool, len(c.sms))
-	c.contained = make([]bool, len(c.sms))
-	c.containedAt = make([]sim.Time, len(c.sms))
-	c.abdicatedAt = make([]sim.Time, len(c.sms))
-	c.hbSeqs = make([]uint32, len(c.sms))
-	c.censuses = make(map[int]*censusRound)
 	c.masterDone, c.electDone, c.mergeDone = c.masterVerdict, c.electionVerdict, c.mergeVerdict
-	c.stopHBs = make([]func(), len(c.sms))
-	c.stopLeases = make([]func(), len(c.sms))
-	c.isMaster[0] = true
+	c.entries[0].isMaster = true
 	c.mergeFrom = -1
 	c.stageSync(0)
 	for _, sb := range standbys {
@@ -532,24 +518,24 @@ func NewCoordinator(s *sim.Simulator, mesh *topology.Mesh, cfg HAConfig, mkey ke
 }
 
 // Active returns the current master SM.
-func (c *Coordinator) Active() *SubnetManager { return c.sms[c.active] }
+func (c *Coordinator) Active() *SubnetManager { return c.entries[c.active].sm }
 
 // ActiveNode returns the current master's mesh node index.
-func (c *Coordinator) ActiveNode() int { return c.nodes[c.active] }
+func (c *Coordinator) ActiveNode() int { return c.entries[c.active].node }
 
 // MasterAlive reports whether the currently active SM has not been
 // killed. It is false only in the window between an SMKill and a
 // successful takeover — or forever, with no standbys left to elect.
-func (c *Coordinator) MasterAlive() bool { return !c.dead[c.active] }
+func (c *Coordinator) MasterAlive() bool { return !c.entries[c.active].dead }
 
 // Masters returns the mesh nodes currently asserting mastership, in
 // ensemble priority order. More than one entry means split-brain; the
 // merge protocol's job is to bring this back to exactly one.
 func (c *Coordinator) Masters() []int {
 	var out []int
-	for i, m := range c.isMaster {
-		if m && !c.dead[i] {
-			out = append(out, c.nodes[i])
+	for _, e := range c.entries {
+		if e.isMaster && !e.dead {
+			out = append(out, e.node)
 		}
 	}
 	return out
@@ -559,12 +545,12 @@ func (c *Coordinator) Masters() []int {
 // checker, seeding each lease at the current sim time.
 func (c *Coordinator) Start() {
 	now := c.sim.Now()
-	for i := range c.lastHeard {
-		c.lastHeard[i] = now
+	for i := range c.entries {
+		c.entries[i].lastHeard = now
 	}
 	c.startHeartbeatsFrom(c.active)
-	for i := 1; i < len(c.sms); i++ {
-		c.stopLeases[i] = c.sim.Every(c.cfg.Heartbeat, func() { c.checkLease(i) })
+	for i := 1; i < len(c.entries); i++ {
+		c.entries[i].stopLease = c.sim.Every(c.cfg.Heartbeat, func() { c.checkLease(i) })
 	}
 	if c.cfg.SplitBrain {
 		c.stopCensus = c.sim.Every(c.lease(), c.masterCensus)
@@ -575,18 +561,18 @@ func (c *Coordinator) Start() {
 // starting its (priority-staggered) takeover countdown.
 func (c *Coordinator) lease() sim.Time { return 3 * c.cfg.Heartbeat }
 
-// Stop cancels every timer the coordinator owns.
+// Stop cancels every timer the coordinator owns, island key rotators
+// included.
 func (c *Coordinator) Stop() {
-	for i, stop := range c.stopHBs {
-		if stop != nil {
-			stop()
-			c.stopHBs[i] = nil
+	for i := range c.entries {
+		e := &c.entries[i]
+		e.stopBeats()
+		if e.stopLease != nil {
+			e.stopLease()
+			e.stopLease = nil
 		}
-	}
-	for i, stop := range c.stopLeases {
-		if stop != nil {
-			stop()
-			c.stopLeases[i] = nil
+		if e.island != nil {
+			e.island.Stop()
 		}
 	}
 	if c.stopCensus != nil {
@@ -600,36 +586,42 @@ func (c *Coordinator) Stop() {
 // emitted. Recovery, if any standby is configured, happens through lease
 // expiry and election.
 func (c *Coordinator) KillMaster() {
-	if c.dead[c.active] {
+	e := &c.entries[c.active]
+	if e.dead {
 		return
 	}
-	c.dead[c.active] = true
-	if c.stopHBs[c.active] != nil {
-		c.stopHBs[c.active]()
-		c.stopHBs[c.active] = nil
+	e.dead = true
+	e.stopBeats()
+	e.sm.Stop()
+}
+
+// stopBeats cancels the entry's heartbeat timer, if it runs.
+func (e *entry) stopBeats() {
+	if e.stopHB != nil {
+		e.stopHB()
+		e.stopHB = nil
 	}
-	c.sms[c.active].Stop()
 }
 
 // startHeartbeatsFrom begins entry idx's periodic beacon + state sync.
 // With SplitBrain off only the active master ever beats; under a
 // partition a contained island master beats too, per-entry.
 func (c *Coordinator) startHeartbeatsFrom(idx int) {
-	if c.stopHBs[idx] != nil {
-		c.stopHBs[idx]()
-	}
-	c.stopHBs[idx] = c.sim.Every(c.cfg.Heartbeat, func() { c.beatFrom(idx) })
+	e := &c.entries[idx]
+	e.stopBeats()
+	e.stopHB = c.sim.Every(c.cfg.Heartbeat, func() { c.beatFrom(idx) })
 }
 
 // beatFrom sends one heartbeat and one state-sync MAD from master entry
 // idx to each live peer entry.
 func (c *Coordinator) beatFrom(idx int) {
-	if c.dead[idx] || !c.isMaster[idx] {
+	e := &c.entries[idx]
+	if e.dead || !e.isMaster {
 		return
 	}
-	c.hbSeqs[idx]++
+	e.hbSeq++
 	c.stageSync(idx)
-	c.hb = appendHeartbeat(c.hb[:0], heartbeatMAD{Master: uint16(c.nodes[idx]), Seq: c.hbSeqs[idx], Digest: c.out.DirDigest})
+	c.hb = appendHeartbeat(c.hb[:0], heartbeatMAD{Master: uint16(e.node), Seq: e.hbSeq, Digest: c.out.DirDigest})
 	c.ss = appendStateSync(c.ss[:0], &c.out)
 	// With SplitBrain on, masters also beat entry 0 — that is how a
 	// healed fabric reveals two masters to each other (an island master's
@@ -638,12 +630,13 @@ func (c *Coordinator) beatFrom(idx int) {
 	if c.cfg.SplitBrain {
 		start = 0
 	}
-	for i := start; i < len(c.sms); i++ {
-		if c.dead[i] || i == idx {
+	for i := start; i < len(c.entries); i++ {
+		peer := &c.entries[i]
+		if peer.dead || i == idx {
 			continue
 		}
-		c.sendMADFrom(c.nodes[idx], c.nodes[i], c.hb)
-		c.sendMADFrom(c.nodes[idx], c.nodes[i], c.ss)
+		c.sendMADFrom(e.node, peer.node, c.hb)
+		c.sendMADFrom(e.node, peer.node, c.ss)
 		c.Counters.Add(HAHeartbeatsSent, 1)
 	}
 }
@@ -653,14 +646,14 @@ func (c *Coordinator) beatFrom(idx int) {
 // digest over both, and its non-empty sync states in first-set order (a
 // plane that is off sends no trailer).
 func (c *Coordinator) stageSync(idx int) {
-	master := c.sms[idx]
+	master := c.entries[idx].sm
 	n := 0
 	for _, p := range master.partitions {
 		n += 2 * len(p.members)
 	}
 	// Sized before the first window is cut, so no window moves.
 	c.members = slices.Grow(c.members[:0], n)[:n]
-	c.out.Master = uint16(c.nodes[idx])
+	c.out.Master = uint16(c.entries[idx].node)
 	c.out.Partitions = c.out.Partitions[:0]
 	off := 0
 	for _, p := range master.partitions {
@@ -704,16 +697,16 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 			return false
 		}
 		i := c.indexOfNode(node)
-		if i > 0 && !c.dead[i] && !c.isMaster[i] {
-			c.lastHeard[i] = c.sim.Now()
+		if i > 0 && !c.entries[i].dead && !c.entries[i].isMaster {
+			c.entries[i].lastHeard = c.sim.Now()
 		}
-		if c.cfg.SplitBrain && i >= 0 && !c.dead[i] && c.isMaster[i] {
+		if c.cfg.SplitBrain && i >= 0 && !c.entries[i].dead && c.entries[i].isMaster {
 			// A master hearing another master's beat is the mutual-
 			// discovery moment after a heal: the crossing beat proves the
 			// cut is mended and both masters are live. The configured
 			// priority (lower ensemble index) wins; the loser abdicates
 			// and the winner absorbs its island.
-			if j := c.indexOfNode(int(hb.Master)); j >= 0 && j != i && !c.dead[j] && c.isMaster[j] {
+			if j := c.indexOfNode(int(hb.Master)); j >= 0 && j != i && !c.entries[j].dead && c.entries[j].isMaster {
 				w, l := i, j
 				if l < w {
 					w, l = l, w
@@ -728,7 +721,8 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 		if err := parseStateSync(d.Pkt.Payload, sync); err != nil {
 			return false
 		}
-		if i := c.indexOfNode(node); i > 0 && !c.dead[i] && !c.isMaster[i] {
+		if i := c.indexOfNode(node); i > 0 && !c.entries[i].dead && !c.entries[i].isMaster {
+			e := &c.entries[i]
 			// Nothing authenticates the sender, so all of the MAD is
 			// checked before any of it is believed: a member beyond the
 			// mesh would index past every per-node table the promoted
@@ -739,10 +733,10 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 				c.Counters.Add(HASyncsRejected, 1)
 				return true
 			}
-			c.lastHeard[i] = c.sim.Now()
-			c.sms[i].adoptSync(sync.Partitions)
+			e.lastHeard = c.sim.Now()
+			e.sm.adoptSync(sync.Partitions)
 			for _, b := range sync.Blobs {
-				c.sms[i].adoptSyncState(b)
+				e.sm.adoptSyncState(b)
 			}
 			c.Counters.Add(HASyncsAdopted, 1)
 		}
@@ -764,8 +758,8 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 		if err != nil {
 			return false
 		}
-		if e := c.indexOfNode(node); e >= 0 {
-			if round := c.censuses[e]; round != nil && cm.ID == round.id {
+		if i := c.indexOfNode(node); i >= 0 {
+			if round := c.entries[i].census; round != nil && cm.ID == round.id {
 				round.got[int(cm.Node)] = true
 				if len(round.got) == c.mesh.NumNodes() {
 					// Unanimous: the verdict cannot change, deliver it now.
@@ -778,12 +772,13 @@ func (c *Coordinator) Dispatch(node int, d *fabric.Delivery) bool {
 	}
 	// Anything else (traps) belongs to a master serving this node.
 	if i := c.indexOfNode(node); i >= 0 {
-		if c.dead[i] {
+		e := &c.entries[i]
+		if e.dead {
 			c.Counters.Add(HAMADsToDeadSM, 1)
 			return true // the dead SM consumes nothing, the packet is lost
 		}
-		if c.isMaster[i] {
-			return c.sms[i].HandleManagement(d)
+		if e.isMaster {
+			return e.sm.HandleManagement(d)
 		}
 	}
 	return false
@@ -806,8 +801,8 @@ func (c *Coordinator) validSync(sync *stateSyncMAD) bool {
 }
 
 func (c *Coordinator) indexOfNode(node int) int {
-	for i, n := range c.nodes {
-		if n == node {
+	for i := range c.entries {
+		if c.entries[i].node == node {
 			return i
 		}
 	}
@@ -821,10 +816,11 @@ func (c *Coordinator) indexOfNode(node int) int {
 // have already refreshed the others' leases. Election therefore needs no
 // extra message round and stays deterministic.
 func (c *Coordinator) checkLease(i int) {
-	if c.dead[i] || c.isMaster[i] {
+	e := &c.entries[i]
+	if e.dead || e.isMaster {
 		return
 	}
-	if c.censuses[i] != nil {
+	if e.census != nil {
 		// This standby's own election census is still collecting; its
 		// verdict will elect or abort. A census can outlast the one-
 		// heartbeat priority stagger, but the verdict's lease re-check
@@ -839,11 +835,11 @@ func (c *Coordinator) checkLease(i int) {
 	// lease check landing on the same tick double-elect.
 	rank := 0
 	for j := 1; j < i; j++ {
-		if !c.dead[j] {
+		if !c.entries[j].dead {
 			rank++
 		}
 	}
-	deadline := c.lastHeard[i] + c.lease() + sim.Time(rank)*c.cfg.Heartbeat
+	deadline := e.lastHeard + c.lease() + sim.Time(rank)*c.cfg.Heartbeat
 	if c.sim.Now() < deadline {
 		return
 	}
@@ -860,10 +856,11 @@ func (c *Coordinator) checkLease(i int) {
 // this standby is on an island: elect a contained master that serves
 // only what it can see.
 func (c *Coordinator) electionVerdict(i int, got map[int]bool, _ int) {
-	if c.dead[i] || c.isMaster[i] {
+	e := &c.entries[i]
+	if e.dead || e.isMaster {
 		return
 	}
-	if c.sim.Now() < c.lastHeard[i]+c.lease() {
+	if c.sim.Now() < e.lastHeard+c.lease() {
 		return // heartbeats resumed while the census was collecting
 	}
 	if len(got) == c.mesh.NumNodes() {
@@ -878,15 +875,12 @@ func (c *Coordinator) electionVerdict(i int, got map[int]bool, _ int) {
 // re-attaches violation traps to itself, resumes the SIF auto-disable
 // duty, and starts heartbeating the surviving standbys.
 func (c *Coordinator) takeover(i int) {
-	detected := c.lastHeard[i] + c.lease()
+	detected := c.entries[i].lastHeard + c.lease()
 	elected := c.sim.Now()
-	if c.stopHBs[c.active] != nil {
-		c.stopHBs[c.active]()
-		c.stopHBs[c.active] = nil
-	}
-	c.isMaster[c.active] = false
+	c.entries[c.active].stopBeats()
+	c.entries[c.active].isMaster = false
 	c.active = i
-	c.isMaster[i] = true
+	c.entries[i].isMaster = true
 	c.Counters.Add(HATakeovers, 1)
 
 	// Assert mastership immediately: one beat now and the periodic
@@ -924,7 +918,7 @@ func (c *Coordinator) electionSweep(i int, contained bool, detected, elected sim
 		e.done = e.finish
 	}
 	e.i, e.contained, e.detected, e.elected = i, contained, detected, elected
-	disc := NewDiscoverer(c.sim, c.mesh.HCA(c.nodes[i]), c.mkey, electionSweepTimeout)
+	disc := NewDiscoverer(c.sim, c.mesh.HCA(c.entries[i].node), c.mkey, electionSweepTimeout)
 	disc.MaxRetries = 1
 	disc.Probe(e.done)
 }
@@ -934,18 +928,17 @@ func (c *Coordinator) electionSweep(i int, contained bool, detected, elected sim
 // unless an island master abdicated before its re-sweep finished.
 func (e *election) finish(topo *DiscoveredTopology) {
 	r := *e
-	c, m := r.c, r.c.sms[r.i]
+	c, ent := r.c, &r.c.entries[r.i]
+	m := ent.sm
 	c.freeElections = append(c.freeElections, e)
-	if r.contained && (c.dead[r.i] || !c.isMaster[r.i]) {
+	if r.contained && (ent.dead || !ent.isMaster) {
 		return // abdicated before the island re-sweep finished
 	}
 	m.ProgramSwitchTables()
 	m.AttachTraps()
 	m.ResumeTimers()
 	if r.contained {
-		if c.OnContainedTakeover != nil {
-			c.OnContainedTakeover(m)
-		}
+		c.islandKeys(r.i)
 		return
 	}
 	c.Events = append(c.Events, TakeoverEvent{
@@ -959,32 +952,33 @@ func (e *election) finish(topo *DiscoveredTopology) {
 	}
 }
 
-// runCensus starts a reachability census from entry's node: one ping to
+// runCensus starts a reachability census from entry i's node: one ping to
 // every other fabric node, a midway re-ping of whoever has not answered
 // (VL15 has strict arbitration priority but no preemption, so a MAD can
 // trail a large data packet at every hop — one late pong must not read
 // as a cut), and a verdict. The verdict fires early the moment every
 // node has answered; only a genuine cut waits out the full window, so
 // the window can be generous without slowing the healthy path. done
-// receives the reached set (entry's own node included) and the number of
+// receives the reached set (i's own node included) and the number of
 // pings spent. Starting a round replaces the entry's previous round, if
 // any: the stale round's pongs no longer match and its verdict is
 // swallowed — it describes reachability as of pings that a merge or a
 // newer round has already superseded.
-func (c *Coordinator) runCensus(entry int, done censusDone) {
+func (c *Coordinator) runCensus(i int, done censusDone) {
+	e := &c.entries[i]
 	c.censusSeq++
 	round := c.newRound()
-	round.id, round.entry, round.pings, round.done, round.fired = c.censusSeq, entry, 0, done, false
-	round.got[c.nodes[entry]] = true
-	c.censuses[entry] = round
+	round.id, round.entry, round.pings, round.done, round.fired = c.censusSeq, i, 0, done, false
+	round.got[e.node] = true
+	e.census = round
 	c.Counters.Add(HACensusRounds, 1)
 	var ping [censusPayloadSize]byte
-	putCensus(ping[:], haTypeCensusPing, censusMAD{Node: uint16(c.nodes[entry]), ID: round.id})
+	putCensus(ping[:], haTypeCensusPing, censusMAD{Node: uint16(e.node), ID: round.id})
 	for nd := 0; nd < c.mesh.NumNodes(); nd++ {
-		if nd == c.nodes[entry] {
+		if nd == e.node {
 			continue
 		}
-		c.sendMADFrom(c.nodes[entry], nd, ping[:])
+		c.sendMADFrom(e.node, nd, ping[:])
 		round.pings++
 	}
 	// The window must cover a fabric-diameter MAD round trip, or healthy
@@ -1021,17 +1015,17 @@ type (
 
 func (h *censusReping) Fire(arg any, id uint64) {
 	c, round := (*Coordinator)(h), arg.(*censusRound)
-	entry := round.entry
-	if round.id != uint32(id) || c.censuses[entry] != round || round.fired {
+	e := &c.entries[round.entry]
+	if round.id != uint32(id) || e.census != round || round.fired {
 		return
 	}
 	var ping [censusPayloadSize]byte
-	putCensus(ping[:], haTypeCensusPing, censusMAD{Node: uint16(c.nodes[entry]), ID: round.id})
+	putCensus(ping[:], haTypeCensusPing, censusMAD{Node: uint16(e.node), ID: round.id})
 	for nd := 0; nd < c.mesh.NumNodes(); nd++ {
-		if nd == c.nodes[entry] || round.got[nd] {
+		if nd == e.node || round.got[nd] {
 			continue
 		}
-		c.sendMADFrom(c.nodes[entry], nd, ping[:])
+		c.sendMADFrom(e.node, nd, ping[:])
 		round.pings++
 	}
 }
@@ -1048,11 +1042,11 @@ func (h *censusDeadline) Fire(arg any, id uint64) {
 // superseding the detection sweep); its verdict is stale evidence and is
 // dropped. Once the verdict has run, the record is free for reuse.
 func (c *Coordinator) finishCensus(round *censusRound) {
-	if round.fired || c.censuses[round.entry] != round {
+	if round.fired || c.entries[round.entry].census != round {
 		return
 	}
 	round.fired = true
-	delete(c.censuses, round.entry)
+	c.entries[round.entry].census = nil
 	round.done(round.entry, round.got, round.pings)
 	c.freeRounds = append(c.freeRounds, round)
 }
@@ -1065,16 +1059,16 @@ func (c *Coordinator) finishCensus(round *censusRound) {
 // wide state. A false full is impossible: pongs carry the round id, so
 // only nodes reachable right now can answer.
 func (c *Coordinator) masterCensus() {
-	i := c.active
-	if c.dead[i] || !c.isMaster[i] || c.censuses[i] != nil || c.mergeFrom >= 0 {
+	if e := &c.entries[c.active]; e.dead || !e.isMaster || e.census != nil || c.mergeFrom >= 0 {
 		return
 	}
-	c.runCensus(i, c.masterDone)
+	c.runCensus(c.active, c.masterDone)
 }
 
 // masterVerdict acts on the sitting master's periodic census.
 func (c *Coordinator) masterVerdict(i int, got map[int]bool, _ int) {
-	if c.dead[i] || !c.isMaster[i] || c.mergeFrom >= 0 {
+	e := &c.entries[i]
+	if e.dead || !e.isMaster || c.mergeFrom >= 0 {
 		return
 	}
 	full := len(got) == c.mesh.NumNodes()
@@ -1084,37 +1078,47 @@ func (c *Coordinator) masterVerdict(i int, got map[int]bool, _ int) {
 		c.partialStreak++
 	}
 	switch {
-	case !full && !c.contained[i] && c.partialStreak >= 2:
-		c.contain(i, got)
-	case full && c.contained[i]:
-		c.uncontain(i)
+	case !full && !e.contained && c.partialStreak >= 2:
+		c.contain(e, got)
+	case full && e.contained:
+		c.uncontain(e)
 	}
 }
 
-// contain drops sitting master entry i into degraded island mode: every
+// contain drops sitting master entry e into degraded island mode: every
 // fabric-touching duty — key distribution, table programming, trap
 // re-attachment — is scoped to the nodes its census reached. Policy-
 // plane writes are frozen by the same scoping: unreachable switches are
 // never written, so nothing pretends to cross the cut.
-func (c *Coordinator) contain(i int, got map[int]bool) {
-	c.contained[i] = true
-	c.containedAt[i] = c.sim.Now()
+func (c *Coordinator) contain(e *entry, got map[int]bool) {
+	e.contained = true
+	e.containedAt = c.sim.Now()
 	c.Counters.Add(HAContainments, 1)
-	c.sms[i].SetIsland(sortedNodes(got))
+	e.sm.SetIsland(sortedNodes(got))
 }
 
-// uncontain lifts entry i's containment after a heal with no rival: the
+// uncontain lifts entry e's containment after a heal with no rival: the
 // island scope clears, tables and traps are re-imposed fabric-wide, and
-// the core layer re-installs current epochs on the rejoined side (which
-// missed every rotation during the partition).
-func (c *Coordinator) uncontain(i int) {
-	c.contained[i] = false
-	m := c.sms[i]
+// every member store gets each partition's current epoch, because the
+// rejoined side missed every rotation of the partition. A store holding
+// a stale epoch has it displaced into the grace window, so straggler
+// traffic drains instead of hard-failing.
+func (c *Coordinator) uncontain(e *entry) {
+	e.contained = false
+	m := e.sm
 	m.SetIsland(nil)
 	m.ProgramSwitchTables()
 	m.AttachTraps()
-	if c.OnUncontain != nil {
-		c.OnUncontain(m)
+	if m.Authority == nil || m.Stores == nil {
+		return
+	}
+	for _, p := range m.partitions {
+		pk := packet.PKey(0x8000 | p.base)
+		if ek, ok := m.Authority.CurrentKey(pk); ok {
+			for _, n := range p.members {
+				m.Stores[n].InstallPartitionEpoch(pk, ek.Epoch, ek.Key)
+			}
+		}
 	}
 }
 
@@ -1125,12 +1129,12 @@ func (c *Coordinator) uncontain(i int) {
 // discovery is naturally island-bounded — then re-imposes island-scoped
 // tables, traps and timers.
 func (c *Coordinator) containedTakeover(i int, got map[int]bool) {
-	c.isMaster[i] = true
-	c.contained[i] = true
-	c.containedAt[i] = c.sim.Now()
+	e := &c.entries[i]
+	e.isMaster = true
+	e.contained = true
+	e.containedAt = c.sim.Now()
 	c.Counters.Add(HAContainedTakeovers, 1)
-	m := c.sms[i]
-	m.SetIsland(sortedNodes(got))
+	e.sm.SetIsland(sortedNodes(got))
 	c.beatFrom(i)
 	c.startHeartbeatsFrom(i)
 
@@ -1139,36 +1143,33 @@ func (c *Coordinator) containedTakeover(i int, got map[int]bool) {
 
 // abdicate steps island master entry i down in favour of the winning
 // entry: heartbeats stop, the island scope clears, periodic duties park,
-// and the entry rejoins the standby pool with a fresh lease (the
-// winner's beats keep it fresh thereafter).
+// the entry rejoins the standby pool with a fresh lease (the winner's
+// beats keep it fresh thereafter), and its island key rotator parks (the
+// authority fork stays readable until the merge reconciles it).
 func (c *Coordinator) abdicate(i int) {
-	if c.dead[i] || !c.isMaster[i] {
+	e := &c.entries[i]
+	if e.dead || !e.isMaster {
 		return
 	}
-	c.isMaster[i] = false
-	c.contained[i] = false
-	c.abdicatedAt[i] = c.sim.Now()
+	e.isMaster = false
+	e.contained = false
+	e.abdicatedAt = c.sim.Now()
 	c.Counters.Add(HAAbdications, 1)
-	if c.stopHBs[i] != nil {
-		c.stopHBs[i]()
-		c.stopHBs[i] = nil
-	}
-	m := c.sms[i]
-	m.SetIsland(nil)
-	m.Stop()
-	c.lastHeard[i] = c.sim.Now()
-	if c.OnAbdicate != nil {
-		c.OnAbdicate(m)
+	e.stopBeats()
+	e.sm.SetIsland(nil)
+	e.sm.Stop()
+	e.lastHeard = c.sim.Now()
+	if e.island != nil {
+		e.island.Stop()
 	}
 }
 
 // startMerge is the winning master's half of the merge protocol: a merge
 // census re-verifies what is reachable now that the cut has mended, then
 // the winner re-imposes fabric-wide state — switch tables, trap
-// routing, periodic duties — and hands the two key-epoch lineages to
-// the core layer for reconciliation.
+// routing, periodic duties — and reconciles the two key-epoch lineages.
 func (c *Coordinator) startMerge(i, j int) {
-	if c.mergeFrom >= 0 || c.dead[i] || !c.isMaster[i] {
+	if c.mergeFrom >= 0 || c.entries[i].dead || !c.entries[i].isMaster {
 		return
 	}
 	c.mergeFrom, c.mergeHealed = j, c.sim.Now()
@@ -1179,27 +1180,25 @@ func (c *Coordinator) startMerge(i, j int) {
 // mergeVerdict completes the merge of entry mergeFrom into winner i once
 // the merge census has re-verified reachability.
 func (c *Coordinator) mergeVerdict(i int, got map[int]bool, pings int) {
-	j := c.mergeFrom
-	winner, loser := c.sms[i], c.sms[j]
+	w, l := &c.entries[i], &c.entries[c.mergeFrom]
+	winner := w.sm
 	c.active = i
-	c.contained[i] = false
+	w.contained = false
 	c.partialStreak = 0 // detection starts fresh on the merged fabric
 	winner.SetIsland(nil)
 	winner.ProgramSwitchTables()
 	winner.AttachTraps()
 	winner.ResumeTimers()
 	c.Merges = append(c.Merges, MergeEvent{
-		ContainedAt:   c.containedAt[j],
+		ContainedAt:   l.containedAt,
 		HealedAt:      c.mergeHealed,
-		AbdicatedAt:   c.abdicatedAt[j],
+		AbdicatedAt:   l.abdicatedAt,
 		MergedAt:      c.sim.Now(),
-		Winner:        c.nodes[i],
-		Loser:         c.nodes[j],
+		Winner:        w.node,
+		Loser:         l.node,
 		ReconcileMADs: pings + len(got) - 1,
 	})
-	if c.OnMerge != nil {
-		c.OnMerge(winner, loser)
-	}
+	c.reconcileEpochs(winner, l.sm)
 	c.mergeFrom = -1
 }
 

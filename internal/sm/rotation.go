@@ -67,7 +67,7 @@ func (c RotationConfig) Validate(start sim.Time) error {
 }
 
 // Rotator drives periodic and forced (KeyCompromise) key-epoch rotation
-// through a SubnetManager's authority and distribution hooks. It survives
+// through a SubnetManager's authority and member key stores. It survives
 // SM failover via Rebind: the HA coordinator points it at the newly
 // elected master, and the shared authority keeps epochs monotonic across
 // the handover.
@@ -121,7 +121,7 @@ func (r *Rotator) Stop() {
 }
 
 // Rebind points the rotator at a newly elected master SM so subsequent
-// rollovers use its membership view and distribution hooks.
+// rollovers use its membership view and key stores.
 func (r *Rotator) Rebind(m *SubnetManager) { r.m = m }
 
 // ForceRotate is the KeyCompromise response path: rotate a single
@@ -202,9 +202,9 @@ type (
 
 func (h *installEpoch) Fire(arg any, _ uint64) {
 	rot := arg.(*rotation)
-	if m := rot.m; m.InstallSecret != nil {
+	if stores := rot.m.Stores; stores != nil {
 		for _, n := range rot.members {
-			m.InstallSecret(n, rot.pk, rot.fresh, rot.epoch)
+			stores[n].InstallPartitionEpoch(rot.pk, rot.epoch, rot.fresh)
 		}
 	}
 	(*Rotator)(h).fired(rot)
@@ -212,9 +212,9 @@ func (h *installEpoch) Fire(arg any, _ uint64) {
 
 func (h *retireEpoch) Fire(arg any, _ uint64) {
 	rot := arg.(*rotation)
-	if m := rot.m; m.RetireSecret != nil {
+	if stores := rot.m.Stores; stores != nil {
 		for _, n := range rot.members {
-			m.RetireSecret(n, rot.pk, rot.epoch-1)
+			stores[n].RetirePartitionEpoch(rot.pk, rot.epoch-1)
 		}
 	}
 	(*Rotator)(h).fired(rot)

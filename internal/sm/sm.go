@@ -79,17 +79,10 @@ type SubnetManager struct {
 	// partition secrets are generated and distributed at partition
 	// creation (paper section 4.2).
 	Authority *keys.PartitionAuthority
-	// InstallSecret delivers an epoch-tagged partition secret to a member
-	// node's key store; wired by the core layer.
-	InstallSecret func(node int, pk packet.PKey, k keys.SecretKey, epoch uint32)
-	// RetireSecret closes a member node's grace window for the given
-	// epoch (rotation's final step); wired by the core layer.
-	RetireSecret func(node int, pk packet.PKey, epoch uint32)
-	// WipeSecrets destroys every secret an evicted node holds for the
-	// partition — its copy of the partition secret and all QP-level
-	// send/recv secrets — so rotation can never resurrect stale
-	// credentials; wired by the core layer.
-	WipeSecrets func(node int, pk packet.PKey)
+	// Stores are the member key stores, by node, that partition secrets
+	// are distributed to: nil when authentication is off. The master and
+	// its standbys share one table.
+	Stores []*keys.Store
 
 	// syncState holds each plane's opaque HA-synced state, filed under
 	// the four-byte magic that opens it, in first-set order (SyncState,
@@ -202,10 +195,9 @@ func (m *SubnetManager) CheckMKey(k keys.MKey) error {
 
 // CreatePartition registers a partition and programs the member HCAs'
 // partition tables. With an Authority present it also generates the
-// partition secret and pushes it to every member through InstallSecret
-// (sealed distribution is exercised in the keys package; the simulator
-// shortcut here keeps setup out of the measured window, matching the
-// paper: "Key distribution overhead is virtually zero because the SM
+// partition secret and installs it in every member's store (sealed
+// distribution is exercised in the keys package; the simulator shortcut
+// here keeps setup out of the measured window, matching the paper: "Key distribution overhead is virtually zero because the SM
 // distributes P_Keys and their secret keys first").
 func (m *SubnetManager) CreatePartition(mkey keys.MKey, pk packet.PKey, members []int) error {
 	if err := m.CheckMKey(mkey); err != nil {
@@ -234,8 +226,8 @@ func (m *SubnetManager) CreatePartition(mkey keys.MKey, pk packet.PKey, members 
 		if err := m.mesh.HCA(n).PKeyTable.Add(pk); err != nil {
 			return err
 		}
-		if haveSecret && m.InstallSecret != nil {
-			m.InstallSecret(n, pk, secret, m.Authority.Epoch(pk))
+		if haveSecret && m.Stores != nil {
+			m.Stores[n].InstallPartitionEpoch(pk, m.Authority.Epoch(pk), secret)
 		}
 	}
 	return nil
@@ -285,8 +277,9 @@ func (m *SubnetManager) RemoveFromPartition(mkey keys.MKey, pk packet.PKey, node
 	// of the partition secret and its QP-level send/recv secrets, which
 	// the rotation below would otherwise leave behind as live stale
 	// credentials.
-	if m.WipeSecrets != nil {
-		m.WipeSecrets(node, pk)
+	if m.Stores != nil {
+		m.Stores[node].WipePartitionSecret(pk)
+		m.Stores[node].WipeQPSecrets()
 		m.Counters.Add(SMSecretsWiped, 1)
 	}
 
@@ -295,9 +288,9 @@ func (m *SubnetManager) RemoveFromPartition(mkey keys.MKey, pk packet.PKey, node
 		if err != nil {
 			return err
 		}
-		if m.InstallSecret != nil {
+		if m.Stores != nil {
 			for _, n := range m.members(pk) {
-				m.InstallSecret(n, pk, fresh, epoch)
+				m.Stores[n].InstallPartitionEpoch(pk, epoch, fresh)
 			}
 		}
 		m.Counters.Add(SMSecretsRotated, 1)

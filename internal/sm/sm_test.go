@@ -40,6 +40,25 @@ func newRig(t *testing.T, mode enforce.Mode) *rig {
 	return &rig{s: s, mesh: mesh, f: f, m: m}
 }
 
+// giveStores hands the SM a fresh key store per node, as a run with
+// authentication does, and returns them.
+func (r *rig) giveStores() []*keys.Store {
+	r.m.Stores = make([]*keys.Store, r.mesh.NumNodes())
+	for i := range r.m.Stores {
+		r.m.Stores[i] = keys.NewStore()
+	}
+	return r.m.Stores
+}
+
+// secret returns the partition secret node holds for testPKey, zero when
+// it holds none.
+func secret(stores []*keys.Store, node int) keys.SecretKey {
+	if k, ok := stores[node].PartitionSecret(testPKey); ok {
+		return *k
+	}
+	return keys.SecretKey{}
+}
+
 func (r *rig) sendData(src, dst int, pk packet.PKey, attack bool) {
 	p := &packet.Packet{
 		LRH:  packet.LRH{SLID: topology.LIDOf(src), DLID: topology.LIDOf(dst)},
@@ -99,18 +118,23 @@ func TestCreatePartitionDistributesSecrets(t *testing.T) {
 	r := newRig(t, enforce.NoFiltering)
 	rng := rand.New(rand.NewSource(2))
 	r.m.Authority = keys.NewPartitionAuthority(rng)
-	installed := map[int]keys.SecretKey{}
-	r.m.InstallSecret = func(node int, pk packet.PKey, k keys.SecretKey, epoch uint32) {
-		installed[node] = k
-	}
+	stores := r.giveStores()
 	if err := r.m.CreatePartition(DefaultConfig().MKey, testPKey, []int{2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if len(installed) != 2 || installed[2] != installed[3] {
-		t.Fatalf("secret distribution wrong: %v", installed)
+	for n, st := range stores {
+		if p, _, _ := st.Counts(); p != 0 && n != 2 && n != 3 {
+			t.Fatalf("non-member %d received a secret", n)
+		}
 	}
-	if installed[2] == (keys.SecretKey{}) {
-		t.Fatal("zero secret distributed")
+	if secret(stores, 2) != secret(stores, 3) {
+		t.Fatal("members hold different secrets")
+	}
+	if secret(stores, 2) == (keys.SecretKey{}) {
+		t.Fatal("zero or no secret distributed")
+	}
+	if e, _ := stores[2].PartitionEpoch(testPKey); e != r.m.Authority.Epoch(testPKey) {
+		t.Fatalf("installed at epoch %d, authority at %d", e, r.m.Authority.Epoch(testPKey))
 	}
 }
 
@@ -291,13 +315,12 @@ func TestRemoveFromPartitionRotatesSecret(t *testing.T) {
 	r := newRig(t, enforce.NoFiltering)
 	rng := rand.New(rand.NewSource(4))
 	r.m.Authority = keys.NewPartitionAuthority(rng)
-	installed := map[int]keys.SecretKey{}
-	r.m.InstallSecret = func(node int, pk packet.PKey, k keys.SecretKey, epoch uint32) { installed[node] = k }
+	stores := r.giveStores()
 	mkey := DefaultConfig().MKey
 	if err := r.m.CreatePartition(mkey, testPKey, []int{2, 3, 5}); err != nil {
 		t.Fatal(err)
 	}
-	old := installed[2]
+	old := secret(stores, 2)
 
 	if err := r.m.RemoveFromPartition(mkey, testPKey, 3); err != nil {
 		t.Fatal(err)
@@ -309,15 +332,19 @@ func TestRemoveFromPartitionRotatesSecret(t *testing.T) {
 	if got := r.m.Members(testPKey); len(got) != 2 {
 		t.Fatalf("members = %v", got)
 	}
-	// Remaining members got a fresh secret the evicted node never saw.
-	if installed[2] == old {
+	// Remaining members got a fresh secret the evicted node never saw:
+	// its store holds no secret for the partition at all.
+	if secret(stores, 2) == old {
 		t.Fatal("secret not rotated")
 	}
-	if installed[2] != installed[5] {
+	if secret(stores, 2) != secret(stores, 5) {
 		t.Fatal("remaining members diverged")
 	}
-	if installed[3] == installed[2] {
+	if secret(stores, 3) == secret(stores, 2) {
 		t.Fatal("evicted node received the fresh secret")
+	}
+	if _, ok := stores[3].PartitionSecret(testPKey); ok {
+		t.Fatal("evicted node's secret not wiped")
 	}
 
 	// Guard rails.
@@ -338,14 +365,14 @@ func TestEvictedNodeCannotAuthenticate(t *testing.T) {
 	r := newRig(t, enforce.NoFiltering)
 	rng := rand.New(rand.NewSource(5))
 	r.m.Authority = keys.NewPartitionAuthority(rng)
-	secrets := map[int]keys.SecretKey{}
-	r.m.InstallSecret = func(node int, pk packet.PKey, k keys.SecretKey, epoch uint32) { secrets[node] = k }
+	stores := r.giveStores()
 	mkey := DefaultConfig().MKey
 	r.m.CreatePartition(mkey, testPKey, []int{1, 4})
+	known := secret(stores, 4) // what node 4 learnt before its eviction
 	r.m.RemoveFromPartition(mkey, testPKey, 4)
 
-	// Node 4 still knows the old secret; node 1 has the rotated one.
-	if secrets[4] == secrets[1] {
+	// Node 4 may remember the old secret; node 1 has the rotated one.
+	if known == secret(stores, 1) {
 		t.Fatal("rotation did not separate the keys")
 	}
 }

@@ -30,8 +30,8 @@ func TestWarmTakeoverAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range c.sms {
-		node := m.Node()
+	for _, e := range c.entries {
+		node := e.node
 		r.mesh.HCA(node).OnDeliver = func(d *fabric.Delivery) { c.Dispatch(node, d) }
 	}
 	next := 1

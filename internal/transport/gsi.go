@@ -27,7 +27,6 @@ const (
 	gsiRCConnectReq  = 3
 	gsiRCConnectAck  = 4
 	gsiHeaderSize    = 9 // type(1) + two QPNs(4+4)
-	gsiMaxEnvelope   = 512
 	gsiResponseExtra = 6 // qkey(4) + envLen(2)
 )
 
@@ -130,18 +129,15 @@ func (e *Endpoint) issueFor(dstLID packet.LID) (keys.SecretKey, keys.Envelope, e
 	return keys.IssueQPSecret(e.cfg.RNG, e.cfg.Directory, e.cfg.NameOf(dstLID))
 }
 
+// appendEnvelope appends env behind its two-byte length.
 func appendEnvelope(payload []byte, env keys.Envelope) []byte {
-	if len(env.Ciphertext) > gsiMaxEnvelope {
-		panic("transport: envelope exceeds GSI limit")
-	}
-	var lenBuf [2]byte
-	binary.BigEndian.PutUint16(lenBuf[:], uint16(len(env.Ciphertext)))
-	payload = append(payload, lenBuf[:]...)
+	payload = binary.BigEndian.AppendUint16(payload, uint16(len(env.Ciphertext)))
 	return append(payload, env.Ciphertext...)
 }
 
-// parseEnvelope reads what appendEnvelope wrote, refusing a length
-// appendEnvelope could not have written.
+// parseEnvelope reads what appendEnvelope wrote. Every sealed envelope is
+// keys.EnvelopeSize bytes, so any other non-zero length is refused before
+// a byte of it is copied.
 func parseEnvelope(b []byte) (keys.Envelope, error) {
 	if len(b) < 2 {
 		return keys.Envelope{}, fmt.Errorf("transport: truncated envelope length")
@@ -150,8 +146,8 @@ func parseEnvelope(b []byte) (keys.Envelope, error) {
 	if n == 0 {
 		return keys.Envelope{}, nil
 	}
-	if n > gsiMaxEnvelope {
-		return keys.Envelope{}, fmt.Errorf("transport: envelope length %d exceeds the GSI limit %d", n, gsiMaxEnvelope)
+	if n != keys.EnvelopeSize {
+		return keys.Envelope{}, fmt.Errorf("transport: envelope length %d, want %d", n, keys.EnvelopeSize)
 	}
 	if len(b) < 2+n {
 		return keys.Envelope{}, fmt.Errorf("transport: truncated envelope (%d < %d)", len(b)-2, n)

@@ -28,9 +28,9 @@ const (
 // FuzzGSI feeds arbitrary QP 1 payloads from node 1 to handleGSI on a
 // fresh QP-level-key endpoint. GSI input is attacker-reachable — any
 // node can address QP 1 — so the dispatcher must not panic on any of
-// it. The envelope codec must round-trip every envelope appendEnvelope
-// accepts, and parseEnvelope must refuse any length above gsiMaxEnvelope,
-// which appendEnvelope would never have written.
+// it. The envelope codec must round-trip every envelope of
+// keys.EnvelopeSize bytes, and parseEnvelope must refuse any other
+// non-zero length, which no sealed envelope has.
 func FuzzGSI(f *testing.F) {
 	// One key pair stands in for every node's: the endpoint seals to its
 	// peers' keys and opens what is sealed to its own.
@@ -60,6 +60,9 @@ func FuzzGSI(f *testing.F) {
 	f.Add(append(append(gsiHeader(gsiQKeyResponse, gsiFuzzUD, gsiFuzzPeerUD), qkey...), 0xFF, 0xFF, 1, 2, 3))
 	f.Add(append(gsiHeader(gsiRCConnectReq, 9, gsiFuzzRC), 0x02, 0x01))
 	f.Add([]byte{gsiQKeyResponse, 0})
+	for _, n := range []int{keys.EnvelopeSize + 1, 512} {
+		f.Add(appendEnvelope(nil, keys.Envelope{Ciphertext: make([]byte, n)}))
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		s := sim.New()
@@ -93,14 +96,15 @@ func FuzzGSI(f *testing.F) {
 		s.Run()
 
 		if got, err := parseEnvelope(payload); err == nil {
-			if len(payload) >= 2 && int(binary.BigEndian.Uint16(payload)) > gsiMaxEnvelope {
-				t.Fatalf("parseEnvelope accepted a %d-byte envelope", binary.BigEndian.Uint16(payload))
+			if n := int(binary.BigEndian.Uint16(payload)); n != 0 && n != keys.EnvelopeSize {
+				t.Fatalf("parseEnvelope accepted a %d-byte envelope", n)
 			}
 			if n := len(got.Ciphertext); n > 0 && !bytes.Equal(got.Ciphertext, payload[2:2+n]) {
 				t.Fatal("parseEnvelope returned bytes other than the envelope's")
 			}
 		}
-		x := payload[:min(len(payload), gsiMaxEnvelope)]
+		x := make([]byte, keys.EnvelopeSize)
+		copy(x, payload)
 		got, err := parseEnvelope(appendEnvelope(nil, keys.Envelope{Ciphertext: x}))
 		if err != nil || !bytes.Equal(got.Ciphertext, x) {
 			t.Fatalf("envelope of %d bytes did not round-trip: %v", len(x), err)

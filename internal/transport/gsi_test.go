@@ -122,7 +122,8 @@ func (w *world) injectGSI(t *testing.T, from, to int, payload []byte) {
 }
 
 // TestGSIForgedEnvelopeCounted sends envelopes that do not open —
-// bit-flipped, sealed to another node, and malformed — down both paths
+// bit-flipped, sealed to another node, and malformed (short, long, or
+// a length past the body) — down both paths
 // that carry one, a Q_Key response and an RC connect request. Each is
 // refused and counted as gsi_issue_failed, and none establishes a key.
 func TestGSIForgedEnvelopeCounted(t *testing.T) {
@@ -132,7 +133,8 @@ func TestGSIForgedEnvelopeCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flipped := append([]byte(nil), env.Ciphertext...)
+		sealed := env.Ciphertext[:keys.EnvelopeSize:keys.EnvelopeSize] // appends copy
+		flipped := append([]byte(nil), sealed...)
 		flipped[keys.EnvelopeSize/2] ^= 0x40
 		other, err := keys.Seal(rng, w.kps[2].Public(), keys.SecretKey{7})
 		if err != nil {
@@ -142,6 +144,8 @@ func TestGSIForgedEnvelopeCounted(t *testing.T) {
 			"bit-flipped":      appendEnvelope(nil, keys.Envelope{Ciphertext: flipped}),
 			"wrong recipient":  appendEnvelope(nil, other),
 			"truncated":        appendEnvelope(nil, keys.Envelope{Ciphertext: env.Ciphertext[:keys.EnvelopeSize-1]}),
+			"one byte over":    appendEnvelope(nil, keys.Envelope{Ciphertext: append(sealed, 0)}),
+			"512 bytes":        appendEnvelope(nil, keys.Envelope{Ciphertext: append(sealed, make([]byte, 512-keys.EnvelopeSize)...)}),
 			"length past body": {0, 200, 1, 2, 3},
 		}
 	}

@@ -7,8 +7,10 @@
 # 32x32 fabric; an end-to-end -quick smoke of every experiment through
 # the parallel runner, whose CSV names and headers must match the
 # committed results/ and whose CSVs, but for the host-timed table4.csv, a
-# one-worker run must repeat byte for byte; the reachability gate over
-# that smoke, the examples and bench -quick (testdata/unreached.txt); a
+# one-worker run must repeat byte for byte; a full-length run at default
+# flags that must write every committed results/*.csv but table4.csv byte
+# for byte; the reachability gate over the -quick smoke, the examples and
+# bench -quick (testdata/unreached.txt); a
 # 5 s smoke of every fuzz target, listed in one table of package paths
 # and target names (cmd/ibsim's FuzzRun among them); and a -quick run of
 # the benchmark for its correctness checks, then one full-length
@@ -76,6 +78,13 @@ for f in results/*.csv; do
     echo "header of $f: smoke wrote '$(head -n 1 "$got" 2>/dev/null)', committed '$(head -n 1 "$f")'" >&2
     exit 1
   fi
+done
+
+echo "== ibsim all at default flags (every committed results/*.csv but the host-timed table4.csv byte-identical; ~12 s on 2 vCPUs)"
+go run ./cmd/ibsim -csv "$tmp/full" all >"$tmp/full.out"
+for f in results/*.csv; do
+  name="$(basename "$f")"
+  [ "$name" = table4.csv ] || cmp "$f" "$tmp/full/$name"
 done
 
 echo "== reachability (every function under internal/ and cmd/ that no run executes is listed in testdata/unreached.txt; no listed one is reached)"
